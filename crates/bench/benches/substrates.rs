@@ -159,8 +159,12 @@ fn bench_lockstep_partition(c: &mut Criterion) {
     });
 }
 
-/// Transaction-manager throughput: a batch of transfers to decision.
+/// Transaction-manager throughput: a batch of transfers to decision,
+/// over a store far larger than the batch (the `txn_sim_sync` shape of
+/// `benchmark/`). With a two-key store, work that scales with the store
+/// instead of the batch is invisible here.
 fn bench_txn_batch(c: &mut Criterion) {
+    const KEYS: usize = 1024;
     let mut group = c.benchmark_group("txn_batch");
     group.sample_size(20);
     for batch_size in [1usize, 4, 16] {
@@ -169,18 +173,19 @@ fn bench_txn_batch(c: &mut Criterion) {
             &batch_size,
             |b, &size| {
                 let config = cfg(4);
-                let initial = Store::with_entries([("a", 1_000), ("b", 1_000)]);
+                let account = |k: usize| format!("acct{:04}", k % KEYS);
+                let initial = Store::with_entries((0..KEYS).map(|k| (account(k), 1_000)));
                 let batch: Vec<Transaction> = (0..size)
                     .map(|i| {
                         Transaction::new(
                             i as u64 + 1,
                             vec![
                                 Op::Add {
-                                    key: "a".into(),
+                                    key: account(i * 61),
                                     delta: -1,
                                     floor: 0,
                                 },
-                                Op::add("b", 1),
+                                Op::add(account(i * 61 + 7), 1),
                             ],
                         )
                     })

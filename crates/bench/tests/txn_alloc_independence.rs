@@ -1,0 +1,124 @@
+//! A transaction's cost does not depend on the size of the store.
+//!
+//! Vote formation reads the store through an overlay of the
+//! transaction's own writes, and a replica population shares one
+//! copy-on-write store image and one batch, so the heap allocations of
+//! both are a function of the batch alone. Allocation counts are exact
+//! and machine-independent, which makes "does not scale with the store"
+//! testable: the same batch costs the same number of allocations over
+//! 16 keys and over 16 384.
+//!
+//! (Before the epoch image was shared, `Store::validates` deep-copied
+//! the store per transaction and `replica_population` copied it per
+//! replica: both counts grew by a thousand allocations per thousand
+//! keys.)
+//!
+//! This lives in `rtc-bench` because a counting `#[global_allocator]`
+//! needs `unsafe`, which every other crate forbids.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use rtc_core::CommitConfig;
+use rtc_model::TimingParams;
+use rtc_txn::{replica_population, Op, Store, Transaction};
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Forwards to the system allocator, counting the calling thread's
+/// allocations (tests run on parallel threads; a process-wide counter
+/// would mix them).
+struct CountingAlloc;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the only addition is a
+// bump of a const-initialised, destructor-free thread-local cell, which
+// cannot allocate (`try_with` covers thread teardown regardless).
+#[allow(unsafe_code)]
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Heap allocations `f` makes on this thread.
+fn count_allocs<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+fn store_of(keys: usize) -> Store {
+    Store::with_entries((0..keys).map(|k| (format!("acct{k:05}"), 1_000)))
+}
+
+/// Sixteen transfers among the first sixteen accounts (present at every
+/// store size), every fourth one overdrawing.
+fn batch() -> Vec<Transaction> {
+    (0..16u64)
+        .map(|i| {
+            let amount = if i % 4 == 3 { 5_000 } else { 10 };
+            Transaction::new(
+                i + 1,
+                vec![
+                    Op::Add {
+                        key: format!("acct{:05}", i),
+                        delta: -amount,
+                        floor: 0,
+                    },
+                    Op::add(format!("acct{:05}", (i * 7 + 3) % 16), amount),
+                ],
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn vote_formation_allocates_the_same_at_any_store_size() {
+    let batch = batch();
+    let count = |keys: usize| {
+        let store = store_of(keys);
+        count_allocs(|| {
+            batch
+                .iter()
+                .map(|tx| store.validates(tx))
+                .collect::<Vec<_>>()
+        })
+    };
+    let (small_allocs, small_votes) = count(16);
+    let (large_allocs, large_votes) = count(16_384);
+    assert_eq!(small_votes, large_votes);
+    assert!(small_votes.contains(&true) && small_votes.contains(&false));
+    assert_eq!(small_allocs, large_allocs);
+}
+
+#[test]
+fn a_replica_population_allocates_the_same_at_any_store_size() {
+    let cfg = CommitConfig::new(5, 2, TimingParams::default()).unwrap();
+    let batch = batch();
+    let count = |keys: usize| {
+        let store = store_of(keys);
+        let (allocs, population) = count_allocs(|| replica_population(cfg, &store, &batch));
+        assert_eq!(population.len(), 5);
+        allocs
+    };
+    assert_eq!(count(16), count(16_384));
+}

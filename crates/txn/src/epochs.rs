@@ -7,7 +7,9 @@
 //! simulator substrate: it materializes a replica population per epoch
 //! (seeded with the carried store), runs it to decision under a caller-
 //! supplied adversary, checks cross-replica convergence, and advances
-//! its authoritative store.
+//! its authoritative store. The carried store is a copy-on-write handle
+//! the population shares; advancing it adopts a replica's result, it
+//! copies nothing.
 
 use std::collections::BTreeMap;
 use std::fmt;

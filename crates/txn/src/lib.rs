@@ -15,6 +15,10 @@
 //!   transaction over a single [`rtc_model::Automaton`], so a whole
 //!   batch commits concurrently on any substrate (the discrete-event
 //!   simulator or the threaded runtime);
+//! * an epoch's opening [`Store`] and its batch are one shared
+//!   copy-on-write image, so forming votes, building a population,
+//!   taking snapshots and recovering cost what the batch costs, not
+//!   what the store holds;
 //! * every state transition is recorded in a [`Wal`] (write-ahead log)
 //!   whose invariants — votes precede decisions, decisions never flip —
 //!   are machine-checked, and whose durable encoding frames every

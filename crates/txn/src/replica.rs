@@ -1,8 +1,9 @@
 //! A database replica: one commit-protocol instance per transaction,
 //! multiplexed over a single automaton.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
+use std::sync::Arc;
 
 use rtc_core::{CommitAutomaton, CommitConfig, CommitMsg};
 use rtc_model::{
@@ -34,20 +35,57 @@ pub struct TxBatchStatus {
 /// The replica is itself an [`Automaton`] (messages are bundles of
 /// per-transaction protocol messages), so whole batches run unchanged
 /// on the discrete-event simulator or the threaded runtime.
+///
+/// What an epoch's replicas have in common is held once: the opening
+/// store is a copy-on-write [`Store`] handle and the batch, sorted by
+/// [`TxId`], is one shared slice. A transaction's *slot* is its rank in
+/// that slice; everything per-transaction on the replica is a `Vec`
+/// indexed by slot.
 #[derive(Clone)]
 pub struct Replica {
     id: ProcessorId,
     initial: Store,
-    batch: BTreeMap<TxId, Transaction>,
-    instances: BTreeMap<TxId, CommitAutomaton>,
+    batch: Arc<[Transaction]>,
+    /// By slot. `None` once recovery adopted a logged decision: such a
+    /// transaction is not re-run.
+    instances: Vec<Option<CommitAutomaton>>,
     outcomes: BTreeMap<TxId, Decision>,
     wal: Wal,
     cfg: CommitConfig,
+    /// Step scratch, by slot: this step's deliveries. Empty between
+    /// steps.
+    inboxes: Vec<Vec<Delivery<CommitMsg>>>,
+    /// Step scratch, by destination: this step's bundle. Empty between
+    /// steps (a filled bundle is moved into its send).
+    outboxes: Vec<Vec<TxMsg>>,
+}
+
+/// The batch as every replica of the epoch shares it: sorted by
+/// [`TxId`], ids distinct.
+fn share_batch(batch: &[Transaction]) -> Arc<[Transaction]> {
+    let mut txs = batch.to_vec();
+    txs.sort_by_key(|tx| tx.id);
+    if let Some(pair) = txs.windows(2).find(|pair| pair[0].id == pair[1].id) {
+        panic!("duplicate transaction id {}", pair[0].id);
+    }
+    txs.into()
+}
+
+/// The vote local validation gives.
+fn validated_vote(store: &Store, tx: &Transaction) -> Value {
+    Value::from_bool(store.validates(tx))
+}
+
+/// [`Replica::recover`]'s answer for a transaction the log is silent on.
+fn vote_required(_: &Store, tx: &Transaction) -> Value {
+    panic!("no logged vote for {}", tx.id)
 }
 
 impl Replica {
     /// Creates the replica for processor `id` over `batch`, voting per
-    /// local validation against `initial`.
+    /// local validation against `initial`. Each transaction is
+    /// validated on its own against `initial`; votes are logged in
+    /// [`TxId`] order.
     ///
     /// # Panics
     ///
@@ -58,16 +96,17 @@ impl Replica {
         initial: Store,
         batch: &[Transaction],
     ) -> Replica {
-        let mut votes: BTreeMap<TxId, Value> = BTreeMap::new();
-        for tx in batch {
-            let vote = Value::from_bool(initial.validates(tx));
-            assert!(
-                votes.insert(tx.id, vote).is_none(),
-                "duplicate transaction id {}",
-                tx.id
-            );
-        }
-        Replica::with_votes(cfg, id, initial, batch, &votes)
+        Replica::fresh(cfg, id, initial, share_batch(batch))
+    }
+
+    /// [`Replica::new`] over an already shared batch.
+    fn fresh(
+        cfg: CommitConfig,
+        id: ProcessorId,
+        initial: Store,
+        batch: Arc<[Transaction]>,
+    ) -> Replica {
+        Replica::from_log(cfg, id, initial, batch, Wal::new(), validated_vote)
     }
 
     /// Creates the replica with explicit per-transaction votes
@@ -77,7 +116,8 @@ impl Replica {
     ///
     /// # Panics
     ///
-    /// Panics if `votes` does not cover exactly the batch ids.
+    /// Panics if `batch` contains duplicate transaction ids, or if
+    /// `votes` does not cover exactly the batch ids.
     pub fn with_votes(
         cfg: CommitConfig,
         id: ProcessorId,
@@ -85,25 +125,15 @@ impl Replica {
         batch: &[Transaction],
         votes: &BTreeMap<TxId, Value>,
     ) -> Replica {
-        let mut wal = Wal::new();
-        let mut instances = BTreeMap::new();
-        let mut txs = BTreeMap::new();
-        for tx in batch {
-            let vote = *votes.get(&tx.id).expect("one vote per transaction");
-            wal.append(LogRecord::Vote { tx: tx.id, vote });
-            instances.insert(tx.id, CommitAutomaton::new(cfg, id, vote));
-            txs.insert(tx.id, tx.clone());
-        }
-        assert_eq!(votes.len(), txs.len(), "votes must cover exactly the batch");
-        Replica {
-            id,
-            initial,
-            batch: txs,
-            instances,
-            outcomes: BTreeMap::new(),
-            wal,
-            cfg,
-        }
+        let batch = share_batch(batch);
+        assert_eq!(
+            votes.len(),
+            batch.len(),
+            "votes must cover exactly the batch"
+        );
+        Replica::from_log(cfg, id, initial, batch, Wal::new(), |_, tx| {
+            *votes.get(&tx.id).expect("one vote per transaction")
+        })
     }
 
     /// Reconstructs a replica from its write-ahead log after a restart.
@@ -126,8 +156,9 @@ impl Replica {
     ///
     /// # Panics
     ///
-    /// Panics if the log lacks a vote for some transaction in `batch`,
-    /// or fails its invariants.
+    /// Panics if `batch` contains duplicate transaction ids, if the log
+    /// lacks a vote for some transaction in `batch`, or if it fails its
+    /// invariants.
     pub fn recover(
         cfg: CommitConfig,
         id: ProcessorId,
@@ -135,39 +166,14 @@ impl Replica {
         batch: &[Transaction],
         wal: &Wal,
     ) -> Replica {
-        wal.check_invariants()
-            .expect("recovering from a corrupt WAL");
-        let mut instances = BTreeMap::new();
-        let mut outcomes = BTreeMap::new();
-        let mut txs = BTreeMap::new();
-        for tx in batch {
-            let vote = wal
-                .vote_of(tx.id)
-                .unwrap_or_else(|| panic!("no logged vote for {}", tx.id));
-            match wal.decision_of(tx.id) {
-                Some(decision) => {
-                    outcomes.insert(tx.id, decision);
-                }
-                None => {
-                    // The WAL pins the vote but not the in-flight
-                    // protocol traffic, so the recreated instance is an
-                    // amnesiac observer: it catches up by pinging
-                    // instead of replaying (which could equivocate).
-                    let fresh = CommitAutomaton::new(cfg, id, vote);
-                    instances.insert(tx.id, CommitAutomaton::restore_amnesiac(&fresh.snapshot()));
-                }
-            }
-            txs.insert(tx.id, tx.clone());
-        }
-        Replica {
+        Replica::from_log(
+            cfg,
             id,
             initial,
-            batch: txs,
-            instances,
-            outcomes,
-            wal: wal.clone(),
-            cfg,
-        }
+            share_batch(batch),
+            wal.clone(),
+            vote_required,
+        )
     }
 
     /// Reconstructs a replica from the *encoded* write-ahead log bytes
@@ -184,6 +190,10 @@ impl Replica {
     /// catches up from its peers.
     ///
     /// Returns the recovered replica and the damage found, if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch` contains duplicate transaction ids.
     pub fn recover_from_bytes(
         cfg: CommitConfig,
         id: ProcessorId,
@@ -191,47 +201,65 @@ impl Replica {
         batch: &[Transaction],
         bytes: &[u8],
     ) -> (Replica, Option<crate::wal::WalDamage>) {
-        let (mut wal, damage) = Wal::decode(bytes);
-        wal.check_invariants()
-            .expect("the durable WAL prefix satisfies the log invariants");
-        let mut instances = BTreeMap::new();
+        let (wal, damage) = Wal::decode(bytes);
+        let replica = Replica::from_log(cfg, id, initial, share_batch(batch), wal, validated_vote);
+        (replica, damage)
+    }
+
+    /// Every constructor: the replica over the shared `batch` that a
+    /// process holding `wal` on stable storage comes up as. Per
+    /// transaction, by what the log holds:
+    ///
+    /// * a decision — adopted; no instance;
+    /// * a vote only — the WAL pins the vote but not the in-flight
+    ///   protocol traffic, so the instance is an amnesiac observer: it
+    ///   catches up by pinging instead of replaying (which could
+    ///   equivocate);
+    /// * nothing — the vote never reached stable storage, so it was
+    ///   never sent either (write-ahead ordering): a fresh participant
+    ///   voting `first_vote`, logged before anything is sent.
+    ///
+    /// A fresh replica is the empty-log case; [`Replica::recover`] is
+    /// the case where `first_vote` refuses.
+    fn from_log(
+        cfg: CommitConfig,
+        id: ProcessorId,
+        initial: Store,
+        batch: Arc<[Transaction]>,
+        mut wal: Wal,
+        first_vote: impl Fn(&Store, &Transaction) -> Value,
+    ) -> Replica {
+        let logged = wal.index().expect("recovering from a corrupt WAL");
         let mut outcomes = BTreeMap::new();
-        let mut txs = BTreeMap::new();
-        for tx in batch {
-            match wal.vote_of(tx.id) {
-                Some(vote) => match wal.decision_of(tx.id) {
-                    Some(decision) => {
-                        outcomes.insert(tx.id, decision);
-                    }
-                    None => {
-                        let fresh = CommitAutomaton::new(cfg, id, vote);
-                        instances
-                            .insert(tx.id, CommitAutomaton::restore_amnesiac(&fresh.snapshot()));
-                    }
-                },
-                None => {
-                    // The vote never reached stable storage, so it was
-                    // never sent either (write-ahead ordering): this is
-                    // a fresh participant, not an amnesiac rejoiner.
-                    let vote = Value::from_bool(initial.validates(tx));
-                    wal.append(LogRecord::Vote { tx: tx.id, vote });
-                    instances.insert(tx.id, CommitAutomaton::new(cfg, id, vote));
+        let instances = batch
+            .iter()
+            .map(|tx| match logged.get(&tx.id) {
+                Some((_, Some(decision))) => {
+                    outcomes.insert(tx.id, *decision);
+                    None
                 }
-            }
-            txs.insert(tx.id, tx.clone());
+                Some((vote, None)) => {
+                    let fresh = CommitAutomaton::new(cfg, id, *vote);
+                    Some(CommitAutomaton::restore_amnesiac(&fresh.snapshot()))
+                }
+                None => {
+                    let vote = first_vote(&initial, tx);
+                    wal.append(LogRecord::Vote { tx: tx.id, vote });
+                    Some(CommitAutomaton::new(cfg, id, vote))
+                }
+            })
+            .collect();
+        Replica {
+            id,
+            initial,
+            inboxes: vec![Vec::new(); batch.len()],
+            outboxes: vec![Vec::new(); cfg.population()],
+            batch,
+            instances,
+            outcomes,
+            wal,
+            cfg,
         }
-        (
-            Replica {
-                id,
-                initial,
-                batch: txs,
-                instances,
-                outcomes,
-                wal,
-                cfg,
-            },
-            damage,
-        )
     }
 
     /// The decided fate of every transaction so far.
@@ -251,26 +279,24 @@ impl Replica {
             aborted: Vec::new(),
             pending: Vec::new(),
         };
-        for id in self.batch.keys() {
-            match self.outcomes.get(id) {
-                Some(Decision::Commit) => status.committed.push(*id),
-                Some(Decision::Abort) => status.aborted.push(*id),
-                None => status.pending.push(*id),
+        for tx in self.batch.iter() {
+            match self.outcomes.get(&tx.id) {
+                Some(Decision::Commit) => status.committed.push(tx.id),
+                Some(Decision::Abort) => status.aborted.push(tx.id),
+                None => status.pending.push(tx.id),
             }
         }
         status
     }
 
     /// The store after applying all committed transactions in [`TxId`]
-    /// order.
+    /// order — the opening image itself while nothing has committed.
     pub fn store(&self) -> Store {
-        let committed: BTreeMap<TxId, Transaction> = self
-            .outcomes
-            .iter()
-            .filter(|(_, d)| **d == Decision::Commit)
-            .map(|(id, _)| (*id, self.batch[id].clone()))
-            .collect();
-        Store::rebuild(&self.initial, &committed)
+        self.initial.applying(
+            self.batch
+                .iter()
+                .filter(|tx| self.outcomes.get(&tx.id) == Some(&Decision::Commit)),
+        )
     }
 }
 
@@ -281,40 +307,49 @@ impl Automaton for Replica {
         self.id
     }
 
+    /// Steps every live instance once, in [`TxId`] order (each counts
+    /// this as one clock tick and draws from `rng` in that order).
+    ///
+    /// The sends come out destination ascending, at most one per
+    /// destination, and inside a bundle the per-transaction messages
+    /// are [`TxId`] ascending.
     fn step(
         &mut self,
         delivered: &[Delivery<Vec<TxMsg>>],
         rng: &mut StepRng,
     ) -> Vec<Send<Vec<TxMsg>>> {
-        // Route deliveries to their instances.
-        let mut per_tx: BTreeMap<TxId, Vec<Delivery<CommitMsg>>> = BTreeMap::new();
+        // Route deliveries to their instances. Traffic for a transaction
+        // outside the batch, or one with no instance, is dropped.
         for d in delivered {
             for (tx, msg) in &d.msg {
-                per_tx
-                    .entry(*tx)
-                    .or_default()
-                    .push(Delivery::new(d.from, msg.clone()));
-            }
-        }
-        // Step every instance (each counts this as one clock tick) and
-        // pool the outgoing traffic per destination.
-        let empty: Vec<Delivery<CommitMsg>> = Vec::new();
-        let mut outgoing: BTreeMap<ProcessorId, Vec<TxMsg>> = BTreeMap::new();
-        for (tx, instance) in self.instances.iter_mut() {
-            let inbox = per_tx.get(tx).unwrap_or(&empty);
-            for send in instance.step(inbox, rng) {
-                outgoing.entry(send.to).or_default().push((*tx, send.msg));
-            }
-            if !self.outcomes.contains_key(tx) {
-                if let Some(decision) = instance.status().decision() {
-                    self.outcomes.insert(*tx, decision);
-                    self.wal.append(LogRecord::Decision { tx: *tx, decision });
+                let slot = self.batch.binary_search_by_key(tx, |t| t.id);
+                if let Some(slot) = slot.ok().filter(|s| self.instances[*s].is_some()) {
+                    self.inboxes[slot].push(Delivery::new(d.from, msg.clone()));
                 }
             }
         }
-        outgoing
-            .into_iter()
-            .map(|(to, msgs)| Send::new(to, msgs))
+        let slots = self.batch.iter().zip(&mut self.instances);
+        for ((tx, instance), inbox) in slots.zip(&mut self.inboxes) {
+            let Some(instance) = instance else { continue };
+            for send in instance.step(inbox, rng) {
+                self.outboxes[send.to.index()].push((tx.id, send.msg));
+            }
+            inbox.clear();
+            if let Some(decision) = instance.status().decision() {
+                if let Entry::Vacant(undecided) = self.outcomes.entry(tx.id) {
+                    undecided.insert(decision);
+                    self.wal.append(LogRecord::Decision {
+                        tx: tx.id,
+                        decision,
+                    });
+                }
+            }
+        }
+        self.outboxes
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, bundle)| !bundle.is_empty())
+            .map(|(to, bundle)| Send::new(ProcessorId::new(to), std::mem::take(bundle)))
             .collect()
     }
 
@@ -333,13 +368,14 @@ impl Automaton for Replica {
 /// write-ahead log. Volatile protocol state (in-flight [`CommitAutomaton`]
 /// instances) is deliberately *not* captured; [`Recoverable::restore`]
 /// rebuilds it through [`Replica::recover`], exactly as a real restart
-/// replays the WAL.
+/// replays the WAL. The store and the batch are the epoch's shared
+/// image, so taking a snapshot copies the log and nothing else.
 #[derive(Clone)]
 pub struct ReplicaSnapshot {
     cfg: CommitConfig,
     id: ProcessorId,
     initial: Store,
-    batch: Vec<Transaction>,
+    batch: Arc<[Transaction]>,
     wal: Wal,
 }
 
@@ -361,18 +397,19 @@ impl Recoverable for Replica {
             cfg: self.cfg,
             id: self.id,
             initial: self.initial.clone(),
-            batch: self.batch.values().cloned().collect(),
+            batch: Arc::clone(&self.batch),
             wal: self.wal.clone(),
         }
     }
 
     fn restore(snapshot: &ReplicaSnapshot) -> Replica {
-        Replica::recover(
+        Replica::from_log(
             snapshot.cfg,
             snapshot.id,
             snapshot.initial.clone(),
-            &snapshot.batch,
-            &snapshot.wal,
+            Arc::clone(&snapshot.batch),
+            snapshot.wal.clone(),
+            vote_required,
         )
     }
 }
@@ -388,14 +425,21 @@ impl fmt::Debug for Replica {
 }
 
 /// Builds the replica population for a batch, all starting from the
-/// same initial store (votes via local validation).
+/// same initial store (votes via local validation). The store and the
+/// sorted batch are shared by the whole population, not copied per
+/// replica.
+///
+/// # Panics
+///
+/// Panics if `batch` contains duplicate transaction ids.
 pub fn replica_population(
     cfg: CommitConfig,
     initial: &Store,
     batch: &[Transaction],
 ) -> Vec<Replica> {
+    let batch = share_batch(batch);
     ProcessorId::all(cfg.population())
-        .map(|p| Replica::new(cfg, p, initial.clone(), batch))
+        .map(|p| Replica::fresh(cfg, p, initial.clone(), Arc::clone(&batch)))
         .collect()
 }
 
@@ -662,6 +706,80 @@ mod tests {
         let batch = vec![transfer(1, "a", "b", 1)];
         let wal = crate::wal::Wal::new();
         let _ = Replica::recover(c, ProcessorId::new(0), Store::new(), &batch, &wal);
+    }
+
+    /// Two transactions under one id, for the duplicate-id rejections.
+    fn clashing_batch() -> Vec<Transaction> {
+        vec![
+            transfer(2, "a", "b", 1),
+            transfer(1, "a", "b", 1),
+            transfer(2, "b", "a", 1),
+        ]
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate transaction id tx2")]
+    fn new_rejects_duplicate_ids() {
+        let _ = Replica::new(cfg(3), ProcessorId::new(0), Store::new(), &clashing_batch());
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate transaction id tx2")]
+    fn with_votes_rejects_duplicate_ids() {
+        // Two votes for three transactions: before duplicates were
+        // rejected this built a replica with two `Vote` records for tx2
+        // and one instance.
+        let votes = BTreeMap::from([(TxId(1), Value::One), (TxId(2), Value::One)]);
+        let _ = Replica::with_votes(
+            cfg(3),
+            ProcessorId::new(0),
+            Store::new(),
+            &clashing_batch(),
+            &votes,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate transaction id tx2")]
+    fn recover_rejects_duplicate_ids() {
+        let mut wal = Wal::new();
+        for tx in [1, 2] {
+            wal.append(LogRecord::Vote {
+                tx: TxId(tx),
+                vote: Value::One,
+            });
+        }
+        let _ = Replica::recover(
+            cfg(3),
+            ProcessorId::new(0),
+            Store::new(),
+            &clashing_batch(),
+            &wal,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate transaction id tx2")]
+    fn recover_from_bytes_rejects_duplicate_ids() {
+        let _ = Replica::recover_from_bytes(
+            cfg(3),
+            ProcessorId::new(0),
+            Store::new(),
+            &clashing_batch(),
+            &[],
+        );
+    }
+
+    #[test]
+    fn batch_order_on_input_does_not_matter() {
+        let initial = Store::with_entries([("a", 10), ("b", 10)]);
+        let sorted = vec![transfer(1, "a", "b", 5), transfer(2, "b", "a", 50)];
+        let reversed: Vec<Transaction> = sorted.iter().rev().cloned().collect();
+        let a = Replica::new(cfg(3), ProcessorId::new(1), initial.clone(), &sorted);
+        let b = Replica::new(cfg(3), ProcessorId::new(1), initial, &reversed);
+        // Votes are logged in id order either way.
+        assert_eq!(a.wal().records(), b.wal().records());
+        assert_eq!(a.batch_status(), b.batch_status());
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifies a transaction; also fixes the deterministic apply order.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -78,10 +79,26 @@ impl Transaction {
     }
 }
 
+/// Replaces `key`'s value (0 if absent) by `f` of it. Only a key's
+/// first write copies the key.
+fn write(data: &mut BTreeMap<Arc<str>, i64>, key: &str, f: impl FnOnce(i64) -> i64) {
+    match data.get_mut(key) {
+        Some(cell) => *cell = f(*cell),
+        None => {
+            data.insert(Arc::from(key), f(0));
+        }
+    }
+}
+
 /// The key-value store state of one replica.
+///
+/// A `Store` is a copy-on-write handle: cloning it is a reference bump,
+/// and the first write through a clone copies the map. An epoch's
+/// opening store is therefore one image shared by every replica, every
+/// snapshot and the runner that carries it forward.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Store {
-    data: BTreeMap<String, i64>,
+    data: Arc<BTreeMap<Arc<str>, i64>>,
 }
 
 impl Store {
@@ -97,7 +114,12 @@ impl Store {
         K: Into<String>,
     {
         Store {
-            data: entries.into_iter().map(|(k, v)| (k.into(), v)).collect(),
+            data: Arc::new(
+                entries
+                    .into_iter()
+                    .map(|(k, v)| (Arc::from(k.into()), v))
+                    .collect(),
+            ),
         }
     }
 
@@ -120,21 +142,32 @@ impl Store {
     /// Whether `tx` passes its constraints against this store state.
     /// This is the local validation a replica runs to form its initial
     /// vote.
+    ///
+    /// Constraints are checked against the cumulative effect of the
+    /// transaction's own ops, in order. An `Add` whose result does not
+    /// fit an `i64` fails validation (the vote is abort) rather than
+    /// wrapping; [`Store::apply`] is only ever handed transactions that
+    /// validated somewhere, and wraps (see there).
     pub fn validates(&self, tx: &Transaction) -> bool {
-        // Constraints are checked against the cumulative effect of the
-        // transaction's own ops, in order.
-        let mut scratch = self.clone();
+        // The transaction's own writes so far, over a read-through to
+        // the store: the cost is in the ops, not in the store's size.
+        let mut written: BTreeMap<&str, i64> = BTreeMap::new();
         for op in &tx.ops {
             match op {
                 Op::Put { key, value } => {
-                    scratch.data.insert(key.clone(), *value);
+                    written.insert(key, *value);
                 }
                 Op::Add { key, delta, floor } => {
-                    let next = scratch.get(key) + delta;
-                    if next < *floor {
-                        return false;
+                    let current = match written.get(key.as_str()) {
+                        Some(v) => *v,
+                        None => self.get(key),
+                    };
+                    match current.checked_add(*delta) {
+                        Some(next) if next >= *floor => {
+                            written.insert(key, next);
+                        }
+                        _ => return false,
                     }
-                    scratch.data.insert(key.clone(), next);
                 }
             }
         }
@@ -142,16 +175,18 @@ impl Store {
     }
 
     /// Applies `tx` unconditionally (callers decide commit first).
+    ///
+    /// No constraint is re-checked: floors are ignored and an `Add`
+    /// wraps on `i64` overflow, identically in debug and release, so
+    /// replicas that apply the same committed set stay equal whatever
+    /// they were handed. A transaction that [`Store::validates`] against
+    /// the state it is applied to never wraps.
     pub fn apply(&mut self, tx: &Transaction) {
+        let data = Arc::make_mut(&mut self.data);
         for op in &tx.ops {
             match op {
-                Op::Put { key, value } => {
-                    self.data.insert(key.clone(), *value);
-                }
-                Op::Add { key, delta, .. } => {
-                    let next = self.get(key) + delta;
-                    self.data.insert(key.clone(), next);
-                }
+                Op::Put { key, value } => write(data, key, |_| *value),
+                Op::Add { key, delta, .. } => write(data, key, |old| old.wrapping_add(*delta)),
             }
         }
     }
@@ -160,8 +195,14 @@ impl Store {
     /// transactions, applied in [`TxId`] order — the deterministic
     /// apply rule that makes replicas with equal committed sets equal.
     pub fn rebuild(initial: &Store, committed: &BTreeMap<TxId, Transaction>) -> Store {
-        let mut store = initial.clone();
-        for tx in committed.values() {
+        initial.applying(committed.values())
+    }
+
+    /// This store with `txs` applied in the order given; the image
+    /// itself when `txs` is empty.
+    pub(crate) fn applying<'a>(&self, txs: impl IntoIterator<Item = &'a Transaction>) -> Store {
+        let mut store = self.clone();
+        for tx in txs {
             store.apply(tx);
         }
         store
@@ -170,7 +211,114 @@ impl Store {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// The reference [`Store::validates`] is checked against: copy the
+    /// whole store, apply op by op, test each floor on the way. It is
+    /// what the crate shipped before validation went copy-free, with
+    /// overflow defined (abort) instead of left to the build profile.
+    fn validates_by_copy(store: &Store, tx: &Transaction) -> bool {
+        let mut scratch: BTreeMap<Arc<str>, i64> = (*store.data).clone();
+        for op in &tx.ops {
+            match op {
+                Op::Put { key, value } => {
+                    scratch.insert(Arc::from(key.as_str()), *value);
+                }
+                Op::Add { key, delta, floor } => {
+                    let current = scratch.get(key.as_str()).copied().unwrap_or(0);
+                    match current.checked_add(*delta) {
+                        Some(next) if next >= *floor => {
+                            scratch.insert(Arc::from(key.as_str()), next)
+                        }
+                        _ => return false,
+                    };
+                }
+            }
+        }
+        true
+    }
+
+    /// Amounts that mostly stay small (so floors decide) and sometimes
+    /// sit at the edge of `i64` (so overflow does).
+    fn arb_amount() -> impl Strategy<Value = i64> {
+        (0usize..8, -60i64..60, any::<bool>()).prop_map(|(pick, small, high)| match pick {
+            0 if high => i64::MAX - small.abs(),
+            0 => i64::MIN + small.abs(),
+            _ => small,
+        })
+    }
+
+    /// Ops over six keys, so a transaction of up to eight repeats keys,
+    /// `Add`s onto its own `Put`s, and touches keys the store lacks.
+    fn arb_op() -> impl Strategy<Value = Op> {
+        (any::<bool>(), 0usize..6, arb_amount(), -30i64..30).prop_map(
+            |(put, key, amount, floor)| {
+                let key = format!("k{key}");
+                if put {
+                    Op::Put { key, value: amount }
+                } else {
+                    Op::Add {
+                        key,
+                        delta: amount,
+                        floor,
+                    }
+                }
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn validates_matches_the_copying_oracle(
+            entries in proptest::collection::vec((0usize..4, arb_amount()), 0..5),
+            ops in proptest::collection::vec(arb_op(), 0..9),
+        ) {
+            let store = Store::with_entries(entries.into_iter().map(|(k, v)| (format!("k{k}"), v)));
+            let tx = Transaction::new(1, ops);
+            prop_assert_eq!(store.validates(&tx), validates_by_copy(&store, &tx));
+        }
+    }
+
+    #[test]
+    fn overflowing_add_votes_abort() {
+        let s = Store::with_entries([("a", i64::MAX), ("b", i64::MIN)]);
+        let up = Transaction::new(
+            1,
+            vec![Op::Add {
+                key: "a".into(),
+                delta: 1,
+                floor: i64::MIN,
+            }],
+        );
+        let down = Transaction::new(
+            2,
+            vec![Op::Add {
+                key: "b".into(),
+                delta: -1,
+                floor: i64::MIN,
+            }],
+        );
+        assert!(!s.validates(&up));
+        assert!(!s.validates(&down));
+        assert!(s.validates(&Transaction::new(3, vec![Op::add("a", 0)])));
+        // Reaching the edge through the transaction's own writes counts.
+        let own = Transaction::new(4, vec![Op::put("c", i64::MAX), Op::add("c", 1)]);
+        assert!(!s.validates(&own));
+    }
+
+    #[test]
+    fn writes_through_a_clone_leave_the_original_alone() {
+        let original = Store::with_entries([("a", 1)]);
+        let mut copy = original.clone();
+        copy.apply(&Transaction::new(1, vec![Op::put("a", 2), Op::put("b", 3)]));
+        assert_eq!((original.get("a"), original.get("b")), (1, 0));
+        assert_eq!((copy.get("a"), copy.get("b")), (2, 3));
+        assert_eq!(original.len(), 1);
+    }
 
     fn transfer(id: u64, from: &str, to: &str, amount: i64) -> Transaction {
         Transaction::new(

@@ -21,6 +21,7 @@
 //! recovery. Everything before the damage was durably promised;
 //! everything at and after it never happened.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use rtc_model::{Decision, Value};
@@ -223,28 +224,35 @@ impl Wal {
     /// Checks the log invariants; returns a description of the first
     /// violation, if any.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for (i, r) in self.records.iter().enumerate() {
-            if let LogRecord::Decision { tx, decision } = r {
-                let vote = self.records[..i].iter().find_map(|e| match e {
-                    LogRecord::Vote { tx: t, vote } if t == tx => Some(*vote),
-                    _ => None,
-                });
-                match vote {
-                    None => return Err(format!("decision for {tx} before any vote")),
-                    Some(Value::Zero) if *decision == Decision::Commit => {
+        self.index().map(drop)
+    }
+
+    /// One pass over the log: checks the invariants and returns, per
+    /// transaction, the first vote logged and the decision if one was
+    /// (a decision without a vote is a violation, so no entry lacks the
+    /// vote). Recovery reads the whole log through this table instead
+    /// of searching it once per transaction.
+    pub(crate) fn index(&self) -> Result<BTreeMap<TxId, (Value, Option<Decision>)>, String> {
+        let mut table: BTreeMap<TxId, (Value, Option<Decision>)> = BTreeMap::new();
+        for r in &self.records {
+            match *r {
+                LogRecord::Vote { tx, vote } => {
+                    table.entry(tx).or_insert((vote, None));
+                }
+                LogRecord::Decision { tx, decision } => {
+                    let Some((vote, decided)) = table.get_mut(&tx) else {
+                        return Err(format!("decision for {tx} before any vote"));
+                    };
+                    if *vote == Value::Zero && decision == Decision::Commit {
                         return Err(format!("{tx}: committed against an abort vote"));
                     }
-                    _ => {}
-                }
-                let dup = self.records[..i]
-                    .iter()
-                    .any(|e| matches!(e, LogRecord::Decision { tx: t, .. } if t == tx));
-                if dup {
-                    return Err(format!("duplicate decision for {tx}"));
+                    if decided.replace(decision).is_some() {
+                        return Err(format!("duplicate decision for {tx}"));
+                    }
                 }
             }
         }
-        Ok(())
+        Ok(table)
     }
 }
 

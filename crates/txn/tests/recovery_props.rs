@@ -9,10 +9,14 @@
 //!   log — and every *record prefix* of it, since a crash can land
 //!   between any two appends — still satisfies the WAL invariants, and
 //!   recovery from the cut log adopts exactly the logged decisions.
+//! * **Shared images never alias writes**: the opening store and the
+//!   batch are one copy-on-write image shared by the whole population;
+//!   writing through any handle leaves every other holder — the
+//!   caller's store, each replica, each snapshot — as it was.
 
 use proptest::prelude::*;
 use rtc_core::CommitConfig;
-use rtc_model::{Decision, ProcessorId, SeedCollection, TimingParams};
+use rtc_model::{Decision, ProcessorId, Recoverable, SeedCollection, TimingParams};
 use rtc_sim::adversaries::RandomAdversary;
 use rtc_sim::{RunLimits, Sim, SimBuilder};
 use rtc_txn::{replica_population, LogRecord, Op, Replica, Store, Transaction, Wal};
@@ -53,10 +57,21 @@ fn initial_store() -> Store {
 /// Runs a replica batch under a random admissible adversary, cutting
 /// the run at `cut` events (an arbitrary mid-batch crash point).
 fn run_cut(batch: &[Transaction], seed: u64, cut: u64) -> (Sim<Replica>, usize) {
+    run_cut_from(&initial_store(), batch, seed, cut)
+}
+
+/// [`run_cut`] over a population built from the caller's `opening`
+/// handle.
+fn run_cut_from(
+    opening: &Store,
+    batch: &[Transaction],
+    seed: u64,
+    cut: u64,
+) -> (Sim<Replica>, usize) {
     let n = 4;
     let cfg =
         CommitConfig::new(n, CommitConfig::max_tolerated(n), TimingParams::default()).unwrap();
-    let procs = replica_population(cfg, &initial_store(), batch);
+    let procs = replica_population(cfg, opening, batch);
     let mut sim = SimBuilder::new(cfg.timing(), SeedCollection::new(seed))
         .fault_budget(cfg.fault_bound())
         .build(procs)
@@ -144,6 +159,47 @@ proptest! {
                     prop_assert_eq!(recovered.store(), initial_store());
                 }
             }
+        }
+    }
+
+    /// Writes through one handle of the shared epoch image reach no
+    /// other holder, at any cut of the run, and `snapshot → restore`
+    /// (which shares the image too) still reproduces the replica.
+    #[test]
+    fn shared_image_handles_do_not_alias(
+        batch in arb_batch(),
+        seed in any::<u64>(),
+        cut in 0u64..4000,
+    ) {
+        let opening = initial_store();
+        let (sim, n) = run_cut_from(&opening, &batch, seed, cut);
+        let before: Vec<Store> = ProcessorId::all(n).map(|p| sim.automaton(p).store()).collect();
+        let scribble = Transaction::new(
+            999,
+            vec![Op::put("a", -1), Op::put("b", -1), Op::put("zz", 7)],
+        );
+
+        // Write through every handle there is: the caller's, each
+        // replica's result (the image itself while nothing has
+        // committed), each restored replica's.
+        let mut mine = opening.clone();
+        mine.apply(&scribble);
+        prop_assert_eq!(mine.get("zz"), 7);
+        for p in ProcessorId::all(n) {
+            let replica = sim.automaton(p);
+            replica.store().apply(&scribble);
+            let restored = Replica::restore(&replica.snapshot());
+            prop_assert_eq!(restored.outcomes(), replica.outcomes());
+            prop_assert_eq!(restored.wal().records(), replica.wal().records());
+            prop_assert_eq!(&restored.store(), &before[p.index()]);
+            restored.store().apply(&scribble);
+        }
+
+        // A write that leaked into a replica's opening image would show
+        // in its store: no transfer overwrites a balance.
+        prop_assert_eq!(&opening, &initial_store());
+        for p in ProcessorId::all(n) {
+            prop_assert_eq!(&sim.automaton(p).store(), &before[p.index()]);
         }
     }
 }
