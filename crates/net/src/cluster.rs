@@ -9,52 +9,42 @@
 //!      ... ──► listener j ──► reader threads ──► inbox j ──► node j
 //! ```
 //!
+//! The nodes themselves are the runtime's
+//! [`ClusterCore`](rtc_runtime::ClusterCore) — the same paced loop,
+//! crash snapshots, respawn and lateness feed as the channel substrate,
+//! stepping all `m` instances once per tick. This module is what goes
+//! around it: sockets, acceptors, readers, proxies, the link mesh, and
+//! [`TcpLinks`], which turns a node's send into a CRC frame on the
+//! right peer link.
+//!
 //! * Each node owns one real [`TcpListener`]; acceptor and reader
 //!   threads outlive node crashes, so frames that arrive while a node
 //!   is down wait in its inbox — the same eventual-delivery-across-
 //!   crashes guarantee the channel runtime gets from its shared inbox.
 //! * All traffic, self-sends included, crosses real sockets, so every
 //!   link is subject to the same faults.
-//! * Every node steps all `m` instances once per tick; frames carry the
-//!   instance tag. Each instance draws from its own
+//! * Frames carry the instance tag. Each instance draws from its own
 //!   [`SeedCollection`], so instance `k` of a socket run is coin-for-
 //!   coin the population the simulator runs under seed `k`.
-//! * Each delivery is classified on-time/late by the simulator's online
-//!   [`LatenessMonitor`] against a global step-event counter — the
-//!   paper's Section 2 lateness, measured on real traffic.
 
 use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
-use rtc_model::{Delivery, LocalClock, ProcessorId, Recoverable, SeedCollection, Status};
+use crossbeam_channel::{unbounded, Sender};
+use rtc_model::{ProcessorId, Recoverable, SeedCollection};
 use rtc_runtime::{
-    ClusterReport, DelayModel, FaultPlan, Supervisable, SupervisorPolicy, SupervisorReport,
+    ClusterCore, ClusterReport, DelayModel, Envelope, FaultPlan, Links, SupervisorPolicy,
+    SupervisorReport,
 };
-use rtc_sim::{LatenessMonitor, MsgId};
 
 use crate::options::NetOptions;
 use crate::peer::{spawn_link, NetCounters};
 use crate::proxy::FaultProxy;
 use crate::wire::{encode_frame, try_decode_frame, Frame, Wire};
-
-/// A decoded frame in a node's inbox.
-struct NetEnvelope<M> {
-    from: ProcessorId,
-    instance: usize,
-    sent_at_tick: u64,
-    sent_event: u64,
-    msg: M,
-}
-
-/// An inbox endpoint shareable across a node's successive incarnations;
-/// the mutex serialises incarnations exactly like the channel runtime.
-type SharedInbox<M> = Arc<Mutex<Receiver<NetEnvelope<M>>>>;
 
 /// Socket-layer totals for one run.
 #[derive(Clone, Debug, Default)]
@@ -112,169 +102,25 @@ impl NetReport {
     }
 }
 
-/// Everything the node threads share.
-struct NetShared<A: Recoverable> {
-    instances: usize,
-    /// `statuses[k][i]`: instance `k`'s status at node `i`.
-    statuses: Mutex<Vec<Vec<Status>>>,
-    steps: Mutex<Vec<u64>>,
-    done: Arc<AtomicBool>,
-    /// Protocol messages sent, per instance (pre-fault, pre-frame).
-    messages: Vec<AtomicU64>,
-    /// Receiver-tick-minus-sender-tick deltas, per instance.
-    link_delays: Mutex<Vec<Vec<i64>>>,
-    /// `crash_snaps[i][k]`: node `i`'s crash-time snapshot of instance
-    /// `k` — the stable storage a dying node writes.
-    crash_snaps: Mutex<Vec<Vec<Option<A::Snapshot>>>>,
-    /// `init_snaps[i][k]`: the fallback for amnesiac restarts.
-    init_snaps: Mutex<Vec<Vec<A::Snapshot>>>,
-    down: Mutex<Vec<bool>>,
-    ever_crashed: Mutex<Vec<bool>>,
-    /// One seed collection per instance: instance `k` replays the
-    /// simulator's coin flips for seed collection `k`.
-    seeds: Vec<SeedCollection>,
-    plan: FaultPlan,
-    tick: Duration,
-    max_steps: u64,
-    /// Global step-event counter feeding the lateness monitor.
-    events: AtomicU64,
-    delivery_ids: AtomicU64,
-    lateness: Mutex<LatenessMonitor>,
-    /// `links[i][j]`: the frame channel from node `i` toward node `j`'s
-    /// listener (or proxy).
+/// The socket substrate's [`Links`]: `links[i][j]` is the frame channel
+/// from node `i` toward node `j`'s listener (or proxy).
+struct TcpLinks {
     links: Vec<Vec<Sender<Vec<u8>>>>,
-    counters: Arc<NetCounters>,
 }
 
-/// How a node thread comes up.
-enum NetBoot<A> {
-    /// First incarnation: one automaton per instance, plus the node's
-    /// scripted crash step.
-    Fresh {
-        autos: Vec<A>,
-        crash_at: Option<u64>,
-    },
-    /// Respawn of a crashed node.
-    Restart { from_snapshot: bool },
-}
-
-fn spawn_net_node<A>(
-    shared: Arc<NetShared<A>>,
-    i: usize,
-    rx: SharedInbox<A::Msg>,
-    boot: NetBoot<A>,
-) -> thread::JoinHandle<()>
-where
-    A: Recoverable + Send + 'static,
-    A::Msg: Wire + Send + 'static,
-{
-    thread::spawn(move || {
-        let id = ProcessorId::new(i);
-        // The inbox mutex serialises incarnations: a restarting thread
-        // inherits every frame queued while the node was down.
-        let rx = rx.lock();
-        let (mut autos, crash_at, mut clock) = match boot {
-            NetBoot::Fresh { autos, crash_at } => (autos, crash_at, 0u64),
-            NetBoot::Restart { from_snapshot } => {
-                let snaps = shared.crash_snaps.lock()[i].clone();
-                let inits = shared.init_snaps.lock();
-                let autos: Vec<A> = (0..shared.instances)
-                    .map(|k| match (from_snapshot, &snaps[k]) {
-                        (true, Some(s)) => A::restore(s),
-                        _ => A::restore_amnesiac(&inits[i][k]),
-                    })
-                    .collect();
-                drop(inits);
-                let clock = shared.steps.lock()[i];
-                let mut st = shared.statuses.lock();
-                for (k, a) in autos.iter().enumerate() {
-                    st[k][i] = a.status();
-                }
-                drop(st);
-                (autos, None, clock)
-            }
-        };
-        while !shared.done.load(Ordering::Relaxed) && clock < shared.max_steps {
-            if crash_at == Some(clock) {
-                // Fail-stop mid-broadcast: this step's frames are never
-                // sent; the snapshots are the stable storage.
-                let snaps: Vec<Option<A::Snapshot>> =
-                    autos.iter().map(|a| Some(a.snapshot())).collect();
-                shared.crash_snaps.lock()[i] = snaps;
-                shared.ever_crashed.lock()[i] = true;
-                shared.down.lock()[i] = true;
-                return;
-            }
-            // Collect one tick's worth of arrivals.
-            let deadline = Instant::now() + shared.tick;
-            let mut arrivals: Vec<NetEnvelope<A::Msg>> = Vec::new();
-            loop {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                match rx.recv_timeout(deadline.saturating_duration_since(now)) {
-                    Ok(env) => arrivals.push(env),
-                    Err(RecvTimeoutError::Timeout) => break,
-                    Err(RecvTimeoutError::Disconnected) => return,
-                }
-            }
-            // This step's global event, for the paper's lateness
-            // measure: note the step first (the receiving step counts
-            // toward the interval), then classify the arrivals.
-            let ev = shared.events.fetch_add(1, Ordering::Relaxed) + 1;
-            {
-                let mut mon = shared.lateness.lock();
-                mon.note_step(i, ev);
-                for env in &arrivals {
-                    let did = shared.delivery_ids.fetch_add(1, Ordering::Relaxed);
-                    mon.classify_delivery(MsgId::external(did), env.sent_event);
-                }
-            }
-            {
-                let mut delays = shared.link_delays.lock();
-                for env in &arrivals {
-                    if env.instance < shared.instances {
-                        delays[env.instance].push(clock as i64 - env.sent_at_tick as i64);
-                    }
-                }
-            }
-            // Demultiplex and step every instance once.
-            let mut per_instance: Vec<Vec<Delivery<A::Msg>>> =
-                (0..shared.instances).map(|_| Vec::new()).collect();
-            for env in arrivals {
-                if env.instance < shared.instances {
-                    per_instance[env.instance].push(Delivery::new(env.from, env.msg));
-                }
-            }
-            let mut outgoing: Vec<(usize, rtc_model::Send<A::Msg>)> = Vec::new();
-            for (k, auto) in autos.iter_mut().enumerate() {
-                let mut rng = shared.seeds[k].step_rng(id, LocalClock::new(clock));
-                for out in auto.step(&per_instance[k], &mut rng) {
-                    outgoing.push((k, out));
-                }
-            }
-            clock += 1;
-            shared.steps.lock()[i] = clock;
-            {
-                let mut st = shared.statuses.lock();
-                for (k, a) in autos.iter().enumerate() {
-                    st[k][i] = a.status();
-                }
-            }
-            for (k, out) in outgoing {
-                shared.messages[k].fetch_add(1, Ordering::Relaxed);
-                let bytes = encode_frame(&Frame {
-                    from: id,
-                    instance: k as u32,
-                    sent_at_tick: clock,
-                    sent_event: ev,
-                    msg: out.msg,
-                });
-                let _ = shared.links[i][out.to.index()].send(bytes);
-            }
-        }
-    })
+impl<M: Wire + Send + 'static> Links<M> for TcpLinks {
+    fn send(&self, to: ProcessorId, env: Envelope<M>) {
+        let from = env.from;
+        let bytes = encode_frame(&Frame {
+            from,
+            instance: env.instance as u32,
+            sent_at_tick: env.sent_at_tick,
+            sent_event: env.sent_event,
+            msg: env.msg,
+        });
+        // A send can fail only during teardown.
+        let _ = self.links[from.index()][to.index()].send(bytes);
+    }
 }
 
 /// Spawns the acceptor for node `i`'s real listener. Each accepted
@@ -283,7 +129,7 @@ where
 /// while the node is down.
 fn spawn_acceptor<M>(
     listener: TcpListener,
-    inbox: Sender<NetEnvelope<M>>,
+    inbox: Sender<Envelope<M>>,
     done: Arc<AtomicBool>,
 ) -> thread::JoinHandle<()>
 where
@@ -313,7 +159,7 @@ where
 /// Reads frames off one connection into the inbox until EOF, error, or
 /// teardown. Reads are accumulated into a buffer and parsed at frame
 /// boundaries, so a read deadline can never tear a frame.
-fn read_frames<M>(mut stream: TcpStream, inbox: &Sender<NetEnvelope<M>>, done: &AtomicBool)
+fn read_frames<M>(mut stream: TcpStream, inbox: &Sender<Envelope<M>>, done: &AtomicBool)
 where
     M: Wire,
 {
@@ -333,7 +179,7 @@ where
                     match try_decode_frame::<M>(&buf) {
                         Ok(Some((frame, used))) => {
                             buf.drain(..used);
-                            let _ = inbox.send(NetEnvelope {
+                            let _ = inbox.send(Envelope {
                                 from: frame.from,
                                 instance: frame.instance as usize,
                                 sent_at_tick: frame.sent_at_tick,
@@ -355,21 +201,17 @@ where
 }
 
 /// A booted socket cluster: listeners, proxies, links, and node
-/// threads running, ready to be driven by a monitor loop — the socket
-/// counterpart of the runtime's `ClusterCore`, and a
-/// [`Supervisable`] for the shared [`supervise`](rtc_runtime::supervise)
-/// loop.
+/// threads running, ready to be driven by a monitor loop — sockets
+/// around the runtime's [`ClusterCore`].
 pub struct NetClusterCore<A: Recoverable + Send + 'static>
 where
     A::Msg: Wire + Send + 'static,
 {
-    shared: Arc<NetShared<A>>,
-    inbox_rx: Vec<SharedInbox<A::Msg>>,
-    node_handles: Vec<thread::JoinHandle<()>>,
+    core: ClusterCore<A, TcpLinks>,
+    counters: Arc<NetCounters>,
     link_handles: Vec<thread::JoinHandle<()>>,
     acceptor_handles: Vec<thread::JoinHandle<()>>,
     proxies: Vec<FaultProxy>,
-    start: Instant,
 }
 
 impl<A: Recoverable + Send + 'static> std::fmt::Debug for NetClusterCore<A>
@@ -378,8 +220,7 @@ where
 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NetClusterCore")
-            .field("nodes", &self.inbox_rx.len())
-            .field("instances", &self.shared.instances)
+            .field("core", &self.core)
             .finish()
     }
 }
@@ -408,15 +249,13 @@ where
         faults: FaultPlan,
         opts: &NetOptions,
     ) -> NetClusterCore<A> {
-        let m = instances.len();
-        assert!(m > 0, "need at least one commit instance");
-        assert_eq!(seeds.len(), m, "one seed collection per instance");
-        let n = instances[0].len();
-        assert!(n > 0, "cluster needs at least one processor");
-        assert!(
-            instances.iter().all(|pop| pop.len() == n),
-            "all instances must share the population size"
+        assert!(!instances.is_empty(), "need at least one commit instance");
+        assert_eq!(
+            seeds.len(),
+            instances.len(),
+            "one seed collection per instance"
         );
+        let n = instances[0].len();
         let start = Instant::now();
         let done = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(NetCounters::default());
@@ -460,17 +299,12 @@ where
         }
 
         // Inboxes and their feeding acceptors.
-        let mut inbox_tx = Vec::with_capacity(n);
-        let mut inbox_rx: Vec<SharedInbox<A::Msg>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded::<NetEnvelope<A::Msg>>();
-            inbox_tx.push(tx);
-            inbox_rx.push(Arc::new(Mutex::new(rx)));
-        }
-        let mut acceptor_handles = Vec::with_capacity(n);
-        for (listener, tx) in listeners.into_iter().zip(&inbox_tx) {
-            acceptor_handles.push(spawn_acceptor(listener, tx.clone(), Arc::clone(&done)));
-        }
+        let (inbox_tx, inbox_rx): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
+        let acceptor_handles = listeners
+            .into_iter()
+            .zip(inbox_tx)
+            .map(|(listener, tx)| spawn_acceptor(listener, tx, Arc::clone(&done)))
+            .collect();
 
         // The n×n link mesh.
         let mut links: Vec<Vec<Sender<Vec<u8>>>> = Vec::with_capacity(n);
@@ -494,177 +328,64 @@ where
             links.push(row);
         }
 
-        let init_snaps: Vec<Vec<A::Snapshot>> = (0..n)
-            .map(|i| instances.iter().map(|pop| pop[i].snapshot()).collect())
-            .collect();
-        let shared = Arc::new(NetShared::<A> {
-            instances: m,
-            statuses: Mutex::new(vec![vec![Status::Undecided; n]; m]),
-            steps: Mutex::new(vec![0; n]),
-            done: Arc::clone(&done),
-            messages: (0..m).map(|_| AtomicU64::new(0)).collect(),
-            link_delays: Mutex::new(vec![Vec::new(); m]),
-            crash_snaps: Mutex::new(vec![(0..m).map(|_| None).collect(); n]),
-            init_snaps: Mutex::new(init_snaps),
-            down: Mutex::new(vec![false; n]),
-            ever_crashed: Mutex::new(vec![false; n]),
+        let core = ClusterCore::boot(
+            instances,
             seeds,
-            plan: faults,
-            tick: opts.tick,
-            max_steps: opts.max_steps,
-            events: AtomicU64::new(0),
-            delivery_ids: AtomicU64::new(0),
-            lateness: Mutex::new(LatenessMonitor::new(
-                n,
-                rtc_model::TimingParams::default().k(),
-            )),
-            links,
-            counters,
-        });
-
-        // Transpose instances[k][i] into per-node automata and spawn
-        // first incarnations.
-        let mut per_node: Vec<Vec<A>> = (0..n).map(|_| Vec::with_capacity(m)).collect();
-        for pop in instances {
-            for (i, auto) in pop.into_iter().enumerate() {
-                per_node[i].push(auto);
-            }
-        }
-        let mut node_handles = Vec::with_capacity(n);
-        for (i, autos) in per_node.into_iter().enumerate() {
-            let crash_at = shared.plan.crash_step(ProcessorId::new(i));
-            node_handles.push(spawn_net_node(
-                Arc::clone(&shared),
-                i,
-                Arc::clone(&inbox_rx[i]),
-                NetBoot::Fresh { autos, crash_at },
-            ));
-        }
-
-        NetClusterCore {
-            shared,
+            &faults,
+            &opts.cluster(),
+            done,
             inbox_rx,
-            node_handles,
+            TcpLinks { links },
+        );
+        NetClusterCore {
+            core,
+            counters,
             link_handles,
             acceptor_handles,
             proxies,
-            start,
         }
-    }
-
-    /// Overrides the lateness threshold `K` the monitor classifies
-    /// deliveries against (defaults to
-    /// [`TimingParams::default`](rtc_model::TimingParams)'s `K`). Call
-    /// right after boot, before traffic flows.
-    pub fn set_lateness_k(&self, k: u64) {
-        let n = self.inbox_rx.len();
-        *self.shared.lateness.lock() = LatenessMonitor::new(n, k);
     }
 
     /// Respawns a down node, from its crash snapshots or amnesiac.
     pub fn respawn_node(&mut self, idx: usize, from_snapshot: bool) {
-        self.shared.down.lock()[idx] = false;
-        self.node_handles.push(spawn_net_node(
-            Arc::clone(&self.shared),
-            idx,
-            Arc::clone(&self.inbox_rx[idx]),
-            NetBoot::Restart { from_snapshot },
-        ));
+        self.core.respawn(idx, from_snapshot);
     }
 
     /// Whether every node that is not currently down holds a decision
     /// in every instance.
     pub fn all_owing_decided(&self) -> bool {
-        let st = self.shared.statuses.lock();
-        let down = self.shared.down.lock();
-        (0..down.len()).all(|i| down[i] || st.iter().all(|inst| inst[i].is_decided()))
+        self.core.all_owing_decided()
     }
 
     /// Stops every thread and assembles the report.
     pub fn finish(self, recovered: Vec<bool>, decided_in_time: bool) -> NetReport {
-        self.shared.done.store(true, Ordering::Relaxed);
-        for h in self.node_handles {
-            let _ = h.join();
-        }
-        for h in self.link_handles {
-            let _ = h.join();
-        }
-        let mut undelivered: u64 = 0;
-        for p in self.proxies {
-            undelivered += p.finish();
-        }
-        for h in self.acceptor_handles {
-            let _ = h.join();
-        }
-        let c = &self.shared.counters;
-        undelivered += c.frames_dropped.load(Ordering::Relaxed);
-
-        let statuses = self.shared.statuses.lock().clone();
-        let steps = self.shared.steps.lock().clone();
-        let crashed = self.shared.ever_crashed.lock().clone();
-        let down = self.shared.down.lock().clone();
-        let link_delays = self.shared.link_delays.lock().clone();
-        let wall = self.start.elapsed();
-        let mon = self.shared.lateness.lock();
+        let NetClusterCore {
+            core,
+            counters,
+            link_handles,
+            acceptor_handles,
+            proxies,
+        } = self;
+        let instances = core.finish(recovered, decided_in_time, || {
+            for h in link_handles {
+                let _ = h.join();
+            }
+            let held: u64 = proxies.into_iter().map(FaultProxy::finish).sum();
+            for h in acceptor_handles {
+                let _ = h.join();
+            }
+            held + counters.frames_dropped.load(Ordering::Relaxed)
+        });
         let stats = NetRunStats {
-            frames_sent: c.frames_sent.load(Ordering::Relaxed),
-            frames_dropped: c.frames_dropped.load(Ordering::Relaxed),
-            reconnects: c.reconnects.load(Ordering::Relaxed),
-            links_given_up: c.links_given_up.load(Ordering::Relaxed),
-            resets_injected: c.resets_injected.load(Ordering::Relaxed),
-            deliveries: mon.delivered(),
-            late_deliveries: mon.late_count(),
+            frames_sent: counters.frames_sent.load(Ordering::Relaxed),
+            frames_dropped: counters.frames_dropped.load(Ordering::Relaxed),
+            reconnects: counters.reconnects.load(Ordering::Relaxed),
+            links_given_up: counters.links_given_up.load(Ordering::Relaxed),
+            resets_injected: counters.resets_injected.load(Ordering::Relaxed),
+            deliveries: instances[0].deliveries,
+            late_deliveries: instances[0].late_deliveries,
         };
-        let instances = statuses
-            .into_iter()
-            .enumerate()
-            .map(|(k, inst_statuses)| {
-                // A node still down at the end owes nothing *iff* it
-                // was never recovered; `all_nonfaulty_decided` reads
-                // crashed/recovered, which are process-level here.
-                let inst_decided = inst_statuses
-                    .iter()
-                    .zip(&down)
-                    .all(|(s, d)| *d || s.is_decided());
-                ClusterReport {
-                    statuses: inst_statuses,
-                    steps: steps.clone(),
-                    crashed: crashed.clone(),
-                    recovered: recovered.clone(),
-                    messages_sent: self.shared.messages[k].load(Ordering::Relaxed),
-                    messages_undelivered: undelivered,
-                    wall,
-                    decided_in_time: decided_in_time && inst_decided,
-                    link_delays: link_delays[k].clone(),
-                }
-            })
-            .collect();
         NetReport { instances, stats }
-    }
-}
-
-impl<A> Supervisable for NetClusterCore<A>
-where
-    A: Recoverable + Send + 'static,
-    A::Msg: Wire + Send + 'static,
-{
-    fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    fn down(&self) -> Vec<bool> {
-        self.shared.down.lock().clone()
-    }
-
-    fn all_done(&self, permanent: &[bool]) -> bool {
-        let st = self.shared.statuses.lock();
-        let down = self.shared.down.lock();
-        (0..down.len())
-            .all(|i| permanent[i] || (!down[i] && st.iter().all(|inst| inst[i].is_decided())))
-    }
-
-    fn respawn(&mut self, idx: usize, from_snapshot: bool) {
-        NetClusterCore::respawn_node(self, idx, from_snapshot);
     }
 }
 
@@ -679,43 +400,17 @@ where
 pub fn run_net_cluster<A>(
     instances: Vec<Vec<A>>,
     seeds: Vec<SeedCollection>,
-    faults: FaultPlan,
+    mut faults: FaultPlan,
     opts: NetOptions,
 ) -> NetReport
 where
     A: Recoverable + Send + 'static,
     A::Msg: Wire + Send + 'static,
 {
-    let n = instances[0].len();
-    let mut core = NetClusterCore::boot(instances, seeds, faults.clone(), &opts);
-
-    let mut pending = faults.restarts;
-    pending.sort_by_key(|r| r.at);
-    let mut recovered = vec![false; n];
-    let mut decided_in_time = false;
-    while core.start.elapsed() < opts.wall_timeout {
-        let now = core.start.elapsed();
-        let mut i = 0;
-        while i < pending.len() {
-            let r = pending[i];
-            let idx = r.victim.index();
-            // A restart fires at its offset or at the victim's actual
-            // crash, whichever is later.
-            if now >= r.at && core.shared.down.lock()[idx] {
-                core.respawn_node(idx, r.from_snapshot);
-                recovered[idx] = true;
-                pending.remove(i);
-            } else {
-                i += 1;
-            }
-        }
-        if pending.is_empty() && core.all_owing_decided() {
-            decided_in_time = true;
-            break;
-        }
-        thread::sleep(opts.tick);
-    }
-    core.finish(recovered, decided_in_time)
+    let restarts = std::mem::take(&mut faults.restarts);
+    let mut net = NetClusterCore::boot(instances, seeds, faults, &opts);
+    let (recovered, decided_in_time) = net.core.run_scripted(restarts, opts.wall_timeout);
+    net.finish(recovered, decided_in_time)
 }
 
 /// Runs `m` commit instances over real sockets under the shared
@@ -736,13 +431,10 @@ where
     A::Msg: Wire + Send + 'static,
 {
     let n = instances[0].len();
-    let mut faults = faults;
-    faults.restarts.clear();
-    let mut core = NetClusterCore::boot(instances, seeds, faults, &opts);
+    let mut net = NetClusterCore::boot(instances, seeds, faults, &opts);
     let (sup, recovered, decided_in_time) =
-        rtc_runtime::supervise(&mut core, n, t, policy, opts.wall_timeout, opts.tick);
-    let report = core.finish(recovered, decided_in_time);
-    (report, sup)
+        rtc_runtime::supervise(&mut net.core, n, t, policy, opts.wall_timeout, opts.tick);
+    (net.finish(recovered, decided_in_time), sup)
 }
 
 #[cfg(test)]
@@ -850,6 +542,30 @@ mod tests {
         assert!(inst.crashed[2] && inst.recovered[2]);
         assert!(inst.statuses[2].is_decided(), "{report:?}");
         assert!(inst.agreement_holds());
+    }
+
+    #[test]
+    fn scripted_crash_of_a_decided_victim_awaits_its_successor() {
+        // p2 decides long before step 150; the pending restart keeps
+        // the run open until the crash fires, and the amnesiac
+        // successor — not the dead incarnation's published `Decided` —
+        // is what the run must wait for.
+        let c = cfg(3);
+        let plan = FaultPlan::none()
+            .with_crash(ProcessorId::new(2), 150)
+            .with_restart(ProcessorId::new(2), Duration::from_millis(20), false);
+        plan.validate(3, c.fault_bound()).unwrap();
+        let report = run_net_cluster(
+            vec![commit_population(c, &[Value::One; 3])],
+            vec![SeedCollection::new(42)],
+            plan,
+            opts(),
+        );
+        let inst = &report.instances[0];
+        assert!(inst.decided_in_time, "{report:?}");
+        assert!(inst.crashed[2] && inst.recovered[2], "{report:?}");
+        assert!(inst.statuses[2].is_decided(), "{report:?}");
+        assert!(inst.steps[2] > 150, "{report:?}");
     }
 
     #[test]

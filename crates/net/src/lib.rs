@@ -28,12 +28,13 @@
 //!
 //! Many commit instances multiplex over one connection mesh: frames
 //! carry an instance tag, and each node steps every instance once per
-//! tick. Deliveries feed the simulator's online
-//! [`LatenessMonitor`](rtc_sim::LatenessMonitor), so a socket run
-//! reports the paper's on-time/late classification exactly, not an
-//! approximation. Supervised runs reuse the runtime's generic
-//! [`supervise`](rtc_runtime::supervise) loop via
-//! [`Supervisable`](rtc_runtime::Supervisable).
+//! tick. The nodes are the runtime's
+//! [`ClusterCore`](rtc_runtime::ClusterCore) — the paced loop, crash
+//! snapshots, respawn and the online
+//! [`LatenessMonitor`](rtc_sim::LatenessMonitor) feed are the channel
+//! substrate's, so a socket run reports the paper's on-time/late
+//! classification exactly, and supervised runs are the runtime's
+//! [`supervise`](rtc_runtime::supervise) loop over that core.
 //!
 //! Entry points: [`run_net_cluster`] (scripted restarts) and
 //! [`run_net_supervised`] (reactive supervisor).

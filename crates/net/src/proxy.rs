@@ -29,44 +29,22 @@
 use std::collections::BinaryHeap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rtc_model::ProcessorId;
-use rtc_runtime::FaultPlan;
+use rtc_runtime::{Due, FaultPlan};
 
 use crate::peer::NetCounters;
 use crate::wire::MAX_FRAME;
 
-/// A frame waiting in the proxy's delay heap.
-struct Held {
-    due: Instant,
-    seq: u64,
-    bytes: Vec<u8>,
-}
-
-impl PartialEq for Held {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for Held {}
-impl PartialOrd for Held {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Held {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse: BinaryHeap is a max-heap, we want the earliest due.
-        other.due.cmp(&self.due).then(other.seq.cmp(&self.seq))
-    }
-}
+/// A frame on its way to the forwarder: when it is due, its bytes.
+type Hold = (Instant, Vec<u8>);
 
 /// Everything the proxy's threads share.
 struct ProxyShared {
@@ -77,8 +55,7 @@ struct ProxyShared {
     io_deadline: Duration,
     done: Arc<AtomicBool>,
     counters: Arc<NetCounters>,
-    seq: AtomicU64,
-    forward: Sender<Held>,
+    forward: Sender<Hold>,
 }
 
 /// A per-node fault proxy, listening on its own ephemeral port and
@@ -120,7 +97,7 @@ impl FaultProxy {
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
-        let (forward_tx, forward_rx) = unbounded::<Held>();
+        let (forward_tx, forward_rx) = unbounded::<Hold>();
         let shared = Arc::new(ProxyShared {
             plan,
             dst,
@@ -129,7 +106,6 @@ impl FaultProxy {
             io_deadline,
             done: Arc::clone(&done),
             counters: Arc::clone(&counters),
-            seq: AtomicU64::new(0),
             forward: forward_tx,
         });
 
@@ -254,36 +230,17 @@ fn relay_one(
     // The source id is the first header field after the length.
     let src = ProcessorId::new(u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]) as usize);
     let bytes = buf[..4 + len].to_vec();
-    let plan = &shared.plan;
-
-    let mut hold = plan.delay.sample(rng);
-    // A cut link or active partition buffers the frame until the
-    // window closes — eventual delivery across the heal.
-    let at = shared.start.elapsed();
-    if let Some(until) = plan.outage_until(src, shared.dst, at) {
-        hold = hold.max(until.saturating_sub(at));
-    }
-    if let Some(until) = plan.partition_until(src, shared.dst, at) {
-        hold = hold.max(until.saturating_sub(at));
-    }
-    if plan.reorder_permille > 0 && rng.gen_range(0..1000u32) < plan.reorder_permille {
-        hold += shared.tick * rng.gen_range(1..=3u32);
-    }
-    let dup = (plan.duplicate_permille > 0 && rng.gen_range(0..1000u32) < plan.duplicate_permille)
-        .then(|| Held {
-            due: Instant::now() + hold + shared.tick * rng.gen_range(1..=3u32),
-            seq: shared.seq.fetch_add(1, Ordering::Relaxed),
-            bytes: bytes.clone(),
-        });
-    let _ = shared.forward.send(Held {
-        due: Instant::now() + hold,
-        seq: shared.seq.fetch_add(1, Ordering::Relaxed),
-        bytes,
-    });
-    if let Some(copy) = dup {
+    let (hold, duplicate_hold, reset_after) =
+        shared
+            .plan
+            .roll(src, shared.dst, shared.start.elapsed(), shared.tick, rng);
+    let now = Instant::now();
+    let copy = duplicate_hold.map(|hold| (now + hold, bytes.clone()));
+    let _ = shared.forward.send((now + hold, bytes));
+    if let Some(copy) = copy {
         let _ = shared.forward.send(copy);
     }
-    *reset = plan.reset_permille > 0 && rng.gen_range(0..1000u32) < plan.reset_permille;
+    *reset = reset_after;
     Ok(Some(4 + len))
 }
 
@@ -291,12 +248,13 @@ fn relay_one(
 /// connection, writing frames toward the real listener in due order.
 fn spawn_forwarder(
     upstream: SocketAddr,
-    rx: Receiver<Held>,
+    rx: Receiver<Hold>,
     io_deadline: Duration,
     done: Arc<AtomicBool>,
 ) -> thread::JoinHandle<u64> {
     thread::spawn(move || -> u64 {
-        let mut heap: BinaryHeap<Held> = BinaryHeap::new();
+        let mut heap: BinaryHeap<Due<Vec<u8>>> = BinaryHeap::new();
+        let mut seq = 0u64;
         let mut stream: Option<TcpStream> = None;
         loop {
             let timeout = heap
@@ -305,14 +263,17 @@ fn spawn_forwarder(
                 .unwrap_or(Duration::from_millis(5))
                 .min(Duration::from_millis(5));
             match rx.recv_timeout(timeout) {
-                Ok(h) => heap.push(h),
+                Ok((due, item)) => {
+                    seq += 1;
+                    heap.push(Due { due, seq, item });
+                }
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => return heap.len() as u64,
             }
             let now = Instant::now();
             while heap.peek().is_some_and(|h| h.due <= now) {
-                let h = heap.pop().expect("peeked");
-                if !write_upstream(&mut stream, upstream, &h.bytes, io_deadline, &done) {
+                let bytes = heap.pop().expect("peeked").item;
+                if !write_upstream(&mut stream, upstream, &bytes, io_deadline, &done) {
                     // Teardown or a dead upstream: the frame (and the
                     // rest of the heap) would arrive after the run.
                     return heap.len() as u64 + 1;

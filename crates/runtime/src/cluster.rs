@@ -1,29 +1,33 @@
-//! The threaded cluster: one OS thread per processor, crossbeam
-//! channels as links.
+//! The paced node loop both wall-clock substrates run, and the shared
+//! state around it.
 //!
-//! Each node thread runs a pacing loop: during one *tick* it collects
-//! whatever messages have arrived, then executes one automaton step.
-//! Local clocks therefore advance in real time, so the protocol's
-//! `2K`-tick timeouts become `2K × tick` of wall clock, and a delay
-//! spike longer than `K` ticks makes a message *late* in exactly the
-//! paper's sense. A dedicated delayer thread holds delayed messages
-//! until they are due.
+//! Section 2.1 of the paper has one kind of step: a processor receives
+//! a set of messages, draws its random number, and sends. [`ClusterCore`]
+//! runs that step on one OS thread per processor, once per *tick*, so
+//! local clocks advance in real time: the protocol's `2K`-tick timeouts
+//! become `2K × tick` of wall clock, and a message held longer than `K`
+//! ticks is *late* in exactly the paper's sense. A node steps `m`
+//! multiplexed instances per tick (the channel substrate runs `m = 1`).
+//!
+//! What differs between substrates is only where a sent message goes,
+//! and that is the [`Links`] seam: `ChannelLinks` in this crate rolls
+//! the fault dice and hands the envelope to the receiver's inbox or the
+//! delayer; `rtc-net`'s `TcpLinks` encodes a frame for a peer socket.
+//! Inboxes are crossbeam receivers on both.
 
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{unbounded, RecvTimeoutError};
+use crossbeam_channel::{Receiver, RecvTimeoutError};
 use parking_lot::Mutex;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use rtc_model::{
-    Automaton, Delivery, LocalClock, ProcessorId, SeedCollection, Status, TimingParams,
+    Delivery, LocalClock, ProcessorId, Recoverable, SeedCollection, Status, TimingParams,
 };
+use rtc_sim::{LatenessMonitor, MsgId};
 
-use crate::fault::FaultPlan;
+use crate::fault::{FaultPlan, RestartAt};
 
 /// Pacing and bounds for a cluster run.
 #[derive(Clone, Copy, Debug)]
@@ -76,10 +80,9 @@ pub struct ClusterReport {
     pub statuses: Vec<Status>,
     /// Steps each node executed.
     pub steps: Vec<u64>,
-    /// Which processors were crashed by the fault plan.
+    /// Which processors' scripted crash fired.
     pub crashed: Vec<bool>,
-    /// Which processors were restarted after a crash (always all-false
-    /// for [`run_cluster`]; see `run_cluster_recoverable`).
+    /// Which processors were restarted after a crash.
     pub recovered: Vec<bool>,
     /// Total messages sent.
     pub messages_sent: u64,
@@ -96,6 +99,13 @@ pub struct ClusterReport {
     /// tick), so this approximates the paper's lateness measure: a
     /// message is *late-ish* when its delta exceeds `K`.
     pub link_delays: Vec<i64>,
+    /// Deliveries the run's `LatenessMonitor` classified — the paper's
+    /// event-based measure (Section 2), in the vocabulary the simulator
+    /// reports. Counted over every instance the nodes multiplex.
+    pub deliveries: u64,
+    /// How many of those were late: some processor took more than `K`
+    /// steps between the send and the receive.
+    pub late_deliveries: u64,
 }
 
 impl ClusterReport {
@@ -124,42 +134,439 @@ impl ClusterReport {
     }
 }
 
-pub(crate) struct Envelope<M> {
-    pub(crate) from: ProcessorId,
-    pub(crate) sent_at_tick: u64,
-    pub(crate) msg: M,
+/// One message on its way to a node's inbox.
+#[derive(Clone, Debug)]
+pub struct Envelope<M> {
+    /// The sender.
+    pub from: ProcessorId,
+    /// Which multiplexed instance the message belongs to.
+    pub instance: usize,
+    /// The sender's step count when it sent.
+    pub sent_at_tick: u64,
+    /// The cluster-wide step event of the sending step, for the
+    /// lateness monitor.
+    pub sent_event: u64,
+    /// The payload.
+    pub msg: M,
 }
 
-pub(crate) struct Delayed<M> {
-    pub(crate) due: Instant,
-    pub(crate) seq: u64,
-    pub(crate) to: usize,
-    pub(crate) env: Envelope<M>,
+/// Where a node's sends go: the one thing the substrates do differently.
+/// An implementation owns a format (an in-memory envelope, a CRC frame
+/// on a socket) and whatever stands between sender and inbox; the node
+/// loop knows neither.
+pub trait Links<M>: Send + Sync + 'static {
+    /// Carries `env` from `env.from` toward `to`'s inbox. Must not
+    /// block on the receiver and must tolerate teardown: a message that
+    /// cannot be carried is accounted by the substrate, not reported
+    /// here.
+    fn send(&self, to: ProcessorId, env: Envelope<M>);
 }
 
-impl<M> PartialEq for Delayed<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
+/// An inbox endpoint shareable across a node's successive incarnations.
+type SharedInbox<M> = Arc<Mutex<Receiver<Envelope<M>>>>;
+
+/// Everything the node threads and the driving thread share.
+struct Shared<A: Recoverable, L> {
+    /// `statuses[k][i]`: instance `k`'s status at node `i`.
+    statuses: Mutex<Vec<Vec<Status>>>,
+    steps: Mutex<Vec<u64>>,
+    done: Arc<AtomicBool>,
+    /// Protocol messages sent, per instance (before any fault or frame).
+    messages: Vec<AtomicU64>,
+    /// Receiver-tick-minus-sender-tick deltas, per instance.
+    link_delays: Mutex<Vec<Vec<i64>>>,
+    /// `crash_snaps[i]`: node `i`'s crash-time snapshot of every
+    /// instance — the stable storage a dying node writes.
+    crash_snaps: Mutex<Vec<Option<Vec<A::Snapshot>>>>,
+    /// `init_snaps[i]`: the fallback for amnesiac restarts. (In a Mutex
+    /// only to make `Shared` Sync without demanding `Snapshot: Sync`;
+    /// it is written once, before any thread starts.)
+    init_snaps: Mutex<Vec<Vec<A::Snapshot>>>,
+    /// Currently crashed and not (yet) restarted.
+    down: Mutex<Vec<bool>>,
+    /// Whether each processor's scripted crash actually fired.
+    ever_crashed: Mutex<Vec<bool>>,
+    /// One seed collection per instance: instance `k` replays the
+    /// simulator's coin flips for seed collection `k`.
+    seeds: Vec<SeedCollection>,
+    tick: Duration,
+    max_steps: u64,
+    /// Cluster-wide step-event counter feeding the lateness monitor.
+    events: AtomicU64,
+    delivery_ids: AtomicU64,
+    lateness: Mutex<LatenessMonitor>,
+    links: L,
 }
-impl<M> Eq for Delayed<M> {}
-impl<M> PartialOrd for Delayed<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Delayed<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse: BinaryHeap is a max-heap, we want the earliest due.
-        other.due.cmp(&self.due).then(other.seq.cmp(&self.seq))
+
+impl<A: Recoverable, L> Shared<A, L> {
+    fn publish_statuses(&self, i: usize, autos: &[A]) {
+        let mut st = self.statuses.lock();
+        for (k, a) in autos.iter().enumerate() {
+            st[k][i] = a.status();
+        }
     }
 }
 
-/// Runs a population of automata on threads until every non-crashed
-/// node decides, or the caps are hit.
-///
-/// The automata must be `Send`; their message type must be
-/// `Send + 'static`.
+/// Spawns one incarnation of node `i`, stepping `autos` (one automaton
+/// per instance) from the step count its predecessor reached.
+fn spawn_node<A, L>(
+    shared: Arc<Shared<A, L>>,
+    i: usize,
+    rx: SharedInbox<A::Msg>,
+    mut autos: Vec<A>,
+    crash_at: Option<u64>,
+) -> thread::JoinHandle<()>
+where
+    A: Recoverable + Send + 'static,
+    A::Msg: Send + 'static,
+    L: Links<A::Msg>,
+{
+    thread::spawn(move || {
+        let id = ProcessorId::new(i);
+        // The inbox mutex serialises incarnations: a restarting thread
+        // blocks here until its predecessor exits, then inherits every
+        // message queued meanwhile (eventual delivery across the crash).
+        let rx = rx.lock();
+        // Resume the step counter where the predecessor left it so
+        // per-step randomness is never reused.
+        let mut clock = shared.steps.lock()[i];
+        let mut arrivals: Vec<Envelope<A::Msg>> = Vec::new();
+        let mut per_instance: Vec<Vec<Delivery<A::Msg>>> =
+            autos.iter().map(|_| Vec::new()).collect();
+        let mut outgoing: Vec<(usize, rtc_model::Send<A::Msg>)> = Vec::new();
+        while !shared.done.load(Ordering::Relaxed) && clock < shared.max_steps {
+            if crash_at == Some(clock) {
+                // Fail-stop mid-broadcast: this step's messages are
+                // never sent. Stable storage (the snapshots) survives.
+                shared.crash_snaps.lock()[i] = Some(autos.iter().map(A::snapshot).collect());
+                shared.ever_crashed.lock()[i] = true;
+                shared.down.lock()[i] = true;
+                return;
+            }
+            // Collect one tick's worth of arrivals.
+            let deadline = Instant::now() + shared.tick;
+            loop {
+                let now = Instant::now();
+                if now >= deadline {
+                    break;
+                }
+                match rx.recv_timeout(deadline.saturating_duration_since(now)) {
+                    Ok(env) => arrivals.push(env),
+                    Err(RecvTimeoutError::Timeout) => break,
+                    Err(RecvTimeoutError::Disconnected) => return,
+                }
+            }
+            // This step's cluster-wide event, for the paper's lateness
+            // measure: note the step first (the receiving step counts
+            // toward the interval), then classify the arrivals.
+            let ev = shared.events.fetch_add(1, Ordering::Relaxed) + 1;
+            {
+                let mut mon = shared.lateness.lock();
+                mon.note_step(i, ev);
+                for env in &arrivals {
+                    let did = shared.delivery_ids.fetch_add(1, Ordering::Relaxed);
+                    mon.classify_delivery(MsgId::external(did), env.sent_event);
+                }
+            }
+            {
+                let mut delays = shared.link_delays.lock();
+                for env in arrivals.drain(..) {
+                    // The tag came off a wire: one that names no
+                    // instance is dropped, never indexed.
+                    if let Some(inbox) = per_instance.get_mut(env.instance) {
+                        delays[env.instance].push(clock as i64 - env.sent_at_tick as i64);
+                        inbox.push(Delivery::new(env.from, env.msg));
+                    }
+                }
+            }
+            for (k, (auto, inbox)) in autos.iter_mut().zip(&mut per_instance).enumerate() {
+                let mut rng = shared.seeds[k].step_rng(id, LocalClock::new(clock));
+                outgoing.extend(auto.step(inbox, &mut rng).into_iter().map(|out| (k, out)));
+                inbox.clear();
+            }
+            clock += 1;
+            shared.steps.lock()[i] = clock;
+            shared.publish_statuses(i, &autos);
+            for (k, out) in outgoing.drain(..) {
+                shared.messages[k].fetch_add(1, Ordering::Relaxed);
+                shared.links.send(
+                    out.to,
+                    Envelope {
+                        from: id,
+                        instance: k,
+                        sent_at_tick: clock,
+                        sent_event: ev,
+                        msg: out.msg,
+                    },
+                );
+            }
+        }
+    })
+}
+
+/// A booted cluster: every node's first incarnation running its paced
+/// loop over `L`, ready to be driven — by [`ClusterCore::run_scripted`],
+/// by [`supervise`](crate::supervise), or by a caller polling
+/// [`ClusterCore::all_owing_decided`] — and then finished.
+pub struct ClusterCore<A: Recoverable, L> {
+    shared: Arc<Shared<A, L>>,
+    inboxes: Vec<SharedInbox<A::Msg>>,
+    handles: Vec<thread::JoinHandle<()>>,
+    start: Instant,
+}
+
+impl<A: Recoverable, L> std::fmt::Debug for ClusterCore<A, L> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ClusterCore")
+            .field("nodes", &self.inboxes.len())
+            .field("instances", &self.shared.seeds.len())
+            .finish()
+    }
+}
+
+impl<A, L> ClusterCore<A, L>
+where
+    A: Recoverable + Send + 'static,
+    A::Msg: Send + 'static,
+    L: Links<A::Msg>,
+{
+    /// Spawns the first incarnation of every node.
+    ///
+    /// `instances[k]` is the population of instance `k` (all the same
+    /// length `n`, in processor order) and `seeds[k]` its seed
+    /// collection; `inboxes[i]` is where the substrate delivers node
+    /// `i`'s traffic and `links` where node sends go. Of `faults` the
+    /// core reads only the scripted crash steps — network faults belong
+    /// to the substrate. `done` is raised by [`ClusterCore::finish`];
+    /// the substrate's own threads may watch the same flag.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `instances` is empty or ragged, or when `seeds` or
+    /// `inboxes` do not match it.
+    pub fn boot(
+        instances: Vec<Vec<A>>,
+        seeds: Vec<SeedCollection>,
+        faults: &FaultPlan,
+        opts: &ClusterOptions,
+        done: Arc<AtomicBool>,
+        inboxes: Vec<Receiver<Envelope<A::Msg>>>,
+        links: L,
+    ) -> ClusterCore<A, L> {
+        let m = instances.len();
+        assert!(m > 0, "need at least one commit instance");
+        assert_eq!(seeds.len(), m, "one seed collection per instance");
+        let n = instances[0].len();
+        assert!(n > 0, "cluster needs at least one processor");
+        assert!(
+            instances.iter().all(|pop| pop.len() == n),
+            "all instances must share the population size"
+        );
+        assert_eq!(inboxes.len(), n, "one inbox per processor");
+
+        // Transpose instances[k][i] into per-node automata.
+        let mut per_node: Vec<Vec<A>> = (0..n).map(|_| Vec::with_capacity(m)).collect();
+        for pop in instances {
+            for (i, auto) in pop.into_iter().enumerate() {
+                per_node[i].push(auto);
+            }
+        }
+        let shared = Arc::new(Shared::<A, L> {
+            statuses: Mutex::new(vec![vec![Status::Undecided; n]; m]),
+            steps: Mutex::new(vec![0; n]),
+            done,
+            messages: (0..m).map(|_| AtomicU64::new(0)).collect(),
+            link_delays: Mutex::new(vec![Vec::new(); m]),
+            crash_snaps: Mutex::new((0..n).map(|_| None).collect()),
+            init_snaps: Mutex::new(
+                per_node
+                    .iter()
+                    .map(|autos| autos.iter().map(A::snapshot).collect())
+                    .collect(),
+            ),
+            down: Mutex::new(vec![false; n]),
+            ever_crashed: Mutex::new(vec![false; n]),
+            seeds,
+            tick: opts.tick,
+            max_steps: opts.max_steps,
+            events: AtomicU64::new(0),
+            delivery_ids: AtomicU64::new(0),
+            lateness: Mutex::new(LatenessMonitor::new(n, TimingParams::default().k())),
+            links,
+        });
+        let inboxes: Vec<SharedInbox<A::Msg>> = inboxes
+            .into_iter()
+            .map(|rx| Arc::new(Mutex::new(rx)))
+            .collect();
+        let handles = per_node
+            .into_iter()
+            .enumerate()
+            .map(|(i, autos)| {
+                let crash_at = faults.crash_step(ProcessorId::new(i));
+                spawn_node(
+                    Arc::clone(&shared),
+                    i,
+                    Arc::clone(&inboxes[i]),
+                    autos,
+                    crash_at,
+                )
+            })
+            .collect();
+        ClusterCore {
+            shared,
+            inboxes,
+            handles,
+            start: Instant::now(),
+        }
+    }
+
+    /// Respawns a down node, from its crash snapshots or amnesiac.
+    ///
+    /// The order is an invariant: restore, publish the restored
+    /// automata's statuses, mark the node up, spawn. Marking up before
+    /// publishing would let a decision check read the dead
+    /// incarnation's status — a victim that decided before it crashed
+    /// would end the run before its successor took a step.
+    pub fn respawn(&mut self, idx: usize, from_snapshot: bool) {
+        let snaps = if from_snapshot {
+            self.shared.crash_snaps.lock()[idx].clone()
+        } else {
+            None
+        };
+        let autos: Vec<A> = match snaps {
+            Some(snaps) => snaps.iter().map(A::restore).collect(),
+            None => self.shared.init_snaps.lock()[idx]
+                .iter()
+                .map(A::restore_amnesiac)
+                .collect(),
+        };
+        self.shared.publish_statuses(idx, &autos);
+        self.shared.down.lock()[idx] = false;
+        self.handles.push(spawn_node(
+            Arc::clone(&self.shared),
+            idx,
+            Arc::clone(&self.inboxes[idx]),
+            autos,
+            None,
+        ));
+    }
+
+    /// Time elapsed since the cluster booted.
+    pub(crate) fn elapsed(&self) -> Duration {
+        self.start.elapsed()
+    }
+
+    /// Which nodes are currently down (crashed and not yet respawned).
+    pub(crate) fn down(&self) -> Vec<bool> {
+        self.shared.down.lock().clone()
+    }
+
+    /// Whether every node not excused by `excused` is up and holds a
+    /// decision in every instance.
+    pub(crate) fn all_up_and_decided(&self, excused: &[bool]) -> bool {
+        let st = self.shared.statuses.lock();
+        let down = self.shared.down.lock();
+        (0..down.len())
+            .all(|i| excused[i] || (!down[i] && st.iter().all(|inst| inst[i].is_decided())))
+    }
+
+    /// Whether every node that is not currently down holds a decision
+    /// in every instance.
+    pub fn all_owing_decided(&self) -> bool {
+        let down = self.down();
+        self.all_up_and_decided(&down)
+    }
+
+    /// The scripted driver: fires each restart at its offset or at the
+    /// victim's actual crash, whichever is later, and stops when no
+    /// restart is pending and every owed decision is in, or at
+    /// `wall_timeout`. Returns which nodes were respawned and whether
+    /// the run ended by decision.
+    pub fn run_scripted(
+        &mut self,
+        mut pending: Vec<RestartAt>,
+        wall_timeout: Duration,
+    ) -> (Vec<bool>, bool) {
+        pending.sort_by_key(|r| r.at);
+        let mut recovered = vec![false; self.inboxes.len()];
+        while self.elapsed() < wall_timeout {
+            let now = self.elapsed();
+            pending.retain(|r| {
+                let idx = r.victim.index();
+                let fire = now >= r.at && self.shared.down.lock()[idx];
+                if fire {
+                    self.respawn(idx, r.from_snapshot);
+                    recovered[idx] = true;
+                }
+                !fire
+            });
+            if pending.is_empty() && self.all_owing_decided() {
+                return (recovered, true);
+            }
+            thread::sleep(self.shared.tick);
+        }
+        (recovered, false)
+    }
+
+    /// Stops the node threads and assembles one report per instance.
+    /// `teardown` runs once the nodes have exited: the substrate joins
+    /// its own threads there and returns how many messages it still
+    /// held. `steps`, `crashed`, `recovered`, the undelivered count and
+    /// the lateness counts are per node or per run, and repeated in
+    /// every instance's report.
+    pub fn finish(
+        self,
+        recovered: Vec<bool>,
+        decided_in_time: bool,
+        teardown: impl FnOnce() -> u64,
+    ) -> Vec<ClusterReport> {
+        self.shared.done.store(true, Ordering::Relaxed);
+        for h in self.handles {
+            let _ = h.join();
+        }
+        let messages_undelivered = teardown();
+        let shared = &self.shared;
+        let steps = shared.steps.lock().clone();
+        let crashed = shared.ever_crashed.lock().clone();
+        let down = shared.down.lock().clone();
+        let mut link_delays = std::mem::take(&mut *shared.link_delays.lock());
+        let (deliveries, late_deliveries) = {
+            let mon = shared.lateness.lock();
+            (mon.delivered(), mon.late_count())
+        };
+        let wall = self.start.elapsed();
+        let statuses = shared.statuses.lock().clone();
+        statuses
+            .into_iter()
+            .enumerate()
+            .map(|(k, statuses)| {
+                let owed_in = statuses
+                    .iter()
+                    .zip(&down)
+                    .all(|(s, d)| *d || s.is_decided());
+                ClusterReport {
+                    statuses,
+                    steps: steps.clone(),
+                    crashed: crashed.clone(),
+                    recovered: recovered.clone(),
+                    messages_sent: shared.messages[k].load(Ordering::Relaxed),
+                    messages_undelivered,
+                    wall,
+                    decided_in_time: decided_in_time && owed_in,
+                    link_delays: std::mem::take(&mut link_delays[k]),
+                    deliveries,
+                    late_deliveries,
+                }
+            })
+            .collect()
+    }
+}
+
+/// Runs a population of automata on threads, with crossbeam channels as
+/// links, until every node that has not crashed decides, or the caps
+/// are hit. Crashes are the paper's fail-stop faults: any restarts in
+/// the plan are ignored (see
+/// [`run_cluster_recoverable`](crate::run_cluster_recoverable)).
 ///
 /// # Example
 ///
@@ -182,223 +589,15 @@ impl<M> Ord for Delayed<M> {
 pub fn run_cluster<A>(
     procs: Vec<A>,
     seeds: SeedCollection,
-    faults: FaultPlan,
+    mut faults: FaultPlan,
     opts: ClusterOptions,
 ) -> ClusterReport
 where
-    A: Automaton + Send + 'static,
+    A: Recoverable + Send + 'static,
     A::Msg: Send + 'static,
 {
-    let n = procs.len();
-    assert!(n > 0, "cluster needs at least one processor");
-    let start = Instant::now();
-
-    // Links: one inbox per node, plus the delayer's inbox.
-    let mut inbox_tx = Vec::with_capacity(n);
-    let mut inbox_rx = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = unbounded::<Envelope<A::Msg>>();
-        inbox_tx.push(tx);
-        inbox_rx.push(rx);
-    }
-    let (delay_tx, delay_rx) = unbounded::<Delayed<A::Msg>>();
-
-    let statuses: Arc<Mutex<Vec<Status>>> = Arc::new(Mutex::new(vec![Status::Undecided; n]));
-    let steps: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(vec![0; n]));
-    let done = Arc::new(AtomicBool::new(false));
-    let messages = Arc::new(AtomicU64::new(0));
-    let link_delays: Arc<Mutex<Vec<i64>>> = Arc::new(Mutex::new(Vec::new()));
-    let crashed: Vec<bool> = (0..n)
-        .map(|i| faults.crash_step(ProcessorId::new(i)).is_some())
-        .collect();
-
-    // The delayer thread. Returns how many held messages (delay spikes
-    // or link-outage buffering) were still undelivered when the run
-    // ended, so they are accounted for instead of silently dropped.
-    let delayer = {
-        let done = Arc::clone(&done);
-        let inbox_tx = inbox_tx.clone();
-        thread::spawn(move || -> u64 {
-            let mut heap: BinaryHeap<Delayed<A::Msg>> = BinaryHeap::new();
-            let mut disconnected = false;
-            loop {
-                if !disconnected {
-                    let timeout = heap
-                        .peek()
-                        .map(|d| d.due.saturating_duration_since(Instant::now()))
-                        .unwrap_or(Duration::from_millis(5));
-                    match delay_rx.recv_timeout(timeout) {
-                        Ok(d) => heap.push(d),
-                        Err(RecvTimeoutError::Timeout) => {}
-                        // All senders gone: no new holds can arrive, but
-                        // messages already held must still be counted.
-                        Err(RecvTimeoutError::Disconnected) => disconnected = true,
-                    }
-                }
-                let now = Instant::now();
-                while heap.peek().is_some_and(|d| d.due <= now) {
-                    let d = heap.pop().expect("peeked");
-                    // A send can fail only during teardown.
-                    let _ = inbox_tx[d.to].send(d.env);
-                }
-                if (done.load(Ordering::Relaxed) || disconnected) && !heap.is_empty() {
-                    // The run is over; whatever is still held would
-                    // arrive after every node stopped listening.
-                    return heap.len() as u64;
-                }
-                if (done.load(Ordering::Relaxed) || disconnected) && heap.is_empty() {
-                    return 0;
-                }
-            }
-        })
-    };
-
-    // Node threads.
-    let mut handles = Vec::with_capacity(n);
-    for (i, mut auto) in procs.into_iter().enumerate() {
-        let rx = inbox_rx.remove(0);
-        let inbox_tx = inbox_tx.clone();
-        let delay_tx = delay_tx.clone();
-        let statuses = Arc::clone(&statuses);
-        let steps = Arc::clone(&steps);
-        let done = Arc::clone(&done);
-        let messages = Arc::clone(&messages);
-        let link_delays = Arc::clone(&link_delays);
-        let crash_at = faults.crash_step(ProcessorId::new(i));
-        let delay_model = faults.delay;
-        let plan = faults.clone();
-        let started = start;
-        let tick = opts.tick;
-        let max_steps = opts.max_steps;
-        handles.push(thread::spawn(move || {
-            let id = ProcessorId::new(i);
-            let mut net_rng = SmallRng::seed_from_u64(seeds.master() ^ (0xC0FFEE + i as u64));
-            let mut seq = 0u64;
-            let mut clock = 0u64;
-            while !done.load(Ordering::Relaxed) && clock < max_steps {
-                if crash_at == Some(clock) {
-                    return; // fail-stop: vanish without a trace
-                }
-                // Collect one tick's worth of arrivals.
-                let deadline = Instant::now() + tick;
-                let mut delivered: Vec<Delivery<A::Msg>> = Vec::new();
-                loop {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    match rx.recv_timeout(deadline.saturating_duration_since(now)) {
-                        Ok(env) => {
-                            link_delays
-                                .lock()
-                                .push(clock as i64 - env.sent_at_tick as i64);
-                            delivered.push(Delivery::new(env.from, env.msg));
-                        }
-                        Err(RecvTimeoutError::Timeout) => break,
-                        Err(RecvTimeoutError::Disconnected) => return,
-                    }
-                }
-                let mut rng = seeds.step_rng(id, LocalClock::new(clock));
-                let outs = auto.step(&delivered, &mut rng);
-                clock += 1;
-                steps.lock()[i] = clock;
-                statuses.lock()[i] = auto.status();
-                for out in outs {
-                    messages.fetch_add(1, Ordering::Relaxed);
-                    let mut hold = delay_model.sample(&mut net_rng);
-                    // A link outage or partition buffers the message
-                    // until its window closes (eventual delivery is
-                    // preserved).
-                    let at = started.elapsed();
-                    if let Some(until) = plan.outage_until(id, out.to, at) {
-                        hold = hold.max(until.saturating_sub(at));
-                    }
-                    if let Some(until) = plan.partition_until(id, out.to, at) {
-                        hold = hold.max(until.saturating_sub(at));
-                    }
-                    // Reordering: an extra few-tick hold lets younger
-                    // traffic overtake this message.
-                    if plan.reorder_permille > 0
-                        && net_rng.gen_range(0..1000u32) < plan.reorder_permille
-                    {
-                        hold += tick * net_rng.gen_range(1..=3u32);
-                    }
-                    // Duplication: a second copy of the payload rides
-                    // the delay heap with its own extra hold, so the
-                    // receiver may see it twice, possibly out of order.
-                    let dup = (plan.duplicate_permille > 0
-                        && net_rng.gen_range(0..1000u32) < plan.duplicate_permille)
-                        .then(|| Envelope {
-                            from: id,
-                            sent_at_tick: clock,
-                            msg: out.msg.clone(),
-                        });
-                    let env = Envelope {
-                        from: id,
-                        sent_at_tick: clock,
-                        msg: out.msg,
-                    };
-                    if hold.is_zero() {
-                        let _ = inbox_tx[out.to.index()].send(env);
-                    } else {
-                        seq += 1;
-                        let _ = delay_tx.send(Delayed {
-                            due: Instant::now() + hold,
-                            seq,
-                            to: out.to.index(),
-                            env,
-                        });
-                    }
-                    if let Some(env) = dup {
-                        let hold = hold + tick * net_rng.gen_range(1..=3u32);
-                        seq += 1;
-                        let _ = delay_tx.send(Delayed {
-                            due: Instant::now() + hold,
-                            seq,
-                            to: out.to.index(),
-                            env,
-                        });
-                    }
-                }
-            }
-        }));
-    }
-    drop(delay_tx);
-
-    // Monitor: wait until all non-crashed nodes decide or timeout.
-    let mut decided_in_time = false;
-    while start.elapsed() < opts.wall_timeout {
-        {
-            let st = statuses.lock();
-            if st.iter().zip(&crashed).all(|(s, c)| *c || s.is_decided()) {
-                decided_in_time = true;
-            }
-        }
-        if decided_in_time {
-            break;
-        }
-        thread::sleep(opts.tick);
-    }
-    done.store(true, Ordering::Relaxed);
-    for h in handles {
-        let _ = h.join();
-    }
-    let messages_undelivered = delayer.join().unwrap_or(0);
-
-    let final_statuses = statuses.lock().clone();
-    let final_steps = steps.lock().clone();
-    let final_delays = link_delays.lock().clone();
-    ClusterReport {
-        statuses: final_statuses,
-        steps: final_steps,
-        crashed,
-        recovered: vec![false; n],
-        messages_sent: messages.load(Ordering::Relaxed),
-        messages_undelivered,
-        wall: start.elapsed(),
-        decided_in_time,
-        link_delays: final_delays,
-    }
+    faults.restarts.clear();
+    crate::recovery::run_cluster_recoverable(procs, seeds, faults, opts)
 }
 
 #[cfg(test)]
@@ -419,6 +618,170 @@ mod tests {
             max_steps: 100_000,
             wall_timeout: Duration::from_secs(20),
         }
+    }
+
+    /// A step recorder: every step it reports, to `p1` then `p0`, its
+    /// own step count, how many messages it has heard, and the first
+    /// draw of the step's random number.
+    #[derive(Clone, Debug)]
+    struct Probe {
+        id: ProcessorId,
+        steps: u64,
+        heard: u64,
+    }
+
+    #[derive(Clone, Debug, PartialEq)]
+    struct Seen {
+        step: u64,
+        heard: u64,
+        coin: u64,
+    }
+
+    impl rtc_model::Automaton for Probe {
+        type Msg = Seen;
+
+        fn id(&self) -> ProcessorId {
+            self.id
+        }
+
+        fn step(
+            &mut self,
+            delivered: &[Delivery<Seen>],
+            rng: &mut rtc_model::StepRng,
+        ) -> Vec<rtc_model::Send<Seen>> {
+            self.heard += delivered.len() as u64;
+            let seen = Seen {
+                step: self.steps,
+                heard: self.heard,
+                coin: rng.next_u64(),
+            };
+            self.steps += 1;
+            vec![
+                rtc_model::Send::new(ProcessorId::new(1), seen.clone()),
+                rtc_model::Send::new(ProcessorId::new(0), seen),
+            ]
+        }
+
+        fn status(&self) -> Status {
+            Status::Undecided
+        }
+    }
+
+    impl Recoverable for Probe {
+        type Snapshot = Probe;
+
+        fn snapshot(&self) -> Probe {
+            self.clone()
+        }
+
+        fn restore(snapshot: &Probe) -> Probe {
+            snapshot.clone()
+        }
+    }
+
+    /// A `Links` that delivers nothing and reports every send.
+    struct Recorder(crossbeam_channel::Sender<(ProcessorId, Envelope<Seen>)>);
+
+    impl Links<Seen> for Recorder {
+        fn send(&self, to: ProcessorId, env: Envelope<Seen>) {
+            let _ = self.0.send((to, env));
+        }
+    }
+
+    #[test]
+    fn the_node_loop_over_a_recording_links() {
+        // Two instances on p0; p1 crashes before its first step, so p0
+        // is the only thread that ever steps. p0 crashes at step 3.
+        const CRASH: u64 = 3;
+        let p = ProcessorId::new;
+        let population = || {
+            vec![0, 1].into_iter().map(|i| Probe {
+                id: p(i),
+                steps: 0,
+                heard: 0,
+            })
+        };
+        let seeds = vec![SeedCollection::new(91), SeedCollection::new(92)];
+        let (sent_tx, sent) = crossbeam_channel::unbounded();
+        let (inbox_tx, inbox_rx): (Vec<_>, Vec<_>) =
+            (0..2).map(|_| crossbeam_channel::unbounded()).unzip();
+        // Waiting in p0's inbox: one message for instance 1, and one
+        // whose tag names no instance.
+        for instance in [1, 7] {
+            inbox_tx[0]
+                .send(Envelope {
+                    from: p(1),
+                    instance,
+                    sent_at_tick: 0,
+                    sent_event: 0,
+                    msg: Seen {
+                        step: 0,
+                        heard: 0,
+                        coin: 0,
+                    },
+                })
+                .unwrap();
+        }
+        let mut core = ClusterCore::boot(
+            vec![population().collect(), population().collect()],
+            seeds.clone(),
+            &FaultPlan::none()
+                .with_crash(p(0), CRASH)
+                .with_crash(p(1), 0),
+            &ClusterOptions {
+                tick: Duration::from_millis(1),
+                max_steps: 1_000,
+                wall_timeout: Duration::from_secs(20),
+            },
+            Arc::new(AtomicBool::new(false)),
+            inbox_rx,
+            Recorder(sent_tx),
+        );
+        let wait = Duration::from_secs(20);
+        let await_down = |core: &ClusterCore<Probe, Recorder>| {
+            while !core.down()[0] {
+                assert!(core.elapsed() < wait, "p0 never crashed");
+                thread::sleep(Duration::from_millis(1));
+            }
+        };
+
+        // Every step sends instance 0's messages, then instance 1's,
+        // each in the order the automaton listed them; the loop stamps
+        // the step count after the step and draws the coin from
+        // `seeds[instance]` at the step's clock. The out-of-range tag
+        // was dropped: only instance 1 heard anything.
+        let expect_steps = |steps: std::ops::Range<u64>| {
+            for step in steps {
+                for (instance, to) in [(0, 1), (0, 0), (1, 1), (1, 0)] {
+                    let (got_to, env) = sent.recv_timeout(wait).expect("a send per step");
+                    assert_eq!((got_to, env.from, env.instance), (p(to), p(0), instance));
+                    assert_eq!(env.sent_at_tick, step + 1);
+                    let coin = seeds[instance]
+                        .step_rng(p(0), LocalClock::new(step))
+                        .next_u64();
+                    let heard = instance as u64;
+                    assert_eq!(env.msg, Seen { step, heard, coin });
+                }
+            }
+        };
+        expect_steps(0..CRASH);
+        // The crash fires before step 3 sends anything, and the thread
+        // is gone once the node is marked down.
+        await_down(&core);
+        assert!(sent.try_recv().is_err(), "a crashed node sent a message");
+
+        // A restart resumes both the automata (from the crash snapshot)
+        // and the loop's step counter, so no step's randomness is drawn
+        // twice.
+        core.respawn(0, true);
+        expect_steps(CRASH..CRASH + 2);
+        let reports = core.finish(vec![true, false], false, || 0);
+        assert_eq!(reports.len(), 2);
+        assert_eq!(reports[0].crashed, vec![true, true]);
+        assert!(reports[0].steps[0] >= CRASH + 2 && reports[0].steps[1] == 0);
+        assert_eq!(reports[0].deliveries, 2, "both arrivals were classified");
+        assert!(reports[0].link_delays.is_empty());
+        assert_eq!(reports[1].link_delays, vec![0]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Fault injection for the threaded runtime.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -53,6 +53,39 @@ impl DelayModel {
                 }
             }
         }
+    }
+}
+
+/// Something held until `due`: an in-memory envelope on the channel
+/// substrate's delayer, an encoded frame on the socket proxy's
+/// forwarder. Ordered so a [`BinaryHeap`](std::collections::BinaryHeap)
+/// pops the earliest `due` first, `seq` (the holder's push counter)
+/// breaking ties.
+#[derive(Debug)]
+pub struct Due<T> {
+    /// When the hold ends.
+    pub due: Instant,
+    /// Tie-break among equal `due`s: lower pops first.
+    pub seq: u64,
+    /// What is held.
+    pub item: T,
+}
+
+impl<T> PartialEq for Due<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.due == other.due && self.seq == other.seq
+    }
+}
+impl<T> Eq for Due<T> {}
+impl<T> PartialOrd for Due<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<T> Ord for Due<T> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        // Reverse: BinaryHeap is a max-heap, we want the earliest due.
+        other.due.cmp(&self.due).then(other.seq.cmp(&self.seq))
     }
 }
 
@@ -419,6 +452,45 @@ impl FaultPlan {
         self.restarts.iter().copied().find(|r| r.victim == p)
     }
 
+    /// Rolls the network-fault dice for one message from `from` to `to`
+    /// sent at offset `at` from cluster start: `(hold, duplicate_hold,
+    /// reset)`. Both substrates call this and nothing else, so the draw
+    /// order — delay, reorder, duplicate, reset — is fixed here.
+    ///
+    /// * `hold`: the sampled delay, stretched to the end of any outage
+    ///   or partition window covering the pair (the cut buffers, it
+    ///   never drops), plus one to three `tick`s when the reorder dice
+    ///   hit, so younger traffic overtakes this message.
+    /// * `duplicate_hold`: when the duplicate dice hit, the hold of a
+    ///   second copy, one to three `tick`s beyond `hold`.
+    /// * `reset`: tear the carrying connection down after this message
+    ///   (only sockets have one; see [`FaultPlan::reset_permille`]).
+    pub fn roll(
+        &self,
+        from: ProcessorId,
+        to: ProcessorId,
+        at: Duration,
+        tick: Duration,
+        rng: &mut SmallRng,
+    ) -> (Duration, Option<Duration>, bool) {
+        let hit = |permille: u32, rng: &mut SmallRng| {
+            permille > 0 && rng.gen_range(0..1000u32) < permille
+        };
+        let mut hold = self.delay.sample(rng);
+        let cut_until = self
+            .outage_until(from, to, at)
+            .max(self.partition_until(from, to, at));
+        if let Some(until) = cut_until {
+            hold = hold.max(until.saturating_sub(at));
+        }
+        if hit(self.reorder_permille, rng) {
+            hold += tick * rng.gen_range(1..=3u32);
+        }
+        let duplicate_hold =
+            hit(self.duplicate_permille, rng).then(|| hold + tick * rng.gen_range(1..=3u32));
+        (hold, duplicate_hold, hit(self.reset_permille, rng))
+    }
+
     /// If traffic between `x` and `y` at offset `at` is cut, returns
     /// when the covering outage window ends (the hold-until offset).
     pub fn outage_until(&self, x: ProcessorId, y: ProcessorId, at: Duration) -> Option<Duration> {
@@ -647,5 +719,66 @@ mod tests {
             out_of_range.validate(5, 2),
             Err(FaultPlanError::UnknownProcessor(ProcessorId::new(9)))
         );
+    }
+
+    #[test]
+    fn roll_keeps_the_draw_order_of_the_proxy_it_was_lifted_from() {
+        // (from, to, at ms) → (hold ms, duplicate hold ms, reset), as
+        // computed by the socket proxy's `relay_one` before the dice
+        // moved here (PR 12 tree, same plan, rng and tick). A changed
+        // draw order or count shifts every later row.
+        let ms = Duration::from_millis;
+        let p = ProcessorId::new;
+        let plan = FaultPlan::none()
+            .with_delay(DelayModel::Spike {
+                permille: 400,
+                spike: ms(5),
+            })
+            .with_link_outage(p(0), p(1), Duration::ZERO, ms(10))
+            .with_partition(vec![0, 1, 1], Duration::ZERO, ms(20))
+            .with_reordering(300)
+            .with_duplication(300)
+            .with_resets(300);
+        let captured = [
+            (0, 1, 2, 18, None, false),
+            (1, 2, 2, 3, None, true),
+            (0, 2, 15, 5, None, false),
+            (0, 1, 25, 0, None, false),
+            (2, 0, 19, 6, Some(8), false),
+            (1, 0, 4, 16, None, false),
+            (2, 1, 30, 0, None, false),
+            (0, 1, 9, 11, None, true),
+            (1, 2, 40, 0, None, false),
+            (2, 0, 12, 8, None, false),
+            (0, 2, 21, 5, None, false),
+            (1, 0, 0, 20, None, false),
+        ];
+        let mut rng = SmallRng::seed_from_u64(0xD1CE);
+        for (from, to, at, hold, dup, reset) in captured {
+            assert_eq!(
+                plan.roll(p(from), p(to), ms(at), ms(1), &mut rng),
+                (ms(hold), dup.map(ms), reset),
+                "p{from} -> p{to} at {at} ms"
+            );
+        }
+    }
+
+    #[test]
+    fn due_pops_earliest_first_then_lowest_seq() {
+        let t0 = Instant::now();
+        let at = |ms: u64, seq: u64| Due {
+            due: t0 + Duration::from_millis(ms),
+            seq,
+            item: (ms, seq),
+        };
+        let mut heap = std::collections::BinaryHeap::from(vec![
+            at(7, 0),
+            at(3, 4),
+            at(3, 1),
+            at(9, 2),
+            at(3, 3),
+        ]);
+        let popped: Vec<(u64, u64)> = std::iter::from_fn(|| heap.pop().map(|d| d.item)).collect();
+        assert_eq!(popped, vec![(3, 1), (3, 3), (3, 4), (7, 0), (9, 2)]);
     }
 }

@@ -17,12 +17,11 @@ mod fault;
 mod recovery;
 mod supervisor;
 
-pub use cluster::{run_cluster, ClusterOptions, ClusterReport};
+pub use cluster::{run_cluster, ClusterCore, ClusterOptions, ClusterReport, Envelope, Links};
 pub use fault::{
-    CrashAt, DelayModel, FaultPlan, FaultPlanError, LinkOutage, NetPartition, RestartAt,
+    CrashAt, DelayModel, Due, FaultPlan, FaultPlanError, LinkOutage, NetPartition, RestartAt,
 };
 pub use recovery::run_cluster_recoverable;
 pub use supervisor::{
-    run_cluster_supervised, supervise, ClusterHealth, Supervisable, SupervisorPolicy,
-    SupervisorReport,
+    run_cluster_supervised, supervise, ClusterHealth, SupervisorPolicy, SupervisorReport,
 };

@@ -1,14 +1,14 @@
-//! Crash–recovery for the threaded cluster: respawning node threads
-//! from persisted state.
+//! The channel substrate: crossbeam channels as links, one delayer
+//! thread for held messages, and crash–recovery from persisted state.
 //!
-//! [`run_cluster`](crate::run_cluster) implements the paper's fail-stop
-//! faults — a crashed thread vanishes forever. The paper's Theorem 11
-//! deliberately leaves the door open: with more than `t` crashes the
-//! protocol never decides wrongly, it merely stalls, *"leaving the
-//! opportunity to recover"*. [`run_cluster_recoverable`] walks through
-//! that door. Each processor's [`Recoverable`] snapshot plays the role
-//! of stable storage: at the scripted crash the dying thread persists
-//! its snapshot, and a scripted [`RestartAt`](crate::RestartAt) later
+//! The paper's faults are fail-stop — a crashed processor never takes
+//! another step — but Theorem 11 deliberately leaves the door open:
+//! with more than `t` crashes the protocol never decides wrongly, it
+//! merely stalls, *"leaving the opportunity to recover"*.
+//! [`run_cluster_recoverable`] walks through that door. Each
+//! processor's [`Recoverable`] snapshot plays the role of stable
+//! storage: at the scripted crash the dying thread persists its
+//! snapshot, and a scripted [`RestartAt`](crate::RestartAt) later
 //! respawns the thread from it (or, for an amnesiac restart, from the
 //! processor's initial snapshot, in which case the automaton rejoins as
 //! a non-participating observer — see
@@ -16,19 +16,22 @@
 //!
 //! Two properties make the restart sound:
 //!
-//! * **Inboxes survive crashes.** Each node's channel receiver lives in
-//!   an `Arc<Mutex<…>>`; the restarted thread locks the same receiver
-//!   and inherits every message queued while the processor was down,
-//!   preserving the model's eventual-delivery guarantee across the
-//!   fault.
+//! * **Inboxes survive crashes.** A node's successive incarnations
+//!   share one channel receiver; the restarted thread inherits every
+//!   message queued while the processor was down, preserving the
+//!   model's eventual-delivery guarantee across the fault.
 //! * **Snapshots are crash-consistent.** The snapshot is taken at the
 //!   crash itself, before the step's messages are sent, so a restored
 //!   automaton can never contradict anything already on the wire — it
 //!   resumes deterministically and re-broadcasts its current protocol
 //!   position once (receivers deduplicate by sender).
+//!
+//! Network faults live in [`ChannelLinks`]: every send rolls
+//! [`FaultPlan::roll`] and goes straight to the receiver's inbox or,
+//! when held, through the delayer's due-ordered heap.
 
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -36,193 +39,157 @@ use std::time::{Duration, Instant};
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use rtc_model::{Delivery, LocalClock, ProcessorId, Recoverable, SeedCollection, Status};
+use rand::SeedableRng;
+use rtc_model::{ProcessorId, Recoverable, SeedCollection};
 
-use crate::cluster::{ClusterOptions, ClusterReport, Delayed, Envelope};
-use crate::fault::{FaultPlan, RestartAt};
+use crate::cluster::{ClusterCore, ClusterOptions, ClusterReport, Envelope, Links};
+use crate::fault::{Due, FaultPlan};
 
-/// An inbox endpoint shareable across a node's successive incarnations.
-pub(crate) type SharedInbox<M> = Arc<Mutex<Receiver<Envelope<M>>>>;
+/// A message on hold: when it is due, which inbox it is for.
+type Hold<M> = (Instant, usize, Envelope<M>);
 
-/// Everything the node, delayer, and monitor threads share.
-pub(crate) struct Shared<A: Recoverable> {
-    pub(crate) statuses: Mutex<Vec<Status>>,
-    pub(crate) steps: Mutex<Vec<u64>>,
-    pub(crate) done: AtomicBool,
-    pub(crate) messages: AtomicU64,
-    pub(crate) link_delays: Mutex<Vec<i64>>,
-    /// Crash-time snapshots — the stable storage a dying thread writes.
-    pub(crate) crash_snaps: Mutex<Vec<Option<A::Snapshot>>>,
-    /// Initial-state snapshots, the fallback for amnesiac restarts.
-    /// (In a Mutex only to make `Shared` Sync without demanding
-    /// `Snapshot: Sync`; it is written once, before any thread starts.)
-    pub(crate) init_snaps: Mutex<Vec<A::Snapshot>>,
-    /// Currently crashed and not (yet) restarted.
-    pub(crate) down: Mutex<Vec<bool>>,
-    /// Whether each processor's scripted crash actually fired.
-    pub(crate) ever_crashed: Mutex<Vec<bool>>,
-    pub(crate) inbox_tx: Vec<Sender<Envelope<A::Msg>>>,
-    pub(crate) delay_tx: Sender<Delayed<A::Msg>>,
-    pub(crate) seeds: SeedCollection,
-    pub(crate) plan: FaultPlan,
-    pub(crate) start: Instant,
-    pub(crate) tick: Duration,
-    pub(crate) max_steps: u64,
+/// The channel substrate's [`Links`]: in-memory envelopes, the fault
+/// plan's network faults applied at the sender.
+pub(crate) struct ChannelLinks<M> {
+    inbox_tx: Vec<Sender<Envelope<M>>>,
+    delay_tx: Sender<Hold<M>>,
+    plan: FaultPlan,
+    start: Instant,
+    tick: Duration,
+    /// One fault-dice stream per sender; only node `i` locks `rngs[i]`.
+    rngs: Vec<Mutex<SmallRng>>,
 }
 
-/// How a node thread comes up: the first incarnation, or a restart.
-pub(crate) enum Boot<A> {
-    /// The first incarnation of a node, with its scripted crash step.
-    Fresh {
-        /// The automaton to run.
-        auto: A,
-        /// The scripted crash step, if any.
-        crash_at: Option<u64>,
-    },
-    /// A respawn of a crashed node.
-    Restart {
-        /// Restore from the crash snapshot (`true`) or rejoin amnesiac.
-        from_snapshot: bool,
-    },
-}
-
-pub(crate) fn spawn_node<A>(
-    shared: Arc<Shared<A>>,
-    i: usize,
-    rx: SharedInbox<A::Msg>,
-    boot: Boot<A>,
-) -> thread::JoinHandle<()>
-where
-    A: Recoverable + Send + 'static,
-    A::Msg: Send + 'static,
-{
-    thread::spawn(move || {
-        let id = ProcessorId::new(i);
-        // The inbox mutex serialises incarnations: a restarting thread
-        // blocks here until its predecessor exits, then inherits every
-        // message queued meanwhile (eventual delivery across the crash).
-        let rx = rx.lock();
-        let (mut auto, crash_at, mut clock) = match boot {
-            Boot::Fresh { auto, crash_at } => (auto, crash_at, 0u64),
-            Boot::Restart { from_snapshot } => {
-                let snap = if from_snapshot {
-                    shared.crash_snaps.lock()[i].clone()
-                } else {
-                    None
-                };
-                let auto = match &snap {
-                    Some(s) => A::restore(s),
-                    None => A::restore_amnesiac(&shared.init_snaps.lock()[i]),
-                };
-                // Resume the step counter where the predecessor left it
-                // so per-step randomness is never reused.
-                let clock = shared.steps.lock()[i];
-                shared.statuses.lock()[i] = auto.status();
-                (auto, None, clock)
-            }
-        };
-        let mut net_rng = SmallRng::seed_from_u64(
-            shared.seeds.master() ^ (0xC0FFEE + i as u64) ^ clock.wrapping_mul(0x9E37_79B9),
+impl<M: Clone + Send + 'static> Links<M> for ChannelLinks<M> {
+    fn send(&self, to: ProcessorId, env: Envelope<M>) {
+        let from = env.from;
+        // Channels have no connection to reset; that die is inert here.
+        let (hold, duplicate_hold, _reset) = self.plan.roll(
+            from,
+            to,
+            self.start.elapsed(),
+            self.tick,
+            &mut self.rngs[from.index()].lock(),
         );
+        let copy = duplicate_hold.map(|hold| (Instant::now() + hold, to.index(), env.clone()));
+        // A send can fail only during teardown.
+        if hold.is_zero() {
+            let _ = self.inbox_tx[to.index()].send(env);
+        } else {
+            let _ = self.delay_tx.send((Instant::now() + hold, to.index(), env));
+        }
+        if let Some(copy) = copy {
+            let _ = self.delay_tx.send(copy);
+        }
+    }
+}
+
+/// The delayer thread: holds messages until they are due. Returns how
+/// many were still held when the run ended (`done`, or every sender
+/// gone) — traffic whose hold outlived the run is counted, not silently
+/// dropped.
+fn spawn_delayer<M: Send + 'static>(
+    rx: Receiver<Hold<M>>,
+    inbox_tx: Vec<Sender<Envelope<M>>>,
+    done: Arc<AtomicBool>,
+) -> thread::JoinHandle<u64> {
+    thread::spawn(move || {
+        let mut heap: BinaryHeap<Due<(usize, Envelope<M>)>> = BinaryHeap::new();
         let mut seq = 0u64;
-        while !shared.done.load(Ordering::Relaxed) && clock < shared.max_steps {
-            if crash_at == Some(clock) {
-                // Fail-stop mid-broadcast: this step's messages are
-                // never sent. Stable storage (the snapshot) survives.
-                shared.crash_snaps.lock()[i] = Some(auto.snapshot());
-                shared.ever_crashed.lock()[i] = true;
-                shared.down.lock()[i] = true;
-                return;
-            }
-            // Collect one tick's worth of arrivals.
-            let deadline = Instant::now() + shared.tick;
-            let mut delivered: Vec<Delivery<A::Msg>> = Vec::new();
-            loop {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                match rx.recv_timeout(deadline.saturating_duration_since(now)) {
-                    Ok(env) => {
-                        shared
-                            .link_delays
-                            .lock()
-                            .push(clock as i64 - env.sent_at_tick as i64);
-                        delivered.push(Delivery::new(env.from, env.msg));
-                    }
-                    Err(RecvTimeoutError::Timeout) => break,
-                    Err(RecvTimeoutError::Disconnected) => return,
-                }
-            }
-            let mut rng = shared.seeds.step_rng(id, LocalClock::new(clock));
-            let outs = auto.step(&delivered, &mut rng);
-            clock += 1;
-            shared.steps.lock()[i] = clock;
-            shared.statuses.lock()[i] = auto.status();
-            for out in outs {
-                shared.messages.fetch_add(1, Ordering::Relaxed);
-                let mut hold = shared.plan.delay.sample(&mut net_rng);
-                // A link outage or partition buffers the message until
-                // its window closes (eventual delivery is preserved).
-                let at = shared.start.elapsed();
-                if let Some(until) = shared.plan.outage_until(id, out.to, at) {
-                    hold = hold.max(until.saturating_sub(at));
-                }
-                if let Some(until) = shared.plan.partition_until(id, out.to, at) {
-                    hold = hold.max(until.saturating_sub(at));
-                }
-                // Reordering: an extra few-tick hold lets younger
-                // traffic overtake this message.
-                if shared.plan.reorder_permille > 0
-                    && net_rng.gen_range(0..1000u32) < shared.plan.reorder_permille
-                {
-                    hold += shared.tick * net_rng.gen_range(1..=3u32);
-                }
-                // Duplication: a second copy of the payload rides the
-                // delay heap with its own extra hold.
-                let dup = (shared.plan.duplicate_permille > 0
-                    && net_rng.gen_range(0..1000u32) < shared.plan.duplicate_permille)
-                    .then(|| Envelope {
-                        from: id,
-                        sent_at_tick: clock,
-                        msg: out.msg.clone(),
-                    });
-                let env = Envelope {
-                    from: id,
-                    sent_at_tick: clock,
-                    msg: out.msg,
-                };
-                if hold.is_zero() {
-                    let _ = shared.inbox_tx[out.to.index()].send(env);
-                } else {
+        loop {
+            // Capped so a hold that outlives the run cannot keep the
+            // delayer from seeing `done`.
+            const POLL: Duration = Duration::from_millis(5);
+            let timeout = heap.peek().map_or(POLL, |d| {
+                d.due.saturating_duration_since(Instant::now()).min(POLL)
+            });
+            let senders_gone = match rx.recv_timeout(timeout) {
+                Ok((due, to, env)) => {
                     seq += 1;
-                    let _ = shared.delay_tx.send(Delayed {
-                        due: Instant::now() + hold,
+                    heap.push(Due {
+                        due,
                         seq,
-                        to: out.to.index(),
-                        env,
+                        item: (to, env),
                     });
+                    false
                 }
-                if let Some(env) = dup {
-                    let hold = hold + shared.tick * net_rng.gen_range(1..=3u32);
-                    seq += 1;
-                    let _ = shared.delay_tx.send(Delayed {
-                        due: Instant::now() + hold,
-                        seq,
-                        to: out.to.index(),
-                        env,
-                    });
-                }
+                Err(RecvTimeoutError::Timeout) => false,
+                Err(RecvTimeoutError::Disconnected) => true,
+            };
+            let now = Instant::now();
+            while heap.peek().is_some_and(|d| d.due <= now) {
+                let (to, env) = heap.pop().expect("peeked").item;
+                // A send can fail only during teardown.
+                let _ = inbox_tx[to].send(env);
+            }
+            if senders_gone || done.load(Ordering::Relaxed) {
+                // Whatever is still held would arrive after every node
+                // stopped listening.
+                return heap.len() as u64;
             }
         }
     })
 }
 
+/// A booted channel cluster: the core plus the delayer to join at the
+/// end.
+pub(crate) struct ChannelCluster<A: Recoverable> {
+    pub(crate) core: ClusterCore<A, ChannelLinks<A::Msg>>,
+    delayer: thread::JoinHandle<u64>,
+}
+
+impl<A> ChannelCluster<A>
+where
+    A: Recoverable + Send + 'static,
+    A::Msg: Send + 'static,
+{
+    /// Builds the channels, spawns the delayer and the first
+    /// incarnation of every node.
+    pub(crate) fn boot(
+        procs: Vec<A>,
+        seeds: SeedCollection,
+        faults: &FaultPlan,
+        opts: &ClusterOptions,
+    ) -> ChannelCluster<A> {
+        let n = procs.len();
+        let (inbox_tx, inbox_rx): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
+        let (delay_tx, delay_rx) = unbounded();
+        let done = Arc::new(AtomicBool::new(false));
+        let delayer = spawn_delayer(delay_rx, inbox_tx.clone(), Arc::clone(&done));
+        let links = ChannelLinks {
+            inbox_tx,
+            delay_tx,
+            plan: faults.clone(),
+            start: Instant::now(),
+            tick: opts.tick,
+            rngs: (0..n as u64)
+                .map(|i| Mutex::new(SmallRng::seed_from_u64(seeds.master() ^ (0xC0FFEE + i))))
+                .collect(),
+        };
+        let core = ClusterCore::boot(
+            vec![procs],
+            vec![seeds],
+            faults,
+            opts,
+            done,
+            inbox_rx,
+            links,
+        );
+        ChannelCluster { core, delayer }
+    }
+
+    /// Stops every thread and assembles the report.
+    pub(crate) fn finish(self, recovered: Vec<bool>, decided_in_time: bool) -> ClusterReport {
+        let delayer = self.delayer;
+        self.core
+            .finish(recovered, decided_in_time, || delayer.join().unwrap_or(0))
+            .pop()
+            .expect("a channel cluster runs one instance")
+    }
+}
+
 /// Runs a population of [`Recoverable`] automata on threads, honouring
 /// the fault plan's scripted crashes *and restarts*.
-///
-/// Semantics beyond [`run_cluster`](crate::run_cluster):
 ///
 /// * At its scripted crash step a node persists its snapshot and its
 ///   thread exits without sending that step's messages.
@@ -252,190 +219,11 @@ where
     A: Recoverable + Send + 'static,
     A::Msg: Send + 'static,
 {
-    let n = procs.len();
-    let mut core = ClusterCore::boot(procs, seeds, faults.clone(), &opts);
-
-    // Monitor: fire due restarts, stop when everyone owing a decision
-    // has one, give up at the wall timeout.
-    let mut pending: Vec<RestartAt> = faults.restarts;
-    pending.sort_by_key(|r| r.at);
-    let mut recovered = vec![false; n];
-    let mut decided_in_time = false;
-    while core.start.elapsed() < opts.wall_timeout {
-        let now = core.start.elapsed();
-        let mut i = 0;
-        while i < pending.len() {
-            let r = pending[i];
-            let idx = r.victim.index();
-            // A restart fires at its offset or at the victim's actual
-            // crash, whichever is later.
-            if now >= r.at && core.shared.down.lock()[idx] {
-                core.respawn(idx, r.from_snapshot);
-                recovered[idx] = true;
-                pending.remove(i);
-            } else {
-                i += 1;
-            }
-        }
-        if pending.is_empty() && core.all_owing_decided() {
-            decided_in_time = true;
-            break;
-        }
-        thread::sleep(opts.tick);
-    }
-    core.finish(recovered, decided_in_time)
-}
-
-/// A booted recoverable cluster: node threads running, delayer running,
-/// ready to be driven by a monitor loop. Factored out so the scripted
-/// restart driver ([`run_cluster_recoverable`]) and the reactive
-/// [`Supervisor`](crate::Supervisor) share one bootstrap and teardown.
-pub(crate) struct ClusterCore<A: Recoverable + Send + 'static>
-where
-    A::Msg: Send + 'static,
-{
-    pub(crate) shared: Arc<Shared<A>>,
-    pub(crate) inbox_rx: Vec<SharedInbox<A::Msg>>,
-    pub(crate) handles: Vec<thread::JoinHandle<()>>,
-    pub(crate) delayer: thread::JoinHandle<u64>,
-    pub(crate) start: Instant,
-}
-
-impl<A> ClusterCore<A>
-where
-    A: Recoverable + Send + 'static,
-    A::Msg: Send + 'static,
-{
-    /// Builds the channels and shared state, spawns the delayer and the
-    /// first incarnation of every node.
-    pub(crate) fn boot(
-        procs: Vec<A>,
-        seeds: SeedCollection,
-        faults: FaultPlan,
-        opts: &ClusterOptions,
-    ) -> ClusterCore<A> {
-        let n = procs.len();
-        assert!(n > 0, "cluster needs at least one processor");
-        let start = Instant::now();
-
-        let mut inbox_tx = Vec::with_capacity(n);
-        let mut inbox_rx: Vec<SharedInbox<A::Msg>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded::<Envelope<A::Msg>>();
-            inbox_tx.push(tx);
-            inbox_rx.push(Arc::new(Mutex::new(rx)));
-        }
-        let (delay_tx, delay_rx) = unbounded::<Delayed<A::Msg>>();
-
-        let init_snaps: Vec<A::Snapshot> = procs.iter().map(Recoverable::snapshot).collect();
-        let shared = Arc::new(Shared::<A> {
-            statuses: Mutex::new(vec![Status::Undecided; n]),
-            steps: Mutex::new(vec![0; n]),
-            done: AtomicBool::new(false),
-            messages: AtomicU64::new(0),
-            link_delays: Mutex::new(Vec::new()),
-            crash_snaps: Mutex::new((0..n).map(|_| None).collect()),
-            init_snaps: Mutex::new(init_snaps),
-            down: Mutex::new(vec![false; n]),
-            ever_crashed: Mutex::new(vec![false; n]),
-            inbox_tx,
-            delay_tx,
-            seeds,
-            plan: faults.clone(),
-            start,
-            tick: opts.tick,
-            max_steps: opts.max_steps,
-        });
-
-        // The delayer thread; returns the count of held messages whose
-        // hold outlived the run (accounted, not silently dropped).
-        let delayer = {
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || -> u64 {
-                let mut heap: BinaryHeap<Delayed<A::Msg>> = BinaryHeap::new();
-                loop {
-                    let timeout = heap
-                        .peek()
-                        .map(|d| d.due.saturating_duration_since(Instant::now()))
-                        .unwrap_or(Duration::from_millis(5));
-                    match delay_rx.recv_timeout(timeout) {
-                        Ok(d) => heap.push(d),
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => return heap.len() as u64,
-                    }
-                    let now = Instant::now();
-                    while heap.peek().is_some_and(|d| d.due <= now) {
-                        let d = heap.pop().expect("peeked");
-                        let _ = shared.inbox_tx[d.to].send(d.env);
-                    }
-                    if shared.done.load(Ordering::Relaxed) {
-                        return heap.len() as u64;
-                    }
-                }
-            })
-        };
-
-        // First incarnations.
-        let mut handles = Vec::with_capacity(n);
-        for (i, auto) in procs.into_iter().enumerate() {
-            let crash_at = faults.crash_step(ProcessorId::new(i));
-            handles.push(spawn_node(
-                Arc::clone(&shared),
-                i,
-                Arc::clone(&inbox_rx[i]),
-                Boot::Fresh { auto, crash_at },
-            ));
-        }
-        ClusterCore {
-            shared,
-            inbox_rx,
-            handles,
-            delayer,
-            start,
-        }
-    }
-
-    /// Respawns a down node. Marked up here (not in the spawned thread)
-    /// so decision checks immediately owe this processor a decision
-    /// again — no window where the run could end without it.
-    pub(crate) fn respawn(&mut self, idx: usize, from_snapshot: bool) {
-        self.shared.down.lock()[idx] = false;
-        self.handles.push(spawn_node(
-            Arc::clone(&self.shared),
-            idx,
-            Arc::clone(&self.inbox_rx[idx]),
-            Boot::Restart { from_snapshot },
-        ));
-    }
-
-    /// Whether every processor that is not currently down has decided.
-    pub(crate) fn all_owing_decided(&self) -> bool {
-        let st = self.shared.statuses.lock();
-        let down = self.shared.down.lock().clone();
-        st.iter()
-            .zip(&down)
-            .all(|(s, is_down)| *is_down || s.is_decided())
-    }
-
-    /// Stops every thread and assembles the report.
-    pub(crate) fn finish(self, recovered: Vec<bool>, decided_in_time: bool) -> ClusterReport {
-        self.shared.done.store(true, Ordering::Relaxed);
-        for h in self.handles {
-            let _ = h.join();
-        }
-        let messages_undelivered = self.delayer.join().unwrap_or(0);
-        ClusterReport {
-            statuses: self.shared.statuses.lock().clone(),
-            steps: self.shared.steps.lock().clone(),
-            crashed: self.shared.ever_crashed.lock().clone(),
-            recovered,
-            messages_sent: self.shared.messages.load(Ordering::Relaxed),
-            messages_undelivered,
-            wall: self.start.elapsed(),
-            decided_in_time,
-            link_delays: self.shared.link_delays.lock().clone(),
-        }
-    }
+    let mut cluster = ChannelCluster::boot(procs, seeds, &faults, &opts);
+    let (recovered, decided_in_time) = cluster
+        .core
+        .run_scripted(faults.restarts, opts.wall_timeout);
+    cluster.finish(recovered, decided_in_time)
 }
 
 #[cfg(test)]
@@ -510,6 +298,30 @@ mod tests {
         // The observer adopts the decision the others reached.
         assert!(report.statuses[2].is_decided(), "{report:?}");
         assert!(report.agreement_holds());
+    }
+
+    #[test]
+    fn restart_of_a_victim_that_decided_before_its_crash_is_awaited() {
+        // p2 decides long before step 150; the pending restart keeps
+        // the run open until the crash fires. The amnesiac successor
+        // starts undecided, and the run must wait for *it*: a respawn
+        // that marked the node up while the dead incarnation's
+        // `Decided` was still published would end the run at once.
+        let c = cfg(3);
+        let plan = FaultPlan::none()
+            .with_crash(ProcessorId::new(2), 150)
+            .with_restart(ProcessorId::new(2), Duration::from_millis(20), false);
+        plan.validate(3, c.fault_bound()).unwrap();
+        let report = run_cluster_recoverable(
+            commit_population(c, &[Value::One; 3]),
+            SeedCollection::new(45),
+            plan,
+            opts(),
+        );
+        assert!(report.decided_in_time, "{report:?}");
+        assert!(report.crashed[2] && report.recovered[2], "{report:?}");
+        assert!(report.statuses[2].is_decided(), "{report:?}");
+        assert!(report.steps[2] > 150, "{report:?}");
     }
 
     #[test]

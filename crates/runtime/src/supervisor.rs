@@ -14,10 +14,9 @@
 //! a deployment supervisor (systemd, a k8s kubelet) relates to the chaos
 //! that hits it.
 //!
-//! The supervision loop itself is substrate-neutral: anything that can
-//! report which nodes are down and respawn them — the channel cluster
-//! here, the socket cluster in `rtc-net` — implements [`Supervisable`]
-//! and is driven by [`supervise`]. One loop, one backoff policy, one
+//! The supervision loop is substrate-neutral: [`supervise`] drives a
+//! [`ClusterCore`] over any [`Links`] — the channel cluster here, the
+//! socket cluster in `rtc-net`. One loop, one backoff policy, one
 //! health classification, regardless of what the links are made of.
 
 use std::time::Duration;
@@ -27,9 +26,9 @@ use rand::{Rng, SeedableRng};
 
 use rtc_model::{Recoverable, SeedCollection};
 
-use crate::cluster::{ClusterOptions, ClusterReport};
+use crate::cluster::{ClusterCore, ClusterOptions, ClusterReport, Links};
 use crate::fault::FaultPlan;
-use crate::recovery::ClusterCore;
+use crate::recovery::ChannelCluster;
 
 /// Tunables for the self-healing supervisor.
 #[derive(Debug, Clone, Copy)]
@@ -150,22 +149,7 @@ impl SupervisorReport {
     }
 }
 
-/// A booted cluster the generic [`supervise`] loop can drive: the seam
-/// shared by the channel substrate (this crate) and the socket
-/// substrate (`rtc-net`).
-pub trait Supervisable {
-    /// Time elapsed since the cluster booted.
-    fn elapsed(&self) -> Duration;
-    /// Which nodes are currently down (crashed and not yet respawned).
-    fn down(&self) -> Vec<bool>;
-    /// Whether every node not excused by `permanent` is up and holds a
-    /// decision — the loop's termination condition.
-    fn all_done(&self, permanent: &[bool]) -> bool;
-    /// Respawns a down node, from its crash snapshot or amnesiac.
-    fn respawn(&mut self, idx: usize, from_snapshot: bool);
-}
-
-/// Drives a [`Supervisable`] cluster until every owed decision is in or
+/// Drives a booted cluster until every owed decision is in or
 /// `wall_timeout` passes: observe crashes, schedule restarts under the
 /// policy's backoff, mark nodes permanent after `max_retries`, log every
 /// health transition against `t`.
@@ -173,14 +157,19 @@ pub trait Supervisable {
 /// Returns the supervisor's report, which nodes were ever respawned,
 /// and whether the loop ended by decision (vs timeout). Polls every
 /// `poll` (the substrate's tick, normally).
-pub fn supervise<C: Supervisable>(
-    core: &mut C,
+pub fn supervise<A, L>(
+    core: &mut ClusterCore<A, L>,
     n: usize,
     t: usize,
     policy: SupervisorPolicy,
     wall_timeout: Duration,
     poll: Duration,
-) -> (SupervisorReport, Vec<bool>, bool) {
+) -> (SupervisorReport, Vec<bool>, bool)
+where
+    A: Recoverable + Send + 'static,
+    A::Msg: Send + 'static,
+    L: Links<A::Msg>,
+{
     let mut rng = SmallRng::seed_from_u64(policy.seed);
     let mut attempts = vec![0u32; n];
     let mut permanent = vec![false; n];
@@ -226,7 +215,9 @@ pub fn supervise<C: Supervisable>(
             health_log.push((now, health));
         }
 
-        if core.all_done(&permanent) {
+        // Permanently failed nodes owe nothing. Everyone else must be
+        // up (no crash awaiting its backoff) and hold a decision.
+        if core.all_up_and_decided(&permanent) {
             decided_in_time = true;
             break;
         }
@@ -244,35 +235,6 @@ pub fn supervise<C: Supervisable>(
         recovered,
         decided_in_time,
     )
-}
-
-impl<A> Supervisable for ClusterCore<A>
-where
-    A: Recoverable + Send + 'static,
-    A::Msg: Send + 'static,
-{
-    fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    fn down(&self) -> Vec<bool> {
-        self.shared.down.lock().clone()
-    }
-
-    fn all_done(&self, permanent: &[bool]) -> bool {
-        // Permanently failed nodes owe nothing. Everyone else must be
-        // up (no crash awaiting its backoff) and hold a decision.
-        let st = self.shared.statuses.lock();
-        let down = self.shared.down.lock();
-        st.iter()
-            .zip(down.iter())
-            .zip(permanent)
-            .all(|((s, d), p)| *p || (!*d && s.is_decided()))
-    }
-
-    fn respawn(&mut self, idx: usize, from_snapshot: bool) {
-        ClusterCore::respawn(self, idx, from_snapshot);
-    }
 }
 
 /// Runs a cluster of [`Recoverable`] automata under a self-healing
@@ -298,13 +260,16 @@ where
     A::Msg: Send + 'static,
 {
     let n = procs.len();
-    let mut faults = faults;
-    faults.restarts.clear();
-    let mut core = ClusterCore::boot(procs, seeds, faults, &opts);
-    let (sup, recovered, decided_in_time) =
-        supervise(&mut core, n, t, policy, opts.wall_timeout, opts.tick);
-    let report = core.finish(recovered, decided_in_time);
-    (report, sup)
+    let mut cluster = ChannelCluster::boot(procs, seeds, &faults, &opts);
+    let (sup, recovered, decided_in_time) = supervise(
+        &mut cluster.core,
+        n,
+        t,
+        policy,
+        opts.wall_timeout,
+        opts.tick,
+    );
+    (cluster.finish(recovered, decided_in_time), sup)
 }
 
 #[cfg(test)]
@@ -344,6 +309,39 @@ mod tests {
         assert!(!sup.permanent_failures.iter().any(|p| *p));
         assert_eq!(sup.final_health, ClusterHealth::Healthy);
         assert!(sup.health_log.len() >= 2, "crash must show up in the log");
+    }
+
+    #[test]
+    fn amnesiac_respawn_of_a_decided_victim_is_awaited() {
+        // p1 dies before its first step and stays down for the whole
+        // backoff, which keeps the run open while p0 and p2 decide
+        // without it and p2 then crashes, decided, at step 100. p2's
+        // amnesiac successor starts undecided, and the run must wait
+        // for it rather than read the dead incarnation's status.
+        let c = cfg(3);
+        let backoff = Duration::from_millis(300);
+        let (report, sup) = run_cluster_supervised(
+            commit_population(c, &[Value::One; 3]),
+            SeedCollection::new(73),
+            FaultPlan::none()
+                .with_crash(ProcessorId::new(1), 0)
+                .with_crash(ProcessorId::new(2), 100)
+                .degraded(),
+            opts(),
+            c.fault_bound(),
+            SupervisorPolicy {
+                base_backoff: backoff,
+                max_backoff: backoff,
+                jitter_permille: 0,
+                from_snapshot: false,
+                ..SupervisorPolicy::default()
+            },
+        );
+        assert!(report.decided_in_time, "{report:?}\n{sup:?}");
+        assert!(report.crashed[2] && report.recovered[2], "{report:?}");
+        assert!(report.statuses[2].is_decided(), "{report:?}");
+        assert!(report.steps[2] > 100, "{report:?}");
+        assert!(report.agreement_holds());
     }
 
     #[test]
