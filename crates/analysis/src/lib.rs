@@ -6,7 +6,7 @@
 //! classification — rests on source-level invariants that the compiler
 //! does not check: no wall-clock reads in deterministic crates, no
 //! entropy-ordered iteration, no panics on the protocol message path,
-//! no per-destination allocation in broadcast fan-out, every receive
+//! no fresh allocation in the batch-stepping hot regions, every receive
 //! loop bounded by the paper's `2K`-tick deadline, and a wire
 //! vocabulary in which every message kind is both sent and handled.
 //! This crate checks them statically with a line/token scanner (no
@@ -27,7 +27,7 @@
 //! or an immediately preceding comment line:
 //!
 //! ```text
-//! // rtc-allow(alloc-in-fanout): Option<Arc> clone is a refcount bump
+//! // rtc-allow(buffer-linear-scan): bounded crash-plan list
 //! ```
 //!
 //! The reason is recorded in the JSON report, so allowances stay

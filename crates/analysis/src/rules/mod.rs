@@ -9,7 +9,6 @@
 use crate::diag::Diagnostic;
 use crate::engine::Workspace;
 
-mod alloc_fanout;
 mod buffer_scan;
 mod channel_unwrap;
 mod cross_worker_sharing;
@@ -22,7 +21,6 @@ mod spec_coverage;
 mod unbounded_recv;
 mod unordered_iter;
 
-pub use alloc_fanout::AllocInFanout;
 pub use buffer_scan::BufferLinearScan;
 pub use channel_unwrap::ChannelSendUnwrap;
 pub use cross_worker_sharing::CrossWorkerSharing;
@@ -53,7 +51,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(WallClock),
         Box::new(UnorderedIter),
         Box::new(PanicInProtocolPath),
-        Box::new(AllocInFanout),
         Box::new(PerInstanceAlloc),
         Box::new(CrossWorkerSharing),
         Box::new(BufferLinearScan),

@@ -46,13 +46,6 @@ fn corpus() -> Vec<(
             include_str!("fixtures/panic_path_negative.rs"),
         ),
         (
-            "alloc-in-fanout",
-            "rtc-core",
-            "crates/core/src/fixture.rs",
-            include_str!("fixtures/alloc_fanout_positive.rs"),
-            include_str!("fixtures/alloc_fanout_negative.rs"),
-        ),
-        (
             "per-instance-alloc",
             "rtc-sim",
             "crates/sim/src/fixture.rs",

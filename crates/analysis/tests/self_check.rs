@@ -25,14 +25,13 @@ fn committed_workspace_is_clean_under_the_full_catalog() {
         report.clean(),
         "committed workspace has unsuppressed findings:\n{rendered}"
     );
-    // The sanctioned allowances: the Option<Arc<CoinList>> refcount
-    // bump in Protocol 2's fan-out, the chaos adversary's bounded
+    // The sanctioned allowances: the chaos adversary's bounded
     // crash-plan and partition-plan scans, and the lockstep replay
     // path's tag-addressed buffer scan. If this count grows, the new
     // suppression deserves review.
     assert_eq!(
         report.suppressed_count(),
-        4,
+        3,
         "unexpected number of rtc-allow suppressions:\n{}",
         report.render_human(true)
     );

@@ -19,9 +19,8 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
-use rtc_model::{Automaton, Delivery, ProcessorId, Send, Status, StepRng, Value};
+use rtc_model::{Automaton, Outbox, ProcessorId, Status, StepRng, Value};
 
 /// A message of the CMS-style protocol.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,12 +52,9 @@ impl CmsMsg {
     }
 }
 
-/// The wire bundle: every CMS message a processor emits at one step.
-///
-/// An immutable `Arc` slice so a broadcast builds the bundle once and
-/// every destination shares it by refcount (see the `alloc-in-fanout`
-/// analysis rule).
-pub type CmsBundle = Arc<[CmsMsg]>;
+/// The wire bundle: every CMS message a processor emits at one step,
+/// built once and broadcast once.
+pub type CmsBundle = Vec<CmsMsg>;
 
 #[derive(Clone, Debug, Default)]
 struct StageBoard {
@@ -227,11 +223,16 @@ impl Automaton for CmsAutomaton {
         self.id
     }
 
-    fn step(
+    fn population(&self) -> usize {
+        self.n
+    }
+
+    fn step_into<'a>(
         &mut self,
-        delivered: &[Delivery<CmsBundle>],
+        inbox: impl Iterator<Item = (ProcessorId, &'a CmsBundle)>,
         rng: &mut StepRng,
-    ) -> Vec<Send<CmsBundle>> {
+        out: &mut Outbox<CmsBundle>,
+    ) {
         let mut broadcasts = Vec::new();
         if !self.started {
             self.started = true;
@@ -242,21 +243,15 @@ impl Automaton for CmsAutomaton {
             self.ingest(self.id, msg);
             broadcasts.push(msg);
         }
-        for d in delivered {
-            for msg in d.msg.iter() {
-                self.ingest(d.from, *msg);
+        for (from, bundle) in inbox {
+            for msg in bundle {
+                self.ingest(from, *msg);
             }
         }
         broadcasts.extend(self.poll(rng));
-        if broadcasts.is_empty() {
-            return Vec::new();
+        if !broadcasts.is_empty() {
+            out.broadcast(broadcasts);
         }
-        // One bundle, shared by refcount across all destinations.
-        let bundle: CmsBundle = broadcasts.into();
-        ProcessorId::all(self.n)
-            .filter(|q| *q != self.id)
-            .map(|q| Send::new(q, Arc::clone(&bundle)))
-            .collect()
     }
 
     fn status(&self) -> Status {

@@ -17,11 +17,8 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
 
-use rtc_model::{
-    Automaton, Decision, Delivery, ProcessorId, Send, Status, StepRng, TimingParams, Value,
-};
+use rtc_model::{Automaton, Decision, Outbox, ProcessorId, Status, StepRng, TimingParams, Value};
 use rtc_sim::{Action, ContentAdversary, ContentView, PatternView};
 
 /// A three-phase-commit message.
@@ -41,12 +38,9 @@ pub enum ThreePcMsg {
     GlobalAbort,
 }
 
-/// The wire bundle: all 3PC messages a processor emits at one step.
-///
-/// An immutable `Arc` slice so a broadcast builds the bundle once and
-/// every destination shares it by refcount (see the `alloc-in-fanout`
-/// analysis rule).
-pub type ThreePcBundle = Arc<[ThreePcMsg]>;
+/// The wire bundle: all 3PC messages a processor emits at one step,
+/// built once and either broadcast or sent to the coordinator.
+pub type ThreePcBundle = Vec<ThreePcMsg>;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum ThreePcState {
@@ -123,16 +117,21 @@ impl Automaton for ThreePcAutomaton {
         self.id
     }
 
-    fn step(
+    fn population(&self) -> usize {
+        self.n
+    }
+
+    fn step_into<'a>(
         &mut self,
-        delivered: &[Delivery<ThreePcBundle>],
+        inbox: impl Iterator<Item = (ProcessorId, &'a ThreePcBundle)>,
         _rng: &mut StepRng,
-    ) -> Vec<Send<ThreePcBundle>> {
+        out: &mut Outbox<ThreePcBundle>,
+    ) {
         self.clock += 1;
         let mut to_all: Vec<ThreePcMsg> = Vec::new();
         let mut to_coord: Vec<ThreePcMsg> = Vec::new();
-        for d in delivered {
-            for msg in d.msg.iter() {
+        for (from, bundle) in inbox {
+            for msg in bundle {
                 match msg {
                     ThreePcMsg::CanCommit => {
                         if !self.id.is_coordinator() && self.state == ThreePcState::Init {
@@ -147,7 +146,7 @@ impl Automaton for ThreePcAutomaton {
                     }
                     ThreePcMsg::Vote(v) => {
                         if self.id.is_coordinator() {
-                            self.votes.entry(d.from).or_insert(*v);
+                            self.votes.entry(from).or_insert(*v);
                         }
                     }
                     ThreePcMsg::PreCommit => {
@@ -159,7 +158,7 @@ impl Automaton for ThreePcAutomaton {
                     }
                     ThreePcMsg::Ack => {
                         if self.id.is_coordinator() {
-                            self.acks.insert(d.from);
+                            self.acks.insert(from);
                         }
                     }
                     ThreePcMsg::DoCommit => {
@@ -237,20 +236,15 @@ impl Automaton for ThreePcAutomaton {
                 ThreePcState::Done => {}
             }
         }
-        let mut sends = Vec::new();
+        // A coordinator only broadcasts; a participant only answers the
+        // coordinator.
+        debug_assert!(to_all.is_empty() || to_coord.is_empty());
         if !to_all.is_empty() {
-            // One bundle, shared by refcount across all destinations.
-            let bundle: ThreePcBundle = to_all.into();
-            for q in ProcessorId::all(self.n) {
-                if q != self.id {
-                    sends.push(Send::new(q, Arc::clone(&bundle)));
-                }
-            }
+            out.broadcast(to_all);
         }
         if !to_coord.is_empty() {
-            sends.push(Send::new(ProcessorId::COORDINATOR, to_coord.into()));
+            out.send(ProcessorId::COORDINATOR, to_coord);
         }
-        sends
     }
 
     fn status(&self) -> Status {

@@ -13,11 +13,8 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
-use rtc_model::{
-    Automaton, Decision, Delivery, ProcessorId, Send, Status, StepRng, TimingParams, Value,
-};
+use rtc_model::{Automaton, Decision, Outbox, ProcessorId, Status, StepRng, TimingParams, Value};
 
 /// A two-phase-commit message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -30,12 +27,9 @@ pub enum TwoPcMsg {
     Global(Decision),
 }
 
-/// The wire bundle: all 2PC messages a processor emits at one step.
-///
-/// An immutable `Arc` slice so a broadcast builds the bundle once and
-/// every destination shares it by refcount (see the `alloc-in-fanout`
-/// analysis rule).
-pub type TwoPcBundle = Arc<[TwoPcMsg]>;
+/// The wire bundle: all 2PC messages a processor emits at one step,
+/// built once and either broadcast or sent to the coordinator.
+pub type TwoPcBundle = Vec<TwoPcMsg>;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum TwoPcState {
@@ -117,16 +111,21 @@ impl Automaton for TwoPcAutomaton {
         self.id
     }
 
-    fn step(
+    fn population(&self) -> usize {
+        self.n
+    }
+
+    fn step_into<'a>(
         &mut self,
-        delivered: &[Delivery<TwoPcBundle>],
+        inbox: impl Iterator<Item = (ProcessorId, &'a TwoPcBundle)>,
         _rng: &mut StepRng,
-    ) -> Vec<Send<TwoPcBundle>> {
+        out: &mut Outbox<TwoPcBundle>,
+    ) {
         self.clock += 1;
         let mut to_all: Vec<TwoPcMsg> = Vec::new();
         let mut to_coord: Vec<TwoPcMsg> = Vec::new();
-        for d in delivered {
-            for msg in d.msg.iter() {
+        for (from, bundle) in inbox {
+            for msg in bundle {
                 match msg {
                     TwoPcMsg::Prepare => {
                         if !self.id.is_coordinator() && self.state == TwoPcState::Init {
@@ -143,7 +142,7 @@ impl Automaton for TwoPcAutomaton {
                     }
                     TwoPcMsg::Vote(v) => {
                         if self.id.is_coordinator() {
-                            self.votes.entry(d.from).or_insert(*v);
+                            self.votes.entry(from).or_insert(*v);
                         }
                     }
                     TwoPcMsg::Global(decision) => {
@@ -186,22 +185,15 @@ impl Automaton for TwoPcAutomaton {
             // has not voted).
             self.decide(Decision::Abort);
         }
-        let mut sends = Vec::new();
-        let broadcast = !to_all.is_empty();
-        if broadcast {
-            // One bundle, shared by refcount across all destinations.
-            let bundle: TwoPcBundle = to_all.into();
-            for q in ProcessorId::all(self.n) {
-                if q != self.id {
-                    sends.push(Send::new(q, Arc::clone(&bundle)));
-                }
-            }
+        // A coordinator only broadcasts; a participant only answers the
+        // coordinator.
+        debug_assert!(to_all.is_empty() || to_coord.is_empty());
+        if !to_all.is_empty() {
+            out.broadcast(to_all);
         }
         if !to_coord.is_empty() {
-            debug_assert!(!broadcast, "participants never broadcast");
-            sends.push(Send::new(ProcessorId::COORDINATOR, to_coord.into()));
+            out.send(ProcessorId::COORDINATOR, to_coord);
         }
-        sends
     }
 
     fn status(&self) -> Status {

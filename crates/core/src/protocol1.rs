@@ -30,7 +30,7 @@ use std::fmt;
 
 use std::sync::Arc;
 
-use rtc_model::{Automaton, Delivery, ProcessorId, Send, Status, StepRng, Value};
+use rtc_model::{Automaton, Outbox, ProcessorId, Status, StepRng, Value};
 
 use crate::coins::CoinList;
 
@@ -201,11 +201,19 @@ impl Agreement {
 
     /// Posts a received message on the bulletin board.
     ///
-    /// Messages for any stage are accepted at any time (a processor may
-    /// run ahead of its peers); duplicates from the same sender for the
-    /// same exchange are ignored, which cannot occur in the fail-stop
-    /// model but keeps the board robust.
+    /// Messages for the current or any later stage are accepted at any
+    /// time (a processor may run ahead of its peers); duplicates from
+    /// the same sender for the same exchange are ignored, which cannot
+    /// occur in the fail-stop model but keeps the board robust.
+    ///
+    /// A message for a stage already left behind, or any message once
+    /// the machine has returned, is dropped: [`Agreement::poll`] reads
+    /// only the current stage's board and nothing would ever free the
+    /// board such a message opened.
     pub fn ingest(&mut self, from: ProcessorId, msg: AgreementMsg) {
+        if self.halted || msg.stage() < self.stage {
+            return;
+        }
         let n = self.n;
         let board = self
             .boards
@@ -405,10 +413,9 @@ impl fmt::Debug for Agreement {
 /// The wire format of [`AgreementAutomaton`]: all the Protocol 1
 /// messages a processor emits at one step, bundled so that each
 /// destination receives at most one message per step (the model's
-/// one-message-per-destination rule). The bundle is an immutable
-/// shared slice: one allocation per broadcast, a reference-count bump
-/// per destination.
-pub type AgreementBundle = Arc<[AgreementMsg]>;
+/// one-message-per-destination rule). Built once per step and broadcast
+/// once.
+pub type AgreementBundle = Vec<AgreementMsg>;
 
 /// Protocol 1 as a standalone automaton solving the agreement problem.
 ///
@@ -443,18 +450,6 @@ impl AgreementAutomaton {
     pub fn agreement(&self) -> &Agreement {
         &self.inner
     }
-
-    fn fan_out(&self, msgs: Vec<AgreementMsg>) -> Vec<Send<AgreementBundle>> {
-        if msgs.is_empty() {
-            return Vec::new();
-        }
-        // One immutable bundle shared by every destination.
-        let bundle: AgreementBundle = msgs.into();
-        ProcessorId::all(self.n)
-            .filter(|q| *q != self.inner.id)
-            .map(|q| Send::new(q, Arc::clone(&bundle)))
-            .collect()
-    }
 }
 
 impl Automaton for AgreementAutomaton {
@@ -464,19 +459,26 @@ impl Automaton for AgreementAutomaton {
         self.inner.id
     }
 
-    fn step(
+    fn population(&self) -> usize {
+        self.n
+    }
+
+    fn step_into<'a>(
         &mut self,
-        delivered: &[Delivery<AgreementBundle>],
+        inbox: impl Iterator<Item = (ProcessorId, &'a AgreementBundle)>,
         rng: &mut StepRng,
-    ) -> Vec<Send<AgreementBundle>> {
+        out: &mut Outbox<AgreementBundle>,
+    ) {
         let mut broadcasts = self.inner.start();
-        for d in delivered {
-            for msg in d.msg.iter() {
-                self.inner.ingest(d.from, *msg);
+        for (from, bundle) in inbox {
+            for msg in bundle {
+                self.inner.ingest(from, *msg);
             }
         }
         broadcasts.extend(self.inner.poll(rng));
-        self.fan_out(broadcasts)
+        if !broadcasts.is_empty() {
+            out.broadcast(broadcasts);
+        }
     }
 
     fn status(&self) -> Status {
@@ -652,6 +654,74 @@ mod tests {
                 value: None
             }
         );
+    }
+
+    #[test]
+    fn stale_and_post_return_messages_open_no_board() {
+        let stale_from = |q: usize, stage: u64| {
+            (
+                ProcessorId::new(q),
+                AgreementMsg::Second {
+                    stage,
+                    value: Some(Value::One),
+                },
+            )
+        };
+        let mut ms = population(3, 1, &[Value::One; 3], coins(&[Value::Zero; 4]));
+        // Run p0 alone against hand-fed peers up to stage 3.
+        let m = &mut ms[0];
+        m.start();
+        let mut rng = rng_for(0, 1);
+        for stage in 1..=2 {
+            for q in [1, 2] {
+                m.ingest(
+                    ProcessorId::new(q),
+                    AgreementMsg::First {
+                        stage,
+                        value: Value::One,
+                    },
+                );
+                let (from, second) = stale_from(q, stage);
+                m.ingest(from, second);
+            }
+            m.poll(&mut rng);
+        }
+        assert!(m.halted(), "decided in stage 1, returned in stage 2");
+        let boards = m.boards.len();
+        // A duplicate of stage 1, and anything at all after the return.
+        for stage in [1, 2, 3, 9] {
+            let (from, msg) = stale_from(1, stage);
+            m.ingest(from, msg);
+        }
+        assert_eq!(m.boards.len(), boards);
+
+        // A live machine in stage 2: stage 1 is behind it, stage 2 and
+        // later are not.
+        let m = &mut ms[1];
+        m.start();
+        for q in [0, 2] {
+            m.ingest(
+                ProcessorId::new(q),
+                AgreementMsg::First {
+                    stage: 1,
+                    value: Value::One,
+                },
+            );
+        }
+        m.poll(&mut rng);
+        for q in [0, 2] {
+            let (from, msg) = stale_from(q, 1);
+            m.ingest(from, msg);
+        }
+        m.poll(&mut rng);
+        assert_eq!((m.stage(), m.halted()), (2, false));
+        m.boards.remove(&1);
+        let (from, msg) = stale_from(0, 1);
+        m.ingest(from, msg);
+        assert!(!m.boards.contains_key(&1), "a stale message opens no board");
+        let (from, msg) = stale_from(0, 3);
+        m.ingest(from, msg);
+        assert!(m.boards.contains_key(&3), "a future stage still buffers");
     }
 
     #[test]

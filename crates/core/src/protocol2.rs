@@ -21,14 +21,19 @@
 //!   broadcasts an abort vote, no processor can ever collect `n` commit
 //!   votes, so every input to Protocol 1 is 0 and — by Protocol 1's
 //!   validity — the common decision is already fixed at abort.
+//!
+//! Every send of the protocol is a broadcast, so a step bundles whatever
+//! it has to say — `GO`, a vote, Protocol 1 messages — into one
+//! [`CommitMsg`], built once and handed to the substrate as one
+//! [`Outbox::broadcast`]. The only direct sends are catch-up replies to
+//! a rejoiner's ping: the same bundle extended with `Decided`, in place
+//! of the broadcast at the pinger.
 
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
-use rtc_model::{
-    Automaton, Decision, Delivery, ProcessorId, Recoverable, Send, Status, StepRng, Value,
-};
+use rtc_model::{Automaton, Decision, Outbox, ProcessorId, Recoverable, Status, StepRng, Value};
 
 use crate::coins::CoinList;
 use crate::config::CommitConfig;
@@ -64,9 +69,10 @@ pub enum CommitKind {
 ///
 /// Both fields are immutable shared views: the coin list the
 /// coordinator flipped once, and the kind bundle built once per
-/// broadcast. Cloning a `CommitMsg` — what every channel send,
-/// delivery, and snapshot does — is two reference-count bumps, no heap
-/// allocation.
+/// broadcast. Cloning a `CommitMsg` — what a channel or socket send
+/// does per destination — is two reference-count bumps, no heap
+/// allocation; the simulator keeps the one message a step broadcast
+/// and clones nothing.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CommitMsg {
     /// The piggybacked coins (`Some` on every message a processor sends
@@ -266,25 +272,25 @@ impl CommitAutomaton {
     // (`Decided`, `Ping`) are outlined into [`Self::ingest_rare`] so
     // they don't bloat the inlined body.
     #[inline]
-    fn ingest(&mut self, d: &Delivery<CommitMsg>) {
-        if let Some(coins) = &d.msg.go {
+    fn ingest(&mut self, from: ProcessorId, msg: &CommitMsg) {
+        if let Some(coins) = &msg.go {
             // Any message carrying coins doubles as a GO from its sender;
             // adopting them is a reference-count bump on the
             // coordinator's single flip allocation.
             self.coins.get_or_insert_with(|| Arc::clone(coins));
-            self.mark_go(d.from);
+            self.mark_go(from);
         }
-        for kind in d.msg.kinds.iter() {
+        for kind in msg.kinds.iter() {
             match kind {
                 CommitKind::Go => {}
                 CommitKind::Vote(v) => {
-                    self.mark_vote(d.from, *v);
+                    self.mark_vote(from, *v);
                 }
                 CommitKind::Agree(am) => match &mut self.agreement {
-                    Some(agreement) => agreement.ingest(d.from, *am),
-                    None => self.pending_agree.push((d.from, *am)),
+                    Some(agreement) => agreement.ingest(from, *am),
+                    None => self.pending_agree.push((from, *am)),
                 },
-                rare => self.ingest_rare(d.from, rare),
+                rare => self.ingest_rare(from, rare),
             }
         }
     }
@@ -452,14 +458,19 @@ impl Automaton for CommitAutomaton {
         self.id
     }
 
-    fn step(
+    fn population(&self) -> usize {
+        self.cfg.population()
+    }
+
+    fn step_into<'a>(
         &mut self,
-        delivered: &[Delivery<CommitMsg>],
+        inbox: impl Iterator<Item = (ProcessorId, &'a CommitMsg)>,
         rng: &mut StepRng,
-    ) -> Vec<Send<CommitMsg>> {
+        out: &mut Outbox<CommitMsg>,
+    ) {
         self.clock += 1;
-        for d in delivered {
-            self.ingest(d);
+        for (from, msg) in inbox {
+            self.ingest(from, msg);
         }
         // A processor that adopted a broadcast decision no longer runs
         // the protocol (it is silent except for its own one-shot relay).
@@ -517,7 +528,7 @@ impl Automaton for CommitAutomaton {
             // produced in the very step the return fires are still sent —
             // discarding them could starve a straggler of its last
             // quorum message).
-            return Vec::new();
+            return;
         }
         // The paper piggybacks GO on every message; the ablation switch
         // restricts the coins to explicit GO messages only. Either way
@@ -527,45 +538,30 @@ impl Automaton for CommitAutomaton {
         } else {
             None
         };
-        // Build at most two immutable bundles for the whole fan-out —
-        // the broadcast body, and (when pingers need a catch-up reply
-        // that is not already in it) the body extended with `Decided` —
-        // then share them across destinations by reference count. No
-        // per-destination allocation.
-        let decided = self.decided;
-        let reply_kind = decided
+        // At most one message per destination per step: a pinger's
+        // catch-up reply rides the broadcast bundle, as a direct send of
+        // the bundle extended with `Decided` (when the bundle does not
+        // already carry it). The message is built once; the substrate
+        // decides what a destination costs.
+        let reply_kind = self
+            .decided
             .filter(|v| !replies.is_empty() && !kinds.contains(&CommitKind::Decided(*v)))
             .map(CommitKind::Decided);
-        let base: Arc<[CommitKind]> = kinds.into();
-        let extended: Arc<[CommitKind]> = match reply_kind {
-            Some(k) => base.iter().cloned().chain(std::iter::once(k)).collect(),
-            None => Arc::clone(&base),
-        };
-        let n = self.cfg.population();
-        // Exact-size the fan-out (at most one message per peer) so the
-        // send path allocates the output vector once, never regrows.
-        let mut outs = Vec::with_capacity(n - 1);
-        for q in ProcessorId::all(n).filter(|q| *q != self.id) {
-            // At most one message per destination per step: the
-            // pinger's catch-up reply rides the broadcast bundle.
-            let dest_kinds = if replies.contains(&q) {
-                Arc::clone(&extended)
-            } else {
-                Arc::clone(&base)
+        if let Some(reply) = reply_kind {
+            let extended = CommitMsg {
+                go: go.clone(),
+                kinds: kinds.iter().cloned().chain([reply]).collect(),
             };
-            if dest_kinds.is_empty() {
-                continue;
+            for q in replies {
+                out.send(q, extended.clone());
             }
-            outs.push(Send::new(
-                q,
-                CommitMsg {
-                    // rtc-allow(alloc-in-fanout): Option<Arc> clone is a refcount bump
-                    go: go.clone(),
-                    kinds: dest_kinds,
-                },
-            ));
         }
-        outs
+        if !kinds.is_empty() {
+            out.broadcast(CommitMsg {
+                go,
+                kinds: kinds.into(),
+            });
+        }
     }
 
     fn status(&self) -> Status {
@@ -854,7 +850,7 @@ mod tests {
 
     #[test]
     fn pinged_halted_processor_replies_decided_directly() {
-        use rtc_model::{LocalClock, Recoverable};
+        use rtc_model::{Delivery, LocalClock, Recoverable};
 
         // Run a 3-population to the fully-halted end state.
         let c = cfg(3, 1);

@@ -41,7 +41,7 @@ mod rng;
 pub mod sweep;
 mod value;
 
-pub use automaton::{Automaton, Delivery, Recoverable, Send, Status};
+pub use automaton::{Automaton, Delivery, Outbox, Recoverable, Send, Status};
 pub use clock::{LocalClock, TimingParams};
 pub use error::ModelError;
 pub use ids::ProcessorId;

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use crossbeam_channel::{Receiver, RecvTimeoutError};
 use parking_lot::Mutex;
 use rtc_model::{
-    Delivery, LocalClock, ProcessorId, Recoverable, SeedCollection, Status, TimingParams,
+    Delivery, LocalClock, Outbox, ProcessorId, Recoverable, SeedCollection, Status, TimingParams,
 };
 use rtc_sim::{LatenessMonitor, MsgId};
 
@@ -233,7 +233,8 @@ where
         let mut arrivals: Vec<Envelope<A::Msg>> = Vec::new();
         let mut per_instance: Vec<Vec<Delivery<A::Msg>>> =
             autos.iter().map(|_| Vec::new()).collect();
-        let mut outgoing: Vec<(usize, rtc_model::Send<A::Msg>)> = Vec::new();
+        let mut out: Outbox<A::Msg> = Outbox::new();
+        let mut outgoing: Vec<(usize, ProcessorId, A::Msg)> = Vec::new();
         while !shared.done.load(Ordering::Relaxed) && clock < shared.max_steps {
             if crash_at == Some(clock) {
                 // Fail-stop mid-broadcast: this step's messages are
@@ -281,22 +282,27 @@ where
             }
             for (k, (auto, inbox)) in autos.iter_mut().zip(&mut per_instance).enumerate() {
                 let mut rng = shared.seeds[k].step_rng(id, LocalClock::new(clock));
-                outgoing.extend(auto.step(inbox, &mut rng).into_iter().map(|out| (k, out)));
+                auto.step_into(inbox.iter().map(|d| (d.from, &d.msg)), &mut rng, &mut out);
                 inbox.clear();
+                // An envelope owns its message, so this is where a
+                // broadcast becomes one message per destination.
+                let fan_out = out.sends(id, auto.population());
+                outgoing.extend(fan_out.map(|(to, msg)| (k, to, msg.clone())));
+                out.clear();
             }
             clock += 1;
             shared.steps.lock()[i] = clock;
             shared.publish_statuses(i, &autos);
-            for (k, out) in outgoing.drain(..) {
+            for (k, to, msg) in outgoing.drain(..) {
                 shared.messages[k].fetch_add(1, Ordering::Relaxed);
                 shared.links.send(
-                    out.to,
+                    to,
                     Envelope {
                         from: id,
                         instance: k,
                         sent_at_tick: clock,
                         sent_event: ev,
-                        msg: out.msg,
+                        msg,
                     },
                 );
             }
@@ -644,22 +650,25 @@ mod tests {
             self.id
         }
 
-        fn step(
+        fn population(&self) -> usize {
+            2
+        }
+
+        fn step_into<'a>(
             &mut self,
-            delivered: &[Delivery<Seen>],
+            inbox: impl Iterator<Item = (ProcessorId, &'a Seen)>,
             rng: &mut rtc_model::StepRng,
-        ) -> Vec<rtc_model::Send<Seen>> {
-            self.heard += delivered.len() as u64;
+            out: &mut Outbox<Seen>,
+        ) {
+            self.heard += inbox.count() as u64;
             let seen = Seen {
                 step: self.steps,
                 heard: self.heard,
                 coin: rng.next_u64(),
             };
             self.steps += 1;
-            vec![
-                rtc_model::Send::new(ProcessorId::new(1), seen.clone()),
-                rtc_model::Send::new(ProcessorId::new(0), seen),
-            ]
+            out.send(ProcessorId::new(1), seen.clone());
+            out.send(ProcessorId::new(0), seen);
         }
 
         fn status(&self) -> Status {

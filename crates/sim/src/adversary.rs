@@ -10,6 +10,7 @@
 
 use rtc_model::{LocalClock, ProcessorId};
 
+use crate::bodies::BodySlab;
 use crate::envelope::{MsgId, MsgMeta};
 use crate::store::{MsgStore, StoreLane};
 
@@ -253,9 +254,9 @@ impl<T: Adversary + ?Sized> Adversary for &mut T {
 #[derive(Debug)]
 pub struct ContentView<'a, M> {
     pub(crate) pattern: PatternView<'a>,
-    /// Slot-parallel payload slab: `payloads[slot]` holds the payload of
-    /// the message the store keeps in `slot`.
-    pub(crate) payloads: &'a [Option<M>],
+    /// The message bodies, resolved from a store slot through the
+    /// slab's `slot → body` table.
+    pub(crate) bodies: &'a BodySlab<M>,
 }
 
 impl<'a, M> ContentView<'a, M> {
@@ -267,7 +268,7 @@ impl<'a, M> ContentView<'a, M> {
     /// The payload of a buffered message, if it is still pending.
     pub fn payload(&self, id: MsgId) -> Option<&M> {
         let slot = self.pattern.store.slot_index(self.pattern.lane, id)?;
-        self.payloads.get(slot)?.as_ref()
+        self.bodies.msg_at(slot)
     }
 
     /// All pending (handle, payload) pairs buffered for `p`.
@@ -275,10 +276,7 @@ impl<'a, M> ContentView<'a, M> {
         self.pattern
             .store
             .iter_dest_slots(self.pattern.lane, p.index())
-            .filter_map(|(slot, m)| {
-                let load = self.payloads.get(slot).and_then(|o| o.as_ref())?;
-                Some((MsgHandle::from_meta(m), load))
-            })
+            .filter_map(|(slot, m)| Some((MsgHandle::from_meta(m), self.bodies.msg_at(slot)?)))
             .collect()
     }
 }
@@ -391,8 +389,9 @@ mod tests {
         let mut store = MsgStore::new(1);
         let mut lane = StoreLane::new(0);
         let slot = store.insert(&mut lane, meta(0, 1, 0, 5));
-        let mut payloads = vec![None; slot + 1];
-        payloads[slot] = Some("hello");
+        let mut bodies = BodySlab::new();
+        let body = bodies.store("hello");
+        bodies.attach(slot, body);
         let last_sent = vec![vec![]];
         let clocks = vec![LocalClock::new(2)];
         let crashed = vec![false];
@@ -410,7 +409,7 @@ mod tests {
                 crashes_used: 0,
                 partition: None,
             },
-            payloads: &payloads,
+            bodies: &bodies,
         };
         assert_eq!(view.payload(MsgId(0)), Some(&"hello"));
         assert_eq!(view.payload(MsgId(9)), None);

@@ -46,7 +46,7 @@ fn adv_next<Ad: Adversary>(adv: &mut Ad, view: &crate::adversary::PatternView<'_
 }
 
 /// Recycled allocations of a finished [`BatchSim`]: the shared store
-/// slab, payload slab, scratch buffers, trace columns, and per-instance
+/// slab, body slab, scratch buffers, trace columns, and per-instance
 /// store lanes, all emptied but with their capacity kept. Feed it to
 /// [`BatchSimBuilder::from_pool`] to run the next batch without
 /// reallocating — the chaos campaign driver does this across its
@@ -594,7 +594,7 @@ impl<A: Automaton> BatchSim<A> {
     }
 
     /// Tears the batch down into its reusable allocations (store slab,
-    /// payloads, trace columns, store lanes) for the next batch.
+    /// bodies, trace columns, store lanes) for the next batch.
     pub fn into_pool(self) -> BatchPool<A::Msg> {
         let mut spare_lanes = self.spare_lanes;
         spare_lanes.extend(self.lanes.into_iter().map(Lane::into_store_lane));
@@ -604,5 +604,199 @@ impl<A: Automaton> BatchSim<A> {
             spare_lanes,
             scratch: self.scratch,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use rtc_model::{Outbox, SeedCollection, StepRng, TimingParams, Value};
+
+    use super::*;
+    use crate::adversaries::{RandomAdversary, SynchronousAdversary};
+    use crate::adversary::PatternView;
+
+    /// Broadcasts its step count at every step and answers each distinct
+    /// sender directly — so a step's outbox holds a broadcast *and*
+    /// direct sends. Decides after hearing `target` messages.
+    struct Chatter {
+        id: ProcessorId,
+        n: usize,
+        heard: usize,
+        target: usize,
+        steps: u32,
+    }
+
+    impl Automaton for Chatter {
+        type Msg = u32;
+
+        fn id(&self) -> ProcessorId {
+            self.id
+        }
+
+        fn population(&self) -> usize {
+            self.n
+        }
+
+        fn step_into<'a>(
+            &mut self,
+            inbox: impl Iterator<Item = (ProcessorId, &'a u32)>,
+            _rng: &mut StepRng,
+            out: &mut Outbox<u32>,
+        ) {
+            let mut seen = vec![false; self.n];
+            for (from, _) in inbox {
+                self.heard += 1;
+                if !std::mem::replace(&mut seen[from.index()], true) {
+                    out.send(from, 1_000 + self.steps);
+                }
+            }
+            out.broadcast(self.steps);
+            self.steps += 1;
+        }
+
+        fn status(&self) -> Status {
+            if self.heard >= self.target {
+                Status::Decided(Value::One)
+            } else {
+                Status::Undecided
+            }
+        }
+    }
+
+    const N: usize = 4;
+
+    fn chatters() -> Vec<Chatter> {
+        ProcessorId::all(N)
+            .map(|id| Chatter {
+                id,
+                n: N,
+                heard: 0,
+                target: 6,
+                steps: 0,
+            })
+            .collect()
+    }
+
+    /// Two broadcasts of p0, a duplicate and a reorder on them, then p0
+    /// crashes with two of its last three sends dropped; after that,
+    /// everything pending is delivered round-robin.
+    struct Faults(u32);
+
+    impl Adversary for Faults {
+        fn next(&mut self, view: &PatternView<'_>) -> Action {
+            let p = ProcessorId::new;
+            self.0 += 1;
+            match self.0 {
+                1 | 3 => Action::Step {
+                    p: p(0),
+                    deliver: Vec::new(),
+                },
+                2 => Action::Duplicate {
+                    id: view.pending(p(1))[0].id,
+                },
+                4 => Action::Reorder {
+                    id: view.pending(p(2))[0].id,
+                },
+                5 => Action::Crash {
+                    p: p(0),
+                    drop: view.last_sends_of(p(0))[..2].iter().map(|m| m.id).collect(),
+                },
+                turn => {
+                    let q = p(1 + turn as usize % (N - 1));
+                    Action::Step {
+                        p: q,
+                        deliver: view.pending_iter(q).map(|m| m.id).collect(),
+                    }
+                }
+            }
+        }
+    }
+
+    /// Steps everyone and delivers nothing, so its lane only ever
+    /// buffers and runs into the event cap.
+    struct Hoarder(usize);
+
+    impl Adversary for Hoarder {
+        fn next(&mut self, _: &PatternView<'_>) -> Action {
+            self.0 += 1;
+            Action::Step {
+                p: ProcessorId::new(self.0 % N),
+                deliver: Vec::new(),
+            }
+        }
+
+        fn admissible(&self) -> bool {
+            false
+        }
+    }
+
+    fn adversaries() -> Vec<Box<dyn Adversary>> {
+        vec![
+            Box::new(Faults(0)),
+            Box::new(SynchronousAdversary::new(N)),
+            Box::new(RandomAdversary::new(7).deliver_prob(0.5)),
+            Box::new(Hoarder(0)),
+        ]
+    }
+
+    fn build(pool: BatchPool<u32>) -> BatchSim<Chatter> {
+        let mut builder = BatchSimBuilder::from_pool(pool);
+        for seed in 0..4 {
+            let cfg =
+                SimBuilder::new(TimingParams::default(), SeedCollection::new(seed)).fault_budget(1);
+            builder.instance(cfg, chatters()).unwrap();
+        }
+        builder.build()
+    }
+
+    /// Checks the body accounting against the store — every buffered
+    /// slot holds exactly one reference, and the live bodies are exactly
+    /// the distinct bodies buffered slots map to — and returns (buffered
+    /// slots, live bodies).
+    fn accounted(batch: &BatchSim<Chatter>) -> (usize, usize) {
+        let shared = &batch.shared;
+        let mut distinct = BTreeSet::new();
+        for lane in &batch.lanes {
+            let view = lane.pattern_view(&shared.store);
+            for dest in 0..N {
+                for (slot, _) in view.store.iter_dest_slots(view.lane, dest) {
+                    distinct.insert(shared.bodies.body_of(slot));
+                }
+            }
+        }
+        assert_eq!(shared.bodies.references(), shared.store.len());
+        assert_eq!(shared.bodies.live(), distinct.len());
+        (shared.store.len(), distinct.len())
+    }
+
+    #[test]
+    fn bodies_follow_the_slots_through_faults_caps_drain_and_reuse() {
+        let limits = RunLimits::with_max_events(200);
+        let run = |mut batch: BatchSim<Chatter>| {
+            let mut advs = adversaries();
+            // Lane 0's five scripted faults only: two broadcasts (3 + 3
+            // slots, 2 bodies), one duplicate (a 7th slot, no new
+            // body), one reorder (nothing), a crash dropping 2 slots of
+            // the second broadcast — whose body the third keeps alive.
+            batch
+                .run_segment(&mut advs, &[5, 0, 0, 0], limits.stop)
+                .unwrap();
+            assert_eq!(accounted(&batch), (5, 2));
+            let reports = batch.run(&mut advs, limits).unwrap();
+            let stalled: Vec<bool> = reports.iter().map(RunReport::stalled).collect();
+            assert_eq!(stalled, [false, false, false, true]);
+            // The three finished lanes were drained; what is left is
+            // what the capped lane hoarded: 200 broadcasts of 3 slots.
+            assert_eq!(accounted(&batch), (600, 200));
+            batch.into_pool()
+        };
+        let pool = run(build(BatchPool::new()));
+        // `reset` (in `build`) lets go of the capped lane's leftovers,
+        // and a pooled rerun accounts the same way.
+        let recycled = build(pool);
+        assert_eq!(accounted(&recycled), (0, 0));
+        run(recycled);
     }
 }

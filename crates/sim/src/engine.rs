@@ -10,23 +10,37 @@
 //!   monitor, and the instance's [`StoreLane`] view into the message
 //!   store. All `apply_*` bodies live here.
 //! * [`Shared`] holds what instances can safely share: the
-//!   `(instance, dst)`-keyed [`MsgStore`] slab, the slot-parallel
-//!   payload slab, and the delivery/send scratch buffers.
+//!   `(instance, dst)`-keyed [`MsgStore`] slab, the [`BodySlab`] of
+//!   message payloads, the engine-owned [`Outbox`] every step writes
+//!   into, and the delivery/send scratch buffers.
 //!
 //! [`Sim`] is the one-lane case (lane base 0 over a store of `n`
 //! destinations) and behaves byte-identically to the pre-split engine —
 //! the golden digests of `tests/scheduler_equivalence.rs` pin this.
+//!
+//! # A broadcast is stored once
+//!
+//! A step's outgoing messages arrive in the [`Outbox`]: one broadcast
+//! slot plus direct sends. The store still files one slot — one
+//! [`MsgId`], one [`MsgRecord`], one place in a destination's list —
+//! per (message, destination), assigned destination ascending with
+//! direct sends substituted in place (call order when there is no
+//! broadcast), which is the order the automata used to unroll
+//! themselves and therefore the order every recorded schedule has. The
+//! payload is stored once, as a body the `n − 1` slots share; delivery
+//! lends the automaton `(sender, &body)` and releases the slots' hold
+//! afterwards. See [`crate::bodies`] for who counts what.
 
 use std::error::Error;
 use std::fmt;
 
 use rtc_model::{
-    Automaton, Delivery, LocalClock, ModelError, ProcessorId, SeedCollection, Status, TimingParams,
+    Automaton, LocalClock, ModelError, Outbox, ProcessorId, SeedCollection, Status, TimingParams,
     Value,
 };
 
 use crate::adversary::{Action, Adversary, ContentAdversary, ContentView, PatternView};
-
+use crate::bodies::BodySlab;
 use crate::envelope::{MsgId, MsgMeta};
 use crate::lateness::LatenessMonitor;
 use crate::store::{MsgStore, StoreLane};
@@ -376,7 +390,7 @@ impl SimBuilder {
             next_msg: 0,
             crashes_used: 0,
             next_forced_at: 0,
-            dest_seen: vec![false; n],
+            direct_body: vec![NO_DIRECT; n],
             partition: None,
             reordered: false,
             monitor,
@@ -402,24 +416,27 @@ impl SimBuilder {
 }
 
 /// State shared across all instance lanes of one engine: the
-/// `(instance, dst)`-keyed message-store slab, the slot-parallel payload
-/// slab, and the scratch buffers the stepping path reuses. One instance
-/// ([`Sim`]) is the single-lane case.
+/// `(instance, dst)`-keyed message-store slab, the message bodies, and
+/// the buffers the stepping path reuses. One instance ([`Sim`]) is the
+/// single-lane case.
 pub(crate) struct Shared<M> {
     /// Indexed metadata of all in-flight messages: O(1) insert, lookup,
     /// and removal, with per-destination insertion-ordered lists.
     pub(crate) store: MsgStore,
-    /// Payloads of in-flight messages, parallel to the store's slots:
-    /// `payloads[slot]` belongs to the message the store keeps in
-    /// `slot`. Recycled together with the slots — across instances in a
-    /// batch — so steady-state runs stop growing it.
-    pub(crate) payloads: Vec<Option<M>>,
-    /// Scratch for the deliveries handed to `Automaton::step`, reused
-    /// across steps (and across lanes in a batch).
-    deliv_scratch: Vec<Delivery<M>>,
+    /// Payloads of in-flight messages, one body per broadcast or direct
+    /// send, resolved from a store slot through `slot → body`. Recycled
+    /// together with the slots — across instances in a batch — so
+    /// steady-state runs stop growing it.
+    pub(crate) bodies: BodySlab<M>,
+    /// Scratch for `(sender, body)` of the messages lent to the step in
+    /// progress; empty between steps, so no body is referred to across
+    /// steps.
+    deliv_scratch: Vec<(ProcessorId, u32)>,
     /// Scratch for the ids sent at the current step, reused across
     /// steps.
     sent_scratch: Vec<MsgId>,
+    /// What the step in progress sent; empty between steps.
+    outbox: Outbox<M>,
 }
 
 impl<M> Shared<M> {
@@ -427,29 +444,42 @@ impl<M> Shared<M> {
     pub(crate) fn new(total_dests: usize) -> Shared<M> {
         Shared {
             store: MsgStore::new(total_dests),
-            payloads: Vec::new(),
+            bodies: BodySlab::new(),
             deliv_scratch: Vec::new(),
             sent_scratch: Vec::new(),
+            outbox: Outbox::new(),
         }
     }
 
     /// Empties the plane for reuse with `total_dests` destinations,
-    /// keeping every allocation (slab, payloads, scratches).
+    /// keeping every allocation (slab, bodies, scratches).
     pub(crate) fn reset(&mut self, total_dests: usize) {
         self.store.reset(total_dests);
-        self.payloads.clear();
+        self.bodies.reset();
         self.deliv_scratch.clear();
         self.sent_scratch.clear();
+        self.outbox.clear();
+    }
+
+    /// Gives up the hold of every message unlinked for a step that is
+    /// not going to run.
+    fn release_lent(&mut self) {
+        for (_, body) in self.deliv_scratch.drain(..) {
+            self.bodies.release(body);
+        }
     }
 }
 
 impl<M> fmt::Debug for Shared<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Shared")
-            .field("payload_slots", &self.payloads.len())
+            .field("slots", &self.store.slot_capacity())
             .finish()
     }
 }
+
+/// `Lane::direct_body` entry of a destination no direct send names.
+const NO_DIRECT: u32 = u32::MAX;
 
 /// One commit instance's complete per-instance state plus the event
 /// application rules. See the module docs for the [`Lane`]/[`Shared`]
@@ -482,9 +512,11 @@ pub(crate) struct Lane<A: Automaton> {
     /// whenever a scan comes up empty, and reset on revive (a revived
     /// processor re-exposes its possibly-overdue backlog).
     next_forced_at: u64,
-    /// Scratch for the one-message-per-destination check, reused across
-    /// steps so the fan-out validation costs no allocation.
-    dest_seen: Vec<bool>,
+    /// Scratch, by destination, for a step that sent directly: first
+    /// the mark of the one-message-per-destination check, then the body
+    /// of the direct send naming that destination. Untouched by steps
+    /// that only broadcast.
+    direct_body: Vec<u32>,
     /// The active partition, if any; cleared lazily once the event
     /// counter passes its heal point.
     partition: Option<PartitionState>,
@@ -719,90 +751,112 @@ impl<A: Automaton> Lane<A> {
         trace: &mut impl TraceSink,
     ) -> Result<(), SimError> {
         let i = p.index();
-        if i >= self.autos.len() {
+        let n = self.autos.len();
+        if i >= n {
             return Err(SimError::UnknownProcessor { p });
         }
         if self.crashed[i] {
             return Err(SimError::StepOnCrashed { p });
         }
-        // Extract the deliveries from p's buffer: O(1) per id through
-        // the store, into a scratch vector reused across steps.
-        let mut deliveries = std::mem::take(&mut shared.deliv_scratch);
-        deliveries.clear();
+        // Unlink the deliveries from p's buffer, O(1) per id through
+        // the store, noting (sender, body) of each: the automaton reads
+        // the bodies in place.
+        shared.deliv_scratch.clear();
         for id in &deliver {
             // An active partition (refreshed in `apply`, so it is live)
             // vetoes any delivery crossing the group boundary.
             if let Some(ps) = &self.partition {
                 if let Some(m) = shared.store.lookup(&self.store_lane, *id) {
                     if ps.blocks(m.from, m.to) {
-                        shared.deliv_scratch = deliveries;
+                        shared.release_lent();
                         return Err(SimError::DeliverPartitioned { p, id: *id });
                     }
                 }
             }
             let Some((slot, meta)) = shared.store.remove_for(&mut self.store_lane, *id, i) else {
-                shared.deliv_scratch = deliveries;
+                shared.release_lent();
                 return Err(SimError::DeliverNotBuffered { p, id: *id });
             };
-            let Some(payload) = shared.payloads[slot].take() else {
-                shared.deliv_scratch = deliveries;
-                return Err(SimError::DeliverNotBuffered { p, id: *id });
-            };
-            deliveries.push(Delivery::new(meta.from, payload));
+            let body = shared.bodies.body_of(slot);
+            shared.deliv_scratch.push((meta.from, body));
         }
         // Step the automaton with this step's random number.
         let mut rng = self.seeds.step_rng(p, self.clocks[i]);
-        let outs = self.autos[i].step(&deliveries, &mut rng);
-        deliveries.clear();
-        shared.deliv_scratch = deliveries;
+        let Shared {
+            store,
+            bodies,
+            deliv_scratch,
+            sent_scratch: sent_ids,
+            outbox,
+        } = shared;
+        let lent = &*bodies;
+        self.autos[i].step_into(
+            deliv_scratch
+                .iter()
+                .filter_map(|&(from, body)| Some((from, lent.msg(body)?))),
+            &mut rng,
+            outbox,
+        );
+        for (_, body) in deliv_scratch.drain(..) {
+            bodies.release(body);
+        }
         self.clocks[i] = self.clocks[i].tick();
         let clock_after = self.clocks[i];
-        // Validate one-message-per-destination and enqueue.
-        self.dest_seen.fill(false);
-        let mut sent_ids = std::mem::take(&mut shared.sent_scratch);
+        // A broadcast cannot name a destination twice or out of range;
+        // only direct sends are checked (and marked, for the routing
+        // below).
+        if !outbox.direct().is_empty() {
+            self.direct_body.fill(NO_DIRECT);
+            let marks = &mut self.direct_body;
+            let violation = outbox.direct().iter().find_map(|send| {
+                let to = send.to;
+                match marks.get_mut(to.index()) {
+                    None => Some(SimError::UnknownProcessor { p: to }),
+                    Some(mark) => (std::mem::replace(mark, 0) != NO_DIRECT)
+                        .then_some(SimError::DuplicateDestination { p, to }),
+                }
+            });
+            if let Some(violation) = violation {
+                outbox.clear();
+                return Err(violation);
+            }
+        }
+        // File one slot per destination, in the order the module docs
+        // give; a broadcast's slots share one body.
         sent_ids.clear();
         let mut dest_sorted = true;
-        let mut prev_dest = 0usize;
-        for out in outs {
-            if out.to.index() >= self.autos.len() {
-                shared.sent_scratch = sent_ids;
-                return Err(SimError::UnknownProcessor { p: out.to });
+        match outbox.take_broadcast() {
+            None => {
+                let mut prev_dest = 0usize;
+                for send in outbox.drain_direct() {
+                    if send.to.index() < prev_dest {
+                        dest_sorted = false;
+                    }
+                    prev_dest = send.to.index();
+                    let body = bodies.store(send.msg);
+                    sent_ids.push(self.file(p, send.to, body, store, bodies, trace));
+                }
             }
-            if std::mem::replace(&mut self.dest_seen[out.to.index()], true) {
-                shared.sent_scratch = sent_ids;
-                return Err(SimError::DuplicateDestination { p, to: out.to });
+            Some(msg) => {
+                let broadcast = bodies.store(msg);
+                let directed = !outbox.direct().is_empty();
+                for send in outbox.drain_direct() {
+                    self.direct_body[send.to.index()] = bodies.store(send.msg);
+                }
+                for q in 0..n {
+                    let body = if directed && self.direct_body[q] != NO_DIRECT {
+                        self.direct_body[q]
+                    } else if q != i {
+                        broadcast
+                    } else {
+                        continue;
+                    };
+                    sent_ids.push(self.file(p, ProcessorId::new(q), body, store, bodies, trace));
+                }
+                // Nobody to tell: a population of one, or every peer
+                // addressed directly.
+                bodies.discard_unfiled(broadcast);
             }
-            if !sent_ids.is_empty() && out.to.index() < prev_dest {
-                dest_sorted = false;
-            }
-            prev_dest = out.to.index();
-            let id = MsgId(self.next_msg);
-            self.next_msg += 1;
-            let meta = MsgMeta {
-                id,
-                from: p,
-                to: out.to,
-                send_event: self.event,
-                sender_clock: clock_after,
-                guaranteed: true,
-            };
-            let slot = shared.store.insert(&mut self.store_lane, meta);
-            if slot == shared.payloads.len() {
-                shared.payloads.push(Some(out.msg));
-            } else {
-                shared.payloads[slot] = Some(out.msg);
-            }
-            trace.push_msg(MsgRecord {
-                id,
-                from: p,
-                to: out.to,
-                send_event: self.event,
-                sender_clock: clock_after,
-                recv_event: None,
-                recv_clock: None,
-                dropped: false,
-            });
-            sent_ids.push(id);
         }
         if !sent_ids.is_empty() {
             // A fresh message could become overdue before the cached
@@ -814,14 +868,13 @@ impl<A: Automaton> Lane<A> {
             );
             // Refresh p's droppable-sends cache, ordered by destination
             // (at most one message per destination per step, so the
-            // destination is a total order on this step's sends). The
-            // send loop already saw every destination; automata emit in
-            // ascending order, so the sort almost never runs.
-            let store = &shared.store;
+            // destination is a total order on this step's sends). A
+            // broadcast is filed ascending; only a step of direct sends
+            // made out of order needs the sort.
             let store_lane = &self.store_lane;
             let cache = &mut self.last_sent[i];
             cache.clear();
-            cache.extend_from_slice(&sent_ids);
+            cache.extend_from_slice(sent_ids);
             if !dest_sorted {
                 cache.sort_unstable_by_key(|id| {
                     store
@@ -842,9 +895,8 @@ impl<A: Automaton> Lane<A> {
                 trace.mark_late(*id);
             }
         }
-        trace.push_step(p, clock_after, &deliver, &sent_ids);
+        trace.push_step(p, clock_after, &deliver, sent_ids);
         sent_ids.clear();
-        shared.sent_scratch = sent_ids;
         // Decision bookkeeping.
         if !self.decided[i] {
             if let Some(value) = self.autos[i].status().value() {
@@ -861,6 +913,47 @@ impl<A: Automaton> Lane<A> {
         self.last_sched_event[i] = self.event;
         self.event += 1;
         Ok(())
+    }
+
+    /// Files one slot of the step in progress: the next dense id, the
+    /// store entry at `to`'s tail mapped to `body`, and the trace
+    /// record.
+    #[inline]
+    // rtc-hot-loop(per-instance): runs once per (message, destination)
+    // of every step.
+    fn file(
+        &mut self,
+        from: ProcessorId,
+        to: ProcessorId,
+        body: u32,
+        store: &mut MsgStore,
+        bodies: &mut BodySlab<A::Msg>,
+        trace: &mut impl TraceSink,
+    ) -> MsgId {
+        let id = MsgId(self.next_msg);
+        self.next_msg += 1;
+        let sender_clock = self.clocks[from.index()];
+        let meta = MsgMeta {
+            id,
+            from,
+            to,
+            send_event: self.event,
+            sender_clock,
+            guaranteed: true,
+        };
+        let slot = store.insert(&mut self.store_lane, meta);
+        bodies.attach(slot, body);
+        trace.push_msg(MsgRecord {
+            id,
+            from,
+            to,
+            send_event: self.event,
+            sender_clock,
+            recv_event: None,
+            recv_clock: None,
+            dropped: false,
+        });
+        id
     }
 
     fn apply_crash(
@@ -893,7 +986,7 @@ impl<A: Automaton> Lane<A> {
         }
         for id in &drop {
             if let Some((slot, _)) = shared.store.remove(&mut self.store_lane, *id) {
-                shared.payloads[slot] = None;
+                shared.bodies.release_slot(slot);
             }
             trace.note_drop(*id);
         }
@@ -948,13 +1041,11 @@ impl<A: Automaton> Lane<A> {
         let Some(orig) = shared.store.lookup(&self.store_lane, id).copied() else {
             return Err(SimError::MsgNotBuffered { id });
         };
-        let Some(payload) = shared.payloads[slot].clone() else {
-            return Err(SimError::MsgNotBuffered { id });
-        };
         // The copy is a first-class message: fresh dense id, sent "now"
         // (so tail insertion keeps per-destination send order), same
         // endpoints and logical send clock as the original, and
         // guaranteed — the network may duplicate, never forge or drop.
+        // It says what the original says: one more slot on its body.
         let copy = MsgId(self.next_msg);
         self.next_msg += 1;
         let meta = MsgMeta {
@@ -966,11 +1057,7 @@ impl<A: Automaton> Lane<A> {
             guaranteed: true,
         };
         let new_slot = shared.store.insert(&mut self.store_lane, meta);
-        if new_slot == shared.payloads.len() {
-            shared.payloads.push(Some(payload));
-        } else {
-            shared.payloads[new_slot] = Some(payload);
-        }
+        shared.bodies.attach(new_slot, shared.bodies.body_of(slot));
         trace.push_msg(MsgRecord {
             id: copy,
             from: orig.from,
@@ -1047,14 +1134,15 @@ impl<A: Automaton> Lane<A> {
     }
 
     /// Removes every message still buffered for this instance, returning
-    /// the slots (and their payloads) to the shared free lists. Called
+    /// the slots (and the bodies nothing refers to any more) to the
+    /// shared free lists. Called
     /// by the batch engine once an instance meets its stop condition, so
     /// later-finishing instances recycle its envelopes.
     pub(crate) fn drain(&mut self, shared: &mut Shared<A::Msg>) {
         for d in 0..self.autos.len() {
             while let Some(id) = shared.store.head_meta(&self.store_lane, d).map(|m| m.id) {
                 if let Some((slot, _)) = shared.store.remove(&mut self.store_lane, id) {
-                    shared.payloads[slot] = None;
+                    shared.bodies.release_slot(slot);
                 }
             }
         }
@@ -1226,7 +1314,7 @@ impl<A: Automaton> Sim<A> {
                 None => {
                     let view = ContentView {
                         pattern: self.lane.pattern_view(&self.shared.store),
-                        payloads: &self.shared.payloads,
+                        bodies: &self.shared.bodies,
                     };
                     adversary.next(&view)
                 }
@@ -1322,7 +1410,7 @@ impl<M> ContentAdversary<M> for AsContent<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtc_model::{Send, StepRng};
+    use rtc_model::StepRng;
 
     /// Echoes every received message back to its sender; decides One
     /// after receiving `target` messages.
@@ -1351,25 +1439,32 @@ mod tests {
             self.id
         }
 
-        fn step(&mut self, delivered: &[Delivery<u32>], _rng: &mut StepRng) -> Vec<Send<u32>> {
-            self.received += delivered.len();
-            if self.received == 0 && self.id.is_coordinator() {
-                // Kick off: coordinator broadcasts once at its first step.
-                return ProcessorId::all(self.n)
-                    .filter(|q| *q != self.id)
-                    .map(|q| Send::new(q, 1))
-                    .collect();
-            }
+        fn population(&self) -> usize {
+            self.n
+        }
+
+        fn step_into<'a>(
+            &mut self,
+            inbox: impl Iterator<Item = (ProcessorId, &'a u32)>,
+            _rng: &mut StepRng,
+            out: &mut Outbox<u32>,
+        ) {
             // One reply per distinct sender: a batch may deliver several
             // messages from one processor (duplicates, backlog after a
             // heal), and the model forbids two sends to one destination
             // in a single step.
             let mut seen = vec![false; self.n];
-            delivered
-                .iter()
-                .filter(|d| !std::mem::replace(&mut seen[d.from.index()], true))
-                .map(|d| Send::new(d.from, 1))
-                .collect()
+            for (from, _) in inbox {
+                self.received += 1;
+                if !std::mem::replace(&mut seen[from.index()], true) {
+                    out.send(from, 1);
+                }
+            }
+            if self.received == 0 && self.id.is_coordinator() {
+                // Kick off: the coordinator broadcasts until it hears
+                // back.
+                out.broadcast(1);
+            }
         }
 
         fn status(&self) -> Status {
@@ -1712,12 +1807,31 @@ mod tests {
             }
         }
         let mut s = sim(2, 2);
-        let report = s
-            .run(&mut Duper(0), RunLimits::with_max_events(500))
-            .unwrap();
+        let mut adv = Duper(0);
+        // Stop after the broadcast and the duplication: the copy is a
+        // second slot on the original's body, not a second message.
+        s.run_until(&mut adv, 2, StopWhen::default()).unwrap();
+        let pending = s
+            .lane
+            .pattern_view(&s.shared.store)
+            .pending(ProcessorId::new(1));
+        let bodies: Vec<u32> = pending
+            .iter()
+            .map(|m| s.shared.store.slot_index(&s.lane.store_lane, m.id).unwrap())
+            .map(|slot| s.shared.bodies.body_of(slot))
+            .collect();
+        assert_eq!(bodies.len(), 2);
+        assert_eq!(bodies[0], bodies[1]);
+        assert_eq!(
+            (s.shared.bodies.live(), s.shared.bodies.references()),
+            (1, 2)
+        );
+        let report = s.run(&mut adv, RunLimits::with_max_events(500)).unwrap();
         // p1 needed two receipts and the coordinator broadcast only one
-        // message: only the duplicated copy can account for the second.
+        // message: only the duplicated copy can account for the second,
+        // and the one body served both deliveries before it was freed.
         assert!(report.statuses()[1].is_decided());
+        assert_eq!(s.shared.bodies.references(), s.shared.store.len());
         let dup = s.trace().events().find_map(|e| match e {
             crate::EventView::Duplicate { original, copy, .. } => Some((original, copy)),
             _ => None,
@@ -1818,6 +1932,94 @@ mod tests {
             any_late |= !posthoc.is_empty();
         }
         assert!(any_late, "sparse schedules should produce late deliveries");
+    }
+
+    /// Sends what it is told to, every step.
+    struct Scripted {
+        id: ProcessorId,
+        n: usize,
+        broadcast: bool,
+        direct: Vec<usize>,
+    }
+
+    impl Automaton for Scripted {
+        type Msg = u32;
+
+        fn id(&self) -> ProcessorId {
+            self.id
+        }
+
+        fn population(&self) -> usize {
+            self.n
+        }
+
+        fn step_into<'a>(
+            &mut self,
+            _inbox: impl Iterator<Item = (ProcessorId, &'a u32)>,
+            _rng: &mut StepRng,
+            out: &mut Outbox<u32>,
+        ) {
+            if self.broadcast {
+                out.broadcast(0);
+            }
+            for (k, to) in self.direct.iter().enumerate() {
+                out.send(ProcessorId::new(*to), 1 + k as u32);
+            }
+        }
+
+        fn status(&self) -> Status {
+            Status::Undecided
+        }
+    }
+
+    /// One step of p1 in a population of 4 sending as given; the
+    /// destinations its messages were filed for, in id order, or the
+    /// model violation.
+    fn filed_by(broadcast: bool, direct: &[usize]) -> Result<Vec<usize>, SimError> {
+        let n = 4;
+        let procs = ProcessorId::all(n)
+            .map(|id| Scripted {
+                id,
+                n,
+                broadcast,
+                direct: direct.to_vec(),
+            })
+            .collect();
+        let mut s = SimBuilder::new(TimingParams::default(), SeedCollection::new(3))
+            .build(procs)
+            .unwrap();
+        let step = Action::Step {
+            p: ProcessorId::new(1),
+            deliver: Vec::new(),
+        };
+        s.lane.apply(step, true, &mut s.shared, &mut s.trace)?;
+        assert_eq!(s.shared.bodies.references(), s.shared.store.len());
+        Ok(s.trace.messages().iter().map(|m| m.to.index()).collect())
+    }
+
+    #[test]
+    fn sends_are_filed_ascending_with_direct_sends_in_place() {
+        // A broadcast skips the sender; a direct send takes the
+        // broadcast's place at its destination (and may address the
+        // sender); with no broadcast, call order stands.
+        assert_eq!(filed_by(true, &[]).unwrap(), [0, 2, 3]);
+        assert_eq!(filed_by(true, &[3, 0]).unwrap(), [0, 2, 3]);
+        assert_eq!(filed_by(true, &[1]).unwrap(), [0, 1, 2, 3]);
+        assert_eq!(filed_by(false, &[3, 0]).unwrap(), [3, 0]);
+        assert_eq!(filed_by(false, &[]).unwrap(), [0usize; 0]);
+    }
+
+    #[test]
+    fn only_direct_sends_can_break_one_message_per_destination() {
+        let p = ProcessorId::new;
+        assert_eq!(
+            filed_by(true, &[2, 0, 2]).unwrap_err(),
+            SimError::DuplicateDestination { p: p(1), to: p(2) }
+        );
+        assert_eq!(
+            filed_by(false, &[4]).unwrap_err(),
+            SimError::UnknownProcessor { p: p(4) }
+        );
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! # Example
 //!
 //! ```
-//! use rtc_model::{Automaton, Delivery, ProcessorId, Send, SeedCollection, Status, StepRng,
+//! use rtc_model::{Automaton, Outbox, ProcessorId, SeedCollection, Status, StepRng,
 //!                 TimingParams, Value};
 //! use rtc_sim::{adversaries::SynchronousAdversary, RunLimits, SimBuilder};
 //!
@@ -37,7 +37,14 @@
 //! impl Automaton for Trivial {
 //!     type Msg = ();
 //!     fn id(&self) -> ProcessorId { self.0 }
-//!     fn step(&mut self, _: &[Delivery<()>], _: &mut StepRng) -> Vec<Send<()>> { vec![] }
+//!     fn population(&self) -> usize { 3 }
+//!     fn step_into<'a>(
+//!         &mut self,
+//!         _inbox: impl Iterator<Item = (ProcessorId, &'a ())>,
+//!         _rng: &mut StepRng,
+//!         _out: &mut Outbox<()>,
+//!     ) {
+//!     }
 //!     fn status(&self) -> Status { Status::Decided(Value::One) }
 //! }
 //!
@@ -57,6 +64,7 @@ pub mod adversaries;
 mod adversary;
 mod batch;
 mod batch_trace;
+mod bodies;
 mod engine;
 mod envelope;
 mod lateness;

@@ -155,7 +155,7 @@ mod tests {
     use crate::{RunLimits, SimBuilder};
 
     // A tiny gossip automaton for pattern tests.
-    use rtc_model::{Automaton, Delivery, Send, Status, StepRng};
+    use rtc_model::{Automaton, Outbox, Status, StepRng};
 
     struct Gossip {
         id: ProcessorId,
@@ -168,15 +168,18 @@ mod tests {
         fn id(&self) -> ProcessorId {
             self.id
         }
-        fn step(&mut self, delivered: &[Delivery<()>], _rng: &mut StepRng) -> Vec<Send<()>> {
-            self.heard += delivered.len();
+        fn population(&self) -> usize {
+            self.n
+        }
+        fn step_into<'a>(
+            &mut self,
+            inbox: impl Iterator<Item = (ProcessorId, &'a ())>,
+            _rng: &mut StepRng,
+            out: &mut Outbox<()>,
+        ) {
+            self.heard += inbox.count();
             if self.heard == 0 && self.id.is_coordinator() {
-                ProcessorId::all(self.n)
-                    .filter(|q| *q != self.id)
-                    .map(|q| Send::new(q, ()))
-                    .collect()
-            } else {
-                Vec::new()
+                out.broadcast(());
             }
         }
         fn status(&self) -> Status {

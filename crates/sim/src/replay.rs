@@ -137,8 +137,7 @@ impl Adversary for Replayer {
 #[cfg(test)]
 mod tests {
     use rtc_model::{
-        Automaton, Delivery, ProcessorId, SeedCollection, Send, Status, StepRng, TimingParams,
-        Value,
+        Automaton, Outbox, ProcessorId, SeedCollection, Status, StepRng, TimingParams, Value,
     };
 
     use super::*;
@@ -158,19 +157,23 @@ mod tests {
         fn id(&self) -> ProcessorId {
             self.id
         }
-        fn step(&mut self, delivered: &[Delivery<u8>], _rng: &mut StepRng) -> Vec<Send<u8>> {
-            self.exchanges += delivered.len();
+        fn population(&self) -> usize {
+            self.n
+        }
+        fn step_into<'a>(
+            &mut self,
+            mut inbox: impl Iterator<Item = (ProcessorId, &'a u8)>,
+            _rng: &mut StepRng,
+            out: &mut Outbox<u8>,
+        ) {
+            let first = inbox.next();
+            self.exchanges += first.iter().count() + inbox.count();
             if self.exchanges == 0 && self.id.is_coordinator() {
-                return ProcessorId::all(self.n)
-                    .filter(|q| *q != self.id)
-                    .map(|q| Send::new(q, 0))
-                    .collect();
+                out.broadcast(0);
             }
-            delivered
-                .iter()
-                .map(|d| Send::new(d.from, 1))
-                .take(1)
-                .collect()
+            if let Some((from, _)) = first {
+                out.send(from, 1);
+            }
         }
         fn status(&self) -> Status {
             if self.exchanges >= 5 {

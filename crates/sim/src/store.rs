@@ -141,8 +141,8 @@ impl MsgStore {
     }
 
     /// Buffers `meta` at the tail of its destination's list in `lane`
-    /// and returns the slot index it landed in (so the engine can keep a
-    /// payload slab slot-parallel to the store). Ids must be dense per
+    /// and returns the slot index it landed in (so the engine can map
+    /// the slot to the message's body). Ids must be dense per
     /// lane and inserted in increasing order (the engine assigns them
     /// from a per-instance counter), which keeps `slot_of` an O(1)
     /// direct map.
@@ -193,8 +193,8 @@ impl MsgStore {
     }
 
     /// Unlinks `lane`'s message `id` from its destination's list and
-    /// returns the slot it occupied (so the engine can reclaim the
-    /// slot-parallel payload) together with its metadata. This is the
+    /// returns the slot it occupied (so the engine can release the
+    /// slot's hold on its body) together with its metadata. This is the
     /// single removal path shared by delivery (`Sim::apply_step`) and
     /// crash-time drops (`Sim::apply_crash`).
     pub(crate) fn remove(&mut self, lane: &mut StoreLane, id: MsgId) -> Option<(usize, MsgMeta)> {
@@ -246,15 +246,15 @@ impl MsgStore {
         };
         // `remove` pushed the slot onto the free list and `insert` pops
         // LIFO, so the message lands back in the very slot it occupied
-        // and slot-parallel payloads stay valid.
+        // and its `slot → body` mapping stays valid.
         let reused = self.insert(lane, meta);
         debug_assert_eq!(reused, slot, "reorder must recycle the same slot");
         true
     }
 
     /// The slot currently holding `lane`'s message `id`, if it is still
-    /// buffered. Lets content views resolve payloads in O(1) without
-    /// touching the payload slab itself.
+    /// buffered. Lets content views resolve payloads in O(1) through
+    /// the body slab's `slot → body` table.
     pub(crate) fn slot_index(&self, lane: &StoreLane, id: MsgId) -> Option<usize> {
         match *lane.slot_of.get(id.index())? {
             NIL => None,
@@ -282,7 +282,7 @@ impl MsgStore {
     }
 
     /// Like [`MsgStore::iter_dest`], but also yields each message's slot
-    /// so callers can pair metadata with the slot-parallel payload slab.
+    /// so callers can pair metadata with the slot's body.
     pub(crate) fn iter_dest_slots(&self, lane: &StoreLane, dest: usize) -> DestSlotIter<'_> {
         DestSlotIter {
             store: self,
@@ -409,7 +409,7 @@ mod tests {
         let slot_before = s.slot_index(&lane, MsgId(1)).unwrap();
         assert!(s.move_to_back(&mut lane, MsgId(1)));
         assert_eq!(ids_of(&s, &lane, 0), [0, 2, 3, 1]);
-        // Slot-parallel payloads stay valid: same slot after the move.
+        // The `slot → body` mapping stays valid: same slot after the move.
         assert_eq!(s.slot_index(&lane, MsgId(1)), Some(slot_before));
         // Other destinations are untouched.
         assert_eq!(ids_of(&s, &lane, 1), [4]);

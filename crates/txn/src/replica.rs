@@ -1,14 +1,22 @@
 //! A database replica: one commit-protocol instance per transaction,
 //! multiplexed over a single automaton.
+//!
+//! A replica's message is a bundle of per-transaction protocol
+//! messages. Stepping routes each delivered bundle's entries to their
+//! instances *by index* — an instance reads its messages where the
+//! substrate stored them — and gathers what the instances broadcast
+//! into **one** bundle, broadcast once. Only a destination that some
+//! instance addressed directly (a rejoiner owed a ping reply) gets a
+//! bundle of its own: the broadcast bundle with those direct messages
+//! substituted in, which is what that destination would have received
+//! had every instance unrolled its own broadcast.
 
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
 use std::sync::Arc;
 
 use rtc_core::{CommitAutomaton, CommitConfig, CommitMsg};
-use rtc_model::{
-    Automaton, Decision, Delivery, ProcessorId, Recoverable, Send, Status, StepRng, Value,
-};
+use rtc_model::{Automaton, Decision, Outbox, ProcessorId, Recoverable, Status, StepRng, Value};
 
 use crate::store::{Store, Transaction, TxId};
 use crate::wal::{LogRecord, Wal};
@@ -52,12 +60,15 @@ pub struct Replica {
     outcomes: BTreeMap<TxId, Decision>,
     wal: Wal,
     cfg: CommitConfig,
-    /// Step scratch, by slot: this step's deliveries. Empty between
-    /// steps.
-    inboxes: Vec<Vec<Delivery<CommitMsg>>>,
-    /// Step scratch, by destination: this step's bundle. Empty between
-    /// steps (a filled bundle is moved into its send).
-    outboxes: Vec<Vec<TxMsg>>,
+    /// Step scratch, by slot: where this step's deliveries for the
+    /// slot's instance sit, as (delivered bundle, entry in it). Empty
+    /// between steps.
+    inboxes: Vec<Vec<(u32, u32)>>,
+    /// Step scratch: what the instance being stepped sent.
+    instance_out: Outbox<CommitMsg>,
+    /// Step scratch: this step's direct sends, in [`TxId`] order. Empty
+    /// between steps.
+    directs: Vec<(ProcessorId, TxMsg)>,
 }
 
 /// The batch as every replica of the epoch shares it: sorted by
@@ -253,7 +264,8 @@ impl Replica {
             id,
             initial,
             inboxes: vec![Vec::new(); batch.len()],
-            outboxes: vec![Vec::new(); cfg.population()],
+            instance_out: Outbox::new(),
+            directs: Vec::new(),
             batch,
             instances,
             outcomes,
@@ -307,34 +319,56 @@ impl Automaton for Replica {
         self.id
     }
 
+    fn population(&self) -> usize {
+        self.cfg.population()
+    }
+
     /// Steps every live instance once, in [`TxId`] order (each counts
     /// this as one clock tick and draws from `rng` in that order).
     ///
-    /// The sends come out destination ascending, at most one per
-    /// destination, and inside a bundle the per-transaction messages
-    /// are [`TxId`] ascending.
-    fn step(
+    /// Every destination receives at most one bundle, and inside a
+    /// bundle the per-transaction messages are [`TxId`] ascending.
+    fn step_into<'a>(
         &mut self,
-        delivered: &[Delivery<Vec<TxMsg>>],
+        inbox: impl Iterator<Item = (ProcessorId, &'a Vec<TxMsg>)>,
         rng: &mut StepRng,
-    ) -> Vec<Send<Vec<TxMsg>>> {
+        out: &mut Outbox<Vec<TxMsg>>,
+    ) {
         // Route deliveries to their instances. Traffic for a transaction
         // outside the batch, or one with no instance, is dropped.
-        for d in delivered {
-            for (tx, msg) in &d.msg {
+        let delivered: Vec<(ProcessorId, &Vec<TxMsg>)> = inbox.collect();
+        for (b, (_, bundle)) in delivered.iter().enumerate() {
+            for (k, (tx, _)) in bundle.iter().enumerate() {
                 let slot = self.batch.binary_search_by_key(tx, |t| t.id);
                 if let Some(slot) = slot.ok().filter(|s| self.instances[*s].is_some()) {
-                    self.inboxes[slot].push(Delivery::new(d.from, msg.clone()));
+                    self.inboxes[slot].push((b as u32, k as u32));
                 }
             }
         }
+        let mut broadcasts: Vec<TxMsg> = Vec::new();
         let slots = self.batch.iter().zip(&mut self.instances);
-        for ((tx, instance), inbox) in slots.zip(&mut self.inboxes) {
+        for ((tx, instance), routed) in slots.zip(&mut self.inboxes) {
             let Some(instance) = instance else { continue };
-            for send in instance.step(inbox, rng) {
-                self.outboxes[send.to.index()].push((tx.id, send.msg));
+            instance.step_into(
+                routed.iter().map(|&(b, k)| {
+                    let (from, bundle) = delivered[b as usize];
+                    (from, &bundle[k as usize].1)
+                }),
+                rng,
+                &mut self.instance_out,
+            );
+            routed.clear();
+            if let Some(msg) = self.instance_out.take_broadcast() {
+                if broadcasts.capacity() == 0 {
+                    // Sized for every instance having something to say
+                    // (the common case), so the bundle never regrows.
+                    broadcasts.reserve_exact(self.batch.len());
+                }
+                broadcasts.push((tx.id, msg));
             }
-            inbox.clear();
+            for send in self.instance_out.drain_direct() {
+                self.directs.push((send.to, (tx.id, send.msg)));
+            }
             if let Some(decision) = instance.status().decision() {
                 if let Entry::Vacant(undecided) = self.outcomes.entry(tx.id) {
                     undecided.insert(decision);
@@ -345,12 +379,41 @@ impl Automaton for Replica {
                 }
             }
         }
-        self.outboxes
-            .iter_mut()
-            .enumerate()
-            .filter(|(_, bundle)| !bundle.is_empty())
-            .map(|(to, bundle)| Send::new(ProcessorId::new(to), std::mem::take(bundle)))
-            .collect()
+        // A destination addressed directly gets its own bundle: per
+        // transaction, the direct message if there is one, else the
+        // broadcast. Destinations ascending, for the steps that have no
+        // broadcast to order them.
+        if !self.directs.is_empty() {
+            let mut addressed: Vec<ProcessorId> = self.directs.iter().map(|(to, _)| *to).collect();
+            addressed.sort_unstable();
+            addressed.dedup();
+            for to in addressed {
+                let mut direct = self
+                    .directs
+                    .iter()
+                    .filter(|(q, _)| *q == to)
+                    .map(|(_, m)| m)
+                    .peekable();
+                let mut bundle = Vec::with_capacity(broadcasts.len() + 1);
+                for shared in &broadcasts {
+                    while let Some(own) = direct.next_if(|own| own.0 < shared.0) {
+                        bundle.push(own.clone());
+                    }
+                    bundle.push(
+                        direct
+                            .next_if(|own| own.0 == shared.0)
+                            .unwrap_or(shared)
+                            .clone(),
+                    );
+                }
+                bundle.extend(direct.cloned());
+                out.send(to, bundle);
+            }
+            self.directs.clear();
+        }
+        if !broadcasts.is_empty() {
+            out.broadcast(broadcasts);
+        }
     }
 
     fn status(&self) -> Status {
@@ -780,6 +843,93 @@ mod tests {
         // Votes are logged in id order either way.
         assert_eq!(a.wal().records(), b.wal().records());
         assert_eq!(a.batch_status(), b.batch_status());
+    }
+
+    #[test]
+    fn a_ping_reply_rides_a_bundle_of_its_own_and_the_rest_share_one() {
+        use rtc_core::CommitKind;
+        use rtc_model::{Delivery, LocalClock};
+
+        // tx1 overdraws, so every replica votes abort and decides it
+        // the moment it broadcasts that vote; tx2 goes the long way.
+        let n = 3;
+        let c = cfg(n);
+        let initial = Store::with_entries([("a", 10)]);
+        let batch = vec![transfer(1, "a", "b", 99), transfer(2, "a", "b", 1)];
+        let mut replicas = replica_population(c, &initial, &batch);
+        let seeds = SeedCollection::new(77);
+        let p = ProcessorId::new;
+        // Lockstep until p0 has decided tx1: `inboxes[q]` holds what the
+        // previous round sent to q.
+        let mut inboxes: Vec<Vec<Delivery<Vec<TxMsg>>>> = vec![Vec::new(); n];
+        let mut round = 0;
+        while replicas[0].outcomes().is_empty() {
+            let mut next: Vec<Vec<Delivery<Vec<TxMsg>>>> = vec![Vec::new(); n];
+            for (q, replica) in replicas.iter_mut().enumerate() {
+                let mut rng = seeds.step_rng(p(q), LocalClock::new(round));
+                for send in replica.step(&inboxes[q], &mut rng) {
+                    next[send.to.index()].push(Delivery::new(p(q), send.msg));
+                }
+            }
+            inboxes = next;
+            round += 1;
+            assert!(round < 50, "tx1 never aborted");
+        }
+        assert_eq!(replicas[0].outcomes().get(&TxId(1)), Some(&Decision::Abort));
+        assert_eq!(replicas[0].outcomes().get(&TxId(2)), None);
+
+        // p2 asks about tx1, on top of what it had to say this round
+        // anyway — the round's votes, so both of p0's instances have
+        // something to broadcast in the step that answers.
+        let p2_bundle = &mut inboxes[0].iter_mut().find(|d| d.from == p(2)).unwrap().msg;
+        let (tx, said) = &mut p2_bundle[0];
+        assert_eq!(*tx, TxId(1));
+        said.kinds = said
+            .kinds
+            .iter()
+            .cloned()
+            .chain([CommitKind::Ping])
+            .collect();
+        let mut out = Outbox::new();
+        let mut rng = seeds.step_rng(p(0), LocalClock::new(round));
+        replicas[0].step_into(
+            inboxes[0].iter().map(|d| (d.from, &d.msg)),
+            &mut rng,
+            &mut out,
+        );
+
+        let reached: Vec<(ProcessorId, &Vec<TxMsg>)> = out.sends(p(0), n).collect();
+        let [(to_p1, shared), (to_p2, own)] = reached[..] else {
+            panic!("p0 reaches both peers: {reached:?}");
+        };
+        assert_eq!((to_p1, to_p2), (p(1), p(2)));
+        // One direct send, to the pinger; everyone else is the
+        // broadcast.
+        assert_eq!(out.direct().len(), 1);
+        assert_eq!(out.direct()[0].to, p(2));
+        let txs = |bundle: &Vec<TxMsg>| bundle.iter().map(|(tx, _)| *tx).collect::<Vec<_>>();
+        assert_eq!(txs(shared), [TxId(1), TxId(2)]);
+        assert_eq!(txs(own), [TxId(1), TxId(2)]);
+        // The pinger's bundle is the shared one with tx1's message
+        // extended by the decision; tx2's message is the same message.
+        let decided = CommitKind::Decided(Value::Zero);
+        assert!(!shared[0].1.kinds.contains(&decided));
+        let mut extended = shared[0].1.kinds.to_vec();
+        extended.push(decided);
+        assert_eq!(own[0].1.kinds[..], extended[..]);
+        assert_eq!(own[1], shared[1]);
+        // And it is, byte for byte, what the per-destination outboxes
+        // this replaced sent for the same step (captured there).
+        let sends: Vec<rtc_model::Send<Vec<TxMsg>>> = reached
+            .iter()
+            .map(|(to, bundle)| rtc_model::Send::new(*to, (*bundle).clone()))
+            .collect();
+        let digest = format!("{sends:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        assert_eq!(digest, 6_593_700_158_096_183_171);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Pinned send-order digests for [`Replica::step`].
+//! Pinned send-order digests for [`Replica`]'s step.
 //!
-//! `Replica::step` promises a send order — destination ascending, and
+//! A replica's step promises a send order — destination ascending, and
 //! within one destination's bundle [`TxId`](rtc_txn::TxId) ascending —
 //! and consumes shared randomness in `TxId` order. The constants below
 //! were captured on the commit *before* the replica's multiplexer was
@@ -14,7 +14,7 @@
 
 use rtc_core::CommitConfig;
 use rtc_model::{
-    Automaton, Delivery, ProcessorId, SeedCollection, Send, Status, StepRng, TimingParams,
+    Automaton, Delivery, Outbox, ProcessorId, SeedCollection, Send, Status, StepRng, TimingParams,
 };
 use rtc_sim::adversaries::{RandomAdversary, SynchronousAdversary};
 use rtc_sim::{Adversary, RunLimits, SimBuilder};
@@ -50,14 +50,29 @@ impl Automaton for Tap {
         self.inner.id()
     }
 
-    fn step(
+    fn population(&self) -> usize {
+        self.inner.population()
+    }
+
+    /// Hashes the step in the `Delivery`/`Send` form the digests were
+    /// captured in — the outbox expanded per destination — and hands
+    /// the replica's outbox on untouched.
+    fn step_into<'a>(
         &mut self,
-        delivered: &[Delivery<Vec<TxMsg>>],
+        inbox: impl Iterator<Item = (ProcessorId, &'a Vec<TxMsg>)>,
         rng: &mut StepRng,
-    ) -> Vec<Send<Vec<TxMsg>>> {
-        let sends = self.inner.step(delivered, rng);
+        out: &mut Outbox<Vec<TxMsg>>,
+    ) {
+        let delivered: Vec<Delivery<Vec<TxMsg>>> = inbox
+            .map(|(from, bundle)| Delivery::new(from, bundle.clone()))
+            .collect();
+        self.inner
+            .step_into(delivered.iter().map(|d| (d.from, &d.msg)), rng, out);
+        let sends: Vec<Send<Vec<TxMsg>>> = out
+            .sends(self.id(), self.population())
+            .map(|(to, bundle)| Send::new(to, bundle.clone()))
+            .collect();
         self.seen.write(&format!("{delivered:?} -> {sends:?};"));
-        sends
     }
 
     fn status(&self) -> Status {

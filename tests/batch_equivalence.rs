@@ -12,8 +12,11 @@
 //! scheduler is not just "as good" but *the same schedule*.
 
 use rtc::core::CommitMsg;
+use rtc::model::{Outbox, StepRng};
 use rtc::prelude::*;
-use rtc::sim::{Adversary, BatchPool, BatchSim, BatchSimBuilder, Sim};
+use rtc::sim::{
+    worker_of, Adversary, BatchPool, BatchSim, BatchSimBuilder, ParBatchSimBuilder, Sim,
+};
 
 /// One seeded schedule of the batch corpus.
 struct Case {
@@ -58,7 +61,7 @@ fn config(n: usize) -> CommitConfig {
     CommitConfig::new(n, CommitConfig::max_tolerated(n), TimingParams::default()).unwrap()
 }
 
-fn adversary(case: &Case) -> Box<dyn Adversary> {
+fn adversary(case: &Case) -> Box<dyn Adversary + Send> {
     match case.kind {
         Kind::Random => {
             let deliver = 0.4 + 0.1 * (case.seed % 5) as f64;
@@ -78,15 +81,19 @@ fn adversary(case: &Case) -> Box<dyn Adversary> {
     }
 }
 
-/// The standalone run of one case: report plus trace digest.
-fn serial_run(case: &Case) -> SerialOutcome {
+fn population(case: &Case) -> Vec<CommitAutomaton> {
+    commit_population(config(case.n), &votes(case.n, case.seed))
+}
+
+fn sim_builder(case: &Case) -> SimBuilder {
     let cfg = config(case.n);
-    let procs = commit_population(cfg, &votes(case.n, case.seed));
-    let mut sim: Sim<CommitAutomaton> =
-        SimBuilder::new(cfg.timing(), SeedCollection::new(case.seed))
-            .fault_budget(cfg.fault_bound())
-            .build(procs)
-            .unwrap();
+    SimBuilder::new(cfg.timing(), SeedCollection::new(case.seed)).fault_budget(cfg.fault_bound())
+}
+
+/// The standalone run of one case over `procs`: report, trace digest
+/// and decisions.
+fn serial_run<A: Automaton>(case: &Case, procs: Vec<A>) -> SerialOutcome {
+    let mut sim: Sim<A> = sim_builder(case).build(procs).unwrap();
     let mut adv = adversary(case);
     let report = sim.run(adv.as_mut(), RunLimits::default()).unwrap();
     let decisions = sim
@@ -98,92 +105,200 @@ fn serial_run(case: &Case) -> SerialOutcome {
     (report, sim.trace().digest(), decisions)
 }
 
-fn build_batch(cases: &[Case], pool: BatchPool<CommitMsg>) -> BatchSim<CommitAutomaton> {
+fn build_batch<A: Automaton>(
+    cases: &[Case],
+    wrap: impl Fn(CommitAutomaton) -> A,
+    pool: BatchPool<A::Msg>,
+) -> BatchSim<A> {
     let mut builder = BatchSimBuilder::from_pool(pool);
     for case in cases {
-        let cfg = config(case.n);
-        builder
-            .instance(
-                SimBuilder::new(cfg.timing(), SeedCollection::new(case.seed))
-                    .fault_budget(cfg.fault_bound()),
-                commit_population(cfg, &votes(case.n, case.seed)),
-            )
-            .unwrap();
+        let procs = population(case).into_iter().map(&wrap).collect();
+        builder.instance(sim_builder(case), procs).unwrap();
     }
     builder.build()
 }
 
 /// One instance's ground truth: the standalone report, trace digest,
-/// and decision vector the batched run must reproduce byte-for-byte.
+/// and decision vector every other way of running it must reproduce
+/// byte-for-byte.
 type SerialOutcome = (RunReport, u64, Vec<(ProcessorId, Value)>);
 
-/// Runs a group as one batch and checks every instance against its
-/// standalone run. Returns the spent batch's pool for reuse probes.
-fn check_group(cases: &[Case], pool: BatchPool<CommitMsg>) -> BatchPool<CommitMsg> {
-    let serial: Vec<SerialOutcome> = cases.iter().map(serial_run).collect();
-    let mut batch = build_batch(cases, pool);
-    let mut advs: Vec<Box<dyn Adversary>> = cases.iter().map(adversary).collect();
+/// Checks one instance's report, decisions and trace digest against its
+/// ground truth.
+fn assert_same(
+    case: &Case,
+    how: &str,
+    (report, digest, decisions): &SerialOutcome,
+    (serial_report, serial_digest, serial_decisions): &SerialOutcome,
+) {
+    let label = format!("{how} n{}/seed{}", case.n, case.seed);
+    assert_eq!(
+        report.statuses(),
+        serial_report.statuses(),
+        "{label}: statuses diverged"
+    );
+    assert_eq!(
+        report.events(),
+        serial_report.events(),
+        "{label}: event counts diverged"
+    );
+    assert_eq!(
+        report.stalled(),
+        serial_report.stalled(),
+        "{label}: stalled flag diverged"
+    );
+    for p in ProcessorId::all(case.n) {
+        assert_eq!(
+            report.is_faulty(p),
+            serial_report.is_faulty(p),
+            "{label}: faulty set diverged at {p}"
+        );
+    }
+    assert_eq!(decisions, serial_decisions, "{label}: decisions diverged");
+    assert_eq!(
+        digest, serial_digest,
+        "{label}: trace digest diverged from the serial run"
+    );
+}
+
+/// Runs a group as one batch of `wrap`ped automata and checks every
+/// instance against `serial`. Returns the spent batch's pool for reuse
+/// probes.
+fn check_batch<A: Automaton>(
+    cases: &[Case],
+    serial: &[SerialOutcome],
+    wrap: impl Fn(CommitAutomaton) -> A,
+    pool: BatchPool<A::Msg>,
+) -> BatchPool<A::Msg> {
+    let mut batch = build_batch(cases, wrap, pool);
+    let mut advs: Vec<_> = cases.iter().map(adversary).collect();
     let reports = batch.run(&mut advs, RunLimits::default()).unwrap();
     assert_eq!(reports.len(), cases.len());
-    for (i, ((serial_report, serial_digest, serial_decisions), case)) in
-        serial.iter().zip(cases).enumerate()
-    {
-        let label = format!("n{}/seed{}", case.n, case.seed);
-        let report = &reports[i];
-        assert_eq!(
-            report.statuses(),
-            serial_report.statuses(),
-            "{label}: statuses diverged"
-        );
-        assert_eq!(
-            report.events(),
-            serial_report.events(),
-            "{label}: event counts diverged"
-        );
-        assert_eq!(
-            report.stalled(),
-            serial_report.stalled(),
-            "{label}: stalled flag diverged"
-        );
-        for p in ProcessorId::all(case.n) {
-            assert_eq!(
-                report.is_faulty(p),
-                serial_report.is_faulty(p),
-                "{label}: faulty set diverged at {p}"
-            );
-        }
-        let batch_decisions: Vec<(ProcessorId, Value)> =
-            batch.decisions(i).iter().map(|d| (d.p, d.value)).collect();
-        assert_eq!(
-            &batch_decisions, serial_decisions,
-            "{label}: decisions diverged"
-        );
-        assert_eq!(
-            batch.to_trace(i).digest(),
-            *serial_digest,
-            "{label}: trace digest diverged from the serial run"
-        );
+    for (i, (report, case)) in reports.into_iter().zip(cases).enumerate() {
+        let decisions = batch.decisions(i).iter().map(|d| (d.p, d.value)).collect();
+        let batched = (report, batch.to_trace(i).digest(), decisions);
+        assert_same(case, "batch", &batched, &serial[i]);
     }
     batch.into_pool()
 }
 
-#[test]
-fn batched_schedules_are_byte_identical_to_serial_runs() {
-    // 36 seeded schedules across three batch shapes (the corpus floor
-    // is 32). Each group mixes synchronous, adaptive, and random
-    // adversaries, with seed-dependent crash injection.
+/// Runs a group as one batch and checks every instance against its
+/// standalone run.
+fn check_group(cases: &[Case], pool: BatchPool<CommitMsg>) -> BatchPool<CommitMsg> {
+    let serial: Vec<SerialOutcome> = cases
+        .iter()
+        .map(|case| serial_run(case, population(case)))
+        .collect();
+    check_batch(cases, &serial, |auto| auto, pool)
+}
+
+/// The three batch shapes of the 36-schedule corpus (the floor is 32).
+/// Each group mixes synchronous, adaptive, and random adversaries, with
+/// seed-dependent crash injection.
+fn corpus() -> [Vec<Case>; 3] {
     let groups = [
         group(4, 16, 0xBA7C_4000),
         group(8, 12, 0xBA7C_8000),
         group(16, 8, 0xBA7C_1600),
     ];
     assert!(groups.iter().map(Vec::len).sum::<usize>() >= 32);
+    groups
+}
+
+#[test]
+fn batched_schedules_are_byte_identical_to_serial_runs() {
     // Thread ONE pool through all groups: equivalence must survive
     // recycled slabs, store lanes, and trace columns (the chaos
     // campaign driver reuses its pool exactly like this).
     let mut pool = BatchPool::new();
-    for cases in &groups {
+    for cases in &corpus() {
         pool = check_group(cases, pool);
+    }
+}
+
+/// A commit automaton that never uses the broadcast slot: whatever its
+/// inner automaton's outbox reaches, destination by destination in the
+/// outbox's own order, it sends directly.
+struct Unrolled {
+    inner: CommitAutomaton,
+    said: Outbox<CommitMsg>,
+}
+
+impl Unrolled {
+    fn new(inner: CommitAutomaton) -> Unrolled {
+        Unrolled {
+            inner,
+            said: Outbox::new(),
+        }
+    }
+}
+
+impl Automaton for Unrolled {
+    type Msg = CommitMsg;
+
+    fn id(&self) -> ProcessorId {
+        self.inner.id()
+    }
+
+    fn population(&self) -> usize {
+        self.inner.population()
+    }
+
+    fn step_into<'a>(
+        &mut self,
+        inbox: impl Iterator<Item = (ProcessorId, &'a CommitMsg)>,
+        rng: &mut StepRng,
+        out: &mut Outbox<CommitMsg>,
+    ) {
+        self.inner.step_into(inbox, rng, &mut self.said);
+        for (to, msg) in self.said.sends(self.id(), self.population()) {
+            out.send(to, msg.clone());
+        }
+        self.said.clear();
+    }
+
+    fn status(&self) -> Status {
+        self.inner.status()
+    }
+}
+
+#[test]
+fn a_broadcast_is_the_same_schedule_as_its_unrolled_sends() {
+    // One body shared by n − 1 slots against n − 1 bodies of one slot
+    // each: ids, records, per-destination order — the whole trace —
+    // must not tell them apart, on any of the three engines.
+    let mut pool = BatchPool::new();
+    for cases in &corpus() {
+        let serial: Vec<SerialOutcome> = cases
+            .iter()
+            .map(|case| serial_run(case, population(case)))
+            .collect();
+        for (case, truth) in cases.iter().zip(&serial) {
+            let procs = population(case).into_iter().map(Unrolled::new).collect();
+            assert_same(case, "unrolled serial", &serial_run(case, procs), truth);
+        }
+        pool = check_batch(cases, &serial, Unrolled::new, pool);
+
+        let workers = 2;
+        let mut builder = ParBatchSimBuilder::with_workers(workers);
+        for (l, case) in cases.iter().enumerate() {
+            let procs = population(case).into_iter().map(Unrolled::new).collect();
+            builder
+                .instance_on(sim_builder(case), procs, worker_of(l, workers))
+                .unwrap();
+        }
+        let mut sharded = builder.build();
+        let mut advs: Vec<_> = cases.iter().map(adversary).collect();
+        let reports = sharded.run(&mut advs, RunLimits::default()).unwrap();
+        for (i, (report, case)) in reports.into_iter().zip(cases).enumerate() {
+            let decisions = sharded
+                .decisions(i)
+                .iter()
+                .map(|d| (d.p, d.value))
+                .collect();
+            let lane = (report, sharded.to_trace(i).digest(), decisions);
+            assert_same(case, "unrolled W=2", &lane, &serial[i]);
+        }
     }
 }
 
@@ -193,8 +308,8 @@ fn pooled_rerun_reproduces_digests_exactly() {
     // digests must be byte-identical (pooling is invisible).
     let cases = group(8, 8, 0x9E_0001);
     let digests_of = |pool: BatchPool<CommitMsg>| {
-        let mut batch = build_batch(&cases, pool);
-        let mut advs: Vec<Box<dyn Adversary>> = cases.iter().map(adversary).collect();
+        let mut batch = build_batch(&cases, |auto| auto, pool);
+        let mut advs: Vec<_> = cases.iter().map(adversary).collect();
         batch.run(&mut advs, RunLimits::default()).unwrap();
         let digests: Vec<u64> = (0..cases.len())
             .map(|i| batch.to_trace(i).digest())
