@@ -102,6 +102,7 @@ impl Default for CampaignConfig {
                 tick: Duration::from_millis(1),
                 max_steps: 400,
                 wall_timeout: Duration::from_secs(2),
+                ..ClusterOptions::default()
             },
             run_sim: true,
             run_runtime: true,
@@ -508,6 +509,7 @@ mod tests {
                 tick: Duration::from_millis(1),
                 max_steps: 400,
                 wall_timeout: Duration::from_secs(15),
+                ..ClusterOptions::default()
             },
             workers: 1,
             ..CampaignConfig::default()

@@ -229,6 +229,7 @@ mod tests {
             tick: Duration::from_millis(1),
             max_steps: 400,
             wall_timeout: Duration::from_secs(2),
+            ..ClusterOptions::default()
         }
     }
 

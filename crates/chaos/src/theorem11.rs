@@ -75,6 +75,7 @@ mod tests {
             tick: Duration::from_millis(1),
             max_steps: 300,
             wall_timeout: Duration::from_millis(1500),
+            ..ClusterOptions::default()
         };
         let evidence = run_theorem11(3, 1986, 400_000, cluster);
         assert!(

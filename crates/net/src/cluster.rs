@@ -14,8 +14,16 @@
 //! crash snapshots, respawn and lateness feed as the channel substrate,
 //! stepping all `m` instances once per tick. This module is what goes
 //! around it: sockets, acceptors, readers, proxies, the link mesh, and
-//! [`TcpLinks`], which turns a node's send into a CRC frame on the
-//! right peer link.
+//! [`TcpLinks`], which turns a tick of a node's sends into one buffer
+//! of frames per peer link.
+//!
+//! The tick is the unit of I/O on both sides of a socket: a node's
+//! frames for one peer leave in one write per flush (the bytes and
+//! order on the link that one write per frame would put there), and a
+//! reader hands its node the complete frames of one read as one inbox
+//! item. Nothing polls: acceptors block in `accept` until a
+//! self-connect ([`wake_acceptor`]), links end when teardown drops
+//! their senders, readers at the EOF that follows.
 //!
 //! * Each node owns one real [`TcpListener`]; acceptor and reader
 //!   threads outlive node crashes, so frames that arrive while a node
@@ -30,29 +38,40 @@
 use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{unbounded, Sender};
-use rtc_model::{ProcessorId, Recoverable, SeedCollection};
+use crossbeam_channel::{unbounded, Receiver, Sender};
+use rtc_model::{Outbox, ProcessorId, Recoverable, SeedCollection};
 use rtc_runtime::{
-    ClusterCore, ClusterReport, DelayModel, Envelope, FaultPlan, Links, SupervisorPolicy,
+    ClusterCore, ClusterReport, DelayModel, Envelope, FaultPlan, Inbound, Links, SupervisorPolicy,
     SupervisorReport,
 };
 
 use crate::options::NetOptions;
-use crate::peer::{spawn_link, NetCounters};
+use crate::peer::{spawn_link, Batch, NetCounters};
 use crate::proxy::FaultProxy;
-use crate::wire::{encode_frame, try_decode_frame, Frame, Wire};
+use crate::wire::{append_frame, try_decode_frame, Frame, Wire, WireError, HEADER};
 
 /// Socket-layer totals for one run.
 #[derive(Clone, Debug, Default)]
 pub struct NetRunStats {
     /// Frames link senders wrote to a socket.
     pub frames_sent: u64,
-    /// Frames dropped because a link had exhausted its retry budget
-    /// (or teardown overtook them).
+    /// The socket writes that carried them: one per link per tick that
+    /// had anything to send.
+    pub writes: u64,
+    /// Frames a link took in hand and never wrote, for one of two
+    /// reasons. *The link gave up*: its retry budget ran out
+    /// (`links_given_up` counts those links) and everything it was
+    /// handed from then on is dropped — frames somebody may have been
+    /// waiting for. *Teardown overtook the frame*: `finish` was called
+    /// while it was still queued, which the drivers do once every owed
+    /// decision is in, so nobody was waiting for it — typically the
+    /// last decider's decision broadcast; a link counts the whole batch
+    /// it had in hand, not what was queued behind it. With
+    /// `links_given_up` at zero every drop is of the second kind.
     pub frames_dropped: u64,
     /// Successful re-establishments of a broken connection.
     pub reconnects: u64,
@@ -102,68 +121,144 @@ impl NetReport {
     }
 }
 
-/// The socket substrate's [`Links`]: `links[i][j]` is the frame channel
-/// from node `i` toward node `j`'s listener (or proxy).
+/// One peer link as its node sees it: the tick's frames so far, the
+/// link thread's channel, and the buffers the link hands back.
+struct Outgoing {
+    batch: Batch,
+    tx: Sender<Batch>,
+    spare: Receiver<Vec<u8>>,
+}
+
+/// Node `i`'s side of its `n` peer links (toward each node's listener,
+/// or proxy), and the encoding of the broadcast being filed.
+struct Outbound {
+    body: Vec<u8>,
+    links: Vec<Outgoing>,
+}
+
+/// The socket substrate's [`Links`]. Only node `i` locks `nodes[i]`.
 struct TcpLinks {
-    links: Vec<Vec<Sender<Vec<u8>>>>,
+    nodes: Vec<Mutex<Outbound>>,
 }
 
 impl<M: Wire + Send + 'static> Links<M> for TcpLinks {
-    fn send(&self, to: ProcessorId, env: Envelope<M>) {
-        let from = env.from;
-        let bytes = encode_frame(&Frame {
-            from,
-            instance: env.instance as u32,
-            sent_at_tick: env.sent_at_tick,
-            sent_event: env.sent_event,
-            msg: env.msg,
-        });
-        // A send can fail only during teardown.
-        let _ = self.links[from.index()][to.index()].send(bytes);
+    fn send(&self, step: Envelope<&Outbox<M>>, n: usize) {
+        let mut node = self.nodes[step.from.index()]
+            .lock()
+            .expect("no node panics holding its links");
+        let Outbound { body, links } = &mut *node;
+        let header = Frame {
+            from: step.from,
+            instance: step.instance as u32,
+            sent_at_tick: step.sent_at_tick,
+            sent_event: step.sent_event,
+            msg: (),
+        };
+        let direct = step.msg.direct();
+        body.clear();
+        for (to, msg) in step.msg.sends(step.from, n) {
+            let batch = &mut links[to.index()].batch;
+            if direct.iter().any(|s| std::ptr::eq(&s.msg, msg)) {
+                append_frame(&mut batch.bytes, &header, msg);
+            } else {
+                // A frame names no destination, so the broadcast is
+                // encoded once and copied.
+                if body.is_empty() {
+                    append_frame(body, &header, msg);
+                }
+                batch.bytes.extend_from_slice(body);
+            }
+            batch.frames += 1;
+        }
+    }
+
+    fn flush(&self, from: ProcessorId) {
+        let mut node = self.nodes[from.index()]
+            .lock()
+            .expect("no node panics holding its links");
+        for link in node.links.iter_mut().filter(|l| l.batch.frames > 0) {
+            // A recycled buffer; before the link has returned one, a
+            // new one as large as the tick it stands in for — one
+            // allocation, not a doubling chain per buffer.
+            let spare = link.spare.try_recv();
+            let fresh = Batch {
+                bytes: spare.unwrap_or_else(|_| Vec::with_capacity(link.batch.bytes.len())),
+                frames: 0,
+            };
+            // A send can fail only during teardown.
+            let _ = link.tx.send(std::mem::replace(&mut link.batch, fresh));
+        }
     }
 }
 
-/// Spawns the acceptor for node `i`'s real listener. Each accepted
-/// connection gets a reader thread that parses frames into the node's
-/// inbox; readers outlive node crashes, so the inbox keeps filling
-/// while the node is down.
-fn spawn_acceptor<M>(
-    listener: TcpListener,
-    inbox: Sender<Envelope<M>>,
-    done: Arc<AtomicBool>,
-) -> thread::JoinHandle<()>
-where
-    M: Wire + Send + 'static,
-{
-    thread::spawn(move || {
-        let mut readers: Vec<thread::JoinHandle<()>> = Vec::new();
-        while !done.load(Ordering::Relaxed) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let inbox = inbox.clone();
-                    let done = Arc::clone(&done);
-                    readers.push(thread::spawn(move || read_frames(stream, &inbox, &done)));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(1));
-                }
-                Err(_) => break,
+/// Accepts connections until woken with `done` set, giving each to the
+/// thread `serve` spawns, and joins those threads. The accept blocks —
+/// a link's first frame finds its reader without waiting out a poll —
+/// so ending it takes [`wake_acceptor`].
+pub(crate) fn accept_until_done(
+    listener: &TcpListener,
+    done: &AtomicBool,
+    mut serve: impl FnMut(TcpStream) -> thread::JoinHandle<()>,
+) {
+    let mut serving = Vec::new();
+    while let Ok((stream, _)) = listener.accept() {
+        if done.load(Ordering::Relaxed) {
+            break;
+        }
+        serving.push(serve(stream));
+    }
+    for h in serving {
+        let _ = h.join();
+    }
+}
+
+/// Ends the [`accept_until_done`] listening on `addr`, once `done` is
+/// set: one connection to it is all it takes. (A listener in this
+/// process accepts or refuses at once; the deadline is a formality.)
+pub(crate) fn wake_acceptor(addr: SocketAddr) {
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+}
+
+/// Decodes every complete frame in `buf` onto `batch` and removes their
+/// bytes, once, leaving a torn tail for the next read to complete.
+///
+/// # Errors
+///
+/// A frame that fails to decode poisons the stream; the frames before
+/// it are on `batch`.
+fn drain_frames<M: Wire>(buf: &mut Vec<u8>, batch: &mut Vec<Envelope<M>>) -> Result<(), WireError> {
+    let mut at = 0;
+    let outcome = loop {
+        match try_decode_frame::<M>(&buf[at..]) {
+            Ok(Some((frame, used))) => {
+                at += used;
+                batch.push(Envelope {
+                    from: frame.from,
+                    instance: frame.instance as usize,
+                    sent_at_tick: frame.sent_at_tick,
+                    sent_event: frame.sent_event,
+                    msg: frame.msg,
+                });
             }
+            Ok(None) => break Ok(()),
+            Err(e) => break Err(e),
         }
-        for r in readers {
-            let _ = r.join();
-        }
-    })
+    };
+    buf.drain(..at);
+    outcome
 }
 
 /// Reads frames off one connection into the inbox until EOF, error, or
-/// teardown. Reads are accumulated into a buffer and parsed at frame
-/// boundaries, so a read deadline can never tear a frame.
-fn read_frames<M>(mut stream: TcpStream, inbox: &Sender<Envelope<M>>, done: &AtomicBool)
+/// teardown; readers outlive node crashes, so the inbox keeps filling
+/// while the node is down. Reads accumulate in a buffer parsed at frame
+/// boundaries, so a read deadline can never tear a frame, and the
+/// frames of one read are one inbox item.
+fn read_frames<M>(mut stream: TcpStream, inbox: &Sender<Inbound<M>>, done: &AtomicBool)
 where
     M: Wire,
 {
-    // The deadline doubles as the teardown poll interval.
+    // EOF ends a reader — its link closes at teardown; the deadline is
+    // for a peer that goes quiet without closing.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
@@ -175,23 +270,17 @@ where
             Ok(0) => return, // peer closed
             Ok(n) => {
                 buf.extend_from_slice(&chunk[..n]);
-                loop {
-                    match try_decode_frame::<M>(&buf) {
-                        Ok(Some((frame, used))) => {
-                            buf.drain(..used);
-                            let _ = inbox.send(Envelope {
-                                from: frame.from,
-                                instance: frame.instance as usize,
-                                sent_at_tick: frame.sent_at_tick,
-                                sent_event: frame.sent_event,
-                                msg: frame.msg,
-                            });
-                        }
-                        Ok(None) => break,
-                        // A poisoned stream cannot be resynchronised;
-                        // the sender will reconnect and resend.
-                        Err(_) => return,
-                    }
+                // No frame is shorter than its header: one allocation
+                // holds whatever this read completed.
+                let mut batch = Vec::with_capacity(buf.len() / (4 + HEADER));
+                let poisoned = drain_frames(&mut buf, &mut batch).is_err();
+                if !batch.is_empty() {
+                    let _ = inbox.send(Inbound::Msgs(batch));
+                }
+                if poisoned {
+                    // A poisoned stream cannot be resynchronised; the
+                    // sender will reconnect and resend.
+                    return;
                 }
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
@@ -210,7 +299,8 @@ where
     core: ClusterCore<A, TcpLinks>,
     counters: Arc<NetCounters>,
     link_handles: Vec<thread::JoinHandle<()>>,
-    acceptor_handles: Vec<thread::JoinHandle<()>>,
+    /// Each node's acceptor, and the address that wakes it.
+    acceptors: Vec<(SocketAddr, thread::JoinHandle<()>)>,
     proxies: Vec<FaultProxy>,
 }
 
@@ -265,7 +355,6 @@ where
         let mut real_addrs: Vec<SocketAddr> = Vec::with_capacity(n);
         for _ in 0..n {
             let l = TcpListener::bind("127.0.0.1:0").expect("bind node listener on localhost");
-            l.set_nonblocking(true).expect("nonblocking listener");
             real_addrs.push(l.local_addr().expect("listener address"));
             listeners.push(l);
         }
@@ -298,24 +387,37 @@ where
             }
         }
 
-        // Inboxes and their feeding acceptors.
-        let (inbox_tx, inbox_rx): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
-        let acceptor_handles = listeners
+        // Inboxes and their feeding acceptors: each accepted connection
+        // gets a reader thread.
+        let inboxes: Vec<_> = (0..n).map(|_| unbounded()).collect();
+        let acceptors = listeners
             .into_iter()
-            .zip(inbox_tx)
-            .map(|(listener, tx)| spawn_acceptor(listener, tx, Arc::clone(&done)))
+            .zip(&inboxes)
+            .zip(&real_addrs)
+            .map(|((listener, (inbox, _)), addr)| {
+                let (inbox, done) = (inbox.clone(), Arc::clone(&done));
+                let acceptor = thread::spawn(move || {
+                    accept_until_done(&listener, &done, |stream| {
+                        let (inbox, done) = (inbox.clone(), Arc::clone(&done));
+                        thread::spawn(move || read_frames(stream, &inbox, &done))
+                    });
+                });
+                (*addr, acceptor)
+            })
             .collect();
 
         // The n×n link mesh.
-        let mut links: Vec<Vec<Sender<Vec<u8>>>> = Vec::with_capacity(n);
+        let mut nodes = Vec::with_capacity(n);
         let mut link_handles = Vec::with_capacity(n * n);
         for i in 0..n {
             let mut row = Vec::with_capacity(n);
             for (j, addr) in peer_addrs.iter().enumerate() {
-                let (tx, rx) = unbounded::<Vec<u8>>();
+                let (tx, rx) = unbounded();
+                let (spare_tx, spare) = unbounded();
                 link_handles.push(spawn_link(
                     *addr,
                     rx,
+                    spare_tx,
                     opts.reconnect,
                     opts.connect_deadline,
                     opts.io_deadline,
@@ -323,9 +425,16 @@ where
                     Arc::clone(&counters),
                     opts.reconnect.seed ^ ((i as u64) << 32) ^ j as u64,
                 ));
-                row.push(tx);
+                row.push(Outgoing {
+                    batch: Batch::default(),
+                    tx,
+                    spare,
+                });
             }
-            links.push(row);
+            nodes.push(Mutex::new(Outbound {
+                body: Vec::new(),
+                links: row,
+            }));
         }
 
         let core = ClusterCore::boot(
@@ -334,14 +443,14 @@ where
             &faults,
             &opts.cluster(),
             done,
-            inbox_rx,
-            TcpLinks { links },
+            inboxes,
+            TcpLinks { nodes },
         );
         NetClusterCore {
             core,
             counters,
             link_handles,
-            acceptor_handles,
+            acceptors,
             proxies,
         }
     }
@@ -357,13 +466,17 @@ where
         self.core.all_owing_decided()
     }
 
-    /// Stops every thread and assembles the report.
+    /// Stops every thread and assembles the report. The order makes it
+    /// prompt: the core stops the nodes and drops the links' senders,
+    /// so every link thread returns and closes its socket, and the
+    /// proxies' handlers and the readers are at EOF by the time their
+    /// acceptors are woken to join them.
     pub fn finish(self, recovered: Vec<bool>, decided_in_time: bool) -> NetReport {
         let NetClusterCore {
             core,
             counters,
             link_handles,
-            acceptor_handles,
+            acceptors,
             proxies,
         } = self;
         let instances = core.finish(recovered, decided_in_time, || {
@@ -371,13 +484,17 @@ where
                 let _ = h.join();
             }
             let held: u64 = proxies.into_iter().map(FaultProxy::finish).sum();
-            for h in acceptor_handles {
+            for (addr, _) in &acceptors {
+                wake_acceptor(*addr);
+            }
+            for (_, h) in acceptors {
                 let _ = h.join();
             }
             held + counters.frames_dropped.load(Ordering::Relaxed)
         });
         let stats = NetRunStats {
             frames_sent: counters.frames_sent.load(Ordering::Relaxed),
+            writes: counters.writes.load(Ordering::Relaxed),
             frames_dropped: counters.frames_dropped.load(Ordering::Relaxed),
             reconnects: counters.reconnects.load(Ordering::Relaxed),
             links_given_up: counters.links_given_up.load(Ordering::Relaxed),
@@ -451,6 +568,88 @@ mod tests {
         let mut o = NetOptions::derived(Duration::from_millis(1), TimingParams::default());
         o.wall_timeout = Duration::from_secs(30);
         o
+    }
+
+    #[test]
+    fn frames_torn_at_any_byte_decode_as_they_would_whole() {
+        use rtc_core::{CommitKind, CommitMsg};
+        // Four frames of different lengths, as one byte stream.
+        let frames: Vec<Frame<CommitMsg>> = (0..4usize)
+            .map(|i| Frame {
+                from: ProcessorId::new(i % 3),
+                instance: i as u32,
+                sent_at_tick: 10 + i as u64,
+                sent_event: 100 + i as u64,
+                msg: CommitMsg {
+                    go: None,
+                    kinds: vec![CommitKind::Vote(Value::One); i].into(),
+                },
+            })
+            .collect();
+        let encoded: Vec<Vec<u8>> = frames.iter().map(crate::wire::encode_frame).collect();
+        let seen = |batch: &[Envelope<CommitMsg>]| -> Vec<Frame<CommitMsg>> {
+            let frame = |e: &Envelope<CommitMsg>| Frame {
+                from: e.from,
+                instance: e.instance as u32,
+                sent_at_tick: e.sent_at_tick,
+                sent_event: e.sent_event,
+                msg: e.msg.clone(),
+            };
+            batch.iter().map(frame).collect()
+        };
+        // One feed per frame: the reference.
+        let (mut buf, mut batch) = (Vec::new(), Vec::new());
+        for bytes in &encoded {
+            buf.extend_from_slice(bytes);
+            drain_frames(&mut buf, &mut batch).expect("valid frames");
+            assert!(buf.is_empty());
+        }
+        assert_eq!(seen(&batch), frames);
+        // The first k frames in one stream, split in two reads at every
+        // byte offset: the same envelopes in the same order, the first
+        // read yielding exactly the frames it completes.
+        for k in 1..=encoded.len() {
+            let stream = encoded[..k].concat();
+            for cut in 0..=stream.len() {
+                let (mut buf, mut batch) = (Vec::new(), Vec::new());
+                buf.extend_from_slice(&stream[..cut]);
+                drain_frames(&mut buf, &mut batch).expect("valid frames");
+                let whole = encoded[..k]
+                    .iter()
+                    .scan(0, |end, bytes| {
+                        *end += bytes.len();
+                        Some(*end)
+                    })
+                    .filter(|end| *end <= cut)
+                    .count();
+                assert_eq!(batch.len(), whole, "k = {k}, cut at {cut}");
+                buf.extend_from_slice(&stream[cut..]);
+                drain_frames(&mut buf, &mut batch).expect("valid frames");
+                assert!(buf.is_empty(), "k = {k}, cut at {cut}");
+                assert_eq!(seen(&batch), frames[..k], "k = {k}, cut at {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn finish_does_not_wait_out_a_tick() {
+        // Nodes parked in a 50 ms tick, links in their idle wait,
+        // acceptors in `accept`: `finish` wakes each instead of waiting
+        // any of them out.
+        let c = cfg(3);
+        let mut slow = NetOptions::derived(Duration::from_millis(50), TimingParams::default());
+        slow.wall_timeout = Duration::from_secs(30);
+        let net = NetClusterCore::boot(
+            vec![commit_population(c, &[Value::One; 3])],
+            vec![SeedCollection::new(12)],
+            FaultPlan::none(),
+            &slow,
+        );
+        let called = Instant::now();
+        let report = net.finish(vec![false; 3], false);
+        let took = called.elapsed();
+        assert!(took < Duration::from_millis(25), "finish took {took:?}");
+        assert!(report.instances[0].steps.iter().all(|s| *s <= 1));
     }
 
     #[test]

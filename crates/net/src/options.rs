@@ -15,6 +15,9 @@ pub struct NetOptions {
     pub max_steps: u64,
     /// Hard cap on wall-clock time for the whole run.
     pub wall_timeout: Duration,
+    /// The model's `K`, which the run's lateness monitor classifies
+    /// against ([`ClusterOptions::lateness_k`]).
+    pub lateness_k: u64,
     /// Deadline on every socket read and write. Blocking I/O without a
     /// deadline would let one dead peer wedge a node past every timeout
     /// the protocol owns, so no socket operation in this crate may
@@ -60,6 +63,7 @@ impl NetOptions {
             tick,
             max_steps: base.max_steps,
             wall_timeout: base.wall_timeout,
+            lateness_k: base.lateness_k,
             io_deadline,
             connect_deadline: io_deadline,
             reconnect: SupervisorPolicy::default(),
@@ -72,6 +76,7 @@ impl NetOptions {
             tick: self.tick,
             max_steps: self.max_steps,
             wall_timeout: self.wall_timeout,
+            lateness_k: self.lateness_k,
         }
     }
 }

@@ -1,25 +1,34 @@
 //! Outbound links: one sender thread per (source, destination) pair.
 //!
 //! A link owns a lazily-established TCP connection to its peer's
-//! listener (or to the peer's fault proxy, when one is interposed).
-//! Writes carry a deadline; a failed write or connect sends the link
-//! through a bounded reconnect loop paced by the supervisor's backoff
-//! formula. Only when the retry budget is exhausted is the peer marked
-//! down and its traffic dropped (and counted: those frames surface as
-//! `messages_undelivered`).
+//! listener (or to the peer's fault proxy, when one is interposed). Its
+//! unit of work is a [`Batch`]: every frame its node sent this peer in
+//! one tick, back to back in one buffer, which costs one liveness probe
+//! and one `write_all` however many frames it holds. Writes carry a
+//! deadline; a failed write or connect sends the link through a bounded
+//! reconnect loop paced by the supervisor's backoff formula. Only when
+//! the retry budget is exhausted is the peer marked down and its
+//! traffic dropped (and counted: those frames surface as
+//! `messages_undelivered`). The thread ends when its channel
+//! disconnects — teardown drops the senders — or when it meets `done`
+//! with a batch still in hand.
 //!
 //! # At-least-once delivery
 //!
 //! TCP cannot tell a sender about a peer's close until after the fact:
 //! the first write after a FIN lands in a dead socket and only the
 //! *next* write errors, so a connection reset could silently eat the
-//! frames in that window. The link therefore keeps a ring of the last
-//! [`RESEND_WINDOW`] frames it wrote and replays the whole ring after
-//! every reconnect. Frames may arrive more than once — never zero
-//! times. That is exactly the contract the automata already honour for
-//! the duplication fault, so at-least-once is free at the protocol
-//! layer, and it preserves the model's eventual delivery across
-//! resets.
+//! writes in that window. The link therefore keeps a ring of its most
+//! recent writes — as few as cover [`RESEND_WINDOW`] frames, so the
+//! ring retains frames' worth of bytes, not batches' worth — and
+//! replays the whole ring, oldest first, after every reconnect. A write
+//! is replayed whole or not at all. Frames may arrive more than once —
+//! never zero times. That is exactly the contract the automata already
+//! honour for the duplication fault, so at-least-once is free at the
+//! protocol layer, and it preserves the model's eventual delivery
+//! across resets. A batch the ring lets go is handed back to the
+//! sending node, which fills it again: tick buffers circulate, they are
+//! not allocated per flush.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -29,7 +38,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use crossbeam_channel::{Receiver, RecvTimeoutError};
+use crossbeam_channel::{Receiver, RecvTimeoutError, Sender};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rtc_runtime::SupervisorPolicy;
@@ -39,7 +48,10 @@ use rtc_runtime::SupervisorPolicy;
 pub(crate) struct NetCounters {
     /// Frames successfully written to a socket by link senders.
     pub(crate) frames_sent: AtomicU64,
-    /// Frames dropped because their link had given up.
+    /// The socket writes that carried them: one per batch.
+    pub(crate) writes: AtomicU64,
+    /// Frames dropped because their link had given up, or because
+    /// teardown overtook them.
     pub(crate) frames_dropped: AtomicU64,
     /// Successful re-establishments of a previously broken connection.
     pub(crate) reconnects: AtomicU64,
@@ -50,11 +62,19 @@ pub(crate) struct NetCounters {
 }
 
 /// How many recently-written frames a link retains for replay after a
-/// reconnect. The loss window of an undetected reset is the handful of
-/// frames written between the peer's FIN and the first failing write —
-/// on loopback with tick-paced traffic that is one or two frames, so a
+/// reconnect, at least. The loss window of an undetected reset is what
+/// was written between the peer's FIN and the first failing write — on
+/// loopback with tick-paced traffic that is one or two writes, so a
 /// small ring amply covers it.
-const RESEND_WINDOW: usize = 16;
+const RESEND_WINDOW: u64 = 16;
+
+/// What one node sent one peer in one tick: whole frames back to back,
+/// and how many.
+#[derive(Debug, Default)]
+pub(crate) struct Batch {
+    pub(crate) bytes: Vec<u8>,
+    pub(crate) frames: u64,
+}
 
 /// Sleeps for `total` in small slices, bailing out early when `done`
 /// flips — a link mid-backoff must not stall teardown.
@@ -103,8 +123,12 @@ struct LinkState {
     failures: u32,
     given_up: bool,
     ever_connected: bool,
-    /// Replay ring for at-least-once delivery (module docs).
-    recent: VecDeque<Vec<u8>>,
+    /// Replay ring for at-least-once delivery (module docs), and how
+    /// many frames it holds.
+    recent: VecDeque<Batch>,
+    recent_frames: u64,
+    /// Where batches the ring lets go return to, emptied.
+    spare: Sender<Vec<u8>>,
     /// Whether the next (re)connect must replay the ring: set when a
     /// write failed or an idle probe found the connection dead, i.e.
     /// frames may sit in a dead socket's buffer.
@@ -112,18 +136,21 @@ struct LinkState {
 }
 
 impl LinkState {
-    /// Delivers `frame` (or, with `None`, just flushes a pending ring
-    /// replay) or dies trying within the retry budget. Frames are only
-    /// released on a successful write.
-    fn deliver(&mut self, frame: Option<Vec<u8>>) -> DeliverOutcome {
+    /// Delivers `batch` (or, with `None`, just flushes a pending ring
+    /// replay) or dies trying within the retry budget; a link that has
+    /// given up drops it. A batch is only released on a successful
+    /// write. Returns `false` when teardown overtook the batch: the
+    /// link is done.
+    fn deliver(&mut self, batch: Option<Batch>) -> bool {
+        let frames = batch.as_ref().map_or(0, |b| b.frames);
         loop {
-            if self.done.load(Ordering::Relaxed) {
-                // Teardown won the race; the frame would arrive after
-                // every node stopped listening.
-                if frame.is_some() {
-                    self.counters.frames_dropped.fetch_add(1, Ordering::Relaxed);
-                }
-                return DeliverOutcome::Teardown;
+            // Teardown won the race (the frames would arrive after
+            // every node stopped listening), or the peer is down.
+            let teardown = self.done.load(Ordering::Relaxed);
+            if teardown || self.given_up {
+                let dropped = &self.counters.frames_dropped;
+                dropped.fetch_add(frames, Ordering::Relaxed);
+                return !teardown;
             }
             if self.stream.is_none() {
                 match TcpStream::connect_timeout(&self.addr, self.connect_deadline) {
@@ -139,9 +166,7 @@ impl LinkState {
                         self.stream = Some(s);
                     }
                     Err(_) => {
-                        if self.fail(frame.is_some()) {
-                            return DeliverOutcome::GaveUp;
-                        }
+                        self.fail();
                         continue;
                     }
                 }
@@ -150,73 +175,79 @@ impl LinkState {
             let wrote = probe_alive(conn) && {
                 let ring_ok = if self.replay {
                     // A write failed (or an idle probe saw a FIN):
-                    // frames near the failure may be lost in the old
+                    // writes near the failure may be lost in the old
                     // socket. Replay the ring first (duplicates are
                     // protocol-safe).
-                    self.recent.iter().all(|f| conn.write_all(f).is_ok())
+                    self.recent.iter().all(|b| conn.write_all(&b.bytes).is_ok())
                 } else {
                     true
                 };
                 ring_ok
-                    && match &frame {
-                        Some(f) => conn.write_all(f).is_ok(),
+                    && match &batch {
+                        Some(b) => conn.write_all(&b.bytes).is_ok(),
                         None => true,
                     }
             };
             if wrote {
                 self.failures = 0;
                 self.replay = false;
-                if let Some(f) = frame {
-                    self.counters.frames_sent.fetch_add(1, Ordering::Relaxed);
-                    if self.recent.len() == RESEND_WINDOW {
-                        self.recent.pop_front();
-                    }
-                    self.recent.push_back(f);
+                if let Some(b) = batch {
+                    let sent = &self.counters.frames_sent;
+                    sent.fetch_add(frames, Ordering::Relaxed);
+                    self.counters.writes.fetch_add(1, Ordering::Relaxed);
+                    self.retain(b);
                 }
-                return DeliverOutcome::Sent;
+                return true;
             }
             // Broken or reset connection: reconnect, replay, resend.
             self.stream = None;
             self.replay = true;
-            if self.fail(frame.is_some()) {
-                return DeliverOutcome::GaveUp;
-            }
+            self.fail();
         }
     }
 
-    /// Books one failure; returns `true` when the budget is exhausted
-    /// (the peer is marked down for good), otherwise backs off.
-    fn fail(&mut self, drops_frame: bool) -> bool {
+    /// Puts a written batch in the ring and lets go of the oldest ones
+    /// the rest still covers [`RESEND_WINDOW`] frames without.
+    fn retain(&mut self, batch: Batch) {
+        self.recent_frames += batch.frames;
+        self.recent.push_back(batch);
+        while let Some(oldest) = self.recent.front() {
+            if self.recent_frames - oldest.frames < RESEND_WINDOW {
+                break;
+            }
+            self.recent_frames -= oldest.frames;
+            let mut bytes = self.recent.pop_front().expect("peeked").bytes;
+            bytes.clear();
+            // The node is gone only during teardown.
+            let _ = self.spare.send(bytes);
+        }
+    }
+
+    /// Books one failure: backs off, or, when the budget is exhausted,
+    /// marks the peer down for good.
+    fn fail(&mut self) {
         self.failures += 1;
         if self.failures > self.policy.max_retries {
             self.given_up = true;
             self.counters.links_given_up.fetch_add(1, Ordering::Relaxed);
-            if drops_frame {
-                self.counters.frames_dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            return true;
+            return;
         }
         sleep_unless_done(
             self.policy.backoff(self.failures - 1, &mut self.rng),
             &self.done,
         );
-        false
     }
 }
 
-enum DeliverOutcome {
-    Sent,
-    GaveUp,
-    Teardown,
-}
-
-/// Spawns the sender thread for one link. Frames arrive pre-encoded on
-/// `rx`; `seed` keys the backoff jitter so two links never thunder in
-/// lockstep after a shared outage.
+/// Spawns the sender thread for one link. Batches arrive pre-encoded
+/// on `rx` and their buffers go back on `spare`; `seed` keys the
+/// backoff jitter so two links never thunder in lockstep after a shared
+/// outage.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn spawn_link(
     addr: SocketAddr,
-    rx: Receiver<Vec<u8>>,
+    rx: Receiver<Batch>,
+    spare: Sender<Vec<u8>>,
     policy: SupervisorPolicy,
     connect_deadline: Duration,
     io_deadline: Duration,
@@ -230,23 +261,24 @@ pub(crate) fn spawn_link(
             policy,
             connect_deadline,
             io_deadline,
-            done: Arc::clone(&done),
-            counters: Arc::clone(&counters),
+            done,
+            counters,
             rng: SmallRng::seed_from_u64(seed),
             stream: None,
             failures: 0,
             given_up: false,
             ever_connected: false,
-            recent: VecDeque::with_capacity(RESEND_WINDOW),
+            recent: VecDeque::new(),
+            recent_frames: 0,
+            spare,
             replay: false,
         };
         loop {
-            let frame = match rx.recv_timeout(Duration::from_millis(2)) {
-                Ok(f) => f,
+            // The timeout paces the idle probe only; teardown drops the
+            // senders, which ends the wait at once.
+            let batch = match rx.recv_timeout(Duration::from_millis(2)) {
+                Ok(b) => b,
                 Err(RecvTimeoutError::Timeout) => {
-                    if done.load(Ordering::Relaxed) {
-                        return;
-                    }
                     // Idle probe: a reset can eat frames already
                     // written into a dead socket, and if the automaton
                     // has gone quiet there is no next write to trigger
@@ -261,20 +293,15 @@ pub(crate) fn spawn_link(
                             }
                         }
                         if link.replay {
-                            let _ = link.deliver(None);
+                            link.deliver(None);
                         }
                     }
                     continue;
                 }
                 Err(RecvTimeoutError::Disconnected) => return,
             };
-            if link.given_up {
-                counters.frames_dropped.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            match link.deliver(Some(frame)) {
-                DeliverOutcome::Teardown => return,
-                DeliverOutcome::Sent | DeliverOutcome::GaveUp => {}
+            if !link.deliver(Some(batch)) {
+                return;
             }
         }
     })
@@ -298,50 +325,104 @@ mod tests {
         }
     }
 
+    /// A batch of `frames` one-byte "frames".
+    fn batch(frames: &[u8]) -> Batch {
+        Batch {
+            bytes: frames.to_vec(),
+            frames: frames.len() as u64,
+        }
+    }
+
     #[test]
     fn frames_survive_a_connection_reset() {
         // rtc-allow(socket-deadline): test-only accept/read harness
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let (tx, rx) = unbounded();
-        let done = Arc::new(AtomicBool::new(false));
+        let (spare_tx, spare) = unbounded();
         let counters = Arc::new(NetCounters::default());
         let handle = spawn_link(
             addr,
             rx,
+            spare_tx,
             policy(),
             Duration::from_millis(100),
             Duration::from_millis(100),
-            Arc::clone(&done),
+            Arc::new(AtomicBool::new(false)),
             Arc::clone(&counters),
             7,
         );
 
-        tx.send(vec![1, 2, 3]).expect("send");
-        // Accept the first connection, read its bytes, then slam it shut.
+        tx.send(batch(&[1])).expect("send");
+        // Accept the first connection and read its frame. The
+        // three-frame batch that follows is never read: whether the
+        // link writes it before or after it can see the close, it
+        // lands in a dead socket or is refused — then slam the
+        // connection shut.
         let (mut conn, _) = listener.accept().expect("accept");
-        let mut buf = [0u8; 3];
+        let mut buf = [0u8; 1];
         conn.read_exact(&mut buf).expect("first frame");
-        assert_eq!(buf, [1, 2, 3]);
+        assert_eq!(buf, [1]);
+        tx.send(batch(&[2, 3, 4])).expect("send");
         drop(conn);
-        // Give the FIN time to reach the sender's kernel so the probe
-        // sees it deterministically.
+        // Give the FIN time to reach the sender's kernel so a probe
+        // (the idle one, if the batch beat the close) sees it
+        // deterministically.
         thread::sleep(Duration::from_millis(30));
 
-        // The next frame must arrive over a fresh connection, preceded
-        // by the replay of the ring (at-least-once, never zero-times).
-        tx.send(vec![4, 5, 6, 7]).expect("send");
+        // The next batch must arrive over a fresh connection, preceded
+        // by the replay of the ring (at-least-once, never zero-times):
+        // the lost batch whole, in order, behind the write before it.
+        tx.send(batch(&[5, 6])).expect("send");
         let (mut conn, _) = listener.accept().expect("re-accept");
-        let mut buf = [0u8; 7];
+        let mut buf = [0u8; 6];
         conn.read_exact(&mut buf)
-            .expect("replayed ring + second frame");
-        assert_eq!(buf, [1, 2, 3, 4, 5, 6, 7]);
+            .expect("replayed ring + last batch");
+        assert_eq!(buf, [1, 2, 3, 4, 5, 6]);
 
-        done.store(true, Ordering::Relaxed);
+        // The link ends when its senders are gone, not on a poll.
+        drop(tx);
         handle.join().expect("join");
-        assert_eq!(counters.frames_sent.load(Ordering::Relaxed), 2);
+        assert_eq!(counters.frames_sent.load(Ordering::Relaxed), 6);
+        assert_eq!(counters.writes.load(Ordering::Relaxed), 3);
         assert_eq!(counters.frames_dropped.load(Ordering::Relaxed), 0);
         assert_eq!(counters.reconnects.load(Ordering::Relaxed), 1);
+        // Six frames are inside the window: the ring let nothing go.
+        assert!(spare.try_recv().is_err());
+    }
+
+    #[test]
+    fn the_ring_covers_the_window_in_frames_and_recycles_the_rest() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let (tx, rx) = unbounded();
+        let (spare_tx, spare) = unbounded();
+        let handle = spawn_link(
+            listener.local_addr().expect("addr"),
+            rx,
+            spare_tx,
+            policy(),
+            Duration::from_millis(100),
+            Duration::from_millis(100),
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(NetCounters::default()),
+            6,
+        );
+        // 10 + 10 frames: the first batch is still needed to cover 16.
+        // A 32-frame batch covers the window alone: both go back,
+        // emptied, capacity kept.
+        for frames in [10, 10, 32] {
+            tx.send(batch(&vec![0; frames])).expect("send");
+        }
+        let _conn = listener.accept().expect("accept");
+        for _ in 0..2 {
+            let recycled = spare
+                .recv_timeout(Duration::from_secs(5))
+                .expect("a buffer");
+            assert!(recycled.is_empty() && recycled.capacity() >= 10);
+        }
+        drop(tx);
+        handle.join().expect("join");
+        assert!(spare.try_recv().is_err(), "the last batch is the ring");
     }
 
     #[test]
@@ -352,33 +433,28 @@ mod tests {
             l.local_addr().expect("addr")
         };
         let (tx, rx) = unbounded();
-        let done = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(NetCounters::default());
         let handle = spawn_link(
             addr,
             rx,
+            unbounded().0,
             policy(),
             Duration::from_millis(20),
             Duration::from_millis(20),
-            Arc::clone(&done),
+            Arc::new(AtomicBool::new(false)),
             Arc::clone(&counters),
             8,
         );
-        tx.send(vec![9]).expect("send");
-        tx.send(vec![10]).expect("send");
-        // Wait for the budget (3 retries × ≤4ms backoff, plus connect
-        // latency) to run out, then stop the link.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while counters.links_given_up.load(Ordering::Relaxed) == 0
-            && std::time::Instant::now() < deadline
-        {
-            thread::sleep(Duration::from_millis(5));
-        }
-        done.store(true, Ordering::Relaxed);
+        tx.send(batch(&[9, 10])).expect("send");
+        tx.send(batch(&[11])).expect("send");
+        // The budget (3 retries × ≤4ms backoff, plus connect latency)
+        // runs out on the first batch; the second meets a link that
+        // has given up.
+        drop(tx);
         handle.join().expect("join");
         assert_eq!(counters.links_given_up.load(Ordering::Relaxed), 1);
         assert_eq!(counters.frames_sent.load(Ordering::Relaxed), 0);
-        // Both frames are accounted as dropped, not lost silently.
-        assert_eq!(counters.frames_dropped.load(Ordering::Relaxed), 2);
+        // All three frames are accounted as dropped, not lost silently.
+        assert_eq!(counters.frames_dropped.load(Ordering::Relaxed), 3);
     }
 }

@@ -40,6 +40,7 @@ use rand::SeedableRng;
 use rtc_model::ProcessorId;
 use rtc_runtime::{Due, FaultPlan};
 
+use crate::cluster::{accept_until_done, wake_acceptor};
 use crate::peer::NetCounters;
 use crate::wire::MAX_FRAME;
 
@@ -95,7 +96,6 @@ impl FaultProxy {
     ) -> std::io::Result<FaultProxy> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let (forward_tx, forward_rx) = unbounded::<Hold>();
         let shared = Arc::new(ProxyShared {
@@ -110,35 +110,19 @@ impl FaultProxy {
         });
 
         let forwarder = spawn_forwarder(upstream, forward_rx, io_deadline, done);
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || {
-                let mut handlers: Vec<thread::JoinHandle<()>> = Vec::new();
-                let mut conn_no = 0u64;
-                while !shared.done.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            conn_no += 1;
-                            let shared = Arc::clone(&shared);
-                            // Vary the fault dice per connection so the
-                            // dst's links do not fault in lockstep.
-                            let rng =
-                                SmallRng::seed_from_u64(seed ^ conn_no.wrapping_mul(0x9E37_79B9));
-                            handlers.push(thread::spawn(move || {
-                                handle_inbound(stream, shared, rng);
-                            }));
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                            thread::sleep(Duration::from_millis(1));
-                        }
-                        Err(_) => break,
-                    }
-                }
-                for h in handlers {
-                    let _ = h.join();
-                }
-            })
-        };
+        // The acceptor and its handlers hold the only senders into the
+        // forwarder, so it ends when they have.
+        let acceptor = thread::spawn(move || {
+            let mut conn_no = 0u64;
+            accept_until_done(&listener, &shared.done, |stream| {
+                conn_no += 1;
+                let shared = Arc::clone(&shared);
+                // Vary the fault dice per connection so the dst's
+                // links do not fault in lockstep.
+                let rng = SmallRng::seed_from_u64(seed ^ conn_no.wrapping_mul(0x9E37_79B9));
+                thread::spawn(move || handle_inbound(stream, shared, rng))
+            });
+        });
 
         Ok(FaultProxy {
             addr,
@@ -150,6 +134,7 @@ impl FaultProxy {
     /// Joins the proxy's threads; returns how many frames were still
     /// held when the run ended.
     pub(crate) fn finish(self) -> u64 {
+        wake_acceptor(self.addr);
         let _ = self.acceptor.join();
         self.forwarder.join().unwrap_or(0)
     }
@@ -171,34 +156,30 @@ fn handle_inbound(mut stream: TcpStream, shared: Arc<ProxyShared>, mut rng: Smal
             Ok(0) => return, // sender closed
             Ok(k) => {
                 buf.extend_from_slice(&chunk[..k]);
-                let mut reset = false;
-                loop {
-                    match relay_one(&buf, &shared, &mut rng, &mut reset) {
-                        Ok(Some(consumed)) => {
-                            buf.drain(..consumed);
-                            if reset {
-                                // Close at a frame boundary — but drain
-                                // the complete frames already read off
-                                // the socket first: they are TCP-acked,
-                                // and the contract is that every
-                                // accepted frame is still forwarded.
-                                let mut ignored = false;
-                                while let Ok(Some(consumed)) =
-                                    relay_one(&buf, &shared, &mut rng, &mut ignored)
-                                {
-                                    buf.drain(..consumed);
-                                }
-                                shared
-                                    .counters
-                                    .resets_injected
-                                    .fetch_add(1, Ordering::Relaxed);
-                                return;
-                            }
-                        }
-                        Ok(None) => break, // need more bytes
-                        Err(()) => return, // poisoned stream: drop it
+                // Relay every complete frame of the read, then remove
+                // their bytes once. A reset closes the connection at a
+                // frame boundary, but only behind the complete frames
+                // already read off the socket: they are TCP-acked, and
+                // the contract is that every accepted frame is still
+                // forwarded.
+                let (mut at, mut reset) = (0, false);
+                let poisoned = loop {
+                    let mut rolled = false;
+                    match relay_one(&buf[at..], &shared, &mut rng, &mut rolled) {
+                        Ok(Some(consumed)) => at += consumed,
+                        Ok(None) => break false, // need more bytes
+                        Err(()) => break true,   // drop the connection
                     }
+                    reset |= rolled;
+                };
+                if reset {
+                    let resets = &shared.counters.resets_injected;
+                    resets.fetch_add(1, Ordering::Relaxed);
                 }
+                if reset || poisoned {
+                    return;
+                }
+                buf.drain(..at);
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
             Err(_) => return,

@@ -1,6 +1,7 @@
 //! Length-prefixed wire framing and message codecs.
 //!
-//! A frame is everything one socket write carries:
+//! A frame is everything one message carries across a socket (a socket
+//! write carries a whole tick of them, back to back, for one link):
 //!
 //! ```text
 //! [len: u32]                  length of the rest of the frame
@@ -93,15 +94,23 @@ pub struct Frame<M> {
 /// Encodes a frame (length prefix included) into a fresh byte vector.
 pub fn encode_frame<M: Wire>(frame: &Frame<M>) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64);
-    buf.extend_from_slice(&[0u8; 4]); // length back-patched below
-    buf.extend_from_slice(&(frame.from.index() as u32).to_le_bytes());
-    buf.extend_from_slice(&frame.instance.to_le_bytes());
-    buf.extend_from_slice(&frame.sent_at_tick.to_le_bytes());
-    buf.extend_from_slice(&frame.sent_event.to_le_bytes());
-    frame.msg.encode(&mut buf);
-    let len = (buf.len() - 4) as u32;
-    buf[..4].copy_from_slice(&len.to_le_bytes());
+    append_frame(&mut buf, frame, &frame.msg);
     buf
+}
+
+/// Appends the frame that `header`'s routing fields and `msg` make to
+/// `buf` (whatever payload `header` has is ignored): the bytes
+/// [`encode_frame`] returns, behind whatever `buf` already holds.
+pub(crate) fn append_frame<H, M: Wire>(buf: &mut Vec<u8>, header: &Frame<H>, msg: &M) {
+    let start = buf.len();
+    buf.extend_from_slice(&[0u8; 4]); // length back-patched below
+    buf.extend_from_slice(&(header.from.index() as u32).to_le_bytes());
+    buf.extend_from_slice(&header.instance.to_le_bytes());
+    buf.extend_from_slice(&header.sent_at_tick.to_le_bytes());
+    buf.extend_from_slice(&header.sent_event.to_le_bytes());
+    msg.encode(buf);
+    let len = (buf.len() - start - 4) as u32;
+    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Parses one complete frame from the front of `buf`, if present.

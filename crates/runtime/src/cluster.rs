@@ -2,25 +2,34 @@
 //! state around it.
 //!
 //! Section 2.1 of the paper has one kind of step: a processor receives
-//! a set of messages, draws its random number, and sends. [`ClusterCore`]
-//! runs that step on one OS thread per processor, once per *tick*, so
-//! local clocks advance in real time: the protocol's `2K`-tick timeouts
-//! become `2K × tick` of wall clock, and a message held longer than `K`
-//! ticks is *late* in exactly the paper's sense. A node steps `m`
-//! multiplexed instances per tick (the channel substrate runs `m = 1`).
+//! a set of messages, draws its random number, and sends a set.
+//! [`ClusterCore`] runs that step on one OS thread per processor, once
+//! per *tick*, so local clocks advance in real time: the protocol's
+//! `2K`-tick timeouts become `2K × tick` of wall clock, and a message
+//! held longer than `K` ticks is *late* in exactly the paper's sense. A
+//! node steps `m` multiplexed instances per tick (the channel substrate
+//! runs `m = 1`).
 //!
-//! What differs between substrates is only where a sent message goes,
-//! and that is the [`Links`] seam: `ChannelLinks` in this crate rolls
-//! the fault dice and hands the envelope to the receiver's inbox or the
-//! delayer; `rtc-net`'s `TcpLinks` encodes a frame for a peer socket.
-//! Inboxes are crossbeam receivers on both.
+//! Ticks are paced on absolute deadlines ([`next_deadline`]), so a local
+//! clock advances one step per tick, not one per tick-plus-step-time. A
+//! node that falls behind steps at once and paces from there; it never
+//! bursts through several steps in one tick of everyone else's clock.
+//!
+//! The tick is also the unit of I/O. What differs between substrates is
+//! only where a step's sends go, and that is the [`Links`] seam: the
+//! loop files each instance's [`Outbox`] and flushes once per tick.
+//! `ChannelLinks` in this crate rolls the fault dice per message and
+//! hands envelopes to the receiver's inbox or the delayer; `rtc-net`'s
+//! `TcpLinks` encodes frames into one buffer per peer and a flush is
+//! one socket write per link. Inboxes are crossbeam receivers of
+//! [`Inbound`] items on both.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{Receiver, RecvTimeoutError};
+use crossbeam_channel::{Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use rtc_model::{
     Delivery, LocalClock, Outbox, ProcessorId, Recoverable, SeedCollection, Status, TimingParams,
@@ -38,6 +47,10 @@ pub struct ClusterOptions {
     pub max_steps: u64,
     /// Hard cap on wall-clock time for the whole run.
     pub wall_timeout: Duration,
+    /// The model's `K` ([`TimingParams::k`]): the run's
+    /// `LatenessMonitor` calls a delivery late when some node took more
+    /// than this many steps between the send and the receive.
+    pub lateness_k: u64,
 }
 
 impl Default for ClusterOptions {
@@ -69,6 +82,7 @@ impl ClusterOptions {
             tick,
             max_steps: 200_000,
             wall_timeout: window * Self::WALL_WINDOWS + Self::WALL_MARGIN,
+            lateness_k: timing.k(),
         }
     }
 }
@@ -150,20 +164,47 @@ pub struct Envelope<M> {
     pub msg: M,
 }
 
-/// Where a node's sends go: the one thing the substrates do differently.
-/// An implementation owns a format (an in-memory envelope, a CRC frame
-/// on a socket) and whatever stands between sender and inbox; the node
-/// loop knows neither.
-pub trait Links<M>: Send + Sync + 'static {
-    /// Carries `env` from `env.from` toward `to`'s inbox. Must not
-    /// block on the receiver and must tolerate teardown: a message that
-    /// cannot be carried is accounted by the substrate, not reported
-    /// here.
-    fn send(&self, to: ProcessorId, env: Envelope<M>);
+/// What a node's inbox carries.
+#[derive(Debug)]
+pub enum Inbound<M> {
+    /// Messages that arrived together (one socket read, one channel
+    /// send), in arrival order.
+    Msgs(Vec<Envelope<M>>),
+    /// The run is over: the node returns without taking another step.
+    Stop,
 }
 
+/// Where a node's sends go: the one thing the substrates do differently.
+/// An implementation owns a format (an in-memory envelope, a frame on a
+/// socket) and whatever stands between sender and inbox; the node loop
+/// knows neither.
+pub trait Links<M>: Send + Sync + 'static {
+    /// Files what one instance sent at one step: `step.msg` is its
+    /// outbox and the rest of `step` the header every message of the
+    /// step shares; `n` is the population a broadcast fans out over
+    /// ([`Outbox::sends`] is the order on every link). Must not block
+    /// on a receiver and must tolerate teardown: a message that cannot
+    /// be carried is accounted by the substrate, not reported here.
+    fn send(&self, step: Envelope<&Outbox<M>>, n: usize);
+
+    /// Ends node `from`'s tick: whatever it filed since its last flush
+    /// and has not moved yet moves now. Called once per step, after the
+    /// last instance's `send`.
+    fn flush(&self, from: ProcessorId);
+}
+
+/// When the tick after the one due at `previous` is due: one `tick`
+/// later, or `now` for a node already past that — a late node steps at
+/// once and does not burst through the ticks it missed.
+fn next_deadline(previous: Instant, now: Instant, tick: Duration) -> Instant {
+    (previous + tick).max(now)
+}
+
+/// Both ends of a node's inbox, as [`ClusterCore::boot`] takes them.
+pub type InboxEnds<M> = (Sender<Inbound<M>>, Receiver<Inbound<M>>);
+
 /// An inbox endpoint shareable across a node's successive incarnations.
-type SharedInbox<M> = Arc<Mutex<Receiver<Envelope<M>>>>;
+type SharedInbox<M> = Arc<Mutex<Receiver<Inbound<M>>>>;
 
 /// Everything the node threads and the driving thread share.
 struct Shared<A: Recoverable, L> {
@@ -234,7 +275,7 @@ where
         let mut per_instance: Vec<Vec<Delivery<A::Msg>>> =
             autos.iter().map(|_| Vec::new()).collect();
         let mut out: Outbox<A::Msg> = Outbox::new();
-        let mut outgoing: Vec<(usize, ProcessorId, A::Msg)> = Vec::new();
+        let mut deadline = Instant::now();
         while !shared.done.load(Ordering::Relaxed) && clock < shared.max_steps {
             if crash_at == Some(clock) {
                 // Fail-stop mid-broadcast: this step's messages are
@@ -244,17 +285,14 @@ where
                 shared.down.lock()[i] = true;
                 return;
             }
-            // Collect one tick's worth of arrivals.
-            let deadline = Instant::now() + shared.tick;
+            // Collect one tick's worth of arrivals. A late node's wait
+            // is zero, which still drains what is already queued.
+            deadline = next_deadline(deadline, Instant::now(), shared.tick);
             loop {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                match rx.recv_timeout(deadline.saturating_duration_since(now)) {
-                    Ok(env) => arrivals.push(env),
+                match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                    Ok(Inbound::Msgs(batch)) => arrivals.extend(batch),
                     Err(RecvTimeoutError::Timeout) => break,
-                    Err(RecvTimeoutError::Disconnected) => return,
+                    Ok(Inbound::Stop) | Err(RecvTimeoutError::Disconnected) => return,
                 }
             }
             // This step's cluster-wide event, for the paper's lateness
@@ -284,28 +322,29 @@ where
                 let mut rng = shared.seeds[k].step_rng(id, LocalClock::new(clock));
                 auto.step_into(inbox.iter().map(|d| (d.from, &d.msg)), &mut rng, &mut out);
                 inbox.clear();
-                // An envelope owns its message, so this is where a
-                // broadcast becomes one message per destination.
-                let fan_out = out.sends(id, auto.population());
-                outgoing.extend(fan_out.map(|(to, msg)| (k, to, msg.clone())));
+                let n = auto.population();
+                let sent = out.sends(id, n).count() as u64;
+                if sent > 0 {
+                    shared.messages[k].fetch_add(sent, Ordering::Relaxed);
+                    // What a broadcast costs per destination is the
+                    // substrate's call: the outbox goes as it is.
+                    let step = Envelope {
+                        from: id,
+                        instance: k,
+                        sent_at_tick: clock + 1,
+                        sent_event: ev,
+                        msg: &out,
+                    };
+                    shared.links.send(step, n);
+                }
                 out.clear();
             }
+            // Flush before publishing: a driver that sees the decision
+            // and stops the run finds the step's messages on their way.
+            shared.links.flush(id);
             clock += 1;
             shared.steps.lock()[i] = clock;
             shared.publish_statuses(i, &autos);
-            for (k, to, msg) in outgoing.drain(..) {
-                shared.messages[k].fetch_add(1, Ordering::Relaxed);
-                shared.links.send(
-                    to,
-                    Envelope {
-                        from: id,
-                        instance: k,
-                        sent_at_tick: clock,
-                        sent_event: ev,
-                        msg,
-                    },
-                );
-            }
         }
     })
 }
@@ -317,6 +356,8 @@ where
 pub struct ClusterCore<A: Recoverable, L> {
     shared: Arc<Shared<A, L>>,
     inboxes: Vec<SharedInbox<A::Msg>>,
+    /// A sender into each inbox, for [`ClusterCore::finish`]'s stop.
+    wake: Vec<Sender<Inbound<A::Msg>>>,
     handles: Vec<thread::JoinHandle<()>>,
     start: Instant,
 }
@@ -340,11 +381,12 @@ where
     ///
     /// `instances[k]` is the population of instance `k` (all the same
     /// length `n`, in processor order) and `seeds[k]` its seed
-    /// collection; `inboxes[i]` is where the substrate delivers node
-    /// `i`'s traffic and `links` where node sends go. Of `faults` the
-    /// core reads only the scripted crash steps — network faults belong
-    /// to the substrate. `done` is raised by [`ClusterCore::finish`];
-    /// the substrate's own threads may watch the same flag.
+    /// collection; `inboxes[i]` is both ends of the channel the
+    /// substrate delivers node `i`'s traffic on (it keeps clones of the
+    /// sender) and `links` where node sends go. Of `faults` the core
+    /// reads only the scripted crash steps — network faults belong to
+    /// the substrate. `done` is raised by [`ClusterCore::finish`]; the
+    /// substrate's own threads may watch the same flag.
     ///
     /// # Panics
     ///
@@ -356,7 +398,7 @@ where
         faults: &FaultPlan,
         opts: &ClusterOptions,
         done: Arc<AtomicBool>,
-        inboxes: Vec<Receiver<Envelope<A::Msg>>>,
+        inboxes: Vec<InboxEnds<A::Msg>>,
         links: L,
     ) -> ClusterCore<A, L> {
         let m = instances.len();
@@ -397,13 +439,13 @@ where
             max_steps: opts.max_steps,
             events: AtomicU64::new(0),
             delivery_ids: AtomicU64::new(0),
-            lateness: Mutex::new(LatenessMonitor::new(n, TimingParams::default().k())),
+            lateness: Mutex::new(LatenessMonitor::new(n, opts.lateness_k)),
             links,
         });
-        let inboxes: Vec<SharedInbox<A::Msg>> = inboxes
+        let (wake, inboxes): (Vec<_>, Vec<SharedInbox<A::Msg>>) = inboxes
             .into_iter()
-            .map(|rx| Arc::new(Mutex::new(rx)))
-            .collect();
+            .map(|(tx, rx)| (tx, Arc::new(Mutex::new(rx))))
+            .unzip();
         let handles = per_node
             .into_iter()
             .enumerate()
@@ -421,6 +463,7 @@ where
         ClusterCore {
             shared,
             inboxes,
+            wake,
             handles,
             start: Instant::now(),
         }
@@ -515,11 +558,13 @@ where
     }
 
     /// Stops the node threads and assembles one report per instance.
-    /// `teardown` runs once the nodes have exited: the substrate joins
-    /// its own threads there and returns how many messages it still
-    /// held. `steps`, `crashed`, `recovered`, the undelivered count and
-    /// the lateness counts are per node or per run, and repeated in
-    /// every instance's report.
+    /// No poll interval is waited out: every node is woken by an
+    /// in-band [`Inbound::Stop`], the links are dropped — substrate
+    /// threads fed by a channel the links own see it disconnect — and
+    /// then `teardown` runs: the substrate joins its own threads there
+    /// and returns how many messages it still held. `steps`, `crashed`,
+    /// `recovered`, the undelivered count and the lateness counts are
+    /// per node or per run, and repeated in every instance's report.
     pub fn finish(
         self,
         recovered: Vec<bool>,
@@ -527,11 +572,18 @@ where
         teardown: impl FnOnce() -> u64,
     ) -> Vec<ClusterReport> {
         self.shared.done.store(true, Ordering::Relaxed);
+        for tx in &self.wake {
+            // A crashed node's inbox has nobody reading; harmless.
+            let _ = tx.send(Inbound::Stop);
+        }
         for h in self.handles {
             let _ = h.join();
         }
+        let Ok(shared) = Arc::try_unwrap(self.shared) else {
+            unreachable!("every node thread has exited and dropped its handle");
+        };
+        drop(shared.links);
         let messages_undelivered = teardown();
-        let shared = &self.shared;
         let steps = shared.steps.lock().clone();
         let crashed = shared.ever_crashed.lock().clone();
         let down = shared.down.lock().clone();
@@ -623,17 +675,19 @@ mod tests {
             tick: Duration::from_micros(300),
             max_steps: 100_000,
             wall_timeout: Duration::from_secs(20),
+            ..ClusterOptions::default()
         }
     }
 
-    /// A step recorder: every step it reports, to `p1` then `p0`, its
-    /// own step count, how many messages it has heard, and the first
-    /// draw of the step's random number.
+    /// A step recorder: every step it reports its own step count, how
+    /// many messages it has heard, and the first draw of the step's
+    /// random number — to `p1` then `p0`, or as one broadcast.
     #[derive(Clone, Debug)]
     struct Probe {
         id: ProcessorId,
         steps: u64,
         heard: u64,
+        broadcasts: bool,
     }
 
     #[derive(Clone, Debug, PartialEq)]
@@ -667,8 +721,12 @@ mod tests {
                 coin: rng.next_u64(),
             };
             self.steps += 1;
-            out.send(ProcessorId::new(1), seen.clone());
-            out.send(ProcessorId::new(0), seen);
+            if self.broadcasts {
+                out.broadcast(seen);
+            } else {
+                out.send(ProcessorId::new(1), seen.clone());
+                out.send(ProcessorId::new(0), seen);
+            }
         }
 
         fn status(&self) -> Status {
@@ -688,64 +746,101 @@ mod tests {
         }
     }
 
-    /// A `Links` that delivers nothing and reports every send.
-    struct Recorder(crossbeam_channel::Sender<(ProcessorId, Envelope<Seen>)>);
+    /// What a node asked of its `Links`, call by call.
+    #[derive(Debug)]
+    enum Call {
+        /// One `send`: the step's header, whether the outbox held a
+        /// broadcast, and what each destination receives.
+        Send(Envelope<()>, bool, Vec<(ProcessorId, Seen)>),
+        Flush(ProcessorId),
+    }
+
+    /// A `Links` that delivers nothing and reports every call.
+    struct Recorder(Sender<Call>);
 
     impl Links<Seen> for Recorder {
-        fn send(&self, to: ProcessorId, env: Envelope<Seen>) {
-            let _ = self.0.send((to, env));
+        fn send(&self, step: Envelope<&Outbox<Seen>>, n: usize) {
+            let header = Envelope {
+                from: step.from,
+                instance: step.instance,
+                sent_at_tick: step.sent_at_tick,
+                sent_event: step.sent_event,
+                msg: (),
+            };
+            let mut out = step.msg.clone();
+            let sends = step.msg.sends(step.from, n);
+            let sends = sends.map(|(to, msg)| (to, msg.clone())).collect();
+            let _ = self
+                .0
+                .send(Call::Send(header, out.take_broadcast().is_some(), sends));
         }
+
+        fn flush(&self, from: ProcessorId) {
+            let _ = self.0.send(Call::Flush(from));
+        }
+    }
+
+    /// Boots two instances of a two-`Probe` population where `p1`
+    /// crashes before its first step, so `p0` is the only thread that
+    /// ever steps, over a [`Recorder`].
+    fn boot_probes(
+        broadcasts: bool,
+        p0_crash: Option<u64>,
+        seeds: &[SeedCollection],
+        waiting: Vec<Envelope<Seen>>,
+    ) -> (ClusterCore<Probe, Recorder>, Receiver<Call>) {
+        let p = ProcessorId::new;
+        let population = || {
+            (0..2).map(|i| Probe {
+                id: p(i),
+                steps: 0,
+                heard: 0,
+                broadcasts,
+            })
+        };
+        let (calls_tx, calls) = crossbeam_channel::unbounded();
+        let inboxes: Vec<_> = (0..2).map(|_| crossbeam_channel::unbounded()).collect();
+        inboxes[0].0.send(Inbound::Msgs(waiting)).unwrap();
+        let mut faults = FaultPlan::none().with_crash(p(1), 0);
+        if let Some(at) = p0_crash {
+            faults = faults.with_crash(p(0), at);
+        }
+        let core = ClusterCore::boot(
+            vec![population().collect(), population().collect()],
+            seeds.to_vec(),
+            &faults,
+            &ClusterOptions {
+                tick: Duration::from_millis(1),
+                max_steps: 1_000,
+                ..opts()
+            },
+            Arc::new(AtomicBool::new(false)),
+            inboxes,
+            Recorder(calls_tx),
+        );
+        (core, calls)
     }
 
     #[test]
     fn the_node_loop_over_a_recording_links() {
-        // Two instances on p0; p1 crashes before its first step, so p0
-        // is the only thread that ever steps. p0 crashes at step 3.
+        // p0 crashes at step 3.
         const CRASH: u64 = 3;
         let p = ProcessorId::new;
-        let population = || {
-            vec![0, 1].into_iter().map(|i| Probe {
-                id: p(i),
-                steps: 0,
-                heard: 0,
-            })
-        };
         let seeds = vec![SeedCollection::new(91), SeedCollection::new(92)];
-        let (sent_tx, sent) = crossbeam_channel::unbounded();
-        let (inbox_tx, inbox_rx): (Vec<_>, Vec<_>) =
-            (0..2).map(|_| crossbeam_channel::unbounded()).unzip();
         // Waiting in p0's inbox: one message for instance 1, and one
         // whose tag names no instance.
-        for instance in [1, 7] {
-            inbox_tx[0]
-                .send(Envelope {
-                    from: p(1),
-                    instance,
-                    sent_at_tick: 0,
-                    sent_event: 0,
-                    msg: Seen {
-                        step: 0,
-                        heard: 0,
-                        coin: 0,
-                    },
-                })
-                .unwrap();
-        }
-        let mut core = ClusterCore::boot(
-            vec![population().collect(), population().collect()],
-            seeds.clone(),
-            &FaultPlan::none()
-                .with_crash(p(0), CRASH)
-                .with_crash(p(1), 0),
-            &ClusterOptions {
-                tick: Duration::from_millis(1),
-                max_steps: 1_000,
-                wall_timeout: Duration::from_secs(20),
+        let waiting = [1, 7].map(|instance| Envelope {
+            from: p(1),
+            instance,
+            sent_at_tick: 0,
+            sent_event: 0,
+            msg: Seen {
+                step: 0,
+                heard: 0,
+                coin: 0,
             },
-            Arc::new(AtomicBool::new(false)),
-            inbox_rx,
-            Recorder(sent_tx),
-        );
+        });
+        let (mut core, calls) = boot_probes(false, Some(CRASH), &seeds, waiting.to_vec());
         let wait = Duration::from_secs(20);
         let await_down = |core: &ClusterCore<Probe, Recorder>| {
             while !core.down()[0] {
@@ -754,30 +849,40 @@ mod tests {
             }
         };
 
-        // Every step sends instance 0's messages, then instance 1's,
-        // each in the order the automaton listed them; the loop stamps
-        // the step count after the step and draws the coin from
-        // `seeds[instance]` at the step's clock. The out-of-range tag
-        // was dropped: only instance 1 heard anything.
+        // Every step files instance 0's outbox, then instance 1's, each
+        // fanning out in the order the automaton listed its sends, then
+        // flushes once; the loop stamps the step count after the step
+        // and draws the coin from `seeds[instance]` at the step's
+        // clock. The out-of-range tag was dropped: only instance 1
+        // heard anything.
         let expect_steps = |steps: std::ops::Range<u64>| {
             for step in steps {
-                for (instance, to) in [(0, 1), (0, 0), (1, 1), (1, 0)] {
-                    let (got_to, env) = sent.recv_timeout(wait).expect("a send per step");
-                    assert_eq!((got_to, env.from, env.instance), (p(to), p(0), instance));
-                    assert_eq!(env.sent_at_tick, step + 1);
+                for instance in [0, 1] {
+                    let call = calls.recv_timeout(wait).expect("a send per instance");
+                    let Call::Send(header, false, sends) = call else {
+                        panic!("expected instance {instance}'s direct sends, got {call:?}");
+                    };
+                    assert_eq!((header.from, header.instance), (p(0), instance));
+                    assert_eq!(header.sent_at_tick, step + 1);
                     let coin = seeds[instance]
                         .step_rng(p(0), LocalClock::new(step))
                         .next_u64();
                     let heard = instance as u64;
-                    assert_eq!(env.msg, Seen { step, heard, coin });
+                    let seen = Seen { step, heard, coin };
+                    assert_eq!(sends, vec![(p(1), seen.clone()), (p(0), seen)]);
                 }
+                let call = calls.recv_timeout(wait).expect("a flush per step");
+                assert!(
+                    matches!(call, Call::Flush(from) if from == p(0)),
+                    "{call:?}"
+                );
             }
         };
         expect_steps(0..CRASH);
         // The crash fires before step 3 sends anything, and the thread
         // is gone once the node is marked down.
         await_down(&core);
-        assert!(sent.try_recv().is_err(), "a crashed node sent a message");
+        assert!(calls.try_recv().is_err(), "a crashed node sent a message");
 
         // A restart resumes both the automata (from the crash snapshot)
         // and the loop's step counter, so no step's randomness is drawn
@@ -791,6 +896,109 @@ mod tests {
         assert_eq!(reports[0].deliveries, 2, "both arrivals were classified");
         assert!(reports[0].link_delays.is_empty());
         assert_eq!(reports[1].link_delays, vec![0]);
+    }
+
+    #[test]
+    fn a_broadcast_is_filed_once_per_instance_and_a_tick_flushes_once() {
+        let p = ProcessorId::new;
+        let seeds = vec![SeedCollection::new(93), SeedCollection::new(94)];
+        let (core, calls) = boot_probes(true, None, &seeds, Vec::new());
+        let wait = Duration::from_secs(20);
+        for step in 0..4 {
+            for instance in [0, 1] {
+                // One call carries the broadcast, whatever it fans out
+                // to (here the one other processor).
+                let call = calls.recv_timeout(wait).expect("a send per instance");
+                let Call::Send(header, true, sends) = call else {
+                    panic!("expected instance {instance}'s broadcast, got {call:?}");
+                };
+                assert_eq!((header.instance, header.sent_at_tick), (instance, step + 1));
+                assert_eq!(sends.len(), 1);
+                assert_eq!((sends[0].0, sends[0].1.step), (p(1), step));
+            }
+            let call = calls.recv_timeout(wait).expect("a flush per step");
+            assert!(
+                matches!(call, Call::Flush(from) if from == p(0)),
+                "{call:?}"
+            );
+        }
+        let reports = core.finish(vec![false; 2], false, || 0);
+        // Messages are counted per destination, as before.
+        assert_eq!(reports[0].messages_sent, reports[0].steps[0]);
+    }
+
+    #[test]
+    fn deadlines_are_absolute_and_a_late_node_does_not_burst() {
+        let tick = Duration::from_millis(10);
+        let t0 = Instant::now();
+        let at = |ms: u64| t0 + Duration::from_millis(ms);
+        // On time (the step took 3 ms): the next tick is due one tick
+        // after the previous deadline, not one tick after now.
+        assert_eq!(next_deadline(at(100), at(103), tick), at(110));
+        // Late by less than a tick: step at once, and pace from there.
+        assert_eq!(next_deadline(at(100), at(117), tick), at(117));
+        assert_eq!(next_deadline(at(117), at(118), tick), at(127));
+        // Late by many ticks: one immediate step, not one per tick
+        // missed — the deadline after it is a whole tick away.
+        assert_eq!(next_deadline(at(100), at(175), tick), at(175));
+        assert_eq!(next_deadline(at(175), at(175), tick), at(185));
+    }
+
+    #[test]
+    fn finish_does_not_wait_out_a_tick() {
+        // Every node is parked in a 50 ms tick when `finish` is called;
+        // the in-band stop wakes them (and the dropped links the
+        // delayer) at once.
+        let c = cfg(3);
+        let slow = ClusterOptions {
+            tick: Duration::from_millis(50),
+            ..opts()
+        };
+        let cluster = crate::recovery::ChannelCluster::boot(
+            commit_population(c, &[Value::One; 3]),
+            SeedCollection::new(15),
+            &FaultPlan::none(),
+            &slow,
+        );
+        let called = Instant::now();
+        let report = cluster.finish(vec![false; 3], false);
+        let took = called.elapsed();
+        assert!(took < Duration::from_millis(25), "finish took {took:?}");
+        assert!(report.steps.iter().all(|s| *s <= 1), "{report:?}");
+    }
+
+    #[test]
+    fn lateness_is_classified_against_the_derived_k() {
+        // Every message is held three ticks, so between a send and its
+        // receive every node takes three or four steps: late against
+        // K = 2, on time against K = 8 (barring a scheduler stall of
+        // several ticks, hence the slack in the second assertion).
+        let tick = Duration::from_millis(4);
+        let run = |k: u64| {
+            let mut o = ClusterOptions::derived(tick, TimingParams::new(k).unwrap());
+            o.wall_timeout = Duration::from_millis(160);
+            let probes = (0..2).map(|i| Probe {
+                id: ProcessorId::new(i),
+                steps: 0,
+                heard: 0,
+                broadcasts: false,
+            });
+            run_cluster(
+                probes.collect(),
+                SeedCollection::new(16),
+                FaultPlan::none().with_delay(DelayModel::Uniform {
+                    min: tick * 3,
+                    max: tick * 3,
+                }),
+                o,
+            )
+        };
+        let strict = run(2);
+        assert!(strict.deliveries > 0, "{strict:?}");
+        assert_eq!(strict.late_deliveries, strict.deliveries, "{strict:?}");
+        let lax = run(8);
+        assert!(lax.deliveries > 0, "{lax:?}");
+        assert!(lax.late_deliveries * 4 < lax.deliveries, "{lax:?}");
     }
 
     #[test]
@@ -863,7 +1071,10 @@ mod tests {
             SeedCollection::new(52),
             FaultPlan::none().with_delay(DelayModel::Spike {
                 permille: 400,
-                spike: Duration::from_millis(5), // >> K ticks of 300us
+                // ~7 ticks of 300us: more than K = 4, and over well
+                // before the run can end (16+ ticks, now that a tick
+                // is a tick), so the held messages are delivered.
+                spike: Duration::from_millis(2),
             }),
             opts(),
         );

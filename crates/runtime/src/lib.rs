@@ -17,7 +17,9 @@ mod fault;
 mod recovery;
 mod supervisor;
 
-pub use cluster::{run_cluster, ClusterCore, ClusterOptions, ClusterReport, Envelope, Links};
+pub use cluster::{
+    run_cluster, ClusterCore, ClusterOptions, ClusterReport, Envelope, Inbound, InboxEnds, Links,
+};
 pub use fault::{
     CrashAt, DelayModel, Due, FaultPlan, FaultPlanError, LinkOutage, NetPartition, RestartAt,
 };

@@ -26,9 +26,11 @@
 //!   resumes deterministically and re-broadcasts its current protocol
 //!   position once (receivers deduplicate by sender).
 //!
-//! Network faults live in [`ChannelLinks`]: every send rolls
-//! [`FaultPlan::roll`] and goes straight to the receiver's inbox or,
-//! when held, through the delayer's due-ordered heap.
+//! Network faults live in [`ChannelLinks`]: every message of a step's
+//! outbox rolls [`FaultPlan::roll`] and goes straight to the receiver's
+//! inbox or, when held, through the delayer's due-ordered heap. Nothing
+//! waits for the tick's flush, and teardown waits for no poll: the
+//! delayer returns when the links (its only senders) are dropped.
 
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -40,9 +42,9 @@ use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rtc_model::{ProcessorId, Recoverable, SeedCollection};
+use rtc_model::{Outbox, ProcessorId, Recoverable, SeedCollection};
 
-use crate::cluster::{ClusterCore, ClusterOptions, ClusterReport, Envelope, Links};
+use crate::cluster::{ClusterCore, ClusterOptions, ClusterReport, Envelope, Inbound, Links};
 use crate::fault::{Due, FaultPlan};
 
 /// A message on hold: when it is due, which inbox it is for.
@@ -51,7 +53,7 @@ type Hold<M> = (Instant, usize, Envelope<M>);
 /// The channel substrate's [`Links`]: in-memory envelopes, the fault
 /// plan's network faults applied at the sender.
 pub(crate) struct ChannelLinks<M> {
-    inbox_tx: Vec<Sender<Envelope<M>>>,
+    inbox_tx: Vec<Sender<Inbound<M>>>,
     delay_tx: Sender<Hold<M>>,
     plan: FaultPlan,
     start: Instant,
@@ -61,27 +63,38 @@ pub(crate) struct ChannelLinks<M> {
 }
 
 impl<M: Clone + Send + 'static> Links<M> for ChannelLinks<M> {
-    fn send(&self, to: ProcessorId, env: Envelope<M>) {
-        let from = env.from;
-        // Channels have no connection to reset; that die is inert here.
-        let (hold, duplicate_hold, _reset) = self.plan.roll(
-            from,
-            to,
-            self.start.elapsed(),
-            self.tick,
-            &mut self.rngs[from.index()].lock(),
-        );
-        let copy = duplicate_hold.map(|hold| (Instant::now() + hold, to.index(), env.clone()));
-        // A send can fail only during teardown.
-        if hold.is_zero() {
-            let _ = self.inbox_tx[to.index()].send(env);
-        } else {
-            let _ = self.delay_tx.send((Instant::now() + hold, to.index(), env));
-        }
-        if let Some(copy) = copy {
-            let _ = self.delay_tx.send(copy);
+    fn send(&self, step: Envelope<&Outbox<M>>, n: usize) {
+        let from = step.from;
+        let mut rng = self.rngs[from.index()].lock();
+        for (to, msg) in step.msg.sends(from, n) {
+            // Channels have no connection to reset; that die is inert here.
+            let (hold, duplicate_hold, _reset) =
+                self.plan
+                    .roll(from, to, self.start.elapsed(), self.tick, &mut rng);
+            // An envelope owns its message, so this is where a
+            // broadcast becomes one message per destination.
+            let env = Envelope {
+                from,
+                instance: step.instance,
+                sent_at_tick: step.sent_at_tick,
+                sent_event: step.sent_event,
+                msg: msg.clone(),
+            };
+            let copy = duplicate_hold.map(|hold| (Instant::now() + hold, to.index(), env.clone()));
+            // A send can fail only during teardown.
+            if hold.is_zero() {
+                let _ = self.inbox_tx[to.index()].send(Inbound::Msgs(vec![env]));
+            } else {
+                let _ = self.delay_tx.send((Instant::now() + hold, to.index(), env));
+            }
+            if let Some(copy) = copy {
+                let _ = self.delay_tx.send(copy);
+            }
         }
     }
+
+    /// Every message moved when it was filed.
+    fn flush(&self, _from: ProcessorId) {}
 }
 
 /// The delayer thread: holds messages until they are due. Returns how
@@ -90,7 +103,7 @@ impl<M: Clone + Send + 'static> Links<M> for ChannelLinks<M> {
 /// dropped.
 fn spawn_delayer<M: Send + 'static>(
     rx: Receiver<Hold<M>>,
-    inbox_tx: Vec<Sender<Envelope<M>>>,
+    inbox_tx: Vec<Sender<Inbound<M>>>,
     done: Arc<AtomicBool>,
 ) -> thread::JoinHandle<u64> {
     thread::spawn(move || {
@@ -120,7 +133,7 @@ fn spawn_delayer<M: Send + 'static>(
             while heap.peek().is_some_and(|d| d.due <= now) {
                 let (to, env) = heap.pop().expect("peeked").item;
                 // A send can fail only during teardown.
-                let _ = inbox_tx[to].send(env);
+                let _ = inbox_tx[to].send(Inbound::Msgs(vec![env]));
             }
             if senders_gone || done.load(Ordering::Relaxed) {
                 // Whatever is still held would arrive after every node
@@ -152,7 +165,8 @@ where
         opts: &ClusterOptions,
     ) -> ChannelCluster<A> {
         let n = procs.len();
-        let (inbox_tx, inbox_rx): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
+        let inboxes: Vec<_> = (0..n).map(|_| unbounded()).collect();
+        let inbox_tx: Vec<_> = inboxes.iter().map(|(tx, _)| tx.clone()).collect();
         let (delay_tx, delay_rx) = unbounded();
         let done = Arc::new(AtomicBool::new(false));
         let delayer = spawn_delayer(delay_rx, inbox_tx.clone(), Arc::clone(&done));
@@ -166,15 +180,7 @@ where
                 .map(|i| Mutex::new(SmallRng::seed_from_u64(seeds.master() ^ (0xC0FFEE + i))))
                 .collect(),
         };
-        let core = ClusterCore::boot(
-            vec![procs],
-            vec![seeds],
-            faults,
-            opts,
-            done,
-            inbox_rx,
-            links,
-        );
+        let core = ClusterCore::boot(vec![procs], vec![seeds], faults, opts, done, inboxes, links);
         ChannelCluster { core, delayer }
     }
 
@@ -242,6 +248,7 @@ mod tests {
             tick: Duration::from_micros(300),
             max_steps: 200_000,
             wall_timeout: Duration::from_secs(30),
+            ..ClusterOptions::default()
         }
     }
 

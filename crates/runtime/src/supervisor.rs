@@ -287,6 +287,7 @@ mod tests {
             tick: Duration::from_micros(300),
             max_steps: 200_000,
             wall_timeout: Duration::from_secs(30),
+            ..ClusterOptions::default()
         }
     }
 

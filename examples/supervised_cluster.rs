@@ -36,6 +36,7 @@ fn main() {
         tick: Duration::from_micros(300),
         max_steps: 200_000,
         wall_timeout: Duration::from_secs(30),
+        ..ClusterOptions::default()
     };
     let policy = SupervisorPolicy::default();
 

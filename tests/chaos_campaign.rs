@@ -21,6 +21,7 @@ fn campaign_cluster() -> ClusterOptions {
         tick: Duration::from_millis(1),
         max_steps: 400,
         wall_timeout: Duration::from_secs(2),
+        ..ClusterOptions::default()
     }
 }
 

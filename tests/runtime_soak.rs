@@ -12,6 +12,7 @@ fn opts() -> ClusterOptions {
         tick: Duration::from_micros(300),
         max_steps: 100_000,
         wall_timeout: Duration::from_secs(30),
+        ..ClusterOptions::default()
     }
 }
 
@@ -119,6 +120,7 @@ fn coordinator_crash_at_first_step_is_survivable_or_silent() {
             tick: Duration::from_micros(200),
             max_steps: 2_000,
             wall_timeout: Duration::from_secs(2),
+            ..ClusterOptions::default()
         },
     );
     check(&report);

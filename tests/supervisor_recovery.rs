@@ -14,6 +14,7 @@ fn opts() -> ClusterOptions {
         tick: Duration::from_micros(300),
         max_steps: 200_000,
         wall_timeout: Duration::from_secs(30),
+        ..ClusterOptions::default()
     }
 }
 
