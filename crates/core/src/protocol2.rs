@@ -462,6 +462,12 @@ impl Automaton for CommitAutomaton {
         self.cfg.population()
     }
 
+    // Generic in the inbox, so instantiated once per substrate — each
+    // with a single caller. `#[inline]` keeps every instantiation local
+    // to its caller's codegen unit, where that caller can absorb it;
+    // without it the placement, and with it a multiplexer's inner step
+    // (`rtc-txn`'s `Replica`), is left to codegen-unit partitioning.
+    #[inline]
     fn step_into<'a>(
         &mut self,
         inbox: impl Iterator<Item = (ProcessorId, &'a CommitMsg)>,

@@ -12,8 +12,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rtc_model::ProcessorId;
 
-use crate::adversary::{Action, Adversary, MsgHandle, PatternView};
-use crate::envelope::MsgId;
+use crate::adversary::{Action, Adversary, PatternView};
+use crate::envelope::{MsgHandle, MsgId};
 
 /// Picks the next alive processor in round-robin order starting from
 /// `cursor`, advancing the cursor.
@@ -604,7 +604,7 @@ mod tests {
     use super::*;
     use rtc_model::LocalClock;
 
-    use crate::envelope::MsgMeta;
+    use crate::envelope::IdRun;
     use crate::store::{MsgStore, StoreLane};
 
     /// Owns the engine-side state a [`PatternView`] borrows from, built
@@ -612,7 +612,7 @@ mod tests {
     struct Fixture {
         store: MsgStore,
         lane: StoreLane,
-        last_sent: Vec<Vec<MsgId>>,
+        last_run: Vec<IdRun>,
         clocks: Vec<LocalClock>,
         crashed: Vec<bool>,
         last: Vec<Option<u64>>,
@@ -620,7 +620,7 @@ mod tests {
     }
 
     fn fixture(
-        buffers: &[Vec<MsgMeta>],
+        buffers: &[Vec<MsgHandle>],
         clocks: &[LocalClock],
         crashed: &[bool],
         last: &[Option<u64>],
@@ -631,28 +631,26 @@ mod tests {
         let mut lane = StoreLane::new(0);
         for metas in buffers {
             for m in metas {
-                store.insert(&mut lane, *m);
+                store.file_one(&mut lane, *m, 0);
             }
         }
-        // Rebuild each processor's droppable-sends cache the way the
-        // engine maintains it: last-step sends, sorted by destination.
-        let mut last_sent = vec![Vec::new(); n];
-        for (p, slot) in last_sent.iter_mut().enumerate() {
-            if let Some(ev) = last[p] {
-                let mut sends: Vec<(usize, MsgId)> = buffers
-                    .iter()
-                    .flatten()
-                    .filter(|m| m.from.index() == p && m.send_event == ev)
-                    .map(|m| (m.to.index(), m.id))
-                    .collect();
-                sends.sort_unstable();
-                *slot = sends.into_iter().map(|(_, id)| id).collect();
+        // Rebuild each processor's droppable run the way the engine
+        // maintains it: the id range of its last-step sends.
+        let mut last_run = vec![IdRun::new(MsgId(0), 0); n];
+        for (p, run) in last_run.iter_mut().enumerate() {
+            let ids = buffers
+                .iter()
+                .flatten()
+                .filter(|m| m.from.index() == p && Some(m.send_event) == last[p])
+                .map(|m| m.id);
+            if let (Some(first), Some(end)) = (ids.clone().min(), ids.max()) {
+                *run = IdRun::new(first, (end.index() - first.index() + 1) as u32);
             }
         }
         Fixture {
             store,
             lane,
-            last_sent,
+            last_run,
             clocks: clocks.to_vec(),
             crashed: crashed.to_vec(),
             last: last.to_vec(),
@@ -665,7 +663,7 @@ mod tests {
             PatternView {
                 store: &self.store,
                 lane: &self.lane,
-                last_sent: &self.last_sent,
+                last_run: &self.last_run,
                 clocks: &self.clocks,
                 crashed: &self.crashed,
                 last_step_event: &self.last,
@@ -677,14 +675,13 @@ mod tests {
         }
     }
 
-    fn meta(id: u64, from: usize, to: usize, send_event: u64) -> MsgMeta {
-        MsgMeta {
+    fn meta(id: u64, from: usize, to: usize, send_event: u64) -> MsgHandle {
+        MsgHandle {
             id: MsgId(id),
             from: ProcessorId::new(from),
             to: ProcessorId::new(to),
             send_event,
             sender_clock: LocalClock::new(1),
-            guaranteed: true,
         }
     }
 

@@ -11,36 +11,8 @@
 use rtc_model::{LocalClock, ProcessorId};
 
 use crate::bodies::BodySlab;
-use crate::envelope::{MsgId, MsgMeta};
+use crate::envelope::{IdRun, MsgHandle, MsgId};
 use crate::store::{MsgStore, StoreLane};
-
-/// Pattern-visible description of one buffered (sent, undelivered)
-/// message.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MsgHandle {
-    /// Run-unique id (usable in [`Action::Step`]'s `deliver` list).
-    pub id: MsgId,
-    /// Sender.
-    pub from: ProcessorId,
-    /// Destination (the processor whose buffer holds it).
-    pub to: ProcessorId,
-    /// Global index of the sending event.
-    pub send_event: u64,
-    /// Sender's clock immediately after the sending step.
-    pub sender_clock: LocalClock,
-}
-
-impl MsgHandle {
-    pub(crate) fn from_meta(meta: &MsgMeta) -> MsgHandle {
-        MsgHandle {
-            id: meta.id,
-            from: meta.from,
-            to: meta.to,
-            send_event: meta.send_event,
-            sender_clock: meta.sender_clock,
-        }
-    }
-}
 
 /// The next event, as chosen by an adversary.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -104,11 +76,10 @@ pub struct PatternView<'a> {
     /// The viewed instance's lane into the (possibly shared) store:
     /// its destination base plus the dense per-instance id → slot map.
     pub(crate) lane: &'a StoreLane,
-    /// Per-processor ids of the messages it emitted at its most recent
-    /// step, sorted by destination (the order the old buffer flatten
-    /// exposed). Some may have been delivered since; `last_sends_of`
-    /// filters those out through the store.
-    pub(crate) last_sent: &'a [Vec<MsgId>],
+    /// Per-processor run of ids it emitted at its most recent step.
+    /// Some may have been delivered since; `last_sends_of` filters
+    /// those out through the store.
+    pub(crate) last_run: &'a [IdRun],
     pub(crate) clocks: &'a [LocalClock],
     pub(crate) crashed: &'a [bool],
     pub(crate) last_step_event: &'a [Option<u64>],
@@ -153,9 +124,7 @@ impl<'a> PatternView<'a> {
     /// Iterates `p`'s buffered messages in insertion (= send-event)
     /// order without allocating — same order as [`PatternView::pending`].
     pub fn pending_iter(&self, p: ProcessorId) -> impl Iterator<Item = MsgHandle> + '_ {
-        self.store
-            .iter_dest(self.lane, p.index())
-            .map(MsgHandle::from_meta)
+        self.store.iter_dest(self.lane, p.index())
     }
 
     /// Number of messages currently buffered for `p`, in O(1).
@@ -170,12 +139,16 @@ impl<'a> PatternView<'a> {
         let Some(last) = self.last_step_event[p.index()] else {
             return Vec::new();
         };
-        self.last_sent[p.index()]
+        let mut sends: Vec<MsgHandle> = self.last_run[p.index()]
             .iter()
-            .filter_map(|id| self.store.lookup(self.lane, *id))
+            .filter_map(|id| self.store.lookup(self.lane, id))
             .filter(|m| m.from == p && m.send_event == last)
-            .map(MsgHandle::from_meta)
-            .collect()
+            .collect();
+        // At most one message per destination per step, so the
+        // destination is a total order on the run. A broadcast is filed
+        // ascending already; direct sends made out of order are not.
+        sends.sort_unstable_by_key(|m| m.to.index());
+        sends
     }
 
     /// How many more crashes the fault budget `t` permits.
@@ -254,8 +227,7 @@ impl<T: Adversary + ?Sized> Adversary for &mut T {
 #[derive(Debug)]
 pub struct ContentView<'a, M> {
     pub(crate) pattern: PatternView<'a>,
-    /// The message bodies, resolved from a store slot through the
-    /// slab's `slot → body` table.
+    /// The message bodies the store's slots name.
     pub(crate) bodies: &'a BodySlab<M>,
 }
 
@@ -267,16 +239,16 @@ impl<'a, M> ContentView<'a, M> {
 
     /// The payload of a buffered message, if it is still pending.
     pub fn payload(&self, id: MsgId) -> Option<&M> {
-        let slot = self.pattern.store.slot_index(self.pattern.lane, id)?;
-        self.bodies.msg_at(slot)
+        let body = self.pattern.store.body_of(self.pattern.lane, id)?;
+        self.bodies.msg(body)
     }
 
     /// All pending (handle, payload) pairs buffered for `p`.
     pub fn pending_with_payloads(&self, p: ProcessorId) -> Vec<(MsgHandle, &M)> {
         self.pattern
             .store
-            .iter_dest_slots(self.pattern.lane, p.index())
-            .filter_map(|(slot, m)| Some((MsgHandle::from_meta(m), self.bodies.msg_at(slot)?)))
+            .iter_dest_bodies(self.pattern.lane, p.index())
+            .filter_map(|(m, body)| Some((m, self.bodies.msg(body)?)))
             .collect()
     }
 }
@@ -308,14 +280,13 @@ impl<M, T: Adversary + ?Sized> ContentAdversary<M> for T {
 mod tests {
     use super::*;
 
-    fn meta(id: u64, from: usize, to: usize, send_event: u64) -> MsgMeta {
-        MsgMeta {
+    fn meta(id: u64, from: usize, to: usize, send_event: u64) -> MsgHandle {
+        MsgHandle {
             id: MsgId(id),
             from: ProcessorId::new(from),
             to: ProcessorId::new(to),
             send_event,
             sender_clock: LocalClock::new(1),
-            guaranteed: true,
         }
     }
 
@@ -323,15 +294,15 @@ mod tests {
     fn pattern_view_exposes_pending_and_budget() {
         let mut store = MsgStore::new(2);
         let mut lane = StoreLane::new(0);
-        store.insert(&mut lane, meta(0, 1, 0, 5));
-        let last_sent = vec![vec![], vec![MsgId(0)]];
+        store.file_one(&mut lane, meta(0, 1, 0, 5), 0);
+        let last_run = vec![IdRun::new(MsgId(0), 0), IdRun::new(MsgId(0), 1)];
         let clocks = vec![LocalClock::new(2), LocalClock::new(3)];
         let crashed = vec![false, false];
         let last = vec![Some(4), Some(5)];
         let view = PatternView {
             store: &store,
             lane: &lane,
-            last_sent: &last_sent,
+            last_run: &last_run,
             clocks: &clocks,
             crashed: &crashed,
             last_step_event: &last,
@@ -359,18 +330,18 @@ mod tests {
     fn last_sends_filters_by_event() {
         let mut store = MsgStore::new(2);
         let mut lane = StoreLane::new(0);
-        store.insert(&mut lane, meta(0, 0, 1, 7));
-        store.insert(&mut lane, meta(1, 0, 1, 9));
-        // A stale cache entry from an earlier step (id 0, sent at event
-        // 7) must be filtered out by the send_event check.
-        let last_sent = vec![vec![MsgId(0), MsgId(1)], vec![]];
+        store.file_one(&mut lane, meta(0, 0, 1, 7), 0);
+        store.file_one(&mut lane, meta(1, 0, 1, 9), 0);
+        // An id of an earlier step (id 0, sent at event 7) must be
+        // filtered out by the send_event check.
+        let last_run = vec![IdRun::new(MsgId(0), 2), IdRun::new(MsgId(0), 0)];
         let clocks = vec![LocalClock::new(9), LocalClock::new(0)];
         let crashed = vec![false, false];
         let last = vec![Some(9), None];
         let view = PatternView {
             store: &store,
             lane: &lane,
-            last_sent: &last_sent,
+            last_run: &last_run,
             clocks: &clocks,
             crashed: &crashed,
             last_step_event: &last,
@@ -388,11 +359,10 @@ mod tests {
     fn content_view_finds_payload() {
         let mut store = MsgStore::new(1);
         let mut lane = StoreLane::new(0);
-        let slot = store.insert(&mut lane, meta(0, 1, 0, 5));
         let mut bodies = BodySlab::new();
-        let body = bodies.store("hello");
-        bodies.attach(slot, body);
-        let last_sent = vec![vec![]];
+        let body = bodies.store("hello", 1);
+        store.file_one(&mut lane, meta(0, 1, 0, 5), body);
+        let last_run = vec![IdRun::new(MsgId(0), 0)];
         let clocks = vec![LocalClock::new(2)];
         let crashed = vec![false];
         let last = vec![None];
@@ -400,7 +370,7 @@ mod tests {
             pattern: PatternView {
                 store: &store,
                 lane: &lane,
-                last_sent: &last_sent,
+                last_run: &last_run,
                 clocks: &clocks,
                 crashed: &crashed,
                 last_step_event: &last,

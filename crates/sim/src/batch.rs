@@ -311,63 +311,14 @@ impl<A: Automaton> BatchSim<A> {
                     order.swap_remove(idx);
                     continue;
                 }
-                // Lane, adversary, trace sink, and the slice's event
-                // budget resolve once per slice; the stop count lives
-                // in a register. The per-event body then carries no
-                // lane-indexed loads beyond the serial engine's — the
-                // solo-lane tail of a batch (one straggler running to
-                // its cap) executes at single-instance cost.
-                let lane = &mut self.lanes[l];
-                let adv = &mut advs[l];
-                let adm = admissible[l];
-                self.trace.begin_lane(l as u32);
-                let sink = self.trace.active_mut();
-                let budget = FAIR_SLICE.min(limits.max_events - lane.event());
-                let mut rem = remaining[l];
-                let mut err = None;
-                // rtc-hot-loop(per-instance): the fairness-slice
-                // stepping loop — every instance of every batch runs
-                // through here once per event.
-                for _ in 0..budget {
-                    let forced = if adm {
-                        lane.forced_action(&self.shared.store)
-                    } else {
-                        None
-                    };
-                    let action = match forced {
-                        Some(forced) => forced,
-                        None => adv_next(adv, &lane.pattern_view(&self.shared.store)),
-                    };
-                    let acting = match &action {
-                        Action::Step { p, .. } | Action::Crash { p, .. } => Some(p.index()),
-                        Action::Partition { .. }
-                        | Action::Duplicate { .. }
-                        | Action::Reorder { .. } => None,
-                    };
-                    if let Err(e) = lane.apply(action, adm, &mut self.shared, sink) {
-                        err = Some(e);
-                        break;
-                    }
-                    if let Some(acting) = acting {
-                        let ok = lane.proc_ok(acting, limits.stop);
-                        let slot = l * self.population + acting;
-                        if ok != satisfied[slot] {
-                            satisfied[slot] = ok;
-                            if ok {
-                                rem -= 1;
-                                if rem == 0 {
-                                    break;
-                                }
-                            } else {
-                                rem += 1;
-                            }
-                        }
-                    }
-                }
-                self.trace.end_lane(l as u32);
-                if let Some(e) = err {
-                    return Err(e);
-                }
+                let rem = self.step_slice(
+                    l,
+                    &mut advs[l],
+                    admissible[l],
+                    limits,
+                    &mut satisfied,
+                    remaining[l],
+                )?;
                 remaining[l] = rem;
                 if rem != 0 && self.lanes[l].event() < limits.max_events {
                     idx += 1;
@@ -384,6 +335,75 @@ impl<A: Automaton> BatchSim<A> {
             .zip(admissible)
             .map(|((lane, met), adm)| lane.report(!met.unwrap_or(false), adm))
             .collect())
+    }
+
+    /// One fairness slice of lane `l`: up to [`FAIR_SLICE`] events
+    /// (forced action or `adv`'s choice, applied, stop count updated),
+    /// ending early at the lane's absolute event bound
+    /// `limits.max_events` or once it meets `limits.stop`. `rem` is how
+    /// many of the lane's processors did not satisfy the stop condition
+    /// on entry (`satisfied` says which); returns the count on exit.
+    ///
+    /// Lane, adversary, trace sink, and the slice's event budget
+    /// resolve once per slice; the stop count lives in a register. The
+    /// per-event body then carries no lane-indexed loads beyond the
+    /// serial engine's — the solo-lane tail of a batch (one straggler
+    /// running to its cap) executes at single-instance cost.
+    fn step_slice<Ad: Adversary>(
+        &mut self,
+        l: usize,
+        adv: &mut Ad,
+        adm: bool,
+        limits: RunLimits,
+        satisfied: &mut [bool],
+        mut rem: usize,
+    ) -> Result<usize, SimError> {
+        let lane = &mut self.lanes[l];
+        self.trace.begin_lane(l as u32);
+        let sink = self.trace.active_mut();
+        let budget = FAIR_SLICE.min(limits.max_events - lane.event());
+        let mut outcome = Ok(());
+        // rtc-hot-loop(per-instance): the fairness-slice stepping loop
+        // — every instance of every batch runs through here once per
+        // event.
+        for _ in 0..budget {
+            let forced = if adm {
+                lane.forced_action(&self.shared.store)
+            } else {
+                None
+            };
+            let action = match forced {
+                Some(forced) => forced,
+                None => adv_next(adv, &lane.pattern_view(&self.shared.store)),
+            };
+            let acting = match &action {
+                Action::Step { p, .. } | Action::Crash { p, .. } => Some(p.index()),
+                Action::Partition { .. } | Action::Duplicate { .. } | Action::Reorder { .. } => {
+                    None
+                }
+            };
+            outcome = lane.apply(action, adm, &mut self.shared, sink);
+            if outcome.is_err() {
+                break;
+            }
+            if let Some(acting) = acting {
+                let ok = lane.proc_ok(acting, limits.stop);
+                let slot = l * self.population + acting;
+                if ok != satisfied[slot] {
+                    satisfied[slot] = ok;
+                    if ok {
+                        rem -= 1;
+                        if rem == 0 {
+                            break;
+                        }
+                    } else {
+                        rem += 1;
+                    }
+                }
+            }
+        }
+        self.trace.end_lane(l as u32);
+        outcome.map(|()| rem)
     }
 
     /// Builds the [`RunReport`] of instance `lane` for the run so far.
@@ -531,59 +551,17 @@ impl<A: Automaton> BatchSim<A> {
                     order.swap_remove(idx);
                     continue;
                 }
-                // Same once-per-slice resolution and register-held
-                // stop count as [`BatchSim::run`].
-                let lane = &mut self.lanes[l];
-                let adv = &mut advs[l];
-                let adm = admissible[l];
-                self.trace.begin_lane(l as u32);
-                let sink = self.trace.active_mut();
-                let budget = FAIR_SLICE.min(caps[l] - lane.event());
-                let mut rem = remaining[l];
-                let mut err = None;
-                // rtc-hot-loop(per-instance): the fairness-slice
-                // stepping loop — every instance of every batch runs
-                // through here once per event.
-                for _ in 0..budget {
-                    let forced = if adm {
-                        lane.forced_action(&self.shared.store)
-                    } else {
-                        None
-                    };
-                    let action = match forced {
-                        Some(forced) => forced,
-                        None => adv_next(adv, &lane.pattern_view(&self.shared.store)),
-                    };
-                    let acting = match &action {
-                        Action::Step { p, .. } | Action::Crash { p, .. } => Some(p.index()),
-                        Action::Partition { .. }
-                        | Action::Duplicate { .. }
-                        | Action::Reorder { .. } => None,
-                    };
-                    if let Err(e) = lane.apply(action, adm, &mut self.shared, sink) {
-                        err = Some(e);
-                        break;
-                    }
-                    if let Some(acting) = acting {
-                        let ok = lane.proc_ok(acting, stop);
-                        let slot = l * self.population + acting;
-                        if ok != satisfied[slot] {
-                            satisfied[slot] = ok;
-                            if ok {
-                                rem -= 1;
-                                if rem == 0 {
-                                    break;
-                                }
-                            } else {
-                                rem += 1;
-                            }
-                        }
-                    }
-                }
-                self.trace.end_lane(l as u32);
-                if let Some(e) = err {
-                    return Err(e);
-                }
+                let rem = self.step_slice(
+                    l,
+                    &mut advs[l],
+                    admissible[l],
+                    RunLimits {
+                        max_events: caps[l],
+                        stop,
+                    },
+                    &mut satisfied,
+                    remaining[l],
+                )?;
                 remaining[l] = rem;
                 if rem != 0 && self.lanes[l].event() < caps[l] {
                     idx += 1;
@@ -761,12 +739,13 @@ mod tests {
         for lane in &batch.lanes {
             let view = lane.pattern_view(&shared.store);
             for dest in 0..N {
-                for (slot, _) in view.store.iter_dest_slots(view.lane, dest) {
-                    distinct.insert(shared.bodies.body_of(slot));
+                for (_, body) in view.store.iter_dest_bodies(view.lane, dest) {
+                    distinct.insert(body);
                 }
             }
         }
         assert_eq!(shared.bodies.references(), shared.store.len());
+        assert_eq!(shared.store.run_references(), shared.store.len());
         assert_eq!(shared.bodies.live(), distinct.len());
         (shared.store.len(), distinct.len())
     }

@@ -1,13 +1,15 @@
 //! The shared structure-of-arrays trace recorder of the batch engine.
 //!
 //! All B instances of a [`crate::BatchSim`] record into ONE set of
-//! event columns, interleaved in global execution order; each lane
+//! event columns ([`EventCols`], the very type a single-instance
+//! [`Trace`] owns), interleaved in global execution order; each lane
 //! additionally keeps a row-index list (its *segment view*) plus its
-//! own dense message/decision tables. Because the pool offsets of the
-//! single-instance [`Trace`] layout are prefix *ends*, they address
-//! correctly even when rows of different lanes interleave — a row's
-//! slice starts at the previous row's end regardless of which lane
-//! wrote it.
+//! own message table ([`MsgTable`], again `Trace`'s type) and decision
+//! list. Because the delivery-pool offsets are prefix *ends*, they
+//! address correctly even when rows of different lanes interleave — a
+//! row's slice starts at the previous row's end regardless of which
+//! lane wrote it — and what a row sent is a lane-local id count, so it
+//! does not care about its neighbours at all.
 //!
 //! The recording handle is [`ActiveCols`]: one flat struct holding the
 //! shared columns *and* the currently recording lane's tables, which
@@ -19,16 +21,18 @@
 //! moves amortized over a whole slice.
 //!
 //! [`BatchTrace::to_trace`] materializes one lane's view as an
-//! ordinary [`Trace`] by replaying its rows through the exact push
-//! methods the single-instance engine calls, so per-lane digests are
-//! byte-identical to a serial run's by construction.
+//! ordinary [`Trace`]: the lane's rows copied in lane order, its
+//! message table, decisions and late marks alongside. The message
+//! records and the digest are then derived by the same code that
+//! serves a serial run, which is what keeps per-lane digests
+//! byte-identical to a serial run's.
 
 use rtc_model::{LocalClock, ProcessorId};
 
 use crate::envelope::MsgId;
 use crate::trace::{
-    DecisionRecord, MsgRecord, Trace, TraceSink, KIND_CRASH, KIND_DUPLICATE, KIND_PARTITION,
-    KIND_REORDER, KIND_REVIVE, KIND_STEP,
+    steps_between, DecisionRecord, EventCols, MsgTable, Row, SendRun, Trace, TraceSink, KIND_CRASH,
+    KIND_DUPLICATE, KIND_REORDER, KIND_REVIVE,
 };
 
 /// One lane's private tables, grouped so [`BatchTrace::begin_lane`]
@@ -38,8 +42,8 @@ struct LaneTables {
     /// The lane's segment view: the global row indices of its events,
     /// in order.
     ev_index: Vec<u32>,
-    /// The lane's message table, dense by its per-instance ids.
-    msgs: Vec<MsgRecord>,
+    /// The lane's message table.
+    table: MsgTable,
     /// The lane's decisions, in decision order.
     decisions: Vec<DecisionRecord>,
     /// The lane's late marks, in delivery order.
@@ -58,7 +62,7 @@ struct LaneTables {
 impl LaneTables {
     fn reset(&mut self, population: usize) {
         self.ev_index.clear();
-        self.msgs.clear();
+        self.table.clear();
         self.decisions.clear();
         self.late_marks.clear();
         self.step_events.truncate(population);
@@ -75,34 +79,25 @@ impl LaneTables {
 /// depth as the single-instance `Trace`.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ActiveCols {
-    // Shared columns, interleaved across lanes in execution order —
-    // the same layout as `Trace`, one row per event of any lane.
-    ev_kind: Vec<u8>,
-    ev_p: Vec<u32>,
-    ev_clock: Vec<u64>,
-    ev_deliv_end: Vec<u32>,
-    ev_sent_end: Vec<u32>,
-    deliv_pool: Vec<MsgId>,
-    sent_pool: Vec<MsgId>,
-    /// Side table of partition events, shared across lanes (the
-    /// `ev_clock` column holds indices into it).
-    partitions: Vec<(Vec<u32>, u64)>,
+    /// Shared columns, interleaved across lanes in execution order —
+    /// one row per event of any lane.
+    cols: EventCols,
     /// The recording lane's own tables while a slice is active;
     /// an empty stash otherwise.
     cur: LaneTables,
 }
 
 impl ActiveCols {
-    /// Appends one row to the shared columns and the recording lane's
-    /// segment view.
+    /// Notes the row about to be pushed in the recording lane's segment
+    /// view.
+    fn index_row(&mut self) {
+        self.cur.ev_index.push(self.cols.len() as u32);
+    }
+
+    /// Appends one row that neither delivers nor sends.
     fn push_row(&mut self, kind: u8, p: u32, clock: u64) {
-        let row = self.ev_kind.len() as u32;
-        self.cur.ev_index.push(row);
-        self.ev_kind.push(kind);
-        self.ev_p.push(p);
-        self.ev_clock.push(clock);
-        self.ev_deliv_end.push(self.deliv_pool.len() as u32);
-        self.ev_sent_end.push(self.sent_pool.len() as u32);
+        self.index_row();
+        self.cols.push(kind, p, clock, self.cur.table.sent());
     }
 }
 
@@ -112,16 +107,17 @@ impl TraceSink for ActiveCols {
         p: ProcessorId,
         clock_after: LocalClock,
         delivered: &[MsgId],
-        sent: &[MsgId],
+        sent: SendRun<'_>,
     ) {
         // The lane-local ordinal of the row about to be pushed — the
         // index this event gets in the lane's replayed `Trace`, which
         // is the coordinate system message send/recv events use.
         let ordinal = self.cur.ev_index.len() as u64;
         self.cur.step_events[p.index()].push(ordinal);
-        self.deliv_pool.extend_from_slice(delivered);
-        self.sent_pool.extend_from_slice(sent);
-        self.push_row(KIND_STEP, p.index() as u32, clock_after.ticks());
+        self.index_row();
+        let sent_end = self.cur.table.push_run(sent);
+        self.cols
+            .push_step(p.index() as u32, clock_after.ticks(), delivered, sent_end);
     }
 
     fn push_crash(&mut self, p: ProcessorId) {
@@ -134,33 +130,28 @@ impl TraceSink for ActiveCols {
     }
 
     fn push_partition(&mut self, groups: &[u32], heal_at: u64) {
-        let table_idx = self.partitions.len() as u64;
-        self.partitions.push((groups.to_vec(), heal_at));
-        self.push_row(KIND_PARTITION, 0, table_idx);
+        self.index_row();
+        self.cols
+            .push_partition(groups, heal_at, self.cur.table.sent());
     }
 
     fn push_duplicate(&mut self, from: ProcessorId, original: MsgId, copy: MsgId) {
-        self.sent_pool.push(copy);
-        self.push_row(KIND_DUPLICATE, from.index() as u32, original.index() as u64);
+        self.index_row();
+        let sent_end = self.cur.table.push_copy(copy);
+        self.cols.push(
+            KIND_DUPLICATE,
+            from.index() as u32,
+            original.index() as u64,
+            sent_end,
+        );
     }
 
     fn push_reorder(&mut self, dest: ProcessorId, id: MsgId) {
         self.push_row(KIND_REORDER, dest.index() as u32, id.index() as u64);
     }
 
-    fn push_msg(&mut self, rec: MsgRecord) {
-        debug_assert_eq!(rec.id.index(), self.cur.msgs.len());
-        self.cur.msgs.push(rec);
-    }
-
-    fn note_delivery(&mut self, id: MsgId, event: u64, clock: LocalClock) {
-        let rec = &mut self.cur.msgs[id.index()];
-        rec.recv_event = Some(event);
-        rec.recv_clock = Some(clock);
-    }
-
     fn note_drop(&mut self, id: MsgId) {
-        self.cur.msgs[id.index()].dropped = true;
+        self.cur.table.note_drop(id);
     }
 
     fn mark_late(&mut self, id: MsgId) {
@@ -169,10 +160,6 @@ impl TraceSink for ActiveCols {
 
     fn push_decision(&mut self, d: DecisionRecord) {
         self.cur.decisions.push(d);
-    }
-
-    fn send_event_of(&self, id: MsgId) -> u64 {
-        self.cur.msgs[id.index()].send_event
     }
 }
 
@@ -205,16 +192,8 @@ impl BatchTrace {
     /// shared columns and as many per-lane tables as were ever used).
     pub(crate) fn reset(&mut self, lanes: usize, population: usize) {
         self.population = population;
-        let a = &mut self.active;
-        a.ev_kind.clear();
-        a.ev_p.clear();
-        a.ev_clock.clear();
-        a.ev_deliv_end.clear();
-        a.ev_sent_end.clear();
-        a.deliv_pool.clear();
-        a.sent_pool.clear();
-        a.partitions.clear();
-        a.cur.reset(population);
+        self.active.cols.clear();
+        self.active.cur.reset(population);
         self.lanes.truncate(lanes);
         for lane in &mut self.lanes {
             lane.reset(population);
@@ -256,54 +235,40 @@ impl BatchTrace {
         self.lanes[lane].crash_count == 0
     }
 
-    /// How many steps processor `p` of `lane` took strictly after the
-    /// lane-local event `a` and at-or-before `b` — the per-lane mirror
-    /// of `Trace::steps_between`.
-    fn steps_between(&self, lane: usize, p: usize, a: u64, b: u64) -> u64 {
-        let evs = &self.lanes[lane].step_events[p];
-        let lo = evs.partition_point(|&e| e <= a);
-        let hi = evs.partition_point(|&e| e <= b);
-        (hi - lo) as u64
+    /// `lane`'s event rows, in lane order.
+    fn rows(&self, lane: usize) -> impl Iterator<Item = Row<'_>> {
+        self.lanes[lane]
+            .ev_index
+            .iter()
+            .map(|row| self.active.cols.row(*row as usize))
     }
 
     /// Whether `lane`'s traced prefix is on-time at window `k` — equal
-    /// to `self.to_trace(lane).is_on_time(k)` without the replay.
-    /// Message records carry lane-local event numbers, so the check
-    /// runs directly off the lane's dense tables.
+    /// to `self.to_trace(lane).is_on_time(k)` without the replay. A
+    /// message's send event is the lane-local ordinal of the row that
+    /// minted its id, its receive event the ordinal of the step row
+    /// that lists it, so one pass over the lane's rows sees both.
     pub(crate) fn is_on_time(&self, lane: usize, k: u64) -> bool {
-        self.lanes[lane].msgs.iter().all(|m| {
-            let Some(recv) = m.recv_event else {
-                return true;
-            };
-            (0..self.population).all(|p| self.steps_between(lane, p, m.send_event, recv) <= k)
+        let tables = &self.lanes[lane];
+        let mut send_event = Vec::with_capacity(tables.table.sent() as usize);
+        self.rows(lane).enumerate().all(|(event, row)| {
+            let event = event as u64;
+            send_event.resize(row.sent_end as usize, event);
+            row.delivered.iter().all(|id| {
+                let sent = send_event[id.index()];
+                tables
+                    .step_events
+                    .iter()
+                    .all(|steps| steps_between(steps, sent, event) <= k)
+            })
         })
     }
 
-    fn deliv_range(&self, idx: usize) -> std::ops::Range<usize> {
-        let start = if idx == 0 {
-            0
-        } else {
-            self.active.ev_deliv_end[idx - 1] as usize
-        };
-        start..self.active.ev_deliv_end[idx] as usize
-    }
-
-    fn sent_range(&self, idx: usize) -> std::ops::Range<usize> {
-        let start = if idx == 0 {
-            0
-        } else {
-            self.active.ev_sent_end[idx - 1] as usize
-        };
-        start..self.active.ev_sent_end[idx] as usize
-    }
-
-    /// Materializes `lane`'s segment view as a standalone [`Trace`] by
-    /// replaying its rows through the single-instance push methods —
-    /// per-lane digests are byte-identical to a serial run's because the
-    /// replay makes the very calls the serial engine would have made,
-    /// in the same per-lane order. (Message records replay *after* the
-    /// events, in dense id order, carrying their final delivered/dropped
-    /// state; `Trace`'s columns are insensitive to that interleaving.)
+    /// Materializes `lane`'s segment view as a standalone [`Trace`]:
+    /// its rows in lane order, its message table, decisions and late
+    /// marks. Everything a reader then derives — message records,
+    /// digest — comes from the code a serial run's `Trace` uses, over
+    /// the content a serial run would have recorded.
     pub(crate) fn to_trace(&self, lane: usize) -> Trace {
         let mut t = Trace::new(self.population);
         self.to_trace_into(lane, &mut t);
@@ -311,42 +276,19 @@ impl BatchTrace {
     }
 
     /// [`BatchTrace::to_trace`] into a caller-provided scratch `Trace`,
-    /// reusing its buffers — the replay itself is allocation-free once
+    /// reusing its buffers — the copy itself is allocation-free once
     /// the scratch has seen a lane at least as large.
     pub(crate) fn to_trace_into(&self, lane: usize, t: &mut Trace) {
         t.reset(self.population);
-        let a = &self.active;
-        for &row in &self.lanes[lane].ev_index {
-            let idx = row as usize;
-            let p = ProcessorId::new(a.ev_p[idx] as usize);
-            match a.ev_kind[idx] {
-                KIND_STEP => t.push_step(
-                    p,
-                    LocalClock::new(a.ev_clock[idx]),
-                    &a.deliv_pool[self.deliv_range(idx)],
-                    &a.sent_pool[self.sent_range(idx)],
-                ),
-                KIND_CRASH => t.push_crash(p),
-                KIND_PARTITION => {
-                    let (groups, heal_at) = &a.partitions[a.ev_clock[idx] as usize];
-                    t.push_partition(groups, *heal_at);
-                }
-                KIND_DUPLICATE => t.push_duplicate(
-                    p,
-                    MsgId(a.ev_clock[idx]),
-                    a.sent_pool[self.sent_range(idx)][0],
-                ),
-                KIND_REORDER => t.push_reorder(p, MsgId(a.ev_clock[idx])),
-                _ => t.push_revive(p),
-            }
+        let tables = &self.lanes[lane];
+        for row in self.rows(lane) {
+            t.copy_row(row, &self.active.cols);
         }
-        for rec in &self.lanes[lane].msgs {
-            t.push_msg(rec.clone());
-        }
-        for d in &self.lanes[lane].decisions {
+        t.copy_table(&tables.table);
+        for d in &tables.decisions {
             t.push_decision(*d);
         }
-        for id in &self.lanes[lane].late_marks {
+        for id in &tables.late_marks {
             t.mark_late(*id);
         }
     }

@@ -1,22 +1,20 @@
 //! Message bodies, stored once per send-group.
 //!
-//! The [`MsgStore`](crate::store::MsgStore) files one slot per
-//! (message, destination): that is what adversaries schedule and what
-//! the trace records. The payload is a different matter — a broadcast
-//! says one thing to `n − 1` destinations — so payloads live here, one
-//! *body* per [`Outbox`](rtc_model::Outbox) broadcast or direct send,
-//! counted by the store slots that still refer to it:
+//! The [`MsgStore`](crate::store::MsgStore) links one slot per
+//! (message, destination) into a destination's pending list: that is
+//! what adversaries schedule. The payload is a different matter — a
+//! broadcast says one thing to `n − 1` destinations — so payloads live
+//! here, one *body* per [`Outbox`](rtc_model::Outbox) broadcast or
+//! direct send, counted by the store slots that name it:
 //!
-//! * `slot → body` is a table parallel to the store's slots;
-//! * a body's `remaining` is the number of buffered slots mapped to it.
-//!   Filing a slot ([`BodySlab::attach`]) increments it — a network
-//!   duplicate is just one more slot on the original's body — and
-//!   whoever unlinks a slot from the store (delivery, a crash-time drop,
-//!   a finished lane's drain) calls [`BodySlab::release`]; at zero the
-//!   message is dropped and the body recycled through a free list.
-//!
-//! A removed slot's table entry goes stale; it is never read, because
-//! every lookup starts from a slot the store reports as buffered.
+//! * a slot carries the index of its body;
+//! * a body's `remaining` is the number of buffered slots naming it.
+//!   [`BodySlab::store`] takes the count up front — a broadcast's whole
+//!   run in one write — a network duplicate adds one
+//!   ([`BodySlab::retain`]), and whoever unlinks a slot from the store
+//!   (delivery, a crash-time drop, a finished lane's drain) calls
+//!   [`BodySlab::release`]; at zero the message is dropped and the body
+//!   recycled through a free list.
 
 /// One stored message and the number of buffered slots that refer to
 /// it. Free (on the free list) exactly when `msg` is `None`.
@@ -26,15 +24,12 @@ struct Body<M> {
     remaining: u32,
 }
 
-/// The body slab plus the `slot → body` table. See the module docs.
+/// The body slab. See the module docs.
 #[derive(Debug)]
 pub(crate) struct BodySlab<M> {
     bodies: Vec<Body<M>>,
     /// LIFO recycling of freed bodies, shared across lanes.
     free: Vec<u32>,
-    /// `of_slot[slot]` is the body of the message the store keeps in
-    /// `slot`.
-    of_slot: Vec<u32>,
 }
 
 impl<M> BodySlab<M> {
@@ -42,24 +37,23 @@ impl<M> BodySlab<M> {
         BodySlab {
             bodies: Vec::new(),
             free: Vec::new(),
-            of_slot: Vec::new(),
         }
     }
 
-    /// Drops every message and forgets every mapping, keeping the
-    /// allocations — the batch pool's reuse path.
+    /// Drops every message, keeping the allocations — the batch pool's
+    /// reuse path.
     pub(crate) fn reset(&mut self) {
         self.bodies.clear();
         self.free.clear();
-        self.of_slot.clear();
     }
 
-    /// Stores `msg` with no slot referring to it yet. The caller
-    /// attaches at least one slot or calls [`BodySlab::discard_unfiled`].
-    pub(crate) fn store(&mut self, msg: M) -> u32 {
+    /// Stores `msg` for the `slots` (at least one) store slots about to
+    /// be filed over it.
+    pub(crate) fn store(&mut self, msg: M, slots: u32) -> u32 {
+        debug_assert!(slots > 0, "a body nobody refers to would never be freed");
         let body = Body {
             msg: Some(msg),
-            remaining: 0,
+            remaining: slots,
         };
         match self.free.pop() {
             Some(idx) => {
@@ -73,29 +67,14 @@ impl<M> BodySlab<M> {
         }
     }
 
-    /// Records that store slot `slot` now holds a message whose payload
-    /// is `body`.
-    pub(crate) fn attach(&mut self, slot: usize, body: u32) {
-        if slot >= self.of_slot.len() {
-            self.of_slot.resize(slot + 1, 0);
-        }
-        self.of_slot[slot] = body;
+    /// One more slot now names the live `body` (a network duplicate).
+    pub(crate) fn retain(&mut self, body: u32) {
         self.bodies[body as usize].remaining += 1;
-    }
-
-    /// The body of the message buffered in `slot`.
-    pub(crate) fn body_of(&self, slot: usize) -> u32 {
-        self.of_slot[slot]
     }
 
     /// The message stored in `body`, while any slot refers to it.
     pub(crate) fn msg(&self, body: u32) -> Option<&M> {
         self.bodies.get(body as usize)?.msg.as_ref()
-    }
-
-    /// The payload of the message buffered in `slot`.
-    pub(crate) fn msg_at(&self, slot: usize) -> Option<&M> {
-        self.msg(*self.of_slot.get(slot)?)
     }
 
     /// One slot that referred to `body` left the store; the last one
@@ -105,21 +84,6 @@ impl<M> BodySlab<M> {
         b.remaining -= 1;
         if b.remaining == 0 {
             b.msg = None;
-            self.free.push(body);
-        }
-    }
-
-    /// [`BodySlab::release`] for the body of the message that was
-    /// buffered in `slot`.
-    pub(crate) fn release_slot(&mut self, slot: usize) {
-        self.release(self.of_slot[slot]);
-    }
-
-    /// Frees a body that [`BodySlab::store`] created and no slot was
-    /// attached to (a broadcast with nobody left to tell).
-    pub(crate) fn discard_unfiled(&mut self, body: u32) {
-        let b = &mut self.bodies[body as usize];
-        if b.remaining == 0 && b.msg.take().is_some() {
             self.free.push(body);
         }
     }
@@ -149,17 +113,13 @@ mod tests {
     #[test]
     fn a_body_lives_until_its_last_slot_is_released() {
         let mut slab = BodySlab::new();
-        let b = slab.store("hello");
-        for slot in [4, 0, 2] {
-            slab.attach(slot, b);
-        }
-        assert_eq!(slab.live(), 1);
-        assert_eq!(slab.references(), 3);
-        assert_eq!(slab.msg_at(2), Some(&"hello"));
-        slab.release_slot(4);
-        slab.release_slot(0);
+        let b = slab.store("hello", 2);
+        slab.retain(b);
+        assert_eq!((slab.live(), slab.references()), (1, 3));
+        slab.release(b);
+        slab.release(b);
         assert_eq!(slab.msg(b), Some(&"hello"));
-        slab.release_slot(2);
+        slab.release(b);
         assert_eq!(slab.msg(b), None);
         assert_eq!(slab.live(), 0);
     }
@@ -167,17 +127,13 @@ mod tests {
     #[test]
     fn freed_bodies_are_recycled_and_reset_keeps_nothing_alive() {
         let mut slab = BodySlab::new();
-        let a = slab.store(1u8);
-        slab.attach(0, a);
+        let a = slab.store(1u8, 1);
         slab.release(a);
-        let b = slab.store(2u8);
+        let b = slab.store(2u8, 1);
         assert_eq!(a, b, "LIFO free list");
-        slab.attach(0, b);
-        let unfiled = slab.store(3u8);
-        slab.discard_unfiled(unfiled);
         assert_eq!(slab.live(), 1);
         slab.reset();
         assert_eq!(slab.live(), 0);
-        assert_eq!(slab.msg_at(0), None);
+        assert_eq!(slab.msg(b), None);
     }
 }

@@ -18,18 +18,29 @@
 //! destinations) and behaves byte-identically to the pre-split engine —
 //! the golden digests of `tests/scheduler_equivalence.rs` pin this.
 //!
-//! # A broadcast is stored once
+//! # A broadcast is filed once and recorded once
 //!
 //! A step's outgoing messages arrive in the [`Outbox`]: one broadcast
-//! slot plus direct sends. The store still files one slot — one
-//! [`MsgId`], one [`MsgRecord`], one place in a destination's list —
-//! per (message, destination), assigned destination ascending with
-//! direct sends substituted in place (call order when there is no
-//! broadcast), which is the order the automata used to unroll
-//! themselves and therefore the order every recorded schedule has. The
-//! payload is stored once, as a body the `n − 1` slots share; delivery
-//! lends the automaton `(sender, &body)` and releases the slots' hold
-//! afterwards. See [`crate::bodies`] for who counts what.
+//! slot plus direct sends. They are one thing all the way down — a
+//! *send-run*:
+//!
+//! * **ids** — the run takes the next `count` dense [`MsgId`]s,
+//!   destination ascending with direct sends substituted in place (call
+//!   order when there is no broadcast), which is the order the automata
+//!   used to unroll themselves and therefore the order every recorded
+//!   schedule has;
+//! * **store** — [`MsgStore::file_run`] writes one header (sender, send
+//!   event, sender clock, first id) and, per destination, only a link
+//!   slot in that destination's pending list; what adversaries see of a
+//!   message is assembled from the two by value;
+//! * **payload** — one body the run's slots share (a direct send has
+//!   its own); delivery lends the automaton `(sender, &body)` and
+//!   releases the slots' hold afterwards (see [`crate::bodies`] for who
+//!   counts what);
+//! * **trace** — one [`TraceSink::push_step`] row per step says what
+//!   was delivered and which run was sent; the per-message
+//!   [`MsgRecord`](crate::MsgRecord)s readers get are derived from the
+//!   rows on demand (see [`crate::trace::MsgTable`]).
 
 use std::error::Error;
 use std::fmt;
@@ -41,10 +52,10 @@ use rtc_model::{
 
 use crate::adversary::{Action, Adversary, ContentAdversary, ContentView, PatternView};
 use crate::bodies::BodySlab;
-use crate::envelope::{MsgId, MsgMeta};
+use crate::envelope::{IdRun, MsgId};
 use crate::lateness::LatenessMonitor;
-use crate::store::{MsgStore, StoreLane};
-use crate::trace::{DecisionRecord, MsgRecord, Trace, TraceSink};
+use crate::store::{MsgStore, RunHeader, StoreLane, Taken};
+use crate::trace::{DecisionRecord, Dests, SendRun, Trace, TraceSink};
 
 /// An active network partition: processors in different groups cannot
 /// exchange messages until the heal event.
@@ -383,7 +394,7 @@ impl SimBuilder {
             crashed: vec![false; n],
             decided: vec![false; n],
             store_lane,
-            last_sent: vec![Vec::new(); n],
+            last_run: vec![IdRun::new(MsgId(0), 0); n],
             last_step_event: vec![None; n],
             last_sched_event: vec![0; n],
             event: 0,
@@ -420,21 +431,22 @@ impl SimBuilder {
 /// the buffers the stepping path reuses. One instance ([`Sim`]) is the
 /// single-lane case.
 pub(crate) struct Shared<M> {
-    /// Indexed metadata of all in-flight messages: O(1) insert, lookup,
-    /// and removal, with per-destination insertion-ordered lists.
+    /// All in-flight messages, one send-run per sending event: O(1)
+    /// filing per destination, lookup, and removal, with
+    /// per-destination insertion-ordered lists.
     pub(crate) store: MsgStore,
     /// Payloads of in-flight messages, one body per broadcast or direct
-    /// send, resolved from a store slot through `slot → body`. Recycled
-    /// together with the slots — across instances in a batch — so
-    /// steady-state runs stop growing it.
+    /// send, named by the store slots filed over it. Recycled together
+    /// with the slots — across instances in a batch — so steady-state
+    /// runs stop growing it.
     pub(crate) bodies: BodySlab<M>,
-    /// Scratch for `(sender, body)` of the messages lent to the step in
-    /// progress; empty between steps, so no body is referred to across
-    /// steps.
-    deliv_scratch: Vec<(ProcessorId, u32)>,
-    /// Scratch for the ids sent at the current step, reused across
-    /// steps.
-    sent_scratch: Vec<MsgId>,
+    /// Scratch for what the store handed back of the messages lent to
+    /// the step in progress (sender, body, send event); empty between
+    /// steps, so no body is referred to across steps.
+    deliv_scratch: Vec<Taken>,
+    /// Scratch for the destinations of a run that has to list them,
+    /// reused across steps.
+    dest_scratch: Vec<ProcessorId>,
     /// What the step in progress sent; empty between steps.
     outbox: Outbox<M>,
 }
@@ -446,7 +458,7 @@ impl<M> Shared<M> {
             store: MsgStore::new(total_dests),
             bodies: BodySlab::new(),
             deliv_scratch: Vec::new(),
-            sent_scratch: Vec::new(),
+            dest_scratch: Vec::new(),
             outbox: Outbox::new(),
         }
     }
@@ -457,15 +469,15 @@ impl<M> Shared<M> {
         self.store.reset(total_dests);
         self.bodies.reset();
         self.deliv_scratch.clear();
-        self.sent_scratch.clear();
+        self.dest_scratch.clear();
         self.outbox.clear();
     }
 
     /// Gives up the hold of every message unlinked for a step that is
     /// not going to run.
     fn release_lent(&mut self) {
-        for (_, body) in self.deliv_scratch.drain(..) {
-            self.bodies.release(body);
+        for taken in self.deliv_scratch.drain(..) {
+            self.bodies.release(taken.body);
         }
     }
 }
@@ -496,9 +508,9 @@ pub(crate) struct Lane<A: Automaton> {
     /// This instance's view into the shared store: destination base
     /// offset plus the dense per-instance `id → slot` map.
     store_lane: StoreLane,
-    /// Per-processor ids of the messages emitted at its most recent
-    /// step, sorted by destination — the candidates a crash may drop.
-    last_sent: Vec<Vec<MsgId>>,
+    /// Per-processor run of ids emitted at its most recent step — the
+    /// candidates a crash may drop.
+    last_run: Vec<IdRun>,
     last_step_event: Vec<Option<u64>>,
     last_sched_event: Vec<u64>,
     event: u64,
@@ -594,7 +606,7 @@ impl<A: Automaton> Lane<A> {
         PatternView {
             store,
             lane: &self.store_lane,
-            last_sent: &self.last_sent,
+            last_run: &self.last_run,
             clocks: &self.clocks,
             crashed: &self.crashed,
             last_step_event: &self.last_step_event,
@@ -639,24 +651,23 @@ impl<A: Automaton> Lane<A> {
         // the heal), and a past reorder breaks the sorted-prefix
         // invariant the fast path depends on.
         let hostile = self.partition.is_some() || self.reordered;
-        // Overdue guaranteed messages to alive processors first. Within
-        // a destination send events are nondecreasing, so the overdue
-        // messages are exactly a prefix of its pending list (every
-        // buffered message is guaranteed — drops happen at crash time).
+        // Overdue messages to alive processors first (every buffered
+        // message is guaranteed — a crash's drops leave the store at
+        // crash time). Within a destination send events are
+        // nondecreasing, so the overdue messages are exactly a prefix of
+        // its pending list. Fairness rescue is the cold path: it only
+        // runs when the adversary starved a message past the envelope,
+        // never in steady-state stepping.
         for i in 0..self.autos.len() {
             if self.crashed[i] {
                 continue;
             }
-            // rtc-allow(per-instance-alloc): fairness rescue is the cold
-            // path — it only runs when the adversary starved a message
-            // past the envelope, never in steady-state stepping.
             let overdue: Vec<MsgId> = if hostile {
                 let part = self.partition.as_ref();
                 store
                     .iter_dest(&self.store_lane, i)
                     .filter(|m| {
-                        m.guaranteed
-                            && self.event.saturating_sub(m.send_event) > defer
+                        self.event.saturating_sub(m.send_event) > defer
                             && part.is_none_or(|ps| !ps.blocks(m.from, m.to))
                     })
                     .map(|m| m.id)
@@ -664,7 +675,7 @@ impl<A: Automaton> Lane<A> {
             } else {
                 store
                     .iter_dest(&self.store_lane, i)
-                    .take_while(|m| m.guaranteed && self.event.saturating_sub(m.send_event) > defer)
+                    .take_while(|m| self.event.saturating_sub(m.send_event) > defer)
                     .map(|m| m.id)
                     .collect()
             };
@@ -708,7 +719,7 @@ impl<A: Automaton> Lane<A> {
                     }
                     next = next.min(due);
                 }
-            } else if let Some(m) = store.head_meta(&self.store_lane, i) {
+            } else if let Some(m) = store.head(&self.store_lane, i) {
                 next = next.min(m.send_event.saturating_add(defer).saturating_add(1));
             }
             next = next.min(
@@ -759,9 +770,9 @@ impl<A: Automaton> Lane<A> {
             return Err(SimError::StepOnCrashed { p });
         }
         // Unlink the deliveries from p's buffer, O(1) per id through
-        // the store, noting (sender, body) of each: the automaton reads
-        // the bodies in place.
-        shared.deliv_scratch.clear();
+        // the store, keeping what it hands back of each: the automaton
+        // reads the bodies in place, the lateness monitor the send
+        // events.
         for id in &deliver {
             // An active partition (refreshed in `apply`, so it is live)
             // vetoes any delivery crossing the group boundary.
@@ -773,12 +784,11 @@ impl<A: Automaton> Lane<A> {
                     }
                 }
             }
-            let Some((slot, meta)) = shared.store.remove_for(&mut self.store_lane, *id, i) else {
+            let Some(taken) = shared.store.take_for(&mut self.store_lane, *id, i) else {
                 shared.release_lent();
                 return Err(SimError::DeliverNotBuffered { p, id: *id });
             };
-            let body = shared.bodies.body_of(slot);
-            shared.deliv_scratch.push((meta.from, body));
+            shared.deliv_scratch.push(taken);
         }
         // Step the automaton with this step's random number.
         let mut rng = self.seeds.step_rng(p, self.clocks[i]);
@@ -786,25 +796,25 @@ impl<A: Automaton> Lane<A> {
             store,
             bodies,
             deliv_scratch,
-            sent_scratch: sent_ids,
+            dest_scratch,
             outbox,
         } = shared;
         let lent = &*bodies;
         self.autos[i].step_into(
             deliv_scratch
                 .iter()
-                .filter_map(|&(from, body)| Some((from, lent.msg(body)?))),
+                .filter_map(|taken| Some((taken.from, lent.msg(taken.body)?))),
             &mut rng,
             outbox,
         );
-        for (_, body) in deliv_scratch.drain(..) {
-            bodies.release(body);
+        for taken in deliv_scratch.iter() {
+            bodies.release(taken.body);
         }
         self.clocks[i] = self.clocks[i].tick();
         let clock_after = self.clocks[i];
         // A broadcast cannot name a destination twice or out of range;
         // only direct sends are checked (and marked, for the routing
-        // below).
+        // in `file_sends`).
         if !outbox.direct().is_empty() {
             self.direct_body.fill(NO_DIRECT);
             let marks = &mut self.direct_body;
@@ -818,47 +828,12 @@ impl<A: Automaton> Lane<A> {
             });
             if let Some(violation) = violation {
                 outbox.clear();
+                deliv_scratch.clear();
                 return Err(violation);
             }
         }
-        // File one slot per destination, in the order the module docs
-        // give; a broadcast's slots share one body.
-        sent_ids.clear();
-        let mut dest_sorted = true;
-        match outbox.take_broadcast() {
-            None => {
-                let mut prev_dest = 0usize;
-                for send in outbox.drain_direct() {
-                    if send.to.index() < prev_dest {
-                        dest_sorted = false;
-                    }
-                    prev_dest = send.to.index();
-                    let body = bodies.store(send.msg);
-                    sent_ids.push(self.file(p, send.to, body, store, bodies, trace));
-                }
-            }
-            Some(msg) => {
-                let broadcast = bodies.store(msg);
-                let directed = !outbox.direct().is_empty();
-                for send in outbox.drain_direct() {
-                    self.direct_body[send.to.index()] = bodies.store(send.msg);
-                }
-                for q in 0..n {
-                    let body = if directed && self.direct_body[q] != NO_DIRECT {
-                        self.direct_body[q]
-                    } else if q != i {
-                        broadcast
-                    } else {
-                        continue;
-                    };
-                    sent_ids.push(self.file(p, ProcessorId::new(q), body, store, bodies, trace));
-                }
-                // Nobody to tell: a population of one, or every peer
-                // addressed directly.
-                bodies.discard_unfiled(broadcast);
-            }
-        }
-        if !sent_ids.is_empty() {
+        let sent = self.file_sends(p, clock_after, store, bodies, outbox, dest_scratch);
+        if sent.count > 0 {
             // A fresh message could become overdue before the cached
             // fairness bound; pull the bound in (conservatively).
             self.next_forced_at = self.next_forced_at.min(
@@ -866,37 +841,19 @@ impl<A: Automaton> Lane<A> {
                     .saturating_add(self.fairness.max_defer_events)
                     .saturating_add(1),
             );
-            // Refresh p's droppable-sends cache, ordered by destination
-            // (at most one message per destination per step, so the
-            // destination is a total order on this step's sends). A
-            // broadcast is filed ascending; only a step of direct sends
-            // made out of order needs the sort.
-            let store_lane = &self.store_lane;
-            let cache = &mut self.last_sent[i];
-            cache.clear();
-            cache.extend_from_slice(sent_ids);
-            if !dest_sorted {
-                cache.sort_unstable_by_key(|id| {
-                    store
-                        .lookup(store_lane, *id)
-                        .map_or(usize::MAX, |m| m.to.index())
-                });
-            }
-        } else {
-            self.last_sent[i].clear();
         }
+        // p's droppable sends are now exactly this run.
+        self.last_run[i] = IdRun::new(sent.first, sent.count);
         // The receiving step itself counts toward the lateness interval,
         // so it is recorded before the deliveries are classified.
         self.monitor.note_step(i, self.event);
-        for id in &deliver {
-            trace.note_delivery(*id, self.event, clock_after);
-            let send_event = trace.send_event_of(*id);
-            if self.monitor.classify_delivery(*id, send_event) {
+        for (id, taken) in deliver.iter().zip(deliv_scratch.iter()) {
+            if self.monitor.classify_delivery(*id, taken.send_event) {
                 trace.mark_late(*id);
             }
         }
-        trace.push_step(p, clock_after, &deliver, sent_ids);
-        sent_ids.clear();
+        deliv_scratch.clear();
+        trace.push_step(p, clock_after, &deliver, sent);
         // Decision bookkeeping.
         if !self.decided[i] {
             if let Some(value) = self.autos[i].status().value() {
@@ -915,45 +872,89 @@ impl<A: Automaton> Lane<A> {
         Ok(())
     }
 
-    /// Files one slot of the step in progress: the next dense id, the
-    /// store entry at `to`'s tail mapped to `body`, and the trace
-    /// record.
-    #[inline]
-    // rtc-hot-loop(per-instance): runs once per (message, destination)
-    // of every step.
-    fn file(
+    /// Files what the step in progress put in `outbox` as one send-run
+    /// — the next dense ids, one store header, one link slot per
+    /// destination, in the order the module docs give — and returns the
+    /// run as the recorder wants it (listing the destinations in
+    /// `dests` when they are not the broadcast pattern).
+    // rtc-hot-loop(per-instance): runs once per step of every instance.
+    fn file_sends<'d>(
         &mut self,
-        from: ProcessorId,
-        to: ProcessorId,
-        body: u32,
+        p: ProcessorId,
+        clock_after: LocalClock,
         store: &mut MsgStore,
         bodies: &mut BodySlab<A::Msg>,
-        trace: &mut impl TraceSink,
-    ) -> MsgId {
-        let id = MsgId(self.next_msg);
-        self.next_msg += 1;
-        let sender_clock = self.clocks[from.index()];
-        let meta = MsgMeta {
-            id,
-            from,
-            to,
+        outbox: &mut Outbox<A::Msg>,
+        dests: &'d mut Vec<ProcessorId>,
+    ) -> SendRun<'d> {
+        let n = self.autos.len();
+        let first = MsgId(self.next_msg);
+        let header = RunHeader {
+            from: p,
             send_event: self.event,
-            sender_clock,
-            guaranteed: true,
+            sender_clock: clock_after,
+            first,
         };
-        let slot = store.insert(&mut self.store_lane, meta);
-        bodies.attach(slot, body);
-        trace.push_msg(MsgRecord {
-            id,
-            from,
-            to,
-            send_event: self.event,
-            sender_clock,
-            recv_event: None,
-            recv_clock: None,
-            dropped: false,
-        });
-        id
+        let lane = &mut self.store_lane;
+        dests.clear();
+        let (count, listed) = match outbox.take_broadcast() {
+            // Direct sends only: call order, each its own body.
+            None => {
+                let sends = outbox.drain_direct().map(|send| {
+                    dests.push(send.to);
+                    (send.to, bodies.store(send.msg, 1))
+                });
+                (store.file_run(lane, header, sends), true)
+            }
+            // The common case: one body, everybody else's list.
+            Some(msg) if outbox.direct().is_empty() => {
+                let peers = n as u32 - 1;
+                if peers > 0 {
+                    let body = bodies.store(msg, peers);
+                    let everybody_else = ProcessorId::all(n).filter(|q| *q != p);
+                    store.file_run(lane, header, everybody_else.map(|q| (q, body)));
+                }
+                (peers, false)
+            }
+            // A broadcast with direct sends substituted in place (and
+            // the sender skipped unless it addressed itself).
+            Some(msg) => {
+                let mut direct = 0;
+                let mut to_self = false;
+                for send in outbox.drain_direct() {
+                    direct += 1;
+                    to_self |= send.to == p;
+                    self.direct_body[send.to.index()] = bodies.store(send.msg, 1);
+                }
+                // Nobody left to tell when every peer was addressed
+                // directly.
+                let told = n as u32 - 1 - (direct - u32::from(to_self));
+                let broadcast = match told {
+                    0 => NO_DIRECT,
+                    told => bodies.store(msg, told),
+                };
+                let direct_body = &self.direct_body;
+                let sends = ProcessorId::all(n).filter_map(|q| match direct_body[q.index()] {
+                    NO_DIRECT if q == p => None,
+                    NO_DIRECT => Some((q, broadcast)),
+                    body => Some((q, body)),
+                });
+                let count = store.file_run(lane, header, sends);
+                if to_self {
+                    dests.extend(ProcessorId::all(n));
+                }
+                (count, to_self)
+            }
+        };
+        self.next_msg += u64::from(count);
+        SendRun {
+            first,
+            count,
+            dests: match listed {
+                true => Dests::Explicit(dests),
+                false => Dests::Broadcast,
+            },
+        }
     }
 
     fn apply_crash(
@@ -985,8 +986,8 @@ impl<A: Automaton> Lane<A> {
             }
         }
         for id in &drop {
-            if let Some((slot, _)) = shared.store.remove(&mut self.store_lane, *id) {
-                shared.bodies.release_slot(slot);
+            if let Some(taken) = shared.store.take(&mut self.store_lane, *id) {
+                shared.bodies.release(taken.body);
             }
             trace.note_drop(*id);
         }
@@ -1035,39 +1036,31 @@ impl<A: Automaton> Lane<A> {
         shared: &mut Shared<A::Msg>,
         trace: &mut impl TraceSink,
     ) -> Result<(), SimError> {
-        let Some(slot) = shared.store.slot_index(&self.store_lane, id) else {
-            return Err(SimError::MsgNotBuffered { id });
-        };
-        let Some(orig) = shared.store.lookup(&self.store_lane, id).copied() else {
+        let lane = &mut self.store_lane;
+        let (Some(orig), Some(body)) = (
+            shared.store.lookup(lane, id),
+            shared.store.body_of(lane, id),
+        ) else {
             return Err(SimError::MsgNotBuffered { id });
         };
         // The copy is a first-class message: fresh dense id, sent "now"
         // (so tail insertion keeps per-destination send order), same
         // endpoints and logical send clock as the original, and
         // guaranteed — the network may duplicate, never forge or drop.
-        // It says what the original says: one more slot on its body.
+        // It is a run of one that says what the original says: one more
+        // slot on its body.
         let copy = MsgId(self.next_msg);
         self.next_msg += 1;
-        let meta = MsgMeta {
-            id: copy,
+        let header = RunHeader {
             from: orig.from,
-            to: orig.to,
             send_event: self.event,
             sender_clock: orig.sender_clock,
-            guaranteed: true,
+            first: copy,
         };
-        let new_slot = shared.store.insert(&mut self.store_lane, meta);
-        shared.bodies.attach(new_slot, shared.bodies.body_of(slot));
-        trace.push_msg(MsgRecord {
-            id: copy,
-            from: orig.from,
-            to: orig.to,
-            send_event: self.event,
-            sender_clock: orig.sender_clock,
-            recv_event: None,
-            recv_clock: None,
-            dropped: false,
-        });
+        shared.bodies.retain(body);
+        shared
+            .store
+            .file_run(lane, header, std::iter::once((orig.to, body)));
         trace.push_duplicate(orig.from, id, copy);
         // The copy could become overdue before the cached fairness
         // bound; pull the bound in, exactly as a fresh send does.
@@ -1086,10 +1079,10 @@ impl<A: Automaton> Lane<A> {
         shared: &mut Shared<A::Msg>,
         trace: &mut impl TraceSink,
     ) -> Result<(), SimError> {
-        let Some(meta) = shared.store.lookup(&self.store_lane, id).copied() else {
+        let Some(meta) = shared.store.lookup(&self.store_lane, id) else {
             return Err(SimError::MsgNotBuffered { id });
         };
-        let moved = shared.store.move_to_back(&mut self.store_lane, id);
+        let moved = shared.store.move_to_back(&self.store_lane, id);
         debug_assert!(moved, "lookup succeeded, so the move must too");
         // Per-destination lists are no longer sorted by send event; the
         // fairness envelope switches to its full-scan path for the rest
@@ -1140,10 +1133,8 @@ impl<A: Automaton> Lane<A> {
     /// later-finishing instances recycle its envelopes.
     pub(crate) fn drain(&mut self, shared: &mut Shared<A::Msg>) {
         for d in 0..self.autos.len() {
-            while let Some(id) = shared.store.head_meta(&self.store_lane, d).map(|m| m.id) {
-                if let Some((slot, _)) = shared.store.remove(&mut self.store_lane, id) {
-                    shared.bodies.release_slot(slot);
-                }
+            while let Some(taken) = shared.store.take_head(&mut self.store_lane, d) {
+                shared.bodies.release(taken.body);
             }
         }
     }
@@ -1817,8 +1808,7 @@ mod tests {
             .pending(ProcessorId::new(1));
         let bodies: Vec<u32> = pending
             .iter()
-            .map(|m| s.shared.store.slot_index(&s.lane.store_lane, m.id).unwrap())
-            .map(|slot| s.shared.bodies.body_of(slot))
+            .map(|m| s.shared.store.body_of(&s.lane.store_lane, m.id).unwrap())
             .collect();
         assert_eq!(bodies.len(), 2);
         assert_eq!(bodies[0], bodies[1]);
@@ -1826,12 +1816,14 @@ mod tests {
             (s.shared.bodies.live(), s.shared.bodies.references()),
             (1, 2)
         );
+        assert_eq!(s.shared.store.run_references(), 2);
         let report = s.run(&mut adv, RunLimits::with_max_events(500)).unwrap();
         // p1 needed two receipts and the coordinator broadcast only one
         // message: only the duplicated copy can account for the second,
         // and the one body served both deliveries before it was freed.
         assert!(report.statuses()[1].is_decided());
         assert_eq!(s.shared.bodies.references(), s.shared.store.len());
+        assert_eq!(s.shared.store.run_references(), s.shared.store.len());
         let dup = s.trace().events().find_map(|e| match e {
             crate::EventView::Duplicate { original, copy, .. } => Some((original, copy)),
             _ => None,
@@ -1994,6 +1986,7 @@ mod tests {
         };
         s.lane.apply(step, true, &mut s.shared, &mut s.trace)?;
         assert_eq!(s.shared.bodies.references(), s.shared.store.len());
+        assert_eq!(s.shared.store.run_references(), s.shared.store.len());
         Ok(s.trace.messages().iter().map(|m| m.to.index()).collect())
     }
 

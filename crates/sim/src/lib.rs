@@ -76,10 +76,10 @@ pub mod rounds;
 mod store;
 mod trace;
 
-pub use adversary::{Action, Adversary, ContentAdversary, ContentView, MsgHandle, PatternView};
+pub use adversary::{Action, Adversary, ContentAdversary, ContentView, PatternView};
 pub use batch::{BatchPool, BatchSim, BatchSimBuilder};
 pub use engine::{FairnessParams, RunLimits, RunReport, Sim, SimBuilder, SimError, StopWhen};
-pub use envelope::MsgId;
+pub use envelope::{IdRun, MsgHandle, MsgId};
 pub use lateness::LatenessMonitor;
 pub use metrics::{LatenessReport, RunMetrics};
 pub use par_batch::{default_workers, worker_of, ParBatchPool, ParBatchSim, ParBatchSimBuilder};

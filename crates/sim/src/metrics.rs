@@ -88,7 +88,7 @@ mod tests {
     use rtc_model::{LocalClock, Value};
 
     use super::*;
-    use crate::trace::{DecisionRecord, EventRecord, MsgRecord};
+    use crate::trace::{DecisionRecord, EventRecord, TraceSink};
 
     #[test]
     fn counts_and_decision_clocks() {
@@ -99,23 +99,12 @@ mod tests {
             delivered: vec![],
             sent: vec![MsgId(0)],
         });
-        t.push_msg(MsgRecord {
-            id: MsgId(0),
-            from: ProcessorId::new(0),
-            to: ProcessorId::new(1),
-            send_event: 0,
-            sender_clock: LocalClock::new(1),
-            recv_event: None,
-            recv_clock: None,
-            dropped: false,
-        });
         t.push_event(EventRecord::Step {
             p: ProcessorId::new(1),
             clock_after: LocalClock::new(1),
             delivered: vec![MsgId(0)],
             sent: vec![],
         });
-        t.note_delivery(MsgId(0), 1, LocalClock::new(1));
         t.push_decision(DecisionRecord {
             p: ProcessorId::new(0),
             value: Value::One,

@@ -182,7 +182,7 @@ mod tests {
 
     use super::*;
     use crate::envelope::MsgId;
-    use crate::trace::{DecisionRecord, EventRecord, MsgRecord};
+    use crate::trace::{DecisionRecord, EventRecord, TraceSink};
 
     fn timing(k: u64) -> TimingParams {
         TimingParams::new(k).unwrap()
@@ -233,16 +233,6 @@ mod tests {
             delivered: vec![],
             sent: vec![MsgId(0)],
         });
-        t.push_msg(MsgRecord {
-            id: MsgId(0),
-            from: ProcessorId::new(1),
-            to: ProcessorId::new(0),
-            send_event: 1,
-            sender_clock: LocalClock::new(2),
-            recv_event: None,
-            recv_clock: None,
-            dropped: false,
-        });
         // p0 receives it at its clock 10 (event 2).
         t.push_event(EventRecord::Step {
             p: ProcessorId::new(0),
@@ -250,7 +240,6 @@ mod tests {
             delivered: vec![MsgId(0)],
             sent: vec![],
         });
-        t.note_delivery(MsgId(0), 2, LocalClock::new(10));
         let acc = RoundAccountant::new(&t, timing(k));
         let b = acc.boundaries(2);
         // p0's round 2 ends at max(4 + 4, 10 + 4) = 14.
@@ -270,23 +259,12 @@ mod tests {
             delivered: vec![],
             sent: vec![MsgId(0)],
         });
-        t.push_msg(MsgRecord {
-            id: MsgId(0),
-            from: ProcessorId::new(1),
-            to: ProcessorId::new(0),
-            send_event: 0,
-            sender_clock: LocalClock::new(1),
-            recv_event: None,
-            recv_clock: None,
-            dropped: false,
-        });
         t.push_event(EventRecord::Step {
             p: ProcessorId::new(0),
             clock_after: LocalClock::new(10),
             delivered: vec![MsgId(0)],
             sent: vec![],
         });
-        t.note_delivery(MsgId(0), 1, LocalClock::new(10));
         t.push_event(EventRecord::Crash {
             p: ProcessorId::new(1),
         });

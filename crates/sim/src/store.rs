@@ -1,22 +1,37 @@
-//! Indexed store for in-flight message metadata.
+//! Indexed store for in-flight messages, filed one send-run per step.
 //!
-//! The engine used to keep one `Vec<MsgMeta>` per destination and pay a
-//! linear scan plus an order-preserving `Vec::remove` shift for every
-//! delivery and drop. [`MsgStore`] replaces that with a slab of slots
-//! threaded by per-destination intrusive doubly-linked lists:
+//! Every message of the protocols is a broadcast, and the adversary
+//! sees only the *pattern* — who sent to whom at which event — so what
+//! a step's `n − 1` messages do not share is small: a place in one
+//! destination's pending list. [`MsgStore`] keeps exactly that per
+//! (message, destination), and everything else once per step:
 //!
-//! * **insert** appends at the destination's tail — O(1);
+//! * a **send-run** is what one event sent: one [`RunHeader`] holding
+//!   the sender, the send event, the sender's clock and the first id of
+//!   the run's contiguous id range, plus a count of the run's slots
+//!   still buffered (the header is recycled when it reaches zero);
+//! * a **slot** links one message into its destination's intrusive
+//!   doubly-linked list: the run it belongs to, its ordinal in the run
+//!   (`id = first + ordinal`), the destination, its neighbours, and the
+//!   body ([`crate::bodies`]) holding its payload.
+//!
+//! [`MsgHandle`]s are assembled by value from header + slot when
+//! somebody asks. The operations the engine relies on:
+//!
+//! * **file_run** appends a whole run, each message at its
+//!   destination's tail — O(1) per destination, one header write;
 //! * **lookup** maps a dense [`MsgId`] to its slot through the lane's
 //!   `slot_of` — O(1);
-//! * **remove** unlinks the slot in place — O(1), shared by the
-//!   delivery and the crash-drop paths;
+//! * **take** unlinks a slot in place — O(1), shared by the delivery,
+//!   crash-drop and drain paths;
 //! * **iter_dest** walks one destination's list in insertion order,
-//!   which is exactly the order the old `Vec` exposed, so adversary
-//!   visibility (and therefore every seeded schedule) is unchanged.
+//!   which is exactly the order a per-destination `Vec` would expose,
+//!   so adversary visibility (and therefore every seeded schedule) does
+//!   not depend on the representation.
 //!
-//! Slots are recycled LIFO through a free list, so steady-state runs
-//! stop allocating once the high-water mark of concurrently buffered
-//! messages is reached.
+//! Slots and headers are recycled LIFO through free lists, so
+//! steady-state runs stop allocating once the high-water mark of
+//! concurrently buffered messages is reached.
 //!
 //! # Lanes
 //!
@@ -26,21 +41,61 @@
 //! Everything instance-local lives in a [`StoreLane`]: the lane's base
 //! offset into the destination tables plus its own dense `id → slot`
 //! map (message ids are dense *per instance*, so the map cannot be
-//! shared). The slots, the free list, and the per-destination list
+//! shared). The slots, headers, free lists, and per-destination list
 //! tables are shared across lanes — freed envelopes from one instance
 //! are recycled into the next without new allocation. A single-instance
 //! [`crate::Sim`] is simply the one-lane case with base 0.
 
-use crate::envelope::{MsgId, MsgMeta};
+use rtc_model::{LocalClock, ProcessorId};
+
+use crate::envelope::{MsgHandle, MsgId};
 
 /// Sentinel for "no slot" / "no neighbour" in the intrusive lists.
 const NIL: u32 = u32::MAX;
 
+/// What all messages of one send-run share.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct RunHeader {
+    /// Sender.
+    pub from: ProcessorId,
+    /// Global index of the sending event.
+    pub send_event: u64,
+    /// The sender's clock immediately after the sending step.
+    pub sender_clock: LocalClock,
+    /// Id of the run's first message; the rest follow contiguously in
+    /// filing order.
+    pub first: MsgId,
+}
+
+/// A filed run: its header and how many of its slots are still linked.
+/// Free (on the free list) exactly when `live` is zero.
+#[derive(Clone, Copy, Debug)]
+struct Run {
+    header: RunHeader,
+    live: u32,
+}
+
+/// One message's place in its destination's pending list.
 #[derive(Clone, Copy, Debug)]
 struct Slot {
-    meta: MsgMeta,
+    run: u32,
+    /// The body holding this message's payload.
+    body: u32,
     prev: u32,
     next: u32,
+    to: ProcessorId,
+    /// Position in the run's id range.
+    ord: u16,
+}
+
+/// What [`MsgStore::take`] hands back about the message it unlinked:
+/// the inputs of delivery (sender and body) and of lateness
+/// classification (send event).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Taken {
+    pub from: ProcessorId,
+    pub send_event: u64,
+    pub body: u32,
 }
 
 /// One instance's view into a shared [`MsgStore`]: its base offset into
@@ -70,6 +125,14 @@ impl StoreLane {
         self.slot_of.clear();
         self.base = base;
     }
+
+    /// The slot holding `id`, if it is still buffered.
+    fn slot(&self, id: MsgId) -> Option<u32> {
+        match *self.slot_of.get(id.index())? {
+            NIL => None,
+            slot => Some(slot),
+        }
+    }
 }
 
 /// Slab-backed store of buffered messages with per-destination
@@ -80,6 +143,9 @@ pub(crate) struct MsgStore {
     slots: Vec<Slot>,
     /// LIFO recycling of freed slots, shared across lanes.
     free: Vec<u32>,
+    runs: Vec<Run>,
+    /// LIFO recycling of headers whose last slot left the store.
+    free_runs: Vec<u32>,
     /// Head slot of each global destination's pending list (`NIL` when
     /// empty).
     heads: Vec<u32>,
@@ -87,9 +153,7 @@ pub(crate) struct MsgStore {
     /// empty).
     tails: Vec<u32>,
     /// Pending-message count per global destination.
-    lens: Vec<usize>,
-    /// Total pending messages across all destinations.
-    total: usize,
+    lens: Vec<u32>,
 }
 
 impl MsgStore {
@@ -97,28 +161,27 @@ impl MsgStore {
     /// single instance, `B * n` for a batch of `B`).
     pub(crate) fn new(total_dests: usize) -> MsgStore {
         MsgStore {
-            slots: Vec::new(),
-            free: Vec::new(),
             heads: vec![NIL; total_dests],
             tails: vec![NIL; total_dests],
             lens: vec![0; total_dests],
-            total: 0,
+            ..MsgStore::default()
         }
     }
 
     /// Empties the store and re-sizes it for `total_dests` destinations
-    /// while keeping the slot slab's capacity — the batch pool's reuse
-    /// path. All lanes must be dropped or reset alongside this.
+    /// while keeping the slabs' capacity — the batch pool's reuse path.
+    /// All lanes must be dropped or reset alongside this.
     pub(crate) fn reset(&mut self, total_dests: usize) {
         self.slots.clear();
         self.free.clear();
+        self.runs.clear();
+        self.free_runs.clear();
         self.heads.clear();
         self.heads.resize(total_dests, NIL);
         self.tails.clear();
         self.tails.resize(total_dests, NIL);
         self.lens.clear();
         self.lens.resize(total_dests, 0);
-        self.total = 0;
     }
 
     /// Envelope slots the slab has ever grown to hold — the warm
@@ -131,80 +194,119 @@ impl MsgStore {
     /// Number of messages currently buffered for `lane`'s local
     /// destination `dest`.
     pub(crate) fn len_of(&self, lane: &StoreLane, dest: usize) -> usize {
-        self.lens[lane.base as usize + dest]
+        self.lens[lane.base as usize + dest] as usize
     }
 
     /// Total number of buffered messages across all lanes.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.total
+        self.lens.iter().map(|len| *len as usize).sum()
     }
 
-    /// Buffers `meta` at the tail of its destination's list in `lane`
-    /// and returns the slot index it landed in (so the engine can map
-    /// the slot to the message's body). Ids must be dense per
-    /// lane and inserted in increasing order (the engine assigns them
-    /// from a per-instance counter), which keeps `slot_of` an O(1)
-    /// direct map.
-    pub(crate) fn insert(&mut self, lane: &mut StoreLane, meta: MsgMeta) -> usize {
-        let dest = lane.base as usize + meta.to.index();
-        let idx = match self.free.pop() {
+    /// Sum of the live-slot counts of all filed runs — equals
+    /// [`MsgStore::len`] when the accounting is right.
+    #[cfg(test)]
+    pub(crate) fn run_references(&self) -> usize {
+        self.runs.iter().map(|run| run.live as usize).sum()
+    }
+
+    /// Files one send-run: every `(destination, body)` of `dests`, in
+    /// order, gets the run's next id and a slot at its destination's
+    /// tail in `lane`. Returns how many messages were filed. Ids must
+    /// be dense per lane and runs filed in increasing id order (the
+    /// engine assigns them from a per-instance counter), which keeps
+    /// `slot_of` an O(1) direct map.
+    // rtc-hot-loop(per-instance): runs once per sending event; its loop
+    // body is all that is left per (message, destination).
+    pub(crate) fn file_run(
+        &mut self,
+        lane: &mut StoreLane,
+        header: RunHeader,
+        dests: impl Iterator<Item = (ProcessorId, u32)>,
+    ) -> u32 {
+        debug_assert!(
+            lane.slot_of.len() <= header.first.index(),
+            "message id buffered twice"
+        );
+        lane.slot_of.resize(header.first.index(), NIL);
+        let run = match self.free_runs.pop() {
             Some(idx) => {
-                self.slots[idx as usize] = Slot {
-                    meta,
-                    prev: self.tails[dest],
-                    next: NIL,
-                };
+                self.runs[idx as usize].header = header;
                 idx
             }
             None => {
-                let idx = self.slots.len() as u32;
-                self.slots.push(Slot {
-                    meta,
-                    prev: self.tails[dest],
-                    next: NIL,
-                });
-                idx
+                self.runs.push(Run { header, live: 0 });
+                (self.runs.len() - 1) as u32
             }
         };
-        let id = meta.id.index();
-        if id >= lane.slot_of.len() {
-            lane.slot_of.resize(id + 1, NIL);
+        let mut filed = 0u32;
+        for (to, body) in dests {
+            let dest = lane.base as usize + to.index();
+            let tail = self.tails[dest];
+            let slot = Slot {
+                run,
+                body,
+                prev: tail,
+                next: NIL,
+                to,
+                ord: filed as u16,
+            };
+            let idx = match self.free.pop() {
+                Some(idx) => {
+                    self.slots[idx as usize] = slot;
+                    idx
+                }
+                None => {
+                    self.slots.push(slot);
+                    (self.slots.len() - 1) as u32
+                }
+            };
+            lane.slot_of.push(idx);
+            match tail {
+                NIL => self.heads[dest] = idx,
+                tail => self.slots[tail as usize].next = idx,
+            }
+            self.tails[dest] = idx;
+            self.lens[dest] += 1;
+            filed += 1;
         }
-        debug_assert_eq!(lane.slot_of[id], NIL, "message id buffered twice");
-        lane.slot_of[id] = idx;
-        match self.tails[dest] {
-            NIL => self.heads[dest] = idx,
-            tail => self.slots[tail as usize].next = idx,
+        debug_assert!(filed <= u32::from(u16::MAX) + 1, "run ordinals fit in u16");
+        if filed == 0 {
+            self.free_runs.push(run);
+        } else {
+            self.runs[run as usize].live = filed;
         }
-        self.tails[dest] = idx;
-        self.lens[dest] += 1;
-        self.total += 1;
-        idx as usize
+        filed
     }
 
-    /// The metadata of `lane`'s message `id` if it is still buffered.
-    pub(crate) fn lookup(&self, lane: &StoreLane, id: MsgId) -> Option<&MsgMeta> {
-        let slot = *lane.slot_of.get(id.index())?;
-        if slot == NIL {
-            return None;
+    /// The handle of the message in `slot`, assembled from its run's
+    /// header.
+    fn handle(&self, slot: &Slot) -> MsgHandle {
+        let header = &self.runs[slot.run as usize].header;
+        MsgHandle {
+            id: MsgId(header.first.0 + u64::from(slot.ord)),
+            from: header.from,
+            to: slot.to,
+            send_event: header.send_event,
+            sender_clock: header.sender_clock,
         }
-        Some(&self.slots[slot as usize].meta)
     }
 
-    /// Unlinks `lane`'s message `id` from its destination's list and
-    /// returns the slot it occupied (so the engine can release the
-    /// slot's hold on its body) together with its metadata. This is the
-    /// single removal path shared by delivery (`Sim::apply_step`) and
-    /// crash-time drops (`Sim::apply_crash`).
-    pub(crate) fn remove(&mut self, lane: &mut StoreLane, id: MsgId) -> Option<(usize, MsgMeta)> {
-        let slot = *lane.slot_of.get(id.index())?;
-        if slot == NIL {
-            return None;
-        }
-        lane.slot_of[id.index()] = NIL;
-        let Slot { meta, prev, next } = self.slots[slot as usize];
-        let dest = lane.base as usize + meta.to.index();
+    /// The handle of `lane`'s message `id` if it is still buffered.
+    pub(crate) fn lookup(&self, lane: &StoreLane, id: MsgId) -> Option<MsgHandle> {
+        let slot = lane.slot(id)?;
+        Some(self.handle(&self.slots[slot as usize]))
+    }
+
+    /// The body of `lane`'s message `id` if it is still buffered.
+    pub(crate) fn body_of(&self, lane: &StoreLane, id: MsgId) -> Option<u32> {
+        let slot = lane.slot(id)?;
+        Some(self.slots[slot as usize].body)
+    }
+
+    /// Takes `slot` out of `dest`'s list, leaving its own links stale.
+    fn unlink(&mut self, dest: usize, slot: u32) {
+        let Slot { prev, next, .. } = self.slots[slot as usize];
         match prev {
             NIL => self.heads[dest] = next,
             p => self.slots[p as usize].next = next,
@@ -213,123 +315,148 @@ impl MsgStore {
             NIL => self.tails[dest] = prev,
             nx => self.slots[nx as usize].prev = prev,
         }
-        self.free.push(slot);
-        self.lens[dest] -= 1;
-        self.total -= 1;
-        Some((slot as usize, meta))
     }
 
-    /// Like [`MsgStore::remove`], but only succeeds when `id` is
-    /// buffered at `lane`'s local destination `dest` — the delivery-path
-    /// guard.
-    pub(crate) fn remove_for(
+    /// Unlinks `lane`'s message `id` from its destination's list and
+    /// returns what the caller needs of it; the caller owes the body
+    /// one [`crate::bodies::BodySlab::release`]. This is the single
+    /// removal path shared by delivery (`Lane::apply_step`), crash-time
+    /// drops (`Lane::apply_crash`) and a finished lane's drain.
+    pub(crate) fn take(&mut self, lane: &mut StoreLane, id: MsgId) -> Option<Taken> {
+        let slot = lane.slot(id)?;
+        Some(self.take_slot(lane, id, slot))
+    }
+
+    /// Like [`MsgStore::take`], but only succeeds when `id` is buffered
+    /// at `lane`'s local destination `dest` — the delivery-path guard.
+    pub(crate) fn take_for(
         &mut self,
         lane: &mut StoreLane,
         id: MsgId,
         dest: usize,
-    ) -> Option<(usize, MsgMeta)> {
-        match self.lookup(lane, id) {
-            Some(meta) if meta.to.index() == dest => self.remove(lane, id),
-            _ => None,
+    ) -> Option<Taken> {
+        let slot = lane.slot(id)?;
+        if self.slots[slot as usize].to.index() != dest {
+            return None;
         }
+        Some(self.take_slot(lane, id, slot))
+    }
+
+    /// [`MsgStore::take`] of `id`, known to be buffered in `slot`.
+    fn take_slot(&mut self, lane: &mut StoreLane, id: MsgId, slot: u32) -> Taken {
+        lane.slot_of[id.index()] = NIL;
+        let Slot { run, body, to, .. } = self.slots[slot as usize];
+        let dest = lane.base as usize + to.index();
+        self.unlink(dest, slot);
+        self.free.push(slot);
+        self.lens[dest] -= 1;
+        let run_ref = &mut self.runs[run as usize];
+        run_ref.live -= 1;
+        if run_ref.live == 0 {
+            self.free_runs.push(run);
+        }
+        Taken {
+            from: run_ref.header.from,
+            send_event: run_ref.header.send_event,
+            body,
+        }
+    }
+
+    /// [`MsgStore::take`] of the earliest message still buffered for
+    /// `lane`'s local destination `dest` — a finished lane drains its
+    /// lists through this.
+    pub(crate) fn take_head(&mut self, lane: &mut StoreLane, dest: usize) -> Option<Taken> {
+        let id = self.head(lane, dest)?.id;
+        self.take(lane, id)
     }
 
     /// Moves `lane`'s message `id` to the tail of its destination's
     /// pending list — the store-level realization of a network *reorder*
-    /// fault. O(1): unlink in place, relink at the tail. Returns `false`
-    /// when `id` is no longer buffered. Note that after a move the list
-    /// is no longer sorted by send event, so callers relying on that
-    /// invariant (the fairness fast path) must switch to full scans.
-    pub(crate) fn move_to_back(&mut self, lane: &mut StoreLane, id: MsgId) -> bool {
-        let Some((slot, meta)) = self.remove(lane, id) else {
+    /// fault. O(1): unlink in place, relink the same slot at the tail.
+    /// Returns `false` when `id` is no longer buffered. Note that after
+    /// a move the list is no longer sorted by send event, so callers
+    /// relying on that invariant (the fairness fast path) must switch
+    /// to full scans.
+    pub(crate) fn move_to_back(&mut self, lane: &StoreLane, id: MsgId) -> bool {
+        let Some(slot) = lane.slot(id) else {
             return false;
         };
-        // `remove` pushed the slot onto the free list and `insert` pops
-        // LIFO, so the message lands back in the very slot it occupied
-        // and its `slot → body` mapping stays valid.
-        let reused = self.insert(lane, meta);
-        debug_assert_eq!(reused, slot, "reorder must recycle the same slot");
+        let dest = lane.base as usize + self.slots[slot as usize].to.index();
+        if self.tails[dest] == slot {
+            return true;
+        }
+        self.unlink(dest, slot);
+        let tail = self.tails[dest];
+        self.slots[tail as usize].next = slot;
+        self.slots[slot as usize].prev = tail;
+        self.slots[slot as usize].next = NIL;
+        self.tails[dest] = slot;
         true
     }
 
-    /// The slot currently holding `lane`'s message `id`, if it is still
-    /// buffered. Lets content views resolve payloads in O(1) through
-    /// the body slab's `slot → body` table.
-    pub(crate) fn slot_index(&self, lane: &StoreLane, id: MsgId) -> Option<usize> {
-        match *lane.slot_of.get(id.index())? {
-            NIL => None,
-            slot => Some(slot as usize),
-        }
-    }
-
-    /// The earliest-sent message still buffered for `lane`'s local
+    /// The earliest-filed message still buffered for `lane`'s local
     /// destination `dest`, if any.
-    pub(crate) fn head_meta(&self, lane: &StoreLane, dest: usize) -> Option<&MsgMeta> {
+    pub(crate) fn head(&self, lane: &StoreLane, dest: usize) -> Option<MsgHandle> {
         match self.heads[lane.base as usize + dest] {
             NIL => None,
-            idx => Some(&self.slots[idx as usize].meta),
+            idx => Some(self.handle(&self.slots[idx as usize])),
         }
     }
 
     /// Iterates `lane`'s local destination `dest`'s buffered messages in
-    /// insertion (= send-event) order — byte-for-byte the order the old
-    /// per-destination `Vec` exposed to adversaries.
-    pub(crate) fn iter_dest(&self, lane: &StoreLane, dest: usize) -> DestIter<'_> {
-        DestIter {
-            store: self,
-            cursor: self.heads[lane.base as usize + dest],
-        }
+    /// insertion (= send-event) order — byte-for-byte the order a
+    /// per-destination `Vec` would expose to adversaries.
+    pub(crate) fn iter_dest(
+        &self,
+        lane: &StoreLane,
+        dest: usize,
+    ) -> impl Iterator<Item = MsgHandle> + '_ {
+        self.iter_dest_bodies(lane, dest).map(|(handle, _)| handle)
     }
 
-    /// Like [`MsgStore::iter_dest`], but also yields each message's slot
-    /// so callers can pair metadata with the slot's body.
-    pub(crate) fn iter_dest_slots(&self, lane: &StoreLane, dest: usize) -> DestSlotIter<'_> {
-        DestSlotIter {
+    /// Like [`MsgStore::iter_dest`], but also yields each message's
+    /// body so callers can pair handles with payloads.
+    pub(crate) fn iter_dest_bodies(&self, lane: &StoreLane, dest: usize) -> DestIter<'_> {
+        DestIter {
             store: self,
             cursor: self.heads[lane.base as usize + dest],
         }
     }
 }
 
-/// Iterator over one destination's pending list in insertion order.
+/// Iterator over one destination's pending list yielding
+/// `(handle, body)` pairs in insertion order.
 #[derive(Clone, Debug)]
 pub(crate) struct DestIter<'a> {
     store: &'a MsgStore,
     cursor: u32,
 }
 
-impl<'a> Iterator for DestIter<'a> {
-    type Item = &'a MsgMeta;
+impl Iterator for DestIter<'_> {
+    type Item = (MsgHandle, u32);
 
-    fn next(&mut self) -> Option<&'a MsgMeta> {
+    fn next(&mut self) -> Option<(MsgHandle, u32)> {
         if self.cursor == NIL {
             return None;
         }
         let slot = &self.store.slots[self.cursor as usize];
         self.cursor = slot.next;
-        Some(&slot.meta)
+        Some((self.store.handle(slot), slot.body))
     }
 }
 
-/// Iterator over one destination's pending list yielding
-/// `(slot, metadata)` pairs in insertion order.
-#[derive(Clone, Debug)]
-pub(crate) struct DestSlotIter<'a> {
-    store: &'a MsgStore,
-    cursor: u32,
-}
-
-impl<'a> Iterator for DestSlotIter<'a> {
-    type Item = (usize, &'a MsgMeta);
-
-    fn next(&mut self) -> Option<(usize, &'a MsgMeta)> {
-        if self.cursor == NIL {
-            return None;
-        }
-        let idx = self.cursor as usize;
-        let slot = &self.store.slots[idx];
-        self.cursor = slot.next;
-        Some((idx, &slot.meta))
+#[cfg(test)]
+impl MsgStore {
+    /// Files `handle` as a run of one over `body` — how tests describe
+    /// a buffer message by message.
+    pub(crate) fn file_one(&mut self, lane: &mut StoreLane, handle: MsgHandle, body: u32) {
+        let header = RunHeader {
+            from: handle.from,
+            send_event: handle.send_event,
+            sender_clock: handle.sender_clock,
+            first: handle.id,
+        };
+        self.file_run(lane, header, std::iter::once((handle.to, body)));
     }
 }
 
@@ -337,17 +464,39 @@ impl<'a> Iterator for DestSlotIter<'a> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rtc_model::{LocalClock, ProcessorId};
 
-    fn meta(id: u64, to: usize, send_event: u64) -> MsgMeta {
-        MsgMeta {
-            id: MsgId(id),
+    fn header(first: u64, send_event: u64) -> RunHeader {
+        RunHeader {
             from: ProcessorId::new(0),
-            to: ProcessorId::new(to),
             send_event,
             sender_clock: LocalClock::ZERO,
-            guaranteed: true,
+            first: MsgId(first),
         }
+    }
+
+    /// Files a run of `header(first, send_event)` to `dests` over body
+    /// 0 and returns the handles it must have produced.
+    fn file(
+        s: &mut MsgStore,
+        lane: &mut StoreLane,
+        first: u64,
+        send_event: u64,
+        dests: &[usize],
+    ) -> Vec<MsgHandle> {
+        let h = header(first, send_event);
+        let filed = s.file_run(lane, h, dests.iter().map(|d| (ProcessorId::new(*d), 0)));
+        assert_eq!(filed as usize, dests.len());
+        dests
+            .iter()
+            .enumerate()
+            .map(|(k, d)| MsgHandle {
+                id: MsgId(first + k as u64),
+                from: h.from,
+                to: ProcessorId::new(*d),
+                send_event,
+                sender_clock: h.sender_clock,
+            })
+            .collect()
     }
 
     fn ids_of(store: &MsgStore, lane: &StoreLane, dest: usize) -> Vec<u64> {
@@ -355,47 +504,72 @@ mod tests {
     }
 
     #[test]
-    fn insert_preserves_per_destination_order() {
+    fn a_run_is_filed_in_order_and_read_back_by_value() {
         let mut s = MsgStore::new(3);
         let mut lane = StoreLane::new(0);
-        for (id, dest) in [(0, 1), (1, 2), (2, 1), (3, 1), (4, 0)] {
-            s.insert(&mut lane, meta(id, dest, id));
-        }
+        let first = file(&mut s, &mut lane, 0, 7, &[1, 2]);
+        let second = file(&mut s, &mut lane, 2, 9, &[1, 1, 0]);
         assert_eq!(ids_of(&s, &lane, 0), [4]);
         assert_eq!(ids_of(&s, &lane, 1), [0, 2, 3]);
         assert_eq!(ids_of(&s, &lane, 2), [1]);
         assert_eq!(s.len_of(&lane, 1), 3);
-        assert_eq!(s.len(), 5);
+        assert_eq!((s.len(), s.run_references()), (5, 5));
+        for m in first.iter().chain(&second) {
+            assert_eq!(s.lookup(&lane, m.id), Some(*m));
+        }
+        // An empty run files nothing and keeps no header.
+        assert_eq!(s.file_run(&mut lane, header(5, 11), std::iter::empty()), 0);
+        assert_eq!(s.runs.len() - s.free_runs.len(), 2);
     }
 
     #[test]
-    fn remove_unlinks_head_middle_and_tail() {
+    fn take_unlinks_head_middle_and_tail() {
         let mut s = MsgStore::new(1);
         let mut lane = StoreLane::new(0);
         for id in 0..5 {
-            s.insert(&mut lane, meta(id, 0, id));
+            file(&mut s, &mut lane, id, id, &[0]);
         }
-        assert!(s.remove(&mut lane, MsgId(2)).is_some()); // middle
+        assert!(s.take(&mut lane, MsgId(2)).is_some()); // middle
         assert_eq!(ids_of(&s, &lane, 0), [0, 1, 3, 4]);
-        assert!(s.remove(&mut lane, MsgId(0)).is_some()); // head
+        assert!(s.take(&mut lane, MsgId(0)).is_some()); // head
         assert_eq!(ids_of(&s, &lane, 0), [1, 3, 4]);
-        assert!(s.remove(&mut lane, MsgId(4)).is_some()); // tail
+        assert!(s.take(&mut lane, MsgId(4)).is_some()); // tail
         assert_eq!(ids_of(&s, &lane, 0), [1, 3]);
-        assert_eq!(s.head_meta(&lane, 0).unwrap().id, MsgId(1));
-        // Removing again is a no-op returning None.
-        assert!(s.remove(&mut lane, MsgId(2)).is_none());
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.head(&lane, 0).unwrap().id, MsgId(1));
+        // Taking again is a no-op returning None.
+        assert!(s.take(&mut lane, MsgId(2)).is_none());
+        assert_eq!((s.len(), s.run_references()), (2, 2));
     }
 
     #[test]
-    fn remove_for_guards_the_destination() {
+    fn take_reports_sender_send_event_and_body() {
         let mut s = MsgStore::new(2);
         let mut lane = StoreLane::new(0);
-        s.insert(&mut lane, meta(0, 1, 0));
-        assert!(s.remove_for(&mut lane, MsgId(0), 0).is_none());
-        assert_eq!(s.len(), 1);
-        assert!(s.remove_for(&mut lane, MsgId(0), 1).is_some());
-        assert_eq!(s.len(), 0);
+        let h = RunHeader {
+            from: ProcessorId::new(1),
+            ..header(0, 6)
+        };
+        s.file_run(
+            &mut lane,
+            h,
+            [(ProcessorId::new(0), 4), (ProcessorId::new(1), 9)].into_iter(),
+        );
+        assert_eq!(s.body_of(&lane, MsgId(1)), Some(9));
+        // The delivery-path guard refuses the wrong destination.
+        assert!(s.take_for(&mut lane, MsgId(0), 1).is_none());
+        assert_eq!(s.len(), 2);
+        let taken = s.take_for(&mut lane, MsgId(0), 0).unwrap();
+        assert_eq!(
+            taken,
+            Taken {
+                from: ProcessorId::new(1),
+                send_event: 6,
+                body: 4
+            }
+        );
+        assert_eq!(s.take_head(&mut lane, 1).unwrap().body, 9);
+        assert!(s.take_head(&mut lane, 1).is_none());
+        assert_eq!((s.len(), s.run_references()), (0, 0));
     }
 
     #[test]
@@ -403,43 +577,44 @@ mod tests {
         let mut s = MsgStore::new(2);
         let mut lane = StoreLane::new(0);
         for id in 0..4 {
-            s.insert(&mut lane, meta(id, 0, id));
+            file(&mut s, &mut lane, id, id, &[0]);
         }
-        s.insert(&mut lane, meta(4, 1, 4));
-        let slot_before = s.slot_index(&lane, MsgId(1)).unwrap();
-        assert!(s.move_to_back(&mut lane, MsgId(1)));
+        file(&mut s, &mut lane, 4, 4, &[1]);
+        assert!(s.move_to_back(&lane, MsgId(1)));
         assert_eq!(ids_of(&s, &lane, 0), [0, 2, 3, 1]);
-        // The `slot → body` mapping stays valid: same slot after the move.
-        assert_eq!(s.slot_index(&lane, MsgId(1)), Some(slot_before));
         // Other destinations are untouched.
         assert_eq!(ids_of(&s, &lane, 1), [4]);
         // Moving the tail (or a singleton) is a no-op.
-        assert!(s.move_to_back(&mut lane, MsgId(1)));
+        assert!(s.move_to_back(&lane, MsgId(1)));
         assert_eq!(ids_of(&s, &lane, 0), [0, 2, 3, 1]);
-        assert!(s.move_to_back(&mut lane, MsgId(4)));
+        assert!(s.move_to_back(&lane, MsgId(4)));
         assert_eq!(ids_of(&s, &lane, 1), [4]);
+        // The head can move too, and the list stays walkable both ways.
+        assert!(s.move_to_back(&lane, MsgId(0)));
+        assert_eq!(ids_of(&s, &lane, 0), [2, 3, 1, 0]);
+        assert!(s.take(&mut lane, MsgId(1)).is_some());
+        assert_eq!(ids_of(&s, &lane, 0), [2, 3, 0]);
         // A delivered message can no longer be reordered.
-        s.remove(&mut lane, MsgId(0)).unwrap();
-        assert!(!s.move_to_back(&mut lane, MsgId(0)));
+        assert!(!s.move_to_back(&lane, MsgId(1)));
         assert_eq!(s.len(), 4);
     }
 
     #[test]
-    fn slots_are_recycled_after_removal() {
-        let mut s = MsgStore::new(1);
+    fn slots_and_headers_are_recycled_after_removal() {
+        let mut s = MsgStore::new(2);
         let mut lane = StoreLane::new(0);
+        file(&mut s, &mut lane, 0, 0, &[0, 1]);
+        file(&mut s, &mut lane, 2, 1, &[0, 1]);
+        let (slots, runs) = (s.slots.len(), s.runs.len());
         for id in 0..4 {
-            s.insert(&mut lane, meta(id, 0, id));
+            s.take(&mut lane, MsgId(id)).unwrap();
         }
-        let hwm = s.slots.len();
-        for id in 0..4 {
-            s.remove(&mut lane, MsgId(id)).unwrap();
-        }
-        for id in 4..8 {
-            s.insert(&mut lane, meta(id, 0, id));
-        }
-        assert_eq!(s.slots.len(), hwm, "freed slots must be reused");
-        assert_eq!(ids_of(&s, &lane, 0), [4, 5, 6, 7]);
+        file(&mut s, &mut lane, 4, 2, &[1, 0]);
+        file(&mut s, &mut lane, 6, 3, &[1, 0]);
+        assert_eq!(s.slots.len(), slots, "freed slots must be reused");
+        assert_eq!(s.runs.len(), runs, "freed headers must be reused");
+        assert_eq!(ids_of(&s, &lane, 0), [5, 7]);
+        assert_eq!(ids_of(&s, &lane, 1), [4, 6]);
     }
 
     #[test]
@@ -452,24 +627,20 @@ mod tests {
         let mut a = StoreLane::new(0);
         let mut b = StoreLane::new(n as u32);
         for id in 0..3 {
-            s.insert(&mut a, meta(id, 1, id));
-            s.insert(&mut b, meta(id, 1, id + 10));
+            file(&mut s, &mut a, id, id, &[1]);
+            file(&mut s, &mut b, id, id + 10, &[1]);
         }
         assert_eq!(ids_of(&s, &a, 1), [0, 1, 2]);
         assert_eq!(ids_of(&s, &b, 1), [0, 1, 2]);
         assert_eq!(s.len_of(&a, 1), 3);
         assert_eq!(s.len_of(&b, 1), 3);
-        // Same id, different lanes: metadata resolves per lane.
+        // Same id, different lanes: handles resolve per lane.
         assert_eq!(s.lookup(&a, MsgId(0)).unwrap().send_event, 0);
         assert_eq!(s.lookup(&b, MsgId(0)).unwrap().send_event, 10);
         // Lane a drains; its slots are recycled by lane b's next sends.
         let hwm = s.slots.len();
-        for id in 0..3 {
-            s.remove(&mut a, MsgId(id)).unwrap();
-        }
-        for id in 3..6 {
-            s.insert(&mut b, meta(id, 0, id));
-        }
+        while s.take_head(&mut a, 1).is_some() {}
+        file(&mut s, &mut b, 3, 20, &[0, 0, 0]);
         assert_eq!(s.slots.len(), hwm, "cross-lane slot recycling");
         assert_eq!(ids_of(&s, &b, 0), [3, 4, 5]);
         assert_eq!(ids_of(&s, &b, 1), [0, 1, 2]);
@@ -480,56 +651,125 @@ mod tests {
     fn reset_keeps_capacity_and_empties_everything() {
         let mut s = MsgStore::new(2);
         let mut lane = StoreLane::new(0);
-        for id in 0..8 {
-            s.insert(&mut lane, meta(id, (id % 2) as usize, id));
-        }
+        file(&mut s, &mut lane, 0, 0, &[0, 1, 0, 1, 0, 1, 0, 1]);
         let cap = s.slots.capacity();
         s.reset(4);
         lane.reset(2);
-        assert_eq!(s.len(), 0);
+        assert_eq!((s.len(), s.run_references()), (0, 0));
         assert!(s.slots.capacity() >= cap, "reset must keep the slab");
         // The recycled lane restarts with dense ids at its new base.
-        s.insert(&mut lane, meta(0, 1, 99));
+        file(&mut s, &mut lane, 0, 99, &[1]);
         assert_eq!(ids_of(&s, &lane, 1), [0]);
         assert_eq!(s.len_of(&lane, 0), 0);
     }
 
     proptest! {
-        /// The store agrees with the naive `Vec<Vec<MsgMeta>>` model it
-        /// replaced under arbitrary insert/remove interleavings.
+        /// The store agrees with a naive `Vec<Vec<(MsgHandle, body)>>`
+        /// model under arbitrary interleavings of everything the engine
+        /// does to it: filing a run, delivering one message, duplicating
+        /// one (a run of one on the original's body), reordering one,
+        /// dropping part of the latest run, draining a destination.
         #[test]
-        fn matches_naive_vec_model(ops in proptest::collection::vec((0..3usize, 0..40u64), 1..200)) {
+        fn matches_naive_vec_model(ops in proptest::collection::vec((0..6u8, 0..64u64), 1..200)) {
             let n = 3;
             let mut store = MsgStore::new(n);
             let mut lane = StoreLane::new(0);
-            let mut model: Vec<Vec<MsgMeta>> = vec![Vec::new(); n];
+            let mut model: Vec<Vec<(MsgHandle, u32)>> = vec![Vec::new(); n];
             let mut next_id = 0u64;
-            for (dest, sel) in ops {
-                if sel % 3 == 0 && model.iter().any(|b| !b.is_empty()) {
-                    // Remove a pseudo-arbitrary live message.
-                    let live: Vec<MsgId> = model.iter().flatten().map(|m| m.id).collect();
-                    let id = live[(sel as usize) % live.len()];
-                    let want = model.iter_mut().find_map(|b| {
-                        b.iter().position(|m| m.id == id).map(|pos| b.remove(pos))
-                    });
-                    prop_assert_eq!(store.remove(&mut lane, id).map(|(_, m)| m), want);
-                } else {
-                    let m = meta(next_id, dest, sel);
-                    next_id += 1;
-                    model[dest].push(m);
-                    store.insert(&mut lane, m);
-                }
-                for (d, buf) in model.iter().enumerate() {
-                    let got: Vec<MsgId> = store.iter_dest(&lane, d).map(|m| m.id).collect();
-                    let want: Vec<MsgId> = buf.iter().map(|m| m.id).collect();
-                    prop_assert_eq!(got, want, "destination {} order drifted", d);
-                    prop_assert_eq!(store.len_of(&lane, d), buf.len());
-                }
-                for buf in &model {
-                    for m in buf {
-                        prop_assert_eq!(store.lookup(&lane, m.id), Some(m));
+            let mut next_body = 0u32;
+            let mut latest: Vec<MsgId> = Vec::new();
+            let forget = |model: &mut Vec<Vec<(MsgHandle, u32)>>, id: MsgId| {
+                model.iter_mut().find_map(|b| {
+                    b.iter().position(|(m, _)| m.id == id).map(|pos| b.remove(pos))
+                })
+            };
+            for (event, (op, sel)) in ops.into_iter().enumerate() {
+                let live: Vec<MsgId> = model.iter().flatten().map(|(m, _)| m.id).collect();
+                let pick = (!live.is_empty()).then(|| live[sel as usize % live.len().max(1)]);
+                match (op, pick) {
+                    // Deliver (or drop) one live message.
+                    (1, Some(id)) => {
+                        let want = forget(&mut model, id).map(|(m, body)| Taken {
+                            from: m.from,
+                            send_event: m.send_event,
+                            body,
+                        });
+                        prop_assert_eq!(store.take(&mut lane, id), want);
+                    }
+                    // Duplicate: a run of one, "sent" now, on the
+                    // original's body.
+                    (2, Some(id)) => {
+                        let orig = store.lookup(&lane, id).unwrap();
+                        let body = store.body_of(&lane, id).unwrap();
+                        let copy = MsgHandle { id: MsgId(next_id), send_event: event as u64, ..orig };
+                        next_id += 1;
+                        store.file_one(&mut lane, copy, body);
+                        model[orig.to.index()].push((copy, body));
+                    }
+                    (3, Some(id)) => {
+                        prop_assert!(store.move_to_back(&lane, id));
+                        let moved = forget(&mut model, id).unwrap();
+                        model[moved.0.to.index()].push(moved);
+                    }
+                    // A crash dropping every other message of the
+                    // latest run that is still buffered.
+                    (4, _) => {
+                        for id in latest.iter().step_by(2) {
+                            let want = forget(&mut model, *id).map(|(_, body)| body);
+                            prop_assert_eq!(store.take(&mut lane, *id).map(|t| t.body), want);
+                        }
+                    }
+                    // A finished lane's drain of one destination.
+                    (5, _) => {
+                        let dest = sel as usize % n;
+                        for (_, body) in model[dest].drain(..) {
+                            prop_assert_eq!(store.take_head(&mut lane, dest).map(|t| t.body), Some(body));
+                        }
+                        prop_assert!(store.take_head(&mut lane, dest).is_none());
+                    }
+                    // File a run: `sel`'s low bits choose the
+                    // destinations (possibly none, possibly repeated),
+                    // a broadcast body plus one direct body in place.
+                    _ => {
+                        let dests: Vec<usize> = (0..6).filter(|k| sel >> k & 1 == 1).map(|k| k % n).collect();
+                        let h = RunHeader { from: ProcessorId::new(sel as usize % n), ..header(next_id, event as u64) };
+                        let shared = next_body;
+                        next_body += 2;
+                        let bodies: Vec<u32> = (0..dests.len()).map(|k| if k == 1 { shared + 1 } else { shared }).collect();
+                        let filed = store.file_run(
+                            &mut lane,
+                            h,
+                            dests.iter().zip(&bodies).map(|(d, b)| (ProcessorId::new(*d), *b)),
+                        );
+                        prop_assert_eq!(filed as usize, dests.len());
+                        latest.clear();
+                        for (d, b) in dests.iter().zip(&bodies) {
+                            let m = MsgHandle {
+                                id: MsgId(next_id),
+                                from: h.from,
+                                to: ProcessorId::new(*d),
+                                send_event: h.send_event,
+                                sender_clock: h.sender_clock,
+                            };
+                            latest.push(m.id);
+                            next_id += 1;
+                            model[*d].push((m, *b));
+                        }
                     }
                 }
+                for (d, buf) in model.iter().enumerate() {
+                    let got: Vec<(MsgHandle, u32)> = store.iter_dest_bodies(&lane, d).collect();
+                    prop_assert_eq!(&got, buf, "destination {} drifted", d);
+                    prop_assert_eq!(store.len_of(&lane, d), buf.len());
+                    prop_assert_eq!(store.head(&lane, d), buf.first().map(|(m, _)| *m));
+                }
+                for (m, body) in model.iter().flatten() {
+                    prop_assert_eq!(store.lookup(&lane, m.id), Some(*m));
+                    prop_assert_eq!(store.body_of(&lane, m.id), Some(*body));
+                }
+                // Live headers' slot counts sum to the pending count.
+                prop_assert_eq!(store.run_references(), store.len());
+                prop_assert_eq!(store.len(), model.iter().map(Vec::len).sum::<usize>());
             }
         }
     }

@@ -6,12 +6,16 @@
 //! on-time-ness (Section 2.2's lateness predicate).
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use rtc_model::{LocalClock, ProcessorId, Value};
 
-use crate::envelope::MsgId;
+use crate::envelope::{IdRun, MsgId};
 
-/// The lifetime of one message, as recorded in a trace.
+/// The lifetime of one message, as read from a trace.
+///
+/// A value type: the recorder keeps one row per *event* and derives
+/// these records when [`Trace::messages`] is first asked for them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MsgRecord {
     /// The message's run-unique id.
@@ -113,10 +117,10 @@ impl EventRecord {
 /// A borrowed view of one recorded event.
 ///
 /// The trace stores events column-wise (structure-of-arrays) with the
-/// delivered/sent id lists packed into two shared pools, so recording a
-/// step never allocates per event. `EventView` is the zero-copy reading
-/// lens over that layout: `delivered` and `sent` borrow directly from
-/// the pools.
+/// delivered id lists packed into a shared pool, so recording a step
+/// never allocates per event. `EventView` is the zero-copy reading lens
+/// over that layout: `delivered` borrows directly from the pool and
+/// `sent` is the contiguous id range the event minted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventView<'a> {
     /// Processor `p` took a step, receiving the listed messages.
@@ -128,7 +132,7 @@ pub enum EventView<'a> {
         /// Messages delivered at this event.
         delivered: &'a [MsgId],
         /// Messages sent at this event.
-        sent: &'a [MsgId],
+        sent: IdRun,
     },
     /// Processor `p` crashed (an explicit failure step).
     Crash {
@@ -233,34 +237,276 @@ pub(crate) const KIND_PARTITION: u8 = 3;
 pub(crate) const KIND_DUPLICATE: u8 = 4;
 pub(crate) const KIND_REORDER: u8 = 5;
 
+/// Where one send-run's messages went.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Dests<'a> {
+    /// The broadcast pattern: every processor but the sender, ascending.
+    Broadcast,
+    /// These destinations, in id order.
+    Explicit(&'a [ProcessorId]),
+}
+
+/// What one step sent, as the engine hands it to the recorder: `count`
+/// messages with contiguous ids from `first`, addressed per `dests`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SendRun<'a> {
+    pub first: MsgId,
+    pub count: u32,
+    pub dests: Dests<'a>,
+}
+
+/// One row of the event columns, as the readers see it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Row<'a> {
+    pub kind: u8,
+    pub p: u32,
+    /// The clock after a step; a partition's index in the side table;
+    /// the id a duplicate copied or a reorder moved; 0 otherwise.
+    pub clock: u64,
+    pub delivered: &'a [MsgId],
+    /// Ids the row's lane had minted once this event was applied.
+    pub sent_end: u32,
+}
+
+/// The event columns shared by both recorders: [`Trace`] owns one set
+/// for its single run, the batch recorder
+/// ([`crate::batch_trace::ActiveCols`]) one set that all lanes' rows
+/// interleave in.
+///
+/// One entry per event in `kind` / `p` / `clock`, with each step's
+/// delivered ids appended to the shared `deliv_pool` and addressed by a
+/// prefix-end offset (`deliv_end[i]` is the pool length *after* row
+/// `i`, so row `i`'s slice starts at `deliv_end[i - 1]` — whichever
+/// lane wrote that row). What a row *sent* is one number: ids are dense
+/// per lane in send order, so `sent_end[i]` — how many ids the row's
+/// lane had minted after the event — bounds the row's id range from
+/// above and the lane's previous row bounds it from below. Recording an
+/// event is therefore a handful of `Vec::push`es into already-grown
+/// columns, whatever the population.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct EventCols {
+    kind: Vec<u8>,
+    p: Vec<u32>,
+    clock: Vec<u64>,
+    deliv_end: Vec<u32>,
+    sent_end: Vec<u32>,
+    deliv_pool: Vec<MsgId>,
+    /// Side table of partition events: for a `KIND_PARTITION` row the
+    /// `clock` column holds an index into this table.
+    partitions: Vec<(Vec<u32>, u64)>,
+}
+
+impl EventCols {
+    pub(crate) fn clear(&mut self) {
+        self.kind.clear();
+        self.p.clear();
+        self.clock.clear();
+        self.deliv_end.clear();
+        self.sent_end.clear();
+        self.deliv_pool.clear();
+        self.partitions.clear();
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.kind.len()
+    }
+
+    /// Appends a row that delivers nothing.
+    pub(crate) fn push(&mut self, kind: u8, p: u32, clock: u64, sent_end: u32) {
+        self.kind.push(kind);
+        self.p.push(p);
+        self.clock.push(clock);
+        self.deliv_end.push(self.deliv_pool.len() as u32);
+        self.sent_end.push(sent_end);
+    }
+
+    /// Appends a step row; the delivered ids are copied straight into
+    /// the shared pool.
+    pub(crate) fn push_step(&mut self, p: u32, clock: u64, delivered: &[MsgId], sent_end: u32) {
+        self.deliv_pool.extend_from_slice(delivered);
+        self.push(KIND_STEP, p, clock, sent_end);
+    }
+
+    /// Appends a partition row and its side-table entry.
+    pub(crate) fn push_partition(&mut self, groups: &[u32], heal_at: u64, sent_end: u32) {
+        let table_idx = self.partitions.len() as u64;
+        self.partitions.push((groups.to_vec(), heal_at));
+        self.push(KIND_PARTITION, 0, table_idx, sent_end);
+    }
+
+    /// The partition a `KIND_PARTITION` row's `clock` column names.
+    pub(crate) fn partition(&self, table_idx: u64) -> (&[u32], u64) {
+        let (groups, heal_at) = &self.partitions[table_idx as usize];
+        (groups, *heal_at)
+    }
+
+    /// Row `idx` (panics if out of range, like slice indexing).
+    pub(crate) fn row(&self, idx: usize) -> Row<'_> {
+        let start = match idx {
+            0 => 0,
+            _ => self.deliv_end[idx - 1] as usize,
+        };
+        Row {
+            kind: self.kind[idx],
+            p: self.p[idx],
+            clock: self.clock[idx],
+            delivered: &self.deliv_pool[start..self.deliv_end[idx] as usize],
+            sent_end: self.sent_end[idx],
+        }
+    }
+}
+
+/// What a recorder keeps about one lane's messages besides its event
+/// rows — the one message-table type of both recorders.
+///
+/// A step's sends are a *run*: contiguous ids, one sender, one send
+/// event, one sender clock — all of which the step's own event row
+/// already says. What the row does not say is where the run went, and
+/// that is the broadcast pattern (everybody but the sender, ascending)
+/// unless the step sent directly without a broadcast or addressed
+/// itself; only those runs list their destinations here. A delivery is
+/// the step row that lists the id; a network duplicate's row names its
+/// original. So the table is three short lists, and the
+/// [`MsgRecord`]s readers get are derived from it and the lane's rows
+/// by [`MsgTable::derive_into`].
+#[derive(Clone, Debug, Default)]
+pub(crate) struct MsgTable {
+    /// `(first id, start in dest_pool)` of every run that lists its
+    /// destinations, ascending.
+    explicit: Vec<(u32, u32)>,
+    dest_pool: Vec<ProcessorId>,
+    /// Messages dropped at a crash, in drop order.
+    dropped: Vec<MsgId>,
+    /// Ids minted so far — the `sent_end` of the lane's latest row.
+    sent: u32,
+}
+
+impl MsgTable {
+    pub(crate) fn clear(&mut self) {
+        self.explicit.clear();
+        self.dest_pool.clear();
+        self.dropped.clear();
+        self.sent = 0;
+    }
+
+    /// Ids minted so far.
+    pub(crate) fn sent(&self) -> u32 {
+        self.sent
+    }
+
+    /// Records what one step sent; returns the lane's new id count (the
+    /// step row's `sent_end`).
+    pub(crate) fn push_run(&mut self, run: SendRun<'_>) -> u32 {
+        debug_assert_eq!(run.first.index(), self.sent as usize, "ids are dense");
+        if let Dests::Explicit(dests) = run.dests {
+            debug_assert_eq!(dests.len(), run.count as usize);
+            if !dests.is_empty() {
+                self.explicit.push((self.sent, self.dest_pool.len() as u32));
+                self.dest_pool.extend_from_slice(dests);
+            }
+        }
+        self.sent += run.count;
+        self.sent
+    }
+
+    /// Records that a network duplicate minted `copy`; returns the
+    /// lane's new id count.
+    pub(crate) fn push_copy(&mut self, copy: MsgId) -> u32 {
+        debug_assert_eq!(copy.index(), self.sent as usize, "ids are dense");
+        self.sent += 1;
+        self.sent
+    }
+
+    /// Marks message `id` as dropped at a crash.
+    pub(crate) fn note_drop(&mut self, id: MsgId) {
+        self.dropped.push(id);
+    }
+
+    /// Derives the lane's message records, dense by id, from its event
+    /// `rows` (in lane order) into `out`.
+    pub(crate) fn derive_into<'a>(
+        &self,
+        population: usize,
+        rows: impl Iterator<Item = Row<'a>>,
+        out: &mut Vec<MsgRecord>,
+    ) {
+        out.clear();
+        out.reserve(self.sent as usize);
+        let mut explicit = self.explicit.iter().peekable();
+        for (event, row) in rows.enumerate() {
+            let event = event as u64;
+            let first = out.len() as u32;
+            let record = |id: usize, from, to, sender_clock| MsgRecord {
+                id: MsgId(id as u64),
+                from,
+                to,
+                send_event: event,
+                sender_clock,
+                recv_event: None,
+                recv_clock: None,
+                dropped: false,
+            };
+            match row.kind {
+                KIND_STEP => {
+                    let from = ProcessorId::new(row.p as usize);
+                    let clock = LocalClock::new(row.clock);
+                    let count = (row.sent_end - first) as usize;
+                    if count == 0 {
+                        // Sent nothing.
+                    } else if let Some((_, start)) = explicit.next_if(|(run, _)| *run == first) {
+                        for to in &self.dest_pool[*start as usize..][..count] {
+                            out.push(record(out.len(), from, *to, clock));
+                        }
+                    } else {
+                        debug_assert_eq!(count, population - 1);
+                        for to in ProcessorId::all(population).filter(|to| *to != from) {
+                            out.push(record(out.len(), from, to, clock));
+                        }
+                    }
+                    for id in row.delivered {
+                        let m = &mut out[id.index()];
+                        m.recv_event = Some(event);
+                        m.recv_clock = Some(clock);
+                    }
+                }
+                // The copy is the original sent again, now.
+                KIND_DUPLICATE => {
+                    let original = &out[row.clock as usize];
+                    out.push(record(
+                        out.len(),
+                        original.from,
+                        original.to,
+                        original.sender_clock,
+                    ));
+                }
+                _ => {}
+            }
+            debug_assert_eq!(out.len(), row.sent_end as usize);
+        }
+        for id in &self.dropped {
+            out[id.index()].dropped = true;
+        }
+    }
+}
+
 /// A full record of one run: events, messages, crashes, decisions.
 ///
-/// Events are stored column-wise: one entry per event in `ev_kind` /
-/// `ev_p` / `ev_clock`, with each step's delivered and sent id lists
-/// appended to the shared `deliv_pool` / `sent_pool` and addressed by
-/// prefix-end offsets (`ev_deliv_end[i]` is the pool length *after*
-/// event `i`, so event `i`'s slice starts at `ev_deliv_end[i - 1]`).
-/// Recording an event is therefore a handful of `Vec::push`es into
-/// already-grown columns — no per-event `Vec<MsgId>` allocations, which
-/// used to dominate the trace recorder's cost on the hot path.
+/// Events are stored column-wise, one row per event; the message table
+/// ([`Trace::messages`]) is derived from the rows (plus the short lists
+/// of runs with listed destinations and of crash-time drops) on first
+/// read and cached until the next event is recorded.
 #[derive(Clone, Default)]
 pub struct Trace {
-    ev_kind: Vec<u8>,
-    ev_p: Vec<u32>,
-    ev_clock: Vec<u64>,
-    ev_deliv_end: Vec<u32>,
-    ev_sent_end: Vec<u32>,
-    deliv_pool: Vec<MsgId>,
-    sent_pool: Vec<MsgId>,
-    msgs: Vec<MsgRecord>,
+    cols: EventCols,
+    table: MsgTable,
+    /// The derived message records; empty while events are being
+    /// recorded.
+    msgs: OnceLock<Vec<MsgRecord>>,
     crashed: Vec<ProcessorId>,
     decisions: Vec<DecisionRecord>,
     /// Per-processor list of global event indices at which it stepped,
     /// for O(log) "steps between events" queries.
     step_events: Vec<Vec<u64>>,
-    /// Side table of partition events: for a `KIND_PARTITION` event the
-    /// `ev_clock` column holds an index into this table.
-    partitions: Vec<(Vec<u32>, u64)>,
     /// Messages the engine's lateness monitor classified as late at
     /// delivery time, in delivery order. A side annotation: not part of
     /// the digest (lateness is derived data — `Trace::is_late`
@@ -271,19 +517,8 @@ pub struct Trace {
 impl Trace {
     pub(crate) fn new(n: usize) -> Trace {
         Trace {
-            ev_kind: Vec::new(),
-            ev_p: Vec::new(),
-            ev_clock: Vec::new(),
-            ev_deliv_end: Vec::new(),
-            ev_sent_end: Vec::new(),
-            deliv_pool: Vec::new(),
-            sent_pool: Vec::new(),
-            msgs: Vec::new(),
-            crashed: Vec::new(),
-            decisions: Vec::new(),
             step_events: vec![Vec::new(); n],
-            partitions: Vec::new(),
-            late_marks: Vec::new(),
+            ..Trace::default()
         }
     }
 
@@ -292,95 +527,57 @@ impl Trace {
     /// into one scratch `Trace` this way, so only the first (largest)
     /// lane ever grows the buffers.
     pub(crate) fn reset(&mut self, n: usize) {
-        self.ev_kind.clear();
-        self.ev_p.clear();
-        self.ev_clock.clear();
-        self.ev_deliv_end.clear();
-        self.ev_sent_end.clear();
-        self.deliv_pool.clear();
-        self.sent_pool.clear();
-        self.msgs.clear();
+        self.cols.clear();
+        self.table.clear();
+        self.msgs.take();
         self.crashed.clear();
         self.decisions.clear();
         self.step_events.truncate(n);
         self.step_events.iter_mut().for_each(Vec::clear);
         self.step_events.resize_with(n, Vec::new);
-        self.partitions.clear();
         self.late_marks.clear();
     }
 
-    /// Records a step event without allocating: the id slices are copied
-    /// straight into the shared pools.
-    pub(crate) fn push_step(
-        &mut self,
-        p: ProcessorId,
-        clock_after: LocalClock,
-        delivered: &[MsgId],
-        sent: &[MsgId],
-    ) {
-        let idx = self.ev_kind.len() as u64;
-        self.step_events[p.index()].push(idx);
-        self.deliv_pool.extend_from_slice(delivered);
-        self.sent_pool.extend_from_slice(sent);
-        self.ev_kind.push(KIND_STEP);
-        self.ev_p.push(p.index() as u32);
-        self.ev_clock.push(clock_after.ticks());
-        self.ev_deliv_end.push(self.deliv_pool.len() as u32);
-        self.ev_sent_end.push(self.sent_pool.len() as u32);
+    /// Appends `row` of another recorder's columns `source` as this
+    /// trace's next event — the batch recorder's replay.
+    pub(crate) fn copy_row(&mut self, row: Row<'_>, source: &EventCols) {
+        self.msgs.take();
+        let p = ProcessorId::new(row.p as usize);
+        match row.kind {
+            KIND_STEP => {
+                self.step_events[p.index()].push(self.cols.len() as u64);
+                self.cols
+                    .push_step(row.p, row.clock, row.delivered, row.sent_end);
+            }
+            KIND_PARTITION => {
+                let (groups, heal_at) = source.partition(row.clock);
+                self.cols.push_partition(groups, heal_at, row.sent_end);
+            }
+            kind => {
+                if kind == KIND_CRASH {
+                    self.crashed.push(p);
+                }
+                self.cols.push(kind, row.p, row.clock, row.sent_end);
+            }
+        }
     }
 
-    /// Records a crash event and adds `p` to the faulty set.
-    pub(crate) fn push_crash(&mut self, p: ProcessorId) {
-        self.crashed.push(p);
-        self.push_messageless(KIND_CRASH, p);
+    /// Replaces the message table with a copy of `table` (the one that
+    /// goes with the rows [`Trace::copy_row`] brought over).
+    pub(crate) fn copy_table(&mut self, table: &MsgTable) {
+        self.msgs.take();
+        self.table.clone_from(table);
     }
 
-    /// Records a revive event.
-    pub(crate) fn push_revive(&mut self, p: ProcessorId) {
-        self.push_messageless(KIND_REVIVE, p);
+    fn push_messageless(&mut self, kind: u8, p: ProcessorId, clock: u64) {
+        self.msgs.take();
+        self.cols
+            .push(kind, p.index() as u32, clock, self.table.sent());
     }
 
-    /// Records a partition event: group assignment plus heal event.
-    pub(crate) fn push_partition(&mut self, groups: &[u32], heal_at: u64) {
-        let table_idx = self.partitions.len() as u64;
-        self.partitions.push((groups.to_vec(), heal_at));
-        self.ev_kind.push(KIND_PARTITION);
-        self.ev_p.push(0);
-        self.ev_clock.push(table_idx);
-        self.ev_deliv_end.push(self.deliv_pool.len() as u32);
-        self.ev_sent_end.push(self.sent_pool.len() as u32);
-    }
-
-    /// Records a duplication event: `original` was copied as `copy`.
-    pub(crate) fn push_duplicate(&mut self, from: ProcessorId, original: MsgId, copy: MsgId) {
-        self.sent_pool.push(copy);
-        self.ev_kind.push(KIND_DUPLICATE);
-        self.ev_p.push(from.index() as u32);
-        self.ev_clock.push(original.index() as u64);
-        self.ev_deliv_end.push(self.deliv_pool.len() as u32);
-        self.ev_sent_end.push(self.sent_pool.len() as u32);
-    }
-
-    /// Records a reorder event: `id` moved to the back of `dest`'s list.
-    pub(crate) fn push_reorder(&mut self, dest: ProcessorId, id: MsgId) {
-        self.ev_kind.push(KIND_REORDER);
-        self.ev_p.push(dest.index() as u32);
-        self.ev_clock.push(id.index() as u64);
-        self.ev_deliv_end.push(self.deliv_pool.len() as u32);
-        self.ev_sent_end.push(self.sent_pool.len() as u32);
-    }
-
-    fn push_messageless(&mut self, kind: u8, p: ProcessorId) {
-        self.ev_kind.push(kind);
-        self.ev_p.push(p.index() as u32);
-        self.ev_clock.push(0);
-        self.ev_deliv_end.push(self.deliv_pool.len() as u32);
-        self.ev_sent_end.push(self.sent_pool.len() as u32);
-    }
-
-    /// Records an owned [`EventRecord`]. Equivalent to the dedicated
-    /// `push_step` / `push_crash` / `push_revive` entry points the
-    /// engine uses; kept for tests that build traces from owned records.
+    /// Records an owned [`EventRecord`] that sends nothing new to
+    /// describe: a step's `sent` must be the broadcast pattern (tests
+    /// with other sends call [`TraceSink::push_step`] with their run).
     #[cfg(test)]
     pub(crate) fn push_event(&mut self, ev: EventRecord) {
         match ev {
@@ -389,7 +586,22 @@ impl Trace {
                 clock_after,
                 delivered,
                 sent,
-            } => self.push_step(p, clock_after, &delivered, &sent),
+            } => {
+                let first = sent
+                    .first()
+                    .copied()
+                    .unwrap_or(MsgId(self.table.sent() as u64));
+                assert!(sent.is_empty() || sent.len() == self.population() - 1);
+                let run = SendRun {
+                    first,
+                    count: sent.len() as u32,
+                    dests: match sent.len() {
+                        0 => Dests::Explicit(&[]),
+                        _ => Dests::Broadcast,
+                    },
+                };
+                self.push_step(p, clock_after, &delivered, run);
+            }
             EventRecord::Crash { p } => self.push_crash(p),
             EventRecord::Revive { p } => self.push_revive(p),
             EventRecord::Partition { groups, heal_at } => self.push_partition(&groups, heal_at),
@@ -398,79 +610,45 @@ impl Trace {
         }
     }
 
-    pub(crate) fn push_msg(&mut self, rec: MsgRecord) {
-        debug_assert_eq!(rec.id.index(), self.msgs.len());
-        self.msgs.push(rec);
-    }
-
-    pub(crate) fn note_delivery(&mut self, id: MsgId, event: u64, clock: LocalClock) {
-        let rec = &mut self.msgs[id.index()];
-        rec.recv_event = Some(event);
-        rec.recv_clock = Some(clock);
-    }
-
-    pub(crate) fn note_drop(&mut self, id: MsgId) {
-        self.msgs[id.index()].dropped = true;
-    }
-
-    pub(crate) fn mark_late(&mut self, id: MsgId) {
-        self.late_marks.push(id);
-    }
-
-    pub(crate) fn push_decision(&mut self, d: DecisionRecord) {
-        self.decisions.push(d);
-    }
-
     /// Number of processors in the traced run.
     pub fn population(&self) -> usize {
         self.step_events.len()
     }
 
-    fn deliv_range(&self, idx: usize) -> std::ops::Range<usize> {
-        let start = if idx == 0 {
-            0
-        } else {
-            self.ev_deliv_end[idx - 1] as usize
+    /// The id range event `idx` minted.
+    fn sent(&self, idx: usize) -> IdRun {
+        let start = match idx {
+            0 => 0,
+            _ => self.cols.sent_end[idx - 1],
         };
-        start..self.ev_deliv_end[idx] as usize
-    }
-
-    fn sent_range(&self, idx: usize) -> std::ops::Range<usize> {
-        let start = if idx == 0 {
-            0
-        } else {
-            self.ev_sent_end[idx - 1] as usize
-        };
-        start..self.ev_sent_end[idx] as usize
+        IdRun::new(MsgId(u64::from(start)), self.cols.sent_end[idx] - start)
     }
 
     /// A borrowed view of event `idx` (panics if out of range, like
     /// slice indexing).
     pub fn event(&self, idx: usize) -> EventView<'_> {
-        let p = ProcessorId::new(self.ev_p[idx] as usize);
-        match self.ev_kind[idx] {
+        let row = self.cols.row(idx);
+        let p = ProcessorId::new(row.p as usize);
+        match row.kind {
             KIND_STEP => EventView::Step {
                 p,
-                clock_after: LocalClock::new(self.ev_clock[idx]),
-                delivered: &self.deliv_pool[self.deliv_range(idx)],
-                sent: &self.sent_pool[self.sent_range(idx)],
+                clock_after: LocalClock::new(row.clock),
+                delivered: row.delivered,
+                sent: self.sent(idx),
             },
             KIND_CRASH => EventView::Crash { p },
             KIND_PARTITION => {
-                let (groups, heal_at) = &self.partitions[self.ev_clock[idx] as usize];
-                EventView::Partition {
-                    groups,
-                    heal_at: *heal_at,
-                }
+                let (groups, heal_at) = self.cols.partition(row.clock);
+                EventView::Partition { groups, heal_at }
             }
             KIND_DUPLICATE => EventView::Duplicate {
                 p,
-                original: MsgId(self.ev_clock[idx]),
-                copy: self.sent_pool[self.sent_range(idx)][0],
+                original: MsgId(row.clock),
+                copy: MsgId(u64::from(row.sent_end) - 1),
             },
             KIND_REORDER => EventView::Reorder {
                 p,
-                id: MsgId(self.ev_clock[idx]),
+                id: MsgId(row.clock),
             },
             _ => EventView::Revive { p },
         }
@@ -481,13 +659,19 @@ impl Trace {
         EventsIter {
             trace: self,
             front: 0,
-            back: self.ev_kind.len(),
+            back: self.cols.len(),
         }
     }
 
-    /// All messages sent during the run, indexed by [`MsgId`].
+    /// All messages sent during the run, indexed by [`MsgId`]. Derived
+    /// from the events on first use after recording.
     pub fn messages(&self) -> &[MsgRecord] {
-        &self.msgs
+        self.msgs.get_or_init(|| {
+            let mut msgs = Vec::new();
+            let rows = (0..self.cols.len()).map(|idx| self.cols.row(idx));
+            self.table.derive_into(self.population(), rows, &mut msgs);
+            msgs
+        })
     }
 
     /// Processors that crashed during the run (the faulty set of this
@@ -517,10 +701,7 @@ impl Trace {
     /// How many steps processor `p` took strictly after global event `a`
     /// and at-or-before global event `b`.
     pub fn steps_between(&self, p: ProcessorId, a: u64, b: u64) -> u64 {
-        let evs = &self.step_events[p.index()];
-        let lo = evs.partition_point(|&e| e <= a);
-        let hi = evs.partition_point(|&e| e <= b);
-        (hi - lo) as u64
+        steps_between(&self.step_events[p.index()], a, b)
     }
 
     /// Whether message `m` is *late* per Section 2.2: some processor took
@@ -535,12 +716,12 @@ impl Trace {
 
     /// Whether the traced prefix is *on-time*: contains no late message.
     pub fn is_on_time(&self, k: u64) -> bool {
-        self.msgs.iter().all(|m| !self.is_late(m, k))
+        self.messages().iter().all(|m| !self.is_late(m, k))
     }
 
     /// Number of events in the traced prefix.
     pub fn event_count(&self) -> usize {
-        self.ev_kind.len()
+        self.cols.len()
     }
 
     /// A 64-bit FNV-1a digest over the full canonical content of the
@@ -556,52 +737,51 @@ impl Trace {
     pub fn digest(&self) -> u64 {
         let mut h = Fnv::new();
         h.write_u64(self.population() as u64);
-        h.write_u64(self.ev_kind.len() as u64);
-        for idx in 0..self.ev_kind.len() {
-            let kind = self.ev_kind[idx];
-            h.write_u8(kind);
-            h.write_u64(u64::from(self.ev_p[idx]));
-            match kind {
+        h.write_u64(self.cols.len() as u64);
+        for idx in 0..self.cols.len() {
+            let row = self.cols.row(idx);
+            h.write_u8(row.kind);
+            h.write_u64(u64::from(row.p));
+            let write_sent = |h: &mut Fnv| {
+                let sent = self.sent(idx);
+                h.write_u64(sent.len() as u64);
+                for id in sent.iter() {
+                    h.write_u64(id.index() as u64);
+                }
+            };
+            match row.kind {
                 KIND_STEP => {
-                    h.write_u64(self.ev_clock[idx]);
-                    let delivered = &self.deliv_pool[self.deliv_range(idx)];
-                    h.write_u64(delivered.len() as u64);
-                    for id in delivered {
+                    h.write_u64(row.clock);
+                    h.write_u64(row.delivered.len() as u64);
+                    for id in row.delivered {
                         h.write_u64(id.index() as u64);
                     }
-                    let sent = &self.sent_pool[self.sent_range(idx)];
-                    h.write_u64(sent.len() as u64);
-                    for id in sent {
-                        h.write_u64(id.index() as u64);
-                    }
+                    write_sent(&mut h);
                 }
                 // Runs that use no hostile-network actions contain only
                 // kinds 0..=2, so the byte sequence — and therefore every
                 // legacy golden digest — is unchanged by these arms.
                 KIND_PARTITION => {
-                    let (groups, heal_at) = &self.partitions[self.ev_clock[idx] as usize];
-                    h.write_u64(*heal_at);
+                    let (groups, heal_at) = self.cols.partition(row.clock);
+                    h.write_u64(heal_at);
                     h.write_u64(groups.len() as u64);
                     for g in groups {
                         h.write_u64(u64::from(*g));
                     }
                 }
                 KIND_DUPLICATE => {
-                    h.write_u64(self.ev_clock[idx]);
-                    let sent = &self.sent_pool[self.sent_range(idx)];
-                    h.write_u64(sent.len() as u64);
-                    for id in sent {
-                        h.write_u64(id.index() as u64);
-                    }
+                    h.write_u64(row.clock);
+                    write_sent(&mut h);
                 }
                 KIND_REORDER => {
-                    h.write_u64(self.ev_clock[idx]);
+                    h.write_u64(row.clock);
                 }
                 _ => {}
             }
         }
-        h.write_u64(self.msgs.len() as u64);
-        for m in &self.msgs {
+        let msgs = self.messages();
+        h.write_u64(msgs.len() as u64);
+        for m in msgs {
             h.write_u64(m.id.index() as u64);
             h.write_u64(m.from.index() as u64);
             h.write_u64(m.to.index() as u64);
@@ -626,21 +806,29 @@ impl Trace {
     }
 }
 
+/// How many of the ascending step events `evs` lie strictly after event
+/// `a` and at-or-before event `b`.
+pub(crate) fn steps_between(evs: &[u64], a: u64, b: u64) -> u64 {
+    let lo = evs.partition_point(|&e| e <= a);
+    let hi = evs.partition_point(|&e| e <= b);
+    (hi - lo) as u64
+}
+
 /// The engine's recording seam: everything the event-application code
 /// needs to write while executing a run. [`Trace`] implements it
-/// directly (the single-instance case); the batch recorder's per-lane
-/// view ([`crate::batch_trace::BatchTraceLane`]) implements it over the
-/// shared multi-instance columns, which is what lets one `Lane` body
-/// serve both the single and the batched engine with byte-identical
-/// recorded content.
+/// directly (the single-instance case); the batch recorder's handle
+/// ([`crate::batch_trace::ActiveCols`]) implements it over the shared
+/// multi-instance columns, which is what lets one `Lane` body serve
+/// both the single and the batched engine with byte-identical recorded
+/// content.
 pub(crate) trait TraceSink {
-    /// Records a step event.
+    /// Records a step event: what it delivered and the one run it sent.
     fn push_step(
         &mut self,
         p: ProcessorId,
         clock_after: LocalClock,
         delivered: &[MsgId],
-        sent: &[MsgId],
+        sent: SendRun<'_>,
     );
     /// Records a crash event and adds `p` to the faulty set.
     fn push_crash(&mut self, p: ProcessorId);
@@ -648,23 +836,17 @@ pub(crate) trait TraceSink {
     fn push_revive(&mut self, p: ProcessorId);
     /// Records a partition event.
     fn push_partition(&mut self, groups: &[u32], heal_at: u64);
-    /// Records a duplication event.
+    /// Records a duplication event: a run of one, `copy`, that says
+    /// what `original` says to the same destination.
     fn push_duplicate(&mut self, from: ProcessorId, original: MsgId, copy: MsgId);
     /// Records a reorder event.
     fn push_reorder(&mut self, dest: ProcessorId, id: MsgId);
-    /// Records a freshly sent message.
-    fn push_msg(&mut self, rec: MsgRecord);
-    /// Marks message `id` as delivered at `event`.
-    fn note_delivery(&mut self, id: MsgId, event: u64, clock: LocalClock);
     /// Marks message `id` as dropped at a crash.
     fn note_drop(&mut self, id: MsgId);
     /// Marks message `id` as late (a side annotation, not digested).
     fn mark_late(&mut self, id: MsgId);
     /// Records a decision.
     fn push_decision(&mut self, d: DecisionRecord);
-    /// The send event of an already-recorded message — the lateness
-    /// classifier's input at delivery time.
-    fn send_event_of(&self, id: MsgId) -> u64;
 }
 
 impl TraceSink for Trace {
@@ -673,53 +855,55 @@ impl TraceSink for Trace {
         p: ProcessorId,
         clock_after: LocalClock,
         delivered: &[MsgId],
-        sent: &[MsgId],
+        sent: SendRun<'_>,
     ) {
-        Trace::push_step(self, p, clock_after, delivered, sent);
+        self.msgs.take();
+        self.step_events[p.index()].push(self.cols.len() as u64);
+        let sent_end = self.table.push_run(sent);
+        self.cols
+            .push_step(p.index() as u32, clock_after.ticks(), delivered, sent_end);
     }
 
     fn push_crash(&mut self, p: ProcessorId) {
-        Trace::push_crash(self, p);
+        self.crashed.push(p);
+        self.push_messageless(KIND_CRASH, p, 0);
     }
 
     fn push_revive(&mut self, p: ProcessorId) {
-        Trace::push_revive(self, p);
+        self.push_messageless(KIND_REVIVE, p, 0);
     }
 
     fn push_partition(&mut self, groups: &[u32], heal_at: u64) {
-        Trace::push_partition(self, groups, heal_at);
+        self.msgs.take();
+        self.cols.push_partition(groups, heal_at, self.table.sent());
     }
 
     fn push_duplicate(&mut self, from: ProcessorId, original: MsgId, copy: MsgId) {
-        Trace::push_duplicate(self, from, original, copy);
+        self.msgs.take();
+        let sent_end = self.table.push_copy(copy);
+        self.cols.push(
+            KIND_DUPLICATE,
+            from.index() as u32,
+            original.index() as u64,
+            sent_end,
+        );
     }
 
     fn push_reorder(&mut self, dest: ProcessorId, id: MsgId) {
-        Trace::push_reorder(self, dest, id);
-    }
-
-    fn push_msg(&mut self, rec: MsgRecord) {
-        Trace::push_msg(self, rec);
-    }
-
-    fn note_delivery(&mut self, id: MsgId, event: u64, clock: LocalClock) {
-        Trace::note_delivery(self, id, event, clock);
+        self.push_messageless(KIND_REORDER, dest, id.index() as u64);
     }
 
     fn note_drop(&mut self, id: MsgId) {
-        Trace::note_drop(self, id);
+        self.msgs.take();
+        self.table.note_drop(id);
     }
 
     fn mark_late(&mut self, id: MsgId) {
-        Trace::mark_late(self, id);
+        self.late_marks.push(id);
     }
 
     fn push_decision(&mut self, d: DecisionRecord) {
-        Trace::push_decision(self, d);
-    }
-
-    fn send_event_of(&self, id: MsgId) -> u64 {
-        self.msgs[id.index()].send_event
+        self.decisions.push(d);
     }
 }
 
@@ -799,8 +983,8 @@ impl Fnv {
 impl fmt::Debug for Trace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Trace")
-            .field("events", &self.ev_kind.len())
-            .field("messages", &self.msgs.len())
+            .field("events", &self.cols.len())
+            .field("messages", &self.table.sent())
             .field("crashed", &self.crashed)
             .field("decisions", &self.decisions.len())
             .finish()
@@ -811,26 +995,37 @@ impl fmt::Debug for Trace {
 mod tests {
     use super::*;
 
-    fn msg(id: u64, from: usize, to: usize, send_event: u64) -> MsgRecord {
-        MsgRecord {
-            id: MsgId(id),
-            from: ProcessorId::new(from),
-            to: ProcessorId::new(to),
-            send_event,
-            sender_clock: LocalClock::new(1),
-            recv_event: None,
-            recv_clock: None,
-            dropped: false,
-        }
+    fn pid(i: usize) -> ProcessorId {
+        ProcessorId::new(i)
     }
 
     fn step(p: usize, clock: u64) -> EventRecord {
         EventRecord::Step {
-            p: ProcessorId::new(p),
+            p: pid(p),
             clock_after: LocalClock::new(clock),
             delivered: vec![],
             sent: vec![],
         }
+    }
+
+    /// A step of `p` at `clock` delivering `delivered` and sending one
+    /// message, `first`, to each of `to`.
+    fn sending_step(
+        t: &mut Trace,
+        p: usize,
+        clock: u64,
+        delivered: &[u64],
+        first: u64,
+        to: &[usize],
+    ) {
+        let delivered: Vec<MsgId> = delivered.iter().map(|id| MsgId(*id)).collect();
+        let dests: Vec<ProcessorId> = to.iter().map(|q| pid(*q)).collect();
+        let run = SendRun {
+            first: MsgId(first),
+            count: dests.len() as u32,
+            dests: Dests::Explicit(&dests),
+        };
+        t.push_step(pid(p), LocalClock::new(clock), &delivered, run);
     }
 
     #[test]
@@ -840,9 +1035,9 @@ mod tests {
         t.push_event(step(1, 1)); // event 1
         t.push_event(step(0, 2)); // event 2
         t.push_event(step(0, 3)); // event 3
-        assert_eq!(t.steps_between(ProcessorId::new(0), 0, 3), 2);
-        assert_eq!(t.steps_between(ProcessorId::new(0), 0, 0), 0);
-        assert_eq!(t.steps_between(ProcessorId::new(1), 0, 3), 1);
+        assert_eq!(t.steps_between(pid(0), 0, 3), 2);
+        assert_eq!(t.steps_between(pid(0), 0, 0), 0);
+        assert_eq!(t.steps_between(pid(1), 0, 3), 1);
     }
 
     #[test]
@@ -850,14 +1045,16 @@ mod tests {
         let mut t = Trace::new(2);
         // p0 sends at event 0; p1 receives at event 4; p0 took 3 more steps
         // in between => late when K < 3 for p0's count.
-        t.push_event(step(0, 1));
-        t.push_msg(msg(0, 0, 1, 0));
+        sending_step(&mut t, 0, 1, &[], 0, &[1]);
         t.push_event(step(0, 2));
         t.push_event(step(0, 3));
         t.push_event(step(0, 4));
-        t.push_event(step(1, 1));
-        t.note_delivery(MsgId(0), 4, LocalClock::new(1));
+        sending_step(&mut t, 1, 1, &[0], 1, &[]);
         let m = &t.messages()[0];
+        assert_eq!(
+            (m.recv_event, m.recv_clock),
+            (Some(4), Some(LocalClock::new(1)))
+        );
         assert!(t.is_late(m, 2));
         assert!(!t.is_late(m, 3));
         assert!(!t.is_on_time(2));
@@ -867,31 +1064,33 @@ mod tests {
     #[test]
     fn undelivered_messages_are_not_late() {
         let mut t = Trace::new(2);
-        t.push_event(step(0, 1));
-        t.push_msg(msg(0, 0, 1, 0));
+        sending_step(&mut t, 0, 1, &[], 0, &[1]);
         assert!(!t.is_late(&t.messages()[0], 1));
     }
 
     #[test]
     fn crash_records_faulty_set() {
         let mut t = Trace::new(3);
-        t.push_event(EventRecord::Crash {
-            p: ProcessorId::new(2),
-        });
-        assert_eq!(t.faulty(), &[ProcessorId::new(2)]);
-        assert_eq!(t.event(0).processor(), ProcessorId::new(2));
+        t.push_event(EventRecord::Crash { p: pid(2) });
+        assert_eq!(t.faulty(), &[pid(2)]);
+        assert_eq!(t.event(0).processor(), pid(2));
     }
 
     #[test]
     fn digest_is_content_sensitive() {
         let mut a = Trace::new(2);
-        a.push_event(step(0, 1));
-        a.push_msg(msg(0, 0, 1, 0));
+        sending_step(&mut a, 0, 1, &[], 0, &[1]);
         let mut b = a.clone();
         assert_eq!(a.digest(), b.digest());
-        // Same events, one extra delivery note: digests must diverge.
-        b.note_delivery(MsgId(0), 0, LocalClock::new(1));
+        // One more event — the delivery — and the digests must diverge,
+        // also through a message table that was already derived.
+        sending_step(&mut b, 1, 1, &[0], 1, &[]);
         assert_ne!(a.digest(), b.digest());
+        assert!(b.messages()[0].delivered() && !a.messages()[0].delivered());
+        // A drop is content too.
+        let mut c = a.clone();
+        c.note_drop(MsgId(0));
+        assert_ne!(a.digest(), c.digest());
         // Event order matters.
         let mut c = Trace::new(2);
         c.push_event(step(1, 1));
@@ -908,41 +1107,37 @@ mod tests {
         let mut t = Trace::new(3);
         let records = vec![
             EventRecord::Step {
-                p: ProcessorId::new(0),
+                p: pid(0),
                 clock_after: LocalClock::new(1),
                 delivered: vec![],
                 sent: vec![MsgId(0), MsgId(1)],
             },
-            EventRecord::Crash {
-                p: ProcessorId::new(2),
-            },
+            EventRecord::Crash { p: pid(2) },
             EventRecord::Step {
-                p: ProcessorId::new(1),
+                p: pid(1),
                 clock_after: LocalClock::new(1),
                 delivered: vec![MsgId(1)],
                 sent: vec![],
             },
-            EventRecord::Revive {
-                p: ProcessorId::new(2),
-            },
+            EventRecord::Revive { p: pid(2) },
             EventRecord::Step {
-                p: ProcessorId::new(1),
+                p: pid(1),
                 clock_after: LocalClock::new(2),
                 delivered: vec![MsgId(0)],
-                sent: vec![MsgId(2)],
+                sent: vec![MsgId(2), MsgId(3)],
             },
             EventRecord::Partition {
                 groups: vec![0, 1, 0],
                 heal_at: 40,
             },
             EventRecord::Duplicate {
-                p: ProcessorId::new(0),
+                p: pid(1),
                 original: MsgId(2),
-                copy: MsgId(3),
+                copy: MsgId(4),
             },
             EventRecord::Reorder {
-                p: ProcessorId::new(1),
-                id: MsgId(3),
+                p: pid(0),
+                id: MsgId(4),
             },
         ];
         for r in &records {
@@ -961,6 +1156,150 @@ mod tests {
         assert_eq!(&back[0], &records[records.len() - 1]);
     }
 
+    /// The message table and digest a trace with every event kind must
+    /// derive, against hand-built expectations: a broadcast, a run with
+    /// listed destinations (call order, the sender addressing itself),
+    /// deliveries, a duplicate of one slot of the broadcast, a reorder,
+    /// a partition, a crash dropping part of the last run, a revive.
+    #[test]
+    fn every_event_kind_derives_the_hand_built_message_table() {
+        let n = 3;
+        let mut t = Trace::new(n);
+        // 0: p0 broadcasts m0 → p1, m1 → p2.
+        t.push_step(
+            pid(0),
+            LocalClock::new(1),
+            &[],
+            SendRun {
+                first: MsgId(0),
+                count: 2,
+                dests: Dests::Broadcast,
+            },
+        );
+        // 1: the network duplicates m1 as m2.
+        t.push_duplicate(pid(0), MsgId(1), MsgId(2));
+        // 2: p2's queue [m1, m2] becomes [m2, m1].
+        t.push_reorder(pid(2), MsgId(1));
+        // 3: a partition (moves no message).
+        t.push_partition(&[0, 0, 1], 9);
+        // 4: p2 steps, silent (right before a run that lists its
+        //    destinations: the two must not be confused).
+        sending_step(&mut t, 2, 1, &[], 3, &[]);
+        // 5: p1 receives m0 and sends m3 → p2, m4 → p1, m5 → p0, in
+        //    call order.
+        sending_step(&mut t, 1, 1, &[0], 3, &[2, 1, 0]);
+        // 6: p2 receives the copy and the broadcast, sends nothing.
+        sending_step(&mut t, 2, 2, &[2, 1], 6, &[]);
+        // 7: p1 crashes; m3 and m5 of its last step are dropped.
+        t.note_drop(MsgId(3));
+        t.note_drop(MsgId(5));
+        t.push_crash(pid(1));
+        // 8: p1 is revived; 9: and receives what it sent itself.
+        t.push_revive(pid(1));
+        sending_step(&mut t, 1, 2, &[4], 6, &[]);
+        t.push_decision(DecisionRecord {
+            p: pid(2),
+            value: Value::One,
+            clock: LocalClock::new(2),
+            event: 6,
+        });
+
+        let rec =
+            |id, from, to, send_event, sender_clock, recv: Option<(u64, u64)>, dropped| MsgRecord {
+                id: MsgId(id),
+                from: pid(from),
+                to: pid(to),
+                send_event,
+                sender_clock: LocalClock::new(sender_clock),
+                recv_event: recv.map(|(event, _)| event),
+                recv_clock: recv.map(|(_, clock)| LocalClock::new(clock)),
+                dropped,
+            };
+        let want = vec![
+            rec(0, 0, 1, 0, 1, Some((5, 1)), false),
+            rec(1, 0, 2, 0, 1, Some((6, 2)), false),
+            // The copy: sent "now" (event 1), the original's endpoints
+            // and sender clock.
+            rec(2, 0, 2, 1, 1, Some((6, 2)), false),
+            rec(3, 1, 2, 5, 1, None, true),
+            rec(4, 1, 1, 5, 1, Some((9, 2)), false),
+            rec(5, 1, 0, 5, 1, None, true),
+        ];
+        assert_eq!(t.messages(), want.as_slice());
+        let sent: Vec<Vec<MsgId>> = t
+            .events()
+            .map(|ev| match ev {
+                EventView::Step { sent, .. } => sent.to_vec(),
+                EventView::Duplicate { copy, .. } => vec![copy],
+                _ => Vec::new(),
+            })
+            .collect();
+        let ids = |ids: &[u64]| ids.iter().map(|id| MsgId(*id)).collect::<Vec<_>>();
+        assert_eq!(
+            sent,
+            [
+                ids(&[0, 1]),
+                ids(&[2]),
+                ids(&[]),
+                ids(&[]),
+                ids(&[]),
+                ids(&[3, 4, 5]),
+                ids(&[]),
+                ids(&[]),
+                ids(&[]),
+                ids(&[])
+            ]
+        );
+
+        // The digest, spelled out byte for byte the way every engine
+        // revision since the golden corpus has hashed it.
+        let mut h = Fnv::new();
+        let u = |h: &mut Fnv, vals: &[u64]| vals.iter().for_each(|v| h.write_u64(*v));
+        u(&mut h, &[n as u64, 10]);
+        // (kind, processor, then the kind's payload)
+        h.write_u8(KIND_STEP);
+        u(&mut h, &[0, 1, 0, 2, 0, 1]);
+        h.write_u8(KIND_DUPLICATE);
+        u(&mut h, &[0, 1, 1, 2]);
+        h.write_u8(KIND_REORDER);
+        u(&mut h, &[2, 1]);
+        h.write_u8(KIND_PARTITION);
+        u(&mut h, &[0, 9, 3, 0, 0, 1]);
+        h.write_u8(KIND_STEP);
+        u(&mut h, &[2, 1, 0, 0]);
+        h.write_u8(KIND_STEP);
+        u(&mut h, &[1, 1, 1, 0, 3, 3, 4, 5]);
+        h.write_u8(KIND_STEP);
+        u(&mut h, &[2, 2, 2, 2, 1, 0]);
+        h.write_u8(KIND_CRASH);
+        u(&mut h, &[1]);
+        h.write_u8(KIND_REVIVE);
+        u(&mut h, &[1]);
+        h.write_u8(KIND_STEP);
+        u(&mut h, &[1, 2, 1, 4, 0]);
+        u(&mut h, &[want.len() as u64]);
+        for m in &want {
+            u(
+                &mut h,
+                &[
+                    m.id.index() as u64,
+                    m.from.index() as u64,
+                    m.to.index() as u64,
+                    m.send_event,
+                    m.sender_clock.ticks(),
+                ],
+            );
+            h.write_opt_u64(m.recv_event);
+            h.write_opt_u64(m.recv_clock.map(LocalClock::ticks));
+            h.write_u8(m.dropped as u8);
+        }
+        u(&mut h, &[1, 2]);
+        h.write_u8(Value::One.as_u8());
+        u(&mut h, &[2, 6]);
+        u(&mut h, &[1, 1]);
+        assert_eq!(t.digest(), h.finish());
+    }
+
     #[test]
     fn hostile_network_events_are_digest_sensitive_but_legacy_digests_stable() {
         let mut base = Trace::new(2);
@@ -975,12 +1314,11 @@ mod tests {
         let mut other_part = base.clone();
         other_part.push_partition(&[0, 1], 11);
         assert_ne!(with_part.digest(), other_part.digest());
+        sending_step(&mut base, 0, 2, &[], 0, &[1]);
         let mut dup = base.clone();
-        base.push_msg(msg(0, 0, 1, 0));
-        dup.push_msg(msg(0, 0, 1, 0));
-        dup.push_duplicate(ProcessorId::new(0), MsgId(0), MsgId(1));
+        dup.push_duplicate(pid(0), MsgId(0), MsgId(1));
         let mut reord = base.clone();
-        reord.push_reorder(ProcessorId::new(1), MsgId(0));
+        reord.push_reorder(pid(1), MsgId(0));
         assert_ne!(dup.digest(), reord.digest());
         // Lateness marks are annotations, not digested content.
         let mut marked = base.clone();
@@ -993,15 +1331,12 @@ mod tests {
     fn decision_lookup() {
         let mut t = Trace::new(2);
         t.push_decision(DecisionRecord {
-            p: ProcessorId::new(1),
+            p: pid(1),
             value: Value::One,
             clock: LocalClock::new(9),
             event: 17,
         });
-        assert_eq!(
-            t.decision_of(ProcessorId::new(1)).unwrap().value,
-            Value::One
-        );
-        assert!(t.decision_of(ProcessorId::new(0)).is_none());
+        assert_eq!(t.decision_of(pid(1)).unwrap().value, Value::One);
+        assert!(t.decision_of(pid(0)).is_none());
     }
 }

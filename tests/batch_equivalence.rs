@@ -15,8 +15,11 @@ use rtc::core::CommitMsg;
 use rtc::model::{Outbox, StepRng};
 use rtc::prelude::*;
 use rtc::sim::{
-    worker_of, Adversary, BatchPool, BatchSim, BatchSimBuilder, ParBatchSimBuilder, Sim,
+    worker_of, Adversary, BatchPool, BatchSim, BatchSimBuilder, ParBatchSimBuilder, Sim, StopWhen,
 };
+
+mod hostile;
+use hostile::{Hostile, InPlace, Seen};
 
 /// One seeded schedule of the batch corpus.
 struct Case {
@@ -319,4 +322,176 @@ fn pooled_rerun_reproduces_digests_exactly() {
     let (first, pool) = digests_of(BatchPool::new());
     let (second, _) = digests_of(pool);
     assert_eq!(first, second);
+}
+
+/// The hostile corpus: the 36 seeds again, each under [`Hostile`]'s
+/// scripted duplicate, reorder and partial-drop crash, the victim
+/// revived as a rejoiner at `hostile::revive_at`.
+fn hostile_adversary(case: &Case) -> Hostile {
+    Hostile::new(adversary(case), case.n, case.seed)
+}
+
+fn rejoiner(case: &Case, victim: ProcessorId) -> CommitAutomaton {
+    hostile::rejoiner(
+        config(case.n),
+        victim,
+        votes(case.n, case.seed)[victim.index()],
+    )
+}
+
+/// The standalone hostile run of one case: its outcome, what of the
+/// script its trace shows, and how many direct sends its automata
+/// substituted in place (as `count` reads them).
+fn hostile_serial<A: Automaton>(
+    case: &Case,
+    wrap: impl Fn(CommitAutomaton) -> A,
+    count: impl Fn(&A) -> u32,
+) -> (SerialOutcome, Seen, u32) {
+    let procs = population(case).into_iter().map(&wrap).collect();
+    let mut sim: Sim<A> = sim_builder(case).build(procs).unwrap();
+    let mut adv = hostile_adversary(case);
+    sim.run_until(&mut adv, hostile::revive_at(case.n), StopWhen::default())
+        .unwrap();
+    let victim = adv.victim();
+    if sim.is_crashed(victim) {
+        sim.revive(victim, wrap(rejoiner(case, victim))).unwrap();
+    }
+    let report = sim.run(&mut adv, hostile::LIMITS).unwrap();
+    let decisions = sim
+        .trace()
+        .decisions()
+        .iter()
+        .map(|d| (d.p, d.value))
+        .collect();
+    let substituted = ProcessorId::all(case.n)
+        .map(|p| count(sim.automaton(p)))
+        .sum();
+    let outcome = (report, sim.trace().digest(), decisions);
+    (outcome, Seen::in_trace(sim.trace()), substituted)
+}
+
+/// Runs a group's hostile schedules as one `BatchSim` and as a W = 2
+/// `ParBatchSim`, checking every instance against `serial`.
+fn check_hostile_batches<A>(
+    cases: &[Case],
+    serial: &[SerialOutcome],
+    wrap: impl Fn(CommitAutomaton) -> A,
+    pool: BatchPool<A::Msg>,
+) -> BatchPool<A::Msg>
+where
+    A: Automaton + Send,
+    A::Msg: Send,
+{
+    let caps: Vec<u64> = cases.iter().map(|c| hostile::revive_at(c.n)).collect();
+
+    let mut batch = build_batch(cases, &wrap, pool);
+    let mut advs: Vec<Hostile> = cases.iter().map(hostile_adversary).collect();
+    batch
+        .run_segment(&mut advs, &caps, StopWhen::default())
+        .unwrap();
+    for (l, case) in cases.iter().enumerate() {
+        let victim = advs[l].victim();
+        if batch.is_crashed(l, victim) {
+            batch
+                .revive(l, victim, wrap(rejoiner(case, victim)))
+                .unwrap();
+        }
+    }
+    let reports = batch.run(&mut advs, hostile::LIMITS).unwrap();
+    for (i, (report, case)) in reports.into_iter().zip(cases).enumerate() {
+        let decisions = batch.decisions(i).iter().map(|d| (d.p, d.value)).collect();
+        let batched = (report, batch.to_trace(i).digest(), decisions);
+        assert_same(case, "hostile batch", &batched, &serial[i]);
+    }
+
+    let workers = 2;
+    let mut builder = ParBatchSimBuilder::with_workers(workers);
+    for (l, case) in cases.iter().enumerate() {
+        let procs = population(case).into_iter().map(&wrap).collect();
+        builder
+            .instance_on(sim_builder(case), procs, worker_of(l, workers))
+            .unwrap();
+    }
+    let mut sharded = builder.build();
+    let mut advs: Vec<Hostile> = cases.iter().map(hostile_adversary).collect();
+    sharded
+        .run_segment(&mut advs, &caps, StopWhen::default())
+        .unwrap();
+    for (l, case) in cases.iter().enumerate() {
+        let victim = advs[l].victim();
+        if sharded.is_crashed(l, victim) {
+            sharded
+                .revive(l, victim, wrap(rejoiner(case, victim)))
+                .unwrap();
+        }
+    }
+    let reports = sharded.run(&mut advs, hostile::LIMITS).unwrap();
+    for (i, (report, case)) in reports.into_iter().zip(cases).enumerate() {
+        let decisions = sharded
+            .decisions(i)
+            .iter()
+            .map(|d| (d.p, d.value))
+            .collect();
+        let lane = (report, sharded.to_trace(i).digest(), decisions);
+        assert_same(case, "hostile W=2", &lane, &serial[i]);
+    }
+    batch.into_pool()
+}
+
+#[test]
+fn hostile_schedules_are_byte_identical_on_all_three_engines() {
+    // Where a run representation can go wrong: a copy of one slot of a
+    // live broadcast, a reordered list, a crash that unfiles part of a
+    // run, a revive after the drops, a rejoiner's direct replies.
+    let mut pool = BatchPool::new();
+    for cases in &corpus() {
+        let runs: Vec<_> = cases
+            .iter()
+            .map(|case| hostile_serial(case, |auto| auto, |_| 0))
+            .collect();
+        // The network faults fire in every schedule; the partial-drop
+        // crash needs the victim alive with two sends of one step still
+        // buffered, and the revive needs that crash before
+        // `hostile::revive_at` — most schedules, not all.
+        for (case, (_, seen, _)) in cases.iter().zip(&runs) {
+            assert!(
+                seen.duplicate && seen.reorder,
+                "n{}/seed{:#x}: a network fault did not fire: {seen:?}",
+                case.n,
+                case.seed
+            );
+        }
+        let full = runs.iter().filter(|(_, seen, _)| seen.all()).count();
+        assert!(
+            3 * full >= 2 * cases.len(),
+            "only {full} of {} schedules ran the full script",
+            cases.len()
+        );
+        let serial: Vec<SerialOutcome> = runs.into_iter().map(|(outcome, _, _)| outcome).collect();
+        pool = check_hostile_batches(cases, &serial, |auto| auto, pool);
+    }
+}
+
+#[test]
+fn a_direct_send_in_place_of_a_broadcast_slot_is_the_same_on_all_three_engines() {
+    // The same hostile schedules over a population that substitutes a
+    // direct send (own body, the broadcast's place in the id order) at
+    // every step that heard from somebody.
+    let mut pool = BatchPool::new();
+    for cases in &corpus() {
+        let runs: Vec<_> = cases
+            .iter()
+            .map(|case| hostile_serial(case, InPlace::new, |auto| auto.substituted))
+            .collect();
+        for (case, (_, _, substituted)) in cases.iter().zip(&runs) {
+            assert!(
+                *substituted > 0,
+                "n{}/seed{}: no direct send was substituted",
+                case.n,
+                case.seed
+            );
+        }
+        let serial: Vec<SerialOutcome> = runs.into_iter().map(|(outcome, _, _)| outcome).collect();
+        pool = check_hostile_batches(cases, &serial, InPlace::new, pool);
+    }
 }

@@ -13,14 +13,19 @@
 //!
 //! The corpus is the 36-schedule mix of `tests/batch_equivalence.rs`:
 //! three batch shapes, synchronous/adaptive/random adversaries,
-//! seed-dependent crash injection.
+//! seed-dependent crash injection — and the same 36 seeds again under
+//! the hostile script of `tests/hostile/mod.rs` (a duplicate of one
+//! slot of a live broadcast, a reorder, a partial-drop crash, a revive).
 
 use rtc::core::CommitMsg;
 use rtc::prelude::*;
 use rtc::sim::{
     worker_of, Adversary, BatchPool, BatchSimBuilder, ParBatchPool, ParBatchSim,
-    ParBatchSimBuilder, Sim,
+    ParBatchSimBuilder, Sim, StopWhen,
 };
+
+mod hostile;
+use hostile::Hostile;
 
 /// One seeded schedule of the corpus.
 struct Case {
@@ -268,5 +273,89 @@ fn fixed_w4_corpus_matches_serial() {
         let serial: Vec<Outcome> = cases.iter().map(serial_outcome).collect();
         let (parallel, _) = parallel_outcomes(cases, ParBatchPool::new(), 4, |l| worker_of(l, 4));
         assert_eq!(parallel, serial, "W=4 diverged from serial");
+    }
+}
+
+fn hostile_adversary(case: &Case) -> Hostile {
+    Hostile::new(adversary(case), case.n, case.seed)
+}
+
+fn rejoiner(case: &Case, victim: ProcessorId) -> CommitAutomaton {
+    hostile::rejoiner(
+        config(case.n),
+        victim,
+        votes(case.n, case.seed)[victim.index()],
+    )
+}
+
+/// The standalone serial run of one case under the hostile script.
+fn hostile_serial_outcome(case: &Case) -> Outcome {
+    let mut sim: Sim<CommitAutomaton> = sim_builder(case).build(population(case)).unwrap();
+    let mut adv = hostile_adversary(case);
+    sim.run_until(&mut adv, hostile::revive_at(case.n), StopWhen::default())
+        .unwrap();
+    let victim = adv.victim();
+    if sim.is_crashed(victim) {
+        sim.revive(victim, rejoiner(case, victim)).unwrap();
+    }
+    let report = sim.run(&mut adv, hostile::LIMITS).unwrap();
+    Outcome {
+        statuses: report.statuses().to_vec(),
+        events: report.events(),
+        stalled: report.stalled(),
+        decisions: sim
+            .trace()
+            .decisions()
+            .iter()
+            .map(|d| (d.p, d.value))
+            .collect(),
+        digest: sim.trace().digest(),
+    }
+}
+
+/// The hostile corpus across worker counts: every lane's bytes equal
+/// its serial run's, whichever shard's store filed, unfiled and
+/// recorded its runs.
+#[test]
+fn hostile_schedules_are_byte_identical_at_every_worker_count() {
+    for cases in &corpus() {
+        let serial: Vec<Outcome> = cases.iter().map(hostile_serial_outcome).collect();
+        let caps: Vec<u64> = cases.iter().map(|c| hostile::revive_at(c.n)).collect();
+        let mut pool = ParBatchPool::new();
+        for workers in [1usize, 2, 3] {
+            let mut builder = ParBatchSimBuilder::from_pool(pool, workers);
+            for (l, case) in cases.iter().enumerate() {
+                builder
+                    .instance_on(sim_builder(case), population(case), worker_of(l, workers))
+                    .unwrap();
+            }
+            let mut batch: ParBatchSim<CommitAutomaton> = builder.build();
+            let mut advs: Vec<Hostile> = cases.iter().map(hostile_adversary).collect();
+            batch
+                .run_segment(&mut advs, &caps, StopWhen::default())
+                .unwrap();
+            for (l, case) in cases.iter().enumerate() {
+                let victim = advs[l].victim();
+                if batch.is_crashed(l, victim) {
+                    batch.revive(l, victim, rejoiner(case, victim)).unwrap();
+                }
+            }
+            let reports = batch.run(&mut advs, hostile::LIMITS).unwrap();
+            for (l, report) in reports.iter().enumerate() {
+                let lane = Outcome {
+                    statuses: report.statuses().to_vec(),
+                    events: report.events(),
+                    stalled: report.stalled(),
+                    decisions: batch.decisions(l).iter().map(|d| (d.p, d.value)).collect(),
+                    digest: batch.to_trace(l).digest(),
+                };
+                assert_eq!(
+                    lane, serial[l],
+                    "hostile lane {l} (n{}, seed {:#x}) diverged at W={workers}",
+                    cases[l].n, cases[l].seed
+                );
+            }
+            pool = batch.into_pool();
+        }
     }
 }
