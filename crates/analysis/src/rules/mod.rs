@@ -11,7 +11,6 @@ use crate::engine::Workspace;
 
 mod buffer_scan;
 mod channel_unwrap;
-mod cross_worker_sharing;
 mod determinism;
 mod exhaustive;
 mod panic_path;
@@ -23,7 +22,6 @@ mod unordered_iter;
 
 pub use buffer_scan::BufferLinearScan;
 pub use channel_unwrap::ChannelSendUnwrap;
-pub use cross_worker_sharing::CrossWorkerSharing;
 pub use determinism::WallClock;
 pub use exhaustive::MessageExhaustiveness;
 pub use panic_path::PanicInProtocolPath;
@@ -52,7 +50,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(UnorderedIter),
         Box::new(PanicInProtocolPath),
         Box::new(PerInstanceAlloc),
-        Box::new(CrossWorkerSharing),
         Box::new(BufferLinearScan),
         Box::new(UnboundedRecv),
         Box::new(SocketDeadline),

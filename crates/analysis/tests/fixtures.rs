@@ -53,13 +53,6 @@ fn corpus() -> Vec<(
             include_str!("fixtures/per_instance_alloc_negative.rs"),
         ),
         (
-            "cross-worker-sharing",
-            "rtc-sim",
-            "crates/sim/src/fixture.rs",
-            include_str!("fixtures/cross_worker_sharing_positive.rs"),
-            include_str!("fixtures/cross_worker_sharing_negative.rs"),
-        ),
-        (
             "buffer-linear-scan",
             "rtc-sim",
             "crates/sim/src/fixture.rs",

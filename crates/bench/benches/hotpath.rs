@@ -16,10 +16,9 @@
 //!   Skipped in `--test` smoke mode.
 //! * **Frozen references**: the same kernels measured on the tree
 //!   *before* each optimization PR — `pre_pr/` (allocation overhaul),
-//!   `pre_scheduler/` (scheduler data-structure overhaul), `pre_batch/`
-//!   (batch engine), and `pre_parallel/` (worker-sharded parallel batch
-//!   plane) — so the improvement trail is recorded in the bench output
-//!   itself.
+//!   `pre_scheduler/` (scheduler data-structure overhaul) and
+//!   `pre_batch/` (batch engine) — so the improvement trail is recorded
+//!   in the bench output itself.
 //!
 //! Run with `cargo bench -p rtc-bench --bench hotpath`; the JSON lands
 //! at the repo root (override with `BENCH_RTC_PATH`).
@@ -35,10 +34,7 @@ use rtc_core::{commit_population, CommitAutomaton, CommitConfig, CommitMsg};
 use rtc_experiments::run_commit;
 use rtc_model::{Automaton, LocalClock, Outbox, ProcessorId, SeedCollection, TimingParams, Value};
 use rtc_sim::adversaries::SynchronousAdversary;
-use rtc_sim::{
-    BatchPool, BatchSim, BatchSimBuilder, ParBatchPool, ParBatchSim, ParBatchSimBuilder, RunLimits,
-    SimBuilder,
-};
+use rtc_sim::{BatchPool, BatchSim, BatchSimBuilder, RunLimits, SimBuilder};
 
 /// `System` wrapped in allocation counting. Counts every `alloc` and
 /// `realloc` call; frees are irrelevant to the metric (we count heap
@@ -161,45 +157,6 @@ const PRE_BATCH: &[(&str, f64, &str, bool)] = &[
     ("time/stage_latency/n16", 399.647, "us/run", false),
     ("time/stage_latency/n32", 2405.649, "us/run", false),
     ("alloc/sync_commit_total/n16", 1149.0, "allocs/run", true),
-];
-
-/// The pre-parallel-plane measurements (commit 2e0b2da, this machine),
-/// frozen before the worker-sharded `ParBatchSim` landed: the
-/// single-threaded batch rates the `w{1,2,4,8}` family and the
-/// scaling-efficiency ratio are read against. Layout: (name, value,
-/// unit, deterministic).
-const PRE_PARALLEL: &[(&str, f64, &str, bool)] = &[
-    (
-        "time/decided_instances_per_sec/n16_b64",
-        8764.402,
-        "instances/sec",
-        false,
-    ),
-    (
-        "time/batch_events_per_sec/n16_b64",
-        543392.894,
-        "steps/sec",
-        false,
-    ),
-    ("batch/speedup_vs_serial/n16_b64", 2.291, "x", false),
-    (
-        "time/implied_serial_instances_per_sec/n16",
-        3824.821,
-        "instances/sec",
-        false,
-    ),
-    (
-        "time/campaign_throughput/sim40",
-        1151.525,
-        "schedules/sec",
-        false,
-    ),
-    (
-        "alloc/batch_step_per_instance/n16",
-        423.094,
-        "allocs/instance",
-        true,
-    ),
 ];
 
 fn cfg(n: usize) -> CommitConfig {
@@ -513,94 +470,6 @@ fn measure_batch_throughput(metrics: &mut Vec<Metric>, implied_serial_n16: f64) 
     }
 }
 
-/// One pooled, worker-sharded batch of `b` synchronous commit
-/// instances: the same seeds and shape as [`build_batch`], lanes
-/// round-robined over `workers` private shards.
-fn build_par_batch(
-    config: CommitConfig,
-    b: usize,
-    round: u64,
-    pool: ParBatchPool<CommitMsg>,
-    workers: usize,
-) -> ParBatchSim<CommitAutomaton> {
-    let votes = vec![Value::One; config.population()];
-    let mut builder = ParBatchSimBuilder::from_pool(pool, workers);
-    for i in 0..b {
-        builder
-            .instance(
-                SimBuilder::new(
-                    config.timing(),
-                    SeedCollection::new(0xBA7C_0000 + round * b as u64 + i as u64),
-                )
-                .fault_budget(config.fault_bound()),
-                commit_population(config, &votes),
-            )
-            .expect("batch instances share a population");
-    }
-    builder.build()
-}
-
-/// Core-scaling of the parallel batch plane on the `n = 16`, `B = 64`
-/// shape: aggregate decided-instances throughput at explicit worker
-/// counts W ∈ {1, 2, 4, 8} (explicit, not `default_workers()`, so the
-/// metric family means the same thing on every machine), best-of-5
-/// rounds on a warm sharded pool like [`measure_batch_throughput`].
-/// Also records the scaling-efficiency ratio speedup(W=4)/4 — a
-/// machine-comparable number CI gates with its own tolerance
-/// (`bench_check --efficiency-tolerance`). docs/PERF.md ("Reading core
-/// scaling honestly") explains how to read these on hosts with fewer
-/// cores than workers.
-fn measure_parallel_batch_throughput(metrics: &mut Vec<Metric>) {
-    const ROUNDS: u64 = 5;
-    let (n, b) = (16usize, 64usize);
-    let config = cfg(n);
-    let mut rate_w1 = f64::NAN;
-    let mut rate_w4 = f64::NAN;
-    for workers in [1usize, 2, 4, 8] {
-        // Each worker count gets its own warm-up round 0 and pool: the
-        // pool is re-sharded on reuse, so mixing counts would measure
-        // the resize path instead of the steady state.
-        let mut pool = ParBatchPool::new();
-        let mut best_secs = f64::INFINITY;
-        for round in 0..=ROUNDS {
-            let mut advs: Vec<SynchronousAdversary> =
-                (0..b).map(|_| SynchronousAdversary::new(n)).collect();
-            let mut batch = build_par_batch(config, b, round, pool, workers);
-            let start = Instant::now();
-            let reports = batch.run(&mut advs, RunLimits::default()).unwrap();
-            let secs = start.elapsed().as_secs_f64();
-            for report in &reports {
-                assert!(report.all_nonfaulty_decided(), "synchronous batch decides");
-            }
-            if round > 0 {
-                best_secs = best_secs.min(secs);
-            }
-            pool = batch.into_pool();
-        }
-        let rate = b as f64 / best_secs;
-        if workers == 1 {
-            rate_w1 = rate;
-        }
-        if workers == 4 {
-            rate_w4 = rate;
-        }
-        metrics.push(Metric::throughput(
-            format!("time/decided_instances_per_sec/n{n}_b{b}_w{workers}"),
-            rate,
-            "instances/sec",
-        ));
-        drop(pool);
-    }
-    // Efficiency = speedup at W=4 over ideal: (rate_w4 / rate_w1) / 4.
-    // 1.0 is perfect linear scaling; 1/4 is the floor a single-core
-    // host pins (W=4 time-sliced on one core ≈ the W=1 rate).
-    metrics.push(Metric::throughput(
-        "batch/parallel_scaling_efficiency/n16_b64",
-        (rate_w4 / rate_w1) / 4.0,
-        "speedup/worker",
-    ));
-}
-
 /// End-to-end campaign throughput: schedules fully validated per
 /// second, single worker, single shot (smoke-mode capable like
 /// [`measure_sim_throughput`]).
@@ -735,7 +604,6 @@ fn main() {
     let msgs_per_run = measure_sync_commit(&mut metrics);
     let implied_serial_n16 = measure_sim_throughput(&mut metrics);
     measure_batch_throughput(&mut metrics, implied_serial_n16);
-    measure_parallel_batch_throughput(&mut metrics);
     measure_campaign_throughput(&mut metrics);
 
     if !smoke {
@@ -748,7 +616,6 @@ fn main() {
         ("pre_pr", PRE_PR),
         ("pre_scheduler", PRE_SCHEDULER),
         ("pre_batch", PRE_BATCH),
-        ("pre_parallel", PRE_PARALLEL),
     ] {
         for (name, value, unit, deterministic) in refs {
             metrics.push(Metric {

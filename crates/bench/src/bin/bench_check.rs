@@ -11,15 +11,11 @@
 //! deterministic threshold, and `--timing-tolerance <fraction>` to gate
 //! wall-clock metrics (including `higher_is_better` throughput, where a
 //! *drop* is the regression) at their own, typically generous, margin.
-//! Scaling-efficiency ratios (`batch/parallel_scaling_efficiency/*`)
-//! form a third class — machine-speed-independent ratios that still
-//! depend on core count — gated only when `--efficiency-tolerance
-//! <fraction>` is given.
 
 use std::path::Path;
 use std::process::ExitCode;
 
-use rtc_bench::{regressions_classed, BenchReport};
+use rtc_bench::{regressions_split, BenchReport};
 
 const DEFAULT_TOLERANCE: f64 = 0.25;
 
@@ -35,7 +31,6 @@ fn main() -> ExitCode {
     let mut include_timings = false;
     let mut tolerance = DEFAULT_TOLERANCE;
     let mut timing_tolerance = None;
-    let mut efficiency_tolerance = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -60,16 +55,6 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--efficiency-tolerance" => {
-                let v = args.next().and_then(|s| s.parse::<f64>().ok());
-                match v {
-                    Some(v) if v >= 0.0 => efficiency_tolerance = Some(v),
-                    _ => {
-                        eprintln!("--efficiency-tolerance needs a non-negative fraction, e.g. 0.5");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
             _ if baseline.is_none() => baseline = Some(arg),
             _ if current.is_none() => current = Some(arg),
             _ => {
@@ -81,8 +66,7 @@ fn main() -> ExitCode {
     let (Some(baseline_path), Some(current_path)) = (baseline, current) else {
         eprintln!(
             "usage: bench_check <baseline.json> <current.json> \
-             [--all] [--tolerance F] [--timing-tolerance F] \
-             [--efficiency-tolerance F]"
+             [--all] [--tolerance F] [--timing-tolerance F]"
         );
         return ExitCode::from(2);
     };
@@ -102,25 +86,15 @@ fn main() -> ExitCode {
         (None, true) => Some(tolerance),
         (None, false) => None,
     };
-    let found = regressions_classed(
-        &baseline,
-        &current,
-        tolerance,
-        timing_tolerance,
-        efficiency_tolerance,
-    );
+    let found = regressions_split(&baseline, &current, tolerance, timing_tolerance);
     if found.is_empty() {
         println!(
-            "bench_check: no regressions ({} vs {}, exact tolerance {:.0}%{}{})",
+            "bench_check: no regressions ({} vs {}, exact tolerance {:.0}%{})",
             baseline_path,
             current_path,
             tolerance * 100.0,
             match timing_tolerance {
                 Some(t) => format!(", timings gated at {:.0}%", t * 100.0),
-                None => String::new(),
-            },
-            match efficiency_tolerance {
-                Some(t) => format!(", efficiency gated at {:.0}%", t * 100.0),
                 None => String::new(),
             }
         );

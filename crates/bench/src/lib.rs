@@ -35,26 +35,14 @@ use std::fmt::Write as _;
 /// The schema tag every `BENCH_rtc.json` starts with.
 pub const SCHEMA: &str = "rtc-bench-v1";
 
-/// Name prefix of the scaling-efficiency metric class: speedup-per-
-/// worker ratios of the parallel batch plane. Both rates in the ratio
-/// come from the same process on the same machine, so absolute machine
-/// speed cancels — what remains is core count and sharing/contention,
-/// which is exactly what the class's dedicated tolerance
-/// (`bench_check --efficiency-tolerance`) is sized for.
-pub const EFFICIENCY_PREFIX: &str = "batch/parallel_scaling_efficiency/";
-
 /// One benchmark measurement.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Metric {
     /// Hierarchical name, e.g. `alloc/fanout_allocs_per_send/n16`.
     /// Names prefixed `pre_pr/` (allocation overhaul),
-    /// `pre_scheduler/` (scheduler overhaul), `pre_batch/` (batch
-    /// engine), or `pre_parallel/` (worker-sharded batch plane) are
-    /// frozen pre-optimization reference measurements, recorded for
-    /// the improvement trail and never compared. Names under
-    /// [`EFFICIENCY_PREFIX`] form their own comparator class: ratios
-    /// of two wall-clock rates from the same run, so machine speed
-    /// cancels out and they gate with a dedicated tolerance.
+    /// `pre_scheduler/` (scheduler overhaul) or `pre_batch/` (batch
+    /// engine) are frozen pre-optimization reference measurements,
+    /// recorded for the improvement trail and never compared.
     pub name: String,
     /// The measured value; for every metric in this suite, lower is
     /// better.
@@ -292,43 +280,19 @@ pub fn regressions(
 /// class: `det_tolerance` for deterministic (exact-count) metrics, and
 /// `timing_tolerance` for wall-clock ones (`None` skips them entirely).
 /// CI gates counts exactly (`det_tolerance = 0`) while giving noisy
-/// throughput samples a generous margin. Scaling-efficiency ratios
-/// ([`EFFICIENCY_PREFIX`]) are skipped — gate them through
-/// [`regressions_classed`].
+/// throughput samples a generous margin.
 pub fn regressions_split(
     baseline: &BenchReport,
     current: &BenchReport,
     det_tolerance: f64,
     timing_tolerance: Option<f64>,
 ) -> Vec<Regression> {
-    regressions_classed(baseline, current, det_tolerance, timing_tolerance, None)
-}
-
-/// The full three-class comparator: `det_tolerance` for exact counts,
-/// `timing_tolerance` for wall-clock samples, and
-/// `efficiency_tolerance` for the [`EFFICIENCY_PREFIX`] ratio class.
-/// Efficiency ratios are *not* wall-clock noise — both rates in the
-/// ratio come from the same run — but they do depend on the host's
-/// core count, so they get their own, separately sized margin; `None`
-/// leaves them ungated.
-pub fn regressions_classed(
-    baseline: &BenchReport,
-    current: &BenchReport,
-    det_tolerance: f64,
-    timing_tolerance: Option<f64>,
-    efficiency_tolerance: Option<f64>,
-) -> Vec<Regression> {
     let mut out = Vec::new();
     for base in &baseline.metrics {
         if base.name.starts_with("pre_") {
             continue;
         }
-        let tolerance = if base.name.starts_with(EFFICIENCY_PREFIX) {
-            match efficiency_tolerance {
-                Some(t) => t,
-                None => continue,
-            }
-        } else if base.deterministic {
+        let tolerance = if base.deterministic {
             det_tolerance
         } else {
             match timing_tolerance {
@@ -495,36 +459,6 @@ mod tests {
         );
         // No timing tolerance: timings skipped entirely.
         assert_eq!(regressions_split(&baseline, &current, 0.0, None).len(), 1);
-    }
-
-    #[test]
-    fn efficiency_ratios_gate_only_through_their_own_tolerance() {
-        let baseline = BenchReport {
-            mode: "full".to_string(),
-            metrics: vec![
-                Metric::throughput(
-                    "batch/parallel_scaling_efficiency/n16_b64",
-                    0.8,
-                    "speedup/worker",
-                ),
-                Metric::throughput("time/sim_steps_per_sec/n32", 1_000_000.0, "steps/sec"),
-            ],
-        };
-        let mut current = baseline.clone();
-        current.metrics[0].value = 0.4; // efficiency halved
-                                        // Not a wall-clock metric: the timing tolerance never sees it,
-                                        // even a tight one.
-        assert!(regressions_split(&baseline, &current, 0.0, Some(0.1)).is_empty());
-        // Its own class catches the drop…
-        let regs = regressions_classed(&baseline, &current, 0.0, None, Some(0.25));
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].name, "batch/parallel_scaling_efficiency/n16_b64");
-        assert!((regs[0].ratio - 0.5).abs() < 1e-9);
-        // …and a generous-enough margin tolerates it.
-        assert!(regressions_classed(&baseline, &current, 0.0, None, Some(0.6)).is_empty());
-        // Efficiency gains are improvements, not regressions.
-        current.metrics[0].value = 0.95;
-        assert!(regressions_classed(&baseline, &current, 0.0, None, Some(0.0)).is_empty());
     }
 
     #[test]

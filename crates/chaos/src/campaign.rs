@@ -31,7 +31,7 @@ use rtc_core::CommitMsg;
 use rtc_model::TimingParams;
 use rtc_net::NetOptions;
 use rtc_runtime::{ClusterOptions, SupervisorPolicy};
-use rtc_sim::ParBatchPool;
+use rtc_sim::BatchPool;
 
 use crate::net_driver::run_on_net;
 use crate::outcome::{ChaosOutcome, Substrate};
@@ -74,18 +74,18 @@ pub struct CampaignConfig {
     /// groups its chunk's schedules by population and runs every group
     /// as one [`rtc_sim::BatchSim`] over ONE allocation pool reused
     /// across all of the worker's chunks, instead of schedule-at-a-time.
-    /// Classification is identical either way (the batch engine's
-    /// per-instance equivalence contract); batching only removes the
+    /// Classification is identical either way (the engine steps a lane
+    /// the same alone or among neighbours, and both paths verify and
+    /// lint through one classifier); batching only removes the
     /// per-schedule allocation and setup cost.
     pub batch_sim: bool,
     /// Shrink simulator violations to minimal reproducers.
     pub shrink_violations: bool,
-    /// Worker-thread budget for the whole campaign: `0` sizes to the
-    /// machine (`available_parallelism`, read once per campaign), `1`
-    /// forces the fully serial path. The budget is ONE number shared by
-    /// the chunk-level work-stealing threads and the in-chunk
-    /// [`rtc_sim::ParBatchSim`] workers (see [`run_campaign`]) — the
-    /// two never multiply into oversubscription. Any value classifies
+    /// Threads stealing chunks of schedules off the campaign's shared
+    /// cursor, each running its chunks on engines of its own — the
+    /// campaign's one level of parallelism. `0` sizes to the machine
+    /// (`available_parallelism`), `1` runs everything on the calling
+    /// thread; never more threads than schedules. Any value classifies
     /// every schedule identically (see the module docs' determinism
     /// contract).
     pub workers: usize,
@@ -278,8 +278,7 @@ fn execute_chunk(
     cfg: &CampaignConfig,
     lo: u64,
     hi: u64,
-    batch_workers: usize,
-    pool: &mut ParBatchPool<CommitMsg>,
+    pool: &mut BatchPool<CommitMsg>,
 ) -> Vec<ScheduleOutcomes> {
     if !(cfg.batch_sim && cfg.run_sim) {
         return (lo..hi).map(|i| execute_schedule(cfg, i)).collect();
@@ -297,8 +296,7 @@ fn execute_chunk(
     let mut sim_outcomes: Vec<Option<ChaosOutcome>> = vec![None; schedules.len()];
     for group in by_n.values() {
         let members: Vec<&ChaosSchedule> = group.iter().map(|&j| &schedules[j]).collect();
-        let (reports, spent) =
-            run_batch_on_sim(&members, cfg.sim_max_events, batch_workers, mem::take(pool));
+        let (reports, spent) = run_batch_on_sim(&members, cfg.sim_max_events, mem::take(pool));
         *pool = spent;
         for (&j, (rep, _)) in group.iter().zip(reports) {
             sim_outcomes[j] = Some(rep.outcome);
@@ -317,53 +315,6 @@ fn execute_chunk(
         .collect()
 }
 
-/// How one campaign's worker budget is spent: threads stealing chunks
-/// off the shared cursor, and [`rtc_sim::ParBatchSim`] workers inside
-/// each chunk's batched simulator pass. The product never exceeds the
-/// budget.
-#[derive(Clone, Copy, Debug)]
-struct WorkerBudget {
-    /// Threads pulling chunks off the work-stealing cursor.
-    chunk_threads: usize,
-    /// Worker shards each chunk's batched simulator pass runs with.
-    batch_workers: usize,
-}
-
-/// Sizes the campaign's worker budget ONCE per campaign (the
-/// `available_parallelism` probe included — it is not re-read per
-/// chunk or per call) and splits it between the chunk cursor and the
-/// in-chunk parallel batch plane.
-///
-/// The split: when the simulator is the only substrate and batching is
-/// on, the parallelism moves *inside* the batch (chunk threads ×
-/// batch workers ≤ budget, batch workers capped at 4 — a chunk holds
-/// at most 64 schedules, so wider shards would idle); any other
-/// substrate mix keeps the historical one-thread-per-chunk layout with
-/// single-threaded batches, because the runtime/supervised/net runs
-/// already saturate a core per chunk and in-batch workers would
-/// oversubscribe threads × workers.
-fn worker_budget(cfg: &CampaignConfig) -> WorkerBudget {
-    let configured = if cfg.workers == 0 {
-        thread::available_parallelism().map_or(1, NonZeroUsize::get)
-    } else {
-        cfg.workers
-    };
-    let total = configured.max(1).min(cfg.schedules.max(1) as usize);
-    let sim_only_batch =
-        cfg.batch_sim && cfg.run_sim && !cfg.run_runtime && !cfg.run_supervised && !cfg.run_net;
-    if !sim_only_batch {
-        return WorkerBudget {
-            chunk_threads: total,
-            batch_workers: 1,
-        };
-    }
-    let batch_workers = total.min(4);
-    WorkerBudget {
-        chunk_threads: (total / batch_workers).max(1),
-        batch_workers,
-    }
-}
-
 /// Runs a full campaign and returns the aggregate summary.
 ///
 /// Outcome classification, violation records, and shrunk reproducers
@@ -376,11 +327,11 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignSummary {
         schedules: cfg.schedules,
         ..CampaignSummary::default()
     };
-    // The worker budget — including the `available_parallelism` probe —
-    // is computed exactly once per campaign and shared by the chunk
-    // cursor and the in-chunk parallel batch plane.
-    let budget = worker_budget(cfg);
-    let workers = budget.chunk_threads;
+    let configured = match cfg.workers {
+        0 => thread::available_parallelism().map_or(1, NonZeroUsize::get),
+        workers => workers,
+    };
+    let workers = configured.min(cfg.schedules.max(1) as usize);
     // Work is handed out in chunks of consecutive indices. In batch-sim
     // mode a chunk is also the unit batched through one `BatchSim`
     // (after grouping by population), so chunks are kept wider there:
@@ -393,15 +344,11 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignSummary {
     };
     let mut results: Vec<Option<ScheduleOutcomes>> = Vec::new();
     if workers <= 1 {
-        let mut pool = ParBatchPool::new();
+        let mut pool = BatchPool::new();
         let mut lo = 0;
         while lo < cfg.schedules {
             let hi = lo.saturating_add(chunk).min(cfg.schedules);
-            results.extend(
-                execute_chunk(cfg, lo, hi, budget.batch_workers, &mut pool)
-                    .into_iter()
-                    .map(Some),
-            );
+            results.extend(execute_chunk(cfg, lo, hi, &mut pool).into_iter().map(Some));
             lo = hi;
         }
     } else {
@@ -419,10 +366,9 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignSummary {
                 .map(|_| {
                     let next = &next;
                     scope.spawn(move || {
-                        // ONE allocation pool per worker — per-batch-
-                        // worker slices inside — recycled across every
-                        // chunk it steals.
-                        let mut pool = ParBatchPool::new();
+                        // ONE allocation pool per worker, recycled
+                        // across every chunk it steals.
+                        let mut pool = BatchPool::new();
                         let mut out = Vec::new();
                         loop {
                             let lo = next.fetch_add(chunk, Ordering::Relaxed);
@@ -430,7 +376,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignSummary {
                                 break out;
                             }
                             let hi = lo.saturating_add(chunk).min(cfg.schedules);
-                            out.extend(execute_chunk(cfg, lo, hi, budget.batch_workers, &mut pool));
+                            out.extend(execute_chunk(cfg, lo, hi, &mut pool));
                         }
                     })
                 })
@@ -477,22 +423,26 @@ mod tests {
     }
 
     /// The determinism contract: every worker count yields the same
-    /// classification of every schedule, hence an identical summary.
+    /// classification of every schedule, hence an identical summary —
+    /// with batching on, so each count also cuts the schedules into
+    /// different batches, and up to more workers than chunks (5
+    /// schedules are 5 chunks).
     #[test]
     fn worker_count_does_not_change_the_summary() {
-        let base = CampaignConfig {
-            schedules: 12,
-            seed: 0xBEEF,
-            run_runtime: false,
-            ..CampaignConfig::default()
-        };
-        let serial = run_campaign(&CampaignConfig { workers: 1, ..base });
-        for workers in [2usize, 3, 5, 8] {
+        for (schedules, workers) in [(12u64, 2usize), (12, 3), (12, 8), (5, 8)] {
+            let base = CampaignConfig {
+                schedules,
+                seed: 0xBEEF,
+                run_runtime: false,
+                batch_sim: true,
+                ..CampaignConfig::default()
+            };
+            let serial = run_campaign(&CampaignConfig { workers: 1, ..base });
             let parallel = run_campaign(&CampaignConfig { workers, ..base });
             assert_eq!(
                 format!("{serial:?}"),
                 format!("{parallel:?}"),
-                "workers = {workers} diverged from serial"
+                "{schedules} schedules: workers = {workers} diverged from serial"
             );
         }
     }
@@ -532,11 +482,12 @@ mod tests {
         assert_eq!(summary.sim_decided + summary.sim_stalled, 3);
     }
 
-    /// The batch engine's equivalence contract at campaign level:
-    /// batched and schedule-at-a-time simulator execution classify
-    /// every schedule identically, so the summaries match bit for bit
-    /// (and, via `worker_count_does_not_change_the_summary`, for every
-    /// worker count).
+    /// The engine's equivalence contract at campaign level: batched and
+    /// schedule-at-a-time simulator execution — which verify and lint
+    /// the same things — classify every schedule identically, so the
+    /// summaries match bit for bit (and, via
+    /// `worker_count_does_not_change_the_summary`, for every worker
+    /// count).
     #[test]
     fn batched_sim_campaign_matches_schedule_at_a_time() {
         let base = CampaignConfig {

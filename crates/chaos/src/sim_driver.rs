@@ -10,10 +10,12 @@
 //! [`rtc_model::Recoverable::restore_amnesiac`], which rejoins it as a
 //! non-participating observer that pings peers for the decision.
 
-use rtc_core::properties::{verify_commit_facts, verify_commit_run};
+use rtc_core::properties::verify_commit_run;
 use rtc_core::{commit_population, CommitAutomaton, CommitConfig, CommitMsg};
-use rtc_model::{Recoverable, SeedCollection, TimingParams};
-use rtc_sim::{ParBatchPool, ParBatchSimBuilder, RunReport, Sim, SimBuilder, StopWhen};
+use rtc_model::{ProcessorId, Recoverable, SeedCollection, TimingParams, Value};
+use rtc_sim::{
+    BatchPool, BatchSimBuilder, LatenessMonitor, RunReport, Sim, SimBuilder, StopWhen, Trace,
+};
 use rtc_spec::{Conformance, ConformanceError, ReviveKind, RunSpec, SpecConfig};
 
 use crate::adversary::ChaosAdversary;
@@ -31,6 +33,22 @@ pub fn run_on_sim(schedule: &ChaosSchedule, max_events: u64) -> ChaosReport {
     run_on_sim_with_decision(schedule, max_events).0
 }
 
+/// The protocol configuration a schedule runs under.
+fn commit_config(schedule: &ChaosSchedule) -> CommitConfig {
+    CommitConfig::new(schedule.n, schedule.t, TimingParams::default())
+        .expect("schedule population accepts its fault bound")
+        .with_early_abort(schedule.early_abort)
+}
+
+/// The engine configuration a schedule runs under.
+fn sim_builder(schedule: &ChaosSchedule, cfg: &CommitConfig) -> SimBuilder {
+    SimBuilder::new(cfg.timing(), SeedCollection::new(schedule.seed))
+        // Degraded schedules intentionally exceed t; give the engine
+        // the budget to execute them (admissibility of the *plan* is
+        // tracked by `ChaosSchedule::degraded`).
+        .fault_budget(schedule.crashes.len().max(schedule.t))
+}
+
 /// Mirrors the implementation's [`CommitConfig`] into the spec's
 /// vocabulary, for the conformance hook.
 fn spec_config(cfg: &CommitConfig) -> SpecConfig {
@@ -45,8 +63,107 @@ fn spec_config(cfg: &CommitConfig) -> SpecConfig {
     }
 }
 
-/// A finished serial chaos run: the simulator (holding the trace), the
-/// final report, and the restart kinds in trace `Revive` order.
+/// One instance's scripted restarts on their way to being realized:
+/// the drivers run the engine in segments that end where the next
+/// restart is due and revive the victims between segments.
+struct Restarts {
+    /// Events in one round-robin rotation of the instance: its `n`.
+    rotation: u64,
+    /// The restarts not yet realized, each with the event it is due at.
+    pending: Vec<(ChaosRestart, u64)>,
+    /// The kinds of the realized ones, in realization order — the
+    /// linter's per-`Revive` hints, which the trace's `Revive` event
+    /// does not carry.
+    realized: Vec<ReviveKind>,
+}
+
+impl Restarts {
+    /// A restart becomes due a fixed number of abstract steps after its
+    /// crash trigger; one step is one rotation.
+    fn new(schedule: &ChaosSchedule) -> Restarts {
+        let rotation = schedule.n as u64;
+        let pending = schedule
+            .restarts
+            .iter()
+            .map(|r| {
+                let crash_step = schedule.crash_of(r.victim).map(|c| c.at_step).unwrap_or(0);
+                (r.clone(), (crash_step + r.delay_steps) * rotation)
+            })
+            .collect();
+        Restarts {
+            rotation,
+            pending,
+            realized: Vec::new(),
+        }
+    }
+
+    /// The event the next segment runs to: the earliest due restart,
+    /// or `cap` if none comes first.
+    fn segment_cap(&mut self, cap: u64) -> u64 {
+        self.pending.sort_by_key(|(_, due)| *due);
+        self.pending
+            .first()
+            .map_or(cap, |(_, due)| (*due).min(cap))
+            .max(1)
+    }
+
+    /// Takes the next restart that is due at `event` and whose victim
+    /// is down, noting its kind. A due restart whose crash trigger has
+    /// not fired yet (the victim's clock lags the abstract-step
+    /// estimate) is retried a couple of rotations later, or dropped if
+    /// `max_events` arrives first.
+    fn take_due(
+        &mut self,
+        event: u64,
+        max_events: u64,
+        is_crashed: impl Fn(ProcessorId) -> bool,
+    ) -> Option<ChaosRestart> {
+        let mut i = 0;
+        while i < self.pending.len() {
+            if self.pending[i].1 > event {
+                i += 1;
+            } else if is_crashed(self.pending[i].0.victim) {
+                let (restart, _) = self.pending.remove(i);
+                self.realized.push(match restart.from_snapshot {
+                    true => ReviveKind::Snapshot,
+                    false => ReviveKind::Amnesiac,
+                });
+                return Some(restart);
+            } else {
+                self.pending[i].1 = event + 2 * self.rotation;
+                if self.pending[i].1 >= max_events {
+                    self.pending.remove(i);
+                } else {
+                    i += 1;
+                }
+            }
+        }
+        None
+    }
+}
+
+/// The automaton `restart` brings its victim back as: `crashed` (the
+/// victim's crash-time state, preserved inside the engine) restored
+/// from its snapshot, or the victim's initial state as an amnesiac
+/// observer.
+fn replacement(
+    schedule: &ChaosSchedule,
+    cfg: CommitConfig,
+    restart: &ChaosRestart,
+    crashed: &CommitAutomaton,
+) -> CommitAutomaton {
+    if restart.from_snapshot {
+        CommitAutomaton::restore(&crashed.snapshot())
+    } else {
+        let vote = schedule.votes[restart.victim.index()];
+        let fresh = CommitAutomaton::new(cfg, restart.victim, vote);
+        CommitAutomaton::restore_amnesiac(&fresh.snapshot())
+    }
+}
+
+/// A finished schedule-at-a-time chaos run: the simulator (holding the
+/// trace), the final report, and the restart kinds in trace `Revive`
+/// order.
 struct FinishedRun {
     sim: Sim<CommitAutomaton>,
     cfg: CommitConfig,
@@ -54,44 +171,18 @@ struct FinishedRun {
     revives: Vec<ReviveKind>,
 }
 
-/// Executes `schedule` on the serial simulator, realizing restarts
+/// Executes `schedule` on a [`Sim`] of its own, realizing restarts
 /// between run segments, and returns the finished run.
 fn execute_on_sim(schedule: &ChaosSchedule, max_events: u64) -> FinishedRun {
-    let cfg = CommitConfig::new(schedule.n, schedule.t, TimingParams::default())
-        .expect("schedule population accepts its fault bound")
-        .with_early_abort(schedule.early_abort);
-    let mut sim = SimBuilder::new(cfg.timing(), SeedCollection::new(schedule.seed))
-        // Degraded schedules intentionally exceed t; give the engine
-        // the budget to execute them (admissibility of the *plan* is
-        // tracked by `ChaosSchedule::degraded`).
-        .fault_budget(schedule.crashes.len().max(schedule.t))
+    let cfg = commit_config(schedule);
+    let mut sim = sim_builder(schedule, &cfg)
         .build(commit_population(cfg, &schedule.votes))
         .expect("population matches config");
-
     let mut adv = ChaosAdversary::new(schedule);
-    let n = schedule.n as u64;
-    // A restart becomes due a fixed number of abstract steps after its
-    // crash trigger; one step is one round-robin rotation of n events.
-    let mut pending: Vec<(ChaosRestart, u64)> = schedule
-        .restarts
-        .iter()
-        .map(|r| {
-            let crash_step = schedule.crash_of(r.victim).map(|c| c.at_step).unwrap_or(0);
-            (r.clone(), (crash_step + r.delay_steps) * n)
-        })
-        .collect();
-    // The restart kinds in realization order — the linter's per-Revive
-    // hints, which the trace's `Revive` event does not carry.
-    let mut revives: Vec<ReviveKind> = Vec::new();
-
+    let mut restarts = Restarts::new(schedule);
     let report = loop {
-        pending.sort_by_key(|(_, due)| *due);
-        let segment_cap = pending
-            .first()
-            .map_or(max_events, |(_, due)| (*due).min(max_events))
-            .max(1);
-        // Drive the whole quantum through the engine's batched loop;
-        // the per-segment report is only built once, after the loop.
+        let segment_cap = restarts.segment_cap(max_events);
+        // The per-segment report is only built once, after the loop.
         let met = sim
             .run_until(&mut adv, segment_cap, StopWhen::AllNonfaultyDecided)
             .expect("chaos adversary stays within the model");
@@ -99,56 +190,33 @@ fn execute_on_sim(schedule: &ChaosSchedule, max_events: u64) -> FinishedRun {
             break sim.report(!met, true);
         }
         let event = sim.events_executed();
-        let mut i = 0;
-        while i < pending.len() {
-            if pending[i].1 > event {
-                i += 1;
-            } else if sim.is_crashed(pending[i].0.victim) {
-                let (r, _) = pending.remove(i);
-                let auto = if r.from_snapshot {
-                    revives.push(ReviveKind::Snapshot);
-                    CommitAutomaton::restore(&sim.automaton(r.victim).snapshot())
-                } else {
-                    revives.push(ReviveKind::Amnesiac);
-                    let fresh =
-                        CommitAutomaton::new(cfg, r.victim, schedule.votes[r.victim.index()]);
-                    CommitAutomaton::restore_amnesiac(&fresh.snapshot())
-                };
-                sim.revive(r.victim, auto)
-                    .expect("victim is crashed at its restart");
-            } else {
-                // The crash trigger has not fired yet (the victim's
-                // clock lags the abstract-step estimate); retry after
-                // a couple more rotations, or drop the restart if the
-                // cap arrives first.
-                pending[i].1 = event + 2 * n;
-                if pending[i].1 >= max_events {
-                    pending.remove(i);
-                } else {
-                    i += 1;
-                }
-            }
+        while let Some(r) = restarts.take_due(event, max_events, |p| sim.is_crashed(p)) {
+            let auto = replacement(schedule, cfg, &r, sim.automaton(r.victim));
+            sim.revive(r.victim, auto)
+                .expect("victim is crashed at its restart");
         }
     };
     FinishedRun {
         sim,
         cfg,
         report,
-        revives,
+        revives: restarts.realized,
     }
 }
 
 /// Lints a finished run's trace against the executable spec.
-fn lint_finished(
+fn lint(
     schedule: &ChaosSchedule,
-    run: &FinishedRun,
+    cfg: &CommitConfig,
+    trace: &Trace,
+    revives: &[ReviveKind],
 ) -> Result<Conformance, ConformanceError> {
     let spec_run = RunSpec::new(
-        spec_config(&run.cfg),
+        spec_config(cfg),
         SeedCollection::new(schedule.seed),
         schedule.votes.clone(),
     );
-    rtc_spec::lint_trace(&spec_run, run.sim.trace(), &run.revives)
+    rtc_spec::lint_trace(&spec_run, trace, revives)
 }
 
 /// Executes `schedule` on the simulator and lints the recorded trace
@@ -171,34 +239,29 @@ pub fn lint_sim_schedule(
     max_events: u64,
 ) -> Result<Conformance, ConformanceError> {
     let run = execute_on_sim(schedule, max_events);
-    lint_finished(schedule, &run)
+    lint(schedule, &run.cfg, run.sim.trace(), &run.revives)
 }
 
-/// Like [`run_on_sim`], but also returns the value the run decided
-/// (`None` when the run stalled without any decision). Soak runs use
-/// this as the simulator's *prediction* for the same schedule executed
-/// over real sockets.
-///
-/// Every run is additionally linted against the executable spec: a
-/// trace the spec's transition relation cannot reproduce is reported as
-/// a [`ChaosOutcome::Violation`] even when the classical safety
-/// conditions hold.
-pub fn run_on_sim_with_decision(
+/// Classifies one finished simulator run, however it was driven: the
+/// paper's commit conditions over the report and the trace
+/// ([`verify_commit_run`]), and — for every run those call safe — the
+/// trace linted against the executable spec: a trace the spec's
+/// transition relation cannot reproduce is a
+/// [`ChaosOutcome::Violation`] even when the classical safety
+/// conditions hold. Also returns the value the run decided (`None`
+/// when it stalled without any decision).
+fn classify(
     schedule: &ChaosSchedule,
-    max_events: u64,
-) -> (ChaosReport, Option<rtc_model::Value>) {
-    let run = execute_on_sim(schedule, max_events);
-    let verdict = verify_commit_run(
-        &schedule.votes,
-        &run.report,
-        run.sim.trace(),
-        run.cfg.timing(),
-    );
-    let late_messages = run.sim.lateness().late_count();
-    let decision = run.report.decided_values().first().copied();
+    cfg: &CommitConfig,
+    report: &RunReport,
+    trace: &Trace,
+    revives: &[ReviveKind],
+    lateness: &LatenessMonitor,
+) -> (ChaosReport, Option<Value>) {
+    let verdict = verify_commit_run(&schedule.votes, report, trace, cfg.timing());
     let mut outcome = classify_verdict(&verdict);
     if outcome.is_safe() {
-        if let Err(e) = lint_finished(schedule, &run) {
+        if let Err(e) = lint(schedule, cfg, trace, revives) {
             outcome = ChaosOutcome::Violation(format!("spec conformance: {e}"));
         }
     }
@@ -207,46 +270,70 @@ pub fn run_on_sim_with_decision(
             substrate: Substrate::Sim,
             outcome,
             verdict,
-            late_messages,
+            late_messages: lateness.late_count(),
         },
-        decision,
+        report.decided_values().first().copied(),
     )
 }
 
-/// Event budget an instance may spend inside a batch before
-/// [`run_batch_on_sim`] cuts it over to the serial engine — see the
-/// function docs for the policy.
+/// Like [`run_on_sim`], but also returns the value the run decided
+/// (`None` when the run stalled without any decision). Soak runs use
+/// this as the simulator's *prediction* for the same schedule executed
+/// over real sockets.
+///
+/// Every safe run is additionally linted against the executable spec
+/// (see `classify`).
+pub fn run_on_sim_with_decision(
+    schedule: &ChaosSchedule,
+    max_events: u64,
+) -> (ChaosReport, Option<Value>) {
+    let run = execute_on_sim(schedule, max_events);
+    classify(
+        schedule,
+        &run.cfg,
+        &run.report,
+        run.sim.trace(),
+        &run.revives,
+        run.sim.lateness(),
+    )
+}
+
+/// Events an instance may run inside a batch before
+/// [`run_batch_on_sim`] reruns it on a [`Sim`] of its own — see the
+/// function docs for why.
 const SERIAL_CUTOVER_EVENTS: u64 = 2048;
 
 /// Runs a whole group of schedules — all with the same population —
 /// as ONE batched simulation over shared scheduler infrastructure,
-/// sharded across `workers` threads ([`rtc_sim::ParBatchSim`]; `1`
-/// keeps everything on the calling thread), recycling `pool`'s
-/// per-worker allocation slices, and returns per-schedule reports plus
-/// the spent batch's pool for the next group. The campaign driver
-/// passes the in-chunk share of its hoisted worker budget here, so
-/// chunk-level threads times batch workers never oversubscribe the
-/// machine.
+/// recycling `pool`'s allocations, and returns per-schedule reports
+/// plus the spent batch's pool for the next group.
 ///
 /// Semantically this is `schedules.map(run_on_sim_with_decision)`:
-/// each instance is byte-identical to its standalone run (the batch
-/// engine's equivalence contract), including the restart machinery —
-/// per-instance segment caps reproduce exactly the segment boundaries
-/// the serial driver computes, because each lane's boundaries depend
-/// only on that lane's own due times and event counter.
+/// each instance is byte-identical to its standalone run (the engine
+/// steps a lane the same way whatever the batch size), including the
+/// restart machinery — per-instance segment caps reproduce exactly the
+/// segment boundaries the schedule-at-a-time driver computes, because
+/// each lane's boundaries depend only on that lane's own due times and
+/// event counter — and every lane is verified and linted by the same
+/// `classify`.
 ///
-/// Batching pays off by amortizing construction and pooling across
-/// the common case — instances that decide within a few hundred
-/// events. The rare schedule that grinds all the way to `max_events`
-/// would instead run a long solo tail inside the batch, paying batch
-/// bookkeeping per event with nothing left to amortize against; after
-/// `SERIAL_CUTOVER_EVENTS` events an undecided instance is therefore
-/// cut over to the serial engine ([`run_on_sim_with_decision`]), whose
-/// rerun is byte-identical to the abandoned batch continuation by the
-/// equivalence contract. The cutover threshold is far above the
-/// deciding population's event counts, so cutover reruns stay rare and
-/// the wasted batched prefix is bounded and tiny next to the serial
-/// tail it replaces.
+/// An instance still undecided after `SERIAL_CUTOVER_EVENTS` events is
+/// abandoned and rerun from the start by [`run_on_sim_with_decision`]
+/// (byte-identical, same engine). The reason is memory, not speed per
+/// event, which is the same in a batch and alone: a schedule that
+/// grinds to `max_events` records a trace and hoards undeliverable
+/// messages in proportion to its 400 000 events, a batch keeps every
+/// lane's until the whole batch is classified, and the pool then keeps
+/// the capacity; the rerun holds one straggler at a time and frees it.
+/// A 2 000-schedule sim-only campaign (73 such schedules, `workers: 1`,
+/// 2-core host) peaks at 473 MB and takes 134 000 page faults without
+/// the cutover, 77 MB and 36 000 with it, on every run. In time that is
+/// whatever the host charges per fault — 0.25 s to 4.5 s of system time
+/// across sessions — against the 5 % of user time the abandoned
+/// prefixes cost: the cutover won every pair of two sessions (by 14 %
+/// and 25 %) and lost seven of ten narrowly in a third (docs/PERF.md
+/// "PR 17"). The threshold is far above the deciding population's
+/// event counts, so reruns stay rare.
 ///
 /// # Panics
 ///
@@ -256,154 +343,85 @@ const SERIAL_CUTOVER_EVENTS: u64 = 2048;
 pub fn run_batch_on_sim(
     schedules: &[&ChaosSchedule],
     max_events: u64,
-    workers: usize,
-    pool: ParBatchPool<CommitMsg>,
-) -> (
-    Vec<(ChaosReport, Option<rtc_model::Value>)>,
-    ParBatchPool<CommitMsg>,
-) {
+    pool: BatchPool<CommitMsg>,
+) -> (Vec<(ChaosReport, Option<Value>)>, BatchPool<CommitMsg>) {
     let b = schedules.len();
     if b == 0 {
         return (Vec::new(), pool);
     }
-    let n = schedules[0].n as u64;
-    let cfgs: Vec<CommitConfig> = schedules
-        .iter()
-        .map(|s| {
-            CommitConfig::new(s.n, s.t, TimingParams::default())
-                .expect("schedule population accepts its fault bound")
-                .with_early_abort(s.early_abort)
-        })
-        .collect();
-    let mut builder = ParBatchSimBuilder::from_pool(pool, workers);
+    let cutover = SERIAL_CUTOVER_EVENTS
+        .max(2 * schedules[0].n as u64)
+        .min(max_events);
+    let cfgs: Vec<CommitConfig> = schedules.iter().map(|s| commit_config(s)).collect();
+    let mut builder = BatchSimBuilder::from_pool(pool);
     for (schedule, cfg) in schedules.iter().zip(&cfgs) {
         builder
             .instance(
-                SimBuilder::new(cfg.timing(), SeedCollection::new(schedule.seed))
-                    .fault_budget(schedule.crashes.len().max(schedule.t)),
+                sim_builder(schedule, cfg),
                 commit_population(*cfg, &schedule.votes),
             )
             .expect("schedules of one batch group share a population");
     }
     let mut batch = builder.build();
     let mut advs: Vec<ChaosAdversary> = schedules.iter().map(|s| ChaosAdversary::new(s)).collect();
-    let mut pending: Vec<Vec<(ChaosRestart, u64)>> = schedules
-        .iter()
-        .map(|schedule| {
-            schedule
-                .restarts
-                .iter()
-                .map(|r| {
-                    let crash_step = schedule.crash_of(r.victim).map(|c| c.at_step).unwrap_or(0);
-                    (r.clone(), (crash_step + r.delay_steps) * n)
-                })
-                .collect()
-        })
-        .collect();
+    let mut restarts: Vec<Restarts> = schedules.iter().map(|s| Restarts::new(s)).collect();
 
-    let cutover = SERIAL_CUTOVER_EVENTS.max(2 * n).min(max_events);
-    let mut done = vec![false; b];
-    let mut fallback = vec![false; b];
-    let mut reports: Vec<Option<rtc_sim::RunReport>> = vec![None; b];
+    /// How a lane left the batch.
+    #[derive(Clone)]
+    enum Left {
+        Finished(RunReport),
+        CutOver,
+    }
+    let mut left: Vec<Option<Left>> = vec![None; b];
     let mut caps = vec![0u64; b];
-    loop {
-        let mut any = false;
+    while left.iter().any(Option::is_none) {
         for l in 0..b {
-            if done[l] {
-                // A finished lane's counter is already past 0, so the
-                // segment executes nothing for it.
-                caps[l] = 0;
-                continue;
-            }
-            pending[l].sort_by_key(|(_, due)| *due);
-            caps[l] = pending[l]
-                .first()
-                .map_or(cutover, |(_, due)| (*due).min(cutover))
-                .max(1);
-            any = true;
-        }
-        if !any {
-            break;
+            // A lane's counter is past 0 by the time it leaves, so the
+            // segment executes nothing for it.
+            caps[l] = match left[l] {
+                Some(_) => 0,
+                None => restarts[l].segment_cap(cutover),
+            };
         }
         let met = batch
             .run_segment(&mut advs, &caps, StopWhen::AllNonfaultyDecided)
             .expect("chaos adversary stays within the model");
         for l in 0..b {
-            if done[l] {
+            if left[l].is_some() {
                 continue;
             }
             if met[l] || caps[l] >= max_events {
-                done[l] = true;
-                reports[l] = Some(batch.report(l, !met[l], true));
+                left[l] = Some(Left::Finished(batch.report(l, !met[l], true)));
                 continue;
             }
             let event = batch.events_executed(l);
             if event >= cutover {
-                // Solo-tail cutover: finish this instance on the
-                // serial engine instead (see the policy above).
-                done[l] = true;
-                fallback[l] = true;
+                left[l] = Some(Left::CutOver);
                 continue;
             }
-            let mut i = 0;
-            while i < pending[l].len() {
-                if pending[l][i].1 > event {
-                    i += 1;
-                } else if batch.is_crashed(l, pending[l][i].0.victim) {
-                    let (r, _) = pending[l].remove(i);
-                    let auto = if r.from_snapshot {
-                        CommitAutomaton::restore(&batch.automaton(l, r.victim).snapshot())
-                    } else {
-                        let fresh = CommitAutomaton::new(
-                            cfgs[l],
-                            r.victim,
-                            schedules[l].votes[r.victim.index()],
-                        );
-                        CommitAutomaton::restore_amnesiac(&fresh.snapshot())
-                    };
-                    batch
-                        .revive(l, r.victim, auto)
-                        .expect("victim is crashed at its restart");
-                } else {
-                    pending[l][i].1 = event + 2 * n;
-                    if pending[l][i].1 >= max_events {
-                        pending[l].remove(i);
-                    } else {
-                        i += 1;
-                    }
-                }
+            while let Some(r) = restarts[l].take_due(event, max_events, |p| batch.is_crashed(l, p))
+            {
+                let auto = replacement(schedules[l], cfgs[l], &r, batch.automaton(l, r.victim));
+                batch
+                    .revive(l, r.victim, auto)
+                    .expect("victim is crashed at its restart");
             }
         }
     }
 
-    let mut out = Vec::with_capacity(b);
-    for l in 0..b {
-        if fallback[l] {
-            out.push(run_on_sim_with_decision(schedules[l], max_events));
-            continue;
-        }
-        let report = reports[l].take().expect("every lane finished");
-        // Facts-based verification: failure-freeness and on-timeness
-        // come straight off the batch's per-lane tables, so verifying
-        // B lanes neither replays nor allocates a trace per instance.
-        let verdict = verify_commit_facts(
-            &schedules[l].votes,
-            &report,
-            batch.failure_free(l),
-            batch.is_on_time(l, cfgs[l].timing().k()),
-        );
-        let late_messages = batch.lateness(l).late_count();
-        let decision = report.decided_values().first().copied();
-        out.push((
-            ChaosReport {
-                substrate: Substrate::Sim,
-                outcome: classify_verdict(&verdict),
-                verdict,
-                late_messages,
-            },
-            decision,
-        ));
-    }
+    let out = (0..b)
+        .map(|l| match left[l].as_ref().expect("every lane left") {
+            Left::CutOver => run_on_sim_with_decision(schedules[l], max_events),
+            Left::Finished(report) => classify(
+                schedules[l],
+                &cfgs[l],
+                report,
+                batch.lane_trace(l),
+                &restarts[l].realized,
+                batch.lateness(l),
+            ),
+        })
+        .collect();
     (out, batch.into_pool())
 }
 

@@ -99,32 +99,9 @@ pub fn verify_commit_run(
         trace.population(),
         "one initial value per processor"
     );
-    verify_commit_facts(
-        initial,
-        report,
-        trace.faulty().is_empty(),
-        trace.is_on_time(timing.k()),
-    )
-}
-
-/// [`verify_commit_run`] from pre-extracted run facts: whether the run
-/// was failure-free and whether its prefix was on-time at the
-/// configured `K` — everything the trace contributes to the
-/// Section 2.4 conditions. The batched campaign driver verifies each
-/// instance straight off [`rtc_sim::BatchSim`]'s per-lane accessors
-/// this way, without materializing a [`Trace`] per instance.
-///
-/// # Panics
-///
-/// Panics if `initial.len()` differs from the report's population.
-pub fn verify_commit_facts(
-    initial: &[Value],
-    report: &RunReport,
-    failure_free: bool,
-    on_time: bool,
-) -> CommitVerdict {
-    let n = report.statuses().len();
-    assert_eq!(initial.len(), n, "one initial value per processor");
+    let n = trace.population();
+    let failure_free = trace.faulty().is_empty();
+    let on_time = trace.is_on_time(timing.k());
     let deciding = report.all_nonfaulty_decided();
     let agreement = Condition::applied(report.agreement_holds());
 

@@ -1,16 +1,19 @@
-//! The concurrent-instance batch engine: B independent commit
-//! instances stepped over shared scheduler infrastructure.
+//! The lane engine: B independent commit instances stepped over shared
+//! scheduler infrastructure.
 //!
 //! A [`BatchSim`] drives B independent instances (same population `n`,
 //! independent seeds and adversaries) through ONE shared
-//! `(instance, dst)`-keyed message-store slab, one shared
-//! structure-of-arrays trace recorder with per-instance segment views,
-//! and per-instance amortized fairness scans — with message envelope
-//! slots recycled across instances, so a campaign's steady state stops
-//! allocating. Each instance is a [`crate::engine::Lane`], the same
-//! type the single-instance [`crate::Sim`] wraps, so batched execution
-//! is *byte-identical* per instance to B separate serial runs
-//! (`tests/batch_equivalence.rs` pins decisions and trace digests).
+//! `(instance, dst)`-keyed message-store slab and per-instance
+//! amortized fairness scans — with message envelope slots recycled
+//! across instances, so a campaign's steady state stops allocating.
+//! Each instance is a [`crate::engine::Lane`] recording into its own
+//! [`Trace`]; [`crate::Sim`] is this engine with B = 1. The per-event
+//! sequence (forced action or the adversary's choice, applied, stop
+//! count updated) is [`BatchSim::step_slice`] and nothing else, and the
+//! only loop over lanes is [`BatchSim::rotate`], so a lane's bytes
+//! cannot depend on how many neighbours it has
+//! (`tests/batch_equivalence.rs` pins decisions and trace digests of
+//! batched lanes against one-lane runs).
 //!
 //! Scheduling is a sliced rotation: each still-running instance
 //! executes up to [`FAIR_SLICE`] events per turn, keeping its working
@@ -19,13 +22,18 @@
 //! pattern (per-instance dense message ids, per-instance clocks and
 //! event counters), the interleaving is unobservable and equivalence
 //! holds by construction.
+//!
+//! The engine is single-threaded on purpose. Instances are independent,
+//! so the way to use more cores is to run more engines — the chaos
+//! campaign gives each of its chunk threads its own `BatchSim` and
+//! [`BatchPool`] — not to put threads inside one (DESIGN.md §8 has the
+//! measurement).
 
 use std::fmt;
 
 use rtc_model::{Automaton, ModelError, ProcessorId, Status};
 
-use crate::adversary::{Action, Adversary};
-use crate::batch_trace::BatchTrace;
+use crate::adversary::{Action, Adversary, ContentAdversary, ContentView};
 use crate::engine::{Lane, RunLimits, RunReport, Shared, SimBuilder, SimError, StopWhen};
 use crate::lateness::LatenessMonitor;
 use crate::store::StoreLane;
@@ -37,25 +45,16 @@ use crate::trace::{DecisionRecord, Trace};
 /// another by more than a fraction of a typical commit run.
 const FAIR_SLICE: u64 = 128;
 
-/// Outlined adversary query: keeps a concrete adversary's (possibly
-/// large) `next` body out of the batch engine's per-event loop, the
-/// way the serial engine's `dyn ContentAdversary` boundary does.
-#[inline(never)]
-fn adv_next<Ad: Adversary>(adv: &mut Ad, view: &crate::adversary::PatternView<'_>) -> Action {
-    adv.next(view)
-}
-
 /// Recycled allocations of a finished [`BatchSim`]: the shared store
-/// slab, body slab, scratch buffers, trace columns, and per-instance
-/// store lanes, all emptied but with their capacity kept. Feed it to
+/// slab, body slab, scratch buffers, and the per-instance store lanes
+/// and traces, all emptied but with their capacity kept. Feed it to
 /// [`BatchSimBuilder::from_pool`] to run the next batch without
 /// reallocating — the chaos campaign driver does this across its
 /// work-stealing chunks.
 pub struct BatchPool<M> {
     shared: Shared<M>,
-    trace: BatchTrace,
     spare_lanes: Vec<StoreLane>,
-    scratch: Trace,
+    spare_traces: Vec<Trace>,
 }
 
 impl<M> BatchPool<M> {
@@ -63,31 +62,9 @@ impl<M> BatchPool<M> {
     pub fn new() -> BatchPool<M> {
         BatchPool {
             shared: Shared::new(0),
-            trace: BatchTrace::new(),
             spare_lanes: Vec::new(),
-            scratch: Trace::new(0),
+            spare_traces: Vec::new(),
         }
-    }
-
-    /// Envelope slots this pool's shared slab has grown warm capacity
-    /// for. Pooled reruns keep this from one batch to the next; the
-    /// parallel plane's per-worker pool slices each report their own.
-    pub fn warm_slots(&self) -> usize {
-        self.shared.store.slot_capacity()
-    }
-
-    /// Per-instance trace tables this pool's recorder holds warm.
-    pub fn warm_trace_lanes(&self) -> usize {
-        self.trace.lane_count()
-    }
-
-    /// Folds `other`'s recycled per-instance store lanes into this
-    /// pool. Used when a [`crate::ParBatchPool`] is re-sharded to a
-    /// smaller worker count: the dropped shards' store lanes stay warm
-    /// instead of being thrown away (their shared slabs cannot merge —
-    /// slot indices are slab-relative — so only the lanes carry over).
-    pub fn absorb(&mut self, other: BatchPool<M>) {
-        self.spare_lanes.extend(other.spare_lanes);
     }
 }
 
@@ -101,8 +78,7 @@ impl<M> fmt::Debug for BatchPool<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BatchPool")
             .field("spare_lanes", &self.spare_lanes.len())
-            .field("warm_slots", &self.warm_slots())
-            .field("warm_trace_lanes", &self.warm_trace_lanes())
+            .field("shared", &self.shared)
             .finish()
     }
 }
@@ -110,6 +86,7 @@ impl<M> fmt::Debug for BatchPool<M> {
 /// Builder for [`BatchSim`]: add one instance at a time, then build.
 pub struct BatchSimBuilder<A: Automaton> {
     lanes: Vec<Lane<A>>,
+    traces: Vec<Trace>,
     pool: BatchPool<A::Msg>,
     population: usize,
 }
@@ -134,6 +111,7 @@ impl<A: Automaton> BatchSimBuilder<A> {
     pub fn from_pool(pool: BatchPool<A::Msg>) -> BatchSimBuilder<A> {
         BatchSimBuilder {
             lanes: Vec::new(),
+            traces: Vec::new(),
             pool,
             population: 0,
         }
@@ -170,23 +148,28 @@ impl<A: Automaton> BatchSimBuilder<A> {
             None => StoreLane::new(base),
         };
         let lane = cfg.build_lane(procs, store_lane)?;
+        let trace = match self.pool.spare_traces.pop() {
+            Some(mut trace) => {
+                trace.reset(self.population);
+                trace
+            }
+            None => Trace::new(self.population),
+        };
         self.lanes.push(lane);
+        self.traces.push(trace);
         Ok(())
     }
 
     /// Finishes the batch. The shared store is sized for
-    /// `instances × n` destinations; the trace recorder for one segment
-    /// view per instance.
+    /// `instances × n` destinations.
     pub fn build(mut self) -> BatchSim<A> {
-        let b = self.lanes.len();
-        self.pool.shared.reset(b * self.population);
-        self.pool.trace.reset(b, self.population);
+        self.pool.shared.reset(self.lanes.len() * self.population);
         BatchSim {
             lanes: self.lanes,
+            traces: self.traces,
             shared: self.pool.shared,
-            trace: self.pool.trace,
             spare_lanes: self.pool.spare_lanes,
-            scratch: self.pool.scratch,
+            spare_traces: self.pool.spare_traces,
             population: self.population,
         }
     }
@@ -202,14 +185,14 @@ impl<A: Automaton> Default for BatchSimBuilder<A> {
 /// the module docs; build with [`BatchSimBuilder`].
 pub struct BatchSim<A: Automaton> {
     lanes: Vec<Lane<A>>,
+    /// `traces[l]` is what lane `l` recorded.
+    traces: Vec<Trace>,
     shared: Shared<A::Msg>,
-    trace: BatchTrace,
-    /// Store lanes recycled from a previous batch but not used by this
-    /// one (this batch had fewer instances); carried so `into_pool`
-    /// returns them.
+    /// Store lanes and traces recycled from a previous batch but not
+    /// used by this one (this batch had fewer instances); carried so
+    /// `into_pool` returns them.
     spare_lanes: Vec<StoreLane>,
-    /// Reusable replay target for [`BatchSim::lane_trace`].
-    scratch: Trace,
+    spare_traces: Vec<Trace>,
     population: usize,
 }
 
@@ -238,13 +221,33 @@ impl<A: Automaton> BatchSim<A> {
         self.population
     }
 
+    /// Instance `lane`'s state, for [`crate::Sim`]'s accessors.
+    pub(crate) fn lane(&self, lane: usize) -> &Lane<A> {
+        &self.lanes[lane]
+    }
+
+    /// Instance `lane`, the shared plane and the instance's trace, for
+    /// unit tests that apply single events or audit the store.
+    #[cfg(test)]
+    pub(crate) fn parts_mut(
+        &mut self,
+        lane: usize,
+    ) -> (&mut Lane<A>, &mut Shared<A::Msg>, &mut Trace) {
+        (
+            &mut self.lanes[lane],
+            &mut self.shared,
+            &mut self.traces[lane],
+        )
+    }
+
     /// Runs every instance to completion under its own adversary
-    /// (`advs[i]` drives instance `i`), round-robin, one event per
-    /// still-running instance per round. Each instance observes exactly
-    /// the schedule a serial [`crate::Sim::run`] with the same adversary and
-    /// limits would produce. An instance that meets the stop condition
-    /// returns its buffered envelope slots to the shared free lists for
-    /// the still-running instances to recycle.
+    /// (`advs[i]` drives instance `i`) in the sliced rotation of
+    /// [`BatchSim::run_segment`], every instance capped at
+    /// `limits.max_events`. Each instance observes exactly the schedule
+    /// a [`crate::Sim::run`] with the same adversary and limits would
+    /// produce. An instance that meets the stop condition returns its
+    /// buffered envelope slots to the shared free lists for the
+    /// still-running instances to recycle.
     ///
     /// # Panics
     ///
@@ -254,143 +257,183 @@ impl<A: Automaton> BatchSim<A> {
     ///
     /// Propagates the first [`SimError`] any instance's adversary
     /// provokes, aborting the whole batch (model violations are driver
-    /// bugs, exactly as in the serial engine).
+    /// bugs).
     pub fn run<Ad: Adversary>(
         &mut self,
         advs: &mut [Ad],
         limits: RunLimits,
     ) -> Result<Vec<RunReport>, SimError> {
+        let met = self.rotate(
+            &mut as_content(advs),
+            |_| limits.max_events,
+            limits.stop,
+            true,
+        )?;
+        Ok((self.lanes.iter().zip(met).zip(advs.iter()))
+            .map(|((lane, met), adv)| lane.report(!met, adv.admissible()))
+            .collect())
+    }
+
+    /// Runs a bounded segment of every still-unfinished instance:
+    /// instance `i` executes until it meets `stop` or its event counter
+    /// reaches the **absolute** bound `caps[i]` (an instance whose
+    /// counter is already past its cap executes nothing), in a sliced
+    /// rotation: 128 events per still-running instance per turn.
+    /// Returns, per instance, whether the stop condition is now met.
+    /// Unlike [`BatchSim::run`] this neither drains finished instances
+    /// nor builds reports, so a driver can interleave segments with
+    /// revives ([`BatchSim::revive`]) and re-enter — the batched
+    /// counterpart of [`crate::Sim::run_until`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `advs` or `caps` are not exactly one entry per
+    /// instance.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first [`SimError`] any instance provokes.
+    pub fn run_segment<Ad: Adversary>(
+        &mut self,
+        advs: &mut [Ad],
+        caps: &[u64],
+        stop: StopWhen,
+    ) -> Result<Vec<bool>, SimError> {
+        assert_eq!(
+            caps.len(),
+            self.lanes.len(),
+            "one event cap per batch instance"
+        );
+        self.rotate(&mut as_content(advs), |l| caps[l], stop, false)
+    }
+
+    /// The engine's one loop over lanes, behind [`BatchSim::run`],
+    /// [`BatchSim::run_segment`] and [`crate::Sim`]'s `run*`: lane `l`
+    /// runs under `advs[l]` until it meets `stop` or its event counter
+    /// reaches `cap_of(l)`; returns, per lane, whether `stop` is met.
+    /// With `drain`, a lane that meets `stop` gives its leftover
+    /// buffered messages back on the spot.
+    ///
+    /// Amortized-fairness rotation over still-running lanes only: each
+    /// turn a lane executes up to [`FAIR_SLICE`] events, so its working
+    /// set (automata, store lane, trace, RNG) stays cache-hot across
+    /// the slice while no lane can lead another by more than one slice.
+    /// Finished lanes are swap-removed so each rotation is O(active) —
+    /// iterating the full lane list every round would cost
+    /// `rounds × B` skip checks against the longest-running lane.
+    /// Neither the slice width nor the rotation order is
+    /// adversary-observable (an adversary sees only its own instance's
+    /// pattern), so every lane runs as it would alone.
+    pub(crate) fn rotate(
+        &mut self,
+        advs: &mut [&mut dyn ContentAdversary<A::Msg>],
+        cap_of: impl Fn(usize) -> u64,
+        stop: StopWhen,
+        drain: bool,
+    ) -> Result<Vec<bool>, SimError> {
         assert_eq!(
             advs.len(),
             self.lanes.len(),
             "one adversary per batch instance"
         );
-        let b = self.lanes.len();
-        let admissible: Vec<bool> = advs.iter().map(|a| a.admissible()).collect();
-        let mut met: Vec<Option<bool>> = vec![None; b];
-        let mut satisfied = vec![false; b * self.population];
-        let mut remaining = vec![0usize; b];
-        for (l, lane) in self.lanes.iter().enumerate() {
-            for i in 0..self.population {
-                let ok = lane.proc_ok(i, limits.stop);
-                satisfied[l * self.population + i] = ok;
-                if !ok {
-                    remaining[l] += 1;
-                }
-            }
+        let n = self.population;
+        // The stop condition is tracked incrementally: one full scan
+        // here — revives between calls can change any processor's
+        // standing — then `step_slice` re-checks only the acting
+        // processor after each event.
+        let mut satisfied = Vec::with_capacity(self.lanes.len() * n);
+        let mut remaining = Vec::with_capacity(self.lanes.len());
+        for lane in &self.lanes {
+            let first = satisfied.len();
+            satisfied.extend((0..n).map(|i| lane.proc_ok(i, stop)));
+            remaining.push(satisfied[first..].iter().filter(|ok| !**ok).count());
         }
-        // Amortized-fairness rotation over still-running lanes only:
-        // each turn a lane executes up to [`FAIR_SLICE`] events, so its
-        // working set (automata, store lane, RNG) stays cache-hot
-        // across the slice while no lane can lead another by more than
-        // one slice. Finished lanes are swap-removed so each rotation
-        // is O(active) — iterating the full lane list every round would
-        // cost `rounds × B` skip checks against the longest-running
-        // lane. Neither the slice width nor the rotation order is
-        // adversary-observable (an adversary sees only its own
-        // instance's pattern), so equivalence with serial runs holds.
-        let mut order: Vec<usize> = (0..b).collect();
+        let mut order: Vec<usize> = (0..self.lanes.len()).collect();
         while !order.is_empty() {
             let mut idx = 0;
             while idx < order.len() {
                 let l = order[idx];
-                if remaining[l] == 0 {
-                    met[l] = Some(true);
+                let cap = cap_of(l);
+                if remaining[l] == 0 || self.lanes[l].event() >= cap {
                     order.swap_remove(idx);
-                    // Cross-instance envelope recycling: a decided
-                    // instance's leftover buffered messages will never
-                    // be delivered, so their slots go back to the
-                    // shared free lists. Unobservable to the other
-                    // instances (slot indices are not
-                    // adversary-visible).
-                    self.lanes[l].drain(&mut self.shared);
+                    if drain && remaining[l] == 0 {
+                        // Cross-instance envelope recycling: a decided
+                        // instance's leftover buffered messages will
+                        // never be delivered, so their slots go back to
+                        // the shared free lists. Unobservable to the
+                        // other instances (slot indices are not
+                        // adversary-visible).
+                        self.lanes[l].drain(&mut self.shared);
+                    }
                     continue;
                 }
-                if self.lanes[l].event() >= limits.max_events {
-                    met[l] = Some(false);
-                    order.swap_remove(idx);
-                    continue;
-                }
-                let rem = self.step_slice(
-                    l,
-                    &mut advs[l],
-                    admissible[l],
-                    limits,
-                    &mut satisfied,
-                    remaining[l],
-                )?;
-                remaining[l] = rem;
-                if rem != 0 && self.lanes[l].event() < limits.max_events {
+                let lane_satisfied = &mut satisfied[l * n..][..n];
+                remaining[l] =
+                    self.step_slice(l, &mut *advs[l], cap, stop, lane_satisfied, remaining[l])?;
+                // A lane that met the stop condition or ran out of
+                // events stays at `idx`; the entry check above finishes
+                // it on the next visit.
+                if remaining[l] != 0 && self.lanes[l].event() < cap {
                     idx += 1;
                 }
-                // A lane that met the stop condition or ran out of
-                // events stays at `idx`; the entry checks above finish
-                // it on the next visit.
             }
         }
-        Ok(self
-            .lanes
-            .iter()
-            .zip(met)
-            .zip(admissible)
-            .map(|((lane, met), adm)| lane.report(!met.unwrap_or(false), adm))
-            .collect())
+        Ok(remaining.iter().map(|r| *r == 0).collect())
     }
 
     /// One fairness slice of lane `l`: up to [`FAIR_SLICE`] events
     /// (forced action or `adv`'s choice, applied, stop count updated),
-    /// ending early at the lane's absolute event bound
-    /// `limits.max_events` or once it meets `limits.stop`. `rem` is how
-    /// many of the lane's processors did not satisfy the stop condition
-    /// on entry (`satisfied` says which); returns the count on exit.
+    /// ending early at the lane's absolute event bound `cap` or once it
+    /// meets `stop`. `rem` is how many of the lane's processors did not
+    /// satisfy the stop condition on entry (`satisfied` says which);
+    /// returns the count on exit.
     ///
-    /// Lane, adversary, trace sink, and the slice's event budget
-    /// resolve once per slice; the stop count lives in a register. The
-    /// per-event body then carries no lane-indexed loads beyond the
-    /// serial engine's — the solo-lane tail of a batch (one straggler
-    /// running to its cap) executes at single-instance cost.
-    fn step_slice<Ad: Adversary>(
+    /// Lane, trace and the slice's event budget resolve once per slice;
+    /// the stop count lives in a register. The per-event body then
+    /// carries no lane-indexed loads, so a lane costs per event what it
+    /// costs alone, whatever the batch size.
+    fn step_slice(
         &mut self,
         l: usize,
-        adv: &mut Ad,
-        adm: bool,
-        limits: RunLimits,
+        adv: &mut dyn ContentAdversary<A::Msg>,
+        cap: u64,
+        stop: StopWhen,
         satisfied: &mut [bool],
         mut rem: usize,
     ) -> Result<usize, SimError> {
         let lane = &mut self.lanes[l];
-        self.trace.begin_lane(l as u32);
-        let sink = self.trace.active_mut();
-        let budget = FAIR_SLICE.min(limits.max_events - lane.event());
-        let mut outcome = Ok(());
+        let trace = &mut self.traces[l];
+        let admissible = adv.admissible();
         // rtc-hot-loop(per-instance): the fairness-slice stepping loop
         // — every instance of every batch runs through here once per
         // event.
-        for _ in 0..budget {
-            let forced = if adm {
+        for _ in 0..FAIR_SLICE.min(cap - lane.event()) {
+            let forced = if admissible {
                 lane.forced_action(&self.shared.store)
             } else {
                 None
             };
             let action = match forced {
                 Some(forced) => forced,
-                None => adv_next(adv, &lane.pattern_view(&self.shared.store)),
+                None => adv.next(&ContentView {
+                    pattern: lane.pattern_view(&self.shared.store),
+                    bodies: &self.shared.bodies,
+                }),
             };
+            // Network-plane actions (partition/duplicate/reorder) have
+            // no acting processor and never change automaton statuses,
+            // so the incremental stop-condition recheck is skipped.
             let acting = match &action {
                 Action::Step { p, .. } | Action::Crash { p, .. } => Some(p.index()),
                 Action::Partition { .. } | Action::Duplicate { .. } | Action::Reorder { .. } => {
                     None
                 }
             };
-            outcome = lane.apply(action, adm, &mut self.shared, sink);
-            if outcome.is_err() {
-                break;
-            }
+            lane.apply(action, admissible, &mut self.shared, trace)?;
             if let Some(acting) = acting {
-                let ok = lane.proc_ok(acting, limits.stop);
-                let slot = l * self.population + acting;
-                if ok != satisfied[slot] {
-                    satisfied[slot] = ok;
+                let ok = lane.proc_ok(acting, stop);
+                if ok != satisfied[acting] {
+                    satisfied[acting] = ok;
                     if ok {
                         rem -= 1;
                         if rem == 0 {
@@ -402,8 +445,7 @@ impl<A: Automaton> BatchSim<A> {
                 }
             }
         }
-        self.trace.end_lane(l as u32);
-        outcome.map(|()| rem)
+        Ok(rem)
     }
 
     /// Builds the [`RunReport`] of instance `lane` for the run so far.
@@ -411,45 +453,28 @@ impl<A: Automaton> BatchSim<A> {
         self.lanes[lane].report(stalled, admissible)
     }
 
-    /// Materializes instance `lane`'s trace — byte-identical (equal
-    /// [`Trace::digest`]) to the trace of a serial run with the same
-    /// configuration and adversary.
+    /// A copy of instance `lane`'s trace (see [`BatchSim::lane_trace`]).
     pub fn to_trace(&self, lane: usize) -> Trace {
-        self.trace.to_trace(lane)
+        self.traces[lane].clone()
     }
 
-    /// [`BatchSim::to_trace`] into an internal pooled scratch: the
-    /// returned reference is valid until the next `lane_trace` call.
-    /// Replaying lane after lane this way is allocation-free once the
-    /// scratch has grown to the largest lane — the chaos campaign
-    /// verifies every instance of a batch through it.
-    pub fn lane_trace(&mut self, lane: usize) -> &Trace {
-        self.trace.to_trace_into(lane, &mut self.scratch);
-        &self.scratch
+    /// Instance `lane`'s trace — byte-identical (equal
+    /// [`Trace::digest`]) to the trace of a [`crate::Sim`] run with the
+    /// same configuration and adversary.
+    pub fn lane_trace(&self, lane: usize) -> &Trace {
+        &self.traces[lane]
     }
 
     /// Whether instance `lane`'s run is failure-free (recorded no crash
-    /// events) — equal to `self.to_trace(lane).faulty().is_empty()`
-    /// without materializing the trace.
+    /// events).
     pub fn failure_free(&self, lane: usize) -> bool {
-        self.trace.failure_free(lane)
-    }
-
-    /// Whether instance `lane`'s traced prefix is on-time at window
-    /// `k` — equal to `self.to_trace(lane).is_on_time(k)` without
-    /// materializing the trace. Together with
-    /// [`BatchSim::failure_free`] this gives a verifier everything a
-    /// run's trace contributes to the paper's Section 2.4 conditions,
-    /// straight off the lane's dense tables.
-    pub fn is_on_time(&self, lane: usize, k: u64) -> bool {
-        self.trace.is_on_time(lane, k)
+        self.traces[lane].faulty().is_empty()
     }
 
     /// Decisions recorded for instance `lane` so far, in decision
-    /// order — the cheap accessor for drivers that only need decided
-    /// values, without materializing the instance's [`Trace`].
+    /// order.
     pub fn decisions(&self, lane: usize) -> &[DecisionRecord] {
-        self.trace.decisions_of(lane)
+        self.traces[lane].decisions()
     }
 
     /// Instance `lane`'s online lateness classifier.
@@ -484,105 +509,31 @@ impl<A: Automaton> BatchSim<A> {
     ///
     /// As [`crate::Sim::revive`].
     pub fn revive(&mut self, lane: usize, p: ProcessorId, auto: A) -> Result<(), SimError> {
-        self.trace.begin_lane(lane as u32);
-        let res = self.lanes[lane].revive(p, auto, self.trace.active_mut());
-        self.trace.end_lane(lane as u32);
-        res
-    }
-
-    /// Runs a bounded segment of every still-unfinished instance:
-    /// instance `i` executes until it meets `stop` or its event counter
-    /// reaches the **absolute** bound `caps[i]` (an instance whose
-    /// counter is already past its cap executes nothing). Returns, per
-    /// instance, whether the stop condition is now met. Unlike
-    /// [`BatchSim::run`] this neither drains finished instances nor
-    /// builds reports, so a driver can interleave segments with revives
-    /// ([`BatchSim::revive`]) and re-enter — the batched counterpart of
-    /// [`crate::Sim::run_until`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `advs` or `caps` are not exactly one entry per
-    /// instance.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`SimError`] any instance provokes.
-    pub fn run_segment<Ad: Adversary>(
-        &mut self,
-        advs: &mut [Ad],
-        caps: &[u64],
-        stop: StopWhen,
-    ) -> Result<Vec<bool>, SimError> {
-        assert_eq!(
-            advs.len(),
-            self.lanes.len(),
-            "one adversary per batch instance"
-        );
-        assert_eq!(
-            caps.len(),
-            self.lanes.len(),
-            "one event cap per batch instance"
-        );
-        let b = self.lanes.len();
-        let admissible: Vec<bool> = advs.iter().map(|a| a.admissible()).collect();
-        // Recomputed from scratch each segment: revives between
-        // segments can change any processor's standing.
-        let mut remaining = vec![0usize; b];
-        let mut satisfied = vec![false; b * self.population];
-        for (l, lane) in self.lanes.iter().enumerate() {
-            for i in 0..self.population {
-                let ok = lane.proc_ok(i, stop);
-                satisfied[l * self.population + i] = ok;
-                if !ok {
-                    remaining[l] += 1;
-                }
-            }
-        }
-        // Same sliced active-lane rotation as [`BatchSim::run`].
-        let mut order: Vec<usize> = (0..b)
-            .filter(|&l| remaining[l] > 0 && self.lanes[l].event() < caps[l])
-            .collect();
-        while !order.is_empty() {
-            let mut idx = 0;
-            while idx < order.len() {
-                let l = order[idx];
-                if remaining[l] == 0 || self.lanes[l].event() >= caps[l] {
-                    order.swap_remove(idx);
-                    continue;
-                }
-                let rem = self.step_slice(
-                    l,
-                    &mut advs[l],
-                    admissible[l],
-                    RunLimits {
-                        max_events: caps[l],
-                        stop,
-                    },
-                    &mut satisfied,
-                    remaining[l],
-                )?;
-                remaining[l] = rem;
-                if rem != 0 && self.lanes[l].event() < caps[l] {
-                    idx += 1;
-                }
-            }
-        }
-        Ok(remaining.iter().map(|r| *r == 0).collect())
+        self.lanes[lane].revive(p, auto, &mut self.traces[lane])
     }
 
     /// Tears the batch down into its reusable allocations (store slab,
-    /// bodies, trace columns, store lanes) for the next batch.
+    /// bodies, store lanes, traces) for the next batch.
     pub fn into_pool(self) -> BatchPool<A::Msg> {
         let mut spare_lanes = self.spare_lanes;
         spare_lanes.extend(self.lanes.into_iter().map(Lane::into_store_lane));
+        let mut spare_traces = self.spare_traces;
+        spare_traces.extend(self.traces);
         BatchPool {
             shared: self.shared,
-            trace: self.trace,
             spare_lanes,
-            scratch: self.scratch,
+            spare_traces,
         }
     }
+}
+
+/// One handle per lane on a batch's pattern-only adversaries, as the
+/// rotation takes them: a pattern-only adversary is a content adversary
+/// that never looks.
+fn as_content<M, Ad: Adversary>(advs: &mut [Ad]) -> Vec<&mut dyn ContentAdversary<M>> {
+    advs.iter_mut()
+        .map(|adv| adv as &mut dyn ContentAdversary<M>)
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,22 +1,24 @@
 //! The discrete-event engine: applies adversary-chosen events to a
 //! population of automata, enforcing the model's rules.
 //!
-//! The event-application machinery is split in two so the batched
-//! multi-instance engine ([`crate::BatchSim`]) can share it with the
-//! single-instance [`Sim`]:
+//! There is one engine. Its state is split by what commit instances may
+//! share:
 //!
 //! * [`Lane`] holds everything *per commit instance*: the automata,
 //!   clocks, crash/decision flags, fairness bookkeeping, the lateness
 //!   monitor, and the instance's [`StoreLane`] view into the message
-//!   store. All `apply_*` bodies live here.
+//!   store. All `apply_*` bodies live here, and each writes the
+//!   instance's own [`Trace`].
 //! * [`Shared`] holds what instances can safely share: the
 //!   `(instance, dst)`-keyed [`MsgStore`] slab, the [`BodySlab`] of
 //!   message payloads, the engine-owned [`Outbox`] every step writes
 //!   into, and the delivery/send scratch buffers.
 //!
-//! [`Sim`] is the one-lane case (lane base 0 over a store of `n`
-//! destinations) and behaves byte-identically to the pre-split engine —
-//! the golden digests of `tests/scheduler_equivalence.rs` pin this.
+//! [`crate::BatchSim`] owns B lanes, their B traces and one shared
+//! plane, and holds the only stepping loop and the only rotation over
+//! lanes. [`Sim`] is its one-lane case (lane base 0 over a store of `n`
+//! destinations) behind the single-instance signatures — the golden
+//! digests of `tests/scheduler_equivalence.rs` pin its bytes.
 //!
 //! # A broadcast is filed once and recorded once
 //!
@@ -37,10 +39,10 @@
 //!   its own); delivery lends the automaton `(sender, &body)` and
 //!   releases the slots' hold afterwards (see [`crate::bodies`] for who
 //!   counts what);
-//! * **trace** — one [`TraceSink::push_step`] row per step says what
+//! * **trace** — one [`Trace::push_step`] row per step says what
 //!   was delivered and which run was sent; the per-message
 //!   [`MsgRecord`](crate::MsgRecord)s readers get are derived from the
-//!   rows on demand (see [`crate::trace::MsgTable`]).
+//!   rows on demand (see `MsgTable` in `trace.rs`).
 
 use std::error::Error;
 use std::fmt;
@@ -50,12 +52,13 @@ use rtc_model::{
     Value,
 };
 
-use crate::adversary::{Action, Adversary, ContentAdversary, ContentView, PatternView};
+use crate::adversary::{Action, Adversary, ContentAdversary, PatternView};
+use crate::batch::{BatchSim, BatchSimBuilder};
 use crate::bodies::BodySlab;
 use crate::envelope::{IdRun, MsgId};
 use crate::lateness::LatenessMonitor;
 use crate::store::{MsgStore, RunHeader, StoreLane, Taken};
-use crate::trace::{DecisionRecord, Dests, SendRun, Trace, TraceSink};
+use crate::trace::{DecisionRecord, Dests, SendRun, Trace};
 
 /// An active network partition: processors in different groups cannot
 /// exchange messages until the heal event.
@@ -364,8 +367,7 @@ impl SimBuilder {
     }
 
     /// Builds one instance [`Lane`] over the given automata and store
-    /// lane — the shared constructor behind [`SimBuilder::build`] (one
-    /// lane at base 0) and the batch builder (one lane per instance).
+    /// lane, for [`BatchSimBuilder::instance`].
     pub(crate) fn build_lane<A: Automaton>(
         self,
         procs: Vec<A>,
@@ -415,21 +417,17 @@ impl SimBuilder {
     /// Returns [`ModelError::PopulationTooLarge`] if `procs` is empty or
     /// the automata ids are not exactly `0..n` in order.
     pub fn build<A: Automaton>(self, procs: Vec<A>) -> Result<Sim<A>, ModelError> {
-        let n = procs.len();
-        let lane = self.build_lane(procs, StoreLane::new(0))?;
+        let mut batch = BatchSimBuilder::new();
+        batch.instance(self, procs)?;
         Ok(Sim {
-            lane,
-            shared: Shared::new(n),
-            trace: Trace::new(n),
-            stop_scratch: Vec::new(),
+            batch: batch.build(),
         })
     }
 }
 
 /// State shared across all instance lanes of one engine: the
 /// `(instance, dst)`-keyed message-store slab, the message bodies, and
-/// the buffers the stepping path reuses. One instance ([`Sim`]) is the
-/// single-lane case.
+/// the buffers the stepping path reuses.
 pub(crate) struct Shared<M> {
     /// All in-flight messages, one send-run per sending event: O(1)
     /// filing per destination, lookup, and removal, with
@@ -738,7 +736,7 @@ impl<A: Automaton> Lane<A> {
         action: Action,
         admissible: bool,
         shared: &mut Shared<A::Msg>,
-        trace: &mut impl TraceSink,
+        trace: &mut Trace,
     ) -> Result<(), SimError> {
         self.refresh_partition();
         match action {
@@ -752,14 +750,14 @@ impl<A: Automaton> Lane<A> {
         }
     }
 
-    // rtc-hot-loop(per-instance): the per-event apply path shared by
-    // the serial engine and every batch lane.
+    // rtc-hot-loop(per-instance): the per-event apply path of every
+    // lane.
     fn apply_step(
         &mut self,
         p: ProcessorId,
         deliver: Vec<MsgId>,
         shared: &mut Shared<A::Msg>,
-        trace: &mut impl TraceSink,
+        trace: &mut Trace,
     ) -> Result<(), SimError> {
         let i = p.index();
         let n = self.autos.len();
@@ -963,7 +961,7 @@ impl<A: Automaton> Lane<A> {
         drop: Vec<MsgId>,
         admissible: bool,
         shared: &mut Shared<A::Msg>,
-        trace: &mut impl TraceSink,
+        trace: &mut Trace,
     ) -> Result<(), SimError> {
         let i = p.index();
         if i >= self.autos.len() {
@@ -1003,7 +1001,7 @@ impl<A: Automaton> Lane<A> {
         groups: Vec<u32>,
         heal_at: u64,
         admissible: bool,
-        trace: &mut impl TraceSink,
+        trace: &mut Trace,
     ) -> Result<(), SimError> {
         let n = self.autos.len();
         if groups.len() != n {
@@ -1034,7 +1032,7 @@ impl<A: Automaton> Lane<A> {
         &mut self,
         id: MsgId,
         shared: &mut Shared<A::Msg>,
-        trace: &mut impl TraceSink,
+        trace: &mut Trace,
     ) -> Result<(), SimError> {
         let lane = &mut self.store_lane;
         let (Some(orig), Some(body)) = (
@@ -1077,7 +1075,7 @@ impl<A: Automaton> Lane<A> {
         &mut self,
         id: MsgId,
         shared: &mut Shared<A::Msg>,
-        trace: &mut impl TraceSink,
+        trace: &mut Trace,
     ) -> Result<(), SimError> {
         let Some(meta) = shared.store.lookup(&self.store_lane, id) else {
             return Err(SimError::MsgNotBuffered { id });
@@ -1099,7 +1097,7 @@ impl<A: Automaton> Lane<A> {
         &mut self,
         p: ProcessorId,
         auto: A,
-        trace: &mut impl TraceSink,
+        trace: &mut Trace,
     ) -> Result<(), SimError> {
         let i = p.index();
         if i >= self.autos.len() {
@@ -1156,23 +1154,19 @@ impl<A: Automaton> fmt::Debug for Lane<A> {
 }
 
 /// The discrete-event simulation engine (see the crate docs for the
-/// model it implements). The single-instance case of the lane/shared
-/// split: one `Lane` at store base 0.
+/// model it implements): the one-lane [`BatchSim`] behind
+/// single-instance signatures.
 pub struct Sim<A: Automaton> {
-    lane: Lane<A>,
-    shared: Shared<A::Msg>,
-    trace: Trace,
-    /// Scratch for the per-processor stop-condition flags used by
-    /// `run_core`, reused across run segments.
-    stop_scratch: Vec<bool>,
+    batch: BatchSim<A>,
 }
 
 impl<A: Automaton> fmt::Debug for Sim<A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let lane = self.batch.lane(0);
         f.debug_struct("Sim")
-            .field("population", &self.lane.population())
-            .field("event", &self.lane.event)
-            .field("crashes_used", &self.lane.crashes_used)
+            .field("population", &lane.population())
+            .field("event", &lane.event)
+            .field("crashes_used", &lane.crashes_used)
             .finish()
     }
 }
@@ -1180,33 +1174,33 @@ impl<A: Automaton> fmt::Debug for Sim<A> {
 impl<A: Automaton> Sim<A> {
     /// Number of processors.
     pub fn population(&self) -> usize {
-        self.lane.population()
+        self.batch.population()
     }
 
     /// The timing constants of this run.
     pub fn timing(&self) -> TimingParams {
-        self.lane.timing()
+        self.batch.lane(0).timing()
     }
 
     /// The fault budget `t`.
     pub fn fault_budget(&self) -> usize {
-        self.lane.fault_budget()
+        self.batch.lane(0).fault_budget()
     }
 
     /// Current statuses, indexed by processor id.
     pub fn statuses(&self) -> Vec<Status> {
-        self.lane.statuses()
+        self.batch.statuses(0)
     }
 
     /// The trace recorded so far.
     pub fn trace(&self) -> &Trace {
-        &self.trace
+        self.batch.lane_trace(0)
     }
 
     /// Immutable access to one automaton (e.g. to read protocol-specific
     /// state in tests).
     pub fn automaton(&self, p: ProcessorId) -> &A {
-        self.lane.automaton(p.index())
+        self.batch.automaton(0, p)
     }
 
     /// Runs the engine under a pattern-only adversary until the stop
@@ -1217,10 +1211,12 @@ impl<A: Automaton> Sim<A> {
     /// Propagates [`SimError`] when the adversary violates the model.
     pub fn run(
         &mut self,
-        adversary: &mut dyn Adversary,
+        mut adversary: &mut dyn Adversary,
         limits: RunLimits,
     ) -> Result<RunReport, SimError> {
-        self.run_content(&mut AsContent(adversary), limits)
+        // A pattern-only adversary is a content adversary that is never
+        // handed a payload.
+        self.run_content(&mut adversary, limits)
     }
 
     /// Runs the engine under a content-inspecting adversary (see
@@ -1254,114 +1250,50 @@ impl<A: Automaton> Sim<A> {
     /// Propagates [`SimError`] when the adversary violates the model.
     pub fn run_until(
         &mut self,
-        adversary: &mut dyn Adversary,
+        mut adversary: &mut dyn Adversary,
         until_event: u64,
         stop: StopWhen,
     ) -> Result<bool, SimError> {
-        self.run_core(&mut AsContent(adversary), until_event, stop)
+        self.run_core(&mut adversary, until_event, stop)
     }
 
-    /// The dispatch loop shared by [`Sim::run`], [`Sim::run_content`]
-    /// and [`Sim::run_until`]. Returns `Ok(true)` when the stop
-    /// condition was met, `Ok(false)` when the event bound was reached
-    /// first.
-    ///
-    /// The stop condition is tracked incrementally: one full scan on
-    /// entry, then only the acting processor is re-checked after each
-    /// event (steps, crashes, and in-run status changes all concern the
-    /// acting processor only), replacing the O(n) virtual-dispatch
-    /// status sweep the loop used to pay per event.
+    /// The one lane's turn of the engine's rotation, behind
+    /// [`Sim::run`], [`Sim::run_content`] and [`Sim::run_until`].
+    /// Returns `Ok(true)` when the stop condition was met, `Ok(false)`
+    /// when the event bound was reached first.
     fn run_core(
         &mut self,
         adversary: &mut dyn ContentAdversary<A::Msg>,
         until_event: u64,
         stop: StopWhen,
     ) -> Result<bool, SimError> {
-        let admissible = adversary.admissible();
-        let mut satisfied = std::mem::take(&mut self.stop_scratch);
-        satisfied.clear();
-        satisfied.resize(self.lane.population(), false);
-        let mut remaining = 0usize;
-        for (i, slot) in satisfied.iter_mut().enumerate() {
-            *slot = self.lane.proc_ok(i, stop);
-            if !*slot {
-                remaining += 1;
-            }
-        }
-        let outcome = loop {
-            if remaining == 0 {
-                break Ok(true);
-            }
-            if self.lane.event >= until_event {
-                break Ok(false);
-            }
-            let forced = if admissible {
-                self.lane.forced_action(&self.shared.store)
-            } else {
-                None
-            };
-            let action = match forced {
-                Some(forced) => forced,
-                None => {
-                    let view = ContentView {
-                        pattern: self.lane.pattern_view(&self.shared.store),
-                        bodies: &self.shared.bodies,
-                    };
-                    adversary.next(&view)
-                }
-            };
-            // Network-plane actions (partition/duplicate/reorder) have
-            // no acting processor and never change automaton statuses,
-            // so the incremental stop-condition recheck is skipped.
-            let acting = match &action {
-                Action::Step { p, .. } | Action::Crash { p, .. } => Some(p.index()),
-                Action::Partition { .. } | Action::Duplicate { .. } | Action::Reorder { .. } => {
-                    None
-                }
-            };
-            if let Err(e) = self
-                .lane
-                .apply(action, admissible, &mut self.shared, &mut self.trace)
-            {
-                break Err(e);
-            }
-            if let Some(acting) = acting {
-                let ok = self.lane.proc_ok(acting, stop);
-                if ok != satisfied[acting] {
-                    satisfied[acting] = ok;
-                    if ok {
-                        remaining -= 1;
-                    } else {
-                        remaining += 1;
-                    }
-                }
-            }
-        };
-        self.stop_scratch = satisfied;
-        outcome
+        let met = self
+            .batch
+            .rotate(&mut [adversary], |_| until_event, stop, false)?;
+        Ok(met[0])
     }
 
     /// Builds a [`RunReport`] for the run so far. Drivers using
     /// [`Sim::run_until`] call this once after their last segment;
     /// `stalled` and `admissible` are the caller's verdicts on the run.
     pub fn report(&self, stalled: bool, admissible: bool) -> RunReport {
-        self.lane.report(stalled, admissible)
+        self.batch.report(0, stalled, admissible)
     }
 
     /// Number of events executed so far (the global event counter).
     pub fn events_executed(&self) -> u64 {
-        self.lane.event
+        self.batch.events_executed(0)
     }
 
     /// Whether processor `p` is currently crashed.
     pub fn is_crashed(&self, p: ProcessorId) -> bool {
-        self.lane.is_crashed_idx(p.index())
+        self.batch.is_crashed(0, p)
     }
 
     /// The online lateness classifier for this run: per-delivery
     /// on-time/late verdicts against the timing constant `K`.
     pub fn lateness(&self) -> &LatenessMonitor {
-        self.lane.monitor()
+        self.batch.lateness(0)
     }
 
     /// Revives a crashed processor with a replacement automaton — the
@@ -1380,21 +1312,7 @@ impl<A: Automaton> Sim<A> {
     /// [`SimError::UnknownProcessor`] if `p` is out of range, and
     /// [`SimError::ReviveNotCrashed`] if `p` is currently alive.
     pub fn revive(&mut self, p: ProcessorId, auto: A) -> Result<(), SimError> {
-        self.lane.revive(p, auto, &mut self.trace)
-    }
-}
-
-/// Adapter presenting a pattern-only adversary as a content adversary
-/// without exposing payloads to it.
-struct AsContent<'a>(&'a mut dyn Adversary);
-
-impl<M> ContentAdversary<M> for AsContent<'_> {
-    fn next(&mut self, view: &ContentView<'_, M>) -> Action {
-        self.0.next(view.pattern())
-    }
-
-    fn admissible(&self) -> bool {
-        Adversary::admissible(self.0)
+        self.batch.revive(0, p, auto)
     }
 }
 
@@ -1802,28 +1720,26 @@ mod tests {
         // Stop after the broadcast and the duplication: the copy is a
         // second slot on the original's body, not a second message.
         s.run_until(&mut adv, 2, StopWhen::default()).unwrap();
-        let pending = s
-            .lane
-            .pattern_view(&s.shared.store)
+        let (lane, shared, _) = s.batch.parts_mut(0);
+        let pending = lane
+            .pattern_view(&shared.store)
             .pending(ProcessorId::new(1));
         let bodies: Vec<u32> = pending
             .iter()
-            .map(|m| s.shared.store.body_of(&s.lane.store_lane, m.id).unwrap())
+            .map(|m| shared.store.body_of(&lane.store_lane, m.id).unwrap())
             .collect();
         assert_eq!(bodies.len(), 2);
         assert_eq!(bodies[0], bodies[1]);
-        assert_eq!(
-            (s.shared.bodies.live(), s.shared.bodies.references()),
-            (1, 2)
-        );
-        assert_eq!(s.shared.store.run_references(), 2);
+        assert_eq!((shared.bodies.live(), shared.bodies.references()), (1, 2));
+        assert_eq!(shared.store.run_references(), 2);
         let report = s.run(&mut adv, RunLimits::with_max_events(500)).unwrap();
         // p1 needed two receipts and the coordinator broadcast only one
         // message: only the duplicated copy can account for the second,
         // and the one body served both deliveries before it was freed.
         assert!(report.statuses()[1].is_decided());
-        assert_eq!(s.shared.bodies.references(), s.shared.store.len());
-        assert_eq!(s.shared.store.run_references(), s.shared.store.len());
+        let (_, shared, _) = s.batch.parts_mut(0);
+        assert_eq!(shared.bodies.references(), shared.store.len());
+        assert_eq!(shared.store.run_references(), shared.store.len());
         let dup = s.trace().events().find_map(|e| match e {
             crate::EventView::Duplicate { original, copy, .. } => Some((original, copy)),
             _ => None,
@@ -1984,10 +1900,11 @@ mod tests {
             p: ProcessorId::new(1),
             deliver: Vec::new(),
         };
-        s.lane.apply(step, true, &mut s.shared, &mut s.trace)?;
-        assert_eq!(s.shared.bodies.references(), s.shared.store.len());
-        assert_eq!(s.shared.store.run_references(), s.shared.store.len());
-        Ok(s.trace.messages().iter().map(|m| m.to.index()).collect())
+        let (lane, shared, trace) = s.batch.parts_mut(0);
+        lane.apply(step, true, shared, trace)?;
+        assert_eq!(shared.bodies.references(), shared.store.len());
+        assert_eq!(shared.store.run_references(), shared.store.len());
+        Ok(trace.messages().iter().map(|m| m.to.index()).collect())
     }
 
     #[test]

@@ -63,13 +63,11 @@
 pub mod adversaries;
 mod adversary;
 mod batch;
-mod batch_trace;
 mod bodies;
 mod engine;
 mod envelope;
 mod lateness;
 mod metrics;
-mod par_batch;
 mod pattern;
 mod replay;
 pub mod rounds;
@@ -82,7 +80,6 @@ pub use engine::{FairnessParams, RunLimits, RunReport, Sim, SimBuilder, SimError
 pub use envelope::{IdRun, MsgHandle, MsgId};
 pub use lateness::LatenessMonitor;
 pub use metrics::{LatenessReport, RunMetrics};
-pub use par_batch::{default_workers, worker_of, ParBatchPool, ParBatchSim, ParBatchSimBuilder};
 pub use pattern::{MessagePattern, PatternTriple};
 pub use replay::{Recorder, Replayer};
 pub use trace::{DecisionRecord, EventRecord, EventView, MsgRecord, Trace};

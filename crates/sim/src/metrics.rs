@@ -88,7 +88,7 @@ mod tests {
     use rtc_model::{LocalClock, Value};
 
     use super::*;
-    use crate::trace::{DecisionRecord, EventRecord, TraceSink};
+    use crate::trace::{DecisionRecord, EventRecord};
 
     #[test]
     fn counts_and_decision_clocks() {

@@ -182,7 +182,7 @@ mod tests {
 
     use super::*;
     use crate::envelope::MsgId;
-    use crate::trace::{DecisionRecord, EventRecord, TraceSink};
+    use crate::trace::{DecisionRecord, EventRecord};
 
     fn timing(k: u64) -> TimingParams {
         TimingParams::new(k).unwrap()

@@ -185,8 +185,7 @@ impl MsgStore {
     }
 
     /// Envelope slots the slab has ever grown to hold — the warm
-    /// capacity a pooled reuse keeps. The parallel batch plane reports
-    /// this per worker shard so pool-slice amortization is observable.
+    /// capacity a pooled reuse keeps.
     pub(crate) fn slot_capacity(&self) -> usize {
         self.slots.capacity()
     }

@@ -230,12 +230,12 @@ pub struct DecisionRecord {
 /// digest tags, so they must never change; new kinds are only ever
 /// appended (runs that use none of the newer kinds keep byte-identical
 /// digests across engine revisions).
-pub(crate) const KIND_STEP: u8 = 0;
-pub(crate) const KIND_CRASH: u8 = 1;
-pub(crate) const KIND_REVIVE: u8 = 2;
-pub(crate) const KIND_PARTITION: u8 = 3;
-pub(crate) const KIND_DUPLICATE: u8 = 4;
-pub(crate) const KIND_REORDER: u8 = 5;
+const KIND_STEP: u8 = 0;
+const KIND_CRASH: u8 = 1;
+const KIND_REVIVE: u8 = 2;
+const KIND_PARTITION: u8 = 3;
+const KIND_DUPLICATE: u8 = 4;
+const KIND_REORDER: u8 = 5;
 
 /// Where one send-run's messages went.
 #[derive(Clone, Copy, Debug)]
@@ -257,34 +257,30 @@ pub(crate) struct SendRun<'a> {
 
 /// One row of the event columns, as the readers see it.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Row<'a> {
-    pub kind: u8,
-    pub p: u32,
+struct Row<'a> {
+    kind: u8,
+    p: u32,
     /// The clock after a step; a partition's index in the side table;
     /// the id a duplicate copied or a reorder moved; 0 otherwise.
-    pub clock: u64,
-    pub delivered: &'a [MsgId],
-    /// Ids the row's lane had minted once this event was applied.
-    pub sent_end: u32,
+    clock: u64,
+    delivered: &'a [MsgId],
+    /// Ids the run had minted once this event was applied.
+    sent_end: u32,
 }
 
-/// The event columns shared by both recorders: [`Trace`] owns one set
-/// for its single run, the batch recorder
-/// ([`crate::batch_trace::ActiveCols`]) one set that all lanes' rows
-/// interleave in.
+/// A [`Trace`]'s event columns.
 ///
 /// One entry per event in `kind` / `p` / `clock`, with each step's
 /// delivered ids appended to the shared `deliv_pool` and addressed by a
 /// prefix-end offset (`deliv_end[i]` is the pool length *after* row
-/// `i`, so row `i`'s slice starts at `deliv_end[i - 1]` — whichever
-/// lane wrote that row). What a row *sent* is one number: ids are dense
-/// per lane in send order, so `sent_end[i]` — how many ids the row's
-/// lane had minted after the event — bounds the row's id range from
-/// above and the lane's previous row bounds it from below. Recording an
-/// event is therefore a handful of `Vec::push`es into already-grown
-/// columns, whatever the population.
+/// `i`, so row `i`'s slice starts at `deliv_end[i - 1]`). What a row
+/// *sent* is one number: ids are dense in send order, so `sent_end[i]`
+/// — how many ids the run had minted after the event — bounds the row's
+/// id range from above and the previous row bounds it from below.
+/// Recording an event is therefore a handful of `Vec::push`es into
+/// already-grown columns, whatever the population.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct EventCols {
+struct EventCols {
     kind: Vec<u8>,
     p: Vec<u32>,
     clock: Vec<u64>,
@@ -297,7 +293,7 @@ pub(crate) struct EventCols {
 }
 
 impl EventCols {
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.kind.clear();
         self.p.clear();
         self.clock.clear();
@@ -307,12 +303,12 @@ impl EventCols {
         self.partitions.clear();
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.kind.len()
     }
 
     /// Appends a row that delivers nothing.
-    pub(crate) fn push(&mut self, kind: u8, p: u32, clock: u64, sent_end: u32) {
+    fn push(&mut self, kind: u8, p: u32, clock: u64, sent_end: u32) {
         self.kind.push(kind);
         self.p.push(p);
         self.clock.push(clock);
@@ -322,26 +318,26 @@ impl EventCols {
 
     /// Appends a step row; the delivered ids are copied straight into
     /// the shared pool.
-    pub(crate) fn push_step(&mut self, p: u32, clock: u64, delivered: &[MsgId], sent_end: u32) {
+    fn push_step(&mut self, p: u32, clock: u64, delivered: &[MsgId], sent_end: u32) {
         self.deliv_pool.extend_from_slice(delivered);
         self.push(KIND_STEP, p, clock, sent_end);
     }
 
     /// Appends a partition row and its side-table entry.
-    pub(crate) fn push_partition(&mut self, groups: &[u32], heal_at: u64, sent_end: u32) {
+    fn push_partition(&mut self, groups: &[u32], heal_at: u64, sent_end: u32) {
         let table_idx = self.partitions.len() as u64;
         self.partitions.push((groups.to_vec(), heal_at));
         self.push(KIND_PARTITION, 0, table_idx, sent_end);
     }
 
     /// The partition a `KIND_PARTITION` row's `clock` column names.
-    pub(crate) fn partition(&self, table_idx: u64) -> (&[u32], u64) {
+    fn partition(&self, table_idx: u64) -> (&[u32], u64) {
         let (groups, heal_at) = &self.partitions[table_idx as usize];
         (groups, *heal_at)
     }
 
     /// Row `idx` (panics if out of range, like slice indexing).
-    pub(crate) fn row(&self, idx: usize) -> Row<'_> {
+    fn row(&self, idx: usize) -> Row<'_> {
         let start = match idx {
             0 => 0,
             _ => self.deliv_end[idx - 1] as usize,
@@ -356,8 +352,7 @@ impl EventCols {
     }
 }
 
-/// What a recorder keeps about one lane's messages besides its event
-/// rows — the one message-table type of both recorders.
+/// What a [`Trace`] keeps about its messages besides its event rows.
 ///
 /// A step's sends are a *run*: contiguous ids, one sender, one send
 /// event, one sender clock — all of which the step's own event row
@@ -367,22 +362,22 @@ impl EventCols {
 /// itself; only those runs list their destinations here. A delivery is
 /// the step row that lists the id; a network duplicate's row names its
 /// original. So the table is three short lists, and the
-/// [`MsgRecord`]s readers get are derived from it and the lane's rows
+/// [`MsgRecord`]s readers get are derived from it and the event rows
 /// by [`MsgTable::derive_into`].
 #[derive(Clone, Debug, Default)]
-pub(crate) struct MsgTable {
+struct MsgTable {
     /// `(first id, start in dest_pool)` of every run that lists its
     /// destinations, ascending.
     explicit: Vec<(u32, u32)>,
     dest_pool: Vec<ProcessorId>,
     /// Messages dropped at a crash, in drop order.
     dropped: Vec<MsgId>,
-    /// Ids minted so far — the `sent_end` of the lane's latest row.
+    /// Ids minted so far — the `sent_end` of the latest row.
     sent: u32,
 }
 
 impl MsgTable {
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.explicit.clear();
         self.dest_pool.clear();
         self.dropped.clear();
@@ -390,13 +385,13 @@ impl MsgTable {
     }
 
     /// Ids minted so far.
-    pub(crate) fn sent(&self) -> u32 {
+    fn sent(&self) -> u32 {
         self.sent
     }
 
-    /// Records what one step sent; returns the lane's new id count (the
-    /// step row's `sent_end`).
-    pub(crate) fn push_run(&mut self, run: SendRun<'_>) -> u32 {
+    /// Records what one step sent; returns the new id count (the step
+    /// row's `sent_end`).
+    fn push_run(&mut self, run: SendRun<'_>) -> u32 {
         debug_assert_eq!(run.first.index(), self.sent as usize, "ids are dense");
         if let Dests::Explicit(dests) = run.dests {
             debug_assert_eq!(dests.len(), run.count as usize);
@@ -409,22 +404,22 @@ impl MsgTable {
         self.sent
     }
 
-    /// Records that a network duplicate minted `copy`; returns the
-    /// lane's new id count.
-    pub(crate) fn push_copy(&mut self, copy: MsgId) -> u32 {
+    /// Records that a network duplicate minted `copy`; returns the new
+    /// id count.
+    fn push_copy(&mut self, copy: MsgId) -> u32 {
         debug_assert_eq!(copy.index(), self.sent as usize, "ids are dense");
         self.sent += 1;
         self.sent
     }
 
     /// Marks message `id` as dropped at a crash.
-    pub(crate) fn note_drop(&mut self, id: MsgId) {
+    fn note_drop(&mut self, id: MsgId) {
         self.dropped.push(id);
     }
 
-    /// Derives the lane's message records, dense by id, from its event
-    /// `rows` (in lane order) into `out`.
-    pub(crate) fn derive_into<'a>(
+    /// Derives the message records, dense by id, from the event `rows`
+    /// (in order) into `out`.
+    fn derive_into<'a>(
         &self,
         population: usize,
         rows: impl Iterator<Item = Row<'a>>,
@@ -523,9 +518,8 @@ impl Trace {
     }
 
     /// Empties the trace for a population of `n`, keeping every
-    /// column's capacity — the batch engine replays lane after lane
-    /// into one scratch `Trace` this way, so only the first (largest)
-    /// lane ever grows the buffers.
+    /// column's capacity — the batch engine recycles its lanes' traces
+    /// from batch to batch this way.
     pub(crate) fn reset(&mut self, n: usize) {
         self.cols.clear();
         self.table.clear();
@@ -538,37 +532,6 @@ impl Trace {
         self.late_marks.clear();
     }
 
-    /// Appends `row` of another recorder's columns `source` as this
-    /// trace's next event — the batch recorder's replay.
-    pub(crate) fn copy_row(&mut self, row: Row<'_>, source: &EventCols) {
-        self.msgs.take();
-        let p = ProcessorId::new(row.p as usize);
-        match row.kind {
-            KIND_STEP => {
-                self.step_events[p.index()].push(self.cols.len() as u64);
-                self.cols
-                    .push_step(row.p, row.clock, row.delivered, row.sent_end);
-            }
-            KIND_PARTITION => {
-                let (groups, heal_at) = source.partition(row.clock);
-                self.cols.push_partition(groups, heal_at, row.sent_end);
-            }
-            kind => {
-                if kind == KIND_CRASH {
-                    self.crashed.push(p);
-                }
-                self.cols.push(kind, row.p, row.clock, row.sent_end);
-            }
-        }
-    }
-
-    /// Replaces the message table with a copy of `table` (the one that
-    /// goes with the rows [`Trace::copy_row`] brought over).
-    pub(crate) fn copy_table(&mut self, table: &MsgTable) {
-        self.msgs.take();
-        self.table.clone_from(table);
-    }
-
     fn push_messageless(&mut self, kind: u8, p: ProcessorId, clock: u64) {
         self.msgs.take();
         self.cols
@@ -577,7 +540,7 @@ impl Trace {
 
     /// Records an owned [`EventRecord`] that sends nothing new to
     /// describe: a step's `sent` must be the broadcast pattern (tests
-    /// with other sends call [`TraceSink::push_step`] with their run).
+    /// with other sends call [`Trace::push_step`] with their run).
     #[cfg(test)]
     pub(crate) fn push_event(&mut self, ev: EventRecord) {
         match ev {
@@ -714,9 +677,24 @@ impl Trace {
         ProcessorId::all(self.population()).any(|p| self.steps_between(p, m.send_event, recv) > k)
     }
 
-    /// Whether the traced prefix is *on-time*: contains no late message.
+    /// Whether the traced prefix is *on-time*: contains no late message
+    /// ([`Trace::is_late`] of no [`Trace::messages`] entry). A message's
+    /// send event is the row that minted its id, its receive event the
+    /// step row that lists it, so one pass over the rows sees both and
+    /// no message record is derived.
     pub fn is_on_time(&self, k: u64) -> bool {
-        self.messages().iter().all(|m| !self.is_late(m, k))
+        let mut send_event = Vec::with_capacity(self.table.sent() as usize);
+        (0..self.cols.len()).all(|idx| {
+            let row = self.cols.row(idx);
+            let event = idx as u64;
+            send_event.resize(row.sent_end as usize, event);
+            row.delivered.iter().all(|id| {
+                let sent = send_event[id.index()];
+                self.step_events
+                    .iter()
+                    .all(|steps| steps_between(steps, sent, event) <= k)
+            })
+        })
     }
 
     /// Number of events in the traced prefix.
@@ -808,49 +786,17 @@ impl Trace {
 
 /// How many of the ascending step events `evs` lie strictly after event
 /// `a` and at-or-before event `b`.
-pub(crate) fn steps_between(evs: &[u64], a: u64, b: u64) -> u64 {
+fn steps_between(evs: &[u64], a: u64, b: u64) -> u64 {
     let lo = evs.partition_point(|&e| e <= a);
     let hi = evs.partition_point(|&e| e <= b);
     (hi - lo) as u64
 }
 
-/// The engine's recording seam: everything the event-application code
-/// needs to write while executing a run. [`Trace`] implements it
-/// directly (the single-instance case); the batch recorder's handle
-/// ([`crate::batch_trace::ActiveCols`]) implements it over the shared
-/// multi-instance columns, which is what lets one `Lane` body serve
-/// both the single and the batched engine with byte-identical recorded
-/// content.
-pub(crate) trait TraceSink {
+/// Recording: everything the event-application code
+/// ([`crate::engine::Lane`]) writes while executing a run.
+impl Trace {
     /// Records a step event: what it delivered and the one run it sent.
-    fn push_step(
-        &mut self,
-        p: ProcessorId,
-        clock_after: LocalClock,
-        delivered: &[MsgId],
-        sent: SendRun<'_>,
-    );
-    /// Records a crash event and adds `p` to the faulty set.
-    fn push_crash(&mut self, p: ProcessorId);
-    /// Records a revive event.
-    fn push_revive(&mut self, p: ProcessorId);
-    /// Records a partition event.
-    fn push_partition(&mut self, groups: &[u32], heal_at: u64);
-    /// Records a duplication event: a run of one, `copy`, that says
-    /// what `original` says to the same destination.
-    fn push_duplicate(&mut self, from: ProcessorId, original: MsgId, copy: MsgId);
-    /// Records a reorder event.
-    fn push_reorder(&mut self, dest: ProcessorId, id: MsgId);
-    /// Marks message `id` as dropped at a crash.
-    fn note_drop(&mut self, id: MsgId);
-    /// Marks message `id` as late (a side annotation, not digested).
-    fn mark_late(&mut self, id: MsgId);
-    /// Records a decision.
-    fn push_decision(&mut self, d: DecisionRecord);
-}
-
-impl TraceSink for Trace {
-    fn push_step(
+    pub(crate) fn push_step(
         &mut self,
         p: ProcessorId,
         clock_after: LocalClock,
@@ -864,21 +810,26 @@ impl TraceSink for Trace {
             .push_step(p.index() as u32, clock_after.ticks(), delivered, sent_end);
     }
 
-    fn push_crash(&mut self, p: ProcessorId) {
+    /// Records a crash event and adds `p` to the faulty set.
+    pub(crate) fn push_crash(&mut self, p: ProcessorId) {
         self.crashed.push(p);
         self.push_messageless(KIND_CRASH, p, 0);
     }
 
-    fn push_revive(&mut self, p: ProcessorId) {
+    /// Records a revive event.
+    pub(crate) fn push_revive(&mut self, p: ProcessorId) {
         self.push_messageless(KIND_REVIVE, p, 0);
     }
 
-    fn push_partition(&mut self, groups: &[u32], heal_at: u64) {
+    /// Records a partition event.
+    pub(crate) fn push_partition(&mut self, groups: &[u32], heal_at: u64) {
         self.msgs.take();
         self.cols.push_partition(groups, heal_at, self.table.sent());
     }
 
-    fn push_duplicate(&mut self, from: ProcessorId, original: MsgId, copy: MsgId) {
+    /// Records a duplication event: a run of one, `copy`, that says
+    /// what `original` says to the same destination.
+    pub(crate) fn push_duplicate(&mut self, from: ProcessorId, original: MsgId, copy: MsgId) {
         self.msgs.take();
         let sent_end = self.table.push_copy(copy);
         self.cols.push(
@@ -889,20 +840,24 @@ impl TraceSink for Trace {
         );
     }
 
-    fn push_reorder(&mut self, dest: ProcessorId, id: MsgId) {
+    /// Records a reorder event.
+    pub(crate) fn push_reorder(&mut self, dest: ProcessorId, id: MsgId) {
         self.push_messageless(KIND_REORDER, dest, id.index() as u64);
     }
 
-    fn note_drop(&mut self, id: MsgId) {
+    /// Marks message `id` as dropped at a crash.
+    pub(crate) fn note_drop(&mut self, id: MsgId) {
         self.msgs.take();
         self.table.note_drop(id);
     }
 
-    fn mark_late(&mut self, id: MsgId) {
+    /// Marks message `id` as late (a side annotation, not digested).
+    pub(crate) fn mark_late(&mut self, id: MsgId) {
         self.late_marks.push(id);
     }
 
-    fn push_decision(&mut self, d: DecisionRecord) {
+    /// Records a decision.
+    pub(crate) fn push_decision(&mut self, d: DecisionRecord) {
         self.decisions.push(d);
     }
 }

@@ -1,22 +1,23 @@
-//! Batch-vs-serial equivalence: the concurrent-instance batch engine
-//! must be *unobservable* per instance.
+//! Batch-vs-serial equivalence: a lane's neighbours must be
+//! *unobservable* to it.
 //!
 //! `BatchSim` steps B independent commit instances over one shared
-//! message-store slab and one shared trace recorder. This suite pins
-//! the core promise of that design: for every seeded schedule, running
-//! an instance inside a batch produces per-instance decisions, reports,
-//! and full trace digests byte-identical to a standalone `Sim` run with
-//! the same configuration, seed, and adversary. The digest covers every
-//! event, delivery, drop, decision, and crash in order (the PR-4
-//! golden-digest currency), so equality here means the batched
-//! scheduler is not just "as good" but *the same schedule*.
+//! message-store slab, each recording its own trace; `Sim` is the same
+//! engine with B = 1. This suite pins the core promise of that design:
+//! for every seeded schedule, running an instance inside a batch
+//! produces per-instance decisions, reports, and full trace digests
+//! byte-identical to a standalone `Sim` run with the same
+//! configuration, seed, and adversary — whatever the batch size, the
+//! rotation, the recycled pool, or the way the run is cut into
+//! segments. The digest covers every event, delivery, drop, decision,
+//! and crash in order (the PR-4 golden-digest currency), so equality
+//! here means the batched scheduler is not just "as good" but *the
+//! same schedule*.
 
 use rtc::core::CommitMsg;
 use rtc::model::{Outbox, StepRng};
 use rtc::prelude::*;
-use rtc::sim::{
-    worker_of, Adversary, BatchPool, BatchSim, BatchSimBuilder, ParBatchSimBuilder, Sim, StopWhen,
-};
+use rtc::sim::{Adversary, BatchPool, BatchSim, BatchSimBuilder, Sim, StopWhen, Trace};
 
 mod hostile;
 use hostile::{Hostile, InPlace, Seen};
@@ -64,7 +65,7 @@ fn config(n: usize) -> CommitConfig {
     CommitConfig::new(n, CommitConfig::max_tolerated(n), TimingParams::default()).unwrap()
 }
 
-fn adversary(case: &Case) -> Box<dyn Adversary + Send> {
+fn adversary(case: &Case) -> Box<dyn Adversary> {
     match case.kind {
         Kind::Random => {
             let deliver = 0.4 + 0.1 * (case.seed % 5) as f64;
@@ -179,7 +180,7 @@ fn check_batch<A: Automaton>(
     assert_eq!(reports.len(), cases.len());
     for (i, (report, case)) in reports.into_iter().zip(cases).enumerate() {
         let decisions = batch.decisions(i).iter().map(|d| (d.p, d.value)).collect();
-        let batched = (report, batch.to_trace(i).digest(), decisions);
+        let batched = (report, batch.lane_trace(i).digest(), decisions);
         assert_same(case, "batch", &batched, &serial[i]);
     }
     batch.into_pool()
@@ -211,8 +212,8 @@ fn corpus() -> [Vec<Case>; 3] {
 #[test]
 fn batched_schedules_are_byte_identical_to_serial_runs() {
     // Thread ONE pool through all groups: equivalence must survive
-    // recycled slabs, store lanes, and trace columns (the chaos
-    // campaign driver reuses its pool exactly like this).
+    // recycled slabs, store lanes, and traces (the chaos campaign
+    // driver reuses its pool exactly like this).
     let mut pool = BatchPool::new();
     for cases in &corpus() {
         pool = check_group(cases, pool);
@@ -269,7 +270,7 @@ impl Automaton for Unrolled {
 fn a_broadcast_is_the_same_schedule_as_its_unrolled_sends() {
     // One body shared by n − 1 slots against n − 1 bodies of one slot
     // each: ids, records, per-destination order — the whole trace —
-    // must not tell them apart, on any of the three engines.
+    // must not tell them apart, alone or in a batch.
     let mut pool = BatchPool::new();
     for cases in &corpus() {
         let serial: Vec<SerialOutcome> = cases
@@ -281,47 +282,21 @@ fn a_broadcast_is_the_same_schedule_as_its_unrolled_sends() {
             assert_same(case, "unrolled serial", &serial_run(case, procs), truth);
         }
         pool = check_batch(cases, &serial, Unrolled::new, pool);
-
-        let workers = 2;
-        let mut builder = ParBatchSimBuilder::with_workers(workers);
-        for (l, case) in cases.iter().enumerate() {
-            let procs = population(case).into_iter().map(Unrolled::new).collect();
-            builder
-                .instance_on(sim_builder(case), procs, worker_of(l, workers))
-                .unwrap();
-        }
-        let mut sharded = builder.build();
-        let mut advs: Vec<_> = cases.iter().map(adversary).collect();
-        let reports = sharded.run(&mut advs, RunLimits::default()).unwrap();
-        for (i, (report, case)) in reports.into_iter().zip(cases).enumerate() {
-            let decisions = sharded
-                .decisions(i)
-                .iter()
-                .map(|d| (d.p, d.value))
-                .collect();
-            let lane = (report, sharded.to_trace(i).digest(), decisions);
-            assert_same(case, "unrolled W=2", &lane, &serial[i]);
-        }
     }
 }
 
 #[test]
 fn pooled_rerun_reproduces_digests_exactly() {
-    // Same batch twice, second time on the first run's recycled pool:
-    // digests must be byte-identical (pooling is invisible).
-    let cases = group(8, 8, 0x9E_0001);
-    let digests_of = |pool: BatchPool<CommitMsg>| {
-        let mut batch = build_batch(&cases, |auto| auto, pool);
-        let mut advs: Vec<_> = cases.iter().map(adversary).collect();
-        batch.run(&mut advs, RunLimits::default()).unwrap();
-        let digests: Vec<u64> = (0..cases.len())
-            .map(|i| batch.to_trace(i).digest())
-            .collect();
-        (digests, batch.into_pool())
-    };
-    let (first, pool) = digests_of(BatchPool::new());
-    let (second, _) = digests_of(pool);
-    assert_eq!(first, second);
+    // Each group twice, the second time on the first run's recycled
+    // pool (which by then has also served the other shape): every lane
+    // matches its standalone run both times (pooling is invisible).
+    let groups = [group(8, 8, 0x9E_0001), group(8, 12, 0x9E_1001)];
+    let mut pool = BatchPool::new();
+    for _ in 0..2 {
+        for cases in &groups {
+            pool = check_group(cases, pool);
+        }
+    }
 }
 
 /// The hostile corpus: the 36 seeds again, each under [`Hostile`]'s
@@ -339,14 +314,12 @@ fn rejoiner(case: &Case, victim: ProcessorId) -> CommitAutomaton {
     )
 }
 
-/// The standalone hostile run of one case: its outcome, what of the
-/// script its trace shows, and how many direct sends its automata
-/// substituted in place (as `count` reads them).
-fn hostile_serial<A: Automaton>(
+/// A `Sim` of one case under its hostile adversary, run to
+/// `hostile::revive_at` and the victim revived if it is down by then.
+fn hostile_sim_at_revive<A: Automaton>(
     case: &Case,
     wrap: impl Fn(CommitAutomaton) -> A,
-    count: impl Fn(&A) -> u32,
-) -> (SerialOutcome, Seen, u32) {
+) -> (Sim<A>, Hostile) {
     let procs = population(case).into_iter().map(&wrap).collect();
     let mut sim: Sim<A> = sim_builder(case).build(procs).unwrap();
     let mut adv = hostile_adversary(case);
@@ -356,6 +329,18 @@ fn hostile_serial<A: Automaton>(
     if sim.is_crashed(victim) {
         sim.revive(victim, wrap(rejoiner(case, victim))).unwrap();
     }
+    (sim, adv)
+}
+
+/// The standalone hostile run of one case: its outcome, what of the
+/// script its trace shows, and how many direct sends its automata
+/// substituted in place (as `count` reads them).
+fn hostile_serial<A: Automaton>(
+    case: &Case,
+    wrap: impl Fn(CommitAutomaton) -> A,
+    count: impl Fn(&A) -> u32,
+) -> (SerialOutcome, Seen, u32) {
+    let (mut sim, mut adv) = hostile_sim_at_revive(case, wrap);
     let report = sim.run(&mut adv, hostile::LIMITS).unwrap();
     let decisions = sim
         .trace()
@@ -370,20 +355,16 @@ fn hostile_serial<A: Automaton>(
     (outcome, Seen::in_trace(sim.trace()), substituted)
 }
 
-/// Runs a group's hostile schedules as one `BatchSim` and as a W = 2
-/// `ParBatchSim`, checking every instance against `serial`.
-fn check_hostile_batches<A>(
+/// Runs a group's hostile schedules as one `BatchSim`, cut into two
+/// segments around the revive, checking every instance against
+/// `serial`.
+fn check_hostile_batches<A: Automaton>(
     cases: &[Case],
     serial: &[SerialOutcome],
     wrap: impl Fn(CommitAutomaton) -> A,
     pool: BatchPool<A::Msg>,
-) -> BatchPool<A::Msg>
-where
-    A: Automaton + Send,
-    A::Msg: Send,
-{
+) -> BatchPool<A::Msg> {
     let caps: Vec<u64> = cases.iter().map(|c| hostile::revive_at(c.n)).collect();
-
     let mut batch = build_batch(cases, &wrap, pool);
     let mut advs: Vec<Hostile> = cases.iter().map(hostile_adversary).collect();
     batch
@@ -400,40 +381,8 @@ where
     let reports = batch.run(&mut advs, hostile::LIMITS).unwrap();
     for (i, (report, case)) in reports.into_iter().zip(cases).enumerate() {
         let decisions = batch.decisions(i).iter().map(|d| (d.p, d.value)).collect();
-        let batched = (report, batch.to_trace(i).digest(), decisions);
+        let batched = (report, batch.lane_trace(i).digest(), decisions);
         assert_same(case, "hostile batch", &batched, &serial[i]);
-    }
-
-    let workers = 2;
-    let mut builder = ParBatchSimBuilder::with_workers(workers);
-    for (l, case) in cases.iter().enumerate() {
-        let procs = population(case).into_iter().map(&wrap).collect();
-        builder
-            .instance_on(sim_builder(case), procs, worker_of(l, workers))
-            .unwrap();
-    }
-    let mut sharded = builder.build();
-    let mut advs: Vec<Hostile> = cases.iter().map(hostile_adversary).collect();
-    sharded
-        .run_segment(&mut advs, &caps, StopWhen::default())
-        .unwrap();
-    for (l, case) in cases.iter().enumerate() {
-        let victim = advs[l].victim();
-        if sharded.is_crashed(l, victim) {
-            sharded
-                .revive(l, victim, wrap(rejoiner(case, victim)))
-                .unwrap();
-        }
-    }
-    let reports = sharded.run(&mut advs, hostile::LIMITS).unwrap();
-    for (i, (report, case)) in reports.into_iter().zip(cases).enumerate() {
-        let decisions = sharded
-            .decisions(i)
-            .iter()
-            .map(|d| (d.p, d.value))
-            .collect();
-        let lane = (report, sharded.to_trace(i).digest(), decisions);
-        assert_same(case, "hostile W=2", &lane, &serial[i]);
     }
     batch.into_pool()
 }
@@ -494,4 +443,84 @@ fn a_direct_send_in_place_of_a_broadcast_slot_is_the_same_on_all_three_engines()
         let serial: Vec<SerialOutcome> = runs.into_iter().map(|(outcome, _, _)| outcome).collect();
         pool = check_hostile_batches(cases, &serial, InPlace::new, pool);
     }
+}
+
+#[test]
+fn a_one_lane_batch_driven_in_segments_is_the_sim() {
+    // `Sim` is the engine with one lane: a `BatchSim` of B = 1 driven by
+    // `run_segment` + `revive` and a `Sim` driven by `run_until` +
+    // `revive` over the same hostile schedule record the same run.
+    for case in corpus().iter().flatten() {
+        let revive_at = hostile::revive_at(case.n);
+        let end = hostile::LIMITS.max_events;
+        let stop = hostile::LIMITS.stop;
+
+        let (mut sim, mut adv) = hostile_sim_at_revive(case, |auto| auto);
+        let victim = adv.victim();
+        let sim_met = sim.run_until(&mut adv, end, stop).unwrap();
+
+        let mut lane = build_batch(std::slice::from_ref(case), |auto| auto, BatchPool::new());
+        let mut advs = [hostile_adversary(case)];
+        lane.run_segment(&mut advs, &[revive_at], stop).unwrap();
+        if lane.is_crashed(0, victim) {
+            lane.revive(0, victim, rejoiner(case, victim)).unwrap();
+        }
+        let lane_met = lane.run_segment(&mut advs, &[end], stop).unwrap();
+
+        let label = format!("n{}/seed{:#x}", case.n, case.seed);
+        assert_eq!(lane_met, [sim_met], "{label}: stop condition");
+        assert_eq!(lane.events_executed(0), sim.events_executed(), "{label}");
+        assert_eq!(lane.statuses(0), sim.statuses(), "{label}");
+        let (one, alone) = (lane.lane_trace(0), sim.trace());
+        assert_eq!(one.digest(), alone.digest(), "{label}: trace digest");
+        assert_eq!(one.decisions(), alone.decisions(), "{label}");
+        assert_eq!(one.late_marks(), alone.late_marks(), "{label}");
+        assert_eq!(
+            lane.lateness(0).late_ids(),
+            sim.lateness().late_ids(),
+            "{label}"
+        );
+    }
+}
+
+#[test]
+fn the_row_pass_on_time_check_agrees_with_the_definition() {
+    // `Trace::is_on_time` never derives a message record; the
+    // definition — no message of the trace is late — is its oracle,
+    // over the hostile corpus (duplicates are sent "now", dropped
+    // messages are never received, a revived processor steps again)
+    // and a sparse schedule that delivers late at the protocol's own K.
+    let definition = |trace: &Trace, k: u64| trace.messages().iter().all(|m| !trace.is_late(m, k));
+    let (mut on_time, mut late) = (0, 0);
+    let mut check = |trace: &Trace, k: u64| {
+        let want = definition(trace, k);
+        assert_eq!(trace.is_on_time(k), want, "window {k}");
+        match want {
+            true => on_time += 1,
+            false => late += 1,
+        }
+    };
+    for case in corpus().iter().flatten() {
+        let (mut sim, mut adv) = hostile_sim_at_revive(case, |auto| auto);
+        sim.run(&mut adv, hostile::LIMITS).unwrap();
+        for k in [1, 3, config(case.n).timing().k(), 10_000] {
+            check(sim.trace(), k);
+        }
+    }
+    let sparse = Case {
+        n: 4,
+        seed: 0x1A7E,
+        kind: Kind::Random,
+    };
+    let mut sim: Sim<CommitAutomaton> = sim_builder(&sparse).build(population(&sparse)).unwrap();
+    let mut adv = RandomAdversary::new(sparse.seed).deliver_prob(0.05);
+    sim.run(&mut adv, RunLimits::with_max_events(4_000))
+        .unwrap();
+    let k = sim.timing().k();
+    assert!(
+        !sim.lateness().on_time(),
+        "the sparse schedule is late at K"
+    );
+    check(sim.trace(), k);
+    assert!(on_time > 0 && late > 0, "{on_time} on-time, {late} late");
 }

@@ -1,5 +1,5 @@
-//! Hostile schedules for the batch and parallel equivalence corpora:
-//! the places where filing a step's sends as one *run* could go wrong.
+//! Hostile schedules for the batch equivalence corpus: the places
+//! where filing a step's sends as one *run* could go wrong.
 //!
 //! A [`Hostile`] adversary scripts, on top of any benign inner
 //! adversary, a `Duplicate` of one slot of a broadcast whose other
@@ -10,12 +10,7 @@
 //! substitute a direct send in place of a broadcast slot at every
 //! opportunity, so that path does not depend on the rejoin timing.
 //!
-//! Shared by `tests/batch_equivalence.rs` and
-//! `tests/parallel_batch_equivalence.rs`, which differ in the engines
-//! they compare, not in the schedules.
-
-// Each of the two test crates uses its part of this module.
-#![allow(dead_code)]
+//! Used by `tests/batch_equivalence.rs`.
 
 use rtc::model::{Outbox, Recoverable, StepRng};
 use rtc::prelude::*;
@@ -43,7 +38,7 @@ pub fn rejoiner(cfg: CommitConfig, p: ProcessorId, vote: Value) -> CommitAutomat
 /// partial-drop crash scripted on top. Each fault fires at the first
 /// event at or after its due point at which the pattern allows it.
 pub struct Hostile {
-    inner: Box<dyn Adversary + Send>,
+    inner: Box<dyn Adversary>,
     victim: ProcessorId,
     duplicate_at: Option<u64>,
     reorder_at: Option<u64>,
@@ -52,7 +47,7 @@ pub struct Hostile {
 
 impl Hostile {
     /// Faults over `inner` for a population of `n`, placed by `seed`.
-    pub fn new(inner: Box<dyn Adversary + Send>, n: usize, seed: u64) -> Hostile {
+    pub fn new(inner: Box<dyn Adversary>, n: usize, seed: u64) -> Hostile {
         let n = n as u64;
         Hostile {
             inner,

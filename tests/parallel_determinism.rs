@@ -66,7 +66,10 @@ fn fixed_seed_traces_are_byte_identical_to_pre_refactor() {
 
 /// The parallel campaign driver classifies every schedule exactly as
 /// the serial one: identical counts, identical violation list,
-/// identical shrunk reproducers, for any worker count.
+/// identical shrunk reproducers, for any number of chunk threads — the
+/// machine's, a few, and more than there are chunks to steal. Batched
+/// simulation is on (the default), so every worker count also cuts the
+/// schedules into different batches.
 #[test]
 fn parallel_campaign_matches_serial_classification() {
     let base = CampaignConfig {
@@ -75,9 +78,10 @@ fn parallel_campaign_matches_serial_classification() {
         run_runtime: false,
         ..CampaignConfig::default()
     };
+    assert!(base.batch_sim);
     let serial = run_campaign(&CampaignConfig { workers: 1, ..base });
     assert_eq!(serial.sim_decided + serial.sim_stalled, 40);
-    for workers in [0usize, 2, 4, 7] {
+    for workers in [0usize, 2, 3, 8, 64] {
         let parallel = run_campaign(&CampaignConfig { workers, ..base });
         assert_eq!(
             format!("{serial:?}"),

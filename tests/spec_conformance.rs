@@ -5,8 +5,8 @@
 //!
 //! * the 108-schedule scheduler-equivalence golden corpus (random,
 //!   adaptive, and synchronous adversaries at n ∈ {4, 8, 16, 32}),
-//! * the 36 batch-equivalence schedules, linted per lane off the shared
-//!   batch recorder via `BatchSim::to_trace`, and
+//! * the 36 batch-equivalence schedules, each lane's trace linted where
+//!   the batch recorded it (`BatchSim::lane_trace`), and
 //! * one net-soak-shaped chaos round (partitions, duplication,
 //!   reordering, crash/restart), linted through the chaos driver's
 //!   spec hook.
@@ -185,12 +185,11 @@ fn batch_lanes_lint_clean_off_the_shared_recorder() {
         let mut batch = builder.build();
         batch.run(&mut advs, RunLimits::default()).unwrap();
         for (lane, run) in runs.iter().enumerate() {
-            // `to_trace` reassembles the lane's serial-equivalent trace
-            // from the shared columns; a clean lint shows the batch
-            // engine's equivalence contract holds against the *spec*,
-            // not merely against the serial engine.
-            let trace = batch.to_trace(lane);
-            lint_trace(run, &trace, &[]).unwrap_or_else(|e| panic!("n{n} lane {lane}: {e}"));
+            // A clean lint shows a lane stepped among neighbours over a
+            // recycled pool conforms to the *spec*, not merely to its
+            // standalone run.
+            lint_trace(run, batch.lane_trace(lane), &[])
+                .unwrap_or_else(|e| panic!("n{n} lane {lane}: {e}"));
             lanes += 1;
         }
         pool = batch.into_pool();
