@@ -3,7 +3,7 @@
 //! `BENCH_rtc.json` after every run so each PR can regress against the
 //! last (`cargo run -p rtc-bench --bin bench_check`).
 //!
-//! Three kinds of kernels:
+//! Two kinds of kernels:
 //!
 //! * **Allocation counts** (deterministic, CI-gated): a counting
 //!   `#[global_allocator]` measures exactly how many heap allocations
@@ -14,11 +14,9 @@
 //! * **Timings** (criterion, informational): ns/msg on the sync-commit
 //!   hot path, stage latency vs `n`, and chaos-campaign throughput.
 //!   Skipped in `--test` smoke mode.
-//! * **Frozen references**: the same kernels measured on the tree
-//!   *before* each optimization PR — `pre_pr/` (allocation overhaul),
-//!   `pre_scheduler/` (scheduler data-structure overhaul) and
-//!   `pre_batch/` (batch engine) — so the improvement trail is recorded
-//!   in the bench output itself.
+//!
+//! What the same kernels read before each optimization PR is history,
+//! not output: docs/PERF.md, "Trajectory".
 //!
 //! Run with `cargo bench -p rtc-bench --bench hotpath`; the JSON lands
 //! at the repo root (override with `BENCH_RTC_PATH`).
@@ -72,92 +70,6 @@ fn count_allocs<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let out = f();
     (ALLOCS.load(Ordering::Relaxed) - before, out)
 }
-
-/// The pre-overhaul measurements (commit 245f89f, this machine),
-/// frozen so every future `BENCH_rtc.json` records what this PR
-/// improved on. Layout: (name, value, unit, deterministic).
-const PRE_PR: &[(&str, f64, &str, bool)] = &[
-    ("alloc/fanout_step_total/n8", 13.0, "allocs/step", true),
-    (
-        "alloc/fanout_allocs_per_send/n8",
-        1.857,
-        "allocs/send",
-        true,
-    ),
-    ("alloc/fanout_step_total/n16", 22.0, "allocs/step", true),
-    (
-        "alloc/fanout_allocs_per_send/n16",
-        1.467,
-        "allocs/send",
-        true,
-    ),
-    ("alloc/fanout_step_total/n32", 39.0, "allocs/step", true),
-    (
-        "alloc/fanout_allocs_per_send/n32",
-        1.258,
-        "allocs/send",
-        true,
-    ),
-    ("alloc/msg_clone/n16", 1.0, "allocs/clone", true),
-    ("alloc/sync_commit_total/n16", 2292.0, "allocs/run", true),
-    (
-        "alloc/sync_commit_allocs_per_msg/n16",
-        2.465,
-        "allocs/msg",
-        true,
-    ),
-    ("time/sync_commit_ns_per_msg/n16", 695.958, "ns/msg", false),
-    ("time/sync_commit/n16", 647.241, "us/run", false),
-    ("time/stage_latency/n4", 29.873, "us/run", false),
-    ("time/stage_latency/n8", 132.932, "us/run", false),
-    ("time/stage_latency/n16", 632.929, "us/run", false),
-    ("time/stage_latency/n32", 3475.329, "us/run", false),
-    ("time/campaign_sim40_serial", 131.237, "ms", false),
-];
-
-/// The pre-scheduler-overhaul measurements (commit 19dfa31, this
-/// machine), frozen the same way: the scheduler data-structure overhaul
-/// (indexed message store + batched stepping) is measured against
-/// these. Layout: (name, value, unit, deterministic).
-const PRE_SCHEDULER: &[(&str, f64, &str, bool)] = &[
-    ("time/sim_steps_per_sec/n16", 384719.854, "steps/sec", false),
-    ("time/sim_steps_per_sec/n32", 229933.538, "steps/sec", false),
-    ("time/sim_step/n16", 2599.294, "ns/step", false),
-    ("time/sim_step/n32", 4349.083, "ns/step", false),
-    (
-        "time/campaign_throughput/sim40",
-        326.944,
-        "schedules/sec",
-        false,
-    ),
-    ("time/sync_commit/n16", 390.772, "us/run", false),
-    ("time/sync_commit_ns_per_msg/n16", 420.185, "ns/msg", false),
-    ("alloc/sync_commit_total/n16", 1295.0, "allocs/run", true),
-];
-
-/// The pre-batch-engine measurements (commit 73cfdb3, this machine),
-/// frozen before the concurrent-instance batch plane landed: the
-/// single-instance numbers the aggregate `decided_instances_per_sec`
-/// metrics are read against (docs/PERF.md derives the implied serial
-/// rate from these). Layout: (name, value, unit, deterministic).
-const PRE_BATCH: &[(&str, f64, &str, bool)] = &[
-    ("time/sim_steps_per_sec/n16", 716579.711, "steps/sec", false),
-    ("time/sim_steps_per_sec/n32", 341458.298, "steps/sec", false),
-    ("time/sim_step/n16", 1395.518, "ns/step", false),
-    ("time/sim_step/n32", 2928.615, "ns/step", false),
-    (
-        "time/campaign_throughput/sim40",
-        1123.039,
-        "schedules/sec",
-        false,
-    ),
-    ("time/sync_commit/n16", 562.448, "us/run", false),
-    ("time/sync_commit_ns_per_msg/n16", 604.783, "ns/msg", false),
-    ("time/stage_latency/n4", 21.504, "us/run", false),
-    ("time/stage_latency/n16", 399.647, "us/run", false),
-    ("time/stage_latency/n32", 2405.649, "us/run", false),
-    ("alloc/sync_commit_total/n16", 1149.0, "allocs/run", true),
-];
 
 fn cfg(n: usize) -> CommitConfig {
     CommitConfig::new(n, CommitConfig::max_tolerated(n), TimingParams::default()).unwrap()
@@ -273,21 +185,11 @@ fn measure_sync_commit(metrics: &mut Vec<Metric>) -> usize {
 /// The chaos soak schedule the scheduler overhaul is measured on: a
 /// delay-jittered, crash-free run that keeps many messages buffered at
 /// once — worst case for per-delivery buffer scans.
-fn soak_schedule(n: usize, t: usize, seed: u64) -> ChaosSchedule {
+fn soak_schedule(n: usize, seed: u64) -> ChaosSchedule {
     ChaosSchedule {
-        seed,
-        n,
-        t,
-        votes: vec![Value::One; n],
         early_abort: false,
         delay: ChaosDelay::Jitter { max_steps: 3 },
-        crashes: Vec::new(),
-        restarts: Vec::new(),
-        flaps: Vec::new(),
-        partitions: Vec::new(),
-        duplicate_permille: 0,
-        reset_permille: 0,
-        reorder_permille: 0,
+        ..ChaosSchedule::fault_free(n, seed, vec![Value::One; n])
     }
 }
 
@@ -302,7 +204,7 @@ fn measure_sim_throughput(metrics: &mut Vec<Metric>) -> f64 {
         const REPS: u64 = 24;
         // Warm-up run outside the timed region.
         {
-            let schedule = soak_schedule(n, config.fault_bound(), 0x50AC);
+            let schedule = soak_schedule(n, 0x50AC);
             let procs = commit_population(config, &schedule.votes);
             let mut sim = SimBuilder::new(config.timing(), SeedCollection::new(0x50AC))
                 .fault_budget(config.fault_bound())
@@ -314,7 +216,7 @@ fn measure_sim_throughput(metrics: &mut Vec<Metric>) -> f64 {
         let mut events = 0u64;
         let start = Instant::now();
         for rep in 0..REPS {
-            let schedule = soak_schedule(n, config.fault_bound(), 0xD0_5EED + rep);
+            let schedule = soak_schedule(n, 0xD0_5EED + rep);
             let procs = commit_population(config, &schedule.votes);
             let mut sim = SimBuilder::new(config.timing(), SeedCollection::new(schedule.seed))
                 .fault_budget(config.fault_bound())
@@ -610,22 +512,6 @@ fn main() {
         let mut criterion = Criterion::default();
         run_timings(&mut criterion);
         metrics.extend(timing_metrics(msgs_per_run));
-    }
-
-    for (prefix, refs) in [
-        ("pre_pr", PRE_PR),
-        ("pre_scheduler", PRE_SCHEDULER),
-        ("pre_batch", PRE_BATCH),
-    ] {
-        for (name, value, unit, deterministic) in refs {
-            metrics.push(Metric {
-                name: format!("{prefix}/{name}"),
-                value: *value,
-                unit: (*unit).to_string(),
-                deterministic: *deterministic,
-                higher_is_better: false,
-            });
-        }
     }
 
     let report = BenchReport {

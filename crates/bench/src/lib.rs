@@ -39,10 +39,6 @@ pub const SCHEMA: &str = "rtc-bench-v1";
 #[derive(Clone, Debug, PartialEq)]
 pub struct Metric {
     /// Hierarchical name, e.g. `alloc/fanout_allocs_per_send/n16`.
-    /// Names prefixed `pre_pr/` (allocation overhaul),
-    /// `pre_scheduler/` (scheduler overhaul) or `pre_batch/` (batch
-    /// engine) are frozen pre-optimization reference measurements,
-    /// recorded for the improvement trail and never compared.
     pub name: String,
     /// The measured value; for every metric in this suite, lower is
     /// better.
@@ -257,11 +253,9 @@ impl std::fmt::Display for Regression {
 ///
 /// Only deterministic metrics gate by default; pass
 /// `include_timings = true` to also gate wall-clock metrics (meaningful
-/// only when both files come from the same machine). `pre_*/` metrics
-/// (`pre_pr/`, `pre_scheduler/`, `pre_batch/`) are frozen historical
-/// references,
-/// never compared. Metrics present in only one file are ignored (adding
-/// a new benchmark is not a regression).
+/// only when both files come from the same machine). Metrics present
+/// in only one file are ignored (adding a new benchmark is not a
+/// regression).
 pub fn regressions(
     baseline: &BenchReport,
     current: &BenchReport,
@@ -289,9 +283,6 @@ pub fn regressions_split(
 ) -> Vec<Regression> {
     let mut out = Vec::new();
     for base in &baseline.metrics {
-        if base.name.starts_with("pre_") {
-            continue;
-        }
         let tolerance = if base.deterministic {
             det_tolerance
         } else {
@@ -342,11 +333,6 @@ mod tests {
             metrics: vec![
                 Metric::exact("alloc/fanout_allocs_per_send/n16", 1.25, "allocs/send"),
                 Metric::timing("time/sync_commit_ns_per_msg/n16", 812.5, "ns/msg"),
-                Metric::exact(
-                    "pre_pr/alloc/fanout_allocs_per_send/n16",
-                    16.0,
-                    "allocs/send",
-                ),
             ],
         }
     }
@@ -402,14 +388,6 @@ mod tests {
         current.metrics[1].value = 10_000.0;
         assert!(regressions(&baseline, &current, 0.25, false).is_empty());
         assert_eq!(regressions(&baseline, &current, 0.25, true).len(), 1);
-    }
-
-    #[test]
-    fn pre_pr_references_are_never_compared() {
-        let baseline = sample();
-        let mut current = sample();
-        current.metrics[2].value = 1e9;
-        assert!(regressions(&baseline, &current, 0.25, true).is_empty());
     }
 
     #[test]

@@ -33,6 +33,33 @@
 //! safety, in which case [`shrink_schedule`] reduces the schedule to a
 //! locally minimal reproducer.
 //!
+//! # One driver per substrate, one judge
+//!
+//! A schedule runs on the simulator one way — [`run_on_sim`], a `Sim`
+//! of its own per schedule; the campaign's parallelism is chunk threads
+//! over schedules, nothing inside one — and the wall-clock drivers
+//! share one prelude (protocol config, fault plan, validation). Every
+//! run is judged by one function,
+//! [`rtc_core::properties::verify_commit`], over the
+//! [`rtc_core::properties::RunFacts`] its substrate states: statuses,
+//! who is excused (crashed and not brought back), whether anything
+//! crashed, and whether the run was *on-time*. A finished run is a
+//! prefix, and a prefix is on-time when no on-time run is ruled out as
+//! its extension:
+//!
+//! * on the simulator (`verify_commit_run`), no delivery in the trace
+//!   was late and no message still pending to a live destination is
+//!   already more than `K` steps old — that one is late whenever it
+//!   arrives;
+//! * on channels and sockets ([`cluster_facts`]), the run's
+//!   `LatenessMonitor` counted no late delivery, the tick-delta ledger
+//!   shows none, and nothing at all was still held at the end — a
+//!   wall-clock substrate does not know a held message's age in steps,
+//!   so any held message counts.
+//!
+//! Commit validity binds only on-time, failure-free, deciding runs, so
+//! the clause is what separates a legitimate abort from a violation.
+//!
 //! The flagship scenario ([`run_theorem11`]) plays the paper's
 //! Theorem 11 end to end on both substrates: crash `t + 1` processors,
 //! assert a graceful stall, restart them, assert termination.
@@ -53,13 +80,13 @@ mod theorem11;
 
 pub use adversary::ChaosAdversary;
 pub use campaign::{run_campaign, CampaignConfig, CampaignSummary, CampaignViolation};
-pub use net_driver::{classify_net, run_on_net};
-pub use outcome::{classify_verdict, ChaosOutcome, ChaosReport, Substrate};
-pub use runtime_driver::{classify_cluster, run_on_runtime, run_on_supervised, to_fault_plan};
+pub use net_driver::run_on_net;
+pub use outcome::{classify_verdict, cluster_facts, ChaosOutcome, ChaosReport, Substrate};
+pub use runtime_driver::{run_on_runtime, run_on_supervised, to_fault_plan};
 pub use schedule::{
     ChaosCrash, ChaosDelay, ChaosFlap, ChaosPartition, ChaosRestart, ChaosSchedule, ScheduleParams,
 };
 pub use shrink::{shrink_schedule, shrink_sim_violation};
-pub use sim_driver::{lint_sim_schedule, run_batch_on_sim, run_on_sim, run_on_sim_with_decision};
+pub use sim_driver::{lint_sim_schedule, run_on_sim, run_on_sim_with_decision};
 pub use soak::{run_soak, SoakConfig, SoakReport};
 pub use theorem11::{run_theorem11, Theorem11Evidence};

@@ -11,14 +11,11 @@
 //! cluster is the deployment shape and deployments do not get scripted
 //! resurrections.
 
-use rtc_core::properties::CommitVerdict;
-use rtc_core::{commit_population, CommitConfig};
-use rtc_model::{SeedCollection, TimingParams};
 use rtc_net::{run_net_supervised, NetOptions, NetReport};
 use rtc_runtime::{SupervisorPolicy, SupervisorReport};
 
-use crate::outcome::{classify_verdict, ChaosReport, Substrate};
-use crate::runtime_driver::{classify_cluster, to_fault_plan};
+use crate::outcome::{judge_cluster, ChaosReport, Substrate};
+use crate::runtime_driver::boot_inputs;
 use crate::schedule::ChaosSchedule;
 
 /// Runs `schedule` over real localhost sockets under the self-healing
@@ -35,72 +32,38 @@ use crate::schedule::ChaosSchedule;
 /// # Panics
 ///
 /// Panics if the schedule's population/fault-bound combination is
-/// rejected by [`CommitConfig`], or if the schedule maps to an invalid
-/// fault plan — generated schedules never do either.
+/// rejected by [`rtc_core::CommitConfig`], or if the schedule maps to
+/// an invalid fault plan — generated schedules never do either.
 pub fn run_on_net(
     schedule: &ChaosSchedule,
     opts: NetOptions,
     policy: SupervisorPolicy,
 ) -> (ChaosReport, NetReport, SupervisorReport) {
-    let cfg = CommitConfig::new(schedule.n, schedule.t, TimingParams::default())
-        .expect("schedule population accepts its fault bound")
-        .with_early_abort(schedule.early_abort);
-    let plan = to_fault_plan(schedule, opts.tick);
-    plan.validate(schedule.n, schedule.t)
-        .expect("generated schedules map to valid fault plans");
+    let (population, seeds, plan) = boot_inputs(schedule, opts.tick);
     let (report, sup) = run_net_supervised(
-        vec![commit_population(cfg, &schedule.votes)],
-        vec![SeedCollection::new(schedule.seed)],
+        vec![population],
+        vec![seeds],
         plan,
         opts,
         schedule.t,
         policy,
     );
-    let verdict = classify_net(schedule, &report, cfg.timing());
-    let late_messages = report.stats.late_deliveries;
     (
-        ChaosReport {
-            substrate: Substrate::Net,
-            outcome: classify_verdict(&verdict),
-            verdict,
-            late_messages,
-        },
+        judge_cluster(Substrate::Net, schedule, &report.instances[0]),
         report,
         sup,
     )
-}
-
-/// Evaluates the paper's commit conditions over a finished single-
-/// instance socket run. Structural conditions come from the instance's
-/// [`rtc_runtime::ClusterReport`] via [`classify_cluster`]; the
-/// *on-time* precondition is tightened with the socket layer's own
-/// lateness monitor, which classifies real deliveries online exactly
-/// like the simulator does.
-pub fn classify_net(
-    schedule: &ChaosSchedule,
-    report: &NetReport,
-    timing: TimingParams,
-) -> CommitVerdict {
-    let instance = &report.instances[0];
-    let mut verdict = classify_cluster(schedule, instance, timing);
-    verdict.on_time = verdict.on_time && report.stats.on_time();
-    // Commit validity was predicated on the cluster-level on-time
-    // estimate; recompute its applicability under the tightened one.
-    if !verdict.on_time {
-        verdict.commit_validity = rtc_core::properties::Condition::NotApplicable;
-    }
-    verdict
 }
 
 #[cfg(test)]
 mod tests {
     use std::time::Duration;
 
-    use rtc_model::{ProcessorId, Value};
+    use rtc_model::{ProcessorId, TimingParams, Value};
 
     use super::*;
     use crate::outcome::ChaosOutcome;
-    use crate::schedule::{ChaosCrash, ChaosDelay, ChaosPartition};
+    use crate::schedule::{ChaosCrash, ChaosPartition};
 
     fn fast_opts() -> NetOptions {
         let mut opts = NetOptions::derived(Duration::from_millis(1), TimingParams::default());
@@ -108,27 +71,9 @@ mod tests {
         opts
     }
 
-    fn plain(n: usize, seed: u64, votes: Vec<Value>) -> ChaosSchedule {
-        ChaosSchedule {
-            seed,
-            n,
-            t: CommitConfig::max_tolerated(n),
-            votes,
-            early_abort: true,
-            delay: ChaosDelay::None,
-            crashes: Vec::new(),
-            restarts: Vec::new(),
-            flaps: Vec::new(),
-            partitions: Vec::new(),
-            duplicate_permille: 0,
-            reset_permille: 0,
-            reorder_permille: 0,
-        }
-    }
-
     #[test]
     fn faultfree_schedule_decides_over_sockets() {
-        let s = plain(3, 51, vec![Value::One; 3]);
+        let s = ChaosSchedule::fault_free(3, 51, vec![Value::One; 3]);
         let (rep, net, _) = run_on_net(&s, fast_opts(), SupervisorPolicy::default());
         assert_eq!(rep.outcome, ChaosOutcome::Decided, "{net:?}");
         assert!(net.agreement_holds());
@@ -136,7 +81,7 @@ mod tests {
 
     #[test]
     fn hostile_schedule_with_resets_stays_safe_over_sockets() {
-        let mut s = plain(3, 52, vec![Value::One, Value::Zero, Value::One]);
+        let mut s = ChaosSchedule::fault_free(3, 52, vec![Value::One, Value::Zero, Value::One]);
         s.duplicate_permille = 300;
         s.reorder_permille = 300;
         s.reset_permille = 200;
@@ -159,7 +104,7 @@ mod tests {
 
     #[test]
     fn supervisor_heals_a_scripted_crash_over_sockets() {
-        let mut s = plain(3, 53, vec![Value::One; 3]);
+        let mut s = ChaosSchedule::fault_free(3, 53, vec![Value::One; 3]);
         s.crashes.push(ChaosCrash {
             victim: ProcessorId::new(1),
             at_step: 3,

@@ -9,7 +9,10 @@
 
 use std::fmt;
 
-use rtc_core::properties::{CommitVerdict, Condition};
+use rtc_core::properties::{verify_commit, CommitVerdict, Condition, RunFacts};
+use rtc_runtime::ClusterReport;
+
+use crate::schedule::ChaosSchedule;
 
 /// Which substrate executed the schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -24,6 +27,16 @@ pub enum Substrate {
     /// The socket substrate (`rtc-net`): real localhost TCP with
     /// fault-injecting proxies, driven by the supervisor.
     Net,
+}
+
+impl Substrate {
+    /// Every substrate, in the order a campaign runs and reports them.
+    pub const ALL: [Substrate; 4] = [
+        Substrate::Sim,
+        Substrate::Runtime,
+        Substrate::Supervised,
+        Substrate::Net,
+    ];
 }
 
 impl fmt::Display for Substrate {
@@ -100,17 +113,65 @@ pub struct ChaosReport {
     pub outcome: ChaosOutcome,
     /// The full condition verdict the outcome was folded from.
     pub verdict: CommitVerdict,
-    /// Deliveries the run classified as *late* (arriving after some
-    /// processor took more than `K` steps in the send–receive window).
-    /// On the simulator this comes from the online
-    /// [`rtc_sim::LatenessMonitor`]; on the runtime from the link-delay
-    /// ledger.
+    /// Deliveries the run's [`rtc_sim::LatenessMonitor`] classified as
+    /// *late* (arriving after some processor took more than `K` steps
+    /// in the send–receive window) — the same online monitor on every
+    /// substrate.
     pub late_messages: u64,
+}
+
+/// States the facts of a finished channel or socket instance, for
+/// [`verify_commit`]. A wall-clock run has no event trace, so *on-time*
+/// is what its three observers can vouch for: the lateness monitor saw
+/// no late delivery, no message arrived more than `k` receiver ticks
+/// after its sender's tick, and nothing was still held — by a delayer,
+/// a proxy or a link — when the run ended (a held message has no age
+/// here, so any one counts). *Failure-free* means no scripted crash
+/// fired.
+pub fn cluster_facts(report: &ClusterReport, k: u64) -> RunFacts<'_> {
+    RunFacts {
+        statuses: &report.statuses,
+        excused: report
+            .crashed
+            .iter()
+            .zip(&report.recovered)
+            .map(|(crashed, recovered)| *crashed && !*recovered)
+            .collect(),
+        failure_free: !report.crashed.contains(&true),
+        on_time: report.late_deliveries == 0
+            && report.late_messages(k) == 0
+            && report.messages_undelivered == 0,
+    }
+}
+
+/// Judges one finished channel or socket instance of `schedule`: the
+/// one way a wall-clock run becomes a [`ChaosReport`].
+pub(crate) fn judge_cluster(
+    substrate: Substrate,
+    schedule: &ChaosSchedule,
+    report: &ClusterReport,
+) -> ChaosReport {
+    let facts = cluster_facts(report, schedule.commit_config().timing().k());
+    let verdict = verify_commit(&schedule.votes, &facts);
+    ChaosReport {
+        substrate,
+        outcome: classify_verdict(&verdict),
+        verdict,
+        late_messages: report.late_deliveries,
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
+    use rtc_core::properties::Condition::{Held, NotApplicable as NA, Violated};
+    use rtc_model::Value::{One, Zero};
+    use rtc_model::{ProcessorId, Status, TimingParams, Value};
+
     use super::*;
+    use crate::schedule::{ChaosCrash, ChaosPartition, ChaosRestart};
+    use crate::sim_driver::run_on_sim;
 
     fn verdict(agreement: Condition, deciding: bool) -> CommitVerdict {
         CommitVerdict {
@@ -136,5 +197,177 @@ mod tests {
         let v = classify_verdict(&verdict(Condition::Violated, true));
         assert!(!v.is_safe());
         assert!(v.to_string().contains("agreement"));
+    }
+
+    /// A finished wall-clock instance, hand-built: what each processor
+    /// decided, who crashed, who came back, and what the run's three
+    /// lateness observers saw (monitor count, largest tick delta,
+    /// messages still held).
+    fn cluster(
+        decisions: &[Option<Value>],
+        crashed: &[usize],
+        recovered: &[usize],
+        (late, slowest, held): (u64, i64, u64),
+    ) -> ClusterReport {
+        let flags = |set: &[usize]| (0..decisions.len()).map(|p| set.contains(&p)).collect();
+        ClusterReport {
+            statuses: decisions
+                .iter()
+                .map(|d| d.map_or(Status::Undecided, Status::Decided))
+                .collect(),
+            steps: vec![9; decisions.len()],
+            crashed: flags(crashed),
+            recovered: flags(recovered),
+            messages_sent: 12,
+            messages_undelivered: held,
+            wall: Duration::ZERO,
+            decided_in_time: true,
+            link_delays: vec![1, slowest],
+            deliveries: 12,
+            late_deliveries: late,
+        }
+    }
+
+    /// `votes` run fault-free but for `crashes`: `(victim, restart)`,
+    /// down from step 0 and back — if at all — from its snapshot or not.
+    fn schedule(votes: &[Value], crashes: &[(usize, Option<bool>)]) -> ChaosSchedule {
+        let mut s = ChaosSchedule::fault_free(votes.len(), 7, votes.to_vec());
+        for (victim, restart) in crashes {
+            let victim = ProcessorId::new(*victim);
+            s.crashes.push(ChaosCrash {
+                victim,
+                at_step: 0,
+                drop_final_sends: true,
+            });
+            s.restarts.extend(restart.map(|from_snapshot| ChaosRestart {
+                victim,
+                delay_steps: 10,
+                from_snapshot,
+            }));
+        }
+        s
+    }
+
+    /// Section 2.4, cell by cell: every condition held, violated and —
+    /// for each clause of its precondition — not applicable, with a
+    /// crashed processor excused and a recovered one owing again. Each
+    /// row is judged from a hand-built `ClusterReport`, and wherever a
+    /// correct protocol can produce the run, from the simulator's
+    /// `RunReport` + `Trace` as well: one judge, the same verdict
+    /// (agreement, abort validity, commit validity; deciding,
+    /// failure-free, on-time).
+    #[test]
+    fn one_judge_gives_every_substrate_the_same_verdict() {
+        let k = TimingParams::default().k();
+        let kt = i64::try_from(k).unwrap();
+        let ok = (0, kt, 0);
+        let all = |v: Value| vec![Some(v); 3];
+        let (commit, dissent) = ([One; 3], [One, Zero, One]);
+        // Two of three down (early abort off, so nobody decides alone),
+        // one back as an observer: it owes a decision it cannot reach,
+        // and what waited out its downtime arrives late.
+        let mut owing = schedule(&[Zero, One, One], &[(1, None), (2, Some(false))]);
+        owing.early_abort = false;
+        let mut late = schedule(&[One; 5], &[]);
+        late.partitions.push(ChaosPartition {
+            side: vec![ProcessorId::new(0), ProcessorId::new(1)],
+            from_step: 1,
+            heal_step: 6,
+        });
+        type Verdict = ([Condition; 3], [bool; 3]);
+        let rows: Vec<(Option<ChaosSchedule>, ClusterReport, Verdict)> = vec![
+            // Commit validity binds and holds; abort validity likewise.
+            (
+                Some(schedule(&commit, &[])),
+                cluster(&all(One), &[], &[], ok),
+                ([Held, NA, Held], [true, true, true]),
+            ),
+            (
+                Some(schedule(&dissent, &[])),
+                cluster(&all(Zero), &[], &[], ok),
+                ([Held, Held, NA], [true, true, true]),
+            ),
+            // A crashed processor is excused; one that recovered and
+            // decided makes the run deciding again; one that has not
+            // owes. No crash leaves commit validity binding.
+            (
+                Some(schedule(&commit, &[(2, None)])),
+                cluster(&[Some(Zero), Some(Zero), None], &[2], &[], ok),
+                ([Held, NA, NA], [true, false, true]),
+            ),
+            (
+                Some(schedule(&commit, &[(2, Some(true))])),
+                cluster(&all(Zero), &[2], &[2], ok),
+                ([Held, NA, NA], [true, false, true]),
+            ),
+            (
+                Some(owing),
+                cluster(&[None; 3], &[1, 2], &[2], (3, kt, 0)),
+                ([Held, NA, NA], [false, false, false]),
+            ),
+            // Lateness excuses an abort on all-commit votes, whoever
+            // saw it: the monitor, the tick ledger, a held message.
+            (
+                Some(late),
+                cluster(&[Some(Zero); 5], &[], &[], (1, kt, 0)),
+                ([Held, NA, NA], [true, true, false]),
+            ),
+            (
+                None,
+                cluster(&all(Zero), &[], &[], (0, kt + 1, 0)),
+                ([Held, NA, NA], [true, true, false]),
+            ),
+            (
+                None,
+                cluster(&all(Zero), &[], &[], (0, kt, 1)),
+                ([Held, NA, NA], [true, true, false]),
+            ),
+            // What no correct protocol produces. Agreement binds the
+            // excused too: a decision made before a crash counts.
+            (
+                None,
+                cluster(&all(Zero), &[], &[], ok),
+                ([Held, NA, Violated], [true, true, true]),
+            ),
+            (
+                None,
+                cluster(&all(One), &[], &[], ok),
+                ([Held, Violated, NA], [true, true, true]),
+            ),
+            (
+                None,
+                cluster(&[Some(Zero), Some(Zero), Some(One)], &[2], &[], ok),
+                ([Violated, Held, NA], [true, false, true]),
+            ),
+            // An undecided survivor: validity does not bind.
+            (
+                None,
+                cluster(&[Some(One), None, Some(One)], &[], &[], ok),
+                ([Held, NA, NA], [false, true, true]),
+            ),
+        ];
+        for (row, (on_sim, report, (conditions, facts))) in rows.into_iter().enumerate() {
+            // Rows without a simulator run vote `commit`, or `dissent`
+            // where abort validity is the condition at stake.
+            let votes = match &on_sim {
+                Some(schedule) => schedule.votes.clone(),
+                None if conditions[1] == NA => commit.to_vec(),
+                None => dissent.to_vec(),
+            };
+            let want = CommitVerdict {
+                agreement: conditions[0],
+                abort_validity: conditions[1],
+                commit_validity: conditions[2],
+                deciding: facts[0],
+                failure_free: facts[1],
+                on_time: facts[2],
+            };
+            let judged = verify_commit(&votes, &cluster_facts(&report, k));
+            assert_eq!(judged, want, "row {row}, cluster report");
+            if let Some(schedule) = on_sim {
+                let sim = run_on_sim(&schedule, 20_000);
+                assert_eq!(sim.verdict, want, "row {row}, simulator: {sim:?}");
+            }
+        }
     }
 }

@@ -10,15 +10,14 @@
 
 use std::time::Duration;
 
-use rtc_core::properties::{CommitVerdict, Condition};
-use rtc_core::{commit_population, CommitConfig};
-use rtc_model::{SeedCollection, TimingParams, Value};
+use rtc_core::{commit_population, CommitAutomaton};
+use rtc_model::SeedCollection;
 use rtc_runtime::{
     run_cluster_recoverable, run_cluster_supervised, ClusterOptions, ClusterReport, DelayModel,
     FaultPlan, SupervisorPolicy, SupervisorReport,
 };
 
-use crate::outcome::{classify_verdict, ChaosReport, Substrate};
+use crate::outcome::{judge_cluster, ChaosReport, Substrate};
 use crate::schedule::{ChaosDelay, ChaosSchedule};
 
 /// Maps a schedule onto a runtime fault plan, with one abstract step
@@ -79,61 +78,27 @@ pub fn to_fault_plan(schedule: &ChaosSchedule, tick: Duration) -> FaultPlan {
     plan
 }
 
-fn applied(held: bool) -> Condition {
-    if held {
-        Condition::Held
-    } else {
-        Condition::Violated
-    }
-}
-
-/// Evaluates the paper's commit conditions over a finished cluster run.
+/// What every wall-clock driver boots from: the schedule's population,
+/// its seeds, and its fault plan at one abstract step per `tick`,
+/// validated.
 ///
-/// The runtime has no event trace, so the commit-validity precondition
-/// is approximated conservatively from observables: *failure-free*
-/// means the schedule scripted no crashes (and none happened), and
-/// *on-time* means every message arrived within `K` receiver ticks of
-/// its send and nothing was still held when the run ended.
-pub fn classify_cluster(
+/// # Panics
+///
+/// Panics if the schedule's population/fault-bound combination is
+/// rejected by [`rtc_core::CommitConfig`], or if the schedule maps to
+/// an invalid fault plan — generated schedules never do either.
+pub(crate) fn boot_inputs(
     schedule: &ChaosSchedule,
-    report: &ClusterReport,
-    timing: TimingParams,
-) -> CommitVerdict {
-    let deciding = report.all_nonfaulty_decided();
-    let failure_free = schedule.crashes.is_empty() && !report.crashed.iter().any(|c| *c);
-    let on_time = report.late_messages(timing.k()) == 0 && report.messages_undelivered == 0;
-    let agreement = applied(report.agreement_holds());
-
-    // Decisions of the processors that owe one: never-crashed or
-    // crashed-then-restarted.
-    let owed: Vec<Value> = report
-        .statuses
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !report.crashed[*i] || report.recovered[*i])
-        .filter_map(|(_, s)| s.value())
-        .collect();
-
-    let abort_validity = if deciding && schedule.votes.contains(&Value::Zero) {
-        applied(owed.iter().all(|v| *v == Value::Zero))
-    } else {
-        Condition::NotApplicable
-    };
-    let commit_validity =
-        if deciding && failure_free && on_time && schedule.votes.iter().all(|v| *v == Value::One) {
-            applied(owed.iter().all(|v| *v == Value::One))
-        } else {
-            Condition::NotApplicable
-        };
-
-    CommitVerdict {
-        agreement,
-        abort_validity,
-        commit_validity,
-        deciding,
-        failure_free,
-        on_time,
-    }
+    tick: Duration,
+) -> (Vec<CommitAutomaton>, SeedCollection, FaultPlan) {
+    let plan = to_fault_plan(schedule, tick);
+    plan.validate(schedule.n, schedule.t)
+        .expect("generated schedules map to valid fault plans");
+    (
+        commit_population(schedule.commit_config(), &schedule.votes),
+        SeedCollection::new(schedule.seed),
+        plan,
+    )
 }
 
 /// Runs `schedule` on the threaded runtime, classifying the outcome.
@@ -142,36 +107,14 @@ pub fn classify_cluster(
 ///
 /// # Panics
 ///
-/// Panics if the schedule's population/fault-bound combination is
-/// rejected by [`CommitConfig`], or if the schedule maps to an invalid
-/// fault plan — generated schedules never do either.
+/// Panics on a schedule no generator produces — see `boot_inputs`.
 pub fn run_on_runtime(
     schedule: &ChaosSchedule,
     opts: ClusterOptions,
 ) -> (ChaosReport, ClusterReport) {
-    let cfg = CommitConfig::new(schedule.n, schedule.t, TimingParams::default())
-        .expect("schedule population accepts its fault bound")
-        .with_early_abort(schedule.early_abort);
-    let plan = to_fault_plan(schedule, opts.tick);
-    plan.validate(schedule.n, schedule.t)
-        .expect("generated schedules map to valid fault plans");
-    let report = run_cluster_recoverable(
-        commit_population(cfg, &schedule.votes),
-        SeedCollection::new(schedule.seed),
-        plan,
-        opts,
-    );
-    let verdict = classify_cluster(schedule, &report, cfg.timing());
-    let late_messages = report.late_messages(cfg.timing().k()) as u64;
-    (
-        ChaosReport {
-            substrate: Substrate::Runtime,
-            outcome: classify_verdict(&verdict),
-            verdict,
-            late_messages,
-        },
-        report,
-    )
+    let (population, seeds, plan) = boot_inputs(schedule, opts.tick);
+    let report = run_cluster_recoverable(population, seeds, plan, opts);
+    (judge_cluster(Substrate::Runtime, schedule, &report), report)
 }
 
 /// Runs `schedule` on the threaded runtime under the self-healing
@@ -181,36 +124,16 @@ pub fn run_on_runtime(
 ///
 /// # Panics
 ///
-/// Panics on the same config/plan inconsistencies as
-/// [`run_on_runtime`] — generated schedules never trigger them.
+/// Panics on a schedule no generator produces — see `boot_inputs`.
 pub fn run_on_supervised(
     schedule: &ChaosSchedule,
     opts: ClusterOptions,
     policy: SupervisorPolicy,
 ) -> (ChaosReport, ClusterReport, SupervisorReport) {
-    let cfg = CommitConfig::new(schedule.n, schedule.t, TimingParams::default())
-        .expect("schedule population accepts its fault bound")
-        .with_early_abort(schedule.early_abort);
-    let plan = to_fault_plan(schedule, opts.tick);
-    plan.validate(schedule.n, schedule.t)
-        .expect("generated schedules map to valid fault plans");
-    let (report, sup) = run_cluster_supervised(
-        commit_population(cfg, &schedule.votes),
-        SeedCollection::new(schedule.seed),
-        plan,
-        opts,
-        schedule.t,
-        policy,
-    );
-    let verdict = classify_cluster(schedule, &report, cfg.timing());
-    let late_messages = report.late_messages(cfg.timing().k()) as u64;
+    let (population, seeds, plan) = boot_inputs(schedule, opts.tick);
+    let (report, sup) = run_cluster_supervised(population, seeds, plan, opts, schedule.t, policy);
     (
-        ChaosReport {
-            substrate: Substrate::Supervised,
-            outcome: classify_verdict(&verdict),
-            verdict,
-            late_messages,
-        },
+        judge_cluster(Substrate::Supervised, schedule, &report),
         report,
         sup,
     )
@@ -218,7 +141,7 @@ pub fn run_on_supervised(
 
 #[cfg(test)]
 mod tests {
-    use rtc_model::ProcessorId;
+    use rtc_model::{ProcessorId, Value};
 
     use super::*;
     use crate::outcome::ChaosOutcome;
@@ -247,50 +170,35 @@ mod tests {
 
     #[test]
     fn faultfree_schedule_decides_on_the_runtime() {
-        let s = ChaosSchedule {
-            seed: 31,
-            n: 3,
-            t: 1,
-            votes: vec![Value::One; 3],
-            early_abort: true,
-            delay: ChaosDelay::None,
-            crashes: Vec::new(),
-            restarts: Vec::new(),
-            flaps: Vec::new(),
-            partitions: Vec::new(),
-            duplicate_permille: 0,
-            reset_permille: 0,
-            reorder_permille: 0,
-        };
+        let s = ChaosSchedule::fault_free(3, 31, vec![Value::One; 3]);
         let (rep, cluster) = run_on_runtime(&s, fast_opts());
         assert_eq!(rep.outcome, ChaosOutcome::Decided, "{:?}", cluster.statuses);
     }
 
+    /// `p2` crashing with its final sends lost. The crash fires after
+    /// `p2`'s first step: no processor of any run has decided by then
+    /// (a decision takes at least three), so the cluster cannot finish
+    /// before the crash however the host schedules the threads — at
+    /// `at_step: 4` a victim that decided in three steps halted first,
+    /// about once in four runs under load.
+    fn early_crash_of_p2(seed: u64) -> ChaosSchedule {
+        let mut s = ChaosSchedule::fault_free(3, seed, vec![Value::One; 3]);
+        s.crashes.push(ChaosCrash {
+            victim: ProcessorId::new(2),
+            at_step: 1,
+            drop_final_sends: true,
+        });
+        s
+    }
+
     #[test]
     fn crash_and_snapshot_restart_rejoins_on_the_runtime() {
-        let s = ChaosSchedule {
-            seed: 32,
-            n: 3,
-            t: 1,
-            votes: vec![Value::One; 3],
-            early_abort: true,
-            delay: ChaosDelay::None,
-            crashes: vec![ChaosCrash {
-                victim: ProcessorId::new(2),
-                at_step: 4,
-                drop_final_sends: true,
-            }],
-            restarts: vec![ChaosRestart {
-                victim: ProcessorId::new(2),
-                delay_steps: 20,
-                from_snapshot: true,
-            }],
-            flaps: Vec::new(),
-            partitions: Vec::new(),
-            duplicate_permille: 0,
-            reset_permille: 0,
-            reorder_permille: 0,
-        };
+        let mut s = early_crash_of_p2(32);
+        s.restarts.push(ChaosRestart {
+            victim: ProcessorId::new(2),
+            delay_steps: 20,
+            from_snapshot: true,
+        });
         let (rep, cluster) = run_on_runtime(&s, fast_opts());
         assert!(rep.outcome.is_safe(), "{}", rep.outcome);
         assert!(cluster.crashed[2] && cluster.recovered[2]);
@@ -298,27 +206,9 @@ mod tests {
 
     #[test]
     fn supervisor_substitutes_for_scripted_restarts() {
-        // Same crash as above but no scripted restart at all: the
-        // supervisor must notice the crash and bring the node back.
-        let s = ChaosSchedule {
-            seed: 33,
-            n: 3,
-            t: 1,
-            votes: vec![Value::One; 3],
-            early_abort: true,
-            delay: ChaosDelay::None,
-            crashes: vec![ChaosCrash {
-                victim: ProcessorId::new(2),
-                at_step: 4,
-                drop_final_sends: true,
-            }],
-            restarts: Vec::new(),
-            flaps: Vec::new(),
-            partitions: Vec::new(),
-            duplicate_permille: 0,
-            reset_permille: 0,
-            reorder_permille: 0,
-        };
+        // Same crash but no scripted restart at all: the supervisor
+        // must notice the crash and bring the node back.
+        let s = early_crash_of_p2(33);
         let mut opts = fast_opts();
         opts.wall_timeout = Duration::from_secs(5);
         let (rep, cluster, sup) = run_on_supervised(&s, opts, SupervisorPolicy::default());

@@ -11,7 +11,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rtc_core::CommitConfig;
-use rtc_model::{ProcessorId, Value};
+use rtc_model::{ProcessorId, TimingParams, Value};
 
 /// One scripted crash: the victim's thread/automaton fails once its
 /// local clock reaches `at_step`.
@@ -172,6 +172,46 @@ impl Default for ScheduleParams {
 }
 
 impl ChaosSchedule {
+    /// The schedule in which nothing goes wrong: `n` processors voting
+    /// `votes` under the largest fault bound `n` tolerates, early abort
+    /// on, a prompt network. Hand-written schedules start here and add
+    /// their faults.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one vote per processor.
+    pub fn fault_free(n: usize, seed: u64, votes: Vec<Value>) -> ChaosSchedule {
+        assert_eq!(votes.len(), n, "one vote per processor");
+        ChaosSchedule {
+            seed,
+            n,
+            t: CommitConfig::max_tolerated(n),
+            votes,
+            early_abort: true,
+            delay: ChaosDelay::None,
+            crashes: Vec::new(),
+            restarts: Vec::new(),
+            flaps: Vec::new(),
+            partitions: Vec::new(),
+            duplicate_permille: 0,
+            reset_permille: 0,
+            reorder_permille: 0,
+        }
+    }
+
+    /// The protocol configuration the schedule runs under, on every
+    /// substrate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the population rejects the fault bound — generated
+    /// schedules never do.
+    pub fn commit_config(&self) -> CommitConfig {
+        CommitConfig::new(self.n, self.t, TimingParams::default())
+            .expect("schedule population accepts its fault bound")
+            .with_early_abort(self.early_abort)
+    }
+
     /// Deterministically generates the `index`-th schedule of the
     /// campaign identified by `campaign_seed`.
     ///
@@ -354,19 +394,10 @@ impl ChaosSchedule {
             Vec::new()
         };
         ChaosSchedule {
-            seed,
-            n,
-            t,
-            votes: vec![Value::One; n],
             early_abort: false,
-            delay: ChaosDelay::None,
             crashes,
             restarts,
-            flaps: Vec::new(),
-            partitions: Vec::new(),
-            duplicate_permille: 0,
-            reset_permille: 0,
-            reorder_permille: 0,
+            ..ChaosSchedule::fault_free(n, seed, vec![Value::One; n])
         }
     }
 

@@ -23,14 +23,14 @@ use std::time::Duration;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rtc_core::{commit_population, CommitConfig};
+use rtc_core::commit_population;
 use rtc_model::{ProcessorId, SeedCollection, TimingParams, Value};
 use rtc_net::{run_net_supervised, NetOptions, NetRunStats};
 use rtc_runtime::SupervisorPolicy;
 
-use crate::outcome::{classify_verdict, ChaosOutcome};
-use crate::runtime_driver::{classify_cluster, to_fault_plan};
-use crate::schedule::{ChaosCrash, ChaosDelay, ChaosPartition, ChaosRestart, ChaosSchedule};
+use crate::outcome::{judge_cluster, ChaosOutcome, Substrate};
+use crate::runtime_driver::to_fault_plan;
+use crate::schedule::{ChaosCrash, ChaosPartition, ChaosRestart, ChaosSchedule};
 use crate::sim_driver::run_on_sim_with_decision;
 
 /// Knobs for one soak run.
@@ -145,7 +145,6 @@ impl fmt::Display for SoakReport {
 fn round_schedules(cfg: &SoakConfig, round: u64) -> Vec<ChaosSchedule> {
     let mut rng =
         SmallRng::seed_from_u64(cfg.seed ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x50A4);
-    let t = CommitConfig::max_tolerated(cfg.n);
     let partition = ChaosPartition {
         side: vec![ProcessorId::new(rng.gen_range(0..cfg.n))],
         from_step: 0,
@@ -182,19 +181,13 @@ fn round_schedules(cfg: &SoakConfig, round: u64) -> Vec<ChaosSchedule> {
                 v
             };
             ChaosSchedule {
-                seed: rng.gen_range(0..u64::MAX),
-                n: cfg.n,
-                t,
-                votes,
-                early_abort: true,
-                delay: ChaosDelay::None,
                 crashes: crashes.clone(),
                 restarts: restarts.clone(),
-                flaps: Vec::new(),
                 partitions: vec![partition.clone()],
                 duplicate_permille: 300,
                 reset_permille: 150,
                 reorder_permille: 250,
+                ..ChaosSchedule::fault_free(cfg.n, rng.gen_range(0..u64::MAX), votes)
             }
         })
         .collect()
@@ -228,12 +221,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
             .expect("soak rounds map to valid fault plans");
         let populations = schedules
             .iter()
-            .map(|s| {
-                let commit_cfg = CommitConfig::new(s.n, s.t, timing)
-                    .expect("soak population accepts its fault bound")
-                    .with_early_abort(s.early_abort);
-                commit_population(commit_cfg, &s.votes)
-            })
+            .map(|s| commit_population(s.commit_config(), &s.votes))
             .collect();
         let seeds = schedules
             .iter()
@@ -243,13 +231,13 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
 
         for (k, s) in schedules.iter().enumerate() {
             let instance = &net.instances[k];
-            let verdict = classify_cluster(s, instance, timing);
-            if let ChaosOutcome::Violation(what) = classify_verdict(&verdict) {
+            let net_rep = judge_cluster(Substrate::Net, s, instance);
+            if let ChaosOutcome::Violation(what) = net_rep.outcome {
                 report
                     .violations
                     .push(format!("round {round} instance {k} on net: {what}"));
             }
-            if verdict.deciding {
+            if net_rep.verdict.deciding {
                 report.decided += 1;
             }
             let net_decision = instance.statuses.iter().find_map(|st| st.value());
@@ -272,13 +260,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
             }
         }
 
-        report.stats.frames_sent += net.stats.frames_sent;
-        report.stats.frames_dropped += net.stats.frames_dropped;
-        report.stats.reconnects += net.stats.reconnects;
-        report.stats.links_given_up += net.stats.links_given_up;
-        report.stats.resets_injected += net.stats.resets_injected;
-        report.stats.deliveries += net.stats.deliveries;
-        report.stats.late_deliveries += net.stats.late_deliveries;
+        report.stats += &net.stats;
         report.supervisor_restarts += u64::from(sup.total_restarts());
     }
     report
@@ -302,6 +284,7 @@ mod tests {
         // The proxies really did inject faults on live traffic.
         assert!(report.stats.resets_injected > 0, "{report}");
         assert!(report.stats.frames_sent > 0);
+        assert!(report.stats.writes > 0, "every counter is summed");
         // Round 0 crashes a node; the supervisor must have healed it.
         assert!(report.supervisor_restarts >= 1, "{report}");
     }

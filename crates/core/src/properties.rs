@@ -14,7 +14,7 @@
 //! The checkers below evaluate these over a finished run's report and
 //! trace; tests and experiments call them after every simulation.
 
-use rtc_model::{ProcessorId, TimingParams, Value};
+use rtc_model::{ProcessorId, Status, TimingParams, Value};
 use rtc_sim::{RunReport, Trace};
 
 /// Outcome of one condition: it either did not apply to this run (its
@@ -68,22 +68,91 @@ impl CommitVerdict {
     }
 }
 
-fn nonfaulty_decisions(report: &RunReport, n: usize) -> Vec<Option<Value>> {
-    ProcessorId::all(n)
-        .map(|p| {
-            if report.is_faulty(p) {
-                None
-            } else {
-                report.statuses()[p.index()].value()
-            }
-        })
-        .collect()
+/// What one finished run has to say for itself before Section 2.4 can
+/// judge it — the facts every substrate can state, however it observed
+/// them (an event trace on the simulator, cluster reports and lateness
+/// monitors on the wall-clock substrates).
+#[derive(Clone, Debug)]
+pub struct RunFacts<'a> {
+    /// Final status per processor.
+    pub statuses: &'a [Status],
+    /// Which processors owe no decision: crashed and not brought back.
+    /// A recovered processor is not excused — it owes again.
+    pub excused: Vec<bool>,
+    /// No processor crashed at any point of the run.
+    pub failure_free: bool,
+    /// No message of the run is late at the configured `K` — none
+    /// delivered late, and none still held that can only arrive late.
+    pub on_time: bool,
 }
 
-/// Checks the three commit conditions over a finished run.
+/// The three commit conditions of Section 2.4 over a run's facts — the
+/// one place in the workspace that decides them (`rtc-spec`'s checker,
+/// independent by design, excepted).
 ///
 /// `initial` is the vector of initial votes (the run's initial
 /// configuration `I`).
+///
+/// # Panics
+///
+/// Panics unless `initial`, `statuses` and `excused` have one entry per
+/// processor.
+pub fn verify_commit(initial: &[Value], facts: &RunFacts<'_>) -> CommitVerdict {
+    assert_eq!(
+        initial.len(),
+        facts.statuses.len(),
+        "one initial value per processor"
+    );
+    assert_eq!(facts.excused.len(), facts.statuses.len());
+    let owing = || {
+        facts
+            .statuses
+            .iter()
+            .zip(&facts.excused)
+            .filter(|(_, excused)| !**excused)
+            .map(|(s, _)| *s)
+    };
+    let deciding = owing().all(Status::is_decided);
+    // Agreement binds every configuration, so a decision made before a
+    // crash counts too.
+    let mut decided = facts.statuses.iter().filter_map(|s| s.value());
+    let agreement = Condition::applied(match decided.next() {
+        Some(first) => decided.all(|v| v == first),
+        None => true,
+    });
+    let owed_all = |want: Value| owing().filter_map(Status::value).all(|v| v == want);
+
+    let abort_validity = if deciding && initial.contains(&Value::Zero) {
+        Condition::applied(owed_all(Value::Zero))
+    } else {
+        Condition::NotApplicable
+    };
+    let commit_validity = if deciding
+        && facts.failure_free
+        && facts.on_time
+        && initial.iter().all(|v| *v == Value::One)
+    {
+        Condition::applied(owed_all(Value::One))
+    } else {
+        Condition::NotApplicable
+    };
+
+    CommitVerdict {
+        agreement,
+        abort_validity,
+        commit_validity,
+        deciding,
+        failure_free: facts.failure_free,
+        on_time: facts.on_time,
+    }
+}
+
+/// Checks the three commit conditions over a finished simulator run:
+/// states the run's [`RunFacts`] from its report and trace and hands
+/// them to [`verify_commit`]. On-time is judged for the *prefix* the
+/// trace records: no delivery was late ([`Trace::is_on_time`]) and no
+/// message still held is already overdue
+/// ([`Trace::has_overdue_pending`]).
 ///
 /// # Panics
 ///
@@ -94,43 +163,18 @@ pub fn verify_commit_run(
     trace: &Trace,
     timing: TimingParams,
 ) -> CommitVerdict {
-    assert_eq!(
-        initial.len(),
-        trace.population(),
-        "one initial value per processor"
-    );
-    let n = trace.population();
-    let failure_free = trace.faulty().is_empty();
-    let on_time = trace.is_on_time(timing.k());
-    let deciding = report.all_nonfaulty_decided();
-    let agreement = Condition::applied(report.agreement_holds());
-
-    let nonfaulty: Vec<Value> = nonfaulty_decisions(report, n)
-        .into_iter()
-        .flatten()
-        .collect();
-
-    let abort_validity = if deciding && initial.contains(&Value::Zero) {
-        Condition::applied(nonfaulty.iter().all(|v| *v == Value::Zero))
-    } else {
-        Condition::NotApplicable
-    };
-
-    let commit_validity =
-        if deciding && failure_free && on_time && initial.iter().all(|v| *v == Value::One) {
-            Condition::applied(nonfaulty.iter().all(|v| *v == Value::One))
-        } else {
-            Condition::NotApplicable
-        };
-
-    CommitVerdict {
-        agreement,
-        abort_validity,
-        commit_validity,
-        deciding,
-        failure_free,
-        on_time,
-    }
+    let k = timing.k();
+    verify_commit(
+        initial,
+        &RunFacts {
+            statuses: report.statuses(),
+            excused: ProcessorId::all(trace.population())
+                .map(|p| report.is_faulty(p))
+                .collect(),
+            failure_free: trace.faulty().is_empty(),
+            on_time: trace.is_on_time(k) && !trace.has_overdue_pending(k),
+        },
+    )
 }
 
 /// The verdict of checking one agreement-problem run (Section 2.4's
@@ -165,9 +209,9 @@ pub fn verify_agreement_run(initial: &[Value], report: &RunReport) -> AgreementV
     let unanimous = initial.windows(2).all(|w| w[0] == w[1]);
     let validity = if deciding && unanimous {
         let expected = initial[0];
-        let ok = nonfaulty_decisions(report, n)
-            .into_iter()
-            .flatten()
+        let ok = ProcessorId::all(n)
+            .filter(|p| !report.is_faulty(*p))
+            .filter_map(|p| report.statuses()[p.index()].value())
             .all(|v| v == expected);
         Condition::applied(ok)
     } else {

@@ -200,6 +200,16 @@ fn explore<A, S>(
 
 /// The standard safety predicate for commit protocols: at most one
 /// decided value, and if any processor started with 0, nobody commits.
+///
+/// This is a *prefix invariant*, checked on every configuration the
+/// explorer reaches — undecided ones included — and it binds crashed
+/// processors too. It is deliberately not
+/// `rtc_core::properties::verify_commit`, which judges the Section 2.4
+/// conditions of a finished *run*: abort validity there binds only
+/// deciding runs and only the processors that owe a decision, so
+/// checking that instead would let the model checker pass a schedule
+/// in which somebody commits against an abort vote and the run then
+/// stalls.
 pub fn commit_safety(initial: &[Value]) -> impl Fn(&RunSummary) -> Result<(), String> + '_ {
     move |summary: &RunSummary| {
         if !summary.agreement_holds() {

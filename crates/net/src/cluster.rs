@@ -93,6 +93,31 @@ impl NetRunStats {
     }
 }
 
+impl std::ops::AddAssign<&NetRunStats> for NetRunStats {
+    /// Sums every counter. The destructuring is exhaustive on purpose:
+    /// a new counter does not compile until it is summed here too.
+    fn add_assign(&mut self, run: &NetRunStats) {
+        let NetRunStats {
+            frames_sent,
+            writes,
+            frames_dropped,
+            reconnects,
+            links_given_up,
+            resets_injected,
+            deliveries,
+            late_deliveries,
+        } = run;
+        self.frames_sent += frames_sent;
+        self.writes += writes;
+        self.frames_dropped += frames_dropped;
+        self.reconnects += reconnects;
+        self.links_given_up += links_given_up;
+        self.resets_injected += resets_injected;
+        self.deliveries += deliveries;
+        self.late_deliveries += late_deliveries;
+    }
+}
+
 /// The outcome of one socket cluster run: one [`ClusterReport`] per
 /// multiplexed commit instance, plus the socket-layer stats.
 #[derive(Clone, Debug)]

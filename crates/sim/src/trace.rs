@@ -697,6 +697,66 @@ impl Trace {
         })
     }
 
+    /// Whether the prefix ends holding an *overdue* message: one whose
+    /// destination is up, neither delivered nor dropped at a crash, and
+    /// sent so long ago that some processor has already taken more than
+    /// `k` steps since. Such a message is late whenever it arrives, so
+    /// no on-time run extends this prefix — although
+    /// [`Trace::is_on_time`], which judges deliveries only, still holds.
+    /// Like it, a pass over the rows: no message record is derived.
+    pub fn has_overdue_pending(&self, k: u64) -> bool {
+        // Some processor is more than `k` steps past event `s` exactly
+        // when `s` precedes that processor's (k+1)-th step from the end.
+        let back = usize::try_from(k).map_or(usize::MAX, |k| k.saturating_add(1));
+        let horizon = self
+            .step_events
+            .iter()
+            .filter_map(|steps| Some(steps[steps.len().checked_sub(back)?]))
+            .max();
+        // Ids are dense in send order: the rows before the horizon
+        // minted exactly the ids below `old`.
+        let old = match horizon {
+            None | Some(0) => return false,
+            Some(h) => self.cols.sent_end[h as usize - 1] as usize,
+        };
+        let mut pending = vec![true; old];
+        for id in self.cols.deliv_pool.iter().chain(&self.table.dropped) {
+            if let Some(slot) = pending.get_mut(id.index()) {
+                *slot = false;
+            }
+        }
+        if !pending.contains(&true) {
+            return false;
+        }
+        let n = self.population();
+        let mut down = vec![false; n];
+        let mut dest: Vec<ProcessorId> = Vec::with_capacity(old);
+        let mut explicit = self.table.explicit.iter().peekable();
+        for idx in 0..self.cols.len() {
+            let row = self.cols.row(idx);
+            match row.kind {
+                KIND_CRASH => down[row.p as usize] = true,
+                KIND_REVIVE => down[row.p as usize] = false,
+                _ if dest.len() >= old => {}
+                KIND_STEP => {
+                    let first = dest.len() as u32;
+                    let count = (row.sent_end - first) as usize;
+                    if count == 0 {
+                        // Sent nothing.
+                    } else if let Some((_, start)) = explicit.next_if(|(run, _)| *run == first) {
+                        dest.extend_from_slice(&self.table.dest_pool[*start as usize..][..count]);
+                    } else {
+                        let from = ProcessorId::new(row.p as usize);
+                        dest.extend(ProcessorId::all(n).filter(|to| *to != from));
+                    }
+                }
+                KIND_DUPLICATE => dest.push(dest[row.clock as usize]),
+                _ => {}
+            }
+        }
+        (0..old).any(|id| pending[id] && !down[dest[id].index()])
+    }
+
     /// Number of events in the traced prefix.
     pub fn event_count(&self) -> usize {
         self.cols.len()
@@ -1021,6 +1081,73 @@ mod tests {
         let mut t = Trace::new(2);
         sending_step(&mut t, 0, 1, &[], 0, &[1]);
         assert!(!t.is_late(&t.messages()[0], 1));
+    }
+
+    /// The overdue-pending rule by its definition, over derived message
+    /// records: what [`Trace::has_overdue_pending`]'s row pass must
+    /// agree with.
+    fn overdue_by_definition(t: &Trace, k: u64) -> bool {
+        let mut down = vec![false; t.population()];
+        for ev in t.events() {
+            match ev {
+                EventView::Crash { p } => down[p.index()] = true,
+                EventView::Revive { p } => down[p.index()] = false,
+                _ => {}
+            }
+        }
+        let end = t.event_count() as u64;
+        t.messages().iter().any(|m| {
+            !m.delivered()
+                && !m.dropped
+                && !down[m.to.index()]
+                && ProcessorId::all(t.population())
+                    .any(|p| t.steps_between(p, m.send_event, end) > k)
+        })
+    }
+
+    #[test]
+    fn a_held_message_is_overdue_from_k_plus_one_steps_on() {
+        let k = 3;
+        let mut t = Trace::new(3);
+        sending_step(&mut t, 0, 1, &[], 0, &[1]); // event 0: id 0, p0 -> p1
+        for clock in 1..=k {
+            t.push_event(step(2, clock));
+        }
+        // Exactly K steps old: it can still arrive on time.
+        assert!(!t.has_overdue_pending(k) && !overdue_by_definition(&t, k));
+        t.push_event(step(2, k + 1));
+        // K + 1: late whenever it arrives, though nothing late was
+        // delivered.
+        assert!(t.has_overdue_pending(k) && overdue_by_definition(&t, k));
+        assert!(t.is_on_time(k));
+        assert!(!t.has_overdue_pending(k + 1));
+
+        // A message nobody is up to receive is owed to nobody ...
+        let mut down = t.clone();
+        down.push_event(EventRecord::Crash { p: pid(1) });
+        assert!(!down.has_overdue_pending(k) && !overdue_by_definition(&down, k));
+        // ... until its destination is back.
+        down.push_event(EventRecord::Revive { p: pid(1) });
+        assert!(down.has_overdue_pending(k) && overdue_by_definition(&down, k));
+
+        // Dropped at its sender's crash: never owed.
+        let mut dropped = t.clone();
+        dropped.note_drop(MsgId(0));
+        dropped.push_event(EventRecord::Crash { p: pid(0) });
+        assert!(!dropped.has_overdue_pending(k) && !overdue_by_definition(&dropped, k));
+
+        // Delivered: late, not pending — and its fresh network copy is
+        // a message of its own, overdue only K + 1 steps after *it* was
+        // made.
+        let mut copied = t.clone();
+        copied.push_duplicate(pid(0), MsgId(0), MsgId(1));
+        sending_step(&mut copied, 1, 1, &[0], 2, &[]);
+        assert!(!copied.is_on_time(k));
+        assert!(!copied.has_overdue_pending(k) && !overdue_by_definition(&copied, k));
+        for clock in k + 2..=2 * k + 2 {
+            copied.push_event(step(2, clock));
+        }
+        assert!(copied.has_overdue_pending(k) && overdue_by_definition(&copied, k));
     }
 
     #[test]

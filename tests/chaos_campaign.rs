@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use rtc::chaos::{
     run_campaign, run_on_runtime, run_on_sim, run_theorem11, CampaignConfig, ChaosOutcome,
-    ChaosPartition, ChaosSchedule, ScheduleParams,
+    ChaosPartition, ChaosSchedule, ScheduleParams, Substrate,
 };
 use rtc::model::ProcessorId;
 use rtc::prelude::ClusterOptions;
@@ -37,9 +37,12 @@ fn campaign_of_200_schedules_is_safe_on_the_simulator() {
     };
     let summary = run_campaign(&cfg);
     assert!(summary.ok(), "violations: {:#?}", summary.violations);
-    assert_eq!(summary.sim_decided + summary.sim_stalled, 200);
+    assert_eq!(
+        summary.decided(Substrate::Sim) + summary.stalled(Substrate::Sim),
+        200
+    );
     assert!(
-        summary.sim_decided >= 150,
+        summary.decided(Substrate::Sim) >= 150,
         "most schedules are recoverable and must decide: {summary}"
     );
 }
@@ -124,7 +127,7 @@ fn supervised_campaign_is_safe_and_self_heals() {
         "runtime + supervised ran every schedule"
     );
     assert!(
-        summary.supervised_decided >= 20,
+        summary.decided(Substrate::Supervised) >= 20,
         "the supervisor must self-heal the large majority of schedules: {summary}"
     );
 }
@@ -182,6 +185,36 @@ fn partition_smoke_100_hostile_schedules_on_both_substrates() {
         late_runs > 0 && on_time_runs > 0,
         "the on-time/late dichotomy must be exercised: {late_runs} late, {on_time_runs} on-time"
     );
+}
+
+/// The bulk gate: two campaigns of 2 000 schedules, simulator only, no
+/// violation and every schedule accounted for. At this size a campaign
+/// meets the rare endings a 200-schedule one does not — each of these
+/// seeds has one run that aborts on all-commit votes while a partition
+/// still holds a message more than K steps old (indices 1488 and 1689),
+/// which a judge that calls such a prefix on-time reports as a commit
+/// validity violation. `#[ignore]`d for wall-clock: about 10 s in
+/// release on two cores (CI's `chaos-smoke` job runs it).
+#[test]
+#[ignore = "4 000 simulator schedules; run in release"]
+fn sweep_of_two_2000_schedule_campaigns_finds_no_violation() {
+    for (seed, decided, stalled) in [(0xC0A7_1986, 1927, 73), (0x5EED, 1931, 69)] {
+        let summary = run_campaign(&CampaignConfig {
+            schedules: 2000,
+            seed,
+            run_runtime: false,
+            ..CampaignConfig::default()
+        });
+        assert!(summary.ok(), "seed {seed:#x}: {:#?}", summary.violations);
+        assert_eq!(
+            (
+                summary.decided(Substrate::Sim),
+                summary.stalled(Substrate::Sim)
+            ),
+            (decided, stalled),
+            "seed {seed:#x}: {summary}"
+        );
+    }
 }
 
 /// Degraded crash-beyond-t schedules (no restarts) must stall without

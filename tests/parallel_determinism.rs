@@ -4,7 +4,7 @@
 //! classify every schedule exactly as the serial one does.
 
 use rtc::prelude::*;
-use rtc_chaos::{run_campaign, CampaignConfig};
+use rtc_chaos::{run_campaign, CampaignConfig, Substrate};
 use rtc_core::{commit_population, CommitConfig};
 use rtc_sim::adversaries::RandomAdversary;
 use rtc_sim::{RunLimits, SimBuilder};
@@ -67,9 +67,7 @@ fn fixed_seed_traces_are_byte_identical_to_pre_refactor() {
 /// The parallel campaign driver classifies every schedule exactly as
 /// the serial one: identical counts, identical violation list,
 /// identical shrunk reproducers, for any number of chunk threads — the
-/// machine's, a few, and more than there are chunks to steal. Batched
-/// simulation is on (the default), so every worker count also cuts the
-/// schedules into different batches.
+/// machine's, a few, and more than there are chunks to steal.
 #[test]
 fn parallel_campaign_matches_serial_classification() {
     let base = CampaignConfig {
@@ -78,9 +76,11 @@ fn parallel_campaign_matches_serial_classification() {
         run_runtime: false,
         ..CampaignConfig::default()
     };
-    assert!(base.batch_sim);
     let serial = run_campaign(&CampaignConfig { workers: 1, ..base });
-    assert_eq!(serial.sim_decided + serial.sim_stalled, 40);
+    assert_eq!(
+        serial.decided(Substrate::Sim) + serial.stalled(Substrate::Sim),
+        40
+    );
     for workers in [0usize, 2, 3, 8, 64] {
         let parallel = run_campaign(&CampaignConfig { workers, ..base });
         assert_eq!(

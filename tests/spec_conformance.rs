@@ -205,21 +205,7 @@ fn net_soak_shaped_chaos_round_lints_clean() {
     // never records. The chaos driver's spec hook collects the restart
     // kinds and lints the trace as part of the run.
     use rtc::chaos::{ChaosCrash, ChaosPartition, ChaosRestart};
-    let mut schedule = ChaosSchedule {
-        seed: 0x50AC,
-        n: 5,
-        t: 2,
-        votes: votes(5, 0x50AC),
-        early_abort: true,
-        delay: rtc::chaos::ChaosDelay::None,
-        crashes: Vec::new(),
-        restarts: Vec::new(),
-        flaps: Vec::new(),
-        partitions: Vec::new(),
-        duplicate_permille: 0,
-        reset_permille: 0,
-        reorder_permille: 0,
-    };
+    let mut schedule = ChaosSchedule::fault_free(5, 0x50AC, votes(5, 0x50AC));
     schedule.partitions.push(ChaosPartition {
         side: vec![ProcessorId::new(0), ProcessorId::new(1)],
         from_step: 1,
