@@ -12,11 +12,19 @@
 //!
 //! The policed regions are declared in the code itself: a
 //! `rtc-hot-loop(per-instance)` marker comment sits directly above each
-//! batch-stepping hot region (the batch engine's fairness-slice loops,
-//! the shared per-event apply path, the automaton ingest path), and
+//! batch-stepping hot region (the batch engine's fairness-slice loop,
+//! the shared per-event apply path, the send-run filing path), and
 //! this rule scans the statement or function the marker anchors.
 //! Intentional allocations inside a marked region carry an
 //! `rtc-allow(per-instance-alloc): <why>`.
+//!
+//! The scope is the engine only. `rtc-core`'s ingest path carried a
+//! marker until a commit instance's state moved inline: its writes now
+//! land in the automaton itself, there is no `Vec` in reach for the
+//! token list to see, and the one allocation that region ever made — a
+//! `push` growing a buffer — was a token this rule never matched. What
+//! an instance allocates is gated as an exact count instead
+//! (docs/ANALYSIS.md).
 
 use crate::diag::Diagnostic;
 use crate::engine::Workspace;
@@ -26,8 +34,8 @@ use crate::source::statement_region;
 /// The marker declaring a batch-stepping hot region.
 const MARKER: &str = "rtc-hot-loop(per-instance)";
 
-/// Crates whose stepping paths the batch plane drives.
-const SCOPE: [&str; 2] = ["rtc-sim", "rtc-core"];
+/// The crate whose stepping paths hold pooled scratch buffers.
+const SCOPE: &str = "rtc-sim";
 
 /// Allocating tokens banned inside a marked region. `with_capacity` is
 /// banned too: sizing an allocation does not amortize it — hot-region
@@ -63,11 +71,7 @@ impl Rule for PerInstanceAlloc {
 
     fn check(&self, ws: &Workspace) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        for file in ws
-            .files
-            .iter()
-            .filter(|f| SCOPE.contains(&f.crate_name.as_str()))
-        {
+        for file in ws.files.iter().filter(|f| f.crate_name == SCOPE) {
             // A marker anchors the first following code line; the
             // region is that statement (a `for` loop body) or function
             // (when the marker sits above an `fn` header). Markers are

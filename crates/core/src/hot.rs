@@ -2,22 +2,35 @@
 //!
 //! Every delivery in Protocol 2 touches two per-peer tables: "have I
 //! heard a `GO` from `p`?" and "what was `p`'s first vote?". The
-//! [`VoteBoard`] packs both into ONE byte per peer in a single
-//! allocation, so the per-delivery hot path is one indexed byte
-//! read-modify-write instead of two separately allocated structures
-//! (the old `Vec<bool>` + `Vec<Option<Value>>` pair).
+//! [`VoteBoard`] packs both into ONE byte per peer, so the per-delivery
+//! hot path is one indexed byte read-modify-write. Protocol 1's stage
+//! boards pack their two exchanges the same way.
 //!
-//! The layout is deliberately batch-friendly: a board is a flat dense
-//! slab indexed by processor index, so the boards of B concurrent
-//! instances concatenate into one `(instance, proc)`-dense table —
+//! The bytes live *in the board*: up to `PEERS_INLINE` peers a board
+//! is part of the automaton that owns it and has no heap object of its
+//! own; a larger population's board is one allocation
+//! ([`InlineVec`]). Either way a board is a flat dense slab indexed by
+//! processor index, so the boards of B concurrent instances concatenate
+//! into one `(instance, proc)`-dense table —
 //! `cells[instance * n + proc]` — the same keying the batch engine
 //! uses for its shared `(instance, dst)` message slab and its
 //! structure-of-arrays trace columns. [`VoteBoard::as_cells`] and
 //! [`VoteBoard::from_cells`] expose the raw slab for exactly that kind
 //! of aggregation, round-tripping without loss (the counts are
-//! recomputed from the cells).
+//! recomputed from the cells) whichever side of `PEERS_INLINE` the
+//! population is on.
 
 use rtc_model::{ProcessorId, Value};
+
+use crate::inline::InlineVec;
+
+/// Peers whose per-peer byte is held inline in a board. Every
+/// `BENCHMARK.json` workload and all but the n = 32 quarter of the
+/// scheduler corpus run n ≤ 16, and at 16 a board is 17 bytes against
+/// a `Vec`'s 24 plus its heap block; running a `commit_batch_n16`
+/// instance makes 65 allocations with the boards inline against 345
+/// with a `Vec` each (docs/PERF.md "PR 19").
+pub(crate) const PEERS_INLINE: usize = 16;
 
 /// `GO` heard from this peer.
 const GO: u8 = 0b001;
@@ -27,11 +40,11 @@ const VOTE_PRESENT: u8 = 0b010;
 /// [`VOTE_PRESENT`] is set).
 const VOTE_ONE: u8 = 0b100;
 
-/// Dense per-peer `GO`/vote table: one byte per processor, one
-/// allocation per automaton, first-write-wins semantics on both fields.
+/// Dense per-peer `GO`/vote table: one byte per processor, held inline
+/// up to 16 of them, first-write-wins semantics on both fields.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VoteBoard {
-    cells: Vec<u8>,
+    cells: InlineVec<u8, PEERS_INLINE>,
     go_count: usize,
     vote_count: usize,
 }
@@ -40,7 +53,7 @@ impl VoteBoard {
     /// An empty board for a population of `n` processors.
     pub fn new(n: usize) -> VoteBoard {
         VoteBoard {
-            cells: vec![0; n],
+            cells: InlineVec::filled(n, 0),
             go_count: 0,
             vote_count: 0,
         }
@@ -115,7 +128,7 @@ impl VoteBoard {
     /// segment of an `(instance, proc)` table), recomputing the counts.
     pub fn from_cells(cells: &[u8]) -> VoteBoard {
         VoteBoard {
-            cells: cells.to_vec(),
+            cells: cells.iter().copied().collect(),
             go_count: cells.iter().filter(|&&c| c & GO != 0).count(),
             vote_count: cells.iter().filter(|&&c| c & VOTE_PRESENT != 0).count(),
         }
@@ -169,13 +182,18 @@ mod tests {
 
     #[test]
     fn cell_slab_round_trips_with_counts() {
-        let mut b = VoteBoard::new(4);
-        b.mark_go(p(0));
-        b.mark_vote(p(0), Value::One);
-        b.mark_vote(p(3), Value::Zero);
-        let rebuilt = VoteBoard::from_cells(b.as_cells());
-        assert_eq!(rebuilt, b);
-        assert_eq!(rebuilt.go_count(), 1);
-        assert_eq!(rebuilt.vote_count(), 2);
+        // On both sides of the inline capacity.
+        for n in [4, PEERS_INLINE, PEERS_INLINE + 1, 40] {
+            let mut b = VoteBoard::new(n);
+            b.mark_go(p(0));
+            b.mark_vote(p(0), Value::One);
+            b.mark_vote(p(n - 1), Value::Zero);
+            assert_eq!(b.as_cells().len(), n);
+            let rebuilt = VoteBoard::from_cells(b.as_cells());
+            assert_eq!(rebuilt, b);
+            assert_eq!(rebuilt.go_count(), 1);
+            assert_eq!(rebuilt.vote_count(), 2);
+            assert_eq!(rebuilt.vote_of(p(n - 1)), Some(Value::Zero));
+        }
     }
 }

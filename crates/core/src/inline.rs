@@ -1,0 +1,241 @@
+//! An inline-then-spill sequence: the first `N` elements live in the
+//! value itself, and only a sequence that outgrows `N` moves to the
+//! heap.
+//!
+//! A commit instance is many small sequences — a byte per peer, the two
+//! or three stages in flight, the handful of payloads a step sends —
+//! each far below a cache line at the populations the system runs. Held
+//! as `Vec`s they are one heap object apiece, allocated when the
+//! instance is built and freed when its epoch ends, and an epoch's worth
+//! of those frees overflows the allocator's per-thread cache. Held
+//! inline they are part of the instance. Every capacity is a constant at
+//! its use site, with the measurement that chose it.
+//!
+//! Safe code throughout: the inline buffer is a plain `[T; N]` whose
+//! unused tail holds `T::default()`.
+
+use std::fmt;
+use std::ops::{Deref, DerefMut};
+
+/// A growable sequence of `T` that allocates only past `N` elements.
+///
+/// Reads go through [`Deref`] to a slice. `Debug`, `PartialEq` and `Eq`
+/// are the slice's: two sequences with equal elements are equal and
+/// print alike whichever side of `N` they were built on.
+#[derive(Clone)]
+pub struct InlineVec<T, const N: usize> {
+    repr: Repr<T, N>,
+}
+
+#[derive(Clone)]
+enum Repr<T, const N: usize> {
+    /// `buf[..len]` is the sequence; `buf[len..]` is `T::default()`.
+    Inline { len: u8, buf: [T; N] },
+    /// A sequence that grew past `N` at some point; it stays here.
+    Spilled(Vec<T>),
+}
+
+impl<T: Default, const N: usize> InlineVec<T, N> {
+    /// The empty sequence (no heap object).
+    pub fn new() -> InlineVec<T, N> {
+        const { assert!(N <= u8::MAX as usize, "the inline length is a byte") };
+        InlineVec {
+            repr: Repr::Inline {
+                len: 0,
+                buf: std::array::from_fn(|_| T::default()),
+            },
+        }
+    }
+
+    /// `len` copies of `value`.
+    pub fn filled(len: usize, value: T) -> InlineVec<T, N>
+    where
+        T: Clone,
+    {
+        if len > N {
+            return InlineVec {
+                repr: Repr::Spilled(vec![value; len]),
+            };
+        }
+        let mut seq = InlineVec::new();
+        for _ in 0..len {
+            seq.push(value.clone());
+        }
+        seq
+    }
+
+    /// Appends `value`, moving the sequence to the heap if it is the
+    /// `N + 1`th element.
+    pub fn push(&mut self, value: T) {
+        match &mut self.repr {
+            Repr::Inline { len, buf } => {
+                if let Some(free) = buf.get_mut(usize::from(*len)) {
+                    *free = value;
+                    *len += 1;
+                } else {
+                    let mut spilled = Vec::with_capacity(2 * N.max(1));
+                    spilled.extend(buf.iter_mut().map(std::mem::take));
+                    spilled.push(value);
+                    self.repr = Repr::Spilled(spilled);
+                }
+            }
+            Repr::Spilled(spilled) => spilled.push(value),
+        }
+    }
+
+    /// Removes and returns the element at `index`, putting the last
+    /// element in its place (order is not kept).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of bounds.
+    pub fn swap_remove(&mut self, index: usize) -> T {
+        match &mut self.repr {
+            Repr::Inline { len, buf } => {
+                let live = &mut buf[..usize::from(*len)];
+                let last = live.len() - 1;
+                live.swap(index, last);
+                *len -= 1;
+                std::mem::take(&mut live[last])
+            }
+            Repr::Spilled(spilled) => spilled.swap_remove(index),
+        }
+    }
+
+    /// Whether the sequence has moved to the heap.
+    pub fn spilled(&self) -> bool {
+        matches!(self.repr, Repr::Spilled(_))
+    }
+}
+
+impl<T: Default, const N: usize> Default for InlineVec<T, N> {
+    fn default() -> InlineVec<T, N> {
+        InlineVec::new()
+    }
+}
+
+impl<T, const N: usize> Deref for InlineVec<T, N> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match &self.repr {
+            Repr::Inline { len, buf } => &buf[..usize::from(*len)],
+            Repr::Spilled(spilled) => spilled,
+        }
+    }
+}
+
+impl<T, const N: usize> DerefMut for InlineVec<T, N> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        match &mut self.repr {
+            Repr::Inline { len, buf } => &mut buf[..usize::from(*len)],
+            Repr::Spilled(spilled) => spilled,
+        }
+    }
+}
+
+impl<T: fmt::Debug, const N: usize> fmt::Debug for InlineVec<T, N> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl<T: PartialEq, const N: usize> PartialEq for InlineVec<T, N> {
+    fn eq(&self, other: &InlineVec<T, N>) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: Eq, const N: usize> Eq for InlineVec<T, N> {}
+
+impl<T: Default, const N: usize> Extend<T> for InlineVec<T, N> {
+    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
+        for value in iter {
+            self.push(value);
+        }
+    }
+}
+
+impl<T: Default, const N: usize> FromIterator<T> for InlineVec<T, N> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> InlineVec<T, N> {
+        let mut seq = InlineVec::new();
+        seq.extend(iter);
+        seq
+    }
+}
+
+impl<T: Default, const N: usize> From<Vec<T>> for InlineVec<T, N> {
+    fn from(values: Vec<T>) -> InlineVec<T, N> {
+        if values.len() > N {
+            InlineVec {
+                repr: Repr::Spilled(values),
+            }
+        } else {
+            values.into_iter().collect()
+        }
+    }
+}
+
+impl<T: Default, const N: usize, const M: usize> From<[T; M]> for InlineVec<T, N> {
+    fn from(values: [T; M]) -> InlineVec<T, N> {
+        values.into_iter().collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn grows_inline_then_spills_and_reads_as_one_slice() {
+        let mut seq: InlineVec<u32, 3> = InlineVec::new();
+        assert!(seq.is_empty());
+        for i in 0..3 {
+            seq.push(i);
+        }
+        assert!(!seq.spilled());
+        assert_eq!(seq[..], [0, 1, 2]);
+        seq.push(3);
+        assert!(seq.spilled());
+        seq.push(4);
+        assert_eq!(seq[..], [0, 1, 2, 3, 4]);
+        seq[1] = 9;
+        assert_eq!(seq.iter().sum::<u32>(), 18);
+    }
+
+    #[test]
+    fn equality_and_debug_are_the_slices_on_both_sides_of_the_capacity() {
+        let inline: InlineVec<u8, 4> = [1, 2, 3].into();
+        let mut spilled: InlineVec<u8, 4> = vec![1, 2, 3, 4, 5].into();
+        assert!(spilled.spilled());
+        spilled.swap_remove(4);
+        spilled.swap_remove(3);
+        assert!(spilled.spilled(), "a spilled sequence stays spilled");
+        assert_eq!(inline, spilled);
+        assert_eq!(format!("{inline:?}"), "[1, 2, 3]");
+        assert_eq!(format!("{spilled:?}"), format!("{:?}", &[1u8, 2, 3][..]));
+        assert_ne!(inline, InlineVec::from([1, 2]));
+    }
+
+    #[test]
+    fn filled_picks_its_side_by_length() {
+        let small: InlineVec<u8, 16> = InlineVec::filled(16, 7);
+        let large: InlineVec<u8, 16> = InlineVec::filled(17, 7);
+        assert!(!small.spilled());
+        assert!(large.spilled());
+        assert_eq!((small.len(), large.len()), (16, 17));
+        assert!(small.iter().chain(large.iter()).all(|&b| b == 7));
+    }
+
+    #[test]
+    fn swap_remove_returns_the_element_and_resets_its_slot() {
+        let mut seq: InlineVec<String, 3> = ["a", "b", "c"].map(String::from).into();
+        assert_eq!(seq.swap_remove(0), "a");
+        assert_eq!(seq[..], ["c", "b"]);
+        assert_eq!(seq.swap_remove(1), "b");
+        assert_eq!(seq.swap_remove(0), "c");
+        assert!(seq.is_empty());
+        seq.extend(["x".to_owned()]);
+        assert_eq!(seq[..], ["x"]);
+    }
+}

@@ -13,6 +13,10 @@
 //!   vote windows, then Protocol 1 on the vote outcome.
 //! * [`CommitConfig`] — deployment parameters, enforcing `n > 2t`
 //!   (optimal by the paper's Theorem 14).
+//! * [`InlineVec`] — the inline-then-spill sequence a commit instance
+//!   keeps its per-peer bytes, its live stage boards and a step's
+//!   payload kinds in, so that an instance of up to 16 processors owns
+//!   no heap object but the shared coin list.
 //! * [`properties`] — mechanical checkers for the Agreement /
 //!   Abort-validity / Commit-validity conditions of Section 2.4.
 //!
@@ -50,6 +54,7 @@
 mod coins;
 mod config;
 mod hot;
+mod inline;
 pub mod properties;
 mod protocol1;
 mod protocol2;
@@ -57,7 +62,9 @@ mod protocol2;
 pub use coins::CoinList;
 pub use config::CommitConfig;
 pub use hot::VoteBoard;
+pub use inline::InlineVec;
 pub use protocol1::{Agreement, AgreementAutomaton, AgreementMsg};
 pub use protocol2::{
-    commit_population, decisions_of, CommitAutomaton, CommitKind, CommitMsg, CommitSnapshot,
+    commit_population, decisions_of, CommitAutomaton, CommitKind, CommitKinds, CommitMsg,
+    CommitSnapshot,
 };

@@ -25,14 +25,14 @@
 //! drives one); [`AgreementAutomaton`] wraps it as a standalone
 //! [`rtc_model::Automaton`] solving the agreement problem.
 
-use std::collections::BTreeMap;
 use std::fmt;
-
 use std::sync::Arc;
 
 use rtc_model::{Automaton, Outbox, ProcessorId, Status, StepRng, Value};
 
 use crate::coins::CoinList;
+use crate::hot::PEERS_INLINE;
+use crate::inline::InlineVec;
 
 /// A Protocol 1 message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -72,70 +72,159 @@ enum Waiting {
     Second,
 }
 
+/// A first-exchange message from this peer is posted.
+const FIRST: u8 = 0b0_0001;
+/// The posted first-exchange value is [`Value::One`].
+const FIRST_ONE: u8 = 0b0_0010;
+/// A second-exchange message from this peer is posted.
+const SECOND: u8 = 0b0_0100;
+/// The posted second-exchange message is an S-message (not `⊥`).
+const SECOND_S: u8 = 0b0_1000;
+/// The posted S-message's value is [`Value::One`].
+const SECOND_ONE: u8 = 0b1_0000;
+
 /// Per-stage bulletin board: who sent what, deduplicated by sender.
 ///
-/// Dense per-processor tables, not search trees: the board is posted to
-/// on every `Agree` delivery — the per-message hot path of the whole
-/// commit run — so a post must be an index plus a counter bump.
-#[derive(Clone, Debug)]
+/// One byte per peer packs both exchanges, the way
+/// [`VoteBoard`](crate::VoteBoard) packs `GO` and vote: the board is
+/// posted to on every `Agree` delivery — the per-message hot path of
+/// the whole commit run — so a post must be an index plus a counter
+/// bump, and up to `PEERS_INLINE` peers the bytes are part of the
+/// board.
+#[derive(Clone, Debug, Default)]
 struct StageBoard {
-    /// `first[p]` = the first-exchange value heard from `p`.
-    first: Vec<Option<Value>>,
+    cells: InlineVec<u8, PEERS_INLINE>,
     first_count: usize,
-    /// `second[p]` = the second-exchange message heard from `p`
-    /// (`Some(None)` is a posted `⊥`).
-    second: Vec<Option<Option<Value>>>,
     second_count: usize,
 }
 
 impl StageBoard {
     fn new(n: usize) -> StageBoard {
         StageBoard {
-            first: vec![None; n],
+            cells: InlineVec::filled(n, 0),
             first_count: 0,
-            second: vec![None; n],
             second_count: 0,
         }
     }
 
     /// Posts a first-exchange value from `from` (first one counts).
     fn post_first(&mut self, from: ProcessorId, v: Value) {
-        let slot = &mut self.first[from.index()];
-        if slot.is_none() {
-            *slot = Some(v);
+        let cell = &mut self.cells[from.index()];
+        if *cell & FIRST == 0 {
+            *cell |= FIRST | if v == Value::One { FIRST_ONE } else { 0 };
             self.first_count += 1;
         }
     }
 
     /// Posts a second-exchange message from `from` (first one counts).
     fn post_second(&mut self, from: ProcessorId, v: Option<Value>) {
-        let slot = &mut self.second[from.index()];
-        if slot.is_none() {
-            *slot = Some(v);
+        let cell = &mut self.cells[from.index()];
+        if *cell & SECOND == 0 {
+            *cell |= SECOND
+                | match v {
+                    None => 0,
+                    Some(Value::Zero) => SECOND_S,
+                    Some(Value::One) => SECOND_S | SECOND_ONE,
+                };
             self.second_count += 1;
         }
     }
+
+    fn post(&mut self, from: ProcessorId, msg: AgreementMsg) {
+        match msg {
+            AgreementMsg::First { value, .. } => self.post_first(from, value),
+            AgreementMsg::Second { value, .. } => self.post_second(from, value),
+        }
+    }
+
+    /// The first-exchange value posted by `p`, if any.
+    fn first_of(&self, p: ProcessorId) -> Option<Value> {
+        first_in(self.cells[p.index()])
+    }
+
+    /// The second-exchange message posted by `p`, if any (`Some(None)`
+    /// is a posted `⊥`).
+    fn second_of(&self, p: ProcessorId) -> Option<Option<Value>> {
+        let cell = self.cells[p.index()];
+        (cell & SECOND != 0).then(|| s_value_in(cell))
+    }
+
+    /// The posted first-exchange values, by processor index.
+    fn firsts(&self) -> impl Iterator<Item = Value> + '_ {
+        self.cells.iter().filter_map(|&cell| first_in(cell))
+    }
+
+    /// The values of the posted S-messages, by processor index.
+    fn s_values(&self) -> impl Iterator<Item = Value> + '_ {
+        self.cells.iter().filter_map(|&cell| s_value_in(cell))
+    }
 }
+
+fn first_in(cell: u8) -> Option<Value> {
+    (cell & FIRST != 0).then(|| Value::from_bool(cell & FIRST_ONE != 0))
+}
+
+fn s_value_in(cell: u8) -> Option<Value> {
+    (cell & SECOND_S != 0).then(|| Value::from_bool(cell & SECOND_ONE != 0))
+}
+
+/// Stage boards held inline in the machine. Protocol 1 reads only the
+/// current stage's board, re-sends from the previous stage's after a
+/// restart, and a peer one exchange ahead has already posted to the
+/// next one: three boards are the working set whenever delivery keeps
+/// peers within a stage of each other. That is every synchronous run,
+/// all 36 schedules of the batch-equivalence corpus and 107 of the
+/// scheduler corpus's 108 (the other opens a fourth board on 3 of its
+/// 16 machines). A peer further ahead than that opens a fourth board
+/// and the boards move to the heap.
+const LIVE_STAGES: usize = 3;
 
 /// The embeddable Protocol 1 state machine.
 ///
 /// Drive it with [`Agreement::start`], [`Agreement::ingest`] and
 /// [`Agreement::poll`]; broadcast every returned message to all *other*
-/// processors (the machine posts its own copy internally).
+/// processors (the machine posts its own copy internally). A caller
+/// that steps many machines hands [`Agreement::start_into`] and
+/// [`Agreement::poll_into`] a sink instead and allocates nothing.
+///
+/// The machine's state is inline: the boards of the stages in flight
+/// are part of it — three of them, of up to 16 processors each; a peer
+/// more than a stage ahead or a larger population moves them to the
+/// heap — so the only heap object a machine normally refers to is the
+/// shared coin list.
 #[derive(Clone)]
 pub struct Agreement {
     id: ProcessorId,
     n: usize,
     t: usize,
-    coins: Arc<CoinList>,
+    /// `None` only on a machine Protocol 2 has not given its input yet.
+    coins: Option<Arc<CoinList>>,
     x: Value,
     stage: u64,
     waiting: Waiting,
-    boards: BTreeMap<u64, StageBoard>,
+    /// `(stage, board)` for the previous stage, the current one and
+    /// every later stage something was posted for; found by scanning.
+    boards: InlineVec<(u64, StageBoard), LIVE_STAGES>,
     started: bool,
     decided: Option<(Value, u64)>,
     halted: bool,
     local_flips: u64,
+}
+
+/// The board of `stage`, opened if this is its first post.
+fn board_mut(
+    boards: &mut InlineVec<(u64, StageBoard), LIVE_STAGES>,
+    n: usize,
+    stage: u64,
+) -> &mut StageBoard {
+    let at = boards
+        .iter()
+        .position(|(s, _)| *s == stage)
+        .unwrap_or_else(|| {
+            boards.push((stage, StageBoard::new(n)));
+            boards.len() - 1
+        });
+    &mut boards[at].1
 }
 
 impl Agreement {
@@ -158,23 +247,58 @@ impl Agreement {
         x: Value,
         coins: impl Into<Arc<CoinList>>,
     ) -> Agreement {
-        let coins = coins.into();
+        let mut machine = Agreement::awaiting_input(id, n, t);
+        machine.set_input(x, coins.into());
+        machine
+    }
+
+    /// The machine as Protocol 2 holds it before instruction 12: it has
+    /// no input and no coins yet and cannot start, but a peer that got
+    /// there first may already be sending, and those messages are
+    /// posted ([`Agreement::ingest`]) exactly as they will be once it
+    /// runs — a post is first-write-wins per sender and depends on
+    /// neither `x_p` nor the coins.
+    ///
+    /// # Panics
+    ///
+    /// As [`Agreement::new`].
+    pub(crate) fn awaiting_input(id: ProcessorId, n: usize, t: usize) -> Agreement {
         assert!(n > 2 * t, "protocol 1 requires n > 2t (n = {n}, t = {t})");
         assert!(id.index() < n, "processor id out of range");
         Agreement {
             id,
             n,
             t,
-            coins,
-            x,
+            coins: None,
+            x: Value::Zero,
             stage: 1,
             waiting: Waiting::First,
-            boards: BTreeMap::new(),
+            boards: InlineVec::new(),
             started: false,
             decided: None,
             halted: false,
             local_flips: 0,
         }
+    }
+
+    /// Gives a machine made by [`Agreement::awaiting_input`] its input
+    /// and the shared coins; it can then [`Agreement::start_into`].
+    pub(crate) fn set_input(&mut self, x: Value, coins: Arc<CoinList>) {
+        debug_assert!(!self.started, "the input is fixed before stage 1");
+        self.x = x;
+        self.coins = Some(coins);
+    }
+
+    /// Whether stage 1 has begun.
+    pub(crate) fn started(&self) -> bool {
+        self.started
+    }
+
+    /// The first-exchange value on `stage`'s board for `p`, if any.
+    #[cfg(test)]
+    pub(crate) fn posted_first(&self, stage: u64, p: ProcessorId) -> Option<Value> {
+        let (_, board) = self.boards.iter().find(|(s, _)| *s == stage)?;
+        board.first_of(p)
     }
 
     /// The quorum size `n − t`.
@@ -187,16 +311,23 @@ impl Agreement {
     /// Returns the messages to broadcast. Idempotent: subsequent calls
     /// return nothing.
     pub fn start(&mut self) -> Vec<AgreementMsg> {
+        let mut out = Vec::new();
+        self.start_into(&mut |msg| out.push(msg));
+        out
+    }
+
+    /// [`Agreement::start`], handing the messages to `sink`.
+    pub fn start_into(&mut self, sink: &mut impl FnMut(AgreementMsg)) {
         if self.started {
-            return Vec::new();
+            return;
         }
+        debug_assert!(self.coins.is_some(), "started without an input");
         self.started = true;
-        let msg = AgreementMsg::First {
+        board_mut(&mut self.boards, self.n, 1).post_first(self.id, self.x);
+        sink(AgreementMsg::First {
             stage: 1,
             value: self.x,
-        };
-        self.ingest(self.id, msg);
-        vec![msg]
+        });
     }
 
     /// Posts a received message on the bulletin board.
@@ -214,41 +345,35 @@ impl Agreement {
         if self.halted || msg.stage() < self.stage {
             return;
         }
-        let n = self.n;
-        let board = self
-            .boards
-            .entry(msg.stage())
-            .or_insert_with(|| StageBoard::new(n));
-        match msg {
-            AgreementMsg::First { value, .. } => board.post_first(from, value),
-            AgreementMsg::Second { value, .. } => board.post_second(from, value),
-        }
+        board_mut(&mut self.boards, self.n, msg.stage()).post(from, msg);
     }
 
     /// Re-evaluates the current wait conditions, advancing as many
     /// instructions as the board allows. Returns messages to broadcast.
     pub fn poll(&mut self, rng: &mut StepRng) -> Vec<AgreementMsg> {
         let mut out = Vec::new();
+        self.poll_into(rng, &mut |msg| out.push(msg));
+        out
+    }
+
+    /// [`Agreement::poll`], handing the messages to `sink`.
+    pub fn poll_into(&mut self, rng: &mut StepRng, sink: &mut impl FnMut(AgreementMsg)) {
         if !self.started || self.halted {
-            return out;
+            return;
         }
         loop {
             let quorum = self.quorum();
             let stage = self.stage;
-            let n = self.n;
+            let board = board_mut(&mut self.boards, self.n, stage);
             match self.waiting {
                 Waiting::First => {
-                    let board = self
-                        .boards
-                        .entry(stage)
-                        .or_insert_with(|| StageBoard::new(n));
                     if board.first_count < quorum {
                         break;
                     }
                     // Instruction 3: strict majority of the population
                     // size among the first-exchange messages received.
                     let mut counts = [0usize; 2];
-                    for v in board.first.iter().flatten() {
+                    for v in board.firsts() {
                         counts[v.as_u8() as usize] += 1;
                     }
                     let second_value = if 2 * counts[1] > self.n {
@@ -258,43 +383,32 @@ impl Agreement {
                     } else {
                         None
                     };
-                    let msg = AgreementMsg::Second {
+                    board.post_second(self.id, second_value);
+                    sink(AgreementMsg::Second {
                         stage,
                         value: second_value,
-                    };
-                    self.ingest(self.id, msg);
-                    out.push(msg);
+                    });
                     self.waiting = Waiting::Second;
                 }
                 Waiting::Second => {
-                    let board = self
-                        .boards
-                        .entry(stage)
-                        .or_insert_with(|| StageBoard::new(n));
                     if board.second_count < quorum {
                         break;
                     }
                     // Gather S-message statistics.
                     let mut s_value: Option<Value> = None;
                     let mut s_count = 0usize;
-                    for v in board.second.iter().flatten().flatten() {
-                        match s_value {
-                            None => {
-                                s_value = Some(*v);
-                                s_count = 1;
-                            }
-                            Some(sv) => {
-                                // Lemma 2: in the fail-stop model only one
-                                // value can appear in S-messages per stage.
-                                debug_assert_eq!(sv, *v, "conflicting S-messages in stage");
-                                s_count += 1;
-                            }
-                        }
+                    for v in board.s_values() {
+                        // Lemma 2: in the fail-stop model only one
+                        // value can appear in S-messages per stage.
+                        let sv = *s_value.get_or_insert(v);
+                        debug_assert_eq!(sv, v, "conflicting S-messages in stage");
+                        s_count += 1;
                     }
                     match s_value {
                         None => {
                             // Instruction 8: shared coin, else local flip.
-                            self.x = self.coins.get(stage).unwrap_or_else(|| {
+                            let shared = self.coins.as_ref().and_then(|coins| coins.get(stage));
+                            self.x = shared.unwrap_or_else(|| {
                                 self.local_flips += 1;
                                 Value::from_bool(rng.bit())
                             });
@@ -305,53 +419,53 @@ impl Agreement {
                                 if self.decided.is_some() {
                                     // Instruction 13: return(v).
                                     self.halted = true;
-                                    return out;
+                                    self.boards = InlineVec::new();
+                                    return;
                                 }
                                 // Instruction 14: decide v.
                                 self.decided = Some((v, stage));
                             }
                         }
                     }
-                    // Proceed to the next stage.
-                    self.boards.remove(&stage.saturating_sub(2));
+                    // Proceed to the next stage. This stage's board
+                    // stays for `resend_current`; the one before it has
+                    // no reader left.
+                    if let Some(at) = self.boards.iter().position(|(s, _)| *s + 1 == stage) {
+                        self.boards.swap_remove(at);
+                    }
                     self.stage += 1;
                     self.waiting = Waiting::First;
-                    let msg = AgreementMsg::First {
+                    board_mut(&mut self.boards, self.n, self.stage).post_first(self.id, self.x);
+                    sink(AgreementMsg::First {
                         stage: self.stage,
                         value: self.x,
-                    };
-                    self.ingest(self.id, msg);
-                    out.push(msg);
+                    });
                 }
             }
         }
-        out
     }
 
     /// The messages this machine has already broadcast for its current
-    /// (and still-boarded previous) stage, for re-transmission after a
-    /// crash–restart: the crash may have dropped the original sends,
-    /// leaving peers one message short of a quorum forever. Receivers
-    /// deduplicate by sender, so re-sending is idempotent.
-    pub fn resend_current(&self) -> Vec<AgreementMsg> {
+    /// (and still-boarded previous) stage, handed to `sink` for
+    /// re-transmission after a crash–restart: the crash may have
+    /// dropped the original sends, leaving peers one message short of a
+    /// quorum forever. Receivers deduplicate by sender, so re-sending
+    /// is idempotent.
+    pub fn resend_current(&self, sink: &mut impl FnMut(AgreementMsg)) {
         if !self.started || self.halted {
-            return Vec::new();
+            return;
         }
-        let mut out = Vec::new();
         for stage in [self.stage.saturating_sub(1), self.stage] {
-            if stage == 0 {
+            let Some((_, board)) = self.boards.iter().find(|(s, _)| *s == stage) else {
                 continue;
+            };
+            if let Some(value) = board.first_of(self.id) {
+                sink(AgreementMsg::First { stage, value });
             }
-            if let Some(board) = self.boards.get(&stage) {
-                if let Some(v) = board.first[self.id.index()] {
-                    out.push(AgreementMsg::First { stage, value: v });
-                }
-                if let Some(v) = board.second[self.id.index()] {
-                    out.push(AgreementMsg::Second { stage, value: v });
-                }
+            if let Some(value) = board.second_of(self.id) {
+                sink(AgreementMsg::Second { stage, value });
             }
         }
-        out
     }
 
     /// The decided value and the stage at which the decision happened.
@@ -469,13 +583,14 @@ impl Automaton for AgreementAutomaton {
         rng: &mut StepRng,
         out: &mut Outbox<AgreementBundle>,
     ) {
-        let mut broadcasts = self.inner.start();
+        let mut broadcasts = Vec::new();
+        self.inner.start_into(&mut |msg| broadcasts.push(msg));
         for (from, bundle) in inbox {
             for msg in bundle {
                 self.inner.ingest(from, *msg);
             }
         }
-        broadcasts.extend(self.inner.poll(rng));
+        self.inner.poll_into(rng, &mut |msg| broadcasts.push(msg));
         if !broadcasts.is_empty() {
             out.broadcast(broadcasts);
         }
@@ -687,13 +802,13 @@ mod tests {
             m.poll(&mut rng);
         }
         assert!(m.halted(), "decided in stage 1, returned in stage 2");
-        let boards = m.boards.len();
+        assert!(m.boards.is_empty(), "a returned machine keeps no board");
         // A duplicate of stage 1, and anything at all after the return.
         for stage in [1, 2, 3, 9] {
             let (from, msg) = stale_from(1, stage);
             m.ingest(from, msg);
         }
-        assert_eq!(m.boards.len(), boards);
+        assert!(m.boards.is_empty());
 
         // A live machine in stage 2: stage 1 is behind it, stage 2 and
         // later are not.
@@ -715,13 +830,27 @@ mod tests {
         }
         m.poll(&mut rng);
         assert_eq!((m.stage(), m.halted()), (2, false));
-        m.boards.remove(&1);
+        assert_eq!(
+            open_stages(m),
+            [1, 2],
+            "the stage just left stays for a re-send"
+        );
+        let at = m.boards.iter().position(|(s, _)| *s == 1).unwrap();
+        m.boards.swap_remove(at);
         let (from, msg) = stale_from(0, 1);
         m.ingest(from, msg);
-        assert!(!m.boards.contains_key(&1), "a stale message opens no board");
+        assert_eq!(open_stages(m), [2], "a stale message opens no board");
         let (from, msg) = stale_from(0, 3);
         m.ingest(from, msg);
-        assert!(m.boards.contains_key(&3), "a future stage still buffers");
+        assert_eq!(open_stages(m), [2, 3], "a future stage still buffers");
+        assert!(!m.boards.spilled());
+    }
+
+    /// The stages `m` holds a board for, ascending.
+    fn open_stages(m: &Agreement) -> Vec<u64> {
+        let mut stages: Vec<u64> = m.boards.iter().map(|(s, _)| *s).collect();
+        stages.sort_unstable();
+        stages
     }
 
     #[test]
@@ -734,13 +863,26 @@ mod tests {
             coins(&[Value::One; 4]),
         );
         m.start();
-        // Stage 2 traffic arrives before stage 1 completes.
+        // Stage 2 traffic arrives before stage 1 completes: a third
+        // board would still be inline.
         m.ingest(
             ProcessorId::new(1),
             AgreementMsg::First {
                 stage: 2,
                 value: Value::One,
             },
+        );
+        assert_eq!((open_stages(&m), m.boards.spilled()), (vec![1, 2], false));
+        // So does stage 3 and 4 traffic: the fourth board spills them.
+        for stage in [3, 4] {
+            m.ingest(
+                ProcessorId::new(1),
+                AgreementMsg::Second { stage, value: None },
+            );
+        }
+        assert_eq!(
+            (open_stages(&m), m.boards.spilled()),
+            (vec![1, 2, 3, 4], true)
         );
         let mut rng = rng_for(0, 1);
         assert!(m.poll(&mut rng).is_empty(), "stage 1 quorum not yet met");
@@ -753,6 +895,11 @@ mod tests {
         );
         let out = m.poll(&mut rng);
         assert!(!out.is_empty());
+        // What was buffered is on the boards, spilled or not.
+        let board = |stage| &m.boards.iter().find(|(s, _)| *s == stage).unwrap().1;
+        assert_eq!(board(2).first_of(ProcessorId::new(1)), Some(Value::One));
+        assert_eq!(board(4).second_of(ProcessorId::new(1)), Some(None));
+        assert_eq!(board(4).second_of(ProcessorId::new(2)), None);
     }
 
     #[test]

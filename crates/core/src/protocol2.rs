@@ -38,13 +38,15 @@ use rtc_model::{Automaton, Decision, Outbox, ProcessorId, Recoverable, Status, S
 use crate::coins::CoinList;
 use crate::config::CommitConfig;
 use crate::hot::VoteBoard;
+use crate::inline::InlineVec;
 use crate::protocol1::{Agreement, AgreementMsg};
 
 /// The payload kinds of Protocol 2.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CommitKind {
     /// A `GO` message (original or relay); the coins ride in the
     /// envelope's piggyback slot.
+    #[default]
     Go,
     /// A vote broadcast.
     Vote(Value),
@@ -67,21 +69,38 @@ pub enum CommitKind {
 /// (bundled so each destination gets at most one message per step, per
 /// the model), plus the piggybacked `GO`.
 ///
-/// Both fields are immutable shared views: the coin list the
-/// coordinator flipped once, and the kind bundle built once per
-/// broadcast. Cloning a `CommitMsg` — what a channel or socket send
-/// does per destination — is two reference-count bumps, no heap
-/// allocation; the simulator keeps the one message a step broadcast
-/// and clones nothing.
+/// The coin list is the shared view of what the coordinator flipped
+/// once; the kinds are held in the message. Building a `CommitMsg` and
+/// cloning one — what a channel or socket send does per destination —
+/// is a reference-count bump and a copy of up to four small values, no
+/// heap allocation (a fifth kind moves them to the heap: see
+/// [`CommitKinds`]); the simulator keeps the one message a step
+/// broadcast and clones nothing.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CommitMsg {
     /// The piggybacked coins (`Some` on every message a processor sends
     /// after learning them — which is every message it can send at all,
     /// except the coordinator-less corner where coins are unknown).
     pub go: Option<Arc<CoinList>>,
-    /// The payloads.
-    pub kinds: Arc<[CommitKind]>,
+    /// The payloads, in emission order. Reads as a `[CommitKind]`.
+    pub kinds: CommitKinds,
 }
+
+/// Payload kinds a [`CommitMsg`] holds without a heap object. A step
+/// that sends anything mostly sends one kind (a `GO`, a vote, one
+/// Protocol 1 message) or two (the exchange that completes a quorum and
+/// the one it opens). Of the 1 158 sending steps of the 36-schedule
+/// batch-equivalence corpus 916 send one kind, 221 two, 13 three, 8 four
+/// and none more; of the 7 113 of the 108-schedule scheduler corpus one
+/// sends five. Past four it is a rejoiner's one-off re-broadcast or a
+/// processor handed several stages' quorums in one step (docs/PERF.md
+/// "PR 19").
+const KINDS_INLINE: usize = 4;
+
+/// The payload kinds of one [`CommitMsg`], in emission order: an
+/// [`InlineVec`] that holds the four kinds a step sends at most, bar a
+/// rejoiner's re-broadcast, in the message itself.
+pub type CommitKinds = InlineVec<CommitKind, KINDS_INLINE>;
 
 /// Which instruction window of Protocol 2 the processor is in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -132,14 +151,17 @@ pub struct CommitAutomaton {
     /// Which processors this one has heard a `GO` from and their first
     /// votes, as one dense per-processor byte table plus counts. Every
     /// delivery touches this (any message carrying coins doubles as a
-    /// `GO`), so it must be an index, not a search tree — and a single
-    /// allocation whose cells concatenate `(instance, proc)`-dense
-    /// across batched instances (see [`VoteBoard`]).
+    /// `GO`), so it must be an index, not a search tree — held inline,
+    /// with cells that concatenate `(instance, proc)`-dense across
+    /// batched instances (see [`VoteBoard`]).
     board: VoteBoard,
     go_wait_start: Option<u64>,
     vote_wait_start: Option<u64>,
-    pending_agree: Vec<(ProcessorId, AgreementMsg)>,
-    agreement: Option<Agreement>,
+    /// Protocol 1, held from the start so that `Agree` messages from
+    /// peers already past instruction 12 are posted where it will read
+    /// them; it gets its input and starts at this processor's own
+    /// instruction 12.
+    agreement: Agreement,
     decided: Option<Value>,
     early_abort: bool,
     agreement_input: Option<Value>,
@@ -186,8 +208,7 @@ impl CommitAutomaton {
             board: VoteBoard::new(cfg.population()),
             go_wait_start: None,
             vote_wait_start: None,
-            pending_agree: Vec::new(),
-            agreement: None,
+            agreement: Agreement::awaiting_input(id, cfg.population(), cfg.fault_bound()),
             decided: None,
             early_abort: false,
             agreement_input: None,
@@ -232,7 +253,7 @@ impl CommitAutomaton {
 
     /// The embedded Protocol 1 machine, once instruction 12 is reached.
     pub fn agreement(&self) -> Option<&Agreement> {
-        self.agreement.as_ref()
+        Some(&self.agreement).filter(|agreement| agreement.started())
     }
 
     /// The value this processor fed into Protocol 1 (`x_p`), once known.
@@ -262,15 +283,16 @@ impl CommitAutomaton {
         self.board.mark_vote(p, v);
     }
 
-    // rtc-hot-loop(per-instance): runs once per delivered message on
-    // the batch stepping path. `#[inline]` is load-bearing: the
-    // message-dense synchronous step delivers every buffered message
-    // in one call, and inlining the kind dispatch into that delivery
-    // loop lets the table writes (`mark_go`/`mark_vote` byte
-    // read-modify-writes) fuse with the loop instead of paying a call
-    // per message. The kinds that occur at most once per run per peer
-    // (`Decided`, `Ping`) are outlined into [`Self::ingest_rare`] so
-    // they don't bloat the inlined body.
+    // Runs once per delivered message, and every write it makes lands
+    // in the automaton itself (the vote board, Protocol 1's boards), so
+    // up to 16 processors it cannot allocate. `#[inline]` is
+    // load-bearing: the message-dense synchronous step delivers every
+    // buffered message in one call, and inlining the kind dispatch into
+    // that delivery loop lets the table writes (`mark_go`/`mark_vote`
+    // byte read-modify-writes) fuse with the loop instead of paying a
+    // call per message. The kinds that occur at most once per run per
+    // peer (`Decided`, `Ping`) are outlined into [`Self::ingest_rare`]
+    // so they don't bloat the inlined body.
     #[inline]
     fn ingest(&mut self, from: ProcessorId, msg: &CommitMsg) {
         if let Some(coins) = &msg.go {
@@ -286,10 +308,7 @@ impl CommitAutomaton {
                 CommitKind::Vote(v) => {
                     self.mark_vote(from, *v);
                 }
-                CommitKind::Agree(am) => match &mut self.agreement {
-                    Some(agreement) => agreement.ingest(from, *am),
-                    None => self.pending_agree.push((from, *am)),
-                },
+                CommitKind::Agree(am) => self.agreement.ingest(from, *am),
                 rare => self.ingest_rare(from, rare),
             }
         }
@@ -323,27 +342,28 @@ impl CommitAutomaton {
         }
     }
 
-    /// The protocol messages this processor has already broadcast for
-    /// its current position, re-emitted once after a restart: the crash
-    /// may have dropped the originals mid-broadcast, leaving peers one
-    /// message short of a quorum forever. All receivers deduplicate by
-    /// sender, so re-sending is idempotent.
-    fn rejoin_kinds(&self) -> Vec<CommitKind> {
-        let mut out = Vec::new();
+    /// Adds to `kinds` the protocol messages this processor has already
+    /// broadcast for its current position and is not sending this step
+    /// anyway, re-emitted once after a restart: the crash may have
+    /// dropped the originals mid-broadcast, leaving peers one message
+    /// short of a quorum forever. All receivers deduplicate by sender,
+    /// so re-sending is idempotent.
+    fn rejoin_kinds(&self, kinds: &mut CommitKinds) {
+        let mut resend = |kind| {
+            if !kinds.contains(&kind) {
+                kinds.push(kind);
+            }
+        };
         if self.coins.is_some() && self.phase != CommitPhase::AwaitGo {
-            out.push(CommitKind::Go);
+            resend(CommitKind::Go);
         }
         if matches!(self.phase, CommitPhase::AwaitVotes | CommitPhase::Agreeing) {
             if let Some(v) = self.board.vote_of(self.id) {
-                out.push(CommitKind::Vote(v));
+                resend(CommitKind::Vote(v));
             }
         }
-        if let Some(agreement) = &self.agreement {
-            for m in agreement.resend_current() {
-                out.push(CommitKind::Agree(m));
-            }
-        }
-        out
+        self.agreement
+            .resend_current(&mut |msg| resend(CommitKind::Agree(msg)));
     }
 
     fn timed_out(&self, start: Option<u64>) -> bool {
@@ -351,10 +371,9 @@ impl CommitAutomaton {
     }
 
     /// Runs the phase machine until it can make no further progress this
-    /// step; returns payload kinds to broadcast.
-    fn advance(&mut self, rng: &mut StepRng) -> Vec<CommitKind> {
+    /// step, adding the payload kinds to broadcast to `out`.
+    fn advance(&mut self, rng: &mut StepRng, out: &mut CommitKinds) {
         let n = self.cfg.population();
-        let mut out = Vec::new();
         loop {
             match self.phase {
                 CommitPhase::AwaitGo => {
@@ -414,28 +433,17 @@ impl CommitAutomaton {
                         debug_assert!(false, "coins known before the vote wait");
                         break;
                     };
-                    let mut agreement =
-                        Agreement::new(self.id, n, self.cfg.fault_bound(), xp, coins);
-                    for msg in agreement.start() {
-                        out.push(CommitKind::Agree(msg));
-                    }
-                    for (from, msg) in self.pending_agree.drain(..) {
-                        agreement.ingest(from, msg);
-                    }
-                    self.agreement = Some(agreement);
+                    // Instruction 12. Whatever peers already sent for
+                    // Protocol 1 is on its boards.
+                    self.agreement.set_input(xp, coins);
+                    self.agreement
+                        .start_into(&mut |msg| out.push(CommitKind::Agree(msg)));
                     self.phase = CommitPhase::Agreeing;
                 }
                 CommitPhase::Agreeing => {
-                    // Agreeing is only entered after `self.agreement` is
-                    // installed; stall instead of panicking if not.
-                    let Some(agreement) = self.agreement.as_mut() else {
-                        debug_assert!(false, "agreement started");
-                        break;
-                    };
-                    for msg in agreement.poll(rng) {
-                        out.push(CommitKind::Agree(msg));
-                    }
-                    if let Some((v, _)) = agreement.decision() {
+                    self.agreement
+                        .poll_into(rng, &mut |msg| out.push(CommitKind::Agree(msg)));
+                    if let Some((v, _)) = self.agreement.decision() {
                         // Instructions 13–15: the fate of the transaction.
                         let prior = *self.decided.get_or_insert(v);
                         debug_assert_eq!(
@@ -447,7 +455,6 @@ impl CommitAutomaton {
                 }
             }
         }
-        out
     }
 }
 
@@ -483,11 +490,10 @@ impl Automaton for CommitAutomaton {
         // An amnesiac observer never ran it in the first place: the
         // protocol messages of its lost incarnation cannot be re-derived
         // from its state, so re-participating could equivocate.
-        let mut kinds = if self.adopted || self.observer {
-            Vec::new()
-        } else {
-            self.advance(rng)
-        };
+        let mut kinds = CommitKinds::new();
+        if !(self.adopted || self.observer) {
+            self.advance(rng, &mut kinds);
+        }
         // Decision-broadcast extension: announce once, first thing after
         // deciding (whether by protocol or by adoption).
         if self.cfg.decision_broadcast() && !self.decision_sent {
@@ -505,11 +511,7 @@ impl Automaton for CommitAutomaton {
             } else {
                 if !self.rejoin_resent {
                     self.rejoin_resent = true;
-                    for k in self.rejoin_kinds() {
-                        if !kinds.contains(&k) {
-                            kinds.push(k);
-                        }
-                    }
+                    self.rejoin_kinds(&mut kinds);
                 }
                 let ping_due = self.last_ping.is_none_or(|at| {
                     self.clock.saturating_sub(at) >= self.cfg.timing().vote_timeout()
@@ -554,19 +556,17 @@ impl Automaton for CommitAutomaton {
             .filter(|v| !replies.is_empty() && !kinds.contains(&CommitKind::Decided(*v)))
             .map(CommitKind::Decided);
         if let Some(reply) = reply_kind {
-            let extended = CommitMsg {
+            let mut extended = CommitMsg {
                 go: go.clone(),
-                kinds: kinds.iter().cloned().chain([reply]).collect(),
+                kinds: kinds.clone(),
             };
+            extended.kinds.push(reply);
             for q in replies {
                 out.send(q, extended.clone());
             }
         }
         if !kinds.is_empty() {
-            out.broadcast(CommitMsg {
-                go,
-                kinds: kinds.into(),
-            });
+            out.broadcast(CommitMsg { go, kinds });
         }
     }
 
@@ -574,7 +574,7 @@ impl Automaton for CommitAutomaton {
         match self.decided {
             None => Status::Undecided,
             Some(v) => {
-                let halted_by_return = self.agreement.as_ref().is_some_and(Agreement::halted);
+                let halted_by_return = self.agreement.halted();
                 let halted_by_adoption = self.adopted && self.decision_sent;
                 if halted_by_return || halted_by_adoption {
                     Status::Halted(v)
@@ -920,6 +920,61 @@ mod tests {
         let mut rng2 = SeedCollection::new(9).step_rng(ProcessorId::new(1), LocalClock::new(3));
         rejoiner.step(&[], &mut rng2);
         assert!(!rejoiner.rejoining());
+    }
+
+    #[test]
+    fn agree_messages_that_arrive_before_instruction_12_are_on_the_board_when_it_starts() {
+        use rtc_model::{Delivery, LocalClock};
+
+        // n = 3, so Protocol 1's quorum is 2: a processor's own message
+        // plus one peer's.
+        let c = cfg(3, 1);
+        let p = ProcessorId::new;
+        let seeds = SeedCollection::new(12);
+        let mut procs = commit_population(c, &[Value::One; 3]);
+        let step = |auto: &mut CommitAutomaton, clock: u64, inbox: &[Delivery<CommitMsg>]| {
+            let mut rng = seeds.step_rng(auto.id(), LocalClock::new(clock));
+            let sends = auto.step(inbox, &mut rng);
+            sends.first().map(|send| send.msg.clone())
+        };
+        let [p0, p1, p2] = &mut procs[..] else {
+            unreachable!("three processors")
+        };
+        let from = |q: usize, msg: &CommitMsg| Delivery::new(p(q), msg.clone());
+        // GO, relays, votes.
+        let go = step(p0, 0, &[]).unwrap();
+        let relay1 = step(p1, 0, &[from(0, &go)]).unwrap();
+        let relay2 = step(p2, 0, &[from(0, &go)]).unwrap();
+        let vote0 = step(p0, 1, &[from(1, &relay1), from(2, &relay2)]).unwrap();
+        let vote1 = step(p1, 1, &[from(2, &relay2)]).unwrap();
+        let vote2 = step(p2, 1, &[from(1, &relay1)]).unwrap();
+        assert_eq!(vote1.kinds[..], [CommitKind::Vote(Value::One)]);
+        // p0 hears both votes and enters Protocol 1; p1 has p0's vote
+        // but not yet p2's.
+        let first0 = step(p0, 2, &[from(1, &vote1), from(2, &vote2)]).unwrap();
+        let first = CommitKind::Agree(AgreementMsg::First {
+            stage: 1,
+            value: Value::One,
+        });
+        assert_eq!(first0.kinds[..], [first]);
+        assert_eq!(step(p1, 2, &[from(0, &vote0)]), None);
+
+        // p0's stage-1 message reaches p1 while it still waits for
+        // votes: it is posted, not held aside.
+        assert_eq!(step(p1, 3, &[from(0, &first0)]), None);
+        assert!(p1.agreement().is_none(), "instruction 12 not reached");
+        let posted = |q| p1.agreement.posted_first(1, p(q));
+        assert_eq!((posted(0), posted(1)), (Some(Value::One), None));
+
+        // The last vote arrives: Protocol 1 starts with a quorum of
+        // first-exchange messages already there, so the same step sends
+        // the second exchange too.
+        let started = step(p1, 4, &[from(2, &vote2)]).unwrap();
+        let second = CommitKind::Agree(AgreementMsg::Second {
+            stage: 1,
+            value: Some(Value::One),
+        });
+        assert_eq!(started.kinds[..], [first, second]);
     }
 
     #[test]

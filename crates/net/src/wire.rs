@@ -23,7 +23,7 @@
 
 use std::sync::Arc;
 
-use rtc_core::{AgreementMsg, CoinList, CommitKind, CommitMsg};
+use rtc_core::{AgreementMsg, CoinList, CommitKind, CommitKinds, CommitMsg};
 use rtc_model::{ProcessorId, Value};
 
 /// Hard cap on the byte length of one frame. Protocol 2 messages are a
@@ -278,7 +278,7 @@ impl Wire for CommitMsg {
         if kind_count > MAX_FRAME {
             return Err(WireError::Oversized(kind_count));
         }
-        let mut kinds = Vec::with_capacity(kind_count);
+        let mut kinds = CommitKinds::new();
         for _ in 0..kind_count {
             kinds.push(match r.u8()? {
                 TAG_GO => CommitKind::Go,
@@ -305,10 +305,7 @@ impl Wire for CommitMsg {
             });
         }
         r.finish()?;
-        Ok(CommitMsg {
-            go,
-            kinds: kinds.into(),
-        })
+        Ok(CommitMsg { go, kinds })
     }
 }
 
@@ -429,5 +426,95 @@ mod tests {
             CommitMsg::decode(&payload),
             Err(WireError::TrailingBytes(1))
         );
+    }
+
+    /// FNV-1a over bytes.
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The two steps that carry the most kinds, taken from a run: a
+    /// rejoiner's re-broadcast with its ping (five, one more than a
+    /// message holds inline) and the catch-up reply it is owed.
+    #[test]
+    fn a_rejoiners_step_roundtrips_past_the_inline_kinds() {
+        use rtc_core::{commit_population, CommitAutomaton, CommitConfig};
+        use rtc_model::{
+            Automaton, Delivery, LocalClock, Recoverable, SeedCollection, Send, TimingParams,
+        };
+
+        let n = 3;
+        let p = ProcessorId::new;
+        let cfg = CommitConfig::new(n, 1, TimingParams::default()).unwrap();
+        let seeds = SeedCollection::new(0x51EE);
+        let mut procs = commit_population(cfg, &[Value::One; 3]);
+        let mut inboxes: Vec<Vec<Delivery<CommitMsg>>> = vec![Vec::new(); n];
+        let mut round = 0;
+        let lockstep = |procs: &mut Vec<CommitAutomaton>,
+                        inboxes: &mut Vec<Vec<Delivery<CommitMsg>>>,
+                        round: &mut u64| {
+            let mut next = vec![Vec::new(); n];
+            for (q, auto) in procs.iter_mut().enumerate() {
+                let mut rng = seeds.step_rng(p(q), LocalClock::new(*round));
+                for send in auto.step(&inboxes[q], &mut rng) {
+                    next[send.to.index()].push(Delivery::new(p(q), send.msg));
+                }
+            }
+            *inboxes = next;
+            *round += 1;
+        };
+        // Until p1 is inside Protocol 1 with both stage-1 exchanges sent.
+        while procs[1].agreement().is_none() {
+            lockstep(&mut procs, &mut inboxes, &mut round);
+        }
+        lockstep(&mut procs, &mut inboxes, &mut round);
+        assert!(procs[1].status().decision().is_none());
+
+        // p1 crashes and comes back: GO, its vote, both stage-1 messages
+        // and a ping, in one bundle.
+        let mut rejoiner = CommitAutomaton::restore(&procs[1].snapshot());
+        let mut rng = seeds.step_rng(p(1), LocalClock::new(round));
+        let resent: Vec<Send<CommitMsg>> = rejoiner.step(&[], &mut rng);
+        assert_eq!(
+            format!("{:?}", resent[0].msg.kinds),
+            "[Go, Vote(1), Agree(First { stage: 1, value: 1 }), \
+             Agree(Second { stage: 1, value: Some(1) }), Ping]"
+        );
+        assert!(resent[0].msg.kinds.spilled());
+
+        // The others decide; p0, pinged, owes p1 the decision directly.
+        lockstep(&mut procs, &mut inboxes, &mut round);
+        assert!(procs[0].status().decision().is_some());
+        let ping = Delivery::new(p(1), resent[0].msg.clone());
+        let mut rng = seeds.step_rng(p(0), LocalClock::new(round));
+        let mut inbox = inboxes[0].clone();
+        inbox.push(ping);
+        let replied = procs[0].step(&inbox, &mut rng);
+        let reply = replied.iter().find(|s| s.to == p(1)).expect("a reply");
+        assert_eq!(
+            format!("{:?}", reply.msg.kinds),
+            "[Agree(Second { stage: 2, value: Some(1) }), Decided(1)]"
+        );
+
+        let mut all = Vec::new();
+        for msg in [&resent[0].msg, &reply.msg] {
+            roundtrip(msg);
+            let mut bytes = Vec::new();
+            msg.encode(&mut bytes);
+            let decoded = CommitMsg::decode(&bytes).expect("decodes");
+            let mut again = Vec::new();
+            decoded.encode(&mut again);
+            assert_eq!(again, bytes);
+            assert_eq!(
+                format!("{:?}", decoded.kinds),
+                format!("{:?}", &msg.kinds[..])
+            );
+            all.extend(bytes);
+        }
+        // The frame payloads are what they were when the kinds were an
+        // `Arc<[CommitKind]>` (captured there).
+        assert_eq!(fnv(&all), 17_792_407_171_721_007_993);
     }
 }
