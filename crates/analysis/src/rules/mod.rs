@@ -61,14 +61,18 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
 
 /// The crates whose behavior must be a pure function of seeds and
 /// schedules: the simulator substrate, the protocol automata, the
-/// model-checking engines, and the chaos campaign driver. Golden-trace
-/// replay and seed-partitioned parallel determinism rest on these.
-pub(crate) const DETERMINISTIC_CRATES: [&str; 5] = [
+/// model-checking engines, the chaos campaign driver, and the
+/// replicated store (its replica is an automaton like any other, and
+/// its hashed key directory must never leak an iteration order into
+/// `==`, `Debug`, a WAL or a digest). Golden-trace replay and
+/// seed-partitioned parallel determinism rest on these.
+pub(crate) const DETERMINISTIC_CRATES: [&str; 6] = [
     "rtc-core",
     "rtc-sim",
     "rtc-lockstep",
     "rtc-model",
     "rtc-chaos",
+    "rtc-txn",
 ];
 
 pub(crate) fn in_deterministic_scope(crate_name: &str) -> bool {

@@ -361,7 +361,8 @@ pub fn find_token_lines(file: &ScanFile, token: &str) -> Vec<usize> {
 }
 
 /// Scans a line for identifiers declared with a hash-container type and
-/// records them: `name: HashMap<..>` fields/params and
+/// records them: `name: HashMap<..>` fields/params, the same behind
+/// wrappers (`name: Arc<HashMap<..>>`), and
 /// `let [mut] name = HashMap::new()`-style bindings.
 pub fn hash_container_names(code: &[String]) -> BTreeMap<String, usize> {
     let mut names = BTreeMap::new();
@@ -391,7 +392,13 @@ pub fn hash_container_names(code: &[String]) -> BTreeMap<String, usize> {
 /// constructor use: `.. name: ` (field, param, or typed binding) or
 /// `let [mut] name = ..`.
 fn declared_name(prefix: &str) -> Option<String> {
-    let trimmed = prefix.trim_end();
+    let mut trimmed = prefix.trim_end();
+    // Look through wrappers: `name: Arc<`, `name: Option<Box<`.
+    while let Some(wrapped) = trimmed.strip_suffix('<') {
+        trimmed = wrapped
+            .trim_end_matches(|c: char| c.is_alphanumeric() || c == '_')
+            .trim_end();
+    }
     if let Some(rest) = trimmed.strip_suffix(':') {
         return last_ident(rest);
     }
@@ -458,11 +465,14 @@ mod tests {
     #[test]
     fn hash_names_finds_fields_and_bindings() {
         let code = scrub(
-            "struct S { votes: HashMap<u8, u8>, done: bool }\nlet mut seen = HashSet::new();\n",
+            "struct S { votes: HashMap<u8, u8>, done: bool, keys: Arc<HashMap<u8, u8>> }\n\
+             let mut seen = HashSet::new();\nlet held: Option<Box<HashSet<u8>>> = None;\n",
         );
         let names = hash_container_names(&code);
         assert!(names.contains_key("votes"));
         assert!(names.contains_key("seen"));
+        assert!(names.contains_key("keys"));
+        assert!(names.contains_key("held"));
         assert!(!names.contains_key("done"));
     }
 }

@@ -1,4 +1,5 @@
-//! Fixture corpus: one positive and one negative snippet per rule.
+//! Fixture corpus: one positive and one negative snippet per rule (two
+//! pairs for a rule whose scope grew to a crate with a different shape).
 //!
 //! Each fixture under `tests/fixtures/` is parsed as if it lived at an
 //! in-scope workspace path, then run through exactly one rule: the
@@ -37,6 +38,22 @@ fn corpus() -> Vec<(
             "crates/core/src/fixture.rs",
             include_str!("fixtures/unordered_iter_positive.rs"),
             include_str!("fixtures/unordered_iter_negative.rs"),
+        ),
+        // `rtc-txn` holds a hashed key directory: both determinism
+        // rules follow it there.
+        (
+            "wall-clock",
+            "rtc-txn",
+            "crates/txn/src/fixture.rs",
+            include_str!("fixtures/wall_clock_txn_positive.rs"),
+            include_str!("fixtures/wall_clock_txn_negative.rs"),
+        ),
+        (
+            "unordered-iter",
+            "rtc-txn",
+            "crates/txn/src/fixture.rs",
+            include_str!("fixtures/unordered_iter_txn_positive.rs"),
+            include_str!("fixtures/unordered_iter_txn_negative.rs"),
         ),
         (
             "panic-path",

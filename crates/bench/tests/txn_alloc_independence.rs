@@ -20,7 +20,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use rtc_core::CommitConfig;
-use rtc_model::TimingParams;
+use rtc_model::{SeedCollection, TimingParams};
+use rtc_sim::adversaries::SynchronousAdversary;
+use rtc_sim::{RunLimits, SimBuilder};
 use rtc_txn::{replica_population, Op, Store, Transaction};
 
 thread_local! {
@@ -70,17 +72,17 @@ fn store_of(keys: usize) -> Store {
     Store::with_entries((0..keys).map(|k| (format!("acct{k:05}"), 1_000)))
 }
 
-/// Sixteen transfers among the first sixteen accounts (present at every
+/// `count` transfers among the first sixteen accounts (present at every
 /// store size), every fourth one overdrawing.
-fn batch() -> Vec<Transaction> {
-    (0..16u64)
+fn transfers(count: u64) -> Vec<Transaction> {
+    (0..count)
         .map(|i| {
             let amount = if i % 4 == 3 { 5_000 } else { 10 };
             Transaction::new(
                 i + 1,
                 vec![
                     Op::Add {
-                        key: format!("acct{:05}", i),
+                        key: format!("acct{:05}", i % 16),
                         delta: -amount,
                         floor: 0,
                     },
@@ -93,7 +95,7 @@ fn batch() -> Vec<Transaction> {
 
 #[test]
 fn vote_formation_allocates_the_same_at_any_store_size() {
-    let batch = batch();
+    let batch = transfers(16);
     let count = |keys: usize| {
         let store = store_of(keys);
         count_allocs(|| {
@@ -113,7 +115,7 @@ fn vote_formation_allocates_the_same_at_any_store_size() {
 #[test]
 fn a_replica_population_allocates_the_same_at_any_store_size() {
     let cfg = CommitConfig::new(5, 2, TimingParams::default()).unwrap();
-    let batch = batch();
+    let batch = transfers(16);
     let count = |keys: usize| {
         let store = store_of(keys);
         let (allocs, population) = count_allocs(|| replica_population(cfg, &store, &batch));
@@ -121,4 +123,45 @@ fn a_replica_population_allocates_the_same_at_any_store_size() {
         allocs
     };
     assert_eq!(count(16), count(16_384));
+}
+
+/// What an epoch allocates, population and run together, measured after
+/// the replica multiplexer stopped keeping an inbox per transaction:
+/// 5 replicas × 32 transactions of those alone would put it 160 higher.
+const EPOCH_ALLOCS: u64 = 335;
+
+#[test]
+fn an_epoch_allocates_the_same_at_any_store_size_and_keeps_no_inboxes() {
+    let cfg = CommitConfig::new(5, 2, TimingParams::default()).unwrap();
+    let batch = transfers(32);
+    let count = |keys: usize| {
+        let store = store_of(keys);
+        let (allocs, decided) = count_allocs(|| {
+            let mut sim = SimBuilder::new(cfg.timing(), SeedCollection::new(1))
+                .fault_budget(cfg.fault_bound())
+                .build(replica_population(cfg, &store, &batch))
+                .unwrap();
+            let report = sim
+                .run(&mut SynchronousAdversary::new(5), RunLimits::default())
+                .unwrap();
+            report.all_nonfaulty_decided()
+        });
+        assert!(decided);
+        allocs
+    };
+    let small = count(16);
+    assert_eq!(small, count(16_384));
+    assert!(
+        small <= EPOCH_ALLOCS,
+        "an epoch made {small} allocations, {EPOCH_ALLOCS} when pinned"
+    );
+}
+
+#[test]
+fn opening_a_store_sizes_its_directory_once() {
+    let entries: Vec<(String, i64)> = (0..2_000).map(|k| (format!("acct{k:05}"), 1)).collect();
+    let (allocs, store) = count_allocs(|| Store::with_entries(entries));
+    assert_eq!(store.len(), 2_000);
+    // A shared key apiece; the table, the column and their two `Arc`s.
+    assert_eq!(allocs, 2_000 + 4);
 }

@@ -2,14 +2,15 @@
 //! multiplexed over a single automaton.
 //!
 //! A replica's message is a bundle of per-transaction protocol
-//! messages. Stepping routes each delivered bundle's entries to their
-//! instances *by index* — an instance reads its messages where the
-//! substrate stored them — and gathers what the instances broadcast
-//! into **one** bundle, broadcast once. Only a destination that some
-//! instance addressed directly (a rejoiner owed a ping reply) gets a
-//! bundle of its own: the broadcast bundle with those direct messages
-//! substituted in, which is what that destination would have received
-//! had every instance unrolled its own broadcast.
+//! messages. Stepping merge-joins the delivered bundles with the batch
+//! — both are [`TxId`] ascending, so an instance reads its messages
+//! where the substrate stored them, at the front of each bundle, with
+//! no lookup and no per-instance inbox — and gathers what the instances
+//! broadcast into **one** bundle, broadcast once. Only a destination
+//! that some instance addressed directly (a rejoiner owed a ping reply)
+//! gets a bundle of its own: the broadcast bundle with those direct
+//! messages substituted in, which is what that destination would have
+//! received had every instance unrolled its own broadcast.
 
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
@@ -60,10 +61,6 @@ pub struct Replica {
     outcomes: BTreeMap<TxId, Decision>,
     wal: Wal,
     cfg: CommitConfig,
-    /// Step scratch, by slot: where this step's deliveries for the
-    /// slot's instance sit, as (delivered bundle, entry in it). Empty
-    /// between steps.
-    inboxes: Vec<Vec<(u32, u32)>>,
     /// Step scratch: what the instance being stepped sent.
     instance_out: Outbox<CommitMsg>,
     /// Step scratch: this step's direct sends, in [`TxId`] order. Empty
@@ -263,7 +260,6 @@ impl Replica {
         Replica {
             id,
             initial,
-            inboxes: vec![Vec::new(); batch.len()],
             instance_out: Outbox::new(),
             directs: Vec::new(),
             batch,
@@ -328,36 +324,44 @@ impl Automaton for Replica {
     ///
     /// Every destination receives at most one bundle, and inside a
     /// bundle the per-transaction messages are [`TxId`] ascending.
+    ///
+    /// The same is expected of what arrives — one sender, one message
+    /// per instance per step (Section 2.1) — and a delivered bundle is
+    /// held to it: an entry reaches its instance only if its id exceeds
+    /// every id before it in the bundle. An entry that repeats an id or
+    /// steps back below an earlier one, like one for a transaction
+    /// outside the batch or one whose instance is gone, is foreign
+    /// traffic: dropped, never a panic, and without effect on the
+    /// entries around it. (A `Wire` impl for the bundle, ROADMAP item 2,
+    /// should reject a non-ascending frame at decode, before it gets
+    /// here.)
     fn step_into<'a>(
         &mut self,
         inbox: impl Iterator<Item = (ProcessorId, &'a Vec<TxMsg>)>,
         rng: &mut StepRng,
         out: &mut Outbox<Vec<TxMsg>>,
     ) {
-        // Route deliveries to their instances. Traffic for a transaction
-        // outside the batch, or one with no instance, is dropped.
-        let delivered: Vec<(ProcessorId, &Vec<TxMsg>)> = inbox.collect();
-        for (b, (_, bundle)) in delivered.iter().enumerate() {
-            for (k, (tx, _)) in bundle.iter().enumerate() {
-                let slot = self.batch.binary_search_by_key(tx, |t| t.id);
-                if let Some(slot) = slot.ok().filter(|s| self.instances[*s].is_some()) {
-                    self.inboxes[slot].push((b as u32, k as u32));
-                }
-            }
-        }
+        // Each delivered bundle, cut down to the entries not yet passed.
+        // Bundles and batch are both id-ascending, so routing is a merge
+        // join: every bundle is read once, front to back, as the slots
+        // go by.
+        let mut delivered: Vec<(ProcessorId, &[TxMsg])> =
+            inbox.map(|(from, bundle)| (from, &bundle[..])).collect();
         let mut broadcasts: Vec<TxMsg> = Vec::new();
-        let slots = self.batch.iter().zip(&mut self.instances);
-        for ((tx, instance), routed) in slots.zip(&mut self.inboxes) {
+        for (tx, instance) in self.batch.iter().zip(&mut self.instances) {
             let Some(instance) = instance else { continue };
-            instance.step_into(
-                routed.iter().map(|&(b, k)| {
-                    let (from, bundle) = delivered[b as usize];
-                    (from, &bundle[k as usize].1)
-                }),
-                rng,
-                &mut self.instance_out,
-            );
-            routed.clear();
+            // In bundle order: the entry for this transaction at the
+            // front of each bundle, once everything below it is dropped.
+            let routed = delivered.iter_mut().filter_map(|(from, rest)| {
+                let below = rest.iter().take_while(|(id, _)| *id < tx.id).count();
+                *rest = &rest[below..];
+                let ((id, msg), after) = rest.split_first()?;
+                (*id == tx.id).then(|| {
+                    *rest = after;
+                    (*from, msg)
+                })
+            });
+            instance.step_into(routed, rng, &mut self.instance_out);
             if let Some(msg) = self.instance_out.take_broadcast() {
                 if broadcasts.capacity() == 0 {
                     // Sized for every instance having something to say
@@ -930,6 +934,84 @@ mod tests {
                 (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
             });
         assert_eq!(digest, 6_593_700_158_096_183_171);
+    }
+
+    #[test]
+    fn foreign_entries_are_dropped_and_leave_the_rest_alone() {
+        use rtc_core::CommitKind;
+        use rtc_model::LocalClock;
+
+        let n = 3;
+        let c = cfg(n);
+        let p = ProcessorId::new;
+        let initial = Store::with_entries([("a", 10)]);
+        let batch = vec![
+            transfer(2, "a", "b", 1),
+            transfer(4, "a", "b", 1),
+            transfer(6, "a", "b", 1),
+        ];
+        let seeds = SeedCollection::new(9);
+        let rng = |q: usize| seeds.step_rng(p(q), LocalClock::new(0));
+        // The well-formed bundle: the coordinator's opening broadcast.
+        let mut coordinator = Replica::new(c, p(0), initial.clone(), &batch);
+        let opening = coordinator
+            .step(&[], &mut rng(0))
+            .into_iter()
+            .find(|send| send.to == p(1))
+            .expect("the coordinator opens with a broadcast")
+            .msg;
+        assert_eq!(opening.len(), 3);
+        // p1 came back with tx6 already decided: that slot has no
+        // instance.
+        let mut log = Wal::new();
+        log.append(LogRecord::Vote {
+            tx: TxId(6),
+            vote: Value::Zero,
+        });
+        log.append(LogRecord::Decision {
+            tx: TxId(6),
+            decision: Decision::Abort,
+        });
+        let (p1, damage) = Replica::recover_from_bytes(c, p(1), initial, &batch, &log.encode());
+        assert_eq!(damage, None);
+        // Whoever ingests this decides abort on the spot.
+        let poison = CommitMsg {
+            go: None,
+            kinds: [CommitKind::Decided(Value::Zero)].into_iter().collect(),
+        };
+        let fine = opening[1].1.clone();
+        let step = |from_p2: Vec<TxMsg>| {
+            let mut replica = p1.clone();
+            let mut out = Outbox::new();
+            replica.step_into(
+                [(p(0), &opening), (p(2), &from_p2)].into_iter(),
+                &mut rng(1),
+                &mut out,
+            );
+            let sends: Vec<(ProcessorId, Vec<TxMsg>)> = out
+                .sends(p(1), n)
+                .map(|(to, bundle)| (to, bundle.clone()))
+                .collect();
+            let log = replica.wal().records().to_vec();
+            (sends, replica.outcomes().clone(), log)
+        };
+        let well_formed = step(vec![(TxId(4), fine.clone())]);
+        let malformed = step(vec![
+            (TxId(1), poison.clone()), // outside the batch
+            (TxId(4), fine),
+            (TxId(2), poison.clone()), // steps back below tx4
+            (TxId(4), poison.clone()), // repeats tx4
+            (TxId(5), poison.clone()), // outside the batch
+            (TxId(6), poison.clone()), // in order, but no instance
+            (TxId(9), poison.clone()), // outside the batch
+        ]);
+        assert_eq!(malformed, well_formed);
+        let (sends, outcomes, _) = malformed;
+        assert!(!sends.is_empty(), "p1 answered the opening");
+        assert_eq!(outcomes.keys().copied().collect::<Vec<_>>(), [TxId(6)]);
+        // The same message in a well-formed place is not dropped.
+        let (_, outcomes, _) = step(vec![(TxId(4), poison)]);
+        assert_eq!(outcomes.get(&TxId(4)), Some(&Decision::Abort));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Transactions and the replicated key-value store.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, DefaultHasher};
 use std::sync::Arc;
 
 use rtc_core::InlineVec;
@@ -88,18 +89,29 @@ impl Transaction {
 /// the tree it replaces (docs/PERF.md "PR 19").
 const OWN_WRITES_INLINE: usize = 8;
 
+/// The key directory's hasher: SipHash under constant keys, the same
+/// in every process, so nothing about a run depends on where it ran
+/// (`RandomState` would seed it from process entropy). The table's
+/// iteration order still depends on its growth history, which is why
+/// the one walk over it, [`Store::entries`], sorts. A fixed key is not
+/// collision-resistant against keys chosen to collide, which the tree
+/// this replaced was (DESIGN.md §10).
+type FixedHasher = BuildHasherDefault<DefaultHasher>;
+
 /// The key-value store state of one replica.
 ///
 /// A `Store` is a copy-on-write handle over two shared parts: a *key
 /// directory* mapping each key to a slot, and a *value column* holding
 /// the values by slot. Slots are handed out in insertion order and
-/// never reused (there is no delete). Cloning a store is two reference
-/// bumps; the first write through a clone copies the column — eight
-/// bytes per key, one allocation — and only a write to a key the store
-/// has never held touches (and, if shared, copies) the directory. An
-/// epoch's opening store is therefore one image shared by every
-/// replica, every snapshot and the runner that carries it forward, and
-/// the stores the replicas end the epoch with share its directory.
+/// never reused (there is no delete). A read or a write of a held key
+/// is one hash and one compare, whatever the store's size. Cloning a
+/// store is two reference bumps; the first write through a clone copies
+/// the column — eight bytes per key, one allocation — and only a write
+/// to a key the store has never held touches (and, if shared, copies)
+/// the directory. An epoch's opening store is therefore one image shared
+/// by every replica, every snapshot and the runner that carries it
+/// forward, and the stores the replicas end the epoch with share its
+/// directory.
 ///
 /// Two stores are equal when they hold the same keys with the same
 /// values, whatever order the keys arrived in.
@@ -107,7 +119,7 @@ const OWN_WRITES_INLINE: usize = 8;
 pub struct Store {
     /// Key → slot in `values`; every slot below `values.len()` has
     /// exactly one key.
-    keys: Arc<BTreeMap<Arc<str>, u32>>,
+    keys: Arc<HashMap<Arc<str>, u32, FixedHasher>>,
     values: Arc<Vec<i64>>,
 }
 
@@ -124,8 +136,12 @@ impl Store {
         I: IntoIterator<Item = (K, i64)>,
         K: Into<String>,
     {
-        let mut keys: BTreeMap<Arc<str>, u32> = BTreeMap::new();
-        let mut values = Vec::new();
+        let entries = entries.into_iter();
+        // Sized once for the entries announced (all of them, for the
+        // slices and arrays a store is opened from).
+        let announced = entries.size_hint().0;
+        let mut keys = HashMap::with_capacity_and_hasher(announced, FixedHasher::default());
+        let mut values = Vec::with_capacity(announced);
         for (key, value) in entries {
             let slot = *keys.entry(Arc::from(key.into())).or_insert_with(|| {
                 values.push(0);
@@ -157,11 +173,15 @@ impl Store {
         self.values.is_empty()
     }
 
-    /// The entries, in key order.
-    fn entries(&self) -> impl Iterator<Item = (&str, i64)> {
-        self.keys
-            .iter()
+    /// The entries, in key order: the directory collected and sorted,
+    /// for `==` between diverged directories and for `Debug`. Nothing an
+    /// epoch runs per transaction walks the directory.
+    fn entries(&self) -> BTreeMap<&str, i64> {
+        // rtc-allow(unordered-iter): sorted before use
+        let unordered = self.keys.iter();
+        unordered
             .map(|(key, slot)| (&**key, self.values[*slot as usize]))
+            .collect()
     }
 
     /// Whether `tx` passes its constraints against this store state.
@@ -262,7 +282,7 @@ impl PartialEq for Store {
             // (`Arc`'s `==` is pointer equality first.)
             return self.values == other.values;
         }
-        self.len() == other.len() && self.entries().eq(other.entries())
+        self.len() == other.len() && self.entries() == other.entries()
     }
 }
 
@@ -271,8 +291,9 @@ impl Eq for Store {}
 impl fmt::Debug for Store {
     /// The entries as a map, in key order.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let data: BTreeMap<&str, i64> = self.entries().collect();
-        f.debug_struct("Store").field("data", &data).finish()
+        f.debug_struct("Store")
+            .field("data", &self.entries())
+            .finish()
     }
 }
 
@@ -289,6 +310,7 @@ mod tests {
     fn validates_by_copy(store: &Store, tx: &Transaction) -> bool {
         let mut scratch: BTreeMap<Arc<str>, i64> = store
             .entries()
+            .into_iter()
             .map(|(key, value)| (Arc::from(key), value))
             .collect();
         for op in &tx.ops {
@@ -485,6 +507,49 @@ mod tests {
         b.apply(&put("m", 2));
         assert_ne!(a, b);
         assert_eq!(opening, Store::with_entries([("m", 1)]));
+    }
+
+    /// Past the six-key corpus: a directory that grows through
+    /// [`Store::apply`] from 100 keys to 2 100 (the table regrows five
+    /// times) while older handles still share what it was, so every so
+    /// often an insert copies the directory before writing to it.
+    #[test]
+    fn a_directory_grown_under_shared_handles_matches_the_model() {
+        // Distinct for i < 2 500, in neither key nor slot order.
+        let key = |i: usize| format!("acct{:05}", (i * 7_919) % 2_500);
+        let entries = || (0..100).map(|i| (key(i), i as i64));
+        let opening = Store::with_entries(entries());
+        let mut model: BTreeMap<String, i64> = entries().collect();
+        let mut grown = opening.clone();
+        let mut held = vec![(opening.clone(), model.clone())];
+        for i in 100..2_100 {
+            if i % 300 == 0 {
+                held.push((grown.clone(), model.clone()));
+            }
+            let ops = vec![Op::put(key(i), i as i64), Op::add(key(i - 100), 1)];
+            apply_to_model(&mut model, &ops);
+            grown.apply(&Transaction::new(i as u64, ops));
+        }
+        held.push((grown, model));
+        for (store, model) in &held {
+            assert_eq!(store.len(), model.len());
+            for i in 0..2_500 {
+                let key = key(i);
+                assert_eq!(store.get(&key), model.get(&key).copied().unwrap_or(0));
+            }
+            assert_eq!(format!("{store:?}"), format!("Store {{ data: {model:?} }}"));
+            // Handed the same entries in key order: another directory,
+            // other slots, an equal store.
+            let sorted = Store::with_entries(model.clone());
+            for (other, other_model) in &held {
+                assert_eq!(store == other, model == other_model);
+                assert_eq!(other == store, model == other_model);
+                assert_eq!(&sorted == other, model == other_model);
+                assert_eq!(other == &sorted, model == other_model);
+            }
+        }
+        assert_eq!(opening, Store::with_entries(entries()));
+        assert_eq!(held.last().unwrap().0.len(), 2_100);
     }
 
     #[test]
