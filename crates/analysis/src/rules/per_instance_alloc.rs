@@ -7,8 +7,9 @@
 //! through one shared scheduler. A `Vec::new()` or `Box::new(..)`
 //! introduced inside the per-event stepping path silently charges every
 //! instance of every batch for it — the exact regression the
-//! `alloc/batch_step_per_instance/n16` bench metric exists to catch,
-//! but caught at review time instead of at the next bench run.
+//! `a_warm_n16_batch_steps_and_allocates_at_most_its_pin` test in
+//! `crates/bench/tests/hot_path_counts.rs` exists to catch, but named
+//! at the line instead of as a count.
 //!
 //! The policed regions are declared in the code itself: a
 //! `rtc-hot-loop(per-instance)` marker comment sits directly above each
@@ -23,8 +24,8 @@
 //! land in the automaton itself, there is no `Vec` in reach for the
 //! token list to see, and the one allocation that region ever made — a
 //! `push` growing a buffer — was a token this rule never matched. What
-//! an instance allocates is gated as an exact count instead
-//! (docs/ANALYSIS.md).
+//! an instance allocates is pinned as an exact count instead, by the
+//! same test (docs/ANALYSIS.md).
 
 use crate::diag::Diagnostic;
 use crate::engine::Workspace;

@@ -9,6 +9,10 @@
 //! containers used purely for point lookup (`entry`, `get`, `contains`)
 //! are fine and not flagged; genuinely order-insensitive folds can carry
 //! an `rtc-allow(unordered-iter): <why>`.
+//!
+//! A method chain rustfmt splits over lines (`self`, `.keys`, `.iter()`
+//! on three) is read as one line and reported at its first, where the
+//! `rtc-allow` above the statement sits.
 
 use crate::diag::Diagnostic;
 use crate::engine::Workspace;
@@ -51,7 +55,8 @@ impl Rule for UnorderedIter {
             if names.is_empty() {
                 continue;
             }
-            for (line_no, line) in file.prod_lines() {
+            for (line_no, line) in chains(file.prod_lines()) {
+                let line = line.as_str();
                 for name in names.keys() {
                     for method in ITER_METHODS {
                         let needle = format!("{name}{method}");
@@ -96,6 +101,22 @@ impl Rule for UnorderedIter {
         }
         out
     }
+}
+
+/// Joins every code line whose trimmed text starts with `.` onto the
+/// code line before it, keeping the first line's number; blank lines
+/// (and so comment-only ones, scrubbed) do not break a chain.
+fn chains<'a>(lines: impl Iterator<Item = (usize, &'a str)>) -> Vec<(usize, String)> {
+    let mut out: Vec<(usize, String)> = Vec::new();
+    for (line_no, line) in lines {
+        let trimmed = line.trim();
+        match out.last_mut() {
+            Some((_, chain)) if trimmed.starts_with('.') => chain.push_str(trimmed),
+            _ if trimmed.is_empty() => {}
+            _ => out.push((line_no, line.to_owned())),
+        }
+    }
+    out
 }
 
 /// `line` contains `needle` and the char before it is not part of a

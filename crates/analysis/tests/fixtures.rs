@@ -170,6 +170,18 @@ fn a_suppression_downgrades_the_positive_fixture() {
     assert_eq!(report.suppressed_count(), 1, "suppression not recorded");
 }
 
+#[test]
+fn a_rustfmt_split_chain_is_read_as_one_line() {
+    let source = include_str!("fixtures/unordered_iter_txn_positive.rs");
+    let errors = run_fixture(
+        "unordered-iter",
+        "rtc-txn",
+        "crates/txn/src/fixture.rs",
+        source,
+    );
+    assert_eq!(errors, 2, "the one-line walk and the split one");
+}
+
 /// Materializes a one-file throwaway workspace so the *binary* can be
 /// exercised end to end, exactly as CI invokes it.
 fn scratch_workspace(tag: &str, crate_name: &str, rel_path: &str, source: &str) -> PathBuf {

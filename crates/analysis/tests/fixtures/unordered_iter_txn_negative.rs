@@ -20,8 +20,8 @@ impl Store {
 
     pub fn entries(&self) -> BTreeMap<&str, i64> {
         // rtc-allow(unordered-iter): sorted before use
-        let unordered = self.keys.iter();
-        unordered
+        self.keys
+            .iter()
             .map(|(key, slot)| (&**key, self.values[*slot as usize]))
             .collect()
     }

@@ -1,6 +1,7 @@
 //! Positive fixture for `unordered-iter` in `rtc-txn`: a hashed key
 //! directory behind an `Arc`, walked in table order into what `==` and
-//! `Debug` read. Not compiled — scanned by `fixtures.rs`.
+//! `Debug` read — once on one line, once in a chain rustfmt split over
+//! three. Not compiled — scanned by `fixtures.rs`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -17,5 +18,13 @@ impl Store {
             entries.push((&**key, self.values[*slot as usize]));
         }
         entries
+    }
+
+    pub fn keys(&self) -> Vec<&str> {
+        self
+            .keys
+            .iter()
+            .map(|(key, _)| &**key)
+            .collect()
     }
 }

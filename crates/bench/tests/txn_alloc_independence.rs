@@ -12,61 +12,15 @@
 //! the store per transaction and `replica_population` copied it per
 //! replica: both counts grew by a thousand allocations per thousand
 //! keys.)
-//!
-//! This lives in `rtc-bench` because a counting `#[global_allocator]`
-//! needs `unsafe`, which every other crate forbids.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod counting;
 
+use counting::count_allocs;
 use rtc_core::CommitConfig;
 use rtc_model::{SeedCollection, TimingParams};
 use rtc_sim::adversaries::SynchronousAdversary;
 use rtc_sim::{RunLimits, SimBuilder};
 use rtc_txn::{replica_population, Op, Store, Transaction};
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Forwards to the system allocator, counting the calling thread's
-/// allocations (tests run on parallel threads; a process-wide counter
-/// would mix them).
-struct CountingAlloc;
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the only addition is a
-// bump of a const-initialised, destructor-free thread-local cell, which
-// cannot allocate (`try_with` covers thread teardown regardless).
-#[allow(unsafe_code)]
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Heap allocations `f` makes on this thread.
-fn count_allocs<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCS.with(Cell::get);
-    let out = f();
-    (ALLOCS.with(Cell::get) - before, out)
-}
 
 fn store_of(keys: usize) -> Store {
     Store::with_entries((0..keys).map(|k| (format!("acct{k:05}"), 1_000)))

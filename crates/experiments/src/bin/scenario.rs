@@ -192,8 +192,8 @@ fn run() -> Result<(), String> {
     );
     println!(
         "on-time: {}   late messages: {}",
-        metrics.lateness.on_time(),
-        metrics.lateness.late.len()
+        metrics.on_time(),
+        metrics.late.len()
     );
     if let Some(ticks) = metrics.worst_nonfaulty_decision_clock {
         println!(

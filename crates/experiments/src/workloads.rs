@@ -95,7 +95,7 @@ fn summarize(
         decision_clocks: metrics.decision_clocks.clone(),
         max_stage,
         messages: metrics.messages_sent,
-        on_time: metrics.lateness.on_time(),
+        on_time: metrics.on_time(),
         crashes: trace.faulty().len(),
     }
 }

@@ -572,10 +572,9 @@ where
     A: Recoverable + Send + 'static,
     A::Msg: Wire + Send + 'static,
 {
-    let n = instances[0].len();
     let mut net = NetClusterCore::boot(instances, seeds, faults, &opts);
     let (sup, recovered, decided_in_time) =
-        rtc_runtime::supervise(&mut net.core, n, t, policy, opts.wall_timeout, opts.tick);
+        rtc_runtime::supervise(&mut net.core, t, policy, opts.wall_timeout);
     (net.finish(recovered, decided_in_time), sup)
 }
 

@@ -500,6 +500,16 @@ where
         ));
     }
 
+    /// How many nodes the cluster runs.
+    pub(crate) fn population(&self) -> usize {
+        self.inboxes.len()
+    }
+
+    /// The nodes' step period.
+    pub(crate) fn tick(&self) -> Duration {
+        self.shared.tick
+    }
+
     /// Time elapsed since the cluster booted.
     pub(crate) fn elapsed(&self) -> Duration {
         self.start.elapsed()
@@ -537,7 +547,7 @@ where
         wall_timeout: Duration,
     ) -> (Vec<bool>, bool) {
         pending.sort_by_key(|r| r.at);
-        let mut recovered = vec![false; self.inboxes.len()];
+        let mut recovered = vec![false; self.population()];
         while self.elapsed() < wall_timeout {
             let now = self.elapsed();
             pending.retain(|r| {
@@ -552,7 +562,7 @@ where
             if pending.is_empty() && self.all_owing_decided() {
                 return (recovered, true);
             }
-            thread::sleep(self.shared.tick);
+            thread::sleep(self.tick());
         }
         (recovered, false)
     }

@@ -155,21 +155,20 @@ impl SupervisorReport {
 /// health transition against `t`.
 ///
 /// Returns the supervisor's report, which nodes were ever respawned,
-/// and whether the loop ended by decision (vs timeout). Polls every
-/// `poll` (the substrate's tick, normally).
+/// and whether the loop ended by decision (vs timeout). Polls once per
+/// tick of `core`.
 pub fn supervise<A, L>(
     core: &mut ClusterCore<A, L>,
-    n: usize,
     t: usize,
     policy: SupervisorPolicy,
     wall_timeout: Duration,
-    poll: Duration,
 ) -> (SupervisorReport, Vec<bool>, bool)
 where
     A: Recoverable + Send + 'static,
     A::Msg: Send + 'static,
     L: Links<A::Msg>,
 {
+    let n = core.population();
     let mut rng = SmallRng::seed_from_u64(policy.seed);
     let mut attempts = vec![0u32; n];
     let mut permanent = vec![false; n];
@@ -221,7 +220,7 @@ where
             decided_in_time = true;
             break;
         }
-        std::thread::sleep(poll);
+        std::thread::sleep(core.tick());
     }
 
     let final_health = ClusterHealth::classify(&core.down(), &permanent, t);
@@ -259,16 +258,9 @@ where
     A: Recoverable + Send + 'static,
     A::Msg: Send + 'static,
 {
-    let n = procs.len();
     let mut cluster = ChannelCluster::boot(procs, seeds, &faults, &opts);
-    let (sup, recovered, decided_in_time) = supervise(
-        &mut cluster.core,
-        n,
-        t,
-        policy,
-        opts.wall_timeout,
-        opts.tick,
-    );
+    let (sup, recovered, decided_in_time) =
+        supervise(&mut cluster.core, t, policy, opts.wall_timeout);
     (cluster.finish(recovered, decided_in_time), sup)
 }
 

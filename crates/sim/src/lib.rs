@@ -79,7 +79,7 @@ pub use batch::{BatchPool, BatchSim, BatchSimBuilder};
 pub use engine::{FairnessParams, RunLimits, RunReport, Sim, SimBuilder, SimError, StopWhen};
 pub use envelope::{IdRun, MsgHandle, MsgId};
 pub use lateness::LatenessMonitor;
-pub use metrics::{LatenessReport, RunMetrics};
+pub use metrics::RunMetrics;
 pub use pattern::{MessagePattern, PatternTriple};
 pub use replay::{Recorder, Replayer};
 pub use trace::{DecisionRecord, EventRecord, EventView, MsgRecord, Trace};

@@ -5,29 +5,11 @@ use rtc_model::{ProcessorId, TimingParams};
 use crate::envelope::MsgId;
 use crate::trace::Trace;
 
-/// Which messages of a run were late (Section 2.2).
-#[derive(Clone, Debug, Default)]
-pub struct LatenessReport {
-    /// Ids of late messages, in send order.
-    pub late: Vec<MsgId>,
-}
-
-impl LatenessReport {
-    /// Whether the run was on-time.
-    pub fn on_time(&self) -> bool {
-        self.late.is_empty()
-    }
-}
-
 /// A bundle of headline numbers extracted from one trace.
 #[derive(Clone, Debug)]
 pub struct RunMetrics {
     /// Messages sent during the run.
     pub messages_sent: usize,
-    /// Messages delivered during the run.
-    pub messages_delivered: usize,
-    /// Messages dropped at crashes.
-    pub messages_dropped: usize,
     /// Total events executed.
     pub events: u64,
     /// Per-processor local clock at decision time (`None` if undecided).
@@ -35,15 +17,17 @@ pub struct RunMetrics {
     /// The latest decision clock among nonfaulty processors, if all of
     /// them decided.
     pub worst_nonfaulty_decision_clock: Option<u64>,
-    /// Lateness analysis at the run's `K`.
-    pub lateness: LatenessReport,
-    /// Whether every delivery was on-time (Section 2's dichotomy bit).
-    pub on_time: bool,
-    /// Number of deliveries classified late against `K`.
-    pub late_messages: usize,
+    /// Ids of the messages late against the run's `K` (Section 2.2),
+    /// in send order.
+    pub late: Vec<MsgId>,
 }
 
 impl RunMetrics {
+    /// Whether every delivery was on-time (Section 2's dichotomy bit).
+    pub fn on_time(&self) -> bool {
+        self.late.is_empty()
+    }
+
     /// Extracts metrics from a trace under timing constants `timing`.
     pub fn from_trace(trace: &Trace, timing: TimingParams) -> RunMetrics {
         let n = trace.population();
@@ -68,17 +52,12 @@ impl RunMetrics {
                 _ => worst = None,
             }
         }
-        let late_messages = late.len();
         RunMetrics {
             messages_sent: trace.messages().len(),
-            messages_delivered: trace.messages().iter().filter(|m| m.delivered()).count(),
-            messages_dropped: trace.messages().iter().filter(|m| m.dropped).count(),
             events: trace.event_count() as u64,
             decision_clocks,
             worst_nonfaulty_decision_clock: worst,
-            on_time: late_messages == 0,
-            late_messages,
-            lateness: LatenessReport { late },
+            late,
         }
     }
 }
@@ -119,11 +98,9 @@ mod tests {
         });
         let m = RunMetrics::from_trace(&t, TimingParams::default());
         assert_eq!(m.messages_sent, 1);
-        assert_eq!(m.messages_delivered, 1);
-        assert_eq!(m.messages_dropped, 0);
         assert_eq!(m.events, 2);
         assert_eq!(m.worst_nonfaulty_decision_clock, Some(1));
-        assert!(m.lateness.on_time());
+        assert!(m.on_time());
     }
 
     #[test]

@@ -178,8 +178,8 @@ impl Store {
     /// epoch runs per transaction walks the directory.
     fn entries(&self) -> BTreeMap<&str, i64> {
         // rtc-allow(unordered-iter): sorted before use
-        let unordered = self.keys.iter();
-        unordered
+        self.keys
+            .iter()
             .map(|(key, slot)| (&**key, self.values[*slot as usize]))
             .collect()
     }

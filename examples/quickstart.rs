@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "  on-time ................. {} (no message later than K = {})",
-        metrics.lateness.on_time(),
+        metrics.on_time(),
         cfg.timing().k()
     );
     Ok(())

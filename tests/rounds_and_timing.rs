@@ -31,7 +31,7 @@ fn synchronous_runs_are_on_time_and_within_8k_ticks() {
             let (report, trace, timing) = commit_run(n, k, 11, &mut adv);
             assert!(report.all_nonfaulty_decided());
             let metrics = RunMetrics::from_trace(&trace, timing);
-            assert!(metrics.lateness.on_time(), "n = {n}, K = {k}");
+            assert!(metrics.on_time(), "n = {n}, K = {k}");
             let worst = metrics.worst_nonfaulty_decision_clock.unwrap();
             assert!(
                 worst <= timing.failure_free_decision_bound(),
@@ -50,10 +50,7 @@ fn delayed_runs_are_late_when_delay_exceeds_k() {
     let (report, trace, timing) = commit_run(n, 4, 5, &mut adv);
     assert!(report.all_nonfaulty_decided());
     let metrics = RunMetrics::from_trace(&trace, timing);
-    assert!(
-        !metrics.lateness.on_time(),
-        "x-slow run must contain late messages"
-    );
+    assert!(!metrics.on_time(), "x-slow run must contain late messages");
 }
 
 #[test]
