@@ -100,7 +100,7 @@ fn corpus() -> Vec<(
         (
             "message-exhaustiveness",
             "rtc-core",
-            "crates/core/src/wire.rs",
+            "crates/core/src/fixture.rs",
             include_str!("fixtures/exhaustive_positive.rs"),
             include_str!("fixtures/exhaustive_negative.rs"),
         ),
@@ -180,6 +180,20 @@ fn a_rustfmt_split_chain_is_read_as_one_line() {
         source,
     );
     assert_eq!(errors, 2, "the one-line walk and the split one");
+}
+
+#[test]
+fn a_codec_is_neither_a_send_site_nor_a_handler() {
+    // The negative fixture read as a crate's `Wire` codec: its sends and
+    // handlers do not count, so every variant is dead vocabulary.
+    let source = include_str!("fixtures/exhaustive_negative.rs");
+    let errors = run_fixture(
+        "message-exhaustiveness",
+        "rtc-core",
+        "crates/core/src/wire.rs",
+        source,
+    );
+    assert_eq!(errors, 2, "both variants, neither sent nor handled");
 }
 
 /// Materializes a one-file throwaway workspace so the *binary* can be

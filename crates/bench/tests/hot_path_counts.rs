@@ -1,9 +1,9 @@
 //! Exact costs of the message hot path: the allocations of the `GO`
-//! fan-out, a message clone, a synchronous commit and a warm batch, and
-//! the events of a jitter soak. Each is a function of the seed alone, the
-//! same on every machine and in debug and release, so it is pinned here,
-//! not measured inside a noise margin (docs/PERF.md, "Trajectory", has
-//! the history). Allocation pins are upper bounds at the last count: a
+//! fan-out, a message clone, a synchronous commit, a warm batch and a
+//! refused payload, and the events of a jitter soak. Each is a function
+//! of the seed alone, the same on every machine and in debug and
+//! release, so it is pinned here, not measured inside a noise margin
+//! (docs/PERF.md, "Trajectory", has the history). Allocation pins are upper bounds at the last count: a
 //! change that lowers one lowers its pin. Each counted region follows an
 //! uncounted warm-up, so lazy one-time set-up never lands inside it.
 
@@ -13,7 +13,10 @@ use counting::count_allocs;
 use rtc_chaos::{ChaosAdversary, ChaosDelay, ChaosSchedule};
 use rtc_core::{commit_population, CommitAutomaton, CommitConfig, CommitMsg};
 use rtc_experiments::run_commit;
-use rtc_model::{Automaton, LocalClock, Outbox, ProcessorId, SeedCollection, TimingParams, Value};
+use rtc_model::{
+    Automaton, LocalClock, Outbox, ProcessorId, SeedCollection, TimingParams, Value, Wire,
+    WireError,
+};
 use rtc_sim::adversaries::SynchronousAdversary;
 use rtc_sim::{BatchPool, BatchSimBuilder, RunLimits, SimBuilder};
 
@@ -60,6 +63,20 @@ fn a_commit_msg_clone_allocates_nothing() {
     let msg: CommitMsg = auto.step(&[], &mut coordinator_rng(42))[0].msg.clone();
     let mut clones = Vec::with_capacity(1024);
     let (allocs, ()) = count_allocs(|| clones.extend((0..1024).map(|_| msg.clone())));
+    assert_eq!(allocs, 0);
+}
+
+/// A payload that claims more coins than it has bytes is refused before
+/// anything is sized by the claim: 14 bytes announcing 2²⁰ coins cost
+/// no allocation (sizing the coin list by the claim cost one, 1 MiB).
+#[test]
+fn a_payload_claiming_more_coins_than_bytes_allocates_nothing() {
+    let mut payload = vec![1u8];
+    payload.extend_from_slice(&(1u32 << 20).to_le_bytes());
+    payload.extend_from_slice(&[1; 9]);
+    assert_eq!(payload.len(), 14);
+    let (allocs, decoded) = count_allocs(|| CommitMsg::decode(&payload));
+    assert_eq!(decoded, Err(WireError::Truncated));
     assert_eq!(allocs, 0);
 }
 

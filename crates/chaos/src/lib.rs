@@ -41,21 +41,21 @@
 //! share one prelude (protocol config, fault plan, validation). Every
 //! run is judged by one function,
 //! [`rtc_core::properties::verify_commit`], over the
-//! [`rtc_core::properties::RunFacts`] its substrate states: statuses,
+//! [`rtc_model::RunFacts`] its substrate's report states: statuses,
 //! who is excused (crashed and not brought back), whether anything
 //! crashed, and whether the run was *on-time*. A finished run is a
 //! prefix, and a prefix is on-time when no on-time run is ruled out as
 //! its extension:
 //!
-//! * on the simulator (`verify_commit_run`), no delivery in the trace
-//!   was late and no message still pending to a live destination is
-//!   already more than `K` steps old — that one is late whenever it
-//!   arrives;
-//! * on channels and sockets ([`cluster_facts`]), the run's
-//!   `LatenessMonitor` counted no late delivery, the tick-delta ledger
-//!   shows none, and nothing at all was still held at the end — a
-//!   wall-clock substrate does not know a held message's age in steps,
-//!   so any held message counts.
+//! * on the simulator ([`rtc_sim::RunReport::facts`]), no delivery in
+//!   the trace was late and no message still pending to a live
+//!   destination is already more than `K` steps old — that one is late
+//!   whenever it arrives;
+//! * on channels and sockets ([`rtc_runtime::ClusterReport::facts`]),
+//!   the run's `LatenessMonitor` counted no late delivery, the
+//!   tick-delta ledger shows none, and nothing at all was still held at
+//!   the end — a wall-clock substrate does not know a held message's
+//!   age in steps, so any held message counts.
 //!
 //! Commit validity binds only on-time, failure-free, deciding runs, so
 //! the clause is what separates a legitimate abort from a violation.
@@ -81,7 +81,7 @@ mod theorem11;
 pub use adversary::ChaosAdversary;
 pub use campaign::{run_campaign, CampaignConfig, CampaignSummary, CampaignViolation};
 pub use net_driver::run_on_net;
-pub use outcome::{classify_verdict, cluster_facts, ChaosOutcome, ChaosReport, Substrate};
+pub use outcome::{classify_verdict, ChaosOutcome, ChaosReport, Substrate};
 pub use runtime_driver::{run_on_runtime, run_on_supervised, to_fault_plan};
 pub use schedule::{
     ChaosCrash, ChaosDelay, ChaosFlap, ChaosPartition, ChaosRestart, ChaosSchedule, ScheduleParams,

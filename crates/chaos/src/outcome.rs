@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use rtc_core::properties::{verify_commit, CommitVerdict, Condition, RunFacts};
+use rtc_core::properties::{verify_commit, CommitVerdict, Condition};
 use rtc_runtime::ClusterReport;
 
 use crate::schedule::ChaosSchedule;
@@ -120,30 +120,6 @@ pub struct ChaosReport {
     pub late_messages: u64,
 }
 
-/// States the facts of a finished channel or socket instance, for
-/// [`verify_commit`]. A wall-clock run has no event trace, so *on-time*
-/// is what its three observers can vouch for: the lateness monitor saw
-/// no late delivery, no message arrived more than `k` receiver ticks
-/// after its sender's tick, and nothing was still held — by a delayer,
-/// a proxy or a link — when the run ended (a held message has no age
-/// here, so any one counts). *Failure-free* means no scripted crash
-/// fired.
-pub fn cluster_facts(report: &ClusterReport, k: u64) -> RunFacts<'_> {
-    RunFacts {
-        statuses: &report.statuses,
-        excused: report
-            .crashed
-            .iter()
-            .zip(&report.recovered)
-            .map(|(crashed, recovered)| *crashed && !*recovered)
-            .collect(),
-        failure_free: !report.crashed.contains(&true),
-        on_time: report.late_deliveries == 0
-            && report.late_messages(k) == 0
-            && report.messages_undelivered == 0,
-    }
-}
-
 /// Judges one finished channel or socket instance of `schedule`: the
 /// one way a wall-clock run becomes a [`ChaosReport`].
 pub(crate) fn judge_cluster(
@@ -151,8 +127,8 @@ pub(crate) fn judge_cluster(
     schedule: &ChaosSchedule,
     report: &ClusterReport,
 ) -> ChaosReport {
-    let facts = cluster_facts(report, schedule.commit_config().timing().k());
-    let verdict = verify_commit(&schedule.votes, &facts);
+    let k = schedule.commit_config().timing().k();
+    let verdict = verify_commit(&schedule.votes, &report.facts(k));
     ChaosReport {
         substrate,
         outcome: classify_verdict(&verdict),
@@ -362,7 +338,7 @@ mod tests {
                 failure_free: facts[1],
                 on_time: facts[2],
             };
-            let judged = verify_commit(&votes, &cluster_facts(&report, k));
+            let judged = verify_commit(&votes, &report.facts(k));
             assert_eq!(judged, want, "row {row}, cluster report");
             if let Some(schedule) = on_sim {
                 let sim = run_on_sim(&schedule, 20_000);

@@ -10,7 +10,7 @@
 //! [`rtc_model::Recoverable::restore_amnesiac`], which rejoins it as a
 //! non-participating observer that pings peers for the decision.
 
-use rtc_core::properties::verify_commit_run;
+use rtc_core::properties::verify_commit;
 use rtc_core::{commit_population, CommitAutomaton, CommitConfig};
 use rtc_model::{Recoverable, SeedCollection, Value};
 use rtc_sim::{RunReport, Sim, SimBuilder, StopWhen};
@@ -185,7 +185,7 @@ pub fn lint_sim_schedule(
 /// over real sockets.
 ///
 /// The run is judged by the paper's commit conditions over its report
-/// and trace ([`verify_commit_run`]) and — when those call it safe —
+/// and trace ([`RunReport::facts`]) and — when those call it safe —
 /// its trace is linted against the executable spec: a trace the spec's
 /// transition relation cannot reproduce is a
 /// [`ChaosOutcome::Violation`] even when the classical safety
@@ -195,12 +195,8 @@ pub fn run_on_sim_with_decision(
     max_events: u64,
 ) -> (ChaosReport, Option<Value>) {
     let run = execute_on_sim(schedule, max_events);
-    let verdict = verify_commit_run(
-        &schedule.votes,
-        &run.report,
-        run.sim.trace(),
-        run.cfg.timing(),
-    );
+    let k = run.cfg.timing().k();
+    let verdict = verify_commit(&schedule.votes, &run.report.facts(run.sim.trace(), k));
     let mut outcome = classify_verdict(&verdict);
     if outcome.is_safe() {
         if let Err(e) = run.lint(schedule) {

@@ -18,7 +18,13 @@
 //!   payload kinds in, so that an instance of up to 16 processors owns
 //!   no heap object but the shared coin list.
 //! * [`properties`] — mechanical checkers for the Agreement /
-//!   Abort-validity / Commit-validity conditions of Section 2.4.
+//!   Abort-validity / Commit-validity conditions of Section 2.4, over
+//!   the [`RunFacts`](rtc_model::RunFacts) any substrate states.
+//! * [`CommitMsg`]'s [`Wire`](rtc_model::Wire) codec, the bytes a socket
+//!   substrate frames.
+//!
+//! The crate depends on no substrate: the protocol and what executes it
+//! meet only in `rtc-model`'s vocabulary.
 //!
 //! The protocol's headline guarantees, all reproduced as experiments in
 //! this workspace (see `EXPERIMENTS.md`):
@@ -58,6 +64,7 @@ mod inline;
 pub mod properties;
 mod protocol1;
 mod protocol2;
+mod wire;
 
 pub use coins::CoinList;
 pub use config::CommitConfig;

@@ -11,11 +11,13 @@
 //!   1, and the run is failure-free and on-time, the nonfaulty
 //!   processors decide 1.
 //!
-//! The checkers below evaluate these over a finished run's report and
-//! trace; tests and experiments call them after every simulation.
+//! The checkers below evaluate these over a finished run's
+//! [`RunFacts`], which every substrate's report states for itself
+//! (`RunReport::facts` on the simulator, `ClusterReport::facts` on
+//! channels and sockets); tests and experiments call them after every
+//! run, whatever executed it.
 
-use rtc_model::{ProcessorId, Status, TimingParams, Value};
-use rtc_sim::{RunReport, Trace};
+use rtc_model::{RunFacts, Status, Value};
 
 /// Outcome of one condition: it either did not apply to this run (its
 /// precondition was unmet), or it applied and held/failed.
@@ -68,24 +70,6 @@ impl CommitVerdict {
     }
 }
 
-/// What one finished run has to say for itself before Section 2.4 can
-/// judge it — the facts every substrate can state, however it observed
-/// them (an event trace on the simulator, cluster reports and lateness
-/// monitors on the wall-clock substrates).
-#[derive(Clone, Debug)]
-pub struct RunFacts<'a> {
-    /// Final status per processor.
-    pub statuses: &'a [Status],
-    /// Which processors owe no decision: crashed and not brought back.
-    /// A recovered processor is not excused — it owes again.
-    pub excused: Vec<bool>,
-    /// No processor crashed at any point of the run.
-    pub failure_free: bool,
-    /// No message of the run is late at the configured `K` — none
-    /// delivered late, and none still held that can only arrive late.
-    pub on_time: bool,
-}
-
 /// The three commit conditions of Section 2.4 over a run's facts — the
 /// one place in the workspace that decides them (`rtc-spec`'s checker,
 /// independent by design, excepted).
@@ -104,15 +88,7 @@ pub fn verify_commit(initial: &[Value], facts: &RunFacts<'_>) -> CommitVerdict {
         "one initial value per processor"
     );
     assert_eq!(facts.excused.len(), facts.statuses.len());
-    let owing = || {
-        facts
-            .statuses
-            .iter()
-            .zip(&facts.excused)
-            .filter(|(_, excused)| !**excused)
-            .map(|(s, _)| *s)
-    };
-    let deciding = owing().all(Status::is_decided);
+    let deciding = owing(facts).all(Status::is_decided);
     // Agreement binds every configuration, so a decision made before a
     // crash counts too.
     let mut decided = facts.statuses.iter().filter_map(|s| s.value());
@@ -120,10 +96,9 @@ pub fn verify_commit(initial: &[Value], facts: &RunFacts<'_>) -> CommitVerdict {
         Some(first) => decided.all(|v| v == first),
         None => true,
     });
-    let owed_all = |want: Value| owing().filter_map(Status::value).all(|v| v == want);
 
     let abort_validity = if deciding && initial.contains(&Value::Zero) {
-        Condition::applied(owed_all(Value::Zero))
+        Condition::applied(owed_all(facts, Value::Zero))
     } else {
         Condition::NotApplicable
     };
@@ -132,7 +107,7 @@ pub fn verify_commit(initial: &[Value], facts: &RunFacts<'_>) -> CommitVerdict {
         && facts.on_time
         && initial.iter().all(|v| *v == Value::One)
     {
-        Condition::applied(owed_all(Value::One))
+        Condition::applied(owed_all(facts, Value::One))
     } else {
         Condition::NotApplicable
     };
@@ -147,34 +122,20 @@ pub fn verify_commit(initial: &[Value], facts: &RunFacts<'_>) -> CommitVerdict {
     }
 }
 
-/// Checks the three commit conditions over a finished simulator run:
-/// states the run's [`RunFacts`] from its report and trace and hands
-/// them to [`verify_commit`]. On-time is judged for the *prefix* the
-/// trace records: no delivery was late ([`Trace::is_on_time`]) and no
-/// message still held is already overdue
-/// ([`Trace::has_overdue_pending`]).
-///
-/// # Panics
-///
-/// Panics if `initial.len()` differs from the traced population.
-pub fn verify_commit_run(
-    initial: &[Value],
-    report: &RunReport,
-    trace: &Trace,
-    timing: TimingParams,
-) -> CommitVerdict {
-    let k = timing.k();
-    verify_commit(
-        initial,
-        &RunFacts {
-            statuses: report.statuses(),
-            excused: ProcessorId::all(trace.population())
-                .map(|p| report.is_faulty(p))
-                .collect(),
-            failure_free: trace.faulty().is_empty(),
-            on_time: trace.is_on_time(k) && !trace.has_overdue_pending(k),
-        },
-    )
+/// The statuses of the processors that owe a decision.
+fn owing<'f>(facts: &'f RunFacts<'_>) -> impl Iterator<Item = Status> + 'f {
+    facts
+        .statuses
+        .iter()
+        .zip(&facts.excused)
+        .filter(|(_, excused)| !**excused)
+        .map(|(s, _)| *s)
+}
+
+/// Whether every processor that owes a decision and made one decided
+/// `want`.
+fn owed_all(facts: &RunFacts<'_>, want: Value) -> bool {
+    owing(facts).filter_map(Status::value).all(|v| v == want)
 }
 
 /// The verdict of checking one agreement-problem run (Section 2.4's
@@ -196,31 +157,25 @@ impl AgreementVerdict {
     }
 }
 
-/// Checks the agreement-problem conditions over a finished run.
+/// The agreement-problem conditions over a run's facts: agreement and
+/// deciding as for [`verify_commit`], and validity — a unanimous input
+/// is the only value a processor that owes a decision may decide.
 ///
 /// # Panics
 ///
-/// Panics if `initial.len()` differs from the report's population.
-pub fn verify_agreement_run(initial: &[Value], report: &RunReport) -> AgreementVerdict {
-    let n = report.statuses().len();
-    assert_eq!(initial.len(), n, "one initial value per processor");
-    let deciding = report.all_nonfaulty_decided();
-    let agreement = Condition::applied(report.agreement_holds());
+/// As [`verify_commit`].
+pub fn verify_agreement(initial: &[Value], facts: &RunFacts<'_>) -> AgreementVerdict {
+    let commit = verify_commit(initial, facts);
     let unanimous = initial.windows(2).all(|w| w[0] == w[1]);
-    let validity = if deciding && unanimous {
-        let expected = initial[0];
-        let ok = ProcessorId::all(n)
-            .filter(|p| !report.is_faulty(*p))
-            .filter_map(|p| report.statuses()[p.index()].value())
-            .all(|v| v == expected);
-        Condition::applied(ok)
+    let validity = if commit.deciding && unanimous {
+        Condition::applied(owed_all(facts, initial[0]))
     } else {
         Condition::NotApplicable
     };
     AgreementVerdict {
-        agreement,
+        agreement: commit.agreement,
         validity,
-        deciding,
+        deciding: commit.deciding,
     }
 }
 
@@ -246,7 +201,7 @@ mod tests {
         let report = sim
             .run(&mut SynchronousAdversary::new(n), RunLimits::default())
             .unwrap();
-        verify_commit_run(votes, &report, sim.trace(), c.timing())
+        verify_commit(votes, &report.facts(sim.trace(), c.timing().k()))
     }
 
     #[test]
@@ -289,7 +244,7 @@ mod tests {
         let report = sim
             .run(&mut SynchronousAdversary::new(n), RunLimits::default())
             .unwrap();
-        let v = verify_agreement_run(&votes, &report);
+        let v = verify_agreement(&votes, &report.facts(sim.trace(), c.timing().k()));
         assert!(v.ok());
         assert_eq!(v.validity, Condition::Held);
     }

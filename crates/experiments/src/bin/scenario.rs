@@ -13,7 +13,7 @@
 
 use std::process::ExitCode;
 
-use rtc_core::{commit_population, properties::verify_commit_run, CommitConfig};
+use rtc_core::{commit_population, properties::verify_commit, CommitConfig};
 use rtc_experiments::Table;
 use rtc_model::{ProcessorId, SeedCollection, TimingParams, Value};
 use rtc_sim::adversaries::{
@@ -183,7 +183,7 @@ fn run() -> Result<(), String> {
     println!("\n{table}");
 
     let metrics = RunMetrics::from_trace(sim.trace(), timing);
-    let verdict = verify_commit_run(&votes, &report, sim.trace(), timing);
+    let verdict = verify_commit(&votes, &report.facts(sim.trace(), timing.k()));
     let rounds = RoundAccountant::new(sim.trace(), timing);
     println!(
         "events: {}   messages: {}",

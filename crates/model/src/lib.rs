@@ -7,6 +7,13 @@
 //! both the discrete-event simulator (`rtc-sim`) and the threaded runtime
 //! (`rtc-runtime`).
 //!
+//! It is the only crate the protocol side (`rtc-core`) and the substrate
+//! side (`rtc-sim` → `rtc-runtime` → `rtc-net`) share. Two seams besides
+//! [`Automaton`] live here for that reason: [`Wire`], the codec a
+//! message crate implements and a byte substrate frames, and
+//! [`RunFacts`], what a substrate's report states about a finished run
+//! for the protocol's correctness conditions to judge.
+//!
 //! # The model in one paragraph
 //!
 //! A *processor* is a state machine with a message buffer and a random
@@ -36,15 +43,19 @@
 mod automaton;
 mod clock;
 mod error;
+mod facts;
 mod ids;
 mod rng;
 pub mod sweep;
 mod value;
+mod wire;
 
 pub use automaton::{Automaton, Delivery, Outbox, Recoverable, Send, Status};
 pub use clock::{LocalClock, TimingParams};
 pub use error::ModelError;
+pub use facts::RunFacts;
 pub use ids::ProcessorId;
 pub use rng::{SeedCollection, StepRng};
 pub use sweep::single_crash_placements;
 pub use value::{Decision, Value};
+pub use wire::{Wire, WireError};

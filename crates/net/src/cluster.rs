@@ -43,7 +43,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use crossbeam_channel::{unbounded, Receiver, Sender};
-use rtc_model::{Outbox, ProcessorId, Recoverable, SeedCollection};
+use rtc_model::{Outbox, ProcessorId, Recoverable, SeedCollection, Wire, WireError};
 use rtc_runtime::{
     ClusterCore, ClusterReport, DelayModel, Envelope, FaultPlan, Inbound, Links, SupervisorPolicy,
     SupervisorReport,
@@ -52,7 +52,7 @@ use rtc_runtime::{
 use crate::options::NetOptions;
 use crate::peer::{spawn_link, Batch, NetCounters};
 use crate::proxy::FaultProxy;
-use crate::wire::{append_frame, try_decode_frame, Frame, Wire, WireError, HEADER};
+use crate::wire::{append_frame, try_decode_frame, Frame, HEADER};
 
 /// Socket-layer totals for one run.
 #[derive(Clone, Debug, Default)]
@@ -83,14 +83,6 @@ pub struct NetRunStats {
     pub deliveries: u64,
     /// Deliveries the monitor classified late.
     pub late_deliveries: u64,
-}
-
-impl NetRunStats {
-    /// Whether every delivery of the run was on-time in the paper's
-    /// sense — the socket analogue of an admissible execution.
-    pub fn on_time(&self) -> bool {
-        self.late_deliveries == 0
-    }
 }
 
 impl std::ops::AddAssign<&NetRunStats> for NetRunStats {

@@ -30,11 +30,17 @@
 //! carry an instance tag, and each node steps every instance once per
 //! tick. The nodes are the runtime's
 //! [`ClusterCore`](rtc_runtime::ClusterCore) — the paced loop, crash
-//! snapshots, respawn and the online
-//! [`LatenessMonitor`](rtc_sim::LatenessMonitor) feed are the channel
-//! substrate's, so a socket run reports the paper's on-time/late
-//! classification exactly, and supervised runs are the runtime's
-//! [`supervise`](rtc_runtime::supervise) loop over that core.
+//! snapshots, respawn and the online lateness monitor feed are the
+//! channel substrate's, so a socket run reports the paper's
+//! on-time/late classification exactly (in each instance's
+//! [`ClusterReport`](rtc_runtime::ClusterReport)), and supervised runs
+//! are the runtime's [`supervise`](rtc_runtime::supervise) loop over
+//! that core.
+//!
+//! Framing is the only byte format this crate owns: a payload is
+//! encoded by its message's own [`Wire`](rtc_model::Wire) impl, which
+//! lives with the message (`rtc-core` for `CommitMsg`), so the crate
+//! depends on no protocol.
 //!
 //! Entry points: [`run_net_cluster`] (scripted restarts) and
 //! [`run_net_supervised`] (reactive supervisor).
@@ -50,4 +56,4 @@ mod wire;
 
 pub use cluster::{run_net_cluster, run_net_supervised, NetClusterCore, NetReport, NetRunStats};
 pub use options::NetOptions;
-pub use wire::{encode_frame, try_decode_frame, Frame, Wire, WireError, HEADER, MAX_FRAME};
+pub use wire::{encode_frame, try_decode_frame, Frame, HEADER, MAX_FRAME};

@@ -23,8 +23,8 @@
 //!   every accepted frame is still forwarded.
 //!
 //! The proxy needs only frame *headers* (the source id), never payload
-//! semantics, so it works for any [`Wire`] message type and cannot
-//! cheat on behalf of the protocol.
+//! semantics, so it works for any [`Wire`](rtc_model::Wire) message
+//! type and cannot cheat on behalf of the protocol.
 
 use std::collections::BinaryHeap;
 use std::io::{ErrorKind, Read, Write};

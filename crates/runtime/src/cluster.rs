@@ -32,7 +32,8 @@ use std::time::{Duration, Instant};
 use crossbeam_channel::{Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use rtc_model::{
-    Delivery, LocalClock, Outbox, ProcessorId, Recoverable, SeedCollection, Status, TimingParams,
+    Delivery, LocalClock, Outbox, ProcessorId, Recoverable, RunFacts, SeedCollection, Status,
+    TimingParams,
 };
 use rtc_sim::{LatenessMonitor, MsgId};
 
@@ -145,6 +146,29 @@ impl ClusterReport {
         vals.sort();
         vals.dedup();
         vals.len() <= 1
+    }
+
+    /// States the instance's [`RunFacts`]. A wall-clock run has no event
+    /// trace, so *on-time* at `k` is what its three observers can vouch
+    /// for: the lateness monitor saw no late delivery, no message
+    /// arrived more than `k` receiver ticks after its sender's tick, and
+    /// nothing was still held — by a delayer, a proxy or a link — when
+    /// the run ended (a held message has no age here, so any one
+    /// counts). *Failure-free* means no scripted crash fired.
+    pub fn facts(&self, k: u64) -> RunFacts<'_> {
+        RunFacts {
+            statuses: &self.statuses,
+            excused: self
+                .crashed
+                .iter()
+                .zip(&self.recovered)
+                .map(|(crashed, recovered)| *crashed && !*recovered)
+                .collect(),
+            failure_free: !self.crashed.contains(&true),
+            on_time: self.late_deliveries == 0
+                && self.late_messages(k) == 0
+                && self.messages_undelivered == 0,
+        }
     }
 }
 
@@ -979,10 +1003,12 @@ mod tests {
 
     #[test]
     fn lateness_is_classified_against_the_derived_k() {
-        // Every message is held three ticks, so between a send and its
-        // receive every node takes three or four steps: late against
-        // K = 2, on time against K = 8 (barring a scheduler stall of
-        // several ticks, hence the slack in the second assertion).
+        // Every message is held eight ticks, so between a send and its
+        // receive every node takes eight or nine steps: late against
+        // K = 2, on time against K = 64. The first verdict flips only if
+        // both nodes stall six ticks inside one hold, the second only if
+        // a delivery is held up 56 ticks past its hold — longer than the
+        // whole 40-tick run.
         let tick = Duration::from_millis(4);
         let run = |k: u64| {
             let mut o = ClusterOptions::derived(tick, TimingParams::new(k).unwrap());
@@ -997,8 +1023,8 @@ mod tests {
                 probes.collect(),
                 SeedCollection::new(16),
                 FaultPlan::none().with_delay(DelayModel::Uniform {
-                    min: tick * 3,
-                    max: tick * 3,
+                    min: tick * 8,
+                    max: tick * 8,
                 }),
                 o,
             )
@@ -1006,7 +1032,7 @@ mod tests {
         let strict = run(2);
         assert!(strict.deliveries > 0, "{strict:?}");
         assert_eq!(strict.late_deliveries, strict.deliveries, "{strict:?}");
-        let lax = run(8);
+        let lax = run(64);
         assert!(lax.deliveries > 0, "{lax:?}");
         assert!(lax.late_deliveries * 4 < lax.deliveries, "{lax:?}");
     }

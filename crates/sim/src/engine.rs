@@ -48,8 +48,8 @@ use std::error::Error;
 use std::fmt;
 
 use rtc_model::{
-    Automaton, LocalClock, ModelError, Outbox, ProcessorId, SeedCollection, Status, TimingParams,
-    Value,
+    Automaton, LocalClock, ModelError, Outbox, ProcessorId, RunFacts, SeedCollection, Status,
+    TimingParams, Value,
 };
 
 use crate::adversary::{Action, Adversary, ContentAdversary, PatternView};
@@ -329,6 +329,20 @@ impl RunReport {
     /// Whether the agreement condition holds for the final configuration.
     pub fn agreement_holds(&self) -> bool {
         self.decided_values().len() <= 1
+    }
+
+    /// States the run's [`RunFacts`] from this report and the run's
+    /// `trace`. On-time is judged at `k` for the *prefix* the trace
+    /// records: no delivery was late ([`Trace::is_on_time`]) and no
+    /// message still held is already overdue
+    /// ([`Trace::has_overdue_pending`]).
+    pub fn facts(&self, trace: &Trace, k: u64) -> RunFacts<'_> {
+        RunFacts {
+            statuses: &self.statuses,
+            excused: self.crashed.clone(),
+            failure_free: trace.faulty().is_empty(),
+            on_time: trace.is_on_time(k) && !trace.has_overdue_pending(k),
+        }
     }
 }
 

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --example adversary_gauntlet`
 
-use rtc::core::properties::verify_commit_run;
+use rtc::core::properties::verify_commit;
 use rtc::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -112,7 +112,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .unwrap();
             let mut adv = make(seed);
             let report = sim.run(adv.as_mut(), RunLimits::with_max_events(150_000))?;
-            let verdict = verify_commit_run(&votes, &report, sim.trace(), cfg.timing());
+            let verdict = verify_commit(&votes, &report.facts(sim.trace(), cfg.timing().k()));
             safe += usize::from(report.agreement_holds());
             live += usize::from(report.all_nonfaulty_decided());
             verdicts_ok += usize::from(verdict.ok());

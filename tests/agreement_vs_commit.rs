@@ -4,7 +4,7 @@
 //! commit problem, the answer must be 0."
 
 use rtc::baselines::dealer_coins;
-use rtc::core::properties::{verify_agreement_run, verify_commit_run};
+use rtc::core::properties::{verify_agreement, verify_commit};
 use rtc::prelude::*;
 
 const N: usize = 5;
@@ -41,7 +41,8 @@ fn agreement_may_decide_either_value_on_mixed_input() {
             .unwrap();
         let mut adv = RandomAdversary::new(seed).deliver_prob(0.5);
         let report = sim.run(&mut adv, RunLimits::default()).unwrap();
-        let verdict = verify_agreement_run(&inputs, &report);
+        let k = TimingParams::default().k();
+        let verdict = verify_agreement(&inputs, &report.facts(sim.trace(), k));
         assert!(verdict.ok(), "seed {seed}: {verdict:?}");
         assert!(report.all_nonfaulty_decided());
         saw.extend(report.decided_values());
@@ -70,7 +71,7 @@ fn commit_must_decide_abort_on_the_same_mixed_input() {
             .unwrap();
         let mut adv = RandomAdversary::new(seed).deliver_prob(0.5);
         let report = sim.run(&mut adv, RunLimits::default()).unwrap();
-        let verdict = verify_commit_run(&votes, &report, sim.trace(), cfg.timing());
+        let verdict = verify_commit(&votes, &report.facts(sim.trace(), cfg.timing().k()));
         assert!(verdict.ok(), "seed {seed}: {verdict:?}");
         assert_eq!(
             report.decided_values(),

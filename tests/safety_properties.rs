@@ -3,7 +3,7 @@
 //! and schedules.
 
 use proptest::prelude::*;
-use rtc::core::properties::{verify_agreement_run, verify_commit_run};
+use rtc::core::properties::{verify_agreement, verify_commit};
 use rtc::prelude::*;
 
 fn arb_votes(n: usize) -> impl Strategy<Value = Vec<rtc::model::Value>> {
@@ -103,7 +103,7 @@ proptest! {
             .deliver_prob(deliver)
             .crash_prob(crash);
         let report = sim.run(&mut adv, RunLimits::default()).unwrap();
-        let verdict = verify_commit_run(&votes, &report, sim.trace(), cfg.timing());
+        let verdict = verify_commit(&votes, &report.facts(sim.trace(), cfg.timing().k()));
         prop_assert!(verdict.ok(), "verdict: {verdict:?}");
         prop_assert!(report.all_nonfaulty_decided(), "admissible run blocked");
     }
@@ -158,7 +158,8 @@ proptest! {
             .unwrap();
         let mut adv = RandomAdversary::new(seed ^ 0xEE).deliver_prob(deliver);
         let report = sim.run(&mut adv, RunLimits::default()).unwrap();
-        let verdict = verify_agreement_run(&inputs, &report);
+        let k = TimingParams::default().k();
+        let verdict = verify_agreement(&inputs, &report.facts(sim.trace(), k));
         prop_assert!(verdict.ok(), "verdict: {verdict:?}");
         prop_assert!(report.all_nonfaulty_decided());
     }
@@ -231,7 +232,7 @@ proptest! {
             let report = sim
                 .run(&mut adv, RunLimits::with_max_events(200_000))
                 .unwrap();
-            let verdict = verify_commit_run(&votes, &report, sim.trace(), cfg.timing());
+            let verdict = verify_commit(&votes, &report.facts(sim.trace(), cfg.timing().k()));
             let digest = sim.trace().digest();
             (report, digest, verdict)
         };

@@ -5,7 +5,7 @@
 //! checking every correctness condition. CI runs these nightly rather
 //! than per-push.
 
-use rtc::core::properties::verify_commit_run;
+use rtc::core::properties::verify_commit;
 use rtc::prelude::*;
 
 fn one_run(n: usize, votes: &[Value], seed: u64, adv: &mut dyn Adversary) -> bool {
@@ -19,7 +19,7 @@ fn one_run(n: usize, votes: &[Value], seed: u64, adv: &mut dyn Adversary) -> boo
     let report = sim
         .run(adv, RunLimits::with_max_events(3_000_000))
         .expect("model respected");
-    let verdict = verify_commit_run(votes, &report, sim.trace(), cfg.timing());
+    let verdict = verify_commit(votes, &report.facts(sim.trace(), cfg.timing().k()));
     assert!(verdict.ok(), "seed {seed}: {verdict:?}");
     assert!(report.all_nonfaulty_decided(), "seed {seed} blocked");
     report.agreement_holds()
