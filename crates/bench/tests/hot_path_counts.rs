@@ -81,7 +81,7 @@ fn a_payload_claiming_more_coins_than_bytes_allocates_nothing() {
 }
 
 /// A whole synchronous commit at `n = 16`, simulator and verdict
-/// included: 511 allocations over its 930 messages.
+/// included: 493 allocations over its 930 messages.
 #[test]
 fn a_synchronous_n16_commit_allocates_at_most_its_pin() {
     let config = cfg(16);
@@ -99,7 +99,7 @@ fn a_synchronous_n16_commit_allocates_at_most_its_pin() {
     let (allocs, result) = count_allocs(|| run(42));
     assert!(result.decided);
     assert_eq!(result.messages, 930);
-    assert!(allocs <= 511, "{allocs} allocations, 511 when pinned");
+    assert!(allocs <= 493, "{allocs} allocations, 493 when pinned");
 }
 
 /// Twenty-four crash-free runs at `n = 16` with up to three steps of

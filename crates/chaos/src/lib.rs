@@ -47,15 +47,18 @@
 //! prefix, and a prefix is on-time when no on-time run is ruled out as
 //! its extension:
 //!
-//! * on the simulator ([`rtc_sim::RunReport::facts`]), no delivery in
-//!   the trace was late and no message still pending to a live
-//!   destination is already more than `K` steps old — that one is late
-//!   whenever it arrives;
+//! * on the simulator ([`rtc_sim::RunReport::facts`]), the lane's
+//!   [`rtc_model::LatenessMonitor`] counted no late delivery and no
+//!   message still pending to a live destination is already overdue —
+//!   that one is late whenever it arrives;
 //! * on channels and sockets ([`rtc_runtime::ClusterReport::facts`]),
 //!   the run's `LatenessMonitor` counted no late delivery, the
-//!   tick-delta ledger shows none, and nothing at all was still held at
-//!   the end — a wall-clock substrate does not know a held message's
-//!   age in steps, so any held message counts.
+//!   instance's tick ledger counted none, and nothing at all was still
+//!   held at the end — a wall-clock substrate does not know a held
+//!   message's age in steps, so any held message counts.
+//!
+//! Both judge at the `K` their run was built with, and take no
+//! argument.
 //!
 //! Commit validity binds only on-time, failure-free, deciding runs, so
 //! the clause is what separates a legitimate abort from a violation.

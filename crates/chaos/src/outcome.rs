@@ -113,7 +113,7 @@ pub struct ChaosReport {
     pub outcome: ChaosOutcome,
     /// The full condition verdict the outcome was folded from.
     pub verdict: CommitVerdict,
-    /// Deliveries the run's [`rtc_sim::LatenessMonitor`] classified as
+    /// Deliveries the run's [`rtc_model::LatenessMonitor`] classified as
     /// *late* (arriving after some processor took more than `K` steps
     /// in the send–receive window) — the same online monitor on every
     /// substrate.
@@ -127,8 +127,7 @@ pub(crate) fn judge_cluster(
     schedule: &ChaosSchedule,
     report: &ClusterReport,
 ) -> ChaosReport {
-    let k = schedule.commit_config().timing().k();
-    let verdict = verify_commit(&schedule.votes, &report.facts(k));
+    let verdict = verify_commit(&schedule.votes, &report.facts());
     ChaosReport {
         substrate,
         outcome: classify_verdict(&verdict),
@@ -143,7 +142,7 @@ mod tests {
 
     use rtc_core::properties::Condition::{Held, NotApplicable as NA, Violated};
     use rtc_model::Value::{One, Zero};
-    use rtc_model::{ProcessorId, Status, TimingParams, Value};
+    use rtc_model::{ProcessorId, Status, Value};
 
     use super::*;
     use crate::schedule::{ChaosCrash, ChaosPartition, ChaosRestart};
@@ -177,13 +176,13 @@ mod tests {
 
     /// A finished wall-clock instance, hand-built: what each processor
     /// decided, who crashed, who came back, and what the run's three
-    /// lateness observers saw (monitor count, largest tick delta,
+    /// lateness observers saw (monitor count, tick-ledger count,
     /// messages still held).
     fn cluster(
         decisions: &[Option<Value>],
         crashed: &[usize],
         recovered: &[usize],
-        (late, slowest, held): (u64, i64, u64),
+        (late, late_by_ticks, held): (u64, u64, u64),
     ) -> ClusterReport {
         let flags = |set: &[usize]| (0..decisions.len()).map(|p| set.contains(&p)).collect();
         ClusterReport {
@@ -198,7 +197,7 @@ mod tests {
             messages_undelivered: held,
             wall: Duration::ZERO,
             decided_in_time: true,
-            link_delays: vec![1, slowest],
+            late_by_ticks,
             deliveries: 12,
             late_deliveries: late,
         }
@@ -234,9 +233,7 @@ mod tests {
     /// failure-free, on-time).
     #[test]
     fn one_judge_gives_every_substrate_the_same_verdict() {
-        let k = TimingParams::default().k();
-        let kt = i64::try_from(k).unwrap();
-        let ok = (0, kt, 0);
+        let ok = (0, 0, 0);
         let all = |v: Value| vec![Some(v); 3];
         let (commit, dissent) = ([One; 3], [One, Zero, One]);
         // Two of three down (early abort off, so nobody decides alone),
@@ -278,24 +275,24 @@ mod tests {
             ),
             (
                 Some(owing),
-                cluster(&[None; 3], &[1, 2], &[2], (3, kt, 0)),
+                cluster(&[None; 3], &[1, 2], &[2], (3, 0, 0)),
                 ([Held, NA, NA], [false, false, false]),
             ),
             // Lateness excuses an abort on all-commit votes, whoever
             // saw it: the monitor, the tick ledger, a held message.
             (
                 Some(late),
-                cluster(&[Some(Zero); 5], &[], &[], (1, kt, 0)),
+                cluster(&[Some(Zero); 5], &[], &[], (1, 0, 0)),
                 ([Held, NA, NA], [true, true, false]),
             ),
             (
                 None,
-                cluster(&all(Zero), &[], &[], (0, kt + 1, 0)),
+                cluster(&all(Zero), &[], &[], (0, 1, 0)),
                 ([Held, NA, NA], [true, true, false]),
             ),
             (
                 None,
-                cluster(&all(Zero), &[], &[], (0, kt, 1)),
+                cluster(&all(Zero), &[], &[], (0, 0, 1)),
                 ([Held, NA, NA], [true, true, false]),
             ),
             // What no correct protocol produces. Agreement binds the
@@ -338,7 +335,7 @@ mod tests {
                 failure_free: facts[1],
                 on_time: facts[2],
             };
-            let judged = verify_commit(&votes, &report.facts(k));
+            let judged = verify_commit(&votes, &report.facts());
             assert_eq!(judged, want, "row {row}, cluster report");
             if let Some(schedule) = on_sim {
                 let sim = run_on_sim(&schedule, 20_000);

@@ -433,11 +433,6 @@ impl ChaosSchedule {
     pub fn crash_of(&self, p: ProcessorId) -> Option<&ChaosCrash> {
         self.crashes.iter().find(|c| c.victim == p)
     }
-
-    /// The scripted restart of `p`, if any.
-    pub fn restart_of(&self, p: ProcessorId) -> Option<&ChaosRestart> {
-        self.restarts.iter().find(|r| r.victim == p)
-    }
 }
 
 /// Upgrades or adds snapshot restarts until at most `t` crash victims

@@ -195,8 +195,7 @@ pub fn run_on_sim_with_decision(
     max_events: u64,
 ) -> (ChaosReport, Option<Value>) {
     let run = execute_on_sim(schedule, max_events);
-    let k = run.cfg.timing().k();
-    let verdict = verify_commit(&schedule.votes, &run.report.facts(run.sim.trace(), k));
+    let verdict = verify_commit(&schedule.votes, &run.report.facts());
     let mut outcome = classify_verdict(&verdict);
     if outcome.is_safe() {
         if let Err(e) = run.lint(schedule) {

@@ -201,7 +201,7 @@ mod tests {
         let report = sim
             .run(&mut SynchronousAdversary::new(n), RunLimits::default())
             .unwrap();
-        verify_commit(votes, &report.facts(sim.trace(), c.timing().k()))
+        verify_commit(votes, &report.facts())
     }
 
     #[test]
@@ -244,7 +244,7 @@ mod tests {
         let report = sim
             .run(&mut SynchronousAdversary::new(n), RunLimits::default())
             .unwrap();
-        let v = verify_agreement(&votes, &report.facts(sim.trace(), c.timing().k()));
+        let v = verify_agreement(&votes, &report.facts());
         assert!(v.ok());
         assert_eq!(v.validity, Condition::Held);
     }

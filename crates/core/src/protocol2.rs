@@ -266,13 +266,6 @@ impl CommitAutomaton {
         self.coins.is_some()
     }
 
-    /// Whether this processor adopted its decision from a `Decided`
-    /// broadcast (extension; see
-    /// [`CommitConfig::with_decision_broadcast`]).
-    pub fn adopted_decision(&self) -> bool {
-        self.adopted
-    }
-
     /// Records a `GO` heard from `p` (first one counts).
     fn mark_go(&mut self, p: ProcessorId) {
         self.board.mark_go(p);

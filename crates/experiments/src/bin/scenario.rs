@@ -182,8 +182,8 @@ fn run() -> Result<(), String> {
     }
     println!("\n{table}");
 
-    let metrics = RunMetrics::from_trace(sim.trace(), timing);
-    let verdict = verify_commit(&votes, &report.facts(sim.trace(), timing.k()));
+    let metrics = RunMetrics::from_trace(sim.trace());
+    let verdict = verify_commit(&votes, &report.facts());
     let rounds = RoundAccountant::new(sim.trace(), timing);
     println!(
         "events: {}   messages: {}",

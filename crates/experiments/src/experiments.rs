@@ -1251,7 +1251,7 @@ pub fn a4_decision_broadcast(effort: Effort) -> ExperimentResult {
                     halted += 1;
                 }
             }
-            let metrics = rtc_sim::RunMetrics::from_trace(sim.trace(), c.timing());
+            let metrics = rtc_sim::RunMetrics::from_trace(sim.trace());
             if let Some(t) = metrics.worst_nonfaulty_decision_clock {
                 worst.push(t);
             }

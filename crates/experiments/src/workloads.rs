@@ -71,8 +71,8 @@ fn summarize(
     report: &rtc_sim::RunReport,
 ) -> CommitRunResult {
     let trace = sim.trace();
-    let verdict = properties::verify_commit(votes, &report.facts(trace, cfg.timing().k()));
-    let metrics = RunMetrics::from_trace(trace, cfg.timing());
+    let verdict = properties::verify_commit(votes, &report.facts());
+    let metrics = RunMetrics::from_trace(trace);
     let accountant = RoundAccountant::new(trace, cfg.timing());
     let done_round = if report.all_nonfaulty_decided() {
         accountant.done_round(ROUND_HORIZON)

@@ -4,9 +4,10 @@ use crate::Status;
 
 /// What one finished run has to say for itself before Section 2.4 can
 /// judge it — the facts every substrate can state, however it observed
-/// them (an event trace on the simulator, cluster reports and lateness
-/// monitors on the wall-clock substrates). Each substrate's report
-/// states them; `rtc_core::properties` judges them.
+/// them (each simulator lane and each wall-clock cluster runs a
+/// [`LatenessMonitor`](crate::LatenessMonitor) at the run's own `K`).
+/// Each substrate's report states them; `rtc_core::properties` judges
+/// them.
 #[derive(Clone, Debug)]
 pub struct RunFacts<'a> {
     /// Final status per processor.

@@ -8,11 +8,13 @@
 //! (`rtc-runtime`).
 //!
 //! It is the only crate the protocol side (`rtc-core`) and the substrate
-//! side (`rtc-sim` → `rtc-runtime` → `rtc-net`) share. Two seams besides
-//! [`Automaton`] live here for that reason: [`Wire`], the codec a
-//! message crate implements and a byte substrate frames, and
-//! [`RunFacts`], what a substrate's report states about a finished run
-//! for the protocol's correctness conditions to judge.
+//! side (`rtc-sim`, and `rtc-runtime` → `rtc-net`) share. Three seams
+//! besides [`Automaton`] live here for that reason: [`Wire`], the codec
+//! a message crate implements and a byte substrate frames;
+//! [`LatenessMonitor`], the one classifier of the model's late messages
+//! every substrate runs; and [`RunFacts`], what a substrate's report
+//! states about a finished run for the protocol's correctness
+//! conditions to judge.
 //!
 //! # The model in one paragraph
 //!
@@ -45,6 +47,7 @@ mod clock;
 mod error;
 mod facts;
 mod ids;
+mod lateness;
 mod rng;
 pub mod sweep;
 mod value;
@@ -55,6 +58,7 @@ pub use clock::{LocalClock, TimingParams};
 pub use error::ModelError;
 pub use facts::RunFacts;
 pub use ids::ProcessorId;
+pub use lateness::LatenessMonitor;
 pub use rng::{SeedCollection, StepRng};
 pub use sweep::single_crash_placements;
 pub use value::{Decision, Value};

@@ -12,10 +12,10 @@
 //! [payload ...]               message bytes, per the message's Wire codec
 //! ```
 //!
-//! All integers are little-endian. `sent_at_tick` feeds the per-link
-//! delay ledger (the runtime's lateness approximation) and `sent_event`
-//! feeds the node loop's exact online lateness monitor (whose count is
-//! each [`ClusterReport`](rtc_runtime::ClusterReport)'s
+//! All integers are little-endian. `sent_at_tick` feeds the
+//! per-instance tick ledger (each
+//! [`ClusterReport`](rtc_runtime::ClusterReport)'s `late_by_ticks`) and
+//! `sent_event` the node loop's online lateness monitor (its
 //! `late_deliveries`); `instance` multiplexes many concurrent commit
 //! instances over one connection. The payload's codec is the message crate's own
 //! [`Wire`] impl; framing knows no message type.

@@ -32,10 +32,9 @@ use std::time::{Duration, Instant};
 use crossbeam_channel::{Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use rtc_model::{
-    Delivery, LocalClock, Outbox, ProcessorId, Recoverable, RunFacts, SeedCollection, Status,
-    TimingParams,
+    Delivery, LatenessMonitor, LocalClock, Outbox, ProcessorId, Recoverable, RunFacts,
+    SeedCollection, Status, TimingParams,
 };
-use rtc_sim::{LatenessMonitor, MsgId};
 
 use crate::fault::{FaultPlan, RestartAt};
 
@@ -49,8 +48,10 @@ pub struct ClusterOptions {
     /// Hard cap on wall-clock time for the whole run.
     pub wall_timeout: Duration,
     /// The model's `K` ([`TimingParams::k`]): the run's
-    /// `LatenessMonitor` calls a delivery late when some node took more
-    /// than this many steps between the send and the receive.
+    /// [`LatenessMonitor`] calls a delivery late when some node took
+    /// more than this many steps between the send and the receive, and
+    /// the tick ledger when it arrived more than this many ticks after
+    /// its sender's tick.
     pub lateness_k: u64,
 }
 
@@ -109,12 +110,12 @@ pub struct ClusterReport {
     pub wall: Duration,
     /// Whether the run ended by decision (vs timeout).
     pub decided_in_time: bool,
-    /// Per-message delivery delays, in receiver ticks minus sender
-    /// ticks. Node clocks advance at the same wall rate (one step per
-    /// tick), so this approximates the paper's lateness measure: a
-    /// message is *late-ish* when its delta exceeds `K`.
-    pub link_delays: Vec<i64>,
-    /// Deliveries the run's `LatenessMonitor` classified — the paper's
+    /// The tick ledger: this instance's deliveries that arrived more
+    /// than `K` receiver ticks after their sender's tick. Node clocks
+    /// advance at the same wall rate (one step per tick), so this is a
+    /// second, tick-based observer of the paper's lateness.
+    pub late_by_ticks: u64,
+    /// Deliveries the run's [`LatenessMonitor`] classified — the paper's
     /// event-based measure (Section 2), in the vocabulary the simulator
     /// reports. Counted over every instance the nodes multiplex.
     pub deliveries: u64,
@@ -134,12 +135,6 @@ impl ClusterReport {
             .all(|(s, (crashed, recovered))| (*crashed && !recovered) || s.is_decided())
     }
 
-    /// How many messages arrived more than `k` ticks after they were
-    /// sent — the runtime analogue of the paper's late messages.
-    pub fn late_messages(&self, k: u64) -> usize {
-        self.link_delays.iter().filter(|d| **d > k as i64).count()
-    }
-
     /// Whether at most one distinct value was decided.
     pub fn agreement_holds(&self) -> bool {
         let mut vals: Vec<_> = self.statuses.iter().filter_map(|s| s.value()).collect();
@@ -148,14 +143,14 @@ impl ClusterReport {
         vals.len() <= 1
     }
 
-    /// States the instance's [`RunFacts`]. A wall-clock run has no event
-    /// trace, so *on-time* at `k` is what its three observers can vouch
-    /// for: the lateness monitor saw no late delivery, no message
-    /// arrived more than `k` receiver ticks after its sender's tick, and
-    /// nothing was still held — by a delayer, a proxy or a link — when
-    /// the run ended (a held message has no age here, so any one
-    /// counts). *Failure-free* means no scripted crash fired.
-    pub fn facts(&self, k: u64) -> RunFacts<'_> {
+    /// States the instance's [`RunFacts`]. *On-time*, at the
+    /// [`ClusterOptions::lateness_k`] the run was booted with, is what
+    /// its three observers can vouch for: the lateness monitor saw no
+    /// late delivery, the tick ledger none either, and nothing was
+    /// still held — by a delayer, a proxy or a link — when the run
+    /// ended (a held message has no age here, so any one counts).
+    /// *Failure-free* means no scripted crash fired.
+    pub fn facts(&self) -> RunFacts<'_> {
         RunFacts {
             statuses: &self.statuses,
             excused: self
@@ -166,7 +161,7 @@ impl ClusterReport {
                 .collect(),
             failure_free: !self.crashed.contains(&true),
             on_time: self.late_deliveries == 0
-                && self.late_messages(k) == 0
+                && self.late_by_ticks == 0
                 && self.messages_undelivered == 0,
         }
     }
@@ -238,8 +233,9 @@ struct Shared<A: Recoverable, L> {
     done: Arc<AtomicBool>,
     /// Protocol messages sent, per instance (before any fault or frame).
     messages: Vec<AtomicU64>,
-    /// Receiver-tick-minus-sender-tick deltas, per instance.
-    link_delays: Mutex<Vec<Vec<i64>>>,
+    /// The tick ledger, per instance: deliveries whose receiver tick
+    /// exceeds their sender's by more than `K`.
+    late_by_ticks: Vec<AtomicU64>,
     /// `crash_snaps[i]`: node `i`'s crash-time snapshot of every
     /// instance — the stable storage a dying node writes.
     crash_snaps: Mutex<Vec<Option<Vec<A::Snapshot>>>>,
@@ -258,7 +254,6 @@ struct Shared<A: Recoverable, L> {
     max_steps: u64,
     /// Cluster-wide step-event counter feeding the lateness monitor.
     events: AtomicU64,
-    delivery_ids: AtomicU64,
     lateness: Mutex<LatenessMonitor>,
     links: L,
 }
@@ -321,23 +316,20 @@ where
             }
             // This step's cluster-wide event, for the paper's lateness
             // measure: note the step first (the receiving step counts
-            // toward the interval), then classify the arrivals.
+            // toward the interval), then classify what reaches an
+            // instance.
             let ev = shared.events.fetch_add(1, Ordering::Relaxed) + 1;
             {
                 let mut mon = shared.lateness.lock();
                 mon.note_step(i, ev);
-                for env in &arrivals {
-                    let did = shared.delivery_ids.fetch_add(1, Ordering::Relaxed);
-                    mon.classify_delivery(MsgId::external(did), env.sent_event);
-                }
-            }
-            {
-                let mut delays = shared.link_delays.lock();
                 for env in arrivals.drain(..) {
                     // The tag came off a wire: one that names no
-                    // instance is dropped, never indexed.
+                    // instance is dropped, never indexed or classified.
                     if let Some(inbox) = per_instance.get_mut(env.instance) {
-                        delays[env.instance].push(clock as i64 - env.sent_at_tick as i64);
+                        mon.classify_delivery(env.sent_event);
+                        if clock.saturating_sub(env.sent_at_tick) > mon.k() {
+                            shared.late_by_ticks[env.instance].fetch_add(1, Ordering::Relaxed);
+                        }
                         inbox.push(Delivery::new(env.from, env.msg));
                     }
                 }
@@ -448,7 +440,7 @@ where
             steps: Mutex::new(vec![0; n]),
             done,
             messages: (0..m).map(|_| AtomicU64::new(0)).collect(),
-            link_delays: Mutex::new(vec![Vec::new(); m]),
+            late_by_ticks: (0..m).map(|_| AtomicU64::new(0)).collect(),
             crash_snaps: Mutex::new((0..n).map(|_| None).collect()),
             init_snaps: Mutex::new(
                 per_node
@@ -462,7 +454,6 @@ where
             tick: opts.tick,
             max_steps: opts.max_steps,
             events: AtomicU64::new(0),
-            delivery_ids: AtomicU64::new(0),
             lateness: Mutex::new(LatenessMonitor::new(n, opts.lateness_k)),
             links,
         });
@@ -597,7 +588,7 @@ where
     /// threads fed by a channel the links own see it disconnect — and
     /// then `teardown` runs: the substrate joins its own threads there
     /// and returns how many messages it still held. `steps`, `crashed`,
-    /// `recovered`, the undelivered count and the lateness counts are
+    /// `recovered`, the undelivered count and the monitor's counts are
     /// per node or per run, and repeated in every instance's report.
     pub fn finish(
         self,
@@ -621,7 +612,6 @@ where
         let steps = shared.steps.lock().clone();
         let crashed = shared.ever_crashed.lock().clone();
         let down = shared.down.lock().clone();
-        let mut link_delays = std::mem::take(&mut *shared.link_delays.lock());
         let (deliveries, late_deliveries) = {
             let mon = shared.lateness.lock();
             (mon.delivered(), mon.late_count())
@@ -645,7 +635,7 @@ where
                     messages_undelivered,
                     wall,
                     decided_in_time: decided_in_time && owed_in,
-                    link_delays: std::mem::take(&mut link_delays[k]),
+                    late_by_ticks: shared.late_by_ticks[k].load(Ordering::Relaxed),
                     deliveries,
                     late_deliveries,
                 }
@@ -927,9 +917,11 @@ mod tests {
         assert_eq!(reports.len(), 2);
         assert_eq!(reports[0].crashed, vec![true, true]);
         assert!(reports[0].steps[0] >= CRASH + 2 && reports[0].steps[1] == 0);
-        assert_eq!(reports[0].deliveries, 2, "both arrivals were classified");
-        assert!(reports[0].link_delays.is_empty());
-        assert_eq!(reports[1].link_delays, vec![0]);
+        // Only the arrival that reached an instance was classified, by
+        // the monitor and by the tick ledger: it was sent at tick 0 and
+        // read at tick 0.
+        assert_eq!(reports[0].deliveries, 1);
+        assert!(reports.iter().all(|r| r.late_by_ticks == 0));
     }
 
     #[test]
@@ -1088,9 +1080,10 @@ mod tests {
     }
 
     #[test]
-    fn link_delays_reflect_injected_spikes() {
-        // With no injected delay, link deltas hover near zero; with
-        // spikes of several ticks, late messages appear.
+    fn tick_ledger_reflects_injected_spikes() {
+        // With no injected delay, a message arrives within a tick or
+        // two; with spikes of several ticks, the ledger counts late
+        // ones.
         let c = cfg(3);
         let calm = run_cluster(
             commit_population(c, &[Value::One; 3]),
@@ -1098,9 +1091,8 @@ mod tests {
             FaultPlan::none(),
             opts(),
         );
-        assert!(!calm.link_delays.is_empty());
-        let k = c.timing().k();
-        let calm_late = calm.late_messages(k);
+        assert!(calm.deliveries > 0);
+        let calm_late = calm.late_by_ticks;
 
         let spiky = run_cluster(
             commit_population(c, &[Value::One; 3]),
@@ -1116,9 +1108,9 @@ mod tests {
         );
         assert!(spiky.agreement_holds());
         assert!(
-            spiky.late_messages(k) > calm_late,
+            spiky.late_by_ticks > calm_late,
             "spikes should produce more late messages ({} vs {calm_late})",
-            spiky.late_messages(k)
+            spiky.late_by_ticks
         );
     }
 

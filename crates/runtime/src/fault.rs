@@ -447,11 +447,6 @@ impl FaultPlan {
             .map(|c| c.at_step)
     }
 
-    /// The scripted restart of `p`, if any.
-    pub fn restart_of(&self, p: ProcessorId) -> Option<RestartAt> {
-        self.restarts.iter().copied().find(|r| r.victim == p)
-    }
-
     /// Rolls the network-fault dice for one message from `from` to `to`
     /// sent at offset `at` from cluster start: `(hold, duplicate_hold,
     /// reset)`. Both substrates call this and nothing else, so the draw

@@ -31,11 +31,10 @@
 
 use std::fmt;
 
-use rtc_model::{Automaton, ModelError, ProcessorId, Status};
+use rtc_model::{Automaton, LatenessMonitor, ModelError, ProcessorId, Status};
 
 use crate::adversary::{Action, Adversary, ContentAdversary, ContentView};
 use crate::engine::{Lane, RunLimits, RunReport, Shared, SimBuilder, SimError, StopWhen};
-use crate::lateness::LatenessMonitor;
 use crate::store::StoreLane;
 use crate::trace::{DecisionRecord, Trace};
 
@@ -270,7 +269,7 @@ impl<A: Automaton> BatchSim<A> {
             true,
         )?;
         Ok((self.lanes.iter().zip(met).zip(advs.iter()))
-            .map(|((lane, met), adv)| lane.report(!met, adv.admissible()))
+            .map(|((lane, met), adv)| lane.report(&self.shared.store, !met, adv.admissible()))
             .collect())
     }
 
@@ -450,12 +449,7 @@ impl<A: Automaton> BatchSim<A> {
 
     /// Builds the [`RunReport`] of instance `lane` for the run so far.
     pub fn report(&self, lane: usize, stalled: bool, admissible: bool) -> RunReport {
-        self.lanes[lane].report(stalled, admissible)
-    }
-
-    /// A copy of instance `lane`'s trace (see [`BatchSim::lane_trace`]).
-    pub fn to_trace(&self, lane: usize) -> Trace {
-        self.traces[lane].clone()
+        self.lanes[lane].report(&self.shared.store, stalled, admissible)
     }
 
     /// Instance `lane`'s trace — byte-identical (equal
@@ -699,6 +693,51 @@ mod tests {
         assert_eq!(shared.store.run_references(), shared.store.len());
         assert_eq!(shared.bodies.live(), distinct.len());
         (shared.store.len(), distinct.len())
+    }
+
+    /// Round-robin, delivering everything but what p0 sends p3.
+    struct Withhold(usize);
+
+    impl Adversary for Withhold {
+        fn next(&mut self, view: &PatternView<'_>) -> Action {
+            let p = ProcessorId::new(self.0 % N);
+            self.0 += 1;
+            let deliver = view
+                .pending_iter(p)
+                .filter(|m| !(m.from.index() == 0 && p.index() == 3))
+                .map(|m| m.id)
+                .collect();
+            Action::Step { p, deliver }
+        }
+
+        fn admissible(&self) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn a_drained_lane_still_reports_the_overdue_message_it_held() {
+        // Everybody hears 40 messages, p3 none of p0's: by then p0's
+        // first message to p3 is far more than K steps old, so the
+        // decided run is not on time — also once the batch has drained
+        // the finished lane and the store no longer holds the message.
+        let cfg = SimBuilder::new(TimingParams::default(), SeedCollection::new(1));
+        let population = || {
+            let mut procs = chatters();
+            procs.iter_mut().for_each(|c| c.target = 40);
+            procs
+        };
+        let mut alone = cfg.build(population()).unwrap();
+        let report = alone.run(&mut Withhold(0), RunLimits::default()).unwrap();
+        assert!(!report.stalled() && alone.lateness().on_time());
+        assert!(!report.facts().on_time, "p0's messages to p3 are overdue");
+
+        let mut builder = BatchSimBuilder::new();
+        builder.instance(cfg, population()).unwrap();
+        let mut batch = builder.build();
+        let reports = batch.run(&mut [Withhold(0)], RunLimits::default()).unwrap();
+        assert_eq!(batch.shared.store.len(), 0, "the finished lane was drained");
+        assert!(!reports[0].facts().on_time);
     }
 
     #[test]

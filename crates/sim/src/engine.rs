@@ -48,15 +48,14 @@ use std::error::Error;
 use std::fmt;
 
 use rtc_model::{
-    Automaton, LocalClock, ModelError, Outbox, ProcessorId, RunFacts, SeedCollection, Status,
-    TimingParams, Value,
+    Automaton, LatenessMonitor, LocalClock, ModelError, Outbox, ProcessorId, RunFacts,
+    SeedCollection, Status, TimingParams, Value,
 };
 
 use crate::adversary::{Action, Adversary, ContentAdversary, PatternView};
 use crate::batch::{BatchSim, BatchSimBuilder};
 use crate::bodies::BodySlab;
 use crate::envelope::{IdRun, MsgId};
-use crate::lateness::LatenessMonitor;
 use crate::store::{MsgStore, RunHeader, StoreLane, Taken};
 use crate::trace::{DecisionRecord, Dests, SendRun, Trace};
 
@@ -279,6 +278,8 @@ pub struct RunReport {
     events: u64,
     stalled: bool,
     admissible: bool,
+    failure_free: bool,
+    on_time: bool,
 }
 
 impl RunReport {
@@ -331,17 +332,18 @@ impl RunReport {
         self.decided_values().len() <= 1
     }
 
-    /// States the run's [`RunFacts`] from this report and the run's
-    /// `trace`. On-time is judged at `k` for the *prefix* the trace
-    /// records: no delivery was late ([`Trace::is_on_time`]) and no
-    /// message still held is already overdue
-    /// ([`Trace::has_overdue_pending`]).
-    pub fn facts(&self, trace: &Trace, k: u64) -> RunFacts<'_> {
+    /// States the run's [`RunFacts`], as the lane recorded them when it
+    /// built this report. Failure-free: no processor crashed. On-time,
+    /// at the `K` the run was built with and for the *prefix* it ran:
+    /// the lane's [`LatenessMonitor`] saw no late delivery, and no
+    /// message pending to a live destination was already overdue —
+    /// that one is late whenever it arrives.
+    pub fn facts(&self) -> RunFacts<'_> {
         RunFacts {
             statuses: &self.statuses,
             excused: self.crashed.clone(),
-            failure_free: trace.faulty().is_empty(),
-            on_time: trace.is_on_time(k) && !trace.has_overdue_pending(k),
+            failure_free: self.failure_free,
+            on_time: self.on_time,
         }
     }
 }
@@ -421,6 +423,7 @@ impl SimBuilder {
             partition: None,
             reordered: false,
             monitor,
+            drained_overdue: false,
         })
     }
 
@@ -550,6 +553,9 @@ pub(crate) struct Lane<A: Automaton> {
     reordered: bool,
     /// Online on-time/late classifier for every delivery.
     monitor: LatenessMonitor,
+    /// Whether [`Lane::drain`] discarded a message that was already
+    /// overdue: the prefix stays not on-time after the store forgot it.
+    drained_overdue: bool,
 }
 
 impl<A: Automaton> Lane<A> {
@@ -593,15 +599,34 @@ impl<A: Automaton> Lane<A> {
         self.autos.iter().map(Automaton::status).collect()
     }
 
-    /// Builds a [`RunReport`] for this instance's run so far.
-    pub(crate) fn report(&self, stalled: bool, admissible: bool) -> RunReport {
+    /// Builds a [`RunReport`] for this instance's run so far, stating
+    /// its facts from the monitor and the lane's pending messages in
+    /// `store`.
+    pub(crate) fn report(&self, store: &MsgStore, stalled: bool, admissible: bool) -> RunReport {
         RunReport {
             statuses: self.statuses(),
             crashed: self.crashed.clone(),
             events: self.event,
             stalled,
             admissible,
+            failure_free: self.crashes_used == 0,
+            on_time: self.monitor.on_time() && !self.drained_overdue && !self.holds_overdue(store),
         }
+    }
+
+    /// Whether a message pending to a live destination is already
+    /// overdue. None can be until some processor has taken `K + 1`
+    /// steps — until then the monitor calls not even a send at event 0
+    /// overdue — so the pass over the lane's pending messages is
+    /// skipped.
+    fn holds_overdue(&self, store: &MsgStore) -> bool {
+        self.monitor.overdue(0)
+            && (0..self.autos.len()).any(|i| {
+                !self.crashed[i]
+                    && store
+                        .iter_dest(&self.store_lane, i)
+                        .any(|m| self.monitor.overdue(m.send_event))
+            })
     }
 
     /// Whether processor `i` currently satisfies the stop condition.
@@ -860,7 +885,7 @@ impl<A: Automaton> Lane<A> {
         // so it is recorded before the deliveries are classified.
         self.monitor.note_step(i, self.event);
         for (id, taken) in deliver.iter().zip(deliv_scratch.iter()) {
-            if self.monitor.classify_delivery(*id, taken.send_event) {
+            if self.monitor.classify_delivery(taken.send_event) {
                 trace.mark_late(*id);
             }
         }
@@ -1142,8 +1167,10 @@ impl<A: Automaton> Lane<A> {
     /// the slots (and the bodies nothing refers to any more) to the
     /// shared free lists. Called
     /// by the batch engine once an instance meets its stop condition, so
-    /// later-finishing instances recycle its envelopes.
+    /// later-finishing instances recycle its envelopes. Whether one of
+    /// them was overdue is kept for the report.
     pub(crate) fn drain(&mut self, shared: &mut Shared<A::Msg>) {
+        self.drained_overdue |= self.holds_overdue(&shared.store);
         for d in 0..self.autos.len() {
             while let Some(taken) = shared.store.take_head(&mut self.store_lane, d) {
                 shared.bodies.release(taken.body);
@@ -1829,6 +1856,54 @@ mod tests {
             .any(|e| matches!(e, crate::EventView::Reorder { .. })));
     }
 
+    /// Section 2's lateness, word for word, read off the recorded events
+    /// and message records: a message is late when some processor takes
+    /// more than `k` steps after its sending event and at or before its
+    /// receiving event. Returns the late deliveries in id order, and
+    /// whether a message pending to a live destination already is —
+    /// late whenever it arrives.
+    fn by_definition(trace: &Trace, k: u64) -> (Vec<MsgId>, bool) {
+        let n = trace.population();
+        let (mut steps, mut down) = (vec![Vec::new(); n], vec![false; n]);
+        for (event, ev) in trace.events().enumerate() {
+            match ev {
+                crate::EventView::Step { p, .. } => steps[p.index()].push(event as u64),
+                crate::EventView::Crash { p } => down[p.index()] = true,
+                crate::EventView::Revive { p } => down[p.index()] = false,
+                _ => {}
+            }
+        }
+        let exceeded = |sent: u64, until: u64| {
+            steps.iter().any(|s: &Vec<u64>| {
+                let upto = |e: u64| s.partition_point(|step| *step <= e);
+                (upto(until) - upto(sent)) as u64 > k
+            })
+        };
+        let end = trace.event_count() as u64;
+        let msgs = trace.messages();
+        let late = msgs
+            .iter()
+            .filter(|m| {
+                m.recv_event
+                    .is_some_and(|recv| exceeded(m.send_event, recv))
+            })
+            .map(|m| m.id)
+            .collect();
+        let overdue = msgs.iter().any(|m| {
+            !m.delivered() && !m.dropped && !down[m.to.index()] && exceeded(m.send_event, end)
+        });
+        (late, overdue)
+    }
+
+    /// Whether `s`'s run so far is on time, as its report states it —
+    /// checked against [`by_definition`].
+    fn on_time_as_defined<A: Automaton>(s: &Sim<A>) -> bool {
+        let on_time = s.report(false, false).facts().on_time;
+        let (late, overdue) = by_definition(s.trace(), s.timing().k());
+        assert_eq!(on_time, late.is_empty() && !overdue, "{:?}", s.trace());
+        on_time
+    }
+
     #[test]
     fn online_lateness_matches_the_posthoc_trace_analysis() {
         let mut any_late = false;
@@ -1836,24 +1911,93 @@ mod tests {
             let mut s = sim(3, 4);
             let mut adv = crate::adversaries::RandomAdversary::new(seed).deliver_prob(0.3);
             let _ = s.run(&mut adv, RunLimits::with_max_events(2_000)).unwrap();
-            let k = s.timing().k();
-            let posthoc: Vec<MsgId> = s
-                .trace()
-                .messages()
-                .iter()
-                .filter(|m| s.trace().is_late(m, k))
-                .map(|m| m.id)
-                .collect();
-            let mut online = s.lateness().late_ids().to_vec();
-            online.sort_unstable_by_key(|id| id.index());
-            assert_eq!(online, posthoc, "seed {seed}");
+            let (late, _) = by_definition(s.trace(), s.timing().k());
             let mut marked = s.trace().late_marks().to_vec();
-            marked.sort_unstable_by_key(|id| id.index());
-            assert_eq!(marked, posthoc, "seed {seed}");
-            assert_eq!(s.lateness().on_time(), posthoc.is_empty(), "seed {seed}");
-            any_late |= !posthoc.is_empty();
+            marked.sort_unstable();
+            assert_eq!(marked, late, "seed {seed}");
+            assert_eq!(s.lateness().late_count(), late.len() as u64, "seed {seed}");
+            on_time_as_defined(&s);
+            any_late |= !late.is_empty();
         }
         assert!(any_late, "sparse schedules should produce late deliveries");
+    }
+
+    /// Plays its script; claims no admissibility, so neither the fault
+    /// budget nor the fairness envelope steps in.
+    struct Script(std::vec::IntoIter<Action>);
+
+    impl Adversary for Script {
+        fn next(&mut self, _: &PatternView<'_>) -> Action {
+            self.0.next().expect("the run stops where its script ends")
+        }
+
+        fn admissible(&self) -> bool {
+            false
+        }
+    }
+
+    /// The overdue-pending rule, on the lane's report: p0's one message
+    /// m0 to p1, held while p2 steps.
+    #[test]
+    fn a_held_message_is_overdue_from_k_plus_one_steps_on() {
+        let k = 3;
+        let p = ProcessorId::new;
+        let scripted = |id: ProcessorId| Scripted {
+            id,
+            n: 3,
+            broadcast: false,
+            direct: if id.index() == 0 { vec![1] } else { vec![] },
+        };
+        let step = |i: usize, deliver: &[u64]| Action::Step {
+            p: p(i),
+            deliver: deliver.iter().map(|id| MsgId(*id)).collect(),
+        };
+        // p0 sends m0 at event 0, then p2 takes `held` steps, then the
+        // rest of the script plays.
+        let run = |held: u64, then: Vec<Action>| {
+            let mut script = vec![step(0, &[])];
+            script.extend((0..held).map(|_| step(2, &[])));
+            script.extend(then);
+            let events = script.len() as u64;
+            let mut s = SimBuilder::new(TimingParams::new(k).unwrap(), SeedCollection::new(5))
+                .build(ProcessorId::all(3).map(scripted).collect())
+                .unwrap();
+            s.run_until(&mut Script(script.into_iter()), events, StopWhen::default())
+                .unwrap();
+            s
+        };
+        // Exactly K steps old: it can still arrive on time.
+        assert!(on_time_as_defined(&run(k, vec![])));
+        // K + 1: late whenever it arrives, though nothing late was
+        // delivered.
+        let overdue = run(k + 1, vec![]);
+        assert!(!on_time_as_defined(&overdue) && overdue.lateness().on_time());
+
+        // A message nobody is up to receive is owed to nobody ...
+        let crash = |victim: usize, drop: &[u64]| Action::Crash {
+            p: p(victim),
+            drop: drop.iter().map(|id| MsgId(*id)).collect(),
+        };
+        let mut down = run(k + 1, vec![crash(1, &[])]);
+        assert!(on_time_as_defined(&down));
+        // ... until its destination is back.
+        down.revive(p(1), scripted(p(1))).unwrap();
+        assert!(!on_time_as_defined(&down));
+
+        // Dropped at its sender's crash: never owed.
+        assert!(on_time_as_defined(&run(k + 1, vec![crash(0, &[0])])));
+
+        // A network copy is a message of its own, sent when it is made:
+        // m1 copies m0 after K - 1 steps, m0 arrives on time, and m1 is
+        // overdue only once p2 is K + 1 steps past the copy — not once
+        // it is past m0's send.
+        let copy = |held_after: u64| {
+            let mut then = vec![Action::Duplicate { id: MsgId(0) }, step(1, &[0])];
+            then.extend((0..held_after).map(|_| step(2, &[])));
+            run(k - 1, then)
+        };
+        assert!(on_time_as_defined(&copy(k)));
+        assert!(!on_time_as_defined(&copy(k + 1)));
     }
 
     /// Sends what it is told to, every step.

@@ -12,14 +12,6 @@ use rtc_model::{LocalClock, ProcessorId};
 pub struct MsgId(pub(crate) u64);
 
 impl MsgId {
-    /// A message id minted outside the simulator. External substrates
-    /// (the socket runtime) feed their deliveries through the online
-    /// [`crate::LatenessMonitor`] and number messages themselves; such
-    /// ids do *not* index the simulator's trace table.
-    pub fn external(raw: u64) -> MsgId {
-        MsgId(raw)
-    }
-
     /// The dense index of this message in send order.
     pub fn index(self) -> usize {
         self.0 as usize

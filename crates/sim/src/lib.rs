@@ -66,7 +66,6 @@ mod batch;
 mod bodies;
 mod engine;
 mod envelope;
-mod lateness;
 mod metrics;
 mod pattern;
 mod replay;
@@ -78,7 +77,6 @@ pub use adversary::{Action, Adversary, ContentAdversary, ContentView, PatternVie
 pub use batch::{BatchPool, BatchSim, BatchSimBuilder};
 pub use engine::{FairnessParams, RunLimits, RunReport, Sim, SimBuilder, SimError, StopWhen};
 pub use envelope::{IdRun, MsgHandle, MsgId};
-pub use lateness::LatenessMonitor;
 pub use metrics::RunMetrics;
 pub use pattern::{MessagePattern, PatternTriple};
 pub use replay::{Recorder, Replayer};

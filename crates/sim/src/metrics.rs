@@ -1,6 +1,6 @@
 //! Quantitative summaries of recorded runs.
 
-use rtc_model::{ProcessorId, TimingParams};
+use rtc_model::ProcessorId;
 
 use crate::envelope::MsgId;
 use crate::trace::Trace;
@@ -17,8 +17,9 @@ pub struct RunMetrics {
     /// The latest decision clock among nonfaulty processors, if all of
     /// them decided.
     pub worst_nonfaulty_decision_clock: Option<u64>,
-    /// Ids of the messages late against the run's `K` (Section 2.2),
-    /// in send order.
+    /// Ids of the messages delivered late against the run's `K`
+    /// (Section 2.2), in send order — the lane's lateness monitor's
+    /// [`Trace::late_marks`].
     pub late: Vec<MsgId>,
 }
 
@@ -28,16 +29,11 @@ impl RunMetrics {
         self.late.is_empty()
     }
 
-    /// Extracts metrics from a trace under timing constants `timing`.
-    pub fn from_trace(trace: &Trace, timing: TimingParams) -> RunMetrics {
+    /// Extracts metrics from a trace.
+    pub fn from_trace(trace: &Trace) -> RunMetrics {
         let n = trace.population();
-        let k = timing.k();
-        let late: Vec<MsgId> = trace
-            .messages()
-            .iter()
-            .filter(|m| trace.is_late(m, k))
-            .map(|m| m.id)
-            .collect();
+        let mut late = trace.late_marks().to_vec();
+        late.sort_unstable();
         let decision_clocks: Vec<Option<u64>> = ProcessorId::all(n)
             .map(|p| trace.decision_of(p).map(|d| d.clock.ticks()))
             .collect();
@@ -96,11 +92,21 @@ mod tests {
             clock: LocalClock::new(1),
             event: 1,
         });
-        let m = RunMetrics::from_trace(&t, TimingParams::default());
+        let m = RunMetrics::from_trace(&t);
         assert_eq!(m.messages_sent, 1);
         assert_eq!(m.events, 2);
         assert_eq!(m.worst_nonfaulty_decision_clock, Some(1));
         assert!(m.on_time());
+    }
+
+    #[test]
+    fn late_is_the_monitors_marks_in_send_order() {
+        let mut t = Trace::new(2);
+        t.mark_late(MsgId(3));
+        t.mark_late(MsgId(1));
+        let m = RunMetrics::from_trace(&t);
+        assert_eq!(m.late, [MsgId(1), MsgId(3)]);
+        assert!(!m.on_time());
     }
 
     #[test]
@@ -112,7 +118,7 @@ mod tests {
             clock: LocalClock::new(5),
             event: 0,
         });
-        let m = RunMetrics::from_trace(&t, TimingParams::default());
+        let m = RunMetrics::from_trace(&t);
         assert_eq!(m.worst_nonfaulty_decision_clock, None);
     }
 
@@ -128,7 +134,7 @@ mod tests {
             clock: LocalClock::new(5),
             event: 1,
         });
-        let m = RunMetrics::from_trace(&t, TimingParams::default());
+        let m = RunMetrics::from_trace(&t);
         assert_eq!(m.worst_nonfaulty_decision_clock, Some(5));
     }
 }

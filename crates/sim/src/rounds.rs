@@ -52,11 +52,6 @@ impl RoundBoundaries {
         self.ends[p.index()].get(r - 1).copied()
     }
 
-    /// The number of rounds computed per processor.
-    pub fn rounds_computed(&self) -> usize {
-        self.ends.first().map_or(0, Vec::len)
-    }
-
     /// The round (1-based) within which `p`'s local clock reading
     /// `clock` falls, if within the computed horizon.
     pub fn round_at(&self, p: ProcessorId, clock: u64) -> Option<u64> {

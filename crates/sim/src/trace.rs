@@ -2,8 +2,9 @@
 //!
 //! A [`Trace`] is the executable counterpart of the paper's *run*: the
 //! sequence of events together with enough metadata to reconstruct the
-//! message pattern, compute asynchronous rounds (Section 2.2), and test
-//! on-time-ness (Section 2.2's lateness predicate).
+//! message pattern and compute asynchronous rounds (Section 2.2), plus
+//! the deliveries the lane's lateness monitor marked late as they
+//! happened.
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -499,20 +500,18 @@ pub struct Trace {
     msgs: OnceLock<Vec<MsgRecord>>,
     crashed: Vec<ProcessorId>,
     decisions: Vec<DecisionRecord>,
-    /// Per-processor list of global event indices at which it stepped,
-    /// for O(log) "steps between events" queries.
-    step_events: Vec<Vec<u64>>,
+    /// Number of processors in the traced run.
+    n: usize,
     /// Messages the engine's lateness monitor classified as late at
     /// delivery time, in delivery order. A side annotation: not part of
-    /// the digest (lateness is derived data — `Trace::is_late`
-    /// recomputes it — and legacy digests must stay stable).
+    /// the digest (legacy digests must stay stable).
     late_marks: Vec<MsgId>,
 }
 
 impl Trace {
     pub(crate) fn new(n: usize) -> Trace {
         Trace {
-            step_events: vec![Vec::new(); n],
+            n,
             ..Trace::default()
         }
     }
@@ -526,9 +525,7 @@ impl Trace {
         self.msgs.take();
         self.crashed.clear();
         self.decisions.clear();
-        self.step_events.truncate(n);
-        self.step_events.iter_mut().for_each(Vec::clear);
-        self.step_events.resize_with(n, Vec::new);
+        self.n = n;
         self.late_marks.clear();
     }
 
@@ -575,7 +572,7 @@ impl Trace {
 
     /// Number of processors in the traced run.
     pub fn population(&self) -> usize {
-        self.step_events.len()
+        self.n
     }
 
     /// The id range event `idx` minted.
@@ -648,10 +645,8 @@ impl Trace {
         &self.decisions
     }
 
-    /// Messages the engine's [`crate::LatenessMonitor`] flagged as late
-    /// at delivery time, in delivery order. Matches the post-hoc
-    /// [`Trace::is_late`] classification at the run's `K`; recorded in
-    /// the trace so drivers can report lateness without replaying it.
+    /// Messages the lane's [`rtc_model::LatenessMonitor`] flagged as
+    /// late at delivery time, at the run's `K`, in delivery order.
     pub fn late_marks(&self) -> &[MsgId] {
         &self.late_marks
     }
@@ -659,102 +654,6 @@ impl Trace {
     /// The decision record of processor `p`, if it decided.
     pub fn decision_of(&self, p: ProcessorId) -> Option<DecisionRecord> {
         self.decisions.iter().find(|d| d.p == p).copied()
-    }
-
-    /// How many steps processor `p` took strictly after global event `a`
-    /// and at-or-before global event `b`.
-    pub fn steps_between(&self, p: ProcessorId, a: u64, b: u64) -> u64 {
-        steps_between(&self.step_events[p.index()], a, b)
-    }
-
-    /// Whether message `m` is *late* per Section 2.2: some processor took
-    /// more than `k` steps between the sending event and the receiving
-    /// event. Undelivered messages are not (yet) late.
-    pub fn is_late(&self, m: &MsgRecord, k: u64) -> bool {
-        let Some(recv) = m.recv_event else {
-            return false;
-        };
-        ProcessorId::all(self.population()).any(|p| self.steps_between(p, m.send_event, recv) > k)
-    }
-
-    /// Whether the traced prefix is *on-time*: contains no late message
-    /// ([`Trace::is_late`] of no [`Trace::messages`] entry). A message's
-    /// send event is the row that minted its id, its receive event the
-    /// step row that lists it, so one pass over the rows sees both and
-    /// no message record is derived.
-    pub fn is_on_time(&self, k: u64) -> bool {
-        let mut send_event = Vec::with_capacity(self.table.sent() as usize);
-        (0..self.cols.len()).all(|idx| {
-            let row = self.cols.row(idx);
-            let event = idx as u64;
-            send_event.resize(row.sent_end as usize, event);
-            row.delivered.iter().all(|id| {
-                let sent = send_event[id.index()];
-                self.step_events
-                    .iter()
-                    .all(|steps| steps_between(steps, sent, event) <= k)
-            })
-        })
-    }
-
-    /// Whether the prefix ends holding an *overdue* message: one whose
-    /// destination is up, neither delivered nor dropped at a crash, and
-    /// sent so long ago that some processor has already taken more than
-    /// `k` steps since. Such a message is late whenever it arrives, so
-    /// no on-time run extends this prefix — although
-    /// [`Trace::is_on_time`], which judges deliveries only, still holds.
-    /// Like it, a pass over the rows: no message record is derived.
-    pub fn has_overdue_pending(&self, k: u64) -> bool {
-        // Some processor is more than `k` steps past event `s` exactly
-        // when `s` precedes that processor's (k+1)-th step from the end.
-        let back = usize::try_from(k).map_or(usize::MAX, |k| k.saturating_add(1));
-        let horizon = self
-            .step_events
-            .iter()
-            .filter_map(|steps| Some(steps[steps.len().checked_sub(back)?]))
-            .max();
-        // Ids are dense in send order: the rows before the horizon
-        // minted exactly the ids below `old`.
-        let old = match horizon {
-            None | Some(0) => return false,
-            Some(h) => self.cols.sent_end[h as usize - 1] as usize,
-        };
-        let mut pending = vec![true; old];
-        for id in self.cols.deliv_pool.iter().chain(&self.table.dropped) {
-            if let Some(slot) = pending.get_mut(id.index()) {
-                *slot = false;
-            }
-        }
-        if !pending.contains(&true) {
-            return false;
-        }
-        let n = self.population();
-        let mut down = vec![false; n];
-        let mut dest: Vec<ProcessorId> = Vec::with_capacity(old);
-        let mut explicit = self.table.explicit.iter().peekable();
-        for idx in 0..self.cols.len() {
-            let row = self.cols.row(idx);
-            match row.kind {
-                KIND_CRASH => down[row.p as usize] = true,
-                KIND_REVIVE => down[row.p as usize] = false,
-                _ if dest.len() >= old => {}
-                KIND_STEP => {
-                    let first = dest.len() as u32;
-                    let count = (row.sent_end - first) as usize;
-                    if count == 0 {
-                        // Sent nothing.
-                    } else if let Some((_, start)) = explicit.next_if(|(run, _)| *run == first) {
-                        dest.extend_from_slice(&self.table.dest_pool[*start as usize..][..count]);
-                    } else {
-                        let from = ProcessorId::new(row.p as usize);
-                        dest.extend(ProcessorId::all(n).filter(|to| *to != from));
-                    }
-                }
-                KIND_DUPLICATE => dest.push(dest[row.clock as usize]),
-                _ => {}
-            }
-        }
-        (0..old).any(|id| pending[id] && !down[dest[id].index()])
     }
 
     /// Number of events in the traced prefix.
@@ -844,14 +743,6 @@ impl Trace {
     }
 }
 
-/// How many of the ascending step events `evs` lie strictly after event
-/// `a` and at-or-before event `b`.
-fn steps_between(evs: &[u64], a: u64, b: u64) -> u64 {
-    let lo = evs.partition_point(|&e| e <= a);
-    let hi = evs.partition_point(|&e| e <= b);
-    (hi - lo) as u64
-}
-
 /// Recording: everything the event-application code
 /// ([`crate::engine::Lane`]) writes while executing a run.
 impl Trace {
@@ -864,7 +755,6 @@ impl Trace {
         sent: SendRun<'_>,
     ) {
         self.msgs.take();
-        self.step_events[p.index()].push(self.cols.len() as u64);
         let sent_end = self.table.push_run(sent);
         self.cols
             .push_step(p.index() as u32, clock_after.ticks(), delivered, sent_end);
@@ -1041,113 +931,6 @@ mod tests {
             dests: Dests::Explicit(&dests),
         };
         t.push_step(pid(p), LocalClock::new(clock), &delivered, run);
-    }
-
-    #[test]
-    fn steps_between_counts_half_open_interval() {
-        let mut t = Trace::new(2);
-        t.push_event(step(0, 1)); // event 0
-        t.push_event(step(1, 1)); // event 1
-        t.push_event(step(0, 2)); // event 2
-        t.push_event(step(0, 3)); // event 3
-        assert_eq!(t.steps_between(pid(0), 0, 3), 2);
-        assert_eq!(t.steps_between(pid(0), 0, 0), 0);
-        assert_eq!(t.steps_between(pid(1), 0, 3), 1);
-    }
-
-    #[test]
-    fn lateness_uses_any_processor() {
-        let mut t = Trace::new(2);
-        // p0 sends at event 0; p1 receives at event 4; p0 took 3 more steps
-        // in between => late when K < 3 for p0's count.
-        sending_step(&mut t, 0, 1, &[], 0, &[1]);
-        t.push_event(step(0, 2));
-        t.push_event(step(0, 3));
-        t.push_event(step(0, 4));
-        sending_step(&mut t, 1, 1, &[0], 1, &[]);
-        let m = &t.messages()[0];
-        assert_eq!(
-            (m.recv_event, m.recv_clock),
-            (Some(4), Some(LocalClock::new(1)))
-        );
-        assert!(t.is_late(m, 2));
-        assert!(!t.is_late(m, 3));
-        assert!(!t.is_on_time(2));
-        assert!(t.is_on_time(3));
-    }
-
-    #[test]
-    fn undelivered_messages_are_not_late() {
-        let mut t = Trace::new(2);
-        sending_step(&mut t, 0, 1, &[], 0, &[1]);
-        assert!(!t.is_late(&t.messages()[0], 1));
-    }
-
-    /// The overdue-pending rule by its definition, over derived message
-    /// records: what [`Trace::has_overdue_pending`]'s row pass must
-    /// agree with.
-    fn overdue_by_definition(t: &Trace, k: u64) -> bool {
-        let mut down = vec![false; t.population()];
-        for ev in t.events() {
-            match ev {
-                EventView::Crash { p } => down[p.index()] = true,
-                EventView::Revive { p } => down[p.index()] = false,
-                _ => {}
-            }
-        }
-        let end = t.event_count() as u64;
-        t.messages().iter().any(|m| {
-            !m.delivered()
-                && !m.dropped
-                && !down[m.to.index()]
-                && ProcessorId::all(t.population())
-                    .any(|p| t.steps_between(p, m.send_event, end) > k)
-        })
-    }
-
-    #[test]
-    fn a_held_message_is_overdue_from_k_plus_one_steps_on() {
-        let k = 3;
-        let mut t = Trace::new(3);
-        sending_step(&mut t, 0, 1, &[], 0, &[1]); // event 0: id 0, p0 -> p1
-        for clock in 1..=k {
-            t.push_event(step(2, clock));
-        }
-        // Exactly K steps old: it can still arrive on time.
-        assert!(!t.has_overdue_pending(k) && !overdue_by_definition(&t, k));
-        t.push_event(step(2, k + 1));
-        // K + 1: late whenever it arrives, though nothing late was
-        // delivered.
-        assert!(t.has_overdue_pending(k) && overdue_by_definition(&t, k));
-        assert!(t.is_on_time(k));
-        assert!(!t.has_overdue_pending(k + 1));
-
-        // A message nobody is up to receive is owed to nobody ...
-        let mut down = t.clone();
-        down.push_event(EventRecord::Crash { p: pid(1) });
-        assert!(!down.has_overdue_pending(k) && !overdue_by_definition(&down, k));
-        // ... until its destination is back.
-        down.push_event(EventRecord::Revive { p: pid(1) });
-        assert!(down.has_overdue_pending(k) && overdue_by_definition(&down, k));
-
-        // Dropped at its sender's crash: never owed.
-        let mut dropped = t.clone();
-        dropped.note_drop(MsgId(0));
-        dropped.push_event(EventRecord::Crash { p: pid(0) });
-        assert!(!dropped.has_overdue_pending(k) && !overdue_by_definition(&dropped, k));
-
-        // Delivered: late, not pending — and its fresh network copy is
-        // a message of its own, overdue only K + 1 steps after *it* was
-        // made.
-        let mut copied = t.clone();
-        copied.push_duplicate(pid(0), MsgId(0), MsgId(1));
-        sending_step(&mut copied, 1, 1, &[0], 2, &[]);
-        assert!(!copied.is_on_time(k));
-        assert!(!copied.has_overdue_pending(k) && !overdue_by_definition(&copied, k));
-        for clock in k + 2..=2 * k + 2 {
-            copied.push_event(step(2, clock));
-        }
-        assert!(copied.has_overdue_pending(k) && overdue_by_definition(&copied, k));
     }
 
     #[test]

@@ -112,7 +112,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .unwrap();
             let mut adv = make(seed);
             let report = sim.run(adv.as_mut(), RunLimits::with_max_events(150_000))?;
-            let verdict = verify_commit(&votes, &report.facts(sim.trace(), cfg.timing().k()));
+            let verdict = verify_commit(&votes, &report.facts());
             safe += usize::from(report.agreement_holds());
             live += usize::from(report.all_nonfaulty_decided());
             verdicts_ok += usize::from(verdict.ok());

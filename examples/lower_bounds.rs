@@ -154,7 +154,7 @@ fn theorem_17_unbounded_ticks() -> Result<(), Box<dyn std::error::Error>> {
         let mut adv = DelayAdversary::new(n, x);
         let report = sim.run(&mut adv, RunLimits::with_max_events(5_000_000))?;
         assert!(report.all_nonfaulty_decided());
-        let metrics = RunMetrics::from_trace(sim.trace(), cfg.timing());
+        let metrics = RunMetrics::from_trace(sim.trace());
         let rounds = RoundAccountant::new(sim.trace(), cfg.timing());
         let outcome = report
             .statuses()

@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(report.agreement_holds());
 
     // The paper's performance story, measured on this run:
-    let metrics = RunMetrics::from_trace(sim.trace(), cfg.timing());
+    let metrics = RunMetrics::from_trace(sim.trace());
     let rounds = RoundAccountant::new(sim.trace(), cfg.timing());
     println!("\n== performance ==");
     println!("  events executed ......... {}", report.events());

@@ -41,8 +41,7 @@ fn agreement_may_decide_either_value_on_mixed_input() {
             .unwrap();
         let mut adv = RandomAdversary::new(seed).deliver_prob(0.5);
         let report = sim.run(&mut adv, RunLimits::default()).unwrap();
-        let k = TimingParams::default().k();
-        let verdict = verify_agreement(&inputs, &report.facts(sim.trace(), k));
+        let verdict = verify_agreement(&inputs, &report.facts());
         assert!(verdict.ok(), "seed {seed}: {verdict:?}");
         assert!(report.all_nonfaulty_decided());
         saw.extend(report.decided_values());
@@ -71,7 +70,7 @@ fn commit_must_decide_abort_on_the_same_mixed_input() {
             .unwrap();
         let mut adv = RandomAdversary::new(seed).deliver_prob(0.5);
         let report = sim.run(&mut adv, RunLimits::default()).unwrap();
-        let verdict = verify_commit(&votes, &report.facts(sim.trace(), cfg.timing().k()));
+        let verdict = verify_commit(&votes, &report.facts());
         assert!(verdict.ok(), "seed {seed}: {verdict:?}");
         assert_eq!(
             report.decided_values(),

@@ -17,7 +17,10 @@
 use rtc::core::CommitMsg;
 use rtc::model::{Outbox, StepRng};
 use rtc::prelude::*;
-use rtc::sim::{Adversary, BatchPool, BatchSim, BatchSimBuilder, Sim, StopWhen, Trace};
+use rtc::sim::{
+    Adversary, BatchPool, BatchSim, BatchSimBuilder, EventView, MsgId, RunMetrics, Sim, StopWhen,
+    Trace,
+};
 
 mod hostile;
 use hostile::{Hostile, InPlace, Seen};
@@ -158,6 +161,12 @@ fn assert_same(
             "{label}: faulty set diverged at {p}"
         );
     }
+    let facts = |r: &RunReport| (r.facts().failure_free, r.facts().on_time);
+    assert_eq!(
+        facts(report),
+        facts(serial_report),
+        "{label}: stated facts diverged"
+    );
     assert_eq!(decisions, serial_decisions, "{label}: decisions diverged");
     assert_eq!(
         digest, serial_digest,
@@ -475,26 +484,67 @@ fn a_one_lane_batch_driven_in_segments_is_the_sim() {
         assert_eq!(one.digest(), alone.digest(), "{label}: trace digest");
         assert_eq!(one.decisions(), alone.decisions(), "{label}");
         assert_eq!(one.late_marks(), alone.late_marks(), "{label}");
+        let stated = |r: RunReport| (r.facts().failure_free, r.facts().on_time);
         assert_eq!(
-            lane.lateness(0).late_ids(),
-            sim.lateness().late_ids(),
-            "{label}"
+            stated(lane.report(0, !lane_met[0], true)),
+            stated(sim.report(!sim_met, true)),
+            "{label}: stated facts"
         );
     }
 }
 
+/// Section 2's lateness, word for word, read off a trace's events and
+/// message records: a message is late when some processor takes more
+/// than `k` steps after its sending event and at or before its
+/// receiving event. Returns the late deliveries in id order, and
+/// whether a message pending to a live destination already is — late
+/// whenever it arrives.
+fn by_definition(trace: &Trace, k: u64) -> (Vec<MsgId>, bool) {
+    let n = trace.population();
+    let (mut steps, mut down) = (vec![Vec::new(); n], vec![false; n]);
+    for (event, ev) in trace.events().enumerate() {
+        match ev {
+            EventView::Step { p, .. } => steps[p.index()].push(event as u64),
+            EventView::Crash { p } => down[p.index()] = true,
+            EventView::Revive { p } => down[p.index()] = false,
+            _ => {}
+        }
+    }
+    let exceeded = |sent: u64, until: u64| {
+        steps.iter().any(|s: &Vec<u64>| {
+            let upto = |e: u64| s.partition_point(|step| *step <= e);
+            (upto(until) - upto(sent)) as u64 > k
+        })
+    };
+    let end = trace.event_count() as u64;
+    let msgs = trace.messages();
+    let late = msgs
+        .iter()
+        .filter(|m| {
+            m.recv_event
+                .is_some_and(|recv| exceeded(m.send_event, recv))
+        })
+        .map(|m| m.id)
+        .collect();
+    let overdue = msgs.iter().any(|m| {
+        !m.delivered() && !m.dropped && !down[m.to.index()] && exceeded(m.send_event, end)
+    });
+    (late, overdue)
+}
+
 #[test]
-fn the_row_pass_on_time_check_agrees_with_the_definition() {
-    // `Trace::is_on_time` never derives a message record; the
-    // definition — no message of the trace is late — is its oracle,
-    // over the hostile corpus (duplicates are sent "now", dropped
-    // messages are never received, a revived processor steps again)
-    // and a sparse schedule that delivers late at the protocol's own K.
-    let definition = |trace: &Trace, k: u64| trace.messages().iter().all(|m| !trace.is_late(m, k));
+fn on_time_and_late_agree_with_the_section_2_definition() {
+    // A report's on-time fact and `RunMetrics::late` are the lane's
+    // online monitor at the run's own K; the definition is their
+    // oracle, over the hostile corpus (duplicates are sent "now",
+    // dropped messages are never received, a revived processor steps
+    // again) and a sparse schedule that delivers late.
     let (mut on_time, mut late) = (0, 0);
-    let mut check = |trace: &Trace, k: u64| {
-        let want = definition(trace, k);
-        assert_eq!(trace.is_on_time(k), want, "window {k}");
+    let mut check = |sim: &Sim<CommitAutomaton>, report: &RunReport| {
+        let (late_ids, overdue) = by_definition(sim.trace(), sim.timing().k());
+        assert_eq!(RunMetrics::from_trace(sim.trace()).late, late_ids);
+        let want = late_ids.is_empty() && !overdue;
+        assert_eq!(report.facts().on_time, want, "{:?}", sim.trace());
         match want {
             true => on_time += 1,
             false => late += 1,
@@ -502,10 +552,8 @@ fn the_row_pass_on_time_check_agrees_with_the_definition() {
     };
     for case in corpus().iter().flatten() {
         let (mut sim, mut adv) = hostile_sim_at_revive(case, |auto| auto);
-        sim.run(&mut adv, hostile::LIMITS).unwrap();
-        for k in [1, 3, config(case.n).timing().k(), 10_000] {
-            check(sim.trace(), k);
-        }
+        let report = sim.run(&mut adv, hostile::LIMITS).unwrap();
+        check(&sim, &report);
     }
     let sparse = Case {
         n: 4,
@@ -514,13 +562,13 @@ fn the_row_pass_on_time_check_agrees_with_the_definition() {
     };
     let mut sim: Sim<CommitAutomaton> = sim_builder(&sparse).build(population(&sparse)).unwrap();
     let mut adv = RandomAdversary::new(sparse.seed).deliver_prob(0.05);
-    sim.run(&mut adv, RunLimits::with_max_events(4_000))
+    let report = sim
+        .run(&mut adv, RunLimits::with_max_events(4_000))
         .unwrap();
-    let k = sim.timing().k();
     assert!(
         !sim.lateness().on_time(),
         "the sparse schedule is late at K"
     );
-    check(sim.trace(), k);
+    check(&sim, &report);
     assert!(on_time > 0 && late > 0, "{on_time} on-time, {late} late");
 }

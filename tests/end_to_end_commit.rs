@@ -19,7 +19,7 @@ fn run_once(
         .build(procs)
         .unwrap();
     let report = sim.run(adv, RunLimits::default()).expect("model respected");
-    let verdict = verify_commit(votes, &report.facts(sim.trace(), cfg.timing().k()));
+    let verdict = verify_commit(votes, &report.facts());
     assert!(verdict.ok(), "correctness condition violated: {verdict:?}");
     (report, cfg, votes.to_vec())
 }
@@ -131,7 +131,7 @@ fn commit_validity_verdict_applies_exactly_when_preconditions_hold() {
         .unwrap();
     let mut adv = SynchronousAdversary::new(n);
     let report = sim.run(&mut adv, RunLimits::default()).unwrap();
-    let verdict = verify_commit(&votes, &report.facts(sim.trace(), cfg.timing().k()));
+    let verdict = verify_commit(&votes, &report.facts());
     assert_eq!(verdict.commit_validity, Condition::Held);
 
     // A late run: the condition no longer applies (and the protocol may
@@ -143,7 +143,7 @@ fn commit_validity_verdict_applies_exactly_when_preconditions_hold() {
         .unwrap();
     let mut adv = DelayAdversary::new(n, 8);
     let report = sim.run(&mut adv, RunLimits::default()).unwrap();
-    let verdict = verify_commit(&votes, &report.facts(sim.trace(), cfg.timing().k()));
+    let verdict = verify_commit(&votes, &report.facts());
     assert!(!verdict.on_time);
     assert_eq!(verdict.commit_validity, Condition::NotApplicable);
 }

@@ -30,7 +30,7 @@ fn synchronous_runs_are_on_time_and_within_8k_ticks() {
             let mut adv = SynchronousAdversary::new(n);
             let (report, trace, timing) = commit_run(n, k, 11, &mut adv);
             assert!(report.all_nonfaulty_decided());
-            let metrics = RunMetrics::from_trace(&trace, timing);
+            let metrics = RunMetrics::from_trace(&trace);
             assert!(metrics.on_time(), "n = {n}, K = {k}");
             let worst = metrics.worst_nonfaulty_decision_clock.unwrap();
             assert!(
@@ -47,9 +47,9 @@ fn delayed_runs_are_late_when_delay_exceeds_k() {
     let n = 4;
     // x = 8 rotations > K = 4: some message must be late.
     let mut adv = DelayAdversary::new(n, 8);
-    let (report, trace, timing) = commit_run(n, 4, 5, &mut adv);
+    let (report, trace, _) = commit_run(n, 4, 5, &mut adv);
     assert!(report.all_nonfaulty_decided());
-    let metrics = RunMetrics::from_trace(&trace, timing);
+    let metrics = RunMetrics::from_trace(&trace);
     assert!(!metrics.on_time(), "x-slow run must contain late messages");
 }
 
@@ -58,9 +58,9 @@ fn lagged_synchronous_delivery_at_k_minus_one_stays_on_time() {
     let n = 5;
     let k = 4u64;
     let mut adv = SynchronousAdversary::with_lag(n, (k - 1) * n as u64);
-    let (report, trace, timing) = commit_run(n, k, 9, &mut adv);
+    let (report, _, _) = commit_run(n, k, 9, &mut adv);
     assert!(report.all_nonfaulty_decided());
-    assert!(trace.is_on_time(timing.k()));
+    assert!(report.facts().on_time);
 }
 
 #[test]

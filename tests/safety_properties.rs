@@ -103,7 +103,7 @@ proptest! {
             .deliver_prob(deliver)
             .crash_prob(crash);
         let report = sim.run(&mut adv, RunLimits::default()).unwrap();
-        let verdict = verify_commit(&votes, &report.facts(sim.trace(), cfg.timing().k()));
+        let verdict = verify_commit(&votes, &report.facts());
         prop_assert!(verdict.ok(), "verdict: {verdict:?}");
         prop_assert!(report.all_nonfaulty_decided(), "admissible run blocked");
     }
@@ -158,8 +158,7 @@ proptest! {
             .unwrap();
         let mut adv = RandomAdversary::new(seed ^ 0xEE).deliver_prob(deliver);
         let report = sim.run(&mut adv, RunLimits::default()).unwrap();
-        let k = TimingParams::default().k();
-        let verdict = verify_agreement(&inputs, &report.facts(sim.trace(), k));
+        let verdict = verify_agreement(&inputs, &report.facts());
         prop_assert!(verdict.ok(), "verdict: {verdict:?}");
         prop_assert!(report.all_nonfaulty_decided());
     }
@@ -232,7 +231,7 @@ proptest! {
             let report = sim
                 .run(&mut adv, RunLimits::with_max_events(200_000))
                 .unwrap();
-            let verdict = verify_commit(&votes, &report.facts(sim.trace(), cfg.timing().k()));
+            let verdict = verify_commit(&votes, &report.facts());
             let digest = sim.trace().digest();
             (report, digest, verdict)
         };

@@ -19,7 +19,7 @@ fn one_run(n: usize, votes: &[Value], seed: u64, adv: &mut dyn Adversary) -> boo
     let report = sim
         .run(adv, RunLimits::with_max_events(3_000_000))
         .expect("model respected");
-    let verdict = verify_commit(votes, &report.facts(sim.trace(), cfg.timing().k()));
+    let verdict = verify_commit(votes, &report.facts());
     assert!(verdict.ok(), "seed {seed}: {verdict:?}");
     assert!(report.all_nonfaulty_decided(), "seed {seed} blocked");
     report.agreement_holds()
