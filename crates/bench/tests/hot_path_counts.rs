@@ -10,13 +10,14 @@
 mod counting;
 
 use counting::count_allocs;
-use rtc_chaos::{ChaosAdversary, ChaosDelay, ChaosSchedule};
+use rtc_chaos::{ChaosAdversary, ChaosSchedule};
 use rtc_core::{commit_population, CommitAutomaton, CommitConfig, CommitMsg};
 use rtc_experiments::run_commit;
 use rtc_model::{
     Automaton, LocalClock, Outbox, ProcessorId, SeedCollection, TimingParams, Value, Wire,
     WireError,
 };
+use rtc_runtime::{DelayModel, FaultPlan};
 use rtc_sim::adversaries::SynchronousAdversary;
 use rtc_sim::{BatchPool, BatchSimBuilder, RunLimits, SimBuilder};
 
@@ -102,7 +103,7 @@ fn a_synchronous_n16_commit_allocates_at_most_its_pin() {
     assert!(allocs <= 493, "{allocs} allocations, 493 when pinned");
 }
 
-/// Twenty-four crash-free runs at `n = 16` with up to three steps of
+/// Twenty-four crash-free runs at `n = 16` with up to three ticks of
 /// delivery jitter, which keeps many messages buffered at once: 5 176
 /// events in all, 215.67 a run.
 #[test]
@@ -112,7 +113,7 @@ fn the_n16_jitter_soak_takes_its_pinned_events() {
         .map(|rep| {
             let schedule = ChaosSchedule {
                 early_abort: false,
-                delay: ChaosDelay::Jitter { max_steps: 3 },
+                faults: FaultPlan::none().with_delay(DelayModel::Uniform { min: 0, max: 3 }),
                 ..ChaosSchedule::fault_free(16, 0xD0_5EED + rep, vec![Value::One; 16])
             };
             let mut sim = SimBuilder::new(config.timing(), SeedCollection::new(schedule.seed))

@@ -1,19 +1,26 @@
 //! The simulator-side realization of a [`ChaosSchedule`]: a
 //! pattern-only adversary that steps processors round-robin, holds
-//! messages according to the schedule's delay regime and link flaps,
+//! messages according to the plan's delay regime and link outages,
 //! and fires the scripted crashes.
 //!
+//! The plan counts time in ticks, and one round-robin rotation gives
+//! each processor one step, so a tick here is `n` scheduler events:
+//! outage and partition windows and delays scale by `n`. Delays are
+//! drawn in events, not in the wall-clock substrates' nanoseconds, so
+//! this sampler stays apart from [`rtc_runtime::DelayModel::sample`].
+//!
 //! It claims admissibility, so the engine's fairness envelope still
-//! forces overdue deliveries and starved steps — holds and flaps are
+//! forces overdue deliveries and starved steps — holds and outages are
 //! bounded interference, never permanent partition, exactly as in the
 //! paper's model.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rtc_model::ProcessorId;
+use rtc_runtime::{CrashAt, DelayModel, LinkOutage, NetPartition};
 use rtc_sim::{Action, Adversary, MsgHandle, PatternView};
 
-use crate::schedule::{ChaosCrash, ChaosDelay, ChaosSchedule};
+use crate::schedule::ChaosSchedule;
 
 /// Executes one [`ChaosSchedule`] on the discrete-event simulator.
 #[derive(Debug)]
@@ -21,12 +28,11 @@ pub struct ChaosAdversary {
     n: usize,
     cursor: usize,
     rng: SmallRng,
-    delay: ChaosDelay,
-    pending_crashes: Vec<ChaosCrash>,
-    flaps: Vec<(ProcessorId, ProcessorId, u64, u64)>,
-    /// Scripted partitions, scaled to event windows:
-    /// `(groups, start_event, heal_event)`.
-    pending_partitions: Vec<(Vec<u32>, u64, u64)>,
+    delay: DelayModel,
+    pending_crashes: Vec<CrashAt>,
+    outages: Vec<LinkOutage>,
+    /// Scripted partitions not yet issued.
+    pending_partitions: Vec<NetPartition>,
     duplicate_permille: u32,
     reorder_permille: u32,
     /// Per-message delivery event, sampled once on first sight.
@@ -46,28 +52,17 @@ impl ChaosAdversary {
     /// by a dedicated rng derived from the schedule seed, keeping the
     /// run reproducible.
     pub fn new(schedule: &ChaosSchedule) -> ChaosAdversary {
-        let n = schedule.n;
+        let faults = &schedule.faults;
         ChaosAdversary {
-            n,
+            n: schedule.n,
             cursor: 0,
             rng: SmallRng::seed_from_u64(schedule.seed ^ 0x5EED_CAFE),
-            delay: schedule.delay,
-            pending_crashes: schedule.crashes.clone(),
-            // Step windows scale to event windows by the population
-            // size: one round-robin rotation gives each processor one
-            // step.
-            flaps: schedule
-                .flaps
-                .iter()
-                .map(|f| (f.a, f.b, f.from_step * n as u64, f.until_step * n as u64))
-                .collect(),
-            pending_partitions: schedule
-                .partitions
-                .iter()
-                .map(|p| (p.groups(n), p.from_step * n as u64, p.heal_step * n as u64))
-                .collect(),
-            duplicate_permille: schedule.duplicate_permille,
-            reorder_permille: schedule.reorder_permille,
+            delay: faults.delay,
+            pending_crashes: faults.crashes.clone(),
+            outages: faults.outages.clone(),
+            pending_partitions: faults.partitions.clone(),
+            duplicate_permille: faults.duplicate_permille,
+            reorder_permille: faults.reorder_permille,
             due: Vec::new(),
         }
     }
@@ -80,11 +75,14 @@ impl ChaosAdversary {
         if self.due[idx] == UNSAMPLED {
             let n = self.n as u64;
             let lag = match self.delay {
-                ChaosDelay::None => 0,
-                ChaosDelay::Jitter { max_steps } => self.rng.gen_range(0..=max_steps * n),
-                ChaosDelay::Spike { permille, steps } => {
+                DelayModel::None => 0,
+                DelayModel::Uniform { min, max } if max <= min => min * n,
+                DelayModel::Uniform { min, max } => {
+                    min * n + self.rng.gen_range(0..=(max - min) * n)
+                }
+                DelayModel::Spike { permille, spike } => {
                     if self.rng.gen_range(0..1000u32) < permille {
-                        steps * n
+                        spike * n
                     } else {
                         0
                     }
@@ -95,11 +93,9 @@ impl ChaosAdversary {
         self.due[idx]
     }
 
-    fn flapped(&self, from: ProcessorId, to: ProcessorId, event: u64) -> bool {
-        self.flaps.iter().any(|(a, b, start, end)| {
-            ((from == *a && to == *b) || (from == *b && to == *a))
-                && (*start..*end).contains(&event)
-        })
+    fn cut(&self, from: ProcessorId, to: ProcessorId, event: u64) -> bool {
+        let n = self.n as u64;
+        self.outages.iter().any(|o| o.covers(from, to, event, n))
     }
 }
 
@@ -127,22 +123,27 @@ impl Adversary for ChaosAdversary {
 
         // Scripted partitions are issued once their window opens; a
         // window the run has already rushed past is dropped instead.
+        let n = self.n as u64;
         if let Some(pos) = self
             .pending_partitions
             .iter()
-            .position(|(_, start, _)| view.event() >= *start)
+            .position(|part| view.event() >= part.from * n)
         {
             // Not a message buffer: at most one scripted cut per run.
             // rtc-allow(buffer-linear-scan): bounded partition-plan list
-            let (groups, _, heal_at) = self.pending_partitions.remove(pos);
+            let part = self.pending_partitions.remove(pos);
+            let heal_at = part.until * n;
             if heal_at > view.event() {
-                return Action::Partition { groups, heal_at };
+                return Action::Partition {
+                    groups: part.groups,
+                    heal_at,
+                };
             }
         }
 
         // Otherwise round-robin step the next alive processor,
         // delivering every pending message that is both due and not
-        // crossing a flapped link or an active partition.
+        // crossing a cut link or an active partition.
         let mut p = ProcessorId::new(self.cursor % self.n);
         for _ in 0..self.n {
             p = ProcessorId::new(self.cursor % self.n);
@@ -177,9 +178,9 @@ impl Adversary for ChaosAdversary {
         }
 
         let mut deliver = Vec::with_capacity(view.pending_count(p));
-        let any_flaps = !self.flaps.is_empty();
+        let any_outages = !self.outages.is_empty();
         for m in view.pending_iter(p) {
-            if any_flaps && self.flapped(m.from, p, event) {
+            if any_outages && self.cut(m.from, p, event) {
                 continue;
             }
             if view.is_blocked(m.from, p) {

@@ -1,24 +1,28 @@
 //! Seeded chaos-campaign harness for the Coan–Lundelius commit stack.
 //!
 //! The crates below this one prove properties run by run; this crate
-//! proves them *in bulk and under fire*. A [`ChaosSchedule`] is a
-//! substrate-neutral description of everything that goes wrong in one
-//! commit run — crashes, restarts (from snapshot or amnesiac), delay
-//! spikes, link flaps — generated deterministically from a campaign
-//! seed. Each schedule can be executed on every substrate:
+//! proves them *in bulk and under fire*. A [`ChaosSchedule`] is one
+//! commit run — population, votes, seed — and one
+//! [`rtc_runtime::FaultPlan`], the one fault vocabulary of every
+//! substrate: crashes, restarts (from snapshot or amnesiac), delay
+//! regimes, link outages, partitions, duplication, reordering, resets.
+//! Schedules are generated deterministically from a campaign seed. The
+//! plan counts time in ticks, and each substrate reads it in its own
+//! unit:
 //!
 //! * the discrete-event simulator (`rtc-sim`), where a
-//!   [`ChaosAdversary`] realizes the schedule as an admissible
-//!   pattern-only scheduler and restarts become [`rtc_sim::Sim::revive`]
-//!   calls between run segments;
-//! * the threaded runtime (`rtc-runtime`), where the schedule becomes a
-//!   [`rtc_runtime::FaultPlan`] executed by
-//!   [`rtc_runtime::run_cluster_recoverable`] over real threads and
-//!   channels (optionally under the self-healing supervisor);
-//! * the socket substrate (`rtc-net`), where the same fault plan is
-//!   injected by per-node proxies on live localhost TCP traffic —
-//!   including connection resets, which only sockets can express — and
-//!   recovery is always the supervisor's ([`run_on_net`]).
+//!   [`ChaosAdversary`] realizes the plan as an admissible pattern-only
+//!   scheduler, a tick is one round-robin rotation of `n` events, and
+//!   restarts become [`rtc_sim::Sim::revive`] calls between run
+//!   segments;
+//! * the threaded runtime (`rtc-runtime`), where [`rtc_runtime::run_cluster`]
+//!   runs the plan over real threads and channels at the cluster's
+//!   `tick` of wall clock a tick (optionally under the self-healing
+//!   supervisor instead of the scripted restarts);
+//! * the socket substrate (`rtc-net`), where the same plan is injected
+//!   by per-node proxies on live localhost TCP traffic — including
+//!   connection resets, which only sockets can express — and recovery
+//!   is always the supervisor's ([`run_on_net`]).
 //!
 //! The [`run_soak`] harness closes the loop: it boots supervised
 //! socket clusters under continuous fault injection, multiplexes many
@@ -38,7 +42,7 @@
 //! A schedule runs on the simulator one way — [`run_on_sim`], a `Sim`
 //! of its own per schedule; the campaign's parallelism is chunk threads
 //! over schedules, nothing inside one — and the wall-clock drivers
-//! share one prelude (protocol config, fault plan, validation). Every
+//! share one prelude (protocol config, seeds, the validated plan). Every
 //! run is judged by one function,
 //! [`rtc_core::properties::verify_commit`], over the
 //! [`rtc_model::RunFacts`] its substrate's report states: statuses,
@@ -85,10 +89,8 @@ pub use adversary::ChaosAdversary;
 pub use campaign::{run_campaign, CampaignConfig, CampaignSummary, CampaignViolation};
 pub use net_driver::run_on_net;
 pub use outcome::{classify_verdict, ChaosOutcome, ChaosReport, Substrate};
-pub use runtime_driver::{run_on_runtime, run_on_supervised, to_fault_plan};
-pub use schedule::{
-    ChaosCrash, ChaosDelay, ChaosFlap, ChaosPartition, ChaosRestart, ChaosSchedule, ScheduleParams,
-};
+pub use runtime_driver::{run_on_runtime, run_on_supervised};
+pub use schedule::{ChaosSchedule, ScheduleParams};
 pub use shrink::{shrink_schedule, shrink_sim_violation};
 pub use sim_driver::{lint_sim_schedule, run_on_sim, run_on_sim_with_decision};
 pub use soak::{run_soak, SoakConfig, SoakReport};

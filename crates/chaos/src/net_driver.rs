@@ -1,11 +1,11 @@
 //! Executes a [`ChaosSchedule`] on the socket substrate (`rtc-net`).
 //!
-//! The schedule maps onto the same [`rtc_runtime::FaultPlan`] the
-//! threaded runtime uses — [`to_fault_plan`] — but here the plan's
-//! network faults are realized by per-node fault proxies intercepting
-//! real TCP frames, and its `reset_permille` (inert on every other
-//! substrate) injects genuine connection resets that the links must
-//! survive through reconnect and replay. Recovery is always the
+//! The schedule's [`rtc_runtime::FaultPlan`] is the one the threaded
+//! runtime runs, its ticks read as `NetOptions::tick` of wall clock,
+//! but here the plan's network faults are realized by per-node fault
+//! proxies intercepting real TCP frames, and its `reset_permille`
+//! (inert on every other substrate) injects genuine connection resets
+//! that the links must survive through reconnect and replay. Recovery is always the
 //! supervisor's job: scripted restarts are ignored, exactly as in
 //! [`run_on_supervised`](crate::run_on_supervised), because a socket
 //! cluster is the deployment shape and deployments do not get scripted
@@ -21,7 +21,7 @@ use crate::schedule::ChaosSchedule;
 /// Runs `schedule` over real localhost sockets under the self-healing
 /// supervisor, classifying the outcome. Scripted restarts are ignored
 /// (the supervisor owns recovery); everything else in the schedule —
-/// crashes, delay regimes, flaps, partitions, duplication, reordering,
+/// crashes, delay regimes, outages, partitions, duplication, reordering,
 /// and the socket-only connection resets — is injected by the fault
 /// proxies on live TCP traffic.
 ///
@@ -32,14 +32,14 @@ use crate::schedule::ChaosSchedule;
 /// # Panics
 ///
 /// Panics if the schedule's population/fault-bound combination is
-/// rejected by [`rtc_core::CommitConfig`], or if the schedule maps to
-/// an invalid fault plan — generated schedules never do either.
+/// rejected by [`rtc_core::CommitConfig`], or if its fault plan is
+/// invalid — generated schedules never do either.
 pub fn run_on_net(
     schedule: &ChaosSchedule,
     opts: NetOptions,
     policy: SupervisorPolicy,
 ) -> (ChaosReport, NetReport, SupervisorReport) {
-    let (population, seeds, plan) = boot_inputs(schedule, opts.tick);
+    let (population, seeds, plan) = boot_inputs(schedule);
     let (report, sup) = run_net_supervised(
         vec![population],
         vec![seeds],
@@ -60,10 +60,10 @@ mod tests {
     use std::time::Duration;
 
     use rtc_model::{ProcessorId, TimingParams, Value};
+    use rtc_runtime::CrashAt;
 
     use super::*;
     use crate::outcome::ChaosOutcome;
-    use crate::schedule::{ChaosCrash, ChaosPartition};
 
     fn fast_opts() -> NetOptions {
         let mut opts = NetOptions::derived(Duration::from_millis(1), TimingParams::default());
@@ -82,14 +82,12 @@ mod tests {
     #[test]
     fn hostile_schedule_with_resets_stays_safe_over_sockets() {
         let mut s = ChaosSchedule::fault_free(3, 52, vec![Value::One, Value::Zero, Value::One]);
-        s.duplicate_permille = 300;
-        s.reorder_permille = 300;
-        s.reset_permille = 200;
-        s.partitions.push(ChaosPartition {
-            side: vec![ProcessorId::new(0)],
-            from_step: 0,
-            heal_step: 3,
-        });
+        s.faults = s
+            .faults
+            .with_duplication(300)
+            .with_reordering(300)
+            .with_resets(200)
+            .with_partition(vec![1, 0, 0], 0, 3);
         let (rep, net, _) = run_on_net(&s, fast_opts(), SupervisorPolicy::default());
         assert!(rep.outcome.is_safe(), "{}: {net:?}", rep.outcome);
         // A Zero vote forces every decision to abort, on any substrate.
@@ -105,7 +103,7 @@ mod tests {
     #[test]
     fn supervisor_heals_a_scripted_crash_over_sockets() {
         let mut s = ChaosSchedule::fault_free(3, 53, vec![Value::One; 3]);
-        s.crashes.push(ChaosCrash {
+        s.faults.crashes.push(CrashAt {
             victim: ProcessorId::new(1),
             at_step: 3,
             drop_final_sends: true,

@@ -143,9 +143,9 @@ mod tests {
     use rtc_core::properties::Condition::{Held, NotApplicable as NA, Violated};
     use rtc_model::Value::{One, Zero};
     use rtc_model::{ProcessorId, Status, Value};
+    use rtc_runtime::CrashAt;
 
     use super::*;
-    use crate::schedule::{ChaosCrash, ChaosPartition, ChaosRestart};
     use crate::sim_driver::run_on_sim;
 
     fn verdict(agreement: Condition, deciding: bool) -> CommitVerdict {
@@ -209,17 +209,16 @@ mod tests {
         let mut s = ChaosSchedule::fault_free(votes.len(), 7, votes.to_vec());
         for (victim, restart) in crashes {
             let victim = ProcessorId::new(*victim);
-            s.crashes.push(ChaosCrash {
+            s.faults.crashes.push(CrashAt {
                 victim,
                 at_step: 0,
                 drop_final_sends: true,
             });
-            s.restarts.extend(restart.map(|from_snapshot| ChaosRestart {
-                victim,
-                delay_steps: 10,
-                from_snapshot,
-            }));
+            if let Some(from_snapshot) = *restart {
+                s.faults = s.faults.with_restart(victim, 10, from_snapshot);
+            }
         }
+        s.faults.degraded = crashes.len() > s.t;
         s
     }
 
@@ -242,11 +241,7 @@ mod tests {
         let mut owing = schedule(&[Zero, One, One], &[(1, None), (2, Some(false))]);
         owing.early_abort = false;
         let mut late = schedule(&[One; 5], &[]);
-        late.partitions.push(ChaosPartition {
-            side: vec![ProcessorId::new(0), ProcessorId::new(1)],
-            from_step: 1,
-            heal_step: 6,
-        });
+        late.faults = late.faults.with_partition(vec![1, 1, 0, 0, 0], 1, 6);
         type Verdict = ([Condition; 3], [bool; 3]);
         let rows: Vec<(Option<ChaosSchedule>, ClusterReport, Verdict)> = vec![
             // Commit validity binds and holds; abort validity likewise.

@@ -1,10 +1,12 @@
-//! Substrate-neutral randomized fault schedules.
+//! Randomized fault schedules.
 //!
-//! A [`ChaosSchedule`] describes one commit run and everything that
-//! goes wrong in it — crashes, restarts, delay spikes, link flaps — in
-//! *abstract step units* so the same schedule can be executed on the
-//! discrete-event simulator (steps become scheduler events) and on the
-//! threaded runtime (steps become tick multiples). Schedules are
+//! A [`ChaosSchedule`] is one commit run — population, votes, seed —
+//! and one [`FaultPlan`]: everything that goes wrong in the run, from
+//! crashes and restarts to delay regimes, link outages, partitions,
+//! duplication, reordering and resets. The plan counts time in ticks,
+//! and every substrate reads it in its own unit: the simulator runs a
+//! tick as one round-robin rotation of `n` events, the threaded runtime
+//! and the sockets as the cluster's `tick` of wall clock. Schedules are
 //! generated deterministically from a campaign seed and an index, so a
 //! failing schedule can always be regenerated from two integers.
 
@@ -12,99 +14,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rtc_core::CommitConfig;
 use rtc_model::{ProcessorId, TimingParams, Value};
-
-/// One scripted crash: the victim's thread/automaton fails once its
-/// local clock reaches `at_step`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChaosCrash {
-    /// The processor that crashes.
-    pub victim: ProcessorId,
-    /// Local step count at which the crash fires.
-    pub at_step: u64,
-    /// Whether the victim's final-step sends are dropped (the classic
-    /// failed-mid-broadcast shape). Only the simulator can express
-    /// this distinction; the runtime always loses the crashing step's
-    /// sends.
-    pub drop_final_sends: bool,
-}
-
-/// One scripted restart of a crashed processor.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChaosRestart {
-    /// The crashed processor to revive.
-    pub victim: ProcessorId,
-    /// How many abstract steps after its crash trigger the processor
-    /// comes back.
-    pub delay_steps: u64,
-    /// Restore from the crash-time snapshot (`true`, the node
-    /// persisted its state and resumes as a participant) or from its
-    /// initial state (`false`, the node lost everything since boot and
-    /// rejoins as a non-participating observer that only catches up on
-    /// the decision).
-    pub from_snapshot: bool,
-}
-
-/// One link flap: traffic between `a` and `b` is held during the
-/// half-open step window `[from_step, until_step)`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChaosFlap {
-    /// One endpoint.
-    pub a: ProcessorId,
-    /// The other endpoint.
-    pub b: ProcessorId,
-    /// Window start, in abstract steps.
-    pub from_step: u64,
-    /// Window end (exclusive), in abstract steps.
-    pub until_step: u64,
-}
-
-/// One network partition: the processors in `side` are cut off from
-/// everyone else during the half-open step window
-/// `[from_step, heal_step)`, after which the network heals and buffered
-/// cross-cut traffic flows again.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChaosPartition {
-    /// The minority side of the cut (nonempty, proper subset).
-    pub side: Vec<ProcessorId>,
-    /// Window start, in abstract steps.
-    pub from_step: u64,
-    /// Window end (exclusive), in abstract steps.
-    pub heal_step: u64,
-}
-
-impl ChaosPartition {
-    /// Group-per-processor encoding of the cut (side = 1, rest = 0),
-    /// as both substrates' partition primitives expect.
-    pub fn groups(&self, n: usize) -> Vec<u32> {
-        let mut g = vec![0u32; n];
-        for p in &self.side {
-            g[p.index()] = 1;
-        }
-        g
-    }
-}
-
-/// The network delay regime of a schedule.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChaosDelay {
-    /// Deliver promptly.
-    None,
-    /// Every message is held for a uniformly random lag of up to
-    /// `max_steps` abstract steps.
-    Jitter {
-        /// Upper bound on the per-message lag.
-        max_steps: u64,
-    },
-    /// Mostly prompt, but with probability `permille/1000` a message is
-    /// held for `steps` — the paper's "usually on time, sometimes
-    /// late" behaviour.
-    Spike {
-        /// Spike probability in thousandths.
-        permille: u32,
-        /// Spike length in abstract steps.
-        steps: u64,
-    },
-}
+use rtc_runtime::{CrashAt, DelayModel, FaultPlan, RestartAt};
 
 /// A complete randomized fault schedule for one commit run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -120,27 +30,8 @@ pub struct ChaosSchedule {
     pub votes: Vec<Value>,
     /// Whether Protocol 2's early-abort optimization is enabled.
     pub early_abort: bool,
-    /// The delay regime.
-    pub delay: ChaosDelay,
-    /// Scripted crashes (distinct victims).
-    pub crashes: Vec<ChaosCrash>,
-    /// Scripted restarts (each victim also appears in `crashes`).
-    pub restarts: Vec<ChaosRestart>,
-    /// Scripted link flaps.
-    pub flaps: Vec<ChaosFlap>,
-    /// Scripted healing partitions (at most one active at a time).
-    pub partitions: Vec<ChaosPartition>,
-    /// Probability, in thousandths, that a message is duplicated in
-    /// flight.
-    pub duplicate_permille: u32,
-    /// Probability, in thousandths, that the connection carrying a
-    /// message is reset right after delivering it. Only the socket
-    /// substrate can express this fault; the simulator and the
-    /// channel-based runtime ignore it.
-    pub reset_permille: u32,
-    /// Probability, in thousandths, that a message is reordered behind
-    /// its queue mates.
-    pub reorder_permille: u32,
+    /// Everything that goes wrong in the run, its times in ticks.
+    pub faults: FaultPlan,
 }
 
 /// Knobs for the schedule generator.
@@ -174,8 +65,8 @@ impl Default for ScheduleParams {
 impl ChaosSchedule {
     /// The schedule in which nothing goes wrong: `n` processors voting
     /// `votes` under the largest fault bound `n` tolerates, early abort
-    /// on, a prompt network. Hand-written schedules start here and add
-    /// their faults.
+    /// on, [`FaultPlan::none`]. Hand-written schedules start here and
+    /// add their faults.
     ///
     /// # Panics
     ///
@@ -188,14 +79,7 @@ impl ChaosSchedule {
             t: CommitConfig::max_tolerated(n),
             votes,
             early_abort: true,
-            delay: ChaosDelay::None,
-            crashes: Vec::new(),
-            restarts: Vec::new(),
-            flaps: Vec::new(),
-            partitions: Vec::new(),
-            duplicate_permille: 0,
-            reset_permille: 0,
-            reorder_permille: 0,
+            faults: FaultPlan::none(),
         }
     }
 
@@ -213,7 +97,10 @@ impl ChaosSchedule {
     }
 
     /// Deterministically generates the `index`-th schedule of the
-    /// campaign identified by `campaign_seed`.
+    /// campaign identified by `campaign_seed`. A restart comes back at
+    /// its victim's crash step plus a drawn delay, and the plan is
+    /// [`degraded`](FaultPlan::degraded) exactly when it crashes `t + 1`
+    /// processors.
     ///
     /// # Panics
     ///
@@ -242,65 +129,51 @@ impl ChaosSchedule {
             .collect();
         let early_abort = rng.gen_range(0..100u32) < 80;
 
-        let delay = match rng.gen_range(0..10u32) {
-            0..=3 => ChaosDelay::None,
-            4..=6 => ChaosDelay::Jitter {
-                max_steps: rng.gen_range(1..=3u64),
+        let mut faults = FaultPlan::none().with_delay(match rng.gen_range(0..10u32) {
+            0..=3 => DelayModel::None,
+            4..=6 => DelayModel::Uniform {
+                min: 0,
+                max: rng.gen_range(1..=3u64),
             },
-            _ => ChaosDelay::Spike {
+            _ => DelayModel::Spike {
                 permille: rng.gen_range(50..=250u32),
-                steps: rng.gen_range(2..=6u64),
+                spike: rng.gen_range(2..=6u64),
             },
-        };
+        });
 
-        let flaps = (0..rng.gen_range(0..=2u32))
-            .map(|_| {
-                let a = rng.gen_range(0..n);
-                let b = (a + rng.gen_range(1..n)) % n;
-                let from_step = rng.gen_range(0..=12u64);
-                ChaosFlap {
-                    a: ProcessorId::new(a.min(b)),
-                    b: ProcessorId::new(a.max(b)),
-                    from_step,
-                    until_step: from_step + rng.gen_range(2..=8u64),
-                }
-            })
-            .collect();
+        for _ in 0..rng.gen_range(0..=2u32) {
+            let a = rng.gen_range(0..n);
+            let b = (a + rng.gen_range(1..n)) % n;
+            let from = rng.gen_range(0..=12u64);
+            let until = from + rng.gen_range(2..=8u64);
+            let (a, b) = (ProcessorId::new(a.min(b)), ProcessorId::new(a.max(b)));
+            faults = faults.with_link_outage(a, b, from, until);
+        }
 
         // At most one healing partition per schedule: the simulator
         // keeps a single active cut at a time, and one cut per run is
         // already the interesting case (quorum split, heal, decide).
-        let partitions = if rng.gen_range(0..100u32) < 35 {
+        if rng.gen_range(0..100u32) < 35 {
             let side_size = rng.gen_range(1..n);
             let mut members: Vec<usize> = (0..n).collect();
             for i in 0..side_size {
                 let j = rng.gen_range(i..n);
                 members.swap(i, j);
             }
-            let mut side: Vec<ProcessorId> = members[..side_size]
-                .iter()
-                .map(|&p| ProcessorId::new(p))
-                .collect();
-            side.sort();
-            let from_step = rng.gen_range(0..=10u64);
-            vec![ChaosPartition {
-                side,
-                from_step,
-                heal_step: from_step + rng.gen_range(2..=8u64),
-            }]
-        } else {
-            Vec::new()
-        };
-        let duplicate_permille = if rng.gen_range(0..100u32) < 40 {
-            rng.gen_range(50..=300u32)
-        } else {
-            0
-        };
-        let reorder_permille = if rng.gen_range(0..100u32) < 40 {
-            rng.gen_range(50..=300u32)
-        } else {
-            0
-        };
+            // The side drawn is group 1, everyone else group 0.
+            let mut groups = vec![0u32; n];
+            for &p in &members[..side_size] {
+                groups[p] = 1;
+            }
+            let from = rng.gen_range(0..=10u64);
+            faults = faults.with_partition(groups, from, from + rng.gen_range(2..=8u64));
+        }
+        if rng.gen_range(0..100u32) < 40 {
+            faults.duplicate_permille = rng.gen_range(50..=300u32);
+        }
+        if rng.gen_range(0..100u32) < 40 {
+            faults.reorder_permille = rng.gen_range(50..=300u32);
+        }
 
         let max_crashes = if params.allow_degraded { t + 1 } else { t };
         let crash_count = rng.gen_range(0..=max_crashes);
@@ -310,38 +183,35 @@ impl ChaosSchedule {
             let j = rng.gen_range(i..n);
             victims.swap(i, j);
         }
-        let crashes: Vec<ChaosCrash> = victims[..crash_count]
-            .iter()
-            .map(|&v| ChaosCrash {
+        for &v in &victims[..crash_count] {
+            faults.crashes.push(CrashAt {
                 victim: ProcessorId::new(v),
                 at_step: rng.gen_range(0..=10u64),
                 drop_final_sends: rng.gen_range(0..2u32) == 0,
-            })
-            .collect();
+            });
+        }
+        faults.degraded = crash_count > t;
 
-        let mut restarts: Vec<ChaosRestart> = Vec::new();
-        for c in &crashes {
+        for c in &faults.crashes {
             if rng.gen_range(0..100u32) < 60 {
-                restarts.push(ChaosRestart {
+                faults.restarts.push(RestartAt {
                     victim: c.victim,
-                    delay_steps: rng.gen_range(5..=20u64),
+                    at: c.at_step + rng.gen_range(5..=20u64),
                     from_snapshot: rng.gen_range(0..2u32) == 0,
                 });
             }
         }
         if !params.allow_stall {
-            ensure_quorum_recoverable(&crashes, &mut restarts, t, &mut rng);
+            ensure_quorum_recoverable(&mut faults, t, &mut rng);
         }
 
         let seed = rng.gen_range(0..u64::MAX);
         // Socket-only fault, drawn *after* every pre-existing draw so
         // the schedules of older campaigns stay bit-identical under the
         // same (campaign_seed, index).
-        let reset_permille = if rng.gen_range(0..100u32) < 30 {
-            rng.gen_range(50..=250u32)
-        } else {
-            0
-        };
+        if rng.gen_range(0..100u32) < 30 {
+            faults.reset_permille = rng.gen_range(50..=250u32);
+        }
 
         ChaosSchedule {
             seed,
@@ -349,14 +219,7 @@ impl ChaosSchedule {
             t,
             votes,
             early_abort,
-            delay,
-            crashes,
-            restarts,
-            flaps,
-            partitions,
-            duplicate_permille,
-            reset_permille,
-            reorder_permille,
+            faults,
         }
     }
 
@@ -373,20 +236,22 @@ impl ChaosSchedule {
     pub fn theorem11(n: usize, seed: u64, recover: bool) -> ChaosSchedule {
         assert!(n >= 3, "Theorem 11 needs a nontrivial population");
         let t = CommitConfig::max_tolerated(n);
-        let crashes: Vec<ChaosCrash> = (1..=t + 1)
-            .map(|i| ChaosCrash {
-                victim: ProcessorId::new(i),
+        let victims = (1..=t + 1).map(ProcessorId::new);
+        let crashes = victims
+            .clone()
+            .map(|victim| CrashAt {
+                victim,
                 at_step: 0,
                 drop_final_sends: true,
             })
             .collect();
         let restarts = if recover {
-            crashes
-                .iter()
-                .enumerate()
-                .map(|(i, c)| ChaosRestart {
-                    victim: c.victim,
-                    delay_steps: 40 + 6 * i as u64,
+            let at = (0..).map(|i| 40 + 6 * i);
+            victims
+                .zip(at)
+                .map(|(victim, at)| RestartAt {
+                    victim,
+                    at,
                     from_snapshot: true,
                 })
                 .collect()
@@ -395,15 +260,14 @@ impl ChaosSchedule {
         };
         ChaosSchedule {
             early_abort: false,
-            crashes,
-            restarts,
+            faults: FaultPlan {
+                crashes,
+                restarts,
+                degraded: true,
+                ..FaultPlan::none()
+            },
             ..ChaosSchedule::fault_free(n, seed, vec![Value::One; n])
         }
-    }
-
-    /// Whether the schedule crashes more than `t` processors.
-    pub fn degraded(&self) -> bool {
-        self.crashes.len() > self.t
     }
 
     /// Number of processors that end the schedule effectively failed:
@@ -411,15 +275,7 @@ impl ChaosSchedule {
     /// restart rejoins as an observer, so it does not count towards the
     /// participating quorum.
     pub fn effective_crashes(&self) -> usize {
-        self.crashes
-            .iter()
-            .filter(|c| {
-                !self
-                    .restarts
-                    .iter()
-                    .any(|r| r.victim == c.victim && r.from_snapshot)
-            })
-            .count()
+        effective_crashes(&self.faults)
     }
 
     /// Whether enough participants survive (or are restored by
@@ -428,48 +284,43 @@ impl ChaosSchedule {
     pub fn quorum_recoverable(&self) -> bool {
         self.effective_crashes() <= self.t
     }
+}
 
-    /// The scripted crash of `p`, if any.
-    pub fn crash_of(&self, p: ProcessorId) -> Option<&ChaosCrash> {
-        self.crashes.iter().find(|c| c.victim == p)
-    }
+/// Crash victims of `faults` with no snapshot restart.
+fn effective_crashes(faults: &FaultPlan) -> usize {
+    faults
+        .crashes
+        .iter()
+        .filter(|c| {
+            !faults
+                .restarts
+                .iter()
+                .any(|r| r.victim == c.victim && r.from_snapshot)
+        })
+        .count()
 }
 
 /// Upgrades or adds snapshot restarts until at most `t` crash victims
 /// stay out of the participating quorum.
-fn ensure_quorum_recoverable(
-    crashes: &[ChaosCrash],
-    restarts: &mut Vec<ChaosRestart>,
-    t: usize,
-    rng: &mut SmallRng,
-) {
-    let effective = |restarts: &[ChaosRestart]| {
-        crashes
-            .iter()
-            .filter(|c| {
-                !restarts
-                    .iter()
-                    .any(|r| r.victim == c.victim && r.from_snapshot)
-            })
-            .count()
-    };
+fn ensure_quorum_recoverable(faults: &mut FaultPlan, t: usize, rng: &mut SmallRng) {
     // First upgrade existing amnesiac restarts, then add restarts for
     // victims that have none.
     let mut i = 0;
-    while effective(restarts) > t && i < restarts.len() {
-        restarts[i].from_snapshot = true;
+    while effective_crashes(faults) > t && i < faults.restarts.len() {
+        faults.restarts[i].from_snapshot = true;
         i += 1;
     }
-    let mut candidates: Vec<ProcessorId> = crashes
+    let mut candidates: Vec<CrashAt> = faults
+        .crashes
         .iter()
-        .map(|c| c.victim)
-        .filter(|v| !restarts.iter().any(|r| r.victim == *v))
+        .filter(|c| !faults.restarts.iter().any(|r| r.victim == c.victim))
+        .copied()
         .collect();
-    while effective(restarts) > t {
-        let v = candidates.pop().expect("enough victims to restart");
-        restarts.push(ChaosRestart {
-            victim: v,
-            delay_steps: rng.gen_range(5..=20u64),
+    while effective_crashes(faults) > t {
+        let c = candidates.pop().expect("enough victims to restart");
+        faults.restarts.push(RestartAt {
+            victim: c.victim,
+            at: c.at_step + rng.gen_range(5..=20u64),
             from_snapshot: true,
         });
     }
@@ -477,6 +328,8 @@ fn ensure_quorum_recoverable(
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
 
     #[test]
@@ -495,33 +348,25 @@ mod tests {
         for i in 0..200 {
             let s = ChaosSchedule::generate(&p, 42, i);
             assert_eq!(s.votes.len(), s.n);
-            assert!(s.crashes.len() <= s.t + 1);
-            // Distinct crash victims.
-            let mut victims: Vec<_> = s.crashes.iter().map(|c| c.victim).collect();
-            victims.sort();
-            victims.dedup();
-            assert_eq!(victims.len(), s.crashes.len());
-            // Every restart has a crash; at most one restart per victim.
-            let mut rv: Vec<_> = s.restarts.iter().map(|r| r.victim).collect();
-            rv.sort();
-            rv.dedup();
-            assert_eq!(rv.len(), s.restarts.len());
-            for r in &s.restarts {
-                assert!(s.crash_of(r.victim).is_some());
+            // Distinct victims, one restart at most per crash, whole
+            // partitions, permilles in range, over `t` only if degraded.
+            let f = &s.faults;
+            f.validate(s.n, s.t)
+                .unwrap_or_else(|e| panic!("schedule {i} is an invalid plan: {e}"));
+            assert!(f.crashes.len() <= s.t + 1);
+            assert_eq!(f.degraded, f.crashes.len() > s.t);
+            for r in &f.restarts {
+                assert!(f.crash_step(r.victim).is_some_and(|at| r.at >= at + 5));
             }
             // Default params never generate expected-stall schedules.
             assert!(s.quorum_recoverable(), "schedule {i} cannot recover quorum");
-            for f in &s.flaps {
-                assert!(f.a != f.b && f.until_step > f.from_step);
+            for o in &f.outages {
+                assert!(o.a != o.b && o.until > o.from);
             }
-            for part in &s.partitions {
-                assert!(!part.side.is_empty() && part.side.len() < s.n);
-                assert!(part.heal_step > part.from_step);
-                let groups = part.groups(s.n);
-                assert_eq!(groups.iter().filter(|g| **g == 1).count(), part.side.len());
+            for part in &f.partitions {
+                assert!(part.groups.contains(&0) && part.groups.contains(&1));
+                assert!(part.until > part.from);
             }
-            assert!(s.duplicate_permille <= 1000 && s.reorder_permille <= 1000);
-            assert!(s.reset_permille <= 1000);
         }
     }
 
@@ -529,29 +374,70 @@ mod tests {
     fn generation_exercises_the_hostile_network_vocabulary() {
         let p = ScheduleParams::default();
         let schedules: Vec<_> = (0..200)
-            .map(|i| ChaosSchedule::generate(&p, 42, i))
+            .map(|i| ChaosSchedule::generate(&p, 42, i).faults)
             .collect();
         assert!(
-            schedules.iter().any(|s| !s.partitions.is_empty()),
+            schedules.iter().any(|f| !f.partitions.is_empty()),
             "campaigns should include partitions"
         );
-        assert!(schedules.iter().any(|s| s.duplicate_permille > 0));
-        assert!(schedules.iter().any(|s| s.reorder_permille > 0));
-        assert!(schedules.iter().any(|s| s.reset_permille > 0));
+        assert!(schedules.iter().any(|f| f.duplicate_permille > 0));
+        assert!(schedules.iter().any(|f| f.reorder_permille > 0));
+        assert!(schedules.iter().any(|f| f.reset_permille > 0));
+    }
+
+    /// What the wall-clock substrates draw from 200 generated plans:
+    /// [`FaultPlan::roll`] over every ordered pair of processors at
+    /// ticks `0..40`, one seeded rng per schedule, folded into an FNV-1a
+    /// digest. The digests were taken from the plans the former
+    /// step-to-wall-clock compiler built for the same schedules, at the
+    /// same two ticks; a unit that slipped between milliseconds and
+    /// ticks moves one of them.
+    #[test]
+    fn generated_plans_roll_the_pinned_digests() {
+        let fnv = |h: &mut u64, x: u64| {
+            for b in x.to_le_bytes() {
+                *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        };
+        let nanos = |d: Duration| u64::try_from(d.as_nanos()).unwrap();
+        let pinned = [
+            (Duration::from_millis(1), 0x4b35_f6b1_cd45_8fae),
+            (Duration::from_micros(300), 0xb742_fa99_70d3_ecd3),
+        ];
+        for (tick, digest) in pinned {
+            let mut h = 0xCBF2_9CE4_8422_2325u64;
+            for i in 0..200 {
+                let s = ChaosSchedule::generate(&ScheduleParams::default(), 0xC0A7_1986, i);
+                let mut rng = SmallRng::seed_from_u64(s.seed);
+                let pairs = (0..s.n).flat_map(|a| (0..s.n).map(move |b| (a, b)));
+                for (from, to) in pairs.filter(|(a, b)| a != b) {
+                    for at in 0..40u32 {
+                        let (from, to) = (ProcessorId::new(from), ProcessorId::new(to));
+                        let (hold, dup, reset) = s.faults.roll(from, to, tick * at, tick, &mut rng);
+                        fnv(&mut h, nanos(hold));
+                        fnv(&mut h, dup.map_or(u64::MAX, nanos));
+                        fnv(&mut h, u64::from(reset));
+                    }
+                }
+            }
+            assert_eq!(h, digest, "tick {tick:?}: {h:#018x}");
+        }
     }
 
     #[test]
     fn theorem11_shape() {
         let stall = ChaosSchedule::theorem11(3, 9, false);
-        assert_eq!(stall.crashes.len(), stall.t + 1);
-        assert!(stall.degraded());
+        assert_eq!(stall.faults.crashes.len(), stall.t + 1);
+        assert!(stall.faults.degraded);
         assert!(!stall.quorum_recoverable());
         assert!(!stall.early_abort);
+        assert_eq!(stall.faults.validate(stall.n, stall.t), Ok(()));
 
         let recover = ChaosSchedule::theorem11(3, 9, true);
-        assert!(recover.degraded());
+        assert!(recover.faults.degraded);
         assert!(recover.quorum_recoverable());
-        assert_eq!(recover.restarts.len(), recover.crashes.len());
-        assert!(recover.restarts.iter().all(|r| r.from_snapshot));
+        assert_eq!(recover.faults.restarts.len(), recover.faults.crashes.len());
+        assert!(recover.faults.restarts.iter().all(|r| r.from_snapshot));
+        assert_eq!(recover.faults.validate(recover.n, recover.t), Ok(()));
     }
 }

@@ -2,59 +2,61 @@
 //!
 //! Given a schedule on which a predicate holds (normally "this
 //! schedule produces a safety violation on the simulator"), the
-//! shrinker repeatedly tries structure-removing simplifications —
-//! dropping a flap, simplifying the delay regime, dropping a restart,
-//! dropping a crash together with its restart — and keeps any
-//! simplification under which the predicate still holds, until no
-//! single removal preserves it. The result is a locally minimal
-//! reproducer.
+//! shrinker repeatedly tries structure-removing simplifications of its
+//! fault plan — dropping an outage, simplifying the delay regime,
+//! dropping a restart, dropping a crash together with its restart —
+//! and keeps any simplification under which the predicate still holds,
+//! until no single removal preserves it. The result is a locally
+//! minimal reproducer.
+
+use rtc_runtime::DelayModel;
 
 use crate::outcome::ChaosOutcome;
-use crate::schedule::{ChaosDelay, ChaosSchedule};
+use crate::schedule::ChaosSchedule;
 use crate::sim_driver::run_on_sim;
 
 /// All schedules reachable from `s` by removing one element.
 fn candidates(s: &ChaosSchedule) -> Vec<ChaosSchedule> {
     let mut out = Vec::new();
-    for i in 0..s.flaps.len() {
+    for i in 0..s.faults.outages.len() {
         let mut c = s.clone();
-        c.flaps.remove(i);
+        c.faults.outages.remove(i);
         out.push(c);
     }
-    for i in 0..s.partitions.len() {
+    for i in 0..s.faults.partitions.len() {
         let mut c = s.clone();
-        c.partitions.remove(i);
+        c.faults.partitions.remove(i);
         out.push(c);
     }
-    if s.duplicate_permille > 0 {
+    if s.faults.duplicate_permille > 0 {
         let mut c = s.clone();
-        c.duplicate_permille = 0;
+        c.faults.duplicate_permille = 0;
         out.push(c);
     }
-    if s.reorder_permille > 0 {
+    if s.faults.reorder_permille > 0 {
         let mut c = s.clone();
-        c.reorder_permille = 0;
+        c.faults.reorder_permille = 0;
         out.push(c);
     }
-    if s.reset_permille > 0 {
+    if s.faults.reset_permille > 0 {
         let mut c = s.clone();
-        c.reset_permille = 0;
+        c.faults.reset_permille = 0;
         out.push(c);
     }
-    if s.delay != ChaosDelay::None {
+    if s.faults.delay != DelayModel::None {
         let mut c = s.clone();
-        c.delay = ChaosDelay::None;
+        c.faults.delay = DelayModel::None;
         out.push(c);
     }
-    for i in 0..s.restarts.len() {
+    for i in 0..s.faults.restarts.len() {
         let mut c = s.clone();
-        c.restarts.remove(i);
+        c.faults.restarts.remove(i);
         out.push(c);
     }
-    for i in 0..s.crashes.len() {
+    for i in 0..s.faults.crashes.len() {
         let mut c = s.clone();
-        let victim = c.crashes.remove(i).victim;
-        c.restarts.retain(|r| r.victim != victim);
+        let victim = c.faults.crashes.remove(i).victim;
+        c.faults.restarts.retain(|r| r.victim != victim);
         out.push(c);
     }
     if !s.early_abort {
@@ -121,21 +123,25 @@ mod tests {
         let params = ScheduleParams::default();
         let start = (0..200)
             .map(|i| ChaosSchedule::generate(&params, 77, i))
-            .find(|s| !s.crashes.is_empty() && (!s.flaps.is_empty() || s.delay != ChaosDelay::None))
+            .find(|s| {
+                let f = &s.faults;
+                !f.crashes.is_empty() && (!f.outages.is_empty() || f.delay != DelayModel::None)
+            })
             .expect("the campaign generates busy schedules");
-        let p: ProcessorId = start.crashes[0].victim;
-        let fails = |s: &ChaosSchedule| s.crashes.iter().any(|c| c.victim == p);
+        let p: ProcessorId = start.faults.crashes[0].victim;
+        let fails = |s: &ChaosSchedule| s.faults.crashes.iter().any(|c| c.victim == p);
 
         let min = shrink_schedule(&start, fails);
         assert!(fails(&min), "shrinking must preserve the predicate");
-        assert_eq!(min.crashes.len(), 1, "only the needed crash survives");
-        assert_eq!(min.crashes[0].victim, p);
-        assert!(min.flaps.is_empty());
-        assert!(min.restarts.is_empty());
-        assert_eq!(min.delay, ChaosDelay::None);
-        assert!(min.partitions.is_empty());
-        assert_eq!(min.duplicate_permille, 0);
-        assert_eq!(min.reorder_permille, 0);
+        let f = &min.faults;
+        assert_eq!(f.crashes.len(), 1, "only the needed crash survives");
+        assert_eq!(f.crashes[0].victim, p);
+        assert!(f.outages.is_empty());
+        assert!(f.restarts.is_empty());
+        assert_eq!(f.delay, DelayModel::None);
+        assert!(f.partitions.is_empty());
+        assert_eq!(f.duplicate_permille, 0);
+        assert_eq!(f.reorder_permille, 0);
     }
 
     #[test]

@@ -13,12 +13,13 @@
 use rtc_core::properties::verify_commit;
 use rtc_core::{commit_population, CommitAutomaton, CommitConfig};
 use rtc_model::{Recoverable, SeedCollection, Value};
+use rtc_runtime::RestartAt;
 use rtc_sim::{RunReport, Sim, SimBuilder, StopWhen};
 use rtc_spec::{Conformance, ConformanceError, ReviveKind, RunSpec, SpecConfig};
 
 use crate::adversary::ChaosAdversary;
 use crate::outcome::{classify_verdict, ChaosOutcome, ChaosReport, Substrate};
-use crate::schedule::{ChaosRestart, ChaosSchedule};
+use crate::schedule::ChaosSchedule;
 
 /// Runs `schedule` on the simulator with a hard cap of `max_events`
 /// scheduler events, classifying the outcome.
@@ -52,7 +53,7 @@ fn spec_config(cfg: &CommitConfig) -> SpecConfig {
 fn replacement(
     schedule: &ChaosSchedule,
     cfg: CommitConfig,
-    restart: &ChaosRestart,
+    restart: &RestartAt,
     crashed: &CommitAutomaton,
 ) -> CommitAutomaton {
     if restart.from_snapshot {
@@ -94,21 +95,19 @@ fn execute_on_sim(schedule: &ChaosSchedule, max_events: u64) -> FinishedRun {
     let mut sim = SimBuilder::new(cfg.timing(), SeedCollection::new(schedule.seed))
         // Degraded schedules intentionally exceed t; give the engine
         // the budget to execute them (admissibility of the *plan* is
-        // tracked by `ChaosSchedule::degraded`).
-        .fault_budget(schedule.crashes.len().max(schedule.t))
+        // tracked by `FaultPlan::degraded`).
+        .fault_budget(schedule.faults.crashes.len().max(schedule.t))
         .build(commit_population(cfg, &schedule.votes))
         .expect("population matches config");
     let mut adv = ChaosAdversary::new(schedule);
-    // A restart becomes due a fixed number of abstract steps after its
-    // crash trigger; one step is one round-robin rotation, `n` events.
+    // A restart is due at its tick; one tick is one round-robin
+    // rotation, `n` events.
     let rotation = schedule.n as u64;
-    let mut pending: Vec<(&ChaosRestart, u64)> = schedule
+    let mut pending: Vec<(&RestartAt, u64)> = schedule
+        .faults
         .restarts
         .iter()
-        .map(|r| {
-            let crash_step = schedule.crash_of(r.victim).map_or(0, |c| c.at_step);
-            (r, (crash_step + r.delay_steps) * rotation)
-        })
+        .map(|r| (r, r.at * rotation))
         .collect();
     // The kinds of the realized restarts, in realization order — the
     // linter's per-`Revive` hints, which the trace's `Revive` event does
@@ -143,8 +142,8 @@ fn execute_on_sim(schedule: &ChaosSchedule, max_events: u64) -> FinishedRun {
                 return false;
             }
             // The crash trigger has not fired yet (the victim's clock
-            // lags the abstract-step estimate): retry a couple of
-            // rotations later, unless `max_events` arrives first.
+            // lags the tick estimate): retry a couple of rotations
+            // later, unless `max_events` arrives first.
             *due = event + 2 * rotation;
             *due < max_events
         });
@@ -218,10 +217,11 @@ mod tests {
     use rtc_core::properties::Condition;
     use rtc_model::ProcessorId;
     use rtc_model::Value;
+    use rtc_runtime::CrashAt;
 
     use super::*;
     use crate::outcome::ChaosOutcome;
-    use crate::schedule::{ChaosCrash, ScheduleParams};
+    use crate::schedule::ScheduleParams;
 
     #[test]
     fn faultfree_schedule_decides_cleanly() {
@@ -236,16 +236,12 @@ mod tests {
     #[test]
     fn tolerated_crash_with_snapshot_restart_decides() {
         let mut s = ChaosSchedule::fault_free(4, 12, vec![Value::One; 4]);
-        s.crashes.push(ChaosCrash {
+        s.faults.crashes.push(CrashAt {
             victim: ProcessorId::new(2),
             at_step: 3,
             drop_final_sends: true,
         });
-        s.restarts.push(ChaosRestart {
-            victim: ProcessorId::new(2),
-            delay_steps: 10,
-            from_snapshot: true,
-        });
+        s.faults = s.faults.with_restart(ProcessorId::new(2), 13, true);
         let rep = run_on_sim(&s, 200_000);
         assert_eq!(rep.outcome, ChaosOutcome::Decided);
     }
@@ -253,16 +249,11 @@ mod tests {
     #[test]
     fn amnesiac_restart_catches_up_by_observation() {
         let mut s = ChaosSchedule::fault_free(3, 13, vec![Value::One; 3]);
-        s.crashes.push(ChaosCrash {
-            victim: ProcessorId::new(1),
-            at_step: 2,
-            drop_final_sends: false,
-        });
-        s.restarts.push(ChaosRestart {
-            victim: ProcessorId::new(1),
-            delay_steps: 8,
-            from_snapshot: false,
-        });
+        s.faults = s.faults.with_crash(ProcessorId::new(1), 2).with_restart(
+            ProcessorId::new(1),
+            10,
+            false,
+        );
         let rep = run_on_sim(&s, 200_000);
         // The observer must adopt the survivors' decision: the run is
         // deciding (the revived processor owes a decision again) and
@@ -272,15 +263,12 @@ mod tests {
 
     #[test]
     fn hostile_network_schedule_decides_and_reports_lateness() {
-        use crate::schedule::ChaosPartition;
         let mut s = ChaosSchedule::fault_free(5, 17, vec![Value::One; 5]);
-        s.partitions.push(ChaosPartition {
-            side: vec![ProcessorId::new(0), ProcessorId::new(1)],
-            from_step: 1,
-            heal_step: 6,
-        });
-        s.duplicate_permille = 200;
-        s.reorder_permille = 200;
+        s.faults = s
+            .faults
+            .with_partition(vec![1, 1, 0, 0, 0], 1, 6)
+            .with_duplication(200)
+            .with_reordering(200);
         let rep = run_on_sim(&s, 400_000);
         assert_eq!(rep.outcome, ChaosOutcome::Decided, "{rep:?}");
         // A five-step cut across the quorum boundary forces at least
@@ -307,7 +295,7 @@ mod tests {
     /// validity does not bind it.
     fn assert_overdue_message_excuses_the_abort(campaign_seed: u64, index: u64) {
         let s = ChaosSchedule::generate(&ScheduleParams::default(), campaign_seed, index);
-        assert!(s.crashes.is_empty() && s.votes.iter().all(|v| *v == Value::One));
+        assert!(s.faults.crashes.is_empty() && s.votes.iter().all(|v| *v == Value::One));
         let (rep, decided) = run_on_sim_with_decision(&s, 400_000);
         assert_eq!(rep.outcome, ChaosOutcome::Decided, "{rep:?}");
         assert_eq!(decided, Some(Value::Zero));

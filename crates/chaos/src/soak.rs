@@ -26,11 +26,10 @@ use rand::{Rng, SeedableRng};
 use rtc_core::commit_population;
 use rtc_model::{ProcessorId, SeedCollection, TimingParams, Value};
 use rtc_net::{run_net_supervised, NetOptions, NetRunStats};
-use rtc_runtime::SupervisorPolicy;
+use rtc_runtime::{CrashAt, FaultPlan, SupervisorPolicy};
 
 use crate::outcome::{judge_cluster, ChaosOutcome, Substrate};
-use crate::runtime_driver::to_fault_plan;
-use crate::schedule::{ChaosCrash, ChaosPartition, ChaosRestart, ChaosSchedule};
+use crate::schedule::ChaosSchedule;
 use crate::sim_driver::run_on_sim_with_decision;
 
 /// Knobs for one soak run.
@@ -139,39 +138,36 @@ impl fmt::Display for SoakReport {
     }
 }
 
-/// Builds round `round`'s per-instance schedules: a shared hostile
-/// fault shape (healing partition, duplication, reordering, resets,
-/// periodic crash) with per-instance votes and coin seeds.
-fn round_schedules(cfg: &SoakConfig, round: u64) -> Vec<ChaosSchedule> {
+/// Builds round `round`: one hostile fault plan — a healing partition,
+/// duplication, reordering, resets and the periodic crash — shared by
+/// every instance, and one schedule per instance with its own votes and
+/// coin seed.
+fn round_schedules(cfg: &SoakConfig, round: u64) -> (FaultPlan, Vec<ChaosSchedule>) {
     let mut rng =
         SmallRng::seed_from_u64(cfg.seed ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x50A4);
-    let partition = ChaosPartition {
-        side: vec![ProcessorId::new(rng.gen_range(0..cfg.n))],
-        from_step: 0,
-        heal_step: rng.gen_range(2..=3u64),
-    };
-    let crashes: Vec<ChaosCrash> = (cfg.crash_every > 0 && round.is_multiple_of(cfg.crash_every))
-        .then(|| ChaosCrash {
-            victim: ProcessorId::new(usize::try_from(round).unwrap_or(0) % cfg.n),
-            at_step: rng.gen_range(1..=3u64),
+    let mut groups = vec![0u32; cfg.n];
+    groups[rng.gen_range(0..cfg.n)] = 1;
+    let mut faults = FaultPlan::none()
+        .with_partition(groups, 0, rng.gen_range(2..=3u64))
+        .with_duplication(300)
+        .with_resets(150)
+        .with_reordering(250);
+    if cfg.crash_every > 0 && round.is_multiple_of(cfg.crash_every) {
+        let victim = ProcessorId::new(usize::try_from(round).unwrap_or(0) % cfg.n);
+        let at_step = rng.gen_range(1..=3u64);
+        faults.crashes.push(CrashAt {
+            victim,
+            at_step,
             drop_final_sends: true,
-        })
-        .into_iter()
-        .collect();
-    // Mirror the socket side's supervisor in the substrate-neutral
-    // schedule: a scripted snapshot restart a few steps after the
-    // crash. The simulator honours it (so its prediction is decisive,
-    // not a graceful stall), while `run_net_supervised` strips scripted
-    // restarts — there the reactive supervisor does the reviving.
-    let restarts: Vec<ChaosRestart> = crashes
-        .iter()
-        .map(|c| ChaosRestart {
-            victim: c.victim,
-            delay_steps: rng.gen_range(2..=4u64),
-            from_snapshot: true,
-        })
-        .collect();
-    (0..cfg.instances)
+        });
+        // Mirror the socket side's supervisor in the schedule: a
+        // scripted snapshot restart a few ticks after the crash. The
+        // simulator honours it (so its prediction is decisive, not a
+        // graceful stall), while `run_net_supervised` ignores scripted
+        // restarts — there the reactive supervisor does the reviving.
+        faults = faults.with_restart(victim, at_step + rng.gen_range(2..=4u64), true);
+    }
+    let schedules = (0..cfg.instances)
         .map(|_| {
             let votes = if rng.gen_range(0..2u32) == 0 {
                 vec![Value::One; cfg.n]
@@ -181,16 +177,12 @@ fn round_schedules(cfg: &SoakConfig, round: u64) -> Vec<ChaosSchedule> {
                 v
             };
             ChaosSchedule {
-                crashes: crashes.clone(),
-                restarts: restarts.clone(),
-                partitions: vec![partition.clone()],
-                duplicate_permille: 300,
-                reset_permille: 150,
-                reorder_permille: 250,
+                faults: faults.clone(),
                 ..ChaosSchedule::fault_free(cfg.n, rng.gen_range(0..u64::MAX), votes)
             }
         })
-        .collect()
+        .collect();
+    (faults, schedules)
 }
 
 /// Runs the soak: `cfg.rounds` supervised socket clusters, each
@@ -214,11 +206,10 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     opts.wall_timeout = cfg.wall_timeout;
 
     for round in 0..cfg.rounds {
-        let schedules = round_schedules(cfg, round);
+        let (plan, schedules) = round_schedules(cfg, round);
         let t = schedules[0].t;
-        let plan = to_fault_plan(&schedules[0], cfg.tick);
         plan.validate(cfg.n, t)
-            .expect("soak rounds map to valid fault plans");
+            .expect("soak rounds carry valid fault plans");
         let populations = schedules
             .iter()
             .map(|s| commit_population(s.commit_config(), &s.votes))

@@ -525,7 +525,7 @@ where
 
 /// Runs `m` commit instances over real sockets, honouring the fault
 /// plan's scripted crashes *and restarts* — the socket counterpart of
-/// `run_cluster_recoverable`.
+/// [`run_cluster`](rtc_runtime::run_cluster).
 ///
 /// `instances[k]` is instance `k`'s population in processor order;
 /// `seeds[k]` its seed collection. Network faults in the plan are
@@ -744,7 +744,7 @@ mod tests {
         let c = cfg(3); // t = 1
         let plan = FaultPlan::none()
             .with_crash(ProcessorId::new(2), 4)
-            .with_restart(ProcessorId::new(2), Duration::from_millis(40), true);
+            .with_restart(ProcessorId::new(2), 40, true);
         plan.validate(3, c.fault_bound()).unwrap();
         let report = run_net_cluster(
             vec![commit_population(c, &[Value::One; 3])],
@@ -768,7 +768,7 @@ mod tests {
         let c = cfg(3);
         let plan = FaultPlan::none()
             .with_crash(ProcessorId::new(2), 150)
-            .with_restart(ProcessorId::new(2), Duration::from_millis(20), false);
+            .with_restart(ProcessorId::new(2), 20, false);
         plan.validate(3, c.fault_bound()).unwrap();
         let report = run_net_cluster(
             vec![commit_population(c, &[Value::One; 3])],
@@ -808,11 +808,7 @@ mod tests {
         let c = cfg(3);
         // Cut {p0} | {p1, p2} for 3 ticks — well inside the 2K = 8 tick
         // vote timeout — then heal; the run must still commit.
-        let plan = FaultPlan::none().with_partition(
-            vec![0, 1, 1],
-            Duration::ZERO,
-            Duration::from_millis(3),
-        );
+        let plan = FaultPlan::none().with_partition(vec![0, 1, 1], 0, 3);
         let report = run_net_cluster(
             vec![commit_population(c, &[Value::One; 3])],
             vec![SeedCollection::new(61)],

@@ -9,7 +9,8 @@
 //! vocabulary to genuine TCP traffic:
 //!
 //! * **Delay** — each frame's hold is drawn from the plan's
-//!   [`DelayModel`](rtc_runtime::DelayModel).
+//!   [`DelayModel`](rtc_runtime::DelayModel), its ticks read as the
+//!   cluster's tick of wall clock, as are the windows below.
 //! * **Outages and partitions** — a frame crossing a cut link or an
 //!   active partition is held until the window heals. Nothing is
 //!   dropped; eventual delivery survives the cut.

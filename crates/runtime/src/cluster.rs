@@ -36,7 +36,7 @@ use rtc_model::{
     SeedCollection, Status, TimingParams,
 };
 
-use crate::fault::{FaultPlan, RestartAt};
+use crate::fault::{wall, FaultPlan, RestartAt};
 
 /// Pacing and bounds for a cluster run.
 #[derive(Clone, Copy, Debug)]
@@ -551,11 +551,11 @@ where
         self.all_up_and_decided(&down)
     }
 
-    /// The scripted driver: fires each restart at its offset or at the
-    /// victim's actual crash, whichever is later, and stops when no
-    /// restart is pending and every owed decision is in, or at
-    /// `wall_timeout`. Returns which nodes were respawned and whether
-    /// the run ended by decision.
+    /// The scripted driver: fires each restart at its tick, `tick × at`
+    /// of wall clock after boot, or at the victim's actual crash,
+    /// whichever is later, and stops when no restart is pending and
+    /// every owed decision is in, or at `wall_timeout`. Returns which
+    /// nodes were respawned and whether the run ended by decision.
     pub fn run_scripted(
         &mut self,
         mut pending: Vec<RestartAt>,
@@ -567,7 +567,7 @@ where
             let now = self.elapsed();
             pending.retain(|r| {
                 let idx = r.victim.index();
-                let fire = now >= r.at && self.shared.down.lock()[idx];
+                let fire = now >= wall(self.tick(), r.at) && self.shared.down.lock()[idx];
                 if fire {
                     self.respawn(idx, r.from_snapshot);
                     recovered[idx] = true;
@@ -644,44 +644,6 @@ where
     }
 }
 
-/// Runs a population of automata on threads, with crossbeam channels as
-/// links, until every node that has not crashed decides, or the caps
-/// are hit. Crashes are the paper's fail-stop faults: any restarts in
-/// the plan are ignored (see
-/// [`run_cluster_recoverable`](crate::run_cluster_recoverable)).
-///
-/// # Example
-///
-/// ```
-/// use rtc_core::{commit_population, CommitConfig};
-/// use rtc_model::{Decision, SeedCollection, TimingParams, Value};
-/// use rtc_runtime::{run_cluster, ClusterOptions, FaultPlan};
-///
-/// let cfg = CommitConfig::new(3, 1, TimingParams::default())?;
-/// let report = run_cluster(
-///     commit_population(cfg, &[Value::One; 3]),
-///     SeedCollection::new(7),
-///     FaultPlan::none(),
-///     ClusterOptions::default(),
-/// );
-/// assert!(report.all_nonfaulty_decided());
-/// assert!(report.statuses.iter().all(|s| s.decision() == Some(Decision::Commit)));
-/// # Ok::<(), rtc_model::ModelError>(())
-/// ```
-pub fn run_cluster<A>(
-    procs: Vec<A>,
-    seeds: SeedCollection,
-    mut faults: FaultPlan,
-    opts: ClusterOptions,
-) -> ClusterReport
-where
-    A: Recoverable + Send + 'static,
-    A::Msg: Send + 'static,
-{
-    faults.restarts.clear();
-    crate::recovery::run_cluster_recoverable(procs, seeds, faults, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use rtc_core::{commit_population, CommitConfig};
@@ -689,6 +651,7 @@ mod tests {
 
     use super::*;
     use crate::fault::DelayModel;
+    use crate::run_cluster;
 
     fn cfg(n: usize) -> CommitConfig {
         CommitConfig::new(n, CommitConfig::max_tolerated(n), TimingParams::default()).unwrap()
@@ -1014,10 +977,7 @@ mod tests {
             run_cluster(
                 probes.collect(),
                 SeedCollection::new(16),
-                FaultPlan::none().with_delay(DelayModel::Uniform {
-                    min: tick * 8,
-                    max: tick * 8,
-                }),
+                FaultPlan::none().with_delay(DelayModel::Uniform { min: 8, max: 8 }),
                 o,
             )
         };
@@ -1099,10 +1059,10 @@ mod tests {
             SeedCollection::new(52),
             FaultPlan::none().with_delay(DelayModel::Spike {
                 permille: 400,
-                // ~7 ticks of 300us: more than K = 4, and over well
-                // before the run can end (16+ ticks, now that a tick
-                // is a tick), so the held messages are delivered.
-                spike: Duration::from_millis(2),
+                // More than K = 4, and over well before the run can
+                // end (16+ ticks, now that a tick is a tick), so the
+                // held messages are delivered.
+                spike: 7,
             }),
             opts(),
         );
@@ -1117,7 +1077,8 @@ mod tests {
     #[test]
     fn link_outage_is_survived_consistently() {
         // The link between the coordinator and p2 is down for the first
-        // 4ms; its traffic arrives when the window closes. The cluster
+        // 13 ticks (about 4 ms); its traffic arrives when the window
+        // closes. The cluster
         // must still decide consistently (commit if the buffered GO
         // still beats the 2K window in real time, abort otherwise).
         let c = cfg(3);
@@ -1127,8 +1088,8 @@ mod tests {
             FaultPlan::none().with_link_outage(
                 ProcessorId::COORDINATOR,
                 ProcessorId::new(2),
-                Duration::ZERO,
-                Duration::from_millis(4),
+                0,
+                13,
             ),
             opts(),
         );
@@ -1141,8 +1102,8 @@ mod tests {
 
     #[test]
     fn outage_past_run_end_is_counted_not_dropped() {
-        // The link cut lasts far beyond the run, so traffic buffered on
-        // it can never arrive; the report must account for it instead
+        // The link cut lasts far beyond the run (2 000 000 ticks, ten
+        // minutes), so traffic buffered on it can never arrive; the report must account for it instead
         // of silently dropping it.
         let c = cfg(3);
         let mut o = opts();
@@ -1153,8 +1114,8 @@ mod tests {
             FaultPlan::none().with_link_outage(
                 ProcessorId::COORDINATOR,
                 ProcessorId::new(1),
-                Duration::ZERO,
-                Duration::from_secs(600),
+                0,
+                2_000_000,
             ),
             o,
         );
@@ -1173,7 +1134,7 @@ mod tests {
             SeedCollection::new(14),
             FaultPlan::none().with_delay(DelayModel::Spike {
                 permille: 200,
-                spike: Duration::from_millis(3),
+                spike: 10,
             }),
             opts(),
         );
@@ -1183,19 +1144,15 @@ mod tests {
 
     #[test]
     fn healed_partition_is_survived_consistently() {
-        // {p0, p1} vs {p2, p3, p4} for the first 3ms, then the network
-        // heals and buffered traffic flows. Either the run decides
+        // {p0, p1} vs {p2, p3, p4} for the first 10 ticks (3 ms), then
+        // the network heals and buffered traffic flows. Either the run decides
         // before the cut matters or the heal lets it finish; both ways
         // agreement must hold and nobody may be left undecided.
         let c = cfg(5);
         let report = run_cluster(
             commit_population(c, &[Value::One; 5]),
             SeedCollection::new(61),
-            FaultPlan::none().with_partition(
-                vec![0, 0, 1, 1, 1],
-                Duration::ZERO,
-                Duration::from_millis(3),
-            ),
+            FaultPlan::none().with_partition(vec![0, 0, 1, 1, 1], 0, 10),
             opts(),
         );
         assert!(

@@ -1,4 +1,14 @@
-//! Fault injection for the threaded runtime.
+//! The fault plan: everything that goes wrong in one run, in one
+//! vocabulary for every substrate.
+//!
+//! Time is counted in the model's one unit, the clock tick: a message
+//! is late after `K` ticks and the protocol's timeouts are `2K` ticks
+//! (Section 2). Every time-valued field of a [`FaultPlan`] is a tick
+//! count, and each substrate converts at the point of use. The
+//! simulator runs a tick as one round-robin rotation of `n` events
+//! (`rtc-chaos`'s `ChaosAdversary`); the wall-clock substrates run it as
+//! `tick × count` of wall clock ([`FaultPlan::roll`] and
+//! [`ClusterCore::run_scripted`](crate::ClusterCore::run_scripted)).
 
 use std::time::{Duration, Instant};
 
@@ -6,48 +16,56 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use rtc_model::ProcessorId;
 
-/// Per-message network delay model.
+/// A duration in whole nanoseconds, saturating past ~584 years.
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// `count` ticks of wall clock at `tick` a tick, saturating.
+pub(crate) fn wall(tick: Duration, count: u64) -> Duration {
+    Duration::from_nanos(count.saturating_mul(nanos(tick)))
+}
+
+/// Per-message network delay model, in ticks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DelayModel {
     /// Deliver immediately (same-tick when the receiver is polling).
     None,
-    /// Uniform random delay in `[min, max]`.
+    /// Uniform random delay in `[min, max]` ticks.
     Uniform {
         /// Lower bound.
-        min: Duration,
+        min: u64,
         /// Upper bound.
-        max: Duration,
+        max: u64,
     },
     /// Mostly immediate, but with probability `permille/1000` a message
-    /// is held for `spike` — the "usually on time, sometimes late"
-    /// behaviour the paper's model is built around.
+    /// is held for `spike` ticks — the "usually on time, sometimes
+    /// late" behaviour the paper's model is built around.
     Spike {
         /// Probability of a spike, in thousandths.
         permille: u32,
-        /// The spike duration.
-        spike: Duration,
+        /// The spike length.
+        spike: u64,
     },
 }
 
 impl DelayModel {
-    /// Samples the delay of one message.
-    pub fn sample(self, rng: &mut SmallRng) -> Duration {
+    /// Samples the wall-clock delay of one message at `tick` a tick, to
+    /// the nanosecond.
+    pub fn sample(self, tick: Duration, rng: &mut SmallRng) -> Duration {
         match self {
             DelayModel::None => Duration::ZERO,
             DelayModel::Uniform { min, max } => {
+                let (min, max) = (wall(tick, min), wall(tick, max));
                 if max <= min {
                     min
                 } else {
-                    // Saturate rather than truncate: a span over ~584
-                    // years of nanoseconds would otherwise wrap to a
-                    // small value and silently shrink the delay.
-                    let span = u64::try_from((max - min).as_nanos()).unwrap_or(u64::MAX);
-                    min + Duration::from_nanos(rng.gen_range(0..=span))
+                    min + Duration::from_nanos(rng.gen_range(0..=nanos(max - min)))
                 }
             }
             DelayModel::Spike { permille, spike } => {
                 if rng.gen_range(0..1000u32) < permille {
-                    spike
+                    wall(tick, spike)
                 } else {
                     Duration::ZERO
                 }
@@ -89,15 +107,21 @@ impl<T> Ord for Due<T> {
     }
 }
 
-/// A scripted crash: the processor's thread exits at the given local
-/// step, without sending the messages of that step (the mid-broadcast
-/// failure of the paper's model).
+/// A scripted crash: the processor fails once its local clock reaches
+/// `at_step`, without taking that step (the mid-broadcast failure of
+/// the paper's model).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CrashAt {
     /// The victim.
     pub victim: ProcessorId,
     /// The local step at which it dies.
     pub at_step: u64,
+    /// Whether the sends of the victim's last completed step are lost
+    /// too (the classic failed-mid-broadcast shape). Only the simulator
+    /// reads this, just as only sockets read
+    /// [`FaultPlan::reset_permille`]: a thread always loses its crashing
+    /// step's own sends and none earlier.
+    pub drop_final_sends: bool,
 }
 
 /// A temporary outage of the link between two processors: messages
@@ -110,19 +134,26 @@ pub struct LinkOutage {
     pub a: ProcessorId,
     /// The other endpoint.
     pub b: ProcessorId,
-    /// Window start, relative to cluster start.
-    pub from: Duration,
-    /// Window end, relative to cluster start.
-    pub until: Duration,
+    /// Window start, in ticks from the start of the run.
+    pub from: u64,
+    /// Window end (exclusive), in ticks from the start of the run.
+    pub until: u64,
 }
 
 impl LinkOutage {
-    /// Whether the outage covers traffic between `x` and `y` at offset
-    /// `at` from cluster start.
-    pub fn covers(&self, x: ProcessorId, y: ProcessorId, at: Duration) -> bool {
+    /// Whether the outage covers traffic between `x` and `y` at `at`,
+    /// read on a clock of `per_tick` units a tick (simulator events or
+    /// wall-clock nanoseconds).
+    pub fn covers(&self, x: ProcessorId, y: ProcessorId, at: u64, per_tick: u64) -> bool {
         let pair = (self.a == x && self.b == y) || (self.a == y && self.b == x);
-        pair && at >= self.from && at < self.until
+        pair && within(at, per_tick, self.from, self.until)
     }
+}
+
+/// Whether `at`, on a clock of `per_tick` units a tick, falls in the
+/// tick window `[from, until)`.
+fn within(at: u64, per_tick: u64, from: u64, until: u64) -> bool {
+    at >= from.saturating_mul(per_tick) && at < until.saturating_mul(per_tick)
 }
 
 /// A timed network partition: during `[from, until)` every message
@@ -135,18 +166,19 @@ pub struct NetPartition {
     /// Group id per processor, indexed by processor id. Processors in
     /// different groups cannot exchange messages during the window.
     pub groups: Vec<u32>,
-    /// Window start, relative to cluster start.
-    pub from: Duration,
-    /// Window end (the heal), relative to cluster start.
-    pub until: Duration,
+    /// Window start, in ticks from the start of the run.
+    pub from: u64,
+    /// Window end (the heal, exclusive), in ticks from the start of the
+    /// run.
+    pub until: u64,
 }
 
 impl NetPartition {
-    /// Whether traffic between `x` and `y` at offset `at` crosses the
-    /// partition while it is active.
-    pub fn covers(&self, x: ProcessorId, y: ProcessorId, at: Duration) -> bool {
-        at >= self.from
-            && at < self.until
+    /// Whether traffic between `x` and `y` at `at`, read on a clock of
+    /// `per_tick` units a tick, crosses the partition while it is
+    /// active.
+    pub fn covers(&self, x: ProcessorId, y: ProcessorId, at: u64, per_tick: u64) -> bool {
+        within(at, per_tick, self.from, self.until)
             && match (self.groups.get(x.index()), self.groups.get(y.index())) {
                 (Some(gx), Some(gy)) => gx != gy,
                 _ => false,
@@ -154,17 +186,17 @@ impl NetPartition {
     }
 }
 
-/// A scripted restart: at offset `at` from cluster start, a crashed
-/// processor's thread is respawned — either from the snapshot captured
-/// at its crash (modelling stable storage surviving the fault) or from
-/// its initial state (an amnesiac rejoin, safe only because decisions
-/// are caught up from peers).
+/// A scripted restart: at tick `at` of the run, a crashed processor is
+/// brought back — either from the snapshot captured at its crash
+/// (modelling stable storage surviving the fault) or from its initial
+/// state (an amnesiac rejoin, safe only because decisions are caught up
+/// from peers).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RestartAt {
     /// The processor to revive; it must have a scripted crash.
     pub victim: ProcessorId,
-    /// When the thread is respawned, relative to cluster start.
-    pub at: Duration,
+    /// When it comes back, in ticks from the start of the run.
+    pub at: u64,
     /// Restore from the crash-time snapshot (`true`) or restart from
     /// the automaton's initial state (`false`).
     pub from_snapshot: bool,
@@ -189,7 +221,7 @@ pub enum FaultPlanError {
     RestartWithoutCrash(ProcessorId),
     /// Two `RestartAt` entries target the same victim.
     DuplicateRestart(ProcessorId),
-    /// A victim is outside the population `0..n`.
+    /// A victim or an outage endpoint is outside the population `0..n`.
     UnknownProcessor(ProcessorId),
     /// A partition's group vector does not cover the population.
     MalformedPartition {
@@ -237,8 +269,8 @@ impl std::fmt::Display for FaultPlanError {
 
 impl std::error::Error for FaultPlanError {}
 
-/// The full fault plan for one cluster run.
-#[derive(Clone, Debug)]
+/// The full fault plan for one run, its times in ticks.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Scripted crashes.
     pub crashes: Vec<CrashAt>,
@@ -262,8 +294,9 @@ pub struct FaultPlan {
     /// Probability (in thousandths) that a link connection is torn down
     /// after carrying a message, forcing the sender through its
     /// reconnect/backoff path. Only the socket substrate (`rtc-net`)
-    /// has connections to reset; the channel-based runtime ignores this
-    /// knob (its links cannot fail independently of the process).
+    /// has connections to reset; the simulator and the channel-based
+    /// runtime ignore this knob (their links cannot fail independently
+    /// of the process).
     /// Resets are clean (frame-boundary FIN, not mid-frame RST), so
     /// eventual delivery is preserved: every frame accepted before the
     /// reset is still forwarded.
@@ -296,10 +329,15 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Adds a scripted crash.
+    /// Adds a scripted crash that loses only the crashing step's own
+    /// sends ([`CrashAt::drop_final_sends`] unset).
     #[must_use]
     pub fn with_crash(mut self, victim: ProcessorId, at_step: u64) -> FaultPlan {
-        self.crashes.push(CrashAt { victim, at_step });
+        self.crashes.push(CrashAt {
+            victim,
+            at_step,
+            drop_final_sends: false,
+        });
         self
     }
 
@@ -310,27 +348,22 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a link outage between `a` and `b` over `[from, until)`.
+    /// Adds a link outage between `a` and `b` over ticks `[from, until)`.
     #[must_use]
     pub fn with_link_outage(
         mut self,
         a: ProcessorId,
         b: ProcessorId,
-        from: Duration,
-        until: Duration,
+        from: u64,
+        until: u64,
     ) -> FaultPlan {
         self.outages.push(LinkOutage { a, b, from, until });
         self
     }
 
-    /// Adds a scripted restart of a crashed processor.
+    /// Adds a scripted restart of a crashed processor at tick `at`.
     #[must_use]
-    pub fn with_restart(
-        mut self,
-        victim: ProcessorId,
-        at: Duration,
-        from_snapshot: bool,
-    ) -> FaultPlan {
+    pub fn with_restart(mut self, victim: ProcessorId, at: u64, from_snapshot: bool) -> FaultPlan {
         self.restarts.push(RestartAt {
             victim,
             at,
@@ -340,14 +373,9 @@ impl FaultPlan {
     }
 
     /// Adds a multi-way partition with group assignment `groups` over
-    /// `[from, until)`.
+    /// ticks `[from, until)`.
     #[must_use]
-    pub fn with_partition(
-        mut self,
-        groups: Vec<u32>,
-        from: Duration,
-        until: Duration,
-    ) -> FaultPlan {
+    pub fn with_partition(mut self, groups: Vec<u32>, from: u64, until: u64) -> FaultPlan {
         self.partitions.push(NetPartition {
             groups,
             from,
@@ -392,11 +420,17 @@ impl FaultPlan {
     /// passes is *t-admissible* (or explicitly degraded) and internally
     /// consistent.
     pub fn validate(&self, n: usize, t: usize) -> Result<(), FaultPlanError> {
+        let mut named = self
+            .crashes
+            .iter()
+            .map(|c| c.victim)
+            .chain(self.restarts.iter().map(|r| r.victim))
+            .chain(self.outages.iter().flat_map(|o| [o.a, o.b]));
+        if let Some(p) = named.find(|p| p.index() >= n) {
+            return Err(FaultPlanError::UnknownProcessor(p));
+        }
         let mut crash_victims = std::collections::BTreeSet::new();
         for c in &self.crashes {
-            if c.victim.index() >= n {
-                return Err(FaultPlanError::UnknownProcessor(c.victim));
-            }
             if !crash_victims.insert(c.victim) {
                 return Err(FaultPlanError::DuplicateCrash(c.victim));
             }
@@ -409,9 +443,6 @@ impl FaultPlan {
         }
         let mut restart_victims = std::collections::BTreeSet::new();
         for r in &self.restarts {
-            if r.victim.index() >= n {
-                return Err(FaultPlanError::UnknownProcessor(r.victim));
-            }
             if !crash_victims.contains(&r.victim) {
                 return Err(FaultPlanError::RestartWithoutCrash(r.victim));
             }
@@ -448,9 +479,10 @@ impl FaultPlan {
     }
 
     /// Rolls the network-fault dice for one message from `from` to `to`
-    /// sent at offset `at` from cluster start: `(hold, duplicate_hold,
-    /// reset)`. Both substrates call this and nothing else, so the draw
-    /// order — delay, reorder, duplicate, reset — is fixed here.
+    /// sent at offset `at` from the start of the run, at `tick` a tick:
+    /// `(hold, duplicate_hold, reset)`. Both wall-clock substrates call
+    /// this and nothing else, so the draw order — delay, reorder,
+    /// duplicate, reset — is fixed here.
     ///
     /// * `hold`: the sampled delay, stretched to the end of any outage
     ///   or partition window covering the pair (the cut buffers, it
@@ -471,12 +503,9 @@ impl FaultPlan {
         let hit = |permille: u32, rng: &mut SmallRng| {
             permille > 0 && rng.gen_range(0..1000u32) < permille
         };
-        let mut hold = self.delay.sample(rng);
-        let cut_until = self
-            .outage_until(from, to, at)
-            .max(self.partition_until(from, to, at));
-        if let Some(until) = cut_until {
-            hold = hold.max(until.saturating_sub(at));
+        let mut hold = self.delay.sample(tick, rng);
+        if let Some(until) = self.cut_until(from, to, nanos(at), nanos(tick)) {
+            hold = hold.max(wall(tick, until).saturating_sub(at));
         }
         if hit(self.reorder_permille, rng) {
             hold += tick * rng.gen_range(1..=3u32);
@@ -486,28 +515,18 @@ impl FaultPlan {
         (hold, duplicate_hold, hit(self.reset_permille, rng))
     }
 
-    /// If traffic between `x` and `y` at offset `at` is cut, returns
-    /// when the covering outage window ends (the hold-until offset).
-    pub fn outage_until(&self, x: ProcessorId, y: ProcessorId, at: Duration) -> Option<Duration> {
-        self.outages
+    /// If traffic between `x` and `y` at `at`, read on a clock of
+    /// `per_tick` units a tick, is cut by an outage or a partition,
+    /// returns the tick at which the last covering window ends.
+    fn cut_until(&self, x: ProcessorId, y: ProcessorId, at: u64, per_tick: u64) -> Option<u64> {
+        let outages = self.outages.iter().filter(|o| o.covers(x, y, at, per_tick));
+        let partitions = self
+            .partitions
             .iter()
-            .filter(|o| o.covers(x, y, at))
+            .filter(|p| p.covers(x, y, at, per_tick));
+        outages
             .map(|o| o.until)
-            .max()
-    }
-
-    /// If traffic between `x` and `y` at offset `at` crosses an active
-    /// partition, returns when the last covering window heals.
-    pub fn partition_until(
-        &self,
-        x: ProcessorId,
-        y: ProcessorId,
-        at: Duration,
-    ) -> Option<Duration> {
-        self.partitions
-            .iter()
-            .filter(|p| p.covers(x, y, at))
-            .map(|p| p.until)
+            .chain(partitions.map(|p| p.until))
             .max()
     }
 }
@@ -521,18 +540,17 @@ mod tests {
     #[test]
     fn none_is_zero() {
         let mut rng = SmallRng::seed_from_u64(1);
-        assert_eq!(DelayModel::None.sample(&mut rng), Duration::ZERO);
+        let tick = Duration::from_millis(1);
+        assert_eq!(DelayModel::None.sample(tick, &mut rng), Duration::ZERO);
     }
 
     #[test]
     fn uniform_stays_in_range() {
         let mut rng = SmallRng::seed_from_u64(2);
-        let model = DelayModel::Uniform {
-            min: Duration::from_millis(1),
-            max: Duration::from_millis(3),
-        };
+        let tick = Duration::from_millis(1);
+        let model = DelayModel::Uniform { min: 1, max: 3 };
         for _ in 0..100 {
-            let d = model.sample(&mut rng);
+            let d = model.sample(tick, &mut rng);
             assert!(d >= Duration::from_millis(1) && d <= Duration::from_millis(3));
         }
     }
@@ -542,10 +560,10 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         let model = DelayModel::Spike {
             permille: 100,
-            spike: Duration::from_millis(50),
+            spike: 50,
         };
         let spikes = (0..10_000)
-            .filter(|_| model.sample(&mut rng) > Duration::ZERO)
+            .filter(|_| model.sample(Duration::from_millis(1), &mut rng) > Duration::ZERO)
             .count();
         assert!((500..1500).contains(&spikes), "{spikes}");
     }
@@ -555,19 +573,18 @@ mod tests {
         let plan = FaultPlan::none().with_crash(ProcessorId::new(2), 7);
         assert_eq!(plan.crash_step(ProcessorId::new(2)), Some(7));
         assert_eq!(plan.crash_step(ProcessorId::new(1)), None);
+        assert!(!plan.crashes[0].drop_final_sends);
     }
 
     #[test]
     fn uniform_saturates_on_huge_spans() {
         let mut rng = SmallRng::seed_from_u64(4);
-        let model = DelayModel::Uniform {
-            min: Duration::ZERO,
-            // A span whose nanosecond count exceeds u64::MAX; before
-            // the saturation fix this wrapped to a tiny delay.
-            max: Duration::from_secs(u64::MAX / 1_000_000_000 + 10),
-        };
+        let model = DelayModel::Uniform { min: 0, max: 10 };
+        // A span whose nanosecond count exceeds u64::MAX; unsaturated it
+        // would wrap to a tiny delay.
+        let tick = Duration::from_secs(u64::MAX / 1_000_000_000);
         for _ in 0..10 {
-            let _ = model.sample(&mut rng);
+            let _ = model.sample(tick, &mut rng);
         }
     }
 
@@ -576,7 +593,7 @@ mod tests {
         let plan = FaultPlan::none()
             .with_crash(ProcessorId::new(1), 3)
             .with_crash(ProcessorId::new(2), 5)
-            .with_restart(ProcessorId::new(1), Duration::from_millis(50), true);
+            .with_restart(ProcessorId::new(1), 50, true);
         assert_eq!(plan.validate(5, 2), Ok(()));
     }
 
@@ -611,59 +628,46 @@ mod tests {
     fn partition_covers_only_cross_group_pairs_in_window() {
         let part = NetPartition {
             groups: vec![0, 0, 1, 1],
-            from: Duration::from_millis(10),
-            until: Duration::from_millis(20),
+            from: 10,
+            until: 20,
         };
         let (a, b, c) = (
             ProcessorId::new(0),
             ProcessorId::new(1),
             ProcessorId::new(2),
         );
-        let mid = Duration::from_millis(15);
-        assert!(part.covers(a, c, mid), "cross-group traffic is cut");
-        assert!(part.covers(c, a, mid), "cuts are symmetric");
-        assert!(!part.covers(a, b, mid), "same-group traffic flows");
-        assert!(
-            !part.covers(a, c, Duration::from_millis(5)),
-            "before window"
-        );
-        assert!(
-            !part.covers(a, c, Duration::from_millis(20)),
-            "heal is exclusive"
-        );
+        assert!(part.covers(a, c, 15, 1), "cross-group traffic is cut");
+        assert!(part.covers(c, a, 15, 1), "cuts are symmetric");
+        assert!(!part.covers(a, b, 15, 1), "same-group traffic flows");
+        assert!(!part.covers(a, c, 5, 1), "before window");
+        assert!(!part.covers(a, c, 20, 1), "heal is exclusive");
+        // On a clock of four units a tick the window is [40, 80).
+        assert!(!part.covers(a, c, 39, 4) && part.covers(a, c, 40, 4));
+        assert!(part.covers(a, c, 79, 4) && !part.covers(a, c, 80, 4));
     }
 
     #[test]
-    fn partition_until_reports_latest_covering_heal() {
+    fn cut_until_reports_latest_covering_heal() {
         let plan = FaultPlan::none()
-            .with_partition(
-                vec![0, 1, 1],
-                Duration::from_millis(0),
-                Duration::from_millis(10),
-            )
-            .with_partition(
-                vec![0, 1, 0],
-                Duration::from_millis(5),
-                Duration::from_millis(30),
-            );
-        let (a, b) = (ProcessorId::new(0), ProcessorId::new(1));
-        assert_eq!(
-            plan.partition_until(a, b, Duration::from_millis(6)),
-            Some(Duration::from_millis(30))
+            .with_partition(vec![0, 1, 1], 0, 10)
+            .with_partition(vec![0, 1, 0], 5, 30)
+            .with_link_outage(ProcessorId::new(0), ProcessorId::new(2), 0, 12);
+        let (a, b, c) = (
+            ProcessorId::new(0),
+            ProcessorId::new(1),
+            ProcessorId::new(2),
         );
+        assert_eq!(plan.cut_until(a, b, 6, 1), Some(30));
         // p0 and p2 share a side in the second cut, so only the first
-        // window (healing at 10ms) applies to them.
-        assert_eq!(
-            plan.partition_until(a, ProcessorId::new(2), Duration::from_millis(6)),
-            Some(Duration::from_millis(10))
-        );
-        assert_eq!(plan.partition_until(a, b, Duration::from_millis(40)), None);
+        // window (healing at 10) and the outage (ending at 12) apply.
+        assert_eq!(plan.cut_until(a, c, 6, 1), Some(12));
+        assert_eq!(plan.cut_until(a, c, 11, 1), Some(12));
+        assert_eq!(plan.cut_until(a, b, 40, 1), None);
     }
 
     #[test]
     fn validate_rejects_malformed_hostile_network_settings() {
-        let short =
-            FaultPlan::none().with_partition(vec![0, 1], Duration::ZERO, Duration::from_millis(5));
+        let short = FaultPlan::none().with_partition(vec![0, 1], 0, 5);
         assert_eq!(
             short.validate(5, 2),
             Err(FaultPlanError::MalformedPartition {
@@ -681,12 +685,15 @@ mod tests {
             torn.validate(5, 2),
             Err(FaultPlanError::PermilleOutOfRange(2000))
         );
+        let stray =
+            FaultPlan::none().with_link_outage(ProcessorId::new(0), ProcessorId::new(9), 0, 5);
+        assert_eq!(
+            stray.validate(5, 2),
+            Err(FaultPlanError::UnknownProcessor(ProcessorId::new(9)))
+        );
         let ok = FaultPlan::none()
-            .with_partition(
-                vec![0, 0, 1, 1, 0],
-                Duration::ZERO,
-                Duration::from_millis(5),
-            )
+            .with_partition(vec![0, 0, 1, 1, 0], 0, 5)
+            .with_link_outage(ProcessorId::new(0), ProcessorId::new(4), 0, 5)
             .with_duplication(50)
             .with_reordering(100)
             .with_resets(80);
@@ -695,16 +702,15 @@ mod tests {
 
     #[test]
     fn validate_rejects_restart_inconsistencies() {
-        let no_crash =
-            FaultPlan::none().with_restart(ProcessorId::new(3), Duration::from_millis(1), false);
+        let no_crash = FaultPlan::none().with_restart(ProcessorId::new(3), 1, false);
         assert_eq!(
             no_crash.validate(5, 2),
             Err(FaultPlanError::RestartWithoutCrash(ProcessorId::new(3)))
         );
         let doubled = FaultPlan::none()
             .with_crash(ProcessorId::new(3), 2)
-            .with_restart(ProcessorId::new(3), Duration::from_millis(1), false)
-            .with_restart(ProcessorId::new(3), Duration::from_millis(2), true);
+            .with_restart(ProcessorId::new(3), 1, false)
+            .with_restart(ProcessorId::new(3), 2, true);
         assert_eq!(
             doubled.validate(5, 2),
             Err(FaultPlanError::DuplicateRestart(ProcessorId::new(3)))
@@ -721,16 +727,17 @@ mod tests {
         // (from, to, at ms) → (hold ms, duplicate hold ms, reset), as
         // computed by the socket proxy's `relay_one` before the dice
         // moved here (PR 12 tree, same plan, rng and tick). A changed
-        // draw order or count shifts every later row.
+        // draw order or count shifts every later row. The tick is 1 ms,
+        // so the plan's windows, in ticks, are the same numbers.
         let ms = Duration::from_millis;
         let p = ProcessorId::new;
         let plan = FaultPlan::none()
             .with_delay(DelayModel::Spike {
                 permille: 400,
-                spike: ms(5),
+                spike: 5,
             })
-            .with_link_outage(p(0), p(1), Duration::ZERO, ms(10))
-            .with_partition(vec![0, 1, 1], Duration::ZERO, ms(20))
+            .with_link_outage(p(0), p(1), 0, 10)
+            .with_partition(vec![0, 1, 1], 0, 20)
             .with_reordering(300)
             .with_duplication(300)
             .with_resets(300);

@@ -3,9 +3,11 @@
 //! The discrete-event simulator (`rtc-sim`) gives adversarial control;
 //! this crate gives *realism*: every processor runs on its own OS
 //! thread, links are crossbeam channels, local clocks advance with wall
-//! time, and a fault plan injects crashes and delay spikes. The same
-//! [`rtc_model::Automaton`] implementations run unmodified on both
-//! substrates — the paper's "laptop" deployment of its model.
+//! time, and a [`FaultPlan`] injects crashes, restarts and network
+//! faults. The plan counts time in ticks, so the simulator reads the
+//! same plan. The same [`rtc_model::Automaton`] implementations run
+//! unmodified on both substrates — the paper's "laptop" deployment of
+//! its model.
 //!
 //! See [`run_cluster`] for the entry point.
 
@@ -18,12 +20,12 @@ mod recovery;
 mod supervisor;
 
 pub use cluster::{
-    run_cluster, ClusterCore, ClusterOptions, ClusterReport, Envelope, Inbound, InboxEnds, Links,
+    ClusterCore, ClusterOptions, ClusterReport, Envelope, Inbound, InboxEnds, Links,
 };
 pub use fault::{
     CrashAt, DelayModel, Due, FaultPlan, FaultPlanError, LinkOutage, NetPartition, RestartAt,
 };
-pub use recovery::run_cluster_recoverable;
+pub use recovery::run_cluster;
 pub use supervisor::{
     run_cluster_supervised, supervise, ClusterHealth, SupervisorPolicy, SupervisorReport,
 };

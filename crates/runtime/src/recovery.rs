@@ -5,10 +5,10 @@
 //! another step — but Theorem 11 deliberately leaves the door open:
 //! with more than `t` crashes the protocol never decides wrongly, it
 //! merely stalls, *"leaving the opportunity to recover"*.
-//! [`run_cluster_recoverable`] walks through that door. Each
-//! processor's [`Recoverable`] snapshot plays the role of stable
-//! storage: at the scripted crash the dying thread persists its
-//! snapshot, and a scripted [`RestartAt`](crate::RestartAt) later
+//! [`run_cluster`] walks through that door. Each processor's
+//! [`Recoverable`] snapshot plays the role of stable storage: at the
+//! scripted crash the dying thread persists its snapshot, and a
+//! scripted [`RestartAt`](crate::RestartAt), `at` ticks into the run,
 //! respawns the thread from it (or, for an amnesiac restart, from the
 //! processor's initial snapshot, in which case the automaton rejoins as
 //! a non-participating observer — see
@@ -194,16 +194,18 @@ where
     }
 }
 
-/// Runs a population of [`Recoverable`] automata on threads, honouring
-/// the fault plan's scripted crashes *and restarts*.
+/// Runs a population of [`Recoverable`] automata on threads, with
+/// crossbeam channels as links, honouring the fault plan's scripted
+/// crashes *and restarts*, until every owed decision is in or the caps
+/// are hit.
 ///
 /// * At its scripted crash step a node persists its snapshot and its
 ///   thread exits without sending that step's messages.
 /// * A scripted [`RestartAt`](crate::RestartAt) respawns the victim's
-///   thread once it is actually down and the restart offset has passed
-///   (whichever is later) — from the crash snapshot when
+///   thread once it is actually down and `tick × at` of wall clock has
+///   passed (whichever is later) — from the crash snapshot when
 ///   `from_snapshot` is set, otherwise amnesiac from the initial
-///   snapshot.
+///   snapshot. A plan without restarts is the paper's fail-stop model.
 /// * The run ends when every processor that is not *currently* down has
 ///   decided and no restart is still pending, or at `wall_timeout`.
 /// * In the report, `crashed` records crashes that actually fired and
@@ -215,7 +217,26 @@ where
 /// experiment: the cluster must stall *without* a wrong answer, then
 /// terminate after enough restarts. See
 /// [`FaultPlan::validate`](crate::FaultPlan::validate).
-pub fn run_cluster_recoverable<A>(
+///
+/// # Example
+///
+/// ```
+/// use rtc_core::{commit_population, CommitConfig};
+/// use rtc_model::{Decision, SeedCollection, TimingParams, Value};
+/// use rtc_runtime::{run_cluster, ClusterOptions, FaultPlan};
+///
+/// let cfg = CommitConfig::new(3, 1, TimingParams::default())?;
+/// let report = run_cluster(
+///     commit_population(cfg, &[Value::One; 3]),
+///     SeedCollection::new(7),
+///     FaultPlan::none(),
+///     ClusterOptions::default(),
+/// );
+/// assert!(report.all_nonfaulty_decided());
+/// assert!(report.statuses.iter().all(|s| s.decision() == Some(Decision::Commit)));
+/// # Ok::<(), rtc_model::ModelError>(())
+/// ```
+pub fn run_cluster<A>(
     procs: Vec<A>,
     seeds: SeedCollection,
     faults: FaultPlan,
@@ -253,9 +274,9 @@ mod tests {
     }
 
     #[test]
-    fn faultfree_plans_behave_like_run_cluster() {
+    fn faultfree_plans_recover_nobody() {
         let c = cfg(3);
-        let report = run_cluster_recoverable(
+        let report = run_cluster(
             commit_population(c, &[Value::One; 3]),
             SeedCollection::new(41),
             FaultPlan::none(),
@@ -272,9 +293,9 @@ mod tests {
         let c = cfg(5); // t = 2
         let plan = FaultPlan::none()
             .with_crash(ProcessorId::new(3), 6)
-            .with_restart(ProcessorId::new(3), Duration::from_millis(30), true);
+            .with_restart(ProcessorId::new(3), 100, true);
         plan.validate(5, c.fault_bound()).unwrap();
-        let report = run_cluster_recoverable(
+        let report = run_cluster(
             commit_population(c, &[Value::One; 5]),
             SeedCollection::new(42),
             plan,
@@ -293,9 +314,9 @@ mod tests {
         let c = cfg(3); // t = 1
         let plan = FaultPlan::none()
             .with_crash(ProcessorId::new(2), 4)
-            .with_restart(ProcessorId::new(2), Duration::from_millis(30), false);
+            .with_restart(ProcessorId::new(2), 100, false);
         plan.validate(3, c.fault_bound()).unwrap();
-        let report = run_cluster_recoverable(
+        let report = run_cluster(
             commit_population(c, &[Value::One; 3]),
             SeedCollection::new(43),
             plan,
@@ -317,9 +338,9 @@ mod tests {
         let c = cfg(3);
         let plan = FaultPlan::none()
             .with_crash(ProcessorId::new(2), 150)
-            .with_restart(ProcessorId::new(2), Duration::from_millis(20), false);
+            .with_restart(ProcessorId::new(2), 66, false);
         plan.validate(3, c.fault_bound()).unwrap();
-        let report = run_cluster_recoverable(
+        let report = run_cluster(
             commit_population(c, &[Value::One; 3]),
             SeedCollection::new(45),
             plan,
@@ -354,7 +375,7 @@ mod tests {
         stall_plan.validate(N, c.fault_bound()).unwrap();
         let mut stall_opts = opts();
         stall_opts.wall_timeout = Duration::from_millis(400);
-        let stalled = run_cluster_recoverable(
+        let stalled = run_cluster(
             commit_population(c, &[Value::One; N]),
             SeedCollection::new(44),
             stall_plan.clone(),
@@ -368,10 +389,10 @@ mod tests {
 
         // Same schedule, plus restarts: termination is recovered.
         let recover_plan = stall_plan
-            .with_restart(ProcessorId::new(1), Duration::from_millis(60), true)
-            .with_restart(ProcessorId::new(2), Duration::from_millis(90), true);
+            .with_restart(ProcessorId::new(1), 200, true)
+            .with_restart(ProcessorId::new(2), 300, true);
         recover_plan.validate(N, c.fault_bound()).unwrap();
-        let report = run_cluster_recoverable(
+        let report = run_cluster(
             commit_population(c, &[Value::One; N]),
             SeedCollection::new(44),
             recover_plan,

@@ -1,6 +1,6 @@
 //! Self-healing cluster supervision.
 //!
-//! [`run_cluster_recoverable`](crate::run_cluster_recoverable) replays a
+//! [`run_cluster`](crate::run_cluster) replays a
 //! *scripted* recovery plan: every restart is listed in the
 //! [`FaultPlan`](crate::FaultPlan) ahead of time. This module supplies the
 //! reactive counterpart: a supervisor that *watches* node health and

@@ -557,48 +557,6 @@ impl<A: Adversary> Adversary for Unfair<A> {
     }
 }
 
-/// Wraps a closure as an adversary; handy in tests.
-pub struct ScriptedAdversary<F> {
-    admissible: bool,
-    f: F,
-}
-
-impl<F: FnMut(&PatternView<'_>) -> Action> ScriptedAdversary<F> {
-    /// An admissible adversary driven by `f`.
-    pub fn new(f: F) -> ScriptedAdversary<F> {
-        ScriptedAdversary {
-            admissible: true,
-            f,
-        }
-    }
-
-    /// An adversary driven by `f` that does not promise admissibility.
-    pub fn inadmissible(f: F) -> ScriptedAdversary<F> {
-        ScriptedAdversary {
-            admissible: false,
-            f,
-        }
-    }
-}
-
-impl<F: FnMut(&PatternView<'_>) -> Action> Adversary for ScriptedAdversary<F> {
-    fn next(&mut self, view: &PatternView<'_>) -> Action {
-        (self.f)(view)
-    }
-
-    fn admissible(&self) -> bool {
-        self.admissible
-    }
-}
-
-impl<F> fmt::Debug for ScriptedAdversary<F> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ScriptedAdversary")
-            .field("admissible", &self.admissible)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

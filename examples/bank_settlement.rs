@@ -9,8 +9,6 @@
 //! Run with: `cargo run --example bank_settlement`
 #![allow(clippy::inconsistent_digit_grouping)] // cents-style amounts
 
-use std::time::Duration;
-
 use rtc::prelude::*;
 
 const BRANCHES: usize = 7;
@@ -28,7 +26,7 @@ enum Scenario {
     Calm,
     /// Two branch servers die mid-protocol (within the t = 3 budget).
     Crashes,
-    /// The WAN is congested: 15% of messages are held for 4ms spikes.
+    /// The WAN is congested: 15% of messages are held for 8-tick (4 ms) spikes.
     FlakyNetwork,
 }
 
@@ -75,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .with_crash(ProcessorId::new(6), 9),
             Scenario::FlakyNetwork => FaultPlan::none().with_delay(DelayModel::Spike {
                 permille: 150,
-                spike: Duration::from_millis(4),
+                spike: 8,
             }),
         };
 

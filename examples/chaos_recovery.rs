@@ -3,7 +3,7 @@
 //!
 //! The campaign generates seeded schedules mixing crashes, restarts
 //! (from crash-time snapshots or amnesiac), delay spikes, and link
-//! flaps, runs each on the discrete-event simulator *and* the threaded
+//! outages, runs each on the discrete-event simulator *and* the threaded
 //! runtime, and classifies every run as decided, stalled-gracefully,
 //! or (never, if the protocol is right) a safety violation.
 //!

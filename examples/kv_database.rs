@@ -11,8 +11,6 @@
 //!
 //! Run with: `cargo run --example kv_database`
 
-use std::time::Duration;
-
 use rtc::prelude::*;
 use rtc::txn::{replica_population, Op, Store, Transaction};
 
@@ -54,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .with_crash(ProcessorId::new(3), 25)
             .with_delay(rtc::runtime::DelayModel::Spike {
                 permille: 120,
-                spike: Duration::from_millis(2),
+                spike: 4,
             }),
         rtc::runtime::ClusterOptions::default(),
     );

@@ -22,15 +22,12 @@ fn main() {
         .expect("5 nodes tolerating 2 faults is a valid configuration");
 
     // Crash two nodes early, and cut {p3, p4} off from the majority
-    // side for the first two milliseconds. No scripted restarts.
+    // side for the first seven ticks (about two milliseconds). No
+    // scripted restarts.
     let faults = FaultPlan::none()
         .with_crash(ProcessorId::new(1), 3)
         .with_crash(ProcessorId::new(4), 5)
-        .with_partition(
-            vec![0, 0, 0, 1, 1],
-            Duration::ZERO,
-            Duration::from_millis(2),
-        );
+        .with_partition(vec![0, 0, 0, 1, 1], 0, 7);
 
     let opts = ClusterOptions {
         tick: Duration::from_micros(300),

@@ -24,7 +24,7 @@
 //!   localhost TCP with a fault-injecting proxy (`rtc-net`);
 //! * [`experiments`] — the Monte-Carlo harness (`rtc-experiments`);
 //! * [`chaos`] — seeded chaos campaigns with crashes, restarts, delay
-//!   spikes, and link flaps over every substrate, plus the supervised
+//!   spikes, and link outages over every substrate, plus the supervised
 //!   socket soak (`rtc-chaos`).
 //!
 //! # Quickstart

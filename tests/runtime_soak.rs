@@ -83,16 +83,10 @@ fn delay_spikes_and_uniform_jitter_stay_safe() {
             1u64,
             DelayModel::Spike {
                 permille: 250,
-                spike: Duration::from_millis(4),
+                spike: 13,
             },
         ),
-        (
-            2,
-            DelayModel::Uniform {
-                min: Duration::ZERO,
-                max: Duration::from_millis(2),
-            },
-        ),
+        (2, DelayModel::Uniform { min: 0, max: 7 }),
     ] {
         let report = run_cluster(
             commit_population(cfg, &[Value::One; 5]),

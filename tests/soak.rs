@@ -59,7 +59,6 @@ fn adaptive_adversary_sweep() {
 #[test]
 #[ignore = "soak: threaded runtime endurance; run with --ignored"]
 fn threaded_runtime_endurance() {
-    use std::time::Duration;
     let cfg = CommitConfig::new(5, 2, TimingParams::default()).unwrap();
     for seed in 0..200u64 {
         let mut votes = vec![Value::One; 5];
@@ -69,7 +68,7 @@ fn threaded_runtime_endurance() {
         let faults = if seed % 2 == 0 {
             FaultPlan::none().with_delay(DelayModel::Spike {
                 permille: 150,
-                spike: Duration::from_millis(2),
+                spike: 4,
             })
         } else {
             FaultPlan::none().with_crash(ProcessorId::new(4), seed % 20)

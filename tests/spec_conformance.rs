@@ -204,24 +204,18 @@ fn net_soak_shaped_chaos_round_lints_clean() {
     // crash with a snapshot restart — the event kinds the golden corpus
     // never records. The chaos driver's spec hook collects the restart
     // kinds and lints the trace as part of the run.
-    use rtc::chaos::{ChaosCrash, ChaosPartition, ChaosRestart};
+    use rtc::runtime::CrashAt;
     let mut schedule = ChaosSchedule::fault_free(5, 0x50AC, votes(5, 0x50AC));
-    schedule.partitions.push(ChaosPartition {
-        side: vec![ProcessorId::new(0), ProcessorId::new(1)],
-        from_step: 1,
-        heal_step: 6,
-    });
-    schedule.duplicate_permille = 200;
-    schedule.reorder_permille = 200;
-    schedule.crashes.push(ChaosCrash {
-        victim: ProcessorId::new(4),
+    let victim = ProcessorId::new(4);
+    schedule.faults = FaultPlan::none()
+        .with_partition(vec![1, 1, 0, 0, 0], 1, 6)
+        .with_duplication(200)
+        .with_reordering(200)
+        .with_restart(victim, 13, true);
+    schedule.faults.crashes.push(CrashAt {
+        victim,
         at_step: 3,
         drop_final_sends: true,
-    });
-    schedule.restarts.push(ChaosRestart {
-        victim: ProcessorId::new(4),
-        delay_steps: 10,
-        from_snapshot: true,
     });
     let conf = lint_sim_schedule(&schedule, 400_000).unwrap_or_else(|e| panic!("{e}"));
     assert!(conf.events > 0);

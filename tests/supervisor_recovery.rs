@@ -32,11 +32,7 @@ fn supervisor_recovers_t_crashes_through_a_healed_partition() {
     let faults = FaultPlan::none()
         .with_crash(ProcessorId::new(1), 3)
         .with_crash(ProcessorId::new(4), 5)
-        .with_partition(
-            vec![0, 0, 0, 1, 1],
-            Duration::ZERO,
-            Duration::from_millis(2),
-        );
+        .with_partition(vec![0, 0, 0, 1, 1], 0, 7);
     let (report, sup) = run_cluster_supervised(
         commit_population(cfg, &vec![Value::One; n]),
         SeedCollection::new(1986),
