@@ -5,7 +5,7 @@
 //! timeouts are `2K` ticks, the substrate's I/O budget is the `tick ×
 //! 8K` failure-free decision window. A blocking `read`, `write`, or
 //! `connect` on a `TcpStream` with no deadline configured escapes all
-//! of that — one wedged peer (or a proxy holding a partition) parks
+//! of that — one wedged peer (or one held behind a partition) parks
 //! the thread forever, turning a *network* fault into an unbounded
 //! *process* stall the supervisor cannot distinguish from progress.
 //! Every function in `rtc-net` that performs socket I/O must therefore
@@ -28,15 +28,14 @@ const BLOCKING_IO: [&str; 6] = [
 ];
 
 /// Tokens that satisfy the bound: a socket deadline being configured,
-/// non-blocking mode, or one of the substrate's derived deadline knobs
-/// flowing through the function.
-const DEADLINED: [&str; 6] = [
+/// non-blocking mode, or the substrate's derived deadline knob flowing
+/// through the function.
+const DEADLINED: [&str; 5] = [
     "set_read_timeout",
     "set_write_timeout",
     "connect_timeout",
     "set_nonblocking",
     "io_deadline",
-    "connect_deadline",
 ];
 
 /// Longest function body scanned from its header.

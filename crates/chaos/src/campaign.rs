@@ -63,8 +63,8 @@ pub struct CampaignConfig {
     /// Additionally execute schedules over real localhost sockets
     /// (`rtc-net`) under the supervisor, with every network fault —
     /// including the socket-only connection resets — injected by the
-    /// fault proxies on live TCP traffic. Off by default: each socket
-    /// run boots listeners, links, and proxies, so it is orders of
+    /// nodes' readers on live TCP traffic. Off by default: each socket
+    /// run boots listeners, links, and readers, so it is orders of
     /// magnitude slower than a simulator pass.
     pub run_net: bool,
     /// Supervisor tunables for the supervised substrate.

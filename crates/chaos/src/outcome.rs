@@ -24,8 +24,8 @@ pub enum Substrate {
     /// The threaded runtime driven by the self-healing supervisor
     /// instead of the schedule's scripted restarts.
     Supervised,
-    /// The socket substrate (`rtc-net`): real localhost TCP with
-    /// fault-injecting proxies, driven by the supervisor.
+    /// The socket substrate (`rtc-net`): real localhost TCP with faults
+    /// injected where frames land, driven by the supervisor.
     Net,
 }
 

@@ -3,7 +3,7 @@
 //!
 //! Each soak *round* boots one supervised socket cluster and
 //! multiplexes several commit instances over its connection mesh while
-//! the fault proxies keep injecting a partition that heals, message
+//! its readers keep injecting a partition that heals, message
 //! duplication, reordering, and connection resets — and, periodically,
 //! a scripted node crash the supervisor must heal. Every instance is
 //! seeded, so the *same* schedule can be replayed on the discrete-event
@@ -272,7 +272,7 @@ mod tests {
         let report = run_soak(&cfg);
         assert!(report.ok(), "{report}\nviolations: {:?}", report.violations);
         assert_eq!(report.instances, 4);
-        // The proxies really did inject faults on live traffic.
+        // The readers really did inject faults on live traffic.
         assert!(report.stats.resets_injected > 0, "{report}");
         assert!(report.stats.frames_sent > 0);
         assert!(report.stats.writes > 0, "every counter is summed");

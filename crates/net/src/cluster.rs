@@ -1,19 +1,19 @@
-//! The socket cluster: nodes on threads, links on TCP, faults on the
-//! wire.
+//! The socket cluster: nodes on threads, links on TCP, faults where
+//! frames land.
 //!
 //! Topology per run, for `n` nodes and `m` commit instances:
 //!
 //! ```text
 //!  node i ── links[i][j] (sender thread, reconnect+backoff) ──► ...
-//!      ... ──► proxy j (when the plan has network faults) ──► ...
 //!      ... ──► listener j ──► reader threads ──► inbox j ──► node j
+//!              (FaultRouter::route; held frames ──► delayer ──► inbox j)
 //! ```
 //!
 //! The nodes themselves are the runtime's
 //! [`ClusterCore`](rtc_runtime::ClusterCore) — the same paced loop,
 //! crash snapshots, respawn and lateness feed as the channel substrate,
 //! stepping all `m` instances once per tick. This module is what goes
-//! around it: sockets, acceptors, readers, proxies, the link mesh, and
+//! around it: sockets, acceptors, readers, the link mesh, and
 //! [`TcpLinks`], which turns a tick of a node's sends into one buffer
 //! of frames per peer link.
 //!
@@ -30,7 +30,12 @@
 //!   is down wait in its inbox — the same eventual-delivery-across-
 //!   crashes guarantee the channel runtime gets from its shared inbox.
 //! * All traffic, self-sends included, crosses real sockets, so every
-//!   link is subject to the same faults.
+//!   link is subject to the same faults. A reader applies the plan's
+//!   network faults to the frames it decodes through the runtime's
+//!   [`FaultRouter`] — the channel substrate's router and its one
+//!   delayer thread — and a reset closes its connection once the frames
+//!   already read are routed, a clean FIN the sender's replay ring
+//!   recovers from.
 //! * Frames carry the instance tag. Each instance draws from its own
 //!   [`SeedCollection`], so instance `k` of a socket run is coin-for-
 //!   coin the population the simulator runs under seed `k`.
@@ -40,18 +45,19 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crossbeam_channel::{unbounded, Receiver, Sender};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use rtc_model::{Outbox, ProcessorId, Recoverable, SeedCollection, Wire, WireError};
 use rtc_runtime::{
-    ClusterCore, ClusterReport, DelayModel, Envelope, FaultPlan, Inbound, Links, SupervisorPolicy,
+    ClusterCore, ClusterReport, Envelope, FaultPlan, FaultRouter, Inbound, Links, SupervisorPolicy,
     SupervisorReport,
 };
 
 use crate::options::NetOptions;
 use crate::peer::{spawn_link, Batch, NetCounters};
-use crate::proxy::FaultProxy;
 use crate::wire::{append_frame, try_decode_frame, Frame, HEADER};
 
 /// Socket-layer totals for one run.
@@ -77,7 +83,7 @@ pub struct NetRunStats {
     pub reconnects: u64,
     /// Links that gave up and marked their peer down.
     pub links_given_up: u64,
-    /// Connection resets injected by the fault proxies.
+    /// Connection resets the readers injected.
     pub resets_injected: u64,
     /// Deliveries classified by the lateness monitor.
     pub deliveries: u64,
@@ -146,8 +152,8 @@ struct Outgoing {
     spare: Receiver<Vec<u8>>,
 }
 
-/// Node `i`'s side of its `n` peer links (toward each node's listener,
-/// or proxy), and the encoding of the broadcast being filed.
+/// Node `i`'s side of its `n` peer links (toward each node's
+/// listener), and the encoding of the broadcast being filed.
 struct Outbound {
     body: Vec<u8>,
     links: Vec<Outgoing>,
@@ -208,48 +214,31 @@ impl<M: Wire + Send + 'static> Links<M> for TcpLinks {
     }
 }
 
-/// Accepts connections until woken with `done` set, giving each to the
-/// thread `serve` spawns, and joins those threads. The accept blocks —
-/// a link's first frame finds its reader without waiting out a poll —
-/// so ending it takes [`wake_acceptor`].
-pub(crate) fn accept_until_done(
-    listener: &TcpListener,
-    done: &AtomicBool,
-    mut serve: impl FnMut(TcpStream) -> thread::JoinHandle<()>,
-) {
-    let mut serving = Vec::new();
-    while let Ok((stream, _)) = listener.accept() {
-        if done.load(Ordering::Relaxed) {
-            break;
-        }
-        serving.push(serve(stream));
-    }
-    for h in serving {
-        let _ = h.join();
-    }
-}
-
-/// Ends the [`accept_until_done`] listening on `addr`, once `done` is
-/// set: one connection to it is all it takes. (A listener in this
-/// process accepts or refuses at once; the deadline is a formality.)
-pub(crate) fn wake_acceptor(addr: SocketAddr) {
+/// Ends the acceptor listening on `addr`, once `done` is set: one
+/// connection to it is all it takes. (A listener in this process
+/// accepts or refuses at once; the deadline is a formality.)
+fn wake_acceptor(addr: SocketAddr) {
     let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
 }
 
-/// Decodes every complete frame in `buf` onto `batch` and removes their
-/// bytes, once, leaving a torn tail for the next read to complete.
+/// Decodes every complete frame in `buf`, in order, into `land`, and
+/// removes their bytes, once, leaving a torn tail for the next read to
+/// complete.
 ///
 /// # Errors
 ///
 /// A frame that fails to decode poisons the stream; the frames before
-/// it are on `batch`.
-fn drain_frames<M: Wire>(buf: &mut Vec<u8>, batch: &mut Vec<Envelope<M>>) -> Result<(), WireError> {
+/// it have landed.
+fn drain_frames<M: Wire>(
+    buf: &mut Vec<u8>,
+    mut land: impl FnMut(Envelope<M>),
+) -> Result<(), WireError> {
     let mut at = 0;
     let outcome = loop {
         match try_decode_frame::<M>(&buf[at..]) {
             Ok(Some((frame, used))) => {
                 at += used;
-                batch.push(Envelope {
+                land(Envelope {
                     from: frame.from,
                     instance: frame.instance as usize,
                     sent_at_tick: frame.sent_at_tick,
@@ -265,22 +254,33 @@ fn drain_frames<M: Wire>(buf: &mut Vec<u8>, batch: &mut Vec<Envelope<M>>) -> Res
     outcome
 }
 
-/// Reads frames off one connection into the inbox until EOF, error, or
+/// What every reader of node `to`'s connections shares.
+struct Landing<M> {
+    to: ProcessorId,
+    inbox: Sender<Inbound<M>>,
+    router: Arc<FaultRouter<M>>,
+    counters: Arc<NetCounters>,
+    done: Arc<AtomicBool>,
+}
+
+/// Reads frames off one connection until EOF, error, reset or
 /// teardown; readers outlive node crashes, so the inbox keeps filling
 /// while the node is down. Reads accumulate in a buffer parsed at frame
-/// boundaries, so a read deadline can never tear a frame, and the
-/// frames of one read are one inbox item.
-fn read_frames<M>(mut stream: TcpStream, inbox: &Sender<Inbound<M>>, done: &AtomicBool)
-where
-    M: Wire,
-{
+/// boundaries, so a read deadline can never tear a frame. The frames of
+/// one read are routed on `rng`'s dice at one `at`, and those due now
+/// are one inbox item.
+fn read_frames<M: Wire + Clone + Send + 'static>(
+    mut stream: TcpStream,
+    landing: &Landing<M>,
+    mut rng: SmallRng,
+) {
     // EOF ends a reader — its link closes at teardown; the deadline is
     // for a peer that goes quiet without closing.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
     loop {
-        if done.load(Ordering::Relaxed) {
+        if landing.done.load(Ordering::Relaxed) {
             return;
         }
         match stream.read(&mut chunk) {
@@ -290,13 +290,26 @@ where
                 // No frame is shorter than its header: one allocation
                 // holds whatever this read completed.
                 let mut batch = Vec::with_capacity(buf.len() / (4 + HEADER));
-                let poisoned = drain_frames(&mut buf, &mut batch).is_err();
+                let (at, mut reset) = (landing.router.elapsed(), false);
+                let poisoned = drain_frames(&mut buf, |env| {
+                    let (now, tear) = landing.router.route(env, landing.to, at, &mut rng);
+                    batch.extend(now);
+                    reset |= tear;
+                })
+                .is_err();
                 if !batch.is_empty() {
-                    let _ = inbox.send(Inbound::Msgs(batch));
+                    let _ = landing.inbox.send(Inbound::Msgs(batch));
                 }
-                if poisoned {
-                    // A poisoned stream cannot be resynchronised; the
-                    // sender will reconnect and resend.
+                if reset {
+                    landing
+                        .counters
+                        .resets_injected
+                        .fetch_add(1, Ordering::Relaxed);
+                }
+                if reset || poisoned {
+                    // A reset is a clean close behind the frames already
+                    // read; a poisoned stream cannot be resynchronised.
+                    // Either way the sender reconnects and replays.
                     return;
                 }
             }
@@ -306,9 +319,9 @@ where
     }
 }
 
-/// A booted socket cluster: listeners, proxies, links, and node
-/// threads running, ready to be driven by a monitor loop — sockets
-/// around the runtime's [`ClusterCore`].
+/// A booted socket cluster: listeners, readers, links, and node threads
+/// running, ready to be driven by a monitor loop — sockets around the
+/// runtime's [`ClusterCore`].
 pub struct NetClusterCore<A: Recoverable + Send + 'static>
 where
     A::Msg: Wire + Send + 'static,
@@ -318,7 +331,8 @@ where
     link_handles: Vec<thread::JoinHandle<()>>,
     /// Each node's acceptor, and the address that wakes it.
     acceptors: Vec<(SocketAddr, thread::JoinHandle<()>)>,
-    proxies: Vec<FaultProxy>,
+    /// The readers' fault router, finished once they have all exited.
+    router: Arc<FaultRouter<A::Msg>>,
 }
 
 impl<A: Recoverable + Send + 'static> std::fmt::Debug for NetClusterCore<A>
@@ -337,9 +351,8 @@ where
     A: Recoverable + Send + 'static,
     A::Msg: Wire + Send + 'static,
 {
-    /// Binds listeners, interposes proxies when the plan carries
-    /// network faults, spawns links, readers, and the first incarnation
-    /// of every node.
+    /// Binds listeners, spawns links, readers, and the first
+    /// incarnation of every node.
     ///
     /// `instances[k]` is the population of commit instance `k` (all the
     /// same length `n`, in processor order); `seeds[k]` is instance
@@ -363,84 +376,75 @@ where
             "one seed collection per instance"
         );
         let n = instances[0].len();
-        let start = Instant::now();
         let done = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(NetCounters::default());
-
-        // Real listeners, one per node.
-        let mut listeners = Vec::with_capacity(n);
-        let mut real_addrs: Vec<SocketAddr> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let l = TcpListener::bind("127.0.0.1:0").expect("bind node listener on localhost");
-            real_addrs.push(l.local_addr().expect("listener address"));
-            listeners.push(l);
-        }
-
-        // Fault proxies, when the plan has anything for them to do.
-        let needs_proxy = faults.delay != DelayModel::None
-            || !faults.outages.is_empty()
-            || !faults.partitions.is_empty()
-            || faults.duplicate_permille > 0
-            || faults.reorder_permille > 0
-            || faults.reset_permille > 0;
-        let mut proxies = Vec::new();
-        let mut peer_addrs = real_addrs.clone();
-        if needs_proxy {
-            for (j, upstream) in real_addrs.iter().enumerate() {
-                let proxy = FaultProxy::spawn(
-                    ProcessorId::new(j),
-                    *upstream,
-                    faults.clone(),
-                    opts.tick,
-                    opts.io_deadline,
-                    seeds[0].master() ^ (0xFA157 + j as u64),
-                    start,
-                    Arc::clone(&done),
-                    Arc::clone(&counters),
-                )
-                .expect("spawn fault proxy on localhost");
-                peer_addrs[j] = proxy.addr;
-                proxies.push(proxy);
-            }
-        }
-
-        // Inboxes and their feeding acceptors: each accepted connection
-        // gets a reader thread.
         let inboxes: Vec<_> = (0..n).map(|_| unbounded()).collect();
-        let acceptors = listeners
-            .into_iter()
-            .zip(&inboxes)
-            .zip(&real_addrs)
-            .map(|((listener, (inbox, _)), addr)| {
-                let (inbox, done) = (inbox.clone(), Arc::clone(&done));
-                let acceptor = thread::spawn(move || {
-                    accept_until_done(&listener, &done, |stream| {
-                        let (inbox, done) = (inbox.clone(), Arc::clone(&done));
-                        thread::spawn(move || read_frames(stream, &inbox, &done))
-                    });
+        let inbox_tx = inboxes.iter().map(|(tx, _)| tx.clone()).collect();
+        let router = Arc::new(FaultRouter::new(
+            faults.clone(),
+            opts.tick,
+            inbox_tx,
+            Arc::clone(&done),
+        ));
+
+        // One listener per node. Each accepted connection gets a reader
+        // with fault dice of its own, so a node's links do not fault in
+        // lockstep.
+        let acceptors: Vec<_> = inboxes
+            .iter()
+            .enumerate()
+            .map(|(j, (inbox, _))| {
+                let listener =
+                    TcpListener::bind("127.0.0.1:0").expect("bind node listener on localhost");
+                let addr = listener.local_addr().expect("listener address");
+                let landing = Arc::new(Landing {
+                    to: ProcessorId::new(j),
+                    inbox: inbox.clone(),
+                    router: Arc::clone(&router),
+                    counters: Arc::clone(&counters),
+                    done: Arc::clone(&done),
                 });
-                (*addr, acceptor)
+                let seed = seeds[0].master() ^ (0xFA157 + j as u64);
+                // The accept blocks, so a link's first frame finds its
+                // reader without waiting out a poll; `wake_acceptor`
+                // ends it. It joins its readers on the way out.
+                let acceptor = thread::spawn(move || {
+                    let mut readers = Vec::new();
+                    while let Ok((stream, _)) = listener.accept() {
+                        if landing.done.load(Ordering::Relaxed) {
+                            break;
+                        }
+                        let conn_no = readers.len() as u64 + 1;
+                        let rng = SmallRng::seed_from_u64(seed ^ conn_no.wrapping_mul(0x9E37_79B9));
+                        let landing = Arc::clone(&landing);
+                        readers.push(thread::spawn(move || read_frames(stream, &landing, rng)));
+                    }
+                    for reader in readers {
+                        let _ = reader.join();
+                    }
+                });
+                (addr, acceptor)
             })
             .collect();
 
         // The n×n link mesh.
         let mut nodes = Vec::with_capacity(n);
         let mut link_handles = Vec::with_capacity(n * n);
+        let reconnect = SupervisorPolicy::default();
         for i in 0..n {
             let mut row = Vec::with_capacity(n);
-            for (j, addr) in peer_addrs.iter().enumerate() {
+            for (j, (addr, _)) in acceptors.iter().enumerate() {
                 let (tx, rx) = unbounded();
                 let (spare_tx, spare) = unbounded();
                 link_handles.push(spawn_link(
                     *addr,
                     rx,
                     spare_tx,
-                    opts.reconnect,
-                    opts.connect_deadline,
+                    reconnect,
                     opts.io_deadline,
                     Arc::clone(&done),
                     Arc::clone(&counters),
-                    opts.reconnect.seed ^ ((i as u64) << 32) ^ j as u64,
+                    reconnect.seed ^ ((i as u64) << 32) ^ j as u64,
                 ));
                 row.push(Outgoing {
                     batch: Batch::default(),
@@ -468,7 +472,7 @@ where
             counters,
             link_handles,
             acceptors,
-            proxies,
+            router,
         }
     }
 
@@ -485,29 +489,29 @@ where
 
     /// Stops every thread and assembles the report. The order makes it
     /// prompt: the core stops the nodes and drops the links' senders,
-    /// so every link thread returns and closes its socket, and the
-    /// proxies' handlers and the readers are at EOF by the time their
-    /// acceptors are woken to join them.
+    /// so every link thread returns and closes its socket; the readers
+    /// are at EOF by the time their acceptors are woken to join them,
+    /// and then the router they shared ends its delayer.
     pub fn finish(self, recovered: Vec<bool>, decided_in_time: bool) -> NetReport {
         let NetClusterCore {
             core,
             counters,
             link_handles,
             acceptors,
-            proxies,
+            router,
         } = self;
         let instances = core.finish(recovered, decided_in_time, || {
             for h in link_handles {
                 let _ = h.join();
             }
-            let held: u64 = proxies.into_iter().map(FaultProxy::finish).sum();
             for (addr, _) in &acceptors {
                 wake_acceptor(*addr);
             }
             for (_, h) in acceptors {
                 let _ = h.join();
             }
-            held + counters.frames_dropped.load(Ordering::Relaxed)
+            let router = Arc::into_inner(router).expect("every reader has exited");
+            router.finish() + counters.frames_dropped.load(Ordering::Relaxed)
         });
         let stats = NetRunStats {
             frames_sent: counters.frames_sent.load(Ordering::Relaxed),
@@ -529,8 +533,9 @@ where
 ///
 /// `instances[k]` is instance `k`'s population in processor order;
 /// `seeds[k]` its seed collection. Network faults in the plan are
-/// applied by per-node proxies to real frames; crashes take down the
-/// node process-wide (all instances at once), restarts revive it.
+/// applied to real frames by the readers they land in; crashes take
+/// down the node process-wide (all instances at once), restarts revive
+/// it.
 pub fn run_net_cluster<A>(
     instances: Vec<Vec<A>>,
     seeds: Vec<SeedCollection>,
@@ -573,6 +578,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
+
     use rtc_core::{commit_population, CommitConfig};
     use rtc_model::{Decision, TimingParams, Value};
 
@@ -617,7 +624,7 @@ mod tests {
         let (mut buf, mut batch) = (Vec::new(), Vec::new());
         for bytes in &encoded {
             buf.extend_from_slice(bytes);
-            drain_frames(&mut buf, &mut batch).expect("valid frames");
+            drain_frames(&mut buf, |env| batch.push(env)).expect("valid frames");
             assert!(buf.is_empty());
         }
         assert_eq!(seen(&batch), frames);
@@ -629,7 +636,7 @@ mod tests {
             for cut in 0..=stream.len() {
                 let (mut buf, mut batch) = (Vec::new(), Vec::new());
                 buf.extend_from_slice(&stream[..cut]);
-                drain_frames(&mut buf, &mut batch).expect("valid frames");
+                drain_frames(&mut buf, |env| batch.push(env)).expect("valid frames");
                 let whole = encoded[..k]
                     .iter()
                     .scan(0, |end, bytes| {
@@ -640,7 +647,7 @@ mod tests {
                     .count();
                 assert_eq!(batch.len(), whole, "k = {k}, cut at {cut}");
                 buf.extend_from_slice(&stream[cut..]);
-                drain_frames(&mut buf, &mut batch).expect("valid frames");
+                drain_frames(&mut buf, |env| batch.push(env)).expect("valid frames");
                 assert!(buf.is_empty(), "k = {k}, cut at {cut}");
                 assert_eq!(seen(&batch), frames[..k], "k = {k}, cut at {cut}");
             }
@@ -818,5 +825,38 @@ mod tests {
         let inst = &report.instances[0];
         assert!(inst.decided_in_time, "{report:?}");
         assert!(inst.agreement_holds());
+    }
+
+    #[test]
+    fn outage_past_run_end_is_counted_not_dropped() {
+        // The p0–p1 cut lasts far beyond the run (2 000 000 ticks, over
+        // half an hour), so frames the readers hold for it can never
+        // land; the report must account for them instead of silently
+        // dropping them.
+        let c = cfg(3);
+        let mut o = opts();
+        o.wall_timeout = Duration::from_millis(500);
+        let report = run_net_cluster(
+            vec![commit_population(c, &[Value::One; 3])],
+            vec![SeedCollection::new(71)],
+            FaultPlan::none().with_link_outage(
+                ProcessorId::COORDINATOR,
+                ProcessorId::new(1),
+                0,
+                2_000_000,
+            ),
+            o,
+        );
+        let inst = &report.instances[0];
+        assert!(
+            inst.messages_undelivered > 0,
+            "held frames must be counted: {report:?}"
+        );
+        // Not only frames teardown overtook in a link: the delayer's.
+        assert!(
+            inst.messages_undelivered > report.stats.frames_dropped,
+            "{report:?}"
+        );
+        assert!(report.agreement_holds());
     }
 }

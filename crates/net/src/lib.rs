@@ -19,12 +19,13 @@
 //!   deadline derived from the model's timing constants
 //!   (`tick × 8K`, the failure-free decision bound) instead of blocking
 //!   forever — see [`NetOptions::derived`].
-//! * **A per-link fault proxy.** When the
-//!   [`FaultPlan`](rtc_runtime::FaultPlan) carries network faults, each
-//!   node's inbound traffic is routed through a fault proxy that applies
-//!   the same fault vocabulary as the runtime — partitions that heal,
-//!   delay spikes, duplication, reordering — plus the socket-only
-//!   connection reset, by intercepting real frames on a real listener.
+//! * **Faults where frames land.** Each node's readers apply the
+//!   [`FaultPlan`](rtc_runtime::FaultPlan)'s network faults to the real
+//!   frames they decode, through the runtime's own
+//!   [`FaultRouter`](rtc_runtime::FaultRouter) and delayer — partitions
+//!   that heal, delay spikes, duplication, reordering — plus the
+//!   socket-only connection reset, a clean close behind the frames
+//!   already read.
 //!
 //! Many commit instances multiplex over one connection mesh: frames
 //! carry an instance tag, and each node steps every instance once per
@@ -51,7 +52,6 @@
 mod cluster;
 mod options;
 mod peer;
-mod proxy;
 mod wire;
 
 pub use cluster::{run_net_cluster, run_net_supervised, NetClusterCore, NetReport, NetRunStats};

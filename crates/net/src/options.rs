@@ -1,12 +1,12 @@
-//! Pacing, deadlines, and reconnect policy for a socket cluster run.
+//! Pacing and the I/O deadline for a socket cluster run.
 
 use std::time::Duration;
 
 use rtc_model::TimingParams;
-use rtc_runtime::{ClusterOptions, SupervisorPolicy};
+use rtc_runtime::ClusterOptions;
 
 /// Options for a socket cluster run: the runtime's pacing knobs plus
-/// the socket-only deadlines and the reconnect policy.
+/// the socket-only I/O deadline.
 #[derive(Clone, Copy, Debug)]
 pub struct NetOptions {
     /// Real-time duration of one automaton step.
@@ -18,21 +18,12 @@ pub struct NetOptions {
     /// The model's `K`, which the run's lateness monitor classifies
     /// against ([`ClusterOptions::lateness_k`]).
     pub lateness_k: u64,
-    /// Deadline on every socket read and write. Blocking I/O without a
-    /// deadline would let one dead peer wedge a node past every timeout
-    /// the protocol owns, so no socket operation in this crate may
-    /// outlive it (`rtc-analysis` rule `socket-deadline` enforces
-    /// this at the source level).
+    /// Deadline on every socket connect, read and write. Blocking I/O
+    /// without a deadline would let one dead peer wedge a node past
+    /// every timeout the protocol owns, so no socket operation in this
+    /// crate may outlive it (`rtc-analysis` rule `socket-deadline`
+    /// enforces this at the source level).
     pub io_deadline: Duration,
-    /// Deadline on each connection attempt.
-    pub connect_deadline: Duration,
-    /// Backoff schedule for reconnecting a broken link, and the retry
-    /// budget after which the peer is marked down. Reuses the
-    /// supervisor's policy type so one formula — `min(base × 2^attempt,
-    /// max)` plus seeded jitter — paces both node restarts and link
-    /// reconnects (`from_snapshot` is meaningless for links and
-    /// ignored).
-    pub reconnect: SupervisorPolicy,
 }
 
 impl Default for NetOptions {
@@ -58,15 +49,12 @@ impl NetOptions {
     pub fn derived(tick: Duration, timing: TimingParams) -> NetOptions {
         let base = ClusterOptions::derived(tick, timing);
         let window = tick * u32::try_from(timing.failure_free_decision_bound()).unwrap_or(u32::MAX);
-        let io_deadline = window.max(Self::MIN_DEADLINE);
         NetOptions {
             tick,
             max_steps: base.max_steps,
             wall_timeout: base.wall_timeout,
             lateness_k: base.lateness_k,
-            io_deadline,
-            connect_deadline: io_deadline,
-            reconnect: SupervisorPolicy::default(),
+            io_deadline: window.max(Self::MIN_DEADLINE),
         }
     }
 
@@ -94,7 +82,6 @@ mod tests {
         let coarse = NetOptions::derived(Duration::from_millis(2), timing);
         // 32 × 2ms = 64ms, above the floor.
         assert_eq!(coarse.io_deadline, Duration::from_millis(64));
-        assert_eq!(coarse.connect_deadline, coarse.io_deadline);
         assert_eq!(coarse.cluster().tick, Duration::from_millis(2));
         assert!(coarse.wall_timeout > fine.wall_timeout);
     }

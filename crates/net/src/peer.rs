@@ -1,15 +1,16 @@
 //! Outbound links: one sender thread per (source, destination) pair.
 //!
 //! A link owns a lazily-established TCP connection to its peer's
-//! listener (or to the peer's fault proxy, when one is interposed). Its
-//! unit of work is a [`Batch`]: every frame its node sent this peer in
-//! one tick, back to back in one buffer, which costs one liveness probe
-//! and one `write_all` however many frames it holds. Writes carry a
-//! deadline; a failed write or connect sends the link through a bounded
-//! reconnect loop paced by the supervisor's backoff formula. Only when
-//! the retry budget is exhausted is the peer marked down and its
-//! traffic dropped (and counted: those frames surface as
-//! `messages_undelivered`). The thread ends when its channel
+//! listener. Its unit of work is a [`Batch`]: every frame its node sent
+//! this peer in one tick, back to back in one buffer, which costs one
+//! liveness probe and one `write_all` however many frames it holds.
+//! Connects and writes carry the run's I/O deadline; a failed write or
+//! connect sends the link through a bounded reconnect loop paced by the
+//! supervisor's backoff formula under `SupervisorPolicy::default()`, so
+//! one formula — `min(base × 2^attempt, max)` plus seeded jitter — paces
+//! both node restarts and link reconnects. Only when the retry budget
+//! is exhausted is the peer marked down and its traffic dropped (and
+//! counted: those frames surface as `messages_undelivered`). The thread ends when its channel
 //! disconnects — teardown drops the senders — or when it meets `done`
 //! with a batch still in hand.
 //!
@@ -43,7 +44,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rtc_runtime::SupervisorPolicy;
 
-/// Socket-layer counters shared by every link and proxy of a run.
+/// Socket-layer counters shared by every link and reader of a run.
 #[derive(Debug, Default)]
 pub(crate) struct NetCounters {
     /// Frames successfully written to a socket by link senders.
@@ -57,7 +58,7 @@ pub(crate) struct NetCounters {
     pub(crate) reconnects: AtomicU64,
     /// Links that exhausted their retry budget and marked the peer down.
     pub(crate) links_given_up: AtomicU64,
-    /// Connection resets injected by fault proxies.
+    /// Connection resets the readers injected.
     pub(crate) resets_injected: AtomicU64,
 }
 
@@ -112,7 +113,6 @@ fn probe_alive(conn: &TcpStream) -> bool {
 struct LinkState {
     addr: SocketAddr,
     policy: SupervisorPolicy,
-    connect_deadline: Duration,
     io_deadline: Duration,
     done: Arc<AtomicBool>,
     counters: Arc<NetCounters>,
@@ -153,7 +153,7 @@ impl LinkState {
                 return !teardown;
             }
             if self.stream.is_none() {
-                match TcpStream::connect_timeout(&self.addr, self.connect_deadline) {
+                match TcpStream::connect_timeout(&self.addr, self.io_deadline) {
                     Ok(s) => {
                         // Deadline every write: a wedged peer must
                         // surface as an error, not a hang.
@@ -240,16 +240,15 @@ impl LinkState {
 }
 
 /// Spawns the sender thread for one link. Batches arrive pre-encoded
-/// on `rx` and their buffers go back on `spare`; `seed` keys the
-/// backoff jitter so two links never thunder in lockstep after a shared
-/// outage.
+/// on `rx` and their buffers go back on `spare`; every connect and
+/// write is bounded by `io_deadline`; `seed` keys the backoff jitter so
+/// two links never thunder in lockstep after a shared outage.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn spawn_link(
     addr: SocketAddr,
     rx: Receiver<Batch>,
     spare: Sender<Vec<u8>>,
     policy: SupervisorPolicy,
-    connect_deadline: Duration,
     io_deadline: Duration,
     done: Arc<AtomicBool>,
     counters: Arc<NetCounters>,
@@ -259,7 +258,6 @@ pub(crate) fn spawn_link(
         let mut link = LinkState {
             addr,
             policy,
-            connect_deadline,
             io_deadline,
             done,
             counters,
@@ -347,7 +345,6 @@ mod tests {
             spare_tx,
             policy(),
             Duration::from_millis(100),
-            Duration::from_millis(100),
             Arc::new(AtomicBool::new(false)),
             Arc::clone(&counters),
             7,
@@ -402,7 +399,6 @@ mod tests {
             spare_tx,
             policy(),
             Duration::from_millis(100),
-            Duration::from_millis(100),
             Arc::new(AtomicBool::new(false)),
             Arc::new(NetCounters::default()),
             6,
@@ -439,7 +435,6 @@ mod tests {
             rx,
             unbounded().0,
             policy(),
-            Duration::from_millis(20),
             Duration::from_millis(20),
             Arc::new(AtomicBool::new(false)),
             Arc::clone(&counters),

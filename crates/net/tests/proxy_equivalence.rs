@@ -1,10 +1,10 @@
 //! Property: duplication and reordering are *benign* on the socket
-//! substrate — a proxied run under them reaches exactly the decisions
-//! of a clean run with the same population, votes, and seeds.
+//! substrate — a run under them reaches exactly the decisions of a
+//! clean run with the same population, votes, and seeds.
 //!
 //! This is the paper's at-least-once claim made executable over real
-//! TCP: the proxy duplicates byte-identical frames and holds frames a
-//! few ticks so younger ones overtake, but it never drops or corrupts
+//! TCP: the receiving readers duplicate decoded frames and hold frames
+//! a few ticks so younger ones overtake, but they never drop or corrupt
 //! anything, and the automata are idempotent under redelivery. Both
 //! runs therefore commit unanimously on all-`One` votes and abort on
 //! any `Zero` vote, node by node.
@@ -19,7 +19,7 @@ use rtc_runtime::FaultPlan;
 
 fn opts() -> NetOptions {
     // A roomy tick keeps scheduler jitter well inside the 2K timeout,
-    // so the property is about the proxy's faults, not CI load.
+    // so the property is about the injected faults, not CI load.
     let mut o = NetOptions::derived(Duration::from_millis(2), TimingParams::default());
     o.wall_timeout = Duration::from_secs(20);
     o
@@ -63,7 +63,7 @@ proptest! {
         }
 
         let clean = decisions(n, &votes, seed, FaultPlan::none());
-        let proxied = decisions(
+        let faulted = decisions(
             n,
             &votes,
             seed,
@@ -72,6 +72,6 @@ proptest! {
                 .with_reordering(reorder_permille),
         );
 
-        prop_assert_eq!(clean, proxied);
+        prop_assert_eq!(clean, faulted);
     }
 }

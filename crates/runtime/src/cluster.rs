@@ -18,10 +18,11 @@
 //! The tick is also the unit of I/O. What differs between substrates is
 //! only where a step's sends go, and that is the [`Links`] seam: the
 //! loop files each instance's [`Outbox`] and flushes once per tick.
-//! `ChannelLinks` in this crate rolls the fault dice per message and
-//! hands envelopes to the receiver's inbox or the delayer; `rtc-net`'s
-//! `TcpLinks` encodes frames into one buffer per peer and a flush is
-//! one socket write per link. Inboxes are crossbeam receivers of
+//! `ChannelLinks` in this crate routes each message through the
+//! [`FaultRouter`](crate::FaultRouter) to the receiver's inbox or the
+//! delayer; `rtc-net`'s `TcpLinks` encodes frames into one buffer per
+//! peer and a flush is one socket write per link, and the receiving
+//! node's reader routes the frames. Inboxes are crossbeam receivers of
 //! [`Inbound`] items on both.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -147,7 +148,7 @@ impl ClusterReport {
     /// [`ClusterOptions::lateness_k`] the run was booted with, is what
     /// its three observers can vouch for: the lateness monitor saw no
     /// late delivery, the tick ledger none either, and nothing was
-    /// still held — by a delayer, a proxy or a link — when the run
+    /// still held — by the delayer or a socket link — when the run
     /// ended (a held message has no age here, so any one counts).
     /// *Failure-free* means no scripted crash fired.
     pub fn facts(&self) -> RunFacts<'_> {

@@ -9,12 +9,24 @@
 //! (`rtc-chaos`'s `ChaosAdversary`); the wall-clock substrates run it as
 //! `tick × count` of wall clock ([`FaultPlan::roll`] and
 //! [`ClusterCore::run_scripted`](crate::ClusterCore::run_scripted)).
+//!
+//! Both wall-clock substrates apply the plan's network faults through
+//! one [`FaultRouter`], which holds what it delays in the run's one
+//! delayer thread.
 
+use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread;
 use std::time::{Duration, Instant};
 
+use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use rtc_model::ProcessorId;
+
+use crate::cluster::{Envelope, Inbound};
 
 /// A duration in whole nanoseconds, saturating past ~584 years.
 fn nanos(d: Duration) -> u64 {
@@ -71,39 +83,6 @@ impl DelayModel {
                 }
             }
         }
-    }
-}
-
-/// Something held until `due`: an in-memory envelope on the channel
-/// substrate's delayer, an encoded frame on the socket proxy's
-/// forwarder. Ordered so a [`BinaryHeap`](std::collections::BinaryHeap)
-/// pops the earliest `due` first, `seq` (the holder's push counter)
-/// breaking ties.
-#[derive(Debug)]
-pub struct Due<T> {
-    /// When the hold ends.
-    pub due: Instant,
-    /// Tie-break among equal `due`s: lower pops first.
-    pub seq: u64,
-    /// What is held.
-    pub item: T,
-}
-
-impl<T> PartialEq for Due<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl<T> Eq for Due<T> {}
-impl<T> PartialOrd for Due<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Due<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse: BinaryHeap is a max-heap, we want the earliest due.
-        other.due.cmp(&self.due).then(other.seq.cmp(&self.seq))
     }
 }
 
@@ -480,9 +459,9 @@ impl FaultPlan {
 
     /// Rolls the network-fault dice for one message from `from` to `to`
     /// sent at offset `at` from the start of the run, at `tick` a tick:
-    /// `(hold, duplicate_hold, reset)`. Both wall-clock substrates call
-    /// this and nothing else, so the draw order — delay, reorder,
-    /// duplicate, reset — is fixed here.
+    /// `(hold, duplicate_hold, reset)`. [`FaultRouter::route`] is the
+    /// one caller, for both wall-clock substrates, so the draw order —
+    /// delay, reorder, duplicate, reset — is fixed here.
     ///
     /// * `hold`: the sampled delay, stretched to the end of any outage
     ///   or partition window covering the pair (the cut buffers, it
@@ -529,6 +508,179 @@ impl FaultPlan {
             .chain(partitions.map(|p| p.until))
             .max()
     }
+}
+
+/// An envelope on hold: when it is due, which inbox it is for.
+type Hold<M> = (Instant, usize, Envelope<M>);
+
+/// A run's network faults at work, the same on both wall-clock
+/// substrates: [`FaultRouter::route`] rolls [`FaultPlan::roll`] for one
+/// envelope and hands what the dice hold to the run's one delayer
+/// thread. The channel substrate routes each message as it is sent; the
+/// socket substrate routes each frame where it lands, in the
+/// destination node's reader.
+///
+/// The delayer starts at the first hold, so a run that holds nothing —
+/// every run of a plan without network faults — takes the same path
+/// and keeps no thread for it.
+#[derive(Debug)]
+pub struct FaultRouter<M> {
+    plan: FaultPlan,
+    start: Instant,
+    tick: Duration,
+    held: Sender<Hold<M>>,
+    /// What the delayer will run on — the holds, the inboxes it
+    /// delivers into, the run's end — until the first hold starts it.
+    idle: Mutex<Option<DelayerEnds<M>>>,
+    /// The delayer, once started. It returns how many envelopes it
+    /// still held when the run ended.
+    delayer: OnceLock<thread::JoinHandle<u64>>,
+}
+
+/// The delayer's receiving end, the inboxes it delivers into, and the
+/// flag that ends the run.
+type DelayerEnds<M> = (Receiver<Hold<M>>, Vec<Sender<Inbound<M>>>, Arc<AtomicBool>);
+
+impl<M: Clone + Send + 'static> FaultRouter<M> {
+    /// A router for `plan`, its windows read at `tick` a tick from now,
+    /// whose delayer delivers into `inboxes` until `done` is raised.
+    pub fn new(
+        plan: FaultPlan,
+        tick: Duration,
+        inboxes: Vec<Sender<Inbound<M>>>,
+        done: Arc<AtomicBool>,
+    ) -> FaultRouter<M> {
+        let (held, rx) = unbounded();
+        FaultRouter {
+            plan,
+            start: Instant::now(),
+            tick,
+            held,
+            idle: Mutex::new(Some((rx, inboxes, done))),
+            delayer: OnceLock::new(),
+        }
+    }
+
+    /// Wall clock since the router was made: the `at` its plan's
+    /// windows are read against.
+    pub fn elapsed(&self) -> Duration {
+        self.start.elapsed()
+    }
+
+    /// Routes `env`, bound for `to` and sent `at` into the run, on
+    /// `rng`'s dice. Returns the envelope when it is due now and `None`
+    /// when the delayer holds it; a duplicate is always held. The flag
+    /// is the reset die: tear down the connection that carried `env`
+    /// once everything that arrived with it is routed (only sockets
+    /// have one; see [`FaultPlan::reset_permille`]). A plan without
+    /// network faults routes everything now and draws no dice.
+    pub fn route(
+        &self,
+        env: Envelope<M>,
+        to: ProcessorId,
+        at: Duration,
+        rng: &mut SmallRng,
+    ) -> (Option<Envelope<M>>, bool) {
+        let (hold, duplicate_hold, reset) = self.plan.roll(env.from, to, at, self.tick, rng);
+        if let Some(hold) = duplicate_hold {
+            self.hold(hold, to, env.clone());
+        }
+        if hold.is_zero() {
+            return (Some(env), reset);
+        }
+        self.hold(hold, to, env);
+        (None, reset)
+    }
+
+    /// Queues `env` for `to`, due `hold` from now, starting the delayer
+    /// if this is the run's first hold.
+    fn hold(&self, hold: Duration, to: ProcessorId, env: Envelope<M>) {
+        // A send can fail only during teardown.
+        let _ = self.held.send((Instant::now() + hold, to.index(), env));
+        let start = || spawn_delayer(self.idle.lock().take().expect("only one hold starts it"));
+        self.delayer.get_or_init(start);
+    }
+
+    /// Ends the delayer, once every envelope is routed and `done` is
+    /// raised, and returns how many envelopes it still held: traffic
+    /// whose hold outlived the run is counted, not silently dropped.
+    pub fn finish(self) -> u64 {
+        drop(self.held);
+        let delayer = self.delayer.into_inner();
+        delayer.map_or(0, |delayer| delayer.join().unwrap_or(0))
+    }
+}
+
+/// Something the delayer holds until `due`. Ordered so a
+/// [`BinaryHeap`] pops the earliest `due` first, `seq` (the delayer's
+/// push counter) breaking ties.
+struct Due<T> {
+    due: Instant,
+    seq: u64,
+    item: T,
+}
+
+impl<T> PartialEq for Due<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.due == other.due && self.seq == other.seq
+    }
+}
+impl<T> Eq for Due<T> {}
+impl<T> PartialOrd for Due<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<T> Ord for Due<T> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        // Reverse: BinaryHeap is a max-heap, we want the earliest due.
+        other.due.cmp(&self.due).then(other.seq.cmp(&self.seq))
+    }
+}
+
+/// Spawns the delayer: the run's one due-ordered hold thread, for both
+/// wall-clock substrates. It delivers each hold once it is due, and
+/// returns how many were still held or queued when the run ended
+/// (`done` raised, or the router gone).
+fn spawn_delayer<M: Send + 'static>(ends: DelayerEnds<M>) -> thread::JoinHandle<u64> {
+    let (rx, inboxes, done) = ends;
+    thread::spawn(move || {
+        let mut heap = BinaryHeap::new();
+        let mut seq = 0u64;
+        loop {
+            // Capped so a hold that outlives the run cannot keep the
+            // delayer from seeing `done`.
+            const POLL: Duration = Duration::from_millis(5);
+            let timeout = heap.peek().map_or(POLL, |d: &Due<_>| {
+                d.due.saturating_duration_since(Instant::now()).min(POLL)
+            });
+            let senders_gone = match rx.recv_timeout(timeout) {
+                Ok((due, to, env)) => {
+                    seq += 1;
+                    heap.push(Due {
+                        due,
+                        seq,
+                        item: (to, env),
+                    });
+                    false
+                }
+                Err(RecvTimeoutError::Timeout) => false,
+                Err(RecvTimeoutError::Disconnected) => true,
+            };
+            let now = Instant::now();
+            while heap.peek().is_some_and(|d| d.due <= now) {
+                let (to, env) = heap.pop().expect("peeked").item;
+                // A send can fail only during teardown.
+                let _ = inboxes[to].send(Inbound::Msgs(vec![env]));
+            }
+            if senders_gone || done.load(Ordering::Relaxed) {
+                // Whatever is still held, or still queued behind the hold
+                // just taken, would arrive after every node stopped
+                // listening.
+                return (heap.len() + rx.try_iter().count()) as u64;
+            }
+        }
+    })
 }
 
 #[cfg(test)]
@@ -725,8 +877,8 @@ mod tests {
     #[test]
     fn roll_keeps_the_draw_order_of_the_proxy_it_was_lifted_from() {
         // (from, to, at ms) → (hold ms, duplicate hold ms, reset), as
-        // computed by the socket proxy's `relay_one` before the dice
-        // moved here (PR 12 tree, same plan, rng and tick). A changed
+        // computed by the socket substrate's former fault proxy before
+        // the dice moved here (same plan, rng and tick). A changed
         // draw order or count shifts every later row. The tick is 1 ms,
         // so the plan's windows, in ticks, are the same numbers.
         let ms = Duration::from_millis;
@@ -782,5 +934,60 @@ mod tests {
         ]);
         let popped: Vec<(u64, u64)> = std::iter::from_fn(|| heap.pop().map(|d| d.item)).collect();
         assert_eq!(popped, vec![(3, 1), (3, 3), (3, 4), (7, 0), (9, 2)]);
+    }
+
+    fn envelope(from: usize) -> Envelope<usize> {
+        Envelope {
+            from: ProcessorId::new(from),
+            instance: 0,
+            sent_at_tick: 0,
+            sent_event: 0,
+            msg: from,
+        }
+    }
+
+    #[test]
+    fn the_delayer_counts_holds_still_queued_at_teardown() {
+        // Three holds due an hour from now, queued before the delayer
+        // looks, and the run already over: it takes one off the queue
+        // and must count all three.
+        let (held, rx) = unbounded();
+        let due = Instant::now() + Duration::from_secs(3600);
+        for from in 0..3 {
+            held.send((due, 0, envelope(from))).unwrap();
+        }
+        let (inbox, delivered) = unbounded();
+        let delayer = spawn_delayer((rx, vec![inbox], Arc::new(AtomicBool::new(true))));
+        assert_eq!(delayer.join().unwrap(), 3);
+        assert!(delivered.try_recv().is_err());
+    }
+
+    #[test]
+    fn a_plan_without_network_faults_routes_everything_now_and_draws_no_dice() {
+        // Crashes and restarts are not network faults: every envelope,
+        // at any time, is due now, nothing reaches the delayer, and the
+        // dice stream is where it started.
+        let p = ProcessorId::new;
+        let plan = FaultPlan::none()
+            .with_crash(p(1), 3)
+            .with_restart(p(1), 9, true);
+        let router = FaultRouter::new(
+            plan,
+            Duration::from_millis(1),
+            vec![unbounded().0],
+            Arc::new(AtomicBool::new(true)),
+        );
+        let mut rng = SmallRng::seed_from_u64(7);
+        let untouched = rng.clone();
+        for (from, to) in [(0, 1), (1, 0), (2, 2)] {
+            for at in [0, 5, 3_600_000].map(Duration::from_millis) {
+                let (now, reset) = router.route(envelope(from), p(to), at, &mut rng);
+                assert_eq!(now.map(|env| env.msg), Some(from));
+                assert!(!reset);
+            }
+        }
+        assert_eq!(rng, untouched);
+        assert!(router.delayer.get().is_none(), "nothing was held");
+        assert_eq!(router.finish(), 0);
     }
 }

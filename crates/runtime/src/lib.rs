@@ -23,7 +23,8 @@ pub use cluster::{
     ClusterCore, ClusterOptions, ClusterReport, Envelope, Inbound, InboxEnds, Links,
 };
 pub use fault::{
-    CrashAt, DelayModel, Due, FaultPlan, FaultPlanError, LinkOutage, NetPartition, RestartAt,
+    CrashAt, DelayModel, FaultPlan, FaultPlanError, FaultRouter, LinkOutage, NetPartition,
+    RestartAt,
 };
 pub use recovery::run_cluster;
 pub use supervisor::{

@@ -27,37 +27,29 @@
 //!   position once (receivers deduplicate by sender).
 //!
 //! Network faults live in [`ChannelLinks`]: every message of a step's
-//! outbox rolls [`FaultPlan::roll`] and goes straight to the receiver's
-//! inbox or, when held, through the delayer's due-ordered heap. Nothing
-//! waits for the tick's flush, and teardown waits for no poll: the
-//! delayer returns when the links (its only senders) are dropped.
+//! outbox goes through the run's [`FaultRouter`], straight to the
+//! receiver's inbox or, when held, through the router's delayer — the
+//! same router and delayer the socket substrate's readers use. Nothing
+//! waits for the tick's flush, and teardown waits for no poll: once the
+//! links are dropped, finishing the router disconnects the delayer.
 
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::thread;
-use std::time::{Duration, Instant};
 
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam_channel::{unbounded, Sender};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rtc_model::{Outbox, ProcessorId, Recoverable, SeedCollection};
 
 use crate::cluster::{ClusterCore, ClusterOptions, ClusterReport, Envelope, Inbound, Links};
-use crate::fault::{Due, FaultPlan};
-
-/// A message on hold: when it is due, which inbox it is for.
-type Hold<M> = (Instant, usize, Envelope<M>);
+use crate::fault::{FaultPlan, FaultRouter};
 
 /// The channel substrate's [`Links`]: in-memory envelopes, the fault
 /// plan's network faults applied at the sender.
 pub(crate) struct ChannelLinks<M> {
     inbox_tx: Vec<Sender<Inbound<M>>>,
-    delay_tx: Sender<Hold<M>>,
-    plan: FaultPlan,
-    start: Instant,
-    tick: Duration,
+    router: Arc<FaultRouter<M>>,
     /// One fault-dice stream per sender; only node `i` locks `rngs[i]`.
     rngs: Vec<Mutex<SmallRng>>,
 }
@@ -65,12 +57,9 @@ pub(crate) struct ChannelLinks<M> {
 impl<M: Clone + Send + 'static> Links<M> for ChannelLinks<M> {
     fn send(&self, step: Envelope<&Outbox<M>>, n: usize) {
         let from = step.from;
+        let at = self.router.elapsed();
         let mut rng = self.rngs[from.index()].lock();
         for (to, msg) in step.msg.sends(from, n) {
-            // Channels have no connection to reset; that die is inert here.
-            let (hold, duplicate_hold, _reset) =
-                self.plan
-                    .roll(from, to, self.start.elapsed(), self.tick, &mut rng);
             // An envelope owns its message, so this is where a
             // broadcast becomes one message per destination.
             let env = Envelope {
@@ -80,15 +69,10 @@ impl<M: Clone + Send + 'static> Links<M> for ChannelLinks<M> {
                 sent_event: step.sent_event,
                 msg: msg.clone(),
             };
-            let copy = duplicate_hold.map(|hold| (Instant::now() + hold, to.index(), env.clone()));
-            // A send can fail only during teardown.
-            if hold.is_zero() {
+            // Channels have no connection to reset; that die is inert here.
+            if let (Some(env), _reset) = self.router.route(env, to, at, &mut rng) {
+                // A send can fail only during teardown.
                 let _ = self.inbox_tx[to.index()].send(Inbound::Msgs(vec![env]));
-            } else {
-                let _ = self.delay_tx.send((Instant::now() + hold, to.index(), env));
-            }
-            if let Some(copy) = copy {
-                let _ = self.delay_tx.send(copy);
             }
         }
     }
@@ -97,58 +81,11 @@ impl<M: Clone + Send + 'static> Links<M> for ChannelLinks<M> {
     fn flush(&self, _from: ProcessorId) {}
 }
 
-/// The delayer thread: holds messages until they are due. Returns how
-/// many were still held when the run ended (`done`, or every sender
-/// gone) — traffic whose hold outlived the run is counted, not silently
-/// dropped.
-fn spawn_delayer<M: Send + 'static>(
-    rx: Receiver<Hold<M>>,
-    inbox_tx: Vec<Sender<Inbound<M>>>,
-    done: Arc<AtomicBool>,
-) -> thread::JoinHandle<u64> {
-    thread::spawn(move || {
-        let mut heap: BinaryHeap<Due<(usize, Envelope<M>)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        loop {
-            // Capped so a hold that outlives the run cannot keep the
-            // delayer from seeing `done`.
-            const POLL: Duration = Duration::from_millis(5);
-            let timeout = heap.peek().map_or(POLL, |d| {
-                d.due.saturating_duration_since(Instant::now()).min(POLL)
-            });
-            let senders_gone = match rx.recv_timeout(timeout) {
-                Ok((due, to, env)) => {
-                    seq += 1;
-                    heap.push(Due {
-                        due,
-                        seq,
-                        item: (to, env),
-                    });
-                    false
-                }
-                Err(RecvTimeoutError::Timeout) => false,
-                Err(RecvTimeoutError::Disconnected) => true,
-            };
-            let now = Instant::now();
-            while heap.peek().is_some_and(|d| d.due <= now) {
-                let (to, env) = heap.pop().expect("peeked").item;
-                // A send can fail only during teardown.
-                let _ = inbox_tx[to].send(Inbound::Msgs(vec![env]));
-            }
-            if senders_gone || done.load(Ordering::Relaxed) {
-                // Whatever is still held would arrive after every node
-                // stopped listening.
-                return heap.len() as u64;
-            }
-        }
-    })
-}
-
-/// A booted channel cluster: the core plus the delayer to join at the
+/// A booted channel cluster: the core plus the router to finish at the
 /// end.
 pub(crate) struct ChannelCluster<A: Recoverable> {
     pub(crate) core: ClusterCore<A, ChannelLinks<A::Msg>>,
-    delayer: thread::JoinHandle<u64>,
+    router: Arc<FaultRouter<A::Msg>>,
 }
 
 impl<A> ChannelCluster<A>
@@ -156,7 +93,7 @@ where
     A: Recoverable + Send + 'static,
     A::Msg: Send + 'static,
 {
-    /// Builds the channels, spawns the delayer and the first
+    /// Builds the channels and the router, and spawns the first
     /// incarnation of every node.
     pub(crate) fn boot(
         procs: Vec<A>,
@@ -167,28 +104,33 @@ where
         let n = procs.len();
         let inboxes: Vec<_> = (0..n).map(|_| unbounded()).collect();
         let inbox_tx: Vec<_> = inboxes.iter().map(|(tx, _)| tx.clone()).collect();
-        let (delay_tx, delay_rx) = unbounded();
         let done = Arc::new(AtomicBool::new(false));
-        let delayer = spawn_delayer(delay_rx, inbox_tx.clone(), Arc::clone(&done));
+        let router = Arc::new(FaultRouter::new(
+            faults.clone(),
+            opts.tick,
+            inbox_tx.clone(),
+            Arc::clone(&done),
+        ));
         let links = ChannelLinks {
             inbox_tx,
-            delay_tx,
-            plan: faults.clone(),
-            start: Instant::now(),
-            tick: opts.tick,
+            router: Arc::clone(&router),
             rngs: (0..n as u64)
                 .map(|i| Mutex::new(SmallRng::seed_from_u64(seeds.master() ^ (0xC0FFEE + i))))
                 .collect(),
         };
         let core = ClusterCore::boot(vec![procs], vec![seeds], faults, opts, done, inboxes, links);
-        ChannelCluster { core, delayer }
+        ChannelCluster { core, router }
     }
 
     /// Stops every thread and assembles the report.
     pub(crate) fn finish(self, recovered: Vec<bool>, decided_in_time: bool) -> ClusterReport {
-        let delayer = self.delayer;
+        let router = self.router;
+        let teardown = || {
+            let router = Arc::into_inner(router).expect("the links are dropped");
+            router.finish()
+        };
         self.core
-            .finish(recovered, decided_in_time, || delayer.join().unwrap_or(0))
+            .finish(recovered, decided_in_time, teardown)
             .pop()
             .expect("a channel cluster runs one instance")
     }
@@ -255,6 +197,8 @@ where
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use rtc_core::{commit_population, CommitConfig};
     use rtc_model::{TimingParams, Value};
 

@@ -1,8 +1,8 @@
 //! Socket soak: supervised commit over real TCP under continuous fault
 //! injection, checked against the simulator.
 //!
-//! Each round boots a three-node localhost cluster whose inbound
-//! traffic runs through fault proxies — a partition that heals,
+//! Each round boots a three-node localhost cluster whose readers fault
+//! the inbound traffic they decode — a partition that heals,
 //! duplicated and reordered frames, connection resets at frame
 //! boundaries — while the supervisor heals a periodically crashed
 //! node. Several commit instances multiplex over each round's mesh;

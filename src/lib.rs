@@ -21,7 +21,7 @@
 //! * [`runtime`] — the threaded crossbeam-channel cluster
 //!   (`rtc-runtime`);
 //! * [`net`] — the socket substrate: the same automata over real
-//!   localhost TCP with a fault-injecting proxy (`rtc-net`);
+//!   localhost TCP with faults applied where frames land (`rtc-net`);
 //! * [`experiments`] — the Monte-Carlo harness (`rtc-experiments`);
 //! * [`chaos`] — seeded chaos campaigns with crashes, restarts, delay
 //!   spikes, and link outages over every substrate, plus the supervised
