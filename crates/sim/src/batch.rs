@@ -539,6 +539,8 @@ mod tests {
     use super::*;
     use crate::adversaries::{RandomAdversary, SynchronousAdversary};
     use crate::adversary::PatternView;
+    use crate::envelope::MsgId;
+    use crate::trace::EventView;
 
     /// Broadcasts its step count at every step and answers each distinct
     /// sender directly — so a step's outbox holds a broadcast *and*
@@ -738,6 +740,97 @@ mod tests {
         let reports = batch.run(&mut [Withhold(0)], RunLimits::default()).unwrap();
         assert_eq!(batch.shared.store.len(), 0, "the finished lane was drained");
         assert!(!reports[0].facts().on_time);
+    }
+
+    /// Applies `action` to the one lane of `batch`, not admissibly (no
+    /// partition length limit).
+    fn apply(batch: &mut BatchSim<Chatter>, action: Action) -> Result<(), SimError> {
+        let (lane, shared, trace) = batch.parts_mut(0);
+        lane.apply(action, false, shared, trace)
+    }
+
+    /// What processor `p` of the one lane of `batch` holds, in list
+    /// order.
+    fn held_by(batch: &BatchSim<Chatter>, p: ProcessorId) -> Vec<MsgId> {
+        let view = batch.lanes[0].pattern_view(&batch.shared.store);
+        view.pending_iter(p).map(|m| m.id).collect()
+    }
+
+    /// A one-lane batch in which p1, p2 and p3 have broadcast once
+    /// each, so p0 holds `[a, b, c]`, one message from each.
+    fn p0_holds_three() -> (BatchSim<Chatter>, [MsgId; 3]) {
+        let mut builder = BatchSimBuilder::new();
+        let cfg = SimBuilder::new(TimingParams::default(), SeedCollection::new(3));
+        builder.instance(cfg, chatters()).unwrap();
+        let mut batch = builder.build();
+        for q in 1..N {
+            let step = Action::Step {
+                p: ProcessorId::new(q),
+                deliver: Vec::new(),
+            };
+            apply(&mut batch, step).unwrap();
+        }
+        let held = held_by(&batch, ProcessorId::new(0));
+        (batch, held.try_into().unwrap())
+    }
+
+    #[test]
+    fn front_take_delivers_what_per_id_delivery_did() {
+        let p0 = ProcessorId::new(0);
+        let step = |deliver: Vec<MsgId>| Action::Step { p: p0, deliver };
+        // Indices into [a, b, c, x], where x is p1's message to p2:
+        // the delivery list, the id reported not buffered (if the step
+        // fails), and what p0 holds afterwards.
+        let cases: [(&[usize], Option<usize>, &[usize]); 5] = [
+            (&[0, 1, 2], None, &[]),
+            (&[0, 2], None, &[1]),
+            (&[1, 0], None, &[2]),
+            (&[0, 0], Some(0), &[1, 2]),
+            (&[0, 1, 2, 3], Some(3), &[]),
+        ];
+        for (pick, missing, left) in cases {
+            let (mut batch, [a, b, c]) = p0_holds_three();
+            let x = held_by(&batch, ProcessorId::new(2))[0];
+            let ids = [a, b, c, x];
+            let deliver: Vec<MsgId> = pick.iter().map(|k| ids[*k]).collect();
+            let outcome = apply(&mut batch, step(deliver.clone()));
+            let trace = batch.lane_trace(0);
+            match missing {
+                None => {
+                    assert_eq!(outcome, Ok(()));
+                    let row = trace.event(trace.event_count() - 1);
+                    assert!(
+                        matches!(row, EventView::Step { delivered, .. } if delivered == deliver),
+                        "{pick:?} recorded {row:?}"
+                    );
+                }
+                Some(k) => {
+                    let id = ids[k];
+                    assert_eq!(outcome, Err(SimError::DeliverNotBuffered { p: p0, id }));
+                    assert_eq!(trace.event_count(), 3, "a failed step records no row");
+                }
+            }
+            let left: Vec<MsgId> = left.iter().map(|k| ids[*k]).collect();
+            assert_eq!(held_by(&batch, p0), left, "after {pick:?}");
+            accounted(&batch);
+            // Whatever is left, now the front of the list, comes off.
+            apply(&mut batch, step(left)).unwrap();
+            assert!(held_by(&batch, p0).is_empty());
+            accounted(&batch);
+        }
+
+        // While a partition is active every id meets its veto: c, from
+        // p3 across the cut, stops the step after a and b came off.
+        let (mut batch, [a, b, c]) = p0_holds_three();
+        let partition = Action::Partition {
+            groups: vec![0, 0, 0, 1],
+            heal_at: 100,
+        };
+        apply(&mut batch, partition).unwrap();
+        let outcome = apply(&mut batch, step(vec![a, b, c]));
+        assert_eq!(outcome, Err(SimError::DeliverPartitioned { p: p0, id: c }));
+        assert_eq!(held_by(&batch, p0), [c]);
+        accounted(&batch);
     }
 
     #[test]

@@ -806,11 +806,28 @@ impl<A: Automaton> Lane<A> {
         if self.crashed[i] {
             return Err(SimError::StepOnCrashed { p });
         }
-        // Unlink the deliveries from p's buffer, O(1) per id through
-        // the store, keeping what it hands back of each: the automaton
-        // reads the bodies in place, the lateness monitor the send
-        // events.
-        for id in &deliver {
+        // Unlink the deliveries from p's buffer, keeping what the store
+        // hands back of each: the automaton reads the bodies in place,
+        // the lateness monitor the send events. The longest prefix of
+        // `deliver` that is the front of p's list comes off the head in
+        // one pass (under the well-behaved adversary and every forced
+        // action that is all of it); the rest is taken id by id, O(1)
+        // each, and meets the checks below. With no partition active,
+        // a front message passes them all, so which path takes it is
+        // unobservable.
+        let front = if self.partition.is_none() {
+            let mut wanted = deliver.iter();
+            let scratch = &mut shared.deliv_scratch;
+            shared.store.take_front(
+                &mut self.store_lane,
+                i,
+                |id| wanted.next() == Some(&id),
+                |taken| scratch.push(taken),
+            )
+        } else {
+            0
+        };
+        for id in &deliver[front..] {
             // An active partition (refreshed in `apply`, so it is live)
             // vetoes any delivery crossing the group boundary.
             if let Some(ps) = &self.partition {
@@ -1170,11 +1187,21 @@ impl<A: Automaton> Lane<A> {
     /// later-finishing instances recycle its envelopes. Whether one of
     /// them was overdue is kept for the report.
     pub(crate) fn drain(&mut self, shared: &mut Shared<A::Msg>) {
-        self.drained_overdue |= self.holds_overdue(&shared.store);
+        // The same judgement as `holds_overdue`, made in the one pass
+        // that empties the lists.
+        let judge = self.monitor.overdue(0);
         for d in 0..self.autos.len() {
-            while let Some(taken) = shared.store.take_head(&mut self.store_lane, d) {
-                shared.bodies.release(taken.body);
-            }
+            let live = judge && !self.crashed[d];
+            let bodies = &mut shared.bodies;
+            shared.store.take_front(
+                &mut self.store_lane,
+                d,
+                |_| true,
+                |taken| {
+                    self.drained_overdue |= live && self.monitor.overdue(taken.send_event);
+                    bodies.release(taken.body);
+                },
+            );
         }
     }
 

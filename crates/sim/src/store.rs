@@ -22,8 +22,16 @@
 //!   destination's tail — O(1) per destination, one header write;
 //! * **lookup** maps a dense [`MsgId`] to its slot through the lane's
 //!   `slot_of` — O(1);
-//! * **take** unlinks a slot in place — O(1), shared by the delivery,
-//!   crash-drop and drain paths;
+//! * **take_front** takes messages off the head of one destination's
+//!   list while the caller wants the next id — per message only its
+//!   header read and the slot's return to the free list, no lookup and
+//!   no neighbour rewrite; a delivery that is a prefix of the list (the
+//!   whole list under the well-behaved adversary and in every
+//!   fairness-forced step) and a finished lane's drain go through it;
+//! * **take** unlinks one slot anywhere in its list — O(1) through the
+//!   lookup, for crash drops and for deliveries past the front prefix
+//!   (partial, out-of-order, duplicated or foreign id lists, and every
+//!   delivery while a partition is active);
 //! * **iter_dest** walks one destination's list in insertion order,
 //!   which is exactly the order a per-destination `Vec` would expose,
 //!   so adversary visibility (and therefore every seeded schedule) does
@@ -88,7 +96,8 @@ struct Slot {
     ord: u16,
 }
 
-/// What [`MsgStore::take`] hands back about the message it unlinked:
+/// What [`MsgStore::take`] and [`MsgStore::take_front`] hand back about
+/// a message they unlinked:
 /// the inputs of delivery (sender and body) and of lateness
 /// classification (send event).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -318,9 +327,10 @@ impl MsgStore {
 
     /// Unlinks `lane`'s message `id` from its destination's list and
     /// returns what the caller needs of it; the caller owes the body
-    /// one [`crate::bodies::BodySlab::release`]. This is the single
-    /// removal path shared by delivery (`Lane::apply_step`), crash-time
-    /// drops (`Lane::apply_crash`) and a finished lane's drain.
+    /// one [`crate::bodies::BodySlab::release`]. This is the removal
+    /// path for anything but a list's front: crash-time drops
+    /// (`Lane::apply_crash`) and the deliveries of a step past the
+    /// prefix [`MsgStore::take_front`] took.
     pub(crate) fn take(&mut self, lane: &mut StoreLane, id: MsgId) -> Option<Taken> {
         let slot = lane.slot(id)?;
         Some(self.take_slot(lane, id, slot))
@@ -361,12 +371,65 @@ impl MsgStore {
         }
     }
 
-    /// [`MsgStore::take`] of the earliest message still buffered for
-    /// `lane`'s local destination `dest` — a finished lane drains its
-    /// lists through this.
-    pub(crate) fn take_head(&mut self, lane: &mut StoreLane, dest: usize) -> Option<Taken> {
-        let id = self.head(lane, dest)?.id;
-        self.take(lane, id)
+    /// Takes messages off the head of `lane`'s local destination
+    /// `dest`'s list while `wanted(id)` says yes, handing each to `each`
+    /// in list order; returns how many were taken. The caller owes
+    /// every body one [`crate::bodies::BodySlab::release`].
+    ///
+    /// Unlike [`MsgStore::take`] it neither looks an id up nor splices:
+    /// the taken slots are a prefix, so none has a neighbour left to
+    /// rewrite, and the new head's `prev` and the list's length change
+    /// once, at the end. Delivery of a front prefix (`Lane::apply_step`)
+    /// and a finished lane's drain come through here.
+    pub(crate) fn take_front(
+        &mut self,
+        lane: &mut StoreLane,
+        dest: usize,
+        mut wanted: impl FnMut(MsgId) -> bool,
+        mut each: impl FnMut(Taken),
+    ) -> usize {
+        let dest = lane.base as usize + dest;
+        let mut cursor = self.heads[dest];
+        let mut taken = 0u32;
+        // rtc-hot-loop(per-instance): runs once per delivering step and
+        // per drained destination; its body is all that is left per
+        // delivered message.
+        while cursor != NIL {
+            let Slot {
+                run,
+                body,
+                next,
+                ord,
+                ..
+            } = self.slots[cursor as usize];
+            let run_ref = &mut self.runs[run as usize];
+            let id = MsgId(run_ref.header.first.0 + u64::from(ord));
+            if !wanted(id) {
+                break;
+            }
+            lane.slot_of[id.index()] = NIL;
+            self.free.push(cursor);
+            run_ref.live -= 1;
+            if run_ref.live == 0 {
+                self.free_runs.push(run);
+            }
+            each(Taken {
+                from: run_ref.header.from,
+                send_event: run_ref.header.send_event,
+                body,
+            });
+            taken += 1;
+            cursor = next;
+        }
+        if taken > 0 {
+            self.heads[dest] = cursor;
+            match cursor {
+                NIL => self.tails[dest] = NIL,
+                head => self.slots[head as usize].prev = NIL,
+            }
+            self.lens[dest] -= taken;
+        }
+        taken as usize
     }
 
     /// Moves `lane`'s message `id` to the tail of its destination's
@@ -566,8 +629,17 @@ mod tests {
                 body: 4
             }
         );
-        assert_eq!(s.take_head(&mut lane, 1).unwrap().body, 9);
-        assert!(s.take_head(&mut lane, 1).is_none());
+        let mut front = Vec::new();
+        assert_eq!(s.take_front(&mut lane, 1, |_| true, |t| front.push(t)), 1);
+        assert_eq!(
+            front,
+            [Taken {
+                from: ProcessorId::new(1),
+                send_event: 6,
+                body: 9
+            }]
+        );
+        assert_eq!(s.take_front(&mut lane, 1, |_| true, |_| ()), 0);
         assert_eq!((s.len(), s.run_references()), (0, 0));
     }
 
@@ -638,7 +710,7 @@ mod tests {
         assert_eq!(s.lookup(&b, MsgId(0)).unwrap().send_event, 10);
         // Lane a drains; its slots are recycled by lane b's next sends.
         let hwm = s.slots.len();
-        while s.take_head(&mut a, 1).is_some() {}
+        assert_eq!(s.take_front(&mut a, 1, |_| true, |_| ()), 3);
         file(&mut s, &mut b, 3, 20, &[0, 0, 0]);
         assert_eq!(s.slots.len(), hwm, "cross-lane slot recycling");
         assert_eq!(ids_of(&s, &b, 0), [3, 4, 5]);
@@ -667,9 +739,10 @@ mod tests {
         /// model under arbitrary interleavings of everything the engine
         /// does to it: filing a run, delivering one message, duplicating
         /// one (a run of one on the original's body), reordering one,
-        /// dropping part of the latest run, draining a destination.
+        /// dropping part of the latest run, draining a destination,
+        /// front-taking part of one.
         #[test]
-        fn matches_naive_vec_model(ops in proptest::collection::vec((0..6u8, 0..64u64), 1..200)) {
+        fn matches_naive_vec_model(ops in proptest::collection::vec((0..7u8, 0..64u64), 1..200)) {
             let n = 3;
             let mut store = MsgStore::new(n);
             let mut lane = StoreLane::new(0);
@@ -682,17 +755,18 @@ mod tests {
                     b.iter().position(|(m, _)| m.id == id).map(|pos| b.remove(pos))
                 })
             };
+            let taken = |(m, body): (MsgHandle, u32)| Taken {
+                from: m.from,
+                send_event: m.send_event,
+                body,
+            };
             for (event, (op, sel)) in ops.into_iter().enumerate() {
                 let live: Vec<MsgId> = model.iter().flatten().map(|(m, _)| m.id).collect();
                 let pick = (!live.is_empty()).then(|| live[sel as usize % live.len().max(1)]);
                 match (op, pick) {
                     // Deliver (or drop) one live message.
                     (1, Some(id)) => {
-                        let want = forget(&mut model, id).map(|(m, body)| Taken {
-                            from: m.from,
-                            send_event: m.send_event,
-                            body,
-                        });
+                        let want = forget(&mut model, id).map(taken);
                         prop_assert_eq!(store.take(&mut lane, id), want);
                     }
                     // Duplicate: a run of one, "sent" now, on the
@@ -721,10 +795,31 @@ mod tests {
                     // A finished lane's drain of one destination.
                     (5, _) => {
                         let dest = sel as usize % n;
-                        for (_, body) in model[dest].drain(..) {
-                            prop_assert_eq!(store.take_head(&mut lane, dest).map(|t| t.body), Some(body));
-                        }
-                        prop_assert!(store.take_head(&mut lane, dest).is_none());
+                        let mut got = Vec::new();
+                        let took = store.take_front(&mut lane, dest, |_| true, |t| got.push(t));
+                        let want: Vec<Taken> = model[dest].drain(..).map(taken).collect();
+                        prop_assert_eq!(took, want.len());
+                        prop_assert_eq!(got, want);
+                    }
+                    // A delivery whose first `k` ids are the list's
+                    // front, then an id that is not next: a later one of
+                    // the same list, or one never filed. Exactly the `k`
+                    // come off, and the new head must stay walkable.
+                    (6, _) => {
+                        let dest = sel as usize % n;
+                        let k = (sel as usize / n) % (model[dest].len() + 1);
+                        let later = model[dest].get(k + 1..).and_then(<[_]>::last).map(|(m, _)| m.id);
+                        let stray = match later {
+                            Some(id) if sel & 32 == 0 => id,
+                            _ => MsgId(next_id + 1_000),
+                        };
+                        let offered: Vec<MsgId> = model[dest][..k].iter().map(|(m, _)| m.id).chain([stray]).collect();
+                        let mut offer = offered.into_iter();
+                        let mut got = Vec::new();
+                        let took = store.take_front(&mut lane, dest, |id| offer.next() == Some(id), |t| got.push(t));
+                        let want: Vec<Taken> = model[dest].drain(..k).map(taken).collect();
+                        prop_assert_eq!(took, k);
+                        prop_assert_eq!(got, want);
                     }
                     // File a run: `sel`'s low bits choose the
                     // destinations (possibly none, possibly repeated),
