@@ -57,11 +57,15 @@ impl<T: Default, const N: usize> InlineVec<T, N> {
                 repr: Repr::Spilled(vec![value; len]),
             };
         }
-        let mut seq = InlineVec::new();
-        for _ in 0..len {
-            seq.push(value.clone());
+        const { assert!(N <= u8::MAX as usize, "the inline length is a byte") };
+        let mut buf: [T; N] = std::array::from_fn(|_| T::default());
+        buf[..len].fill(value);
+        InlineVec {
+            repr: Repr::Inline {
+                len: len as u8,
+                buf,
+            },
         }
-        seq
     }
 
     /// Appends `value`, moving the sequence to the heap if it is the
@@ -219,12 +223,20 @@ mod tests {
 
     #[test]
     fn filled_picks_its_side_by_length() {
-        let small: InlineVec<u8, 16> = InlineVec::filled(16, 7);
+        let empty: InlineVec<u8, 16> = InlineVec::filled(0, 7);
+        let small: InlineVec<u8, 16> = InlineVec::filled(9, 7);
+        let full: InlineVec<u8, 16> = InlineVec::filled(16, 7);
         let large: InlineVec<u8, 16> = InlineVec::filled(17, 7);
-        assert!(!small.spilled());
+        assert!(!empty.spilled() && !small.spilled() && !full.spilled());
         assert!(large.spilled());
-        assert_eq!((small.len(), large.len()), (16, 17));
-        assert!(small.iter().chain(large.iter()).all(|&b| b == 7));
+        let lens = [&empty, &small, &full, &large].map(|seq| seq.len());
+        assert_eq!(lens, [0, 9, 16, 17]);
+        assert!(small.iter().chain(&*full).chain(&*large).all(|&b| b == 7));
+        // A filled sequence grows like a pushed one.
+        let mut grown = small;
+        grown.push(1);
+        assert_eq!(grown[..], [7, 7, 7, 7, 7, 7, 7, 7, 7, 1]);
+        assert_eq!(empty, InlineVec::new());
     }
 
     #[test]

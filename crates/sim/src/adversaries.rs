@@ -35,7 +35,10 @@ fn next_alive(view: &PatternView<'_>, cursor: &mut usize) -> Option<ProcessorId>
 ///
 /// With `lag = 0` this realizes the paper's well-behaved case: all
 /// message delays are one "cycle", so every run is failure-free and
-/// on-time for any `K ≥ 1`.
+/// on-time for any `K ≥ 1`. Each of its events is then
+/// [`Action::StepAll`] — the processor steps with its whole buffer —
+/// and the adversary lists no ids. With a lag it lists the messages old
+/// enough in an [`Action::Step`].
 #[derive(Debug)]
 pub struct SynchronousAdversary {
     cursor: usize,
@@ -59,14 +62,14 @@ impl SynchronousAdversary {
 impl Adversary for SynchronousAdversary {
     fn next(&mut self, view: &PatternView<'_>) -> Action {
         let p = next_alive(view, &mut self.cursor).expect("some processor is alive");
-        // Exact-size the delivery list (`pending_count` is O(1)) so the
-        // hottest scheduler allocates once per step, never regrows.
-        let mut deliver = Vec::with_capacity(view.pending_count(p));
-        deliver.extend(
-            view.pending_iter(p)
-                .filter(|m| view.event().saturating_sub(m.send_event) >= self.lag)
-                .map(|m| m.id),
-        );
+        if self.lag == 0 {
+            return Action::StepAll { p };
+        }
+        let deliver = view
+            .pending_iter(p)
+            .filter(|m| view.event().saturating_sub(m.send_event) >= self.lag)
+            .map(|m| m.id)
+            .collect();
         Action::Step { p, deliver }
     }
 }
@@ -563,13 +566,12 @@ mod tests {
     use rtc_model::LocalClock;
 
     use crate::envelope::IdRun;
-    use crate::store::{MsgStore, StoreLane};
+    use crate::store::MsgStore;
 
     /// Owns the engine-side state a [`PatternView`] borrows from, built
     /// from the per-destination buffer contents a test describes.
     struct Fixture {
         store: MsgStore,
-        lane: StoreLane,
         last_run: Vec<IdRun>,
         clocks: Vec<LocalClock>,
         crashed: Vec<bool>,
@@ -586,10 +588,9 @@ mod tests {
     ) -> Fixture {
         let n = buffers.len();
         let mut store = MsgStore::new(n);
-        let mut lane = StoreLane::new(0);
         for metas in buffers {
             for m in metas {
-                store.file_one(&mut lane, *m, 0);
+                store.file_one(*m, 0);
             }
         }
         // Rebuild each processor's droppable run the way the engine
@@ -607,7 +608,6 @@ mod tests {
         }
         Fixture {
             store,
-            lane,
             last_run,
             clocks: clocks.to_vec(),
             crashed: crashed.to_vec(),
@@ -620,7 +620,6 @@ mod tests {
         fn view(&self) -> PatternView<'_> {
             PatternView {
                 store: &self.store,
-                lane: &self.lane,
                 last_run: &self.last_run,
                 clocks: &self.clocks,
                 crashed: &self.crashed,
@@ -652,17 +651,15 @@ mod tests {
         let mut adv = SynchronousAdversary::new(2);
         let fx = fixture(&buffers, &clocks, &crashed, &last, 1);
         let v = fx.view();
-        match adv.next(&v) {
-            Action::Step { p, deliver } => {
-                assert_eq!(p, ProcessorId::new(0));
-                assert_eq!(deliver, vec![MsgId(0)]);
-            }
-            other => panic!("unexpected action {other:?}"),
-        }
-        match adv.next(&v) {
-            Action::Step { p, .. } => assert_eq!(p, ProcessorId::new(1)),
-            other => panic!("unexpected action {other:?}"),
-        }
+        let p = ProcessorId::new;
+        assert_eq!(adv.next(&v), Action::StepAll { p: p(0) });
+        assert_eq!(adv.next(&v), Action::StepAll { p: p(1) });
+        // With a lag it lists what is old enough.
+        let mut lagged = SynchronousAdversary::with_lag(2, 1);
+        let step = |deliver: Vec<MsgId>| Action::Step { p: p(0), deliver };
+        assert_eq!(lagged.next(&v), step(vec![MsgId(0)]));
+        let mut lagged = SynchronousAdversary::with_lag(2, 2);
+        assert_eq!(lagged.next(&v), step(vec![]));
     }
 
     #[test]
@@ -675,10 +672,12 @@ mod tests {
         let fx = fixture(&buffers, &clocks, &crashed, &last, 0);
         let v = fx.view();
         for _ in 0..3 {
-            match adv.next(&v) {
-                Action::Step { p, .. } => assert_eq!(p, ProcessorId::new(1)),
-                other => panic!("unexpected action {other:?}"),
-            }
+            assert_eq!(
+                adv.next(&v),
+                Action::StepAll {
+                    p: ProcessorId::new(1)
+                }
+            );
         }
     }
 
@@ -789,7 +788,7 @@ mod tests {
         );
         let before_fx = fixture(&buffers, &clocks, &crashed, &last, 2);
         let before = before_fx.view();
-        assert!(matches!(adv.next(&before), Action::Step { .. }));
+        assert!(matches!(adv.next(&before), Action::StepAll { .. }));
         let at_fx = fixture(&buffers, &clocks, &crashed, &last, 3);
         let at = at_fx.view();
         match adv.next(&at) {

@@ -12,7 +12,7 @@ use rtc_model::{LocalClock, ProcessorId};
 
 use crate::bodies::BodySlab;
 use crate::envelope::{IdRun, MsgHandle, MsgId};
-use crate::store::{MsgStore, StoreLane};
+use crate::store::MsgStore;
 
 /// The next event, as chosen by an adversary.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -24,6 +24,14 @@ pub enum Action {
         /// Ids of messages from `p`'s buffer to deliver at this step.
         /// May be empty (the paper's events allow `M = ∅`).
         deliver: Vec<MsgId>,
+    },
+    /// Step processor `p` with its whole buffer: Section 2.1's
+    /// well-behaved event. The same event as a [`Action::Step`] listing
+    /// every message [`PatternView::pending`] shows for `p`, in that
+    /// order — recorded the same, refused the same — without the list.
+    StepAll {
+        /// The processor that takes the step.
+        p: ProcessorId,
     },
     /// Crash processor `p` (an explicit failure step). Messages sent at
     /// `p`'s final step are not guaranteed; the adversary may name a
@@ -72,10 +80,8 @@ pub enum Action {
 /// adversary is allowed to observe.
 #[derive(Debug)]
 pub struct PatternView<'a> {
+    /// The viewed instance's buffered messages.
     pub(crate) store: &'a MsgStore,
-    /// The viewed instance's lane into the (possibly shared) store:
-    /// its destination base plus the dense per-instance id → slot map.
-    pub(crate) lane: &'a StoreLane,
     /// Per-processor run of ids it emitted at its most recent step.
     /// Some may have been delivered since; `last_sends_of` filters
     /// those out through the store.
@@ -124,12 +130,12 @@ impl<'a> PatternView<'a> {
     /// Iterates `p`'s buffered messages in insertion (= send-event)
     /// order without allocating — same order as [`PatternView::pending`].
     pub fn pending_iter(&self, p: ProcessorId) -> impl Iterator<Item = MsgHandle> + '_ {
-        self.store.iter_dest(self.lane, p.index())
+        self.store.iter_dest(p.index())
     }
 
     /// Number of messages currently buffered for `p`, in O(1).
     pub fn pending_count(&self, p: ProcessorId) -> usize {
-        self.store.len_of(self.lane, p.index())
+        self.store.len_of(p.index())
     }
 
     /// Handles of all undelivered messages sent by `p` at its most
@@ -141,7 +147,7 @@ impl<'a> PatternView<'a> {
         };
         let mut sends: Vec<MsgHandle> = self.last_run[p.index()]
             .iter()
-            .filter_map(|id| self.store.lookup(self.lane, id))
+            .filter_map(|id| self.store.lookup(id))
             .filter(|m| m.from == p && m.send_event == last)
             .collect();
         // At most one message per destination per step, so the
@@ -227,7 +233,7 @@ impl<T: Adversary + ?Sized> Adversary for &mut T {
 #[derive(Debug)]
 pub struct ContentView<'a, M> {
     pub(crate) pattern: PatternView<'a>,
-    /// The message bodies the store's slots name.
+    /// The message bodies the store's runs name.
     pub(crate) bodies: &'a BodySlab<M>,
 }
 
@@ -239,7 +245,7 @@ impl<'a, M> ContentView<'a, M> {
 
     /// The payload of a buffered message, if it is still pending.
     pub fn payload(&self, id: MsgId) -> Option<&M> {
-        let body = self.pattern.store.body_of(self.pattern.lane, id)?;
+        let body = self.pattern.store.body_of(id)?;
         self.bodies.msg(body)
     }
 
@@ -247,7 +253,7 @@ impl<'a, M> ContentView<'a, M> {
     pub fn pending_with_payloads(&self, p: ProcessorId) -> Vec<(MsgHandle, &M)> {
         self.pattern
             .store
-            .iter_dest_bodies(self.pattern.lane, p.index())
+            .iter_dest_bodies(p.index())
             .filter_map(|(m, body)| Some((m, self.bodies.msg(body)?)))
             .collect()
     }
@@ -293,15 +299,13 @@ mod tests {
     #[test]
     fn pattern_view_exposes_pending_and_budget() {
         let mut store = MsgStore::new(2);
-        let mut lane = StoreLane::new(0);
-        store.file_one(&mut lane, meta(0, 1, 0, 5), 0);
+        store.file_one(meta(0, 1, 0, 5), 0);
         let last_run = vec![IdRun::new(MsgId(0), 0), IdRun::new(MsgId(0), 1)];
         let clocks = vec![LocalClock::new(2), LocalClock::new(3)];
         let crashed = vec![false, false];
         let last = vec![Some(4), Some(5)];
         let view = PatternView {
             store: &store,
-            lane: &lane,
             last_run: &last_run,
             clocks: &clocks,
             crashed: &crashed,
@@ -329,9 +333,8 @@ mod tests {
     #[test]
     fn last_sends_filters_by_event() {
         let mut store = MsgStore::new(2);
-        let mut lane = StoreLane::new(0);
-        store.file_one(&mut lane, meta(0, 0, 1, 7), 0);
-        store.file_one(&mut lane, meta(1, 0, 1, 9), 0);
+        store.file_one(meta(0, 0, 1, 7), 0);
+        store.file_one(meta(1, 0, 1, 9), 0);
         // An id of an earlier step (id 0, sent at event 7) must be
         // filtered out by the send_event check.
         let last_run = vec![IdRun::new(MsgId(0), 2), IdRun::new(MsgId(0), 0)];
@@ -340,7 +343,6 @@ mod tests {
         let last = vec![Some(9), None];
         let view = PatternView {
             store: &store,
-            lane: &lane,
             last_run: &last_run,
             clocks: &clocks,
             crashed: &crashed,
@@ -358,10 +360,9 @@ mod tests {
     #[test]
     fn content_view_finds_payload() {
         let mut store = MsgStore::new(1);
-        let mut lane = StoreLane::new(0);
         let mut bodies = BodySlab::new();
         let body = bodies.store("hello", 1);
-        store.file_one(&mut lane, meta(0, 1, 0, 5), body);
+        store.file_one(meta(0, 1, 0, 5), body);
         let last_run = vec![IdRun::new(MsgId(0), 0)];
         let clocks = vec![LocalClock::new(2)];
         let crashed = vec![false];
@@ -369,7 +370,6 @@ mod tests {
         let view = ContentView {
             pattern: PatternView {
                 store: &store,
-                lane: &lane,
                 last_run: &last_run,
                 clocks: &clocks,
                 crashed: &crashed,

@@ -2,12 +2,13 @@
 //! scheduler infrastructure.
 //!
 //! A [`BatchSim`] drives B independent instances (same population `n`,
-//! independent seeds and adversaries) through ONE shared
-//! `(instance, dst)`-keyed message-store slab and per-instance
-//! amortized fairness scans — with message envelope slots recycled
-//! across instances, so a campaign's steady state stops allocating.
-//! Each instance is a [`crate::engine::Lane`] recording into its own
-//! [`Trace`]; [`crate::Sim`] is this engine with B = 1. The per-event
+//! independent seeds and adversaries) over ONE shared plane — the
+//! message bodies, the outbox and the stepping scratch — with
+//! per-instance amortized fairness scans. Each instance is a
+//! [`crate::engine::Lane`] with a message store of its own, recording
+//! into its own [`Trace`]; stores, traces and bodies are recycled from
+//! batch to batch, so a campaign's steady state stops allocating.
+//! [`crate::Sim`] is this engine with B = 1. The per-event
 //! sequence (forced action or the adversary's choice, applied, stop
 //! count updated) is [`BatchSim::step_slice`] and nothing else, and the
 //! only loop over lanes is [`BatchSim::rotate`], so a lane's bytes
@@ -35,7 +36,7 @@ use rtc_model::{Automaton, LatenessMonitor, ModelError, ProcessorId, Status};
 
 use crate::adversary::{Action, Adversary, ContentAdversary, ContentView};
 use crate::engine::{Lane, RunLimits, RunReport, Shared, SimBuilder, SimError, StopWhen};
-use crate::store::StoreLane;
+use crate::store::MsgStore;
 use crate::trace::{DecisionRecord, Trace};
 
 /// Events one lane executes per rotation turn before yielding to the
@@ -44,15 +45,15 @@ use crate::trace::{DecisionRecord, Trace};
 /// another by more than a fraction of a typical commit run.
 const FAIR_SLICE: u64 = 128;
 
-/// Recycled allocations of a finished [`BatchSim`]: the shared store
-/// slab, body slab, scratch buffers, and the per-instance store lanes
-/// and traces, all emptied but with their capacity kept. Feed it to
+/// Recycled allocations of a finished [`BatchSim`]: the body slab,
+/// scratch buffers, and the per-instance message stores and traces, all
+/// emptied but with their capacity kept. Feed it to
 /// [`BatchSimBuilder::from_pool`] to run the next batch without
 /// reallocating — the chaos campaign driver does this across its
 /// work-stealing chunks.
 pub struct BatchPool<M> {
     shared: Shared<M>,
-    spare_lanes: Vec<StoreLane>,
+    spare_stores: Vec<MsgStore>,
     spare_traces: Vec<Trace>,
 }
 
@@ -60,8 +61,8 @@ impl<M> BatchPool<M> {
     /// An empty pool (equivalent to building without one).
     pub fn new() -> BatchPool<M> {
         BatchPool {
-            shared: Shared::new(0),
-            spare_lanes: Vec::new(),
+            shared: Shared::new(),
+            spare_stores: Vec::new(),
             spare_traces: Vec::new(),
         }
     }
@@ -76,7 +77,7 @@ impl<M> Default for BatchPool<M> {
 impl<M> fmt::Debug for BatchPool<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BatchPool")
-            .field("spare_lanes", &self.spare_lanes.len())
+            .field("spare_stores", &self.spare_stores.len())
             .field("shared", &self.shared)
             .finish()
     }
@@ -138,15 +139,8 @@ impl<A: Automaton> BatchSimBuilder<A> {
                 requested: procs.len(),
             });
         }
-        let base = (self.lanes.len() * self.population) as u32;
-        let store_lane = match self.pool.spare_lanes.pop() {
-            Some(mut lane) => {
-                lane.reset(base);
-                lane
-            }
-            None => StoreLane::new(base),
-        };
-        let lane = cfg.build_lane(procs, store_lane)?;
+        let store = self.pool.spare_stores.pop().unwrap_or_default();
+        let lane = cfg.build_lane(procs, store)?;
         let trace = match self.pool.spare_traces.pop() {
             Some(mut trace) => {
                 trace.reset(self.population);
@@ -159,15 +153,14 @@ impl<A: Automaton> BatchSimBuilder<A> {
         Ok(())
     }
 
-    /// Finishes the batch. The shared store is sized for
-    /// `instances × n` destinations.
+    /// Finishes the batch.
     pub fn build(mut self) -> BatchSim<A> {
-        self.pool.shared.reset(self.lanes.len() * self.population);
+        self.pool.shared.reset();
         BatchSim {
             lanes: self.lanes,
             traces: self.traces,
             shared: self.pool.shared,
-            spare_lanes: self.pool.spare_lanes,
+            spare_stores: self.pool.spare_stores,
             spare_traces: self.pool.spare_traces,
             population: self.population,
         }
@@ -187,10 +180,10 @@ pub struct BatchSim<A: Automaton> {
     /// `traces[l]` is what lane `l` recorded.
     traces: Vec<Trace>,
     shared: Shared<A::Msg>,
-    /// Store lanes and traces recycled from a previous batch but not
-    /// used by this one (this batch had fewer instances); carried so
+    /// Stores and traces recycled from a previous batch but not used by
+    /// this one (this batch had fewer instances); carried so
     /// `into_pool` returns them.
-    spare_lanes: Vec<StoreLane>,
+    spare_stores: Vec<MsgStore>,
     spare_traces: Vec<Trace>,
     population: usize,
 }
@@ -244,9 +237,9 @@ impl<A: Automaton> BatchSim<A> {
     /// [`BatchSim::run_segment`], every instance capped at
     /// `limits.max_events`. Each instance observes exactly the schedule
     /// a [`crate::Sim::run`] with the same adversary and limits would
-    /// produce. An instance that meets the stop condition returns its
-    /// buffered envelope slots to the shared free lists for the
-    /// still-running instances to recycle.
+    /// produce. An instance that meets the stop condition drains its
+    /// buffered messages, handing their bodies back to the shared slab
+    /// for the still-running instances to recycle.
     ///
     /// # Panics
     ///
@@ -269,7 +262,7 @@ impl<A: Automaton> BatchSim<A> {
             true,
         )?;
         Ok((self.lanes.iter().zip(met).zip(advs.iter()))
-            .map(|((lane, met), adv)| lane.report(&self.shared.store, !met, adv.admissible()))
+            .map(|((lane, met), adv)| lane.report(!met, adv.admissible()))
             .collect())
     }
 
@@ -315,7 +308,7 @@ impl<A: Automaton> BatchSim<A> {
     ///
     /// Amortized-fairness rotation over still-running lanes only: each
     /// turn a lane executes up to [`FAIR_SLICE`] events, so its working
-    /// set (automata, store lane, trace, RNG) stays cache-hot across
+    /// set (automata, store, trace, RNG) stays cache-hot across
     /// the slice while no lane can lead another by more than one slice.
     /// Finished lanes are swap-removed so each rotation is O(active) —
     /// iterating the full lane list every round would cost
@@ -356,11 +349,11 @@ impl<A: Automaton> BatchSim<A> {
                 if remaining[l] == 0 || self.lanes[l].event() >= cap {
                     order.swap_remove(idx);
                     if drain && remaining[l] == 0 {
-                        // Cross-instance envelope recycling: a decided
+                        // Cross-instance body recycling: a decided
                         // instance's leftover buffered messages will
-                        // never be delivered, so their slots go back to
-                        // the shared free lists. Unobservable to the
-                        // other instances (slot indices are not
+                        // never be delivered, so their bodies go back to
+                        // the shared slab. Unobservable to the other
+                        // instances (body indices are not
                         // adversary-visible).
                         self.lanes[l].drain(&mut self.shared);
                     }
@@ -408,14 +401,14 @@ impl<A: Automaton> BatchSim<A> {
         // event.
         for _ in 0..FAIR_SLICE.min(cap - lane.event()) {
             let forced = if admissible {
-                lane.forced_action(&self.shared.store)
+                lane.forced_action()
             } else {
                 None
             };
             let action = match forced {
                 Some(forced) => forced,
                 None => adv.next(&ContentView {
-                    pattern: lane.pattern_view(&self.shared.store),
+                    pattern: lane.pattern_view(),
                     bodies: &self.shared.bodies,
                 }),
             };
@@ -423,7 +416,9 @@ impl<A: Automaton> BatchSim<A> {
             // no acting processor and never change automaton statuses,
             // so the incremental stop-condition recheck is skipped.
             let acting = match &action {
-                Action::Step { p, .. } | Action::Crash { p, .. } => Some(p.index()),
+                Action::Step { p, .. } | Action::StepAll { p } | Action::Crash { p, .. } => {
+                    Some(p.index())
+                }
                 Action::Partition { .. } | Action::Duplicate { .. } | Action::Reorder { .. } => {
                     None
                 }
@@ -449,7 +444,7 @@ impl<A: Automaton> BatchSim<A> {
 
     /// Builds the [`RunReport`] of instance `lane` for the run so far.
     pub fn report(&self, lane: usize, stalled: bool, admissible: bool) -> RunReport {
-        self.lanes[lane].report(&self.shared.store, stalled, admissible)
+        self.lanes[lane].report(stalled, admissible)
     }
 
     /// Instance `lane`'s trace — byte-identical (equal
@@ -506,16 +501,16 @@ impl<A: Automaton> BatchSim<A> {
         self.lanes[lane].revive(p, auto, &mut self.traces[lane])
     }
 
-    /// Tears the batch down into its reusable allocations (store slab,
-    /// bodies, store lanes, traces) for the next batch.
+    /// Tears the batch down into its reusable allocations (bodies,
+    /// stores, traces) for the next batch.
     pub fn into_pool(self) -> BatchPool<A::Msg> {
-        let mut spare_lanes = self.spare_lanes;
-        spare_lanes.extend(self.lanes.into_iter().map(Lane::into_store_lane));
+        let mut spare_stores = self.spare_stores;
+        spare_stores.extend(self.lanes.into_iter().map(Lane::into_store));
         let mut spare_traces = self.spare_traces;
         spare_traces.extend(self.traces);
         BatchPool {
             shared: self.shared,
-            spare_lanes,
+            spare_stores,
             spare_traces,
         }
     }
@@ -676,25 +671,25 @@ mod tests {
         builder.build()
     }
 
-    /// Checks the body accounting against the store — every buffered
-    /// slot holds exactly one reference, and the live bodies are exactly
-    /// the distinct bodies buffered slots map to — and returns (buffered
-    /// slots, live bodies).
+    /// Checks the body accounting against the lanes' stores — every
+    /// buffered message holds exactly one reference, and the live bodies
+    /// are exactly the distinct bodies buffered messages name — and
+    /// returns (buffered messages, live bodies).
     fn accounted(batch: &BatchSim<Chatter>) -> (usize, usize) {
-        let shared = &batch.shared;
         let mut distinct = BTreeSet::new();
+        let mut buffered = 0;
         for lane in &batch.lanes {
-            let view = lane.pattern_view(&shared.store);
+            let store = lane.pattern_view().store;
             for dest in 0..N {
-                for (_, body) in view.store.iter_dest_bodies(view.lane, dest) {
-                    distinct.insert(body);
-                }
+                distinct.extend(store.iter_dest_bodies(dest).map(|(_, body)| body));
             }
+            assert_eq!(store.run_references(), store.len());
+            buffered += store.len();
         }
-        assert_eq!(shared.bodies.references(), shared.store.len());
-        assert_eq!(shared.store.run_references(), shared.store.len());
-        assert_eq!(shared.bodies.live(), distinct.len());
-        (shared.store.len(), distinct.len())
+        let bodies = &batch.shared.bodies;
+        assert_eq!(bodies.references(), buffered);
+        assert_eq!(bodies.live(), distinct.len());
+        (buffered, distinct.len())
     }
 
     /// Round-robin, delivering everything but what p0 sends p3.
@@ -738,7 +733,7 @@ mod tests {
         builder.instance(cfg, population()).unwrap();
         let mut batch = builder.build();
         let reports = batch.run(&mut [Withhold(0)], RunLimits::default()).unwrap();
-        assert_eq!(batch.shared.store.len(), 0, "the finished lane was drained");
+        assert_eq!(accounted(&batch), (0, 0), "the finished lane was drained");
         assert!(!reports[0].facts().on_time);
     }
 
@@ -749,11 +744,20 @@ mod tests {
         lane.apply(action, false, shared, trace)
     }
 
-    /// What processor `p` of the one lane of `batch` holds, in list
+    /// What processor `p` of the one lane of `batch` holds, in buffer
     /// order.
     fn held_by(batch: &BatchSim<Chatter>, p: ProcessorId) -> Vec<MsgId> {
-        let view = batch.lanes[0].pattern_view(&batch.shared.store);
+        let view = batch.lanes[0].pattern_view();
         view.pending_iter(p).map(|m| m.id).collect()
+    }
+
+    /// The ids the latest event of the one lane of `batch` delivered.
+    fn last_delivered(batch: &BatchSim<Chatter>) -> Vec<MsgId> {
+        let trace = batch.lane_trace(0);
+        match trace.event(trace.event_count() - 1) {
+            EventView::Step { delivered, .. } => delivered.to_vec(),
+            other => panic!("the latest event is {other:?}"),
+        }
     }
 
     /// A one-lane batch in which p1, p2 and p3 have broadcast once
@@ -775,7 +779,7 @@ mod tests {
     }
 
     #[test]
-    fn front_take_delivers_what_per_id_delivery_did() {
+    fn a_listed_delivery_takes_exactly_its_ids() {
         let p0 = ProcessorId::new(0);
         let step = |deliver: Vec<MsgId>| Action::Step { p: p0, deliver };
         // Indices into [a, b, c, x], where x is p1's message to p2:
@@ -798,11 +802,7 @@ mod tests {
             match missing {
                 None => {
                     assert_eq!(outcome, Ok(()));
-                    let row = trace.event(trace.event_count() - 1);
-                    assert!(
-                        matches!(row, EventView::Step { delivered, .. } if delivered == deliver),
-                        "{pick:?} recorded {row:?}"
-                    );
+                    assert_eq!(last_delivered(&batch), deliver, "{pick:?}");
                 }
                 Some(k) => {
                     let id = ids[k];
@@ -813,35 +813,48 @@ mod tests {
             let left: Vec<MsgId> = left.iter().map(|k| ids[*k]).collect();
             assert_eq!(held_by(&batch, p0), left, "after {pick:?}");
             accounted(&batch);
-            // Whatever is left, now the front of the list, comes off.
-            apply(&mut batch, step(left)).unwrap();
+            // Whatever is left comes off with the whole buffer, and is
+            // recorded as its list.
+            apply(&mut batch, Action::StepAll { p: p0 }).unwrap();
+            assert_eq!(last_delivered(&batch), left);
             assert!(held_by(&batch, p0).is_empty());
             accounted(&batch);
         }
 
         // While a partition is active every id meets its veto: c, from
-        // p3 across the cut, stops the step after a and b came off.
-        let (mut batch, [a, b, c]) = p0_holds_three();
+        // p3 across the cut, stops the step after a and b came off. The
+        // whole buffer is refused for the same message, and takes
+        // nothing.
         let partition = Action::Partition {
             groups: vec![0, 0, 0, 1],
             heal_at: 100,
         };
-        apply(&mut batch, partition).unwrap();
-        let outcome = apply(&mut batch, step(vec![a, b, c]));
-        assert_eq!(outcome, Err(SimError::DeliverPartitioned { p: p0, id: c }));
+        let refused = Err(SimError::DeliverPartitioned {
+            p: p0,
+            id: p0_holds_three().1[2],
+        });
+        let (mut batch, [a, b, c]) = p0_holds_three();
+        apply(&mut batch, partition.clone()).unwrap();
+        assert_eq!(apply(&mut batch, step(vec![a, b, c])), refused);
         assert_eq!(held_by(&batch, p0), [c]);
+        accounted(&batch);
+        let (mut batch, held) = p0_holds_three();
+        apply(&mut batch, partition).unwrap();
+        assert_eq!(apply(&mut batch, Action::StepAll { p: p0 }), refused);
+        assert_eq!(held_by(&batch, p0), held);
         accounted(&batch);
     }
 
     #[test]
-    fn bodies_follow_the_slots_through_faults_caps_drain_and_reuse() {
+    fn bodies_follow_the_messages_through_faults_caps_drain_and_reuse() {
         let limits = RunLimits::with_max_events(200);
         let run = |mut batch: BatchSim<Chatter>| {
             let mut advs = adversaries();
             // Lane 0's five scripted faults only: two broadcasts (3 + 3
-            // slots, 2 bodies), one duplicate (a 7th slot, no new
-            // body), one reorder (nothing), a crash dropping 2 slots of
-            // the second broadcast — whose body the third keeps alive.
+            // messages, 2 bodies), one duplicate (a 7th message, no new
+            // body), one reorder (nothing), a crash dropping 2 messages
+            // of the second broadcast — whose body the third keeps
+            // alive.
             batch
                 .run_segment(&mut advs, &[5, 0, 0, 0], limits.stop)
                 .unwrap();
@@ -850,7 +863,7 @@ mod tests {
             let stalled: Vec<bool> = reports.iter().map(RunReport::stalled).collect();
             assert_eq!(stalled, [false, false, false, true]);
             // The three finished lanes were drained; what is left is
-            // what the capped lane hoarded: 200 broadcasts of 3 slots.
+            // what the capped lane hoarded: 200 broadcasts of 3.
             assert_eq!(accounted(&batch), (600, 200));
             batch.into_pool()
         };

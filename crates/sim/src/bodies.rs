@@ -1,23 +1,24 @@
 //! Message bodies, stored once per send-group.
 //!
-//! The [`MsgStore`](crate::store::MsgStore) links one slot per
-//! (message, destination) into a destination's pending list: that is
-//! what adversaries schedule. The payload is a different matter — a
-//! broadcast says one thing to `n − 1` destinations — so payloads live
-//! here, one *body* per [`Outbox`](rtc_model::Outbox) broadcast or
-//! direct send, counted by the store slots that name it:
+//! The [`MsgStore`](crate::store::MsgStore) files what a step sent as
+//! one send-run, owed to its destinations: that is what adversaries
+//! schedule. The payload is a different matter — a broadcast says one
+//! thing to `n − 1` destinations — so payloads live here, one *body*
+//! per [`Outbox`](rtc_model::Outbox) broadcast or direct send, counted
+//! by the buffered messages that name it:
 //!
-//! * a slot carries the index of its body;
-//! * a body's `remaining` is the number of buffered slots naming it.
+//! * a run carries the index of its body (a listed run, one per
+//!   destination);
+//! * a body's `remaining` is the number of buffered messages naming it.
 //!   [`BodySlab::store`] takes the count up front — a broadcast's whole
 //!   run in one write — a network duplicate adds one
-//!   ([`BodySlab::retain`]), and whoever unlinks a slot from the store
-//!   (delivery, a crash-time drop, a finished lane's drain) calls
+//!   ([`BodySlab::retain`]), and whoever takes a message out of the
+//!   store (delivery, a crash-time drop, a finished lane's drain) calls
 //!   [`BodySlab::release`]; at zero the message is dropped and the body
 //!   recycled through a free list.
 
-/// One stored message and the number of buffered slots that refer to
-/// it. Free (on the free list) exactly when `msg` is `None`.
+/// One stored message and the number of buffered messages that refer
+/// to it. Free (on the free list) exactly when `msg` is `None`.
 #[derive(Debug)]
 struct Body<M> {
     msg: Option<M>,
@@ -47,13 +48,13 @@ impl<M> BodySlab<M> {
         self.free.clear();
     }
 
-    /// Stores `msg` for the `slots` (at least one) store slots about to
-    /// be filed over it.
-    pub(crate) fn store(&mut self, msg: M, slots: u32) -> u32 {
-        debug_assert!(slots > 0, "a body nobody refers to would never be freed");
+    /// Stores `msg` for the `count` (at least one) messages about to be
+    /// filed over it.
+    pub(crate) fn store(&mut self, msg: M, count: u32) -> u32 {
+        debug_assert!(count > 0, "a body nobody refers to would never be freed");
         let body = Body {
             msg: Some(msg),
-            remaining: slots,
+            remaining: count,
         };
         match self.free.pop() {
             Some(idx) => {
@@ -67,18 +68,19 @@ impl<M> BodySlab<M> {
         }
     }
 
-    /// One more slot now names the live `body` (a network duplicate).
+    /// One more message now names the live `body` (a network
+    /// duplicate).
     pub(crate) fn retain(&mut self, body: u32) {
         self.bodies[body as usize].remaining += 1;
     }
 
-    /// The message stored in `body`, while any slot refers to it.
+    /// The message stored in `body`, while any message refers to it.
     pub(crate) fn msg(&self, body: u32) -> Option<&M> {
         self.bodies.get(body as usize)?.msg.as_ref()
     }
 
-    /// One slot that referred to `body` left the store; the last one
-    /// out drops the message and frees the body.
+    /// One message that referred to `body` left the store; the last one
+    /// out drops the payload and frees the body.
     pub(crate) fn release(&mut self, body: u32) {
         let b = &mut self.bodies[body as usize];
         b.remaining -= 1;
@@ -92,6 +94,12 @@ impl<M> BodySlab<M> {
     #[cfg(test)]
     pub(crate) fn live(&self) -> usize {
         self.bodies.len() - self.free.len()
+    }
+
+    /// How many buffered messages name the live `body`.
+    #[cfg(test)]
+    pub(crate) fn remaining(&self, body: u32) -> u32 {
+        self.bodies[body as usize].remaining
     }
 
     /// Sum of `remaining` over live bodies — equals the store's
@@ -111,7 +119,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_body_lives_until_its_last_slot_is_released() {
+    fn a_body_lives_until_its_last_message_is_released() {
         let mut slab = BodySlab::new();
         let b = slab.store("hello", 2);
         slab.retain(b);

@@ -6,13 +6,12 @@
 //!
 //! * [`Lane`] holds everything *per commit instance*: the automata,
 //!   clocks, crash/decision flags, fairness bookkeeping, the lateness
-//!   monitor, and the instance's [`StoreLane`] view into the message
-//!   store. All `apply_*` bodies live here, and each writes the
-//!   instance's own [`Trace`].
+//!   monitor, and the instance's [`MsgStore`] of buffered messages. All
+//!   `apply_*` bodies live here, and each writes the instance's own
+//!   [`Trace`].
 //! * [`Shared`] holds what instances can safely share: the
-//!   `(instance, dst)`-keyed [`MsgStore`] slab, the [`BodySlab`] of
-//!   message payloads, the engine-owned [`Outbox`] every step writes
-//!   into, and the delivery/send scratch buffers.
+//!   [`BodySlab`] of message payloads, the engine-owned [`Outbox`]
+//!   every step writes into, and the delivery/send scratch buffers.
 //!
 //! [`crate::BatchSim`] owns B lanes, their B traces and one shared
 //! plane, and holds the only stepping loop and the only rotation over
@@ -31,14 +30,15 @@
 //!   order when there is no broadcast), which is the order the automata
 //!   used to unroll themselves and therefore the order every recorded
 //!   schedule has;
-//! * **store** — [`MsgStore::file_run`] writes one header (sender, send
-//!   event, sender clock, first id) and, per destination, only a link
-//!   slot in that destination's pending list; what adversaries see of a
-//!   message is assembled from the two by value;
-//! * **payload** — one body the run's slots share (a direct send has
+//! * **store** — [`MsgStore::file_broadcast`] pushes one run (sender,
+//!   send event, sender clock, first id, body, and a bitset of the
+//!   destinations it owes); a run with direct sends lists its
+//!   (destination, body) pairs ([`MsgStore::file_listed`]). What
+//!   adversaries see of a message is assembled from the run by value;
+//! * **payload** — one body the run's messages share (a direct send has
 //!   its own); delivery lends the automaton `(sender, &body)` and
-//!   releases the slots' hold afterwards (see [`crate::bodies`] for who
-//!   counts what);
+//!   releases the messages' hold afterwards (see [`crate::bodies`] for
+//!   who counts what);
 //! * **trace** — one [`Trace::push_step`] row per step says what
 //!   was delivered and which run was sent; the per-message
 //!   [`MsgRecord`](crate::MsgRecord)s readers get are derived from the
@@ -56,7 +56,7 @@ use crate::adversary::{Action, Adversary, ContentAdversary, PatternView};
 use crate::batch::{BatchSim, BatchSimBuilder};
 use crate::bodies::BodySlab;
 use crate::envelope::{IdRun, MsgId};
-use crate::store::{MsgStore, RunHeader, StoreLane, Taken};
+use crate::store::{MsgStore, RunHeader, Taken};
 use crate::trace::{DecisionRecord, Dests, SendRun, Trace};
 
 /// An active network partition: processors in different groups cannot
@@ -382,12 +382,12 @@ impl SimBuilder {
         self
     }
 
-    /// Builds one instance [`Lane`] over the given automata and store
-    /// lane, for [`BatchSimBuilder::instance`].
+    /// Builds one instance [`Lane`] over the given automata, its message
+    /// store reusing `store`'s buffers, for [`BatchSimBuilder::instance`].
     pub(crate) fn build_lane<A: Automaton>(
         self,
         procs: Vec<A>,
-        store_lane: StoreLane,
+        mut store: MsgStore,
     ) -> Result<Lane<A>, ModelError> {
         let n = procs.len();
         if n == 0 {
@@ -402,6 +402,7 @@ impl SimBuilder {
             .fairness
             .unwrap_or_else(|| FairnessParams::for_population(n));
         let monitor = LatenessMonitor::new(n, self.timing.k());
+        store.reset(n);
         Ok(Lane {
             timing: self.timing,
             seeds: self.seeds,
@@ -411,7 +412,7 @@ impl SimBuilder {
             clocks: vec![LocalClock::ZERO; n],
             crashed: vec![false; n],
             decided: vec![false; n],
-            store_lane,
+            store,
             last_run: vec![IdRun::new(MsgId(0), 0); n],
             last_step_event: vec![None; n],
             last_sched_event: vec![0; n],
@@ -442,21 +443,16 @@ impl SimBuilder {
     }
 }
 
-/// State shared across all instance lanes of one engine: the
-/// `(instance, dst)`-keyed message-store slab, the message bodies, and
-/// the buffers the stepping path reuses.
+/// State shared across all instance lanes of one engine: the message
+/// bodies and the buffers the stepping path reuses.
 pub(crate) struct Shared<M> {
-    /// All in-flight messages, one send-run per sending event: O(1)
-    /// filing per destination, lookup, and removal, with
-    /// per-destination insertion-ordered lists.
-    pub(crate) store: MsgStore,
     /// Payloads of in-flight messages, one body per broadcast or direct
-    /// send, named by the store slots filed over it. Recycled together
-    /// with the slots — across instances in a batch — so steady-state
-    /// runs stop growing it.
+    /// send, named by the messages filed over it. Recycled as the
+    /// messages leave the lanes' stores — across instances in a batch —
+    /// so steady-state runs stop growing it.
     pub(crate) bodies: BodySlab<M>,
     /// Scratch for what the store handed back of the messages lent to
-    /// the step in progress (sender, body, send event); empty between
+    /// the step in progress (id, sender, body, send event); empty between
     /// steps, so no body is referred to across steps.
     deliv_scratch: Vec<Taken>,
     /// Scratch for the destinations of a run that has to list them,
@@ -467,10 +463,9 @@ pub(crate) struct Shared<M> {
 }
 
 impl<M> Shared<M> {
-    /// An empty shared plane for `total_dests` global destinations.
-    pub(crate) fn new(total_dests: usize) -> Shared<M> {
+    /// An empty shared plane.
+    pub(crate) fn new() -> Shared<M> {
         Shared {
-            store: MsgStore::new(total_dests),
             bodies: BodySlab::new(),
             deliv_scratch: Vec::new(),
             dest_scratch: Vec::new(),
@@ -478,18 +473,17 @@ impl<M> Shared<M> {
         }
     }
 
-    /// Empties the plane for reuse with `total_dests` destinations,
-    /// keeping every allocation (slab, bodies, scratches).
-    pub(crate) fn reset(&mut self, total_dests: usize) {
-        self.store.reset(total_dests);
+    /// Empties the plane for reuse, keeping every allocation (bodies,
+    /// scratches).
+    pub(crate) fn reset(&mut self) {
         self.bodies.reset();
         self.deliv_scratch.clear();
         self.dest_scratch.clear();
         self.outbox.clear();
     }
 
-    /// Gives up the hold of every message unlinked for a step that is
-    /// not going to run.
+    /// Gives up the hold of every message taken for a step that is not
+    /// going to run.
     fn release_lent(&mut self) {
         for taken in self.deliv_scratch.drain(..) {
             self.bodies.release(taken.body);
@@ -499,9 +493,7 @@ impl<M> Shared<M> {
 
 impl<M> fmt::Debug for Shared<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Shared")
-            .field("slots", &self.store.slot_capacity())
-            .finish()
+        f.debug_struct("Shared").finish_non_exhaustive()
     }
 }
 
@@ -520,9 +512,8 @@ pub(crate) struct Lane<A: Automaton> {
     clocks: Vec<LocalClock>,
     crashed: Vec<bool>,
     decided: Vec<bool>,
-    /// This instance's view into the shared store: destination base
-    /// offset plus the dense per-instance `id → slot` map.
-    store_lane: StoreLane,
+    /// This instance's buffered messages, one run per sending event.
+    store: MsgStore,
     /// Per-processor run of ids emitted at its most recent step — the
     /// candidates a crash may drop.
     last_run: Vec<IdRun>,
@@ -600,9 +591,8 @@ impl<A: Automaton> Lane<A> {
     }
 
     /// Builds a [`RunReport`] for this instance's run so far, stating
-    /// its facts from the monitor and the lane's pending messages in
-    /// `store`.
-    pub(crate) fn report(&self, store: &MsgStore, stalled: bool, admissible: bool) -> RunReport {
+    /// its facts from the monitor and the lane's pending messages.
+    pub(crate) fn report(&self, stalled: bool, admissible: bool) -> RunReport {
         RunReport {
             statuses: self.statuses(),
             crashed: self.crashed.clone(),
@@ -610,7 +600,7 @@ impl<A: Automaton> Lane<A> {
             stalled,
             admissible,
             failure_free: self.crashes_used == 0,
-            on_time: self.monitor.on_time() && !self.drained_overdue && !self.holds_overdue(store),
+            on_time: self.monitor.on_time() && !self.drained_overdue && !self.holds_overdue(),
         }
     }
 
@@ -619,12 +609,13 @@ impl<A: Automaton> Lane<A> {
     /// steps — until then the monitor calls not even a send at event 0
     /// overdue — so the pass over the lane's pending messages is
     /// skipped.
-    fn holds_overdue(&self, store: &MsgStore) -> bool {
+    fn holds_overdue(&self) -> bool {
         self.monitor.overdue(0)
             && (0..self.autos.len()).any(|i| {
                 !self.crashed[i]
-                    && store
-                        .iter_dest(&self.store_lane, i)
+                    && self
+                        .store
+                        .iter_dest(i)
                         .any(|m| self.monitor.overdue(m.send_event))
             })
     }
@@ -639,10 +630,9 @@ impl<A: Automaton> Lane<A> {
     }
 
     /// The pattern-only adversary view over this instance.
-    pub(crate) fn pattern_view<'a>(&'a self, store: &'a MsgStore) -> PatternView<'a> {
+    pub(crate) fn pattern_view(&self) -> PatternView<'_> {
         PatternView {
-            store,
-            lane: &self.store_lane,
+            store: &self.store,
             last_run: &self.last_run,
             clocks: &self.clocks,
             crashed: &self.crashed,
@@ -676,7 +666,7 @@ impl<A: Automaton> Lane<A> {
     /// recomputed from the per-destination head messages (send events
     /// are nondecreasing within a destination, so the head is the
     /// earliest) and the per-processor idle clocks.
-    pub(crate) fn forced_action(&mut self, store: &MsgStore) -> Option<Action> {
+    pub(crate) fn forced_action(&mut self) -> Option<Action> {
         if self.event < self.next_forced_at {
             return None;
         }
@@ -701,8 +691,8 @@ impl<A: Automaton> Lane<A> {
             }
             let overdue: Vec<MsgId> = if hostile {
                 let part = self.partition.as_ref();
-                store
-                    .iter_dest(&self.store_lane, i)
+                self.store
+                    .iter_dest(i)
                     .filter(|m| {
                         self.event.saturating_sub(m.send_event) > defer
                             && part.is_none_or(|ps| !ps.blocks(m.from, m.to))
@@ -710,8 +700,8 @@ impl<A: Automaton> Lane<A> {
                     .map(|m| m.id)
                     .collect()
             } else {
-                store
-                    .iter_dest(&self.store_lane, i)
+                self.store
+                    .iter_dest(i)
                     .take_while(|m| self.event.saturating_sub(m.send_event) > defer)
                     .map(|m| m.id)
                     .collect()
@@ -747,7 +737,7 @@ impl<A: Automaton> Lane<A> {
             }
             if hostile {
                 let part = self.partition.as_ref();
-                for m in store.iter_dest(&self.store_lane, i) {
+                for m in self.store.iter_dest(i) {
                     let mut due = m.send_event.saturating_add(defer).saturating_add(1);
                     if let Some(ps) = part {
                         if ps.blocks(m.from, m.to) {
@@ -756,7 +746,7 @@ impl<A: Automaton> Lane<A> {
                     }
                     next = next.min(due);
                 }
-            } else if let Some(m) = store.head(&self.store_lane, i) {
+            } else if let Some(m) = self.store.head(i) {
                 next = next.min(m.send_event.saturating_add(defer).saturating_add(1));
             }
             next = next.min(
@@ -779,22 +769,25 @@ impl<A: Automaton> Lane<A> {
     ) -> Result<(), SimError> {
         self.refresh_partition();
         match action {
-            Action::Step { p, deliver } => self.apply_step(p, deliver, shared, trace),
+            Action::Step { p, deliver } => self.apply_step(p, Some(deliver), shared, trace),
+            Action::StepAll { p } => self.apply_step(p, None, shared, trace),
             Action::Crash { p, drop } => self.apply_crash(p, drop, admissible, shared, trace),
             Action::Partition { groups, heal_at } => {
                 self.apply_partition(groups, heal_at, admissible, trace)
             }
             Action::Duplicate { id } => self.apply_duplicate(id, shared, trace),
-            Action::Reorder { id } => self.apply_reorder(id, shared, trace),
+            Action::Reorder { id } => self.apply_reorder(id, trace),
         }
     }
 
+    /// Steps `p` with the listed deliveries, or with its whole buffer
+    /// when `deliver` is `None` ([`Action::StepAll`]).
     // rtc-hot-loop(per-instance): the per-event apply path of every
     // lane.
     fn apply_step(
         &mut self,
         p: ProcessorId,
-        deliver: Vec<MsgId>,
+        deliver: Option<Vec<MsgId>>,
         shared: &mut Shared<A::Msg>,
         trace: &mut Trace,
     ) -> Result<(), SimError> {
@@ -806,48 +799,17 @@ impl<A: Automaton> Lane<A> {
         if self.crashed[i] {
             return Err(SimError::StepOnCrashed { p });
         }
-        // Unlink the deliveries from p's buffer, keeping what the store
+        // Take the deliveries out of p's buffer, keeping what the store
         // hands back of each: the automaton reads the bodies in place,
-        // the lateness monitor the send events. The longest prefix of
-        // `deliver` that is the front of p's list comes off the head in
-        // one pass (under the well-behaved adversary and every forced
-        // action that is all of it); the rest is taken id by id, O(1)
-        // each, and meets the checks below. With no partition active,
-        // a front message passes them all, so which path takes it is
-        // unobservable.
-        let front = if self.partition.is_none() {
-            let mut wanted = deliver.iter();
-            let scratch = &mut shared.deliv_scratch;
-            shared.store.take_front(
-                &mut self.store_lane,
-                i,
-                |id| wanted.next() == Some(&id),
-                |taken| scratch.push(taken),
-            )
-        } else {
-            0
-        };
-        for id in &deliver[front..] {
-            // An active partition (refreshed in `apply`, so it is live)
-            // vetoes any delivery crossing the group boundary.
-            if let Some(ps) = &self.partition {
-                if let Some(m) = shared.store.lookup(&self.store_lane, *id) {
-                    if ps.blocks(m.from, m.to) {
-                        shared.release_lent();
-                        return Err(SimError::DeliverPartitioned { p, id: *id });
-                    }
-                }
-            }
-            let Some(taken) = shared.store.take_for(&mut self.store_lane, *id, i) else {
-                shared.release_lent();
-                return Err(SimError::DeliverNotBuffered { p, id: *id });
-            };
-            shared.deliv_scratch.push(taken);
+        // the lateness monitor the send events, the trace the ids.
+        if let Err(refused) = self.take_deliveries(p, deliver.as_deref(), &mut shared.deliv_scratch)
+        {
+            shared.release_lent();
+            return Err(refused);
         }
         // Step the automaton with this step's random number.
         let mut rng = self.seeds.step_rng(p, self.clocks[i]);
         let Shared {
-            store,
             bodies,
             deliv_scratch,
             dest_scratch,
@@ -886,7 +848,7 @@ impl<A: Automaton> Lane<A> {
                 return Err(violation);
             }
         }
-        let sent = self.file_sends(p, clock_after, store, bodies, outbox, dest_scratch);
+        let sent = self.file_sends(p, clock_after, bodies, outbox, dest_scratch);
         if sent.count > 0 {
             // A fresh message could become overdue before the cached
             // fairness bound; pull the bound in (conservatively).
@@ -901,13 +863,13 @@ impl<A: Automaton> Lane<A> {
         // The receiving step itself counts toward the lateness interval,
         // so it is recorded before the deliveries are classified.
         self.monitor.note_step(i, self.event);
-        for (id, taken) in deliver.iter().zip(deliv_scratch.iter()) {
+        for taken in deliv_scratch.iter() {
             if self.monitor.classify_delivery(taken.send_event) {
-                trace.mark_late(*id);
+                trace.mark_late(taken.id);
             }
         }
+        trace.push_step(p, clock_after, deliv_scratch.iter().map(|t| t.id), sent);
         deliv_scratch.clear();
-        trace.push_step(p, clock_after, &deliver, sent);
         // Decision bookkeeping.
         if !self.decided[i] {
             if let Some(value) = self.autos[i].status().value() {
@@ -926,17 +888,54 @@ impl<A: Automaton> Lane<A> {
         Ok(())
     }
 
+    /// Moves what `p`'s step delivers out of its buffer into `lent`: the
+    /// listed ids one by one, each checked, or — for `None` — the whole
+    /// buffer in one scan. An active partition (refreshed in `apply`, so
+    /// it is live) vetoes a delivery across its cut, the same message in
+    /// both forms; a refused whole-buffer step takes nothing.
+    fn take_deliveries(
+        &mut self,
+        p: ProcessorId,
+        deliver: Option<&[MsgId]>,
+        lent: &mut Vec<Taken>,
+    ) -> Result<(), SimError> {
+        let i = p.index();
+        let part = self.partition.as_ref();
+        let Some(deliver) = deliver else {
+            if let Some(ps) = part {
+                if let Some(m) = self.store.iter_dest(i).find(|m| ps.blocks(m.from, m.to)) {
+                    return Err(SimError::DeliverPartitioned { p, id: m.id });
+                }
+            }
+            self.store.take_all(i, |taken| lent.push(taken));
+            return Ok(());
+        };
+        for id in deliver {
+            if let Some(ps) = part {
+                if let Some(m) = self.store.lookup(*id) {
+                    if ps.blocks(m.from, m.to) {
+                        return Err(SimError::DeliverPartitioned { p, id: *id });
+                    }
+                }
+            }
+            let Some(taken) = self.store.take_for(*id, i) else {
+                return Err(SimError::DeliverNotBuffered { p, id: *id });
+            };
+            lent.push(taken);
+        }
+        Ok(())
+    }
+
     /// Files what the step in progress put in `outbox` as one send-run
-    /// — the next dense ids, one store header, one link slot per
-    /// destination, in the order the module docs give — and returns the
-    /// run as the recorder wants it (listing the destinations in
-    /// `dests` when they are not the broadcast pattern).
+    /// — the next dense ids, one run in the store, in the order the
+    /// module docs give — and returns the run as the recorder wants it
+    /// (listing the destinations in `dests` when they are not the
+    /// broadcast pattern).
     // rtc-hot-loop(per-instance): runs once per step of every instance.
     fn file_sends<'d>(
         &mut self,
         p: ProcessorId,
         clock_after: LocalClock,
-        store: &mut MsgStore,
         bodies: &mut BodySlab<A::Msg>,
         outbox: &mut Outbox<A::Msg>,
         dests: &'d mut Vec<ProcessorId>,
@@ -949,24 +948,24 @@ impl<A: Automaton> Lane<A> {
             sender_clock: clock_after,
             first,
         };
-        let lane = &mut self.store_lane;
+        let store = &mut self.store;
         dests.clear();
         let (count, listed) = match outbox.take_broadcast() {
+            // A silent step: nothing to file.
+            None if outbox.direct().is_empty() => (0, true),
             // Direct sends only: call order, each its own body.
             None => {
                 let sends = outbox.drain_direct().map(|send| {
                     dests.push(send.to);
                     (send.to, bodies.store(send.msg, 1))
                 });
-                (store.file_run(lane, header, sends), true)
+                (store.file_listed(header, sends), true)
             }
             // The common case: one body, everybody else's list.
             Some(msg) if outbox.direct().is_empty() => {
                 let peers = n as u32 - 1;
                 if peers > 0 {
-                    let body = bodies.store(msg, peers);
-                    let everybody_else = ProcessorId::all(n).filter(|q| *q != p);
-                    store.file_run(lane, header, everybody_else.map(|q| (q, body)));
+                    store.file_broadcast(header, bodies.store(msg, peers));
                 }
                 (peers, false)
             }
@@ -993,7 +992,7 @@ impl<A: Automaton> Lane<A> {
                     NO_DIRECT => Some((q, broadcast)),
                     body => Some((q, body)),
                 });
-                let count = store.file_run(lane, header, sends);
+                let count = store.file_listed(header, sends);
                 if to_self {
                     dests.extend(ProcessorId::all(n));
                 }
@@ -1034,13 +1033,13 @@ impl<A: Automaton> Lane<A> {
         // Only messages from p's final step may be dropped.
         let last = self.last_step_event[i];
         for id in &drop {
-            match (shared.store.lookup(&self.store_lane, *id), last) {
+            match (self.store.lookup(*id), last) {
                 (Some(m), Some(last_ev)) if m.from == p && m.send_event == last_ev => {}
                 _ => return Err(SimError::DropNotDroppable { p, id: *id }),
             }
         }
         for id in &drop {
-            if let Some(taken) = shared.store.take(&mut self.store_lane, *id) {
+            if let Some(taken) = self.store.take(*id) {
                 shared.bodies.release(taken.body);
             }
             trace.note_drop(*id);
@@ -1090,11 +1089,7 @@ impl<A: Automaton> Lane<A> {
         shared: &mut Shared<A::Msg>,
         trace: &mut Trace,
     ) -> Result<(), SimError> {
-        let lane = &mut self.store_lane;
-        let (Some(orig), Some(body)) = (
-            shared.store.lookup(lane, id),
-            shared.store.body_of(lane, id),
-        ) else {
+        let (Some(orig), Some(body)) = (self.store.lookup(id), self.store.body_of(id)) else {
             return Err(SimError::MsgNotBuffered { id });
         };
         // The copy is a first-class message: fresh dense id, sent "now"
@@ -1102,7 +1097,7 @@ impl<A: Automaton> Lane<A> {
         // endpoints and logical send clock as the original, and
         // guaranteed — the network may duplicate, never forge or drop.
         // It is a run of one that says what the original says: one more
-        // slot on its body.
+        // message on its body.
         let copy = MsgId(self.next_msg);
         self.next_msg += 1;
         let header = RunHeader {
@@ -1112,9 +1107,8 @@ impl<A: Automaton> Lane<A> {
             first: copy,
         };
         shared.bodies.retain(body);
-        shared
-            .store
-            .file_run(lane, header, std::iter::once((orig.to, body)));
+        self.store
+            .file_listed(header, std::iter::once((orig.to, body)));
         trace.push_duplicate(orig.from, id, copy);
         // The copy could become overdue before the cached fairness
         // bound; pull the bound in, exactly as a fresh send does.
@@ -1127,16 +1121,11 @@ impl<A: Automaton> Lane<A> {
         Ok(())
     }
 
-    fn apply_reorder(
-        &mut self,
-        id: MsgId,
-        shared: &mut Shared<A::Msg>,
-        trace: &mut Trace,
-    ) -> Result<(), SimError> {
-        let Some(meta) = shared.store.lookup(&self.store_lane, id) else {
+    fn apply_reorder(&mut self, id: MsgId, trace: &mut Trace) -> Result<(), SimError> {
+        let Some(meta) = self.store.lookup(id) else {
             return Err(SimError::MsgNotBuffered { id });
         };
-        let moved = shared.store.move_to_back(&self.store_lane, id);
+        let moved = self.store.move_to_back(id);
         debug_assert!(moved, "lookup succeeded, so the move must too");
         // Per-destination lists are no longer sorted by send event; the
         // fairness envelope switches to its full-scan path for the rest
@@ -1180,34 +1169,26 @@ impl<A: Automaton> Lane<A> {
         Ok(())
     }
 
-    /// Removes every message still buffered for this instance, returning
-    /// the slots (and the bodies nothing refers to any more) to the
-    /// shared free lists. Called
-    /// by the batch engine once an instance meets its stop condition, so
-    /// later-finishing instances recycle its envelopes. Whether one of
-    /// them was overdue is kept for the report.
+    /// Removes every message still buffered for this instance, handing
+    /// the bodies nothing refers to any more back to the shared slab.
+    /// Called by the batch engine once an instance meets its stop
+    /// condition, so later-finishing instances recycle its payloads.
+    /// Whether one of the messages was overdue is kept for the report.
     pub(crate) fn drain(&mut self, shared: &mut Shared<A::Msg>) {
         // The same judgement as `holds_overdue`, made in the one pass
-        // that empties the lists.
+        // that empties the store.
         let judge = self.monitor.overdue(0);
-        for d in 0..self.autos.len() {
-            let live = judge && !self.crashed[d];
-            let bodies = &mut shared.bodies;
-            shared.store.take_front(
-                &mut self.store_lane,
-                d,
-                |_| true,
-                |taken| {
-                    self.drained_overdue |= live && self.monitor.overdue(taken.send_event);
-                    bodies.release(taken.body);
-                },
-            );
-        }
+        let (crashed, monitor) = (&self.crashed, &self.monitor);
+        let overdue = &mut self.drained_overdue;
+        self.store.drain(|to, taken| {
+            *overdue |= judge && !crashed[to.index()] && monitor.overdue(taken.send_event);
+            shared.bodies.release(taken.body);
+        });
     }
 
-    /// Hands this instance's store lane back for pool recycling.
-    pub(crate) fn into_store_lane(self) -> StoreLane {
-        self.store_lane
+    /// Hands this instance's store back for pool recycling.
+    pub(crate) fn into_store(self) -> MsgStore {
+        self.store
     }
 }
 
@@ -1786,28 +1767,26 @@ mod tests {
         let mut s = sim(2, 2);
         let mut adv = Duper(0);
         // Stop after the broadcast and the duplication: the copy is a
-        // second slot on the original's body, not a second message.
+        // second message on the original's body, not a second body.
         s.run_until(&mut adv, 2, StopWhen::default()).unwrap();
         let (lane, shared, _) = s.batch.parts_mut(0);
-        let pending = lane
-            .pattern_view(&shared.store)
-            .pending(ProcessorId::new(1));
+        let pending = lane.pattern_view().pending(ProcessorId::new(1));
         let bodies: Vec<u32> = pending
             .iter()
-            .map(|m| shared.store.body_of(&lane.store_lane, m.id).unwrap())
+            .map(|m| lane.store.body_of(m.id).unwrap())
             .collect();
         assert_eq!(bodies.len(), 2);
         assert_eq!(bodies[0], bodies[1]);
         assert_eq!((shared.bodies.live(), shared.bodies.references()), (1, 2));
-        assert_eq!(shared.store.run_references(), 2);
+        assert_eq!(lane.store.run_references(), 2);
         let report = s.run(&mut adv, RunLimits::with_max_events(500)).unwrap();
         // p1 needed two receipts and the coordinator broadcast only one
         // message: only the duplicated copy can account for the second,
         // and the one body served both deliveries before it was freed.
         assert!(report.statuses()[1].is_decided());
-        let (_, shared, _) = s.batch.parts_mut(0);
-        assert_eq!(shared.bodies.references(), shared.store.len());
-        assert_eq!(shared.store.run_references(), shared.store.len());
+        let (lane, shared, _) = s.batch.parts_mut(0);
+        assert_eq!(shared.bodies.references(), lane.store.len());
+        assert_eq!(lane.store.run_references(), lane.store.len());
         let dup = s.trace().events().find_map(|e| match e {
             crate::EventView::Duplicate { original, copy, .. } => Some((original, copy)),
             _ => None,
@@ -2087,8 +2066,8 @@ mod tests {
         };
         let (lane, shared, trace) = s.batch.parts_mut(0);
         lane.apply(step, true, shared, trace)?;
-        assert_eq!(shared.bodies.references(), shared.store.len());
-        assert_eq!(shared.store.run_references(), shared.store.len());
+        assert_eq!(shared.bodies.references(), lane.store.len());
+        assert_eq!(lane.store.run_references(), lane.store.len());
         Ok(trace.messages().iter().map(|m| m.to.index()).collect())
     }
 

@@ -32,8 +32,8 @@ impl fmt::Display for MsgId {
 
 /// Pattern-visible description of one buffered (sent, undelivered)
 /// message: everything the adversary of Section 2.3 is allowed to see
-/// about it. The store assembles it by value from the send-run's shared
-/// header and the destination's link slot.
+/// about it. The store assembles it by value from the send-run that
+/// holds it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MsgHandle {
     /// Run-unique id (usable in [`crate::Action::Step`]'s `deliver`

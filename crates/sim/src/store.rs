@@ -1,64 +1,54 @@
-//! Indexed store for in-flight messages, filed one send-run per step.
+//! The in-flight messages of one commit instance, one send-run per step.
 //!
-//! Every message of the protocols is a broadcast, and the adversary
-//! sees only the *pattern* — who sent to whom at which event — so what
-//! a step's `n − 1` messages do not share is small: a place in one
-//! destination's pending list. [`MsgStore`] keeps exactly that per
-//! (message, destination), and everything else once per step:
+//! Every message of the protocols is a broadcast — Protocol 2's `GO`
+//! rides on every one — and the adversary sees only the *pattern*: who
+//! sent to whom at which event. So what one step sent is filed as one
+//! thing, a **send-run**, and [`MsgStore`] keeps per instance:
 //!
-//! * a **send-run** is what one event sent: one [`RunHeader`] holding
-//!   the sender, the send event, the sender's clock and the first id of
-//!   the run's contiguous id range, plus a count of the run's slots
-//!   still buffered (the header is recycled when it reaches zero);
-//! * a **slot** links one message into its destination's intrusive
-//!   doubly-linked list: the run it belongs to, its ordinal in the run
-//!   (`id = first + ordinal`), the destination, its neighbours, and the
-//!   body ([`crate::bodies`]) holding its payload.
+//! * the **runs**, oldest first in a deque. A run holds the header its
+//!   messages share ([`RunHeader`]: sender, send event, sender clock,
+//!   the first id of its dense id range), its body ([`crate::bodies`]) —
+//!   or, when the step sent directly, a (destination, body) list in id
+//!   order — and a bitset of the destinations it still owes, one bit per
+//!   processor in `n.div_ceil(64)` words;
+//! * a dense **id → run** map;
+//! * per destination, a **pending count** and a **cursor**: the first
+//!   run that still owes it a message.
 //!
-//! [`MsgHandle`]s are assembled by value from header + slot when
-//! somebody asks. The operations the engine relies on:
+//! A destination's buffer is the runs from its cursor on whose bit for
+//! it is set, in filing order — the order a per-destination `Vec` would
+//! expose, so adversary visibility (and therefore every seeded schedule)
+//! does not depend on the representation. [`MsgHandle`]s are assembled
+//! by value from a run when somebody asks. The operations the engine
+//! relies on:
 //!
-//! * **file_run** appends a whole run, each message at its
-//!   destination's tail — O(1) per destination, one header write;
-//! * **lookup** maps a dense [`MsgId`] to its slot through the lane's
-//!   `slot_of` — O(1);
-//! * **take_front** takes messages off the head of one destination's
-//!   list while the caller wants the next id — per message only its
-//!   header read and the slot's return to the free list, no lookup and
-//!   no neighbour rewrite; a delivery that is a prefix of the list (the
-//!   whole list under the well-behaved adversary and in every
-//!   fairness-forced step) and a finished lane's drain go through it;
-//! * **take** unlinks one slot anywhere in its list — O(1) through the
-//!   lookup, for crash drops and for deliveries past the front prefix
-//!   (partial, out-of-order, duplicated or foreign id lists, and every
-//!   delivery while a partition is active);
-//! * **iter_dest** walks one destination's list in insertion order,
-//!   which is exactly the order a per-destination `Vec` would expose,
-//!   so adversary visibility (and therefore every seeded schedule) does
-//!   not depend on the representation.
+//! * **file_broadcast** and **file_listed** push one run: its bitset,
+//!   its id range in the map, and each destination's count;
+//! * **lookup** and **take_for** find an id's run and destination in
+//!   O(1); a listed delivery clears one bit per id, with nothing to
+//!   splice and no free list to feed;
+//! * **take_all** serves Section 2.1's well-behaved event
+//!   ([`crate::Action::StepAll`]) in one forward scan from the
+//!   destination's cursor;
+//! * **move_to_back** (a network reorder) clears the message's bit and
+//!   files it again as a run of one at the back; a network duplicate is
+//!   a run of one too. Ids, per-destination order and handles are
+//!   therefore what they would be with one list per destination;
+//! * **drain** empties a finished lane in one pass over its runs.
 //!
-//! Slots and headers are recycled LIFO through free lists, so
-//! steady-state runs stop allocating once the high-water mark of
-//! concurrently buffered messages is reached.
-//!
-//! # Lanes
-//!
-//! One store can serve many independent commit *instances* at once: the
-//! batch engine keys destinations by `(instance, dst)`, giving instance
-//! `i` of population `n` the global destination range `i*n .. (i+1)*n`.
-//! Everything instance-local lives in a [`StoreLane`]: the lane's base
-//! offset into the destination tables plus its own dense `id → slot`
-//! map (message ids are dense *per instance*, so the map cannot be
-//! shared). The slots, headers, free lists, and per-destination list
-//! tables are shared across lanes — freed envelopes from one instance
-//! are recycled into the next without new allocation. A single-instance
-//! [`crate::Sim`] is simply the one-lane case with base 0.
+//! A run leaves the front of the deque once it owes nobody. A run that
+//! still owes a crashed destination stays until the lane is drained, and
+//! the runs behind it with it. Every buffer keeps its capacity across
+//! [`MsgStore::reset`], which is how a finished lane's store serves the
+//! next batch through [`crate::BatchPool`].
+
+use std::collections::VecDeque;
 
 use rtc_model::{LocalClock, ProcessorId};
 
 use crate::envelope::{MsgHandle, MsgId};
 
-/// Sentinel for "no slot" / "no neighbour" in the intrusive lists.
+/// `run_of` entry of an id this store never filed.
 const NIL: u32 = u32::MAX;
 
 /// What all messages of one send-run share.
@@ -75,435 +65,511 @@ pub(crate) struct RunHeader {
     pub first: MsgId,
 }
 
-/// A filed run: its header and how many of its slots are still linked.
-/// Free (on the free list) exactly when `live` is zero.
+/// One filed send-run; which destinations it still owes is its word
+/// range in [`MsgStore::owed`].
 #[derive(Clone, Copy, Debug)]
 struct Run {
-    header: RunHeader,
-    live: u32,
-}
-
-/// One message's place in its destination's pending list.
-#[derive(Clone, Copy, Debug)]
-struct Slot {
-    run: u32,
-    /// The body holding this message's payload.
+    send_event: u64,
+    sender_clock: LocalClock,
+    /// Id of the run's first message.
+    first: u32,
+    /// Messages filed in the run.
+    count: u32,
+    /// A broadcast's one body; for a listed run, the absolute index of
+    /// its first entry in [`MsgStore::lists`].
     body: u32,
-    prev: u32,
-    next: u32,
-    to: ProcessorId,
-    /// Position in the run's id range.
-    ord: u16,
+    from: ProcessorId,
+    /// Whether the run lists its (destination, body) pairs; otherwise it
+    /// went to everybody but the sender, ascending, on one body.
+    listed: bool,
 }
 
-/// What [`MsgStore::take`] and [`MsgStore::take_front`] hand back about
-/// a message they unlinked:
+impl Run {
+    /// The id of the run's message with ordinal `ord`.
+    fn id(&self, ord: usize) -> MsgId {
+        MsgId(u64::from(self.first) + ord as u64)
+    }
+
+    /// The handle of the run's message with ordinal `ord`, to `to`.
+    fn handle(&self, ord: usize, to: ProcessorId) -> MsgHandle {
+        MsgHandle {
+            id: self.id(ord),
+            from: self.from,
+            to,
+            send_event: self.send_event,
+            sender_clock: self.sender_clock,
+        }
+    }
+
+    /// What the store hands back of its message with ordinal `ord`, on
+    /// `body`.
+    fn taken(&self, ord: usize, body: u32) -> Taken {
+        Taken {
+            id: self.id(ord),
+            from: self.from,
+            send_event: self.send_event,
+            body,
+        }
+    }
+}
+
+/// What the store hands back about a message it gave up: its id, and
 /// the inputs of delivery (sender and body) and of lateness
 /// classification (send event).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Taken {
+    pub id: MsgId,
     pub from: ProcessorId,
     pub send_event: u64,
     pub body: u32,
 }
 
-/// One instance's view into a shared [`MsgStore`]: its base offset into
-/// the `(instance, dst)`-keyed destination tables and its private dense
-/// `id → slot` map. See the module docs.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct StoreLane {
-    /// `slot_of[id.index()]` is the slot currently holding this lane's
-    /// `id`, or `NIL` once the message was delivered or dropped.
-    slot_of: Vec<u32>,
-    /// First global destination index of this lane in the shared store.
-    base: u32,
-}
-
-impl StoreLane {
-    /// A lane whose destinations start at global index `base`.
-    pub(crate) fn new(base: u32) -> StoreLane {
-        StoreLane {
-            slot_of: Vec::new(),
-            base,
-        }
-    }
-
-    /// Re-aims a recycled lane at a new base, clearing its id map but
-    /// keeping its capacity (the batch pool's reuse path).
-    pub(crate) fn reset(&mut self, base: u32) {
-        self.slot_of.clear();
-        self.base = base;
-    }
-
-    /// The slot holding `id`, if it is still buffered.
-    fn slot(&self, id: MsgId) -> Option<u32> {
-        match *self.slot_of.get(id.index())? {
-            NIL => None,
-            slot => Some(slot),
-        }
-    }
-}
-
-/// Slab-backed store of buffered messages with per-destination
-/// insertion-ordered lists, shared across instance lanes. See the
-/// module docs for the invariants.
-#[derive(Clone, Debug, Default)]
+/// One instance's buffered messages. See the module docs.
+#[derive(Debug, Default)]
 pub(crate) struct MsgStore {
-    slots: Vec<Slot>,
-    /// LIFO recycling of freed slots, shared across lanes.
-    free: Vec<u32>,
-    runs: Vec<Run>,
-    /// LIFO recycling of headers whose last slot left the store.
-    free_runs: Vec<u32>,
-    /// Head slot of each global destination's pending list (`NIL` when
-    /// empty).
-    heads: Vec<u32>,
-    /// Tail slot of each global destination's pending list (`NIL` when
-    /// empty).
-    tails: Vec<u32>,
-    /// Pending-message count per global destination.
-    lens: Vec<u32>,
+    /// The population: destinations are `0..n`.
+    n: usize,
+    /// Bitset words per run.
+    words: usize,
+    /// Runs that may still owe somebody, oldest first; `runs[k]` has
+    /// sequence number `front + k`.
+    runs: VecDeque<Run>,
+    /// `words` words per run, parallel to `runs`: bit `d` is set while
+    /// the run's message to `d` is buffered.
+    owed: VecDeque<u64>,
+    /// The (destination, body) entries of listed runs, in filing order.
+    lists: VecDeque<(ProcessorId, u32)>,
+    /// Sequence number of `runs[0]`.
+    front: u32,
+    /// Absolute index of `lists[0]`.
+    lists_front: u32,
+    /// `run_of[id]` is the sequence number of the run that holds (or
+    /// held) message `id`, `NIL` for ids never filed here.
+    run_of: Vec<u32>,
+    /// Messages buffered per destination.
+    pending: Vec<u32>,
+    /// Per destination with a pending message: the sequence number of
+    /// the first run that owes it one.
+    cursor: Vec<u32>,
 }
 
 impl MsgStore {
-    /// An empty store for `total_dests` global destinations (`n` for a
-    /// single instance, `B * n` for a batch of `B`).
-    pub(crate) fn new(total_dests: usize) -> MsgStore {
-        MsgStore {
-            heads: vec![NIL; total_dests],
-            tails: vec![NIL; total_dests],
-            lens: vec![0; total_dests],
-            ..MsgStore::default()
-        }
+    /// An empty store for a population of `n`.
+    #[cfg(test)]
+    pub(crate) fn new(n: usize) -> MsgStore {
+        let mut store = MsgStore::default();
+        store.reset(n);
+        store
     }
 
-    /// Empties the store and re-sizes it for `total_dests` destinations
-    /// while keeping the slabs' capacity — the batch pool's reuse path.
-    /// All lanes must be dropped or reset alongside this.
-    pub(crate) fn reset(&mut self, total_dests: usize) {
-        self.slots.clear();
-        self.free.clear();
+    /// Empties the store for a population of `n`, keeping every buffer's
+    /// capacity — the batch pool's reuse path.
+    pub(crate) fn reset(&mut self, n: usize) {
+        self.n = n;
+        self.words = n.div_ceil(64);
         self.runs.clear();
-        self.free_runs.clear();
-        self.heads.clear();
-        self.heads.resize(total_dests, NIL);
-        self.tails.clear();
-        self.tails.resize(total_dests, NIL);
-        self.lens.clear();
-        self.lens.resize(total_dests, 0);
+        self.owed.clear();
+        self.lists.clear();
+        self.front = 0;
+        self.lists_front = 0;
+        self.run_of.clear();
+        self.pending.clear();
+        self.pending.resize(n, 0);
+        self.cursor.clear();
+        self.cursor.resize(n, 0);
     }
 
-    /// Envelope slots the slab has ever grown to hold — the warm
-    /// capacity a pooled reuse keeps.
-    pub(crate) fn slot_capacity(&self) -> usize {
-        self.slots.capacity()
+    /// Runs the deque has grown to hold — the warm capacity a pooled
+    /// reuse keeps.
+    #[cfg(test)]
+    pub(crate) fn run_capacity(&self) -> usize {
+        self.runs.capacity()
     }
 
-    /// Number of messages currently buffered for `lane`'s local
-    /// destination `dest`.
-    pub(crate) fn len_of(&self, lane: &StoreLane, dest: usize) -> usize {
-        self.lens[lane.base as usize + dest] as usize
+    /// Number of messages currently buffered for `dest`.
+    pub(crate) fn len_of(&self, dest: usize) -> usize {
+        self.pending[dest] as usize
     }
 
-    /// Total number of buffered messages across all lanes.
+    /// Total number of buffered messages.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.lens.iter().map(|len| *len as usize).sum()
+        self.pending.iter().map(|len| *len as usize).sum()
     }
 
-    /// Sum of the live-slot counts of all filed runs — equals
-    /// [`MsgStore::len`] when the accounting is right.
+    /// Bits set across all runs — equals [`MsgStore::len`] when the
+    /// accounting is right.
     #[cfg(test)]
     pub(crate) fn run_references(&self) -> usize {
-        self.runs.iter().map(|run| run.live as usize).sum()
+        self.owed.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Files one send-run: every `(destination, body)` of `dests`, in
-    /// order, gets the run's next id and a slot at its destination's
-    /// tail in `lane`. Returns how many messages were filed. Ids must
-    /// be dense per lane and runs filed in increasing id order (the
-    /// engine assigns them from a per-instance counter), which keeps
-    /// `slot_of` an O(1) direct map.
-    // rtc-hot-loop(per-instance): runs once per sending event; its loop
-    // body is all that is left per (message, destination).
-    pub(crate) fn file_run(
-        &mut self,
-        lane: &mut StoreLane,
-        header: RunHeader,
-        dests: impl Iterator<Item = (ProcessorId, u32)>,
-    ) -> u32 {
+    /// Sequence number the next filed run gets.
+    fn end(&self) -> u32 {
+        self.front + self.runs.len() as u32
+    }
+
+    /// Whether the run at deque position `pos` owes `dest` a message.
+    fn owes(&self, pos: usize, dest: usize) -> bool {
+        self.owed[pos * self.words + dest / 64] >> (dest % 64) & 1 == 1
+    }
+
+    /// One more message for `dest`, in the run numbered `seq`.
+    fn owe(&mut self, dest: usize, seq: u32) {
+        if self.pending[dest] == 0 {
+            self.cursor[dest] = seq;
+        }
+        self.pending[dest] += 1;
+    }
+
+    /// Points ids `first..first + count` at the run numbered `seq`. Ids
+    /// are dense per lane and runs filed in increasing id order (the
+    /// engine assigns them from a per-instance counter), which keeps the
+    /// map a direct one.
+    fn map_ids(&mut self, first: MsgId, count: u32, seq: u32) {
         debug_assert!(
-            lane.slot_of.len() <= header.first.index(),
+            self.run_of.len() <= first.index(),
             "message id buffered twice"
         );
-        lane.slot_of.resize(header.first.index(), NIL);
-        let run = match self.free_runs.pop() {
-            Some(idx) => {
-                self.runs[idx as usize].header = header;
-                idx
-            }
-            None => {
-                self.runs.push(Run { header, live: 0 });
-                (self.runs.len() - 1) as u32
-            }
-        };
-        let mut filed = 0u32;
-        for (to, body) in dests {
-            let dest = lane.base as usize + to.index();
-            let tail = self.tails[dest];
-            let slot = Slot {
-                run,
-                body,
-                prev: tail,
-                next: NIL,
-                to,
-                ord: filed as u16,
-            };
-            let idx = match self.free.pop() {
-                Some(idx) => {
-                    self.slots[idx as usize] = slot;
-                    idx
-                }
-                None => {
-                    self.slots.push(slot);
-                    (self.slots.len() - 1) as u32
-                }
-            };
-            lane.slot_of.push(idx);
-            match tail {
-                NIL => self.heads[dest] = idx,
-                tail => self.slots[tail as usize].next = idx,
-            }
-            self.tails[dest] = idx;
-            self.lens[dest] += 1;
-            filed += 1;
-        }
-        debug_assert!(filed <= u32::from(u16::MAX) + 1, "run ordinals fit in u16");
-        if filed == 0 {
-            self.free_runs.push(run);
-        } else {
-            self.runs[run as usize].live = filed;
-        }
-        filed
+        self.run_of.resize(first.index(), NIL);
+        self.run_of.resize(first.index() + count as usize, seq);
     }
 
-    /// The handle of the message in `slot`, assembled from its run's
-    /// header.
-    fn handle(&self, slot: &Slot) -> MsgHandle {
-        let header = &self.runs[slot.run as usize].header;
-        MsgHandle {
-            id: MsgId(header.first.0 + u64::from(slot.ord)),
-            from: header.from,
-            to: slot.to,
+    /// Pushes a run whose bitset the caller has already pushed.
+    fn push_run(&mut self, header: RunHeader, count: u32, body: u32, listed: bool) -> u32 {
+        let first = u32::try_from(header.first.0).expect("message ids fit in u32");
+        self.runs.push_back(Run {
             send_event: header.send_event,
             sender_clock: header.sender_clock,
+            first,
+            count,
+            body,
+            from: header.from,
+            listed,
+        });
+        self.end() - 1
+    }
+
+    /// Files a broadcast: one message to everybody but the sender,
+    /// destination ascending, all on `body`. Returns how many messages
+    /// were filed (none for a population of one).
+    // rtc-hot-loop(per-instance): runs once per broadcasting step.
+    pub(crate) fn file_broadcast(&mut self, header: RunHeader, body: u32) -> u32 {
+        let (n, from) = (self.n, header.from.index());
+        let count = n as u32 - 1;
+        if count == 0 {
+            return 0;
+        }
+        let seq = self.end();
+        for w in 0..self.words {
+            let width = (n - 64 * w).min(64);
+            let mut word = u64::MAX >> (64 - width);
+            if from / 64 == w {
+                word &= !(1 << (from % 64));
+            }
+            self.owed.push_back(word);
+        }
+        for dest in (0..n).filter(|d| *d != from) {
+            self.owe(dest, seq);
+        }
+        self.push_run(header, count, body, false);
+        self.map_ids(header.first, count, seq);
+        count
+    }
+
+    /// Files one send-run that lists its messages: every `(destination,
+    /// body)` of `sends`, in order, gets the run's next id. A run names
+    /// a destination at most once. Returns how many messages were filed.
+    pub(crate) fn file_listed(
+        &mut self,
+        header: RunHeader,
+        sends: impl Iterator<Item = (ProcessorId, u32)>,
+    ) -> u32 {
+        let (seq, count) = self.push_listed(header, sends);
+        self.map_ids(header.first, count, seq);
+        count
+    }
+
+    /// [`MsgStore::file_listed`] but for the id map; returns the run's
+    /// sequence number and message count.
+    fn push_listed(
+        &mut self,
+        header: RunHeader,
+        sends: impl Iterator<Item = (ProcessorId, u32)>,
+    ) -> (u32, u32) {
+        let seq = self.end();
+        let start = self.lists_front + self.lists.len() as u32;
+        let words = self.owed.len();
+        let mut count = 0;
+        for (to, body) in sends {
+            if count == 0 {
+                self.owed.resize(words + self.words, 0);
+            }
+            let dest = to.index();
+            let word = &mut self.owed[words + dest / 64];
+            debug_assert!(*word >> (dest % 64) & 1 == 0, "{to} named twice in a run");
+            *word |= 1 << (dest % 64);
+            self.lists.push_back((to, body));
+            self.owe(dest, seq);
+            count += 1;
+        }
+        if count > 0 {
+            self.push_run(header, count, start, true);
+        }
+        (seq, count)
+    }
+
+    /// The destination and body of `run`'s message with ordinal `ord`.
+    fn message(&self, run: &Run, ord: usize) -> (ProcessorId, u32) {
+        if run.listed {
+            self.lists[(run.body - self.lists_front) as usize + ord]
+        } else {
+            let from = run.from.index();
+            (ProcessorId::new(ord + usize::from(ord >= from)), run.body)
         }
     }
 
-    /// The handle of `lane`'s message `id` if it is still buffered.
-    pub(crate) fn lookup(&self, lane: &StoreLane, id: MsgId) -> Option<MsgHandle> {
-        let slot = lane.slot(id)?;
-        Some(self.handle(&self.slots[slot as usize]))
-    }
-
-    /// The body of `lane`'s message `id` if it is still buffered.
-    pub(crate) fn body_of(&self, lane: &StoreLane, id: MsgId) -> Option<u32> {
-        let slot = lane.slot(id)?;
-        Some(self.slots[slot as usize].body)
-    }
-
-    /// Takes `slot` out of `dest`'s list, leaving its own links stale.
-    fn unlink(&mut self, dest: usize, slot: u32) {
-        let Slot { prev, next, .. } = self.slots[slot as usize];
-        match prev {
-            NIL => self.heads[dest] = next,
-            p => self.slots[p as usize].next = next,
+    /// The ordinal and body of `run`'s message to `dest`, which it owes.
+    fn message_to(&self, run: &Run, dest: usize) -> (usize, u32) {
+        if !run.listed {
+            return (dest - usize::from(dest > run.from.index()), run.body);
         }
-        match next {
-            NIL => self.tails[dest] = prev,
-            nx => self.slots[nx as usize].prev = prev,
-        }
+        let start = (run.body - self.lists_front) as usize;
+        let ord = self
+            .lists
+            .range(start..start + run.count as usize)
+            .take_while(|(to, _)| to.index() != dest)
+            .count();
+        (ord, self.lists[start + ord].1)
     }
 
-    /// Unlinks `lane`'s message `id` from its destination's list and
-    /// returns what the caller needs of it; the caller owes the body
-    /// one [`crate::bodies::BodySlab::release`]. This is the removal
-    /// path for anything but a list's front: crash-time drops
-    /// (`Lane::apply_crash`) and the deliveries of a step past the
-    /// prefix [`MsgStore::take_front`] took.
-    pub(crate) fn take(&mut self, lane: &mut StoreLane, id: MsgId) -> Option<Taken> {
-        let slot = lane.slot(id)?;
-        Some(self.take_slot(lane, id, slot))
+    /// Where `id` is buffered: its run's deque position, its ordinal in
+    /// the run and its destination.
+    fn locate(&self, id: MsgId) -> Option<(usize, usize, ProcessorId)> {
+        let seq = *self.run_of.get(id.index())?;
+        if seq == NIL {
+            return None;
+        }
+        // A run that left the deque wraps past its end.
+        let pos = seq.wrapping_sub(self.front) as usize;
+        let run = self.runs.get(pos)?;
+        let ord = id.index() - run.first as usize;
+        let (to, _) = self.message(run, ord);
+        self.owes(pos, to.index()).then_some((pos, ord, to))
+    }
+
+    /// The handle of message `id` if it is still buffered.
+    pub(crate) fn lookup(&self, id: MsgId) -> Option<MsgHandle> {
+        let (pos, ord, to) = self.locate(id)?;
+        Some(self.runs[pos].handle(ord, to))
+    }
+
+    /// The body of message `id` if it is still buffered.
+    pub(crate) fn body_of(&self, id: MsgId) -> Option<u32> {
+        let (pos, ord, _) = self.locate(id)?;
+        Some(self.message(&self.runs[pos], ord).1)
+    }
+
+    /// Takes message `id` out of the store and returns what the caller
+    /// needs of it; the caller owes the body one
+    /// [`crate::bodies::BodySlab::release`]. The removal path of a
+    /// crash-time drop (`Lane::apply_crash`).
+    pub(crate) fn take(&mut self, id: MsgId) -> Option<Taken> {
+        let (pos, ord, to) = self.locate(id)?;
+        Some(self.take_at(pos, ord, to.index()))
     }
 
     /// Like [`MsgStore::take`], but only succeeds when `id` is buffered
-    /// at `lane`'s local destination `dest` — the delivery-path guard.
-    pub(crate) fn take_for(
-        &mut self,
-        lane: &mut StoreLane,
-        id: MsgId,
-        dest: usize,
-    ) -> Option<Taken> {
-        let slot = lane.slot(id)?;
-        if self.slots[slot as usize].to.index() != dest {
+    /// for `dest` — the path of each id a listed delivery names.
+    // rtc-hot-loop(per-instance): runs once per listed id of every
+    // delivering step; one lookup and one bit clear.
+    pub(crate) fn take_for(&mut self, id: MsgId, dest: usize) -> Option<Taken> {
+        let (pos, ord, to) = self.locate(id)?;
+        if to.index() != dest {
             return None;
         }
-        Some(self.take_slot(lane, id, slot))
+        Some(self.take_at(pos, ord, dest))
     }
 
-    /// [`MsgStore::take`] of `id`, known to be buffered in `slot`.
-    fn take_slot(&mut self, lane: &mut StoreLane, id: MsgId, slot: u32) -> Taken {
-        lane.slot_of[id.index()] = NIL;
-        let Slot { run, body, to, .. } = self.slots[slot as usize];
-        let dest = lane.base as usize + to.index();
-        self.unlink(dest, slot);
-        self.free.push(slot);
-        self.lens[dest] -= 1;
-        let run_ref = &mut self.runs[run as usize];
-        run_ref.live -= 1;
-        if run_ref.live == 0 {
-            self.free_runs.push(run);
+    /// Gives up the `ord`th message of the run at `pos`, owed to `dest`.
+    fn take_at(&mut self, pos: usize, ord: usize, dest: usize) -> Taken {
+        let run = &self.runs[pos];
+        let taken = run.taken(ord, self.message(run, ord).1);
+        self.owed[pos * self.words + dest / 64] &= !(1 << (dest % 64));
+        self.settle(pos, dest);
+        taken
+    }
+
+    /// Books the message the run at `pos` no longer owes `dest`: its
+    /// count, its cursor when that run was the first, and the front of
+    /// the deque when it was the front run.
+    fn settle(&mut self, pos: usize, dest: usize) {
+        self.pending[dest] -= 1;
+        if self.pending[dest] > 0 && self.cursor[dest] == self.front + pos as u32 {
+            let next = (pos + 1..)
+                .find(|at| self.owes(*at, dest))
+                .expect("a pending message is in a later run");
+            self.cursor[dest] = self.front + next as u32;
         }
-        Taken {
-            from: run_ref.header.from,
-            send_event: run_ref.header.send_event,
-            body,
+        if pos == 0 {
+            self.pop_settled();
         }
     }
 
-    /// Takes messages off the head of `lane`'s local destination
-    /// `dest`'s list while `wanted(id)` says yes, handing each to `each`
-    /// in list order; returns how many were taken. The caller owes
-    /// every body one [`crate::bodies::BodySlab::release`].
-    ///
-    /// Unlike [`MsgStore::take`] it neither looks an id up nor splices:
-    /// the taken slots are a prefix, so none has a neighbour left to
-    /// rewrite, and the new head's `prev` and the list's length change
-    /// once, at the end. Delivery of a front prefix (`Lane::apply_step`)
-    /// and a finished lane's drain come through here.
-    pub(crate) fn take_front(
-        &mut self,
-        lane: &mut StoreLane,
-        dest: usize,
-        mut wanted: impl FnMut(MsgId) -> bool,
-        mut each: impl FnMut(Taken),
-    ) -> usize {
-        let dest = lane.base as usize + dest;
-        let mut cursor = self.heads[dest];
-        let mut taken = 0u32;
-        // rtc-hot-loop(per-instance): runs once per delivering step and
-        // per drained destination; its body is all that is left per
-        // delivered message.
-        while cursor != NIL {
-            let Slot {
-                run,
-                body,
-                next,
-                ord,
-                ..
-            } = self.slots[cursor as usize];
-            let run_ref = &mut self.runs[run as usize];
-            let id = MsgId(run_ref.header.first.0 + u64::from(ord));
-            if !wanted(id) {
+    /// Drops the runs at the front of the deque that owe nobody.
+    fn pop_settled(&mut self) {
+        while let Some(run) = self.runs.front() {
+            if (0..self.words).any(|w| self.owed[w] != 0) {
                 break;
             }
-            lane.slot_of[id.index()] = NIL;
-            self.free.push(cursor);
-            run_ref.live -= 1;
-            if run_ref.live == 0 {
-                self.free_runs.push(run);
+            if run.listed {
+                self.lists.drain(..run.count as usize);
+                self.lists_front += run.count;
             }
-            each(Taken {
-                from: run_ref.header.from,
-                send_event: run_ref.header.send_event,
-                body,
-            });
-            taken += 1;
-            cursor = next;
+            self.owed.drain(..self.words);
+            self.runs.pop_front();
+            self.front += 1;
         }
-        if taken > 0 {
-            self.heads[dest] = cursor;
-            match cursor {
-                NIL => self.tails[dest] = NIL,
-                head => self.slots[head as usize].prev = NIL,
+    }
+
+    /// Takes every message buffered for `dest`, in list order, handing
+    /// each to `each`; returns how many were taken. The caller owes
+    /// every body one [`crate::bodies::BodySlab::release`].
+    ///
+    /// One forward scan from `dest`'s cursor, a bit test per run and a
+    /// bit clear per message: Section 2.1's well-behaved event
+    /// ([`crate::Action::StepAll`]).
+    pub(crate) fn take_all(&mut self, dest: usize, mut each: impl FnMut(Taken)) -> usize {
+        let taken = self.pending[dest];
+        if taken == 0 {
+            return 0;
+        }
+        let (word, bit) = (dest / 64, 1u64 << (dest % 64));
+        let start = (self.cursor[dest] - self.front) as usize;
+        let (mut pos, mut left) = (start, taken);
+        // rtc-hot-loop(per-instance): runs once per delivering step; its
+        // body is all that is left per delivered message.
+        while left > 0 {
+            let owed = &mut self.owed[pos * self.words + word];
+            if *owed & bit != 0 {
+                *owed &= !bit;
+                let run = &self.runs[pos];
+                let (ord, body) = self.message_to(run, dest);
+                each(run.taken(ord, body));
+                left -= 1;
             }
-            self.lens[dest] -= taken;
+            pos += 1;
+        }
+        self.pending[dest] = 0;
+        if start == 0 {
+            self.pop_settled();
         }
         taken as usize
     }
 
-    /// Moves `lane`'s message `id` to the tail of its destination's
-    /// pending list — the store-level realization of a network *reorder*
-    /// fault. O(1): unlink in place, relink the same slot at the tail.
-    /// Returns `false` when `id` is no longer buffered. Note that after
-    /// a move the list is no longer sorted by send event, so callers
-    /// relying on that invariant (the fairness fast path) must switch
-    /// to full scans.
-    pub(crate) fn move_to_back(&mut self, lane: &StoreLane, id: MsgId) -> bool {
-        let Some(slot) = lane.slot(id) else {
+    /// Moves message `id` behind everything else buffered for its
+    /// destination — the store-level realization of a network *reorder*
+    /// fault: its bit is cleared and it is filed again, same id and
+    /// header, as a run of one at the back. Returns `false` when `id` is
+    /// no longer buffered. After a move a destination's buffer is no
+    /// longer sorted by send event, so callers relying on that invariant
+    /// (the fairness fast path) must switch to full scans.
+    pub(crate) fn move_to_back(&mut self, id: MsgId) -> bool {
+        let Some((pos, ord, to)) = self.locate(id) else {
             return false;
         };
-        let dest = lane.base as usize + self.slots[slot as usize].to.index();
-        if self.tails[dest] == slot {
-            return true;
-        }
-        self.unlink(dest, slot);
-        let tail = self.tails[dest];
-        self.slots[tail as usize].next = slot;
-        self.slots[slot as usize].prev = tail;
-        self.slots[slot as usize].next = NIL;
-        self.tails[dest] = slot;
+        let run = self.runs[pos];
+        let Taken { body, .. } = self.take_at(pos, ord, to.index());
+        let header = RunHeader {
+            from: run.from,
+            send_event: run.send_event,
+            sender_clock: run.sender_clock,
+            first: id,
+        };
+        let (seq, _) = self.push_listed(header, std::iter::once((to, body)));
+        self.run_of[id.index()] = seq;
         true
     }
 
-    /// The earliest-filed message still buffered for `lane`'s local
-    /// destination `dest`, if any.
-    pub(crate) fn head(&self, lane: &StoreLane, dest: usize) -> Option<MsgHandle> {
-        match self.heads[lane.base as usize + dest] {
-            NIL => None,
-            idx => Some(self.handle(&self.slots[idx as usize])),
+    /// Takes every buffered message, run by run, handing each with its
+    /// destination to `each`; the caller owes every body one
+    /// [`crate::bodies::BodySlab::release`]. A finished lane's drain.
+    pub(crate) fn drain(&mut self, mut each: impl FnMut(ProcessorId, Taken)) {
+        for (pos, run) in self.runs.iter().enumerate() {
+            for w in 0..self.words {
+                let mut owed = self.owed[pos * self.words + w];
+                while owed != 0 {
+                    let dest = 64 * w + owed.trailing_zeros() as usize;
+                    owed &= owed - 1;
+                    let (ord, body) = self.message_to(run, dest);
+                    each(ProcessorId::new(dest), run.taken(ord, body));
+                }
+            }
         }
+        self.front = self.end();
+        self.lists_front += self.lists.len() as u32;
+        self.runs.clear();
+        self.owed.clear();
+        self.lists.clear();
+        self.pending.fill(0);
     }
 
-    /// Iterates `lane`'s local destination `dest`'s buffered messages in
-    /// insertion (= send-event) order — byte-for-byte the order a
-    /// per-destination `Vec` would expose to adversaries.
-    pub(crate) fn iter_dest(
-        &self,
-        lane: &StoreLane,
-        dest: usize,
-    ) -> impl Iterator<Item = MsgHandle> + '_ {
-        self.iter_dest_bodies(lane, dest).map(|(handle, _)| handle)
+    /// The earliest-filed message still buffered for `dest`, if any.
+    pub(crate) fn head(&self, dest: usize) -> Option<MsgHandle> {
+        self.iter_dest(dest).next()
+    }
+
+    /// Iterates `dest`'s buffered messages in filing (= send-event)
+    /// order — the order a per-destination `Vec` would expose to
+    /// adversaries.
+    pub(crate) fn iter_dest(&self, dest: usize) -> impl Iterator<Item = MsgHandle> + '_ {
+        self.iter_dest_bodies(dest).map(|(handle, _)| handle)
     }
 
     /// Like [`MsgStore::iter_dest`], but also yields each message's
     /// body so callers can pair handles with payloads.
-    pub(crate) fn iter_dest_bodies(&self, lane: &StoreLane, dest: usize) -> DestIter<'_> {
+    pub(crate) fn iter_dest_bodies(&self, dest: usize) -> DestIter<'_> {
         DestIter {
             store: self,
-            cursor: self.heads[lane.base as usize + dest],
+            dest,
+            pos: self.cursor[dest].wrapping_sub(self.front) as usize,
+            left: self.pending[dest],
         }
     }
 }
 
-/// Iterator over one destination's pending list yielding
-/// `(handle, body)` pairs in insertion order.
+/// Iterator over one destination's buffered messages yielding
+/// `(handle, body)` pairs in filing order.
 #[derive(Clone, Debug)]
 pub(crate) struct DestIter<'a> {
     store: &'a MsgStore,
-    cursor: u32,
+    dest: usize,
+    /// Deque position of the next run to look at.
+    pos: usize,
+    /// Messages still to yield.
+    left: u32,
 }
 
 impl Iterator for DestIter<'_> {
     type Item = (MsgHandle, u32);
 
     fn next(&mut self) -> Option<(MsgHandle, u32)> {
-        if self.cursor == NIL {
+        if self.left == 0 {
             return None;
         }
-        let slot = &self.store.slots[self.cursor as usize];
-        self.cursor = slot.next;
-        Some((self.store.handle(slot), slot.body))
+        let store = self.store;
+        while !store.owes(self.pos, self.dest) {
+            self.pos += 1;
+        }
+        let run = &store.runs[self.pos];
+        let (ord, body) = store.message_to(run, self.dest);
+        self.pos += 1;
+        self.left -= 1;
+        Some((run.handle(ord, ProcessorId::new(self.dest)), body))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left as usize, Some(self.left as usize))
     }
 }
 
@@ -511,359 +577,425 @@ impl Iterator for DestIter<'_> {
 impl MsgStore {
     /// Files `handle` as a run of one over `body` — how tests describe
     /// a buffer message by message.
-    pub(crate) fn file_one(&mut self, lane: &mut StoreLane, handle: MsgHandle, body: u32) {
+    pub(crate) fn file_one(&mut self, handle: MsgHandle, body: u32) {
         let header = RunHeader {
             from: handle.from,
             send_event: handle.send_event,
             sender_clock: handle.sender_clock,
             first: handle.id,
         };
-        self.file_run(lane, header, std::iter::once((handle.to, body)));
+        self.file_listed(header, std::iter::once((handle.to, body)));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bodies::BodySlab;
     use proptest::prelude::*;
 
-    fn header(first: u64, send_event: u64) -> RunHeader {
+    fn header(from: usize, first: u64, send_event: u64) -> RunHeader {
         RunHeader {
-            from: ProcessorId::new(0),
+            from: ProcessorId::new(from),
             send_event,
-            sender_clock: LocalClock::ZERO,
+            sender_clock: LocalClock::new(send_event + 1),
             first: MsgId(first),
         }
     }
 
-    /// Files a run of `header(first, send_event)` to `dests` over body
-    /// 0 and returns the handles it must have produced.
-    fn file(
-        s: &mut MsgStore,
-        lane: &mut StoreLane,
-        first: u64,
-        send_event: u64,
-        dests: &[usize],
-    ) -> Vec<MsgHandle> {
-        let h = header(first, send_event);
-        let filed = s.file_run(lane, h, dests.iter().map(|d| (ProcessorId::new(*d), 0)));
-        assert_eq!(filed as usize, dests.len());
-        dests
-            .iter()
-            .enumerate()
-            .map(|(k, d)| MsgHandle {
-                id: MsgId(first + k as u64),
-                from: h.from,
-                to: ProcessorId::new(*d),
-                send_event,
-                sender_clock: h.sender_clock,
-            })
-            .collect()
+    fn ids_of(store: &MsgStore, dest: usize) -> Vec<u64> {
+        store.iter_dest(dest).map(|m| m.id.0).collect()
     }
 
-    fn ids_of(store: &MsgStore, lane: &StoreLane, dest: usize) -> Vec<u64> {
-        store.iter_dest(lane, dest).map(|m| m.id.0).collect()
+    fn p(i: usize) -> ProcessorId {
+        ProcessorId::new(i)
     }
 
     #[test]
-    fn a_run_is_filed_in_order_and_read_back_by_value() {
+    fn runs_are_filed_in_order_and_read_back_by_value() {
         let mut s = MsgStore::new(3);
-        let mut lane = StoreLane::new(0);
-        let first = file(&mut s, &mut lane, 0, 7, &[1, 2]);
-        let second = file(&mut s, &mut lane, 2, 9, &[1, 1, 0]);
-        assert_eq!(ids_of(&s, &lane, 0), [4]);
-        assert_eq!(ids_of(&s, &lane, 1), [0, 2, 3]);
-        assert_eq!(ids_of(&s, &lane, 2), [1]);
-        assert_eq!(s.len_of(&lane, 1), 3);
-        assert_eq!((s.len(), s.run_references()), (5, 5));
-        for m in first.iter().chain(&second) {
-            assert_eq!(s.lookup(&lane, m.id), Some(*m));
-        }
-        // An empty run files nothing and keeps no header.
-        assert_eq!(s.file_run(&mut lane, header(5, 11), std::iter::empty()), 0);
-        assert_eq!(s.runs.len() - s.free_runs.len(), 2);
-    }
-
-    #[test]
-    fn take_unlinks_head_middle_and_tail() {
-        let mut s = MsgStore::new(1);
-        let mut lane = StoreLane::new(0);
-        for id in 0..5 {
-            file(&mut s, &mut lane, id, id, &[0]);
-        }
-        assert!(s.take(&mut lane, MsgId(2)).is_some()); // middle
-        assert_eq!(ids_of(&s, &lane, 0), [0, 1, 3, 4]);
-        assert!(s.take(&mut lane, MsgId(0)).is_some()); // head
-        assert_eq!(ids_of(&s, &lane, 0), [1, 3, 4]);
-        assert!(s.take(&mut lane, MsgId(4)).is_some()); // tail
-        assert_eq!(ids_of(&s, &lane, 0), [1, 3]);
-        assert_eq!(s.head(&lane, 0).unwrap().id, MsgId(1));
-        // Taking again is a no-op returning None.
-        assert!(s.take(&mut lane, MsgId(2)).is_none());
-        assert_eq!((s.len(), s.run_references()), (2, 2));
-    }
-
-    #[test]
-    fn take_reports_sender_send_event_and_body() {
-        let mut s = MsgStore::new(2);
-        let mut lane = StoreLane::new(0);
-        let h = RunHeader {
-            from: ProcessorId::new(1),
-            ..header(0, 6)
-        };
-        s.file_run(
-            &mut lane,
-            h,
-            [(ProcessorId::new(0), 4), (ProcessorId::new(1), 9)].into_iter(),
+        // p1 broadcasts (ids 0, 1 to p0, p2); p0 sends directly to p2,
+        // then p1 (ids 2, 3).
+        assert_eq!(s.file_broadcast(header(1, 0, 7), 5), 2);
+        assert_eq!(
+            s.file_listed(header(0, 2, 9), [(p(2), 6), (p(1), 8)].into_iter()),
+            2
         );
-        assert_eq!(s.body_of(&lane, MsgId(1)), Some(9));
-        // The delivery-path guard refuses the wrong destination.
-        assert!(s.take_for(&mut lane, MsgId(0), 1).is_none());
-        assert_eq!(s.len(), 2);
-        let taken = s.take_for(&mut lane, MsgId(0), 0).unwrap();
+        assert_eq!(ids_of(&s, 0), [0]);
+        assert_eq!(ids_of(&s, 1), [3]);
+        assert_eq!(ids_of(&s, 2), [1, 2]);
+        assert_eq!((s.len(), s.run_references()), (4, 4));
+        let m = s.lookup(MsgId(1)).unwrap();
+        assert_eq!((m.from, m.to, m.send_event), (p(1), p(2), 7));
+        assert_eq!(m.sender_clock, LocalClock::new(8));
+        assert_eq!(s.lookup(MsgId(3)).unwrap().to, p(1));
+        assert_eq!(
+            [0, 1, 2, 3].map(|id| s.body_of(MsgId(id))),
+            [Some(5), Some(5), Some(6), Some(8)]
+        );
+        assert_eq!(s.lookup(MsgId(4)), None);
+        // An empty run files nothing and keeps nothing.
+        assert_eq!(s.file_listed(header(2, 4, 11), std::iter::empty()), 0);
+        assert_eq!(s.runs.len(), 2);
+    }
+
+    #[test]
+    fn take_for_refuses_another_destination_and_repeats() {
+        let mut s = MsgStore::new(3);
+        s.file_broadcast(header(1, 0, 6), 4);
+        // Id 0 is p0's, not p2's.
+        assert_eq!(s.take_for(MsgId(0), 2), None);
+        let taken = s.take_for(MsgId(0), 0).unwrap();
         assert_eq!(
             taken,
             Taken {
-                from: ProcessorId::new(1),
+                id: MsgId(0),
+                from: p(1),
                 send_event: 6,
                 body: 4
             }
         );
-        let mut front = Vec::new();
-        assert_eq!(s.take_front(&mut lane, 1, |_| true, |t| front.push(t)), 1);
-        assert_eq!(
-            front,
-            [Taken {
-                from: ProcessorId::new(1),
-                send_event: 6,
-                body: 9
-            }]
-        );
-        assert_eq!(s.take_front(&mut lane, 1, |_| true, |_| ()), 0);
-        assert_eq!((s.len(), s.run_references()), (0, 0));
+        assert_eq!(s.take_for(MsgId(0), 0), None, "taken once");
+        assert_eq!(s.take(MsgId(9)), None, "never filed");
+        assert_eq!((s.len(), s.run_references()), (1, 1));
+        // Taking the last message lets the run go.
+        assert!(s.take(MsgId(1)).is_some());
+        assert!(s.runs.is_empty());
+    }
+
+    #[test]
+    fn take_all_scans_from_the_cursor_and_skips_what_it_does_not_owe() {
+        let mut s = MsgStore::new(4);
+        for (k, from) in [1, 0, 2, 0].into_iter().enumerate() {
+            s.file_broadcast(header(from, 3 * k as u64, k as u64), k as u32);
+        }
+        // p0 is owed by the runs of p1 and p2 only.
+        assert_eq!(ids_of(&s, 0), [0, 6]);
+        assert_eq!(ids_of(&s, 1), [3, 7, 9]);
+        // Take p1's second message first: the cursor stays.
+        assert_eq!(s.take_for(MsgId(7), 1).map(|t| t.body), Some(2));
+        let mut got = Vec::new();
+        assert_eq!(s.take_all(1, |t| got.push((t.id.0, t.body))), 2);
+        assert_eq!(got, [(3, 1), (9, 3)]);
+        assert_eq!(s.take_all(1, |_| unreachable!()), 0);
+        // Runs leave the front as they settle.
+        s.take_all(0, |_| ());
+        s.take_all(2, |_| ());
+        assert_eq!(s.runs.len(), 4, "every run still owes p3");
+        s.take_for(MsgId(2), 3).unwrap();
+        assert_eq!(s.runs.len(), 3);
+        assert_eq!(ids_of(&s, 3), [5, 8, 11]);
+        s.take_all(3, |_| ());
+        assert!(s.runs.is_empty() && s.owed.is_empty());
+    }
+
+    #[test]
+    fn a_destination_that_never_takes_pins_the_runs_until_the_drain() {
+        // p3 takes nothing (a crashed destination): every broadcast stays
+        // owed to it, so the deque keeps every run, while the others'
+        // cursors move on and their buffers stay short.
+        let mut s = MsgStore::new(4);
+        for k in 0..50u64 {
+            let from = (k % 3) as usize;
+            s.file_broadcast(header(from, 3 * k, k), 0);
+            for dest in (0..3).filter(|d| *d != from) {
+                s.take_all(dest, |_| ());
+            }
+        }
+        assert_eq!(s.runs.len(), 50);
+        assert_eq!((s.len_of(0), s.len_of(1), s.len_of(2)), (0, 0, 0));
+        assert_eq!(s.len_of(3), 50);
+        assert_eq!(s.head(3).map(|m| m.id), Some(MsgId(2)));
+        let mut drained = 0;
+        s.drain(|to, _| {
+            assert_eq!(to, p(3));
+            drained += 1;
+        });
+        assert_eq!((drained, s.runs.len(), s.owed.len()), (50, 0, 0));
     }
 
     #[test]
     fn move_to_back_reorders_within_one_destination() {
         let mut s = MsgStore::new(2);
-        let mut lane = StoreLane::new(0);
         for id in 0..4 {
-            file(&mut s, &mut lane, id, id, &[0]);
+            s.file_one(handle(id, 1, 0, id), 0);
         }
-        file(&mut s, &mut lane, 4, 4, &[1]);
-        assert!(s.move_to_back(&lane, MsgId(1)));
-        assert_eq!(ids_of(&s, &lane, 0), [0, 2, 3, 1]);
+        s.file_one(handle(4, 0, 1, 4), 0);
+        assert!(s.move_to_back(MsgId(1)));
+        assert_eq!(ids_of(&s, 0), [0, 2, 3, 1]);
         // Other destinations are untouched.
-        assert_eq!(ids_of(&s, &lane, 1), [4]);
-        // Moving the tail (or a singleton) is a no-op.
-        assert!(s.move_to_back(&lane, MsgId(1)));
-        assert_eq!(ids_of(&s, &lane, 0), [0, 2, 3, 1]);
-        assert!(s.move_to_back(&lane, MsgId(4)));
-        assert_eq!(ids_of(&s, &lane, 1), [4]);
-        // The head can move too, and the list stays walkable both ways.
-        assert!(s.move_to_back(&lane, MsgId(0)));
-        assert_eq!(ids_of(&s, &lane, 0), [2, 3, 1, 0]);
-        assert!(s.take(&mut lane, MsgId(1)).is_some());
-        assert_eq!(ids_of(&s, &lane, 0), [2, 3, 0]);
+        assert_eq!(ids_of(&s, 1), [4]);
+        // Moving the last (or only) message keeps the order.
+        assert!(s.move_to_back(MsgId(1)));
+        assert_eq!(ids_of(&s, 0), [0, 2, 3, 1]);
+        assert!(s.move_to_back(MsgId(4)));
+        assert_eq!(ids_of(&s, 1), [4]);
+        // The head can move too, and keeps its handle.
+        let before = s.lookup(MsgId(0));
+        assert!(s.move_to_back(MsgId(0)));
+        assert_eq!(ids_of(&s, 0), [2, 3, 1, 0]);
+        assert_eq!(s.lookup(MsgId(0)), before);
+        assert!(s.take(MsgId(1)).is_some());
+        assert_eq!(ids_of(&s, 0), [2, 3, 0]);
         // A delivered message can no longer be reordered.
-        assert!(!s.move_to_back(&lane, MsgId(1)));
+        assert!(!s.move_to_back(MsgId(1)));
         assert_eq!(s.len(), 4);
     }
 
     #[test]
-    fn slots_and_headers_are_recycled_after_removal() {
-        let mut s = MsgStore::new(2);
-        let mut lane = StoreLane::new(0);
-        file(&mut s, &mut lane, 0, 0, &[0, 1]);
-        file(&mut s, &mut lane, 2, 1, &[0, 1]);
-        let (slots, runs) = (s.slots.len(), s.runs.len());
-        for id in 0..4 {
-            s.take(&mut lane, MsgId(id)).unwrap();
-        }
-        file(&mut s, &mut lane, 4, 2, &[1, 0]);
-        file(&mut s, &mut lane, 6, 3, &[1, 0]);
-        assert_eq!(s.slots.len(), slots, "freed slots must be reused");
-        assert_eq!(s.runs.len(), runs, "freed headers must be reused");
-        assert_eq!(ids_of(&s, &lane, 0), [5, 7]);
-        assert_eq!(ids_of(&s, &lane, 1), [4, 6]);
-    }
-
-    #[test]
-    fn lanes_share_slots_but_stay_disjoint() {
-        // Two lanes of n = 2 over one store: identical dense ids on both
-        // lanes must not collide, and slots freed by one lane must be
-        // recycled into the other.
-        let n = 2;
-        let mut s = MsgStore::new(2 * n);
-        let mut a = StoreLane::new(0);
-        let mut b = StoreLane::new(n as u32);
-        for id in 0..3 {
-            file(&mut s, &mut a, id, id, &[1]);
-            file(&mut s, &mut b, id, id + 10, &[1]);
-        }
-        assert_eq!(ids_of(&s, &a, 1), [0, 1, 2]);
-        assert_eq!(ids_of(&s, &b, 1), [0, 1, 2]);
-        assert_eq!(s.len_of(&a, 1), 3);
-        assert_eq!(s.len_of(&b, 1), 3);
-        // Same id, different lanes: handles resolve per lane.
-        assert_eq!(s.lookup(&a, MsgId(0)).unwrap().send_event, 0);
-        assert_eq!(s.lookup(&b, MsgId(0)).unwrap().send_event, 10);
-        // Lane a drains; its slots are recycled by lane b's next sends.
-        let hwm = s.slots.len();
-        assert_eq!(s.take_front(&mut a, 1, |_| true, |_| ()), 3);
-        file(&mut s, &mut b, 3, 20, &[0, 0, 0]);
-        assert_eq!(s.slots.len(), hwm, "cross-lane slot recycling");
-        assert_eq!(ids_of(&s, &b, 0), [3, 4, 5]);
-        assert_eq!(ids_of(&s, &b, 1), [0, 1, 2]);
-        assert!(s.lookup(&a, MsgId(0)).is_none());
-    }
-
-    #[test]
-    fn reset_keeps_capacity_and_empties_everything() {
-        let mut s = MsgStore::new(2);
-        let mut lane = StoreLane::new(0);
-        file(&mut s, &mut lane, 0, 0, &[0, 1, 0, 1, 0, 1, 0, 1]);
-        let cap = s.slots.capacity();
-        s.reset(4);
-        lane.reset(2);
+    fn drain_hands_back_everything_and_reset_keeps_capacity() {
+        let mut s = MsgStore::new(3);
+        s.file_broadcast(header(0, 0, 0), 7);
+        s.file_listed(header(2, 2, 1), [(p(1), 8), (p(2), 9)].into_iter());
+        s.take_for(MsgId(0), 1).unwrap();
+        let mut got = Vec::new();
+        s.drain(|to, t| got.push((to.index(), t.id.0, t.body)));
+        got.sort_unstable();
+        assert_eq!(got, [(1, 2, 8), (2, 1, 7), (2, 3, 9)]);
         assert_eq!((s.len(), s.run_references()), (0, 0));
-        assert!(s.slots.capacity() >= cap, "reset must keep the slab");
-        // The recycled lane restarts with dense ids at its new base.
-        file(&mut s, &mut lane, 0, 99, &[1]);
-        assert_eq!(ids_of(&s, &lane, 1), [0]);
-        assert_eq!(s.len_of(&lane, 0), 0);
+        assert_eq!(s.lookup(MsgId(1)), None);
+        // Filing goes on with the next ids.
+        s.file_broadcast(header(1, 4, 2), 1);
+        assert_eq!(ids_of(&s, 2), [5]);
+
+        let cap = s.run_capacity();
+        s.reset(65);
+        assert!(s.run_capacity() >= cap, "reset must keep the deque");
+        assert_eq!((s.len(), s.len_of(64)), (0, 0));
+        // The recycled store restarts with dense ids.
+        s.file_broadcast(header(64, 0, 0), 0);
+        assert_eq!((ids_of(&s, 0), ids_of(&s, 63)), (vec![0], vec![63]));
+        assert_eq!(s.len_of(64), 0);
+    }
+
+    fn handle(id: u64, from: usize, to: usize, send_event: u64) -> MsgHandle {
+        MsgHandle {
+            id: MsgId(id),
+            from: p(from),
+            to: p(to),
+            send_event,
+            sender_clock: LocalClock::new(send_event + 1),
+        }
+    }
+
+    /// A buffered message as the model holds it.
+    type Held = (MsgHandle, u32);
+
+    /// The model's side of a store under test: one `Vec` per
+    /// destination, plus the bodies with their reference counts.
+    struct Model {
+        dests: Vec<Vec<Held>>,
+        bodies: BodySlab<u32>,
+        next_id: u64,
+        /// Ids of the latest run filed by a step, a crash's candidates.
+        latest: Vec<MsgId>,
+    }
+
+    impl Model {
+        fn forget(&mut self, id: MsgId) -> Option<Held> {
+            self.dests.iter_mut().find_map(|buf| {
+                let at = buf.iter().position(|(m, _)| m.id == id)?;
+                Some(buf.remove(at))
+            })
+        }
+
+        /// Records the run of `sends` filed from `header` as the latest.
+        fn filed(&mut self, header: RunHeader, sends: &[(usize, u32)]) {
+            self.latest.clear();
+            for (to, body) in sends {
+                let m = MsgHandle {
+                    id: MsgId(self.next_id),
+                    from: header.from,
+                    to: p(*to),
+                    send_event: header.send_event,
+                    sender_clock: header.sender_clock,
+                };
+                self.latest.push(m.id);
+                self.next_id += 1;
+                self.dests[*to].push((m, *body));
+            }
+        }
+    }
+
+    fn taken((m, body): Held) -> Taken {
+        Taken {
+            id: m.id,
+            from: m.from,
+            send_event: m.send_event,
+            body,
+        }
     }
 
     proptest! {
-        /// The store agrees with a naive `Vec<Vec<(MsgHandle, body)>>`
-        /// model under arbitrary interleavings of everything the engine
-        /// does to it: filing a run, delivering one message, duplicating
-        /// one (a run of one on the original's body), reordering one,
-        /// dropping part of the latest run, draining a destination,
-        /// front-taking part of one.
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The store agrees with one `Vec` per destination under
+        /// arbitrary interleavings of everything the engine does to it,
+        /// at populations on both sides of a bitset word: filing a
+        /// broadcast; filing a listed run (direct sends in call order,
+        /// some on a shared body); duplicating a message; reordering
+        /// one; a crash dropping part of the latest run; a listed
+        /// delivery, which stops at the first id not buffered for its
+        /// destination; a whole-buffer delivery; a drain.
         #[test]
-        fn matches_naive_vec_model(ops in proptest::collection::vec((0..7u8, 0..64u64), 1..200)) {
-            let n = 3;
+        fn matches_naive_vec_model(
+            n in (0..7usize).prop_map(|k| [1, 2, 3, 63, 64, 65, 130][k]),
+            ops in proptest::collection::vec((0..8u8, any::<u64>()), 1..120),
+        ) {
             let mut store = MsgStore::new(n);
-            let mut lane = StoreLane::new(0);
-            let mut model: Vec<Vec<(MsgHandle, u32)>> = vec![Vec::new(); n];
-            let mut next_id = 0u64;
-            let mut next_body = 0u32;
-            let mut latest: Vec<MsgId> = Vec::new();
-            let forget = |model: &mut Vec<Vec<(MsgHandle, u32)>>, id: MsgId| {
-                model.iter_mut().find_map(|b| {
-                    b.iter().position(|(m, _)| m.id == id).map(|pos| b.remove(pos))
-                })
-            };
-            let taken = |(m, body): (MsgHandle, u32)| Taken {
-                from: m.from,
-                send_event: m.send_event,
-                body,
+            let mut model = Model {
+                dests: vec![Vec::new(); n],
+                bodies: BodySlab::new(),
+                next_id: 0,
+                latest: Vec::new(),
             };
             for (event, (op, sel)) in ops.into_iter().enumerate() {
-                let live: Vec<MsgId> = model.iter().flatten().map(|(m, _)| m.id).collect();
-                let pick = (!live.is_empty()).then(|| live[sel as usize % live.len().max(1)]);
+                let event = event as u64;
+                let live: Vec<MsgId> = model.dests.iter().flatten().map(|(m, _)| m.id).collect();
+                let pick = (!live.is_empty()).then(|| live[(sel % live.len().max(1) as u64) as usize]);
+                let dest = (sel % n as u64) as usize;
                 match (op, pick) {
-                    // Deliver (or drop) one live message.
-                    (1, Some(id)) => {
-                        let want = forget(&mut model, id).map(taken);
-                        prop_assert_eq!(store.take(&mut lane, id), want);
+                    // A broadcast from `dest`.
+                    (0, _) if n > 1 => {
+                        let h = header(dest, model.next_id, event);
+                        let body = model.bodies.store(0, n as u32 - 1);
+                        prop_assert_eq!(store.file_broadcast(h, body), n as u32 - 1);
+                        let sends: Vec<(usize, u32)> = (0..n).filter(|d| *d != dest).map(|d| (d, body)).collect();
+                        model.filed(h, &sends);
+                    }
+                    // A listed run: up to eight distinct destinations
+                    // from a rotating start, every other one on a shared
+                    // body and the rest on bodies of their own.
+                    (1, _) => {
+                        let h = header(dest, model.next_id, event);
+                        let k = (sel >> 8) as usize % 9;
+                        let mut dests: Vec<usize> = (0..k).map(|j| (dest + j * 7) % n).collect();
+                        dests.sort_unstable();
+                        dests.dedup();
+                        let turn = (sel >> 16) as usize % dests.len().max(1);
+                        dests.rotate_left(turn);
+                        if sel & 1 << 24 != 0 {
+                            dests.reverse();
+                        }
+                        let shared = dests.len().div_ceil(2) as u32;
+                        let shared = (shared > 0).then(|| model.bodies.store(1, shared));
+                        let sends: Vec<(usize, u32)> = dests
+                            .iter()
+                            .enumerate()
+                            .map(|(j, d)| match (j % 2, shared) {
+                                (0, Some(body)) => (*d, body),
+                                _ => (*d, model.bodies.store(2, 1)),
+                            })
+                            .collect();
+                        let filed = store.file_listed(h, sends.iter().map(|(d, b)| (p(*d), *b)));
+                        prop_assert_eq!(filed as usize, sends.len());
+                        model.filed(h, &sends);
                     }
                     // Duplicate: a run of one, "sent" now, on the
                     // original's body.
                     (2, Some(id)) => {
-                        let orig = store.lookup(&lane, id).unwrap();
-                        let body = store.body_of(&lane, id).unwrap();
-                        let copy = MsgHandle { id: MsgId(next_id), send_event: event as u64, ..orig };
-                        next_id += 1;
-                        store.file_one(&mut lane, copy, body);
-                        model[orig.to.index()].push((copy, body));
+                        let orig = store.lookup(id).unwrap();
+                        let body = store.body_of(id).unwrap();
+                        let h = RunHeader {
+                            from: orig.from,
+                            send_event: event,
+                            sender_clock: orig.sender_clock,
+                            first: MsgId(model.next_id),
+                        };
+                        model.bodies.retain(body);
+                        store.file_listed(h, std::iter::once((orig.to, body)));
+                        let latest = std::mem::take(&mut model.latest);
+                        model.filed(h, &[(orig.to.index(), body)]);
+                        model.latest = latest;
                     }
                     (3, Some(id)) => {
-                        prop_assert!(store.move_to_back(&lane, id));
-                        let moved = forget(&mut model, id).unwrap();
-                        model[moved.0.to.index()].push(moved);
+                        prop_assert!(store.move_to_back(id));
+                        let moved = model.forget(id).unwrap();
+                        model.dests[moved.0.to.index()].push(moved);
                     }
-                    // A crash dropping every other message of the
-                    // latest run that is still buffered.
+                    // A crash dropping every other message of the latest
+                    // run that is still buffered.
                     (4, _) => {
-                        for id in latest.iter().step_by(2) {
-                            let want = forget(&mut model, *id).map(|(_, body)| body);
-                            prop_assert_eq!(store.take(&mut lane, *id).map(|t| t.body), want);
+                        for id in model.latest.clone().iter().step_by(2) {
+                            let want = model.forget(*id).map(taken);
+                            let got = store.take(*id);
+                            prop_assert_eq!(got, want);
+                            if let Some(t) = got {
+                                model.bodies.release(t.body);
+                            }
                         }
                     }
-                    // A finished lane's drain of one destination.
+                    // A listed delivery to `dest`: every other buffered
+                    // message, last first, then (sometimes) a message
+                    // buffered for somebody else or never filed. It stops
+                    // at the first refusal, as the engine does.
                     (5, _) => {
-                        let dest = sel as usize % n;
-                        let mut got = Vec::new();
-                        let took = store.take_front(&mut lane, dest, |_| true, |t| got.push(t));
-                        let want: Vec<Taken> = model[dest].drain(..).map(taken).collect();
-                        prop_assert_eq!(took, want.len());
-                        prop_assert_eq!(got, want);
-                    }
-                    // A delivery whose first `k` ids are the list's
-                    // front, then an id that is not next: a later one of
-                    // the same list, or one never filed. Exactly the `k`
-                    // come off, and the new head must stay walkable.
-                    (6, _) => {
-                        let dest = sel as usize % n;
-                        let k = (sel as usize / n) % (model[dest].len() + 1);
-                        let later = model[dest].get(k + 1..).and_then(<[_]>::last).map(|(m, _)| m.id);
-                        let stray = match later {
-                            Some(id) if sel & 32 == 0 => id,
-                            _ => MsgId(next_id + 1_000),
-                        };
-                        let offered: Vec<MsgId> = model[dest][..k].iter().map(|(m, _)| m.id).chain([stray]).collect();
-                        let mut offer = offered.into_iter();
-                        let mut got = Vec::new();
-                        let took = store.take_front(&mut lane, dest, |id| offer.next() == Some(id), |t| got.push(t));
-                        let want: Vec<Taken> = model[dest].drain(..k).map(taken).collect();
-                        prop_assert_eq!(took, k);
-                        prop_assert_eq!(got, want);
-                    }
-                    // File a run: `sel`'s low bits choose the
-                    // destinations (possibly none, possibly repeated),
-                    // a broadcast body plus one direct body in place.
-                    _ => {
-                        let dests: Vec<usize> = (0..6).filter(|k| sel >> k & 1 == 1).map(|k| k % n).collect();
-                        let h = RunHeader { from: ProcessorId::new(sel as usize % n), ..header(next_id, event as u64) };
-                        let shared = next_body;
-                        next_body += 2;
-                        let bodies: Vec<u32> = (0..dests.len()).map(|k| if k == 1 { shared + 1 } else { shared }).collect();
-                        let filed = store.file_run(
-                            &mut lane,
-                            h,
-                            dests.iter().zip(&bodies).map(|(d, b)| (ProcessorId::new(*d), *b)),
-                        );
-                        prop_assert_eq!(filed as usize, dests.len());
-                        latest.clear();
-                        for (d, b) in dests.iter().zip(&bodies) {
-                            let m = MsgHandle {
-                                id: MsgId(next_id),
-                                from: h.from,
-                                to: ProcessorId::new(*d),
-                                send_event: h.send_event,
-                                sender_clock: h.sender_clock,
-                            };
-                            latest.push(m.id);
-                            next_id += 1;
-                            model[*d].push((m, *b));
+                        let mut ids: Vec<MsgId> = model.dests[dest].iter().map(|(m, _)| m.id).step_by(2).collect();
+                        ids.reverse();
+                        if sel & 1 << 40 != 0 {
+                            let foreign = live.iter().copied().find(|id| {
+                                model.dests[dest].iter().all(|(m, _)| m.id != *id)
+                            });
+                            ids.push(foreign.unwrap_or(MsgId(model.next_id + 7)));
+                        }
+                        for id in ids {
+                            let mine = model.dests[dest].iter().any(|(m, _)| m.id == id);
+                            let want = if mine { model.forget(id).map(taken) } else { None };
+                            let got = store.take_for(id, dest);
+                            prop_assert_eq!(got, want);
+                            match got {
+                                Some(t) => model.bodies.release(t.body),
+                                None => break,
+                            }
                         }
                     }
+                    (6, _) => {
+                        let mut got = Vec::new();
+                        let took = store.take_all(dest, |t| got.push(t));
+                        let want: Vec<Taken> = model.dests[dest].drain(..).map(taken).collect();
+                        prop_assert_eq!(took, want.len());
+                        prop_assert_eq!(&got, &want);
+                        for t in got {
+                            model.bodies.release(t.body);
+                        }
+                    }
+                    // A finished lane's drain, now and then.
+                    (7, _) if sel % 4 == 0 => {
+                        let mut got = Vec::new();
+                        store.drain(|to, t| got.push((to, t)));
+                        let mut want: Vec<(ProcessorId, Taken)> = model
+                            .dests
+                            .iter_mut()
+                            .flat_map(|buf| buf.drain(..))
+                            .map(|held| (held.0.to, taken(held)))
+                            .collect();
+                        got.sort_unstable_by_key(|(_, t)| t.id);
+                        want.sort_unstable_by_key(|(_, t)| t.id);
+                        prop_assert_eq!(&got, &want);
+                        for (_, t) in got {
+                            model.bodies.release(t.body);
+                        }
+                    }
+                    _ => {}
                 }
-                for (d, buf) in model.iter().enumerate() {
-                    let got: Vec<(MsgHandle, u32)> = store.iter_dest_bodies(&lane, d).collect();
+                let mut refs = std::collections::BTreeMap::new();
+                for (d, buf) in model.dests.iter().enumerate() {
+                    let got: Vec<Held> = store.iter_dest_bodies(d).collect();
                     prop_assert_eq!(&got, buf, "destination {} drifted", d);
-                    prop_assert_eq!(store.len_of(&lane, d), buf.len());
-                    prop_assert_eq!(store.head(&lane, d), buf.first().map(|(m, _)| *m));
+                    prop_assert_eq!(store.len_of(d), buf.len());
+                    prop_assert_eq!(store.head(d), buf.first().map(|(m, _)| *m));
+                    for (m, body) in buf {
+                        prop_assert_eq!(store.lookup(m.id), Some(*m));
+                        prop_assert_eq!(store.body_of(m.id), Some(*body));
+                        *refs.entry(*body).or_insert(0u32) += 1;
+                    }
                 }
-                for (m, body) in model.iter().flatten() {
-                    prop_assert_eq!(store.lookup(&lane, m.id), Some(*m));
-                    prop_assert_eq!(store.body_of(&lane, m.id), Some(*body));
+                // Every body is named exactly as often as it is counted.
+                for (body, named) in &refs {
+                    prop_assert_eq!(model.bodies.remaining(*body), *named);
                 }
-                // Live headers' slot counts sum to the pending count.
+                prop_assert_eq!(model.bodies.live(), refs.len());
                 prop_assert_eq!(store.run_references(), store.len());
-                prop_assert_eq!(store.len(), model.iter().map(Vec::len).sum::<usize>());
             }
         }
     }

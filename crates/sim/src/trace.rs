@@ -319,8 +319,14 @@ impl EventCols {
 
     /// Appends a step row; the delivered ids are copied straight into
     /// the shared pool.
-    fn push_step(&mut self, p: u32, clock: u64, delivered: &[MsgId], sent_end: u32) {
-        self.deliv_pool.extend_from_slice(delivered);
+    fn push_step(
+        &mut self,
+        p: u32,
+        clock: u64,
+        delivered: impl IntoIterator<Item = MsgId>,
+        sent_end: u32,
+    ) {
+        self.deliv_pool.extend(delivered);
         self.push(KIND_STEP, p, clock, sent_end);
     }
 
@@ -560,7 +566,7 @@ impl Trace {
                         _ => Dests::Broadcast,
                     },
                 };
-                self.push_step(p, clock_after, &delivered, run);
+                self.push_step(p, clock_after, delivered, run);
             }
             EventRecord::Crash { p } => self.push_crash(p),
             EventRecord::Revive { p } => self.push_revive(p),
@@ -746,12 +752,13 @@ impl Trace {
 /// Recording: everything the event-application code
 /// ([`crate::engine::Lane`]) writes while executing a run.
 impl Trace {
-    /// Records a step event: what it delivered and the one run it sent.
+    /// Records a step event: what it delivered, in delivery order, and
+    /// the one run it sent.
     pub(crate) fn push_step(
         &mut self,
         p: ProcessorId,
         clock_after: LocalClock,
-        delivered: &[MsgId],
+        delivered: impl IntoIterator<Item = MsgId>,
         sent: SendRun<'_>,
     ) {
         self.msgs.take();
@@ -930,7 +937,7 @@ mod tests {
             count: dests.len() as u32,
             dests: Dests::Explicit(&dests),
         };
-        t.push_step(pid(p), LocalClock::new(clock), &delivered, run);
+        t.push_step(pid(p), LocalClock::new(clock), delivered, run);
     }
 
     #[test]
@@ -1024,7 +1031,7 @@ mod tests {
     /// The message table and digest a trace with every event kind must
     /// derive, against hand-built expectations: a broadcast, a run with
     /// listed destinations (call order, the sender addressing itself),
-    /// deliveries, a duplicate of one slot of the broadcast, a reorder,
+    /// deliveries, a duplicate of one message of the broadcast, a reorder,
     /// a partition, a crash dropping part of the last run, a revive.
     #[test]
     fn every_event_kind_derives_the_hand_built_message_table() {
@@ -1034,7 +1041,7 @@ mod tests {
         t.push_step(
             pid(0),
             LocalClock::new(1),
-            &[],
+            [],
             SendRun {
                 first: MsgId(0),
                 count: 2,

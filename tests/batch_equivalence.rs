@@ -18,8 +18,8 @@ use rtc::core::CommitMsg;
 use rtc::model::{Outbox, StepRng};
 use rtc::prelude::*;
 use rtc::sim::{
-    Adversary, BatchPool, BatchSim, BatchSimBuilder, EventView, MsgId, RunMetrics, Sim, StopWhen,
-    Trace,
+    Action, Adversary, BatchPool, BatchSim, BatchSimBuilder, EventView, MsgId, PatternView,
+    RunMetrics, Sim, SimError, StopWhen, Trace,
 };
 
 mod hostile;
@@ -491,6 +491,138 @@ fn a_one_lane_batch_driven_in_segments_is_the_sim() {
             "{label}: stated facts"
         );
     }
+}
+
+/// What `p` holds, in buffer order.
+fn held(view: &PatternView<'_>, p: ProcessorId) -> Vec<MsgId> {
+    view.pending_iter(p).map(|m| m.id).collect()
+}
+
+/// Runs its inner adversary with every whole-buffer step spelled out:
+/// a `StepAll` becomes the `Step` that lists what `p` holds.
+struct Listed<A>(A);
+
+impl<A: Adversary> Adversary for Listed<A> {
+    fn next(&mut self, view: &PatternView<'_>) -> Action {
+        match self.0.next(view) {
+            Action::StepAll { p } => Action::Step {
+                p,
+                deliver: held(view, p),
+            },
+            other => other,
+        }
+    }
+
+    fn admissible(&self) -> bool {
+        self.0.admissible()
+    }
+}
+
+/// The other way round: a `Step` that lists exactly what `p` holds, in
+/// order, becomes a `StepAll`. Counts how many it turned.
+struct Whole<A>(A, u64);
+
+impl<A: Adversary> Adversary for Whole<A> {
+    fn next(&mut self, view: &PatternView<'_>) -> Action {
+        match self.0.next(view) {
+            Action::Step { p, deliver } if deliver == held(view, p) => {
+                self.1 += 1;
+                Action::StepAll { p }
+            }
+            other => other,
+        }
+    }
+
+    fn admissible(&self) -> bool {
+        self.0.admissible()
+    }
+}
+
+/// Steps p0, then p2 (which hears p0 and answers everybody), then cuts
+/// p2 off and steps p1 with its whole buffer — listed or not.
+struct CutThenStep {
+    turn: u32,
+    listed: bool,
+}
+
+impl Adversary for CutThenStep {
+    fn next(&mut self, view: &PatternView<'_>) -> Action {
+        let p = ProcessorId::new;
+        self.turn += 1;
+        match self.turn {
+            1 => Action::Step {
+                p: p(0),
+                deliver: Vec::new(),
+            },
+            2 => Action::StepAll { p: p(2) },
+            3 => Action::Partition {
+                groups: vec![0, 0, 1, 0],
+                heal_at: 1_000,
+            },
+            _ if self.listed => Action::Step {
+                p: p(1),
+                deliver: held(view, p(1)),
+            },
+            _ => Action::StepAll { p: p(1) },
+        }
+    }
+
+    fn admissible(&self) -> bool {
+        false
+    }
+}
+
+#[test]
+fn step_all_is_step_with_the_whole_buffer() {
+    // Over the corpus, plain and hostile: the run a schedule records is
+    // the same whether its whole-buffer steps are `StepAll`s or the
+    // `Step`s that list the buffer — digest, late marks and facts.
+    let run = |case: &Case, adv: &mut dyn Adversary| {
+        let mut sim: Sim<CommitAutomaton> = sim_builder(case).build(population(case)).unwrap();
+        let report = sim.run(adv, hostile::LIMITS).unwrap();
+        let facts = (report.facts().failure_free, report.facts().on_time);
+        let trace = sim.trace();
+        (
+            trace.digest(),
+            trace.late_marks().to_vec(),
+            facts,
+            report.events(),
+        )
+    };
+    let mut turned = 0;
+    for case in corpus().iter().flatten() {
+        let label = format!("n{}/seed{:#x}", case.n, case.seed);
+        let mut whole = Whole(adversary(case), 0);
+        let as_is = run(case, &mut adversary(case));
+        assert_eq!(run(case, &mut Listed(adversary(case))), as_is, "{label}");
+        assert_eq!(run(case, &mut whole), as_is, "{label}");
+        let hostile = |inner| Hostile::new(inner, case.n, case.seed);
+        let as_is = run(case, &mut hostile(adversary(case)));
+        let listed = Box::new(Listed(adversary(case)));
+        assert_eq!(run(case, &mut hostile(listed)), as_is, "hostile {label}");
+        turned += whole.1;
+    }
+    assert!(turned > 0, "no listed step was the whole buffer");
+
+    // Under an active partition both forms are refused, for the same
+    // message: p2's answer, behind p0's GO in p1's buffer.
+    let case = Case {
+        n: 4,
+        seed: 7,
+        kind: Kind::Synchronous,
+    };
+    let refused = |listed| {
+        let mut sim: Sim<CommitAutomaton> = sim_builder(&case).build(population(&case)).unwrap();
+        let mut adv = CutThenStep { turn: 0, listed };
+        let err = sim.run(&mut adv, RunLimits::default()).unwrap_err();
+        let SimError::DeliverPartitioned { p, id } = err else {
+            panic!("listed {listed}: {err:?}");
+        };
+        (p, sim.trace().messages()[id.index()].from, id)
+    };
+    let (p, from, id) = refused(false);
+    assert_eq!((p, from), (ProcessorId::new(1), ProcessorId::new(2)));
+    assert_eq!(refused(true), (p, from, id));
 }
 
 /// Section 2's lateness, word for word, read off a trace's events and
