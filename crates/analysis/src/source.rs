@@ -351,15 +351,6 @@ pub fn statement_region(code: &[String], anchor: usize, max_lines: usize) -> Reg
     }
 }
 
-/// Finds every occurrence of `token` in the scrubbed production lines of
-/// `file`, returning 1-based line numbers.
-pub fn find_token_lines(file: &ScanFile, token: &str) -> Vec<usize> {
-    file.prod_lines()
-        .filter(|(_, l)| l.contains(token))
-        .map(|(n, _)| n)
-        .collect()
-}
-
 /// Scans a line for identifiers declared with a hash-container type and
 /// records them: `name: HashMap<..>` fields/params, the same behind
 /// wrappers (`name: Arc<HashMap<..>>`), and

@@ -43,11 +43,11 @@
 use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use crossbeam_channel::{unbounded, Receiver, Sender};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rtc_model::{Outbox, ProcessorId, Recoverable, SeedCollection, Wire, WireError};
@@ -378,7 +378,7 @@ where
         let n = instances[0].len();
         let done = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(NetCounters::default());
-        let inboxes: Vec<_> = (0..n).map(|_| unbounded()).collect();
+        let inboxes: Vec<_> = (0..n).map(|_| channel()).collect();
         let inbox_tx = inboxes.iter().map(|(tx, _)| tx.clone()).collect();
         let router = Arc::new(FaultRouter::new(
             faults.clone(),
@@ -434,8 +434,8 @@ where
         for i in 0..n {
             let mut row = Vec::with_capacity(n);
             for (j, (addr, _)) in acceptors.iter().enumerate() {
-                let (tx, rx) = unbounded();
-                let (spare_tx, spare) = unbounded();
+                let (tx, rx) = channel();
+                let (spare_tx, spare) = channel();
                 link_handles.push(spawn_link(
                     *addr,
                     rx,
@@ -474,11 +474,6 @@ where
             acceptors,
             router,
         }
-    }
-
-    /// Respawns a down node, from its crash snapshots or amnesiac.
-    pub fn respawn_node(&mut self, idx: usize, from_snapshot: bool) {
-        self.core.respawn(idx, from_snapshot);
     }
 
     /// Whether every node that is not currently down holds a decision

@@ -35,11 +35,11 @@ use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use crossbeam_channel::{Receiver, RecvTimeoutError, Sender};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rtc_runtime::SupervisorPolicy;
@@ -308,9 +308,9 @@ pub(crate) fn spawn_link(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam_channel::unbounded;
     use std::io::Read;
     use std::net::TcpListener;
+    use std::sync::mpsc::channel;
 
     fn policy() -> SupervisorPolicy {
         SupervisorPolicy {
@@ -336,8 +336,8 @@ mod tests {
         // rtc-allow(socket-deadline): test-only accept/read harness
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
-        let (tx, rx) = unbounded();
-        let (spare_tx, spare) = unbounded();
+        let (tx, rx) = channel();
+        let (spare_tx, spare) = channel();
         let counters = Arc::new(NetCounters::default());
         let handle = spawn_link(
             addr,
@@ -391,8 +391,8 @@ mod tests {
     #[test]
     fn the_ring_covers_the_window_in_frames_and_recycles_the_rest() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let (tx, rx) = unbounded();
-        let (spare_tx, spare) = unbounded();
+        let (tx, rx) = channel();
+        let (spare_tx, spare) = channel();
         let handle = spawn_link(
             listener.local_addr().expect("addr"),
             rx,
@@ -428,12 +428,12 @@ mod tests {
             let l = TcpListener::bind("127.0.0.1:0").expect("bind");
             l.local_addr().expect("addr")
         };
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let counters = Arc::new(NetCounters::default());
         let handle = spawn_link(
             addr,
             rx,
-            unbounded().0,
+            channel().0,
             policy(),
             Duration::from_millis(20),
             Arc::new(AtomicBool::new(false)),

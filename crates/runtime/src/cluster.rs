@@ -22,16 +22,15 @@
 //! [`FaultRouter`](crate::FaultRouter) to the receiver's inbox or the
 //! delayer; `rtc-net`'s `TcpLinks` encodes frames into one buffer per
 //! peer and a flush is one socket write per link, and the receiving
-//! node's reader routes the frames. Inboxes are crossbeam receivers of
+//! node's reader routes the frames. Inboxes are std `mpsc` receivers of
 //! [`Inbound`] items on both.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 use rtc_model::{
     Delivery, LatenessMonitor, LocalClock, Outbox, ProcessorId, Recoverable, RunFacts,
     SeedCollection, Status, TimingParams,
@@ -261,7 +260,10 @@ struct Shared<A: Recoverable, L> {
 
 impl<A: Recoverable, L> Shared<A, L> {
     fn publish_statuses(&self, i: usize, autos: &[A]) {
-        let mut st = self.statuses.lock();
+        let mut st = self
+            .statuses
+            .lock()
+            .expect("no thread panics holding cluster state");
         for (k, a) in autos.iter().enumerate() {
             st[k][i] = a.status();
         }
@@ -287,10 +289,13 @@ where
         // The inbox mutex serialises incarnations: a restarting thread
         // blocks here until its predecessor exits, then inherits every
         // message queued meanwhile (eventual delivery across the crash).
-        let rx = rx.lock();
+        let rx = rx.lock().expect("no incarnation panics holding its inbox");
         // Resume the step counter where the predecessor left it so
         // per-step randomness is never reused.
-        let mut clock = shared.steps.lock()[i];
+        let mut clock = shared
+            .steps
+            .lock()
+            .expect("no thread panics holding cluster state")[i];
         let mut arrivals: Vec<Envelope<A::Msg>> = Vec::new();
         let mut per_instance: Vec<Vec<Delivery<A::Msg>>> =
             autos.iter().map(|_| Vec::new()).collect();
@@ -300,9 +305,19 @@ where
             if crash_at == Some(clock) {
                 // Fail-stop mid-broadcast: this step's messages are
                 // never sent. Stable storage (the snapshots) survives.
-                shared.crash_snaps.lock()[i] = Some(autos.iter().map(A::snapshot).collect());
-                shared.ever_crashed.lock()[i] = true;
-                shared.down.lock()[i] = true;
+                shared
+                    .crash_snaps
+                    .lock()
+                    .expect("no thread panics holding cluster state")[i] =
+                    Some(autos.iter().map(A::snapshot).collect());
+                shared
+                    .ever_crashed
+                    .lock()
+                    .expect("no thread panics holding cluster state")[i] = true;
+                shared
+                    .down
+                    .lock()
+                    .expect("no thread panics holding cluster state")[i] = true;
                 return;
             }
             // Collect one tick's worth of arrivals. A late node's wait
@@ -321,7 +336,10 @@ where
             // instance.
             let ev = shared.events.fetch_add(1, Ordering::Relaxed) + 1;
             {
-                let mut mon = shared.lateness.lock();
+                let mut mon = shared
+                    .lateness
+                    .lock()
+                    .expect("no thread panics holding cluster state");
                 mon.note_step(i, ev);
                 for env in arrivals.drain(..) {
                     // The tag came off a wire: one that names no
@@ -360,7 +378,10 @@ where
             // and stops the run finds the step's messages on their way.
             shared.links.flush(id);
             clock += 1;
-            shared.steps.lock()[i] = clock;
+            shared
+                .steps
+                .lock()
+                .expect("no thread panics holding cluster state")[i] = clock;
             shared.publish_statuses(i, &autos);
         }
     })
@@ -494,19 +515,30 @@ where
     /// would end the run before its successor took a step.
     pub fn respawn(&mut self, idx: usize, from_snapshot: bool) {
         let snaps = if from_snapshot {
-            self.shared.crash_snaps.lock()[idx].clone()
+            self.shared
+                .crash_snaps
+                .lock()
+                .expect("no thread panics holding cluster state")[idx]
+                .clone()
         } else {
             None
         };
         let autos: Vec<A> = match snaps {
             Some(snaps) => snaps.iter().map(A::restore).collect(),
-            None => self.shared.init_snaps.lock()[idx]
+            None => self
+                .shared
+                .init_snaps
+                .lock()
+                .expect("no thread panics holding cluster state")[idx]
                 .iter()
                 .map(A::restore_amnesiac)
                 .collect(),
         };
         self.shared.publish_statuses(idx, &autos);
-        self.shared.down.lock()[idx] = false;
+        self.shared
+            .down
+            .lock()
+            .expect("no thread panics holding cluster state")[idx] = false;
         self.handles.push(spawn_node(
             Arc::clone(&self.shared),
             idx,
@@ -533,14 +565,26 @@ where
 
     /// Which nodes are currently down (crashed and not yet respawned).
     pub(crate) fn down(&self) -> Vec<bool> {
-        self.shared.down.lock().clone()
+        self.shared
+            .down
+            .lock()
+            .expect("no thread panics holding cluster state")
+            .clone()
     }
 
     /// Whether every node not excused by `excused` is up and holds a
     /// decision in every instance.
     pub(crate) fn all_up_and_decided(&self, excused: &[bool]) -> bool {
-        let st = self.shared.statuses.lock();
-        let down = self.shared.down.lock();
+        let st = self
+            .shared
+            .statuses
+            .lock()
+            .expect("no thread panics holding cluster state");
+        let down = self
+            .shared
+            .down
+            .lock()
+            .expect("no thread panics holding cluster state");
         (0..down.len())
             .all(|i| excused[i] || (!down[i] && st.iter().all(|inst| inst[i].is_decided())))
     }
@@ -568,7 +612,12 @@ where
             let now = self.elapsed();
             pending.retain(|r| {
                 let idx = r.victim.index();
-                let fire = now >= wall(self.tick(), r.at) && self.shared.down.lock()[idx];
+                let fire = now >= wall(self.tick(), r.at)
+                    && self
+                        .shared
+                        .down
+                        .lock()
+                        .expect("no thread panics holding cluster state")[idx];
                 if fire {
                     self.respawn(idx, r.from_snapshot);
                     recovered[idx] = true;
@@ -610,15 +659,34 @@ where
         };
         drop(shared.links);
         let messages_undelivered = teardown();
-        let steps = shared.steps.lock().clone();
-        let crashed = shared.ever_crashed.lock().clone();
-        let down = shared.down.lock().clone();
+        let steps = shared
+            .steps
+            .lock()
+            .expect("no thread panics holding cluster state")
+            .clone();
+        let crashed = shared
+            .ever_crashed
+            .lock()
+            .expect("no thread panics holding cluster state")
+            .clone();
+        let down = shared
+            .down
+            .lock()
+            .expect("no thread panics holding cluster state")
+            .clone();
         let (deliveries, late_deliveries) = {
-            let mon = shared.lateness.lock();
+            let mon = shared
+                .lateness
+                .lock()
+                .expect("no thread panics holding cluster state");
             (mon.delivered(), mon.late_count())
         };
         let wall = self.start.elapsed();
-        let statuses = shared.statuses.lock().clone();
+        let statuses = shared
+            .statuses
+            .lock()
+            .expect("no thread panics holding cluster state")
+            .clone();
         statuses
             .into_iter()
             .enumerate()
@@ -786,8 +854,8 @@ mod tests {
                 broadcasts,
             })
         };
-        let (calls_tx, calls) = crossbeam_channel::unbounded();
-        let inboxes: Vec<_> = (0..2).map(|_| crossbeam_channel::unbounded()).collect();
+        let (calls_tx, calls) = std::sync::mpsc::channel();
+        let inboxes: Vec<_> = (0..2).map(|_| std::sync::mpsc::channel()).collect();
         inboxes[0].0.send(Inbound::Msgs(waiting)).unwrap();
         let mut faults = FaultPlan::none().with_crash(p(1), 0);
         if let Some(at) = p0_crash {

@@ -16,12 +16,11 @@
 
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use rtc_model::ProcessorId;
@@ -550,7 +549,7 @@ impl<M: Clone + Send + 'static> FaultRouter<M> {
         inboxes: Vec<Sender<Inbound<M>>>,
         done: Arc<AtomicBool>,
     ) -> FaultRouter<M> {
-        let (held, rx) = unbounded();
+        let (held, rx) = channel();
         FaultRouter {
             plan,
             start: Instant::now(),
@@ -597,7 +596,15 @@ impl<M: Clone + Send + 'static> FaultRouter<M> {
     fn hold(&self, hold: Duration, to: ProcessorId, env: Envelope<M>) {
         // A send can fail only during teardown.
         let _ = self.held.send((Instant::now() + hold, to.index(), env));
-        let start = || spawn_delayer(self.idle.lock().take().expect("only one hold starts it"));
+        let start = || {
+            spawn_delayer(
+                self.idle
+                    .lock()
+                    .expect("no thread panics starting the delayer")
+                    .take()
+                    .expect("only one hold starts it"),
+            )
+        };
         self.delayer.get_or_init(start);
     }
 
@@ -951,12 +958,12 @@ mod tests {
         // Three holds due an hour from now, queued before the delayer
         // looks, and the run already over: it takes one off the queue
         // and must count all three.
-        let (held, rx) = unbounded();
+        let (held, rx) = channel();
         let due = Instant::now() + Duration::from_secs(3600);
         for from in 0..3 {
             held.send((due, 0, envelope(from))).unwrap();
         }
-        let (inbox, delivered) = unbounded();
+        let (inbox, delivered) = channel();
         let delayer = spawn_delayer((rx, vec![inbox], Arc::new(AtomicBool::new(true))));
         assert_eq!(delayer.join().unwrap(), 3);
         assert!(delivered.try_recv().is_err());
@@ -974,7 +981,7 @@ mod tests {
         let router = FaultRouter::new(
             plan,
             Duration::from_millis(1),
-            vec![unbounded().0],
+            vec![channel().0],
             Arc::new(AtomicBool::new(true)),
         );
         let mut rng = SmallRng::seed_from_u64(7);

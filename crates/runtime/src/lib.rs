@@ -2,7 +2,7 @@
 //!
 //! The discrete-event simulator (`rtc-sim`) gives adversarial control;
 //! this crate gives *realism*: every processor runs on its own OS
-//! thread, links are crossbeam channels, local clocks advance with wall
+//! thread, links are std `mpsc` channels, local clocks advance with wall
 //! time, and a [`FaultPlan`] injects crashes, restarts and network
 //! faults. The plan counts time in ticks, so the simulator reads the
 //! same plan. The same [`rtc_model::Automaton`] implementations run

@@ -1,4 +1,4 @@
-//! The channel substrate: crossbeam channels as links, one delayer
+//! The channel substrate: std `mpsc` channels as links, one delayer
 //! thread for held messages, and crash–recovery from persisted state.
 //!
 //! The paper's faults are fail-stop — a crashed processor never takes
@@ -34,10 +34,9 @@
 //! links are dropped, finishing the router disconnects the delayer.
 
 use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Mutex};
 
-use crossbeam_channel::{unbounded, Sender};
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rtc_model::{Outbox, ProcessorId, Recoverable, SeedCollection};
@@ -58,7 +57,9 @@ impl<M: Clone + Send + 'static> Links<M> for ChannelLinks<M> {
     fn send(&self, step: Envelope<&Outbox<M>>, n: usize) {
         let from = step.from;
         let at = self.router.elapsed();
-        let mut rng = self.rngs[from.index()].lock();
+        let mut rng = self.rngs[from.index()]
+            .lock()
+            .expect("no node panics holding its fault dice");
         for (to, msg) in step.msg.sends(from, n) {
             // An envelope owns its message, so this is where a
             // broadcast becomes one message per destination.
@@ -102,7 +103,7 @@ where
         opts: &ClusterOptions,
     ) -> ChannelCluster<A> {
         let n = procs.len();
-        let inboxes: Vec<_> = (0..n).map(|_| unbounded()).collect();
+        let inboxes: Vec<_> = (0..n).map(|_| channel()).collect();
         let inbox_tx: Vec<_> = inboxes.iter().map(|(tx, _)| tx.clone()).collect();
         let done = Arc::new(AtomicBool::new(false));
         let router = Arc::new(FaultRouter::new(
@@ -137,7 +138,7 @@ where
 }
 
 /// Runs a population of [`Recoverable`] automata on threads, with
-/// crossbeam channels as links, honouring the fault plan's scripted
+/// std `mpsc` channels as links, honouring the fault plan's scripted
 /// crashes *and restarts*, until every owed decision is in or the caps
 /// are hit.
 ///

@@ -174,14 +174,6 @@ impl<'a> PatternView<'a> {
             None => false,
         }
     }
-
-    /// The heal event of the active partition, if one is in force.
-    pub fn partition_heals_at(&self) -> Option<u64> {
-        match self.partition {
-            Some((_, heal_at)) if self.event < heal_at => Some(heal_at),
-            _ => None,
-        }
-    }
 }
 
 /// A Section-2.3 adversary: pattern-only vision.

@@ -18,7 +18,7 @@
 //!   (`rtc-core`);
 //! * [`baselines`] — Ben-Or, Rabin-style, CMS-style, 2PC, 3PC
 //!   (`rtc-baselines`);
-//! * [`runtime`] — the threaded crossbeam-channel cluster
+//! * [`runtime`] — the threaded cluster over std `mpsc` channels
 //!   (`rtc-runtime`);
 //! * [`net`] — the socket substrate: the same automata over real
 //!   localhost TCP with faults applied where frames land (`rtc-net`);
