@@ -7,15 +7,12 @@ use std::process::ExitCode;
 use rtc_analysis::rules::all_rules;
 use rtc_analysis::{engine, Rule, Workspace};
 
-mod conformance;
-
 struct Options {
     root: Option<PathBuf>,
     json: bool,
     deny: bool,
     verbose: bool,
     list_rules: bool,
-    conformance: bool,
     rules: Vec<String>,
 }
 
@@ -29,10 +26,7 @@ fn usage() -> &'static str {
      --json         emit the machine-readable JSON report\n\
      --deny         exit 1 when any unsuppressed finding remains\n\
      -v, --verbose  also print suppressed findings in the human report\n\
-     --list-rules   print the rule catalog and exit\n\
-     --conformance  dynamic-check mode: replay the golden-corpus schedules and\n\
-     \x20              lint every trace against the executable spec (rtc-spec);\n\
-     \x20              exit 1 when any trace does not conform\n"
+     --list-rules   print the rule catalog and exit\n"
 }
 
 fn parse_args() -> Result<Options, String> {
@@ -42,7 +36,6 @@ fn parse_args() -> Result<Options, String> {
         deny: false,
         verbose: false,
         list_rules: false,
-        conformance: false,
         rules: Vec::new(),
     };
     let mut args = std::env::args().skip(1);
@@ -60,7 +53,6 @@ fn parse_args() -> Result<Options, String> {
             "--deny" => opts.deny = true,
             "-v" | "--verbose" => opts.verbose = true,
             "--list-rules" => opts.list_rules = true,
-            "--conformance" => opts.conformance = true,
             "-h" | "--help" => return Err(String::new()),
             other => return Err(format!("unknown argument `{other}`")),
         }
@@ -99,14 +91,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if opts.conformance {
-        return if conformance::run_conformance() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
 
     let catalog = all_rules();
     if opts.list_rules {

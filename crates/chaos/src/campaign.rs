@@ -28,8 +28,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 use std::time::Duration;
 
-use rtc_model::TimingParams;
-use rtc_net::NetOptions;
 use rtc_runtime::{ClusterOptions, SupervisorPolicy};
 
 use crate::net_driver::run_on_net;
@@ -213,10 +211,7 @@ fn execute_schedule(cfg: &CampaignConfig, i: u64) -> ScheduleOutcomes {
         outcomes.push((Substrate::Supervised, rep.outcome));
     }
     if cfg.run_net {
-        let mut opts = NetOptions::derived(cfg.cluster.tick, TimingParams::default());
-        opts.max_steps = cfg.cluster.max_steps;
-        opts.wall_timeout = cfg.cluster.wall_timeout;
-        let (rep, _, _) = run_on_net(&schedule, opts, cfg.supervisor);
+        let (rep, _, _) = run_on_net(&schedule, cfg.cluster, cfg.supervisor);
         outcomes.push((Substrate::Net, rep.outcome));
     }
     (i, schedule, outcomes)

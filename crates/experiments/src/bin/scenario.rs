@@ -17,8 +17,7 @@ use rtc_core::{commit_population, properties::verify_commit, CommitConfig};
 use rtc_experiments::Table;
 use rtc_model::{ProcessorId, SeedCollection, TimingParams, Value};
 use rtc_sim::adversaries::{
-    CrashAdversary, CrashPlan, DelayAdversary, DropPolicy, PartitionAdversary, RandomAdversary,
-    SynchronousAdversary,
+    cut, CrashAdversary, CrashPlan, DropPolicy, RandomAdversary, SynchronousAdversary, Unfair,
 };
 use rtc_sim::rounds::RoundAccountant;
 use rtc_sim::{Adversary, RunLimits, RunMetrics, SimBuilder};
@@ -92,7 +91,7 @@ fn parse_votes(spec: Option<&str>, n: usize) -> Result<Vec<Value>, String> {
 fn make_adversary(spec: &str, n: usize, seed: u64, k: u64) -> Result<Box<dyn Adversary>, String> {
     if let Some(x) = spec.strip_prefix("delay:") {
         let x: u64 = x.parse().map_err(|e| format!("delay: {e}"))?;
-        return Ok(Box::new(DelayAdversary::new(n, x)));
+        return Ok(Box::new(SynchronousAdversary::with_lag(n, x * n as u64)));
     }
     if let Some(rest) = spec.strip_prefix("crash:") {
         let (victim, event) = rest
@@ -119,7 +118,9 @@ fn make_adversary(spec: &str, n: usize, seed: u64, k: u64) -> Result<Box<dyn Adv
         )),
         "partition" => {
             let group_a: Vec<ProcessorId> = ProcessorId::all(n / 2).collect();
-            Ok(Box::new(PartitionAdversary::new(n, &group_a)))
+            Ok(Box::new(Unfair(
+                SynchronousAdversary::new(n).holding(cut(n, &group_a)),
+            )))
         }
         other => Err(format!("unknown adversary {other} (try --help)")),
     }
@@ -192,8 +193,8 @@ fn run() -> Result<(), String> {
     );
     println!(
         "on-time: {}   late messages: {}",
-        metrics.on_time(),
-        metrics.late.len()
+        report.facts().on_time,
+        sim.trace().late_marks().len()
     );
     if let Some(ticks) = metrics.worst_nonfaulty_decision_clock {
         println!(

@@ -8,8 +8,7 @@ use rtc_baselines::{threepc_population, twopc_population};
 use rtc_core::{CoinList, CommitConfig};
 use rtc_model::{Decision, ProcessorId, SeedCollection, TimingParams, Value};
 use rtc_sim::adversaries::{
-    AdaptiveAdversary, CrashAdversary, CrashPlan, DelayAdversary, DropPolicy,
-    HealingPartitionAdversary, PartitionAdversary, RandomAdversary, SelectiveDelayAdversary,
+    cut, AdaptiveAdversary, CrashAdversary, CrashPlan, DropPolicy, RandomAdversary,
     SynchronousAdversary, Unfair,
 };
 use rtc_sim::{RunLimits, SimBuilder};
@@ -432,7 +431,7 @@ pub fn t6_abort(effort: Effort) -> ExperimentResult {
             let mut votes = vec![Value::One; n];
             votes[(seed as usize) % n] = Value::Zero;
             let r = if is_delay {
-                let mut adv = DelayAdversary::new(n, 8);
+                let mut adv = SynchronousAdversary::with_lag(n, 8 * n as u64);
                 run_commit(c, &votes, seed, &mut adv, RunLimits::default())
             } else {
                 let mut adv = RandomAdversary::new(seed).deliver_prob(0.25);
@@ -698,7 +697,7 @@ pub fn f3_delay(effort: Effort) -> ExperimentResult {
         let mut msgs = Vec::new();
         let mut outcomes = std::collections::BTreeSet::new();
         for seed in 0..trials as u64 {
-            let mut adv = DelayAdversary::new(n, x);
+            let mut adv = SynchronousAdversary::with_lag(n, x * n as u64);
             let r = run_commit(
                 c,
                 &vec![Value::One; n],
@@ -854,7 +853,8 @@ pub fn f4_late(effort: Effort) -> ExperimentResult {
                 )
             } else {
                 let victim = ProcessorId::new(2);
-                let mut adv = SelectiveDelayAdversary::new(n, 150, move |m| m.to == victim);
+                let mut adv = SynchronousAdversary::new(n)
+                    .holding(move |m, now| m.to == victim && now - m.send_event < 150);
                 run_commit(
                     c,
                     &[Value::One; 3],
@@ -969,7 +969,7 @@ pub fn t8_lowerbound(effort: Effort) -> ExperimentResult {
         let mut stalled = 0usize;
         let mut decisions_seen = std::collections::BTreeSet::new();
         for seed in 0..trials as u64 {
-            let mut adv = PartitionAdversary::new(n, &group_a);
+            let mut adv = Unfair(SynchronousAdversary::new(n).holding(cut(n, &group_a)));
             let r = run_commit(
                 c,
                 &vec![Value::One; n],
@@ -1044,8 +1044,8 @@ pub fn a1_piggyback(effort: Effort) -> ExperimentResult {
             // sender's first two steps) to processor 4 by 300 events;
             // everything later flows normally.
             let victim = ProcessorId::new(4);
-            let mut adv = SelectiveDelayAdversary::new(n, 300, move |m| {
-                m.to == victim && m.sender_clock.ticks() <= 2
+            let mut adv = SynchronousAdversary::new(n).holding(move |m, now| {
+                m.to == victim && m.sender_clock.ticks() <= 2 && now - m.send_event < 300
             });
             let r = run_commit(
                 c,
@@ -1166,7 +1166,9 @@ pub fn a3_recovery(effort: Effort) -> ExperimentResult {
             // Cut off two processors (including one the quorum needs
             // once two others crash... keep it simple: minority side).
             let group_a: Vec<ProcessorId> = vec![ProcessorId::new(3), ProcessorId::new(4)];
-            let mut adv = HealingPartitionAdversary::new(n, &group_a, heal_at);
+            let cut = cut(n, &group_a);
+            let mut adv =
+                SynchronousAdversary::new(n).holding(move |m, now| now < heal_at && cut(m, now));
             let r = run_commit(
                 c,
                 &vec![Value::One; n],

@@ -71,7 +71,8 @@ fn summarize(
     report: &rtc_sim::RunReport,
 ) -> CommitRunResult {
     let trace = sim.trace();
-    let verdict = properties::verify_commit(votes, &report.facts());
+    let facts = report.facts();
+    let verdict = properties::verify_commit(votes, &facts);
     let metrics = RunMetrics::from_trace(trace);
     let accountant = RoundAccountant::new(trace, cfg.timing());
     let done_round = if report.all_nonfaulty_decided() {
@@ -95,7 +96,7 @@ fn summarize(
         decision_clocks: metrics.decision_clocks.clone(),
         max_stage,
         messages: metrics.messages_sent,
-        on_time: metrics.on_time(),
+        on_time: facts.on_time,
         crashes: trace.faulty().len(),
     }
 }

@@ -56,7 +56,7 @@ use rtc_runtime::{
     SupervisorReport,
 };
 
-use crate::options::NetOptions;
+use crate::options::{io_deadline, NetOptions};
 use crate::peer::{spawn_link, Batch, NetCounters};
 use crate::wire::{append_frame, try_decode_frame, Frame, HEADER};
 
@@ -431,6 +431,7 @@ where
         let mut nodes = Vec::with_capacity(n);
         let mut link_handles = Vec::with_capacity(n * n);
         let reconnect = SupervisorPolicy::default();
+        let io_deadline = io_deadline(opts);
         for i in 0..n {
             let mut row = Vec::with_capacity(n);
             for (j, (addr, _)) in acceptors.iter().enumerate() {
@@ -441,7 +442,7 @@ where
                     rx,
                     spare_tx,
                     reconnect,
-                    opts.io_deadline,
+                    io_deadline,
                     Arc::clone(&done),
                     Arc::clone(&counters),
                     reconnect.seed ^ ((i as u64) << 32) ^ j as u64,
@@ -462,7 +463,7 @@ where
             instances,
             seeds,
             &faults,
-            &opts.cluster(),
+            opts,
             done,
             inboxes,
             TcpLinks { nodes },

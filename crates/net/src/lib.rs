@@ -18,7 +18,8 @@
 //! * **Deadline-bounded I/O.** Every connect, read, and write carries a
 //!   deadline derived from the model's timing constants
 //!   (`tick × 8K`, the failure-free decision bound) instead of blocking
-//!   forever — see [`NetOptions::derived`].
+//!   forever. [`NetOptions`] are the runtime's own pacing options; the
+//!   deadline is derived from them, not set.
 //! * **Faults where frames land.** Each node's readers apply the
 //!   [`FaultPlan`](rtc_runtime::FaultPlan)'s network faults to the real
 //!   frames they decode, through the runtime's own

@@ -29,48 +29,103 @@ fn next_alive(view: &PatternView<'_>, cursor: &mut usize) -> Option<ProcessorId>
     None
 }
 
-/// The benign scheduler: processors step in round-robin order and every
-/// pending message that has waited at least `lag` global events is
-/// delivered at its destination's next step.
+/// The benign scheduler and every slowed-down variant of it: processors
+/// step in round-robin order, and a pending message is delivered at its
+/// destination's next step once it has waited at least `lag` global
+/// events and the hold rule, if any, does not hold it back.
 ///
-/// With `lag = 0` this realizes the paper's well-behaved case: all
-/// message delays are one "cycle", so every run is failure-free and
-/// on-time for any `K ≥ 1`. Each of its events is then
+/// With `lag = 0` and no rule this realizes the paper's well-behaved
+/// case: all message delays are one "cycle", so every run is
+/// failure-free and on-time for any `K ≥ 1`. Each of its events is then
 /// [`Action::StepAll`] — the processor steps with its whole buffer —
-/// and the adversary lists no ids. With a lag it lists the messages old
-/// enough in an [`Action::Step`].
-#[derive(Debug)]
+/// and the adversary lists no ids. Otherwise it lists the messages it
+/// delivers in an [`Action::Step`].
+///
+/// The paper's slow and partitioned scenarios are a lag or a rule:
+///
+/// | Scenario | Scheduler |
+/// |---|---|
+/// | Theorem 17: an `x`-slow run | `with_lag(n, x * n)` — `x` rotations |
+/// | one late message | `holding(move \|m, now\| late(m) && now - m.send_event < hold)` |
+/// | recovery after a healed partition | `holding(move \|m, now\| now < heal_at && cut(m, now))` |
+/// | Theorem 14: a permanent partition | `Unfair(new(n).holding(cut(n, &group_a)))` |
+///
+/// A permanent partition withholds guaranteed messages forever, so it
+/// is inadmissible, and [`Unfair`] says so.
 pub struct SynchronousAdversary {
     cursor: usize,
     lag: u64,
+    hold: Option<HoldRule>,
 }
+
+/// Whether a pending message is held back at global event `now`.
+type HoldRule = Box<dyn Fn(&MsgHandle, u64) -> bool + Send>;
 
 impl SynchronousAdversary {
     /// A synchronous scheduler over `n` processors delivering messages
     /// at the first opportunity.
-    pub fn new(_n: usize) -> SynchronousAdversary {
-        SynchronousAdversary { cursor: 0, lag: 0 }
+    pub fn new(n: usize) -> SynchronousAdversary {
+        SynchronousAdversary::with_lag(n, 0)
     }
 
     /// A synchronous scheduler that holds every message for at least
     /// `lag` global events before delivery.
     pub fn with_lag(_n: usize, lag: u64) -> SynchronousAdversary {
-        SynchronousAdversary { cursor: 0, lag }
+        SynchronousAdversary {
+            cursor: 0,
+            lag,
+            hold: None,
+        }
     }
+
+    /// Also holds back every pending message for which `rule(m, now)`
+    /// is true at global event `now`. The rule sees only
+    /// pattern-visible metadata ([`MsgHandle`]), so the scheduler stays
+    /// within the Section-2.3 model.
+    #[must_use]
+    pub fn holding(
+        mut self,
+        rule: impl Fn(&MsgHandle, u64) -> bool + Send + 'static,
+    ) -> SynchronousAdversary {
+        self.hold = Some(Box::new(rule));
+        self
+    }
+}
+
+/// The hold rule of a network cut: holds every message between
+/// `group_a` and the rest of the `n` processors.
+pub fn cut(n: usize, group_a: &[ProcessorId]) -> impl Fn(&MsgHandle, u64) -> bool + Send + 'static {
+    let mut in_group_a = vec![false; n];
+    for p in group_a {
+        in_group_a[p.index()] = true;
+    }
+    move |m, _| in_group_a[m.from.index()] != in_group_a[m.to.index()]
 }
 
 impl Adversary for SynchronousAdversary {
     fn next(&mut self, view: &PatternView<'_>) -> Action {
         let p = next_alive(view, &mut self.cursor).expect("some processor is alive");
-        if self.lag == 0 {
+        if self.lag == 0 && self.hold.is_none() {
             return Action::StepAll { p };
         }
+        let now = view.event();
+        let held = |m: &MsgHandle| self.hold.as_ref().is_some_and(|rule| rule(m, now));
         let deliver = view
             .pending_iter(p)
-            .filter(|m| view.event().saturating_sub(m.send_event) >= self.lag)
+            .filter(|m| now.saturating_sub(m.send_event) >= self.lag && !held(m))
             .map(|m| m.id)
             .collect();
         Action::Step { p, deliver }
+    }
+}
+
+impl fmt::Debug for SynchronousAdversary {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SynchronousAdversary")
+            .field("cursor", &self.cursor)
+            .field("lag", &self.lag)
+            .field("holding", &self.hold.is_some())
+            .finish()
     }
 }
 
@@ -252,190 +307,6 @@ impl<A: fmt::Debug> fmt::Debug for CrashAdversary<A> {
         f.debug_struct("CrashAdversary")
             .field("inner", &self.inner)
             .field("pending_plans", &self.plans.len())
-            .finish()
-    }
-}
-
-/// The Theorem-17 scheduler: round-robin steps, but every message is
-/// held for `x` full rotations of the population before delivery.
-///
-/// Since one rotation gives each processor one step, holding a message
-/// for `x` rotations means every processor takes about `x` steps between
-/// send and receive — the run is `x`-slow in the paper's Section 5
-/// sense. The expected number of clock ticks to decision grows linearly
-/// in `x`, demonstrating that no protocol bound in clock ticks can
-/// exist.
-#[derive(Debug)]
-pub struct DelayAdversary {
-    cursor: usize,
-    hold_events: u64,
-}
-
-impl DelayAdversary {
-    /// A scheduler over `n` processors holding messages for `x`
-    /// rotations.
-    pub fn new(n: usize, x: u64) -> DelayAdversary {
-        DelayAdversary {
-            cursor: 0,
-            hold_events: x * n as u64,
-        }
-    }
-}
-
-impl Adversary for DelayAdversary {
-    fn next(&mut self, view: &PatternView<'_>) -> Action {
-        let p = next_alive(view, &mut self.cursor).expect("some processor is alive");
-        let deliver = view
-            .pending_iter(p)
-            .filter(|m| view.event().saturating_sub(m.send_event) >= self.hold_events)
-            .map(|m| m.id)
-            .collect();
-        Action::Step { p, deliver }
-    }
-}
-
-/// A permanent network partition: messages crossing the cut are never
-/// delivered.
-///
-/// This adversary is **not admissible** (guaranteed intergroup messages
-/// are withheld forever). It exists to demonstrate the mechanism of the
-/// paper's Theorem 14: with `n = 2t`, two groups of size `t` that cannot
-/// hear each other can never safely decide, so a correct protocol must
-/// stall — and ours does, without ever producing conflicting decisions.
-#[derive(Debug)]
-pub struct PartitionAdversary {
-    cursor: usize,
-    in_group_a: Vec<bool>,
-}
-
-impl PartitionAdversary {
-    /// Partitions `n` processors into `group_a` and its complement.
-    pub fn new(n: usize, group_a: &[ProcessorId]) -> PartitionAdversary {
-        let mut in_group_a = vec![false; n];
-        for p in group_a {
-            in_group_a[p.index()] = true;
-        }
-        PartitionAdversary {
-            cursor: 0,
-            in_group_a,
-        }
-    }
-
-    fn same_side(&self, a: ProcessorId, b: ProcessorId) -> bool {
-        self.in_group_a[a.index()] == self.in_group_a[b.index()]
-    }
-}
-
-impl Adversary for PartitionAdversary {
-    fn next(&mut self, view: &PatternView<'_>) -> Action {
-        let p = next_alive(view, &mut self.cursor).expect("some processor is alive");
-        let deliver = view
-            .pending_iter(p)
-            .filter(|m| self.same_side(m.from, p))
-            .map(|m| m.id)
-            .collect();
-        Action::Step { p, deliver }
-    }
-
-    fn admissible(&self) -> bool {
-        false
-    }
-}
-
-/// A network partition that heals: messages crossing the cut are
-/// withheld until the global event counter reaches `heal_at`, then the
-/// backlog (and everything after it) flows normally.
-///
-/// Unlike [`PartitionAdversary`] this is **admissible** — every
-/// guaranteed message is eventually delivered — so a `t`-nonblocking
-/// protocol must decide in spite of it. It is the recovery scenario the
-/// paper alludes to ("by not producing a wrong answer, we leave open
-/// the opportunity to recover"): the minority side makes no progress
-/// while cut off, then catches up through the piggybacked `GO`s and the
-/// buffered Protocol 1 traffic.
-#[derive(Debug)]
-pub struct HealingPartitionAdversary {
-    cursor: usize,
-    in_group_a: Vec<bool>,
-    heal_at: u64,
-}
-
-impl HealingPartitionAdversary {
-    /// Partitions `group_a` from the rest until global event `heal_at`.
-    pub fn new(n: usize, group_a: &[ProcessorId], heal_at: u64) -> HealingPartitionAdversary {
-        let mut in_group_a = vec![false; n];
-        for p in group_a {
-            in_group_a[p.index()] = true;
-        }
-        HealingPartitionAdversary {
-            cursor: 0,
-            in_group_a,
-            heal_at,
-        }
-    }
-}
-
-impl Adversary for HealingPartitionAdversary {
-    fn next(&mut self, view: &PatternView<'_>) -> Action {
-        let p = next_alive(view, &mut self.cursor).expect("some processor is alive");
-        let healed = view.event() >= self.heal_at;
-        let deliver = view
-            .pending_iter(p)
-            .filter(|m| healed || self.in_group_a[m.from.index()] == self.in_group_a[p.index()])
-            .map(|m| m.id)
-            .collect();
-        Action::Step { p, deliver }
-    }
-}
-
-/// Delays messages matching a predicate by a fixed number of global
-/// events while scheduling everything else synchronously.
-///
-/// The predicate sees only pattern-visible metadata ([`MsgHandle`]), so
-/// this adversary stays within the Section-2.3 model. It is the tool for
-/// "one late message" scenarios: e.g. delay everything from the
-/// coordinator past `K` and watch a synchronous-model protocol
-/// misbehave.
-pub struct SelectiveDelayAdversary {
-    cursor: usize,
-    hold_events: u64,
-    matches: Box<dyn Fn(&MsgHandle) -> bool + Send>,
-}
-
-impl SelectiveDelayAdversary {
-    /// Holds messages matching `matches` for `hold_events` global
-    /// events; everything else is delivered immediately.
-    pub fn new(
-        _n: usize,
-        hold_events: u64,
-        matches: impl Fn(&MsgHandle) -> bool + Send + 'static,
-    ) -> SelectiveDelayAdversary {
-        SelectiveDelayAdversary {
-            cursor: 0,
-            hold_events,
-            matches: Box::new(matches),
-        }
-    }
-}
-
-impl Adversary for SelectiveDelayAdversary {
-    fn next(&mut self, view: &PatternView<'_>) -> Action {
-        let p = next_alive(view, &mut self.cursor).expect("some processor is alive");
-        let deliver = view
-            .pending_iter(p)
-            .filter(|m| {
-                !(self.matches)(m) || view.event().saturating_sub(m.send_event) >= self.hold_events
-            })
-            .map(|m| m.id)
-            .collect();
-        Action::Step { p, deliver }
-    }
-}
-
-impl fmt::Debug for SelectiveDelayAdversary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SelectiveDelayAdversary")
-            .field("hold_events", &self.hold_events)
             .finish()
     }
 }
@@ -682,61 +553,74 @@ mod tests {
     }
 
     #[test]
-    fn delay_adversary_holds_messages() {
+    fn x_slow_is_a_lag_of_x_rotations() {
         let buffers = vec![vec![meta(0, 1, 0, 0)], vec![]];
         let clocks = vec![LocalClock::ZERO; 2];
         let crashed = vec![false, false];
         let last = vec![None, Some(0)];
-        let mut adv = DelayAdversary::new(2, 3); // hold for 6 events
-        let early_fx = fixture(&buffers, &clocks, &crashed, &last, 4);
-        let early = early_fx.view();
-        match adv.next(&early) {
-            Action::Step { deliver, .. } => assert!(deliver.is_empty()),
-            other => panic!("unexpected action {other:?}"),
-        }
-        let mut adv = DelayAdversary::new(2, 3);
+        // x = 3 rotations of n = 2 processors: held for 6 events.
+        let step = |deliver: Vec<MsgId>| Action::Step {
+            p: ProcessorId::new(0),
+            deliver,
+        };
+        let early_fx = fixture(&buffers, &clocks, &crashed, &last, 5);
+        let mut adv = SynchronousAdversary::with_lag(2, 3 * 2);
+        assert_eq!(adv.next(&early_fx.view()), step(vec![]));
         let due_fx = fixture(&buffers, &clocks, &crashed, &last, 6);
-        let due = due_fx.view();
-        match adv.next(&due) {
-            Action::Step { deliver, .. } => assert_eq!(deliver, vec![MsgId(0)]),
-            other => panic!("unexpected action {other:?}"),
-        }
+        let mut adv = SynchronousAdversary::with_lag(2, 3 * 2);
+        assert_eq!(adv.next(&due_fx.view()), step(vec![MsgId(0)]));
     }
 
     #[test]
-    fn partition_never_crosses_the_cut() {
-        let buffers = vec![vec![meta(0, 1, 0, 0), meta(1, 0, 0, 0)], vec![]];
-        let clocks = vec![LocalClock::ZERO; 2];
-        let crashed = vec![false, false];
-        let last = vec![Some(0), Some(0)];
-        let mut adv = PartitionAdversary::new(2, &[ProcessorId::new(0)]);
-        assert!(!Adversary::admissible(&adv));
+    fn a_cut_holds_messages_across_it_by_their_endpoints() {
+        // p0 | p1 p2: p0 holds one message from each side, p1 one from
+        // its own side.
+        let buffers = vec![
+            vec![meta(0, 1, 0, 0), meta(1, 0, 0, 0)],
+            vec![meta(2, 2, 1, 0)],
+            vec![],
+        ];
+        let clocks = vec![LocalClock::ZERO; 3];
+        let crashed = vec![false; 3];
+        let last = vec![Some(0), None, Some(0)];
         let fx = fixture(&buffers, &clocks, &crashed, &last, 1);
         let v = fx.view();
-        match adv.next(&v) {
-            Action::Step { p, deliver } => {
-                assert_eq!(p, ProcessorId::new(0));
-                // Only the self-side message (from p0 to p0's side) passes.
-                assert_eq!(deliver, vec![MsgId(1)]);
-            }
-            other => panic!("unexpected action {other:?}"),
-        }
+        let p = ProcessorId::new;
+        let mut adv = Unfair(SynchronousAdversary::new(3).holding(cut(3, &[p(0)])));
+        assert!(!Adversary::admissible(&adv));
+        let step = |p, deliver: Vec<MsgId>| Action::Step { p, deliver };
+        assert_eq!(adv.next(&v), step(p(0), vec![MsgId(1)]));
+        assert_eq!(adv.next(&v), step(p(1), vec![MsgId(2)]));
+        // A cut that heals at event 1 holds nothing from then on.
+        let rule = cut(3, &[p(0)]);
+        let mut healed =
+            SynchronousAdversary::new(3).holding(move |m, now| now < 1 && rule(m, now));
+        assert!(Adversary::admissible(&healed));
+        assert_eq!(healed.next(&v), step(p(0), vec![MsgId(0), MsgId(1)]));
     }
 
     #[test]
-    fn selective_delay_filters_by_predicate() {
+    fn a_rule_holds_only_what_it_matches_and_only_while_young() {
         let buffers = vec![vec![meta(0, 1, 0, 0), meta(1, 0, 0, 0)], vec![]];
         let clocks = vec![LocalClock::ZERO; 2];
         let crashed = vec![false, false];
         let last = vec![Some(0), Some(0)];
-        let mut adv =
-            SelectiveDelayAdversary::new(2, 100, |m: &MsgHandle| m.from == ProcessorId::new(1));
-        let fx = fixture(&buffers, &clocks, &crashed, &last, 5);
-        let v = fx.view();
-        match adv.next(&v) {
-            Action::Step { deliver, .. } => assert_eq!(deliver, vec![MsgId(1)]),
+        let late = |hold: u64| {
+            SynchronousAdversary::new(2).holding(move |m: &MsgHandle, now| {
+                m.from == ProcessorId::new(1) && now - m.send_event < hold
+            })
+        };
+        let deliver_at = |adv: &mut SynchronousAdversary, event| match adv
+            .next(&fixture(&buffers, &clocks, &crashed, &last, event).view())
+        {
+            Action::Step { deliver, .. } => deliver,
             other => panic!("unexpected action {other:?}"),
-        }
+        };
+        assert_eq!(deliver_at(&mut late(100), 5), vec![MsgId(1)]);
+        assert_eq!(deliver_at(&mut late(5), 5), vec![MsgId(0), MsgId(1)]);
+        // A lag applies on top of the rule.
+        let mut lagged = SynchronousAdversary::with_lag(2, 6).holding(|_, _| false);
+        assert_eq!(deliver_at(&mut lagged, 5), vec![]);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!   (who sent to whom at which events), never message contents, local
 //!   states, or coin flips. A strictly stronger [`ContentAdversary`] that
 //!   may inspect payloads exists for diagnostic experiments and is
-//!   clearly marked as exceeding the paper's model.
+//!   clearly marked as exceeding the paper's model. The paper's benign,
+//!   slow and partitioned schedules are one round-robin scheduler,
+//!   [`adversaries::SynchronousAdversary`], with a lag or a hold rule.
 //! * **`t`-admissibility**: a [`FairnessParams`] envelope forces overdue
 //!   guaranteed messages to be delivered and starved processors to be
 //!   stepped, so that every finite run the engine produces is a prefix of

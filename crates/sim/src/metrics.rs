@@ -2,7 +2,6 @@
 
 use rtc_model::ProcessorId;
 
-use crate::envelope::MsgId;
 use crate::trace::Trace;
 
 /// A bundle of headline numbers extracted from one trace.
@@ -17,23 +16,12 @@ pub struct RunMetrics {
     /// The latest decision clock among nonfaulty processors, if all of
     /// them decided.
     pub worst_nonfaulty_decision_clock: Option<u64>,
-    /// Ids of the messages delivered late against the run's `K`
-    /// (Section 2.2), in send order — the lane's lateness monitor's
-    /// [`Trace::late_marks`].
-    pub late: Vec<MsgId>,
 }
 
 impl RunMetrics {
-    /// Whether every delivery was on-time (Section 2's dichotomy bit).
-    pub fn on_time(&self) -> bool {
-        self.late.is_empty()
-    }
-
     /// Extracts metrics from a trace.
     pub fn from_trace(trace: &Trace) -> RunMetrics {
         let n = trace.population();
-        let mut late = trace.late_marks().to_vec();
-        late.sort_unstable();
         let decision_clocks: Vec<Option<u64>> = ProcessorId::all(n)
             .map(|p| trace.decision_of(p).map(|d| d.clock.ticks()))
             .collect();
@@ -53,7 +41,6 @@ impl RunMetrics {
             events: trace.event_count() as u64,
             decision_clocks,
             worst_nonfaulty_decision_clock: worst,
-            late,
         }
     }
 }
@@ -63,6 +50,7 @@ mod tests {
     use rtc_model::{LocalClock, Value};
 
     use super::*;
+    use crate::envelope::MsgId;
     use crate::trace::{DecisionRecord, EventRecord};
 
     #[test]
@@ -96,17 +84,6 @@ mod tests {
         assert_eq!(m.messages_sent, 1);
         assert_eq!(m.events, 2);
         assert_eq!(m.worst_nonfaulty_decision_clock, Some(1));
-        assert!(m.on_time());
-    }
-
-    #[test]
-    fn late_is_the_monitors_marks_in_send_order() {
-        let mut t = Trace::new(2);
-        t.mark_late(MsgId(3));
-        t.mark_late(MsgId(1));
-        let m = RunMetrics::from_trace(&t);
-        assert_eq!(m.late, [MsgId(1), MsgId(3)]);
-        assert!(!m.on_time());
     }
 
     #[test]

@@ -230,10 +230,10 @@ mod tests {
 
     #[test]
     fn stall_is_reported_not_hidden() {
-        use rtc_sim::adversaries::PartitionAdversary;
+        use rtc_sim::adversaries::{cut, SynchronousAdversary, Unfair};
         let mut runner = EpochRunner::new(cfg(), Store::with_entries([("a", 10)]));
         let group_a: Vec<ProcessorId> = ProcessorId::all(2).collect();
-        let mut adv = PartitionAdversary::new(4, &group_a);
+        let mut adv = Unfair(SynchronousAdversary::new(4).holding(cut(4, &group_a)));
         let err = runner
             .run_epoch(
                 &[transfer(1, "a", "b", 1)],

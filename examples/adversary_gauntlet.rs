@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (
             "x-slow delivery (x = 6 > K)",
             true,
-            Box::new(move |_| Box::new(DelayAdversary::new(n, 6))),
+            Box::new(move |_| Box::new(SynchronousAdversary::with_lag(n, 6 * n as u64))),
         ),
         (
             "coordinator assassination mid-GO",
@@ -69,7 +69,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             false,
             Box::new(move |_| {
                 let group_a: Vec<ProcessorId> = ProcessorId::all(n / 2).collect();
-                Box::new(PartitionAdversary::new(n, &group_a))
+                Box::new(Unfair(
+                    SynchronousAdversary::new(n).holding(cut(n, &group_a)),
+                ))
             }),
         ),
         (

@@ -65,7 +65,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .fault_budget(cfg.fault_bound())
             .build(procs)
             .unwrap();
-        let mut adv = SelectiveDelayAdversary::new(N, 150, move |m| m.to == victim);
+        let mut adv = SynchronousAdversary::new(N)
+            .holding(move |m, now| m.to == victim && now - m.send_event < 150);
         let report = sim.run(&mut adv, RunLimits::with_max_events(50_000))?;
         println!(
             "CL86 (slow link):          {}",

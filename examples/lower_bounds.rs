@@ -111,7 +111,7 @@ fn theorem_14_partition() -> Result<(), Box<dyn std::error::Error>> {
             .build(procs)
             .unwrap();
         let group_a: Vec<ProcessorId> = ProcessorId::all(n / 2).collect();
-        let mut adv = PartitionAdversary::new(n, &group_a);
+        let mut adv = Unfair(SynchronousAdversary::new(n).holding(cut(n, &group_a)));
         let report = sim.run(&mut adv, RunLimits::with_max_events(20_000))?;
         let decided = report.statuses().iter().filter(|s| s.is_decided()).count();
         println!(
@@ -151,7 +151,7 @@ fn theorem_17_unbounded_ticks() -> Result<(), Box<dyn std::error::Error>> {
             .fault_budget(cfg.fault_bound())
             .build(procs)
             .unwrap();
-        let mut adv = DelayAdversary::new(n, x);
+        let mut adv = SynchronousAdversary::with_lag(n, x * n as u64);
         let report = sim.run(&mut adv, RunLimits::with_max_events(5_000_000))?;
         assert!(report.all_nonfaulty_decided());
         let metrics = RunMetrics::from_trace(sim.trace());

@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "  on-time ................. {} (no message later than K = {})",
-        metrics.on_time(),
+        report.facts().on_time,
         cfg.timing().k()
     );
     Ok(())

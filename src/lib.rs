@@ -73,8 +73,7 @@ pub mod prelude {
     };
     pub use rtc_runtime::{run_cluster, ClusterOptions, DelayModel, FaultPlan};
     pub use rtc_sim::adversaries::{
-        AdaptiveAdversary, CrashAdversary, CrashPlan, DelayAdversary, DropPolicy,
-        HealingPartitionAdversary, PartitionAdversary, RandomAdversary, SelectiveDelayAdversary,
+        cut, AdaptiveAdversary, CrashAdversary, CrashPlan, DropPolicy, RandomAdversary,
         SynchronousAdversary, Unfair,
     };
     pub use rtc_sim::{Adversary, RunLimits, RunReport, SimBuilder};

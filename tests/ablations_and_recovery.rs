@@ -30,8 +30,8 @@ fn piggyback_rescues_a_victim_of_a_delayed_go_wave() {
     let base = CommitConfig::new(n, 2, TimingParams::default()).unwrap();
     let victim = ProcessorId::new(4);
     let delayed_go_wave = || {
-        SelectiveDelayAdversary::new(n, 300, move |m| {
-            m.to == victim && m.sender_clock.ticks() <= 2
+        SynchronousAdversary::new(n).holding(move |m, now| {
+            m.to == victim && m.sender_clock.ticks() <= 2 && now - m.send_event < 300
         })
     };
 
@@ -111,7 +111,9 @@ fn healed_partition_reaches_unanimous_decision() {
     let cfg = CommitConfig::new(n, 2, TimingParams::default()).unwrap();
     for heal_at in [40u64, 120, 400] {
         let group_a = [ProcessorId::new(3), ProcessorId::new(4)];
-        let mut adv = HealingPartitionAdversary::new(n, &group_a, heal_at);
+        let cut = cut(n, &group_a);
+        let mut adv =
+            SynchronousAdversary::new(n).holding(move |m, now| now < heal_at && cut(m, now));
         let (report, _) = run(cfg, &[Value::One; 5], heal_at, &mut adv, 300_000);
         assert!(
             report.all_nonfaulty_decided(),
@@ -128,7 +130,9 @@ fn healing_later_costs_more_ticks_for_the_minority() {
     let mut last = 0u64;
     for heal_at in [50u64, 500] {
         let group_a = [ProcessorId::new(3), ProcessorId::new(4)];
-        let mut adv = HealingPartitionAdversary::new(n, &group_a, heal_at);
+        let cut = cut(n, &group_a);
+        let mut adv =
+            SynchronousAdversary::new(n).holding(move |m, now| now < heal_at && cut(m, now));
         let (report, clocks) = run(cfg, &[Value::One; 5], 1, &mut adv, 300_000);
         assert!(report.all_nonfaulty_decided());
         let minority_worst = clocks[3].unwrap().max(clocks[4].unwrap());

@@ -34,7 +34,8 @@ fn threepc_splits_but_cl86_survives_the_same_kind_of_lateness() {
         .build(procs)
         .unwrap();
     let victim = ProcessorId::new(2);
-    let mut adv = SelectiveDelayAdversary::new(n, 150, move |m| m.to == victim);
+    let mut adv = SynchronousAdversary::new(n)
+        .holding(move |m, now| m.to == victim && now - m.send_event < 150);
     let report = sim
         .run(&mut adv, RunLimits::with_max_events(50_000))
         .unwrap();

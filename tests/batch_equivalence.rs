@@ -18,8 +18,8 @@ use rtc::core::CommitMsg;
 use rtc::model::{Outbox, StepRng};
 use rtc::prelude::*;
 use rtc::sim::{
-    Action, Adversary, BatchPool, BatchSim, BatchSimBuilder, EventView, MsgId, PatternView,
-    RunMetrics, Sim, SimError, StopWhen, Trace,
+    Action, Adversary, BatchPool, BatchSim, BatchSimBuilder, EventView, MsgId, PatternView, Sim,
+    SimError, StopWhen, Trace,
 };
 
 mod hostile;
@@ -666,7 +666,7 @@ fn by_definition(trace: &Trace, k: u64) -> (Vec<MsgId>, bool) {
 
 #[test]
 fn on_time_and_late_agree_with_the_section_2_definition() {
-    // A report's on-time fact and `RunMetrics::late` are the lane's
+    // A report's on-time fact and `Trace::late_marks` are the lane's
     // online monitor at the run's own K; the definition is their
     // oracle, over the hostile corpus (duplicates are sent "now",
     // dropped messages are never received, a revived processor steps
@@ -674,7 +674,9 @@ fn on_time_and_late_agree_with_the_section_2_definition() {
     let (mut on_time, mut late) = (0, 0);
     let mut check = |sim: &Sim<CommitAutomaton>, report: &RunReport| {
         let (late_ids, overdue) = by_definition(sim.trace(), sim.timing().k());
-        assert_eq!(RunMetrics::from_trace(sim.trace()).late, late_ids);
+        let mut marks = sim.trace().late_marks().to_vec();
+        marks.sort_unstable();
+        assert_eq!(marks, late_ids);
         let want = late_ids.is_empty() && !overdue;
         assert_eq!(report.facts().on_time, want, "{:?}", sim.trace());
         match want {

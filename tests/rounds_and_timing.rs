@@ -30,8 +30,8 @@ fn synchronous_runs_are_on_time_and_within_8k_ticks() {
             let mut adv = SynchronousAdversary::new(n);
             let (report, trace, timing) = commit_run(n, k, 11, &mut adv);
             assert!(report.all_nonfaulty_decided());
+            assert!(report.facts().on_time, "n = {n}, K = {k}");
             let metrics = RunMetrics::from_trace(&trace);
-            assert!(metrics.on_time(), "n = {n}, K = {k}");
             let worst = metrics.worst_nonfaulty_decision_clock.unwrap();
             assert!(
                 worst <= timing.failure_free_decision_bound(),
@@ -46,11 +46,13 @@ fn synchronous_runs_are_on_time_and_within_8k_ticks() {
 fn delayed_runs_are_late_when_delay_exceeds_k() {
     let n = 4;
     // x = 8 rotations > K = 4: some message must be late.
-    let mut adv = DelayAdversary::new(n, 8);
-    let (report, trace, _) = commit_run(n, 4, 5, &mut adv);
+    let mut adv = SynchronousAdversary::with_lag(n, 8 * n as u64);
+    let (report, _, _) = commit_run(n, 4, 5, &mut adv);
     assert!(report.all_nonfaulty_decided());
-    let metrics = RunMetrics::from_trace(&trace);
-    assert!(!metrics.on_time(), "x-slow run must contain late messages");
+    assert!(
+        !report.facts().on_time,
+        "x-slow run must contain late messages"
+    );
 }
 
 #[test]

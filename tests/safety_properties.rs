@@ -182,7 +182,9 @@ proptest! {
             .fault_budget(cfg.fault_bound())
             .build(procs)
             .unwrap();
-        let mut adv = PartitionAdversary::new(n, &group_a);
+        let mut adv = Unfair(
+            SynchronousAdversary::new(n).holding(rtc::sim::adversaries::cut(n, &group_a)),
+        );
         let report = sim.run(&mut adv, RunLimits::with_max_events(25_000)).unwrap();
         prop_assert!(report.agreement_holds());
         // If one side holds a quorum (n - t), the run may even decide;
