@@ -26,13 +26,13 @@ fn committed_workspace_is_clean_under_the_full_catalog() {
         "committed workspace has unsuppressed findings:\n{rendered}"
     );
     // The sanctioned allowances: the chaos adversary's bounded
-    // crash-plan and partition-plan scans, the lockstep replay path's
-    // tag-addressed buffer scan, and the store's one walk over its
-    // hashed key directory, which sorts. If this count grows, the new
-    // suppression deserves review.
+    // crash-plan scan, the lockstep replay path's tag-addressed buffer
+    // scan, and the store's one walk over its hashed key directory,
+    // which sorts. If this count grows, the new suppression deserves
+    // review.
     assert_eq!(
         report.suppressed_count(),
-        4,
+        3,
         "unexpected number of rtc-allow suppressions:\n{}",
         report.render_human(true)
     );

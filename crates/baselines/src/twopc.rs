@@ -85,7 +85,7 @@ impl TwoPcAutomaton {
     /// Whether this participant is stuck in the blocking window: it
     /// promised to commit, has no decision, and its wait has outlived
     /// the timeout.
-    pub fn is_blocked(&self) -> bool {
+    pub fn in_blocking_window(&self) -> bool {
         self.promised
             && self.decided.is_none()
             && self
@@ -297,7 +297,7 @@ mod tests {
         assert!(report.agreement_holds());
         assert!(report.stalled(), "yes-voters must block forever");
         for p in 1..n {
-            assert!(sim.automaton(ProcessorId::new(p)).is_blocked());
+            assert!(sim.automaton(ProcessorId::new(p)).in_blocking_window());
         }
     }
 

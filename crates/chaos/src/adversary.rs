@@ -1,7 +1,12 @@
 //! The simulator-side realization of a [`ChaosSchedule`]: a
 //! pattern-only adversary that steps processors round-robin, holds
-//! messages according to the plan's delay regime and link outages,
-//! and fires the scripted crashes.
+//! messages according to the plan's delay regime, link outages and
+//! partitions, and fires the scripted crashes.
+//!
+//! A partition is not an event of the run: like an outage, it is a cut
+//! this adversary keeps by withholding every message that crosses it
+//! while its window is open — the pattern of withheld messages
+//! Section 2.3's adversary picks.
 //!
 //! The plan counts time in ticks, and one round-robin rotation gives
 //! each processor one step, so a tick here is `n` scheduler events:
@@ -10,9 +15,10 @@
 //! this sampler stays apart from [`rtc_runtime::DelayModel::sample`].
 //!
 //! It claims admissibility, so the engine's fairness envelope still
-//! forces overdue deliveries and starved steps — holds and outages are
-//! bounded interference, never permanent partition, exactly as in the
-//! paper's model.
+//! forces overdue deliveries and starved steps — a message held longer
+//! than the envelope allows is delivered whether a delay, an outage or
+//! a partition holds it, so every hold is bounded interference, never
+//! a permanent cut, exactly as in the paper's model.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -31,8 +37,7 @@ pub struct ChaosAdversary {
     delay: DelayModel,
     pending_crashes: Vec<CrashAt>,
     outages: Vec<LinkOutage>,
-    /// Scripted partitions not yet issued.
-    pending_partitions: Vec<NetPartition>,
+    partitions: Vec<NetPartition>,
     duplicate_permille: u32,
     reorder_permille: u32,
     /// Per-message delivery event, sampled once on first sight.
@@ -60,7 +65,7 @@ impl ChaosAdversary {
             delay: faults.delay,
             pending_crashes: faults.crashes.clone(),
             outages: faults.outages.clone(),
-            pending_partitions: faults.partitions.clone(),
+            partitions: faults.partitions.clone(),
             duplicate_permille: faults.duplicate_permille,
             reorder_permille: faults.reorder_permille,
             due: Vec::new(),
@@ -93,9 +98,12 @@ impl ChaosAdversary {
         self.due[idx]
     }
 
+    /// Whether an outage or a partition cuts `from` off from `to` at
+    /// `event`.
     fn cut(&self, from: ProcessorId, to: ProcessorId, event: u64) -> bool {
         let n = self.n as u64;
         self.outages.iter().any(|o| o.covers(from, to, event, n))
+            || self.partitions.iter().any(|c| c.covers(from, to, event, n))
     }
 }
 
@@ -121,29 +129,9 @@ impl Adversary for ChaosAdversary {
             return Action::Crash { p: c.victim, drop };
         }
 
-        // Scripted partitions are issued once their window opens; a
-        // window the run has already rushed past is dropped instead.
-        let n = self.n as u64;
-        if let Some(pos) = self
-            .pending_partitions
-            .iter()
-            .position(|part| view.event() >= part.from * n)
-        {
-            // Not a message buffer: at most one scripted cut per run.
-            // rtc-allow(buffer-linear-scan): bounded partition-plan list
-            let part = self.pending_partitions.remove(pos);
-            let heal_at = part.until * n;
-            if heal_at > view.event() {
-                return Action::Partition {
-                    groups: part.groups,
-                    heal_at,
-                };
-            }
-        }
-
         // Otherwise round-robin step the next alive processor,
         // delivering every pending message that is both due and not
-        // crossing a cut link or an active partition.
+        // crossing a cut.
         let mut p = ProcessorId::new(self.cursor % self.n);
         for _ in 0..self.n {
             p = ProcessorId::new(self.cursor % self.n);
@@ -178,12 +166,9 @@ impl Adversary for ChaosAdversary {
         }
 
         let mut deliver = Vec::with_capacity(view.pending_count(p));
-        let any_outages = !self.outages.is_empty();
+        let any_cuts = !self.outages.is_empty() || !self.partitions.is_empty();
         for m in view.pending_iter(p) {
-            if any_outages && self.cut(m.from, p, event) {
-                continue;
-            }
-            if view.is_blocked(m.from, p) {
+            if any_cuts && self.cut(m.from, p, event) {
                 continue;
             }
             if event >= self.due_of(&m) {

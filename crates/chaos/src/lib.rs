@@ -92,6 +92,6 @@ pub use outcome::{classify_verdict, ChaosOutcome, ChaosReport, Substrate};
 pub use runtime_driver::{run_on_runtime, run_on_supervised};
 pub use schedule::{ChaosSchedule, ScheduleParams};
 pub use shrink::{shrink_schedule, shrink_sim_violation};
-pub use sim_driver::{lint_sim_schedule, run_on_sim, run_on_sim_with_decision};
+pub use sim_driver::{lint_sim_schedule, run_on_sim, run_on_sim_with_decision, sim_trace_digest};
 pub use soak::{run_soak, SoakConfig, SoakReport};
 pub use theorem11::{run_theorem11, Theorem11Evidence};

@@ -150,9 +150,8 @@ impl ChaosSchedule {
             faults = faults.with_link_outage(a, b, from, until);
         }
 
-        // At most one healing partition per schedule: the simulator
-        // keeps a single active cut at a time, and one cut per run is
-        // already the interesting case (quorum split, heal, decide).
+        // At most one healing partition per schedule: one cut per run
+        // is already the interesting case (quorum split, heal, decide).
         if rng.gen_range(0..100u32) < 35 {
             let side_size = rng.gen_range(1..n);
             let mut members: Vec<usize> = (0..n).collect();

@@ -27,7 +27,9 @@ use crate::schedule::ChaosSchedule;
 /// # Panics
 ///
 /// Panics if the schedule's population/fault-bound combination is
-/// rejected by [`CommitConfig`] — generated schedules never are.
+/// rejected by [`CommitConfig`], or if its fault plan is invalid
+/// ([`rtc_runtime::FaultPlan::validate`]) — generated schedules never
+/// do either.
 pub fn run_on_sim(schedule: &ChaosSchedule, max_events: u64) -> ChaosReport {
     run_on_sim_with_decision(schedule, max_events).0
 }
@@ -91,6 +93,10 @@ impl FinishedRun {
 /// ends where the next restart is due, and the victims due by then are
 /// revived before the next one starts.
 fn execute_on_sim(schedule: &ChaosSchedule, max_events: u64) -> FinishedRun {
+    schedule
+        .faults
+        .validate(schedule.n, schedule.t)
+        .expect("generated schedules carry valid fault plans");
     let cfg = schedule.commit_config();
     let mut sim = SimBuilder::new(cfg.timing(), SeedCollection::new(schedule.seed))
         // Degraded schedules intentionally exceed t; give the engine
@@ -156,6 +162,18 @@ fn execute_on_sim(schedule: &ChaosSchedule, max_events: u64) -> FinishedRun {
     }
 }
 
+/// The digest ([`rtc_sim::Trace::digest`]) of the trace `schedule`
+/// records on the simulator in at most `max_events` events: two
+/// schedules run the same on the simulator exactly when their digests
+/// agree.
+///
+/// # Panics
+///
+/// As [`run_on_sim`].
+pub fn sim_trace_digest(schedule: &ChaosSchedule, max_events: u64) -> u64 {
+    execute_on_sim(schedule, max_events).sim.trace().digest()
+}
+
 /// Executes `schedule` on the simulator and lints the recorded trace
 /// against the executable spec ([`rtc_spec::lint_trace`]), returning
 /// the conformance summary or the first non-conforming event. The
@@ -169,8 +187,7 @@ fn execute_on_sim(schedule: &ChaosSchedule, max_events: u64) -> FinishedRun {
 ///
 /// # Panics
 ///
-/// Panics if the schedule's population/fault-bound combination is
-/// rejected by [`CommitConfig`] — generated schedules never are.
+/// As [`run_on_sim`].
 pub fn lint_sim_schedule(
     schedule: &ChaosSchedule,
     max_events: u64,
@@ -221,6 +238,7 @@ mod tests {
 
     use super::*;
     use crate::outcome::ChaosOutcome;
+    use crate::runtime_driver::run_on_runtime;
     use crate::schedule::ScheduleParams;
 
     #[test]
@@ -277,6 +295,20 @@ mod tests {
         assert!(!rep.verdict.on_time);
     }
 
+    /// A plan naming a processor outside the population is refused on
+    /// the simulator as on the wall-clock substrates, not run with the
+    /// stray outage ignored.
+    #[test]
+    fn an_invalid_plan_is_refused_on_every_substrate() {
+        let mut s = ChaosSchedule::fault_free(3, 14, vec![Value::One; 3]);
+        let stray = ProcessorId::new(7);
+        s.faults = s.faults.with_link_outage(ProcessorId::new(0), stray, 0, 5);
+        let sim = std::panic::catch_unwind(|| run_on_sim(&s, 1_000));
+        let runtime =
+            std::panic::catch_unwind(|| run_on_runtime(&s, rtc_runtime::ClusterOptions::default()));
+        assert!(sim.is_err() && runtime.is_err());
+    }
+
     #[test]
     fn theorem11_stall_is_graceful_and_recovery_terminates() {
         let stall = run_on_sim(&ChaosSchedule::theorem11(3, 5, false), 40_000);
@@ -289,10 +321,11 @@ mod tests {
 
     /// The two schedules a 2 000-schedule campaign used to report as
     /// `commit validity` violations: all-commit votes, no crash, nothing
-    /// delivered late — and an abort, decided while a partition still
-    /// held a message more than `K` steps old. That message is late
-    /// whenever it arrives, so the prefix is not on-time and commit
-    /// validity does not bind it.
+    /// delivered late — and an abort, decided while a cut (a link outage
+    /// in the first, a partition in the second) still held a message
+    /// more than `K` steps old. That message is late whenever it
+    /// arrives, so the prefix is not on-time and commit validity does
+    /// not bind it.
     fn assert_overdue_message_excuses_the_abort(campaign_seed: u64, index: u64) {
         let s = ChaosSchedule::generate(&ScheduleParams::default(), campaign_seed, index);
         assert!(s.faults.crashes.is_empty() && s.votes.iter().all(|v| *v == Value::One));

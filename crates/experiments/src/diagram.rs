@@ -62,9 +62,6 @@ pub fn render(trace: &Trace, opts: DiagramOptions) -> String {
                 cells[p.index()].push('R');
                 note = format!("{p} revived");
             }
-            EventView::Partition { groups, heal_at } => {
-                note = format!("partition {groups:?} until event {heal_at}");
-            }
             EventView::Duplicate { p, original, copy } => {
                 cells[p.index()].push('+');
                 note = format!("{p}'s message {original} duplicated as {copy}");

@@ -12,7 +12,11 @@
 //!
 //! Both wall-clock substrates apply the plan's network faults through
 //! one [`FaultRouter`], which holds what it delays in the run's one
-//! delayer thread.
+//! delayer thread. A link outage and a partition are the same fault to
+//! every substrate, a window during which the messages crossing a cut
+//! are held, never an event of the run: the router holds them until
+//! the last covering window ends, and the simulator's adversary
+//! withholds them while a window covers their pair.
 
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -498,7 +498,6 @@ mod tests {
                 event: self.event,
                 fault_budget: 1,
                 crashes_used: 0,
-                partition: None,
             }
         }
     }

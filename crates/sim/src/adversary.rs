@@ -43,21 +43,6 @@ pub enum Action {
         /// should never be delivered.
         drop: Vec<MsgId>,
     },
-    /// Partition the network: until the global event counter reaches
-    /// `heal_at`, messages may only be delivered between processors in
-    /// the same group. Buffered cross-group messages stay buffered (they
-    /// remain *guaranteed*: on heal the fairness envelope force-delivers
-    /// any that have become overdue, so eventual delivery holds and the
-    /// model's assumptions are preserved). A new partition replaces any
-    /// active one; an admissible adversary's partition window may not
-    /// exceed [`crate::FairnessParams::max_defer_events`].
-    Partition {
-        /// Group id per processor (`groups[p]`), length `n`. Delivery is
-        /// blocked exactly between processors with different group ids.
-        groups: Vec<u32>,
-        /// Global event index at which the partition heals.
-        heal_at: u64,
-    },
     /// Duplicate a buffered message: a copy with a fresh [`MsgId`] (and
     /// the current event as its send event) is enqueued at the tail of
     /// the same destination's buffer. Both copies are guaranteed, so the
@@ -92,8 +77,6 @@ pub struct PatternView<'a> {
     pub(crate) event: u64,
     pub(crate) fault_budget: usize,
     pub(crate) crashes_used: usize,
-    /// Active partition, if any: `(group-per-processor, heal_at)`.
-    pub(crate) partition: Option<(&'a [u32], u64)>,
 }
 
 impl<'a> PatternView<'a> {
@@ -160,19 +143,6 @@ impl<'a> PatternView<'a> {
     /// How many more crashes the fault budget `t` permits.
     pub fn crashes_remaining(&self) -> usize {
         self.fault_budget.saturating_sub(self.crashes_used)
-    }
-
-    /// Whether an active partition currently blocks delivery from
-    /// `from` to `to`. Delivering a blocked message is a
-    /// [`crate::SimError::DeliverPartitioned`] violation, so adversaries
-    /// (and replay fallbacks) filter on this.
-    pub fn is_blocked(&self, from: ProcessorId, to: ProcessorId) -> bool {
-        match self.partition {
-            Some((groups, heal_at)) => {
-                self.event < heal_at && groups[from.index()] != groups[to.index()]
-            }
-            None => false,
-        }
     }
 }
 
@@ -305,7 +275,6 @@ mod tests {
             event: 6,
             fault_budget: 1,
             crashes_used: 0,
-            partition: None,
         };
         assert_eq!(view.population(), 2);
         assert_eq!(view.pending(ProcessorId::new(0)).len(), 1);
@@ -342,7 +311,6 @@ mod tests {
             event: 10,
             fault_budget: 0,
             crashes_used: 0,
-            partition: None,
         };
         let sends = view.last_sends_of(ProcessorId::new(0));
         assert_eq!(sends.len(), 1);
@@ -369,7 +337,6 @@ mod tests {
                 event: 6,
                 fault_budget: 0,
                 crashes_used: 0,
-                partition: None,
             },
             bodies: &bodies,
         };

@@ -412,16 +412,14 @@ impl<A: Automaton> BatchSim<A> {
                     bodies: &self.shared.bodies,
                 }),
             };
-            // Network-plane actions (partition/duplicate/reorder) have
-            // no acting processor and never change automaton statuses,
-            // so the incremental stop-condition recheck is skipped.
+            // Network-plane actions (duplicate/reorder) have no acting
+            // processor and never change automaton statuses, so the
+            // incremental stop-condition recheck is skipped.
             let acting = match &action {
                 Action::Step { p, .. } | Action::StepAll { p } | Action::Crash { p, .. } => {
                     Some(p.index())
                 }
-                Action::Partition { .. } | Action::Duplicate { .. } | Action::Reorder { .. } => {
-                    None
-                }
+                Action::Duplicate { .. } | Action::Reorder { .. } => None,
             };
             lane.apply(action, admissible, &mut self.shared, trace)?;
             if let Some(acting) = acting {
@@ -738,7 +736,7 @@ mod tests {
     }
 
     /// Applies `action` to the one lane of `batch`, not admissibly (no
-    /// partition length limit).
+    /// fault budget).
     fn apply(batch: &mut BatchSim<Chatter>, action: Action) -> Result<(), SimError> {
         let (lane, shared, trace) = batch.parts_mut(0);
         lane.apply(action, false, shared, trace)
@@ -820,29 +818,6 @@ mod tests {
             assert!(held_by(&batch, p0).is_empty());
             accounted(&batch);
         }
-
-        // While a partition is active every id meets its veto: c, from
-        // p3 across the cut, stops the step after a and b came off. The
-        // whole buffer is refused for the same message, and takes
-        // nothing.
-        let partition = Action::Partition {
-            groups: vec![0, 0, 0, 1],
-            heal_at: 100,
-        };
-        let refused = Err(SimError::DeliverPartitioned {
-            p: p0,
-            id: p0_holds_three().1[2],
-        });
-        let (mut batch, [a, b, c]) = p0_holds_three();
-        apply(&mut batch, partition.clone()).unwrap();
-        assert_eq!(apply(&mut batch, step(vec![a, b, c])), refused);
-        assert_eq!(held_by(&batch, p0), [c]);
-        accounted(&batch);
-        let (mut batch, held) = p0_holds_three();
-        apply(&mut batch, partition).unwrap();
-        assert_eq!(apply(&mut batch, Action::StepAll { p: p0 }), refused);
-        assert_eq!(held_by(&batch, p0), held);
-        accounted(&batch);
     }
 
     #[test]

@@ -59,22 +59,6 @@ use crate::envelope::{IdRun, MsgId};
 use crate::store::{MsgStore, RunHeader, Taken};
 use crate::trace::{DecisionRecord, Dests, SendRun, Trace};
 
-/// An active network partition: processors in different groups cannot
-/// exchange messages until the heal event.
-#[derive(Clone, Debug)]
-struct PartitionState {
-    /// Group id per processor, indexed by processor.
-    group: Vec<u32>,
-    /// First event index at which delivery is unrestricted again.
-    heal_at: u64,
-}
-
-impl PartitionState {
-    fn blocks(&self, from: ProcessorId, to: ProcessorId) -> bool {
-        self.group[from.index()] != self.group[to.index()]
-    }
-}
-
 /// Errors produced when an adversary's action violates the model.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
@@ -122,33 +106,10 @@ pub enum SimError {
         /// The processor that is still alive.
         p: ProcessorId,
     },
-    /// A delivery would cross an active partition boundary.
-    DeliverPartitioned {
-        /// The stepping processor.
-        p: ProcessorId,
-        /// The blocked message.
-        id: MsgId,
-    },
     /// A duplicate/reorder action named a message that is not buffered.
     MsgNotBuffered {
         /// The missing message.
         id: MsgId,
-    },
-    /// A partition's group assignment does not cover the population.
-    MalformedPartition {
-        /// Population size.
-        expected: usize,
-        /// Length of the supplied group vector.
-        got: usize,
-    },
-    /// An admissible adversary tried to hold a partition open longer
-    /// than the fairness envelope's deferral bound, which would break
-    /// eventual delivery.
-    PartitionTooLong {
-        /// The requested heal event.
-        heal_at: u64,
-        /// The latest heal event the envelope admits.
-        limit: u64,
     },
 }
 
@@ -175,23 +136,8 @@ impl fmt::Display for SimError {
             SimError::ReviveNotCrashed { p } => {
                 write!(f, "{p} is not crashed and cannot be revived")
             }
-            SimError::DeliverPartitioned { p, id } => {
-                write!(f, "message {id} to {p} is blocked by an active partition")
-            }
             SimError::MsgNotBuffered { id } => {
                 write!(f, "message {id} is not buffered anywhere")
-            }
-            SimError::MalformedPartition { expected, got } => {
-                write!(
-                    f,
-                    "partition groups cover {got} processors, expected {expected}"
-                )
-            }
-            SimError::PartitionTooLong { heal_at, limit } => {
-                write!(
-                    f,
-                    "partition healing at event {heal_at} exceeds the fairness limit {limit}"
-                )
             }
         }
     }
@@ -421,7 +367,6 @@ impl SimBuilder {
             crashes_used: 0,
             next_forced_at: 0,
             direct_body: vec![NO_DIRECT; n],
-            partition: None,
             reordered: false,
             monitor,
             drained_overdue: false,
@@ -535,9 +480,6 @@ pub(crate) struct Lane<A: Automaton> {
     /// of the direct send naming that destination. Untouched by steps
     /// that only broadcast.
     direct_body: Vec<u32>,
-    /// The active partition, if any; cleared lazily once the event
-    /// counter passes its heal point.
-    partition: Option<PartitionState>,
     /// Set once any message has been reordered: per-destination lists
     /// are no longer sorted by send event, so the fairness envelope
     /// must fall back from its prefix fast path to a full scan.
@@ -640,20 +582,6 @@ impl<A: Automaton> Lane<A> {
             event: self.event,
             fault_budget: self.fault_budget,
             crashes_used: self.crashes_used,
-            partition: self
-                .partition
-                .as_ref()
-                .map(|ps| (ps.group.as_slice(), ps.heal_at)),
-        }
-    }
-
-    /// Drops the active partition once the event counter reaches its
-    /// heal point, restoring unrestricted delivery.
-    fn refresh_partition(&mut self) {
-        if let Some(ps) = &self.partition {
-            if self.event >= ps.heal_at {
-                self.partition = None;
-            }
         }
     }
 
@@ -670,14 +598,8 @@ impl<A: Automaton> Lane<A> {
         if self.event < self.next_forced_at {
             return None;
         }
-        self.refresh_partition();
         let defer = self.fairness.max_defer_events;
         let idle = self.fairness.max_idle_events;
-        // A hostile network perturbs the scan: an active partition
-        // blocks some messages (they must not be force-delivered until
-        // the heal), and a past reorder breaks the sorted-prefix
-        // invariant the fast path depends on.
-        let hostile = self.partition.is_some() || self.reordered;
         // Overdue messages to alive processors first (every buffered
         // message is guaranteed — a crash's drops leave the store at
         // crash time). Within a destination send events are
@@ -689,14 +611,12 @@ impl<A: Automaton> Lane<A> {
             if self.crashed[i] {
                 continue;
             }
-            let overdue: Vec<MsgId> = if hostile {
-                let part = self.partition.as_ref();
+            // A past reorder breaks the sorted-prefix invariant, so the
+            // whole list is scanned.
+            let overdue: Vec<MsgId> = if self.reordered {
                 self.store
                     .iter_dest(i)
-                    .filter(|m| {
-                        self.event.saturating_sub(m.send_event) > defer
-                            && part.is_none_or(|ps| !ps.blocks(m.from, m.to))
-                    })
+                    .filter(|m| self.event.saturating_sub(m.send_event) > defer)
                     .map(|m| m.id)
                     .collect()
             } else {
@@ -726,28 +646,17 @@ impl<A: Automaton> Lane<A> {
         // anything could. Heads only move later and idle clocks only
         // reset forward, so the bound stays valid until a send
         // (min-updated there) or a revive (reset there) perturbs it.
-        // Partition-blocked messages cannot be forced before the heal
-        // point, so their candidate is clamped to it — that guarantees a
-        // rescan right at the heal, which is what makes delivery across
-        // a healed partition eventual.
         let mut next = u64::MAX;
         for i in 0..self.autos.len() {
             if self.crashed[i] {
                 continue;
             }
-            if hostile {
-                let part = self.partition.as_ref();
-                for m in self.store.iter_dest(i) {
-                    let mut due = m.send_event.saturating_add(defer).saturating_add(1);
-                    if let Some(ps) = part {
-                        if ps.blocks(m.from, m.to) {
-                            due = due.max(ps.heal_at);
-                        }
-                    }
-                    next = next.min(due);
-                }
-            } else if let Some(m) = self.store.head(i) {
-                next = next.min(m.send_event.saturating_add(defer).saturating_add(1));
+            let head = match self.reordered {
+                true => self.store.iter_dest(i).map(|m| m.send_event).min(),
+                false => self.store.head(i).map(|m| m.send_event),
+            };
+            if let Some(sent) = head {
+                next = next.min(sent.saturating_add(defer).saturating_add(1));
             }
             next = next.min(
                 self.last_sched_event[i]
@@ -767,14 +676,10 @@ impl<A: Automaton> Lane<A> {
         shared: &mut Shared<A::Msg>,
         trace: &mut Trace,
     ) -> Result<(), SimError> {
-        self.refresh_partition();
         match action {
             Action::Step { p, deliver } => self.apply_step(p, Some(deliver), shared, trace),
             Action::StepAll { p } => self.apply_step(p, None, shared, trace),
             Action::Crash { p, drop } => self.apply_crash(p, drop, admissible, shared, trace),
-            Action::Partition { groups, heal_at } => {
-                self.apply_partition(groups, heal_at, admissible, trace)
-            }
             Action::Duplicate { id } => self.apply_duplicate(id, shared, trace),
             Action::Reorder { id } => self.apply_reorder(id, trace),
         }
@@ -890,9 +795,7 @@ impl<A: Automaton> Lane<A> {
 
     /// Moves what `p`'s step delivers out of its buffer into `lent`: the
     /// listed ids one by one, each checked, or — for `None` — the whole
-    /// buffer in one scan. An active partition (refreshed in `apply`, so
-    /// it is live) vetoes a delivery across its cut, the same message in
-    /// both forms; a refused whole-buffer step takes nothing.
+    /// buffer in one scan.
     fn take_deliveries(
         &mut self,
         p: ProcessorId,
@@ -900,24 +803,11 @@ impl<A: Automaton> Lane<A> {
         lent: &mut Vec<Taken>,
     ) -> Result<(), SimError> {
         let i = p.index();
-        let part = self.partition.as_ref();
         let Some(deliver) = deliver else {
-            if let Some(ps) = part {
-                if let Some(m) = self.store.iter_dest(i).find(|m| ps.blocks(m.from, m.to)) {
-                    return Err(SimError::DeliverPartitioned { p, id: m.id });
-                }
-            }
             self.store.take_all(i, |taken| lent.push(taken));
             return Ok(());
         };
         for id in deliver {
-            if let Some(ps) = part {
-                if let Some(m) = self.store.lookup(*id) {
-                    if ps.blocks(m.from, m.to) {
-                        return Err(SimError::DeliverPartitioned { p, id: *id });
-                    }
-                }
-            }
             let Some(taken) = self.store.take_for(*id, i) else {
                 return Err(SimError::DeliverNotBuffered { p, id: *id });
             };
@@ -1047,38 +937,6 @@ impl<A: Automaton> Lane<A> {
         self.crashed[i] = true;
         self.crashes_used += 1;
         trace.push_crash(p);
-        self.event += 1;
-        Ok(())
-    }
-
-    fn apply_partition(
-        &mut self,
-        groups: Vec<u32>,
-        heal_at: u64,
-        admissible: bool,
-        trace: &mut Trace,
-    ) -> Result<(), SimError> {
-        let n = self.autos.len();
-        if groups.len() != n {
-            return Err(SimError::MalformedPartition {
-                expected: n,
-                got: groups.len(),
-            });
-        }
-        if admissible {
-            // A partition outliving the deferral bound would let the
-            // adversary starve a guaranteed message past the envelope,
-            // contradicting eventual delivery.
-            let limit = self.event.saturating_add(self.fairness.max_defer_events);
-            if heal_at > limit {
-                return Err(SimError::PartitionTooLong { heal_at, limit });
-            }
-        }
-        trace.push_partition(&groups, heal_at);
-        self.partition = Some(PartitionState {
-            group: groups,
-            heal_at,
-        });
         self.event += 1;
         Ok(())
     }
@@ -1631,101 +1489,6 @@ mod tests {
             .trace()
             .events()
             .any(|e| matches!(e, crate::EventView::Revive { p } if p == p1)));
-    }
-
-    #[test]
-    fn partitioned_run_heals_and_still_decides() {
-        /// Splits {p0} | {p1} until event 30, then lets the run proceed
-        /// delivering whatever the network allows.
-        struct Partitioner(bool);
-        impl Adversary for Partitioner {
-            fn next(&mut self, view: &PatternView<'_>) -> Action {
-                if !self.0 {
-                    self.0 = true;
-                    return Action::Partition {
-                        groups: vec![0, 1],
-                        heal_at: 30,
-                    };
-                }
-                for p in ProcessorId::all(view.population()) {
-                    let deliver: Vec<MsgId> = view
-                        .pending(p)
-                        .iter()
-                        .filter(|m| !view.is_blocked(m.from, p))
-                        .map(|m| m.id)
-                        .collect();
-                    if !deliver.is_empty() {
-                        return Action::Step { p, deliver };
-                    }
-                }
-                Action::Step {
-                    p: ProcessorId::new(0),
-                    deliver: vec![],
-                }
-            }
-        }
-        let mut s = sim(2, 1);
-        let report = s
-            .run(&mut Partitioner(false), RunLimits::with_max_events(10_000))
-            .unwrap();
-        assert!(report.all_nonfaulty_decided());
-        assert!(report.agreement_holds());
-        assert!(s
-            .trace()
-            .events()
-            .any(|e| matches!(e, crate::EventView::Partition { heal_at: 30, .. })));
-    }
-
-    #[test]
-    fn delivering_across_a_partition_is_rejected() {
-        struct BlockedDeliver(u32);
-        impl Adversary for BlockedDeliver {
-            fn next(&mut self, view: &PatternView<'_>) -> Action {
-                self.0 += 1;
-                match self.0 {
-                    // Coordinator broadcasts, then the network splits
-                    // {p0} | {p1, p2} and p1 is stepped with the blocked
-                    // broadcast anyway.
-                    1 => Action::Step {
-                        p: ProcessorId::new(0),
-                        deliver: vec![],
-                    },
-                    2 => Action::Partition {
-                        groups: vec![0, 1, 1],
-                        heal_at: 1_000,
-                    },
-                    _ => {
-                        let p = ProcessorId::new(1);
-                        let deliver = view.pending(p).iter().map(|m| m.id).collect();
-                        Action::Step { p, deliver }
-                    }
-                }
-            }
-            fn admissible(&self) -> bool {
-                false
-            }
-        }
-        let mut s = sim(3, 2);
-        let err = s
-            .run(&mut BlockedDeliver(0), RunLimits::default())
-            .unwrap_err();
-        assert!(matches!(err, SimError::DeliverPartitioned { .. }));
-    }
-
-    #[test]
-    fn admissible_partitions_cannot_outlive_the_fairness_window() {
-        struct LongPartition;
-        impl Adversary for LongPartition {
-            fn next(&mut self, _: &PatternView<'_>) -> Action {
-                Action::Partition {
-                    groups: vec![0, 1],
-                    heal_at: u64::MAX,
-                }
-            }
-        }
-        let mut s = sim(2, 1);
-        let err = s.run(&mut LongPartition, RunLimits::default()).unwrap_err();
-        assert!(matches!(err, SimError::PartitionTooLong { .. }));
     }
 
     #[test]

@@ -57,14 +57,8 @@ impl MessagePattern {
                     received_from_events: Vec::new(),
                     sent_to: Vec::new(),
                 },
-                // A partition or reorder is pure network scheduling: it
-                // moves no messages, so its triple is empty.
-                EventView::Partition { .. } => PatternTriple {
-                    p: ProcessorId::COORDINATOR,
-                    failure: false,
-                    received_from_events: Vec::new(),
-                    sent_to: Vec::new(),
-                },
+                // A reorder is pure network scheduling: it moves no
+                // messages, so its triple is empty.
                 EventView::Reorder { p, .. } => PatternTriple {
                     p,
                     failure: false,

@@ -114,16 +114,7 @@ impl Adversary for Replayer {
             let p = rtc_model::ProcessorId::new(self.fallback_cursor % n);
             self.fallback_cursor = (self.fallback_cursor + 1) % n;
             if !view.is_crashed(p) {
-                // Deliver everything the network currently allows: a
-                // replayed log may leave a partition active, and forcing
-                // a blocked delivery would error out the extension.
-                let deliver = view
-                    .pending(p)
-                    .into_iter()
-                    .filter(|m| !view.is_blocked(m.from, p))
-                    .map(|m| m.id)
-                    .collect();
-                return Action::Step { p, deliver };
+                return Action::StepAll { p };
             }
         }
         unreachable!("some processor is alive");

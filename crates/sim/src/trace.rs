@@ -73,13 +73,6 @@ pub enum EventRecord {
         /// The revived processor.
         p: ProcessorId,
     },
-    /// The network was partitioned into groups until event `heal_at`.
-    Partition {
-        /// Group id per processor.
-        groups: Vec<u32>,
-        /// Global event index at which the partition heals.
-        heal_at: u64,
-    },
     /// A buffered message was duplicated by the network.
     Duplicate {
         /// The nominal sender (the original message's sender).
@@ -100,9 +93,7 @@ pub enum EventRecord {
 }
 
 impl EventRecord {
-    /// The processor involved in this event. Network-level events
-    /// (partitions) have no acting processor and report the
-    /// coordinator by convention.
+    /// The processor involved in this event.
     pub fn processor(&self) -> ProcessorId {
         match self {
             EventRecord::Step { p, .. }
@@ -110,7 +101,6 @@ impl EventRecord {
             | EventRecord::Revive { p }
             | EventRecord::Duplicate { p, .. }
             | EventRecord::Reorder { p, .. } => *p,
-            EventRecord::Partition { .. } => ProcessorId::COORDINATOR,
         }
     }
 }
@@ -145,13 +135,6 @@ pub enum EventView<'a> {
         /// The revived processor.
         p: ProcessorId,
     },
-    /// The network was partitioned into groups until event `heal_at`.
-    Partition {
-        /// Group id per processor.
-        groups: &'a [u32],
-        /// Global event index at which the partition heals.
-        heal_at: u64,
-    },
     /// A buffered message was duplicated by the network.
     Duplicate {
         /// The nominal sender (the original message's sender).
@@ -172,9 +155,7 @@ pub enum EventView<'a> {
 }
 
 impl EventView<'_> {
-    /// The processor involved in this event. Network-level events
-    /// (partitions) have no acting processor and report the
-    /// coordinator by convention.
+    /// The processor involved in this event.
     pub fn processor(&self) -> ProcessorId {
         match self {
             EventView::Step { p, .. }
@@ -182,7 +163,6 @@ impl EventView<'_> {
             | EventView::Revive { p }
             | EventView::Duplicate { p, .. }
             | EventView::Reorder { p, .. } => *p,
-            EventView::Partition { .. } => ProcessorId::COORDINATOR,
         }
     }
 
@@ -202,10 +182,6 @@ impl EventView<'_> {
             },
             EventView::Crash { p } => EventRecord::Crash { p },
             EventView::Revive { p } => EventRecord::Revive { p },
-            EventView::Partition { groups, heal_at } => EventRecord::Partition {
-                groups: groups.to_vec(),
-                heal_at,
-            },
             EventView::Duplicate { p, original, copy } => {
                 EventRecord::Duplicate { p, original, copy }
             }
@@ -230,11 +206,11 @@ pub struct DecisionRecord {
 /// Event-kind tags in the column-wise trace. These values are also the
 /// digest tags, so they must never change; new kinds are only ever
 /// appended (runs that use none of the newer kinds keep byte-identical
-/// digests across engine revisions).
+/// digests across engine revisions), and a retired kind's tag is not
+/// reused (3 was a network partition's).
 const KIND_STEP: u8 = 0;
 const KIND_CRASH: u8 = 1;
 const KIND_REVIVE: u8 = 2;
-const KIND_PARTITION: u8 = 3;
 const KIND_DUPLICATE: u8 = 4;
 const KIND_REORDER: u8 = 5;
 
@@ -261,8 +237,8 @@ pub(crate) struct SendRun<'a> {
 struct Row<'a> {
     kind: u8,
     p: u32,
-    /// The clock after a step; a partition's index in the side table;
-    /// the id a duplicate copied or a reorder moved; 0 otherwise.
+    /// The clock after a step; the id a duplicate copied or a reorder
+    /// moved; 0 otherwise.
     clock: u64,
     delivered: &'a [MsgId],
     /// Ids the run had minted once this event was applied.
@@ -288,9 +264,6 @@ struct EventCols {
     deliv_end: Vec<u32>,
     sent_end: Vec<u32>,
     deliv_pool: Vec<MsgId>,
-    /// Side table of partition events: for a `KIND_PARTITION` row the
-    /// `clock` column holds an index into this table.
-    partitions: Vec<(Vec<u32>, u64)>,
 }
 
 impl EventCols {
@@ -301,7 +274,6 @@ impl EventCols {
         self.deliv_end.clear();
         self.sent_end.clear();
         self.deliv_pool.clear();
-        self.partitions.clear();
     }
 
     fn len(&self) -> usize {
@@ -328,19 +300,6 @@ impl EventCols {
     ) {
         self.deliv_pool.extend(delivered);
         self.push(KIND_STEP, p, clock, sent_end);
-    }
-
-    /// Appends a partition row and its side-table entry.
-    fn push_partition(&mut self, groups: &[u32], heal_at: u64, sent_end: u32) {
-        let table_idx = self.partitions.len() as u64;
-        self.partitions.push((groups.to_vec(), heal_at));
-        self.push(KIND_PARTITION, 0, table_idx, sent_end);
-    }
-
-    /// The partition a `KIND_PARTITION` row's `clock` column names.
-    fn partition(&self, table_idx: u64) -> (&[u32], u64) {
-        let (groups, heal_at) = &self.partitions[table_idx as usize];
-        (groups, *heal_at)
     }
 
     /// Row `idx` (panics if out of range, like slice indexing).
@@ -570,7 +529,6 @@ impl Trace {
             }
             EventRecord::Crash { p } => self.push_crash(p),
             EventRecord::Revive { p } => self.push_revive(p),
-            EventRecord::Partition { groups, heal_at } => self.push_partition(&groups, heal_at),
             EventRecord::Duplicate { p, original, copy } => self.push_duplicate(p, original, copy),
             EventRecord::Reorder { p, id } => self.push_reorder(p, id),
         }
@@ -603,10 +561,6 @@ impl Trace {
                 sent: self.sent(idx),
             },
             KIND_CRASH => EventView::Crash { p },
-            KIND_PARTITION => {
-                let (groups, heal_at) = self.cols.partition(row.clock);
-                EventView::Partition { groups, heal_at }
-            }
             KIND_DUPLICATE => EventView::Duplicate {
                 p,
                 original: MsgId(row.clock),
@@ -704,14 +658,6 @@ impl Trace {
                 // Runs that use no hostile-network actions contain only
                 // kinds 0..=2, so the byte sequence — and therefore every
                 // legacy golden digest — is unchanged by these arms.
-                KIND_PARTITION => {
-                    let (groups, heal_at) = self.cols.partition(row.clock);
-                    h.write_u64(heal_at);
-                    h.write_u64(groups.len() as u64);
-                    for g in groups {
-                        h.write_u64(u64::from(*g));
-                    }
-                }
                 KIND_DUPLICATE => {
                     h.write_u64(row.clock);
                     write_sent(&mut h);
@@ -776,12 +722,6 @@ impl Trace {
     /// Records a revive event.
     pub(crate) fn push_revive(&mut self, p: ProcessorId) {
         self.push_messageless(KIND_REVIVE, p, 0);
-    }
-
-    /// Records a partition event.
-    pub(crate) fn push_partition(&mut self, groups: &[u32], heal_at: u64) {
-        self.msgs.take();
-        self.cols.push_partition(groups, heal_at, self.table.sent());
     }
 
     /// Records a duplication event: a run of one, `copy`, that says
@@ -998,10 +938,6 @@ mod tests {
                 delivered: vec![MsgId(0)],
                 sent: vec![MsgId(2), MsgId(3)],
             },
-            EventRecord::Partition {
-                groups: vec![0, 1, 0],
-                heal_at: 40,
-            },
             EventRecord::Duplicate {
                 p: pid(1),
                 original: MsgId(2),
@@ -1032,7 +968,7 @@ mod tests {
     /// derive, against hand-built expectations: a broadcast, a run with
     /// listed destinations (call order, the sender addressing itself),
     /// deliveries, a duplicate of one message of the broadcast, a reorder,
-    /// a partition, a crash dropping part of the last run, a revive.
+    /// a crash dropping part of the last run, a revive.
     #[test]
     fn every_event_kind_derives_the_hand_built_message_table() {
         let n = 3;
@@ -1052,28 +988,26 @@ mod tests {
         t.push_duplicate(pid(0), MsgId(1), MsgId(2));
         // 2: p2's queue [m1, m2] becomes [m2, m1].
         t.push_reorder(pid(2), MsgId(1));
-        // 3: a partition (moves no message).
-        t.push_partition(&[0, 0, 1], 9);
-        // 4: p2 steps, silent (right before a run that lists its
+        // 3: p2 steps, silent (right before a run that lists its
         //    destinations: the two must not be confused).
         sending_step(&mut t, 2, 1, &[], 3, &[]);
-        // 5: p1 receives m0 and sends m3 → p2, m4 → p1, m5 → p0, in
+        // 4: p1 receives m0 and sends m3 → p2, m4 → p1, m5 → p0, in
         //    call order.
         sending_step(&mut t, 1, 1, &[0], 3, &[2, 1, 0]);
-        // 6: p2 receives the copy and the broadcast, sends nothing.
+        // 5: p2 receives the copy and the broadcast, sends nothing.
         sending_step(&mut t, 2, 2, &[2, 1], 6, &[]);
-        // 7: p1 crashes; m3 and m5 of its last step are dropped.
+        // 6: p1 crashes; m3 and m5 of its last step are dropped.
         t.note_drop(MsgId(3));
         t.note_drop(MsgId(5));
         t.push_crash(pid(1));
-        // 8: p1 is revived; 9: and receives what it sent itself.
+        // 7: p1 is revived; 8: and receives what it sent itself.
         t.push_revive(pid(1));
         sending_step(&mut t, 1, 2, &[4], 6, &[]);
         t.push_decision(DecisionRecord {
             p: pid(2),
             value: Value::One,
             clock: LocalClock::new(2),
-            event: 6,
+            event: 5,
         });
 
         let rec =
@@ -1088,14 +1022,14 @@ mod tests {
                 dropped,
             };
         let want = vec![
-            rec(0, 0, 1, 0, 1, Some((5, 1)), false),
-            rec(1, 0, 2, 0, 1, Some((6, 2)), false),
+            rec(0, 0, 1, 0, 1, Some((4, 1)), false),
+            rec(1, 0, 2, 0, 1, Some((5, 2)), false),
             // The copy: sent "now" (event 1), the original's endpoints
             // and sender clock.
-            rec(2, 0, 2, 1, 1, Some((6, 2)), false),
-            rec(3, 1, 2, 5, 1, None, true),
-            rec(4, 1, 1, 5, 1, Some((9, 2)), false),
-            rec(5, 1, 0, 5, 1, None, true),
+            rec(2, 0, 2, 1, 1, Some((5, 2)), false),
+            rec(3, 1, 2, 4, 1, None, true),
+            rec(4, 1, 1, 4, 1, Some((8, 2)), false),
+            rec(5, 1, 0, 4, 1, None, true),
         ];
         assert_eq!(t.messages(), want.as_slice());
         let sent: Vec<Vec<MsgId>> = t
@@ -1114,7 +1048,6 @@ mod tests {
                 ids(&[2]),
                 ids(&[]),
                 ids(&[]),
-                ids(&[]),
                 ids(&[3, 4, 5]),
                 ids(&[]),
                 ids(&[]),
@@ -1127,7 +1060,7 @@ mod tests {
         // revision since the golden corpus has hashed it.
         let mut h = Fnv::new();
         let u = |h: &mut Fnv, vals: &[u64]| vals.iter().for_each(|v| h.write_u64(*v));
-        u(&mut h, &[n as u64, 10]);
+        u(&mut h, &[n as u64, 9]);
         // (kind, processor, then the kind's payload)
         h.write_u8(KIND_STEP);
         u(&mut h, &[0, 1, 0, 2, 0, 1]);
@@ -1135,8 +1068,6 @@ mod tests {
         u(&mut h, &[0, 1, 1, 2]);
         h.write_u8(KIND_REORDER);
         u(&mut h, &[2, 1]);
-        h.write_u8(KIND_PARTITION);
-        u(&mut h, &[0, 9, 3, 0, 0, 1]);
         h.write_u8(KIND_STEP);
         u(&mut h, &[2, 1, 0, 0]);
         h.write_u8(KIND_STEP);
@@ -1167,7 +1098,7 @@ mod tests {
         }
         u(&mut h, &[1, 2]);
         h.write_u8(Value::One.as_u8());
-        u(&mut h, &[2, 6]);
+        u(&mut h, &[2, 5]);
         u(&mut h, &[1, 1]);
         assert_eq!(t.digest(), h.finish());
     }
@@ -1177,20 +1108,16 @@ mod tests {
         let mut base = Trace::new(2);
         base.push_event(step(0, 1));
         base.push_event(step(1, 1));
-        let legacy = base.digest();
-        // Appending any of the new kinds changes the digest...
-        let mut with_part = base.clone();
-        with_part.push_partition(&[0, 1], 10);
-        assert_ne!(legacy, with_part.digest());
-        // ...and the digest distinguishes their content.
-        let mut other_part = base.clone();
-        other_part.push_partition(&[0, 1], 11);
-        assert_ne!(with_part.digest(), other_part.digest());
         sending_step(&mut base, 0, 2, &[], 0, &[1]);
+        let legacy = base.digest();
+        // Appending either network kind changes the digest, and the
+        // digest tells them apart.
         let mut dup = base.clone();
         dup.push_duplicate(pid(0), MsgId(0), MsgId(1));
         let mut reord = base.clone();
         reord.push_reorder(pid(1), MsgId(0));
+        assert_ne!(legacy, dup.digest());
+        assert_ne!(legacy, reord.digest());
         assert_ne!(dup.digest(), reord.digest());
         // Lateness marks are annotations, not digested content.
         let mut marked = base.clone();

@@ -13,8 +13,8 @@
 //!
 //! The linter checks everything derivable from `(RunSpec, Trace)`:
 //! message ids (dense, in prediction order), endpoints, send/receive
-//! events and clocks, partition vetoes, crash-time drop eligibility,
-//! and decision records in both directions. What it cannot check is
+//! events and clocks, crash-time drop eligibility, and decision records
+//! in both directions. What it cannot check is
 //! fault-budget admissibility — the budget lives in the driver, not the
 //! trace — so an over-budget run lints clean if each event is locally
 //! legal.
@@ -165,7 +165,6 @@ struct Linter<'a> {
     last_step_event: Vec<Option<u64>>,
     buffered: BTreeMap<u64, BufMsg>,
     next_msg: u64,
-    partition: Option<(Vec<u32>, u64)>,
     revive_cursor: usize,
     decision_cursor: usize,
     dropped_consumed: usize,
@@ -219,7 +218,6 @@ impl<'a> Linter<'a> {
             last_step_event: vec![None; n],
             buffered: BTreeMap::new(),
             next_msg: 0,
-            partition: None,
             revive_cursor: 0,
             decision_cursor: 0,
             dropped_consumed: 0,
@@ -236,13 +234,6 @@ impl<'a> Linter<'a> {
 
     fn lint(mut self, events: &[EventRecord]) -> Result<Conformance, ConformanceError> {
         for (idx, ev) in events.iter().enumerate() {
-            // The engine clears an expired partition on entry to every
-            // event application.
-            if let Some((_, heal_at)) = &self.partition {
-                if idx as u64 >= *heal_at {
-                    self.partition = None;
-                }
-            }
             match ev {
                 EventRecord::Step {
                     p,
@@ -252,19 +243,6 @@ impl<'a> Linter<'a> {
                 } => self.lint_step(idx, p.index(), *clock_after, delivered, sent)?,
                 EventRecord::Crash { p } => self.lint_crash(idx, p.index())?,
                 EventRecord::Revive { p } => self.lint_revive(idx, p.index())?,
-                EventRecord::Partition { groups, heal_at } => {
-                    if groups.len() != self.run.cfg.n {
-                        return self.fail(
-                            Some(idx),
-                            format!(
-                                "partition covers {} processors, population is {}",
-                                groups.len(),
-                                self.run.cfg.n
-                            ),
-                        );
-                    }
-                    self.partition = Some((groups.clone(), *heal_at));
-                }
                 EventRecord::Duplicate { p, original, copy } => {
                     self.lint_duplicate(idx, p.index(), original.index(), copy.index())?;
                 }
@@ -327,14 +305,6 @@ impl<'a> Linter<'a> {
                         buf.to
                     ),
                 );
-            }
-            if let Some((groups, _)) = &self.partition {
-                if groups[buf.from] != groups[p] {
-                    return self.fail(
-                        Some(idx),
-                        format!("delivery of message {raw} crosses the active partition"),
-                    );
-                }
             }
             let buf = self.buffered.remove(&raw).expect("checked above");
             deliveries.push(SpecDelivery {

@@ -15,7 +15,7 @@
 //! Token vocabulary: message kinds are `Go`, `Vote`, `Agree` (the
 //! implementation's Protocol 1 wrapper), `First`, `Second`, `Decided`,
 //! `Ping`; trace event kinds are `Step`, `Crash`, `Revive`,
-//! `Partition`, `Duplicate`, `Reorder`.
+//! `Duplicate`, `Reorder`.
 
 /// Which TLA+ module mirrors a transition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -205,7 +205,7 @@ pub const TRANSITIONS: &[TransitionRule] = &[
         module: SpecModule::Commit2,
         consumes: &[],
         produces: &[],
-        events: &["Partition"],
+        events: &[],
         guard: "admissible heal bound",
         effect: "messages crossing the groups are deferred until the heal event",
     },
@@ -294,14 +294,7 @@ mod tests {
 
     #[test]
     fn every_event_kind_is_covered() {
-        for kind in [
-            "Step",
-            "Crash",
-            "Revive",
-            "Partition",
-            "Duplicate",
-            "Reorder",
-        ] {
+        for kind in ["Step", "Crash", "Revive", "Duplicate", "Reorder"] {
             assert!(
                 TRANSITIONS.iter().any(|r| r.events.contains(&kind)),
                 "event kind {kind} not covered by any transition"

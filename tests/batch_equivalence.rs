@@ -19,7 +19,7 @@ use rtc::model::{Outbox, StepRng};
 use rtc::prelude::*;
 use rtc::sim::{
     Action, Adversary, BatchPool, BatchSim, BatchSimBuilder, EventView, MsgId, PatternView, Sim,
-    SimError, StopWhen, Trace,
+    StopWhen, Trace,
 };
 
 mod hostile;
@@ -538,40 +538,6 @@ impl<A: Adversary> Adversary for Whole<A> {
     }
 }
 
-/// Steps p0, then p2 (which hears p0 and answers everybody), then cuts
-/// p2 off and steps p1 with its whole buffer — listed or not.
-struct CutThenStep {
-    turn: u32,
-    listed: bool,
-}
-
-impl Adversary for CutThenStep {
-    fn next(&mut self, view: &PatternView<'_>) -> Action {
-        let p = ProcessorId::new;
-        self.turn += 1;
-        match self.turn {
-            1 => Action::Step {
-                p: p(0),
-                deliver: Vec::new(),
-            },
-            2 => Action::StepAll { p: p(2) },
-            3 => Action::Partition {
-                groups: vec![0, 0, 1, 0],
-                heal_at: 1_000,
-            },
-            _ if self.listed => Action::Step {
-                p: p(1),
-                deliver: held(view, p(1)),
-            },
-            _ => Action::StepAll { p: p(1) },
-        }
-    }
-
-    fn admissible(&self) -> bool {
-        false
-    }
-}
-
 #[test]
 fn step_all_is_step_with_the_whole_buffer() {
     // Over the corpus, plain and hostile: the run a schedule records is
@@ -603,26 +569,6 @@ fn step_all_is_step_with_the_whole_buffer() {
         turned += whole.1;
     }
     assert!(turned > 0, "no listed step was the whole buffer");
-
-    // Under an active partition both forms are refused, for the same
-    // message: p2's answer, behind p0's GO in p1's buffer.
-    let case = Case {
-        n: 4,
-        seed: 7,
-        kind: Kind::Synchronous,
-    };
-    let refused = |listed| {
-        let mut sim: Sim<CommitAutomaton> = sim_builder(&case).build(population(&case)).unwrap();
-        let mut adv = CutThenStep { turn: 0, listed };
-        let err = sim.run(&mut adv, RunLimits::default()).unwrap_err();
-        let SimError::DeliverPartitioned { p, id } = err else {
-            panic!("listed {listed}: {err:?}");
-        };
-        (p, sim.trace().messages()[id.index()].from, id)
-    };
-    let (p, from, id) = refused(false);
-    assert_eq!((p, from), (ProcessorId::new(1), ProcessorId::new(2)));
-    assert_eq!(refused(true), (p, from, id));
 }
 
 /// Section 2's lateness, word for word, read off a trace's events and
