@@ -1,29 +1,33 @@
 //! The simulator-side realization of a [`ChaosSchedule`]: a
 //! pattern-only adversary that steps processors round-robin, holds
-//! messages according to the plan's delay regime, link outages and
-//! partitions, and fires the scripted crashes.
+//! messages according to the plan's delay regime, reordering dice, link
+//! outages and partitions, and fires the scripted crashes.
 //!
-//! A partition is not an event of the run: like an outage, it is a cut
-//! this adversary keeps by withholding every message that crosses it
-//! while its window is open — the pattern of withheld messages
-//! Section 2.3's adversary picks.
+//! A partition and a reorder are not events of the run. A partition,
+//! like an outage, is a cut this adversary keeps by withholding every
+//! message that crosses it while its window is open
+//! ([`FaultPlan::cut_until`]). A reorder is one to three ticks of extra
+//! hold on a message ([`FaultPlan::reorder_ticks`]), so younger traffic
+//! overtakes it — the buffer is a set, and which messages an event
+//! withholds is the pattern Section 2.3's adversary picks.
 //!
 //! The plan counts time in ticks, and one round-robin rotation gives
 //! each processor one step, so a tick here is `n` scheduler events:
-//! outage and partition windows and delays scale by `n`. Delays are
-//! drawn in events, not in the wall-clock substrates' nanoseconds, so
-//! this sampler stays apart from [`rtc_runtime::DelayModel::sample`].
+//! outage and partition windows, delays and reorder holds scale by `n`.
+//! Delays are drawn in events, not in the wall-clock substrates'
+//! nanoseconds, so this sampler stays apart from
+//! [`rtc_runtime::DelayModel::sample`]; like it, it saturates.
 //!
 //! It claims admissibility, so the engine's fairness envelope still
 //! forces overdue deliveries and starved steps — a message held longer
-//! than the envelope allows is delivered whether a delay, an outage or
-//! a partition holds it, so every hold is bounded interference, never
-//! a permanent cut, exactly as in the paper's model.
+//! than the envelope allows is delivered whatever holds it, so every
+//! hold is bounded interference, never a permanent cut, exactly as in
+//! the paper's model.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rtc_model::ProcessorId;
-use rtc_runtime::{CrashAt, DelayModel, LinkOutage, NetPartition};
+use rtc_runtime::{CrashAt, DelayModel, FaultPlan};
 use rtc_sim::{Action, Adversary, MsgHandle, PatternView};
 
 use crate::schedule::ChaosSchedule;
@@ -34,12 +38,9 @@ pub struct ChaosAdversary {
     n: usize,
     cursor: usize,
     rng: SmallRng,
-    delay: DelayModel,
+    plan: FaultPlan,
+    /// The plan's crashes that have not fired yet.
     pending_crashes: Vec<CrashAt>,
-    outages: Vec<LinkOutage>,
-    partitions: Vec<NetPartition>,
-    duplicate_permille: u32,
-    reorder_permille: u32,
     /// Per-message delivery event, sampled once on first sight.
     /// `MsgId`s are dense run-unique integers, so this is a direct map
     /// indexed by id (`u64::MAX` = not yet sampled) — the adversary
@@ -53,21 +54,16 @@ pub struct ChaosAdversary {
 const UNSAMPLED: u64 = u64::MAX;
 
 impl ChaosAdversary {
-    /// Builds the adversary for `schedule`. The delay regime is driven
-    /// by a dedicated rng derived from the schedule seed, keeping the
-    /// run reproducible.
+    /// Builds the adversary for `schedule`. The network dice are
+    /// driven by a dedicated rng derived from the schedule seed,
+    /// keeping the run reproducible.
     pub fn new(schedule: &ChaosSchedule) -> ChaosAdversary {
-        let faults = &schedule.faults;
         ChaosAdversary {
             n: schedule.n,
             cursor: 0,
             rng: SmallRng::seed_from_u64(schedule.seed ^ 0x5EED_CAFE),
-            delay: faults.delay,
-            pending_crashes: faults.crashes.clone(),
-            outages: faults.outages.clone(),
-            partitions: faults.partitions.clone(),
-            duplicate_permille: faults.duplicate_permille,
-            reorder_permille: faults.reorder_permille,
+            plan: schedule.faults.clone(),
+            pending_crashes: schedule.faults.crashes.clone(),
             due: Vec::new(),
         }
     }
@@ -79,31 +75,30 @@ impl ChaosAdversary {
         }
         if self.due[idx] == UNSAMPLED {
             let n = self.n as u64;
-            let lag = match self.delay {
+            let lag = match self.plan.delay {
                 DelayModel::None => 0,
-                DelayModel::Uniform { min, max } if max <= min => min * n,
-                DelayModel::Uniform { min, max } => {
-                    min * n + self.rng.gen_range(0..=(max - min) * n)
-                }
+                DelayModel::Uniform { min, max } if max <= min => min.saturating_mul(n),
+                DelayModel::Uniform { min, max } => min
+                    .saturating_mul(n)
+                    .saturating_add(self.rng.gen_range(0..=(max - min).saturating_mul(n))),
                 DelayModel::Spike { permille, spike } => {
                     if self.rng.gen_range(0..1000u32) < permille {
-                        spike * n
+                        spike.saturating_mul(n)
                     } else {
                         0
                     }
                 }
             };
-            self.due[idx] = m.send_event + lag;
+            let reorder = u64::from(self.plan.reorder_ticks(&mut self.rng)) * n;
+            // A hold past the end of time stays sampled: the fairness
+            // envelope delivers the message.
+            self.due[idx] = m
+                .send_event
+                .saturating_add(lag)
+                .saturating_add(reorder)
+                .min(UNSAMPLED - 1);
         }
         self.due[idx]
-    }
-
-    /// Whether an outage or a partition cuts `from` off from `to` at
-    /// `event`.
-    fn cut(&self, from: ProcessorId, to: ProcessorId, event: u64) -> bool {
-        let n = self.n as u64;
-        self.outages.iter().any(|o| o.covers(from, to, event, n))
-            || self.partitions.iter().any(|c| c.covers(from, to, event, n))
     }
 }
 
@@ -142,36 +137,24 @@ impl Adversary for ChaosAdversary {
         }
         let event = view.event();
 
-        // Hostile-network coin flips: occasionally duplicate or reorder
-        // one of the stepping processor's buffered messages instead of
-        // stepping it. Both actions keep every message guaranteed, so
-        // the fairness envelope still bounds the interference.
-        if self.duplicate_permille > 0
+        // Hostile-network coin flip: occasionally duplicate one of the
+        // stepping processor's buffered messages instead of stepping
+        // it. The copy is guaranteed like every message, so the
+        // fairness envelope still bounds the interference.
+        if self.plan.duplicate_permille > 0
             && view.pending_count(p) > 0
-            && self.rng.gen_range(0..1000u32) < self.duplicate_permille
+            && self.rng.gen_range(0..1000u32) < self.plan.duplicate_permille
         {
             let pick = self.rng.gen_range(0..view.pending_count(p));
             if let Some(m) = view.pending_iter(p).nth(pick) {
                 return Action::Duplicate { id: m.id };
             }
         }
-        if self.reorder_permille > 0
-            && view.pending_count(p) > 1
-            && self.rng.gen_range(0..1000u32) < self.reorder_permille
-        {
-            let pick = self.rng.gen_range(0..view.pending_count(p));
-            if let Some(m) = view.pending_iter(p).nth(pick) {
-                return Action::Reorder { id: m.id };
-            }
-        }
 
+        let n = self.n as u64;
         let mut deliver = Vec::with_capacity(view.pending_count(p));
-        let any_cuts = !self.outages.is_empty() || !self.partitions.is_empty();
         for m in view.pending_iter(p) {
-            if any_cuts && self.cut(m.from, p, event) {
-                continue;
-            }
-            if event >= self.due_of(&m) {
+            if self.plan.cut_until(m.from, p, event, n).is_none() && event >= self.due_of(&m) {
                 deliver.push(m.id);
             }
         }

@@ -234,7 +234,7 @@ mod tests {
     use rtc_core::properties::Condition;
     use rtc_model::ProcessorId;
     use rtc_model::Value;
-    use rtc_runtime::CrashAt;
+    use rtc_runtime::{CrashAt, DelayModel};
 
     use super::*;
     use crate::outcome::ChaosOutcome;
@@ -293,6 +293,57 @@ mod tests {
         // one delivery past the K-window.
         assert!(rep.late_messages > 0, "{rep:?}");
         assert!(!rep.verdict.on_time);
+    }
+
+    /// A reorder is a hold of one to three ticks, not a move within
+    /// the buffer: when every message is reordered, none arrives
+    /// sooner than one tick (`n` events) after its send.
+    #[test]
+    fn a_reorder_holds_a_message_one_to_three_ticks() {
+        for seed in 0..20 {
+            let mut s = ChaosSchedule::fault_free(4, seed, vec![Value::One; 4]);
+            s.faults = s.faults.with_reordering(1000);
+            let run = execute_on_sim(&s, 200_000);
+            assert!(run.report.all_nonfaulty_decided(), "seed {seed}");
+            let fewest = run
+                .sim
+                .trace()
+                .messages()
+                .iter()
+                .filter_map(|m| Some(m.recv_event? - m.send_event))
+                .min();
+            assert!(
+                fewest >= Some(4),
+                "seed {seed}: fewest events in flight {fewest:?}"
+            );
+        }
+    }
+
+    /// A delay past the end of time saturates on the simulator as
+    /// [`DelayModel::sample`] saturates it on the wall clock: the
+    /// fairness envelope delivers what the plan would hold forever.
+    #[test]
+    fn unbounded_delays_saturate_and_the_run_stays_safe() {
+        for delay in [
+            DelayModel::Uniform {
+                min: 0,
+                max: u64::MAX,
+            },
+            DelayModel::Spike {
+                permille: 1000,
+                spike: u64::MAX,
+            },
+        ] {
+            for reorder in [0, 1000] {
+                let mut s = ChaosSchedule::fault_free(4, 21, vec![Value::One; 4]);
+                s.faults = s.faults.with_delay(delay).with_reordering(reorder);
+                let rep = run_on_sim(&s, 200_000);
+                assert!(
+                    rep.outcome.is_safe(),
+                    "{delay:?}, reorder {reorder}: {rep:?}"
+                );
+            }
+        }
     }
 
     /// A plan naming a processor outside the population is refused on

@@ -9,7 +9,6 @@
 //! * `D`   — decided at this step (appended)
 //! * `X`   — crashed (failure event)
 //! * `+`   — a pending message of this processor was duplicated
-//! * `~`   — a pending message to this processor was reordered
 //!
 //! The right margin annotates decisions. This is a debugging aid — for
 //! long runs, pass a window to keep the output readable.
@@ -65,10 +64,6 @@ pub fn render(trace: &Trace, opts: DiagramOptions) -> String {
             EventView::Duplicate { p, original, copy } => {
                 cells[p.index()].push('+');
                 note = format!("{p}'s message {original} duplicated as {copy}");
-            }
-            EventView::Reorder { p, id } => {
-                cells[p.index()].push('~');
-                note = format!("message {id} reordered to the back of {p}'s queue");
             }
             EventView::Step {
                 p, delivered, sent, ..

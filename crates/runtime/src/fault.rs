@@ -16,7 +16,9 @@
 //! every substrate, a window during which the messages crossing a cut
 //! are held, never an event of the run: the router holds them until
 //! the last covering window ends, and the simulator's adversary
-//! withholds them while a window covers their pair.
+//! withholds them while a window covers their pair
+//! ([`FaultPlan::cut_until`] serves both). A reorder is a hold too, one
+//! to three ticks long ([`FaultPlan::reorder_ticks`]).
 
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -271,7 +273,8 @@ pub struct FaultPlan {
     pub duplicate_permille: u32,
     /// Probability (in thousandths) that a sent message is held for an
     /// extra one-to-three ticks, letting later traffic overtake it —
-    /// the runtime's reordering fault.
+    /// the reordering fault of every substrate
+    /// ([`FaultPlan::reorder_ticks`]).
     pub reorder_permille: u32,
     /// Probability (in thousandths) that a link connection is torn down
     /// after carrying a message, forcing the sender through its
@@ -468,8 +471,8 @@ impl FaultPlan {
     ///
     /// * `hold`: the sampled delay, stretched to the end of any outage
     ///   or partition window covering the pair (the cut buffers, it
-    ///   never drops), plus one to three `tick`s when the reorder dice
-    ///   hit, so younger traffic overtakes this message.
+    ///   never drops), plus the reorder hold
+    ///   ([`FaultPlan::reorder_ticks`]).
     /// * `duplicate_hold`: when the duplicate dice hit, the hold of a
     ///   second copy, one to three `tick`s beyond `hold`.
     /// * `reset`: tear the carrying connection down after this message
@@ -482,25 +485,35 @@ impl FaultPlan {
         tick: Duration,
         rng: &mut SmallRng,
     ) -> (Duration, Option<Duration>, bool) {
-        let hit = |permille: u32, rng: &mut SmallRng| {
-            permille > 0 && rng.gen_range(0..1000u32) < permille
-        };
         let mut hold = self.delay.sample(tick, rng);
         if let Some(until) = self.cut_until(from, to, nanos(at), nanos(tick)) {
             hold = hold.max(wall(tick, until).saturating_sub(at));
         }
-        if hit(self.reorder_permille, rng) {
-            hold += tick * rng.gen_range(1..=3u32);
-        }
+        hold += tick * self.reorder_ticks(rng);
         let duplicate_hold =
             hit(self.duplicate_permille, rng).then(|| hold + tick * rng.gen_range(1..=3u32));
         (hold, duplicate_hold, hit(self.reset_permille, rng))
     }
 
+    /// The reorder dice for one message: 0, or, when the
+    /// [`FaultPlan::reorder_permille`] die hits, one to three ticks of
+    /// extra hold, so younger traffic overtakes the message. A reorder
+    /// is this hold on every substrate: [`FaultPlan::roll`] adds it on
+    /// the wall clock, and `rtc-chaos`'s `ChaosAdversary` adds it as
+    /// `n` events a tick on the simulator.
+    pub fn reorder_ticks(&self, rng: &mut SmallRng) -> u32 {
+        if hit(self.reorder_permille, rng) {
+            rng.gen_range(1..=3u32)
+        } else {
+            0
+        }
+    }
+
     /// If traffic between `x` and `y` at `at`, read on a clock of
-    /// `per_tick` units a tick, is cut by an outage or a partition,
-    /// returns the tick at which the last covering window ends.
-    fn cut_until(&self, x: ProcessorId, y: ProcessorId, at: u64, per_tick: u64) -> Option<u64> {
+    /// `per_tick` units a tick (simulator events or wall-clock
+    /// nanoseconds), is cut by an outage or a partition, returns the
+    /// tick at which the last covering window ends.
+    pub fn cut_until(&self, x: ProcessorId, y: ProcessorId, at: u64, per_tick: u64) -> Option<u64> {
         let outages = self.outages.iter().filter(|o| o.covers(x, y, at, per_tick));
         let partitions = self
             .partitions
@@ -511,6 +524,12 @@ impl FaultPlan {
             .chain(partitions.map(|p| p.until))
             .max()
     }
+}
+
+/// Whether a die that hits `permille` times in a thousand hits; a die
+/// that never hits is not rolled.
+fn hit(permille: u32, rng: &mut SmallRng) -> bool {
+    permille > 0 && rng.gen_range(0..1000u32) < permille
 }
 
 /// An envelope on hold: when it is due, which inbox it is for.

@@ -52,13 +52,6 @@ pub enum Action {
         /// The buffered message to duplicate.
         id: MsgId,
     },
-    /// Reorder a buffered message: move it to the tail of its
-    /// destination's pending list, behind messages sent after it. The
-    /// message stays guaranteed; only its position changes.
-    Reorder {
-        /// The buffered message to move to the back.
-        id: MsgId,
-    },
 }
 
 /// The message pattern of the run so far: everything a Section-2.3

@@ -412,14 +412,14 @@ impl<A: Automaton> BatchSim<A> {
                     bodies: &self.shared.bodies,
                 }),
             };
-            // Network-plane actions (duplicate/reorder) have no acting
+            // A network-plane action (a duplicate) has no acting
             // processor and never change automaton statuses, so the
             // incremental stop-condition recheck is skipped.
             let acting = match &action {
                 Action::Step { p, .. } | Action::StepAll { p } | Action::Crash { p, .. } => {
                     Some(p.index())
                 }
-                Action::Duplicate { .. } | Action::Reorder { .. } => None,
+                Action::Duplicate { .. } => None,
             };
             lane.apply(action, admissible, &mut self.shared, trace)?;
             if let Some(acting) = acting {
@@ -597,7 +597,7 @@ mod tests {
             .collect()
     }
 
-    /// Two broadcasts of p0, a duplicate and a reorder on them, then p0
+    /// Two broadcasts of p0, a duplicate of one of them, then p0
     /// crashes with two of its last three sends dropped; after that,
     /// everything pending is delivered round-robin.
     struct Faults(u32);
@@ -614,10 +614,7 @@ mod tests {
                 2 => Action::Duplicate {
                     id: view.pending(p(1))[0].id,
                 },
-                4 => Action::Reorder {
-                    id: view.pending(p(2))[0].id,
-                },
-                5 => Action::Crash {
+                4 => Action::Crash {
                     p: p(0),
                     drop: view.last_sends_of(p(0))[..2].iter().map(|m| m.id).collect(),
                 },
@@ -825,13 +822,12 @@ mod tests {
         let limits = RunLimits::with_max_events(200);
         let run = |mut batch: BatchSim<Chatter>| {
             let mut advs = adversaries();
-            // Lane 0's five scripted faults only: two broadcasts (3 + 3
+            // Lane 0's four scripted faults only: two broadcasts (3 + 3
             // messages, 2 bodies), one duplicate (a 7th message, no new
-            // body), one reorder (nothing), a crash dropping 2 messages
-            // of the second broadcast — whose body the third keeps
-            // alive.
+            // body), a crash dropping 2 messages of the second broadcast
+            // — whose body the third keeps alive.
             batch
-                .run_segment(&mut advs, &[5, 0, 0, 0], limits.stop)
+                .run_segment(&mut advs, &[4, 0, 0, 0], limits.stop)
                 .unwrap();
             assert_eq!(accounted(&batch), (5, 2));
             let reports = batch.run(&mut advs, limits).unwrap();

@@ -106,7 +106,7 @@ pub enum SimError {
         /// The processor that is still alive.
         p: ProcessorId,
     },
-    /// A duplicate/reorder action named a message that is not buffered.
+    /// A duplicate action named a message that is not buffered.
     MsgNotBuffered {
         /// The missing message.
         id: MsgId,
@@ -367,7 +367,6 @@ impl SimBuilder {
             crashes_used: 0,
             next_forced_at: 0,
             direct_body: vec![NO_DIRECT; n],
-            reordered: false,
             monitor,
             drained_overdue: false,
         })
@@ -480,10 +479,6 @@ pub(crate) struct Lane<A: Automaton> {
     /// of the direct send naming that destination. Untouched by steps
     /// that only broadcast.
     direct_body: Vec<u32>,
-    /// Set once any message has been reordered: per-destination lists
-    /// are no longer sorted by send event, so the fairness envelope
-    /// must fall back from its prefix fast path to a full scan.
-    reordered: bool,
     /// Online on-time/late classifier for every delivery.
     monitor: LatenessMonitor,
     /// Whether [`Lane::drain`] discarded a message that was already
@@ -603,29 +598,21 @@ impl<A: Automaton> Lane<A> {
         // Overdue messages to alive processors first (every buffered
         // message is guaranteed — a crash's drops leave the store at
         // crash time). Within a destination send events are
-        // nondecreasing, so the overdue messages are exactly a prefix of
-        // its pending list. Fairness rescue is the cold path: it only
-        // runs when the adversary starved a message past the envelope,
-        // never in steady-state stepping.
+        // nondecreasing — a duplicate is filed as sent now — so the
+        // overdue messages are exactly a prefix of its pending list.
+        // Fairness rescue is the cold path: it only runs when the
+        // adversary starved a message past the envelope, never in
+        // steady-state stepping.
         for i in 0..self.autos.len() {
             if self.crashed[i] {
                 continue;
             }
-            // A past reorder breaks the sorted-prefix invariant, so the
-            // whole list is scanned.
-            let overdue: Vec<MsgId> = if self.reordered {
-                self.store
-                    .iter_dest(i)
-                    .filter(|m| self.event.saturating_sub(m.send_event) > defer)
-                    .map(|m| m.id)
-                    .collect()
-            } else {
-                self.store
-                    .iter_dest(i)
-                    .take_while(|m| self.event.saturating_sub(m.send_event) > defer)
-                    .map(|m| m.id)
-                    .collect()
-            };
+            let overdue: Vec<MsgId> = self
+                .store
+                .iter_dest(i)
+                .take_while(|m| self.event.saturating_sub(m.send_event) > defer)
+                .map(|m| m.id)
+                .collect();
             if !overdue.is_empty() {
                 return Some(Action::Step {
                     p: ProcessorId::new(i),
@@ -651,11 +638,7 @@ impl<A: Automaton> Lane<A> {
             if self.crashed[i] {
                 continue;
             }
-            let head = match self.reordered {
-                true => self.store.iter_dest(i).map(|m| m.send_event).min(),
-                false => self.store.head(i).map(|m| m.send_event),
-            };
-            if let Some(sent) = head {
+            if let Some(sent) = self.store.head(i).map(|m| m.send_event) {
                 next = next.min(sent.saturating_add(defer).saturating_add(1));
             }
             next = next.min(
@@ -681,7 +664,6 @@ impl<A: Automaton> Lane<A> {
             Action::StepAll { p } => self.apply_step(p, None, shared, trace),
             Action::Crash { p, drop } => self.apply_crash(p, drop, admissible, shared, trace),
             Action::Duplicate { id } => self.apply_duplicate(id, shared, trace),
-            Action::Reorder { id } => self.apply_reorder(id, trace),
         }
     }
 
@@ -975,21 +957,6 @@ impl<A: Automaton> Lane<A> {
                 .saturating_add(self.fairness.max_defer_events)
                 .saturating_add(1),
         );
-        self.event += 1;
-        Ok(())
-    }
-
-    fn apply_reorder(&mut self, id: MsgId, trace: &mut Trace) -> Result<(), SimError> {
-        let Some(meta) = self.store.lookup(id) else {
-            return Err(SimError::MsgNotBuffered { id });
-        };
-        let moved = self.store.move_to_back(id);
-        debug_assert!(moved, "lookup succeeded, so the move must too");
-        // Per-destination lists are no longer sorted by send event; the
-        // fairness envelope switches to its full-scan path for the rest
-        // of the run.
-        self.reordered = true;
-        trace.push_reorder(meta.to, id);
         self.event += 1;
         Ok(())
     }
@@ -1559,70 +1526,6 @@ mod tests {
         assert_eq!(msgs[original.index()].from, msgs[copy.index()].from);
         assert_eq!(msgs[original.index()].to, msgs[copy.index()].to);
         assert!(msgs[copy.index()].delivered());
-    }
-
-    #[test]
-    fn reorder_moves_a_message_behind_its_queue_mates() {
-        #[derive(Default)]
-        struct Reorderer {
-            calls: u32,
-            observed: Vec<Vec<MsgId>>,
-        }
-        impl Adversary for Reorderer {
-            fn next(&mut self, view: &PatternView<'_>) -> Action {
-                self.calls += 1;
-                let p1 = ProcessorId::new(1);
-                match self.calls {
-                    // Two coordinator broadcasts queue two messages at
-                    // each peer; then the head of p1's queue is sent to
-                    // the back.
-                    1 | 2 => Action::Step {
-                        p: ProcessorId::new(0),
-                        deliver: vec![],
-                    },
-                    3 => {
-                        let pend: Vec<MsgId> = view.pending(p1).iter().map(|m| m.id).collect();
-                        self.observed.push(pend.clone());
-                        Action::Reorder { id: pend[0] }
-                    }
-                    4 => {
-                        let pend: Vec<MsgId> = view.pending(p1).iter().map(|m| m.id).collect();
-                        self.observed.push(pend);
-                        Action::Step {
-                            p: p1,
-                            deliver: vec![],
-                        }
-                    }
-                    _ => {
-                        for p in ProcessorId::all(view.population()) {
-                            let pend = view.pending(p);
-                            if !pend.is_empty() {
-                                return Action::Step {
-                                    p,
-                                    deliver: vec![pend[0].id],
-                                };
-                            }
-                        }
-                        Action::Step {
-                            p: ProcessorId::new(0),
-                            deliver: vec![],
-                        }
-                    }
-                }
-            }
-        }
-        let mut s = sim(3, 2);
-        let mut adv = Reorderer::default();
-        let report = s.run(&mut adv, RunLimits::with_max_events(2_000)).unwrap();
-        assert!(report.all_nonfaulty_decided());
-        let before = &adv.observed[0];
-        let after = &adv.observed[1];
-        assert_eq!(before.len(), 2);
-        assert_eq!(after.as_slice(), &[before[1], before[0]]);
-        assert!(s
-            .trace()
-            .events()
-            .any(|e| matches!(e, crate::EventView::Reorder { .. })));
     }
 
     /// Section 2's lateness, word for word, read off the recorded events

@@ -18,9 +18,12 @@
 //!   clearly marked as exceeding the paper's model. The paper's benign,
 //!   slow and partitioned schedules are one round-robin scheduler,
 //!   [`adversaries::SynchronousAdversary`], with a lag or a hold rule.
-//!   A partition is not an event: an adversary partitions the network
-//!   by withholding the messages that cross its cut, and the engine
-//!   knows no more of it than of any other held message.
+//!   A partition or a reorder is not an event: an adversary partitions
+//!   the network by withholding the messages that cross its cut, and
+//!   reorders it by withholding a message while younger traffic
+//!   overtakes it. The engine knows no more of either than of any other
+//!   held message. The one network-plane event is a duplicate
+//!   ([`Action::Duplicate`]).
 //! * **`t`-admissibility**: a [`FairnessParams`] envelope forces overdue
 //!   guaranteed messages to be delivered and starved processors to be
 //!   stepped, so that every finite run the engine produces is a prefix of

@@ -57,14 +57,6 @@ impl MessagePattern {
                     received_from_events: Vec::new(),
                     sent_to: Vec::new(),
                 },
-                // A reorder is pure network scheduling: it moves no
-                // messages, so its triple is empty.
-                EventView::Reorder { p, .. } => PatternTriple {
-                    p,
-                    failure: false,
-                    received_from_events: Vec::new(),
-                    sent_to: Vec::new(),
-                },
                 // A duplication re-sends an existing message on behalf
                 // of its original sender; attributing the copy's send to
                 // this event keeps receive-side well-formedness intact.

@@ -30,10 +30,10 @@
 //! * **take_all** serves Section 2.1's well-behaved event
 //!   ([`crate::Action::StepAll`]) in one forward scan from the
 //!   destination's cursor;
-//! * **move_to_back** (a network reorder) clears the message's bit and
-//!   files it again as a run of one at the back; a network duplicate is
-//!   a run of one too. Ids, per-destination order and handles are
-//!   therefore what they would be with one list per destination;
+//! * a network duplicate is a run of one, filed as sent now, so every
+//!   destination's buffer stays sorted by send event. Ids,
+//!   per-destination order and handles are what they would be with one
+//!   list per destination;
 //! * **drain** empties a finished lane in one pass over its runs.
 //!
 //! A run leaves the front of the deque once it owes nobody. A run that
@@ -285,18 +285,6 @@ impl MsgStore {
         header: RunHeader,
         sends: impl Iterator<Item = (ProcessorId, u32)>,
     ) -> u32 {
-        let (seq, count) = self.push_listed(header, sends);
-        self.map_ids(header.first, count, seq);
-        count
-    }
-
-    /// [`MsgStore::file_listed`] but for the id map; returns the run's
-    /// sequence number and message count.
-    fn push_listed(
-        &mut self,
-        header: RunHeader,
-        sends: impl Iterator<Item = (ProcessorId, u32)>,
-    ) -> (u32, u32) {
         let seq = self.end();
         let start = self.lists_front + self.lists.len() as u32;
         let words = self.owed.len();
@@ -316,7 +304,8 @@ impl MsgStore {
         if count > 0 {
             self.push_run(header, count, start, true);
         }
-        (seq, count)
+        self.map_ids(header.first, count, seq);
+        count
     }
 
     /// The destination and body of `run`'s message with ordinal `ord`.
@@ -465,30 +454,6 @@ impl MsgStore {
             self.pop_settled();
         }
         taken as usize
-    }
-
-    /// Moves message `id` behind everything else buffered for its
-    /// destination — the store-level realization of a network *reorder*
-    /// fault: its bit is cleared and it is filed again, same id and
-    /// header, as a run of one at the back. Returns `false` when `id` is
-    /// no longer buffered. After a move a destination's buffer is no
-    /// longer sorted by send event, so callers relying on that invariant
-    /// (the fairness fast path) must switch to full scans.
-    pub(crate) fn move_to_back(&mut self, id: MsgId) -> bool {
-        let Some((pos, ord, to)) = self.locate(id) else {
-            return false;
-        };
-        let run = self.runs[pos];
-        let Taken { body, .. } = self.take_at(pos, ord, to.index());
-        let header = RunHeader {
-            from: run.from,
-            send_event: run.send_event,
-            sender_clock: run.sender_clock,
-            first: id,
-        };
-        let (seq, _) = self.push_listed(header, std::iter::once((to, body)));
-        self.run_of[id.index()] = seq;
-        true
     }
 
     /// Takes every buffered message, run by run, handing each with its
@@ -715,34 +680,6 @@ mod tests {
     }
 
     #[test]
-    fn move_to_back_reorders_within_one_destination() {
-        let mut s = MsgStore::new(2);
-        for id in 0..4 {
-            s.file_one(handle(id, 1, 0, id), 0);
-        }
-        s.file_one(handle(4, 0, 1, 4), 0);
-        assert!(s.move_to_back(MsgId(1)));
-        assert_eq!(ids_of(&s, 0), [0, 2, 3, 1]);
-        // Other destinations are untouched.
-        assert_eq!(ids_of(&s, 1), [4]);
-        // Moving the last (or only) message keeps the order.
-        assert!(s.move_to_back(MsgId(1)));
-        assert_eq!(ids_of(&s, 0), [0, 2, 3, 1]);
-        assert!(s.move_to_back(MsgId(4)));
-        assert_eq!(ids_of(&s, 1), [4]);
-        // The head can move too, and keeps its handle.
-        let before = s.lookup(MsgId(0));
-        assert!(s.move_to_back(MsgId(0)));
-        assert_eq!(ids_of(&s, 0), [2, 3, 1, 0]);
-        assert_eq!(s.lookup(MsgId(0)), before);
-        assert!(s.take(MsgId(1)).is_some());
-        assert_eq!(ids_of(&s, 0), [2, 3, 0]);
-        // A delivered message can no longer be reordered.
-        assert!(!s.move_to_back(MsgId(1)));
-        assert_eq!(s.len(), 4);
-    }
-
-    #[test]
     fn drain_hands_back_everything_and_reset_keeps_capacity() {
         let mut s = MsgStore::new(3);
         s.file_broadcast(header(0, 0, 0), 7);
@@ -766,16 +703,6 @@ mod tests {
         s.file_broadcast(header(64, 0, 0), 0);
         assert_eq!((ids_of(&s, 0), ids_of(&s, 63)), (vec![0], vec![63]));
         assert_eq!(s.len_of(64), 0);
-    }
-
-    fn handle(id: u64, from: usize, to: usize, send_event: u64) -> MsgHandle {
-        MsgHandle {
-            id: MsgId(id),
-            from: p(from),
-            to: p(to),
-            send_event,
-            sender_clock: LocalClock::new(send_event + 1),
-        }
     }
 
     /// A buffered message as the model holds it.
@@ -833,14 +760,14 @@ mod tests {
         /// arbitrary interleavings of everything the engine does to it,
         /// at populations on both sides of a bitset word: filing a
         /// broadcast; filing a listed run (direct sends in call order,
-        /// some on a shared body); duplicating a message; reordering
-        /// one; a crash dropping part of the latest run; a listed
+        /// some on a shared body); duplicating a message; a crash
+        /// dropping part of the latest run; a listed
         /// delivery, which stops at the first id not buffered for its
         /// destination; a whole-buffer delivery; a drain.
         #[test]
         fn matches_naive_vec_model(
             n in (0..7usize).prop_map(|k| [1, 2, 3, 63, 64, 65, 130][k]),
-            ops in proptest::collection::vec((0..8u8, any::<u64>()), 1..120),
+            ops in proptest::collection::vec((0..7u8, any::<u64>()), 1..120),
         ) {
             let mut store = MsgStore::new(n);
             let mut model = Model {
@@ -908,14 +835,9 @@ mod tests {
                         model.filed(h, &[(orig.to.index(), body)]);
                         model.latest = latest;
                     }
-                    (3, Some(id)) => {
-                        prop_assert!(store.move_to_back(id));
-                        let moved = model.forget(id).unwrap();
-                        model.dests[moved.0.to.index()].push(moved);
-                    }
                     // A crash dropping every other message of the latest
                     // run that is still buffered.
-                    (4, _) => {
+                    (3, _) => {
                         for id in model.latest.clone().iter().step_by(2) {
                             let want = model.forget(*id).map(taken);
                             let got = store.take(*id);
@@ -929,7 +851,7 @@ mod tests {
                     // message, last first, then (sometimes) a message
                     // buffered for somebody else or never filed. It stops
                     // at the first refusal, as the engine does.
-                    (5, _) => {
+                    (4, _) => {
                         let mut ids: Vec<MsgId> = model.dests[dest].iter().map(|(m, _)| m.id).step_by(2).collect();
                         ids.reverse();
                         if sel & 1 << 40 != 0 {
@@ -949,7 +871,7 @@ mod tests {
                             }
                         }
                     }
-                    (6, _) => {
+                    (5, _) => {
                         let mut got = Vec::new();
                         let took = store.take_all(dest, |t| got.push(t));
                         let want: Vec<Taken> = model.dests[dest].drain(..).map(taken).collect();
@@ -960,7 +882,7 @@ mod tests {
                         }
                     }
                     // A finished lane's drain, now and then.
-                    (7, _) if sel % 4 == 0 => {
+                    (6, _) if sel % 4 == 0 => {
                         let mut got = Vec::new();
                         store.drain(|to, t| got.push((to, t)));
                         let mut want: Vec<(ProcessorId, Taken)> = model

@@ -82,14 +82,6 @@ pub enum EventRecord {
         /// The fresh id assigned to the copy.
         copy: MsgId,
     },
-    /// A buffered message was moved to the back of its destination's
-    /// pending list by the network.
-    Reorder {
-        /// The destination whose buffer was perturbed.
-        p: ProcessorId,
-        /// The message that was moved.
-        id: MsgId,
-    },
 }
 
 impl EventRecord {
@@ -99,8 +91,7 @@ impl EventRecord {
             EventRecord::Step { p, .. }
             | EventRecord::Crash { p }
             | EventRecord::Revive { p }
-            | EventRecord::Duplicate { p, .. }
-            | EventRecord::Reorder { p, .. } => *p,
+            | EventRecord::Duplicate { p, .. } => *p,
         }
     }
 }
@@ -144,14 +135,6 @@ pub enum EventView<'a> {
         /// The fresh id assigned to the copy.
         copy: MsgId,
     },
-    /// A buffered message was moved to the back of its destination's
-    /// pending list by the network.
-    Reorder {
-        /// The destination whose buffer was perturbed.
-        p: ProcessorId,
-        /// The message that was moved.
-        id: MsgId,
-    },
 }
 
 impl EventView<'_> {
@@ -161,8 +144,7 @@ impl EventView<'_> {
             EventView::Step { p, .. }
             | EventView::Crash { p }
             | EventView::Revive { p }
-            | EventView::Duplicate { p, .. }
-            | EventView::Reorder { p, .. } => *p,
+            | EventView::Duplicate { p, .. } => *p,
         }
     }
 
@@ -185,7 +167,6 @@ impl EventView<'_> {
             EventView::Duplicate { p, original, copy } => {
                 EventRecord::Duplicate { p, original, copy }
             }
-            EventView::Reorder { p, id } => EventRecord::Reorder { p, id },
         }
     }
 }
@@ -207,12 +188,11 @@ pub struct DecisionRecord {
 /// digest tags, so they must never change; new kinds are only ever
 /// appended (runs that use none of the newer kinds keep byte-identical
 /// digests across engine revisions), and a retired kind's tag is not
-/// reused (3 was a network partition's).
+/// reused (3 was a network partition's, 5 a network reorder's).
 const KIND_STEP: u8 = 0;
 const KIND_CRASH: u8 = 1;
 const KIND_REVIVE: u8 = 2;
 const KIND_DUPLICATE: u8 = 4;
-const KIND_REORDER: u8 = 5;
 
 /// Where one send-run's messages went.
 #[derive(Clone, Copy, Debug)]
@@ -237,8 +217,7 @@ pub(crate) struct SendRun<'a> {
 struct Row<'a> {
     kind: u8,
     p: u32,
-    /// The clock after a step; the id a duplicate copied or a reorder
-    /// moved; 0 otherwise.
+    /// The clock after a step; the id a duplicate copied; 0 otherwise.
     clock: u64,
     delivered: &'a [MsgId],
     /// Ids the run had minted once this event was applied.
@@ -494,10 +473,9 @@ impl Trace {
         self.late_marks.clear();
     }
 
-    fn push_messageless(&mut self, kind: u8, p: ProcessorId, clock: u64) {
+    fn push_messageless(&mut self, kind: u8, p: ProcessorId) {
         self.msgs.take();
-        self.cols
-            .push(kind, p.index() as u32, clock, self.table.sent());
+        self.cols.push(kind, p.index() as u32, 0, self.table.sent());
     }
 
     /// Records an owned [`EventRecord`] that sends nothing new to
@@ -530,7 +508,6 @@ impl Trace {
             EventRecord::Crash { p } => self.push_crash(p),
             EventRecord::Revive { p } => self.push_revive(p),
             EventRecord::Duplicate { p, original, copy } => self.push_duplicate(p, original, copy),
-            EventRecord::Reorder { p, id } => self.push_reorder(p, id),
         }
     }
 
@@ -565,10 +542,6 @@ impl Trace {
                 p,
                 original: MsgId(row.clock),
                 copy: MsgId(u64::from(row.sent_end) - 1),
-            },
-            KIND_REORDER => EventView::Reorder {
-                p,
-                id: MsgId(row.clock),
             },
             _ => EventView::Revive { p },
         }
@@ -655,15 +628,12 @@ impl Trace {
                     }
                     write_sent(&mut h);
                 }
-                // Runs that use no hostile-network actions contain only
-                // kinds 0..=2, so the byte sequence — and therefore every
-                // legacy golden digest — is unchanged by these arms.
+                // Runs without a network duplicate contain only kinds
+                // 0..=2, so the byte sequence — and therefore every
+                // legacy golden digest — is unchanged by this arm.
                 KIND_DUPLICATE => {
                     h.write_u64(row.clock);
                     write_sent(&mut h);
-                }
-                KIND_REORDER => {
-                    h.write_u64(row.clock);
                 }
                 _ => {}
             }
@@ -716,12 +686,12 @@ impl Trace {
     /// Records a crash event and adds `p` to the faulty set.
     pub(crate) fn push_crash(&mut self, p: ProcessorId) {
         self.crashed.push(p);
-        self.push_messageless(KIND_CRASH, p, 0);
+        self.push_messageless(KIND_CRASH, p);
     }
 
     /// Records a revive event.
     pub(crate) fn push_revive(&mut self, p: ProcessorId) {
-        self.push_messageless(KIND_REVIVE, p, 0);
+        self.push_messageless(KIND_REVIVE, p);
     }
 
     /// Records a duplication event: a run of one, `copy`, that says
@@ -735,11 +705,6 @@ impl Trace {
             original.index() as u64,
             sent_end,
         );
-    }
-
-    /// Records a reorder event.
-    pub(crate) fn push_reorder(&mut self, dest: ProcessorId, id: MsgId) {
-        self.push_messageless(KIND_REORDER, dest, id.index() as u64);
     }
 
     /// Marks message `id` as dropped at a crash.
@@ -943,10 +908,6 @@ mod tests {
                 original: MsgId(2),
                 copy: MsgId(4),
             },
-            EventRecord::Reorder {
-                p: pid(0),
-                id: MsgId(4),
-            },
         ];
         for r in &records {
             t.push_event(r.clone());
@@ -967,8 +928,8 @@ mod tests {
     /// The message table and digest a trace with every event kind must
     /// derive, against hand-built expectations: a broadcast, a run with
     /// listed destinations (call order, the sender addressing itself),
-    /// deliveries, a duplicate of one message of the broadcast, a reorder,
-    /// a crash dropping part of the last run, a revive.
+    /// deliveries, a duplicate of one message of the broadcast, a crash
+    /// dropping part of the last run, a revive.
     #[test]
     fn every_event_kind_derives_the_hand_built_message_table() {
         let n = 3;
@@ -986,28 +947,26 @@ mod tests {
         );
         // 1: the network duplicates m1 as m2.
         t.push_duplicate(pid(0), MsgId(1), MsgId(2));
-        // 2: p2's queue [m1, m2] becomes [m2, m1].
-        t.push_reorder(pid(2), MsgId(1));
-        // 3: p2 steps, silent (right before a run that lists its
+        // 2: p2 steps, silent (right before a run that lists its
         //    destinations: the two must not be confused).
         sending_step(&mut t, 2, 1, &[], 3, &[]);
-        // 4: p1 receives m0 and sends m3 → p2, m4 → p1, m5 → p0, in
+        // 3: p1 receives m0 and sends m3 → p2, m4 → p1, m5 → p0, in
         //    call order.
         sending_step(&mut t, 1, 1, &[0], 3, &[2, 1, 0]);
-        // 5: p2 receives the copy and the broadcast, sends nothing.
+        // 4: p2 receives the copy and the broadcast, sends nothing.
         sending_step(&mut t, 2, 2, &[2, 1], 6, &[]);
-        // 6: p1 crashes; m3 and m5 of its last step are dropped.
+        // 5: p1 crashes; m3 and m5 of its last step are dropped.
         t.note_drop(MsgId(3));
         t.note_drop(MsgId(5));
         t.push_crash(pid(1));
-        // 7: p1 is revived; 8: and receives what it sent itself.
+        // 6: p1 is revived; 7: and receives what it sent itself.
         t.push_revive(pid(1));
         sending_step(&mut t, 1, 2, &[4], 6, &[]);
         t.push_decision(DecisionRecord {
             p: pid(2),
             value: Value::One,
             clock: LocalClock::new(2),
-            event: 5,
+            event: 4,
         });
 
         let rec =
@@ -1022,14 +981,14 @@ mod tests {
                 dropped,
             };
         let want = vec![
-            rec(0, 0, 1, 0, 1, Some((4, 1)), false),
-            rec(1, 0, 2, 0, 1, Some((5, 2)), false),
+            rec(0, 0, 1, 0, 1, Some((3, 1)), false),
+            rec(1, 0, 2, 0, 1, Some((4, 2)), false),
             // The copy: sent "now" (event 1), the original's endpoints
             // and sender clock.
-            rec(2, 0, 2, 1, 1, Some((5, 2)), false),
-            rec(3, 1, 2, 4, 1, None, true),
-            rec(4, 1, 1, 4, 1, Some((8, 2)), false),
-            rec(5, 1, 0, 4, 1, None, true),
+            rec(2, 0, 2, 1, 1, Some((4, 2)), false),
+            rec(3, 1, 2, 3, 1, None, true),
+            rec(4, 1, 1, 3, 1, Some((7, 2)), false),
+            rec(5, 1, 0, 3, 1, None, true),
         ];
         assert_eq!(t.messages(), want.as_slice());
         let sent: Vec<Vec<MsgId>> = t
@@ -1047,7 +1006,6 @@ mod tests {
                 ids(&[0, 1]),
                 ids(&[2]),
                 ids(&[]),
-                ids(&[]),
                 ids(&[3, 4, 5]),
                 ids(&[]),
                 ids(&[]),
@@ -1060,14 +1018,12 @@ mod tests {
         // revision since the golden corpus has hashed it.
         let mut h = Fnv::new();
         let u = |h: &mut Fnv, vals: &[u64]| vals.iter().for_each(|v| h.write_u64(*v));
-        u(&mut h, &[n as u64, 9]);
+        u(&mut h, &[n as u64, 8]);
         // (kind, processor, then the kind's payload)
         h.write_u8(KIND_STEP);
         u(&mut h, &[0, 1, 0, 2, 0, 1]);
         h.write_u8(KIND_DUPLICATE);
         u(&mut h, &[0, 1, 1, 2]);
-        h.write_u8(KIND_REORDER);
-        u(&mut h, &[2, 1]);
         h.write_u8(KIND_STEP);
         u(&mut h, &[2, 1, 0, 0]);
         h.write_u8(KIND_STEP);
@@ -1098,7 +1054,7 @@ mod tests {
         }
         u(&mut h, &[1, 2]);
         h.write_u8(Value::One.as_u8());
-        u(&mut h, &[2, 5]);
+        u(&mut h, &[2, 4]);
         u(&mut h, &[1, 1]);
         assert_eq!(t.digest(), h.finish());
     }
@@ -1110,15 +1066,10 @@ mod tests {
         base.push_event(step(1, 1));
         sending_step(&mut base, 0, 2, &[], 0, &[1]);
         let legacy = base.digest();
-        // Appending either network kind changes the digest, and the
-        // digest tells them apart.
+        // Appending a network duplicate changes the digest.
         let mut dup = base.clone();
         dup.push_duplicate(pid(0), MsgId(0), MsgId(1));
-        let mut reord = base.clone();
-        reord.push_reorder(pid(1), MsgId(0));
         assert_ne!(legacy, dup.digest());
-        assert_ne!(legacy, reord.digest());
-        assert_ne!(dup.digest(), reord.digest());
         // Lateness marks are annotations, not digested content.
         let mut marked = base.clone();
         marked.mark_late(MsgId(0));

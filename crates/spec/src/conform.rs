@@ -246,31 +246,6 @@ impl<'a> Linter<'a> {
                 EventRecord::Duplicate { p, original, copy } => {
                     self.lint_duplicate(idx, p.index(), original.index(), copy.index())?;
                 }
-                EventRecord::Reorder { p, id } => {
-                    // Reordering permutes a destination's pending list;
-                    // the linter's buffer is id-keyed, so only the
-                    // admissibility conditions are checked.
-                    let Some(buf) = self.buffered.get(&(id.index() as u64)) else {
-                        return self.fail(
-                            Some(idx),
-                            format!(
-                                "reorder names message {}, which is not in flight",
-                                id.index()
-                            ),
-                        );
-                    };
-                    if buf.to != p.index() {
-                        return self.fail(
-                            Some(idx),
-                            format!(
-                                "reorder at destination {} names message {} addressed to {}",
-                                p.index(),
-                                id.index(),
-                                buf.to
-                            ),
-                        );
-                    }
-                }
             }
         }
         self.finish(events.len())

@@ -309,7 +309,7 @@ fn pooled_rerun_reproduces_digests_exactly() {
 }
 
 /// The hostile corpus: the 36 seeds again, each under [`Hostile`]'s
-/// scripted duplicate, reorder and partial-drop crash, the victim
+/// scripted duplicate and partial-drop crash, the victim
 /// revived as a rejoiner at `hostile::revive_at`.
 fn hostile_adversary(case: &Case) -> Hostile {
     Hostile::new(adversary(case), case.n, case.seed)
@@ -399,7 +399,7 @@ fn check_hostile_batches<A: Automaton>(
 #[test]
 fn hostile_schedules_are_byte_identical_on_all_three_engines() {
     // Where a run representation can go wrong: a copy of one slot of a
-    // live broadcast, a reordered list, a crash that unfiles part of a
+    // live broadcast, a crash that unfiles part of a
     // run, a revive after the drops, a rejoiner's direct replies.
     let mut pool = BatchPool::new();
     for cases in &corpus() {
@@ -407,16 +407,15 @@ fn hostile_schedules_are_byte_identical_on_all_three_engines() {
             .iter()
             .map(|case| hostile_serial(case, |auto| auto, |_| 0))
             .collect();
-        // The network faults fire in every schedule; the partial-drop
+        // The duplicate fires in every schedule; the partial-drop
         // crash needs the victim alive with two sends of one step still
         // buffered, and the revive needs that crash before
         // `hostile::revive_at` — most schedules, not all.
         for (case, (_, seen, _)) in cases.iter().zip(&runs) {
             assert!(
-                seen.duplicate && seen.reorder,
-                "n{}/seed{:#x}: a network fault did not fire: {seen:?}",
-                case.n,
-                case.seed
+                seen.duplicate,
+                "n{}/seed{:#x}: the duplicate did not fire: {seen:?}",
+                case.n, case.seed
             );
         }
         let full = runs.iter().filter(|(_, seen, _)| seen.all()).count();

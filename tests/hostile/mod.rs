@@ -3,8 +3,8 @@
 //!
 //! A [`Hostile`] adversary scripts, on top of any benign inner
 //! adversary, a `Duplicate` of one slot of a broadcast whose other
-//! slots are still buffered, a `Reorder`, and a crash that drops a
-//! strict subset of the victim's final broadcast; the driver then
+//! slots are still buffered and a crash that drops a strict subset of
+//! the victim's final broadcast; the driver then
 //! revives the victim as an amnesiac rejoiner at [`revive_at`], whose
 //! pings draw direct catch-up replies. [`InPlace`] makes a population
 //! substitute a direct send in place of a broadcast slot at every
@@ -34,14 +34,13 @@ pub fn rejoiner(cfg: CommitConfig, p: ProcessorId, vote: Value) -> CommitAutomat
     CommitAutomaton::restore_amnesiac(&CommitAutomaton::new(cfg, p, vote).snapshot())
 }
 
-/// A benign adversary with one duplicate, one reorder and one
-/// partial-drop crash scripted on top. Each fault fires at the first
+/// A benign adversary with one duplicate and one partial-drop crash
+/// scripted on top. Each fault fires at the first
 /// event at or after its due point at which the pattern allows it.
 pub struct Hostile {
     inner: Box<dyn Adversary>,
     victim: ProcessorId,
     duplicate_at: Option<u64>,
-    reorder_at: Option<u64>,
     crash_at: Option<u64>,
 }
 
@@ -53,7 +52,6 @@ impl Hostile {
             inner,
             victim: ProcessorId::new((1 + seed % (n - 1)) as usize),
             duplicate_at: Some(1 + seed % n),
-            reorder_at: Some(n + seed % 3),
             crash_at: Some(2 * n + seed % n),
         }
     }
@@ -95,13 +93,6 @@ impl Adversary for Hostile {
                 return Action::Duplicate { id };
             }
         }
-        if due(self.reorder_at, event) {
-            let crowded = ProcessorId::all(view.population()).find(|q| view.pending_count(*q) >= 2);
-            if let Some(head) = crowded.and_then(|q| view.pending_iter(q).next()) {
-                self.reorder_at = None;
-                return Action::Reorder { id: head.id };
-            }
-        }
         if due(self.crash_at, event)
             && !view.is_crashed(self.victim)
             && view.crashes_remaining() > 0
@@ -124,12 +115,11 @@ impl Adversary for Hostile {
     }
 }
 
-/// What of the hostile script a trace shows: a duplicate, a reorder, a
-/// crash that dropped some but not all of one step's sends, a revive.
+/// What of the hostile script a trace shows: a duplicate, a crash that
+/// dropped some but not all of one step's sends, a revive.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Seen {
     pub duplicate: bool,
-    pub reorder: bool,
     pub partial_drop: bool,
     pub revive: bool,
 }
@@ -141,7 +131,6 @@ impl Seen {
         for ev in trace.events() {
             match ev {
                 EventView::Duplicate { .. } => seen.duplicate = true,
-                EventView::Reorder { .. } => seen.reorder = true,
                 EventView::Revive { .. } => seen.revive = true,
                 EventView::Step { sent, .. } => {
                     let dropped = sent.iter().filter(|id| msgs[id.index()].dropped).count();
@@ -154,7 +143,7 @@ impl Seen {
     }
 
     pub fn all(self) -> bool {
-        self.duplicate && self.reorder && self.partial_drop && self.revive
+        self.duplicate && self.partial_drop && self.revive
     }
 }
 

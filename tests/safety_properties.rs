@@ -11,17 +11,16 @@ fn arb_votes(n: usize) -> impl Strategy<Value = Vec<rtc::model::Value>> {
 }
 
 /// Round-robin scheduler with an optional hostile-network mode: every
-/// freshly observed message is duplicated exactly once, one buffered
-/// message is shuffled to the back of the queue before each step, and
-/// delivery batches are handed to the automaton in reverse order. The
-/// per-processor step sequence is identical to the clean round-robin
-/// run, so any observable difference is a failure of ingest idempotency.
+/// freshly observed message is duplicated exactly once, and each
+/// delivery batch is rotated left by one and handed to the automaton in
+/// reverse order, so the head of the buffer is ingested first and the
+/// rest youngest first. The per-processor step sequence is identical to
+/// the clean round-robin run, so any observable difference is a failure
+/// of ingest idempotency.
 struct HostileRoundRobin {
     n: usize,
     cursor: usize,
     hostile: bool,
-    /// Whether a reorder was already issued ahead of the pending step.
-    reordered: bool,
     /// Message ids already observed (indexed by dense `MsgId::index`).
     seen: Vec<bool>,
     /// Events at which a `Duplicate` was issued. The copy minted at
@@ -36,7 +35,6 @@ impl HostileRoundRobin {
             n,
             cursor: 0,
             hostile,
-            reordered: false,
             seen: Vec::new(),
             dup_events: Vec::new(),
         }
@@ -63,16 +61,11 @@ impl Adversary for HostileRoundRobin {
                     }
                 }
             }
-            if !self.reordered && view.pending_count(p) >= 2 {
-                self.reordered = true;
-                let head = view.pending_iter(p).next().expect("pending_count >= 2");
-                return Action::Reorder { id: head.id };
-            }
         }
         self.cursor += 1;
-        self.reordered = false;
         let mut deliver: Vec<rtc::sim::MsgId> = view.pending_iter(p).map(|m| m.id).collect();
-        if self.hostile {
+        if self.hostile && !deliver.is_empty() {
+            deliver.rotate_left(1);
             deliver.reverse();
         }
         Action::Step { p, deliver }
@@ -210,9 +203,8 @@ proptest! {
         prop_assert!(report.agreement_holds());
     }
 
-    /// Hostile-network idempotency: duplicating every message once,
-    /// reordering buffers, and reversing delivery batches changes
-    /// nothing observable. Decisions are byte-identical to the clean
+    /// Hostile-network idempotency: duplicating every message once and
+    /// permuting delivery batches changes nothing observable. Decisions are byte-identical to the clean
     /// round-robin run, and the hostile schedule itself replays to the
     /// same trace digest.
     #[test]
