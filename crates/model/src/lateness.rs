@@ -96,6 +96,14 @@ impl LatenessMonitor {
         late
     }
 
+    /// Counts `deliveries` deliveries, at the current step, that the
+    /// caller knows are on time without asking: a message sent no
+    /// earlier than one just classified on time is on time too
+    /// ([`LatenessMonitor::overdue`] only falls as `send_event` grows).
+    pub fn count_on_time(&mut self, deliveries: u64) {
+        self.delivered += deliveries;
+    }
+
     /// The lateness threshold `K` this monitor classifies against.
     pub fn k(&self) -> u64 {
         self.k
@@ -166,6 +174,23 @@ mod tests {
         m.note_step(0, 3);
         assert!(m.overdue(0) && !m.overdue(1));
         assert!(m.classify_delivery(0));
+    }
+
+    #[test]
+    fn counted_deliveries_are_delivered_and_on_time() {
+        // K = 1. p0 sends at events 0 and 2, steps again; p1 receives
+        // both: the older is late, the younger on time, and so is any
+        // message sent after it.
+        let mut m = LatenessMonitor::new(2, 1);
+        for event in 0..4 {
+            m.note_step(0, event);
+        }
+        m.note_step(1, 4);
+        assert!(m.classify_delivery(0));
+        assert!(!m.classify_delivery(2));
+        assert!(!m.overdue(3));
+        m.count_on_time(2);
+        assert_eq!((m.delivered(), m.late_count()), (4, 1));
     }
 
     #[test]

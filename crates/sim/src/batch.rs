@@ -525,14 +525,13 @@ fn as_content<M, Ad: Adversary>(advs: &mut [Ad]) -> Vec<&mut dyn ContentAdversar
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeSet;
-
     use rtc_model::{Outbox, SeedCollection, StepRng, TimingParams, Value};
 
     use super::*;
     use crate::adversaries::{RandomAdversary, SynchronousAdversary};
     use crate::adversary::PatternView;
     use crate::envelope::MsgId;
+    use crate::store::assert_holds;
     use crate::trace::EventView;
 
     /// Broadcasts its step count at every step and answers each distinct
@@ -666,25 +665,12 @@ mod tests {
         builder.build()
     }
 
-    /// Checks the body accounting against the lanes' stores — every
-    /// buffered message holds exactly one reference, and the live bodies
-    /// are exactly the distinct bodies buffered messages name — and
-    /// returns (buffered messages, live bodies).
-    fn accounted(batch: &BatchSim<Chatter>) -> (usize, usize) {
-        let mut distinct = BTreeSet::new();
-        let mut buffered = 0;
-        for lane in &batch.lanes {
-            let store = lane.pattern_view().store;
-            for dest in 0..N {
-                distinct.extend(store.iter_dest_bodies(dest).map(|(_, body)| body));
-            }
-            assert_eq!(store.run_references(), store.len());
-            buffered += store.len();
-        }
-        let bodies = &batch.shared.bodies;
-        assert_eq!(bodies.references(), buffered);
-        assert_eq!(bodies.live(), distinct.len());
-        (buffered, distinct.len())
+    /// Checks the body accounting against the lanes' stores
+    /// ([`assert_holds`]) and returns (buffered messages, messages held
+    /// by runs, live bodies).
+    fn accounted(batch: &BatchSim<Chatter>) -> (usize, usize, usize) {
+        let stores = batch.lanes.iter().map(|lane| lane.pattern_view().store);
+        assert_holds(&batch.shared.bodies, stores)
     }
 
     /// Round-robin, delivering everything but what p0 sends p3.
@@ -728,7 +714,11 @@ mod tests {
         builder.instance(cfg, population()).unwrap();
         let mut batch = builder.build();
         let reports = batch.run(&mut [Withhold(0)], RunLimits::default()).unwrap();
-        assert_eq!(accounted(&batch), (0, 0), "the finished lane was drained");
+        assert_eq!(
+            accounted(&batch),
+            (0, 0, 0),
+            "the finished lane was drained"
+        );
         assert!(!reports[0].facts().on_time);
     }
 
@@ -825,24 +815,25 @@ mod tests {
             // Lane 0's four scripted faults only: two broadcasts (3 + 3
             // messages, 2 bodies), one duplicate (a 7th message, no new
             // body), a crash dropping 2 messages of the second broadcast
-            // — whose body the third keeps alive.
+            // — whose body its run, still owing the third, keeps alive
+            // for all three.
             batch
                 .run_segment(&mut advs, &[4, 0, 0, 0], limits.stop)
                 .unwrap();
-            assert_eq!(accounted(&batch), (5, 2));
+            assert_eq!(accounted(&batch), (5, 7, 2));
             let reports = batch.run(&mut advs, limits).unwrap();
             let stalled: Vec<bool> = reports.iter().map(RunReport::stalled).collect();
             assert_eq!(stalled, [false, false, false, true]);
             // The three finished lanes were drained; what is left is
             // what the capped lane hoarded: 200 broadcasts of 3.
-            assert_eq!(accounted(&batch), (600, 200));
+            assert_eq!(accounted(&batch), (600, 600, 200));
             batch.into_pool()
         };
         let pool = run(build(BatchPool::new()));
         // `reset` (in `build`) lets go of the capped lane's leftovers,
         // and a pooled rerun accounts the same way.
         let recycled = build(pool);
-        assert_eq!(accounted(&recycled), (0, 0));
+        assert_eq!(accounted(&recycled), (0, 0, 0));
         run(recycled);
     }
 }

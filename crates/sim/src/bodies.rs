@@ -5,20 +5,24 @@
 //! schedule. The payload is a different matter — a broadcast says one
 //! thing to `n − 1` destinations — so payloads live here, one *body*
 //! per [`Outbox`](rtc_model::Outbox) broadcast or direct send, counted
-//! by the buffered messages that name it:
+//! by the messages that hold it:
 //!
 //! * a run carries the index of its body (a listed run, one per
 //!   destination);
-//! * a body's `remaining` is the number of buffered messages naming it.
-//!   [`BodySlab::store`] takes the count up front — a broadcast's whole
-//!   run in one write — a network duplicate adds one
-//!   ([`BodySlab::retain`]), and whoever takes a message out of the
-//!   store (delivery, a crash-time drop, a finished lane's drain) calls
-//!   [`BodySlab::release`]; at zero the message is dropped and the body
-//!   recycled through a free list.
+//! * a body's `remaining` counts its holds. [`BodySlab::store`] takes
+//!   the count up front — a broadcast's whole run in one write — and a
+//!   network duplicate adds one ([`BodySlab::retain`]);
+//! * a broadcast run holds its one body by its whole count until it
+//!   owes nobody, and a listed message its own body until it is taken.
+//!   The take that ends a hold says so (`Taken::hold`), and the hold
+//!   goes back in one [`BodySlab::release`]: for a delivery once the
+//!   step has read the bodies (`release_holds`), for a crash-time drop
+//!   at once, and for whatever a finished lane still buffers in its
+//!   drain. At zero the message is dropped and the body recycled
+//!   through a free list.
 
-/// One stored message and the number of buffered messages that refer
-/// to it. Free (on the free list) exactly when `msg` is `None`.
+/// One stored message and the number of holds on it. Free (on the free
+/// list) exactly when `msg` is `None`.
 #[derive(Debug)]
 struct Body<M> {
     msg: Option<M>,
@@ -79,11 +83,12 @@ impl<M> BodySlab<M> {
         self.bodies.get(body as usize)?.msg.as_ref()
     }
 
-    /// One message that referred to `body` left the store; the last one
-    /// out drops the payload and frees the body.
-    pub(crate) fn release(&mut self, body: u32) {
+    /// `count` holds on `body` ended; the last one drops the payload and
+    /// frees the body.
+    pub(crate) fn release(&mut self, body: u32, count: u32) {
         let b = &mut self.bodies[body as usize];
-        b.remaining -= 1;
+        debug_assert!(b.remaining >= count, "body {body} released past its hold");
+        b.remaining -= count;
         if b.remaining == 0 {
             b.msg = None;
             self.free.push(body);
@@ -96,14 +101,15 @@ impl<M> BodySlab<M> {
         self.bodies.len() - self.free.len()
     }
 
-    /// How many buffered messages name the live `body`.
+    /// How many holds the live `body` has.
     #[cfg(test)]
     pub(crate) fn remaining(&self, body: u32) -> u32 {
         self.bodies[body as usize].remaining
     }
 
-    /// Sum of `remaining` over live bodies — equals the store's
-    /// buffered-message count when the accounting is right.
+    /// Sum of `remaining` over live bodies — equals the messages that
+    /// hold a body in the stores (`MsgStore::held`) when the accounting
+    /// is right.
     #[cfg(test)]
     pub(crate) fn references(&self) -> usize {
         self.bodies
@@ -124,10 +130,9 @@ mod tests {
         let b = slab.store("hello", 2);
         slab.retain(b);
         assert_eq!((slab.live(), slab.references()), (1, 3));
-        slab.release(b);
-        slab.release(b);
+        slab.release(b, 2);
         assert_eq!(slab.msg(b), Some(&"hello"));
-        slab.release(b);
+        slab.release(b, 1);
         assert_eq!(slab.msg(b), None);
         assert_eq!(slab.live(), 0);
     }
@@ -136,7 +141,7 @@ mod tests {
     fn freed_bodies_are_recycled_and_reset_keeps_nothing_alive() {
         let mut slab = BodySlab::new();
         let a = slab.store(1u8, 1);
-        slab.release(a);
+        slab.release(a, 1);
         let b = slab.store(2u8, 1);
         assert_eq!(a, b, "LIFO free list");
         assert_eq!(slab.live(), 1);

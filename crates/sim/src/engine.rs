@@ -36,9 +36,15 @@
 //!   (destination, body) pairs ([`MsgStore::file_listed`]). What
 //!   adversaries see of a message is assembled from the run by value;
 //! * **payload** — one body the run's messages share (a direct send has
-//!   its own); delivery lends the automaton `(sender, &body)` and
-//!   releases the messages' hold afterwards (see [`crate::bodies`] for
-//!   who counts what);
+//!   its own); delivery lends the automaton `(sender, &body)`. A
+//!   broadcast run holds its body by its whole count until its last
+//!   message is taken: once the step has read the bodies,
+//!   [`release_holds`] gives back the holds its takes ended, one release
+//!   per run it settled (see [`crate::bodies`] for who counts what);
+//! * **lateness** — a listed step classifies each delivery. A whole
+//!   buffer ([`Action::StepAll`]) arrives oldest first and lateness only
+//!   falls with the send event, so its late deliveries are a prefix: the
+//!   step classifies up to the first on-time one and counts the rest;
 //! * **trace** — one [`Trace::push_step`] row per step says what
 //!   was delivered and which run was sent; the per-message
 //!   [`MsgRecord`](crate::MsgRecord)s readers get are derived from the
@@ -56,7 +62,7 @@ use crate::adversary::{Action, Adversary, ContentAdversary, PatternView};
 use crate::batch::{BatchSim, BatchSimBuilder};
 use crate::bodies::BodySlab;
 use crate::envelope::{IdRun, MsgId};
-use crate::store::{MsgStore, RunHeader, Taken};
+use crate::store::{release_holds, MsgStore, RunHeader, Taken};
 use crate::trace::{DecisionRecord, Dests, SendRun, Trace};
 
 /// Errors produced when an adversary's action violates the model.
@@ -425,14 +431,6 @@ impl<M> Shared<M> {
         self.dest_scratch.clear();
         self.outbox.clear();
     }
-
-    /// Gives up the hold of every message taken for a step that is not
-    /// going to run.
-    fn release_lent(&mut self) {
-        for taken in self.deliv_scratch.drain(..) {
-            self.bodies.release(taken.body);
-        }
-    }
 }
 
 impl<M> fmt::Debug for Shared<M> {
@@ -689,29 +687,32 @@ impl<A: Automaton> Lane<A> {
         // Take the deliveries out of p's buffer, keeping what the store
         // hands back of each: the automaton reads the bodies in place,
         // the lateness monitor the send events, the trace the ids.
-        if let Err(refused) = self.take_deliveries(p, deliver.as_deref(), &mut shared.deliv_scratch)
-        {
-            shared.release_lent();
-            return Err(refused);
-        }
-        // Step the automaton with this step's random number.
-        let mut rng = self.seeds.step_rng(p, self.clocks[i]);
+        let whole = deliver.is_none();
+        let took = self.take_deliveries(p, deliver.as_deref(), &mut shared.deliv_scratch);
         let Shared {
             bodies,
             deliv_scratch,
             dest_scratch,
             outbox,
         } = shared;
-        let lent = &*bodies;
-        self.autos[i].step_into(
-            deliv_scratch
-                .iter()
-                .filter_map(|taken| Some((taken.from, lent.msg(taken.body)?))),
-            &mut rng,
-            outbox,
-        );
-        for taken in deliv_scratch.iter() {
-            bodies.release(taken.body);
+        if took.is_ok() {
+            // Step the automaton with this step's random number.
+            let mut rng = self.seeds.step_rng(p, self.clocks[i]);
+            let lent = &*bodies;
+            self.autos[i].step_into(
+                deliv_scratch
+                    .iter()
+                    .filter_map(|taken| Some((taken.from, lent.msg(taken.body)?))),
+                &mut rng,
+                outbox,
+            );
+        }
+        // The bodies are read, or the step is refused: give back the
+        // holds its takes ended.
+        release_holds(deliv_scratch, bodies);
+        if let Err(refused) = took {
+            deliv_scratch.clear();
+            return Err(refused);
         }
         self.clocks[i] = self.clocks[i].tick();
         let clock_after = self.clocks[i];
@@ -748,13 +749,19 @@ impl<A: Automaton> Lane<A> {
         // p's droppable sends are now exactly this run.
         self.last_run[i] = IdRun::new(sent.first, sent.count);
         // The receiving step itself counts toward the lateness interval,
-        // so it is recorded before the deliveries are classified.
+        // so it is recorded before the deliveries are classified. A whole
+        // buffer's late deliveries are a prefix (module docs): past its
+        // first on-time delivery the rest are counted, not classified.
         self.monitor.note_step(i, self.event);
-        for taken in deliv_scratch.iter() {
+        let mut unclassified = deliv_scratch.iter();
+        for taken in unclassified.by_ref() {
             if self.monitor.classify_delivery(taken.send_event) {
                 trace.mark_late(taken.id);
+            } else if whole {
+                break;
             }
         }
+        self.monitor.count_on_time(unclassified.len() as u64);
         trace.push_step(p, clock_after, deliv_scratch.iter().map(|t| t.id), sent);
         deliv_scratch.clear();
         // Decision bookkeeping.
@@ -911,9 +918,7 @@ impl<A: Automaton> Lane<A> {
             }
         }
         for id in &drop {
-            if let Some(taken) = self.store.take(*id) {
-                shared.bodies.release(taken.body);
-            }
+            self.store.take(*id, &mut shared.bodies);
             trace.note_drop(*id);
         }
         self.crashed[i] = true;
@@ -1005,9 +1010,8 @@ impl<A: Automaton> Lane<A> {
         let judge = self.monitor.overdue(0);
         let (crashed, monitor) = (&self.crashed, &self.monitor);
         let overdue = &mut self.drained_overdue;
-        self.store.drain(|to, taken| {
+        self.store.drain(&mut shared.bodies, |to, taken| {
             *overdue |= judge && !crashed[to.index()] && monitor.overdue(taken.send_event);
-            shared.bodies.release(taken.body);
         });
     }
 
@@ -1193,6 +1197,7 @@ impl<A: Automaton> Sim<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::assert_holds;
     use rtc_model::StepRng;
 
     /// Echoes every received message back to its sender; decides One
@@ -1509,13 +1514,14 @@ mod tests {
         assert_eq!(bodies[0], bodies[1]);
         assert_eq!((shared.bodies.live(), shared.bodies.references()), (1, 2));
         assert_eq!(lane.store.run_references(), 2);
+        assert_holds(&shared.bodies, [&lane.store]);
         let report = s.run(&mut adv, RunLimits::with_max_events(500)).unwrap();
         // p1 needed two receipts and the coordinator broadcast only one
         // message: only the duplicated copy can account for the second,
         // and the one body served both deliveries before it was freed.
         assert!(report.statuses()[1].is_decided());
         let (lane, shared, _) = s.batch.parts_mut(0);
-        assert_eq!(shared.bodies.references(), lane.store.len());
+        assert_holds(&shared.bodies, [&lane.store]);
         assert_eq!(lane.store.run_references(), lane.store.len());
         let dup = s.trace().events().find_map(|e| match e {
             crate::EventView::Duplicate { original, copy, .. } => Some((original, copy)),
@@ -1732,7 +1738,7 @@ mod tests {
         };
         let (lane, shared, trace) = s.batch.parts_mut(0);
         lane.apply(step, true, shared, trace)?;
-        assert_eq!(shared.bodies.references(), lane.store.len());
+        assert_holds(&shared.bodies, [&lane.store]);
         assert_eq!(lane.store.run_references(), lane.store.len());
         Ok(trace.messages().iter().map(|m| m.to.index()).collect())
     }
@@ -1759,6 +1765,100 @@ mod tests {
         assert_eq!(
             filed_by(false, &[4]).unwrap_err(),
             SimError::UnknownProcessor { p: p(4) }
+        );
+    }
+
+    /// A population of 4 in which only p0 sends: one broadcast a step,
+    /// so the others' steps file nothing and recycle no body.
+    fn lone_broadcaster() -> Sim<Scripted> {
+        let n = 4;
+        let procs = ProcessorId::all(n)
+            .map(|id| Scripted {
+                id,
+                n,
+                broadcast: id.index() == 0,
+                direct: Vec::new(),
+            })
+            .collect();
+        SimBuilder::new(TimingParams::default(), SeedCollection::new(5))
+            .build(procs)
+            .unwrap()
+    }
+
+    /// Applies `action` to the one lane of `s`, not admissibly, checks
+    /// the body accounting, and returns the live bodies with the
+    /// holds on `body` and its payload.
+    fn apply_held(s: &mut Sim<Scripted>, action: Action, body: u32) -> (usize, u32, Option<u32>) {
+        let (lane, shared, trace) = s.batch.parts_mut(0);
+        lane.apply(action, false, shared, trace).unwrap();
+        assert_holds(&shared.bodies, [&lane.store]);
+        let slab = &shared.bodies;
+        let held = slab.msg(body).map_or(0, |_| slab.remaining(body));
+        (slab.live(), held, slab.msg(body).copied())
+    }
+
+    #[test]
+    fn duplicate_bodies_outlive_the_original_run() {
+        let p = ProcessorId::new;
+        let mut s = lone_broadcaster();
+        let step = |q: usize, deliver: Vec<MsgId>| Action::Step { p: p(q), deliver };
+        // p0's broadcast is ids 0..3 to p1..p3 on one body; the copy of
+        // id 0 is a run of one on that body.
+        assert_eq!(apply_held(&mut s, step(0, Vec::new()), 0), (1, 3, Some(0)));
+        let dup = Action::Duplicate { id: MsgId(0) };
+        assert_eq!(apply_held(&mut s, dup, 0), (1, 4, Some(0)));
+        // Every destination takes its original: the last take settles the
+        // broadcast run, which gives back its three; the copy keeps one.
+        assert_eq!(
+            apply_held(&mut s, step(1, vec![MsgId(0)]), 0),
+            (1, 4, Some(0))
+        );
+        assert_eq!(
+            apply_held(&mut s, step(2, vec![MsgId(1)]), 0),
+            (1, 4, Some(0))
+        );
+        assert_eq!(
+            apply_held(&mut s, Action::StepAll { p: p(3) }, 0),
+            (1, 1, Some(0))
+        );
+        assert_eq!(
+            s.batch.parts_mut(0).0.store.held(),
+            1,
+            "only the copy holds the body"
+        );
+        // Delivering the copy ends its hold, and the body goes.
+        assert_eq!(
+            apply_held(&mut s, Action::StepAll { p: p(1) }, 0),
+            (0, 0, None)
+        );
+        assert_eq!(s.batch.parts_mut(0).0.store.held(), 0);
+    }
+
+    #[test]
+    fn crash_dropped_bodies_leave_with_their_run() {
+        let p = ProcessorId::new;
+        let mut s = lone_broadcaster();
+        assert_eq!(
+            apply_held(&mut s, Action::StepAll { p: p(0) }, 0),
+            (1, 3, Some(0))
+        );
+        // The crash drops p0's message to p3. Its run still owes p1 and
+        // p2, so the body stays held for all three of its messages.
+        let crash = Action::Crash {
+            p: p(0),
+            drop: vec![MsgId(2)],
+        };
+        assert_eq!(apply_held(&mut s, crash, 0), (1, 3, Some(0)));
+        assert_eq!(s.batch.parts_mut(0).0.store.len(), 2);
+        assert_eq!(
+            apply_held(&mut s, Action::StepAll { p: p(1) }, 0),
+            (1, 3, Some(0))
+        );
+        // The last delivery settles the run: its hold, the dropped
+        // message's included, goes back and the body is freed.
+        assert_eq!(
+            apply_held(&mut s, Action::StepAll { p: p(2) }, 0),
+            (0, 0, None)
         );
     }
 

@@ -29,7 +29,7 @@
 //!   splice and no free list to feed;
 //! * **take_all** serves Section 2.1's well-behaved event
 //!   ([`crate::Action::StepAll`]) in one forward scan from the
-//!   destination's cursor;
+//!   destination's cursor, in filing (= send-event) order;
 //! * a network duplicate is a run of one, filed as sent now, so every
 //!   destination's buffer stays sorted by send event. Ids,
 //!   per-destination order and handles are what they would be with one
@@ -37,15 +37,22 @@
 //! * **drain** empties a finished lane in one pass over its runs.
 //!
 //! A run leaves the front of the deque once it owes nobody. A run that
-//! still owes a crashed destination stays until the lane is drained, and
-//! the runs behind it with it. Every buffer keeps its capacity across
-//! [`MsgStore::reset`], which is how a finished lane's store serves the
-//! next batch through [`crate::BatchPool`].
+//! still owes a crashed destination stays until the lane is drained,
+//! and the runs behind it with it. The body holds ([`crate::bodies`])
+//! end as the messages are taken, not as the runs leave: a broadcast
+//! run holds its one body by its whole count until it owes nobody, a
+//! listed message its own body until it is taken. A take says which
+//! hold it ended ([`Taken::hold`]); the engine gives those back with
+//! [`release_holds`] once the step has read the bodies, and a crash's
+//! drop and `drain` give theirs back at once. Every buffer keeps its
+//! capacity across [`MsgStore::reset`], which is how a finished lane's
+//! store serves the next batch through [`crate::BatchPool`].
 
 use std::collections::VecDeque;
 
 use rtc_model::{LocalClock, ProcessorId};
 
+use crate::bodies::BodySlab;
 use crate::envelope::{MsgHandle, MsgId};
 
 /// `run_of` entry of an id this store never filed.
@@ -102,26 +109,46 @@ impl Run {
     }
 
     /// What the store hands back of its message with ordinal `ord`, on
-    /// `body`.
-    fn taken(&self, ord: usize, body: u32) -> Taken {
+    /// `body`, whose take ended `hold`.
+    fn taken(&self, ord: usize, body: u32, hold: u16) -> Taken {
         Taken {
             id: self.id(ord),
             from: self.from,
             send_event: self.send_event,
             body,
+            hold,
         }
     }
 }
 
-/// What the store hands back about a message it gave up: its id, and
-/// the inputs of delivery (sender and body) and of lateness
-/// classification (send event).
+/// What the store hands back about a message it gave up: its id, the
+/// inputs of delivery (sender and body) and of lateness classification
+/// (send event), and the body hold the take ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Taken {
     pub id: MsgId,
     pub from: ProcessorId,
     pub send_event: u64,
     pub body: u32,
+    /// The hold on `body` this take ended, owed back to the slab
+    /// ([`release_holds`]): a broadcast run's whole count when this was
+    /// the last message it owed, 1 for a listed message, 0 otherwise.
+    /// A run names each of at most 2¹⁶ processors once, so its count
+    /// fits, and `Taken` stays three words.
+    pub hold: u16,
+}
+
+/// Gives back to `bodies` the holds that the takes in `taken` ended.
+/// The engine calls it once a step has read the bodies it took, so each
+/// step frees exactly the bodies whose last message it took.
+// rtc-hot-loop(per-instance): runs once per step over what it took; a
+// broadcast run's body is released once, by its last message.
+pub(crate) fn release_holds<M>(taken: &[Taken], bodies: &mut BodySlab<M>) {
+    for t in taken {
+        if t.hold > 0 {
+            bodies.release(t.body, u32::from(t.hold));
+        }
+    }
 }
 
 /// One instance's buffered messages. See the module docs.
@@ -204,6 +231,35 @@ impl MsgStore {
         self.owed.iter().map(|w| w.count_ones() as usize).sum()
     }
 
+    /// The holds this store's messages keep on their bodies, as (body,
+    /// messages): a broadcast run that still owes somebody holds its one
+    /// body by its whole count, a buffered listed message its own body
+    /// once. The body slab's holds are exactly these when the
+    /// accounting is right.
+    #[cfg(test)]
+    fn held_bodies(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.runs.iter().enumerate().flat_map(move |(pos, run)| {
+            let owing = !self.owes_nobody(pos);
+            let (broadcast, listed) = match run.listed {
+                false => (owing.then_some((run.body, run.count)), 0..0),
+                true => (None, 0..run.count as usize),
+            };
+            let entries = listed
+                .map(move |ord| self.message(run, ord))
+                .filter(move |(to, _)| self.owes(pos, to.index()))
+                .map(|(_, body)| (body, 1));
+            broadcast.into_iter().chain(entries)
+        })
+    }
+
+    /// Messages holding a body ([`MsgStore::held_bodies`]): every message
+    /// of a broadcast run that still owes somebody, delivered or not, and
+    /// every buffered listed message.
+    #[cfg(test)]
+    pub(crate) fn held(&self) -> usize {
+        self.held_bodies().map(|(_, count)| count as usize).sum()
+    }
+
     /// Sequence number the next filed run gets.
     fn end(&self) -> u32 {
         self.front + self.runs.len() as u32
@@ -212,6 +268,25 @@ impl MsgStore {
     /// Whether the run at deque position `pos` owes `dest` a message.
     fn owes(&self, pos: usize, dest: usize) -> bool {
         self.owed[pos * self.words + dest / 64] >> (dest % 64) & 1 == 1
+    }
+
+    /// Whether the run at deque position `pos` owes nobody.
+    fn owes_nobody(&self, pos: usize) -> bool {
+        (0..self.words).all(|w| self.owed[pos * self.words + w] == 0)
+    }
+
+    /// The hold that taking a message of `run`, at deque position `pos`,
+    /// ended ([`Taken::hold`]); `rest` is what is left of the bitset word
+    /// the take cleared its bit in.
+    #[inline(always)]
+    fn hold_ended(&self, pos: usize, run: &Run, rest: u64) -> u16 {
+        if run.listed {
+            1
+        } else if rest == 0 && self.owes_nobody(pos) {
+            run.count as u16
+        } else {
+            0
+        }
     }
 
     /// One more message for `dest`, in the run numbered `seq`.
@@ -319,10 +394,19 @@ impl MsgStore {
     }
 
     /// The ordinal and body of `run`'s message to `dest`, which it owes.
+    /// A broadcast's is arithmetic, inlined into every scan; a listed
+    /// run's is a search, kept out of line.
+    #[inline(always)]
     fn message_to(&self, run: &Run, dest: usize) -> (usize, u32) {
-        if !run.listed {
-            return (dest - usize::from(dest > run.from.index()), run.body);
+        if run.listed {
+            return self.listed_message_to(run, dest);
         }
+        (dest - usize::from(dest > run.from.index()), run.body)
+    }
+
+    /// [`MsgStore::message_to`] of a listed run: its entry for `dest`.
+    #[cold]
+    fn listed_message_to(&self, run: &Run, dest: usize) -> (usize, u32) {
         let start = (run.body - self.lists_front) as usize;
         let ord = self
             .lists
@@ -359,17 +443,20 @@ impl MsgStore {
         Some(self.message(&self.runs[pos], ord).1)
     }
 
-    /// Takes message `id` out of the store and returns what the caller
-    /// needs of it; the caller owes the body one
-    /// [`crate::bodies::BodySlab::release`]. The removal path of a
-    /// crash-time drop (`Lane::apply_crash`).
-    pub(crate) fn take(&mut self, id: MsgId) -> Option<Taken> {
+    /// Takes message `id` out of the store for good and gives the hold
+    /// it ended back to `bodies` at once: nobody reads its body. The
+    /// removal path of a crash-time drop (`Lane::apply_crash`).
+    pub(crate) fn take<M>(&mut self, id: MsgId, bodies: &mut BodySlab<M>) -> Option<Taken> {
         let (pos, ord, to) = self.locate(id)?;
-        Some(self.take_at(pos, ord, to.index()))
+        let taken = self.take_at(pos, ord, to.index());
+        release_holds(&[taken], bodies);
+        Some(taken)
     }
 
-    /// Like [`MsgStore::take`], but only succeeds when `id` is buffered
-    /// for `dest` — the path of each id a listed delivery names.
+    /// Takes message `id` out of the store when it is buffered for
+    /// `dest` — the path of each id a listed delivery names. The caller
+    /// reads the body, then gives back the hold the take ended
+    /// ([`release_holds`]).
     // rtc-hot-loop(per-instance): runs once per listed id of every
     // delivering step; one lookup and one bit clear.
     pub(crate) fn take_for(&mut self, id: MsgId, dest: usize) -> Option<Taken> {
@@ -382,9 +469,12 @@ impl MsgStore {
 
     /// Gives up the `ord`th message of the run at `pos`, owed to `dest`.
     fn take_at(&mut self, pos: usize, ord: usize, dest: usize) -> Taken {
+        let word = &mut self.owed[pos * self.words + dest / 64];
+        *word &= !(1 << (dest % 64));
+        let rest = *word;
         let run = &self.runs[pos];
-        let taken = run.taken(ord, self.message(run, ord).1);
-        self.owed[pos * self.words + dest / 64] &= !(1 << (dest % 64));
+        let (_, body) = self.message(run, ord);
+        let taken = run.taken(ord, body, self.hold_ended(pos, run, rest));
         self.settle(pos, dest);
         taken
     }
@@ -405,10 +495,13 @@ impl MsgStore {
         }
     }
 
-    /// Drops the runs at the front of the deque that owe nobody.
+    /// Drops the runs at the front of the deque that owe nobody. Their
+    /// holds ended with the takes that settled them.
+    // rtc-hot-loop(per-instance): runs after every take from the front
+    // run; each run leaves the deque once.
     fn pop_settled(&mut self) {
         while let Some(run) = self.runs.front() {
-            if (0..self.words).any(|w| self.owed[w] != 0) {
+            if !self.owes_nobody(0) {
                 break;
             }
             if run.listed {
@@ -422,12 +515,14 @@ impl MsgStore {
     }
 
     /// Takes every message buffered for `dest`, in list order, handing
-    /// each to `each`; returns how many were taken. The caller owes
-    /// every body one [`crate::bodies::BodySlab::release`].
+    /// each to `each`; returns how many were taken. The caller reads the
+    /// bodies, then gives back the holds the takes ended
+    /// ([`release_holds`]).
     ///
     /// One forward scan from `dest`'s cursor, a bit test per run and a
     /// bit clear per message: Section 2.1's well-behaved event
-    /// ([`crate::Action::StepAll`]).
+    /// ([`crate::Action::StepAll`]). Runs are filed in send-event order,
+    /// so the messages come oldest first.
     pub(crate) fn take_all(&mut self, dest: usize, mut each: impl FnMut(Taken)) -> usize {
         let taken = self.pending[dest];
         if taken == 0 {
@@ -436,15 +531,19 @@ impl MsgStore {
         let (word, bit) = (dest / 64, 1u64 << (dest % 64));
         let start = (self.cursor[dest] - self.front) as usize;
         let (mut pos, mut left) = (start, taken);
+        let mut last_sent = 0;
         // rtc-hot-loop(per-instance): runs once per delivering step; its
         // body is all that is left per delivered message.
         while left > 0 {
             let owed = &mut self.owed[pos * self.words + word];
             if *owed & bit != 0 {
                 *owed &= !bit;
+                let rest = *owed;
                 let run = &self.runs[pos];
+                debug_assert!(run.send_event >= last_sent, "a buffer out of send order");
+                last_sent = run.send_event;
                 let (ord, body) = self.message_to(run, dest);
-                each(run.taken(ord, body));
+                each(run.taken(ord, body, self.hold_ended(pos, run, rest)));
                 left -= 1;
             }
             pos += 1;
@@ -457,9 +556,14 @@ impl MsgStore {
     }
 
     /// Takes every buffered message, run by run, handing each with its
-    /// destination to `each`; the caller owes every body one
-    /// [`crate::bodies::BodySlab::release`]. A finished lane's drain.
-    pub(crate) fn drain(&mut self, mut each: impl FnMut(ProcessorId, Taken)) {
+    /// destination to `each`, and gives every hold still kept back to
+    /// `bodies` at once (the handed-back `hold`s are 0). A finished
+    /// lane's drain.
+    pub(crate) fn drain<M>(
+        &mut self,
+        bodies: &mut BodySlab<M>,
+        mut each: impl FnMut(ProcessorId, Taken),
+    ) {
         for (pos, run) in self.runs.iter().enumerate() {
             for w in 0..self.words {
                 let mut owed = self.owed[pos * self.words + w];
@@ -467,8 +571,14 @@ impl MsgStore {
                     let dest = 64 * w + owed.trailing_zeros() as usize;
                     owed &= owed - 1;
                     let (ord, body) = self.message_to(run, dest);
-                    each(ProcessorId::new(dest), run.taken(ord, body));
+                    each(ProcessorId::new(dest), run.taken(ord, body, 0));
+                    if run.listed {
+                        bodies.release(body, 1);
+                    }
                 }
+            }
+            if !run.listed && !self.owes_nobody(pos) {
+                bodies.release(run.body, run.count);
             }
         }
         self.front = self.end();
@@ -536,6 +646,39 @@ impl Iterator for DestIter<'_> {
     fn size_hint(&self) -> (usize, Option<usize>) {
         (self.left as usize, Some(self.left as usize))
     }
+}
+
+/// Checks the body accounting of `stores` against the one slab they
+/// file over — every body is held exactly as often as
+/// [`MsgStore::held_bodies`] says, the live bodies are exactly the ones
+/// held, and every buffered message's body is among them — and returns
+/// (buffered messages, messages holding a body, live bodies).
+#[cfg(test)]
+pub(crate) fn assert_holds<'a, M>(
+    bodies: &BodySlab<M>,
+    stores: impl IntoIterator<Item = &'a MsgStore>,
+) -> (usize, usize, usize) {
+    let mut held = std::collections::BTreeMap::new();
+    let (mut buffered, mut holding) = (0, 0);
+    for store in stores {
+        for (body, count) in store.held_bodies() {
+            *held.entry(body).or_insert(0) += count;
+        }
+        for dest in 0..store.n {
+            for (_, body) in store.iter_dest_bodies(dest) {
+                assert!(held.contains_key(&body), "buffered on unheld body {body}");
+            }
+        }
+        assert_eq!(store.run_references(), store.len());
+        buffered += store.len();
+        holding += store.held();
+    }
+    for (body, count) in &held {
+        assert_eq!(bodies.remaining(*body), *count, "body {body}");
+    }
+    assert_eq!(bodies.references(), holding);
+    assert_eq!(bodies.live(), held.len());
+    (buffered, holding, held.len())
 }
 
 #[cfg(test)]
@@ -607,7 +750,10 @@ mod tests {
     #[test]
     fn take_for_refuses_another_destination_and_repeats() {
         let mut s = MsgStore::new(3);
-        s.file_broadcast(header(1, 0, 6), 4);
+        let mut bodies = BodySlab::new();
+        bodies.store('x', 2);
+        let body = bodies.store('y', 2);
+        s.file_broadcast(header(1, 0, 6), body);
         // Id 0 is p0's, not p2's.
         assert_eq!(s.take_for(MsgId(0), 2), None);
         let taken = s.take_for(MsgId(0), 0).unwrap();
@@ -617,22 +763,29 @@ mod tests {
                 id: MsgId(0),
                 from: p(1),
                 send_event: 6,
-                body: 4
-            }
+                body: 1,
+                hold: 0,
+            },
+            "the run still owes p2"
         );
         assert_eq!(s.take_for(MsgId(0), 0), None, "taken once");
-        assert_eq!(s.take(MsgId(9)), None, "never filed");
+        assert_eq!(s.take(MsgId(9), &mut bodies), None, "never filed");
         assert_eq!((s.len(), s.run_references()), (1, 1));
-        // Taking the last message lets the run go.
-        assert!(s.take(MsgId(1)).is_some());
+        assert_eq!(bodies.remaining(body), 2);
+        // Taking the last message ends the run's hold, which a crash's
+        // drop gives back at once, and lets the run go.
+        assert_eq!(s.take(MsgId(1), &mut bodies).map(|t| t.hold), Some(2));
         assert!(s.runs.is_empty());
+        assert_eq!((bodies.msg(body), bodies.live()), (None, 1));
     }
 
     #[test]
     fn take_all_scans_from_the_cursor_and_skips_what_it_does_not_owe() {
         let mut s = MsgStore::new(4);
+        let mut bodies = BodySlab::new();
         for (k, from) in [1, 0, 2, 0].into_iter().enumerate() {
-            s.file_broadcast(header(from, 3 * k as u64, k as u64), k as u32);
+            let body = bodies.store(k, 3);
+            s.file_broadcast(header(from, 3 * k as u64, k as u64), body);
         }
         // p0 is owed by the runs of p1 and p2 only.
         assert_eq!(ids_of(&s, 0), [0, 6]);
@@ -643,15 +796,23 @@ mod tests {
         assert_eq!(s.take_all(1, |t| got.push((t.id.0, t.body))), 2);
         assert_eq!(got, [(3, 1), (9, 3)]);
         assert_eq!(s.take_all(1, |_| unreachable!()), 0);
-        // Runs leave the front as they settle.
-        s.take_all(0, |_| ());
-        s.take_all(2, |_| ());
+        // Runs leave the front as they settle, and their last message
+        // ends their hold.
+        let mut got = Vec::new();
+        s.take_all(0, |t| got.push(t));
+        s.take_all(2, |t| got.push(t));
+        assert!(got.iter().all(|t| t.hold == 0));
         assert_eq!(s.runs.len(), 4, "every run still owes p3");
-        s.take_for(MsgId(2), 3).unwrap();
-        assert_eq!(s.runs.len(), 3);
+        let last = s.take_for(MsgId(2), 3).unwrap();
+        assert_eq!((last.body, last.hold), (0, 3));
+        release_holds(&[last], &mut bodies);
+        assert_eq!((s.runs.len(), bodies.live()), (3, 3));
         assert_eq!(ids_of(&s, 3), [5, 8, 11]);
-        s.take_all(3, |_| ());
+        got.clear();
+        s.take_all(3, |t| got.push(t));
+        release_holds(&got, &mut bodies);
         assert!(s.runs.is_empty() && s.owed.is_empty());
+        assert_eq!(bodies.live(), 0);
     }
 
     #[test]
@@ -660,39 +821,56 @@ mod tests {
         // owed to it, so the deque keeps every run, while the others'
         // cursors move on and their buffers stay short.
         let mut s = MsgStore::new(4);
+        let mut bodies = BodySlab::new();
         for k in 0..50u64 {
             let from = (k % 3) as usize;
-            s.file_broadcast(header(from, 3 * k, k), 0);
+            s.file_broadcast(header(from, 3 * k, k), bodies.store(k, 3));
             for dest in (0..3).filter(|d| *d != from) {
-                s.take_all(dest, |_| ());
+                s.take_all(dest, |t| assert_eq!(t.hold, 0, "still owed to p3"));
             }
         }
-        assert_eq!(s.runs.len(), 50);
+        assert_eq!((s.runs.len(), bodies.live()), (50, 50));
+        // A run that settles behind the pinned front gives its body back
+        // at once; only its place in the deque waits for the front.
+        s.file_broadcast(header(3, 150, 50), bodies.store(50, 3));
+        let mut got = Vec::new();
+        for dest in 0..3 {
+            s.take_all(dest, |t| got.push(t));
+        }
+        assert_eq!(got.iter().map(|t| t.hold).collect::<Vec<_>>(), [0, 0, 3]);
+        release_holds(&got, &mut bodies);
+        assert_eq!((s.runs.len(), bodies.live()), (51, 50));
         assert_eq!((s.len_of(0), s.len_of(1), s.len_of(2)), (0, 0, 0));
         assert_eq!(s.len_of(3), 50);
         assert_eq!(s.head(3).map(|m| m.id), Some(MsgId(2)));
         let mut drained = 0;
-        s.drain(|to, _| {
+        s.drain(&mut bodies, |to, _| {
             assert_eq!(to, p(3));
             drained += 1;
         });
         assert_eq!((drained, s.runs.len(), s.owed.len()), (50, 0, 0));
+        assert_eq!((bodies.live(), bodies.references()), (0, 0));
     }
 
     #[test]
     fn drain_hands_back_everything_and_reset_keeps_capacity() {
         let mut s = MsgStore::new(3);
-        s.file_broadcast(header(0, 0, 0), 7);
-        s.file_listed(header(2, 2, 1), [(p(1), 8), (p(2), 9)].into_iter());
-        s.take_for(MsgId(0), 1).unwrap();
+        let mut bodies = BodySlab::new();
+        let [x, y, z] = [("x", 2), ("y", 1), ("z", 1)].map(|(msg, n)| bodies.store(msg, n));
+        s.file_broadcast(header(0, 0, 0), x);
+        s.file_listed(header(2, 2, 1), [(p(1), y), (p(2), z)].into_iter());
+        assert_eq!(s.take_for(MsgId(0), 1).map(|t| t.hold), Some(0));
+        assert_eq!((bodies.live(), bodies.references()), (3, 4));
         let mut got = Vec::new();
-        s.drain(|to, t| got.push((to.index(), t.id.0, t.body)));
+        s.drain(&mut bodies, |to, t| got.push((to.index(), t.id.0, t.body)));
         got.sort_unstable();
-        assert_eq!(got, [(1, 2, 8), (2, 1, 7), (2, 3, 9)]);
+        assert_eq!(got, [(1, 2, y), (2, 1, x), (2, 3, z)]);
         assert_eq!((s.len(), s.run_references()), (0, 0));
+        // Every hold went back, the taken message's with its run's.
+        assert_eq!((bodies.live(), bodies.references()), (0, 0));
         assert_eq!(s.lookup(MsgId(1)), None);
         // Filing goes on with the next ids.
-        s.file_broadcast(header(1, 4, 2), 1);
+        s.file_broadcast(header(1, 4, 2), bodies.store("w", 2));
         assert_eq!(ids_of(&s, 2), [5]);
 
         let cap = s.run_capacity();
@@ -709,7 +887,7 @@ mod tests {
     type Held = (MsgHandle, u32);
 
     /// The model's side of a store under test: one `Vec` per
-    /// destination, plus the bodies with their reference counts.
+    /// destination, plus the slab the takes give their holds back to.
     struct Model {
         dests: Vec<Vec<Held>>,
         bodies: BodySlab<u32>,
@@ -750,7 +928,14 @@ mod tests {
             from: m.from,
             send_event: m.send_event,
             body,
+            hold: 0,
         }
+    }
+
+    /// What the model can say of a take: all but the hold it ended,
+    /// which [`assert_holds`] checks in sum.
+    fn lent(t: Taken) -> Taken {
+        Taken { hold: 0, ..t }
     }
 
     proptest! {
@@ -840,11 +1025,7 @@ mod tests {
                     (3, _) => {
                         for id in model.latest.clone().iter().step_by(2) {
                             let want = model.forget(*id).map(taken);
-                            let got = store.take(*id);
-                            prop_assert_eq!(got, want);
-                            if let Some(t) = got {
-                                model.bodies.release(t.body);
-                            }
+                            prop_assert_eq!(store.take(*id, &mut model.bodies).map(lent), want);
                         }
                     }
                     // A listed delivery to `dest`: every other buffered
@@ -860,31 +1041,31 @@ mod tests {
                             });
                             ids.push(foreign.unwrap_or(MsgId(model.next_id + 7)));
                         }
+                        let mut lent_out = Vec::new();
                         for id in ids {
                             let mine = model.dests[dest].iter().any(|(m, _)| m.id == id);
                             let want = if mine { model.forget(id).map(taken) } else { None };
                             let got = store.take_for(id, dest);
-                            prop_assert_eq!(got, want);
+                            prop_assert_eq!(got.map(lent), want);
                             match got {
-                                Some(t) => model.bodies.release(t.body),
+                                Some(t) => lent_out.push(t),
                                 None => break,
                             }
                         }
+                        release_holds(&lent_out, &mut model.bodies);
                     }
                     (5, _) => {
                         let mut got = Vec::new();
                         let took = store.take_all(dest, |t| got.push(t));
                         let want: Vec<Taken> = model.dests[dest].drain(..).map(taken).collect();
                         prop_assert_eq!(took, want.len());
-                        prop_assert_eq!(&got, &want);
-                        for t in got {
-                            model.bodies.release(t.body);
-                        }
+                        prop_assert_eq!(got.iter().copied().map(lent).collect::<Vec<_>>(), want);
+                        release_holds(&got, &mut model.bodies);
                     }
                     // A finished lane's drain, now and then.
                     (6, _) if sel % 4 == 0 => {
                         let mut got = Vec::new();
-                        store.drain(|to, t| got.push((to, t)));
+                        store.drain(&mut model.bodies, |to, t| got.push((to, t)));
                         let mut want: Vec<(ProcessorId, Taken)> = model
                             .dests
                             .iter_mut()
@@ -894,13 +1075,9 @@ mod tests {
                         got.sort_unstable_by_key(|(_, t)| t.id);
                         want.sort_unstable_by_key(|(_, t)| t.id);
                         prop_assert_eq!(&got, &want);
-                        for (_, t) in got {
-                            model.bodies.release(t.body);
-                        }
                     }
                     _ => {}
                 }
-                let mut refs = std::collections::BTreeMap::new();
                 for (d, buf) in model.dests.iter().enumerate() {
                     let got: Vec<Held> = store.iter_dest_bodies(d).collect();
                     prop_assert_eq!(&got, buf, "destination {} drifted", d);
@@ -909,15 +1086,12 @@ mod tests {
                     for (m, body) in buf {
                         prop_assert_eq!(store.lookup(m.id), Some(*m));
                         prop_assert_eq!(store.body_of(m.id), Some(*body));
-                        *refs.entry(*body).or_insert(0u32) += 1;
                     }
                 }
-                // Every body is named exactly as often as it is counted.
-                for (body, named) in &refs {
-                    prop_assert_eq!(model.bodies.remaining(*body), *named);
-                }
-                prop_assert_eq!(model.bodies.live(), refs.len());
-                prop_assert_eq!(store.run_references(), store.len());
+                // Every body is held exactly as often as the store's
+                // messages hold it, and the front run owes somebody.
+                assert_holds(&model.bodies, [&store]);
+                prop_assert!(store.runs.is_empty() || store.owed.iter().take(store.words).any(|w| *w != 0));
             }
         }
     }

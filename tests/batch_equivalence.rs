@@ -14,6 +14,9 @@
 //! here means the batched scheduler is not just "as good" but *the
 //! same schedule*.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use rtc::core::CommitMsg;
 use rtc::model::{Outbox, StepRng};
 use rtc::prelude::*;
@@ -518,14 +521,14 @@ impl<A: Adversary> Adversary for Listed<A> {
 }
 
 /// The other way round: a `Step` that lists exactly what `p` holds, in
-/// order, becomes a `StepAll`. Counts how many it turned.
-struct Whole<A>(A, u64);
+/// order, becomes a `StepAll`. Keeps what each turned step delivered.
+struct Whole<A>(A, Rc<RefCell<Vec<Vec<MsgId>>>>);
 
 impl<A: Adversary> Adversary for Whole<A> {
     fn next(&mut self, view: &PatternView<'_>) -> Action {
         match self.0.next(view) {
             Action::Step { p, deliver } if deliver == held(view, p) => {
-                self.1 += 1;
+                self.1.borrow_mut().push(deliver);
                 Action::StepAll { p }
             }
             other => other,
@@ -541,7 +544,9 @@ impl<A: Adversary> Adversary for Whole<A> {
 fn step_all_is_step_with_the_whole_buffer() {
     // Over the corpus, plain and hostile: the run a schedule records is
     // the same whether its whole-buffer steps are `StepAll`s or the
-    // `Step`s that list the buffer — digest, late marks and facts.
+    // `Step`s that list the buffer — digest, late marks and facts. A
+    // `StepAll` classifies its deliveries only up to the first on-time
+    // one, so the hostile corpus must turn steps that deliver late.
     let run = |case: &Case, adv: &mut dyn Adversary| {
         let mut sim: Sim<CommitAutomaton> = sim_builder(case).build(population(case)).unwrap();
         let report = sim.run(adv, hostile::LIMITS).unwrap();
@@ -554,20 +559,30 @@ fn step_all_is_step_with_the_whole_buffer() {
             report.events(),
         )
     };
-    let mut turned = 0;
+    let (mut turned, mut turned_late) = (0, 0);
     for case in corpus().iter().flatten() {
         let label = format!("n{}/seed{:#x}", case.n, case.seed);
-        let mut whole = Whole(adversary(case), 0);
+        let mut whole = Whole(adversary(case), Rc::default());
         let as_is = run(case, &mut adversary(case));
         assert_eq!(run(case, &mut Listed(adversary(case))), as_is, "{label}");
         assert_eq!(run(case, &mut whole), as_is, "{label}");
+        turned += whole.1.borrow().len();
         let hostile = |inner| Hostile::new(inner, case.n, case.seed);
         let as_is = run(case, &mut hostile(adversary(case)));
         let listed = Box::new(Listed(adversary(case)));
         assert_eq!(run(case, &mut hostile(listed)), as_is, "hostile {label}");
-        turned += whole.1;
+        let turns = Rc::default();
+        let whole = Box::new(Whole(adversary(case), Rc::clone(&turns)));
+        assert_eq!(run(case, &mut hostile(whole)), as_is, "hostile {label}");
+        let late = &as_is.1;
+        turned_late += turns
+            .borrow()
+            .iter()
+            .filter(|ids| ids.iter().any(|id| late.contains(id)))
+            .count();
     }
     assert!(turned > 0, "no listed step was the whole buffer");
+    assert!(turned_late > 0, "no turned hostile step delivered late");
 }
 
 /// Section 2's lateness, word for word, read off a trace's events and
