@@ -11,11 +11,11 @@
 //! Schedules are embarrassingly parallel: each is generated from
 //! `(seed, i)` alone and executed on substrates that share no state.
 //! [`run_campaign`] therefore spreads the index space across
-//! [`CampaignConfig::workers`] threads through a shared work-stealing
-//! cursor handing out *chunks* of consecutive indices — so a worker
-//! stuck on one slow schedule cannot strand the rest of a fixed stride
-//! — and merges the classified outcomes **in index order** afterwards,
-//! so the summary — counts, violation list, and shrunk reproducers — is
+//! [`CampaignConfig::workers`] threads with [`rtc_model::sweep::par_map`]
+//! — chunks of consecutive indices stolen off a shared cursor, so a
+//! worker stuck on one slow schedule cannot strand the rest — and
+//! merges the classified outcomes **in index order** afterwards, so the
+//! summary — counts, violation list, and shrunk reproducers — is
 //! bit-identical to a serial run regardless of worker count or thread
 //! interleaving. Every schedule runs on a simulator of its own
 //! ([`run_on_sim`]): batching a chunk's schedules through one engine
@@ -23,31 +23,30 @@
 //! few event-cap stragglers (DESIGN.md §8).
 
 use std::fmt;
-use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::thread;
 use std::time::Duration;
 
+use rtc_model::sweep::par_map;
 use rtc_runtime::{ClusterOptions, SupervisorPolicy};
 
 use crate::net_driver::run_on_net;
 use crate::outcome::{ChaosOutcome, Substrate};
 use crate::runtime_driver::{run_on_runtime, run_on_supervised};
-use crate::schedule::{ChaosSchedule, ScheduleParams};
+use crate::schedule::ChaosSchedule;
 use crate::shrink::shrink_sim_violation;
-use crate::sim_driver::run_on_sim;
+use crate::sim_driver::{run_on_sim, SIM_EVENT_CAP};
 
 /// Configuration of one campaign.
+///
+/// Every schedule runs on the simulator under the chaos event cap of
+/// 400 000 events, the supervised and socket substrates restart under
+/// [`SupervisorPolicy::default`], and every simulator violation is
+/// shrunk to a minimal reproducer.
 #[derive(Clone, Copy, Debug)]
 pub struct CampaignConfig {
     /// How many schedules to generate and run.
     pub schedules: u64,
-    /// The campaign seed; schedule `i` is `ChaosSchedule::generate(params, seed, i)`.
+    /// The campaign seed; schedule `i` is `ChaosSchedule::generate(seed, i)`.
     pub seed: u64,
-    /// Generator knobs.
-    pub params: ScheduleParams,
-    /// Per-schedule event cap on the simulator.
-    pub sim_max_events: u64,
     /// Pacing and bounds for the runtime substrate.
     pub cluster: ClusterOptions,
     /// Execute schedules on the simulator.
@@ -65,10 +64,6 @@ pub struct CampaignConfig {
     /// run boots listeners, links, and readers, so it is orders of
     /// magnitude slower than a simulator pass.
     pub run_net: bool,
-    /// Supervisor tunables for the supervised substrate.
-    pub supervisor: SupervisorPolicy,
-    /// Shrink simulator violations to minimal reproducers.
-    pub shrink_violations: bool,
     /// Threads stealing chunks of schedules off the campaign's shared
     /// cursor — the campaign's one level of parallelism. `0` sizes to
     /// the machine (`available_parallelism`), `1` runs everything on
@@ -83,8 +78,6 @@ impl Default for CampaignConfig {
         CampaignConfig {
             schedules: 200,
             seed: 0xC0A7_1986,
-            params: ScheduleParams::default(),
-            sim_max_events: 400_000,
             cluster: ClusterOptions {
                 tick: Duration::from_millis(1),
                 max_steps: 400,
@@ -95,8 +88,6 @@ impl Default for CampaignConfig {
             run_runtime: true,
             run_supervised: false,
             run_net: false,
-            supervisor: SupervisorPolicy::default(),
-            shrink_violations: true,
             workers: 0,
         }
     }
@@ -113,9 +104,10 @@ pub struct CampaignViolation {
     pub condition: String,
     /// The full offending schedule.
     pub schedule: ChaosSchedule,
-    /// A shrunk minimal reproducer, when shrinking was enabled and the
-    /// violation reproduces on the simulator.
-    pub shrunk: Option<ChaosSchedule>,
+    /// A locally minimal reproducer: the schedule shrunk while it still
+    /// violates on the simulator, or the full schedule when the
+    /// violation does not reproduce there.
+    pub shrunk: ChaosSchedule,
 }
 
 /// Aggregate result of a campaign.
@@ -165,7 +157,6 @@ impl fmt::Display for CampaignSummary {
 
 fn record(
     summary: &mut CampaignSummary,
-    cfg: &CampaignConfig,
     index: u64,
     schedule: &ChaosSchedule,
     substrate: Substrate,
@@ -175,9 +166,7 @@ fn record(
         ChaosOutcome::Decided => summary.tally[substrate as usize][0] += 1,
         ChaosOutcome::StalledGracefully => summary.tally[substrate as usize][1] += 1,
         ChaosOutcome::Violation(condition) => {
-            let shrunk = cfg
-                .shrink_violations
-                .then(|| shrink_sim_violation(schedule, cfg.sim_max_events));
+            let shrunk = shrink_sim_violation(schedule, SIM_EVENT_CAP);
             summary.violations.push(CampaignViolation {
                 index,
                 substrate,
@@ -191,15 +180,15 @@ fn record(
 
 /// One schedule's classified outcomes, produced by a worker and merged
 /// into the summary in index order.
-type ScheduleOutcomes = (u64, ChaosSchedule, Vec<(Substrate, ChaosOutcome)>);
+type ScheduleOutcomes = (ChaosSchedule, Vec<(Substrate, ChaosOutcome)>);
 
 /// Generates and executes schedule `i` on every enabled substrate, in
 /// [`Substrate::ALL`] order.
 fn execute_schedule(cfg: &CampaignConfig, i: u64) -> ScheduleOutcomes {
-    let schedule = ChaosSchedule::generate(&cfg.params, cfg.seed, i);
+    let schedule = ChaosSchedule::generate(cfg.seed, i);
     let mut outcomes = Vec::with_capacity(2);
     if cfg.run_sim {
-        let rep = run_on_sim(&schedule, cfg.sim_max_events);
+        let rep = run_on_sim(&schedule, SIM_EVENT_CAP);
         outcomes.push((Substrate::Sim, rep.outcome));
     }
     if cfg.run_runtime {
@@ -207,14 +196,14 @@ fn execute_schedule(cfg: &CampaignConfig, i: u64) -> ScheduleOutcomes {
         outcomes.push((Substrate::Runtime, rep.outcome));
     }
     if cfg.run_supervised {
-        let (rep, _, _) = run_on_supervised(&schedule, cfg.cluster, cfg.supervisor);
+        let (rep, _, _) = run_on_supervised(&schedule, cfg.cluster, SupervisorPolicy::default());
         outcomes.push((Substrate::Supervised, rep.outcome));
     }
     if cfg.run_net {
-        let (rep, _, _) = run_on_net(&schedule, cfg.cluster, cfg.supervisor);
+        let (rep, _, _) = run_on_net(&schedule, cfg.cluster, SupervisorPolicy::default());
         outcomes.push((Substrate::Net, rep.outcome));
     }
-    (i, schedule, outcomes)
+    (schedule, outcomes)
 }
 
 /// Runs a full campaign and returns the aggregate summary.
@@ -225,50 +214,14 @@ fn execute_schedule(cfg: &CampaignConfig, i: u64) -> ScheduleOutcomes {
 /// itself deterministic — happens at merge time on the single merging
 /// thread.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignSummary {
-    let configured = match cfg.workers {
-        0 => thread::available_parallelism().map_or(1, NonZeroUsize::get),
-        workers => workers,
-    };
-    let workers = configured.min(cfg.schedules.max(1) as usize);
-    // Work stealing over chunks of consecutive indices. A fixed
-    // `i % workers` stride pins each index to one worker up front, so a
-    // single slow schedule (schedules vary by three orders of
-    // magnitude) strands the rest of that worker's stride while its
-    // siblings sit idle; a shared cursor lets whoever is free take the
-    // next chunk. Eight chunks per worker keep cursor contention
-    // negligible without recreating the imbalance.
-    let chunk = (cfg.schedules / (workers as u64 * 8)).max(1);
-    let next = AtomicU64::new(0);
-    let steal = || {
-        let mut out = Vec::new();
-        loop {
-            let lo = next.fetch_add(chunk, Ordering::Relaxed);
-            if lo >= cfg.schedules {
-                break out;
-            }
-            let hi = lo.saturating_add(chunk).min(cfg.schedules);
-            out.extend((lo..hi).map(|i| execute_schedule(cfg, i)));
-        }
-    };
-    // The calling thread is the first worker, so `workers: 1` spawns
-    // nothing.
-    let mut results = thread::scope(|scope| {
-        let others: Vec<_> = (1..workers).map(|_| scope.spawn(steal)).collect();
-        let mut results = steal();
-        for handle in others {
-            results.extend(handle.join().expect("campaign worker panicked"));
-        }
-        results
-    });
-    results.sort_unstable_by_key(|(i, _, _)| *i);
-
+    let results = par_map(cfg.schedules, cfg.workers, |i| execute_schedule(cfg, i));
     let mut summary = CampaignSummary {
         schedules: cfg.schedules,
         ..CampaignSummary::default()
     };
-    for (i, schedule, outcomes) in results {
+    for (i, (schedule, outcomes)) in (0..).zip(results) {
         for (substrate, outcome) in outcomes {
-            record(&mut summary, cfg, i, &schedule, substrate, outcome);
+            record(&mut summary, i, &schedule, substrate, outcome);
         }
     }
     summary
@@ -359,7 +312,7 @@ mod tests {
 
     /// A campaign is nothing but its schedules: the summary of a
     /// sim-only campaign is the fold of [`run_on_sim`] over
-    /// `ChaosSchedule::generate(params, seed, 0..n)`, and its `Display`
+    /// `ChaosSchedule::generate(seed, 0..n)`, and its `Display`
     /// line names every substrate.
     #[test]
     fn the_summary_is_the_fold_of_run_on_sim_over_the_generated_schedules() {
@@ -374,9 +327,9 @@ mod tests {
             ..CampaignSummary::default()
         };
         for i in 0..cfg.schedules {
-            let schedule = ChaosSchedule::generate(&cfg.params, cfg.seed, i);
-            let outcome = run_on_sim(&schedule, cfg.sim_max_events).outcome;
-            record(&mut folded, &cfg, i, &schedule, Substrate::Sim, outcome);
+            let schedule = ChaosSchedule::generate(cfg.seed, i);
+            let outcome = run_on_sim(&schedule, SIM_EVENT_CAP).outcome;
+            record(&mut folded, i, &schedule, Substrate::Sim, outcome);
         }
         let summary = run_campaign(&cfg);
         assert_eq!(format!("{summary:?}"), format!("{folded:?}"));

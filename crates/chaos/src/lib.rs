@@ -90,7 +90,7 @@ pub use campaign::{run_campaign, CampaignConfig, CampaignSummary, CampaignViolat
 pub use net_driver::run_on_net;
 pub use outcome::{classify_verdict, ChaosOutcome, ChaosReport, Substrate};
 pub use runtime_driver::{run_on_runtime, run_on_supervised};
-pub use schedule::{ChaosSchedule, ScheduleParams};
+pub use schedule::ChaosSchedule;
 pub use shrink::{shrink_schedule, shrink_sim_violation};
 pub use sim_driver::{lint_sim_schedule, run_on_sim, run_on_sim_with_decision, sim_trace_digest};
 pub use soak::{run_soak, SoakConfig, SoakReport};

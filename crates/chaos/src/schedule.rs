@@ -34,34 +34,6 @@ pub struct ChaosSchedule {
     pub faults: FaultPlan,
 }
 
-/// Knobs for the schedule generator.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ScheduleParams {
-    /// Smallest population to draw (at least 3).
-    pub min_population: usize,
-    /// Largest population to draw.
-    pub max_population: usize,
-    /// Permit degraded schedules that crash `t + 1` processors
-    /// (Theorem 11 territory). Such schedules are always given enough
-    /// snapshot restarts to terminate unless `allow_stall` is set.
-    pub allow_degraded: bool,
-    /// Permit schedules whose surviving-participant count stays below
-    /// the `n - t` quorum — these are *expected* to stall gracefully
-    /// rather than decide.
-    pub allow_stall: bool,
-}
-
-impl Default for ScheduleParams {
-    fn default() -> ScheduleParams {
-        ScheduleParams {
-            min_population: 3,
-            max_population: 5,
-            allow_degraded: true,
-            allow_stall: false,
-        }
-    }
-}
-
 impl ChaosSchedule {
     /// The schedule in which nothing goes wrong: `n` processors voting
     /// `votes` under the largest fault bound `n` tolerates, early abort
@@ -97,26 +69,20 @@ impl ChaosSchedule {
     }
 
     /// Deterministically generates the `index`-th schedule of the
-    /// campaign identified by `campaign_seed`. A restart comes back at
-    /// its victim's crash step plus a drawn delay, and the plan is
-    /// [`degraded`](FaultPlan::degraded) exactly when it crashes `t + 1`
-    /// processors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` describes an empty population range or one
-    /// whose smallest population cannot tolerate a fault.
-    pub fn generate(params: &ScheduleParams, campaign_seed: u64, index: u64) -> ChaosSchedule {
-        assert!(
-            3 <= params.min_population && params.min_population <= params.max_population,
-            "population range must be within 3..",
-        );
+    /// campaign identified by `campaign_seed`: a population of 3 to 5
+    /// under the largest fault bound `t` it tolerates, and up to `t + 1`
+    /// crashes. A restart comes back at its victim's crash step plus a
+    /// drawn delay, and the plan is [`degraded`](FaultPlan::degraded)
+    /// exactly when it crashes `t + 1` processors. Every schedule is
+    /// [`quorum_recoverable`](ChaosSchedule::quorum_recoverable): enough
+    /// snapshot restarts are added that at most `t` victims stay out of
+    /// the quorum, so the protocol owes termination in every one.
+    pub fn generate(campaign_seed: u64, index: u64) -> ChaosSchedule {
         let mut rng = SmallRng::seed_from_u64(
             campaign_seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xC0A7_1986,
         );
-        let n = rng.gen_range(params.min_population..=params.max_population);
+        let n = rng.gen_range(3..=5usize);
         let t = CommitConfig::max_tolerated(n);
-        assert!(t >= 1, "population {n} tolerates no faults");
 
         let votes: Vec<Value> = (0..n)
             .map(|_| {
@@ -174,8 +140,7 @@ impl ChaosSchedule {
             faults.reorder_permille = rng.gen_range(50..=300u32);
         }
 
-        let max_crashes = if params.allow_degraded { t + 1 } else { t };
-        let crash_count = rng.gen_range(0..=max_crashes);
+        let crash_count = rng.gen_range(0..=t + 1);
         let mut victims: Vec<usize> = (0..n).collect();
         // Fisher–Yates prefix: pick `crash_count` distinct victims.
         for i in 0..crash_count {
@@ -200,9 +165,7 @@ impl ChaosSchedule {
                 });
             }
         }
-        if !params.allow_stall {
-            ensure_quorum_recoverable(&mut faults, t, &mut rng);
-        }
+        ensure_quorum_recoverable(&mut faults, t, &mut rng);
 
         let seed = rng.gen_range(0..u64::MAX);
         // Socket-only fault, drawn *after* every pre-existing draw so
@@ -333,19 +296,17 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic_in_seed_and_index() {
-        let p = ScheduleParams::default();
-        let a = ChaosSchedule::generate(&p, 7, 3);
-        let b = ChaosSchedule::generate(&p, 7, 3);
+        let a = ChaosSchedule::generate(7, 3);
+        let b = ChaosSchedule::generate(7, 3);
         assert_eq!(a, b);
-        let c = ChaosSchedule::generate(&p, 7, 4);
+        let c = ChaosSchedule::generate(7, 4);
         assert_ne!(a, c, "different indices should differ");
     }
 
     #[test]
     fn generated_schedules_are_internally_consistent() {
-        let p = ScheduleParams::default();
         for i in 0..200 {
-            let s = ChaosSchedule::generate(&p, 42, i);
+            let s = ChaosSchedule::generate(42, i);
             assert_eq!(s.votes.len(), s.n);
             // Distinct victims, one restart at most per crash, whole
             // partitions, permilles in range, over `t` only if degraded.
@@ -357,7 +318,7 @@ mod tests {
             for r in &f.restarts {
                 assert!(f.crash_step(r.victim).is_some_and(|at| r.at >= at + 5));
             }
-            // Default params never generate expected-stall schedules.
+            // The generator never makes an expected-stall schedule.
             assert!(s.quorum_recoverable(), "schedule {i} cannot recover quorum");
             for o in &f.outages {
                 assert!(o.a != o.b && o.until > o.from);
@@ -371,9 +332,8 @@ mod tests {
 
     #[test]
     fn generation_exercises_the_hostile_network_vocabulary() {
-        let p = ScheduleParams::default();
         let schedules: Vec<_> = (0..200)
-            .map(|i| ChaosSchedule::generate(&p, 42, i).faults)
+            .map(|i| ChaosSchedule::generate(42, i).faults)
             .collect();
         assert!(
             schedules.iter().any(|f| !f.partitions.is_empty()),
@@ -406,7 +366,7 @@ mod tests {
         for (tick, digest) in pinned {
             let mut h = 0xCBF2_9CE4_8422_2325u64;
             for i in 0..200 {
-                let s = ChaosSchedule::generate(&ScheduleParams::default(), 0xC0A7_1986, i);
+                let s = ChaosSchedule::generate(0xC0A7_1986, i);
                 let mut rng = SmallRng::seed_from_u64(s.seed);
                 let pairs = (0..s.n).flat_map(|a| (0..s.n).map(move |b| (a, b)));
                 for (from, to) in pairs.filter(|(a, b)| a != b) {

@@ -114,15 +114,13 @@ mod tests {
     use rtc_model::ProcessorId;
 
     use super::*;
-    use crate::schedule::ScheduleParams;
 
     #[test]
     fn shrinks_to_a_minimal_reproducer_for_a_synthetic_predicate() {
         // Find a busy generated schedule and pretend the "bug" needs
         // only one specific ingredient: some crash of processor p.
-        let params = ScheduleParams::default();
         let start = (0..200)
-            .map(|i| ChaosSchedule::generate(&params, 77, i))
+            .map(|i| ChaosSchedule::generate(77, i))
             .find(|s| {
                 let f = &s.faults;
                 !f.crashes.is_empty() && (!f.outages.is_empty() || f.delay != DelayModel::None)
@@ -146,7 +144,7 @@ mod tests {
 
     #[test]
     fn non_violating_schedule_is_returned_unchanged() {
-        let s = ChaosSchedule::generate(&ScheduleParams::default(), 3, 0);
+        let s = ChaosSchedule::generate(3, 0);
         assert_eq!(shrink_sim_violation(&s, 300_000), s);
     }
 }

@@ -21,6 +21,11 @@ use crate::adversary::ChaosAdversary;
 use crate::outcome::{classify_verdict, ChaosOutcome, ChaosReport, Substrate};
 use crate::schedule::ChaosSchedule;
 
+/// The simulator's event cap in the campaign, the soak's predictions
+/// and the Theorem 11 scenario: far past any run that decides, so only
+/// a stall reaches it.
+pub(crate) const SIM_EVENT_CAP: u64 = 400_000;
+
 /// Runs `schedule` on the simulator with a hard cap of `max_events`
 /// scheduler events, classifying the outcome.
 ///
@@ -239,7 +244,6 @@ mod tests {
     use super::*;
     use crate::outcome::ChaosOutcome;
     use crate::runtime_driver::run_on_runtime;
-    use crate::schedule::ScheduleParams;
 
     #[test]
     fn faultfree_schedule_decides_cleanly() {
@@ -378,7 +382,7 @@ mod tests {
     /// arrives, so the prefix is not on-time and commit validity does
     /// not bind it.
     fn assert_overdue_message_excuses_the_abort(campaign_seed: u64, index: u64) {
-        let s = ChaosSchedule::generate(&ScheduleParams::default(), campaign_seed, index);
+        let s = ChaosSchedule::generate(campaign_seed, index);
         assert!(s.faults.crashes.is_empty() && s.votes.iter().all(|v| *v == Value::One));
         let (rep, decided) = run_on_sim_with_decision(&s, 400_000);
         assert_eq!(rep.outcome, ChaosOutcome::Decided, "{rep:?}");
@@ -400,9 +404,8 @@ mod tests {
 
     #[test]
     fn generated_batch_is_safe_on_sim() {
-        let params = ScheduleParams::default();
         for i in 0..25 {
-            let s = ChaosSchedule::generate(&params, 99, i);
+            let s = ChaosSchedule::generate(99, i);
             let rep = run_on_sim(&s, 400_000);
             assert!(
                 rep.outcome.is_safe(),

@@ -30,46 +30,33 @@ use rtc_runtime::{CrashAt, FaultPlan, SupervisorPolicy};
 
 use crate::outcome::{judge_cluster, ChaosOutcome, Substrate};
 use crate::schedule::ChaosSchedule;
-use crate::sim_driver::run_on_sim_with_decision;
+use crate::sim_driver::{run_on_sim_with_decision, SIM_EVENT_CAP};
+
+/// Population of every soak round.
+const N: usize = 3;
+/// Real-time duration of one automaton step.
+const TICK: Duration = Duration::from_millis(1);
+/// Wall-clock budget per round.
+const WALL_TIMEOUT: Duration = Duration::from_secs(20);
+/// One node crashes in every `CRASH_EVERY`-th round, round 0 included.
+const CRASH_EVERY: u64 = 2;
 
 /// Knobs for one soak run.
+///
+/// Every round boots a cluster of three nodes at a 1 ms tick with a
+/// 20 s wall-clock budget, healed by [`SupervisorPolicy::default`];
+/// every second round, round 0 included, crashes one node. Each
+/// simulator prediction runs under the chaos event cap of 400 000
+/// events.
 #[derive(Clone, Copy, Debug)]
 pub struct SoakConfig {
     /// Supervised socket clusters to boot, one after another.
     pub rounds: u64,
     /// Commit instances multiplexed over each round's connection mesh.
     pub instances: usize,
-    /// Population size of every round.
-    pub n: usize,
     /// Master seed; every round's faults, votes, and coin seeds derive
     /// from it, so a soak is reproducible from this one integer.
     pub seed: u64,
-    /// Real-time duration of one automaton step.
-    pub tick: Duration,
-    /// Wall-clock budget per round.
-    pub wall_timeout: Duration,
-    /// Event cap for each simulator prediction run.
-    pub sim_max_events: u64,
-    /// Restart policy for the supervisor healing the socket cluster.
-    pub supervisor: SupervisorPolicy,
-    /// Crash one node in every `crash_every`-th round (0 = never).
-    pub crash_every: u64,
-}
-
-impl Default for SoakConfig {
-    fn default() -> SoakConfig {
-        SoakConfig {
-            rounds: 4,
-            instances: 3,
-            n: 3,
-            seed: 0xC0A7_1986,
-            tick: Duration::from_millis(1),
-            wall_timeout: Duration::from_secs(20),
-            sim_max_events: 400_000,
-            supervisor: SupervisorPolicy::default(),
-            crash_every: 2,
-        }
-    }
 }
 
 /// Aggregate result of a soak run.
@@ -87,7 +74,8 @@ pub struct SoakReport {
     pub matched: u64,
     /// `(round, instance)` pairs whose decisions differed where the
     /// schedule did not force one (unanimous-`One` under lateness):
-    /// legitimate, but worth watching.
+    /// legitimate, but worth watching. A pair where neither substrate
+    /// decided did not differ.
     pub diverged: Vec<(u64, usize)>,
     /// `(round, instance)` pairs that broke a *forced* comparison — a
     /// `Zero`-vote instance whose substrates did not both abort. Always
@@ -145,15 +133,15 @@ impl fmt::Display for SoakReport {
 fn round_schedules(cfg: &SoakConfig, round: u64) -> (FaultPlan, Vec<ChaosSchedule>) {
     let mut rng =
         SmallRng::seed_from_u64(cfg.seed ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x50A4);
-    let mut groups = vec![0u32; cfg.n];
-    groups[rng.gen_range(0..cfg.n)] = 1;
+    let mut groups = vec![0u32; N];
+    groups[rng.gen_range(0..N)] = 1;
     let mut faults = FaultPlan::none()
         .with_partition(groups, 0, rng.gen_range(2..=3u64))
         .with_duplication(300)
         .with_resets(150)
         .with_reordering(250);
-    if cfg.crash_every > 0 && round.is_multiple_of(cfg.crash_every) {
-        let victim = ProcessorId::new(usize::try_from(round).unwrap_or(0) % cfg.n);
+    if round.is_multiple_of(CRASH_EVERY) {
+        let victim = ProcessorId::new(usize::try_from(round).unwrap_or(0) % N);
         let at_step = rng.gen_range(1..=3u64);
         faults.crashes.push(CrashAt {
             victim,
@@ -170,15 +158,15 @@ fn round_schedules(cfg: &SoakConfig, round: u64) -> (FaultPlan, Vec<ChaosSchedul
     let schedules = (0..cfg.instances)
         .map(|_| {
             let votes = if rng.gen_range(0..2u32) == 0 {
-                vec![Value::One; cfg.n]
+                vec![Value::One; N]
             } else {
-                let mut v = vec![Value::One; cfg.n];
-                v[rng.gen_range(0..cfg.n)] = Value::Zero;
+                let mut v = vec![Value::One; N];
+                v[rng.gen_range(0..N)] = Value::Zero;
                 v
             };
             ChaosSchedule {
                 faults: faults.clone(),
-                ..ChaosSchedule::fault_free(cfg.n, rng.gen_range(0..u64::MAX), votes)
+                ..ChaosSchedule::fault_free(N, rng.gen_range(0..u64::MAX), votes)
             }
         })
         .collect();
@@ -192,8 +180,7 @@ fn round_schedules(cfg: &SoakConfig, round: u64) -> (FaultPlan, Vec<ChaosSchedul
 ///
 /// # Panics
 ///
-/// Panics if `cfg` describes a population the commit config rejects
-/// (`n < 3`) or zero instances per round.
+/// Panics if `cfg` asks for zero instances per round.
 pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     assert!(cfg.instances > 0, "a soak round needs instances");
     let timing = TimingParams::default();
@@ -202,13 +189,13 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
         instances: cfg.rounds * cfg.instances as u64,
         ..SoakReport::default()
     };
-    let mut opts = NetOptions::derived(cfg.tick, timing);
-    opts.wall_timeout = cfg.wall_timeout;
+    let mut opts = NetOptions::derived(TICK, timing);
+    opts.wall_timeout = WALL_TIMEOUT;
 
     for round in 0..cfg.rounds {
         let (plan, schedules) = round_schedules(cfg, round);
         let t = schedules[0].t;
-        plan.validate(cfg.n, t)
+        plan.validate(N, t)
             .expect("soak rounds carry valid fault plans");
         let populations = schedules
             .iter()
@@ -218,7 +205,14 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
             .iter()
             .map(|s| SeedCollection::new(s.seed))
             .collect();
-        let (net, sup) = run_net_supervised(populations, seeds, plan, opts, t, cfg.supervisor);
+        let (net, sup) = run_net_supervised(
+            populations,
+            seeds,
+            plan,
+            opts,
+            t,
+            SupervisorPolicy::default(),
+        );
 
         for (k, s) in schedules.iter().enumerate() {
             let instance = &net.instances[k];
@@ -233,7 +227,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
             }
             let net_decision = instance.statuses.iter().find_map(|st| st.value());
 
-            let (sim_rep, sim_decision) = run_on_sim_with_decision(s, cfg.sim_max_events);
+            let (sim_rep, sim_decision) = run_on_sim_with_decision(s, SIM_EVENT_CAP);
             if let ChaosOutcome::Violation(what) = sim_rep.outcome {
                 report
                     .violations
@@ -241,14 +235,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
             }
 
             let forced = s.votes.contains(&Value::Zero);
-            if forced && (net_decision != Some(Value::Zero) || sim_decision != Some(Value::Zero)) {
-                report.forced_failures.push((round, k));
-            }
-            if net_decision == sim_decision && net_decision.is_some() {
-                report.matched += 1;
-            } else {
-                report.diverged.push((round, k));
-            }
+            compare(&mut report, (round, k), forced, net_decision, sim_decision);
         }
 
         report.stats += &net.stats;
@@ -257,9 +244,51 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     report
 }
 
+/// Files one instance's socket and simulator decisions in `report`: a
+/// match when both decided the same value; a forced failure when a
+/// `Zero` vote forced an abort that did not happen on both; a
+/// divergence when nothing forced the decision and the two differ.
+fn compare(
+    report: &mut SoakReport,
+    at: (u64, usize),
+    forced: bool,
+    net: Option<Value>,
+    sim: Option<Value>,
+) {
+    if net.is_some() && net == sim {
+        report.matched += 1;
+    }
+    if forced {
+        if net != Some(Value::Zero) || sim != Some(Value::Zero) {
+            report.forced_failures.push(at);
+        }
+    } else if net != sim {
+        report.diverged.push(at);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A forced pair is a forced failure or a match, never a
+    /// divergence, and a pair where neither substrate decided did not
+    /// differ.
+    #[test]
+    fn only_unforced_pairs_that_differ_diverge() {
+        let (one, zero) = (Some(Value::One), Some(Value::Zero));
+        let mut report = SoakReport::default();
+        compare(&mut report, (0, 0), false, one, one);
+        compare(&mut report, (0, 1), false, one, zero);
+        compare(&mut report, (0, 2), false, None, one);
+        compare(&mut report, (0, 3), false, None, None);
+        compare(&mut report, (1, 0), true, zero, zero);
+        compare(&mut report, (1, 1), true, zero, one);
+        compare(&mut report, (1, 2), true, None, None);
+        assert_eq!(report.matched, 2);
+        assert_eq!(report.diverged, vec![(0, 1), (0, 2)]);
+        assert_eq!(report.forced_failures, vec![(1, 1), (1, 2)]);
+    }
 
     #[test]
     fn short_soak_is_safe_and_matches_forced_predictions() {
@@ -267,7 +296,6 @@ mod tests {
             rounds: 2,
             instances: 2,
             seed: 77,
-            ..SoakConfig::default()
         };
         let report = run_soak(&cfg);
         assert!(report.ok(), "{report}\nviolations: {:?}", report.violations);

@@ -17,7 +17,7 @@ use rtc_runtime::ClusterOptions;
 use crate::outcome::{ChaosOutcome, ChaosReport};
 use crate::runtime_driver::run_on_runtime;
 use crate::schedule::ChaosSchedule;
-use crate::sim_driver::run_on_sim;
+use crate::sim_driver::{run_on_sim, SIM_EVENT_CAP};
 
 /// The four outcomes of the flagship scenario.
 #[derive(Clone, Debug)]
@@ -44,21 +44,16 @@ impl Theorem11Evidence {
 }
 
 /// Runs the flagship scenario for a population of `n` with the given
-/// seed. `sim_max_events` caps each simulator act; `cluster` paces the
-/// runtime acts (its `wall_timeout`/`max_steps` bound the stall act,
-/// so keep them small).
-pub fn run_theorem11(
-    n: usize,
-    seed: u64,
-    sim_max_events: u64,
-    cluster: ClusterOptions,
-) -> Theorem11Evidence {
+/// seed. Each simulator act runs under the chaos event cap of 400 000
+/// events; `cluster` paces the runtime acts (its
+/// `wall_timeout`/`max_steps` bound the stall act, so keep them small).
+pub fn run_theorem11(n: usize, seed: u64, cluster: ClusterOptions) -> Theorem11Evidence {
     let stall = ChaosSchedule::theorem11(n, seed, false);
     let recover = ChaosSchedule::theorem11(n, seed, true);
     Theorem11Evidence {
-        stall_sim: run_on_sim(&stall, sim_max_events),
+        stall_sim: run_on_sim(&stall, SIM_EVENT_CAP),
         stall_runtime: run_on_runtime(&stall, cluster).0,
-        recover_sim: run_on_sim(&recover, sim_max_events),
+        recover_sim: run_on_sim(&recover, SIM_EVENT_CAP),
         recover_runtime: run_on_runtime(&recover, cluster).0,
     }
 }
@@ -77,7 +72,7 @@ mod tests {
             wall_timeout: Duration::from_millis(1500),
             ..ClusterOptions::default()
         };
-        let evidence = run_theorem11(3, 1986, 400_000, cluster);
+        let evidence = run_theorem11(3, 1986, cluster);
         assert!(
             evidence.holds(),
             "stall sim: {}, stall runtime: {}, recover sim: {}, recover runtime: {}",

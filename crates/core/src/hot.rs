@@ -10,15 +10,7 @@
 //! is part of the automaton that owns it and has no heap object of its
 //! own; a larger population's board is one allocation
 //! ([`InlineVec`]). Either way a board is a flat dense slab indexed by
-//! processor index, so the boards of B concurrent instances concatenate
-//! into one `(instance, proc)`-dense table —
-//! `cells[instance * n + proc]` — the same keying the batch engine
-//! uses for its shared `(instance, dst)` message slab and its
-//! structure-of-arrays trace columns. [`VoteBoard::as_cells`] and
-//! [`VoteBoard::from_cells`] expose the raw slab for exactly that kind
-//! of aggregation, round-tripping without loss (the counts are
-//! recomputed from the cells) whichever side of `PEERS_INLINE` the
-//! population is on.
+//! processor index.
 
 use rtc_model::{ProcessorId, Value};
 
@@ -117,22 +109,6 @@ impl VoteBoard {
             .iter()
             .all(|&c| c & VOTE_PRESENT == 0 || c & VOTE_ONE != 0)
     }
-
-    /// The raw cell slab, dense by processor index — the unit an
-    /// `(instance, proc)` aggregate table concatenates.
-    pub fn as_cells(&self) -> &[u8] {
-        &self.cells
-    }
-
-    /// Rebuilds a board from a raw cell slab (e.g. one instance's
-    /// segment of an `(instance, proc)` table), recomputing the counts.
-    pub fn from_cells(cells: &[u8]) -> VoteBoard {
-        VoteBoard {
-            cells: cells.iter().copied().collect(),
-            go_count: cells.iter().filter(|&&c| c & GO != 0).count(),
-            vote_count: cells.iter().filter(|&&c| c & VOTE_PRESENT != 0).count(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -178,22 +154,5 @@ mod tests {
         assert!(b.all_votes_are_one());
         b.mark_vote(p(2), Value::Zero);
         assert!(!b.all_votes_are_one());
-    }
-
-    #[test]
-    fn cell_slab_round_trips_with_counts() {
-        // On both sides of the inline capacity.
-        for n in [4, PEERS_INLINE, PEERS_INLINE + 1, 40] {
-            let mut b = VoteBoard::new(n);
-            b.mark_go(p(0));
-            b.mark_vote(p(0), Value::One);
-            b.mark_vote(p(n - 1), Value::Zero);
-            assert_eq!(b.as_cells().len(), n);
-            let rebuilt = VoteBoard::from_cells(b.as_cells());
-            assert_eq!(rebuilt, b);
-            assert_eq!(rebuilt.go_count(), 1);
-            assert_eq!(rebuilt.vote_count(), 2);
-            assert_eq!(rebuilt.vote_of(p(n - 1)), Some(Value::Zero));
-        }
     }
 }

@@ -151,9 +151,8 @@ pub struct CommitAutomaton {
     /// Which processors this one has heard a `GO` from and their first
     /// votes, as one dense per-processor byte table plus counts. Every
     /// delivery touches this (any message carrying coins doubles as a
-    /// `GO`), so it must be an index, not a search tree — held inline,
-    /// with cells that concatenate `(instance, proc)`-dense across
-    /// batched instances (see [`VoteBoard`]).
+    /// `GO`), so it must be an index, not a search tree — held inline
+    /// (see [`VoteBoard`]).
     board: VoteBoard,
     go_wait_start: Option<u64>,
     vote_wait_start: Option<u64>,

@@ -91,7 +91,7 @@ fn parse_votes(spec: Option<&str>, n: usize) -> Result<Vec<Value>, String> {
 fn make_adversary(spec: &str, n: usize, seed: u64, k: u64) -> Result<Box<dyn Adversary>, String> {
     if let Some(x) = spec.strip_prefix("delay:") {
         let x: u64 = x.parse().map_err(|e| format!("delay: {e}"))?;
-        return Ok(Box::new(SynchronousAdversary::with_lag(n, x * n as u64)));
+        return Ok(Box::new(SynchronousAdversary::with_lag(x * n as u64)));
     }
     if let Some(rest) = spec.strip_prefix("crash:") {
         let (victim, event) = rest
@@ -110,7 +110,7 @@ fn make_adversary(spec: &str, n: usize, seed: u64, k: u64) -> Result<Box<dyn Adv
     }
     match spec {
         "sync" => Ok(Box::new(SynchronousAdversary::new(n))),
-        "sync-lag" => Ok(Box::new(SynchronousAdversary::with_lag(n, k))),
+        "sync-lag" => Ok(Box::new(SynchronousAdversary::with_lag(k))),
         "random" => Ok(Box::new(
             RandomAdversary::new(seed)
                 .deliver_prob(0.6)

@@ -6,6 +6,7 @@ use rand::{Rng, SeedableRng};
 use rtc_baselines::{cms_population, dealer_coins, rabin_population, worst_case_stages};
 use rtc_baselines::{threepc_population, twopc_population};
 use rtc_core::{CoinList, CommitConfig};
+use rtc_model::sweep::par_map;
 use rtc_model::{Decision, ProcessorId, SeedCollection, TimingParams, Value};
 use rtc_sim::adversaries::{
     cut, AdaptiveAdversary, CrashAdversary, CrashPlan, DropPolicy, RandomAdversary,
@@ -13,7 +14,6 @@ use rtc_sim::adversaries::{
 };
 use rtc_sim::{RunLimits, SimBuilder};
 
-use crate::par::par_seed_map;
 use crate::stats::{rate, Summary};
 use crate::table::{ExperimentResult, Table};
 use crate::workloads::{mixed_votes, run_commit};
@@ -80,14 +80,14 @@ pub fn t1_stages(effort: Effort) -> ExperimentResult {
         let c = cfg(n);
         let votes = mixed_votes(n, 0); // unanimity exercises the commit path;
                                        // stage pressure comes from scheduling
-        let stages: Vec<u64> = par_seed_map(trials as u64, |seed| {
+        let stages: Vec<u64> = par_map(trials as u64, 0, |seed| {
             let mut adv = RandomAdversary::new(seed ^ 0x51).deliver_prob(0.6);
             run_commit(c, &votes, seed, &mut adv, RunLimits::default()).max_stage
         })
         .into_iter()
         .flatten()
         .collect();
-        let wc: Vec<u64> = par_seed_map(trials.min(50) as u64, |seed| {
+        let wc: Vec<u64> = par_map(trials.min(50) as u64, 0, |seed| {
             let coins = dealer_coins(512, seed);
             worst_case_stages(n, CommitConfig::max_tolerated(n), coins, seed, 512).stages
         });
@@ -138,7 +138,7 @@ pub fn t2_rounds(effort: Effort) -> ExperimentResult {
         let kinds: Vec<(&str, MakeAdversary)> = vec![
             (
                 "synchronous, delay K",
-                Box::new(move |_s| Box::new(SynchronousAdversary::with_lag(n, timing().k()))),
+                Box::new(move |_s| Box::new(SynchronousAdversary::with_lag(timing().k()))),
             ),
             (
                 "random + crashes",
@@ -151,7 +151,7 @@ pub fn t2_rounds(effort: Effort) -> ExperimentResult {
         ];
         for (label, make) in &kinds {
             let votes = vec![Value::One; n];
-            let rounds: Vec<u64> = par_seed_map(trials as u64, |seed| {
+            let rounds: Vec<u64> = par_map(trials as u64, 0, |seed| {
                 let mut adv = make(seed);
                 run_commit(c, &votes, seed, adv.as_mut(), RunLimits::default()).done_round
             })
@@ -227,8 +227,7 @@ pub fn t3_ticks(effort: Effort) -> ExperimentResult {
                             drop: DropPolicy::KeepAll,
                         })
                         .collect();
-                    let mut adv =
-                        CrashAdversary::new(SynchronousAdversary::with_lag(n, lag), plans);
+                    let mut adv = CrashAdversary::new(SynchronousAdversary::with_lag(lag), plans);
                     let r = run_commit(
                         c,
                         &vec![Value::One; n],
@@ -431,7 +430,7 @@ pub fn t6_abort(effort: Effort) -> ExperimentResult {
             let mut votes = vec![Value::One; n];
             votes[(seed as usize) % n] = Value::Zero;
             let r = if is_delay {
-                let mut adv = SynchronousAdversary::with_lag(n, 8 * n as u64);
+                let mut adv = SynchronousAdversary::with_lag(8 * n as u64);
                 run_commit(c, &votes, seed, &mut adv, RunLimits::default())
             } else {
                 let mut adv = RandomAdversary::new(seed).deliver_prob(0.25);
@@ -475,7 +474,7 @@ pub fn t7_commit(effort: Effort) -> ExperimentResult {
         let votes = vec![Value::One; n];
         let mut violations = 0usize;
         let mut committed = 0usize;
-        for r in par_seed_map(trials as u64, |seed| {
+        for r in par_map(trials as u64, 0, |seed| {
             let mut adv = SynchronousAdversary::new(n);
             run_commit(c, &votes, seed, &mut adv, RunLimits::default())
         }) {
@@ -519,7 +518,7 @@ pub fn f1_benor(effort: Effort) -> ExperimentResult {
     ]);
     for n in effort.populations(&[3, 5, 7, 9, 11]) {
         let t = CommitConfig::max_tolerated(n);
-        let (benor, shared): (Vec<u64>, Vec<u64>) = par_seed_map(trials as u64, |seed| {
+        let (benor, shared): (Vec<u64>, Vec<u64>) = par_map(trials as u64, 0, |seed| {
             (
                 worst_case_stages(n, t, CoinList::from_values(vec![]), seed, cap).stages,
                 worst_case_stages(n, t, dealer_coins(512, seed), seed, cap).stages,
@@ -697,7 +696,7 @@ pub fn f3_delay(effort: Effort) -> ExperimentResult {
         let mut msgs = Vec::new();
         let mut outcomes = std::collections::BTreeSet::new();
         for seed in 0..trials as u64 {
-            let mut adv = SynchronousAdversary::with_lag(n, x * n as u64);
+            let mut adv = SynchronousAdversary::with_lag(x * n as u64);
             let r = run_commit(
                 c,
                 &vec![Value::One; n],

@@ -15,14 +15,12 @@
 
 mod diagram;
 pub mod experiments;
-mod par;
 mod stats;
 mod table;
 mod workloads;
 
 pub use diagram::{render, DiagramOptions};
 pub use experiments::{run_all, Effort};
-pub use par::par_seed_map;
 pub use stats::{rate, Summary};
 pub use table::{ExperimentResult, Table};
 pub use workloads::{mixed_votes, run_commit, CommitRunResult};

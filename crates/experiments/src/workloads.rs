@@ -146,4 +146,22 @@ mod tests {
         );
         assert_eq!(mixed_votes(3, 0), vec![Value::One; 3]);
     }
+
+    /// A trial derives everything from its seed, so the experiments'
+    /// parallel map folds to the serial loop's results.
+    #[test]
+    fn parallel_map_matches_the_serial_fold_of_run_commit() {
+        use rtc_model::sweep::par_map;
+        use rtc_sim::adversaries::RandomAdversary;
+
+        let cfg = CommitConfig::new(5, 2, TimingParams::default()).unwrap();
+        let votes = vec![Value::One; 5];
+        let run = |seed: u64| {
+            let mut adv = RandomAdversary::new(seed).deliver_prob(0.6);
+            let r = run_commit(cfg, &votes, seed, &mut adv, RunLimits::default());
+            (r.decided, r.messages, r.max_stage)
+        };
+        let serial: Vec<_> = (0..12).map(run).collect();
+        assert_eq!(par_map(12, 0, run), serial);
+    }
 }

@@ -45,7 +45,7 @@ fn next_alive(view: &PatternView<'_>, cursor: &mut usize) -> Option<ProcessorId>
 ///
 /// | Scenario | Scheduler |
 /// |---|---|
-/// | Theorem 17: an `x`-slow run | `with_lag(n, x * n)` — `x` rotations |
+/// | Theorem 17: an `x`-slow run | `with_lag(x * n)` — `x` rotations |
 /// | one late message | `holding(move \|m, now\| late(m) && now - m.send_event < hold)` |
 /// | recovery after a healed partition | `holding(move \|m, now\| now < heal_at && cut(m, now))` |
 /// | Theorem 14: a permanent partition | `Unfair(new(n).holding(cut(n, &group_a)))` |
@@ -64,13 +64,13 @@ type HoldRule = Box<dyn Fn(&MsgHandle, u64) -> bool + Send>;
 impl SynchronousAdversary {
     /// A synchronous scheduler over `n` processors delivering messages
     /// at the first opportunity.
-    pub fn new(n: usize) -> SynchronousAdversary {
-        SynchronousAdversary::with_lag(n, 0)
+    pub fn new(_n: usize) -> SynchronousAdversary {
+        SynchronousAdversary::with_lag(0)
     }
 
     /// A synchronous scheduler that holds every message for at least
     /// `lag` global events before delivery.
-    pub fn with_lag(_n: usize, lag: u64) -> SynchronousAdversary {
+    pub fn with_lag(lag: u64) -> SynchronousAdversary {
         SynchronousAdversary {
             cursor: 0,
             lag,
@@ -335,28 +335,25 @@ impl<A: fmt::Debug> fmt::Debug for CrashAdversary<A> {
 #[derive(Debug)]
 pub struct AdaptiveAdversary {
     rng: SmallRng,
-    hold_events: u64,
     sent_counts: Vec<u64>,
-    crash_after_events: u64,
 }
 
+/// Global events [`AdaptiveAdversary`] holds every message before it
+/// delivers it.
+const HOLD_EVENTS: u64 = 24;
+/// Global events [`AdaptiveAdversary`] waits before it spends its crash
+/// budget.
+const CRASH_AFTER_EVENTS: u64 = 40;
+
 impl AdaptiveAdversary {
-    /// An adaptive adversary holding messages for `hold_events` and
-    /// starting to spend its crash budget after `crash_after_events`.
+    /// An adaptive adversary whose crash choices are drawn from `seed`.
+    /// It holds every message for 24 global events and starts to spend
+    /// its crash budget after 40.
     pub fn new(seed: u64) -> AdaptiveAdversary {
         AdaptiveAdversary {
             rng: SmallRng::seed_from_u64(seed),
-            hold_events: 24,
-            crash_after_events: 40,
             sent_counts: Vec::new(),
         }
-    }
-
-    /// Overrides the message-holding window (in global events).
-    #[must_use]
-    pub fn hold_events(mut self, hold: u64) -> AdaptiveAdversary {
-        self.hold_events = hold;
-        self
     }
 }
 
@@ -378,7 +375,7 @@ impl Adversary for AdaptiveAdversary {
         }
         // Assassination: after the warm-up, crash the loudest talker
         // that just broadcast, dropping everything it sent last step.
-        if view.event() >= self.crash_after_events
+        if view.event() >= CRASH_AFTER_EVENTS
             && view.crashes_remaining() > 0
             && self.rng.gen_bool(0.15)
         {
@@ -404,7 +401,7 @@ impl Adversary for AdaptiveAdversary {
             .expect("some processor is alive");
         let deliver = view
             .pending_iter(p)
-            .filter(|m| view.event().saturating_sub(m.send_event) >= self.hold_events)
+            .filter(|m| view.event().saturating_sub(m.send_event) >= HOLD_EVENTS)
             .map(|m| m.id)
             .collect();
         Action::Step { p, deliver }
@@ -525,10 +522,10 @@ mod tests {
         assert_eq!(adv.next(&v), Action::StepAll { p: p(0) });
         assert_eq!(adv.next(&v), Action::StepAll { p: p(1) });
         // With a lag it lists what is old enough.
-        let mut lagged = SynchronousAdversary::with_lag(2, 1);
+        let mut lagged = SynchronousAdversary::with_lag(1);
         let step = |deliver: Vec<MsgId>| Action::Step { p: p(0), deliver };
         assert_eq!(lagged.next(&v), step(vec![MsgId(0)]));
-        let mut lagged = SynchronousAdversary::with_lag(2, 2);
+        let mut lagged = SynchronousAdversary::with_lag(2);
         assert_eq!(lagged.next(&v), step(vec![]));
     }
 
@@ -563,10 +560,10 @@ mod tests {
             deliver,
         };
         let early_fx = fixture(&buffers, &clocks, &crashed, &last, 5);
-        let mut adv = SynchronousAdversary::with_lag(2, 3 * 2);
+        let mut adv = SynchronousAdversary::with_lag(3 * 2);
         assert_eq!(adv.next(&early_fx.view()), step(vec![]));
         let due_fx = fixture(&buffers, &clocks, &crashed, &last, 6);
-        let mut adv = SynchronousAdversary::with_lag(2, 3 * 2);
+        let mut adv = SynchronousAdversary::with_lag(3 * 2);
         assert_eq!(adv.next(&due_fx.view()), step(vec![MsgId(0)]));
     }
 
@@ -618,7 +615,7 @@ mod tests {
         assert_eq!(deliver_at(&mut late(100), 5), vec![MsgId(1)]);
         assert_eq!(deliver_at(&mut late(5), 5), vec![MsgId(0), MsgId(1)]);
         // A lag applies on top of the rule.
-        let mut lagged = SynchronousAdversary::with_lag(2, 6).holding(|_, _| false);
+        let mut lagged = SynchronousAdversary::with_lag(6).holding(|_, _| false);
         assert_eq!(deliver_at(&mut lagged, 5), vec![]);
     }
 
@@ -643,13 +640,16 @@ mod tests {
         let clocks = vec![LocalClock::ZERO, LocalClock::new(9)];
         let crashed = vec![false, false];
         let last = vec![None, Some(90)];
-        let mut adv = AdaptiveAdversary::new(2).hold_events(50);
+        let mut adv = AdaptiveAdversary::new(2);
         let fx = fixture(&buffers, &clocks, &crashed, &last, 100);
         let v = fx.view();
         match adv.next(&v) {
             Action::Step { p, deliver } => {
                 assert_eq!(p, ProcessorId::new(0));
-                assert!(deliver.is_empty(), "message aged only 10 < 50 events");
+                assert!(
+                    deliver.is_empty(),
+                    "message aged only 10 < {HOLD_EVENTS} events"
+                );
             }
             other => panic!("unexpected action {other:?}"),
         }

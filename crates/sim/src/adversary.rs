@@ -142,8 +142,8 @@ impl<'a> PatternView<'a> {
 /// A Section-2.3 adversary: pattern-only vision.
 ///
 /// Implementations must eventually let the run make progress; the
-/// engine's fairness envelope (see [`crate::FairnessParams`]) enforces
-/// this mechanically for admissible adversaries. An adversary used to
+/// engine's fairness envelope of `64 · n` events enforces this
+/// mechanically for admissible adversaries. An adversary used to
 /// demonstrate a lower bound may return `false` from
 /// [`Adversary::admissible`]; the engine then permits unfair schedules
 /// (starvation, permanent partition, more than `t` crashes) and flags

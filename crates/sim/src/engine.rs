@@ -151,36 +151,18 @@ impl fmt::Display for SimError {
 
 impl Error for SimError {}
 
-/// Parameters of the admissibility envelope.
+/// Events per processor in the admissibility envelope.
 ///
 /// The paper's `t`-admissibility is a property of infinite runs:
 /// guaranteed messages to nonfaulty processors are eventually delivered
 /// and nonfaulty processors take infinitely many steps. The engine
-/// enforces a finite-prefix version: a guaranteed message pending longer
-/// than `max_defer_events` global events is force-delivered, and a
-/// processor unscheduled for more than `max_idle_events` events is
-/// force-stepped. Applied only to adversaries that claim
-/// [`Adversary::admissible`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FairnessParams {
-    /// Maximum global events a guaranteed message may stay buffered.
-    pub max_defer_events: u64,
-    /// Maximum global events an alive processor may go without a step.
-    pub max_idle_events: u64,
-}
-
-impl FairnessParams {
-    /// A reasonable envelope for a population of `n` processors: roomy
-    /// enough that it never interferes with plausible schedules, tight
-    /// enough that runs make progress.
-    pub fn for_population(n: usize) -> FairnessParams {
-        let n = n.max(1) as u64;
-        FairnessParams {
-            max_defer_events: 64 * n,
-            max_idle_events: 64 * n,
-        }
-    }
-}
+/// enforces a finite-prefix version: in a population of `n`, a
+/// guaranteed message pending longer than `ENVELOPE_EVENTS_PER_PROC · n`
+/// global events is force-delivered, and a processor unscheduled for
+/// that long is force-stepped — roomy enough that it never interferes
+/// with plausible schedules, tight enough that runs make progress.
+/// Applied only to adversaries that claim [`Adversary::admissible`].
+const ENVELOPE_EVENTS_PER_PROC: u64 = 64;
 
 /// When a run is considered finished.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -306,7 +288,6 @@ pub struct SimBuilder {
     timing: TimingParams,
     seeds: SeedCollection,
     fault_budget: usize,
-    fairness: Option<FairnessParams>,
 }
 
 impl SimBuilder {
@@ -317,7 +298,6 @@ impl SimBuilder {
             timing,
             seeds,
             fault_budget: 0,
-            fairness: None,
         }
     }
 
@@ -325,12 +305,6 @@ impl SimBuilder {
     /// adversary may inject).
     pub fn fault_budget(mut self, t: usize) -> SimBuilder {
         self.fault_budget = t;
-        self
-    }
-
-    /// Overrides the default fairness envelope.
-    pub fn fairness(mut self, params: FairnessParams) -> SimBuilder {
-        self.fairness = Some(params);
         self
     }
 
@@ -350,16 +324,13 @@ impl SimBuilder {
                 return Err(ModelError::PopulationTooLarge { requested: i });
             }
         }
-        let fairness = self
-            .fairness
-            .unwrap_or_else(|| FairnessParams::for_population(n));
         let monitor = LatenessMonitor::new(n, self.timing.k());
         store.reset(n);
         Ok(Lane {
             timing: self.timing,
             seeds: self.seeds,
             fault_budget: self.fault_budget,
-            fairness,
+            envelope: ENVELOPE_EVENTS_PER_PROC * n as u64,
             autos: procs,
             clocks: vec![LocalClock::ZERO; n],
             crashed: vec![false; n],
@@ -449,7 +420,10 @@ pub(crate) struct Lane<A: Automaton> {
     timing: TimingParams,
     seeds: SeedCollection,
     fault_budget: usize,
-    fairness: FairnessParams,
+    /// The fairness envelope: how many global events a guaranteed
+    /// message may stay buffered, and an alive processor go without a
+    /// step, before the engine forces it ([`ENVELOPE_EVENTS_PER_PROC`]).
+    envelope: u64,
     autos: Vec<A>,
     clocks: Vec<LocalClock>,
     crashed: Vec<bool>,
@@ -591,8 +565,7 @@ impl<A: Automaton> Lane<A> {
         if self.event < self.next_forced_at {
             return None;
         }
-        let defer = self.fairness.max_defer_events;
-        let idle = self.fairness.max_idle_events;
+        let envelope = self.envelope;
         // Overdue messages to alive processors first (every buffered
         // message is guaranteed — a crash's drops leave the store at
         // crash time). Within a destination send events are
@@ -608,7 +581,7 @@ impl<A: Automaton> Lane<A> {
             let overdue: Vec<MsgId> = self
                 .store
                 .iter_dest(i)
-                .take_while(|m| self.event.saturating_sub(m.send_event) > defer)
+                .take_while(|m| self.event.saturating_sub(m.send_event) > envelope)
                 .map(|m| m.id)
                 .collect();
             if !overdue.is_empty() {
@@ -620,7 +593,7 @@ impl<A: Automaton> Lane<A> {
         }
         // Then starved processors.
         for i in 0..self.autos.len() {
-            if !self.crashed[i] && self.event.saturating_sub(self.last_sched_event[i]) > idle {
+            if !self.crashed[i] && self.event.saturating_sub(self.last_sched_event[i]) > envelope {
                 return Some(Action::Step {
                     p: ProcessorId::new(i),
                     deliver: Vec::new(),
@@ -637,11 +610,11 @@ impl<A: Automaton> Lane<A> {
                 continue;
             }
             if let Some(sent) = self.store.head(i).map(|m| m.send_event) {
-                next = next.min(sent.saturating_add(defer).saturating_add(1));
+                next = next.min(sent.saturating_add(envelope).saturating_add(1));
             }
             next = next.min(
                 self.last_sched_event[i]
-                    .saturating_add(idle)
+                    .saturating_add(envelope)
                     .saturating_add(1),
             );
         }
@@ -740,11 +713,9 @@ impl<A: Automaton> Lane<A> {
         if sent.count > 0 {
             // A fresh message could become overdue before the cached
             // fairness bound; pull the bound in (conservatively).
-            self.next_forced_at = self.next_forced_at.min(
-                self.event
-                    .saturating_add(self.fairness.max_defer_events)
-                    .saturating_add(1),
-            );
+            self.next_forced_at = self
+                .next_forced_at
+                .min(self.event.saturating_add(self.envelope).saturating_add(1));
         }
         // p's droppable sends are now exactly this run.
         self.last_run[i] = IdRun::new(sent.first, sent.count);
@@ -957,11 +928,9 @@ impl<A: Automaton> Lane<A> {
         trace.push_duplicate(orig.from, id, copy);
         // The copy could become overdue before the cached fairness
         // bound; pull the bound in, exactly as a fresh send does.
-        self.next_forced_at = self.next_forced_at.min(
-            self.event
-                .saturating_add(self.fairness.max_defer_events)
-                .saturating_add(1),
-        );
+        self.next_forced_at = self
+            .next_forced_at
+            .min(self.event.saturating_add(self.envelope).saturating_add(1));
         self.event += 1;
         Ok(())
     }

@@ -24,10 +24,10 @@
 //!   overtakes it. The engine knows no more of either than of any other
 //!   held message. The one network-plane event is a duplicate
 //!   ([`Action::Duplicate`]).
-//! * **`t`-admissibility**: a [`FairnessParams`] envelope forces overdue
-//!   guaranteed messages to be delivered and starved processors to be
-//!   stepped, so that every finite run the engine produces is a prefix of
-//!   a `t`-admissible infinite run. Deliberately inadmissible adversaries
+//! * **`t`-admissibility**: a fairness envelope of `64 · n` events forces
+//!   overdue guaranteed messages to be delivered and starved processors
+//!   to be stepped, so that every finite run the engine produces is a
+//!   prefix of a `t`-admissible infinite run. Deliberately inadmissible adversaries
 //!   (used to demonstrate the paper's lower bounds) opt out.
 //! * **Asynchronous rounds** (Section 2.2): [`rounds::RoundAccountant`]
 //!   computes the paper's inductive round definition post-hoc from the
@@ -76,16 +76,14 @@ mod engine;
 mod envelope;
 mod metrics;
 mod pattern;
-mod replay;
 pub mod rounds;
 mod store;
 mod trace;
 
 pub use adversary::{Action, Adversary, ContentAdversary, ContentView, PatternView};
 pub use batch::{BatchPool, BatchSim, BatchSimBuilder};
-pub use engine::{FairnessParams, RunLimits, RunReport, Sim, SimBuilder, SimError, StopWhen};
+pub use engine::{RunLimits, RunReport, Sim, SimBuilder, SimError, StopWhen};
 pub use envelope::{IdRun, MsgHandle, MsgId};
 pub use metrics::RunMetrics;
 pub use pattern::{MessagePattern, PatternTriple};
-pub use replay::{Recorder, Replayer};
 pub use trace::{DecisionRecord, EventRecord, EventView, MsgRecord, Trace};

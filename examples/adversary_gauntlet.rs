@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (
             "synchronous (delay = K)",
             true,
-            Box::new(move |_| Box::new(SynchronousAdversary::with_lag(n, 4))),
+            Box::new(move |_| Box::new(SynchronousAdversary::with_lag(4))),
         ),
         (
             "random scheduling, 50% delivery",
@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (
             "x-slow delivery (x = 6 > K)",
             true,
-            Box::new(move |_| Box::new(SynchronousAdversary::with_lag(n, 6 * n as u64))),
+            Box::new(move |_| Box::new(SynchronousAdversary::with_lag(6 * n as u64))),
         ),
         (
             "coordinator assassination mid-GO",

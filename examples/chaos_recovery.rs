@@ -11,9 +11,7 @@
 
 use std::time::Duration;
 
-use rtc::chaos::{
-    run_campaign, run_on_runtime, run_on_sim, CampaignConfig, ChaosSchedule, ScheduleParams,
-};
+use rtc::chaos::{run_campaign, run_on_runtime, run_on_sim, CampaignConfig, ChaosSchedule};
 use rtc::prelude::ClusterOptions;
 
 fn main() {
@@ -29,7 +27,6 @@ fn main() {
     let cfg = CampaignConfig {
         schedules: 30,
         seed: 0xC1A05,
-        params: ScheduleParams::default(),
         cluster,
         ..CampaignConfig::default()
     };

@@ -151,7 +151,7 @@ fn theorem_17_unbounded_ticks() -> Result<(), Box<dyn std::error::Error>> {
             .fault_budget(cfg.fault_bound())
             .build(procs)
             .unwrap();
-        let mut adv = SynchronousAdversary::with_lag(n, x * n as u64);
+        let mut adv = SynchronousAdversary::with_lag(x * n as u64);
         let report = sim.run(&mut adv, RunLimits::with_max_events(5_000_000))?;
         assert!(report.all_nonfaulty_decided());
         let metrics = RunMetrics::from_trace(sim.trace());

@@ -23,7 +23,6 @@ fn main() -> ExitCode {
         rounds: 3,
         instances: 3,
         seed: 0x504_1986,
-        ..SoakConfig::default()
     };
     println!(
         "soaking {} rounds x {} instances over real sockets (seed {:#x})...",

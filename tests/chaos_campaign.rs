@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use rtc::chaos::{
     run_campaign, run_on_runtime, run_on_sim, run_theorem11, sim_trace_digest, CampaignConfig,
-    ChaosOutcome, ChaosSchedule, ScheduleParams, Substrate,
+    ChaosOutcome, ChaosSchedule, Substrate,
 };
 use rtc::prelude::{ClusterOptions, DelayModel, ProcessorId, Value};
 
@@ -60,7 +60,7 @@ fn the_campaign_mixes_every_fault_kind() {
     let (mut crashes, mut restarts, mut delays, mut outages) = (false, false, false, false);
     let (mut partitions, mut duplicates, mut reorders) = (false, false, false);
     for i in 0..200 {
-        let f = ChaosSchedule::generate(&cfg.params, cfg.seed, i).faults;
+        let f = ChaosSchedule::generate(cfg.seed, i).faults;
         crashes |= !f.crashes.is_empty();
         restarts |= !f.restarts.is_empty();
         delays |= f.delay != DelayModel::None;
@@ -105,10 +105,9 @@ fn a_partition_runs_as_the_outages_it_implies() {
 /// keeps the stragglers short), folded into one number: how many, and
 /// the fold.
 fn fold_of_traces(keep: impl Fn(&ChaosSchedule) -> bool) -> (u32, u64) {
-    let params = ScheduleParams::default();
     let (mut fold, mut count) = (0xcbf2_9ce4_8422_2325u64, 0);
     for i in 0..200 {
-        let s = ChaosSchedule::generate(&params, 0xC0A7_1986, i);
+        let s = ChaosSchedule::generate(0xC0A7_1986, i);
         if keep(&s) {
             fold = (fold ^ sim_trace_digest(&s, 20_000)).wrapping_mul(0x0100_0000_01b3);
             count += 1;
@@ -137,6 +136,29 @@ fn partition_free_schedules_keep_their_simulator_traces() {
 fn reorder_free_schedules_keep_their_simulator_traces() {
     let fold = fold_of_traces(|s| s.faults.reorder_permille == 0);
     assert_eq!(fold, (120, 0x2e76_4e4f_7241_510f));
+}
+
+/// The generator itself: the `Debug` rendering of the first 2 000
+/// schedules of each sweep seed, folded byte by byte (FNV-1a). Unlike
+/// the trace folds above, this sees every field and every draw —
+/// `reset_permille` too, which the simulator ignores — so a reordered
+/// or dropped draw moves it. Captured when the generator still took a
+/// parameter struct (populations 3..=5, degraded plans allowed,
+/// stalls not).
+#[test]
+fn the_generator_keeps_its_schedules() {
+    for (seed, pinned) in [
+        (0xC0A7_1986, 0x04ef_cdde_1873_d8da),
+        (0x5EED, 0x69b6_457b_baa7_1549),
+    ] {
+        let mut fold = 0xcbf2_9ce4_8422_2325u64;
+        for i in 0..2000 {
+            for b in format!("{:?}", ChaosSchedule::generate(seed, i)).bytes() {
+                fold = (fold ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        assert_eq!(fold, pinned, "seed {seed:#x}: {fold:#018x}");
+    }
 }
 
 /// The same generator pointed at the threaded runtime: every schedule
@@ -201,11 +223,10 @@ fn supervised_campaign_is_safe_and_self_heals() {
 /// within the bound, late runs may stall — but only gracefully.
 #[test]
 fn partition_smoke_100_hostile_schedules_on_both_substrates() {
-    let params = ScheduleParams::default();
     let opts = campaign_cluster();
     let (mut late_runs, mut on_time_runs) = (0u32, 0u32);
     for i in 0..100u64 {
-        let mut s = ChaosSchedule::generate(&params, 0x9A27_5A0B, i);
+        let mut s = ChaosSchedule::generate(0x9A27_5A0B, i);
         if s.faults.partitions.is_empty() {
             let mut groups = vec![0; s.n];
             groups[i as usize % s.n] = 1;
@@ -300,7 +321,7 @@ fn degraded_schedules_stall_gracefully_without_deciding() {
 /// victims from their crash-time snapshots and the protocol terminates.
 #[test]
 fn theorem11_crash_stall_restart_terminate_end_to_end() {
-    let evidence = run_theorem11(3, 1986, 400_000, campaign_cluster());
+    let evidence = run_theorem11(3, 1986, campaign_cluster());
     assert_eq!(evidence.stall_sim.outcome, ChaosOutcome::StalledGracefully);
     assert_eq!(
         evidence.stall_runtime.outcome,

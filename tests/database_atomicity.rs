@@ -78,7 +78,7 @@ fn all_transactions_decide_under_slow_networks() {
         transfer(2, 1, 0, 100),
         transfer(3, 0, 1, 5),
     ];
-    let mut adv = SynchronousAdversary::with_lag(4, 6 * 4);
+    let mut adv = SynchronousAdversary::with_lag(6 * 4);
     let (report, replicas) = run_batch_with_adversary(4, &initial, &batch, 9, &mut adv);
     assert!(report.all_nonfaulty_decided());
     // With delivery slower than K, timeouts may abort everything, but

@@ -87,7 +87,7 @@ fn late_everything_forces_consistent_abort() {
     // unanimous and live.
     for n in [3usize, 5, 9] {
         let votes = vec![Value::One; n];
-        let mut adv = SynchronousAdversary::with_lag(n, 8 * n as u64);
+        let mut adv = SynchronousAdversary::with_lag(8 * n as u64);
         let (report, _, _) = run_once(n, &votes, 21, &mut adv);
         assert!(report.all_nonfaulty_decided(), "n = {n}");
         assert_eq!(report.decided_values(), vec![Value::Zero], "n = {n}");
@@ -141,7 +141,7 @@ fn commit_validity_verdict_applies_exactly_when_preconditions_hold() {
         .fault_budget(1)
         .build(procs)
         .unwrap();
-    let mut adv = SynchronousAdversary::with_lag(n, 8 * n as u64);
+    let mut adv = SynchronousAdversary::with_lag(8 * n as u64);
     let report = sim.run(&mut adv, RunLimits::default()).unwrap();
     let verdict = verify_commit(&votes, &report.facts());
     assert!(!verdict.on_time);

@@ -39,7 +39,7 @@ fn run(
 fn x_slow_run_is_a_lag_of_x_rotations() {
     // Theorem 17's scheduler at n = 4, x = 8 (experiments T6 and F3).
     let (n, x) = (4, 8);
-    let mut adv = SynchronousAdversary::with_lag(n, x * n as u64);
+    let mut adv = SynchronousAdversary::with_lag(x * n as u64);
     let run = run(n, CommitConfig::max_tolerated(n), 1, &mut adv, 5_000_000);
     assert_eq!(run, (0x5e9f_1778_d30e_0695, 168, 60));
 }

@@ -46,7 +46,7 @@ fn synchronous_runs_are_on_time_and_within_8k_ticks() {
 fn delayed_runs_are_late_when_delay_exceeds_k() {
     let n = 4;
     // x = 8 rotations > K = 4: some message must be late.
-    let mut adv = SynchronousAdversary::with_lag(n, 8 * n as u64);
+    let mut adv = SynchronousAdversary::with_lag(8 * n as u64);
     let (report, _, _) = commit_run(n, 4, 5, &mut adv);
     assert!(report.all_nonfaulty_decided());
     assert!(
@@ -59,7 +59,7 @@ fn delayed_runs_are_late_when_delay_exceeds_k() {
 fn lagged_synchronous_delivery_at_k_minus_one_stays_on_time() {
     let n = 5;
     let k = 4u64;
-    let mut adv = SynchronousAdversary::with_lag(n, (k - 1) * n as u64);
+    let mut adv = SynchronousAdversary::with_lag((k - 1) * n as u64);
     let (report, _, _) = commit_run(n, k, 9, &mut adv);
     assert!(report.all_nonfaulty_decided());
     assert!(report.facts().on_time);

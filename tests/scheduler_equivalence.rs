@@ -192,53 +192,6 @@ fn corpus_matches_golden_digests() {
     );
 }
 
-/// Builds a fresh simulator for the replay round-trip probes.
-fn replay_sim(n: usize, seed: u64) -> (CommitConfig, rtc::sim::Sim<CommitAutomaton>) {
-    let cfg =
-        CommitConfig::new(n, CommitConfig::max_tolerated(n), TimingParams::default()).unwrap();
-    let procs = commit_population(cfg, &votes(n, seed));
-    let sim = SimBuilder::new(cfg.timing(), SeedCollection::new(seed))
-        .fault_budget(cfg.fault_bound())
-        .build(procs)
-        .unwrap();
-    (cfg, sim)
-}
-
-#[test]
-fn recorded_runs_replay_to_identical_trace_digests() {
-    // Record → replay must round-trip through the structure-of-arrays
-    // trace buffer bit-for-bit: the replayed run's digest (every event,
-    // delivery, drop, decision, and crash, in order) equals the
-    // original's.
-    for &(n, seed) in &[(4usize, 3u64), (8, 21), (16, 40), (32, 77)] {
-        let (_, mut sim) = replay_sim(n, seed);
-        let mut recorder = rtc::sim::Recorder::new(
-            RandomAdversary::new(seed)
-                .deliver_prob(0.6)
-                .crash_prob(0.01),
-        );
-        let original = sim.run(&mut recorder, RunLimits::default()).unwrap();
-        let original_digest = sim.trace().digest();
-
-        let (_, mut replayed_sim) = replay_sim(n, seed);
-        let mut replayer = rtc::sim::Replayer::new(recorder.into_log());
-        let replayed = replayed_sim
-            .run(&mut replayer, RunLimits::default())
-            .unwrap();
-
-        assert_eq!(
-            original.events(),
-            replayed.events(),
-            "n{n}/seed{seed}: replay executed a different number of events"
-        );
-        assert_eq!(
-            original_digest,
-            replayed_sim.trace().digest(),
-            "n{n}/seed{seed}: replayed trace digest diverged from the recording"
-        );
-    }
-}
-
 #[test]
 fn digests_are_reproducible_within_process() {
     // The digest itself must be a pure function of the run: re-running
