@@ -4,16 +4,16 @@
 //! Topology per run, for `n` nodes and `m` commit instances:
 //!
 //! ```text
-//!  node i ── links[i][j] (sender thread, reconnect+backoff) ──► ...
+//!  node i ── links[i][j] (sender thread: connect+accept, reconnect+backoff) ──► ...
 //!      ... ──► listener j ──► reader threads ──► inbox j ──► node j
 //!              (FaultRouter::route; held frames ──► delayer ──► inbox j)
 //! ```
 //!
 //! The nodes themselves are the runtime's
 //! [`ClusterCore`](rtc_runtime::ClusterCore) — the same paced loop,
-//! crash snapshots, respawn and lateness feed as the channel substrate,
-//! stepping all `m` instances once per tick. This module is what goes
-//! around it: sockets, acceptors, readers, the link mesh, and
+//! crash snapshots, respawn and the lateness feed as the channel
+//! substrate, stepping all `m` instances once per tick. This module is
+//! what goes around it: listeners, readers, the link mesh, and
 //! [`TcpLinks`], which turns a tick of a node's sends into one buffer
 //! of frames per peer link.
 //!
@@ -21,31 +21,30 @@
 //! frames for one peer leave in one write per flush (the bytes and
 //! order on the link that one write per frame would put there), and a
 //! reader hands its node the complete frames of one read as one inbox
-//! item. Nothing polls: acceptors block in `accept` until a
-//! self-connect ([`wake_acceptor`]), links end when teardown drops
-//! their senders, readers at the EOF that follows.
+//! item. Nothing polls: a link's thread is spawned by its first batch
+//! and accepts the connection it opens ([`Landing`]), links end when
+//! teardown drops their senders, readers at the EOF that follows.
 //!
-//! * Each node owns one real [`TcpListener`]; acceptor and reader
-//!   threads outlive node crashes, so frames that arrive while a node
-//!   is down wait in its inbox — the same eventual-delivery-across-
-//!   crashes guarantee the channel runtime gets from its shared inbox.
-//! * All traffic, self-sends included, crosses real sockets, so every
-//!   link is subject to the same faults. A reader applies the plan's
-//!   network faults to the frames it decodes through the runtime's
-//!   [`FaultRouter`] — the channel substrate's router and its one
-//!   delayer thread — and a reset closes its connection once the frames
-//!   already read are routed, a clean FIN the sender's replay ring
-//!   recovers from.
+//! * Each node owns one real [`TcpListener`]; reader threads outlive
+//!   node crashes, so frames that arrive while a node is down wait in
+//!   its inbox — the same eventual-delivery-across-crashes guarantee
+//!   the channel runtime gets from its shared inbox.
+//! * All traffic crosses real sockets, so every link is subject to the
+//!   same faults. A reader applies the plan's network faults to the
+//!   frames it decodes through the runtime's [`FaultRouter`] — the
+//!   channel substrate's router and its one delayer thread — and a
+//!   reset closes its connection once the frames already read are
+//!   routed, a clean FIN the sender's replay ring recovers from.
 //! * Frames carry the instance tag. Each instance draws from its own
 //!   [`SeedCollection`], so instance `k` of a socket run is coin-for-
 //!   coin the population the simulator runs under seed `k`.
 
-use std::io::{ErrorKind, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, ErrorKind, Read};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-use std::thread;
+use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use rand::rngs::SmallRng;
@@ -57,7 +56,7 @@ use rtc_runtime::{
 };
 
 use crate::options::{io_deadline, NetOptions};
-use crate::peer::{spawn_link, Batch, NetCounters};
+use crate::peer::{spawn_link, Batch, NetCounters, Peer};
 use crate::wire::{append_frame, try_decode_frame, Frame, HEADER};
 
 /// Socket-layer totals for one run.
@@ -144,12 +143,13 @@ impl NetReport {
     }
 }
 
-/// One peer link as its node sees it: the tick's frames so far, the
-/// link thread's channel, and the buffers the link hands back.
+/// One peer link as its node sees it: the tick's frames so far, and,
+/// once a flush has spawned the link's thread, its channel and the
+/// buffers it hands back.
+#[derive(Default)]
 struct Outgoing {
     batch: Batch,
-    tx: Sender<Batch>,
-    spare: Receiver<Vec<u8>>,
+    running: Option<(Sender<Batch>, Receiver<Vec<u8>>)>,
 }
 
 /// Node `i`'s side of its `n` peer links (toward each node's
@@ -160,11 +160,13 @@ struct Outbound {
 }
 
 /// The socket substrate's [`Links`]. Only node `i` locks `nodes[i]`.
-struct TcpLinks {
+struct TcpLinks<M> {
     nodes: Vec<Mutex<Outbound>>,
+    /// Where links to node `j` connect.
+    landings: Vec<Arc<Landing<M>>>,
 }
 
-impl<M: Wire + Send + 'static> Links<M> for TcpLinks {
+impl<M: Wire + Clone + Send + 'static> Links<M> for TcpLinks<M> {
     fn send(&self, step: Envelope<&Outbox<M>>, n: usize) {
         let mut node = self.nodes[step.from.index()]
             .lock()
@@ -199,26 +201,24 @@ impl<M: Wire + Send + 'static> Links<M> for TcpLinks {
         let mut node = self.nodes[from.index()]
             .lock()
             .expect("no node panics holding its links");
-        for link in node.links.iter_mut().filter(|l| l.batch.frames > 0) {
+        let links = node.links.iter_mut().enumerate();
+        for (j, link) in links.filter(|(_, l)| l.batch.frames > 0) {
+            let (tx, spare) = link
+                .running
+                .get_or_insert_with(|| self.landings[j].spawn_link(from.index()));
             // A recycled buffer; before the link has returned one, a
             // new one as large as the tick it stands in for — one
             // allocation, not a doubling chain per buffer.
-            let spare = link.spare.try_recv();
             let fresh = Batch {
-                bytes: spare.unwrap_or_else(|_| Vec::with_capacity(link.batch.bytes.len())),
+                bytes: spare
+                    .try_recv()
+                    .unwrap_or_else(|_| Vec::with_capacity(link.batch.bytes.len())),
                 frames: 0,
             };
             // A send can fail only during teardown.
-            let _ = link.tx.send(std::mem::replace(&mut link.batch, fresh));
+            let _ = tx.send(std::mem::replace(&mut link.batch, fresh));
         }
     }
-}
-
-/// Ends the acceptor listening on `addr`, once `done` is set: one
-/// connection to it is all it takes. (A listener in this process
-/// accepts or refuses at once; the deadline is a formality.)
-fn wake_acceptor(addr: SocketAddr) {
-    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
 }
 
 /// Decodes every complete frame in `buf`, in order, into `land`, and
@@ -254,13 +254,76 @@ fn drain_frames<M: Wire>(
     outcome
 }
 
-/// What every reader of node `to`'s connections shares.
+/// Node `to`'s listener, and what the links that connect to it and
+/// the readers of its connections share.
 struct Landing<M> {
     to: ProcessorId,
+    listener: TcpListener,
     inbox: Sender<Inbound<M>>,
     router: Arc<FaultRouter<M>>,
     counters: Arc<NetCounters>,
     done: Arc<AtomicBool>,
+    io_deadline: Duration,
+    /// Keys each reader's fault dice, with the run's connection number.
+    seed: u64,
+    /// The links to this node and the readers of its connections, for
+    /// `finish` to join.
+    threads: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl<M: Wire + Clone + Send + 'static> Landing<M> {
+    /// Spawns the link from node `from` to this node.
+    fn spawn_link(self: &Arc<Self>, from: usize) -> (Sender<Batch>, Receiver<Vec<u8>>) {
+        let (tx, rx) = channel();
+        let (spare_tx, spare) = channel();
+        let policy = SupervisorPolicy::default();
+        let link = spawn_link(
+            Arc::clone(self),
+            rx,
+            spare_tx,
+            policy,
+            self.io_deadline,
+            Arc::clone(&self.done),
+            Arc::clone(&self.counters),
+            policy.seed ^ ((from as u64) << 32) ^ self.to.index() as u64,
+        );
+        self.counters.links_spawned.fetch_add(1, Ordering::Relaxed);
+        self.threads
+            .lock()
+            .expect("no thread panics spawning")
+            .push(link);
+        (tx, spare)
+    }
+}
+
+/// A link connects, then accepts one connection and starts its reader
+/// (dice of its own, so links do not fault in lockstep). Each link
+/// accepts once per connect, after it, so the accept never waits; it may
+/// take another link's connection, which is fine: frames name senders.
+impl<M: Wire + Clone + Send + 'static> Peer for Arc<Landing<M>> {
+    fn connect(&self, deadline: Duration) -> io::Result<TcpStream> {
+        let stream = TcpStream::connect_timeout(&self.listener.local_addr()?, deadline)?;
+        let (conn, _) = self.listener.accept()?;
+        let conn_no = self.counters.accepted.fetch_add(1, Ordering::Relaxed) + 1;
+        let rng = SmallRng::seed_from_u64(self.seed ^ conn_no.wrapping_mul(0x9E37_79B9));
+        let landing = Arc::clone(self);
+        let reader = thread::spawn(move || read_frames(conn, &landing, rng));
+        self.threads
+            .lock()
+            .expect("no thread panics spawning")
+            .push(reader);
+        Ok(stream)
+    }
+}
+
+/// Joins every thread in `threads`, and any a joined link adds.
+fn join_all(threads: &Mutex<Vec<JoinHandle<()>>>) {
+    loop {
+        let Some(h) = threads.lock().expect("no thread panics spawning").pop() else {
+            return;
+        };
+        let _ = h.join();
+    }
 }
 
 /// Reads frames off one connection until EOF, error, reset or
@@ -319,18 +382,17 @@ fn read_frames<M: Wire + Clone + Send + 'static>(
     }
 }
 
-/// A booted socket cluster: listeners, readers, links, and node threads
-/// running, ready to be driven by a monitor loop — sockets around the
-/// runtime's [`ClusterCore`].
+/// A booted socket cluster: listeners bound and node threads running,
+/// ready to be driven by a monitor loop — sockets around the runtime's
+/// [`ClusterCore`]. Links and readers start with the traffic.
 pub struct NetClusterCore<A: Recoverable + Send + 'static>
 where
     A::Msg: Wire + Send + 'static,
 {
-    core: ClusterCore<A, TcpLinks>,
+    core: ClusterCore<A, TcpLinks<A::Msg>>,
     counters: Arc<NetCounters>,
-    link_handles: Vec<thread::JoinHandle<()>>,
-    /// Each node's acceptor, and the address that wakes it.
-    acceptors: Vec<(SocketAddr, thread::JoinHandle<()>)>,
+    /// Each node's listener, links and readers.
+    landings: Vec<Arc<Landing<A::Msg>>>,
     /// The readers' fault router, finished once they have all exited.
     router: Arc<FaultRouter<A::Msg>>,
 }
@@ -351,8 +413,7 @@ where
     A: Recoverable + Send + 'static,
     A::Msg: Wire + Send + 'static,
 {
-    /// Binds listeners, spawns links, readers, and the first
-    /// incarnation of every node.
+    /// Binds listeners and spawns the first incarnation of every node.
     ///
     /// `instances[k]` is the population of commit instance `k` (all the
     /// same length `n`, in processor order); `seeds[k]` is instance
@@ -386,93 +447,40 @@ where
             inbox_tx,
             Arc::clone(&done),
         ));
-
-        // One listener per node. Each accepted connection gets a reader
-        // with fault dice of its own, so a node's links do not fault in
-        // lockstep.
-        let acceptors: Vec<_> = inboxes
+        let landings: Vec<_> = inboxes
             .iter()
             .enumerate()
             .map(|(j, (inbox, _))| {
-                let listener =
-                    TcpListener::bind("127.0.0.1:0").expect("bind node listener on localhost");
-                let addr = listener.local_addr().expect("listener address");
-                let landing = Arc::new(Landing {
+                Arc::new(Landing {
                     to: ProcessorId::new(j),
+                    listener: TcpListener::bind("127.0.0.1:0")
+                        .expect("bind node listener on localhost"),
                     inbox: inbox.clone(),
                     router: Arc::clone(&router),
                     counters: Arc::clone(&counters),
                     done: Arc::clone(&done),
-                });
-                let seed = seeds[0].master() ^ (0xFA157 + j as u64);
-                // The accept blocks, so a link's first frame finds its
-                // reader without waiting out a poll; `wake_acceptor`
-                // ends it. It joins its readers on the way out.
-                let acceptor = thread::spawn(move || {
-                    let mut readers = Vec::new();
-                    while let Ok((stream, _)) = listener.accept() {
-                        if landing.done.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let conn_no = readers.len() as u64 + 1;
-                        let rng = SmallRng::seed_from_u64(seed ^ conn_no.wrapping_mul(0x9E37_79B9));
-                        let landing = Arc::clone(&landing);
-                        readers.push(thread::spawn(move || read_frames(stream, &landing, rng)));
-                    }
-                    for reader in readers {
-                        let _ = reader.join();
-                    }
-                });
-                (addr, acceptor)
+                    io_deadline: io_deadline(opts),
+                    seed: seeds[0].master() ^ (0xFA157 + j as u64),
+                    threads: Mutex::default(),
+                })
             })
             .collect();
-
-        // The n×n link mesh.
-        let mut nodes = Vec::with_capacity(n);
-        let mut link_handles = Vec::with_capacity(n * n);
-        let reconnect = SupervisorPolicy::default();
-        let io_deadline = io_deadline(opts);
-        for i in 0..n {
-            let mut row = Vec::with_capacity(n);
-            for (j, (addr, _)) in acceptors.iter().enumerate() {
-                let (tx, rx) = channel();
-                let (spare_tx, spare) = channel();
-                link_handles.push(spawn_link(
-                    *addr,
-                    rx,
-                    spare_tx,
-                    reconnect,
-                    io_deadline,
-                    Arc::clone(&done),
-                    Arc::clone(&counters),
-                    reconnect.seed ^ ((i as u64) << 32) ^ j as u64,
-                ));
-                row.push(Outgoing {
-                    batch: Batch::default(),
-                    tx,
-                    spare,
-                });
-            }
-            nodes.push(Mutex::new(Outbound {
-                body: Vec::new(),
-                links: row,
-            }));
-        }
-
-        let core = ClusterCore::boot(
-            instances,
-            seeds,
-            &faults,
-            opts,
-            done,
-            inboxes,
-            TcpLinks { nodes },
-        );
+        let tcp = TcpLinks {
+            nodes: (0..n)
+                .map(|_| {
+                    Mutex::new(Outbound {
+                        body: Vec::new(),
+                        links: (0..n).map(|_| Outgoing::default()).collect(),
+                    })
+                })
+                .collect(),
+            landings: landings.clone(),
+        };
+        let core = ClusterCore::boot(instances, seeds, &faults, opts, done, inboxes, tcp);
         NetClusterCore {
             core,
             counters,
-            link_handles,
-            acceptors,
+            landings,
             router,
         }
     }
@@ -484,28 +492,19 @@ where
     }
 
     /// Stops every thread and assembles the report. The order makes it
-    /// prompt: the core stops the nodes and drops the links' senders,
-    /// so every link thread returns and closes its socket; the readers
-    /// are at EOF by the time their acceptors are woken to join them,
-    /// and then the router they shared ends its delayer.
+    /// prompt, and nothing is connected to: the core stops the nodes
+    /// and drops the links' senders, so every link thread returns and
+    /// closes its socket; the readers are at EOF by the time they are
+    /// joined, and then the router they shared ends its delayer.
     pub fn finish(self, recovered: Vec<bool>, decided_in_time: bool) -> NetReport {
         let NetClusterCore {
             core,
             counters,
-            link_handles,
-            acceptors,
+            landings,
             router,
         } = self;
         let instances = core.finish(recovered, decided_in_time, || {
-            for h in link_handles {
-                let _ = h.join();
-            }
-            for (addr, _) in &acceptors {
-                wake_acceptor(*addr);
-            }
-            for (_, h) in acceptors {
-                let _ = h.join();
-            }
+            landings.into_iter().for_each(|l| join_all(&l.threads));
             let router = Arc::into_inner(router).expect("every reader has exited");
             router.finish() + counters.frames_dropped.load(Ordering::Relaxed)
         });
@@ -653,8 +652,8 @@ mod tests {
     #[test]
     fn finish_does_not_wait_out_a_tick() {
         // Nodes parked in a 50 ms tick, links in their idle wait,
-        // acceptors in `accept`: `finish` wakes each instead of waiting
-        // any of them out.
+        // readers in `read`: `finish` wakes each instead of waiting any
+        // of them out.
         let c = cfg(3);
         let mut slow = NetOptions::derived(Duration::from_millis(50), TimingParams::default());
         slow.wall_timeout = Duration::from_secs(30);
@@ -669,6 +668,63 @@ mod tests {
         let took = called.elapsed();
         assert!(took < Duration::from_millis(25), "finish took {took:?}");
         assert!(report.instances[0].steps.iter().all(|s| *s <= 1));
+    }
+
+    #[test]
+    fn every_node_takes_its_first_step_at_boot() {
+        // A node that waited out a tick before its first step would read
+        // 0 steps for the whole 200 ms tick.
+        let c = cfg(3);
+        let mut slow = NetOptions::derived(Duration::from_millis(200), TimingParams::default());
+        slow.wall_timeout = Duration::from_secs(30);
+        let booted = Instant::now();
+        let net = NetClusterCore::boot(
+            vec![commit_population(c, &[Value::One; 3])],
+            vec![SeedCollection::new(14)],
+            FaultPlan::none(),
+            &slow,
+        );
+        while net.core.steps().contains(&0) && booted.elapsed() < Duration::from_secs(1) {
+            thread::sleep(Duration::from_millis(1));
+        }
+        let stepped = booted.elapsed();
+        let report = net.finish(vec![false; 3], false);
+        assert!(
+            report.instances[0].steps.iter().all(|s| *s >= 1),
+            "{report:?}"
+        );
+        assert!(
+            stepped < Duration::from_millis(100),
+            "first steps took {stepped:?}"
+        );
+    }
+
+    #[test]
+    fn a_fault_free_round_footprint() {
+        // n = 3: six links carry traffic, each opens one connection and
+        // accepts one, and the three self-links never spawn. Every
+        // connection is opened by a link, which accepts one right
+        // after, so the accept count is the count of connections.
+        let c = cfg(3);
+        let net = NetClusterCore::boot(
+            vec![commit_population(c, &[Value::One; 3])],
+            vec![SeedCollection::new(15)],
+            FaultPlan::none(),
+            &opts(),
+        );
+        let counters = Arc::clone(&net.counters);
+        let accepted = || counters.accepted.load(Ordering::Relaxed);
+        let wait = Instant::now();
+        while !(net.all_owing_decided() && accepted() >= 6) {
+            assert!(wait.elapsed() < Duration::from_secs(20), "{net:?}");
+            thread::sleep(Duration::from_millis(1));
+        }
+        let report = net.finish(vec![false; 3], true);
+        assert!(report.all_decided(), "{report:?}");
+        // `finish` opened no connection and started no link.
+        assert_eq!(accepted(), 6);
+        assert_eq!(counters.links_spawned.load(Ordering::Relaxed), 6);
+        assert_eq!(report.stats.reconnects, 0);
     }
 
     #[test]

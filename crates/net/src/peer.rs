@@ -1,18 +1,19 @@
-//! Outbound links: one sender thread per (source, destination) pair.
+//! Outbound links: one sender thread per (source, destination) pair
+//! that carries traffic, spawned by its first batch; no self-link does.
 //!
-//! A link owns a lazily-established TCP connection to its peer's
-//! listener. Its unit of work is a [`Batch`]: every frame its node sent
-//! this peer in one tick, back to back in one buffer, which costs one
-//! liveness probe and one `write_all` however many frames it holds.
+//! A link owns a lazily-established TCP connection to its [`Peer`]. Its
+//! unit of work is a [`Batch`]: every frame its node sent this peer in
+//! one tick, back to back in one buffer, which costs one liveness probe
+//! and one `write_all` however many frames it holds.
 //! Connects and writes carry the run's I/O deadline; a failed write or
 //! connect sends the link through a bounded reconnect loop paced by the
 //! supervisor's backoff formula under `SupervisorPolicy::default()`, so
 //! one formula — `min(base × 2^attempt, max)` plus seeded jitter — paces
 //! both node restarts and link reconnects. Only when the retry budget
 //! is exhausted is the peer marked down and its traffic dropped (and
-//! counted: those frames surface as `messages_undelivered`). The thread ends when its channel
-//! disconnects — teardown drops the senders — or when it meets `done`
-//! with a batch still in hand.
+//! counted: those frames surface as `messages_undelivered`). The thread
+//! ends when its channel disconnects — teardown drops the senders — or
+//! when it meets `done` with a batch still in hand.
 //!
 //! # At-least-once delivery
 //!
@@ -32,8 +33,8 @@
 //! not allocated per flush.
 
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::{self, ErrorKind, Read, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -60,6 +61,16 @@ pub(crate) struct NetCounters {
     pub(crate) links_given_up: AtomicU64,
     /// Connection resets the readers injected.
     pub(crate) resets_injected: AtomicU64,
+    /// Connections accepted: one per connect, reconnects included.
+    pub(crate) accepted: AtomicU64,
+    /// Link threads spawned: one per pair that carried a batch.
+    pub(crate) links_spawned: AtomicU64,
+}
+
+/// What a link connects to.
+pub(crate) trait Peer: Send + 'static {
+    /// Opens one connection to the peer within `deadline`.
+    fn connect(&self, deadline: Duration) -> io::Result<TcpStream>;
 }
 
 /// How many recently-written frames a link retains for replay after a
@@ -110,8 +121,8 @@ fn probe_alive(conn: &TcpStream) -> bool {
 }
 
 /// The mutable state of one link's sender thread.
-struct LinkState {
-    addr: SocketAddr,
+struct LinkState<P> {
+    peer: P,
     policy: SupervisorPolicy,
     io_deadline: Duration,
     done: Arc<AtomicBool>,
@@ -135,7 +146,7 @@ struct LinkState {
     replay: bool,
 }
 
-impl LinkState {
+impl<P: Peer> LinkState<P> {
     /// Delivers `batch` (or, with `None`, just flushes a pending ring
     /// replay) or dies trying within the retry budget; a link that has
     /// given up drops it. A batch is only released on a successful
@@ -153,7 +164,7 @@ impl LinkState {
                 return !teardown;
             }
             if self.stream.is_none() {
-                match TcpStream::connect_timeout(&self.addr, self.io_deadline) {
+                match self.peer.connect(self.io_deadline) {
                     Ok(s) => {
                         // Deadline every write: a wedged peer must
                         // surface as an error, not a hang.
@@ -245,7 +256,7 @@ impl LinkState {
 /// two links never thunder in lockstep after a shared outage.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn spawn_link(
-    addr: SocketAddr,
+    peer: impl Peer,
     rx: Receiver<Batch>,
     spare: Sender<Vec<u8>>,
     policy: SupervisorPolicy,
@@ -256,7 +267,7 @@ pub(crate) fn spawn_link(
 ) -> thread::JoinHandle<()> {
     thread::spawn(move || {
         let mut link = LinkState {
-            addr,
+            peer,
             policy,
             io_deadline,
             done,
@@ -309,7 +320,7 @@ pub(crate) fn spawn_link(
 mod tests {
     use super::*;
     use std::io::Read;
-    use std::net::TcpListener;
+    use std::net::{SocketAddr, TcpListener};
     use std::sync::mpsc::channel;
 
     fn policy() -> SupervisorPolicy {
@@ -328,6 +339,13 @@ mod tests {
         Batch {
             bytes: frames.to_vec(),
             frames: frames.len() as u64,
+        }
+    }
+
+    /// A bare address: the test accepts what the link connects.
+    impl Peer for SocketAddr {
+        fn connect(&self, deadline: Duration) -> io::Result<TcpStream> {
+            TcpStream::connect_timeout(self, deadline)
         }
     }
 

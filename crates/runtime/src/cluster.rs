@@ -13,7 +13,10 @@
 //! Ticks are paced on absolute deadlines ([`next_deadline`]), so a local
 //! clock advances one step per tick, not one per tick-plus-step-time. A
 //! node that falls behind steps at once and paces from there; it never
-//! bursts through several steps in one tick of everyone else's clock.
+//! bursts through several steps in one tick of everyone else's clock. A
+//! node with no previous tick — at boot, or respawned — is late by that
+//! rule, so step `k` falls in tick `k` of its incarnation: no node waits
+//! out an idle tick before its first step.
 //!
 //! The tick is also the unit of I/O. What differs between substrates is
 //! only where a step's sends go, and that is the [`Links`] seam: the
@@ -214,9 +217,11 @@ pub trait Links<M>: Send + Sync + 'static {
 
 /// When the tick after the one due at `previous` is due: one `tick`
 /// later, or `now` for a node already past that — a late node steps at
-/// once and does not burst through the ticks it missed.
-fn next_deadline(previous: Instant, now: Instant, tick: Duration) -> Instant {
-    (previous + tick).max(now)
+/// once and does not burst through the ticks it missed. A node with no
+/// previous tick is late by the same rule: it takes its first step at
+/// boot.
+fn next_deadline(previous: Option<Instant>, now: Instant, tick: Duration) -> Instant {
+    previous.map_or(now, |previous| (previous + tick).max(now))
 }
 
 /// Both ends of a node's inbox, as [`ClusterCore::boot`] takes them.
@@ -300,7 +305,7 @@ where
         let mut per_instance: Vec<Vec<Delivery<A::Msg>>> =
             autos.iter().map(|_| Vec::new()).collect();
         let mut out: Outbox<A::Msg> = Outbox::new();
-        let mut deadline = Instant::now();
+        let mut deadline = None;
         while !shared.done.load(Ordering::Relaxed) && clock < shared.max_steps {
             if crash_at == Some(clock) {
                 // Fail-stop mid-broadcast: this step's messages are
@@ -322,9 +327,10 @@ where
             }
             // Collect one tick's worth of arrivals. A late node's wait
             // is zero, which still drains what is already queued.
-            deadline = next_deadline(deadline, Instant::now(), shared.tick);
+            let due = next_deadline(deadline, Instant::now(), shared.tick);
+            deadline = Some(due);
             loop {
-                match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                match rx.recv_timeout(due.saturating_duration_since(Instant::now())) {
                     Ok(Inbound::Msgs(batch)) => arrivals.extend(batch),
                     Err(RecvTimeoutError::Timeout) => break,
                     Ok(Inbound::Stop) | Err(RecvTimeoutError::Disconnected) => return,
@@ -546,6 +552,15 @@ where
             autos,
             None,
         ));
+    }
+
+    /// Steps each node has taken so far.
+    pub fn steps(&self) -> Vec<u64> {
+        self.shared
+            .steps
+            .lock()
+            .expect("no thread panics holding cluster state")
+            .clone()
     }
 
     /// How many nodes the cluster runs.
@@ -992,14 +1007,18 @@ mod tests {
         let at = |ms: u64| t0 + Duration::from_millis(ms);
         // On time (the step took 3 ms): the next tick is due one tick
         // after the previous deadline, not one tick after now.
-        assert_eq!(next_deadline(at(100), at(103), tick), at(110));
+        assert_eq!(next_deadline(Some(at(100)), at(103), tick), at(110));
         // Late by less than a tick: step at once, and pace from there.
-        assert_eq!(next_deadline(at(100), at(117), tick), at(117));
-        assert_eq!(next_deadline(at(117), at(118), tick), at(127));
+        assert_eq!(next_deadline(Some(at(100)), at(117), tick), at(117));
+        assert_eq!(next_deadline(Some(at(117)), at(118), tick), at(127));
         // Late by many ticks: one immediate step, not one per tick
         // missed — the deadline after it is a whole tick away.
-        assert_eq!(next_deadline(at(100), at(175), tick), at(175));
-        assert_eq!(next_deadline(at(175), at(175), tick), at(185));
+        assert_eq!(next_deadline(Some(at(100)), at(175), tick), at(175));
+        assert_eq!(next_deadline(Some(at(175)), at(175), tick), at(185));
+        // No previous tick (a first incarnation or a respawn): the
+        // first step is due at once, and the next one a tick later.
+        assert_eq!(next_deadline(None, at(100), tick), at(100));
+        assert_eq!(next_deadline(Some(at(100)), at(101), tick), at(110));
     }
 
     #[test]
@@ -1023,6 +1042,34 @@ mod tests {
         let took = called.elapsed();
         assert!(took < Duration::from_millis(25), "finish took {took:?}");
         assert!(report.steps.iter().all(|s| *s <= 1), "{report:?}");
+    }
+
+    #[test]
+    fn every_node_takes_its_first_step_at_boot() {
+        // A node that waited out a tick before its first step would read
+        // 0 steps for the whole 200 ms tick.
+        let c = cfg(3);
+        let slow = ClusterOptions {
+            tick: Duration::from_millis(200),
+            ..opts()
+        };
+        let booted = Instant::now();
+        let cluster = crate::recovery::ChannelCluster::boot(
+            commit_population(c, &[Value::One; 3]),
+            SeedCollection::new(17),
+            &FaultPlan::none(),
+            &slow,
+        );
+        while cluster.core.steps().contains(&0) && booted.elapsed() < Duration::from_secs(1) {
+            thread::sleep(Duration::from_millis(1));
+        }
+        let stepped = booted.elapsed();
+        let report = cluster.finish(vec![false; 3], false);
+        assert!(report.steps.iter().all(|s| *s >= 1), "{report:?}");
+        assert!(
+            stepped < Duration::from_millis(100),
+            "first steps took {stepped:?}"
+        );
     }
 
     #[test]
