@@ -277,15 +277,17 @@ impl CommitAutomaton {
 
     // Runs once per delivered message, and every write it makes lands
     // in the automaton itself (the vote board, Protocol 1's boards), so
-    // up to 16 processors it cannot allocate. `#[inline]` is
+    // up to 16 processors it cannot allocate. `#[inline(always)]` is
     // load-bearing: the message-dense synchronous step delivers every
     // buffered message in one call, and inlining the kind dispatch into
     // that delivery loop lets the table writes (`mark_go`/`mark_vote`
     // byte read-modify-writes) fuse with the loop instead of paying a
-    // call per message. The kinds that occur at most once per run per
-    // peer (`Decided`, `Ping`) are outlined into [`Self::ingest_rare`]
-    // so they don't bloat the inlined body.
-    #[inline]
+    // call per message. A plain `#[inline]` is dropped when the caller
+    // grows past LLVM's budget, as the simulator's per-step body does
+    // when it is compiled as one codegen unit. The kinds that occur at
+    // most once per run per peer (`Decided`, `Ping`) are outlined into
+    // [`Self::ingest_rare`] so they don't bloat the inlined body.
+    #[inline(always)]
     fn ingest(&mut self, from: ProcessorId, msg: &CommitMsg) {
         if let Some(coins) = &msg.go {
             // Any message carrying coins doubles as a GO from its sender;

@@ -1157,35 +1157,44 @@ mod tests {
 
     #[test]
     fn tick_ledger_reflects_injected_spikes() {
-        // With no injected delay, a message arrives within a tick or
-        // two; with spikes of several ticks, the ledger counts late
-        // ones.
+        // Spikes of `SPIKE` ticks, more than K = 4, and over well before
+        // the run can end (16+ ticks), so the held messages are
+        // delivered. The floor is what the plan's own dice imply, not a
+        // second wall-clock run: the coordinator's first broadcast (its
+        // GO, at its boot step) rolls the first dice of its stream, one
+        // per peer, and each GO those dice hold reaches its peer `SPIKE`
+        // ticks later — more than K receiver ticks after the GO's tick.
+        const SPIKE: u64 = 7;
         let c = cfg(3);
-        let calm = run_cluster(
-            commit_population(c, &[Value::One; 3]),
-            SeedCollection::new(51),
-            FaultPlan::none(),
-            opts(),
+        let seeds = SeedCollection::new(52);
+        let plan = FaultPlan::none().with_delay(DelayModel::Spike {
+            permille: 400,
+            spike: SPIKE,
+        });
+        let tick = opts().tick;
+        let mut dice = crate::recovery::fault_dice(seeds, 0);
+        let held_go = (1..3)
+            .filter(|&to| {
+                let (hold, ..) = plan.roll(
+                    ProcessorId::COORDINATOR,
+                    ProcessorId::new(to),
+                    Duration::ZERO,
+                    tick,
+                    &mut dice,
+                );
+                hold > tick * TimingParams::default().k() as u32
+            })
+            .count() as u64;
+        assert!(
+            held_go > 0,
+            "the seed's dice must hold a GO for the floor to bite"
         );
-        assert!(calm.deliveries > 0);
-        let calm_late = calm.late_by_ticks;
 
-        let spiky = run_cluster(
-            commit_population(c, &[Value::One; 3]),
-            SeedCollection::new(52),
-            FaultPlan::none().with_delay(DelayModel::Spike {
-                permille: 400,
-                // More than K = 4, and over well before the run can
-                // end (16+ ticks, now that a tick is a tick), so the
-                // held messages are delivered.
-                spike: 7,
-            }),
-            opts(),
-        );
+        let spiky = run_cluster(commit_population(c, &[Value::One; 3]), seeds, plan, opts());
         assert!(spiky.agreement_holds());
         assert!(
-            spiky.late_by_ticks > calm_late,
-            "spikes should produce more late messages ({} vs {calm_late})",
+            spiky.late_by_ticks >= held_go,
+            "the ledger counts {} late messages, fewer than the {held_go} held GOs",
             spiky.late_by_ticks
         );
     }

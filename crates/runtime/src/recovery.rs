@@ -82,6 +82,12 @@ impl<M: Clone + Send + 'static> Links<M> for ChannelLinks<M> {
     fn flush(&self, _from: ProcessorId) {}
 }
 
+/// Sender `i`'s fault-dice stream in a channel cluster seeded with
+/// `seeds`: the `k`-th envelope node `i` routes rolls the `k`-th dice.
+pub(crate) fn fault_dice(seeds: SeedCollection, i: usize) -> SmallRng {
+    SmallRng::seed_from_u64(seeds.master() ^ (0xC0FFEE + i as u64))
+}
+
 /// A booted channel cluster: the core plus the router to finish at the
 /// end.
 pub(crate) struct ChannelCluster<A: Recoverable> {
@@ -115,9 +121,7 @@ where
         let links = ChannelLinks {
             inbox_tx,
             router: Arc::clone(&router),
-            rngs: (0..n as u64)
-                .map(|i| Mutex::new(SmallRng::seed_from_u64(seeds.master() ^ (0xC0FFEE + i))))
-                .collect(),
+            rngs: (0..n).map(|i| Mutex::new(fault_dice(seeds, i))).collect(),
         };
         let core = ClusterCore::boot(vec![procs], vec![seeds], faults, opts, done, inboxes, links);
         ChannelCluster { core, router }

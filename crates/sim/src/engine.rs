@@ -530,6 +530,7 @@ impl<A: Automaton> Lane<A> {
     }
 
     /// Whether processor `i` currently satisfies the stop condition.
+    #[inline]
     pub(crate) fn proc_ok(&self, i: usize, stop: StopWhen) -> bool {
         self.crashed[i]
             || match stop {
@@ -539,6 +540,7 @@ impl<A: Automaton> Lane<A> {
     }
 
     /// The pattern-only adversary view over this instance.
+    #[inline]
     pub(crate) fn pattern_view(&self) -> PatternView<'_> {
         PatternView {
             store: &self.store,
@@ -561,10 +563,18 @@ impl<A: Automaton> Lane<A> {
     /// recomputed from the per-destination head messages (send events
     /// are nondecreasing within a destination, so the head is the
     /// earliest) and the per-processor idle clocks.
+    #[inline]
     pub(crate) fn forced_action(&mut self) -> Option<Action> {
         if self.event < self.next_forced_at {
             return None;
         }
+        self.forced_scan()
+    }
+
+    /// `forced_action`'s scan, run once the cached bound is reached.
+    #[cold]
+    #[inline(never)]
+    fn forced_scan(&mut self) -> Option<Action> {
         let envelope = self.envelope;
         // Overdue messages to alive processors first (every buffered
         // message is guaranteed — a crash's drops leave the store at
@@ -623,6 +633,7 @@ impl<A: Automaton> Lane<A> {
     }
 
     /// Applies one adversary-chosen event to this instance.
+    #[inline]
     pub(crate) fn apply(
         &mut self,
         action: Action,
@@ -642,6 +653,7 @@ impl<A: Automaton> Lane<A> {
     /// when `deliver` is `None` ([`Action::StepAll`]).
     // rtc-hot-loop(per-instance): the per-event apply path of every
     // lane.
+    #[inline(never)]
     fn apply_step(
         &mut self,
         p: ProcessorId,
@@ -860,6 +872,8 @@ impl<A: Automaton> Lane<A> {
         }
     }
 
+    #[cold]
+    #[inline(never)]
     fn apply_crash(
         &mut self,
         p: ProcessorId,
@@ -899,6 +913,8 @@ impl<A: Automaton> Lane<A> {
         Ok(())
     }
 
+    #[cold]
+    #[inline(never)]
     fn apply_duplicate(
         &mut self,
         id: MsgId,

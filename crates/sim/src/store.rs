@@ -355,6 +355,7 @@ impl MsgStore {
     /// Files one send-run that lists its messages: every `(destination,
     /// body)` of `sends`, in order, gets the run's next id. A run names
     /// a destination at most once. Returns how many messages were filed.
+    #[inline(never)]
     pub(crate) fn file_listed(
         &mut self,
         header: RunHeader,
@@ -523,6 +524,7 @@ impl MsgStore {
     /// bit clear per message: Section 2.1's well-behaved event
     /// ([`crate::Action::StepAll`]). Runs are filed in send-event order,
     /// so the messages come oldest first.
+    #[inline(never)]
     pub(crate) fn take_all(&mut self, dest: usize, mut each: impl FnMut(Taken)) -> usize {
         let taken = self.pending[dest];
         if taken == 0 {

@@ -670,6 +670,7 @@ impl Trace {
 impl Trace {
     /// Records a step event: what it delivered, in delivery order, and
     /// the one run it sent.
+    #[inline(never)]
     pub(crate) fn push_step(
         &mut self,
         p: ProcessorId,
