@@ -12,9 +12,9 @@
 //! messages substituted in, which is what that destination would have
 //! received had every instance unrolled its own broadcast.
 
-use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rtc_core::{CommitAutomaton, CommitConfig, CommitMsg};
 use rtc_model::{Automaton, Decision, Outbox, ProcessorId, Recoverable, Status, StepRng, Value};
@@ -48,17 +48,21 @@ pub struct TxBatchStatus {
 /// What an epoch's replicas have in common is held once: the opening
 /// store is a copy-on-write [`Store`] handle and the batch, sorted by
 /// [`TxId`], is one shared slice. A transaction's *slot* is its rank in
-/// that slice; everything per-transaction on the replica is a `Vec`
-/// indexed by slot.
+/// that slice; everything per-transaction on the replica, its decision
+/// included, is a `Vec` indexed by slot.
 #[derive(Clone)]
 pub struct Replica {
     id: ProcessorId,
     initial: Store,
     batch: Arc<[Transaction]>,
-    /// By slot. `None` once recovery adopted a logged decision: such a
-    /// transaction is not re-run.
-    instances: Vec<Option<CommitAutomaton>>,
-    outcomes: BTreeMap<TxId, Decision>,
+    slots: Vec<Slot>,
+    /// Slots with a decision.
+    decided: usize,
+    /// Slots decided commit.
+    committed: usize,
+    /// The decisions keyed by [`TxId`], derived from the slots on first
+    /// read; emptied whenever a decision lands.
+    outcomes: OnceLock<BTreeMap<TxId, Decision>>,
     wal: Wal,
     cfg: CommitConfig,
     /// Step scratch: what the instance being stepped sent.
@@ -66,6 +70,15 @@ pub struct Replica {
     /// Step scratch: this step's direct sends, in [`TxId`] order. Empty
     /// between steps.
     directs: Vec<(ProcessorId, TxMsg)>,
+}
+
+/// One transaction's state on a replica.
+#[derive(Clone)]
+struct Slot {
+    /// `None` once recovery adopted a logged decision: such a
+    /// transaction is not re-run.
+    instance: Option<CommitAutomaton>,
+    decision: Option<Decision>,
 }
 
 /// The batch as every replica of the epoch shares it: sorted by
@@ -238,41 +251,63 @@ impl Replica {
         first_vote: impl Fn(&Store, &Transaction) -> Value,
     ) -> Replica {
         let logged = wal.index().expect("recovering from a corrupt WAL");
-        let mut outcomes = BTreeMap::new();
-        let instances = batch
+        let slots: Vec<Slot> = batch
             .iter()
             .map(|tx| match logged.get(&tx.id) {
-                Some((_, Some(decision))) => {
-                    outcomes.insert(tx.id, *decision);
-                    None
-                }
+                Some((_, Some(decision))) => Slot {
+                    instance: None,
+                    decision: Some(*decision),
+                },
                 Some((vote, None)) => {
                     let fresh = CommitAutomaton::new(cfg, id, *vote);
-                    Some(CommitAutomaton::restore_amnesiac(&fresh.snapshot()))
+                    Slot {
+                        instance: Some(CommitAutomaton::restore_amnesiac(&fresh.snapshot())),
+                        decision: None,
+                    }
                 }
                 None => {
                     let vote = first_vote(&initial, tx);
                     wal.append(LogRecord::Vote { tx: tx.id, vote });
-                    Some(CommitAutomaton::new(cfg, id, vote))
+                    Slot {
+                        instance: Some(CommitAutomaton::new(cfg, id, vote)),
+                        decision: None,
+                    }
                 }
             })
             .collect();
+        let decided = slots.iter().filter(|slot| slot.decision.is_some()).count();
+        let committed = slots
+            .iter()
+            .filter(|slot| slot.decision == Some(Decision::Commit))
+            .count();
         Replica {
             id,
             initial,
             instance_out: Outbox::new(),
             directs: Vec::new(),
             batch,
-            instances,
-            outcomes,
+            slots,
+            decided,
+            committed,
+            outcomes: OnceLock::new(),
             wal,
             cfg,
         }
     }
 
-    /// The decided fate of every transaction so far.
+    /// The decided fate of every transaction so far. Built from the
+    /// slots on the first read after a decision lands.
     pub fn outcomes(&self) -> &BTreeMap<TxId, Decision> {
-        &self.outcomes
+        self.outcomes.get_or_init(|| {
+            // In slot order, which is key order: every insert appends.
+            let mut outcomes = BTreeMap::new();
+            for (tx, slot) in self.batch.iter().zip(&self.slots) {
+                if let Some(decision) = slot.decision {
+                    outcomes.insert(tx.id, decision);
+                }
+            }
+            outcomes
+        })
     }
 
     /// The replica's write-ahead log.
@@ -287,8 +322,8 @@ impl Replica {
             aborted: Vec::new(),
             pending: Vec::new(),
         };
-        for tx in self.batch.iter() {
-            match self.outcomes.get(&tx.id) {
+        for (tx, slot) in self.batch.iter().zip(&self.slots) {
+            match slot.decision {
                 Some(Decision::Commit) => status.committed.push(tx.id),
                 Some(Decision::Abort) => status.aborted.push(tx.id),
                 None => status.pending.push(tx.id),
@@ -303,7 +338,9 @@ impl Replica {
         self.initial.applying(
             self.batch
                 .iter()
-                .filter(|tx| self.outcomes.get(&tx.id) == Some(&Decision::Commit)),
+                .zip(&self.slots)
+                .filter(|(_, slot)| slot.decision == Some(Decision::Commit))
+                .map(|(tx, _)| tx),
         )
     }
 }
@@ -348,8 +385,10 @@ impl Automaton for Replica {
         let mut delivered: Vec<(ProcessorId, &[TxMsg])> =
             inbox.map(|(from, bundle)| (from, &bundle[..])).collect();
         let mut broadcasts: Vec<TxMsg> = Vec::new();
-        for (tx, instance) in self.batch.iter().zip(&mut self.instances) {
-            let Some(instance) = instance else { continue };
+        for (tx, slot) in self.batch.iter().zip(&mut self.slots) {
+            let Some(instance) = &mut slot.instance else {
+                continue;
+            };
             // In bundle order: the entry for this transaction at the
             // front of each bundle, once everything below it is dropped.
             let routed = delivered.iter_mut().filter_map(|(from, rest)| {
@@ -373,9 +412,12 @@ impl Automaton for Replica {
             for send in self.instance_out.drain_direct() {
                 self.directs.push((send.to, (tx.id, send.msg)));
             }
-            if let Some(decision) = instance.status().decision() {
-                if let Entry::Vacant(undecided) = self.outcomes.entry(tx.id) {
-                    undecided.insert(decision);
+            if slot.decision.is_none() {
+                if let Some(decision) = instance.status().decision() {
+                    slot.decision = Some(decision);
+                    self.decided += 1;
+                    self.committed += usize::from(decision == Decision::Commit);
+                    self.outcomes.take();
                     self.wal.append(LogRecord::Decision {
                         tx: tx.id,
                         decision,
@@ -421,9 +463,8 @@ impl Automaton for Replica {
     }
 
     fn status(&self) -> Status {
-        if self.outcomes.len() == self.batch.len() {
-            let any_commit = self.outcomes.values().any(|d| *d == Decision::Commit);
-            Status::Decided(Value::from_bool(any_commit))
+        if self.decided == self.slots.len() {
+            Status::Decided(Value::from_bool(self.committed > 0))
         } else {
             Status::Undecided
         }
@@ -486,7 +527,7 @@ impl fmt::Debug for Replica {
         f.debug_struct("Replica")
             .field("id", &self.id)
             .field("batch", &self.batch.len())
-            .field("decided", &self.outcomes.len())
+            .field("decided", &self.decided)
             .finish()
     }
 }
@@ -1012,6 +1053,129 @@ mod tests {
         // The same message in a well-formed place is not dropped.
         let (_, outcomes, _) = step(vec![(TxId(4), poison)]);
         assert_eq!(outcomes.get(&TxId(4)), Some(&Decision::Abort));
+    }
+
+    /// A batch whose overdraft (tx2) decides abort on the first step and
+    /// whose transfers (tx1, tx3) take the protocol's long way.
+    fn mixed_batch() -> (Store, Vec<Transaction>) {
+        let initial = Store::with_entries([("a", 10)]);
+        let batch = vec![
+            transfer(1, "a", "b", 1),
+            transfer(2, "a", "b", 99),
+            transfer(3, "a", "b", 2),
+        ];
+        (initial, batch)
+    }
+
+    /// Steps the population in lockstep rounds — every replica once, on
+    /// what the previous round sent it (`inboxes`) — until `stop` holds
+    /// or every replica has decided its whole batch; returns the next
+    /// round.
+    fn lockstep_until(
+        replicas: &mut [Replica],
+        inboxes: &mut Vec<Vec<rtc_model::Delivery<Vec<TxMsg>>>>,
+        seeds: &SeedCollection,
+        mut round: u64,
+        stop: impl Fn(&[Replica]) -> bool,
+    ) -> u64 {
+        while !stop(replicas) && !replicas.iter().all(|r| r.status().is_decided()) {
+            let mut next = vec![Vec::new(); replicas.len()];
+            for (q, replica) in replicas.iter_mut().enumerate() {
+                let from = ProcessorId::new(q);
+                let mut rng = seeds.step_rng(from, rtc_model::LocalClock::new(round));
+                for send in replica.step(&inboxes[q], &mut rng) {
+                    next[send.to.index()].push(rtc_model::Delivery::new(from, send.msg));
+                }
+            }
+            *inboxes = next;
+            round += 1;
+            assert!(round < 200, "the batch never decided");
+        }
+        round
+    }
+
+    /// Runs [`lockstep_until`] to the end of the batch.
+    fn never(_: &[Replica]) -> bool {
+        false
+    }
+
+    /// What `outcomes()` must read: every slot's decision, by id.
+    fn decided_by_slot(replica: &Replica) -> BTreeMap<TxId, Decision> {
+        let status = replica.batch_status();
+        let commits = status.committed.iter().map(|tx| (*tx, Decision::Commit));
+        commits
+            .chain(status.aborted.iter().map(|tx| (*tx, Decision::Abort)))
+            .collect()
+    }
+
+    #[test]
+    fn outcomes_read_mid_epoch_are_rebuilt_when_more_decisions_land() {
+        let (initial, batch) = mixed_batch();
+        let c = cfg(3);
+        let seeds = SeedCollection::new(31);
+        let mut replicas = replica_population(c, &initial, &batch);
+        let mut inboxes = vec![Vec::new(); 3];
+        let round = lockstep_until(&mut replicas, &mut inboxes, &seeds, 0, |rs| {
+            !rs[0].outcomes().is_empty()
+        });
+        // The first read: only the overdraft has decided.
+        assert_eq!(
+            replicas[0].outcomes(),
+            &BTreeMap::from([(TxId(2), Decision::Abort)])
+        );
+        // A copy taken now carries the map it was read with.
+        let mut copies = replicas.clone();
+        lockstep_until(&mut replicas, &mut inboxes.clone(), &seeds, round, never);
+        lockstep_until(&mut copies, &mut inboxes, &seeds, round, never);
+        for replica in replicas.iter().chain(&copies) {
+            assert_eq!(replica.outcomes().len(), 3);
+            assert_eq!(replica.outcomes(), &decided_by_slot(replica));
+            assert_eq!(replica.outcomes()[&TxId(1)], Decision::Commit);
+            assert_eq!(replica.status(), Status::Decided(Value::One));
+        }
+    }
+
+    #[test]
+    fn a_restored_replica_derives_its_outcomes_afresh() {
+        let (initial, batch) = mixed_batch();
+        let c = cfg(3);
+        let seeds = SeedCollection::new(32);
+        let mut replicas = replica_population(c, &initial, &batch);
+        let mut inboxes = vec![Vec::new(); 3];
+        let round = lockstep_until(&mut replicas, &mut inboxes, &seeds, 0, |rs| {
+            !rs[1].outcomes().is_empty()
+        });
+        let before = replicas[1].outcomes().clone();
+        assert_eq!(before, BTreeMap::from([(TxId(2), Decision::Abort)]));
+        // p1 crashes with its map read and comes back from its log: the
+        // logged decision is adopted, the rest rejoin and catch up.
+        replicas[1] = Replica::restore(&replicas[1].snapshot());
+        assert_eq!(replicas[1].outcomes(), &before);
+        assert_eq!(replicas[1].status(), Status::Undecided);
+        lockstep_until(&mut replicas, &mut inboxes, &seeds, round, never);
+        assert_eq!(replicas[1].outcomes(), &decided_by_slot(&replicas[1]));
+        assert_eq!(replicas[1].outcomes(), replicas[0].outcomes());
+        assert_eq!(replicas[1].outcomes().len(), 3);
+        assert_eq!(replicas[1].store(), replicas[0].store());
+    }
+
+    #[test]
+    fn an_all_abort_batch_decides_zero_and_a_mixed_one_decides_one() {
+        let initial = Store::with_entries([("alice", 100)]);
+        let overdrafts = vec![
+            transfer(1, "alice", "bob", 101),
+            transfer(2, "alice", "bob", 9_999),
+            transfer(3, "bob", "alice", 1),
+        ];
+        for r in &run_batch(4, &initial, &overdrafts, 8) {
+            assert_eq!(r.batch_status().aborted.len(), 3);
+            assert_eq!(r.status(), Status::Decided(Value::Zero));
+        }
+        let (initial, mixed) = mixed_batch();
+        for r in &run_batch(4, &initial, &mixed, 8) {
+            assert_eq!(r.batch_status().aborted, vec![TxId(2)]);
+            assert_eq!(r.status(), Status::Decided(Value::One));
+        }
     }
 
     #[test]

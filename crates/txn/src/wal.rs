@@ -75,22 +75,37 @@ impl fmt::Display for WalDamage {
     }
 }
 
-/// CRC32 (IEEE 802.3 polynomial, reflected) over `bytes`. Bitwise:
-/// eight shift-and-mask rounds per byte, eighty for the ten bytes a
-/// frame's checksum covers, which measures at about 50 ns per record —
-/// 6–8 % of a `txn_sim_sync` profile (docs/PERF.md "PR 22"). A
-/// 256-entry table does a byte per lookup for 1 KB of cache; whether
-/// that pays is for a measurement to say, and none has been taken yet.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = u32::MAX;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// The reflected IEEE 802.3 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// `CRC_TABLE[b]` is the CRC register after shifting the byte `b`
+/// through eight bitwise rounds: built at compile time, 1 KiB.
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut crc = byte as u32;
+        let mut round = 0;
+        while round < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            round += 1;
         }
+        table[byte] = crc;
+        byte += 1;
     }
-    !crc
+    table
+};
+
+/// CRC32 (IEEE 802.3 polynomial, reflected) over `bytes`, one table
+/// lookup per byte. The bitwise form (eight shift-and-mask rounds per
+/// byte) measured about 37 ns a record in `txn_sim_chaos`'s traced
+/// `txn.wal_encode_ns_per_record`, the table about 8 (docs/PERF.md
+/// "PR 43"); the bytes are the same, pinned by a golden frame and the
+/// IEEE check value.
+fn crc32(bytes: &[u8]) -> u32 {
+    !bytes.iter().fold(u32::MAX, |crc, &b| {
+        CRC_TABLE[usize::from(crc.to_le_bytes()[0] ^ b)] ^ (crc >> 8)
+    })
 }
 
 const TAG_VOTE: u8 = 0;
@@ -261,7 +276,41 @@ impl Wal {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// The checksum the table replaced, eight shift-and-mask rounds per
+    /// byte: the reference the table is held to.
+    fn bitwise_crc32(bytes: &[u8]) -> u32 {
+        let mut crc = u32::MAX;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC_POLY & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_gives_the_ieee_check_value() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(bitwise_crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(&[]), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn crc32_table_matches_the_bitwise_reference(
+            bytes in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            prop_assert_eq!(crc32(&bytes), bitwise_crc32(&bytes));
+        }
+    }
 
     #[test]
     fn lookup_finds_first_records() {
@@ -343,6 +392,23 @@ mod tests {
         wal
     }
 
+    /// `sample_wal().encode()` as the bitwise checksum wrote it: four
+    /// 14-byte frames, `tag ‖ tx (LE) ‖ payload ‖ crc32 (LE)`.
+    const SAMPLE_FRAMES: &str = "00010000000000000001a34cf683\
+                                 00020000000000000000f0407ccd\
+                                 010100000000000000019d27346c\
+                                 01020000000000000000ce2bbe22";
+
+    #[test]
+    fn encoded_frames_keep_their_bytes() {
+        let hex: String = sample_wal()
+            .encode()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, SAMPLE_FRAMES);
+    }
+
     #[test]
     fn encode_decode_roundtrips_cleanly() {
         let wal = sample_wal();
@@ -388,18 +454,7 @@ mod tests {
         let mut bytes = vec![7u8]; // unknown tag
         bytes.extend_from_slice(&42u64.to_le_bytes());
         bytes.push(0);
-        let crc = {
-            // Mirror the encoder's checksum over the frame content.
-            let mut crc = u32::MAX;
-            for &b in &bytes {
-                crc ^= u32::from(b);
-                for _ in 0..8 {
-                    let mask = (crc & 1).wrapping_neg();
-                    crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-                }
-            }
-            !crc
-        };
+        let crc = bitwise_crc32(&bytes);
         bytes.extend_from_slice(&crc.to_le_bytes());
         let (decoded, damage) = Wal::decode(&bytes);
         assert!(decoded.is_empty());
