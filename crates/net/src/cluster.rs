@@ -575,7 +575,7 @@ mod tests {
     use super::*;
     use std::time::Instant;
 
-    use rtc_core::{commit_population, CommitConfig};
+    use rtc_core::{commit_population, CommitAutomaton, CommitConfig, CommitMsg};
     use rtc_model::{Decision, TimingParams, Value};
 
     fn cfg(n: usize) -> CommitConfig {
@@ -672,10 +672,12 @@ mod tests {
 
     #[test]
     fn every_node_takes_its_first_step_at_boot() {
-        // A node that waited out a tick before its first step would read
-        // 0 steps for the whole 200 ms tick.
+        // Node i's first step is due i/n of the 200 ms tick after boot:
+        // a node that stepped at boot, or waited out a whole tick, falls
+        // outside its window [i·T/n, i·T/n + T/(2n)).
         let c = cfg(3);
-        let mut slow = NetOptions::derived(Duration::from_millis(200), TimingParams::default());
+        let tick = Duration::from_millis(200);
+        let mut slow = NetOptions::derived(tick, TimingParams::default());
         slow.wall_timeout = Duration::from_secs(30);
         let booted = Instant::now();
         let net = NetClusterCore::boot(
@@ -684,19 +686,143 @@ mod tests {
             FaultPlan::none(),
             &slow,
         );
-        while net.core.steps().contains(&0) && booted.elapsed() < Duration::from_secs(1) {
-            thread::sleep(Duration::from_millis(1));
+        let mut first = [None; 3];
+        while first.contains(&None) && booted.elapsed() < Duration::from_secs(1) {
+            let now = booted.elapsed();
+            for (at, s) in first.iter_mut().zip(net.core.steps()) {
+                if at.is_none() && s > 0 {
+                    *at = Some(now);
+                }
+            }
+            thread::sleep(Duration::from_micros(200));
         }
-        let stepped = booted.elapsed();
         let report = net.finish(vec![false; 3], false);
         assert!(
             report.instances[0].steps.iter().all(|s| *s >= 1),
             "{report:?}"
         );
-        assert!(
-            stepped < Duration::from_millis(100),
-            "first steps took {stepped:?}"
-        );
+        for (i, at) in (0..).zip(first) {
+            let phase = tick * i / 3;
+            let at = at.expect("every node stepped");
+            assert!(
+                at >= phase && at < phase + tick / 6,
+                "node {i} first stepped at {at:?}, outside its phase {phase:?}: {first:?}"
+            );
+        }
+        assert!(first.windows(2).all(|w| w[0] < w[1]), "{first:?}");
+    }
+
+    /// A commit automaton that logs, after each of its steps, when the
+    /// step ended and whether it had decided.
+    #[derive(Clone, Debug)]
+    struct Logged {
+        inner: CommitAutomaton,
+        log: Arc<Mutex<Vec<(Instant, bool)>>>,
+    }
+
+    impl rtc_model::Automaton for Logged {
+        type Msg = CommitMsg;
+
+        fn id(&self) -> ProcessorId {
+            self.inner.id()
+        }
+
+        fn population(&self) -> usize {
+            self.inner.population()
+        }
+
+        fn step_into<'a>(
+            &mut self,
+            inbox: impl Iterator<Item = (ProcessorId, &'a CommitMsg)>,
+            rng: &mut rtc_model::StepRng,
+            out: &mut Outbox<CommitMsg>,
+        ) {
+            self.inner.step_into(inbox, rng, out);
+            let decided = self.inner.status().is_decided();
+            self.log.lock().unwrap().push((Instant::now(), decided));
+        }
+
+        fn status(&self) -> rtc_model::Status {
+            self.inner.status()
+        }
+    }
+
+    impl Recoverable for Logged {
+        type Snapshot = Logged;
+
+        fn snapshot(&self) -> Logged {
+            self.clone()
+        }
+
+        fn restore(snapshot: &Logged) -> Logged {
+            snapshot.clone()
+        }
+    }
+
+    #[test]
+    fn fault_free_runs_take_the_synchronous_schedule() {
+        // A 40 ms tick leaves every frame at least 8 ms (n = 5) to reach
+        // its receiver's step, connection set-up included, so only the
+        // phases decide who hears what when. Each node decides after
+        // exactly the simulator's synchronous step count, and node i's
+        // step k ends inside [(k + i/n)·T, (k + 1)·T) of boot — plan
+        // tick k, where a tick-windowed fault reads it. One run of each
+        // size commits, one aborts.
+        let tick = Duration::from_millis(40);
+        for (n, seed, no) in [
+            (3, 1, None),
+            (3, 2, Some(2)),
+            (5, 42, None),
+            (5, 43, Some(1)),
+        ] {
+            let c = cfg(n);
+            let seeds = SeedCollection::new(seed);
+            let mut votes = vec![Value::One; n];
+            if let Some(i) = no {
+                votes[i] = Value::Zero;
+            }
+            let population = commit_population(c, &votes);
+            let mut sim = rtc_sim::SimBuilder::new(TimingParams::default(), seeds)
+                .fault_budget(c.fault_bound())
+                .build(population.clone())
+                .unwrap();
+            let mut adv = rtc_sim::adversaries::SynchronousAdversary::new(n);
+            sim.run(&mut adv, rtc_sim::RunLimits::default()).unwrap();
+            let expected: Vec<u64> = ProcessorId::all(n)
+                .map(|p| sim.trace().decision_of(p).expect("decides").clock.ticks())
+                .collect();
+
+            let logs: Vec<_> = (0..n).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
+            let logged = population
+                .into_iter()
+                .zip(&logs)
+                .map(|(inner, log)| Logged {
+                    inner,
+                    log: Arc::clone(log),
+                })
+                .collect();
+            let mut o = NetOptions::derived(tick, TimingParams::default());
+            o.wall_timeout = Duration::from_secs(30);
+            let booted = Instant::now();
+            let report = run_net_cluster(vec![logged], vec![seeds], FaultPlan::none(), o);
+            assert!(report.instances[0].decided_in_time, "{report:?}");
+            let logs: Vec<_> = logs.iter().map(|l| l.lock().unwrap().clone()).collect();
+            let decided: Vec<u64> = logs
+                .iter()
+                .map(|log| 1 + log.iter().position(|(_, d)| *d).expect("decides") as u64)
+                .collect();
+            assert_eq!(decided, expected, "n = {n}, {seeds:?}: decision steps");
+            for (i, log) in (0..).zip(&logs) {
+                for (k, (at, _)) in (0..).zip(log) {
+                    let since = *at - booted;
+                    let (due, end) = (tick * k + tick * i / n as u32, tick * (k + 1));
+                    assert!(
+                        since >= due && since < end,
+                        "node {i}'s step {k} ended {since:?} after boot, not in [{due:?}, {end:?})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,10 +13,16 @@
 //! Ticks are paced on absolute deadlines ([`next_deadline`]), so a local
 //! clock advances one step per tick, not one per tick-plus-step-time. A
 //! node that falls behind steps at once and paces from there; it never
-//! bursts through several steps in one tick of everyone else's clock. A
-//! node with no previous tick — at boot, or respawned — is late by that
-//! rule, so step `k` falls in tick `k` of its incarnation: no node waits
-//! out an idle tick before its first step.
+//! bursts through several steps in one tick of everyone else's clock.
+//!
+//! The nodes step out of phase: the first incarnation of node `i` of
+//! `n` takes its first step `i/n` of a tick after boot
+//! ([`first_step`]), so its step `k` falls at `(k + i/n) × tick` — the
+//! simulator's synchronous schedule, which steps processors round-robin
+//! in id order, on the wall clock. A message reaches higher-numbered
+//! nodes in the tick it was sent, as it does in the simulator, instead
+//! of racing its receiver's same-index step. A respawned node has no
+//! phase to keep: it steps at once and paces from there.
 //!
 //! The tick is also the unit of I/O. What differs between substrates is
 //! only where a step's sends go, and that is the [`Links`] seam: the
@@ -215,13 +221,20 @@ pub trait Links<M>: Send + Sync + 'static {
     fn flush(&self, from: ProcessorId);
 }
 
-/// When the tick after the one due at `previous` is due: one `tick`
-/// later, or `now` for a node already past that — a late node steps at
-/// once and does not burst through the ticks it missed. A node with no
-/// previous tick is late by the same rule: it takes its first step at
-/// boot.
-fn next_deadline(previous: Option<Instant>, now: Instant, tick: Duration) -> Instant {
-    previous.map_or(now, |previous| (previous + tick).max(now))
+/// When a node's next step is due: at `slot`, the instant its step is
+/// owed — its first step's phase, or one `tick` after the deadline of
+/// the step before — or `now` for a node already past that. A late node
+/// steps at once and does not burst through the ticks it missed: its
+/// next slot is a whole tick after the step it took late.
+fn next_deadline(slot: Instant, now: Instant) -> Instant {
+    slot.max(now)
+}
+
+/// When the first incarnation of node `i` of `n` takes its first step:
+/// `i/n` of a tick after `boot`. Its step `k` is then due at
+/// `boot + (k + i/n) × tick`, inside plan tick `k`.
+fn first_step(boot: Instant, tick: Duration, i: usize, n: usize) -> Instant {
+    boot + tick * i as u32 / n as u32
 }
 
 /// Both ends of a node's inbox, as [`ClusterCore::boot`] takes them.
@@ -276,13 +289,15 @@ impl<A: Recoverable, L> Shared<A, L> {
 }
 
 /// Spawns one incarnation of node `i`, stepping `autos` (one automaton
-/// per instance) from the step count its predecessor reached.
+/// per instance) from the step count its predecessor reached. Its first
+/// step is due at `slot`.
 fn spawn_node<A, L>(
     shared: Arc<Shared<A, L>>,
     i: usize,
     rx: SharedInbox<A::Msg>,
     mut autos: Vec<A>,
     crash_at: Option<u64>,
+    mut slot: Instant,
 ) -> thread::JoinHandle<()>
 where
     A: Recoverable + Send + 'static,
@@ -305,7 +320,6 @@ where
         let mut per_instance: Vec<Vec<Delivery<A::Msg>>> =
             autos.iter().map(|_| Vec::new()).collect();
         let mut out: Outbox<A::Msg> = Outbox::new();
-        let mut deadline = None;
         while !shared.done.load(Ordering::Relaxed) && clock < shared.max_steps {
             if crash_at == Some(clock) {
                 // Fail-stop mid-broadcast: this step's messages are
@@ -327,8 +341,8 @@ where
             }
             // Collect one tick's worth of arrivals. A late node's wait
             // is zero, which still drains what is already queued.
-            let due = next_deadline(deadline, Instant::now(), shared.tick);
-            deadline = Some(due);
+            let due = next_deadline(slot, Instant::now());
+            slot = due + shared.tick;
             loop {
                 match rx.recv_timeout(due.saturating_duration_since(Instant::now())) {
                     Ok(Inbound::Msgs(batch)) => arrivals.extend(batch),
@@ -421,7 +435,9 @@ where
     A::Msg: Send + 'static,
     L: Links<A::Msg>,
 {
-    /// Spawns the first incarnation of every node.
+    /// Spawns the first incarnation of every node, node `i`'s first
+    /// step due `i/n` of a tick after boot: on time, its step `k` falls
+    /// at `(k + i/n) × tick`, the simulator's synchronous schedule.
     ///
     /// `instances[k]` is the population of instance `k` (all the same
     /// length `n`, in processor order) and `seeds[k]` its seed
@@ -489,6 +505,7 @@ where
             .into_iter()
             .map(|(tx, rx)| (tx, Arc::new(Mutex::new(rx))))
             .unzip();
+        let boot = Instant::now();
         let handles = per_node
             .into_iter()
             .enumerate()
@@ -500,6 +517,7 @@ where
                     Arc::clone(&inboxes[i]),
                     autos,
                     crash_at,
+                    first_step(boot, opts.tick, i, n),
                 )
             })
             .collect();
@@ -508,11 +526,12 @@ where
             inboxes,
             wake,
             handles,
-            start: Instant::now(),
+            start: boot,
         }
     }
 
-    /// Respawns a down node, from its crash snapshots or amnesiac.
+    /// Respawns a down node, from its crash snapshots or amnesiac. The
+    /// new incarnation steps at once.
     ///
     /// The order is an invariant: restore, publish the restored
     /// automata's statuses, mark the node up, spawn. Marking up before
@@ -551,6 +570,7 @@ where
             Arc::clone(&self.inboxes[idx]),
             autos,
             None,
+            Instant::now(),
         ));
     }
 
@@ -730,7 +750,7 @@ where
 
 #[cfg(test)]
 mod tests {
-    use rtc_core::{commit_population, CommitConfig};
+    use rtc_core::{commit_population, CommitAutomaton, CommitConfig, CommitMsg};
     use rtc_model::{Decision, TimingParams, Value};
 
     use super::*;
@@ -1005,20 +1025,50 @@ mod tests {
         let tick = Duration::from_millis(10);
         let t0 = Instant::now();
         let at = |ms: u64| t0 + Duration::from_millis(ms);
+        // The loop's rule, one step at a time: the step is due at its
+        // slot or now, whichever is later, and the next slot is one
+        // tick after that.
+        let pace = |slot: Instant, now: Instant| {
+            let due = next_deadline(slot, now);
+            (due, due + tick)
+        };
         // On time (the step took 3 ms): the next tick is due one tick
         // after the previous deadline, not one tick after now.
-        assert_eq!(next_deadline(Some(at(100)), at(103), tick), at(110));
+        assert_eq!(pace(at(110), at(103)), (at(110), at(120)));
         // Late by less than a tick: step at once, and pace from there.
-        assert_eq!(next_deadline(Some(at(100)), at(117), tick), at(117));
-        assert_eq!(next_deadline(Some(at(117)), at(118), tick), at(127));
+        assert_eq!(pace(at(110), at(117)), (at(117), at(127)));
+        assert_eq!(pace(at(127), at(118)), (at(127), at(137)));
         // Late by many ticks: one immediate step, not one per tick
         // missed — the deadline after it is a whole tick away.
-        assert_eq!(next_deadline(Some(at(100)), at(175), tick), at(175));
-        assert_eq!(next_deadline(Some(at(175)), at(175), tick), at(185));
-        // No previous tick (a first incarnation or a respawn): the
-        // first step is due at once, and the next one a tick later.
-        assert_eq!(next_deadline(None, at(100), tick), at(100));
-        assert_eq!(next_deadline(Some(at(100)), at(101), tick), at(110));
+        assert_eq!(pace(at(110), at(175)), (at(175), at(185)));
+        assert_eq!(pace(at(185), at(175)), (at(185), at(195)));
+        // A respawn's slot is the instant it was spawned: its first
+        // step is due at once, and the next one a tick later.
+        assert_eq!(pace(at(100), at(100)), (at(100), at(110)));
+    }
+
+    #[test]
+    fn first_steps_fall_at_the_synchronous_phases() {
+        // Node i of n first steps i/n of a tick after boot, so its step
+        // k is due at (k + i/n) ticks: inside plan tick k, after every
+        // lower-numbered node's step k and before every node's step
+        // k + 1.
+        let tick = Duration::from_millis(1);
+        let boot = Instant::now();
+        for n in [1, 3, 5, 16] {
+            let phases: Vec<Duration> = (0..n)
+                .map(|i| first_step(boot, tick, i, n) - boot)
+                .collect();
+            assert_eq!(phases[0], Duration::ZERO);
+            assert!(phases
+                .windows(2)
+                .all(|w| w[1] - w[0] >= tick / n as u32 - Duration::from_nanos(1)));
+            assert!(phases[n - 1] + tick / n as u32 <= tick);
+        }
+        let at = |i, n| first_step(boot, tick, i, n) - boot;
+        assert_eq!(at(1, 3), Duration::from_nanos(333_333));
+        assert_eq!(at(2, 3), Duration::from_nanos(666_666));
+        assert_eq!(at(4, 5), Duration::from_micros(800));
     }
 
     #[test]
@@ -1046,13 +1096,12 @@ mod tests {
 
     #[test]
     fn every_node_takes_its_first_step_at_boot() {
-        // A node that waited out a tick before its first step would read
-        // 0 steps for the whole 200 ms tick.
+        // Node i's first step is due i/n of the 200 ms tick after boot:
+        // a node that stepped at boot, or waited out a whole tick, falls
+        // outside its window [i·T/n, i·T/n + T/(2n)).
         let c = cfg(3);
-        let slow = ClusterOptions {
-            tick: Duration::from_millis(200),
-            ..opts()
-        };
+        let tick = Duration::from_millis(200);
+        let slow = ClusterOptions { tick, ..opts() };
         let booted = Instant::now();
         let cluster = crate::recovery::ChannelCluster::boot(
             commit_population(c, &[Value::One; 3]),
@@ -1060,16 +1109,139 @@ mod tests {
             &FaultPlan::none(),
             &slow,
         );
-        while cluster.core.steps().contains(&0) && booted.elapsed() < Duration::from_secs(1) {
-            thread::sleep(Duration::from_millis(1));
+        let mut first = [None; 3];
+        while first.contains(&None) && booted.elapsed() < Duration::from_secs(1) {
+            let now = booted.elapsed();
+            for (at, s) in first.iter_mut().zip(cluster.core.steps()) {
+                if at.is_none() && s > 0 {
+                    *at = Some(now);
+                }
+            }
+            thread::sleep(Duration::from_micros(200));
         }
-        let stepped = booted.elapsed();
         let report = cluster.finish(vec![false; 3], false);
         assert!(report.steps.iter().all(|s| *s >= 1), "{report:?}");
-        assert!(
-            stepped < Duration::from_millis(100),
-            "first steps took {stepped:?}"
-        );
+        for (i, at) in (0..).zip(first) {
+            let phase = tick * i / 3;
+            let at = at.expect("every node stepped");
+            assert!(
+                at >= phase && at < phase + tick / 6,
+                "node {i} first stepped at {at:?}, outside its phase {phase:?}: {first:?}"
+            );
+        }
+        assert!(first.windows(2).all(|w| w[0] < w[1]), "{first:?}");
+    }
+
+    /// A commit automaton that logs, after each of its steps, when the
+    /// step ended and whether it had decided.
+    #[derive(Clone, Debug)]
+    struct Logged {
+        inner: CommitAutomaton,
+        log: Arc<Mutex<Vec<(Instant, bool)>>>,
+    }
+
+    impl rtc_model::Automaton for Logged {
+        type Msg = CommitMsg;
+
+        fn id(&self) -> ProcessorId {
+            self.inner.id()
+        }
+
+        fn population(&self) -> usize {
+            self.inner.population()
+        }
+
+        fn step_into<'a>(
+            &mut self,
+            inbox: impl Iterator<Item = (ProcessorId, &'a CommitMsg)>,
+            rng: &mut rtc_model::StepRng,
+            out: &mut Outbox<CommitMsg>,
+        ) {
+            self.inner.step_into(inbox, rng, out);
+            let decided = self.inner.status().is_decided();
+            self.log.lock().unwrap().push((Instant::now(), decided));
+        }
+
+        fn status(&self) -> Status {
+            self.inner.status()
+        }
+    }
+
+    impl Recoverable for Logged {
+        type Snapshot = Logged;
+
+        fn snapshot(&self) -> Logged {
+            self.clone()
+        }
+
+        fn restore(snapshot: &Logged) -> Logged {
+            snapshot.clone()
+        }
+    }
+
+    #[test]
+    fn fault_free_runs_take_the_synchronous_schedule() {
+        // A 40 ms tick leaves every message at least 8 ms (n = 5) to
+        // reach its receiver's step, so only the phases decide who
+        // hears what when. Each node decides after exactly the
+        // simulator's synchronous step count, and node i's step k ends
+        // inside [(k + i/n)·T, (k + 1)·T) of boot — plan tick k, where a
+        // tick-windowed fault reads it. One run of each size commits,
+        // one aborts.
+        let tick = Duration::from_millis(40);
+        for (n, seed, no) in [
+            (3, 1, None),
+            (3, 2, Some(2)),
+            (5, 42, None),
+            (5, 43, Some(1)),
+        ] {
+            let c = cfg(n);
+            let seeds = SeedCollection::new(seed);
+            let mut votes = vec![Value::One; n];
+            if let Some(i) = no {
+                votes[i] = Value::Zero;
+            }
+            let population = commit_population(c, &votes);
+            let mut sim = rtc_sim::SimBuilder::new(TimingParams::default(), seeds)
+                .fault_budget(c.fault_bound())
+                .build(population.clone())
+                .unwrap();
+            let mut adv = rtc_sim::adversaries::SynchronousAdversary::new(n);
+            sim.run(&mut adv, rtc_sim::RunLimits::default()).unwrap();
+            let expected: Vec<u64> = ProcessorId::all(n)
+                .map(|p| sim.trace().decision_of(p).expect("decides").clock.ticks())
+                .collect();
+
+            let logs: Vec<_> = (0..n).map(|_| Arc::new(Mutex::new(Vec::new()))).collect();
+            let logged = population
+                .into_iter()
+                .zip(&logs)
+                .map(|(inner, log)| Logged {
+                    inner,
+                    log: Arc::clone(log),
+                })
+                .collect();
+            let o = ClusterOptions { tick, ..opts() };
+            let booted = Instant::now();
+            let report = run_cluster(logged, seeds, FaultPlan::none(), o);
+            assert!(report.decided_in_time, "{report:?}");
+            let logs: Vec<_> = logs.iter().map(|l| l.lock().unwrap().clone()).collect();
+            let decided: Vec<u64> = logs
+                .iter()
+                .map(|log| 1 + log.iter().position(|(_, d)| *d).expect("decides") as u64)
+                .collect();
+            assert_eq!(decided, expected, "n = {n}, {seeds:?}: decision steps");
+            for (i, log) in (0..).zip(&logs) {
+                for (k, (at, _)) in (0..).zip(log) {
+                    let since = *at - booted;
+                    let (due, end) = (tick * k + tick * i / n as u32, tick * (k + 1));
+                    assert!(
+                        since >= due && since < end,
+                        "node {i}'s step {k} ended {since:?} after boot, not in [{due:?}, {end:?})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
