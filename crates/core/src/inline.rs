@@ -2,17 +2,20 @@
 //! value itself, and only a sequence that outgrows `N` moves to the
 //! heap.
 //!
-//! A commit instance is many small sequences — a byte per peer, the two
-//! or three stages in flight, the handful of payloads a step sends —
-//! each far below a cache line at the populations the system runs. Held
-//! as `Vec`s they are one heap object apiece, allocated when the
-//! instance is built and freed when its epoch ends, and an epoch's worth
-//! of those frees overflows the allocator's per-thread cache. Held
-//! inline they are part of the instance. Every capacity is a constant at
-//! its use site, with the measurement that chose it.
+//! A commit instance is many small sequences — a byte per peer on its
+//! vote board and on each stage board, the handful of payloads a step
+//! sends — each far below a cache line at the populations the system
+//! runs. Held as `Vec`s they are one heap object apiece, allocated when
+//! the instance is built and freed when its epoch ends, and an epoch's
+//! worth of those frees overflows the allocator's per-thread cache.
+//! Held inline they are part of the instance. Every capacity is a
+//! constant at its use site, with the measurement that chose it.
 //!
-//! Safe code throughout: the inline buffer is a plain `[T; N]` whose
-//! unused tail holds `T::default()`.
+//! Safe code throughout. Every element type is `Copy`, so the inline
+//! buffer is a plain `[T; N]` built by copying `T::default()` — no
+//! per-element constructor call, which every commit instance and every
+//! step's bundle of kinds would pay (docs/PERF.md "PR 45") — and its
+//! unused tail holds that default.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -35,30 +38,27 @@ enum Repr<T, const N: usize> {
     Spilled(Vec<T>),
 }
 
-impl<T: Default, const N: usize> InlineVec<T, N> {
+impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     /// The empty sequence (no heap object).
     pub fn new() -> InlineVec<T, N> {
         const { assert!(N <= u8::MAX as usize, "the inline length is a byte") };
         InlineVec {
             repr: Repr::Inline {
                 len: 0,
-                buf: std::array::from_fn(|_| T::default()),
+                buf: [T::default(); N],
             },
         }
     }
 
     /// `len` copies of `value`.
-    pub fn filled(len: usize, value: T) -> InlineVec<T, N>
-    where
-        T: Clone,
-    {
+    pub fn filled(len: usize, value: T) -> InlineVec<T, N> {
         if len > N {
             return InlineVec {
                 repr: Repr::Spilled(vec![value; len]),
             };
         }
         const { assert!(N <= u8::MAX as usize, "the inline length is a byte") };
-        let mut buf: [T; N] = std::array::from_fn(|_| T::default());
+        let mut buf = [T::default(); N];
         buf[..len].fill(value);
         InlineVec {
             repr: Repr::Inline {
@@ -78,31 +78,12 @@ impl<T: Default, const N: usize> InlineVec<T, N> {
                     *len += 1;
                 } else {
                     let mut spilled = Vec::with_capacity(2 * N.max(1));
-                    spilled.extend(buf.iter_mut().map(std::mem::take));
+                    spilled.extend_from_slice(buf);
                     spilled.push(value);
                     self.repr = Repr::Spilled(spilled);
                 }
             }
             Repr::Spilled(spilled) => spilled.push(value),
-        }
-    }
-
-    /// Removes and returns the element at `index`, putting the last
-    /// element in its place (order is not kept).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    pub fn swap_remove(&mut self, index: usize) -> T {
-        match &mut self.repr {
-            Repr::Inline { len, buf } => {
-                let live = &mut buf[..usize::from(*len)];
-                let last = live.len() - 1;
-                live.swap(index, last);
-                *len -= 1;
-                std::mem::take(&mut live[last])
-            }
-            Repr::Spilled(spilled) => spilled.swap_remove(index),
         }
     }
 
@@ -112,7 +93,7 @@ impl<T: Default, const N: usize> InlineVec<T, N> {
     }
 }
 
-impl<T: Default, const N: usize> Default for InlineVec<T, N> {
+impl<T: Copy + Default, const N: usize> Default for InlineVec<T, N> {
     fn default() -> InlineVec<T, N> {
         InlineVec::new()
     }
@@ -152,7 +133,7 @@ impl<T: PartialEq, const N: usize> PartialEq for InlineVec<T, N> {
 
 impl<T: Eq, const N: usize> Eq for InlineVec<T, N> {}
 
-impl<T: Default, const N: usize> Extend<T> for InlineVec<T, N> {
+impl<T: Copy + Default, const N: usize> Extend<T> for InlineVec<T, N> {
     fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
         for value in iter {
             self.push(value);
@@ -160,7 +141,7 @@ impl<T: Default, const N: usize> Extend<T> for InlineVec<T, N> {
     }
 }
 
-impl<T: Default, const N: usize> FromIterator<T> for InlineVec<T, N> {
+impl<T: Copy + Default, const N: usize> FromIterator<T> for InlineVec<T, N> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> InlineVec<T, N> {
         let mut seq = InlineVec::new();
         seq.extend(iter);
@@ -168,7 +149,7 @@ impl<T: Default, const N: usize> FromIterator<T> for InlineVec<T, N> {
     }
 }
 
-impl<T: Default, const N: usize> From<Vec<T>> for InlineVec<T, N> {
+impl<T: Copy + Default, const N: usize> From<Vec<T>> for InlineVec<T, N> {
     fn from(values: Vec<T>) -> InlineVec<T, N> {
         if values.len() > N {
             InlineVec {
@@ -180,7 +161,7 @@ impl<T: Default, const N: usize> From<Vec<T>> for InlineVec<T, N> {
     }
 }
 
-impl<T: Default, const N: usize, const M: usize> From<[T; M]> for InlineVec<T, N> {
+impl<T: Copy + Default, const N: usize, const M: usize> From<[T; M]> for InlineVec<T, N> {
     fn from(values: [T; M]) -> InlineVec<T, N> {
         values.into_iter().collect()
     }
@@ -210,14 +191,16 @@ mod tests {
     #[test]
     fn equality_and_debug_are_the_slices_on_both_sides_of_the_capacity() {
         let inline: InlineVec<u8, 4> = [1, 2, 3].into();
-        let mut spilled: InlineVec<u8, 4> = vec![1, 2, 3, 4, 5].into();
-        assert!(spilled.spilled());
-        spilled.swap_remove(4);
-        spilled.swap_remove(3);
-        assert!(spilled.spilled(), "a spilled sequence stays spilled");
-        assert_eq!(inline, spilled);
+        let pushed: InlineVec<u8, 4> = (1..=5).collect();
+        let moved: InlineVec<u8, 4> = vec![1, 2, 3, 4, 5].into();
+        assert!(!inline.spilled() && pushed.spilled() && moved.spilled());
+        assert_eq!(pushed, moved, "built by pushes or moved from a Vec");
         assert_eq!(format!("{inline:?}"), "[1, 2, 3]");
-        assert_eq!(format!("{spilled:?}"), format!("{:?}", &[1u8, 2, 3][..]));
+        assert_eq!(
+            format!("{pushed:?}"),
+            format!("{:?}", &[1u8, 2, 3, 4, 5][..])
+        );
+        assert_ne!(inline, pushed);
         assert_ne!(inline, InlineVec::from([1, 2]));
     }
 
@@ -237,17 +220,5 @@ mod tests {
         grown.push(1);
         assert_eq!(grown[..], [7, 7, 7, 7, 7, 7, 7, 7, 7, 1]);
         assert_eq!(empty, InlineVec::new());
-    }
-
-    #[test]
-    fn swap_remove_returns_the_element_and_resets_its_slot() {
-        let mut seq: InlineVec<String, 3> = ["a", "b", "c"].map(String::from).into();
-        assert_eq!(seq.swap_remove(0), "a");
-        assert_eq!(seq[..], ["c", "b"]);
-        assert_eq!(seq.swap_remove(1), "b");
-        assert_eq!(seq.swap_remove(0), "c");
-        assert!(seq.is_empty());
-        seq.extend(["x".to_owned()]);
-        assert_eq!(seq[..], ["x"]);
     }
 }

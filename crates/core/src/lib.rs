@@ -13,10 +13,11 @@
 //!   vote windows, then Protocol 1 on the vote outcome.
 //! * [`CommitConfig`] — deployment parameters, enforcing `n > 2t`
 //!   (optimal by the paper's Theorem 14).
-//! * [`InlineVec`] — the inline-then-spill sequence a commit instance
-//!   keeps its per-peer bytes, its live stage boards and a step's
-//!   payload kinds in, so that an instance of up to 16 processors owns
-//!   no heap object but the shared coin list.
+//! * [`InlineVec`] — the inline-then-spill sequence of `Copy` elements
+//!   a commit instance keeps its per-peer bytes and a step's payload
+//!   kinds in (its live stage boards are a ring of three in place), so
+//!   that an instance of up to 16 processors owns no heap object but
+//!   the shared coin list.
 //! * [`properties`] — mechanical checkers for the Agreement /
 //!   Abort-validity / Commit-validity conditions of Section 2.4, over
 //!   the [`RunFacts`](rtc_model::RunFacts) any substrate states.

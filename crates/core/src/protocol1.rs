@@ -107,6 +107,19 @@ impl StageBoard {
         }
     }
 
+    /// Empties the board for a population of `n` in place: a ring slot
+    /// is reused stage after stage, and a spilled board keeps its heap
+    /// block.
+    fn reset(&mut self, n: usize) {
+        if self.cells.len() == n {
+            self.cells.fill(0);
+        } else {
+            self.cells = InlineVec::filled(n, 0);
+        }
+        self.first_count = 0;
+        self.second_count = 0;
+    }
+
     /// Posts a first-exchange value from `from` (first one counts).
     fn post_first(&mut self, from: ProcessorId, v: Value) {
         let cell = &mut self.cells[from.index()];
@@ -168,16 +181,93 @@ fn s_value_in(cell: u8) -> Option<Value> {
     (cell & SECOND_S != 0).then(|| Value::from_bool(cell & SECOND_ONE != 0))
 }
 
-/// Stage boards held inline in the machine. Protocol 1 reads only the
-/// current stage's board, re-sends from the previous stage's after a
-/// restart, and a peer one exchange ahead has already posted to the
-/// next one: three boards are the working set whenever delivery keeps
-/// peers within a stage of each other. That is every synchronous run,
-/// all 36 schedules of the batch-equivalence corpus and 107 of the
-/// scheduler corpus's 108 (the other opens a fourth board on 3 of its
-/// 16 machines). A peer further ahead than that opens a fourth board
-/// and the boards move to the heap.
+/// Stage boards held in place in the machine, as a ring. Protocol 1
+/// reads only the current stage's board, re-sends from the previous
+/// stage's after a restart, and a peer one exchange ahead has already
+/// posted to the next one: three boards are the working set whenever
+/// delivery keeps peers within a stage of each other. That is every
+/// synchronous run, all 36 schedules of the batch-equivalence corpus and
+/// 107 of the scheduler corpus's 108, when the boards were counted (the
+/// other held a fourth board on 3 of its 16 machines: docs/PERF.md
+/// "PR 19"). A peer further ahead than that posts to the spill list, a
+/// `Vec` allocated at its first such post.
 const LIVE_STAGES: usize = 3;
+
+/// The ring slot that holds `stage`'s board while it is live.
+fn ring_slot(stage: u64) -> usize {
+    (stage % LIVE_STAGES as u64) as usize
+}
+
+/// A machine's stage boards. While the machine is at stage `s`, the
+/// boards of stages `s − 1 ..= s + 1` sit in a fixed ring, stage `q` in
+/// slot `q % 3`, so finding one is an index, and the boards of later
+/// stages wait in the spill list. Each ring slot is tagged with the
+/// stage its board belongs to; tag 0 is an empty slot (stages start at
+/// 1), and every tag is 0 or a stage of the window. Opening a board
+/// resets its slot in place.
+#[derive(Clone, Default)]
+struct Boards {
+    ring: [(u64, StageBoard); LIVE_STAGES],
+    /// `(stage, board)` for stages past `s + 1`, unordered.
+    spill: Vec<(u64, StageBoard)>,
+}
+
+impl Boards {
+    /// The board of `stage`, if it is open.
+    fn get(&self, stage: u64) -> Option<&StageBoard> {
+        let (tag, board) = &self.ring[ring_slot(stage)];
+        // An empty slot's tag is 0, and stage 0 (the one before stage
+        // 1) has no board.
+        if stage != 0 && *tag == stage {
+            return Some(board);
+        }
+        self.spill
+            .iter()
+            .find(|(s, _)| *s == stage)
+            .map(|(_, board)| board)
+    }
+
+    /// The board of `stage`, at or after the machine's `current` one,
+    /// opened if this is its first post.
+    fn open(&mut self, n: usize, current: u64, stage: u64) -> &mut StageBoard {
+        debug_assert!(stage >= current, "stage {stage} is behind {current}");
+        if stage > current + 1 {
+            let at = match self.spill.iter().position(|(s, _)| *s == stage) {
+                Some(at) => at,
+                None => {
+                    self.spill.push((stage, StageBoard::new(n)));
+                    self.spill.len() - 1
+                }
+            };
+            return &mut self.spill[at].1;
+        }
+        let (tag, board) = &mut self.ring[ring_slot(stage)];
+        if *tag != stage {
+            *tag = stage;
+            board.reset(n);
+        }
+        board
+    }
+
+    /// The board of the `current` stage, which is always open.
+    fn current(&mut self, current: u64) -> &mut StageBoard {
+        let (tag, board) = &mut self.ring[ring_slot(current)];
+        debug_assert_eq!(*tag, current, "the current stage's board is open");
+        board
+    }
+
+    /// The machine moves from `stage` to `stage + 1`: the board of
+    /// `stage − 1` has no reader left, and its slot takes `stage + 2`,
+    /// from the spill list if a peer got there first.
+    fn advance(&mut self, stage: u64) {
+        let next = stage + 2;
+        let slot = &mut self.ring[ring_slot(next)];
+        match self.spill.iter().position(|(s, _)| *s == next) {
+            Some(at) => *slot = self.spill.swap_remove(at),
+            None => slot.0 = 0,
+        }
+    }
+}
 
 /// The embeddable Protocol 1 state machine.
 ///
@@ -188,10 +278,10 @@ const LIVE_STAGES: usize = 3;
 /// [`Agreement::poll_into`] a sink instead and allocates nothing.
 ///
 /// The machine's state is inline: the boards of the stages in flight
-/// are part of it — three of them, of up to 16 processors each; a peer
-/// more than a stage ahead or a larger population moves them to the
-/// heap — so the only heap object a machine normally refers to is the
-/// shared coin list.
+/// are part of it — a ring of three, of up to 16 processors each; a peer
+/// more than a stage ahead posts to a spill list, and a larger
+/// population's boards are one heap block each — so the only heap
+/// object a machine normally refers to is the shared coin list.
 #[derive(Clone)]
 pub struct Agreement {
     id: ProcessorId,
@@ -202,29 +292,13 @@ pub struct Agreement {
     x: Value,
     stage: u64,
     waiting: Waiting,
-    /// `(stage, board)` for the previous stage, the current one and
-    /// every later stage something was posted for; found by scanning.
-    boards: InlineVec<(u64, StageBoard), LIVE_STAGES>,
+    /// The boards of the previous stage, the current one and every later
+    /// stage something was posted for.
+    boards: Boards,
     started: bool,
     decided: Option<(Value, u64)>,
     halted: bool,
     local_flips: u64,
-}
-
-/// The board of `stage`, opened if this is its first post.
-fn board_mut(
-    boards: &mut InlineVec<(u64, StageBoard), LIVE_STAGES>,
-    n: usize,
-    stage: u64,
-) -> &mut StageBoard {
-    let at = boards
-        .iter()
-        .position(|(s, _)| *s == stage)
-        .unwrap_or_else(|| {
-            boards.push((stage, StageBoard::new(n)));
-            boards.len() - 1
-        });
-    &mut boards[at].1
 }
 
 impl Agreement {
@@ -273,7 +347,7 @@ impl Agreement {
             x: Value::Zero,
             stage: 1,
             waiting: Waiting::First,
-            boards: InlineVec::new(),
+            boards: Boards::default(),
             started: false,
             decided: None,
             halted: false,
@@ -297,8 +371,7 @@ impl Agreement {
     /// The first-exchange value on `stage`'s board for `p`, if any.
     #[cfg(test)]
     pub(crate) fn posted_first(&self, stage: u64, p: ProcessorId) -> Option<Value> {
-        let (_, board) = self.boards.iter().find(|(s, _)| *s == stage)?;
-        board.first_of(p)
+        self.boards.get(stage)?.first_of(p)
     }
 
     /// The quorum size `n − t`.
@@ -323,7 +396,7 @@ impl Agreement {
         }
         debug_assert!(self.coins.is_some(), "started without an input");
         self.started = true;
-        board_mut(&mut self.boards, self.n, 1).post_first(self.id, self.x);
+        self.boards.open(self.n, 1, 1).post_first(self.id, self.x);
         sink(AgreementMsg::First {
             stage: 1,
             value: self.x,
@@ -345,7 +418,9 @@ impl Agreement {
         if self.halted || msg.stage() < self.stage {
             return;
         }
-        board_mut(&mut self.boards, self.n, msg.stage()).post(from, msg);
+        self.boards
+            .open(self.n, self.stage, msg.stage())
+            .post(from, msg);
     }
 
     /// Re-evaluates the current wait conditions, advancing as many
@@ -364,7 +439,7 @@ impl Agreement {
         loop {
             let quorum = self.quorum();
             let stage = self.stage;
-            let board = board_mut(&mut self.boards, self.n, stage);
+            let board = self.boards.current(stage);
             match self.waiting {
                 Waiting::First => {
                     if board.first_count < quorum {
@@ -419,7 +494,7 @@ impl Agreement {
                                 if self.decided.is_some() {
                                     // Instruction 13: return(v).
                                     self.halted = true;
-                                    self.boards = InlineVec::new();
+                                    self.boards = Boards::default();
                                     return;
                                 }
                                 // Instruction 14: decide v.
@@ -428,14 +503,13 @@ impl Agreement {
                         }
                     }
                     // Proceed to the next stage. This stage's board
-                    // stays for `resend_current`; the one before it has
-                    // no reader left.
-                    if let Some(at) = self.boards.iter().position(|(s, _)| *s + 1 == stage) {
-                        self.boards.swap_remove(at);
-                    }
+                    // stays for `resend_current`.
+                    self.boards.advance(stage);
                     self.stage += 1;
                     self.waiting = Waiting::First;
-                    board_mut(&mut self.boards, self.n, self.stage).post_first(self.id, self.x);
+                    self.boards
+                        .open(self.n, self.stage, self.stage)
+                        .post_first(self.id, self.x);
                     sink(AgreementMsg::First {
                         stage: self.stage,
                         value: self.x,
@@ -455,8 +529,8 @@ impl Agreement {
         if !self.started || self.halted {
             return;
         }
-        for stage in [self.stage.saturating_sub(1), self.stage] {
-            let Some((_, board)) = self.boards.iter().find(|(s, _)| *s == stage) else {
+        for stage in [self.stage - 1, self.stage] {
+            let Some(board) = self.boards.get(stage) else {
                 continue;
             };
             if let Some(value) = board.first_of(self.id) {
@@ -603,6 +677,8 @@ impl Automaton for AgreementAutomaton {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use rtc_model::{LocalClock, SeedCollection};
 
     use super::*;
@@ -802,13 +878,16 @@ mod tests {
             m.poll(&mut rng);
         }
         assert!(m.halted(), "decided in stage 1, returned in stage 2");
-        assert!(m.boards.is_empty(), "a returned machine keeps no board");
+        assert!(
+            open_stages(m).is_empty(),
+            "a returned machine keeps no board"
+        );
         // A duplicate of stage 1, and anything at all after the return.
         for stage in [1, 2, 3, 9] {
             let (from, msg) = stale_from(1, stage);
             m.ingest(from, msg);
         }
-        assert!(m.boards.is_empty());
+        assert!(open_stages(m).is_empty());
 
         // A live machine in stage 2: stage 1 is behind it, stage 2 and
         // later are not.
@@ -835,20 +914,32 @@ mod tests {
             [1, 2],
             "the stage just left stays for a re-send"
         );
-        let at = m.boards.iter().position(|(s, _)| *s == 1).unwrap();
-        m.boards.swap_remove(at);
+        // Empty stage 1's slot: a stale message must not reopen it.
+        m.boards.ring[ring_slot(1)].0 = 0;
         let (from, msg) = stale_from(0, 1);
         m.ingest(from, msg);
         assert_eq!(open_stages(m), [2], "a stale message opens no board");
         let (from, msg) = stale_from(0, 3);
         m.ingest(from, msg);
         assert_eq!(open_stages(m), [2, 3], "a future stage still buffers");
-        assert!(!m.boards.spilled());
+        assert!(
+            spilled_stages(m).is_empty(),
+            "the next stage is in the ring"
+        );
     }
 
-    /// The stages `m` holds a board for, ascending.
+    /// The stages `m` holds a board for, in the ring or the spill list,
+    /// ascending.
     fn open_stages(m: &Agreement) -> Vec<u64> {
-        let mut stages: Vec<u64> = m.boards.iter().map(|(s, _)| *s).collect();
+        let ring = m.boards.ring.iter().map(|(s, _)| *s).filter(|s| *s != 0);
+        let mut stages: Vec<u64> = ring.chain(spilled_stages(m)).collect();
+        stages.sort_unstable();
+        stages
+    }
+
+    /// The stages whose boards are held in the spill list, ascending.
+    fn spilled_stages(m: &Agreement) -> Vec<u64> {
+        let mut stages: Vec<u64> = m.boards.spill.iter().map(|(s, _)| *s).collect();
         stages.sort_unstable();
         stages
     }
@@ -863,8 +954,8 @@ mod tests {
             coins(&[Value::One; 4]),
         );
         m.start();
-        // Stage 2 traffic arrives before stage 1 completes: a third
-        // board would still be inline.
+        // Stage 2 traffic arrives before stage 1 completes: the next
+        // stage's board is in the ring.
         m.ingest(
             ProcessorId::new(1),
             AgreementMsg::First {
@@ -872,8 +963,9 @@ mod tests {
                 value: Value::One,
             },
         );
-        assert_eq!((open_stages(&m), m.boards.spilled()), (vec![1, 2], false));
-        // So does stage 3 and 4 traffic: the fourth board spills them.
+        assert_eq!((open_stages(&m), spilled_stages(&m)), (vec![1, 2], vec![]));
+        // So does stage 3 and 4 traffic: past the next stage, the boards
+        // are held in the spill list.
         for stage in [3, 4] {
             m.ingest(
                 ProcessorId::new(1),
@@ -881,8 +973,8 @@ mod tests {
             );
         }
         assert_eq!(
-            (open_stages(&m), m.boards.spilled()),
-            (vec![1, 2, 3, 4], true)
+            (open_stages(&m), spilled_stages(&m)),
+            (vec![1, 2, 3, 4], vec![3, 4])
         );
         let mut rng = rng_for(0, 1);
         assert!(m.poll(&mut rng).is_empty(), "stage 1 quorum not yet met");
@@ -896,10 +988,234 @@ mod tests {
         let out = m.poll(&mut rng);
         assert!(!out.is_empty());
         // What was buffered is on the boards, spilled or not.
-        let board = |stage| &m.boards.iter().find(|(s, _)| *s == stage).unwrap().1;
+        let board = |stage| m.boards.get(stage).unwrap();
         assert_eq!(board(2).first_of(ProcessorId::new(1)), Some(Value::One));
         assert_eq!(board(4).second_of(ProcessorId::new(1)), Some(None));
         assert_eq!(board(4).second_of(ProcessorId::new(2)), None);
+    }
+
+    /// The trap of a tagged ring: at stage 1 the stage before is 0, and
+    /// an empty slot's tag is 0 too. A machine restored at stage 1 — a
+    /// clone of its state, with the next stage's board in the ring and a
+    /// later one spilled — re-sends its stage-1 messages and nothing else.
+    #[test]
+    fn a_machine_restored_at_stage_one_resends_only_stage_one() {
+        let mut m = Agreement::new(ProcessorId::new(0), 5, 2, Value::One, coins(&[]));
+        m.start();
+        for q in [1, 2] {
+            let first = |stage| AgreementMsg::First {
+                stage,
+                value: Value::One,
+            };
+            for stage in [1, 2, 3] {
+                m.ingest(ProcessorId::new(q), first(stage));
+            }
+        }
+        let resent = |m: &Agreement| {
+            let mut out = Vec::new();
+            m.resend_current(&mut |msg| out.push(msg));
+            out
+        };
+        assert_eq!(
+            (open_stages(&m), spilled_stages(&m)),
+            (vec![1, 2, 3], vec![3])
+        );
+        assert_eq!(m.boards.ring[ring_slot(0)].0, 0, "stage 0's slot is empty");
+        let first = AgreementMsg::First {
+            stage: 1,
+            value: Value::One,
+        };
+        assert_eq!(resent(&m.clone()), [first]);
+        // With its quorum of firsts in, the machine sends its second
+        // exchange and still waits at stage 1.
+        let mut rng = rng_for(0, 1);
+        let second = AgreementMsg::Second {
+            stage: 1,
+            value: Some(Value::One),
+        };
+        assert_eq!(m.poll(&mut rng), [second]);
+        assert_eq!(m.stage(), 1);
+        assert_eq!(resent(&m.clone()), [first, second]);
+    }
+
+    /// A sender's posts on one stage of [`MapModel`]: the first exchange
+    /// and the second.
+    type ModelCell = (Option<Value>, Option<Option<Value>>);
+
+    /// Protocol 1 over a `BTreeMap` of per-stage boards that keeps every
+    /// board it opens: the reference the ring and its spill list are
+    /// checked against.
+    struct MapModel {
+        id: usize,
+        quorum: usize,
+        n: usize,
+        coins: CoinList,
+        x: Value,
+        stage: u64,
+        second_sent: bool,
+        /// Per stage, per sender: the first and the second exchange.
+        boards: BTreeMap<u64, BTreeMap<usize, ModelCell>>,
+    }
+
+    impl MapModel {
+        fn ingest(&mut self, from: usize, msg: AgreementMsg) {
+            if msg.stage() < self.stage {
+                return;
+            }
+            let cell = self
+                .boards
+                .entry(msg.stage())
+                .or_default()
+                .entry(from)
+                .or_default();
+            match msg {
+                AgreementMsg::First { value, .. } => {
+                    cell.0.get_or_insert(value);
+                }
+                AgreementMsg::Second { value, .. } => {
+                    cell.1.get_or_insert(value);
+                }
+            }
+        }
+
+        fn send(&mut self, msg: AgreementMsg, out: &mut Vec<AgreementMsg>) {
+            self.ingest(self.id, msg);
+            out.push(msg);
+        }
+
+        fn poll(&mut self) -> Vec<AgreementMsg> {
+            let mut out = Vec::new();
+            loop {
+                let stage = self.stage;
+                let board = self.boards.entry(stage).or_default();
+                if !self.second_sent {
+                    let firsts: Vec<Value> = board.values().filter_map(|c| c.0).collect();
+                    if firsts.len() < self.quorum {
+                        return out;
+                    }
+                    let ones = firsts.iter().filter(|v| **v == Value::One).count();
+                    let value = if 2 * ones > self.n {
+                        Some(Value::One)
+                    } else if 2 * (firsts.len() - ones) > self.n {
+                        Some(Value::Zero)
+                    } else {
+                        None
+                    };
+                    self.second_sent = true;
+                    self.send(AgreementMsg::Second { stage, value }, &mut out);
+                } else {
+                    let seconds: Vec<Option<Value>> = board.values().filter_map(|c| c.1).collect();
+                    if seconds.len() < self.quorum {
+                        return out;
+                    }
+                    let s_values: Vec<Value> = seconds.into_iter().flatten().collect();
+                    match s_values.first() {
+                        None => self.x = self.coins.get(stage).expect("coins last the run"),
+                        Some(&v) => {
+                            self.x = v;
+                            assert!(s_values.len() < self.quorum, "no decision in this run");
+                        }
+                    }
+                    self.stage += 1;
+                    self.second_sent = false;
+                    let first = AgreementMsg::First {
+                        stage: self.stage,
+                        value: self.x,
+                    };
+                    self.send(first, &mut out);
+                }
+            }
+        }
+    }
+
+    /// A machine that runs nine stages while one peer runs a stage ahead
+    /// of it, another three, and a third in step but missing stages,
+    /// with stale and conflicting repeats mixed in: after every delivery
+    /// round it has sent exactly what the map model sends, and every
+    /// board it still holds — ring or spill list — reads as the model's.
+    #[test]
+    fn peers_one_and_three_stages_ahead_post_as_a_per_stage_map() {
+        let (n, t) = (5, 2);
+        for seed in 0..24u64 {
+            let mut bits = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut bit = move || {
+                bits ^= bits << 13;
+                bits ^= bits >> 7;
+                bits ^= bits << 17;
+                bits & 1 == 1
+            };
+            let flips: Vec<Value> = (0..16).map(|_| Value::from_bool(bit())).collect();
+            let x = Value::from_bool(bit());
+            let mut m = Agreement::new(ProcessorId::new(0), n, t, x, coins(&flips));
+            let mut model = MapModel {
+                id: 0,
+                quorum: n - t,
+                n,
+                coins: coins(&flips),
+                x,
+                stage: 1,
+                second_sent: false,
+                boards: BTreeMap::new(),
+            };
+            let mut said = m.start();
+            let mut expected = Vec::new();
+            model.send(AgreementMsg::First { stage: 1, value: x }, &mut expected);
+            // (peer, stages ahead of the machine, stages sent so far)
+            let mut peers = [(1usize, 1u64, 0u64), (2, 3, 0), (3, 0, 0)];
+            let mut most_spilled = 0;
+            let mut rng = rng_for(0, seed);
+            while m.stage() < 10 {
+                for (q, ahead, sent) in &mut peers {
+                    while *sent < m.stage() + *ahead {
+                        *sent += 1;
+                        let stage = *sent;
+                        if *q == 3 && bit() {
+                            continue; // a stage this peer never gets to us
+                        }
+                        let value = Value::from_bool(bit());
+                        for msg in [
+                            AgreementMsg::First { stage, value },
+                            AgreementMsg::Second { stage, value: None },
+                            // A conflicting repeat: the first one counts.
+                            AgreementMsg::First {
+                                stage,
+                                value: Value::from_bool(!value.as_bool()),
+                            },
+                            // A stale repeat: dropped by both.
+                            AgreementMsg::First {
+                                stage: stage.saturating_sub(4).max(1),
+                                value,
+                            },
+                        ] {
+                            m.ingest(ProcessorId::new(*q), msg);
+                            model.ingest(*q, msg);
+                        }
+                    }
+                }
+                most_spilled = most_spilled.max(m.boards.spill.len());
+                said.extend(m.poll(&mut rng));
+                expected.extend(model.poll());
+                assert_eq!(said, expected, "seed {seed}");
+                assert_eq!((m.stage(), m.local_value()), (model.stage, model.x));
+                for stage in m.stage() - 1..=m.stage() + 4 {
+                    let posts = model.boards.get(&stage);
+                    let Some(board) = m.boards.get(stage) else {
+                        assert!(posts.is_none(), "seed {seed}: stage {stage} lost");
+                        continue;
+                    };
+                    for p in ProcessorId::all(n) {
+                        let cell = posts.and_then(|b| b.get(&p.index())).copied();
+                        assert_eq!(
+                            (board.first_of(p), board.second_of(p)),
+                            cell.unwrap_or_default(),
+                            "seed {seed}: stage {stage}, {p}"
+                        );
+                    }
+                }
+            }
+            assert!(m.decision().is_none());
+            assert_eq!(most_spilled, 2, "stages 2 and 3 past the window");
+        }
     }
 
     #[test]

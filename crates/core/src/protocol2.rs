@@ -971,6 +971,53 @@ mod tests {
         assert_eq!(started.kinds[..], [first, second]);
     }
 
+    /// A processor restored inside Protocol 1's first stage re-sends its
+    /// stage-1 message and no other: there is no stage 0 to re-send
+    /// from, though the board ring's empty slots carry that tag.
+    #[test]
+    fn a_commit_machine_restored_at_stage_one_resends_only_stage_one() {
+        use rtc_model::{Delivery, LocalClock, Recoverable};
+
+        let c = cfg(3, 1);
+        let seeds = SeedCollection::new(12);
+        let mut procs = commit_population(c, &[Value::One; 3]);
+        let step = |auto: &mut CommitAutomaton, clock: u64, inbox: &[Delivery<CommitMsg>]| {
+            let mut rng = seeds.step_rng(auto.id(), LocalClock::new(clock));
+            auto.step(inbox, &mut rng)
+        };
+        let [p0, p1, p2] = &mut procs[..] else {
+            unreachable!("three processors")
+        };
+        let from = |q: usize, sends: &[rtc_model::Send<CommitMsg>]| {
+            Delivery::new(ProcessorId::new(q), sends[0].msg.clone())
+        };
+        let go = step(p0, 0, &[]);
+        let relay1 = step(p1, 0, &[from(0, &go)]);
+        let relay2 = step(p2, 0, &[from(0, &go)]);
+        step(p0, 1, &[from(1, &relay1), from(2, &relay2)]);
+        let vote1 = step(p1, 1, &[from(2, &relay2)]);
+        let vote2 = step(p2, 1, &[from(1, &relay1)]);
+        step(p0, 2, &[from(1, &vote1), from(2, &vote2)]);
+        assert_eq!(p0.agreement().map(Agreement::stage), Some(1));
+
+        let mut restored = CommitAutomaton::restore(&p0.snapshot());
+        let sends = step(&mut restored, 3, &[]);
+        assert!(!sends.is_empty(), "a rejoiner re-sends");
+        for send in &sends {
+            let agree: Vec<&CommitKind> = send
+                .msg
+                .kinds
+                .iter()
+                .filter(|kind| matches!(kind, CommitKind::Agree(_)))
+                .collect();
+            let first = CommitKind::Agree(AgreementMsg::First {
+                stage: 1,
+                value: Value::One,
+            });
+            assert_eq!(agree, [&first], "to {}: {:?}", send.to, send.msg);
+        }
+    }
+
     #[test]
     fn amnesiac_coordinator_does_not_restart_the_protocol() {
         use rtc_model::{LocalClock, Recoverable};

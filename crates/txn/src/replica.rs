@@ -117,17 +117,14 @@ impl Replica {
         initial: Store,
         batch: &[Transaction],
     ) -> Replica {
-        Replica::fresh(cfg, id, initial, share_batch(batch))
-    }
-
-    /// [`Replica::new`] over an already shared batch.
-    fn fresh(
-        cfg: CommitConfig,
-        id: ProcessorId,
-        initial: Store,
-        batch: Arc<[Transaction]>,
-    ) -> Replica {
-        Replica::from_log(cfg, id, initial, batch, Wal::new(), validated_vote)
+        Replica::from_log(
+            cfg,
+            id,
+            initial,
+            share_batch(batch),
+            Wal::new(),
+            validated_vote,
+        )
     }
 
     /// Creates the replica with explicit per-transaction votes
@@ -240,15 +237,16 @@ impl Replica {
     ///   never sent either (write-ahead ordering): a fresh participant
     ///   voting `first_vote`, logged before anything is sent.
     ///
-    /// A fresh replica is the empty-log case; [`Replica::recover`] is
-    /// the case where `first_vote` refuses.
+    /// `first_vote` is asked in slot order. A fresh replica is the
+    /// empty-log case, asked once per slot; [`Replica::recover`] is the
+    /// case where `first_vote` refuses.
     fn from_log(
         cfg: CommitConfig,
         id: ProcessorId,
         initial: Store,
         batch: Arc<[Transaction]>,
         mut wal: Wal,
-        first_vote: impl Fn(&Store, &Transaction) -> Value,
+        mut first_vote: impl FnMut(&Store, &Transaction) -> Value,
     ) -> Replica {
         let logged = wal.index().expect("recovering from a corrupt WAL");
         let slots: Vec<Slot> = batch
@@ -533,9 +531,12 @@ impl fmt::Debug for Replica {
 }
 
 /// Builds the replica population for a batch, all starting from the
-/// same initial store (votes via local validation). The store and the
-/// sorted batch are shared by the whole population, not copied per
-/// replica.
+/// same initial store (votes via local validation). The store, the
+/// sorted batch and the votes are shared by the whole population, not
+/// copied or recomputed per replica: every replica would validate the
+/// same transactions against the same image, so the batch is validated
+/// once and each replica is handed the votes in slot order. Each still
+/// logs its own votes. Replica `p` is [`Replica::new`] for `p`.
 ///
 /// # Panics
 ///
@@ -546,13 +547,25 @@ pub fn replica_population(
     batch: &[Transaction],
 ) -> Vec<Replica> {
     let batch = share_batch(batch);
+    let votes: Vec<Value> = batch.iter().map(|tx| validated_vote(initial, tx)).collect();
     ProcessorId::all(cfg.population())
-        .map(|p| Replica::fresh(cfg, p, initial.clone(), Arc::clone(&batch)))
+        .map(|p| {
+            let mut by_slot = votes.iter().copied();
+            Replica::from_log(
+                cfg,
+                p,
+                initial.clone(),
+                Arc::clone(&batch),
+                Wal::new(),
+                move |_, _| by_slot.next().expect("one vote per slot"),
+            )
+        })
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
     use rtc_model::{SeedCollection, TimingParams};
     use rtc_sim::adversaries::{RandomAdversary, SynchronousAdversary};
     use rtc_sim::{RunLimits, SimBuilder};
@@ -1079,15 +1092,7 @@ mod tests {
         stop: impl Fn(&[Replica]) -> bool,
     ) -> u64 {
         while !stop(replicas) && !replicas.iter().all(|r| r.status().is_decided()) {
-            let mut next = vec![Vec::new(); replicas.len()];
-            for (q, replica) in replicas.iter_mut().enumerate() {
-                let from = ProcessorId::new(q);
-                let mut rng = seeds.step_rng(from, rtc_model::LocalClock::new(round));
-                for send in replica.step(&inboxes[q], &mut rng) {
-                    next[send.to.index()].push(rtc_model::Delivery::new(from, send.msg));
-                }
-            }
-            *inboxes = next;
+            lockstep_round(replicas, inboxes, seeds, round);
             round += 1;
             assert!(round < 200, "the batch never decided");
         }
@@ -1184,5 +1189,108 @@ mod tests {
         let r = Replica::new(c, ProcessorId::new(0), Store::new(), &[]);
         assert!(r.status().is_decided());
         assert_eq!(r.batch_status().pending, Vec::<TxId>::new());
+    }
+
+    /// A store over keys `k0`–`k5` whose entries may name a key twice
+    /// (the later value stands), and a batch of up to twelve
+    /// transactions over the same keys, in shuffled id order: adds that
+    /// may overdraw their floor, puts, and transactions that touch one
+    /// key more than once.
+    fn store_and_batch() -> impl Strategy<Value = (Store, Vec<Transaction>)> {
+        let op = (any::<bool>(), 0..6u8, -60i64..60, -20i64..10).prop_map(|(put, k, a, b)| {
+            let key = format!("k{k}");
+            if put {
+                Op::Put { key, value: a }
+            } else {
+                Op::Add {
+                    key,
+                    delta: a,
+                    floor: b,
+                }
+            }
+        });
+        let entries = proptest::collection::vec((0..6u8, 0i64..100), 0..8);
+        let txs =
+            proptest::collection::vec((proptest::collection::vec(op, 1..5), any::<u64>()), 0..12);
+        (entries, txs).prop_map(|(entries, txs)| {
+            let mut ranked: Vec<(u64, Transaction)> = txs
+                .into_iter()
+                .zip(1u64..)
+                .map(|((ops, rank), id)| (rank, Transaction::new(id, ops)))
+                .collect();
+            ranked.sort_by_key(|(rank, _)| *rank);
+            let store = Store::with_entries(entries.into_iter().map(|(k, v)| (format!("k{k}"), v)));
+            (store, ranked.into_iter().map(|(_, tx)| tx).collect())
+        })
+    }
+
+    /// One lockstep round of a population: every replica steps once on
+    /// `inboxes`, which becomes what the round sent. Returns the sends,
+    /// by replica.
+    fn lockstep_round(
+        replicas: &mut [Replica],
+        inboxes: &mut Vec<Vec<rtc_model::Delivery<Vec<TxMsg>>>>,
+        seeds: &SeedCollection,
+        clock: u64,
+    ) -> Vec<Vec<rtc_model::Send<Vec<TxMsg>>>> {
+        let mut next = vec![Vec::new(); replicas.len()];
+        let mut sent = Vec::new();
+        for (q, replica) in replicas.iter_mut().enumerate() {
+            let from = ProcessorId::new(q);
+            let mut rng = seeds.step_rng(from, rtc_model::LocalClock::new(clock));
+            let sends = replica.step(&inboxes[q], &mut rng);
+            for send in &sends {
+                next[send.to.index()].push(rtc_model::Delivery::new(from, send.msg.clone()));
+            }
+            sent.push(sends);
+        }
+        *inboxes = next;
+        sent
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The population validates the batch once; replica `p` of it is
+        /// still `Replica::new` for `p`: the same votes, the same log,
+        /// the same batch status, and the same sends on every step of a
+        /// lockstep run to the end of the batch.
+        #[test]
+        fn a_population_is_its_replicas_built_one_by_one(
+            case in store_and_batch(),
+            n in 1usize..6,
+            seed in any::<u64>(),
+        ) {
+            let (store, batch) = case;
+            let c = cfg(n);
+            let mut shared = replica_population(c, &store, &batch);
+            let mut alone: Vec<Replica> = ProcessorId::all(n)
+                .map(|p| Replica::new(c, p, store.clone(), &batch))
+                .collect();
+            for (p, (a, b)) in shared.iter().zip(&alone).enumerate() {
+                for tx in &batch {
+                    prop_assert_eq!(a.wal().vote_of(tx.id), b.wal().vote_of(tx.id), "p{}", p);
+                    let validated = Value::from_bool(store.validates(tx));
+                    prop_assert_eq!(a.wal().vote_of(tx.id), Some(validated));
+                }
+                prop_assert_eq!(a.wal().records(), b.wal().records(), "p{}", p);
+                prop_assert_eq!(a.batch_status(), b.batch_status(), "p{}", p);
+            }
+            let seeds = SeedCollection::new(seed);
+            let (mut inbox_shared, mut inbox_alone) = (vec![Vec::new(); n], vec![Vec::new(); n]);
+            for clock in 0..200 {
+                if shared.iter().all(|r| r.status().is_decided()) {
+                    break;
+                }
+                let sent = lockstep_round(&mut shared, &mut inbox_shared, &seeds, clock);
+                let sent_alone = lockstep_round(&mut alone, &mut inbox_alone, &seeds, clock);
+                prop_assert_eq!(sent, sent_alone, "clock {}", clock);
+            }
+            for (a, b) in shared.iter().zip(&alone) {
+                prop_assert!(a.status().is_decided());
+                prop_assert_eq!(a.wal().records(), b.wal().records());
+                prop_assert_eq!(a.batch_status(), b.batch_status());
+            }
+        }
     }
 }
