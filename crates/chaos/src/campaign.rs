@@ -59,9 +59,9 @@ pub struct CampaignConfig {
     pub run_supervised: bool,
     /// Additionally execute schedules over real localhost sockets
     /// (`rtc-net`) under the supervisor, with every network fault —
-    /// including the socket-only connection resets — injected by the
-    /// nodes' readers on live TCP traffic. Off by default: each socket
-    /// run boots listeners, links, and readers, so it is orders of
+    /// including the socket-only connection resets — injected by each
+    /// node on the live TCP traffic it reads. Off by default: each
+    /// socket run boots listeners and connections, so it is orders of
     /// magnitude slower than a simulator pass.
     pub run_net: bool,
     /// Threads stealing chunks of schedules off the campaign's shared

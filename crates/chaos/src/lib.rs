@@ -20,7 +20,7 @@
 //!   `tick` of wall clock a tick (optionally under the self-healing
 //!   supervisor instead of the scripted restarts);
 //! * the socket substrate (`rtc-net`), where the same plan is injected
-//!   by each node's readers on live localhost TCP traffic — including
+//!   by each node on the live localhost TCP traffic it reads — including
 //!   connection resets, which only sockets can express — and recovery
 //!   is always the supervisor's ([`run_on_net`]).
 //!

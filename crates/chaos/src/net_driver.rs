@@ -2,8 +2,8 @@
 //!
 //! The schedule's [`rtc_runtime::FaultPlan`] is the one the threaded
 //! runtime runs, its ticks read as `NetOptions::tick` of wall clock,
-//! but here the plan's network faults are realized by each node's
-//! readers on the real TCP frames they decode, and its `reset_permille`
+//! but here the plan's network faults are realized by each node on the
+//! real TCP frames it decodes, and its `reset_permille`
 //! (inert on every other substrate) injects genuine connection resets
 //! that the links must survive through reconnect and replay. Recovery is always the
 //! supervisor's job: scripted restarts are ignored, exactly as in
@@ -22,8 +22,8 @@ use crate::schedule::ChaosSchedule;
 /// supervisor, classifying the outcome. Scripted restarts are ignored
 /// (the supervisor owns recovery); everything else in the schedule —
 /// crashes, delay regimes, outages, partitions, duplication, reordering,
-/// and the socket-only connection resets — is injected by the nodes'
-/// readers on live TCP traffic.
+/// and the socket-only connection resets — is injected by each node on
+/// the live TCP traffic it reads.
 ///
 /// Also returns the raw [`NetReport`] (socket-layer counters, per-node
 /// lateness) and the [`SupervisorReport`] for callers that want the

@@ -1,88 +1,90 @@
-//! The socket cluster: nodes on threads, links on TCP, faults where
-//! frames land.
+//! The socket cluster: each node one thread, its own sockets read and
+//! written inside its tick, faults where frames land.
 //!
 //! Topology per run, for `n` nodes and `m` commit instances:
 //!
 //! ```text
-//!  node i ── links[i][j] (sender thread: connect+accept, reconnect+backoff) ──► ...
-//!      ... ──► listener j ──► reader threads ──► inbox j ──► node j
-//!              (FaultRouter::route; held frames ──► delayer ──► inbox j)
+//!  boot (driving thread): bind n listeners; for each pair i < j,
+//!        connect i ─► listener j, accept (from the backlog)
+//!  node i, at its tick:
+//!    receive: read every peer socket until it would block ─► decode
+//!             ─► FaultRouter::route ─► due now: this step | held: node i's hold queue
+//!    step all m instances
+//!    flush:   one buffer per peer ─► write until it would block (the rest waits)
 //! ```
 //!
 //! The nodes themselves are the runtime's
 //! [`ClusterCore`](rtc_runtime::ClusterCore) — the same paced loop,
-//! crash snapshots, respawn and the lateness feed as the channel
-//! substrate, stepping all `m` instances once per tick. This module is
-//! what goes around it: listeners, readers, the link mesh, and
-//! [`TcpLinks`], which turns a tick of a node's sends into one buffer
-//! of frames per peer link.
+//! crash snapshots, respawn, hold queue and lateness feed as the
+//! channel substrate, stepping all `m` instances once per tick. This
+//! module is what goes around it: the listeners, one connection per
+//! unordered pair of nodes, and [`TcpLinks`], which reads a node's
+//! sockets at the start of its tick and writes them at the end. A run
+//! starts no thread but the nodes.
 //!
 //! The tick is the unit of I/O on both sides of a socket: a node's
-//! frames for one peer leave in one write per flush (the bytes and
-//! order on the link that one write per frame would put there), and a
-//! reader hands its node the complete frames of one read as one inbox
-//! item. Nothing polls: a link's thread is spawned by its first batch
-//! and accepts the connection it opens ([`Landing`]), links end when
-//! teardown drops their senders, readers at the EOF that follows.
+//! frames for one peer are one batch per tick, appended to the peer's
+//! buffer (the bytes and order on the link that one write per frame
+//! would put there), and a node reads whatever has arrived when its
+//! tick begins. Nothing blocks: a socket that would block keeps the
+//! rest for the node's next tick.
 //!
-//! * Each node owns one real [`TcpListener`]; reader threads outlive
-//!   node crashes, so frames that arrive while a node is down wait in
-//!   its inbox — the same eventual-delivery-across-crashes guarantee
-//!   the channel runtime gets from its shared inbox.
+//! * A node's sockets, unwritten bytes, replay rings and hold queue
+//!   belong to its slot, not to one incarnation. A crashed node reads
+//!   nothing, so frames sent to it wait in the kernel's receive buffers
+//!   and its successor reads them — the eventual-delivery-across-crashes
+//!   guarantee the channel runtime gets from its shared inbox.
 //! * All traffic crosses real sockets, so every link is subject to the
-//!   same faults. A reader applies the plan's network faults to the
-//!   frames it decodes through the runtime's [`FaultRouter`] — the
-//!   channel substrate's router and its one delayer thread — and a
-//!   reset closes its connection once the frames already read are
-//!   routed, a clean FIN the sender's replay ring recovers from.
+//!   same faults. A node applies the plan's network faults to the
+//!   frames it decodes through the runtime's [`FaultRouter`], and a
+//!   reset closes the connection once the frames already read are
+//!   routed. The lower-numbered end redials, the higher one polls its
+//!   listener while a connection is down, and both replay their ring.
 //! * Frames carry the instance tag. Each instance draws from its own
 //!   [`SeedCollection`], so instance `k` of a socket run is coin-for-
 //!   coin the population the simulator runs under seed `k`.
 
-use std::io::{self, ErrorKind, Read};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::io;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rtc_model::{Outbox, ProcessorId, Recoverable, SeedCollection, Wire, WireError};
+use rtc_model::{Outbox, ProcessorId, Recoverable, SeedCollection, Wire};
 use rtc_runtime::{
-    ClusterCore, ClusterReport, Envelope, FaultPlan, FaultRouter, Inbound, Links, SupervisorPolicy,
+    ClusterCore, ClusterReport, Envelope, FaultPlan, FaultRouter, Links, SupervisorPolicy,
     SupervisorReport,
 };
 
 use crate::options::{io_deadline, NetOptions};
-use crate::peer::{spawn_link, Batch, NetCounters, Peer};
-use crate::wire::{append_frame, try_decode_frame, Frame, HEADER};
+use crate::peer::{hello, Link, NetCounters};
+use crate::wire::{append_frame, Frame};
 
 /// Socket-layer totals for one run.
 #[derive(Clone, Debug, Default)]
 pub struct NetRunStats {
-    /// Frames link senders wrote to a socket.
+    /// Frames written whole to a socket, each counted once however
+    /// often a replay rewrites it.
     pub frames_sent: u64,
-    /// The socket writes that carried them: one per link per tick that
-    /// had anything to send.
+    /// The batches that carried them: one per link per tick that had
+    /// anything to send, however many socket writes it took.
     pub writes: u64,
-    /// Frames a link took in hand and never wrote, for one of two
-    /// reasons. *The link gave up*: its retry budget ran out
-    /// (`links_given_up` counts those links) and everything it was
-    /// handed from then on is dropped — frames somebody may have been
+    /// Frames a node filed for a peer and no socket took, for one of
+    /// two reasons. *The link gave up*: its retry budget ran out
+    /// (`links_given_up` counts those links) and everything filed for
+    /// it from then on is dropped — frames somebody may have been
     /// waiting for. *Teardown overtook the frame*: `finish` was called
-    /// while it was still queued, which the drivers do once every owed
-    /// decision is in, so nobody was waiting for it — typically the
-    /// last decider's decision broadcast; a link counts the whole batch
-    /// it had in hand, not what was queued behind it. With
-    /// `links_given_up` at zero every drop is of the second kind.
+    /// while the socket still had it to write, which the drivers do
+    /// once every owed decision is in, so nobody was waiting for it.
+    /// With `links_given_up` at zero every drop is of the second kind.
     pub frames_dropped: u64,
-    /// Successful re-establishments of a broken connection.
+    /// Successful redials of a broken connection.
     pub reconnects: u64,
     /// Links that gave up and marked their peer down.
     pub links_given_up: u64,
-    /// Connection resets the readers injected.
+    /// Connection resets the receiving nodes injected.
     pub resets_injected: u64,
     /// Deliveries classified by the lateness monitor.
     pub deliveries: u64,
@@ -143,35 +145,90 @@ impl NetReport {
     }
 }
 
-/// One peer link as its node sees it: the tick's frames so far, and,
-/// once a flush has spawned the link's thread, its channel and the
-/// buffers it hands back.
-#[derive(Default)]
-struct Outgoing {
-    batch: Batch,
-    running: Option<(Sender<Batch>, Receiver<Vec<u8>>)>,
+/// The socket substrate's [`Links`]: what every node's end shares.
+#[derive(Debug)]
+struct TcpLinks {
+    router: FaultRouter,
+    counters: Arc<NetCounters>,
+    /// Where node `j` listens, for redials.
+    addrs: Vec<SocketAddr>,
+    io_deadline: Duration,
+    policy: SupervisorPolicy,
 }
 
-/// Node `i`'s side of its `n` peer links (toward each node's
-/// listener), and the encoding of the broadcast being filed.
-struct Outbound {
+/// Node `i`'s end of the mesh: its listener, its link to each peer, and
+/// what it needs to file and route frames.
+#[derive(Debug)]
+struct TcpEnd {
+    /// Non-blocking; polled only while a link to a lower-numbered peer
+    /// is down.
+    listener: TcpListener,
+    /// `links[j]`: the connection to node `j`; `links[i]` carries
+    /// nothing.
+    links: Vec<Link>,
+    /// The broadcast being filed, encoded once.
     body: Vec<u8>,
-    links: Vec<Outgoing>,
+    /// Fault dice for the frames this node reads.
+    dice: SmallRng,
 }
 
-/// The socket substrate's [`Links`]. Only node `i` locks `nodes[i]`.
-struct TcpLinks<M> {
-    nodes: Vec<Mutex<Outbound>>,
-    /// Where links to node `j` connect.
-    landings: Vec<Arc<Landing<M>>>,
+impl TcpEnd {
+    /// Node `me` takes each connection its listener holds for the link
+    /// it names: a lower-numbered peer redials the links that are down.
+    fn accept(&mut self, me: usize, io_deadline: Duration) {
+        if self.links[..me].iter().all(|l| l.stream.is_some()) {
+            return;
+        }
+        while let Ok((stream, _)) = self.listener.accept() {
+            // A connection that closes before its hello, or names no
+            // peer that dials this node, is dropped.
+            match hello(&stream, io_deadline) {
+                Ok(j) if j < me => self.links[j].attach(stream),
+                _ => {}
+            }
+        }
+    }
 }
 
-impl<M: Wire + Clone + Send + 'static> Links<M> for TcpLinks<M> {
-    fn send(&self, step: Envelope<&Outbox<M>>, n: usize) {
-        let mut node = self.nodes[step.from.index()]
-            .lock()
-            .expect("no node panics holding its links");
-        let Outbound { body, links } = &mut *node;
+impl<M: Wire + Clone + Send + 'static> Links<M> for TcpLinks {
+    type End = TcpEnd;
+
+    fn receive(
+        &self,
+        end: &mut TcpEnd,
+        to: ProcessorId,
+        now: Instant,
+        mut land: impl FnMut(Instant, Envelope<M>),
+    ) {
+        end.accept(to.index(), self.io_deadline);
+        let TcpEnd { links, dice, .. } = end;
+        for link in links.iter_mut() {
+            let open = link.receive();
+            if link.inbound.pending() == 0 && open {
+                continue;
+            }
+            let mut reset = false;
+            let poisoned = link
+                .inbound
+                .drain(|env| reset |= self.router.route(env, to, now, dice, &mut land))
+                .is_err();
+            if reset {
+                self.counters
+                    .resets_injected
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            if reset || poisoned || !open {
+                // A reset is a clean close behind the frames already
+                // read; a poisoned stream cannot be resynchronised; a
+                // closed one is gone. Either way the lower-numbered end
+                // redials and both replay.
+                link.detach();
+            }
+        }
+    }
+
+    fn send(&self, end: &mut TcpEnd, step: Envelope<&Outbox<M>>, n: usize) {
+        let TcpEnd { body, links, .. } = end;
         let header = Frame {
             from: step.from,
             instance: step.instance as u32,
@@ -182,219 +239,57 @@ impl<M: Wire + Clone + Send + 'static> Links<M> for TcpLinks<M> {
         let direct = step.msg.direct();
         body.clear();
         for (to, msg) in step.msg.sends(step.from, n) {
-            let batch = &mut links[to.index()].batch;
+            let out = &mut links[to.index()].outbound;
             if direct.iter().any(|s| std::ptr::eq(&s.msg, msg)) {
-                append_frame(&mut batch.bytes, &header, msg);
+                append_frame(&mut out.bytes, &header, msg);
             } else {
                 // A frame names no destination, so the broadcast is
                 // encoded once and copied.
                 if body.is_empty() {
                     append_frame(body, &header, msg);
                 }
-                batch.bytes.extend_from_slice(body);
+                out.bytes.extend_from_slice(body);
             }
-            batch.frames += 1;
+            out.open += 1;
         }
     }
 
-    fn flush(&self, from: ProcessorId) {
-        let mut node = self.nodes[from.index()]
-            .lock()
-            .expect("no node panics holding its links");
-        let links = node.links.iter_mut().enumerate();
-        for (j, link) in links.filter(|(_, l)| l.batch.frames > 0) {
-            let (tx, spare) = link
-                .running
-                .get_or_insert_with(|| self.landings[j].spawn_link(from.index()));
-            // A recycled buffer; before the link has returned one, a
-            // new one as large as the tick it stands in for — one
-            // allocation, not a doubling chain per buffer.
-            let fresh = Batch {
-                bytes: spare
-                    .try_recv()
-                    .unwrap_or_else(|_| Vec::with_capacity(link.batch.bytes.len())),
-                frames: 0,
-            };
-            // A send can fail only during teardown.
-            let _ = tx.send(std::mem::replace(&mut link.batch, fresh));
+    fn flush(&self, end: &mut TcpEnd, from: ProcessorId) {
+        let me = from.index();
+        for (j, link) in end.links.iter_mut().enumerate().filter(|(j, _)| *j != me) {
+            let dial = (me < j).then(|| (&self.addrs[j], me));
+            link.flush(dial, self.io_deadline, &self.policy, &self.counters);
         }
     }
 }
 
-/// Decodes every complete frame in `buf`, in order, into `land`, and
-/// removes their bytes, once, leaving a torn tail for the next read to
-/// complete.
-///
-/// # Errors
-///
-/// A frame that fails to decode poisons the stream; the frames before
-/// it have landed.
-fn drain_frames<M: Wire>(
-    buf: &mut Vec<u8>,
-    mut land: impl FnMut(Envelope<M>),
-) -> Result<(), WireError> {
-    let mut at = 0;
-    let outcome = loop {
-        match try_decode_frame::<M>(&buf[at..]) {
-            Ok(Some((frame, used))) => {
-                at += used;
-                land(Envelope {
-                    from: frame.from,
-                    instance: frame.instance as usize,
-                    sent_at_tick: frame.sent_at_tick,
-                    sent_event: frame.sent_event,
-                    msg: frame.msg,
-                });
-            }
-            Ok(None) => break Ok(()),
-            Err(e) => break Err(e),
-        }
-    };
-    buf.drain(..at);
-    outcome
-}
-
-/// Node `to`'s listener, and what the links that connect to it and
-/// the readers of its connections share.
-struct Landing<M> {
-    to: ProcessorId,
-    listener: TcpListener,
-    inbox: Sender<Inbound<M>>,
-    router: Arc<FaultRouter<M>>,
-    counters: Arc<NetCounters>,
-    done: Arc<AtomicBool>,
+/// Opens one connection to `listener`, at `addr`, and accepts it. The
+/// connect completes from the listen backlog, so the accept returns at
+/// once and no thread waits on either end.
+fn connect_pair(
+    addr: &SocketAddr,
+    listener: &TcpListener,
     io_deadline: Duration,
-    /// Keys each reader's fault dice, with the run's connection number.
-    seed: u64,
-    /// The links to this node and the readers of its connections, for
-    /// `finish` to join.
-    threads: Mutex<Vec<JoinHandle<()>>>,
-}
-
-impl<M: Wire + Clone + Send + 'static> Landing<M> {
-    /// Spawns the link from node `from` to this node.
-    fn spawn_link(self: &Arc<Self>, from: usize) -> (Sender<Batch>, Receiver<Vec<u8>>) {
-        let (tx, rx) = channel();
-        let (spare_tx, spare) = channel();
-        let policy = SupervisorPolicy::default();
-        let link = spawn_link(
-            Arc::clone(self),
-            rx,
-            spare_tx,
-            policy,
-            self.io_deadline,
-            Arc::clone(&self.done),
-            Arc::clone(&self.counters),
-            policy.seed ^ ((from as u64) << 32) ^ self.to.index() as u64,
-        );
-        self.counters.links_spawned.fetch_add(1, Ordering::Relaxed);
-        self.threads
-            .lock()
-            .expect("no thread panics spawning")
-            .push(link);
-        (tx, spare)
+) -> io::Result<(TcpStream, TcpStream)> {
+    let near = TcpStream::connect_timeout(addr, io_deadline)?;
+    let (far, _) = listener.accept()?;
+    for stream in [&near, &far] {
+        stream.set_nodelay(true)?;
+        stream.set_nonblocking(true)?;
     }
+    Ok((near, far))
 }
 
-/// A link connects, then accepts one connection and starts its reader
-/// (dice of its own, so links do not fault in lockstep). Each link
-/// accepts once per connect, after it, so the accept never waits; it may
-/// take another link's connection, which is fine: frames name senders.
-impl<M: Wire + Clone + Send + 'static> Peer for Arc<Landing<M>> {
-    fn connect(&self, deadline: Duration) -> io::Result<TcpStream> {
-        let stream = TcpStream::connect_timeout(&self.listener.local_addr()?, deadline)?;
-        let (conn, _) = self.listener.accept()?;
-        let conn_no = self.counters.accepted.fetch_add(1, Ordering::Relaxed) + 1;
-        let rng = SmallRng::seed_from_u64(self.seed ^ conn_no.wrapping_mul(0x9E37_79B9));
-        let landing = Arc::clone(self);
-        let reader = thread::spawn(move || read_frames(conn, &landing, rng));
-        self.threads
-            .lock()
-            .expect("no thread panics spawning")
-            .push(reader);
-        Ok(stream)
-    }
-}
-
-/// Joins every thread in `threads`, and any a joined link adds.
-fn join_all(threads: &Mutex<Vec<JoinHandle<()>>>) {
-    loop {
-        let Some(h) = threads.lock().expect("no thread panics spawning").pop() else {
-            return;
-        };
-        let _ = h.join();
-    }
-}
-
-/// Reads frames off one connection until EOF, error, reset or
-/// teardown; readers outlive node crashes, so the inbox keeps filling
-/// while the node is down. Reads accumulate in a buffer parsed at frame
-/// boundaries, so a read deadline can never tear a frame. The frames of
-/// one read are routed on `rng`'s dice at one `at`, and those due now
-/// are one inbox item.
-fn read_frames<M: Wire + Clone + Send + 'static>(
-    mut stream: TcpStream,
-    landing: &Landing<M>,
-    mut rng: SmallRng,
-) {
-    // EOF ends a reader — its link closes at teardown; the deadline is
-    // for a peer that goes quiet without closing.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        if landing.done.load(Ordering::Relaxed) {
-            return;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return, // peer closed
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                // No frame is shorter than its header: one allocation
-                // holds whatever this read completed.
-                let mut batch = Vec::with_capacity(buf.len() / (4 + HEADER));
-                let (at, mut reset) = (landing.router.elapsed(), false);
-                let poisoned = drain_frames(&mut buf, |env| {
-                    let (now, tear) = landing.router.route(env, landing.to, at, &mut rng);
-                    batch.extend(now);
-                    reset |= tear;
-                })
-                .is_err();
-                if !batch.is_empty() {
-                    let _ = landing.inbox.send(Inbound::Msgs(batch));
-                }
-                if reset {
-                    landing
-                        .counters
-                        .resets_injected
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                if reset || poisoned {
-                    // A reset is a clean close behind the frames already
-                    // read; a poisoned stream cannot be resynchronised.
-                    // Either way the sender reconnects and replays.
-                    return;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-            Err(_) => return,
-        }
-    }
-}
-
-/// A booted socket cluster: listeners bound and node threads running,
-/// ready to be driven by a monitor loop — sockets around the runtime's
-/// [`ClusterCore`]. Links and readers start with the traffic.
+/// A booted socket cluster: listeners bound, one connection per pair of
+/// nodes open, and node threads running, ready to be driven by a
+/// monitor loop — sockets around the runtime's
+/// [`ClusterCore`].
 pub struct NetClusterCore<A: Recoverable + Send + 'static>
 where
     A::Msg: Wire + Send + 'static,
 {
-    core: ClusterCore<A, TcpLinks<A::Msg>>,
+    core: ClusterCore<A, TcpLinks>,
     counters: Arc<NetCounters>,
-    /// Each node's listener, links and readers.
-    landings: Vec<Arc<Landing<A::Msg>>>,
-    /// The readers' fault router, finished once they have all exited.
-    router: Arc<FaultRouter<A::Msg>>,
 }
 
 impl<A: Recoverable + Send + 'static> std::fmt::Debug for NetClusterCore<A>
@@ -413,7 +308,8 @@ where
     A: Recoverable + Send + 'static,
     A::Msg: Wire + Send + 'static,
 {
-    /// Binds listeners and spawns the first incarnation of every node.
+    /// Binds listeners, connects every pair of nodes on the calling
+    /// thread, and spawns the first incarnation of every node.
     ///
     /// `instances[k]` is the population of commit instance `k` (all the
     /// same length `n`, in processor order); `seeds[k]` is instance
@@ -422,8 +318,8 @@ where
     /// # Panics
     ///
     /// Panics when `instances` is empty or ragged, when `seeds` does
-    /// not match it, or when a localhost socket cannot be bound (the
-    /// substrate cannot exist without its sockets).
+    /// not match it, or when a localhost socket cannot be bound or
+    /// connected (the substrate cannot exist without its sockets).
     pub fn boot(
         instances: Vec<Vec<A>>,
         seeds: Vec<SeedCollection>,
@@ -437,52 +333,55 @@ where
             "one seed collection per instance"
         );
         let n = instances[0].len();
-        let done = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(NetCounters::default());
-        let inboxes: Vec<_> = (0..n).map(|_| channel()).collect();
-        let inbox_tx = inboxes.iter().map(|(tx, _)| tx.clone()).collect();
-        let router = Arc::new(FaultRouter::new(
-            faults.clone(),
-            opts.tick,
-            inbox_tx,
-            Arc::clone(&done),
-        ));
-        let landings: Vec<_> = inboxes
+        let deadline = io_deadline(opts);
+        let policy = SupervisorPolicy::default();
+        let listeners: Vec<TcpListener> = (0..n)
+            .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind node listener on localhost"))
+            .collect();
+        let addrs: Vec<SocketAddr> = listeners
             .iter()
+            .map(|l| l.local_addr().expect("a bound listener has an address"))
+            .collect();
+        let mut links: Vec<Vec<Link>> = (0..n)
+            .map(|i| {
+                let seed = |j: usize| policy.seed ^ ((i as u64) << 32) ^ j as u64;
+                (0..n).map(|j| Link::new(seed(j))).collect()
+            })
+            .collect();
+        // One connection per pair, dialled by the lower-numbered node.
+        for (i, j) in (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j))) {
+            let (near, far) = connect_pair(&addrs[j], &listeners[j], deadline)
+                .expect("connect two localhost nodes");
+            links[i][j].stream = Some(near);
+            links[j][i].stream = Some(far);
+            counters.connects.fetch_add(1, Ordering::Relaxed);
+        }
+        let ends = listeners
+            .into_iter()
+            .zip(links)
             .enumerate()
-            .map(|(j, (inbox, _))| {
-                Arc::new(Landing {
-                    to: ProcessorId::new(j),
-                    listener: TcpListener::bind("127.0.0.1:0")
-                        .expect("bind node listener on localhost"),
-                    inbox: inbox.clone(),
-                    router: Arc::clone(&router),
-                    counters: Arc::clone(&counters),
-                    done: Arc::clone(&done),
-                    io_deadline: io_deadline(opts),
-                    seed: seeds[0].master() ^ (0xFA157 + j as u64),
-                    threads: Mutex::default(),
-                })
+            .map(|(i, (listener, links))| {
+                listener
+                    .set_nonblocking(true)
+                    .expect("a bound listener goes non-blocking");
+                TcpEnd {
+                    listener,
+                    links,
+                    body: Vec::new(),
+                    dice: SmallRng::seed_from_u64(seeds[0].master() ^ (0xFA157 + i as u64)),
+                }
             })
             .collect();
         let tcp = TcpLinks {
-            nodes: (0..n)
-                .map(|_| {
-                    Mutex::new(Outbound {
-                        body: Vec::new(),
-                        links: (0..n).map(|_| Outgoing::default()).collect(),
-                    })
-                })
-                .collect(),
-            landings: landings.clone(),
+            router: FaultRouter::new(faults.clone(), opts.tick),
+            counters: Arc::clone(&counters),
+            addrs,
+            io_deadline: deadline,
+            policy,
         };
-        let core = ClusterCore::boot(instances, seeds, &faults, opts, done, inboxes, tcp);
-        NetClusterCore {
-            core,
-            counters,
-            landings,
-            router,
-        }
+        let core = ClusterCore::boot(instances, seeds, &faults, opts, tcp, ends);
+        NetClusterCore { core, counters }
     }
 
     /// Whether every node that is not currently down holds a decision
@@ -491,22 +390,19 @@ where
         self.core.all_owing_decided()
     }
 
-    /// Stops every thread and assembles the report. The order makes it
-    /// prompt, and nothing is connected to: the core stops the nodes
-    /// and drops the links' senders, so every link thread returns and
-    /// closes its socket; the readers are at EOF by the time they are
-    /// joined, and then the router they shared ends its delayer.
+    /// Stops every node and assembles the report. Nothing is waited out
+    /// and nothing is connected to: the core unparks and joins the
+    /// nodes, then every socket closes with its node's end. Frames no
+    /// socket had taken by then count as dropped.
     pub fn finish(self, recovered: Vec<bool>, decided_in_time: bool) -> NetReport {
-        let NetClusterCore {
-            core,
-            counters,
-            landings,
-            router,
-        } = self;
-        let instances = core.finish(recovered, decided_in_time, || {
-            landings.into_iter().for_each(|l| join_all(&l.threads));
-            let router = Arc::into_inner(router).expect("every reader has exited");
-            router.finish() + counters.frames_dropped.load(Ordering::Relaxed)
+        let NetClusterCore { core, counters } = self;
+        let instances = core.finish(recovered, decided_in_time, |_, ends| {
+            let unsent: u64 = ends
+                .into_iter()
+                .flat_map(|end| end.links)
+                .map(|mut link| link.outbound.drop_unsent())
+                .sum();
+            counters.frames_dropped.fetch_add(unsent, Ordering::Relaxed) + unsent
         });
         let stats = NetRunStats {
             frames_sent: counters.frames_sent.load(Ordering::Relaxed),
@@ -528,7 +424,7 @@ where
 ///
 /// `instances[k]` is instance `k`'s population in processor order;
 /// `seeds[k]` its seed collection. Network faults in the plan are
-/// applied to real frames by the readers they land in; crashes take
+/// applied to real frames by the nodes that read them; crashes take
 /// down the node process-wide (all instances at once), restarts revive
 /// it.
 pub fn run_net_cluster<A>(
@@ -573,7 +469,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Instant;
+    use std::sync::Mutex;
+    use std::thread;
+
+    use crate::peer::Incoming;
 
     use rtc_core::{commit_population, CommitAutomaton, CommitConfig, CommitMsg};
     use rtc_model::{Decision, TimingParams, Value};
@@ -615,12 +514,18 @@ mod tests {
             };
             batch.iter().map(frame).collect()
         };
+        // Feeds `bytes` to `inbound` as reads, then decodes.
+        let feed = |inbound: &mut Incoming, batch: &mut Vec<_>, mut bytes: &[u8]| {
+            while !bytes.is_empty() {
+                assert!(inbound.read_from(&mut bytes), "a slice reads to its end");
+            }
+            inbound.drain(|env| batch.push(env)).expect("valid frames");
+        };
         // One feed per frame: the reference.
-        let (mut buf, mut batch) = (Vec::new(), Vec::new());
+        let (mut inbound, mut batch) = (Incoming::default(), Vec::new());
         for bytes in &encoded {
-            buf.extend_from_slice(bytes);
-            drain_frames(&mut buf, |env| batch.push(env)).expect("valid frames");
-            assert!(buf.is_empty());
+            feed(&mut inbound, &mut batch, bytes);
+            assert_eq!(inbound.pending(), 0);
         }
         assert_eq!(seen(&batch), frames);
         // The first k frames in one stream, split in two reads at every
@@ -629,9 +534,8 @@ mod tests {
         for k in 1..=encoded.len() {
             let stream = encoded[..k].concat();
             for cut in 0..=stream.len() {
-                let (mut buf, mut batch) = (Vec::new(), Vec::new());
-                buf.extend_from_slice(&stream[..cut]);
-                drain_frames(&mut buf, |env| batch.push(env)).expect("valid frames");
+                let (mut inbound, mut batch) = (Incoming::default(), Vec::new());
+                feed(&mut inbound, &mut batch, &stream[..cut]);
                 let whole = encoded[..k]
                     .iter()
                     .scan(0, |end, bytes| {
@@ -641,9 +545,8 @@ mod tests {
                     .filter(|end| *end <= cut)
                     .count();
                 assert_eq!(batch.len(), whole, "k = {k}, cut at {cut}");
-                buf.extend_from_slice(&stream[cut..]);
-                drain_frames(&mut buf, |env| batch.push(env)).expect("valid frames");
-                assert!(buf.is_empty(), "k = {k}, cut at {cut}");
+                feed(&mut inbound, &mut batch, &stream[cut..]);
+                assert_eq!(inbound.pending(), 0, "k = {k}, cut at {cut}");
                 assert_eq!(seen(&batch), frames[..k], "k = {k}, cut at {cut}");
             }
         }
@@ -651,9 +554,9 @@ mod tests {
 
     #[test]
     fn finish_does_not_wait_out_a_tick() {
-        // Nodes parked in a 50 ms tick, links in their idle wait,
-        // readers in `read`: `finish` wakes each instead of waiting any
-        // of them out.
+        // Every node is parked in a 50 ms tick when `finish` is called:
+        // it wakes each instead of waiting any of them out, and there is
+        // no other thread to wait for.
         let c = cfg(3);
         let mut slow = NetOptions::derived(Duration::from_millis(50), TimingParams::default());
         slow.wall_timeout = Duration::from_secs(30);
@@ -825,31 +728,175 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_fault_free_round_footprint() {
-        // n = 3: six links carry traffic, each opens one connection and
-        // accepts one, and the three self-links never spawn. Every
-        // connection is opened by a link, which accepts one right
-        // after, so the accept count is the count of connections.
+    /// Boots a commit round of three nodes under `plan`, waits for
+    /// every decision, and returns the round's thread count, its
+    /// connection count before and after `finish`, and the report.
+    fn round_footprint(seed: u64, plan: FaultPlan) -> (u64, u64, u64, NetReport) {
         let c = cfg(3);
         let net = NetClusterCore::boot(
             vec![commit_population(c, &[Value::One; 3])],
-            vec![SeedCollection::new(15)],
-            FaultPlan::none(),
+            vec![SeedCollection::new(seed)],
+            plan,
             &opts(),
         );
-        let counters = Arc::clone(&net.counters);
-        let accepted = || counters.accepted.load(Ordering::Relaxed);
         let wait = Instant::now();
-        while !(net.all_owing_decided() && accepted() >= 6) {
+        while !net.all_owing_decided() {
             assert!(wait.elapsed() < Duration::from_secs(20), "{net:?}");
             thread::sleep(Duration::from_millis(1));
         }
+        let threads = net.core.threads_spawned();
+        let counters = Arc::clone(&net.counters);
+        let connects = || counters.connects.load(Ordering::Relaxed);
+        let before = connects();
         let report = net.finish(vec![false; 3], true);
         assert!(report.all_decided(), "{report:?}");
-        // `finish` opened no connection and started no link.
-        assert_eq!(accepted(), 6);
-        assert_eq!(counters.links_spawned.load(Ordering::Relaxed), 6);
+        (threads, before, connects(), report)
+    }
+
+    #[test]
+    fn a_fault_free_round_footprint() {
+        // n = 3: three threads, one per node and nothing else, and one
+        // connection per pair of nodes, all opened at boot; `finish`
+        // opens none.
+        let (threads, before, after, report) = round_footprint(15, FaultPlan::none());
+        assert_eq!(threads, 3);
+        assert_eq!(before, 3);
+        assert_eq!(after, 3);
+        assert_eq!(report.stats.reconnects, 0);
+    }
+
+    #[test]
+    fn network_faults_start_no_thread_over_sockets() {
+        // Delays, duplicates, reorders, a healing partition and resets
+        // hold frames and tear connections, and still the round runs on
+        // its three node threads: the holds wait in the nodes' queues,
+        // and the redials are the nodes' own.
+        let plan = FaultPlan::none()
+            .with_delay(rtc_runtime::DelayModel::Spike {
+                permille: 200,
+                spike: 2,
+            })
+            .with_duplication(300)
+            .with_reordering(300)
+            .with_partition(vec![0, 1, 1], 0, 3)
+            .with_resets(150);
+        let (threads, before, after, report) = round_footprint(32, plan);
+        assert_eq!(threads, 3);
+        assert!(report.stats.resets_injected > 0, "{:?}", report.stats);
+        // Every redial is one connection, and `finish` opens none.
+        assert_eq!(before, 3 + report.stats.reconnects);
+        assert_eq!(after, before);
+    }
+
+    /// A step count on the wire: eight bytes.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Count(u64);
+
+    impl Wire for Count {
+        fn encode(&self, buf: &mut Vec<u8>) {
+            buf.extend_from_slice(&self.0.to_le_bytes());
+        }
+
+        fn decode(bytes: &[u8]) -> Result<Count, rtc_model::WireError> {
+            let bytes: [u8; 8] = bytes
+                .try_into()
+                .map_err(|_| rtc_model::WireError::Truncated)?;
+            Ok(Count(u64::from_le_bytes(bytes)))
+        }
+    }
+
+    /// Node 0 sends node 1 its step count at every step; node 1 logs,
+    /// at each of its own steps, every count it heard. The log is
+    /// shared, so a successor restored from a snapshot logs into it
+    /// too.
+    #[derive(Clone, Debug)]
+    struct Tally {
+        id: ProcessorId,
+        steps: u64,
+        heard: Arc<Mutex<Vec<(u64, u64)>>>,
+    }
+
+    impl rtc_model::Automaton for Tally {
+        type Msg = Count;
+
+        fn id(&self) -> ProcessorId {
+            self.id
+        }
+
+        fn population(&self) -> usize {
+            2
+        }
+
+        fn step_into<'a>(
+            &mut self,
+            inbox: impl Iterator<Item = (ProcessorId, &'a Count)>,
+            _rng: &mut rtc_model::StepRng,
+            out: &mut Outbox<Count>,
+        ) {
+            let mut heard = self.heard.lock().unwrap();
+            heard.extend(inbox.map(|(_, c)| (self.steps, c.0)));
+            if self.id == ProcessorId::COORDINATOR {
+                out.send(ProcessorId::new(1), Count(self.steps));
+            }
+            self.steps += 1;
+        }
+
+        fn status(&self) -> rtc_model::Status {
+            rtc_model::Status::Undecided
+        }
+    }
+
+    impl Recoverable for Tally {
+        type Snapshot = Tally;
+
+        fn snapshot(&self) -> Tally {
+            self.clone()
+        }
+
+        fn restore(snapshot: &Tally) -> Tally {
+            snapshot.clone()
+        }
+    }
+
+    #[test]
+    fn frames_sent_to_a_crashed_node_reach_its_successor_over_sockets() {
+        // p1 crashes at its step 3 (about 7 ms in) and its snapshot
+        // successor starts at tick 30 (60 ms). p0 sends it a count at
+        // every step meanwhile: nobody reads p1's socket, so the frames
+        // wait in the kernel's receive buffer, and the successor's
+        // first step reads them all. Every count arrives exactly once,
+        // in order, and is a classified delivery.
+        const CRASH: u64 = 3;
+        let heard = Arc::new(Mutex::new(Vec::new()));
+        let population = (0..2)
+            .map(|i| Tally {
+                id: ProcessorId::new(i),
+                steps: 0,
+                heard: Arc::clone(&heard),
+            })
+            .collect();
+        let mut o = NetOptions::derived(Duration::from_millis(2), TimingParams::default());
+        o.wall_timeout = Duration::from_millis(120);
+        let plan = FaultPlan::none()
+            .with_crash(ProcessorId::new(1), CRASH)
+            .with_restart(ProcessorId::new(1), 30, true);
+        let report = run_net_cluster(vec![population], vec![SeedCollection::new(43)], plan, o);
+        let inst = &report.instances[0];
+        assert!(inst.crashed[1] && inst.recovered[1], "{report:?}");
+        let heard = heard.lock().unwrap().clone();
+        let counts: Vec<u64> = heard.iter().map(|(_, c)| *c).collect();
+        assert_eq!(
+            counts,
+            (0..counts.len() as u64).collect::<Vec<_>>(),
+            "{heard:?}"
+        );
+        let backlog = heard.iter().filter(|(step, _)| *step == CRASH).count();
+        assert!(
+            backlog > 10,
+            "the successor's first step read {backlog}: {heard:?}"
+        );
+        assert!(counts.len() > 30, "{heard:?}");
+        assert_eq!(report.stats.deliveries, heard.len() as u64, "{report:?}");
         assert_eq!(report.stats.reconnects, 0);
     }
 
@@ -1008,9 +1055,9 @@ mod tests {
     #[test]
     fn outage_past_run_end_is_counted_not_dropped() {
         // The p0–p1 cut lasts far beyond the run (2 000 000 ticks, over
-        // half an hour), so frames the readers hold for it can never
-        // land; the report must account for them instead of silently
-        // dropping them.
+        // half an hour), so frames the receiving nodes hold for it can
+        // never land; the report must account for them instead of
+        // silently dropping them.
         let c = cfg(3);
         let mut o = opts();
         o.wall_timeout = Duration::from_millis(500);
@@ -1030,7 +1077,7 @@ mod tests {
             inst.messages_undelivered > 0,
             "held frames must be counted: {report:?}"
         );
-        // Not only frames teardown overtook in a link: the delayer's.
+        // Not only frames teardown overtook in a link: the nodes' holds.
         assert!(
             inst.messages_undelivered > report.stats.frames_dropped,
             "{report:?}"

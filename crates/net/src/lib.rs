@@ -10,23 +10,27 @@
 //!
 //! What the sockets add that channels cannot model:
 //!
-//! * **Connection faults.** A link can be reset under the protocol; the
-//!   sender runs a bounded reconnect loop (exponential backoff with
-//!   seeded jitter, borrowed from the supervisor's
+//! * **Connection faults.** A connection can be reset under the
+//!   protocol; its lower-numbered end redials, paced by a bounded
+//!   backoff (exponential with seeded jitter, borrowed from the
+//!   supervisor's
 //!   [`SupervisorPolicy::backoff`](rtc_runtime::SupervisorPolicy::backoff)
-//!   formula) and marks the peer down when its retry budget runs out.
-//! * **Deadline-bounded I/O.** Every connect, read, and write carries a
-//!   deadline derived from the model's timing constants
-//!   (`tick × 8K`, the failure-free decision bound) instead of blocking
-//!   forever. [`NetOptions`] are the runtime's own pacing options; the
-//!   deadline is derived from them, not set.
-//! * **Faults where frames land.** Each node's readers apply the
+//!   formula), marks the peer down when its retry budget runs out, and
+//!   both ends replay their most recent frames.
+//! * **Non-blocking, deadline-bounded I/O.** Each node is the only
+//!   thread of its processor and does its own socket I/O inside its
+//!   tick: it reads what has arrived and writes what the kernel will
+//!   take, keeping the rest for its next tick. Every connect carries a
+//!   deadline derived from the model's timing constants (`tick × 8K`,
+//!   the failure-free decision bound). [`NetOptions`] are the runtime's
+//!   own pacing options; the deadline is derived from them, not set.
+//! * **Faults where frames land.** Each node applies the
 //!   [`FaultPlan`](rtc_runtime::FaultPlan)'s network faults to the real
-//!   frames they decode, through the runtime's own
-//!   [`FaultRouter`](rtc_runtime::FaultRouter) and delayer — partitions
-//!   that heal, delay spikes, duplication, reordering — plus the
-//!   socket-only connection reset, a clean close behind the frames
-//!   already read.
+//!   frames it decodes, through the runtime's own
+//!   [`FaultRouter`](rtc_runtime::FaultRouter), holding what they delay
+//!   in its own queue — partitions that heal, delay spikes,
+//!   duplication, reordering — plus the socket-only connection reset, a
+//!   close behind the frames already read.
 //!
 //! Many commit instances multiplex over one connection mesh: frames
 //! carry an instance tag, and each node steps every instance once per

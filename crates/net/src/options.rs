@@ -5,9 +5,10 @@ use std::time::Duration;
 use rtc_runtime::ClusterOptions;
 
 /// Options for a socket cluster run: the runtime's pacing knobs. The
-/// socket I/O deadline is not one of them: every connect, read and
-/// write is bounded by `tick × 8K` (floored at 25ms), derived from
-/// these options when the cluster boots.
+/// socket I/O deadline is not one of them: every connect (and a
+/// redial's hello) is bounded by `tick × 8K` (floored at 25ms), derived
+/// from these options when the cluster boots; reads and writes do not
+/// block at all.
 pub type NetOptions = ClusterOptions;
 
 /// Floor for the I/O deadline: below this, scheduler noise on a loaded
@@ -15,11 +16,12 @@ pub type NetOptions = ClusterOptions;
 /// get torn down spuriously.
 const MIN_DEADLINE: Duration = Duration::from_millis(25);
 
-/// Deadline on every socket connect, read and write. Blocking I/O
-/// without a deadline would let one dead peer wedge a node past every
-/// timeout the protocol owns, so no socket operation in this crate may
-/// outlive it (`rtc-analysis` rule `socket-deadline` enforces this at
-/// the source level).
+/// Deadline on every socket connect, and on the one blocking write
+/// behind it (a redial's hello). Blocking I/O without a deadline would
+/// let one dead peer wedge a node past every timeout the protocol owns,
+/// so no socket operation in this crate may outlive it (`rtc-analysis`
+/// rule `socket-deadline` enforces this at the source level); the
+/// nodes' reads and writes are non-blocking.
 ///
 /// One failure-free decision takes at most `8K` ticks
 /// ([`rtc_model::TimingParams::failure_free_decision_bound`]), so a read

@@ -1,327 +1,426 @@
-//! Outbound links: one sender thread per (source, destination) pair
-//! that carries traffic, spawned by its first batch; no self-link does.
+//! One node's end of its connection to one peer: the socket, the bytes
+//! read that are not yet a whole frame, the bytes to write with their
+//! replay ring, and the bounded redial. Only the node that owns the
+//! link touches it, inside its tick, and nothing here blocks: sockets
+//! are non-blocking, a read takes what has arrived, a write what the
+//! kernel will take, and the rest waits for the node's next tick.
 //!
-//! A link owns a lazily-established TCP connection to its [`Peer`]. Its
-//! unit of work is a [`Batch`]: every frame its node sent this peer in
-//! one tick, back to back in one buffer, which costs one liveness probe
-//! and one `write_all` however many frames it holds.
-//! Connects and writes carry the run's I/O deadline; a failed write or
-//! connect sends the link through a bounded reconnect loop paced by the
+//! A node's outgoing unit is a batch: every frame it sent one peer in
+//! one tick, back to back. Batches append to one buffer per peer
+//! ([`Outgoing`]), which a flush writes until the socket would block.
+//!
+//! A broken connection is redialled by the lower-numbered end, on the
 //! supervisor's backoff formula under `SupervisorPolicy::default()`, so
-//! one formula — `min(base × 2^attempt, max)` plus seeded jitter — paces
-//! both node restarts and link reconnects. Only when the retry budget
-//! is exhausted is the peer marked down and its traffic dropped (and
-//! counted: those frames surface as `messages_undelivered`). The thread
-//! ends when its channel disconnects — teardown drops the senders — or
-//! when it meets `done` with a batch still in hand.
+//! one formula — `min(base × 2^attempt, max)` plus seeded jitter —
+//! paces both node restarts and link redials. Backoff is a deadline the
+//! node checks at its ticks, not a sleep. Only when the retry budget is
+//! exhausted is the peer marked down and its traffic dropped (and
+//! counted: those frames surface as `messages_undelivered`).
 //!
 //! # At-least-once delivery
 //!
 //! TCP cannot tell a sender about a peer's close until after the fact:
-//! the first write after a FIN lands in a dead socket and only the
-//! *next* write errors, so a connection reset could silently eat the
-//! writes in that window. The link therefore keeps a ring of its most
-//! recent writes — as few as cover [`RESEND_WINDOW`] frames, so the
-//! ring retains frames' worth of bytes, not batches' worth — and
-//! replays the whole ring, oldest first, after every reconnect. A write
-//! is replayed whole or not at all. Frames may arrive more than once —
-//! never zero times. That is exactly the contract the automata already
-//! honour for the duplication fault, so at-least-once is free at the
-//! protocol layer, and it preserves the model's eventual delivery
-//! across resets. A batch the ring lets go is handed back to the
-//! sending node, which fills it again: tick buffers circulate, they are
-//! not allocated per flush.
+//! the first write after a FIN lands in a dead socket and only a later
+//! one errors, and a close with unread bytes can discard what was in
+//! flight toward either end. Each end of a connection therefore keeps a
+//! ring of its most recent batches — as few as cover [`RESEND_WINDOW`]
+//! frames, so the ring retains frames' worth of bytes, not batches'
+//! worth — and, after any reconnect, replays the whole ring, oldest
+//! first, before what it has not yet written. Frames may arrive more
+//! than once — never zero times. That is exactly the contract the
+//! automata already honour for the duplication fault, so at-least-once
+//! is free at the protocol layer, and it preserves the model's eventual
+//! delivery across resets. The ring is the front of the same buffer
+//! the batches are written from: a batch the ring lets go is cut off
+//! the front, and the buffer's capacity is reused.
 
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Read, Write};
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
-use std::thread;
-use std::time::Duration;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rtc_runtime::SupervisorPolicy;
+use rtc_model::{Wire, WireError};
+use rtc_runtime::{Envelope, SupervisorPolicy};
 
-/// Socket-layer counters shared by every link and reader of a run.
+use crate::wire::try_decode_frame;
+
+/// Socket-layer counters shared by every node of a run.
 #[derive(Debug, Default)]
 pub(crate) struct NetCounters {
-    /// Frames successfully written to a socket by link senders.
+    /// Frames written whole to a socket, each counted once however
+    /// often a replay rewrites it.
     pub(crate) frames_sent: AtomicU64,
-    /// The socket writes that carried them: one per batch.
+    /// The batches that carried them: one per peer per tick that had
+    /// anything to send.
     pub(crate) writes: AtomicU64,
     /// Frames dropped because their link had given up, or because
-    /// teardown overtook them.
+    /// teardown overtook them before a socket took them.
     pub(crate) frames_dropped: AtomicU64,
-    /// Successful re-establishments of a previously broken connection.
+    /// Successful redials of a broken connection.
     pub(crate) reconnects: AtomicU64,
     /// Links that exhausted their retry budget and marked the peer down.
     pub(crate) links_given_up: AtomicU64,
-    /// Connection resets the readers injected.
+    /// Connection resets the reading nodes injected.
     pub(crate) resets_injected: AtomicU64,
-    /// Connections accepted: one per connect, reconnects included.
-    pub(crate) accepted: AtomicU64,
-    /// Link threads spawned: one per pair that carried a batch.
-    pub(crate) links_spawned: AtomicU64,
-}
-
-/// What a link connects to.
-pub(crate) trait Peer: Send + 'static {
-    /// Opens one connection to the peer within `deadline`.
-    fn connect(&self, deadline: Duration) -> io::Result<TcpStream>;
+    /// Connections opened: one per pair at boot, and one per redial.
+    pub(crate) connects: AtomicU64,
 }
 
 /// How many recently-written frames a link retains for replay after a
-/// reconnect, at least. The loss window of an undetected reset is what
-/// was written between the peer's FIN and the first failing write — on
-/// loopback with tick-paced traffic that is one or two writes, so a
-/// small ring amply covers it.
-const RESEND_WINDOW: u64 = 16;
+/// reconnect, at least. The loss window of a reset is what was written
+/// between the peer's close and the writer's next read, which sees it —
+/// on loopback with tick-paced traffic one batch — so a small ring
+/// amply covers it.
+pub(crate) const RESEND_WINDOW: u64 = 16;
 
-/// What one node sent one peer in one tick: whole frames back to back,
-/// and how many.
+/// What a node has for one peer, oldest first: the replay ring (batches
+/// written whole on some connection, as few as cover [`RESEND_WINDOW`]
+/// frames), then what no connection has yet taken whole. Offsets count
+/// bytes since the link was made.
 #[derive(Debug, Default)]
-pub(crate) struct Batch {
+pub(crate) struct Outgoing {
+    /// Frames back to back; `bytes[0]` is at offset `base`.
     pub(crate) bytes: Vec<u8>,
-    pub(crate) frames: u64,
+    base: usize,
+    /// Frames appended since the last [`Outgoing::seal`].
+    pub(crate) open: u64,
+    /// One per sealed tick: its end offset and its frame count.
+    batches: VecDeque<(usize, u64)>,
+    /// How far the current connection has taken the bytes.
+    written: usize,
+    /// How far any connection has: batches that end by here are sent.
+    high: usize,
+    /// Frames in the sent batches still retained: the ring.
+    ring_frames: u64,
 }
 
-/// Sleeps for `total` in small slices, bailing out early when `done`
-/// flips — a link mid-backoff must not stall teardown.
-fn sleep_unless_done(total: Duration, done: &AtomicBool) {
-    const SLICE: Duration = Duration::from_millis(2);
-    let mut remaining = total;
-    while !remaining.is_zero() && !done.load(Ordering::Relaxed) {
-        let nap = remaining.min(SLICE);
-        thread::sleep(nap);
-        remaining -= nap;
+impl Outgoing {
+    fn end(&self) -> usize {
+        self.base + self.bytes.len()
     }
-}
 
-/// Checks whether the kernel has already seen the peer close this
-/// connection. The first write after a FIN succeeds into a dead socket
-/// and the frame silently vanishes; a zero-cost non-blocking read
-/// surfaces the FIN (`Ok(0)`) or reset *before* the write instead. The
-/// link never expects inbound data, so anything readable other than
-/// `WouldBlock` means the connection is no longer a usable link.
-fn probe_alive(conn: &TcpStream) -> bool {
-    if conn.set_nonblocking(true).is_err() {
-        return false;
-    }
-    let mut byte = [0u8; 1];
-    let alive = match (&mut (&*conn)).read(&mut byte) {
-        Ok(0) => false,
-        Ok(_) => true, // stray inbound byte on a send-only link
-        Err(e) if e.kind() == ErrorKind::WouldBlock => true,
-        Err(_) => false,
-    };
-    alive && conn.set_nonblocking(false).is_ok()
-}
-
-/// The mutable state of one link's sender thread.
-struct LinkState<P> {
-    peer: P,
-    policy: SupervisorPolicy,
-    io_deadline: Duration,
-    done: Arc<AtomicBool>,
-    counters: Arc<NetCounters>,
-    rng: SmallRng,
-    stream: Option<TcpStream>,
-    /// Consecutive connect/write failures since the last successful
-    /// write; `> max_retries` marks the peer down for good.
-    failures: u32,
-    given_up: bool,
-    ever_connected: bool,
-    /// Replay ring for at-least-once delivery (module docs), and how
-    /// many frames it holds.
-    recent: VecDeque<Batch>,
-    recent_frames: u64,
-    /// Where batches the ring lets go return to, emptied.
-    spare: Sender<Vec<u8>>,
-    /// Whether the next (re)connect must replay the ring: set when a
-    /// write failed or an idle probe found the connection dead, i.e.
-    /// frames may sit in a dead socket's buffer.
-    replay: bool,
-}
-
-impl<P: Peer> LinkState<P> {
-    /// Delivers `batch` (or, with `None`, just flushes a pending ring
-    /// replay) or dies trying within the retry budget; a link that has
-    /// given up drops it. A batch is only released on a successful
-    /// write. Returns `false` when teardown overtook the batch: the
-    /// link is done.
-    fn deliver(&mut self, batch: Option<Batch>) -> bool {
-        let frames = batch.as_ref().map_or(0, |b| b.frames);
-        loop {
-            // Teardown won the race (the frames would arrive after
-            // every node stopped listening), or the peer is down.
-            let teardown = self.done.load(Ordering::Relaxed);
-            if teardown || self.given_up {
-                let dropped = &self.counters.frames_dropped;
-                dropped.fetch_add(frames, Ordering::Relaxed);
-                return !teardown;
-            }
-            if self.stream.is_none() {
-                match self.peer.connect(self.io_deadline) {
-                    Ok(s) => {
-                        // Deadline every write: a wedged peer must
-                        // surface as an error, not a hang.
-                        let _ = s.set_write_timeout(Some(self.io_deadline));
-                        let _ = s.set_nodelay(true);
-                        if self.ever_connected {
-                            self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-                        }
-                        self.ever_connected = true;
-                        self.stream = Some(s);
-                    }
-                    Err(_) => {
-                        self.fail();
-                        continue;
-                    }
-                }
-            }
-            let conn = self.stream.as_mut().expect("connected above");
-            let wrote = probe_alive(conn) && {
-                let ring_ok = if self.replay {
-                    // A write failed (or an idle probe saw a FIN):
-                    // writes near the failure may be lost in the old
-                    // socket. Replay the ring first (duplicates are
-                    // protocol-safe).
-                    self.recent.iter().all(|b| conn.write_all(&b.bytes).is_ok())
-                } else {
-                    true
-                };
-                ring_ok
-                    && match &batch {
-                        Some(b) => conn.write_all(&b.bytes).is_ok(),
-                        None => true,
-                    }
-            };
-            if wrote {
-                self.failures = 0;
-                self.replay = false;
-                if let Some(b) = batch {
-                    let sent = &self.counters.frames_sent;
-                    sent.fetch_add(frames, Ordering::Relaxed);
-                    self.counters.writes.fetch_add(1, Ordering::Relaxed);
-                    self.retain(b);
-                }
-                return true;
-            }
-            // Broken or reset connection: reconnect, replay, resend.
-            self.stream = None;
-            self.replay = true;
-            self.fail();
+    /// Closes the tick's batch, if the tick filed any frame.
+    pub(crate) fn seal(&mut self) {
+        if self.open > 0 {
+            self.batches.push_back((self.end(), self.open));
+            self.open = 0;
         }
     }
 
-    /// Puts a written batch in the ring and lets go of the oldest ones
-    /// the rest still covers [`RESEND_WINDOW`] frames without.
-    fn retain(&mut self, batch: Batch) {
-        self.recent_frames += batch.frames;
-        self.recent.push_back(batch);
-        while let Some(oldest) = self.recent.front() {
-            if self.recent_frames - oldest.frames < RESEND_WINDOW {
+    /// Writes what `w` has not yet taken until it would block, counts
+    /// the batches written whole for the first time, and lets go of the
+    /// ring's oldest batches the rest cover the window without.
+    ///
+    /// # Errors
+    ///
+    /// The connection is broken; what it took stays for the replay.
+    pub(crate) fn write_to(
+        &mut self,
+        w: &mut impl Write,
+        counters: &NetCounters,
+    ) -> io::Result<()> {
+        let result = loop {
+            if self.written == self.end() {
+                break Ok(());
+            }
+            // rtc-allow(socket-deadline): non-blocking socket, WouldBlock ends the tick's writes
+            match w.write(&self.bytes[self.written - self.base..]) {
+                Ok(0) => break Err(ErrorKind::WriteZero.into()),
+                Ok(k) => self.written += k,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break Ok(()),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => break Err(e),
+            }
+        };
+        if self.written > self.high {
+            let fresh = self.batches.iter().skip_while(|(end, _)| *end <= self.high);
+            let (frames, batches) = fresh
+                .take_while(|(end, _)| *end <= self.written)
+                .fold((0, 0), |(f, b), (_, frames)| (f + frames, b + 1));
+            counters.frames_sent.fetch_add(frames, Ordering::Relaxed);
+            counters.writes.fetch_add(batches, Ordering::Relaxed);
+            self.ring_frames += frames;
+            self.high = self.written;
+        }
+        let mut cut = self.base;
+        while let Some(&(end, frames)) = self.batches.front() {
+            if end > self.written || self.ring_frames - frames < RESEND_WINDOW {
                 break;
             }
-            self.recent_frames -= oldest.frames;
-            let mut bytes = self.recent.pop_front().expect("peeked").bytes;
-            bytes.clear();
-            // The node is gone only during teardown.
-            let _ = self.spare.send(bytes);
+            self.ring_frames -= frames;
+            self.batches.pop_front();
+            cut = end;
         }
+        self.bytes.drain(..cut - self.base);
+        self.base = cut;
+        result
     }
 
-    /// Books one failure: backs off, or, when the budget is exhausted,
-    /// marks the peer down for good.
-    fn fail(&mut self) {
-        self.failures += 1;
-        if self.failures > self.policy.max_retries {
-            self.given_up = true;
-            self.counters.links_given_up.fetch_add(1, Ordering::Relaxed);
-            return;
+    /// Starts a new connection: its first write is the ring's oldest
+    /// batch.
+    pub(crate) fn replay(&mut self) {
+        self.written = self.base;
+    }
+
+    /// Drops every frame no connection has taken whole, and returns how
+    /// many: the link gave up, or teardown overtook them.
+    pub(crate) fn drop_unsent(&mut self) -> u64 {
+        self.seal();
+        let mut frames = 0;
+        while let Some(&(end, n)) = self.batches.back() {
+            if end <= self.high {
+                break;
+            }
+            frames += n;
+            self.batches.pop_back();
         }
-        sleep_unless_done(
-            self.policy.backoff(self.failures - 1, &mut self.rng),
-            &self.done,
-        );
+        let kept = self.batches.back().map_or(self.base, |(end, _)| *end);
+        self.bytes.truncate(kept - self.base);
+        self.written = self.written.min(kept);
+        self.high = self.high.min(kept);
+        frames
     }
 }
 
-/// Spawns the sender thread for one link. Batches arrive pre-encoded
-/// on `rx` and their buffers go back on `spare`; every connect and
-/// write is bounded by `io_deadline`; `seed` keys the backoff jitter so
-/// two links never thunder in lockstep after a shared outage.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn spawn_link(
-    peer: impl Peer,
-    rx: Receiver<Batch>,
-    spare: Sender<Vec<u8>>,
-    policy: SupervisorPolicy,
-    io_deadline: Duration,
-    done: Arc<AtomicBool>,
-    counters: Arc<NetCounters>,
-    seed: u64,
-) -> thread::JoinHandle<()> {
-    thread::spawn(move || {
-        let mut link = LinkState {
-            peer,
-            policy,
-            io_deadline,
-            done,
-            counters,
-            rng: SmallRng::seed_from_u64(seed),
-            stream: None,
-            failures: 0,
-            given_up: false,
-            ever_connected: false,
-            recent: VecDeque::new(),
-            recent_frames: 0,
-            spare,
-            replay: false,
-        };
+/// Bytes read from one connection that are not yet decoded. The buffer
+/// is zeroed once as it grows and read into in place after that.
+#[derive(Debug, Default)]
+pub(crate) struct Incoming {
+    bytes: Vec<u8>,
+    len: usize,
+}
+
+/// Room a read is offered, at least.
+const READ_ROOM: usize = 16 * 1024;
+
+impl Incoming {
+    /// Reads what `r` has until it would block. Returns `false` when the
+    /// connection is gone (end of stream, or an error); what was read
+    /// before stays.
+    pub(crate) fn read_from(&mut self, r: &mut impl Read) -> bool {
         loop {
-            // The timeout paces the idle probe only; teardown drops the
-            // senders, which ends the wait at once.
-            let batch = match rx.recv_timeout(Duration::from_millis(2)) {
-                Ok(b) => b,
-                Err(RecvTimeoutError::Timeout) => {
-                    // Idle probe: a reset can eat frames already
-                    // written into a dead socket, and if the automaton
-                    // has gone quiet there is no next write to trigger
-                    // the replay. Surface the FIN now and replay the
-                    // ring, so tail frames (a node's final decision
-                    // broadcast) are never lost for good.
-                    if !link.given_up && !link.recent.is_empty() {
-                        if let Some(conn) = link.stream.as_ref() {
-                            if !probe_alive(conn) {
-                                link.stream = None;
-                                link.replay = true;
-                            }
-                        }
-                        if link.replay {
-                            link.deliver(None);
-                        }
+            if self.bytes.len() - self.len < READ_ROOM {
+                self.bytes.resize(self.len + READ_ROOM, 0);
+            }
+            let room = self.bytes.len() - self.len;
+            // rtc-allow(socket-deadline): non-blocking socket, WouldBlock ends the tick's reads
+            match r.read(&mut self.bytes[self.len..]) {
+                Ok(0) => return false,
+                Ok(k) => {
+                    self.len += k;
+                    // A short read took everything there was.
+                    if k < room {
+                        return true;
                     }
-                    continue;
                 }
-                Err(RecvTimeoutError::Disconnected) => return,
-            };
-            if !link.deliver(Some(batch)) {
-                return;
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return false,
             }
         }
-    })
+    }
+
+    /// Decodes every complete frame, in order, into `land`, and removes
+    /// their bytes, leaving a torn tail for the next read to complete.
+    ///
+    /// # Errors
+    ///
+    /// A frame that fails to decode poisons the stream; the frames
+    /// before it have landed.
+    pub(crate) fn drain<M: Wire>(
+        &mut self,
+        mut land: impl FnMut(Envelope<M>),
+    ) -> Result<(), WireError> {
+        let mut at = 0;
+        let outcome = loop {
+            match try_decode_frame::<M>(&self.bytes[at..self.len]) {
+                Ok(Some((frame, used))) => {
+                    at += used;
+                    land(Envelope {
+                        from: frame.from,
+                        instance: frame.instance as usize,
+                        sent_at_tick: frame.sent_at_tick,
+                        sent_event: frame.sent_event,
+                        msg: frame.msg,
+                    });
+                }
+                Ok(None) => break Ok(()),
+                Err(e) => break Err(e),
+            }
+        };
+        self.bytes.copy_within(at..self.len, 0);
+        self.len -= at;
+        outcome
+    }
+
+    /// Bytes read and not yet decoded.
+    pub(crate) fn pending(&self) -> usize {
+        self.len
+    }
+
+    fn clear(&mut self) {
+        self.len = 0;
+    }
+}
+
+/// One node's end of its connection to one peer.
+#[derive(Debug)]
+pub(crate) struct Link {
+    /// The connection, non-blocking; `None` while it is down.
+    pub(crate) stream: Option<TcpStream>,
+    pub(crate) inbound: Incoming,
+    pub(crate) outbound: Outgoing,
+    /// Consecutive failed redials; `> max_retries` gives the link up.
+    failures: u32,
+    /// When the next redial may go, after a failed one.
+    retry_at: Option<Instant>,
+    pub(crate) given_up: bool,
+    /// Keys the backoff jitter, so two links never thunder in lockstep
+    /// after a shared outage.
+    rng: SmallRng,
+}
+
+impl Link {
+    /// A link with no connection yet, its backoff jitter keyed by
+    /// `seed`.
+    pub(crate) fn new(seed: u64) -> Link {
+        Link {
+            stream: None,
+            inbound: Incoming::default(),
+            outbound: Outgoing::default(),
+            failures: 0,
+            retry_at: None,
+            given_up: false,
+            rng: SmallRng::seed_from_u64(seed),
+        }
+    }
+
+    /// Takes `stream` as the link's connection, superseding any other:
+    /// the torn tail of the old one is dropped, and the next write
+    /// replays the ring.
+    pub(crate) fn attach(&mut self, stream: TcpStream) {
+        self.stream = Some(stream);
+        self.inbound.clear();
+        self.outbound.replay();
+    }
+
+    /// Closes the connection; the lower-numbered end redials.
+    pub(crate) fn detach(&mut self) {
+        self.stream = None;
+    }
+
+    /// Reads what has arrived. Returns `false` when the connection is
+    /// gone; a link that is down reads nothing and is not gone.
+    pub(crate) fn receive(&mut self) -> bool {
+        match self.stream.as_mut() {
+            Some(stream) => self.inbound.read_from(stream),
+            None => true,
+        }
+    }
+
+    /// Ends the node's tick on this link: seals the tick's batch,
+    /// redials a broken connection when `dial` says where (this end is
+    /// the lower-numbered one, node `me`), and writes what the socket
+    /// will take, detaching a connection that fails. A link that has
+    /// given up drops its frames instead, and counts them.
+    pub(crate) fn flush(
+        &mut self,
+        dial: Option<(&SocketAddr, usize)>,
+        io_deadline: Duration,
+        policy: &SupervisorPolicy,
+        counters: &NetCounters,
+    ) {
+        self.outbound.seal();
+        if let (None, Some((addr, me))) = (&self.stream, dial) {
+            self.redial(addr, me, io_deadline, policy, counters);
+        }
+        if self.given_up {
+            let dropped = self.outbound.drop_unsent();
+            counters
+                .frames_dropped
+                .fetch_add(dropped, Ordering::Relaxed);
+        } else if let Some(stream) = self.stream.as_mut() {
+            if self.outbound.write_to(stream, counters).is_err() {
+                self.detach();
+            }
+        }
+    }
+
+    /// Redials `addr` as node `me` once the backoff allows. On success
+    /// the connection is attached behind the dialer's hello; each
+    /// failure books a backoff, and one past the budget gives the link
+    /// up and counts it.
+    fn redial(
+        &mut self,
+        addr: &SocketAddr,
+        me: usize,
+        io_deadline: Duration,
+        policy: &SupervisorPolicy,
+        counters: &NetCounters,
+    ) {
+        let now = Instant::now();
+        if self.given_up || self.retry_at.is_some_and(|at| now < at) {
+            return;
+        }
+        match dial(addr, me, io_deadline) {
+            Ok(stream) => {
+                counters.connects.fetch_add(1, Ordering::Relaxed);
+                counters.reconnects.fetch_add(1, Ordering::Relaxed);
+                self.failures = 0;
+                self.retry_at = None;
+                self.attach(stream);
+            }
+            Err(_) => {
+                self.failures += 1;
+                if self.failures > policy.max_retries {
+                    self.given_up = true;
+                    counters.links_given_up.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    let backoff = policy.backoff(self.failures - 1, &mut self.rng);
+                    self.retry_at = Some(now + backoff);
+                }
+            }
+        }
+    }
+}
+
+/// Opens a connection to `addr` and says who is calling: node `me`'s id,
+/// four bytes, before any frame. The connect completes from the peer's
+/// listen backlog whether or not the peer is running.
+fn dial(addr: &SocketAddr, me: usize, io_deadline: Duration) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect_timeout(addr, io_deadline)?;
+    stream.set_nodelay(true)?;
+    stream.set_write_timeout(Some(io_deadline))?;
+    (&stream).write_all(&(me as u32).to_le_bytes())?;
+    stream.set_nonblocking(true)?;
+    Ok(stream)
+}
+
+/// Reads a redialled connection's hello, the dialer's id, within
+/// `io_deadline` — the dialer writes it right behind its connect — and
+/// makes the connection non-blocking.
+pub(crate) fn hello(stream: &TcpStream, io_deadline: Duration) -> io::Result<usize> {
+    let mut id = [0u8; 4];
+    stream.set_read_timeout(Some(io_deadline))?;
+    (&*stream).read_exact(&mut id)?;
+    stream.set_nodelay(true)?;
+    stream.set_nonblocking(true)?;
+    Ok(u32::from_le_bytes(id) as usize)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
-    use std::net::{SocketAddr, TcpListener};
-    use std::sync::mpsc::channel;
+    use std::net::TcpListener;
+    use std::thread;
+
+    use rtc_core::{CommitKind, CommitMsg};
+    use rtc_model::{ProcessorId, Value};
+
+    use crate::wire::{encode_frame, Frame};
 
     fn policy() -> SupervisorPolicy {
         SupervisorPolicy {
@@ -334,19 +433,28 @@ mod tests {
         }
     }
 
-    /// A batch of `frames` one-byte "frames".
-    fn batch(frames: &[u8]) -> Batch {
-        Batch {
-            bytes: frames.to_vec(),
-            frames: frames.len() as u64,
-        }
+    /// Files a batch of one-byte "frames" and ends the tick, as node 0
+    /// dialling `addr` would.
+    fn tick(link: &mut Link, frames: &[u8], addr: &SocketAddr, counters: &NetCounters) {
+        link.outbound.bytes.extend_from_slice(frames);
+        link.outbound.open += frames.len() as u64;
+        link.flush(
+            Some((addr, 0)),
+            Duration::from_millis(100),
+            &policy(),
+            counters,
+        );
     }
 
-    /// A bare address: the test accepts what the link connects.
-    impl Peer for SocketAddr {
-        fn connect(&self, deadline: Duration) -> io::Result<TcpStream> {
-            TcpStream::connect_timeout(self, deadline)
-        }
+    /// A connection to `listener`, accepted, the near end non-blocking
+    /// as boot leaves it.
+    fn connect(listener: &TcpListener) -> (TcpStream, TcpStream) {
+        let near = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        near.set_nonblocking(true).expect("non-blocking");
+        let (far, _) = listener.accept().expect("accept");
+        far.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("deadline");
+        (near, far)
     }
 
     #[test]
@@ -354,89 +462,70 @@ mod tests {
         // rtc-allow(socket-deadline): test-only accept/read harness
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
-        let (tx, rx) = channel();
-        let (spare_tx, spare) = channel();
-        let counters = Arc::new(NetCounters::default());
-        let handle = spawn_link(
-            addr,
-            rx,
-            spare_tx,
-            policy(),
-            Duration::from_millis(100),
-            Arc::new(AtomicBool::new(false)),
-            Arc::clone(&counters),
-            7,
-        );
+        let counters = NetCounters::default();
+        let (near, mut far) = connect(&listener);
+        let mut link = Link::new(7);
+        link.stream = Some(near);
 
-        tx.send(batch(&[1])).expect("send");
-        // Accept the first connection and read its frame. The
-        // three-frame batch that follows is never read: whether the
-        // link writes it before or after it can see the close, it
-        // lands in a dead socket or is refused — then slam the
-        // connection shut.
-        let (mut conn, _) = listener.accept().expect("accept");
+        tick(&mut link, &[1], &addr, &counters);
         let mut buf = [0u8; 1];
-        conn.read_exact(&mut buf).expect("first frame");
+        far.read_exact(&mut buf).expect("first frame");
         assert_eq!(buf, [1]);
-        tx.send(batch(&[2, 3, 4])).expect("send");
-        drop(conn);
-        // Give the FIN time to reach the sender's kernel so a probe
-        // (the idle one, if the batch beat the close) sees it
-        // deterministically.
+        // The three-frame batch lands in the peer's buffer and is never
+        // read: the peer closes with it unread, which resets the
+        // connection and loses it.
+        tick(&mut link, &[2, 3, 4], &addr, &counters);
+        drop(far);
+        // Give the reset time to reach the writer's kernel, so the
+        // node's next read sees it deterministically.
         thread::sleep(Duration::from_millis(30));
 
-        // The next batch must arrive over a fresh connection, preceded
-        // by the replay of the ring (at-least-once, never zero-times):
+        // The next tick reads the reset, redials, and its batch
+        // arrives over the fresh connection behind the dialer's hello
+        // and the replay of the ring (at-least-once, never zero-times):
         // the lost batch whole, in order, behind the write before it.
-        tx.send(batch(&[5, 6])).expect("send");
+        assert!(!link.receive(), "the reset is read");
+        link.detach();
+        tick(&mut link, &[5, 6], &addr, &counters);
         let (mut conn, _) = listener.accept().expect("re-accept");
+        conn.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("deadline");
+        let mut hello = [0u8; 4];
+        conn.read_exact(&mut hello).expect("hello");
+        assert_eq!(u32::from_le_bytes(hello), 0);
         let mut buf = [0u8; 6];
         conn.read_exact(&mut buf)
             .expect("replayed ring + last batch");
         assert_eq!(buf, [1, 2, 3, 4, 5, 6]);
 
-        // The link ends when its senders are gone, not on a poll.
-        drop(tx);
-        handle.join().expect("join");
         assert_eq!(counters.frames_sent.load(Ordering::Relaxed), 6);
         assert_eq!(counters.writes.load(Ordering::Relaxed), 3);
         assert_eq!(counters.frames_dropped.load(Ordering::Relaxed), 0);
         assert_eq!(counters.reconnects.load(Ordering::Relaxed), 1);
         // Six frames are inside the window: the ring let nothing go.
-        assert!(spare.try_recv().is_err());
+        assert_eq!(link.outbound.bytes, [1, 2, 3, 4, 5, 6]);
     }
 
     #[test]
     fn the_ring_covers_the_window_in_frames_and_recycles_the_rest() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let (tx, rx) = channel();
-        let (spare_tx, spare) = channel();
-        let handle = spawn_link(
-            listener.local_addr().expect("addr"),
-            rx,
-            spare_tx,
-            policy(),
-            Duration::from_millis(100),
-            Arc::new(AtomicBool::new(false)),
-            Arc::new(NetCounters::default()),
-            6,
-        );
+        let addr = listener.local_addr().expect("addr");
+        let counters = NetCounters::default();
+        let (near, _far) = connect(&listener);
+        let mut link = Link::new(6);
+        link.stream = Some(near);
         // 10 + 10 frames: the first batch is still needed to cover 16.
-        // A 32-frame batch covers the window alone: both go back,
-        // emptied, capacity kept.
-        for frames in [10, 10, 32] {
-            tx.send(batch(&vec![0; frames])).expect("send");
+        for (k, frames) in [10, 10].into_iter().enumerate() {
+            tick(&mut link, &vec![k as u8; frames], &addr, &counters);
         }
-        let _conn = listener.accept().expect("accept");
-        for _ in 0..2 {
-            let recycled = spare
-                .recv_timeout(Duration::from_secs(5))
-                .expect("a buffer");
-            assert!(recycled.is_empty() && recycled.capacity() >= 10);
-        }
-        drop(tx);
-        handle.join().expect("join");
-        assert!(spare.try_recv().is_err(), "the last batch is the ring");
+        assert_eq!(link.outbound.bytes.len(), 20);
+        // A 32-frame batch covers the window alone: both earlier ones
+        // are cut off the front, and the buffer keeps its capacity for
+        // the ticks to come.
+        tick(&mut link, &[2; 32], &addr, &counters);
+        assert_eq!(link.outbound.bytes, [2; 32], "the last batch is the ring");
+        assert!(link.outbound.bytes.capacity() >= 52);
+        assert_eq!(counters.frames_sent.load(Ordering::Relaxed), 52);
     }
 
     #[test]
@@ -446,28 +535,117 @@ mod tests {
             let l = TcpListener::bind("127.0.0.1:0").expect("bind");
             l.local_addr().expect("addr")
         };
-        let (tx, rx) = channel();
-        let counters = Arc::new(NetCounters::default());
-        let handle = spawn_link(
-            addr,
-            rx,
-            channel().0,
-            policy(),
-            Duration::from_millis(20),
-            Arc::new(AtomicBool::new(false)),
-            Arc::clone(&counters),
-            8,
-        );
-        tx.send(batch(&[9, 10])).expect("send");
-        tx.send(batch(&[11])).expect("send");
-        // The budget (3 retries × ≤4ms backoff, plus connect latency)
-        // runs out on the first batch; the second meets a link that
-        // has given up.
-        drop(tx);
-        handle.join().expect("join");
+        let counters = NetCounters::default();
+        let mut link = Link::new(8);
+        // The budget (3 retries × ≤4ms backoff) runs out within the
+        // ticks that follow the first batch; the second meets a link
+        // that has given up.
+        tick(&mut link, &[9, 10], &addr, &counters);
+        let wait = Instant::now();
+        while !link.given_up {
+            assert!(wait.elapsed() < Duration::from_secs(5), "{link:?}");
+            thread::sleep(Duration::from_millis(1));
+            tick(&mut link, &[], &addr, &counters);
+        }
+        tick(&mut link, &[11], &addr, &counters);
         assert_eq!(counters.links_given_up.load(Ordering::Relaxed), 1);
         assert_eq!(counters.frames_sent.load(Ordering::Relaxed), 0);
         // All three frames are accounted as dropped, not lost silently.
         assert_eq!(counters.frames_dropped.load(Ordering::Relaxed), 3);
+        assert!(link.outbound.bytes.is_empty());
+    }
+
+    /// A socket that takes at most `per_call` bytes a write, and
+    /// `budget` a tick, then would block.
+    struct Trickle {
+        taken: Vec<u8>,
+        per_call: usize,
+        budget: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.budget == 0 {
+                return Err(ErrorKind::WouldBlock.into());
+            }
+            let k = buf.len().min(self.per_call).min(self.budget);
+            self.taken.extend_from_slice(&buf[..k]);
+            self.budget -= k;
+            Ok(k)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn the_node_writer_resumes_where_the_socket_would_block() {
+        // Forty ticks of one to four frames of different lengths, over
+        // a socket that takes 3 bytes a call and 40 a tick: far less
+        // than a tick files, so the tail carries over tick after tick.
+        // Every frame must arrive whole, in order and exactly once, and
+        // count as sent once it is whole.
+        let frame = |k: u64| Frame {
+            from: ProcessorId::new(0),
+            instance: k as u32,
+            sent_at_tick: k,
+            sent_event: k,
+            msg: CommitMsg {
+                go: None,
+                kinds: vec![CommitKind::Vote(Value::One); (k % 3) as usize].into(),
+            },
+        };
+        let counters = NetCounters::default();
+        let mut out = Outgoing::default();
+        let mut socket = Trickle {
+            taken: Vec::new(),
+            per_call: 3,
+            budget: 0,
+        };
+        let (mut filed, mut batches, mut ticks) = (Vec::new(), 0, 0);
+        while ticks < 40 || out.written < out.end() {
+            if ticks < 40 {
+                for _ in 0..=ticks % 4 {
+                    let f = frame(filed.len() as u64);
+                    out.bytes.extend_from_slice(&encode_frame(&f));
+                    out.open += 1;
+                    filed.push(f);
+                }
+                batches += 1;
+            }
+            out.seal();
+            socket.budget = 40;
+            out.write_to(&mut socket, &counters)
+                .expect("would block, not fail");
+            ticks += 1;
+            // Nothing counts as sent before its batch is whole.
+            let whole = socket.taken.len();
+            let sent = counters.frames_sent.load(Ordering::Relaxed) as usize;
+            let encoded: usize = filed[..sent].iter().map(|f| encode_frame(f).len()).sum();
+            assert!(encoded <= whole, "tick {ticks}: {sent} frames counted");
+        }
+        assert!(ticks > 60, "the socket must have held the writer back");
+        let mut inbound = Incoming::default();
+        assert!(inbound.read_from(&mut socket.taken.as_slice()));
+        let mut arrived = Vec::new();
+        inbound
+            .drain::<CommitMsg>(|env| {
+                arrived.push(Frame {
+                    from: env.from,
+                    instance: env.instance as u32,
+                    sent_at_tick: env.sent_at_tick,
+                    sent_event: env.sent_event,
+                    msg: env.msg,
+                });
+            })
+            .expect("whole frames");
+        assert_eq!(inbound.pending(), 0, "no torn tail");
+        assert_eq!(arrived, filed);
+        assert_eq!(
+            counters.frames_sent.load(Ordering::Relaxed),
+            filed.len() as u64
+        );
+        assert_eq!(counters.writes.load(Ordering::Relaxed), batches);
     }
 }

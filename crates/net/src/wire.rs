@@ -21,8 +21,9 @@
 //! [`Wire`] impl; framing knows no message type.
 //!
 //! Decoding is defensive: a frame longer than [`MAX_FRAME`] or a
-//! payload that fails its codec poisons the connection (the reader
-//! drops it and the sender reconnects) rather than the process.
+//! payload that fails its codec poisons the connection (the reading
+//! node drops it, the lower-numbered end redials, and both replay)
+//! rather than the process.
 
 use rtc_model::{ProcessorId, Wire, WireError};
 

@@ -24,18 +24,23 @@
 //! of racing its receiver's same-index step. A respawned node has no
 //! phase to keep: it steps at once and paces from there.
 //!
-//! The tick is also the unit of I/O. What differs between substrates is
-//! only where a step's sends go, and that is the [`Links`] seam: the
-//! loop files each instance's [`Outbox`] and flushes once per tick.
+//! A node is the only thread of its processor. At its deadline it
+//! takes its step the way the paper's model does: it receives what has
+//! arrived, computes and sends. What differs between substrates is only
+//! how messages move, and that is the [`Links`] seam: at the start of a
+//! tick [`Links::receive`] hands the node what has arrived at its own
+//! end of the links, each message with the instant it is due; the node
+//! keeps what is not yet due in its own [`HoldQueue`] and steps on the
+//! rest; then it files each instance's [`Outbox`] and flushes once.
 //! `ChannelLinks` in this crate routes each message through the
-//! [`FaultRouter`](crate::FaultRouter) to the receiver's inbox or the
-//! delayer; `rtc-net`'s `TcpLinks` encodes frames into one buffer per
-//! peer and a flush is one socket write per link, and the receiving
-//! node's reader routes the frames. Inboxes are std `mpsc` receivers of
-//! [`Inbound`] items on both.
+//! [`FaultRouter`](crate::FaultRouter) at the sender and passes it, due
+//! instant and all, to the receiver's inbox; `rtc-net`'s `TcpLinks`
+//! reads the node's sockets, routes the frames it decodes, and writes
+//! one buffer per peer. A node's end of the links and its hold queue
+//! live in its slot, not in one incarnation, so a successor inherits
+//! everything that arrived or fell due while the processor was down.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -45,7 +50,7 @@ use rtc_model::{
     SeedCollection, Status, TimingParams,
 };
 
-use crate::fault::{wall, FaultPlan, RestartAt};
+use crate::fault::{wall, FaultPlan, HoldQueue, RestartAt};
 
 /// Pacing and bounds for a cluster run.
 #[derive(Clone, Copy, Debug)]
@@ -111,9 +116,10 @@ pub struct ClusterReport {
     pub recovered: Vec<bool>,
     /// Total messages sent.
     pub messages_sent: u64,
-    /// Messages still held by the delayer (delay spikes or link-outage
-    /// buffering) when the run ended — traffic whose hold outlived the
-    /// run instead of being silently dropped.
+    /// Messages still held when the run ended — by a node's hold queue
+    /// (delay spikes or link-outage buffering) past the run's end, or by
+    /// a socket link that never wrote them — counted instead of being
+    /// silently dropped.
     pub messages_undelivered: u64,
     /// Wall-clock duration of the run.
     pub wall: Duration,
@@ -156,8 +162,8 @@ impl ClusterReport {
     /// [`ClusterOptions::lateness_k`] the run was booted with, is what
     /// its three observers can vouch for: the lateness monitor saw no
     /// late delivery, the tick ledger none either, and nothing was
-    /// still held — by the delayer or a socket link — when the run
-    /// ended (a held message has no age here, so any one counts).
+    /// still held — in a node's hold queue or a socket link — when the
+    /// run ended (a held message has no age here, so any one counts).
     /// *Failure-free* means no scripted crash fired.
     pub fn facts(&self) -> RunFacts<'_> {
         RunFacts {
@@ -192,33 +198,42 @@ pub struct Envelope<M> {
     pub msg: M,
 }
 
-/// What a node's inbox carries.
-#[derive(Debug)]
-pub enum Inbound<M> {
-    /// Messages that arrived together (one socket read, one channel
-    /// send), in arrival order.
-    Msgs(Vec<Envelope<M>>),
-    /// The run is over: the node returns without taking another step.
-    Stop,
-}
-
-/// Where a node's sends go: the one thing the substrates do differently.
-/// An implementation owns a format (an in-memory envelope, a frame on a
-/// socket) and whatever stands between sender and inbox; the node loop
-/// knows neither.
+/// How messages move between nodes: the one thing the substrates do
+/// differently. An implementation owns a format (an in-memory envelope,
+/// a frame on a socket) and whatever stands between sender and
+/// receiver; the node loop knows neither. Each call names the node's
+/// own [`Links::End`], which only that node's incarnations touch.
 pub trait Links<M>: Send + Sync + 'static {
+    /// Node `i`'s own end of the links — its inbox or sockets, its
+    /// unwritten bytes, its fault dice. It lives in the node's slot and
+    /// passes from each incarnation to the next.
+    type End: Send + 'static;
+
+    /// Begins node `to`'s tick at `now`: hands `land` every message
+    /// that has arrived at `end` since the last call, in arrival order,
+    /// each with the instant it is due — `now` or earlier when it is
+    /// due now, later when the plan holds it. Must not block.
+    fn receive(
+        &self,
+        end: &mut Self::End,
+        to: ProcessorId,
+        now: Instant,
+        land: impl FnMut(Instant, Envelope<M>),
+    );
+
     /// Files what one instance sent at one step: `step.msg` is its
     /// outbox and the rest of `step` the header every message of the
     /// step shares; `n` is the population a broadcast fans out over
     /// ([`Outbox::sends`] is the order on every link). Must not block
     /// on a receiver and must tolerate teardown: a message that cannot
     /// be carried is accounted by the substrate, not reported here.
-    fn send(&self, step: Envelope<&Outbox<M>>, n: usize);
+    fn send(&self, end: &mut Self::End, step: Envelope<&Outbox<M>>, n: usize);
 
     /// Ends node `from`'s tick: whatever it filed since its last flush
-    /// and has not moved yet moves now. Called once per step, after the
-    /// last instance's `send`.
-    fn flush(&self, from: ProcessorId);
+    /// and has not moved yet moves now, as far as it can without
+    /// blocking. Called once per step, after the last instance's
+    /// `send`.
+    fn flush(&self, end: &mut Self::End, from: ProcessorId);
 }
 
 /// When a node's next step is due: at `slot`, the instant its step is
@@ -237,18 +252,28 @@ fn first_step(boot: Instant, tick: Duration, i: usize, n: usize) -> Instant {
     boot + tick * i as u32 / n as u32
 }
 
-/// Both ends of a node's inbox, as [`ClusterCore::boot`] takes them.
-pub type InboxEnds<M> = (Sender<Inbound<M>>, Receiver<Inbound<M>>);
+/// What node `i` keeps across its incarnations: its end of the links
+/// and the envelopes held for it. An incarnation locks its slot for its
+/// whole life, so a successor starts only once its predecessor is gone.
+struct Slot<E, M> {
+    end: E,
+    held: HoldQueue<Envelope<M>>,
+}
 
-/// An inbox endpoint shareable across a node's successive incarnations.
-type SharedInbox<M> = Arc<Mutex<Receiver<Inbound<M>>>>;
+/// A node's slot, shared by its successive incarnations.
+type SharedSlot<E, M> = Arc<Mutex<Slot<E, M>>>;
 
 /// Everything the node threads and the driving thread share.
 struct Shared<A: Recoverable, L> {
     /// `statuses[k][i]`: instance `k`'s status at node `i`.
     statuses: Mutex<Vec<Vec<Status>>>,
     steps: Mutex<Vec<u64>>,
-    done: Arc<AtomicBool>,
+    /// Raised by `finish` (`Release`) before it unparks the nodes, read
+    /// by each node (`Acquire`) before every step and after every wake.
+    done: AtomicBool,
+    /// Node threads spawned, incarnations included: the only threads a
+    /// run starts.
+    threads: AtomicU64,
     /// Protocol messages sent, per instance (before any fault or frame).
     messages: Vec<AtomicU64>,
     /// The tick ledger, per instance: deliveries whose receiver tick
@@ -286,15 +311,32 @@ impl<A: Recoverable, L> Shared<A, L> {
             st[k][i] = a.status();
         }
     }
+
+    /// Waits until `due`, or until [`ClusterCore::finish`] raises
+    /// `done` and unparks the node. Returns whether the run is still
+    /// on.
+    fn wait_until(&self, due: Instant) -> bool {
+        loop {
+            if self.done.load(Ordering::Acquire) {
+                return false;
+            }
+            let now = Instant::now();
+            if now >= due {
+                return true;
+            }
+            thread::park_timeout(due - now);
+        }
+    }
 }
 
 /// Spawns one incarnation of node `i`, stepping `autos` (one automaton
 /// per instance) from the step count its predecessor reached. Its first
-/// step is due at `slot`.
+/// step is due at `slot`. This is the only thread either wall-clock
+/// substrate spawns.
 fn spawn_node<A, L>(
     shared: Arc<Shared<A, L>>,
     i: usize,
-    rx: SharedInbox<A::Msg>,
+    node: SharedSlot<L::End, A::Msg>,
     mut autos: Vec<A>,
     crash_at: Option<u64>,
     mut slot: Instant,
@@ -304,12 +346,15 @@ where
     A::Msg: Send + 'static,
     L: Links<A::Msg>,
 {
+    shared.threads.fetch_add(1, Ordering::Relaxed);
     thread::spawn(move || {
         let id = ProcessorId::new(i);
-        // The inbox mutex serialises incarnations: a restarting thread
-        // blocks here until its predecessor exits, then inherits every
-        // message queued meanwhile (eventual delivery across the crash).
-        let rx = rx.lock().expect("no incarnation panics holding its inbox");
+        // The slot serialises incarnations: a restarting thread blocks
+        // here until its predecessor exits, then inherits its end of
+        // the links — everything that arrived meanwhile — and every
+        // hold (eventual delivery across the crash).
+        let mut node = node.lock().expect("no incarnation panics holding its slot");
+        let Slot { end, held } = &mut *node;
         // Resume the step counter where the predecessor left it so
         // per-step randomness is never reused.
         let mut clock = shared
@@ -320,7 +365,7 @@ where
         let mut per_instance: Vec<Vec<Delivery<A::Msg>>> =
             autos.iter().map(|_| Vec::new()).collect();
         let mut out: Outbox<A::Msg> = Outbox::new();
-        while !shared.done.load(Ordering::Relaxed) && clock < shared.max_steps {
+        while !shared.done.load(Ordering::Acquire) && clock < shared.max_steps {
             if crash_at == Some(clock) {
                 // Fail-stop mid-broadcast: this step's messages are
                 // never sent. Stable storage (the snapshots) survives.
@@ -339,17 +384,24 @@ where
                     .expect("no thread panics holding cluster state")[i] = true;
                 return;
             }
-            // Collect one tick's worth of arrivals. A late node's wait
-            // is zero, which still drains what is already queued.
+            // A late node's deadline is now: it steps at once on what
+            // has already arrived.
             let due = next_deadline(slot, Instant::now());
             slot = due + shared.tick;
-            loop {
-                match rx.recv_timeout(due.saturating_duration_since(Instant::now())) {
-                    Ok(Inbound::Msgs(batch)) => arrivals.extend(batch),
-                    Err(RecvTimeoutError::Timeout) => break,
-                    Ok(Inbound::Stop) | Err(RecvTimeoutError::Disconnected) => return,
-                }
+            if !shared.wait_until(due) {
+                return;
             }
+            // Receive: the holds that have fallen due, oldest first,
+            // then what has arrived, less what the plan still holds.
+            let now = Instant::now();
+            arrivals.extend(std::iter::from_fn(|| held.pop_due(now)));
+            shared.links.receive(end, id, now, |at, env| {
+                if at <= now {
+                    arrivals.push(env);
+                } else {
+                    held.push(at, env);
+                }
+            });
             // This step's cluster-wide event, for the paper's lateness
             // measure: note the step first (the receiving step counts
             // toward the interval), then classify what reaches an
@@ -390,13 +442,13 @@ where
                         sent_event: ev,
                         msg: &out,
                     };
-                    shared.links.send(step, n);
+                    shared.links.send(end, step, n);
                 }
                 out.clear();
             }
             // Flush before publishing: a driver that sees the decision
             // and stops the run finds the step's messages on their way.
-            shared.links.flush(id);
+            shared.links.flush(end, id);
             clock += 1;
             shared
                 .steps
@@ -411,19 +463,17 @@ where
 /// loop over `L`, ready to be driven — by [`ClusterCore::run_scripted`],
 /// by [`supervise`](crate::supervise), or by a caller polling
 /// [`ClusterCore::all_owing_decided`] — and then finished.
-pub struct ClusterCore<A: Recoverable, L> {
+pub struct ClusterCore<A: Recoverable, L: Links<A::Msg>> {
     shared: Arc<Shared<A, L>>,
-    inboxes: Vec<SharedInbox<A::Msg>>,
-    /// A sender into each inbox, for [`ClusterCore::finish`]'s stop.
-    wake: Vec<Sender<Inbound<A::Msg>>>,
+    slots: Vec<SharedSlot<L::End, A::Msg>>,
     handles: Vec<thread::JoinHandle<()>>,
     start: Instant,
 }
 
-impl<A: Recoverable, L> std::fmt::Debug for ClusterCore<A, L> {
+impl<A: Recoverable, L: Links<A::Msg>> std::fmt::Debug for ClusterCore<A, L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClusterCore")
-            .field("nodes", &self.inboxes.len())
+            .field("nodes", &self.slots.len())
             .field("instances", &self.shared.seeds.len())
             .finish()
     }
@@ -441,25 +491,21 @@ where
     ///
     /// `instances[k]` is the population of instance `k` (all the same
     /// length `n`, in processor order) and `seeds[k]` its seed
-    /// collection; `inboxes[i]` is both ends of the channel the
-    /// substrate delivers node `i`'s traffic on (it keeps clones of the
-    /// sender) and `links` where node sends go. Of `faults` the core
-    /// reads only the scripted crash steps — network faults belong to
-    /// the substrate. `done` is raised by [`ClusterCore::finish`]; the
-    /// substrate's own threads may watch the same flag.
+    /// collection; `links` is how messages move and `ends[i]` node
+    /// `i`'s own end of them. Of `faults` the core reads only the
+    /// scripted crash steps — network faults belong to the substrate.
     ///
     /// # Panics
     ///
     /// Panics when `instances` is empty or ragged, or when `seeds` or
-    /// `inboxes` do not match it.
+    /// `ends` do not match it.
     pub fn boot(
         instances: Vec<Vec<A>>,
         seeds: Vec<SeedCollection>,
         faults: &FaultPlan,
         opts: &ClusterOptions,
-        done: Arc<AtomicBool>,
-        inboxes: Vec<InboxEnds<A::Msg>>,
         links: L,
+        ends: Vec<L::End>,
     ) -> ClusterCore<A, L> {
         let m = instances.len();
         assert!(m > 0, "need at least one commit instance");
@@ -470,7 +516,7 @@ where
             instances.iter().all(|pop| pop.len() == n),
             "all instances must share the population size"
         );
-        assert_eq!(inboxes.len(), n, "one inbox per processor");
+        assert_eq!(ends.len(), n, "one end of the links per processor");
 
         // Transpose instances[k][i] into per-node automata.
         let mut per_node: Vec<Vec<A>> = (0..n).map(|_| Vec::with_capacity(m)).collect();
@@ -482,7 +528,8 @@ where
         let shared = Arc::new(Shared::<A, L> {
             statuses: Mutex::new(vec![vec![Status::Undecided; n]; m]),
             steps: Mutex::new(vec![0; n]),
-            done,
+            done: AtomicBool::new(false),
+            threads: AtomicU64::new(0),
             messages: (0..m).map(|_| AtomicU64::new(0)).collect(),
             late_by_ticks: (0..m).map(|_| AtomicU64::new(0)).collect(),
             crash_snaps: Mutex::new((0..n).map(|_| None).collect()),
@@ -501,10 +548,15 @@ where
             lateness: Mutex::new(LatenessMonitor::new(n, opts.lateness_k)),
             links,
         });
-        let (wake, inboxes): (Vec<_>, Vec<SharedInbox<A::Msg>>) = inboxes
+        let slots: Vec<SharedSlot<L::End, A::Msg>> = ends
             .into_iter()
-            .map(|(tx, rx)| (tx, Arc::new(Mutex::new(rx))))
-            .unzip();
+            .map(|end| {
+                Arc::new(Mutex::new(Slot {
+                    end,
+                    held: HoldQueue::default(),
+                }))
+            })
+            .collect();
         let boot = Instant::now();
         let handles = per_node
             .into_iter()
@@ -514,7 +566,7 @@ where
                 spawn_node(
                     Arc::clone(&shared),
                     i,
-                    Arc::clone(&inboxes[i]),
+                    Arc::clone(&slots[i]),
                     autos,
                     crash_at,
                     first_step(boot, opts.tick, i, n),
@@ -523,8 +575,7 @@ where
             .collect();
         ClusterCore {
             shared,
-            inboxes,
-            wake,
+            slots,
             handles,
             start: boot,
         }
@@ -567,7 +618,7 @@ where
         self.handles.push(spawn_node(
             Arc::clone(&self.shared),
             idx,
-            Arc::clone(&self.inboxes[idx]),
+            Arc::clone(&self.slots[idx]),
             autos,
             None,
             Instant::now(),
@@ -583,9 +634,16 @@ where
             .clone()
     }
 
+    /// Node threads spawned so far, respawns included. They are the
+    /// only threads a run starts: a round of `n` nodes that nothing
+    /// restarts runs `n`.
+    pub fn threads_spawned(&self) -> u64 {
+        self.shared.threads.load(Ordering::Relaxed)
+    }
+
     /// How many nodes the cluster runs.
     pub(crate) fn population(&self) -> usize {
-        self.inboxes.len()
+        self.slots.len()
     }
 
     /// The nodes' step period.
@@ -668,23 +726,22 @@ where
     }
 
     /// Stops the node threads and assembles one report per instance.
-    /// No poll interval is waited out: every node is woken by an
-    /// in-band [`Inbound::Stop`], the links are dropped — substrate
-    /// threads fed by a channel the links own see it disconnect — and
-    /// then `teardown` runs: the substrate joins its own threads there
-    /// and returns how many messages it still held. `steps`, `crashed`,
+    /// No tick is waited out: every node is unparked once `done` is
+    /// raised. Then `teardown` gets the links and every node's end of
+    /// them, and returns how many messages the substrate still held;
+    /// with the envelopes whose hold in a node's queue outlived the run,
+    /// that is the report's undelivered count. `steps`, `crashed`,
     /// `recovered`, the undelivered count and the monitor's counts are
     /// per node or per run, and repeated in every instance's report.
     pub fn finish(
         self,
         recovered: Vec<bool>,
         decided_in_time: bool,
-        teardown: impl FnOnce() -> u64,
+        teardown: impl FnOnce(L, Vec<L::End>) -> u64,
     ) -> Vec<ClusterReport> {
-        self.shared.done.store(true, Ordering::Relaxed);
-        for tx in &self.wake {
-            // A crashed node's inbox has nobody reading; harmless.
-            let _ = tx.send(Inbound::Stop);
+        self.shared.done.store(true, Ordering::Release);
+        for h in &self.handles {
+            h.thread().unpark();
         }
         for h in self.handles {
             let _ = h.join();
@@ -692,8 +749,18 @@ where
         let Ok(shared) = Arc::try_unwrap(self.shared) else {
             unreachable!("every node thread has exited and dropped its handle");
         };
-        drop(shared.links);
-        let messages_undelivered = teardown();
+        let (ended, mut held, mut ends) = (Instant::now(), 0, Vec::new());
+        for slot in self.slots {
+            let Ok(slot) = Arc::try_unwrap(slot) else {
+                unreachable!("every node thread has exited and dropped its slot");
+            };
+            let slot = slot
+                .into_inner()
+                .expect("no incarnation panics holding its slot");
+            held += slot.held.outliving(ended);
+            ends.push(slot.end);
+        }
+        let messages_undelivered = held + teardown(shared.links, ends);
         let steps = shared
             .steps
             .lock()
@@ -752,6 +819,8 @@ where
 mod tests {
     use rtc_core::{commit_population, CommitAutomaton, CommitConfig, CommitMsg};
     use rtc_model::{Decision, TimingParams, Value};
+
+    use std::sync::mpsc::{Receiver, Sender};
 
     use super::*;
     use crate::fault::DelayModel;
@@ -846,11 +915,25 @@ mod tests {
         Flush(ProcessorId),
     }
 
-    /// A `Links` that delivers nothing and reports every call.
+    /// A `Links` that delivers only what was waiting at boot, and
+    /// reports every call.
     struct Recorder(Sender<Call>);
 
     impl Links<Seen> for Recorder {
-        fn send(&self, step: Envelope<&Outbox<Seen>>, n: usize) {
+        /// What waits at a node's end: handed over at its first tick.
+        type End = Vec<Envelope<Seen>>;
+
+        fn receive(
+            &self,
+            end: &mut Vec<Envelope<Seen>>,
+            _to: ProcessorId,
+            now: Instant,
+            mut land: impl FnMut(Instant, Envelope<Seen>),
+        ) {
+            end.drain(..).for_each(|env| land(now, env));
+        }
+
+        fn send(&self, _end: &mut Vec<Envelope<Seen>>, step: Envelope<&Outbox<Seen>>, n: usize) {
             let header = Envelope {
                 from: step.from,
                 instance: step.instance,
@@ -866,14 +949,14 @@ mod tests {
                 .send(Call::Send(header, out.take_broadcast().is_some(), sends));
         }
 
-        fn flush(&self, from: ProcessorId) {
+        fn flush(&self, _end: &mut Vec<Envelope<Seen>>, from: ProcessorId) {
             let _ = self.0.send(Call::Flush(from));
         }
     }
 
     /// Boots two instances of a two-`Probe` population where `p1`
     /// crashes before its first step, so `p0` is the only thread that
-    /// ever steps, over a [`Recorder`].
+    /// ever steps, over a [`Recorder`] with `waiting` at `p0`'s end.
     fn boot_probes(
         broadcasts: bool,
         p0_crash: Option<u64>,
@@ -890,8 +973,6 @@ mod tests {
             })
         };
         let (calls_tx, calls) = std::sync::mpsc::channel();
-        let inboxes: Vec<_> = (0..2).map(|_| std::sync::mpsc::channel()).collect();
-        inboxes[0].0.send(Inbound::Msgs(waiting)).unwrap();
         let mut faults = FaultPlan::none().with_crash(p(1), 0);
         if let Some(at) = p0_crash {
             faults = faults.with_crash(p(0), at);
@@ -905,9 +986,8 @@ mod tests {
                 max_steps: 1_000,
                 ..opts()
             },
-            Arc::new(AtomicBool::new(false)),
-            inboxes,
             Recorder(calls_tx),
+            vec![waiting, Vec::new()],
         );
         (core, calls)
     }
@@ -980,7 +1060,7 @@ mod tests {
         // twice.
         core.respawn(0, true);
         expect_steps(CRASH..CRASH + 2);
-        let reports = core.finish(vec![true, false], false, || 0);
+        let reports = core.finish(vec![true, false], false, |_, _| 0);
         assert_eq!(reports.len(), 2);
         assert_eq!(reports[0].crashed, vec![true, true]);
         assert!(reports[0].steps[0] >= CRASH + 2 && reports[0].steps[1] == 0);
@@ -1015,7 +1095,7 @@ mod tests {
                 "{call:?}"
             );
         }
-        let reports = core.finish(vec![false; 2], false, || 0);
+        let reports = core.finish(vec![false; 2], false, |_, _| 0);
         // Messages are counted per destination, as before.
         assert_eq!(reports[0].messages_sent, reports[0].steps[0]);
     }
@@ -1074,8 +1154,7 @@ mod tests {
     #[test]
     fn finish_does_not_wait_out_a_tick() {
         // Every node is parked in a 50 ms tick when `finish` is called;
-        // the in-band stop wakes them (and the dropped links the
-        // delayer) at once.
+        // unparking wakes each at once, and nothing else runs.
         let c = cfg(3);
         let slow = ClusterOptions {
             tick: Duration::from_millis(50),

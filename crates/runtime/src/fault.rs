@@ -11,27 +11,23 @@
 //! [`ClusterCore::run_scripted`](crate::ClusterCore::run_scripted)).
 //!
 //! Both wall-clock substrates apply the plan's network faults through
-//! one [`FaultRouter`], which holds what it delays in the run's one
-//! delayer thread. A link outage and a partition are the same fault to
-//! every substrate, a window during which the messages crossing a cut
-//! are held, never an event of the run: the router holds them until
-//! the last covering window ends, and the simulator's adversary
-//! withholds them while a window covers their pair
-//! ([`FaultPlan::cut_until`] serves both). A reorder is a hold too, one
+//! one [`FaultRouter`], and what it holds waits in the receiving node's
+//! own due-ordered queue, not in a thread. A link outage and a
+//! partition are the same fault to every substrate, a window during
+//! which the messages crossing a cut are held, never an event of the
+//! run: the router holds them until the last covering window ends, and
+//! the simulator's adversary withholds them while a window covers their
+//! pair ([`FaultPlan::cut_until`] serves both). A reorder is a hold too, one
 //! to three ticks long ([`FaultPlan::reorder_ticks`]).
 
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::thread;
 use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
 use rand::Rng;
 use rtc_model::ProcessorId;
 
-use crate::cluster::{Envelope, Inbound};
+use crate::cluster::Envelope;
 
 /// A duration in whole nanoseconds, saturating past ~584 years.
 fn nanos(d: Duration) -> u64 {
@@ -267,9 +263,8 @@ pub struct FaultPlan {
     /// Scripted multi-way partitions.
     pub partitions: Vec<NetPartition>,
     /// Probability (in thousandths) that a sent message is duplicated:
-    /// a second copy is injected through the delay heap with its own
-    /// sampled hold, so the receiver may see the payload twice and in
-    /// either order. Automata must be idempotent against this.
+    /// a second copy is held with its own sampled hold, so the receiver
+    /// may see the payload twice and in either order. Automata must be idempotent against this.
     pub duplicate_permille: u32,
     /// Probability (in thousandths) that a sent message is held for an
     /// extra one-to-three ticks, letting later traffic overtake it —
@@ -532,118 +527,60 @@ fn hit(permille: u32, rng: &mut SmallRng) -> bool {
     permille > 0 && rng.gen_range(0..1000u32) < permille
 }
 
-/// An envelope on hold: when it is due, which inbox it is for.
-type Hold<M> = (Instant, usize, Envelope<M>);
-
 /// A run's network faults at work, the same on both wall-clock
 /// substrates: [`FaultRouter::route`] rolls [`FaultPlan::roll`] for one
-/// envelope and hands what the dice hold to the run's one delayer
-/// thread. The channel substrate routes each message as it is sent; the
-/// socket substrate routes each frame where it lands, in the
-/// destination node's reader.
-///
-/// The delayer starts at the first hold, so a run that holds nothing —
-/// every run of a plan without network faults — takes the same path
-/// and keeps no thread for it.
+/// envelope and tells the caller when it is due. The channel substrate
+/// routes each message as it is sent and passes it, with its due
+/// instant, to the receiver's inbox; the socket substrate routes each
+/// frame where it lands, in the receiving node's tick. Either way a
+/// held envelope waits in its receiver's own hold queue: there is no
+/// thread for it.
 #[derive(Debug)]
-pub struct FaultRouter<M> {
+pub struct FaultRouter {
     plan: FaultPlan,
     start: Instant,
     tick: Duration,
-    held: Sender<Hold<M>>,
-    /// What the delayer will run on — the holds, the inboxes it
-    /// delivers into, the run's end — until the first hold starts it.
-    idle: Mutex<Option<DelayerEnds<M>>>,
-    /// The delayer, once started. It returns how many envelopes it
-    /// still held when the run ended.
-    delayer: OnceLock<thread::JoinHandle<u64>>,
 }
 
-/// The delayer's receiving end, the inboxes it delivers into, and the
-/// flag that ends the run.
-type DelayerEnds<M> = (Receiver<Hold<M>>, Vec<Sender<Inbound<M>>>, Arc<AtomicBool>);
-
-impl<M: Clone + Send + 'static> FaultRouter<M> {
-    /// A router for `plan`, its windows read at `tick` a tick from now,
-    /// whose delayer delivers into `inboxes` until `done` is raised.
-    pub fn new(
-        plan: FaultPlan,
-        tick: Duration,
-        inboxes: Vec<Sender<Inbound<M>>>,
-        done: Arc<AtomicBool>,
-    ) -> FaultRouter<M> {
-        let (held, rx) = channel();
+impl FaultRouter {
+    /// A router for `plan`, its windows read at `tick` a tick from now.
+    pub fn new(plan: FaultPlan, tick: Duration) -> FaultRouter {
         FaultRouter {
             plan,
             start: Instant::now(),
             tick,
-            held,
-            idle: Mutex::new(Some((rx, inboxes, done))),
-            delayer: OnceLock::new(),
         }
     }
 
-    /// Wall clock since the router was made: the `at` its plan's
-    /// windows are read against.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    /// Routes `env`, bound for `to` and sent `at` into the run, on
-    /// `rng`'s dice. Returns the envelope when it is due now and `None`
-    /// when the delayer holds it; a duplicate is always held. The flag
-    /// is the reset die: tear down the connection that carried `env`
-    /// once everything that arrived with it is routed (only sockets
-    /// have one; see [`FaultPlan::reset_permille`]). A plan without
-    /// network faults routes everything now and draws no dice.
-    pub fn route(
+    /// Routes `env`, bound for `to` and sent (or read) at `now`, on
+    /// `rng`'s dice: `land` gets the envelope with the instant it is
+    /// due — `now` unless the dice hold it — and, when the duplicate die
+    /// hits, a second copy, always held. Returns the reset die: tear
+    /// down the connection that carried `env` once everything that
+    /// arrived with it is routed (only sockets have one; see
+    /// [`FaultPlan::reset_permille`]). The plan's windows are read at
+    /// `now`'s offset from the router's making. A plan without network
+    /// faults lands everything at `now` and draws no dice.
+    pub fn route<M: Clone>(
         &self,
         env: Envelope<M>,
         to: ProcessorId,
-        at: Duration,
+        now: Instant,
         rng: &mut SmallRng,
-    ) -> (Option<Envelope<M>>, bool) {
+        mut land: impl FnMut(Instant, Envelope<M>),
+    ) -> bool {
+        let at = now.saturating_duration_since(self.start);
         let (hold, duplicate_hold, reset) = self.plan.roll(env.from, to, at, self.tick, rng);
         if let Some(hold) = duplicate_hold {
-            self.hold(hold, to, env.clone());
+            land(now + hold, env.clone());
         }
-        if hold.is_zero() {
-            return (Some(env), reset);
-        }
-        self.hold(hold, to, env);
-        (None, reset)
-    }
-
-    /// Queues `env` for `to`, due `hold` from now, starting the delayer
-    /// if this is the run's first hold.
-    fn hold(&self, hold: Duration, to: ProcessorId, env: Envelope<M>) {
-        // A send can fail only during teardown.
-        let _ = self.held.send((Instant::now() + hold, to.index(), env));
-        let start = || {
-            spawn_delayer(
-                self.idle
-                    .lock()
-                    .expect("no thread panics starting the delayer")
-                    .take()
-                    .expect("only one hold starts it"),
-            )
-        };
-        self.delayer.get_or_init(start);
-    }
-
-    /// Ends the delayer, once every envelope is routed and `done` is
-    /// raised, and returns how many envelopes it still held: traffic
-    /// whose hold outlived the run is counted, not silently dropped.
-    pub fn finish(self) -> u64 {
-        drop(self.held);
-        let delayer = self.delayer.into_inner();
-        delayer.map_or(0, |delayer| delayer.join().unwrap_or(0))
+        land(now + hold, env);
+        reset
     }
 }
 
-/// Something the delayer holds until `due`. Ordered so a
-/// [`BinaryHeap`] pops the earliest `due` first, `seq` (the delayer's
-/// push counter) breaking ties.
+/// Something held until `due`. Ordered so a [`BinaryHeap`] pops the
+/// earliest `due` first, `seq` (the queue's push counter) breaking ties.
 struct Due<T> {
     due: Instant,
     seq: u64,
@@ -668,49 +605,46 @@ impl<T> Ord for Due<T> {
     }
 }
 
-/// Spawns the delayer: the run's one due-ordered hold thread, for both
-/// wall-clock substrates. It delivers each hold once it is due, and
-/// returns how many were still held or queued when the run ended
-/// (`done` raised, or the router gone).
-fn spawn_delayer<M: Send + 'static>(ends: DelayerEnds<M>) -> thread::JoinHandle<u64> {
-    let (rx, inboxes, done) = ends;
-    thread::spawn(move || {
-        let mut heap = BinaryHeap::new();
-        let mut seq = 0u64;
-        loop {
-            // Capped so a hold that outlives the run cannot keep the
-            // delayer from seeing `done`.
-            const POLL: Duration = Duration::from_millis(5);
-            let timeout = heap.peek().map_or(POLL, |d: &Due<_>| {
-                d.due.saturating_duration_since(Instant::now()).min(POLL)
-            });
-            let senders_gone = match rx.recv_timeout(timeout) {
-                Ok((due, to, env)) => {
-                    seq += 1;
-                    heap.push(Due {
-                        due,
-                        seq,
-                        item: (to, env),
-                    });
-                    false
-                }
-                Err(RecvTimeoutError::Timeout) => false,
-                Err(RecvTimeoutError::Disconnected) => true,
-            };
-            let now = Instant::now();
-            while heap.peek().is_some_and(|d| d.due <= now) {
-                let (to, env) = heap.pop().expect("peeked").item;
-                // A send can fail only during teardown.
-                let _ = inboxes[to].send(Inbound::Msgs(vec![env]));
-            }
-            if senders_gone || done.load(Ordering::Relaxed) {
-                // Whatever is still held, or still queued behind the hold
-                // just taken, would arrive after every node stopped
-                // listening.
-                return (heap.len() + rx.try_iter().count()) as u64;
-            }
+/// One node's held envelopes, due-ordered: what the plan's delays,
+/// windows, reorders and duplicates hold for it. The queue belongs to
+/// the node's slot, not to one incarnation, so a hold that falls due
+/// while the node is down reaches its successor.
+pub(crate) struct HoldQueue<T> {
+    heap: BinaryHeap<Due<T>>,
+    seq: u64,
+}
+
+impl<T> Default for HoldQueue<T> {
+    fn default() -> HoldQueue<T> {
+        HoldQueue {
+            heap: BinaryHeap::new(),
+            seq: 0,
         }
-    })
+    }
+}
+
+impl<T> HoldQueue<T> {
+    /// Holds `item` until `due`.
+    pub(crate) fn push(&mut self, due: Instant, item: T) {
+        self.seq += 1;
+        let seq = self.seq;
+        self.heap.push(Due { due, seq, item });
+    }
+
+    /// The earliest hold due by `now`, held longest first among equals.
+    pub(crate) fn pop_due(&mut self, now: Instant) -> Option<T> {
+        if self.heap.peek()?.due > now {
+            return None;
+        }
+        self.heap.pop().map(|d| d.item)
+    }
+
+    /// How many holds are due after `now`: at teardown, the traffic
+    /// whose hold outlived the run, counted rather than silently
+    /// dropped.
+    pub(crate) fn outliving(&self, now: Instant) -> u64 {
+        self.heap.iter().filter(|d| d.due > now).count() as u64
+    }
 }
 
 #[cfg(test)]
@@ -949,20 +883,18 @@ mod tests {
 
     #[test]
     fn due_pops_earliest_first_then_lowest_seq() {
+        // (due ms, push order): ties on `due` pop in push order, and
+        // nothing pops before it is due.
         let t0 = Instant::now();
-        let at = |ms: u64, seq: u64| Due {
-            due: t0 + Duration::from_millis(ms),
-            seq,
-            item: (ms, seq),
-        };
-        let mut heap = std::collections::BinaryHeap::from(vec![
-            at(7, 0),
-            at(3, 4),
-            at(3, 1),
-            at(9, 2),
-            at(3, 3),
-        ]);
-        let popped: Vec<(u64, u64)> = std::iter::from_fn(|| heap.pop().map(|d| d.item)).collect();
+        let mut queue = HoldQueue::default();
+        for (ms, seq) in [(7, 0), (3, 1), (9, 2), (3, 3), (3, 4)] {
+            queue.push(t0 + Duration::from_millis(ms), (ms, seq));
+        }
+        let at = |ms| t0 + Duration::from_millis(ms);
+        assert_eq!(queue.pop_due(at(2)), None);
+        let mut popped: Vec<(u64, u64)> = std::iter::from_fn(|| queue.pop_due(at(5))).collect();
+        assert_eq!(popped, vec![(3, 1), (3, 3), (3, 4)]);
+        popped.extend(std::iter::from_fn(|| queue.pop_due(at(9))));
         assert_eq!(popped, vec![(3, 1), (3, 3), (3, 4), (7, 0), (9, 2)]);
     }
 
@@ -977,47 +909,45 @@ mod tests {
     }
 
     #[test]
-    fn the_delayer_counts_holds_still_queued_at_teardown() {
-        // Three holds due an hour from now, queued before the delayer
-        // looks, and the run already over: it takes one off the queue
-        // and must count all three.
-        let (held, rx) = channel();
-        let due = Instant::now() + Duration::from_secs(3600);
+    fn a_node_queue_counts_holds_still_queued_at_teardown() {
+        // Three holds due an hour from now, and the run already over:
+        // none is delivered, and all three are counted.
+        let now = Instant::now();
+        let due = now + Duration::from_secs(3600);
+        let mut queue = HoldQueue::default();
         for from in 0..3 {
-            held.send((due, 0, envelope(from))).unwrap();
+            queue.push(due, envelope(from));
         }
-        let (inbox, delivered) = channel();
-        let delayer = spawn_delayer((rx, vec![inbox], Arc::new(AtomicBool::new(true))));
-        assert_eq!(delayer.join().unwrap(), 3);
-        assert!(delivered.try_recv().is_err());
+        assert_eq!(queue.outliving(now), 3);
+        assert!(queue.pop_due(now).is_none());
+        // A hold already due is not one that outlived the run.
+        queue.push(now, envelope(3));
+        assert_eq!(queue.outliving(now), 3);
     }
 
     #[test]
     fn a_plan_without_network_faults_routes_everything_now_and_draws_no_dice() {
         // Crashes and restarts are not network faults: every envelope,
-        // at any time, is due now, nothing reaches the delayer, and the
-        // dice stream is where it started.
+        // at any time, lands once and is due the instant it was routed,
+        // nothing is held, and the dice stream is where it started.
         let p = ProcessorId::new;
         let plan = FaultPlan::none()
             .with_crash(p(1), 3)
             .with_restart(p(1), 9, true);
-        let router = FaultRouter::new(
-            plan,
-            Duration::from_millis(1),
-            vec![channel().0],
-            Arc::new(AtomicBool::new(true)),
-        );
+        let router = FaultRouter::new(plan, Duration::from_millis(1));
         let mut rng = SmallRng::seed_from_u64(7);
         let untouched = rng.clone();
         for (from, to) in [(0, 1), (1, 0), (2, 2)] {
             for at in [0, 5, 3_600_000].map(Duration::from_millis) {
-                let (now, reset) = router.route(envelope(from), p(to), at, &mut rng);
-                assert_eq!(now.map(|env| env.msg), Some(from));
+                let now = router.start + at;
+                let mut landed = Vec::new();
+                let reset = router.route(envelope(from), p(to), now, &mut rng, |due, env| {
+                    landed.push((due, env.msg));
+                });
+                assert_eq!(landed, vec![(now, from)], "nothing was held");
                 assert!(!reset);
             }
         }
         assert_eq!(rng, untouched);
-        assert!(router.delayer.get().is_none(), "nothing was held");
-        assert_eq!(router.finish(), 0);
     }
 }

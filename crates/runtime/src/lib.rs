@@ -2,9 +2,10 @@
 //!
 //! The discrete-event simulator (`rtc-sim`) gives adversarial control;
 //! this crate gives *realism*: every processor runs on its own OS
-//! thread, links are std `mpsc` channels, local clocks advance with wall
-//! time, and a [`FaultPlan`] injects crashes, restarts and network
-//! faults. The plan counts time in ticks, so the simulator reads the
+//! thread — the only thread it has — links are std `mpsc` channels,
+//! local clocks advance with wall time, and a [`FaultPlan`] injects
+//! crashes, restarts and network faults. The plan counts time in
+//! ticks, so the simulator reads the
 //! same plan. The same [`rtc_model::Automaton`] implementations run
 //! unmodified on both substrates — the paper's "laptop" deployment of
 //! its model.
@@ -19,9 +20,7 @@ mod fault;
 mod recovery;
 mod supervisor;
 
-pub use cluster::{
-    ClusterCore, ClusterOptions, ClusterReport, Envelope, Inbound, InboxEnds, Links,
-};
+pub use cluster::{ClusterCore, ClusterOptions, ClusterReport, Envelope, Links};
 pub use fault::{
     CrashAt, DelayModel, FaultPlan, FaultPlanError, FaultRouter, LinkOutage, NetPartition,
     RestartAt,

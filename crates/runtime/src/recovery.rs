@@ -1,5 +1,6 @@
-//! The channel substrate: std `mpsc` channels as links, one delayer
-//! thread for held messages, and crash–recovery from persisted state.
+//! The channel substrate: std `mpsc` channels as links, held messages
+//! in their receiver's own queue, and crash–recovery from persisted
+//! state.
 //!
 //! The paper's faults are fail-stop — a crashed processor never takes
 //! another step — but Theorem 11 deliberately leaves the door open:
@@ -17,9 +18,10 @@
 //! Two properties make the restart sound:
 //!
 //! * **Inboxes survive crashes.** A node's successive incarnations
-//!   share one channel receiver; the restarted thread inherits every
-//!   message queued while the processor was down, preserving the
-//!   model's eventual-delivery guarantee across the fault.
+//!   share one channel receiver and one hold queue; the restarted
+//!   thread inherits every message queued or held while the processor
+//!   was down, preserving the model's eventual-delivery guarantee
+//!   across the fault.
 //! * **Snapshots are crash-consistent.** The snapshot is taken at the
 //!   crash itself, before the step's messages are sent, so a restored
 //!   automaton can never contradict anything already on the wire — it
@@ -27,39 +29,57 @@
 //!   position once (receivers deduplicate by sender).
 //!
 //! Network faults live in [`ChannelLinks`]: every message of a step's
-//! outbox goes through the run's [`FaultRouter`], straight to the
-//! receiver's inbox or, when held, through the router's delayer — the
-//! same router and delayer the socket substrate's readers use. Nothing
-//! waits for the tick's flush, and teardown waits for no poll: once the
-//! links are dropped, finishing the router disconnects the delayer.
+//! outbox goes through the run's [`FaultRouter`] at the sender and into
+//! the receiver's inbox with the instant it is due. The receiver drains
+//! its inbox at its tick and keeps what is not yet due in its own hold
+//! queue, the one the socket substrate's nodes use, so a run spawns no
+//! thread but its nodes and teardown waits for nothing.
 
-use std::sync::atomic::AtomicBool;
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::time::Instant;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rtc_model::{Outbox, ProcessorId, Recoverable, SeedCollection};
 
-use crate::cluster::{ClusterCore, ClusterOptions, ClusterReport, Envelope, Inbound, Links};
+use crate::cluster::{ClusterCore, ClusterOptions, ClusterReport, Envelope, Links};
 use crate::fault::{FaultPlan, FaultRouter};
+
+/// An envelope on its way to a node, and the instant it is due.
+type Posted<M> = (Instant, Envelope<M>);
 
 /// The channel substrate's [`Links`]: in-memory envelopes, the fault
 /// plan's network faults applied at the sender.
 pub(crate) struct ChannelLinks<M> {
-    inbox_tx: Vec<Sender<Inbound<M>>>,
-    router: Arc<FaultRouter<M>>,
-    /// One fault-dice stream per sender; only node `i` locks `rngs[i]`.
-    rngs: Vec<Mutex<SmallRng>>,
+    inbox_tx: Vec<Sender<Posted<M>>>,
+    router: FaultRouter,
+}
+
+/// Node `i`'s end of the channel links: its inbox, and the fault dice
+/// it rolls for what it sends.
+pub(crate) struct ChannelEnd<M> {
+    inbox: Receiver<Posted<M>>,
+    dice: SmallRng,
 }
 
 impl<M: Clone + Send + 'static> Links<M> for ChannelLinks<M> {
-    fn send(&self, step: Envelope<&Outbox<M>>, n: usize) {
+    type End = ChannelEnd<M>;
+
+    fn receive(
+        &self,
+        end: &mut ChannelEnd<M>,
+        _to: ProcessorId,
+        _now: Instant,
+        mut land: impl FnMut(Instant, Envelope<M>),
+    ) {
+        for (due, env) in end.inbox.try_iter() {
+            land(due, env);
+        }
+    }
+
+    fn send(&self, end: &mut ChannelEnd<M>, step: Envelope<&Outbox<M>>, n: usize) {
         let from = step.from;
-        let at = self.router.elapsed();
-        let mut rng = self.rngs[from.index()]
-            .lock()
-            .expect("no node panics holding its fault dice");
+        let now = Instant::now();
         for (to, msg) in step.msg.sends(from, n) {
             // An envelope owns its message, so this is where a
             // broadcast becomes one message per destination.
@@ -70,16 +90,17 @@ impl<M: Clone + Send + 'static> Links<M> for ChannelLinks<M> {
                 sent_event: step.sent_event,
                 msg: msg.clone(),
             };
-            // Channels have no connection to reset; that die is inert here.
-            if let (Some(env), _reset) = self.router.route(env, to, at, &mut rng) {
-                // A send can fail only during teardown.
-                let _ = self.inbox_tx[to.index()].send(Inbound::Msgs(vec![env]));
-            }
+            let inbox = &self.inbox_tx[to.index()];
+            // Channels have no connection to reset; that die is inert
+            // here. A send can fail only during teardown.
+            let _reset = self.router.route(env, to, now, &mut end.dice, |due, env| {
+                let _ = inbox.send((due, env));
+            });
         }
     }
 
     /// Every message moved when it was filed.
-    fn flush(&self, _from: ProcessorId) {}
+    fn flush(&self, _end: &mut ChannelEnd<M>, _from: ProcessorId) {}
 }
 
 /// Sender `i`'s fault-dice stream in a channel cluster seeded with
@@ -88,11 +109,12 @@ pub(crate) fn fault_dice(seeds: SeedCollection, i: usize) -> SmallRng {
     SmallRng::seed_from_u64(seeds.master() ^ (0xC0FFEE + i as u64))
 }
 
-/// A booted channel cluster: the core plus the router to finish at the
-/// end.
-pub(crate) struct ChannelCluster<A: Recoverable> {
+/// A booted channel cluster.
+pub(crate) struct ChannelCluster<A: Recoverable>
+where
+    A::Msg: Send + 'static,
+{
     pub(crate) core: ClusterCore<A, ChannelLinks<A::Msg>>,
-    router: Arc<FaultRouter<A::Msg>>,
 }
 
 impl<A> ChannelCluster<A>
@@ -109,30 +131,29 @@ where
         opts: &ClusterOptions,
     ) -> ChannelCluster<A> {
         let n = procs.len();
-        let inboxes: Vec<_> = (0..n).map(|_| channel()).collect();
-        let inbox_tx: Vec<_> = inboxes.iter().map(|(tx, _)| tx.clone()).collect();
-        let done = Arc::new(AtomicBool::new(false));
-        let router = Arc::new(FaultRouter::new(
-            faults.clone(),
-            opts.tick,
-            inbox_tx.clone(),
-            Arc::clone(&done),
-        ));
+        let (inbox_tx, ends) = (0..n)
+            .map(|i| {
+                let (tx, inbox) = channel();
+                let dice = fault_dice(seeds, i);
+                (tx, ChannelEnd { inbox, dice })
+            })
+            .unzip();
         let links = ChannelLinks {
             inbox_tx,
-            router: Arc::clone(&router),
-            rngs: (0..n).map(|i| Mutex::new(fault_dice(seeds, i))).collect(),
+            router: FaultRouter::new(faults.clone(), opts.tick),
         };
-        let core = ClusterCore::boot(vec![procs], vec![seeds], faults, opts, done, inboxes, links);
-        ChannelCluster { core, router }
+        let core = ClusterCore::boot(vec![procs], vec![seeds], faults, opts, links, ends);
+        ChannelCluster { core }
     }
 
-    /// Stops every thread and assembles the report.
+    /// Stops every thread and assembles the report. Envelopes still in
+    /// an inbox whose hold outlived the run count as undelivered, as
+    /// those in a node's hold queue do.
     pub(crate) fn finish(self, recovered: Vec<bool>, decided_in_time: bool) -> ClusterReport {
-        let router = self.router;
-        let teardown = || {
-            let router = Arc::into_inner(router).expect("the links are dropped");
-            router.finish()
+        let teardown = |_links, ends: Vec<ChannelEnd<A::Msg>>| {
+            let now = Instant::now();
+            let held = ends.iter().flat_map(|e| e.inbox.try_iter());
+            held.filter(|(due, _)| *due > now).count() as u64
         };
         self.core
             .finish(recovered, decided_in_time, teardown)
@@ -208,6 +229,7 @@ mod tests {
     use rtc_model::{TimingParams, Value};
 
     use super::*;
+    use std::sync::{Arc, Mutex};
 
     fn cfg(n: usize) -> CommitConfig {
         CommitConfig::new(n, CommitConfig::max_tolerated(n), TimingParams::default()).unwrap()
@@ -352,5 +374,110 @@ mod tests {
         assert_eq!(report.recovered, vec![false, true, true]);
         assert!(report.all_nonfaulty_decided());
         assert!(report.agreement_holds());
+    }
+
+    /// Node 0 sends node 1 its step count at every step; node 1 logs,
+    /// at each of its own steps, every count it heard. The log is
+    /// shared, so a successor restored from a snapshot logs into it
+    /// too.
+    #[derive(Clone, Debug)]
+    struct Tally {
+        id: ProcessorId,
+        steps: u64,
+        heard: Arc<Mutex<Vec<(u64, u64)>>>,
+    }
+
+    impl rtc_model::Automaton for Tally {
+        type Msg = u64;
+
+        fn id(&self) -> ProcessorId {
+            self.id
+        }
+
+        fn population(&self) -> usize {
+            2
+        }
+
+        fn step_into<'a>(
+            &mut self,
+            inbox: impl Iterator<Item = (ProcessorId, &'a u64)>,
+            _rng: &mut rtc_model::StepRng,
+            out: &mut Outbox<u64>,
+        ) {
+            let mut heard = self.heard.lock().unwrap();
+            heard.extend(inbox.map(|(_, count)| (self.steps, *count)));
+            if self.id == ProcessorId::COORDINATOR {
+                out.send(ProcessorId::new(1), self.steps);
+            }
+            self.steps += 1;
+        }
+
+        fn status(&self) -> rtc_model::Status {
+            rtc_model::Status::Undecided
+        }
+    }
+
+    impl Recoverable for Tally {
+        type Snapshot = Tally;
+
+        fn snapshot(&self) -> Tally {
+            self.clone()
+        }
+
+        fn restore(snapshot: &Tally) -> Tally {
+            snapshot.clone()
+        }
+    }
+
+    #[test]
+    fn a_held_envelope_reaches_the_crashed_receivers_successor_over_channels() {
+        // The p0–p1 link is cut for the first 20 ticks (40 ms), so every
+        // count p0 sends in it is held until the heal. p1 crashes at its
+        // step 3 (about 7 ms in), holding the first counts in its queue
+        // and with the rest on their way, and its snapshot successor
+        // starts at tick 35 (70 ms), after the heal. Every count arrives
+        // exactly once and in order, none sent inside the window before
+        // the successor, and each is a classified delivery; the run
+        // spawns only its two node threads and the successor's.
+        const CRASH: u64 = 3;
+        let heard = Arc::new(Mutex::new(Vec::new()));
+        let population = (0..2)
+            .map(|i| Tally {
+                id: ProcessorId::new(i),
+                steps: 0,
+                heard: Arc::clone(&heard),
+            })
+            .collect();
+        let o = ClusterOptions {
+            tick: Duration::from_millis(2),
+            wall_timeout: Duration::from_millis(140),
+            ..opts()
+        };
+        let p = ProcessorId::new;
+        let plan = FaultPlan::none()
+            .with_link_outage(p(0), p(1), 0, 20)
+            .with_crash(p(1), CRASH)
+            .with_restart(p(1), 35, true);
+        let mut cluster = ChannelCluster::boot(population, SeedCollection::new(46), &plan, &o);
+        let (recovered, _) = cluster.core.run_scripted(plan.restarts, o.wall_timeout);
+        assert_eq!(cluster.core.threads_spawned(), 3);
+        let report = cluster.finish(recovered, false);
+        assert!(report.crashed[1] && report.recovered[1], "{report:?}");
+        let heard = heard.lock().unwrap().clone();
+        let counts: Vec<u64> = heard.iter().map(|(_, c)| *c).collect();
+        assert_eq!(
+            counts,
+            (0..counts.len() as u64).collect::<Vec<_>>(),
+            "{heard:?}"
+        );
+        assert!(counts.len() > 30, "{heard:?}");
+        assert!(
+            heard
+                .iter()
+                .filter(|(_, c)| *c <= 15)
+                .all(|(step, _)| *step >= CRASH),
+            "a count held by the cut reached the victim before its crash: {heard:?}"
+        );
+        assert_eq!(report.deliveries, heard.len() as u64, "{report:?}");
     }
 }
