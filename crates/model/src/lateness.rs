@@ -65,7 +65,9 @@ impl LatenessMonitor {
     /// called before classifying the deliveries of that step (the
     /// receiving step itself counts toward the interval). A substrate
     /// numbers its step events with any counter that strictly
-    /// increases across processors.
+    /// increases across processors, in the order it notes them: the
+    /// simulator notes its own event index, and a wall-clock cluster
+    /// numbers a step's event in the critical section that notes it.
     pub fn note_step(&mut self, i: usize, event: u64) {
         let base = i * self.cap;
         let slot = (self.counts[i] as usize) % self.cap;

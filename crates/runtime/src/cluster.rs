@@ -39,9 +39,19 @@
 //! one buffer per peer. A node's end of the links and its hold queue
 //! live in its slot, not in one incarnation, so a successor inherits
 //! everything that arrived or fell due while the processor was down.
+//!
+//! What a step leaves behind — the node's clock, its statuses, what it
+//! sent, how its arrivals classified — is one record, and the cluster
+//! keeps every node's on one board behind one lock. A step takes the
+//! board twice: once to number its event and classify its arrivals
+//! against the [`LatenessMonitor`] and the tick ledger, once to publish
+//! its clock, statuses and message counts. A crash writes its snapshot
+//! and marks the node down in one critical section, and a respawn
+//! publishes the restored statuses and marks the node up in another.
+//! Only the `done` flag, which a parked node reads, lives beside it.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -263,53 +273,61 @@ struct Slot<E, M> {
 /// A node's slot, shared by its successive incarnations.
 type SharedSlot<E, M> = Arc<Mutex<Slot<E, M>>>;
 
+/// What the nodes' steps leave behind, in one place: a step of the
+/// paper's model receives, computes and sends, and its record is the
+/// node's clock, its statuses, what it sent and how its arrivals
+/// classified. Crashes and respawns write here too, each in one
+/// critical section.
+struct Board<S> {
+    /// `statuses[k][i]`: instance `k`'s status at node `i`.
+    statuses: Vec<Vec<Status>>,
+    /// Steps each node has taken.
+    steps: Vec<u64>,
+    /// Protocol messages sent, per instance (before any fault or frame).
+    messages: Vec<u64>,
+    /// The tick ledger, per instance: deliveries whose receiver tick
+    /// exceeds their sender's by more than `K`.
+    late_by_ticks: Vec<u64>,
+    /// `crash_snaps[i]`: node `i`'s crash-time snapshot of every
+    /// instance — the stable storage a dying node writes.
+    crash_snaps: Vec<Option<Vec<S>>>,
+    /// Currently crashed and not (yet) restarted.
+    down: Vec<bool>,
+    /// Whether each processor's scripted crash actually fired.
+    crashed: Vec<bool>,
+    /// Step events numbered so far, cluster-wide: a step's event is
+    /// numbered and noted by the monitor in one critical section.
+    events: u64,
+    lateness: LatenessMonitor,
+}
+
+impl<S> Board<S> {
+    fn publish_statuses<A: Recoverable>(&mut self, i: usize, autos: &[A]) {
+        for (k, a) in autos.iter().enumerate() {
+            self.statuses[k][i] = a.status();
+        }
+    }
+}
+
 /// Everything the node threads and the driving thread share.
 struct Shared<A: Recoverable, L> {
-    /// `statuses[k][i]`: instance `k`'s status at node `i`.
-    statuses: Mutex<Vec<Vec<Status>>>,
-    steps: Mutex<Vec<u64>>,
+    board: Mutex<Board<A::Snapshot>>,
     /// Raised by `finish` (`Release`) before it unparks the nodes, read
     /// by each node (`Acquire`) before every step and after every wake.
     done: AtomicBool,
-    /// Node threads spawned, incarnations included: the only threads a
-    /// run starts.
-    threads: AtomicU64,
-    /// Protocol messages sent, per instance (before any fault or frame).
-    messages: Vec<AtomicU64>,
-    /// The tick ledger, per instance: deliveries whose receiver tick
-    /// exceeds their sender's by more than `K`.
-    late_by_ticks: Vec<AtomicU64>,
-    /// `crash_snaps[i]`: node `i`'s crash-time snapshot of every
-    /// instance — the stable storage a dying node writes.
-    crash_snaps: Mutex<Vec<Option<Vec<A::Snapshot>>>>,
-    /// `init_snaps[i]`: the fallback for amnesiac restarts. (In a Mutex
-    /// only to make `Shared` Sync without demanding `Snapshot: Sync`;
-    /// it is written once, before any thread starts.)
-    init_snaps: Mutex<Vec<Vec<A::Snapshot>>>,
-    /// Currently crashed and not (yet) restarted.
-    down: Mutex<Vec<bool>>,
-    /// Whether each processor's scripted crash actually fired.
-    ever_crashed: Mutex<Vec<bool>>,
     /// One seed collection per instance: instance `k` replays the
     /// simulator's coin flips for seed collection `k`.
     seeds: Vec<SeedCollection>,
     tick: Duration,
     max_steps: u64,
-    /// Cluster-wide step-event counter feeding the lateness monitor.
-    events: AtomicU64,
-    lateness: Mutex<LatenessMonitor>,
     links: L,
 }
 
 impl<A: Recoverable, L> Shared<A, L> {
-    fn publish_statuses(&self, i: usize, autos: &[A]) {
-        let mut st = self
-            .statuses
+    fn board(&self) -> MutexGuard<'_, Board<A::Snapshot>> {
+        self.board
             .lock()
-            .expect("no thread panics holding cluster state");
-        for (k, a) in autos.iter().enumerate() {
-            st[k][i] = a.status();
-        }
+            .expect("no thread panics holding the board")
     }
 
     /// Waits until `due`, or until [`ClusterCore::finish`] raises
@@ -346,7 +364,6 @@ where
     A::Msg: Send + 'static,
     L: Links<A::Msg>,
 {
-    shared.threads.fetch_add(1, Ordering::Relaxed);
     thread::spawn(move || {
         let id = ProcessorId::new(i);
         // The slot serialises incarnations: a restarting thread blocks
@@ -357,31 +374,21 @@ where
         let Slot { end, held } = &mut *node;
         // Resume the step counter where the predecessor left it so
         // per-step randomness is never reused.
-        let mut clock = shared
-            .steps
-            .lock()
-            .expect("no thread panics holding cluster state")[i];
+        let mut clock = shared.board().steps[i];
         let mut arrivals: Vec<Envelope<A::Msg>> = Vec::new();
         let mut per_instance: Vec<Vec<Delivery<A::Msg>>> =
             autos.iter().map(|_| Vec::new()).collect();
+        let mut sent = vec![0; autos.len()];
         let mut out: Outbox<A::Msg> = Outbox::new();
         while !shared.done.load(Ordering::Acquire) && clock < shared.max_steps {
             if crash_at == Some(clock) {
                 // Fail-stop mid-broadcast: this step's messages are
                 // never sent. Stable storage (the snapshots) survives.
-                shared
-                    .crash_snaps
-                    .lock()
-                    .expect("no thread panics holding cluster state")[i] =
-                    Some(autos.iter().map(A::snapshot).collect());
-                shared
-                    .ever_crashed
-                    .lock()
-                    .expect("no thread panics holding cluster state")[i] = true;
-                shared
-                    .down
-                    .lock()
-                    .expect("no thread panics holding cluster state")[i] = true;
+                let snaps = autos.iter().map(A::snapshot).collect();
+                let mut board = shared.board();
+                board.crash_snaps[i] = Some(snaps);
+                board.crashed[i] = true;
+                board.down[i] = true;
                 return;
             }
             // A late node's deadline is now: it steps at once on what
@@ -403,36 +410,33 @@ where
                 }
             });
             // This step's cluster-wide event, for the paper's lateness
-            // measure: note the step first (the receiving step counts
-            // toward the interval), then classify what reaches an
-            // instance.
-            let ev = shared.events.fetch_add(1, Ordering::Relaxed) + 1;
-            {
-                let mut mon = shared
-                    .lateness
-                    .lock()
-                    .expect("no thread panics holding cluster state");
-                mon.note_step(i, ev);
+            // measure: number and note the step first (the receiving
+            // step counts toward the interval), then classify what
+            // reaches an instance.
+            let ev = {
+                let board = &mut *shared.board();
+                board.events += 1;
+                board.lateness.note_step(i, board.events);
                 for env in arrivals.drain(..) {
                     // The tag came off a wire: one that names no
                     // instance is dropped, never indexed or classified.
                     if let Some(inbox) = per_instance.get_mut(env.instance) {
-                        mon.classify_delivery(env.sent_event);
-                        if clock.saturating_sub(env.sent_at_tick) > mon.k() {
-                            shared.late_by_ticks[env.instance].fetch_add(1, Ordering::Relaxed);
+                        board.lateness.classify_delivery(env.sent_event);
+                        if clock.saturating_sub(env.sent_at_tick) > board.lateness.k() {
+                            board.late_by_ticks[env.instance] += 1;
                         }
                         inbox.push(Delivery::new(env.from, env.msg));
                     }
                 }
-            }
+                board.events
+            };
             for (k, (auto, inbox)) in autos.iter_mut().zip(&mut per_instance).enumerate() {
                 let mut rng = shared.seeds[k].step_rng(id, LocalClock::new(clock));
                 auto.step_into(inbox.iter().map(|d| (d.from, &d.msg)), &mut rng, &mut out);
                 inbox.clear();
                 let n = auto.population();
-                let sent = out.sends(id, n).count() as u64;
-                if sent > 0 {
-                    shared.messages[k].fetch_add(sent, Ordering::Relaxed);
+                sent[k] = out.sends(id, n).count() as u64;
+                if sent[k] > 0 {
                     // What a broadcast costs per destination is the
                     // substrate's call: the outbox goes as it is.
                     let step = Envelope {
@@ -450,11 +454,12 @@ where
             // and stops the run finds the step's messages on their way.
             shared.links.flush(end, id);
             clock += 1;
-            shared
-                .steps
-                .lock()
-                .expect("no thread panics holding cluster state")[i] = clock;
-            shared.publish_statuses(i, &autos);
+            let mut board = shared.board();
+            board.steps[i] = clock;
+            board.publish_statuses(i, &autos);
+            for (total, step) in board.messages.iter_mut().zip(&sent) {
+                *total += step;
+            }
         }
     })
 }
@@ -466,7 +471,12 @@ where
 pub struct ClusterCore<A: Recoverable, L: Links<A::Msg>> {
     shared: Arc<Shared<A, L>>,
     slots: Vec<SharedSlot<L::End, A::Msg>>,
+    /// Every node thread spawned, incarnations included: the only
+    /// threads a run starts.
     handles: Vec<thread::JoinHandle<()>>,
+    /// `init_snaps[i]`: node `i`'s initial snapshots, the fallback for
+    /// amnesiac restarts.
+    init_snaps: Vec<Vec<A::Snapshot>>,
     start: Instant,
 }
 
@@ -525,27 +535,27 @@ where
                 per_node[i].push(auto);
             }
         }
+        let init_snaps = per_node
+            .iter()
+            .map(|autos| autos.iter().map(A::snapshot).collect())
+            .collect();
+        let board = Board {
+            statuses: vec![vec![Status::Undecided; n]; m],
+            steps: vec![0; n],
+            messages: vec![0; m],
+            late_by_ticks: vec![0; m],
+            crash_snaps: (0..n).map(|_| None).collect(),
+            down: vec![false; n],
+            crashed: vec![false; n],
+            events: 0,
+            lateness: LatenessMonitor::new(n, opts.lateness_k),
+        };
         let shared = Arc::new(Shared::<A, L> {
-            statuses: Mutex::new(vec![vec![Status::Undecided; n]; m]),
-            steps: Mutex::new(vec![0; n]),
+            board: Mutex::new(board),
             done: AtomicBool::new(false),
-            threads: AtomicU64::new(0),
-            messages: (0..m).map(|_| AtomicU64::new(0)).collect(),
-            late_by_ticks: (0..m).map(|_| AtomicU64::new(0)).collect(),
-            crash_snaps: Mutex::new((0..n).map(|_| None).collect()),
-            init_snaps: Mutex::new(
-                per_node
-                    .iter()
-                    .map(|autos| autos.iter().map(A::snapshot).collect())
-                    .collect(),
-            ),
-            down: Mutex::new(vec![false; n]),
-            ever_crashed: Mutex::new(vec![false; n]),
             seeds,
             tick: opts.tick,
             max_steps: opts.max_steps,
-            events: AtomicU64::new(0),
-            lateness: Mutex::new(LatenessMonitor::new(n, opts.lateness_k)),
             links,
         });
         let slots: Vec<SharedSlot<L::End, A::Msg>> = ends
@@ -577,6 +587,7 @@ where
             shared,
             slots,
             handles,
+            init_snaps,
             start: boot,
         }
     }
@@ -584,37 +595,23 @@ where
     /// Respawns a down node, from its crash snapshots or amnesiac. The
     /// new incarnation steps at once.
     ///
-    /// The order is an invariant: restore, publish the restored
-    /// automata's statuses, mark the node up, spawn. Marking up before
-    /// publishing would let a decision check read the dead
-    /// incarnation's status — a victim that decided before it crashed
-    /// would end the run before its successor took a step.
+    /// The restored automata's statuses are published and the node is
+    /// marked up in one critical section, so no decision check reads
+    /// the node up with the dead incarnation's status — a victim that
+    /// decided before it crashed cannot end the run before its
+    /// successor takes a step.
     pub fn respawn(&mut self, idx: usize, from_snapshot: bool) {
-        let snaps = if from_snapshot {
-            self.shared
-                .crash_snaps
-                .lock()
-                .expect("no thread panics holding cluster state")[idx]
-                .clone()
-        } else {
-            None
-        };
-        let autos: Vec<A> = match snaps {
+        let mut board = self.shared.board();
+        let autos: Vec<A> = match board.crash_snaps[idx].as_ref().filter(|_| from_snapshot) {
             Some(snaps) => snaps.iter().map(A::restore).collect(),
-            None => self
-                .shared
-                .init_snaps
-                .lock()
-                .expect("no thread panics holding cluster state")[idx]
+            None => self.init_snaps[idx]
                 .iter()
                 .map(A::restore_amnesiac)
                 .collect(),
         };
-        self.shared.publish_statuses(idx, &autos);
-        self.shared
-            .down
-            .lock()
-            .expect("no thread panics holding cluster state")[idx] = false;
+        board.publish_statuses(idx, &autos);
+        board.down[idx] = false;
+        drop(board);
         self.handles.push(spawn_node(
             Arc::clone(&self.shared),
             idx,
@@ -627,18 +624,14 @@ where
 
     /// Steps each node has taken so far.
     pub fn steps(&self) -> Vec<u64> {
-        self.shared
-            .steps
-            .lock()
-            .expect("no thread panics holding cluster state")
-            .clone()
+        self.shared.board().steps.clone()
     }
 
     /// Node threads spawned so far, respawns included. They are the
     /// only threads a run starts: a round of `n` nodes that nothing
     /// restarts runs `n`.
     pub fn threads_spawned(&self) -> u64 {
-        self.shared.threads.load(Ordering::Relaxed)
+        self.handles.len() as u64
     }
 
     /// How many nodes the cluster runs.
@@ -658,28 +651,16 @@ where
 
     /// Which nodes are currently down (crashed and not yet respawned).
     pub(crate) fn down(&self) -> Vec<bool> {
-        self.shared
-            .down
-            .lock()
-            .expect("no thread panics holding cluster state")
-            .clone()
+        self.shared.board().down.clone()
     }
 
     /// Whether every node not excused by `excused` is up and holds a
     /// decision in every instance.
     pub(crate) fn all_up_and_decided(&self, excused: &[bool]) -> bool {
-        let st = self
-            .shared
-            .statuses
-            .lock()
-            .expect("no thread panics holding cluster state");
-        let down = self
-            .shared
-            .down
-            .lock()
-            .expect("no thread panics holding cluster state");
+        let board = self.shared.board();
+        let Board { statuses, down, .. } = &*board;
         (0..down.len())
-            .all(|i| excused[i] || (!down[i] && st.iter().all(|inst| inst[i].is_decided())))
+            .all(|i| excused[i] || (!down[i] && statuses.iter().all(|inst| inst[i].is_decided())))
     }
 
     /// Whether every node that is not currently down holds a decision
@@ -705,12 +686,7 @@ where
             let now = self.elapsed();
             pending.retain(|r| {
                 let idx = r.victim.index();
-                let fire = now >= wall(self.tick(), r.at)
-                    && self
-                        .shared
-                        .down
-                        .lock()
-                        .expect("no thread panics holding cluster state")[idx];
+                let fire = now >= wall(self.tick(), r.at) && self.shared.board().down[idx];
                 if fire {
                     self.respawn(idx, r.from_snapshot);
                     recovered[idx] = true;
@@ -761,54 +737,32 @@ where
             ends.push(slot.end);
         }
         let messages_undelivered = held + teardown(shared.links, ends);
-        let steps = shared
-            .steps
-            .lock()
-            .expect("no thread panics holding cluster state")
-            .clone();
-        let crashed = shared
-            .ever_crashed
-            .lock()
-            .expect("no thread panics holding cluster state")
-            .clone();
-        let down = shared
-            .down
-            .lock()
-            .expect("no thread panics holding cluster state")
-            .clone();
-        let (deliveries, late_deliveries) = {
-            let mon = shared
-                .lateness
-                .lock()
-                .expect("no thread panics holding cluster state");
-            (mon.delivered(), mon.late_count())
-        };
         let wall = self.start.elapsed();
-        let statuses = shared
+        let board = shared
+            .board
+            .into_inner()
+            .expect("no thread panics holding the board");
+        board
             .statuses
-            .lock()
-            .expect("no thread panics holding cluster state")
-            .clone();
-        statuses
             .into_iter()
             .enumerate()
             .map(|(k, statuses)| {
                 let owed_in = statuses
                     .iter()
-                    .zip(&down)
+                    .zip(&board.down)
                     .all(|(s, d)| *d || s.is_decided());
                 ClusterReport {
                     statuses,
-                    steps: steps.clone(),
-                    crashed: crashed.clone(),
+                    steps: board.steps.clone(),
+                    crashed: board.crashed.clone(),
                     recovered: recovered.clone(),
-                    messages_sent: shared.messages[k].load(Ordering::Relaxed),
+                    messages_sent: board.messages[k],
                     messages_undelivered,
                     wall,
                     decided_in_time: decided_in_time && owed_in,
-                    late_by_ticks: shared.late_by_ticks[k].load(Ordering::Relaxed),
-                    deliveries,
-                    late_deliveries,
+                    late_by_ticks: board.late_by_ticks[k],
+                    deliveries: board.lateness.delivered(),
+                    late_deliveries: board.lateness.late_count(),
                 }
             })
             .collect()
@@ -824,6 +778,7 @@ mod tests {
 
     use super::*;
     use crate::fault::DelayModel;
+    use crate::recovery::{boot_channels, finish_channels};
     use crate::run_cluster;
 
     fn cfg(n: usize) -> CommitConfig {
@@ -1069,6 +1024,17 @@ mod tests {
         // read at tick 0.
         assert_eq!(reports[0].deliveries, 1);
         assert!(reports.iter().all(|r| r.late_by_ticks == 0));
+        // Each instance's message count is what the links were handed,
+        // by both incarnations: the steps read above, two sends each,
+        // and whatever the successor sent before `finish` stopped it.
+        let mut recorded = [2 * (CRASH + 2); 2];
+        for call in calls.try_iter() {
+            if let Call::Send(header, _, sends) = call {
+                recorded[header.instance] += sends.len() as u64;
+            }
+        }
+        let counted: Vec<u64> = reports.iter().map(|r| r.messages_sent).collect();
+        assert_eq!(counted, recorded);
     }
 
     #[test]
@@ -1160,14 +1126,14 @@ mod tests {
             tick: Duration::from_millis(50),
             ..opts()
         };
-        let cluster = crate::recovery::ChannelCluster::boot(
+        let core = boot_channels(
             commit_population(c, &[Value::One; 3]),
             SeedCollection::new(15),
             &FaultPlan::none(),
             &slow,
         );
         let called = Instant::now();
-        let report = cluster.finish(vec![false; 3], false);
+        let report = finish_channels(core, vec![false; 3], false);
         let took = called.elapsed();
         assert!(took < Duration::from_millis(25), "finish took {took:?}");
         assert!(report.steps.iter().all(|s| *s <= 1), "{report:?}");
@@ -1182,7 +1148,7 @@ mod tests {
         let tick = Duration::from_millis(200);
         let slow = ClusterOptions { tick, ..opts() };
         let booted = Instant::now();
-        let cluster = crate::recovery::ChannelCluster::boot(
+        let core = boot_channels(
             commit_population(c, &[Value::One; 3]),
             SeedCollection::new(17),
             &FaultPlan::none(),
@@ -1191,14 +1157,14 @@ mod tests {
         let mut first = [None; 3];
         while first.contains(&None) && booted.elapsed() < Duration::from_secs(1) {
             let now = booted.elapsed();
-            for (at, s) in first.iter_mut().zip(cluster.core.steps()) {
+            for (at, s) in first.iter_mut().zip(core.steps()) {
                 if at.is_none() && s > 0 {
                     *at = Some(now);
                 }
             }
             thread::sleep(Duration::from_micros(200));
         }
-        let report = cluster.finish(vec![false; 3], false);
+        let report = finish_channels(core, vec![false; 3], false);
         assert!(report.steps.iter().all(|s| *s >= 1), "{report:?}");
         for (i, at) in (0..).zip(first) {
             let phase = tick * i / 3;

@@ -109,57 +109,52 @@ pub(crate) fn fault_dice(seeds: SeedCollection, i: usize) -> SmallRng {
     SmallRng::seed_from_u64(seeds.master() ^ (0xC0FFEE + i as u64))
 }
 
-/// A booted channel cluster.
-pub(crate) struct ChannelCluster<A: Recoverable>
-where
-    A::Msg: Send + 'static,
-{
-    pub(crate) core: ClusterCore<A, ChannelLinks<A::Msg>>,
-}
-
-impl<A> ChannelCluster<A>
+/// Builds the channels and the router, and spawns the first
+/// incarnation of every node.
+pub(crate) fn boot_channels<A>(
+    procs: Vec<A>,
+    seeds: SeedCollection,
+    faults: &FaultPlan,
+    opts: &ClusterOptions,
+) -> ClusterCore<A, ChannelLinks<A::Msg>>
 where
     A: Recoverable + Send + 'static,
     A::Msg: Send + 'static,
 {
-    /// Builds the channels and the router, and spawns the first
-    /// incarnation of every node.
-    pub(crate) fn boot(
-        procs: Vec<A>,
-        seeds: SeedCollection,
-        faults: &FaultPlan,
-        opts: &ClusterOptions,
-    ) -> ChannelCluster<A> {
-        let n = procs.len();
-        let (inbox_tx, ends) = (0..n)
-            .map(|i| {
-                let (tx, inbox) = channel();
-                let dice = fault_dice(seeds, i);
-                (tx, ChannelEnd { inbox, dice })
-            })
-            .unzip();
-        let links = ChannelLinks {
-            inbox_tx,
-            router: FaultRouter::new(faults.clone(), opts.tick),
-        };
-        let core = ClusterCore::boot(vec![procs], vec![seeds], faults, opts, links, ends);
-        ChannelCluster { core }
-    }
+    let (inbox_tx, ends) = (0..procs.len())
+        .map(|i| {
+            let (tx, inbox) = channel();
+            let dice = fault_dice(seeds, i);
+            (tx, ChannelEnd { inbox, dice })
+        })
+        .unzip();
+    let links = ChannelLinks {
+        inbox_tx,
+        router: FaultRouter::new(faults.clone(), opts.tick),
+    };
+    ClusterCore::boot(vec![procs], vec![seeds], faults, opts, links, ends)
+}
 
-    /// Stops every thread and assembles the report. Envelopes still in
-    /// an inbox whose hold outlived the run count as undelivered, as
-    /// those in a node's hold queue do.
-    pub(crate) fn finish(self, recovered: Vec<bool>, decided_in_time: bool) -> ClusterReport {
-        let teardown = |_links, ends: Vec<ChannelEnd<A::Msg>>| {
-            let now = Instant::now();
-            let held = ends.iter().flat_map(|e| e.inbox.try_iter());
-            held.filter(|(due, _)| *due > now).count() as u64
-        };
-        self.core
-            .finish(recovered, decided_in_time, teardown)
-            .pop()
-            .expect("a channel cluster runs one instance")
-    }
+/// Stops every thread of a channel cluster and assembles its report.
+/// Envelopes still in an inbox whose hold outlived the run count as
+/// undelivered, as those in a node's hold queue do.
+pub(crate) fn finish_channels<A>(
+    core: ClusterCore<A, ChannelLinks<A::Msg>>,
+    recovered: Vec<bool>,
+    decided_in_time: bool,
+) -> ClusterReport
+where
+    A: Recoverable + Send + 'static,
+    A::Msg: Send + 'static,
+{
+    let teardown = |_links, ends: Vec<ChannelEnd<A::Msg>>| {
+        let now = Instant::now();
+        let held = ends.iter().flat_map(|e| e.inbox.try_iter());
+        held.filter(|(due, _)| *due > now).count() as u64
+    };
+    core.finish(recovered, decided_in_time, teardown)
+        .pop()
+        .expect("a channel cluster runs one instance")
 }
 
 /// Runs a population of [`Recoverable`] automata on threads, with
@@ -214,11 +209,9 @@ where
     A: Recoverable + Send + 'static,
     A::Msg: Send + 'static,
 {
-    let mut cluster = ChannelCluster::boot(procs, seeds, &faults, &opts);
-    let (recovered, decided_in_time) = cluster
-        .core
-        .run_scripted(faults.restarts, opts.wall_timeout);
-    cluster.finish(recovered, decided_in_time)
+    let mut core = boot_channels(procs, seeds, &faults, &opts);
+    let (recovered, decided_in_time) = core.run_scripted(faults.restarts, opts.wall_timeout);
+    finish_channels(core, recovered, decided_in_time)
 }
 
 #[cfg(test)]
@@ -458,10 +451,10 @@ mod tests {
             .with_link_outage(p(0), p(1), 0, 20)
             .with_crash(p(1), CRASH)
             .with_restart(p(1), 35, true);
-        let mut cluster = ChannelCluster::boot(population, SeedCollection::new(46), &plan, &o);
-        let (recovered, _) = cluster.core.run_scripted(plan.restarts, o.wall_timeout);
-        assert_eq!(cluster.core.threads_spawned(), 3);
-        let report = cluster.finish(recovered, false);
+        let mut core = boot_channels(population, SeedCollection::new(46), &plan, &o);
+        let (recovered, _) = core.run_scripted(plan.restarts, o.wall_timeout);
+        assert_eq!(core.threads_spawned(), 3);
+        let report = finish_channels(core, recovered, false);
         assert!(report.crashed[1] && report.recovered[1], "{report:?}");
         let heard = heard.lock().unwrap().clone();
         let counts: Vec<u64> = heard.iter().map(|(_, c)| *c).collect();

@@ -28,7 +28,7 @@ use rtc_model::{Recoverable, SeedCollection};
 
 use crate::cluster::{ClusterCore, ClusterOptions, ClusterReport, Links};
 use crate::fault::FaultPlan;
-use crate::recovery::ChannelCluster;
+use crate::recovery::{boot_channels, finish_channels};
 
 /// Tunables for the self-healing supervisor.
 #[derive(Debug, Clone, Copy)]
@@ -258,10 +258,9 @@ where
     A: Recoverable + Send + 'static,
     A::Msg: Send + 'static,
 {
-    let mut cluster = ChannelCluster::boot(procs, seeds, &faults, &opts);
-    let (sup, recovered, decided_in_time) =
-        supervise(&mut cluster.core, t, policy, opts.wall_timeout);
-    (cluster.finish(recovered, decided_in_time), sup)
+    let mut core = boot_channels(procs, seeds, &faults, &opts);
+    let (sup, recovered, decided_in_time) = supervise(&mut core, t, policy, opts.wall_timeout);
+    (finish_channels(core, recovered, decided_in_time), sup)
 }
 
 #[cfg(test)]
